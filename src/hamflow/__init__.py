@@ -11,8 +11,8 @@ from .config import ExperimentConfig, parse_config, serialize_config
 from .errors import (DegenerateOverlap, FactorizationFailure, HamflowError, NonFinite,
                      NotAutonomous, OutOfRange, ParseError, RefinementOverflow,
                      Unsupported, ValidationError)
-from .field import (HamiltonianLaw, RandomHamiltonian, gaussian_dimension, make_law,
-                    sample_hamiltonian, spectral_weight)
+from .field import (HamiltonianLaw, RandomHamiltonian, SpectralHamiltonian,
+                    gaussian_dimension, make_law, sample_hamiltonian, spectral_weight)
 from .flow import (BumpFunction, CallableHamiltonian, FlowSettings, LagrangianCurve,
                    advect_curve, circle_curve, composition_hamiltonian,
                    concatenate_autonomous, flow_jacobian_determinant, flow_points,
@@ -22,8 +22,8 @@ from .flow import (BumpFunction, CallableHamiltonian, FlowSettings, LagrangianCu
 from .rkhs import (CoefficientTable, coefficient_expansion, reconstruct_value,
                    rkhs_norm, weighted_coefficient_sum)
 from .rng import derive
-from .temporal import (CONSTANT, KernelKind, PERIODIC, SQEXP, TemporalSample,
-                       evaluate_temporal, kernel_value, sample)
+from .temporal import (CONSTANT, KernelKind, PERIODIC, SQEXP, coefficient_paths,
+                       kernel_value)
 from .walk import (WalkState, apply_walk, apply_walk_points, induced_point_walk,
                    sample_walk, walk_generating_hamiltonian)
 

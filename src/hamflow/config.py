@@ -24,6 +24,15 @@ from .errors import ParseError, ValidationError
 COMMANDS = ("sample-field", "flow", "diffusion", "intersections", "random-walk",
             "rkhs-norm", "tails", "concentration", "inversion")
 
+# Defaults that differ by command, so that every command runs from its
+# defaults: random walks need autonomous steps and the tail fit needs at
+# least 1000 draws.
+COMMAND_DEFAULTS = {
+    "diffusion": {"regularity": (0.08,)},
+    "random-walk": {"kernel": temporal.CONSTANT},
+    "tails": {"samples": 1000},
+}
+
 PAPER_LABELS = tuple(f"L{i}" for i in range(1, 15))
 
 FREQUENCY_UNITS = "frequency"
@@ -137,7 +146,7 @@ _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,
                "1": True, "0": False}
 
 
-def _convert(name: str, raw: str, template):
+def _convert(raw: str, template):
     if isinstance(template, bool):
         word = raw.strip().lower()
         if word not in _BOOL_WORDS:
@@ -151,8 +160,6 @@ def _convert(name: str, raw: str, template):
         parts = [p.strip() for p in raw.split(",") if p.strip()]
         if template and isinstance(template[0], str):
             return tuple(parts)
-        if name in ("times", "regularity", "ball_center", "probe"):
-            return tuple(float(p) for p in parts)
         return tuple(float(p) for p in parts)
     return raw.strip()
 
@@ -161,7 +168,8 @@ def parse_config(text: str, command: str = "sample-field",
                  overrides: dict | None = None) -> ExperimentConfig:
     """Parse a key = value document into a validated config.
 
-    ``overrides`` (typically CLI flags) take precedence over document keys.
+    ``overrides`` (typically CLI flags) take precedence over document keys,
+    and both over the command's entry in ``COMMAND_DEFAULTS``.
     """
     defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     known = set(defaults)
@@ -180,7 +188,7 @@ def parse_config(text: str, command: str = "sample-field",
         if key in values:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
         try:
-            values[key] = _convert(key, raw.strip(), defaults[key])
+            values[key] = _convert(raw.strip(), defaults[key])
         except ValueError as exc:
             raise ParseError(f"{key}: {exc}", line=lineno) from exc
     if overrides:
@@ -190,8 +198,8 @@ def parse_config(text: str, command: str = "sample-field",
             if key not in known:
                 raise ValidationError(key, "unknown key")
             values[key] = val
-    if "regularity" not in values and command == "diffusion":
-        values["regularity"] = (0.08,)
+    for key, val in COMMAND_DEFAULTS.get(command, {}).items():
+        values.setdefault(key, val)
     return ExperimentConfig(command=command, **values)
 
 

@@ -3,13 +3,15 @@
 A :class:`HamiltonianLaw` fixes the probability law (regularity, basis
 truncation, coefficient kernel, master seed); :func:`sample_hamiltonian`
 draws one :class:`RandomHamiltonian` from it.  Draws are immutable and all
-evaluation methods are reentrant.
+evaluation methods are reentrant.  :class:`SpectralHamiltonian` is the one
+type whose fields the integrator evaluates through packed coefficient grids;
+draws, their time reversals and concatenations of autonomous draws are its
+subclasses.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -19,7 +21,7 @@ from .basis import SpectralBasis, TorusPoint, Truncation, build_basis
 from .engine import SpectralEngine
 from .errors import Unsupported
 from .rng import derive
-from .temporal import ConstantSample, GridSample, KernelKind, PeriodicSample
+from .temporal import KernelKind
 
 
 def spectral_weight(eigenvalue: float, regularity: float):
@@ -106,12 +108,9 @@ def make_law(regularity: float, spatial_max: int = 25, temporal_max: int = 10,
 
 def gaussian_dimension(law: HamiltonianLaw) -> int:
     """Number of independent standard normals one draw consumes."""
-    n_modes = len(law.basis())
-    if law.kernel.tag == temporal.PERIODIC:
-        return n_modes * (1 + 2 * law.kernel.temporal_max)
-    if law.kernel.tag == temporal.CONSTANT:
-        return n_modes
-    raise Unsupported("gaussian dimension of grid-sampled kernels depends on the grid")
+    if law.kernel.tag == temporal.SQEXP:
+        raise Unsupported("gaussian dimension of grid-sampled kernels depends on the grid")
+    return len(law.basis()) * law.kernel.gaussians_per_sample()
 
 
 def _as_points(p):
@@ -124,83 +123,45 @@ def _as_points(p):
     return arr, False
 
 
-class RandomHamiltonian:
-    """One draw of the random field; immutable after construction."""
+class SpectralHamiltonian:
+    """A Hamiltonian sum_n c_n(t) e_n(x) over one basis, evaluated by its engine.
 
-    def __init__(self, law: HamiltonianLaw, temporal_samples: tuple):
-        self.law = law
-        self.basis = law.basis()
-        self.temporal = tuple(temporal_samples)
-        if len(self.temporal) != len(self.basis):
-            raise ValueError("one temporal sample per mode required")
-        self.weights = law.weights()
-        self._engine = law.engine()
-        self.stiffness = 1
+    Subclasses define ``mode_coefficients(times)``: c_n(t) with shape (N,)
+    for scalar t and (T, N) for a vector.  Everything else follows from it.
+    """
 
-    @property
-    def autonomous(self) -> bool:
-        return all(isinstance(s, ConstantSample) for s in self.temporal)
+    stiffness = 1
+    autonomous = False
 
-    # -- coefficient paths ----------------------------------------------------
+    def __init__(self, engine: SpectralEngine):
+        self.engine = engine
 
     def mode_coefficients(self, times) -> np.ndarray:
-        """c_n(t) = w_n Z_n(t); shape (N,) for scalar t, (T, N) for a vector."""
-        times = np.asarray(times, dtype=float)
-        scalar = times.ndim == 0
-        t = np.atleast_1d(times)
-        kind = self.law.kernel
-        scales = self.law.scales()
-        if kind.tag == temporal.PERIODIC:
-            x0 = np.array([s.x0 for s in self.temporal])
-            ca = np.array([s.cos_coeffs for s in self.temporal])
-            cb = np.array([s.sin_coeffs for s in self.temporal])
-            decay = kind.fourier_decay()
-            k = np.arange(1, kind.temporal_max + 1)
-            ang = 2.0 * math.pi * np.multiply.outer(t, k)
-            series = np.cos(ang) @ (decay * ca).T + np.sin(ang) @ (decay * cb).T
-            z = scales * (x0 + math.sqrt(2.0) * series) + kind.mean
-        elif kind.tag == temporal.CONSTANT:
-            vals = np.array([s.value for s in self.temporal])
-            z = np.broadcast_to(vals, (len(t), len(vals)))
-        else:
-            grid_t = self.temporal[0].times
-            vals = np.array([s.values for s in self.temporal])
-            pos = np.clip(t, grid_t[0], grid_t[-1]) * (len(grid_t) - 1)
-            i0 = np.minimum(pos.astype(int), len(grid_t) - 2)
-            frac = pos - i0
-            z = (vals[:, i0] * (1.0 - frac) + vals[:, i0 + 1] * frac).T
-        out = self.weights * z
-        return out[0] if scalar else out
-
-    def constant_mode_coefficients(self) -> np.ndarray:
-        """w_n Z_n for autonomous draws."""
-        if not self.autonomous:
-            raise Unsupported("draw is not autonomous")
-        return self.weights * np.array([s.value for s in self.temporal])
+        raise NotImplementedError
 
     def coefficient_grids(self, times) -> np.ndarray:
         """Packed evaluation grids at the given times (see SpectralEngine)."""
-        return self._engine.grids(self.mode_coefficients(times))
+        return self.engine.grids(self.mode_coefficients(times))
 
     # -- pointwise evaluation --------------------------------------------------
 
     def value(self, t: float, p):
         pts, scalar = _as_points(p)
-        v = self._engine.value(self.coefficient_grids(float(t)), pts)
+        v = self.engine.value(self.coefficient_grids(float(t)), pts)
         return float(v[0]) if scalar else v
 
     def gradient(self, t: float, p):
         pts, scalar = _as_points(p)
-        g = self._engine.gradient(self.coefficient_grids(float(t)), pts)
+        g = self.engine.gradient(self.coefficient_grids(float(t)), pts)
         return g[0] if scalar else g
 
     def vector_field(self, t: float, p):
         pts, scalar = _as_points(p)
-        v = self._engine.vector_field(self.coefficient_grids(float(t)), pts)
+        v = self.engine.vector_field(self.coefficient_grids(float(t)), pts)
         return v[0] if scalar else v
 
     def value_grid(self, t: float, xs, ys) -> np.ndarray:
-        return self._engine.value_grid(self.coefficient_grids(float(t)), xs, ys)
+        return self.engine.value_grid(self.coefficient_grids(float(t)), xs, ys)
 
     # -- diagnostics -----------------------------------------------------------
 
@@ -213,23 +174,49 @@ class RandomHamiltonian:
         grids = self.coefficient_grids(times)
         spread = np.empty(time_grid)
         for i in range(time_grid):
-            h = self._engine.value_grid(grids[i], xs, xs)
+            h = self.engine.value_grid(grids[i], xs, xs)
             spread[i] = h.max() - h.min()
         return float(np.trapezoid(spread, times))
 
     def spatial_mean(self, t: float, grid: int | None = None) -> float:
         """Lattice quadrature of H(t, .); exact for the truncated series."""
         if grid is None:
-            grid = 4 * self.basis.truncation.spatial_max + 1
+            grid = 4 * self.engine.kmax + 1
         xs = np.arange(grid) / grid
         return float(self.value_grid(t, xs, xs).mean())
+
+
+class RandomHamiltonian(SpectralHamiltonian):
+    """One draw of the random field; immutable after construction.
+
+    ``gaussians`` is the draw's read-only (N, m) array of standard normals,
+    laid out as documented in :mod:`hamflow.temporal`.
+    """
+
+    def __init__(self, law: HamiltonianLaw, gaussians):
+        super().__init__(law.engine())
+        self.law = law
+        self.basis = law.basis()
+        shape = (len(self.basis), law.kernel.gaussians_per_sample())
+        self.gaussians = np.array(gaussians, dtype=float)
+        if self.gaussians.shape != shape:
+            raise ValueError(f"gaussians must have shape {shape}")
+        self.gaussians.setflags(write=False)
+        self.weights = law.weights()
+        self.autonomous = law.kernel.tag == temporal.CONSTANT
+
+    def mode_coefficients(self, times) -> np.ndarray:
+        """c_n(t) = w_n Z_n(t); shape (N,) for scalar t, (T, N) for a vector."""
+        out = self.weights * temporal.coefficient_paths(self.law.kernel, self.gaussians,
+                                                        self.law.scales(), times)
+        return out[0] if np.ndim(times) == 0 else out
 
     def analytic_variance(self, t: float, p) -> float:
         """Var[H(t, p)] over draws: sum_n w_n^2 kappa_n(t, t) e_n(p)^2."""
         pts, _ = _as_points(p)
         base_kind = replace(self.law.kernel, per_mode_scale=1.0, mean=0.0)
         kappa = temporal.kernel_value(base_kind, float(t), float(t))
-        evals = self._engine.mode_values(pts)[0]
+        evals = self.engine.mode_values(pts)[0]
         return float(np.sum(self.weights**2 * self.law.scales()**2 * kappa * evals**2))
 
 
@@ -237,30 +224,5 @@ def sample_hamiltonian(law: HamiltonianLaw, rng: np.random.Generator | None = No
     """Draw one random Hamiltonian; deterministic given (law, stream state)."""
     if rng is None:
         rng = derive(law.seed)
-    basis = law.basis()
-    n = len(basis)
-    kind = law.kernel
-    scales = law.scales()
-    per_mode_kinds = [kind if s == kind.per_mode_scale else replace(kind, per_mode_scale=float(s))
-                      for s in scales]
-    if kind.tag == temporal.PERIODIC:
-        tm = kind.temporal_max
-        mat = rng.standard_normal((n, 1 + 2 * tm))
-        samples = tuple(
-            PeriodicSample(kind=per_mode_kinds[i], x0=mat[i, 0],
-                           cos_coeffs=mat[i, 1:tm + 1], sin_coeffs=mat[i, tm + 1:])
-            for i in range(n))
-    elif kind.tag == temporal.CONSTANT:
-        vec = rng.standard_normal(n)
-        samples = tuple(
-            ConstantSample(kind=per_mode_kinds[i], value=scales[i] * vec[i] + kind.mean)
-            for i in range(n))
-    else:
-        unit = replace(kind, per_mode_scale=1.0)
-        times, chol = temporal._sqexp_cholesky(unit)
-        mat = rng.standard_normal((n, kind.grid_nodes))
-        samples = tuple(
-            GridSample(kind=per_mode_kinds[i], times=times,
-                       values=scales[i] * (chol @ mat[i]) + kind.mean)
-            for i in range(n))
-    return RandomHamiltonian(law, samples)
+    return RandomHamiltonian(law, rng.standard_normal((len(law.basis()),
+                                                       law.kernel.gaussians_per_sample())))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .basis import TorusPoint
 from .errors import NonFinite, NotAutonomous, RefinementOverflow
-from .field import RandomHamiltonian
+from .field import RandomHamiltonian, SpectralHamiltonian
 
 _FD_STEP = 1e-6
 
@@ -87,7 +87,7 @@ def _n_steps(settings: FlowSettings, stiffness: int, span: float) -> int:
     return max(1, math.ceil(settings.steps * stiffness * span - 1e-9))
 
 
-def _rk4_grids(engine, grids, pts, t0, h, n_steps, captures=None):
+def _rk4_grids(engine, grids, pts, h, n_steps, captures=None):
     p = np.array(pts, dtype=float)
     if captures is not None:
         captures.append(p.copy())
@@ -127,10 +127,10 @@ def _integrate(fieldlike, pts, t0, t1, settings, captures=None):
             captures.append(out.copy())
         return out
     h = (t1 - t0) / n
-    if hasattr(fieldlike, "coefficient_grids"):
+    if isinstance(fieldlike, SpectralHamiltonian):
         stage_times = t0 + 0.5 * h * np.arange(2 * n + 1)
         grids = fieldlike.coefficient_grids(np.clip(stage_times, 0.0, 1.0))
-        out = _rk4_grids(fieldlike._engine, grids, pts, t0, h, n, captures)
+        out = _rk4_grids(fieldlike.engine, grids, pts, h, n, captures)
     else:
         out = _rk4_generic(fieldlike, pts, t0, h, n, captures)
     if not np.all(np.isfinite(out)):
@@ -342,25 +342,21 @@ class TimeReversedHamiltonian(HamiltonianEvaluator):
     def __init__(self, f):
         self._f = f
         self.stiffness = getattr(f, "stiffness", 1)
-        if hasattr(f, "coefficient_grids"):
-            self._engine = f._engine
-            self.coefficient_grids = self._reversed_grids
-
-    def _reversed_grids(self, times):
-        return -self._f.coefficient_grids(1.0 - np.asarray(times, dtype=float))
 
     def value(self, t, pts):
         return -_value_of(self._f, 1.0 - t, pts)
 
-    def gradient(self, t, pts):
-        if hasattr(self._f, "coefficient_grids"):
-            return self._engine.gradient(self._reversed_grids(float(t)), np.asarray(pts, dtype=float))
-        return super().gradient(t, pts)
 
-    def vector_field(self, t, pts):
-        if hasattr(self._f, "coefficient_grids"):
-            return self._engine.vector_field(self._reversed_grids(float(t)), np.asarray(pts, dtype=float))
-        return super().vector_field(t, pts)
+class SpectralTimeReversal(SpectralHamiltonian):
+    """Time reversal of a spectral Hamiltonian: c_n(t) -> -c_n(1 - t)."""
+
+    def __init__(self, f: SpectralHamiltonian):
+        super().__init__(f.engine)
+        self._f = f
+        self.stiffness = f.stiffness
+
+    def mode_coefficients(self, times):
+        return -self._f.mode_coefficients(1.0 - np.asarray(times, dtype=float))
 
 
 def _value_of(fieldlike, t, pts):
@@ -375,7 +371,9 @@ def inverse_generating_hamiltonian(f, settings: FlowSettings = DEFAULT_SETTINGS)
     return InverseGeneratingHamiltonian(f, settings)
 
 
-def time_reversed_hamiltonian(f) -> TimeReversedHamiltonian:
+def time_reversed_hamiltonian(f):
+    if isinstance(f, SpectralHamiltonian):
+        return SpectralTimeReversal(f)
     return TimeReversedHamiltonian(f)
 
 
@@ -450,19 +448,16 @@ class ConcatenatedHamiltonian(HamiltonianEvaluator):
         return np.stack([-g[:, 1], g[:, 0]], axis=-1)
 
 
-class SpectralConcatenation:
+class SpectralConcatenation(SpectralHamiltonian):
     """Concatenation of autonomous spectral draws, with exact vector fields.
 
-    Shares the coefficient-grid fast path: the combined coefficient path is
-    c_n(t) = sum_i k * bump(k*t - i + 1) * c_n^(i).
+    The combined coefficient path is c_n(t) = sum_i k * bump(k*t - i + 1) * c_n^(i).
     """
 
-    autonomous = False
-
     def __init__(self, parts, bump: BumpFunction):
-        self._engine = parts[0]._engine
+        super().__init__(parts[0].engine)
         self._bump = bump
-        self._const = np.stack([p.constant_mode_coefficients() for p in parts])
+        self._const = np.stack([p.mode_coefficients(0.0) for p in parts])
         self.stiffness = len(parts)
 
     def mode_coefficients(self, times):
@@ -475,18 +470,6 @@ class SpectralConcatenation:
         out = weights @ self._const
         return out[0] if scalar else out
 
-    def coefficient_grids(self, times):
-        return self._engine.grids(self.mode_coefficients(times))
-
-    def value(self, t, pts):
-        return self._engine.value(self.coefficient_grids(float(t)), np.asarray(pts, dtype=float))
-
-    def gradient(self, t, pts):
-        return self._engine.gradient(self.coefficient_grids(float(t)), np.asarray(pts, dtype=float))
-
-    def vector_field(self, t, pts):
-        return self._engine.vector_field(self.coefficient_grids(float(t)), np.asarray(pts, dtype=float))
-
 
 def concatenate_autonomous(parts, bump: BumpFunction):
     """Single Hamiltonian whose time-1 flow composes the parts in order."""
@@ -496,10 +479,8 @@ def concatenate_autonomous(parts, bump: BumpFunction):
     for part in parts:
         if not getattr(part, "autonomous", False):
             raise NotAutonomous("all concatenated Hamiltonians must be autonomous")
-    if all(isinstance(p, RandomHamiltonian) for p in parts):
-        basis = parts[0].basis
-        if all(p.basis is basis for p in parts):
-            return SpectralConcatenation(parts, bump)
+    if all(isinstance(p, RandomHamiltonian) and p.engine is parts[0].engine for p in parts):
+        return SpectralConcatenation(parts, bump)
     return ConcatenatedHamiltonian(parts, bump)
 
 

@@ -64,26 +64,27 @@ def coefficient_expansion(draw: RandomHamiltonian) -> CoefficientTable:
         raise Unsupported("coefficient expansion requires a centered kernel")
     entries: dict = {}
     eigenvalues: dict = {}
-    scales = draw.law.scales()
     if kind.tag == temporal.CONSTANT:
-        for idx, sample in enumerate(draw.temporal):
-            coeff = draw.weights[idx] * sample.value
+        for idx, coeff in enumerate(draw.mode_coefficients(0.0)):
             if coeff != 0.0:
                 entries[(0, idx + 1, COS)] = float(coeff)
                 eigenvalues[idx + 1] = float(draw.basis.eigenvalues[idx])
         return CoefficientTable(entries, eigenvalues, draw.basis)
-    decay = kind.fourier_decay()
-    for idx, sample in enumerate(draw.temporal):
+    tm = kind.temporal_max
+    w = draw.weights * draw.law.scales()
+    base = w * draw.gaussians[:, 0]
+    damped = w[:, None] * kind.fourier_decay()
+    cos = damped * draw.gaussians[:, 1:tm + 1]
+    sin = damped * draw.gaussians[:, tm + 1:]
+    for idx in range(len(draw.basis)):
         n = idx + 1
-        w = draw.weights[idx] * scales[idx]
-        base = w * sample.x0
         used = False
-        if base != 0.0:
-            entries[(0, n, COS)] = float(base)
+        if base[idx] != 0.0:
+            entries[(0, n, COS)] = float(base[idx])
             used = True
-        for k in range(1, kind.temporal_max + 1):
-            a = w * decay[k - 1] * sample.cos_coeffs[k - 1]
-            b = w * decay[k - 1] * sample.sin_coeffs[k - 1]
+        for k in range(1, tm + 1):
+            a = cos[idx, k - 1]
+            b = sin[idx, k - 1]
             if a != 0.0:
                 entries[(k, n, COS)] = float(a)
                 used = True

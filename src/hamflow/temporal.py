@@ -14,12 +14,27 @@ Three process families drive the random field's per-mode coefficients:
 All processes have unit pointwise variance scale before ``per_mode_scale``
 is applied.  ``mean`` shifts the whole path by a constant; it exists so that
 deliberately non-centered laws can be constructed in tests.
+
+A draw of N coefficient processes is one read-only (N, m) array of
+independent standard normals, m = ``KernelKind.gaussians_per_sample()``;
+row n drives process n.  The columns are:
+
+* ``periodic`` -- m = 1 + 2 * temporal_max: column 0 is the constant term
+  x0, columns 1..temporal_max the cosine coefficients of frequencies
+  1..temporal_max, and the last temporal_max columns the matching sines;
+* ``constant`` -- m = 1: the single normal;
+* ``sqexp``    -- m = grid_nodes: node normals, mapped through the Cholesky
+  factor of the unit covariance on linspace(0, 1, grid_nodes) to the path's
+  node values.
+
+:func:`coefficient_paths` maps such an array to the paths at given times.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,89 +111,43 @@ def kernel_value(kind: KernelKind, t1: float, t2: float) -> float:
     return s2  # constant in time
 
 
-@dataclass(frozen=True)
-class TemporalSample:
-    """Base class for one realized coefficient path."""
-
-    kind: KernelKind
-
-    def evaluate(self, t):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class PeriodicSample(TemporalSample):
-    """Raw Fourier gaussians; evaluation applies decay, scale, and mean.
-
-    ``cos_coeffs[i]`` / ``sin_coeffs[i]`` belong to frequency i+1.
-    """
-
-    x0: float
-    cos_coeffs: np.ndarray
-    sin_coeffs: np.ndarray
-
-    def evaluate(self, t):
-        t = _check_times(t)
-        decay = self.kind.fourier_decay()
-        k = np.arange(1, self.kind.temporal_max + 1)
-        ang = _TWO_PI * np.multiply.outer(t, k)
-        series = np.cos(ang) @ (decay * self.cos_coeffs) + np.sin(ang) @ (decay * self.sin_coeffs)
-        return self.kind.per_mode_scale * (self.x0 + math.sqrt(2.0) * series) + self.kind.mean
-
-
-@dataclass(frozen=True)
-class ConstantSample(TemporalSample):
-    """Constant path; ``value`` already includes scale and mean."""
-
-    value: float
-
-    def evaluate(self, t):
-        t = _check_times(t)
-        return self.value if t.ndim == 0 else np.full(t.shape, self.value)
-
-
-@dataclass(frozen=True)
-class GridSample(TemporalSample):
-    """Path values on a uniform time grid, linearly interpolated between nodes."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def evaluate(self, t):
-        t = _check_times(t)
-        if np.any(t < self.times[0] - 1e-12) or np.any(t > self.times[-1] + 1e-12):
-            raise OutOfRange("time outside the sampled grid range")
-        return np.interp(t, self.times, self.values)
-
-
-def _sqexp_cholesky(kind: KernelKind) -> tuple[np.ndarray, np.ndarray]:
-    times = np.linspace(0.0, 1.0, kind.grid_nodes)
+@lru_cache(maxsize=16)
+def _sqexp_cholesky(regularity: float, nodes: int) -> np.ndarray:
+    """Lower Cholesky factor of the unit sqexp covariance on the node grid."""
+    times = np.linspace(0.0, 1.0, nodes)
     diff = times[:, None] - times[None, :]
-    cov = kind.per_mode_scale**2 * np.exp(-kind.regularity * diff**2)
+    cov = np.exp(-regularity * diff**2)
     cov[np.diag_indices_from(cov)] += 1e-10
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise FactorizationFailure("jittered squared-exponential covariance "
                                    "is not positive definite") from exc
-    return times, chol
+    chol.setflags(write=False)
+    return chol
 
 
-def sample(kind: KernelKind, rng: np.random.Generator) -> TemporalSample:
-    """Draw one coefficient path."""
-    if kind.tag == PERIODIC:
-        vec = rng.standard_normal(1 + 2 * kind.temporal_max)
-        return PeriodicSample(kind=kind, x0=vec[0],
-                              cos_coeffs=vec[1:kind.temporal_max + 1],
-                              sin_coeffs=vec[kind.temporal_max + 1:])
+def coefficient_paths(kind: KernelKind, gaussians: np.ndarray, scales, times) -> np.ndarray:
+    """Paths Z_n(t) = scale_n * unit_n(t) + mean of one draw; shape (T, N).
+
+    ``gaussians`` is the draw's (N, m) array in the column layout of the
+    module docstring, ``scales`` the per-mode scale (scalar or (N,)) and
+    ``times`` a scalar or (T,) array in [0, 1].
+    """
+    t = _check_times(np.atleast_1d(times))
     if kind.tag == CONSTANT:
-        c = rng.standard_normal()
-        return ConstantSample(kind=kind, value=kind.per_mode_scale * c + kind.mean)
-    times, chol = _sqexp_cholesky(kind)
-    values = chol @ rng.standard_normal(kind.grid_nodes) + kind.mean
-    return GridSample(kind=kind, times=times, values=values)
-
-
-def evaluate_temporal(s: TemporalSample, t):
-    """Value of the realized path at time(s) t in [0, 1]."""
-    return s.evaluate(t)
+        return np.broadcast_to(scales * gaussians[:, 0] + kind.mean, (len(t), len(gaussians)))
+    if kind.tag == PERIODIC:
+        tm = kind.temporal_max
+        decay = kind.fourier_decay()
+        ang = _TWO_PI * np.multiply.outer(t, np.arange(1, tm + 1))
+        series = (np.cos(ang) @ (decay * gaussians[:, 1:tm + 1]).T
+                  + np.sin(ang) @ (decay * gaussians[:, tm + 1:]).T)
+        unit = gaussians[:, 0] + math.sqrt(2.0) * series
+    else:
+        nodes = gaussians @ _sqexp_cholesky(kind.regularity, kind.grid_nodes).T
+        pos = np.clip(t, 0.0, 1.0) * (kind.grid_nodes - 1)
+        i0 = np.minimum(pos.astype(int), kind.grid_nodes - 2)
+        frac = pos - i0
+        unit = (nodes[:, i0] * (1.0 - frac) + nodes[:, i0 + 1] * frac).T
+    return scales * unit + kind.mean

@@ -1,0 +1,69 @@
+"""Smoke tests: every CLI command runs at a tiny config and writes its files."""
+
+import pytest
+
+from hamflow import cli
+
+TINY = """\
+spatial_max = 2
+temporal_max = 3
+regularity = 8.0
+steps = 50
+samples = 4
+workers = 1
+seed = 3
+osc_spatial_grid = 8
+osc_time_grid = 5
+curve_vertices = 16
+points = 10
+walk_steps = 2
+lagrangians = L1, L7, L13
+"""
+
+OUTPUTS = {
+    "sample-field": ("field_osc.csv", "field_samples.jsonl"),
+    "flow": ("curves.jsonl",),
+    "diffusion": ("diffusion.jsonl", "diffusion_samples.jsonl"),
+    "intersections": ("intersections.csv",),
+    "random-walk": ("walks.jsonl",),
+    "rkhs-norm": ("rkhs.csv", "rkhs_samples.jsonl"),
+    "tails": ("tail_survival.jsonl", "tail_fit.jsonl"),
+    "concentration": ("concentration.csv",),
+    "inversion": ("inversion.jsonl", "inversion_samples.jsonl"),
+}
+
+
+def run(tmp_path, command, text, name=None):
+    config = tmp_path / f"{name or command}.txt"
+    config.write_text(text)
+    out = tmp_path / (name or command)
+    rc = cli.main([command, "--config", str(config), "--out", str(out)])
+    return rc, out
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUTS))
+def test_command_writes_outputs(tmp_path, command):
+    # tails runs at its 1000-sample default; random-walk at its constant kernel
+    text = TINY.replace("samples = 4\n", "") if command == "tails" else TINY
+    rc, out = run(tmp_path, command, text)
+    assert rc == 0
+    for name in OUTPUTS[command] + ("config.txt",):
+        assert (out / name).stat().st_size > 0, name
+
+
+def test_random_walk_rejects_explicit_periodic_kernel(tmp_path, capsys):
+    rc, _ = run(tmp_path, "random-walk", TINY + "kernel = periodic\n")
+    assert rc == 1
+    assert "constant-in-time kernel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["inversion", "sample-field"])
+def test_outputs_independent_of_worker_count(tmp_path, command):
+    outs = []
+    for workers in (1, 2):
+        text = TINY.replace("workers = 1", f"workers = {workers}")
+        rc, out = run(tmp_path, command, text, f"{command}-w{workers}")
+        assert rc == 0
+        outs.append(out)
+    for name in OUTPUTS[command]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

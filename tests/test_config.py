@@ -1,0 +1,85 @@
+"""Tests for the key = value experiment configuration."""
+
+import pytest
+
+from hamflow.config import ExperimentConfig, parse_config, serialize_config
+from hamflow.errors import ParseError, ValidationError
+
+NON_DEFAULT = """\
+# a comment line
+regularity = 0.5, 1.25, 3
+spatial_max = 7
+include_axis_modes = yes
+kernel = constant
+plot = true
+times = 0.0, 0.125, 1.0
+ball_center = 0.25, 0.75
+lagrangians = L2, L13, L14
+refinement_threshold = 0.02
+out = somewhere/else
+"""
+
+
+class TestRoundTrip:
+    def test_parse_serialize_parse(self):
+        cfg = parse_config(NON_DEFAULT, command="flow")
+        assert cfg.regularity == (0.5, 1.25, 3.0)
+        assert cfg.include_axis_modes is True and cfg.plot is True
+        assert cfg.lagrangians == ("L2", "L13", "L14")
+        assert cfg.ball_center == (0.25, 0.75)
+        text = serialize_config(cfg)
+        again = parse_config(text, command="flow")
+        assert again == cfg
+        assert serialize_config(again) == text
+
+    def test_false_booleans_round_trip(self):
+        cfg = parse_config("plot = no\ninclude_axis_modes = 0\n")
+        assert cfg.plot is False and cfg.include_axis_modes is False
+        assert parse_config(serialize_config(cfg)) == cfg
+
+
+class TestErrors:
+    def test_duplicate_key_carries_line(self):
+        with pytest.raises(ParseError) as info:
+            parse_config("seed = 1\n\nsamples = 4\nseed = 2\n")
+        assert info.value.line == 4
+
+    def test_line_without_equals_carries_line(self):
+        with pytest.raises(ParseError) as info:
+            parse_config("# header\nseed 1\n")
+        assert info.value.line == 2
+
+    def test_unknown_key(self):
+        with pytest.raises(ValidationError) as info:
+            parse_config("no_such_key = 3\n")
+        assert info.value.field == "no_such_key"
+
+    def test_unknown_override(self):
+        with pytest.raises(ValidationError):
+            parse_config("", overrides={"no_such_key": 3})
+
+
+class TestCommandDefaults:
+    def test_diffusion_regularity(self):
+        assert parse_config("", command="diffusion").regularity == (0.08,)
+
+    def test_random_walk_kernel(self):
+        assert parse_config("", command="random-walk").kernel == "constant"
+
+    def test_tails_samples(self):
+        assert parse_config("", command="tails").samples == 1000
+
+    def test_other_commands_keep_field_defaults(self):
+        cfg = parse_config("", command="sample-field")
+        assert cfg == ExperimentConfig(command="sample-field")
+
+    def test_document_value_wins(self):
+        assert parse_config("regularity = 0.3\n", command="diffusion").regularity == (0.3,)
+        assert parse_config("kernel = periodic\n", command="random-walk").kernel == "periodic"
+        assert parse_config("samples = 5\n", command="tails").samples == 5
+
+    def test_override_wins(self):
+        cfg = parse_config("", command="tails", overrides={"samples": 1200, "seed": None})
+        assert cfg.samples == 1200
+        cfg = parse_config("", command="diffusion", overrides={"regularity": (0.2,)})
+        assert cfg.regularity == (0.2,)

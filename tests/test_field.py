@@ -11,8 +11,8 @@ from hamflow.errors import Unsupported
 from hamflow.field import (HamiltonianLaw, RandomHamiltonian, gaussian_dimension,
                            make_law, sample_hamiltonian, spectral_weight)
 from hamflow.rng import derive
-from hamflow.temporal import (CONSTANT, ConstantSample, KernelKind, PERIODIC, SQEXP,
-                              evaluate_temporal, kernel_value)
+from hamflow.temporal import (CONSTANT, KernelKind, PERIODIC, SQEXP, coefficient_paths,
+                              kernel_value)
 
 
 class TestSpectralWeight:
@@ -64,6 +64,12 @@ class TestSampling:
             p = TorusPoint(rng.uniform(), rng.uniform())
             assert h1.value(t, p) == pytest.approx(h2.value(t, p), abs=1e-15)
 
+    def test_draw_is_one_read_only_block_of_normals(self):
+        law = make_law(0.2, spatial_max=3, temporal_max=4, seed=77)
+        h = sample_hamiltonian(law, derive(77))
+        assert np.array_equal(h.gaussians, derive(77).standard_normal((len(h.basis), 9)))
+        assert not h.gaussians.flags.writeable
+
     def test_autonomous_draws_time_independent(self):
         law = make_law(0.15, spatial_max=3, kernel=CONSTANT)
         h = sample_hamiltonian(law, derive(3))
@@ -84,8 +90,8 @@ class TestSampling:
         for _ in range(10):
             t = rng.uniform()
             p = TorusPoint(rng.uniform(), rng.uniform())
-            naive = sum(h.weights[i] * evaluate_temporal(h.temporal[i], t)
-                        * h.basis.modes[i].evaluate(p)
+            paths = coefficient_paths(law.kernel, h.gaussians, law.scales(), t)[0]
+            naive = sum(h.weights[i] * paths[i] * h.basis.modes[i].evaluate(p)
                         for i in range(len(h.basis)))
             assert h.value(t, p) == pytest.approx(naive, abs=1e-12)
 
@@ -105,8 +111,7 @@ class TestEvaluation:
     def test_zero_coefficients_give_zero_field(self):
         law = make_law(0.1, spatial_max=2, kernel=CONSTANT)
         base = sample_hamiltonian(law, derive(0))
-        zero = RandomHamiltonian(law, tuple(
-            ConstantSample(kind=s.kind, value=0.0) for s in base.temporal))
+        zero = RandomHamiltonian(law, np.zeros_like(base.gaussians))
         pts = np.random.default_rng(1).uniform(0, 1, (20, 2))
         assert np.all(zero.value(0.3, pts) == 0)
         assert np.all(zero.vector_field(0.3, pts) == 0)
@@ -115,12 +120,10 @@ class TestEvaluation:
         # one cos*cos (1,1) mode with constant coefficient chosen so w*Z = 0.5
         law = make_law(0.1, spatial_max=1, kernel=CONSTANT, seed=4)
         base = sample_hamiltonian(law, derive(4))
-        samples = []
-        for i, s in enumerate(base.temporal):
-            mode = base.basis.modes[i]
-            value = 0.5 / base.weights[i] if mode.trig == "cc" else 0.0
-            samples.append(ConstantSample(kind=s.kind, value=value))
-        h = RandomHamiltonian(law, tuple(samples))
+        samples = np.zeros_like(base.gaussians)
+        for i, mode in enumerate(base.basis.modes):
+            samples[i, 0] = 0.5 / base.weights[i] if mode.trig == "cc" else 0.0
+        h = RandomHamiltonian(law, samples)
         assert h.value(0.0, TorusPoint(0, 0)) == pytest.approx(1.0)
         x, y = 0.13, 0.81
         expected = 0.5 * 2 * math.cos(2 * math.pi * x) * math.cos(2 * math.pi * y)
@@ -188,8 +191,7 @@ class TestOscillation:
     def test_zero_field(self):
         law = make_law(0.1, spatial_max=2, kernel=CONSTANT)
         base = sample_hamiltonian(law, derive(0))
-        zero = RandomHamiltonian(law, tuple(
-            ConstantSample(kind=s.kind, value=0.0) for s in base.temporal))
+        zero = RandomHamiltonian(law, np.zeros_like(base.gaussians))
         assert zero.oscillation(32, 11) == 0.0
 
     def test_single_mode_closed_form(self):
@@ -197,10 +199,9 @@ class TestOscillation:
         law = make_law(0.1, spatial_max=1, kernel=CONSTANT, seed=4)
         base = sample_hamiltonian(law, derive(4))
         a = 0.3
-        samples = [ConstantSample(kind=s.kind, value=(a / base.weights[i]
-                                                      if base.basis.modes[i].trig == "cc" else 0.0))
-                   for i, s in enumerate(base.temporal)]
-        h = RandomHamiltonian(law, tuple(samples))
+        samples = [[a / base.weights[i] if base.basis.modes[i].trig == "cc" else 0.0]
+                   for i in range(len(base.basis))]
+        h = RandomHamiltonian(law, samples)
         assert h.oscillation(64, 21) == pytest.approx(4 * a, rel=0.01)
 
     def test_invariant_under_time_constant_offset(self):
@@ -222,7 +223,7 @@ class TestOscillation:
         times = np.linspace(0, 1, 31)
         grids = h.coefficient_grids(times)
         for i, t in enumerate(times):
-            vals = h._engine.value_grid(grids[i], xs, xs) + 3.7 * math.sin(t)
+            vals = h.engine.value_grid(grids[i], xs, xs) + 3.7 * math.sin(t)
             spread.append(vals.max() - vals.min())
         shifted = np.trapezoid(spread, times)
         assert shifted == pytest.approx(base, abs=1e-12)

@@ -11,7 +11,7 @@ from hamflow.field import RandomHamiltonian, make_law, sample_hamiltonian
 from hamflow.rkhs import (COS, SIN, CoefficientTable, coefficient_expansion,
                           reconstruct_value, rkhs_norm, weighted_coefficient_sum)
 from hamflow.rng import derive
-from hamflow.temporal import CONSTANT, PERIODIC, PeriodicSample, SQEXP
+from hamflow.temporal import CONSTANT, PERIODIC, SQEXP
 
 
 def periodic_draw(seed=3, r=0.1, smax=2, tm=3):
@@ -23,12 +23,9 @@ def single_mode_draw(r=0.1, smax=1, tm=2, x0=1.0):
     """Periodic draw with only mode 1's constant coefficient set to x0."""
     law = make_law(r, spatial_max=smax, temporal_max=tm, kernel=PERIODIC, seed=0)
     base = sample_hamiltonian(law, derive(0))
-    samples = []
-    for i, s in enumerate(base.temporal):
-        value = x0 if i == 0 else 0.0
-        samples.append(PeriodicSample(kind=s.kind, x0=value,
-                                      cos_coeffs=np.zeros(tm), sin_coeffs=np.zeros(tm)))
-    return RandomHamiltonian(law, tuple(samples))
+    samples = np.zeros_like(base.gaussians)
+    samples[0, 0] = x0
+    return RandomHamiltonian(law, samples)
 
 
 class TestCoefficientExpansion:
@@ -91,10 +88,9 @@ class TestRkhsNorm:
         base = sample_hamiltonian(law, derive(11))
         rng = np.random.default_rng(6)
         x0s = rng.normal(size=len(base.basis))
-        samples = [PeriodicSample(kind=s.kind, x0=x0s[i], cos_coeffs=np.zeros(2),
-                                  sin_coeffs=np.zeros(2))
-                   for i, s in enumerate(base.temporal)]
-        draw = RandomHamiltonian(law, tuple(samples))
+        samples = np.zeros_like(base.gaussians)
+        samples[:, 0] = x0s
+        draw = RandomHamiltonian(law, samples)
         table = coefficient_expansion(draw)
         assert rkhs_norm(table, r) == pytest.approx(math.sqrt(np.sum(x0s**2)), abs=1e-12)
 

@@ -8,8 +8,8 @@ from scipy import stats
 
 from hamflow.errors import OutOfRange
 from hamflow.rng import derive
-from hamflow.temporal import (CONSTANT, KernelKind, PERIODIC, SQEXP, evaluate_temporal,
-                              kernel_value, sample)
+from hamflow.temporal import (CONSTANT, KernelKind, PERIODIC, SQEXP, coefficient_paths,
+                              kernel_value)
 
 
 def kinds(**kw):
@@ -19,6 +19,17 @@ def kinds(**kw):
                              temporal_max=kw.get("tm", 10)),
         CONSTANT: KernelKind(tag=CONSTANT, regularity=kw.get("r", 0.1)),
     }
+
+
+def sample(kind, rng):
+    """One coefficient path's Gaussians: a 1-row draw array."""
+    return rng.standard_normal((1, kind.gaussians_per_sample()))
+
+
+def evaluate(kind, gaussians, t):
+    """The single path of a 1-row draw at time(s) t."""
+    out = coefficient_paths(kind, gaussians, kind.per_mode_scale, t)[:, 0]
+    return out[0] if np.ndim(t) == 0 else out
 
 
 class TestKernelValue:
@@ -53,17 +64,18 @@ class TestSampling:
         k = kinds()[CONSTANT]
         s1 = sample(k, derive(123))
         s2 = sample(k, derive(123))
-        assert s1.value == s2.value
+        assert evaluate(k, s1, 0.0) == evaluate(k, s2, 0.0)
 
     def test_constant_paths_exactly_constant(self):
-        s = sample(kinds()[CONSTANT], derive(5))
+        k = kinds()[CONSTANT]
+        s = sample(k, derive(5))
         ts = np.linspace(0, 1, 17)
-        assert np.all(evaluate_temporal(s, ts) == s.value)
+        assert np.all(evaluate(k, s, ts) == s[0, 0])
 
     def test_periodic_sample_is_periodic(self):
         k = KernelKind(tag=PERIODIC, regularity=0.14, temporal_max=10)
         s = sample(k, derive(8))
-        assert evaluate_temporal(s, 0.0) == pytest.approx(evaluate_temporal(s, 1.0), abs=1e-12)
+        assert evaluate(k, s, 0.0) == pytest.approx(evaluate(k, s, 1.0), abs=1e-12)
 
     def test_periodic_draw_count(self):
         k = KernelKind(tag=PERIODIC, regularity=0.1, temporal_max=4)
@@ -72,18 +84,20 @@ class TestSampling:
     def test_sqexp_grid_shape(self):
         k = KernelKind(tag=SQEXP, regularity=0.5, grid_nodes=32)
         s = sample(k, derive(0))
-        assert len(s.times) == 32 and len(s.values) == 32
-        assert np.all(np.diff(s.times) > 0)
+        assert s.shape == (1, 32)
+        nodes = np.linspace(0, 1, 32)
+        assert evaluate(k, s, nodes).shape == (32,)
 
     def test_sqexp_extrapolation_rejected(self):
-        s = sample(kinds()[SQEXP], derive(1))
+        k = kinds()[SQEXP]
+        s = sample(k, derive(1))
         with pytest.raises(OutOfRange):
-            evaluate_temporal(s, 1.5)
+            evaluate(k, s, 1.5)
 
     def test_periodic_variance_matches_kernel(self):
         k = KernelKind(tag=PERIODIC, regularity=0.1, temporal_max=5)
         rng = derive(99)
-        vals = np.array([evaluate_temporal(sample(k, rng), 0.3) for _ in range(10_000)])
+        vals = np.array([evaluate(k, sample(k, rng), 0.3) for _ in range(10_000)])
         target = kernel_value(k, 0.3, 0.3)
         se = target * math.sqrt(2 / (len(vals) - 1))
         assert abs(vals.var(ddof=1) - target) < 3 * se
@@ -92,27 +106,28 @@ class TestSampling:
 class TestEvaluation:
     def test_periodic_degenerate_series(self):
         k = KernelKind(tag=PERIODIC, regularity=0.1, temporal_max=3)
-        s = sample(k, derive(2))
-        s = type(s)(kind=k, x0=1.0, cos_coeffs=np.zeros(3), sin_coeffs=np.zeros(3))
+        s = np.zeros((1, 7))
+        s[0, 0] = 1.0
         ts = np.linspace(0, 1, 9)
-        assert np.allclose(evaluate_temporal(s, ts), 1.0)
+        assert np.allclose(evaluate(k, s, ts), 1.0)
 
     def test_periodic_single_cosine(self):
         k = KernelKind(tag=PERIODIC, regularity=0.1, temporal_max=3)
-        base = sample(k, derive(2))
-        cos = np.zeros(3)
-        cos[0] = 1.0
-        s = type(base)(kind=k, x0=0.0, cos_coeffs=cos, sin_coeffs=np.zeros(3))
+        s = np.zeros((1, 7))
+        s[0, 1] = 1.0
         expected0 = math.sqrt(2) * math.exp(-0.2 * math.pi**2)
-        assert evaluate_temporal(s, 0.0) == pytest.approx(expected0)
+        assert evaluate(k, s, 0.0) == pytest.approx(expected0)
         ts = np.linspace(0, 1, 25)
-        assert np.allclose(evaluate_temporal(s, ts),
+        assert np.allclose(evaluate(k, s, ts),
                            expected0 * np.cos(2 * math.pi * ts), atol=1e-12)
 
     def test_sqexp_linear_interpolation(self):
-        s = sample(kinds()[SQEXP], derive(3))
-        t_mid = 0.5 * (s.times[3] + s.times[4])
-        assert evaluate_temporal(s, t_mid) == pytest.approx(0.5 * (s.values[3] + s.values[4]))
+        k = kinds()[SQEXP]
+        s = sample(k, derive(3))
+        nodes = np.linspace(0, 1, k.grid_nodes)
+        values = evaluate(k, s, nodes)
+        t_mid = 0.5 * (nodes[3] + nodes[4])
+        assert evaluate(k, s, t_mid) == pytest.approx(0.5 * (values[3] + values[4]))
 
 
 class TestStatisticalProperties:
@@ -126,7 +141,7 @@ class TestStatisticalProperties:
         sums = np.zeros(len(times))
         for _ in range(self.N):
             s = sample(k, rng)
-            sums += evaluate_temporal(s, np.array(times))
+            sums += evaluate(k, s, np.array(times))
         assert np.all(np.abs(sums / self.N) < 4 / math.sqrt(self.N))
 
     @pytest.mark.parametrize("tag", [PERIODIC, CONSTANT])
@@ -138,8 +153,8 @@ class TestStatisticalProperties:
         draws = np.empty((self.N, 10, 2))
         for i in range(self.N):
             s = sample(k, rng)
-            draws[i] = np.stack([evaluate_temporal(s, pairs[:, 0]),
-                                 evaluate_temporal(s, pairs[:, 1])], axis=-1)
+            draws[i] = np.stack([evaluate(k, s, pairs[:, 0]),
+                                 evaluate(k, s, pairs[:, 1])], axis=-1)
         for j, (t1, t2) in enumerate(pairs):
             a, b = draws[:, j, 0], draws[:, j, 1]
             emp = np.mean(a * b) - a.mean() * b.mean()
@@ -156,6 +171,6 @@ class TestStatisticalProperties:
         rev = np.empty(n)
         rng_a, rng_b = derive(31, 0), derive(31, 1)
         for i in range(n):
-            fwd[i] = evaluate_temporal(sample(k, rng_a), t)
-            rev[i] = evaluate_temporal(sample(k, rng_b), 1.0 - t)
+            fwd[i] = evaluate(k, sample(k, rng_a), t)
+            rev[i] = evaluate(k, sample(k, rng_b), 1.0 - t)
         assert stats.ks_2samp(fwd, rev).pvalue > 0.01
