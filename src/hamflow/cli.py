@@ -216,7 +216,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         _HANDLERS[args.command](cfg)
     except HamflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -8,6 +8,20 @@ right block sin(2 pi j y).  Row/column 0 carries axis modes when present.
 
 Evaluating P points then costs a handful of (P, K) @ (K, 2K) products per
 quantity, which keeps the O(modes x points) inner loop in BLAS.
+
+Pointwise evaluation carries a leading draw axis: S grids (S, 2, K1, 2*K1)
+are evaluated at S point sets (S, P, 2), set s under grid s, so the RK4
+stages of many draws cost one call.  A single draw is S = 1.
+
+Packing flushes entries below ``np.finfo(float).tiny`` to zero.  Strongly
+regular draws carry spectral weights that underflow into the subnormal
+range (at regularity 3 in frequency units and spatial_max 25: 80 weights,
+5% of the nonzero grid entries), and arithmetic on subnormals is slow on
+x86-64 CPUs.  For such a draw, single-threaded OpenBLAS on a 2-core
+x86-64 machine, ``vector_field`` at 192 points took 1852 us on the
+unflushed grid and 251 us on the flushed one, and ``value_grid`` on a
+128 x 128 lattice 856 us and 178 us.  A subnormal term cannot change a sum
+of normal-range terms, so the evaluated fields stay bit-identical.
 """
 
 from __future__ import annotations
@@ -19,6 +33,7 @@ import numpy as np
 from .basis import SpectralBasis
 
 _TWO_PI = 2.0 * math.pi
+_TINY = np.finfo(float).tiny
 
 
 class SpectralEngine:
@@ -29,8 +44,9 @@ class SpectralEngine:
         self.kmax = int(basis.truncation.spatial_max)
         k1 = self.kmax + 1
         self._k1 = k1
-        # Placement of mode n: block basis.tx[n], row kx, column ty*(kmax+1)+ky.
-        self._cols = basis.ty * k1 + basis.ky
+        # Placement of mode n: block basis.tx[n], row kx, column ty*(kmax+1)+ky,
+        # as an offset into one flattened (2, K1, 2*K1) grid.
+        self._slots = (basis.tx * k1 + basis.kx) * 2 * k1 + basis.ty * k1 + basis.ky
         self._kvec = _TWO_PI * np.arange(k1)
 
     # -- coefficient packing -------------------------------------------------
@@ -39,12 +55,14 @@ class SpectralEngine:
         """Pack per-mode coefficients (..., N) into grids (..., 2, K1, 2*K1).
 
         Amplitudes are applied here, so ``coeffs`` are the raw c_n(t).
+        Subnormal results are flushed to zero (module docstring).
         """
-        coeffs = np.asarray(coeffs, dtype=float)
-        b = self.basis
-        out = np.zeros(coeffs.shape[:-1] + (2, self._k1, 2 * self._k1))
-        out[..., b.tx, b.kx, self._cols] = coeffs * b.amplitudes
-        return out
+        values = np.asarray(coeffs, dtype=float) * self.basis.amplitudes
+        values[np.abs(values) < _TINY] = 0.0
+        k1 = self._k1
+        out = np.zeros(values.shape[:-1] + (2 * k1 * 2 * k1,))
+        out[..., self._slots] = values
+        return out.reshape(values.shape[:-1] + (2, k1, 2 * k1))
 
     # -- per-axis tables -----------------------------------------------------
 
@@ -59,34 +77,40 @@ class SpectralEngine:
 
     # -- evaluation ----------------------------------------------------------
 
-    def value(self, grid: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """H at points (P, 2) for one packed grid (2, K1, 2*K1)."""
-        cx, sx = self._tables(pts[:, 0])
-        cy, sy = self._tables(pts[:, 1])
-        w = cx @ grid[0] + sx @ grid[1]
+    def value(self, grids: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """H at points (S, P, 2) under grids (S, 2, K1, 2*K1); shape (S, P)."""
+        cx, sx = self._tables(pts[..., 0])
+        cy, sy = self._tables(pts[..., 1])
+        w = cx @ grids[:, 0] + sx @ grids[:, 1]
         k1 = self._k1
-        return np.einsum("pk,pk->p", w[:, :k1], cy) + np.einsum("pk,pk->p", w[:, k1:], sy)
+        return (np.einsum("spk,spk->sp", w[..., :k1], cy)
+                + np.einsum("spk,spk->sp", w[..., k1:], sy))
 
-    def gradient(self, grid: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """(dH/dx, dH/dy) at points (P, 2)."""
-        dx, dy = self._deriv_pair(grid, pts)
+    def gradient(self, grids: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """(dH/dx, dH/dy) at points (S, P, 2); shape (S, P, 2)."""
+        dx, dy = self._deriv_pair(grids, pts)
         return np.stack([dx, dy], axis=-1)
 
-    def vector_field(self, grid: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Hamiltonian vector field (-dH/dy, dH/dx) for the area form dx^dy."""
-        dx, dy = self._deriv_pair(grid, pts)
+    def vector_field(self, grids: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Hamiltonian vector field (-dH/dy, dH/dx) for the area form dx^dy.
+
+        Points (S, P, 2) under grids (S, 2, K1, 2*K1); shape (S, P, 2).
+        """
+        dx, dy = self._deriv_pair(grids, pts)
         return np.stack([-dy, dx], axis=-1)
 
-    def _deriv_pair(self, grid, pts):
-        cx, sx = self._tables(pts[:, 0])
-        cy, sy = self._tables(pts[:, 1])
+    def _deriv_pair(self, grids, pts):
+        cx, sx = self._tables(pts[..., 0])
+        cy, sy = self._tables(pts[..., 1])
         kv = self._kvec
-        w = cx @ grid[0] + sx @ grid[1]
-        wx = (cx * kv) @ grid[1] - (sx * kv) @ grid[0]
+        g0, g1 = grids[:, 0], grids[:, 1]
+        w = cx @ g0 + sx @ g1
+        wx = (cx * kv) @ g1 - (sx * kv) @ g0
         k1 = self._k1
-        ddx = np.einsum("pk,pk->p", wx[:, :k1], cy) + np.einsum("pk,pk->p", wx[:, k1:], sy)
-        ddy = (np.einsum("pk,pk->p", w[:, k1:], cy * kv)
-               - np.einsum("pk,pk->p", w[:, :k1], sy * kv))
+        ddx = (np.einsum("spk,spk->sp", wx[..., :k1], cy)
+               + np.einsum("spk,spk->sp", wx[..., k1:], sy))
+        ddy = (np.einsum("spk,spk->sp", w[..., k1:], cy * kv)
+               - np.einsum("spk,spk->sp", w[..., :k1], sy * kv))
         return ddx, ddy
 
     def value_grid(self, grid: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -126,8 +126,9 @@ def _as_points(p):
 class SpectralHamiltonian:
     """A Hamiltonian sum_n c_n(t) e_n(x) over one basis, evaluated by its engine.
 
-    Subclasses define ``mode_coefficients(times)``: c_n(t) with shape (N,)
-    for scalar t and (T, N) for a vector.  Everything else follows from it.
+    The coefficient path is linear: c(t) = Phi(t) @ B.  Subclasses provide
+    ``time_basis``, the callable Phi (times -> (T, m), compared by value),
+    and ``coefficients``, the (m, N) matrix B; everything else follows.
     """
 
     stiffness = 1
@@ -137,27 +138,30 @@ class SpectralHamiltonian:
         self.engine = engine
 
     def mode_coefficients(self, times) -> np.ndarray:
-        raise NotImplementedError
+        """c_n(t); shape (N,) for scalar t, (T, N) for a vector."""
+        out = self.time_basis(times) @ self.coefficients
+        return out[0] if np.ndim(times) == 0 else out
 
     def coefficient_grids(self, times) -> np.ndarray:
         """Packed evaluation grids at the given times (see SpectralEngine)."""
-        return self.engine.grids(self.mode_coefficients(times))
+        grids = PackedBatch([self]).grids(times)[:, 0]
+        return grids[0] if np.ndim(times) == 0 else grids
 
     # -- pointwise evaluation --------------------------------------------------
 
     def value(self, t: float, p):
         pts, scalar = _as_points(p)
-        v = self.engine.value(self.coefficient_grids(float(t)), pts)
+        v = self.engine.value(self.coefficient_grids(float(t))[None], pts[None])[0]
         return float(v[0]) if scalar else v
 
     def gradient(self, t: float, p):
         pts, scalar = _as_points(p)
-        g = self.engine.gradient(self.coefficient_grids(float(t)), pts)
+        g = self.engine.gradient(self.coefficient_grids(float(t))[None], pts[None])[0]
         return g[0] if scalar else g
 
     def vector_field(self, t: float, p):
         pts, scalar = _as_points(p)
-        v = self.engine.vector_field(self.coefficient_grids(float(t)), pts)
+        v = self.engine.vector_field(self.coefficient_grids(float(t))[None], pts[None])[0]
         return v[0] if scalar else v
 
     def value_grid(self, t: float, xs, ys) -> np.ndarray:
@@ -190,7 +194,10 @@ class RandomHamiltonian(SpectralHamiltonian):
     """One draw of the random field; immutable after construction.
 
     ``gaussians`` is the draw's read-only (N, m) array of standard normals,
-    laid out as documented in :mod:`hamflow.temporal`.
+    laid out as documented in :mod:`hamflow.temporal`; c_n(t) = w_n Z_n(t),
+    so B is the kernel's coefficient matrix scaled by the weights w_n.  B is
+    recomputed from the normals on each use rather than stored, so a draw
+    holds one (N, m) array, not two.
     """
 
     def __init__(self, law: HamiltonianLaw, gaussians):
@@ -204,12 +211,12 @@ class RandomHamiltonian(SpectralHamiltonian):
         self.gaussians.setflags(write=False)
         self.weights = law.weights()
         self.autonomous = law.kernel.tag == temporal.CONSTANT
+        self.time_basis = law.kernel.time_basis()
 
-    def mode_coefficients(self, times) -> np.ndarray:
-        """c_n(t) = w_n Z_n(t); shape (N,) for scalar t, (T, N) for a vector."""
-        out = self.weights * temporal.coefficient_paths(self.law.kernel, self.gaussians,
-                                                        self.law.scales(), times)
-        return out[0] if np.ndim(times) == 0 else out
+    @property
+    def coefficients(self) -> np.ndarray:
+        return self.weights * temporal.coefficient_matrix(self.law.kernel, self.gaussians,
+                                                          self.law.scales())
 
     def analytic_variance(self, t: float, p) -> float:
         """Var[H(t, p)] over draws: sum_n w_n^2 kappa_n(t, t) e_n(p)^2."""
@@ -218,6 +225,37 @@ class RandomHamiltonian(SpectralHamiltonian):
         kappa = temporal.kernel_value(base_kind, float(t), float(t))
         evals = self.engine.mode_values(pts)[0]
         return float(np.sum(self.weights**2 * self.law.scales()**2 * kappa * evals**2))
+
+
+class PackedBatch:
+    """S spectral Hamiltonians sharing one engine and one time basis, packed once.
+
+    Each coefficient matrix is packed once by ``engine.grids``, which flushes
+    subnormals, into (S, m, 2, K1, 2*K1); the grids of all S at T times are
+    then one product Phi(times) @ packed per Hamiltonian.
+    """
+
+    def __init__(self, hamiltonians):
+        first = hamiltonians[0]
+        for h in hamiltonians:
+            if h.engine is not first.engine or h.time_basis != first.time_basis:
+                raise ValueError("a batch needs one engine and one time basis")
+        self.engine = first.engine
+        self.time_basis = first.time_basis
+        self.stiffness = first.stiffness
+        self._packed = None
+        for i, h in enumerate(hamiltonians):
+            grids = self.engine.grids(h.coefficients)
+            if self._packed is None:
+                self._packed = np.empty((len(hamiltonians),) + grids.shape)
+            self._packed[i] = grids
+
+    def grids(self, times) -> np.ndarray:
+        """Grids (T, S, 2, K1, 2*K1) at a scalar or (T,) array of times."""
+        packed = self._packed
+        s, m = packed.shape[:2]
+        out = self.time_basis(times) @ packed.reshape(s, m, -1)
+        return np.moveaxis(out, 1, 0).reshape((out.shape[1], s) + packed.shape[2:])
 
 
 def sample_hamiltonian(law: HamiltonianLaw, rng: np.random.Generator | None = None) -> RandomHamiltonian:

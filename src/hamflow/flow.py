@@ -31,9 +31,11 @@ import numpy as np
 
 from .basis import TorusPoint
 from .errors import NonFinite, NotAutonomous, RefinementOverflow
-from .field import RandomHamiltonian, SpectralHamiltonian
+from .field import PackedBatch, RandomHamiltonian, SpectralHamiltonian
 
 _FD_STEP = 1e-6
+# RK4 steps whose stage grids are built in one product.
+_BLOCK_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -87,18 +89,28 @@ def _n_steps(settings: FlowSettings, stiffness: int, span: float) -> int:
     return max(1, math.ceil(settings.steps * stiffness * span - 1e-9))
 
 
-def _rk4_grids(engine, grids, pts, h, n_steps, captures=None):
+def _rk4_grids(batch: PackedBatch, pts, t0, h, n_steps, captures=None):
+    """RK4 for the S Hamiltonians of ``batch`` at once; pts (S, P, 2).
+
+    Stage grids are built _BLOCK_STEPS steps at a time, so their memory
+    stays bounded whatever the step count and batch size.
+    """
+    engine = batch.engine
     p = np.array(pts, dtype=float)
     if captures is not None:
         captures.append(p.copy())
-    for i in range(n_steps):
-        k1 = engine.vector_field(grids[2 * i], p)
-        k2 = engine.vector_field(grids[2 * i + 1], p + (0.5 * h) * k1)
-        k3 = engine.vector_field(grids[2 * i + 1], p + (0.5 * h) * k2)
-        k4 = engine.vector_field(grids[2 * i + 2], p + h * k3)
-        p += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if captures is not None:
-            captures.append(p.copy())
+    for start in range(0, n_steps, _BLOCK_STEPS):
+        count = min(_BLOCK_STEPS, n_steps - start)
+        stage_times = t0 + 0.5 * h * np.arange(2 * start, 2 * (start + count) + 1)
+        grids = batch.grids(np.clip(stage_times, 0.0, 1.0))
+        for i in range(count):
+            k1 = engine.vector_field(grids[2 * i], p)
+            k2 = engine.vector_field(grids[2 * i + 1], p + (0.5 * h) * k1)
+            k3 = engine.vector_field(grids[2 * i + 1], p + (0.5 * h) * k2)
+            k4 = engine.vector_field(grids[2 * i + 2], p + h * k3)
+            p += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if captures is not None:
+                captures.append(p.copy())
     return p
 
 
@@ -119,7 +131,20 @@ def _rk4_generic(fieldlike, pts, t0, h, n_steps, captures=None):
 
 
 def _integrate(fieldlike, pts, t0, t1, settings, captures=None):
-    stiffness = getattr(fieldlike, "stiffness", 1)
+    """Flow pts from t0 to t1 under one Hamiltonian (pts (P, 2)) or under a
+    list or tuple of spectral Hamiltonians (pts (S, P, 2))."""
+    if isinstance(fieldlike, SpectralHamiltonian):
+        states = None if captures is None else []
+        out = _integrate([fieldlike], np.asarray(pts)[None], t0, t1, settings, states)
+        if captures is not None:
+            captures.extend(state[0] for state in states)
+        return out[0]
+    if isinstance(fieldlike, (list, tuple)):
+        batch = PackedBatch(fieldlike)
+        stiffness = batch.stiffness
+    else:
+        batch = None
+        stiffness = getattr(fieldlike, "stiffness", 1)
     n = _n_steps(settings, stiffness, abs(t1 - t0))
     if n == 0:
         out = np.array(pts, dtype=float)
@@ -127,12 +152,10 @@ def _integrate(fieldlike, pts, t0, t1, settings, captures=None):
             captures.append(out.copy())
         return out
     h = (t1 - t0) / n
-    if isinstance(fieldlike, SpectralHamiltonian):
-        stage_times = t0 + 0.5 * h * np.arange(2 * n + 1)
-        grids = fieldlike.coefficient_grids(np.clip(stage_times, 0.0, 1.0))
-        out = _rk4_grids(fieldlike.engine, grids, pts, h, n, captures)
-    else:
+    if batch is None:
         out = _rk4_generic(fieldlike, pts, t0, h, n, captures)
+    else:
+        out = _rk4_grids(batch, pts, t0, h, n, captures)
     if not np.all(np.isfinite(out)):
         raise NonFinite("flow state left the finite range")
     return out
@@ -140,8 +163,19 @@ def _integrate(fieldlike, pts, t0, t1, settings, captures=None):
 
 def flow_points(fieldlike, pts, t0: float = 0.0, t1: float = 1.0,
                 settings: FlowSettings = DEFAULT_SETTINGS) -> np.ndarray:
-    """Integrate a batch of planar lifts (P, 2) from t0 to t1 (t1 < t0 allowed)."""
-    return _integrate(fieldlike, np.asarray(pts, dtype=float), t0, t1, settings)
+    """Integrate planar lifts from t0 to t1 (t1 < t0 allowed).
+
+    ``fieldlike`` is one Hamiltonian with ``pts`` of shape (P, 2), or a
+    list or tuple of S spectral Hamiltonians sharing one engine and one time
+    basis (draws of one law, their time reversals, or concatenations with
+    one bump and part count) with ``pts`` of shape (S, P, 2): set s flows
+    under Hamiltonian s, and all S run through one RK4 loop.  The result
+    has the shape of ``pts``.
+    """
+    pts = np.asarray(pts, dtype=float)
+    if isinstance(fieldlike, (list, tuple)) and pts.shape[:1] != (len(fieldlike),):
+        raise ValueError("batched points need shape (S, P, 2) for S Hamiltonians")
+    return _integrate(fieldlike, pts, t0, t1, settings)
 
 
 def integrate_point(fieldlike, p: TorusPoint, t0: float = 0.0, t1: float = 1.0,
@@ -347,16 +381,31 @@ class TimeReversedHamiltonian(HamiltonianEvaluator):
         return -_value_of(self._f, 1.0 - t, pts)
 
 
+@dataclass(frozen=True)
+class ReversedTimeBasis:
+    """Phi(1 - t) for a time basis Phi."""
+
+    inner: object
+
+    def __call__(self, times):
+        return self.inner(1.0 - np.asarray(times, dtype=float))
+
+
 class SpectralTimeReversal(SpectralHamiltonian):
-    """Time reversal of a spectral Hamiltonian: c_n(t) -> -c_n(1 - t)."""
+    """Time reversal of a spectral Hamiltonian: c_n(t) -> -c_n(1 - t).
+
+    Phi(t) becomes Phi(1 - t) and B becomes -B.
+    """
 
     def __init__(self, f: SpectralHamiltonian):
         super().__init__(f.engine)
         self._f = f
+        self.time_basis = ReversedTimeBasis(f.time_basis)
         self.stiffness = f.stiffness
 
-    def mode_coefficients(self, times):
-        return -self._f.mode_coefficients(1.0 - np.asarray(times, dtype=float))
+    @property
+    def coefficients(self) -> np.ndarray:
+        return -self._f.coefficients
 
 
 def _value_of(fieldlike, t, pts):
@@ -448,27 +497,32 @@ class ConcatenatedHamiltonian(HamiltonianEvaluator):
         return np.stack([-g[:, 1], g[:, 0]], axis=-1)
 
 
+@dataclass(frozen=True)
+class BumpTimeBasis:
+    """Phi_i(t) = k * bump(k*t - i + 1) for i = 1..k: part i's bump weight."""
+
+    bump: BumpFunction
+    parts: int
+
+    def __call__(self, times):
+        t = np.atleast_1d(np.asarray(times, dtype=float))
+        k = self.parts
+        return k * self.bump(k * t[:, None] - np.arange(1, k + 1)[None, :] + 1.0)
+
+
 class SpectralConcatenation(SpectralHamiltonian):
     """Concatenation of autonomous spectral draws, with exact vector fields.
 
-    The combined coefficient path is c_n(t) = sum_i k * bump(k*t - i + 1) * c_n^(i).
+    The combined coefficient path is c_n(t) = sum_i k * bump(k*t - i + 1) * c_n^(i):
+    Phi holds the bump weights and B the parts' constant coefficients.
     """
 
     def __init__(self, parts, bump: BumpFunction):
         super().__init__(parts[0].engine)
-        self._bump = bump
-        self._const = np.stack([p.mode_coefficients(0.0) for p in parts])
+        self.time_basis = BumpTimeBasis(bump, len(parts))
+        self.coefficients = np.stack([p.mode_coefficients(0.0) for p in parts])
+        self.coefficients.setflags(write=False)
         self.stiffness = len(parts)
-
-    def mode_coefficients(self, times):
-        times = np.asarray(times, dtype=float)
-        scalar = times.ndim == 0
-        t = np.atleast_1d(times)
-        k = self._const.shape[0]
-        i = np.arange(1, k + 1)
-        weights = k * self._bump(k * t[:, None] - i[None, :] + 1.0)
-        out = weights @ self._const
-        return out[0] if scalar else out
 
 
 def concatenate_autonomous(parts, bump: BumpFunction):

@@ -113,13 +113,19 @@ def reconstruct_value(table: CoefficientTable, t: float, p: TorusPoint) -> float
 
 
 def rkhs_norm(table: CoefficientTable, regularity: float) -> float:
-    """Square root of sum exp(r (4 pi^2 k^2 + lambda_n)) (a^2 + b^2)."""
+    """Square root of sum exp(r (4 pi^2 k^2 + lambda_n)) (a^2 + b^2).
+
+    Each term is summed as exp(2 log|coeff| + r (4 pi^2 k^2 + lambda_n)):
+    at high modes the weight overflows while coeff**2 underflows, but the
+    two cancel (module docstring).  Zero coefficients contribute nothing.
+    """
     if regularity <= 0:
         raise ValueError("regularity must be positive")
     total = 0.0
     for (k, n, _), coeff in table.entries.items():
-        weight = math.exp(regularity * (4.0 * math.pi**2 * k**2 + table.eigenvalues[n]))
-        total += weight * coeff**2
+        if coeff != 0.0:
+            total += math.exp(2.0 * math.log(abs(coeff))
+                              + regularity * (4.0 * math.pi**2 * k**2 + table.eigenvalues[n]))
     return math.sqrt(total)
 
 

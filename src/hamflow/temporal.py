@@ -17,17 +17,31 @@ deliberately non-centered laws can be constructed in tests.
 
 A draw of N coefficient processes is one read-only (N, m) array of
 independent standard normals, m = ``KernelKind.gaussians_per_sample()``;
-row n drives process n.  The columns are:
+row n drives process n.  Every kernel's paths are linear in the draw: the
+N paths at times t are one product Z(t) = Phi(t) @ B, with a time basis
+Phi(t) of shape (T, m) fixed by the kernel (:class:`TimeBasis`) and a
+coefficient matrix B of shape (m, N) made from the draw
+(:func:`coefficient_matrix`).  Per kernel, the draw's columns and the pair
+(Phi, B) are:
 
 * ``periodic`` -- m = 1 + 2 * temporal_max: column 0 is the constant term
   x0, columns 1..temporal_max the cosine coefficients of frequencies
-  1..temporal_max, and the last temporal_max columns the matching sines;
-* ``constant`` -- m = 1: the single normal;
+  1..temporal_max, and the last temporal_max columns the matching sines.
+  Phi(t) = [1, sqrt(2) cos(2 pi k t), sqrt(2) sin(2 pi k t)] for
+  k = 1..temporal_max, and B holds x0 and the decay-scaled cosine and sine
+  normals, row for row;
+* ``constant`` -- m = 1: the single normal.  Phi(t) = [1] and B is the
+  normal;
 * ``sqexp``    -- m = grid_nodes: node normals, mapped through the Cholesky
   factor of the unit covariance on linspace(0, 1, grid_nodes) to the path's
+  node values.  Phi(t) holds the hat-function weights of linear
+  interpolation between the nodes (at most two nonzero per row), and B the
   node values.
 
-:func:`coefficient_paths` maps such an array to the paths at given times.
+``scale`` and ``mean`` enter B: B is scale times the unit coefficients, and
+the mean is added to the rows whose basis functions sum to one (row 0 for
+``periodic`` and ``constant``; every row for ``sqexp``, whose hat weights
+form a partition of unity).  :func:`coefficient_paths` is the product.
 """
 
 from __future__ import annotations
@@ -88,6 +102,40 @@ class KernelKind:
             return 1
         return self.grid_nodes
 
+    def time_basis(self) -> "TimeBasis":
+        """The kernel's Phi(t); kernels with equal bases share it by value."""
+        return TimeBasis(self.tag, self.gaussians_per_sample())
+
+
+@dataclass(frozen=True)
+class TimeBasis:
+    """Phi(t) of one kernel family with m basis functions (module docstring).
+
+    Calling it on a scalar or (T,) array of times in [0, 1] returns the
+    (T, m) matrix Phi(times).  Equal instances are the same function of
+    time, which is what lets draws of one law share their stage products.
+    """
+
+    tag: str
+    size: int
+
+    def __call__(self, times) -> np.ndarray:
+        t = _check_times(np.atleast_1d(times))
+        if self.tag == CONSTANT:
+            return np.ones((len(t), 1))
+        if self.tag == PERIODIC:
+            ang = _TWO_PI * np.multiply.outer(t, np.arange(1, (self.size - 1) // 2 + 1))
+            return np.hstack([np.ones((len(t), 1)),
+                              math.sqrt(2.0) * np.cos(ang), math.sqrt(2.0) * np.sin(ang)])
+        pos = np.clip(t, 0.0, 1.0) * (self.size - 1)
+        i0 = np.minimum(pos.astype(int), self.size - 2)
+        frac = pos - i0
+        rows = np.arange(len(t))
+        out = np.zeros((len(t), self.size))
+        out[rows, i0] = 1.0 - frac
+        out[rows, i0 + 1] = frac
+        return out
+
 
 def _check_times(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
@@ -127,27 +175,31 @@ def _sqexp_cholesky(regularity: float, nodes: int) -> np.ndarray:
     return chol
 
 
+def coefficient_matrix(kind: KernelKind, gaussians: np.ndarray, scales) -> np.ndarray:
+    """B of shape (m, N) with paths Z(t) = Phi(t) @ B (module docstring).
+
+    ``gaussians`` is the draw's (N, m) array and ``scales`` the per-mode
+    scale (scalar or (N,)); the kernel's mean is folded in.
+    """
+    if kind.tag == PERIODIC:
+        decay = kind.fourier_decay()
+        unit = np.concatenate([[1.0], decay, decay])[:, None] * gaussians.T
+    elif kind.tag == CONSTANT:
+        unit = gaussians.T
+    else:
+        unit = _sqexp_cholesky(kind.regularity, kind.grid_nodes) @ gaussians.T
+    out = scales * unit
+    if kind.tag == SQEXP:
+        out += kind.mean
+    else:
+        out[0] += kind.mean
+    return out
+
+
 def coefficient_paths(kind: KernelKind, gaussians: np.ndarray, scales, times) -> np.ndarray:
     """Paths Z_n(t) = scale_n * unit_n(t) + mean of one draw; shape (T, N).
 
-    ``gaussians`` is the draw's (N, m) array in the column layout of the
-    module docstring, ``scales`` the per-mode scale (scalar or (N,)) and
-    ``times`` a scalar or (T,) array in [0, 1].
+    ``times`` is a scalar or (T,) array in [0, 1]; the other arguments are
+    those of :func:`coefficient_matrix`.
     """
-    t = _check_times(np.atleast_1d(times))
-    if kind.tag == CONSTANT:
-        return np.broadcast_to(scales * gaussians[:, 0] + kind.mean, (len(t), len(gaussians)))
-    if kind.tag == PERIODIC:
-        tm = kind.temporal_max
-        decay = kind.fourier_decay()
-        ang = _TWO_PI * np.multiply.outer(t, np.arange(1, tm + 1))
-        series = (np.cos(ang) @ (decay * gaussians[:, 1:tm + 1]).T
-                  + np.sin(ang) @ (decay * gaussians[:, tm + 1:]).T)
-        unit = gaussians[:, 0] + math.sqrt(2.0) * series
-    else:
-        nodes = gaussians @ _sqexp_cholesky(kind.regularity, kind.grid_nodes).T
-        pos = np.clip(t, 0.0, 1.0) * (kind.grid_nodes - 1)
-        i0 = np.minimum(pos.astype(int), kind.grid_nodes - 2)
-        frac = pos - i0
-        unit = (nodes[:, i0] * (1.0 - frac) + nodes[:, i0 + 1] * frac).T
-    return scales * unit + kind.mean
+    return kind.time_basis()(times) @ coefficient_matrix(kind, gaussians, scales)

@@ -1,8 +1,12 @@
 """Smoke tests: every CLI command runs at a tiny config and writes its files."""
 
+import json
+import math
+
 import pytest
 
 from hamflow import cli
+from hamflow.experiments import INVERSION_CHUNK
 
 TINY = """\
 spatial_max = 2
@@ -54,14 +58,31 @@ def test_command_writes_outputs(tmp_path, command):
 def test_random_walk_rejects_explicit_periodic_kernel(tmp_path, capsys):
     rc, _ = run(tmp_path, "random-walk", TINY + "kernel = periodic\n")
     assert rc == 1
-    assert "constant-in-time kernel" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "constant-in-time kernel" in err
+    assert "NotAutonomous" in err
 
 
-@pytest.mark.parametrize("command", ["inversion", "sample-field"])
-def test_outputs_independent_of_worker_count(tmp_path, command):
+def test_rkhs_norm_finite_at_high_regularity(tmp_path):
+    # weights exp(r lambda_n) overflow a double here, while coefficients underflow
+    rc, out = run(tmp_path, "rkhs-norm",
+                  "regularity = 1\nspatial_max = 25\nsamples = 2\nworkers = 1\n")
+    assert rc == 0
+    records = [json.loads(line) for line in (out / "rkhs_samples.jsonl").read_text().splitlines()]
+    assert len(records) == 2
+    assert all(math.isfinite(r["rkhs_norm"]) and r["rkhs_norm"] > 0 for r in records)
+
+
+# 2 * INVERSION_CHUNK + 3 inversion samples leave a partial last chunk per branch
+@pytest.mark.parametrize("command,samples", [("inversion", 4),
+                                             ("inversion", 2 * INVERSION_CHUNK + 3),
+                                             ("sample-field", 4)],
+                         ids=["inversion", "inversion-partial-chunk", "sample-field"])
+def test_outputs_independent_of_worker_count(tmp_path, command, samples):
     outs = []
     for workers in (1, 2):
-        text = TINY.replace("workers = 1", f"workers = {workers}")
+        text = TINY.replace("workers = 1", f"workers = {workers}").replace(
+            "samples = 4", f"samples = {samples}")
         rc, out = run(tmp_path, command, text, f"{command}-w{workers}")
         assert rc == 0
         outs.append(out)

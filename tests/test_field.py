@@ -238,6 +238,49 @@ class TestOscillation:
         assert all(a > b for a, b in zip(means, means[1:]))
 
 
+class TestSubnormalFlush:
+    """Packing flushes subnormal grid entries; evaluation does not change."""
+
+    @staticmethod
+    def draw(kernel):
+        # at r = 0.5 the highest of these modes' weights underflow to subnormals
+        law = make_law(0.5, spatial_max=6, temporal_max=3, kernel=kernel, seed=6)
+        return sample_hamiltonian(law, derive(6))
+
+    @staticmethod
+    def unflushed_grid(engine, coeffs):
+        b = engine.basis
+        k1 = engine.kmax + 1
+        out = np.zeros((2, k1, 2 * k1))
+        out[b.tx, b.kx, b.ty * k1 + b.ky] = coeffs * b.amplitudes
+        return out
+
+    @staticmethod
+    def subnormal(a):
+        return (a != 0.0) & (np.abs(a) < np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("kernel", [CONSTANT, PERIODIC])
+    def test_packed_grids_hold_no_subnormals(self, kernel):
+        h = self.draw(kernel)
+        assert self.subnormal(h.coefficients).any()
+        assert not self.subnormal(h.engine.grids(h.coefficients)).any()
+        assert not self.subnormal(h.coefficient_grids(np.linspace(0, 1, 9))).any()
+
+    def test_evaluation_bit_identical_to_unflushed_grid(self):
+        h = self.draw(CONSTANT)
+        coeffs = h.mode_coefficients(0.0)
+        raw = self.unflushed_grid(h.engine, coeffs)
+        flushed = h.engine.grids(coeffs)
+        assert self.subnormal(raw).any()
+        assert np.array_equal(flushed, np.where(self.subnormal(raw), 0.0, raw))
+        pts = np.random.default_rng(7).uniform(0, 1, (1, 64, 2))
+        assert np.array_equal(h.engine.vector_field(raw[None], pts),
+                              h.engine.vector_field(flushed[None], pts))
+        xs = np.arange(32) / 32
+        assert np.array_equal(h.engine.value_grid(raw, xs, xs),
+                              h.engine.value_grid(flushed, xs, xs))
+
+
 class TestLawValidation:
     def test_kernel_tied_to_regularity_by_default(self):
         law = make_law(0.17, spatial_max=2)

@@ -15,7 +15,7 @@ from hamflow.flow import (BumpFunction, CallableHamiltonian, FlowSettings, Lagra
                           inverse_point, sloped_circle, time_reversed_hamiltonian,
                           zero_hamiltonian)
 from hamflow.rng import derive
-from hamflow.temporal import CONSTANT, PERIODIC
+from hamflow.temporal import CONSTANT, PERIODIC, SQEXP
 
 
 def shear_y():
@@ -258,6 +258,43 @@ class TestConcatenation:
             rhs = flow_points(part, rhs, 0.0, 1.0, self.settings)
         dist = np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1)
         assert dist.max() < 1e-5
+
+
+class TestBatchedFlow:
+    settings = FlowSettings(steps=50)
+
+    @staticmethod
+    def hamiltonians(kind, count):
+        if kind in (PERIODIC, CONSTANT, SQEXP):
+            law = make_law(0.15, spatial_max=3, temporal_max=3, kernel=kind, seed=151)
+            return [sample_hamiltonian(law, derive(151, i)) for i in range(count)]
+        if kind == "reversal":
+            return [time_reversed_hamiltonian(h)
+                    for h in TestBatchedFlow.hamiltonians(PERIODIC, count)]
+        parts = TestBatchedFlow.hamiltonians(CONSTANT, 2 * count)
+        return [concatenate_autonomous(parts[2 * i:2 * i + 2], BumpFunction())
+                for i in range(count)]
+
+    @pytest.mark.parametrize("count", [1, 3, 17])
+    @pytest.mark.parametrize("kind", [PERIODIC, CONSTANT, SQEXP, "reversal", "concatenation"])
+    def test_matches_per_draw_flows(self, kind, count):
+        hs = self.hamiltonians(kind, count)
+        pts = np.random.default_rng(count).uniform(0, 1, (count, 4, 2))
+        for t0, t1 in ((0.0, 1.0), (1.0, 0.0)):
+            batch = flow_points(hs, pts, t0, t1, self.settings)
+            single = np.stack([flow_points(h, p, t0, t1, self.settings)
+                               for h, p in zip(hs, pts)])
+            assert batch.shape == pts.shape
+            assert np.abs(batch - single).max() <= 1e-12
+
+    def test_rejects_mixed_time_bases(self):
+        hs = self.hamiltonians(PERIODIC, 1) + self.hamiltonians(CONSTANT, 1)
+        with pytest.raises(ValueError):
+            flow_points(hs, np.zeros((2, 1, 2)))
+
+    def test_rejects_points_without_draw_axis(self):
+        with pytest.raises(ValueError):
+            flow_points(self.hamiltonians(PERIODIC, 3), np.zeros((4, 2)))
 
 
 class TestCurves:

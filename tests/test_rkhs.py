@@ -100,6 +100,14 @@ class TestRkhsNorm:
         assert rkhs_norm(table.scaled(2.0), 0.1) == pytest.approx(2 * rkhs_norm(table, 0.1),
                                                                   abs=1e-12)
 
+    @pytest.mark.parametrize("r", [0.01, 0.05, 0.1])
+    def test_matches_direct_weighting_at_small_regularity(self, r):
+        table = coefficient_expansion(periodic_draw(seed=23, r=r, smax=4))
+        direct = math.sqrt(sum(
+            math.exp(r * (4.0 * math.pi**2 * k**2 + table.eigenvalues[n])) * c**2
+            for (k, n, _), c in table.entries.items()))
+        assert rkhs_norm(table, r) == pytest.approx(direct, rel=1e-12)
+
     def test_monotone_in_regularity(self):
         draw = periodic_draw(seed=17)
         table = coefficient_expansion(draw)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hamflow.basis import TorusPoint, torus_distance
+from hamflow.basis import TorusPoint
 from hamflow.errors import NotAutonomous
 from hamflow.field import make_law, sample_hamiltonian
 from hamflow.flow import BumpFunction, FlowSettings, flow_points
@@ -16,6 +16,12 @@ from hamflow.walk import (apply_walk, apply_walk_points, induced_point_walk, sam
 
 def walk_law(seed=0, r=0.1, smax=3):
     return make_law(r, spatial_max=smax, kernel=CONSTANT, seed=seed)
+
+
+def displacements(a, b):
+    """Row-wise flat torus distances between point arrays (n, 2)."""
+    d = (a - b + 0.5) % 1.0 - 0.5
+    return np.hypot(d[:, 0], d[:, 1])
 
 
 class TestSampling:
@@ -44,18 +50,14 @@ class TestSampling:
     def test_single_step_law_matches_single_draw(self):
         # one-step walks displace like single autonomous draws
         law = walk_law(seed=9, r=0.15)
-        p = TorusPoint(0.31, 0.62)
+        p = np.array([0.31, 0.62])
         settings = FlowSettings(steps=100)
         n = 2000
-        walk_disp = np.empty(n)
-        draw_disp = np.empty(n)
-        for i in range(n):
-            step = sample_hamiltonian(law, derive(law.seed, i, 0))
-            out = flow_points(step, p.as_array()[None, :], 0.0, 1.0, settings)[0]
-            walk_disp[i] = torus_distance(out, p.as_array())
-            draw = sample_hamiltonian(law, derive(1234, i))
-            out2 = flow_points(draw, p.as_array()[None, :], 0.0, 1.0, settings)[0]
-            draw_disp[i] = torus_distance(out2, p.as_array())
+        steps = [sample_hamiltonian(law, derive(law.seed, i, 0)) for i in range(n)]
+        draws = [sample_hamiltonian(law, derive(1234, i)) for i in range(n)]
+        pts = np.broadcast_to(p, (n, 1, 2))
+        walk_disp = displacements(flow_points(steps, pts, 0.0, 1.0, settings)[:, 0], p)
+        draw_disp = displacements(flow_points(draws, pts, 0.0, 1.0, settings)[:, 0], p)
         assert stats.ks_2samp(walk_disp, draw_disp).pvalue > 0.01
 
 
@@ -87,16 +89,17 @@ class TestApplication:
             assert single.distance(TorusPoint(batch[i, 0], batch[i, 1])) < 1e-12
 
     def test_increment_displacements_identically_distributed(self):
+        # step j of every walk flows in one batch
         law = walk_law(seed=19, r=0.2, smax=2)
         settings = FlowSettings(steps=100)
         n = 2000
-        first = np.empty(n)
-        last = np.empty(n)
-        for w in range(n):
-            walk = sample_walk(law, 3, walk_index=w, settings=settings)
-            traj = induced_point_walk(walk, TorusPoint(0.5, 0.5))
-            first[w] = traj[0].distance(traj[1])
-            last[w] = traj[2].distance(traj[3])
+        walks = [sample_walk(law, 3, walk_index=w, settings=settings) for w in range(n)]
+        traj = [np.full((n, 1, 2), 0.5)]
+        for j in range(3):
+            traj.append(flow_points([walk.steps[j] for walk in walks], traj[-1],
+                                    0.0, 1.0, settings))
+        first = displacements(traj[1][:, 0], traj[0][:, 0])
+        last = displacements(traj[3][:, 0], traj[2][:, 0])
         assert stats.ks_2samp(first, last).pvalue > 0.01
 
 
