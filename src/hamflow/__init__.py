@@ -25,7 +25,7 @@ from .rng import derive
 from .temporal import (CONSTANT, KernelKind, PERIODIC, SQEXP, coefficient_paths,
                        kernel_value)
 from .walk import (WalkState, apply_walk, apply_walk_points, induced_point_walk,
-                   sample_walk, walk_generating_hamiltonian)
+                   induced_point_walks, sample_walk, walk_generating_hamiltonian)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

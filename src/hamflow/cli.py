@@ -121,13 +121,16 @@ def _cmd_diffusion(cfg: ExperimentConfig) -> None:
 def _cmd_random_walk(cfg: ExperimentConfig) -> None:
     out = _outdir(cfg)
     law = _law(cfg)
+    settings = experiments._settings_for(cfg)
+    probe = TorusPoint(*cfg.probe)
     records = []
-    for w_index in range(cfg.samples):
-        state = walk_mod.sample_walk(law, cfg.walk_steps, walk_index=w_index,
-                                     settings=experiments._settings_for(cfg))
-        traj = walk_mod.induced_point_walk(state, TorusPoint(*cfg.probe))
-        records.append({"walk": w_index,
-                        "trajectory": [[p.x, p.y] for p in traj]})
+    for start in range(0, cfg.samples, walk_mod.WALK_CHUNK):
+        indices = range(start, min(start + walk_mod.WALK_CHUNK, cfg.samples))
+        states = [walk_mod.sample_walk(law, cfg.walk_steps, walk_index=w, settings=settings)
+                  for w in indices]
+        for w_index, traj in zip(indices, walk_mod.induced_point_walks(states, probe)):
+            records.append({"walk": w_index,
+                            "trajectory": [[p.x, p.y] for p in traj]})
     io.write_records(records, out / "walks.jsonl")
     print(f"wrote {out / 'walks.jsonl'} ({cfg.samples} walks x {cfg.walk_steps} steps)")
 

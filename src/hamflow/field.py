@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import temporal
-from .basis import SpectralBasis, TorusPoint, Truncation, build_basis
+from .basis import TWO_PI, SpectralBasis, TorusPoint, Truncation, build_basis
 from .engine import SpectralEngine
 from .errors import Unsupported
 from .rng import derive
@@ -37,8 +37,16 @@ def _basis_for(truncation: Truncation) -> SpectralBasis:
 
 
 @lru_cache(maxsize=16)
-def _engine_for(truncation: Truncation) -> SpectralEngine:
-    return SpectralEngine(_basis_for(truncation))
+def _engine_for(truncation: Truncation, band: int) -> SpectralEngine:
+    return SpectralEngine(_basis_for(truncation), band)
+
+
+# A mode is evaluated when its bound b_n reaches this share of the largest
+# (see HamiltonianLaw.band and the engine module docstring).
+_BAND_TOLERANCE = np.finfo(float).eps ** 2
+# Times whose lattices one value_grid call evaluates in ``oscillation``; all
+# 101 at once would hold about 13 MB of lattices at 128 x 128.
+_OSC_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -72,8 +80,27 @@ class HamiltonianLaw:
     def basis(self) -> SpectralBasis:
         return _basis_for(self.truncation)
 
+    def band(self) -> int:
+        """Largest wavenumber whose modes the law's weights can resolve.
+
+        Mode n contributes at most b_n = w_n s_n (1 + 2 pi max(kx, ky)) to
+        H and its first derivatives, per unit of its Gaussian, with s_n the
+        mode's scale plus |kernel mean|.  The band is the largest
+        max(kx, ky) over modes with b_n >= eps^2 max b; it is computed from
+        log b_n, so underflowing weights do not move it.
+        """
+        b = self.basis()
+        kmax = np.maximum(b.kx, b.ky)
+        log_bound = (-0.5 * self.regularity * b.eigenvalues
+                     + np.log(self.scales() + abs(self.kernel.mean))
+                     + np.log1p(TWO_PI * kmax))
+        return int(kmax[log_bound >= log_bound.max() + np.log(_BAND_TOLERANCE)].max())
+
     def engine(self) -> SpectralEngine:
-        return _engine_for(self.truncation)
+        """The engine of the law's band (``band``), shared by every law with
+        this truncation and band.  It evaluates the modes with kx, ky <= band
+        and packs coefficients of the whole basis."""
+        return _engine_for(self.truncation, self.band())
 
     def weights(self) -> np.ndarray:
         return spectral_weight(self.basis().eigenvalues, self.regularity)
@@ -177,15 +204,19 @@ class SpectralHamiltonian:
         times = np.linspace(0.0, 1.0, time_grid)
         grids = self.coefficient_grids(times)
         spread = np.empty(time_grid)
-        for i in range(time_grid):
-            h = self.engine.value_grid(grids[i], xs, xs)
-            spread[i] = h.max() - h.min()
+        for start in range(0, time_grid, _OSC_BLOCK):
+            h = self.engine.value_grid(grids[start:start + _OSC_BLOCK], xs, xs)
+            spread[start:start + _OSC_BLOCK] = h.max(axis=(1, 2)) - h.min(axis=(1, 2))
         return float(np.trapezoid(spread, times))
 
     def spatial_mean(self, t: float, grid: int | None = None) -> float:
-        """Lattice quadrature of H(t, .); exact for the truncated series."""
+        """Lattice quadrature of H(t, .).
+
+        The default lattice of 4 * band + 1 points per axis is exact for the
+        evaluated series, whose wavenumbers are at most the engine's band.
+        """
         if grid is None:
-            grid = 4 * self.engine.kmax + 1
+            grid = 4 * self.engine.band + 1
         xs = np.arange(grid) / grid
         return float(self.value_grid(t, xs, xs).mean())
 

@@ -518,7 +518,8 @@ class SpectralConcatenation(SpectralHamiltonian):
     """
 
     def __init__(self, parts, bump: BumpFunction):
-        super().__init__(parts[0].engine)
+        # the widest band packs every part: one basis, one engine per band
+        super().__init__(max((p.engine for p in parts), key=lambda e: e.band))
         self.time_basis = BumpTimeBasis(bump, len(parts))
         self.coefficients = np.stack([p.mode_coefficients(0.0) for p in parts])
         self.coefficients.setflags(write=False)
@@ -533,7 +534,7 @@ def concatenate_autonomous(parts, bump: BumpFunction):
     for part in parts:
         if not getattr(part, "autonomous", False):
             raise NotAutonomous("all concatenated Hamiltonians must be autonomous")
-    if all(isinstance(p, RandomHamiltonian) and p.engine is parts[0].engine for p in parts):
+    if all(isinstance(p, RandomHamiltonian) and p.basis is parts[0].basis for p in parts):
         return SpectralConcatenation(parts, bump)
     return ConcatenatedHamiltonian(parts, bump)
 

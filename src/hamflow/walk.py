@@ -20,6 +20,10 @@ from .flow import (BumpFunction, DEFAULT_SETTINGS, FlowSettings, concatenate_aut
                    flow_points)
 from .rng import derive
 
+#: Walks whose steps the ``random-walk`` command flows in one batch; bounds
+#: the stage grids one batch holds at the full band.
+WALK_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class WalkState:
@@ -69,12 +73,28 @@ def apply_walk(walk: WalkState, p: TorusPoint) -> TorusPoint:
 
 def induced_point_walk(walk: WalkState, p: TorusPoint) -> list:
     """Trajectory [p, step1(p), step2(step1(p)), ...] on the torus."""
-    points = [p]
-    state = p.as_array()[None, :]
-    for h in walk.steps:
-        state = flow_points(h, state, 0.0, 1.0, walk.settings)
-        points.append(TorusPoint(state[0, 0], state[0, 1]))
-    return points
+    return induced_point_walks([walk], p)[0]
+
+
+def induced_point_walks(walks, p: TorusPoint) -> list:
+    """The trajectories of ``induced_point_walk`` for several walks from p.
+
+    The walks must have equal lengths and settings and draw their steps
+    from one law; step j of every walk is one batched flow.
+    """
+    walks = list(walks)
+    if not walks:
+        return []
+    first = walks[0]
+    if any(w.steps_taken != first.steps_taken or w.settings != first.settings for w in walks):
+        raise ValueError("batched walks need equal lengths and settings")
+    trajectories = [[p] for _ in walks]
+    state = np.broadcast_to(p.as_array(), (len(walks), 1, 2))
+    for j in range(first.steps_taken):
+        state = flow_points([w.steps[j] for w in walks], state, 0.0, 1.0, first.settings)
+        for traj, (x, y) in zip(trajectories, state[:, 0]):
+            traj.append(TorusPoint(x, y))
+    return trajectories
 
 
 def walk_generating_hamiltonian(walk: WalkState, bump: BumpFunction):

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from hamflow.basis import TorusPoint, Truncation
+from hamflow.engine import SpectralEngine
 from hamflow.errors import Unsupported
 from hamflow.field import (HamiltonianLaw, RandomHamiltonian, gaussian_dimension,
                            make_law, sample_hamiltonian, spectral_weight)
@@ -243,16 +244,20 @@ class TestSubnormalFlush:
 
     @staticmethod
     def draw(kernel):
-        # at r = 0.5 the highest of these modes' weights underflow to subnormals
-        law = make_law(0.5, spatial_max=6, temporal_max=3, kernel=kernel, seed=6)
+        # at r = 0.5 the band is 2; amplitude 1e-280 puts its (2, 2) modes in
+        # the subnormal range while its (1, 1) and (1, 2) modes stay normal
+        law = make_law(0.5, spatial_max=6, temporal_max=3, kernel=kernel, seed=6,
+                       amplitude=1e-280)
         return sample_hamiltonian(law, derive(6))
 
     @staticmethod
     def unflushed_grid(engine, coeffs):
         b = engine.basis
-        k1 = engine.kmax + 1
+        band = (b.kx <= engine.band) & (b.ky <= engine.band)
+        k1 = engine.band + 1
         out = np.zeros((2, k1, 2 * k1))
-        out[b.tx, b.kx, b.ty * k1 + b.ky] = coeffs * b.amplitudes
+        out[b.tx[band], b.kx[band], b.ty[band] * k1 + b.ky[band]] = \
+            coeffs[band] * b.amplitudes[band]
         return out
 
     @staticmethod
@@ -279,6 +284,107 @@ class TestSubnormalFlush:
         xs = np.arange(32) / 32
         assert np.array_equal(h.engine.value_grid(raw, xs, xs),
                               h.engine.value_grid(flushed, xs, xs))
+
+
+def frequency_law(r, spatial_max=25, **kwargs):
+    """A law at regularity r in frequency units (eigenvalue units / 4 pi^2)."""
+    return make_law(r / (4 * math.pi**2), spatial_max=spatial_max, **kwargs)
+
+
+class TestBand:
+    """The engine evaluates only the modes the law's weights can resolve."""
+
+    TABLE = [(0.1, 25, 2500), (0.5, 17, 1156), (2, 8, 256), (3, 7, 196), (4.5, 5, 100)]
+
+    @staticmethod
+    def bounds(law):
+        """b_n = w_n s_n (1 + 2 pi max(kx, ky)) and max(kx, ky) per mode."""
+        b = law.basis()
+        kmax = np.maximum(b.kx, b.ky)
+        return law.weights() * law.scales() * (1 + 2 * math.pi * kmax), kmax
+
+    @pytest.mark.parametrize("r,band,modes", TABLE)
+    def test_band_table(self, r, band, modes):
+        law = frequency_law(r)
+        engine = law.engine()
+        b = law.basis()
+        assert law.band() == engine.band == band
+        assert np.sum((b.kx <= band) & (b.ky <= band)) == modes
+        assert engine.grids(np.zeros(len(b))).shape == (2, band + 1, 2 * band + 2)
+
+    @pytest.mark.parametrize("r", [row[0] for row in TABLE])
+    def test_dropped_modes_below_tolerance(self, r):
+        law = frequency_law(r)
+        bound, kmax = self.bounds(law)
+        tol = np.finfo(float).eps ** 2 * bound.max()
+        dropped = kmax > law.band()
+        assert bound[dropped].sum() < tol
+        assert np.any(bound[kmax == law.band()] >= tol)
+
+    def test_engine_shared_per_band(self):
+        # r = 2.8 and 3 share band 7; the seed does not enter the band
+        a = sample_hamiltonian(frequency_law(3, seed=1), derive(1))
+        b = sample_hamiltonian(frequency_law(2.8, seed=2), derive(2))
+        c = sample_hamiltonian(frequency_law(4.5, seed=1), derive(1))
+        assert a.engine is b.engine
+        assert c.engine is not a.engine and c.engine.basis is a.engine.basis
+
+    def test_band_ignores_amplitude(self):
+        assert frequency_law(3, amplitude=1e-280).band() == frequency_law(3).band() == 7
+
+    def test_draw_keeps_every_mode(self):
+        law = frequency_law(3, temporal_max=4)
+        h = sample_hamiltonian(law, derive(4))
+        assert h.gaussians.shape == (2500, 9)
+        assert h.coefficients.shape == (9, 2500)
+
+    @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT, SQEXP])
+    def test_banded_evaluation_matches_full_band(self, kernel):
+        law = frequency_law(3, spatial_max=12, temporal_max=4, kernel=kernel, seed=8)
+        h = sample_hamiltonian(law, derive(8))
+        full = SpectralEngine(law.basis(), 12)
+        assert h.engine.band == 7
+        pts = np.random.default_rng(9).uniform(0, 1, (40, 2))
+        xs = np.arange(24) / 24
+        for t in (0.0, 0.37, 1.0):
+            grid = h.coefficient_grids(t)
+            ref = full.grids(h.mode_coefficients(t))
+            for method in ("value", "vector_field"):
+                got = getattr(h.engine, method)(grid[None], pts[None])
+                want = getattr(full, method)(ref[None], pts[None])
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            want = full.value_grid(ref, xs, xs)
+            assert np.abs(h.engine.value_grid(grid, xs, xs) - want).max() <= \
+                1e-13 * np.abs(want).max()
+
+    def test_batched_value_grid_equals_per_time_calls(self):
+        h = sample_hamiltonian(frequency_law(3, spatial_max=10, temporal_max=4), derive(3))
+        grids = h.coefficient_grids(np.linspace(0, 1, 7))
+        xs, ys = np.arange(20) / 20, np.arange(13) / 13
+        batched = h.engine.value_grid(grids, xs, ys)
+        assert batched.shape == (7, 20, 13)
+        assert np.array_equal(batched, np.stack([h.engine.value_grid(g, xs, ys)
+                                                 for g in grids]))
+        nested = h.engine.value_grid(grids.reshape((7, 1) + grids.shape[1:]), xs, ys)
+        assert np.array_equal(nested[:, 0], batched)
+
+    @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT])
+    def test_law_with_underflowing_weights_evaluates(self, kernel):
+        law = make_law(1e4, spatial_max=6, temporal_max=3, kernel=kernel)
+        assert np.all(law.weights() == 0.0)
+        h = sample_hamiltonian(law, derive(0))
+        assert h.engine.band == 1
+        pts = np.random.default_rng(0).uniform(0, 1, (5, 2))
+        assert np.all(h.value(0.4, pts) == 0.0)
+        assert np.all(h.vector_field(0.4, pts) == 0.0)
+        assert h.oscillation(16, 5) == 0.0
+        assert h.spatial_mean(0.4) == 0.0
+
+    def test_rejects_band_outside_truncation(self):
+        basis = make_law(1.0, spatial_max=4).basis()
+        for band in (0, 5):
+            with pytest.raises(ValueError):
+                SpectralEngine(basis, band)
 
 
 class TestLawValidation:

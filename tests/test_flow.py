@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hamflow.basis import TorusPoint, torus_distance
+from hamflow.engine import SpectralEngine
 from hamflow.errors import NotAutonomous, RefinementOverflow
 from hamflow.field import SpectralHamiltonian, make_law, sample_hamiltonian
 from hamflow.flow import (BumpFunction, CallableHamiltonian, FlowSettings, LagrangianCurve,
@@ -295,6 +296,76 @@ class TestBatchedFlow:
     def test_rejects_points_without_draw_axis(self):
         with pytest.raises(ValueError):
             flow_points(self.hamiltonians(PERIODIC, 3), np.zeros((4, 2)))
+
+
+class FullBand(SpectralHamiltonian):
+    """A spectral Hamiltonian's path evaluated by the full-band engine (reference)."""
+
+    def __init__(self, h):
+        basis = h.engine.basis
+        super().__init__(SpectralEngine(basis, basis.truncation.spatial_max))
+        self.time_basis = h.time_basis
+        self.coefficients = h.coefficients
+        self.stiffness = h.stiffness
+
+
+class TestBand:
+    """Banded engines against the full-band reference, through every spectral type."""
+
+    settings = FlowSettings(steps=100)
+
+    @staticmethod
+    def draws(kernel, r, count=2, seed=181):
+        law = make_law(r / (4 * math.pi**2), spatial_max=12, temporal_max=4,
+                       kernel=kernel, seed=seed)
+        return [sample_hamiltonian(law, derive(seed, i)) for i in range(count)]
+
+    @classmethod
+    def hamiltonian(cls, kind):
+        if kind in (PERIODIC, CONSTANT, SQEXP):
+            return cls.draws(kind, 3)[0]
+        if kind == "reversal":
+            return time_reversed_hamiltonian(cls.draws(PERIODIC, 3)[0])
+        if kind == "concatenation":
+            return concatenate_autonomous(cls.draws(CONSTANT, 3), BumpFunction())
+        # parts of two regularities (bands 7 and 5) on one truncation
+        return concatenate_autonomous(cls.draws(CONSTANT, 3, 1) + cls.draws(CONSTANT, 4.5, 1, 182),
+                                      BumpFunction())
+
+    @staticmethod
+    def close(got, want, rel=1e-13):
+        return np.abs(got - want).max() <= rel * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("kind", [PERIODIC, CONSTANT, SQEXP, "reversal", "concatenation",
+                                      "mixed concatenation"])
+    def test_matches_full_band(self, kind):
+        h = self.hamiltonian(kind)
+        ref = FullBand(h)
+        assert h.engine.band < ref.engine.band
+        pts = np.random.default_rng(5).uniform(0, 1, (16, 2))
+        xs = np.arange(20) / 20
+        for t in (0.0, 0.3, 0.5, 1.0):
+            assert self.close(h.value(t, pts), ref.value(t, pts))
+            assert self.close(h.vector_field(t, pts), ref.vector_field(t, pts))
+            assert self.close(h.value_grid(t, xs, xs), ref.value_grid(t, xs, xs))
+        for t0, t1 in ((0.0, 1.0), (1.0, 0.0)):
+            assert self.close(flow_points(h, pts, t0, t1, self.settings),
+                              flow_points(ref, pts, t0, t1, self.settings))
+
+    def test_mixed_regularity_concatenation_stays_spectral(self):
+        parts = self.draws(CONSTANT, 3, 1) + self.draws(CONSTANT, 4.5, 1, 182)
+        assert parts[0].engine is not parts[1].engine
+        concat = concatenate_autonomous(parts, BumpFunction())
+        assert isinstance(concat, SpectralHamiltonian)
+        assert concat.engine is parts[0].engine
+        pts = np.random.default_rng(14).uniform(0, 1, (10, 2))
+        settings = FlowSettings(steps=200)
+        lhs = flow_points(concat, pts, 0.0, 1.0, settings)
+        rhs = pts
+        for part in parts:
+            rhs = flow_points(part, rhs, 0.0, 1.0, settings)
+        dist = np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1)
+        assert dist.max() < 1e-5
 
 
 class TestCurves:

@@ -10,8 +10,8 @@ from hamflow.field import make_law, sample_hamiltonian
 from hamflow.flow import BumpFunction, FlowSettings, flow_points
 from hamflow.rng import derive
 from hamflow.temporal import CONSTANT, PERIODIC
-from hamflow.walk import (apply_walk, apply_walk_points, induced_point_walk, sample_walk,
-                          walk_generating_hamiltonian)
+from hamflow.walk import (apply_walk, apply_walk_points, induced_point_walk,
+                          induced_point_walks, sample_walk, walk_generating_hamiltonian)
 
 
 def walk_law(seed=0, r=0.1, smax=3):
@@ -87,6 +87,27 @@ class TestApplication:
         for i, (x, y) in enumerate(pts):
             single = apply_walk(walk, TorusPoint(x, y))
             assert single.distance(TorusPoint(batch[i, 0], batch[i, 1])) < 1e-12
+
+    def test_batched_trajectories_match_per_walk_loop(self):
+        law = walk_law(seed=31, r=0.3, smax=4)
+        settings = FlowSettings(steps=100)
+        walks = [sample_walk(law, 3, walk_index=w, settings=settings) for w in range(5)]
+        p = TorusPoint(0.45, 0.2)
+        batched = induced_point_walks(walks, p)
+        assert len(batched) == 5
+        for walk, traj in zip(walks, batched):
+            state = p.as_array()[None, :]
+            expected = [p]
+            for h in walk.steps:
+                state = flow_points(h, state, 0.0, 1.0, settings)
+                expected.append(TorusPoint(state[0, 0], state[0, 1]))
+            assert len(traj) == 4
+            assert max(a.distance(b) for a, b in zip(traj, expected)) <= 1e-12
+
+    def test_batched_walks_need_equal_lengths(self):
+        law = walk_law(seed=37)
+        with pytest.raises(ValueError):
+            induced_point_walks([sample_walk(law, 2), sample_walk(law, 3)], TorusPoint(0, 0))
 
     def test_increment_displacements_identically_distributed(self):
         # step j of every walk flows in one batch
