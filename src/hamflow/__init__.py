@@ -14,7 +14,7 @@ from .errors import (DegenerateOverlap, FactorizationFailure, HamflowError, NonF
 from .field import (HamiltonianLaw, RandomHamiltonian, SpectralHamiltonian,
                     gaussian_dimension, make_law, sample_hamiltonian, spectral_weight)
 from .flow import (BumpFunction, CallableHamiltonian, FlowSettings, LagrangianCurve,
-                   advect_curve, circle_curve, composition_hamiltonian,
+                   advect_curve, advect_curves, circle_curve, composition_hamiltonian,
                    concatenate_autonomous, flow_jacobian_determinant, flow_points,
                    flow_points_through, horizontal_circle, integrate_point,
                    inverse_generating_hamiltonian, inverse_point, sloped_circle,

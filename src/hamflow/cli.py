@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments, io, rkhs, walk as walk_mod
-from .basis import TorusPoint
+from . import experiments, io, rkhs
 from .config import COMMANDS, ExperimentConfig, parse_config, serialize_config
 from .errors import HamflowError
 from .experiments import ResultRow, ResultTable
@@ -85,7 +84,7 @@ def _cmd_sample_field(cfg: ExperimentConfig) -> None:
 
 def _cmd_flow(cfg: ExperimentConfig) -> None:
     out = _outdir(cfg)
-    curves = experiments.advected_samples(cfg, 0, cfg.samples)
+    curves = experiments.advected_samples(cfg)
     records = [{"sample": i, "vertices": c.vertices.tolist(), "winding": list(c.winding)}
                for i, c in enumerate(curves)]
     io.write_records(records, out / "curves.jsonl")
@@ -120,17 +119,8 @@ def _cmd_diffusion(cfg: ExperimentConfig) -> None:
 
 def _cmd_random_walk(cfg: ExperimentConfig) -> None:
     out = _outdir(cfg)
-    law = _law(cfg)
-    settings = experiments._settings_for(cfg)
-    probe = TorusPoint(*cfg.probe)
-    records = []
-    for start in range(0, cfg.samples, walk_mod.WALK_CHUNK):
-        indices = range(start, min(start + walk_mod.WALK_CHUNK, cfg.samples))
-        states = [walk_mod.sample_walk(law, cfg.walk_steps, walk_index=w, settings=settings)
-                  for w in indices]
-        for w_index, traj in zip(indices, walk_mod.induced_point_walks(states, probe)):
-            records.append({"walk": w_index,
-                            "trajectory": [[p.x, p.y] for p in traj]})
+    records = [{"walk": w, "trajectory": [[p.x, p.y] for p in traj]}
+               for w, traj in enumerate(experiments.run_random_walks(cfg))]
     io.write_records(records, out / "walks.jsonl")
     print(f"wrote {out / 'walks.jsonl'} ({cfg.samples} walks x {cfg.walk_steps} steps)")
 

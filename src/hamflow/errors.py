@@ -18,7 +18,15 @@ class NotAutonomous(HamflowError):
 
 
 class NonFinite(HamflowError):
-    """A numerical state left the finite floating-point range."""
+    """A numerical state left the finite floating-point range.
+
+    ``draws`` lists the rows of the flowed batch whose state did (row 0 when
+    one Hamiltonian flows); it is empty when no flow names them.
+    """
+
+    def __init__(self, message, draws=()):
+        self.draws = tuple(int(d) for d in draws)
+        super().__init__(message)
 
 
 class RefinementOverflow(HamflowError):

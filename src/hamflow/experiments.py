@@ -1,9 +1,14 @@
 """Monte Carlo experiments: Lagrangian intersections, diffusion, tails,
-inversion invariance, and concentration.
+inversion invariance, concentration and random walks.
 
 Every sample owns a random stream derived from (seed, regularity index,
-sample index); aggregation is an ordered reduction by sample index, so
-results are bit-identical for any worker count.
+sample index); the inversion test's inverse branch uses stream index 1 and
+walk w draws step j from (seed, w, j).  One runner (``_run_chunks``) hands
+each task a chunk of CHUNK consecutive sample indices; the task builds its
+law once, draws sample i from its own stream exactly as a one-sample task
+would, and flows the chunk's draws as one batch.  Aggregation is an ordered
+reduction by sample index, and a draw's flow does not depend on the other
+draws of its batch, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -19,14 +24,18 @@ from scipy import stats as scipy_stats
 from .basis import TorusPoint
 from .config import EIGENVALUE_UNITS, ExperimentConfig
 from .errors import DegenerateOverlap, HamflowError, ValidationError
-from .field import make_law, sample_hamiltonian
-from .flow import FlowSettings, LagrangianCurve, advect_curve, flow_points, flow_points_through, horizontal_circle
+from .field import PackedBatch, make_law, sample_hamiltonian
+from .flow import (FlowSettings, LagrangianCurve, advect_curves, flow_points, flow_points_through,
+                   horizontal_circle)
 from .rng import derive
+from .walk import induced_point_walks, sample_walk
 
 _LEVEL_TIE = 1e-12
 _OVERLAP_TOL = 1e-9
-# Draws per batched flow in the inversion test.
-INVERSION_CHUNK = 16
+# Consecutive sample indices per task: the task builds its law once, and the
+# draws of a chunk flow as one batch.  16 draws at the full band hold about
+# 7 MB of packed coefficients and as much of stage grids.
+CHUNK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -214,43 +223,77 @@ def worker_count(cfg: ExperimentConfig) -> int:
         return int(env)
     return os.cpu_count() or 1
 
-def _run_indexed(task, args_list, workers: int):
-    """Map ``task`` over ``args_list`` preserving order."""
-    if workers <= 1 or len(args_list) <= 1:
-        return [task(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, args_list, chunksize=max(1, len(args_list) // (8 * workers))))
+
+def _run_chunks(task, cfg: ExperimentConfig, r_index: int = 0) -> list:
+    """Per-sample results of ``task`` for sample indices 0..samples-1, in order.
+
+    ``task((cfg, r_index, start, stop))`` returns the results of the
+    consecutive indices start..stop-1 as a list.  Chunks hold CHUNK indices
+    (the last may hold fewer) and run on ``worker_count(cfg)`` processes.
+    Boundaries depend on the index only, so results do not depend on the
+    worker count.
+    """
+    chunks = [(cfg, r_index, start, min(start + CHUNK, cfg.samples))
+              for start in range(0, cfg.samples, CHUNK)]
+    workers = worker_count(cfg)
+    if workers <= 1 or len(chunks) <= 1:
+        results = [task(chunk) for chunk in chunks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(task, chunks))
+    return [result for chunk in results for result in chunk]
 
 
 # ---------------------------------------------------------------------------
 # Intersections
 # ---------------------------------------------------------------------------
 
-def _intersection_sample(args):
-    cfg, r_index, sample_index = args
-    regularity = cfg.regularity[r_index]
-    law = _law_for(cfg, regularity)
-    settings = _settings_for(cfg)
-    rng = derive(cfg.seed, r_index, sample_index)
+def _advected_chunk(args) -> list:
+    """Images of K under samples start..stop-1 of regularity r_index.
+
+    Each draw is packed as it is sampled and then let go; the chunk's curves
+    advect together (``advect_curves``).  Entry i is the image curve or the
+    ``HamflowError`` that sample i raised.
+    """
+    cfg, r_index, start, stop = args
+    law = _law_for(cfg, cfg.regularity[r_index])
+    batch, rows, out = PackedBatch(), [], {}
+    for i in range(start, stop):
+        try:
+            batch.append(sample_hamiltonian(law, derive(cfg.seed, r_index, i)))
+        except HamflowError as exc:
+            out[i] = exc
+        else:
+            rows.append(i)
+    images = advect_curves(batch, horizontal_circle(0.5, cfg.curve_vertices), 1.0,
+                           _settings_for(cfg))
+    out.update(zip(rows, images))
+    return [out[i] for i in range(start, stop)]
+
+
+def _intersection_chunk(args) -> list:
+    """Per sample: {label: crossings}, or (sample index, error text)."""
+    cfg, _, start, _ = args
     catalog = paper_lagrangians()
-    try:
-        draw = sample_hamiltonian(law, rng)
-        image = advect_curve(draw, horizontal_circle(0.5, cfg.curve_vertices),
-                             1.0, settings)
-        return {label: count_crossings(image, catalog[label])
-                for label in cfg.lagrangians}
-    except HamflowError as exc:
-        return (sample_index, f"{type(exc).__name__}: {exc}")
+    results = []
+    for i, image in enumerate(_advected_chunk(args), start=start):
+        if not isinstance(image, HamflowError):
+            try:
+                results.append({label: count_crossings(image, catalog[label])
+                                for label in cfg.lagrangians})
+                continue
+            except HamflowError as exc:
+                image = exc
+        results.append((i, f"{type(image).__name__}: {image}"))
+    return results
 
 
 def run_intersections(cfg: ExperimentConfig) -> ResultTable:
     """Estimate expected crossing counts of advected K with each Lagrangian."""
-    workers = worker_count(cfg)
     rows = []
     failures = []
     for r_index, regularity in enumerate(cfg.regularity):
-        args = [(cfg, r_index, i) for i in range(cfg.samples)]
-        outcomes = _run_indexed(_intersection_sample, args, workers)
+        outcomes = _run_chunks(_intersection_chunk, cfg, r_index)
         errors = [(regularity,) + o for o in outcomes if isinstance(o, tuple)]
         counts = [o for o in outcomes if isinstance(o, dict)]
         failures.extend(errors)
@@ -268,17 +311,16 @@ def run_intersections(cfg: ExperimentConfig) -> ResultTable:
     return ResultTable(rows=tuple(rows), failures=tuple(failures))
 
 
-def advected_samples(cfg: ExperimentConfig, r_index: int = 0, count: int | None = None):
-    """Advected images of K for the first ``count`` sample indices (plot aid)."""
-    regularity = cfg.regularity[r_index]
-    law = _law_for(cfg, regularity)
-    settings = _settings_for(cfg)
-    curves = []
-    for i in range(count if count is not None else cfg.samples):
-        draw = sample_hamiltonian(law, derive(cfg.seed, r_index, i))
-        curves.append(advect_curve(draw, horizontal_circle(0.5, cfg.curve_vertices),
-                                   1.0, settings))
-    return curves
+def advected_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
+    """Advected images of K for every sample index (plot aid).
+
+    Raises the error of the first sample that failed.
+    """
+    images = _run_chunks(_advected_chunk, cfg, r_index)
+    for image in images:
+        if isinstance(image, HamflowError):
+            raise image
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -304,24 +346,31 @@ def _chi_square(counts: np.ndarray) -> float:
     return float(np.sum((counts - expected) ** 2 / expected))
 
 
-def _diffusion_sample(args):
-    cfg, sample_index = args
-    law = _law_for(cfg, cfg.regularity[0])
-    settings = _settings_for(cfg)
-    rng = derive(cfg.seed, 0, sample_index)
-    draw = sample_hamiltonian(law, rng)
-    pts = _ball_points(rng, cfg.ball_center, cfg.ball_radius, cfg.points)
-    states = flow_points_through(draw, pts, cfg.times, settings)
-    m = cfg.grid
-    counts = np.stack([_bin_counts(s, m) for s in states])
-    chi = np.array([_chi_square(c) for c in counts])
-    return counts, chi
+def _diffusion_chunk(args) -> list:
+    """(bin counts, chi-square) per time for samples start..stop-1.
+
+    Sample i draws its Hamiltonian and then its ball points from one stream;
+    the chunk's clouds flow as one batch.
+    """
+    cfg, r_index, start, stop = args
+    law = _law_for(cfg, cfg.regularity[r_index])
+    batch = PackedBatch()
+    pts = np.empty((stop - start, cfg.points, 2))
+    for row, i in enumerate(range(start, stop)):
+        rng = derive(cfg.seed, r_index, i)
+        batch.append(sample_hamiltonian(law, rng))
+        pts[row] = _ball_points(rng, cfg.ball_center, cfg.ball_radius, cfg.points)
+    states = flow_points_through(batch, pts, cfg.times, _settings_for(cfg))
+    results = []
+    for row in range(stop - start):
+        counts = np.stack([_bin_counts(s[row], cfg.grid) for s in states])
+        results.append((counts, np.array([_chi_square(c) for c in counts])))
+    return results
 
 
 def run_diffusion(cfg: ExperimentConfig) -> DiffusionResult:
     """Advect point clouds, bin them, and track uniformity chi-square."""
-    workers = worker_count(cfg)
-    outcomes = _run_indexed(_diffusion_sample, [(cfg, i) for i in range(cfg.samples)], workers)
+    outcomes = _run_chunks(_diffusion_chunk, cfg)
     total = np.sum([c for c, _ in outcomes], axis=0)
     per_sample = np.stack([chi for _, chi in outcomes])
     agg_chi = np.array([_chi_square(grid) for grid in total])
@@ -333,17 +382,17 @@ def run_diffusion(cfg: ExperimentConfig) -> DiffusionResult:
 # Oscillation-based statistics
 # ---------------------------------------------------------------------------
 
-def _osc_sample(args):
-    cfg, r_index, sample_index = args
+def _osc_chunk(args) -> list:
+    """Oscillation norms of samples start..stop-1, one draw at a time."""
+    cfg, r_index, start, stop = args
     law = _law_for(cfg, cfg.regularity[r_index])
-    draw = sample_hamiltonian(law, derive(cfg.seed, r_index, sample_index))
-    return draw.oscillation(cfg.osc_spatial_grid, cfg.osc_time_grid)
+    return [sample_hamiltonian(law, derive(cfg.seed, r_index, i))
+            .oscillation(cfg.osc_spatial_grid, cfg.osc_time_grid)
+            for i in range(start, stop)]
 
 
 def oscillation_samples(cfg: ExperimentConfig, r_index: int = 0) -> np.ndarray:
-    workers = worker_count(cfg)
-    args = [(cfg, r_index, i) for i in range(cfg.samples)]
-    return np.array(_run_indexed(_osc_sample, args, workers))
+    return np.array(_run_chunks(_osc_chunk, cfg, r_index))
 
 
 def run_tail_stats(cfg: ExperimentConfig) -> TailStats:
@@ -391,40 +440,54 @@ def run_concentration(cfg: ExperimentConfig) -> ResultTable:
 # Inversion invariance
 # ---------------------------------------------------------------------------
 
-def _displacement_chunk(args):
-    """Displacements of the probe under draws start..stop-1 of one branch.
+def _displacement_chunk(args) -> list:
+    """(forward, inverse) displacements of the probe for samples start..stop-1.
 
-    Branch 0 flows forward over [0, 1], branch 1 backward; the chunk's
-    draws run through one batched RK4 loop.
+    Sample i draws its forward Hamiltonian from stream (seed, 0, i), flowed
+    over [0, 1], and its inverse one from (seed, 1, i), flowed back from 1
+    to 0; each branch of the chunk runs through one batched RK4 loop.
     """
-    cfg, branch, start, stop = args
+    cfg, _, start, stop = args
     law = _law_for(cfg, cfg.regularity[0])
     settings = _settings_for(cfg)
-    draws = [sample_hamiltonian(law, derive(cfg.seed, branch, i)) for i in range(start, stop)]
     probe = np.asarray(cfg.probe, dtype=float)
-    pts = np.broadcast_to(probe, (len(draws), 1, 2))
-    t0, t1 = (0.0, 1.0) if branch == 0 else (1.0, 0.0)
-    image = flow_points(draws, pts, t0, t1, settings)[:, 0]
-    d = (image - probe + 0.5) % 1.0 - 0.5
-    return np.hypot(d[:, 0], d[:, 1])
+    pts = np.broadcast_to(probe, (stop - start, 1, 2))
+    branches = []
+    for branch, (t0, t1) in enumerate(((0.0, 1.0), (1.0, 0.0))):
+        batch = PackedBatch()
+        for i in range(start, stop):
+            batch.append(sample_hamiltonian(law, derive(cfg.seed, branch, i)))
+        d = (flow_points(batch, pts, t0, t1, settings)[:, 0] - probe + 0.5) % 1.0 - 0.5
+        branches.append(np.hypot(d[:, 0], d[:, 1]))
+    return list(zip(*branches))
 
 
 def run_inversion_test(cfg: ExperimentConfig, level: float = 0.01) -> InversionResult:
-    """Two-sample KS test between displacement laws of the flow and its inverse.
-
-    Samples are flowed in chunks of INVERSION_CHUNK consecutive indices per
-    branch; chunk boundaries depend on the sample index only, so results do
-    not depend on the worker count.
-    """
+    """Two-sample KS test between displacement laws of the flow and its inverse."""
     if cfg.kernel == "sqexp":
         raise ValidationError("kernel", "inversion test requires a time-symmetric kernel")
-    workers = worker_count(cfg)
-    starts = range(0, cfg.samples, INVERSION_CHUNK)
-    chunks = [(cfg, branch, start, min(start + INVERSION_CHUNK, cfg.samples))
-              for branch in (0, 1) for start in starts]
-    disp = _run_indexed(_displacement_chunk, chunks, workers)
-    fwd = np.concatenate(disp[:len(starts)])
-    inv = np.concatenate(disp[len(starts):])
+    fwd, inv = (np.array(branch) for branch in zip(*_run_chunks(_displacement_chunk, cfg)))
     ks = scipy_stats.ks_2samp(fwd, inv)
     return InversionResult(statistic=float(ks.statistic), p_value=float(ks.pvalue),
                            level=level, forward=fwd, inverse=inv)
+
+
+# ---------------------------------------------------------------------------
+# Random walks
+# ---------------------------------------------------------------------------
+
+def _walk_chunk(args) -> list:
+    """Probe trajectories of walks start..stop-1; step j of every walk in the
+    chunk is one batched flow (``induced_point_walks``)."""
+    cfg, _, start, stop = args
+    law = _law_for(cfg, cfg.regularity[0])
+    settings = _settings_for(cfg)
+    walks = [sample_walk(law, cfg.walk_steps, walk_index=w, settings=settings)
+             for w in range(start, stop)]
+    return induced_point_walks(walks, TorusPoint(*cfg.probe))
+
+
+def run_random_walks(cfg: ExperimentConfig) -> list:
+    """The probe's trajectory under each of ``samples`` walks of ``walk_steps``
+    steps; walk w draws step j from stream (seed, w, j)."""
+    return _run_chunks(_walk_chunk, cfg)

@@ -261,28 +261,47 @@ class RandomHamiltonian(SpectralHamiltonian):
 class PackedBatch:
     """S spectral Hamiltonians sharing one engine and one time basis, packed once.
 
-    Each coefficient matrix is packed once by ``engine.grids``, which flushes
-    subnormals, into (S, m, 2, K1, 2*K1); the grids of all S at T times are
-    then one product Phi(times) @ packed per Hamiltonian.
+    ``append`` packs a Hamiltonian's coefficient matrix by ``engine.grids``,
+    which flushes subnormals, into one (m, 2, K1, 2*K1) row; the batch keeps
+    the row, not the Hamiltonian, so a caller can pack draws as it samples
+    them and let each go.  The grids of all S at T times are one product
+    Phi(times) @ packed per row.  ``rows`` takes a sub-batch without packing
+    again.
     """
 
-    def __init__(self, hamiltonians):
-        first = hamiltonians[0]
-        for h in hamiltonians:
-            if h.engine is not first.engine or h.time_basis != first.time_basis:
-                raise ValueError("a batch needs one engine and one time basis")
-        self.engine = first.engine
-        self.time_basis = first.time_basis
-        self.stiffness = first.stiffness
+    def __init__(self, hamiltonians=()):
+        self.engine = None
+        self.time_basis = None
+        self.stiffness = 1
+        self._rows = []
         self._packed = None
-        for i, h in enumerate(hamiltonians):
-            grids = self.engine.grids(h.coefficients)
-            if self._packed is None:
-                self._packed = np.empty((len(hamiltonians),) + grids.shape)
-            self._packed[i] = grids
+        for h in hamiltonians:
+            self.append(h)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def append(self, h: SpectralHamiltonian) -> None:
+        """Pack one more Hamiltonian as the last row."""
+        if self.engine is None:
+            self.engine, self.time_basis, self.stiffness = h.engine, h.time_basis, h.stiffness
+        elif h.engine is not self.engine or h.time_basis != self.time_basis:
+            raise ValueError("a batch needs one engine and one time basis")
+        self._rows.append(self.engine.grids(h.coefficients))
+        self._packed = None
+
+    def rows(self, indices) -> PackedBatch:
+        """The batch of the given rows, in the given order."""
+        sub = PackedBatch()
+        sub.engine, sub.time_basis, sub.stiffness = self.engine, self.time_basis, self.stiffness
+        sub._rows = [self._rows[i] for i in indices]
+        return sub
 
     def grids(self, times) -> np.ndarray:
         """Grids (T, S, 2, K1, 2*K1) at a scalar or (T,) array of times."""
+        if self._packed is None:
+            self._packed = np.stack(self._rows)
+            self._rows = list(self._packed)  # views: each row is held once
         packed = self._packed
         s, m = packed.shape[:2]
         out = self.time_basis(times) @ packed.reshape(s, m, -1)

@@ -6,6 +6,15 @@ Monte Carlo tables are reproducible).  Draws with spectral structure use
 exact analytic vector fields; generic evaluator-defined Hamiltonians fall
 back to central finite differences of their values.
 
+Curves are advected in batches (``advect_curves``).  The draws of a batch
+refine in lockstep: each refinement pass is one batched RK4 loop over the
+new source midpoints of the draws still refining, each draw padded to the
+widest with copies of its own last midpoint.  A draw's images do not depend
+on the batch it flows in, because the engine evaluates each draw's points
+under its own grids with the same operations at any batch size and padding;
+so a batch gives the one-draw loop's images bit for bit, and a draw that
+fails (``NonFinite``, ``RefinementOverflow``) fails alone.
+
 Group operations return new Hamiltonian evaluators:
 
 * ``composition_hamiltonian(f, g)``  -- flow equals (flow of f) o (flow of g);
@@ -30,7 +39,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .basis import TorusPoint
-from .errors import NonFinite, NotAutonomous, RefinementOverflow
+from .errors import HamflowError, NonFinite, NotAutonomous, RefinementOverflow
 from .field import PackedBatch, RandomHamiltonian, SpectralHamiltonian
 
 _FD_STEP = 1e-6
@@ -131,8 +140,11 @@ def _rk4_generic(fieldlike, pts, t0, h, n_steps, captures=None):
 
 
 def _integrate(fieldlike, pts, t0, t1, settings, captures=None):
-    """Flow pts from t0 to t1 under one Hamiltonian (pts (P, 2)) or under a
-    list or tuple of spectral Hamiltonians (pts (S, P, 2))."""
+    """Flow pts from t0 to t1 under one Hamiltonian (pts (P, 2)), or under a
+    ``PackedBatch`` or a list or tuple of spectral Hamiltonians (pts (S, P, 2)).
+
+    Raises ``NonFinite`` naming the draws whose state left the finite range.
+    """
     if isinstance(fieldlike, SpectralHamiltonian):
         states = None if captures is None else []
         out = _integrate([fieldlike], np.asarray(pts)[None], t0, t1, settings, states)
@@ -140,7 +152,9 @@ def _integrate(fieldlike, pts, t0, t1, settings, captures=None):
             captures.extend(state[0] for state in states)
         return out[0]
     if isinstance(fieldlike, (list, tuple)):
-        batch = PackedBatch(fieldlike)
+        fieldlike = PackedBatch(fieldlike)
+    if isinstance(fieldlike, PackedBatch):
+        batch = fieldlike
         stiffness = batch.stiffness
     else:
         batch = None
@@ -156,8 +170,10 @@ def _integrate(fieldlike, pts, t0, t1, settings, captures=None):
         out = _rk4_generic(fieldlike, pts, t0, h, n, captures)
     else:
         out = _rk4_grids(batch, pts, t0, h, n, captures)
-    if not np.all(np.isfinite(out)):
-        raise NonFinite("flow state left the finite range")
+    # one flag per draw: (P, 2) states give one, (S, P, 2) states S
+    finite = np.isfinite(out).all(axis=(-2, -1))
+    if not finite.all():
+        raise NonFinite("flow state left the finite range", draws=np.flatnonzero(~finite))
     return out
 
 
@@ -165,15 +181,15 @@ def flow_points(fieldlike, pts, t0: float = 0.0, t1: float = 1.0,
                 settings: FlowSettings = DEFAULT_SETTINGS) -> np.ndarray:
     """Integrate planar lifts from t0 to t1 (t1 < t0 allowed).
 
-    ``fieldlike`` is one Hamiltonian with ``pts`` of shape (P, 2), or a
-    list or tuple of S spectral Hamiltonians sharing one engine and one time
-    basis (draws of one law, their time reversals, or concatenations with
-    one bump and part count) with ``pts`` of shape (S, P, 2): set s flows
-    under Hamiltonian s, and all S run through one RK4 loop.  The result
-    has the shape of ``pts``.
+    ``fieldlike`` is one Hamiltonian with ``pts`` of shape (P, 2), or S
+    spectral Hamiltonians sharing one engine and one time basis (draws of
+    one law, their time reversals, or concatenations with one bump and part
+    count), as a list, a tuple or a ``PackedBatch``, with ``pts`` of shape
+    (S, P, 2): set s flows under Hamiltonian s, and all S run through one
+    RK4 loop.  The result has the shape of ``pts``.
     """
     pts = np.asarray(pts, dtype=float)
-    if isinstance(fieldlike, (list, tuple)) and pts.shape[:1] != (len(fieldlike),):
+    if isinstance(fieldlike, (list, tuple, PackedBatch)) and pts.shape[:1] != (len(fieldlike),):
         raise ValueError("batched points need shape (S, P, 2) for S Hamiltonians")
     return _integrate(fieldlike, pts, t0, t1, settings)
 
@@ -616,33 +632,106 @@ def advect_curve(fieldlike, curve: LagrangianCurve, t: float = 1.0,
     vertices are within the refinement threshold.
 
     Midpoints are inserted on the *source* curve and advected, so refined
-    vertices are exact flow images, never interpolations.
+    vertices are exact flow images, never interpolations.  This is the
+    one-Hamiltonian case of ``advect_curves``; it raises that case's error.
     """
-    eta = settings.refinement_threshold
-    winding = np.array(curve.winding, dtype=float)
-    if curve.closed:
-        src = curve.vertices[:-1].copy()
-    else:
-        src = curve.vertices.copy()
-    img = _integrate(fieldlike, src, 0.0, t, settings)
+    (image,) = advect_curves([fieldlike], curve, t, settings)
+    if isinstance(image, HamflowError):
+        raise image
+    return image
 
-    for _ in range(settings.max_refinement_depth + 1):
-        if curve.closed:
-            img_full = np.vstack([img, img[0] + winding])
-            src_full = np.vstack([src, src[0] + winding])
-        else:
-            img_full, src_full = img, src
-        gaps = np.linalg.norm(np.diff(img_full, axis=0), axis=1)
-        bad = np.flatnonzero(gaps > eta)
-        if bad.size == 0:
-            verts = img_full if curve.closed else img
-            return LagrangianCurve(verts, closed=curve.closed, winding=curve.winding)
-        mids = 0.5 * (src_full[bad] + src_full[bad + 1])
-        new_img = _integrate(fieldlike, mids, 0.0, t, settings)
-        src = np.insert(src, bad + 1, mids, axis=0)
-        img = np.insert(img, bad + 1, new_img, axis=0)
-    raise RefinementOverflow(
-        f"curve refinement exceeded depth {settings.max_refinement_depth}")
+
+def advect_curves(hamiltonians, curve: LagrangianCurve, t: float = 1.0,
+                  settings: FlowSettings = DEFAULT_SETTINGS) -> list:
+    """Images of one curve under the time-t flows of S Hamiltonians.
+
+    ``hamiltonians`` is a ``PackedBatch``, a list or tuple of spectral
+    Hamiltonians that form one, or a list holding one Hamiltonian of any
+    kind.  Entry s of the result is the image under Hamiltonian s, refined
+    as ``advect_curve`` describes, or the ``HamflowError`` its advection
+    raised (``NonFinite`` or ``RefinementOverflow``).
+
+    The draws refine in lockstep.  Pass 0 flows the S copies of the source
+    vertices as one (S, V, 2) batch.  Each later pass bisects, per draw,
+    every source segment whose image gap exceeds the threshold, and flows
+    the midpoints of the draws still refining as one batch of rows of the
+    packed Hamiltonians.  A draw with fewer midpoints than the widest is
+    padded with copies of its own last midpoint, whose images are discarded.
+    A draw is refined at most ``max_refinement_depth`` times.  Draws do not
+    mix in the engine, which evaluates each draw's points under its own
+    grids with the same operations at any batch size or padding, so every
+    image equals the one-draw result bit for bit.
+    """
+    flow, count = _row_flow(hamiltonians, t, settings)
+    depth_limit = settings.max_refinement_depth
+    winding = np.array(curve.winding, dtype=float)
+    source = curve.vertices[:-1] if curve.closed else curve.vertices
+    out = [None] * count
+    rows, images = _flow_rows(flow, list(range(count)),
+                              np.broadcast_to(source, (count,) + source.shape), out)
+    active = [(s, source, image) for s, image in zip(rows, images)]
+    for depth in range(depth_limit + 1):
+        pending = []
+        for s, src, img in active:
+            if curve.closed:
+                img_full = np.vstack([img, img[0] + winding])
+                src_full = np.vstack([src, src[0] + winding])
+            else:
+                img_full, src_full = img, src
+            gaps = np.linalg.norm(np.diff(img_full, axis=0), axis=1)
+            bad = np.flatnonzero(gaps > settings.refinement_threshold)
+            if bad.size == 0:
+                out[s] = LagrangianCurve(img_full, closed=curve.closed, winding=curve.winding)
+            elif depth == depth_limit:
+                out[s] = RefinementOverflow(f"curve refinement exceeded depth {depth_limit}")
+            else:
+                pending.append((s, src, img, bad, 0.5 * (src_full[bad] + src_full[bad + 1])))
+        if not pending:
+            break
+        width = max(len(mids) for *_, mids in pending)
+        padded = np.stack([np.concatenate([mids, np.repeat(mids[-1:], width - len(mids), axis=0)])
+                           for *_, mids in pending])
+        rows, images = _flow_rows(flow, [entry[0] for entry in pending], padded, out)
+        flowed = dict(zip(rows, images))
+        active = [(s, np.insert(src, bad + 1, mids, axis=0),
+                   np.insert(img, bad + 1, flowed[s][:len(mids)], axis=0))
+                  for s, src, img, bad, mids in pending if s in flowed]
+    return out
+
+
+def _row_flow(hamiltonians, t, settings):
+    """(flow, S): flow(rows, pts) maps pts (len(rows), P, 2) by the time-t
+    flows of those rows of ``hamiltonians`` (see ``advect_curves``)."""
+    if isinstance(hamiltonians, PackedBatch):
+        batch = hamiltonians
+    elif all(isinstance(h, SpectralHamiltonian) for h in hamiltonians):
+        batch = PackedBatch(hamiltonians)
+    elif len(hamiltonians) == 1:
+        generic = hamiltonians[0]
+        return (lambda rows, pts: flow_points(generic, pts[0], 0.0, t, settings)[None]), 1
+    else:
+        raise ValueError("only spectral Hamiltonians advect as a batch")
+    return (lambda rows, pts: flow_points(batch.rows(rows), pts, 0.0, t, settings)), len(batch)
+
+
+def _flow_rows(flow, rows, pts, out):
+    """flow(rows, pts), less the rows whose state leaves the finite range.
+
+    Each such row's ``NonFinite`` goes to ``out`` and the other rows flow
+    again, which leaves their images unchanged.  Returns the rows kept and
+    their images.
+    """
+    while rows:
+        try:
+            return rows, flow(rows, pts)
+        except NonFinite as exc:
+            if not exc.draws:
+                raise
+            for j in exc.draws:
+                out[rows[j]] = NonFinite(str(exc))
+            keep = [j for j in range(len(rows)) if j not in exc.draws]
+            rows, pts = [rows[j] for j in keep], pts[keep]
+    return rows, pts
 
 
 def flow_jacobian_determinant(fieldlike, p: TorusPoint, t: float = 1.0,

@@ -20,10 +20,6 @@ from .flow import (BumpFunction, DEFAULT_SETTINGS, FlowSettings, concatenate_aut
                    flow_points)
 from .rng import derive
 
-#: Walks whose steps the ``random-walk`` command flows in one batch; bounds
-#: the stage grids one batch holds at the full band.
-WALK_CHUNK = 16
-
 
 @dataclass(frozen=True)
 class WalkState:

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from hamflow import cli
-from hamflow.experiments import INVERSION_CHUNK
+from hamflow.experiments import CHUNK
 
 TINY = """\
 spatial_max = 2
@@ -73,11 +73,20 @@ def test_rkhs_norm_finite_at_high_regularity(tmp_path):
     assert all(math.isfinite(r["rkhs_norm"]) and r["rkhs_norm"] > 0 for r in records)
 
 
-# 2 * INVERSION_CHUNK + 3 inversion samples leave a partial last chunk per branch
+# 2 * CHUNK + 3 samples leave a partial last chunk
+PARTIAL = 2 * CHUNK + 3
+
+
 @pytest.mark.parametrize("command,samples", [("inversion", 4),
-                                             ("inversion", 2 * INVERSION_CHUNK + 3),
-                                             ("sample-field", 4)],
-                         ids=["inversion", "inversion-partial-chunk", "sample-field"])
+                                             ("inversion", PARTIAL),
+                                             ("sample-field", 4),
+                                             ("intersections", PARTIAL),
+                                             ("flow", PARTIAL),
+                                             ("diffusion", PARTIAL),
+                                             ("random-walk", PARTIAL)],
+                         ids=["inversion", "inversion-partial-chunk", "sample-field",
+                              "intersections-partial-chunk", "flow-partial-chunk",
+                              "diffusion-partial-chunk", "random-walk-partial-chunk"])
 def test_outputs_independent_of_worker_count(tmp_path, command, samples):
     outs = []
     for workers in (1, 2):
