@@ -4,11 +4,19 @@ inversion invariance, concentration and random walks.
 Every sample owns a random stream derived from (seed, regularity index,
 sample index); the inversion test's inverse branch uses stream index 1 and
 walk w draws step j from (seed, w, j).  One runner (``_run_chunks``) hands
-each task a chunk of CHUNK consecutive sample indices; the task builds its
-law once, draws sample i from its own stream exactly as a one-sample task
-would, and flows the chunk's draws as one batch.  Aggregation is an ordered
-reduction by sample index, and a draw's flow does not depend on the other
-draws of its batch, so results are bit-identical for any worker count.
+each task a chunk of consecutive sample indices: CHUNK of them, fewer when
+there are fewer than CHUNK per worker, and one for the oscillation commands,
+which do not batch draws.  The task builds its law once, draws sample i from
+its own stream exactly as a one-sample task would, and flows the chunk's
+draws as one batch.  Aggregation is an ordered reduction by sample index.
+
+With at least CHUNK samples per worker the chunk boundaries depend on the
+index only, so results do not depend on the worker count.  Below that,
+boundaries move with the worker count, and results stay bit-identical
+because a draw's flow does not depend on the other draws of its batch.
+That holds when the BLAS matrix product gives each row the same result at
+any row count: a property of the BLAS, not a numpy guarantee, which
+``tests/test_experiments.py`` and ``tests/test_cli.py`` check.
 """
 
 from __future__ import annotations
@@ -224,23 +232,25 @@ def worker_count(cfg: ExperimentConfig) -> int:
     return os.cpu_count() or 1
 
 
-def _run_chunks(task, cfg: ExperimentConfig, r_index: int = 0) -> list:
+def _run_chunks(task, cfg: ExperimentConfig, r_index: int = 0, length: int = CHUNK) -> list:
     """Per-sample results of ``task`` for sample indices 0..samples-1, in order.
 
     ``task((cfg, r_index, start, stop))`` returns the results of the
-    consecutive indices start..stop-1 as a list.  Chunks hold CHUNK indices
-    (the last may hold fewer) and run on ``worker_count(cfg)`` processes.
-    Boundaries depend on the index only, so results do not depend on the
-    worker count.
+    consecutive indices start..stop-1 as a list.  Chunks hold ``length``
+    indices, or ceil(samples / workers) if that is fewer, so that every one
+    of the ``worker_count(cfg)`` processes gets a chunk; the last chunk may
+    hold fewer.
     """
-    chunks = [(cfg, r_index, start, min(start + CHUNK, cfg.samples))
-              for start in range(0, cfg.samples, CHUNK)]
     workers = worker_count(cfg)
+    length = max(1, min(length, -(-cfg.samples // workers)))
+    chunks = [(cfg, r_index, start, min(start + length, cfg.samples))
+              for start in range(0, cfg.samples, length)]
     if workers <= 1 or len(chunks) <= 1:
         results = [task(chunk) for chunk in chunks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, chunks))
+            results = list(pool.map(task, chunks,
+                                    chunksize=max(1, len(chunks) // (8 * workers))))
     return [result for chunk in results for result in chunk]
 
 
@@ -383,7 +393,7 @@ def run_diffusion(cfg: ExperimentConfig) -> DiffusionResult:
 # ---------------------------------------------------------------------------
 
 def _osc_chunk(args) -> list:
-    """Oscillation norms of samples start..stop-1, one draw at a time."""
+    """Oscillation norms of samples start..stop-1."""
     cfg, r_index, start, stop = args
     law = _law_for(cfg, cfg.regularity[r_index])
     return [sample_hamiltonian(law, derive(cfg.seed, r_index, i))
@@ -392,7 +402,8 @@ def _osc_chunk(args) -> list:
 
 
 def oscillation_samples(cfg: ExperimentConfig, r_index: int = 0) -> np.ndarray:
-    return np.array(_run_chunks(_osc_chunk, cfg, r_index))
+    # one draw per task: oscillation does not batch draws
+    return np.array(_run_chunks(_osc_chunk, cfg, r_index, length=1))
 
 
 def run_tail_stats(cfg: ExperimentConfig) -> TailStats:

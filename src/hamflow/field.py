@@ -291,7 +291,11 @@ class PackedBatch:
         self._packed = None
 
     def rows(self, indices) -> PackedBatch:
-        """The batch of the given rows, in the given order."""
+        """The batch of the given rows, in the given order; the batch itself
+        if that is all of its rows in order, so no row is held twice."""
+        indices = list(indices)
+        if indices == list(range(len(self))):
+            return self
         sub = PackedBatch()
         sub.engine, sub.time_basis, sub.stiffness = self.engine, self.time_basis, self.stiffness
         sub._rows = [self._rows[i] for i in indices]

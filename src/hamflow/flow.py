@@ -9,11 +9,13 @@ back to central finite differences of their values.
 Curves are advected in batches (``advect_curves``).  The draws of a batch
 refine in lockstep: each refinement pass is one batched RK4 loop over the
 new source midpoints of the draws still refining, each draw padded to the
-widest with copies of its own last midpoint.  A draw's images do not depend
-on the batch it flows in, because the engine evaluates each draw's points
-under its own grids with the same operations at any batch size and padding;
-so a batch gives the one-draw loop's images bit for bit, and a draw that
-fails (``NonFinite``, ``RefinementOverflow``) fails alone.
+widest with copies of its own last midpoint.  The engine evaluates each
+draw's points under its own grids, so a draw that fails (``NonFinite``,
+``RefinementOverflow``) fails alone, and its images equal the one-draw
+loop's up to rounding.  They are equal bit for bit when the BLAS matrix
+product gives each row the same result at any row count; that is a property
+of the BLAS, not a numpy guarantee, and the tests check it on the BLAS numpy
+is built with.
 
 Group operations return new Hamiltonian evaluators:
 
@@ -659,8 +661,9 @@ def advect_curves(hamiltonians, curve: LagrangianCurve, t: float = 1.0,
     padded with copies of its own last midpoint, whose images are discarded.
     A draw is refined at most ``max_refinement_depth`` times.  Draws do not
     mix in the engine, which evaluates each draw's points under its own
-    grids with the same operations at any batch size or padding, so every
-    image equals the one-draw result bit for bit.
+    grids, so each image equals the one-draw result bit for bit as long as
+    the BLAS matrix product gives a row the same result at any row count
+    (see the module docstring).
     """
     flow, count = _row_flow(hamiltonians, t, settings)
     depth_limit = settings.max_refinement_depth

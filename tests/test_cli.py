@@ -73,7 +73,8 @@ def test_rkhs_norm_finite_at_high_regularity(tmp_path):
     assert all(math.isfinite(r["rkhs_norm"]) and r["rkhs_norm"] > 0 for r in records)
 
 
-# 2 * CHUNK + 3 samples leave a partial last chunk
+# 2 * CHUNK + 3 samples leave a partial last chunk; 5 samples are one chunk
+# on one worker and chunks of 3 and 2 on two
 PARTIAL = 2 * CHUNK + 3
 
 
@@ -83,10 +84,13 @@ PARTIAL = 2 * CHUNK + 3
                                              ("intersections", PARTIAL),
                                              ("flow", PARTIAL),
                                              ("diffusion", PARTIAL),
-                                             ("random-walk", PARTIAL)],
+                                             ("random-walk", PARTIAL),
+                                             ("intersections", 5),
+                                             ("diffusion", 5)],
                          ids=["inversion", "inversion-partial-chunk", "sample-field",
                               "intersections-partial-chunk", "flow-partial-chunk",
-                              "diffusion-partial-chunk", "random-walk-partial-chunk"])
+                              "diffusion-partial-chunk", "random-walk-partial-chunk",
+                              "intersections-split-chunk", "diffusion-split-chunk"])
 def test_outputs_independent_of_worker_count(tmp_path, command, samples):
     outs = []
     for workers in (1, 2):

@@ -153,6 +153,11 @@ class TestAdvectCurves:
         assert np.array_equal(sub.grids(times), PackedBatch([hs[3], hs[1]]).grids(times))
         assert np.array_equal(batch.grids(times)[:, [3, 1]], sub.grids(times))
 
+    def test_all_rows_in_order_are_the_batch_itself(self):
+        batch = PackedBatch(draws(3))
+        assert batch.rows(range(3)) is batch
+        assert batch.rows([0, 2, 1]) is not batch
+
 
 class TestCountCrossings:
     # Under the zero flow a straight loop of winding (a, b) meets a closed line
@@ -275,13 +280,29 @@ def _bounds(args):
     return [(r_index, start, stop, i) for i in range(start, stop)]
 
 
-@pytest.mark.parametrize("samples", [1, CHUNK, 2 * CHUNK + 3])
+@pytest.mark.parametrize("samples", [1, 5, CHUNK, 2 * CHUNK + 3, 4 * CHUNK + 1])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_chunk_boundaries_depend_on_the_index_only(samples, workers):
+def test_chunks_hold_chunk_indices_or_one_share_per_worker(samples, workers):
     cfg = ExperimentConfig(samples=samples, workers=workers)
+    length = min(CHUNK, math.ceil(samples / workers))
     results = _run_chunks(_bounds, cfg, 1)
     assert [i for *_, i in results] == list(range(samples))
     for r_index, start, stop, i in results:
         assert r_index == 1
-        assert start == i - i % CHUNK
-        assert stop == min(start + CHUNK, samples)
+        assert start == i - i % length
+        assert stop == min(start + length, samples)
+    # at CHUNK or more samples per worker, boundaries depend on the index only
+    if samples >= CHUNK * workers:
+        assert length == CHUNK
+
+
+def test_one_index_chunks_on_request():
+    cfg = ExperimentConfig(samples=5, workers=1)
+    assert _run_chunks(_bounds, cfg, 0, length=1) == [(0, i, i + 1, i) for i in range(5)]
+
+
+def test_chunk_results_do_not_depend_on_chunk_boundaries():
+    cfg = intersections_config(max_refinement_depth=6, samples=5)
+    whole = _intersection_chunk((cfg, 0, 0, 5))
+    split = _intersection_chunk((cfg, 0, 0, 3)) + _intersection_chunk((cfg, 0, 3, 5))
+    assert whole == split
