@@ -2,27 +2,38 @@
 
 A field H(t, x, y) = sum_n c_n(t) e_n(x, y) over a tensor-product trig basis
 is evaluated through per-axis cosine/sine tables and small matrix products.
-An engine evaluates the modes with kx, ky <= ``band`` only.  Coefficients
-are packed into "grids" of shape (2, K1, 2*K1), K1 = band + 1: for each
-x-factor (cos/sin) a matrix whose row kx multiplies the x-factor of
-wavenumber kx, whose left block multiplies cos(2 pi j y) and whose right
-block multiplies sin(2 pi j y).  Row/column 0 carries axis modes when
-present.
+An engine evaluates the modes with kx, ky <= ``band`` only.  With K1 =
+band + 1, the per-axis row of a coordinate c is interleaved,
 
-Viewed as one (2*K1, 2*K1) matrix G, a grid is [g_cos; g_sin], so with
-per-axis rows r(c) = [cos(2 pi k c) | sin(2 pi k c)], k = 0..band:
+    r(c) = [cos 0, sin 0, cos(2 pi c), sin(2 pi c), ..., sin(2 pi band c)],
 
-* H at (x, y) is r(x) @ G @ r(y);
-* dH/dx and dH/dy come from the same product with rows
-  [-k sin | k cos] (times 2 pi) on one side.
+so slot 2k + t holds the cos (t = 0) or sin (t = 1) factor of wavenumber k.
+Coefficients are packed into a (2*K1, 2*K1) matrix G whose entry
+(2kx + tx, 2ky + ty) multiplies mode (kx, ky, tx, ty); H at (x, y) is
+r(x) @ G @ r(y).  Row/column 0 carries axis modes when present.  A grid is
+stored as G flattened and split to shape (2, K1, 2*K1), so its shape still
+names K1.
 
-Evaluating P points then costs one (2P, 2*K1) @ (2*K1, 2*K1) product and
-two row-wise dot products, which keeps the O(modes x points) inner loop in
-BLAS.  Pointwise evaluation carries a leading draw axis: S grids
-(S, 2, K1, 2*K1) are evaluated at S point sets (S, P, 2), set s under grid
-s, so the RK4 stages of many draws cost one call.  A single draw is S = 1.
-Lattice evaluation (``value_grid``) takes any number of leading grid axes,
-so the lattices of several times cost one call.
+The derivative of a row is a fixed matrix, r'(c) = r(c) @ D, with D
+2 pi k [[0, 1], [-1, 0]] on the diagonal block of wavenumber k.  So
+dH/dx = r(x) D G r(y) and dH/dy = r(x) G D^T r(y), and the Hamiltonian
+vector field (-dH/dy, dH/dx) for the area form dx^dy comes from one field
+grid
+
+    F = [-G D^T | D G],   shape (2*K1, 4*K1), stored as (2, K1, 4*K1):
+
+``vector_field`` takes w = r(x) @ F, splits it into two rows of 2*K1 and
+dots each with r(y).  A call at P points then costs one table build, one
+(P, 2*K1) @ (2*K1, 4*K1) product and one contraction.  F is built by
+``field_grids``, outside the call: F is linear in G, so a flow's batch
+(``field.PackedBatch``) turns each draw's packed coefficients into field
+grids once, and its RK4 stage grids are field grids, 2*K1 x 4*K1 entries
+per stage time and draw, twice the size of plain grids.
+Pointwise evaluation carries a leading draw axis: S grids (S, 2, K1, 2*K1),
+or S field grids (S, 2, K1, 4*K1), are evaluated at S point sets (S, P, 2),
+set s under grid s, so the RK4 stages of many draws cost one call.  A
+single draw is S = 1.  Lattice evaluation (``value_grid``) takes any number
+of leading grid axes, so the lattices of several times cost one call.
 
 The band comes from the law (``HamiltonianLaw.band``).  The law weights
 mode n by w_n = exp(-r lambda_n / 2), so with mode scale s_n the mode
@@ -54,7 +65,8 @@ single-threaded OpenBLAS on a 2-core x86-64 machine took 1852 us for
 flushed one, and 856 us and 178 us for ``value_grid`` on a 128 x 128
 lattice.  A subnormal term lies below half an ulp of any sum larger than
 2**52 * tiny (about 1e-292), so wherever the field is that large the
-evaluated values stay bit-identical.
+evaluated values stay bit-identical.  A field grid scales each entry of
+its grid by 2 pi k, so the field grids of a flushed grid hold none either.
 """
 
 from __future__ import annotations
@@ -84,12 +96,13 @@ class SpectralEngine:
         self._k1 = k1
         self._modes = np.flatnonzero((basis.kx <= band) & (basis.ky <= band))
         self._amplitudes = basis.amplitudes[self._modes]
-        # Placement of mode n: block basis.tx[n], row kx, column ty*K1+ky,
-        # as an offset into one flattened (2, K1, 2*K1) grid.
-        self._slots = ((basis.tx * k1 + basis.kx) * 2 * k1
-                       + basis.ty * k1 + basis.ky)[self._modes]
-        kvec = _TWO_PI * np.arange(k1)
-        self._kk = np.concatenate([kvec, kvec])
+        # Placement of mode n: entry (2kx + tx, 2ky + ty) of G, as an offset
+        # into the flattened grid.
+        self._slots = ((2 * basis.kx + basis.tx) * 2 * k1 + 2 * basis.ky + basis.ty)[self._modes]
+        # r' = r @ D: D maps slot 2k + 1 to 2k with factor -2 pi k and slot 2k
+        # to 2k + 1 with 2 pi k, so (r @ D)[j] = r[swap[j]] * d[j]
+        self._swap = np.arange(2 * k1) ^ 1
+        self._d = _TWO_PI * np.repeat(np.arange(k1), 2) * np.tile([-1.0, 1.0], k1)
 
     # -- coefficient packing -------------------------------------------------
 
@@ -107,29 +120,37 @@ class SpectralEngine:
         out[..., self._slots] = values
         return out.reshape(values.shape[:-1] + (2, k1, 2 * k1))
 
+    def field_grids(self, grids: np.ndarray) -> np.ndarray:
+        """Field grids F = [-G D^T | D G] of grids (..., 2, K1, 2*K1); shape
+        (..., 2, K1, 4*K1) (module docstring).  Each entry is one entry of G
+        times -2 pi k or 2 pi k: (-G D^T)[:, j] = G[:, swap[j]] d[j] and
+        (D G)[i] = -d[i] G[swap[i]], so F of a flushed grid holds no subnormals.
+        """
+        g = self._square(grids)
+        f = [g[..., self._swap] * self._d, g[..., self._swap, :] * -self._d[:, None]]
+        return np.concatenate(f, axis=-1).reshape(grids.shape[:-3] + (2, self._k1, 4 * self._k1))
+
     # -- per-axis tables -----------------------------------------------------
 
     def _tables(self, coords: np.ndarray) -> np.ndarray:
-        """Rows [cos(2 pi k c) | sin(2 pi k c)], k = 0..band; shape coords.shape + (2*K1,).
+        """Interleaved rows [cos 0, sin 0, ..., cos(2 pi band c), sin(2 pi band c)];
+        shape coords.shape + (2*K1,).
 
-        Built by a complex power recurrence, one step per wavenumber for all
+        The rows are the real view of the powers z^k, z = exp(2 pi i c),
+        built by a complex power recurrence, one step per wavenumber for all
         coordinates at once.
         """
-        z = np.exp(1j * _TWO_PI * (coords % 1.0))
+        theta = _TWO_PI * (coords - np.floor(coords))
         zk = np.empty(coords.shape + (self._k1,), dtype=complex)
         zk[..., 0] = 1.0
-        for k in range(1, self._k1):
-            np.multiply(zk[..., k - 1], z, out=zk[..., k])
-        return np.concatenate([zk.real, zk.imag], axis=-1)
+        zk[..., 1].real, zk[..., 1].imag = np.cos(theta), np.sin(theta)
+        for k in range(2, self._k1):
+            np.multiply(zk[..., k - 1], zk[..., 1], out=zk[..., k])
+        return zk.view(float)
 
     def _square(self, grids: np.ndarray) -> np.ndarray:
-        """Grids (..., 2, K1, 2*K1) viewed as (..., 2*K1, 2*K1) matrices [g_cos; g_sin]."""
+        """Grids (..., 2, K1, 2*K1) viewed as (..., 2*K1, 2*K1) matrices G."""
         return grids.reshape(grids.shape[:-3] + (2 * self._k1, 2 * self._k1))
-
-    def _rotated(self, rows: np.ndarray) -> np.ndarray:
-        """d/dc of rows [cos | sin]: [-2 pi k sin | 2 pi k cos]."""
-        k1 = self._k1
-        return np.concatenate([-rows[..., k1:], rows[..., :k1]], axis=-1) * self._kk
 
     # -- evaluation ----------------------------------------------------------
 
@@ -140,27 +161,20 @@ class SpectralEngine:
         return np.einsum("spk,spk->sp", w, rows[..., 1, :])
 
     def gradient(self, grids: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """(dH/dx, dH/dy) at points (S, P, 2); shape (S, P, 2)."""
-        dx, dy = self._deriv_pair(grids, pts)
-        return np.stack([dx, dy], axis=-1)
+        """(dH/dx, dH/dy) at points (S, P, 2) under grids (S, 2, K1, 2*K1);
+        shape (S, P, 2).  The vector field, rotated back."""
+        v = self.vector_field(self.field_grids(grids), pts)
+        return np.stack([v[..., 1], -v[..., 0]], axis=-1)
 
-    def vector_field(self, grids: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    def vector_field(self, fields: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Hamiltonian vector field (-dH/dy, dH/dx) for the area form dx^dy.
 
-        Points (S, P, 2) under grids (S, 2, K1, 2*K1); shape (S, P, 2).
+        Points (S, P, 2) under field grids (S, 2, K1, 4*K1) (``field_grids``);
+        shape (S, P, 2).
         """
-        dx, dy = self._deriv_pair(grids, pts)
-        return np.stack([-dy, dx], axis=-1)
-
-    def _deriv_pair(self, grids, pts):
         rows = self._tables(pts)
-        rx, ry = rows[..., 0, :], rows[..., 1, :]
-        p = pts.shape[-2]
-        # one product gives w = rx @ G and wx = d(rx)/dx @ G
-        both = np.concatenate([rx, self._rotated(rx)], axis=-2) @ self._square(grids)
-        ddx = np.einsum("spk,spk->sp", both[:, p:], ry)
-        ddy = np.einsum("spk,spk->sp", both[:, :p], self._rotated(ry))
-        return ddx, ddy
+        w = rows[..., 0, :] @ fields.reshape(fields.shape[:-3] + (2 * self._k1, -1))
+        return np.einsum("spik,spk->spi", w.reshape(w.shape[:-1] + (2, -1)), rows[..., 1, :])
 
     def value_grid(self, grid: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """H on the tensor lattice xs x ys under grids (..., 2, K1, 2*K1).

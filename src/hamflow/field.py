@@ -187,9 +187,10 @@ class SpectralHamiltonian:
         return g[0] if scalar else g
 
     def vector_field(self, t: float, p):
-        pts, scalar = _as_points(p)
-        v = self.engine.vector_field(self.coefficient_grids(float(t))[None], pts[None])[0]
-        return v[0] if scalar else v
+        """(-dH/dy, dH/dx): the gradient, rotated; both are the engine's one
+        vector-field kernel, and the rotations are exact."""
+        g = self.gradient(t, p)
+        return np.stack([-g[..., 1], g[..., 0]], axis=-1)
 
     def value_grid(self, t: float, xs, ys) -> np.ndarray:
         return self.engine.value_grid(self.coefficient_grids(float(t)), xs, ys)
@@ -265,8 +266,10 @@ class PackedBatch:
     which flushes subnormals, into one (m, 2, K1, 2*K1) row; the batch keeps
     the row, not the Hamiltonian, so a caller can pack draws as it samples
     them and let each go.  The grids of all S at T times are one product
-    Phi(times) @ packed per row.  ``rows`` takes a sub-batch without packing
-    again.
+    Phi(times) @ packed per row.  Field grids are linear in the grid too, so
+    the batch turns its packed rows into field grids once, on first use, and
+    the field grids at T times are one product as well.  ``rows`` takes a
+    sub-batch without packing again.
     """
 
     def __init__(self, hamiltonians=()):
@@ -275,6 +278,7 @@ class PackedBatch:
         self.stiffness = 1
         self._rows = []
         self._packed = None
+        self._fields = None
         for h in hamiltonians:
             self.append(h)
 
@@ -288,7 +292,7 @@ class PackedBatch:
         elif h.engine is not self.engine or h.time_basis != self.time_basis:
             raise ValueError("a batch needs one engine and one time basis")
         self._rows.append(self.engine.grids(h.coefficients))
-        self._packed = None
+        self._packed = self._fields = None
 
     def rows(self, indices) -> PackedBatch:
         """The batch of the given rows, in the given order; the batch itself
@@ -306,7 +310,16 @@ class PackedBatch:
         if self._packed is None:
             self._packed = np.stack(self._rows)
             self._rows = list(self._packed)  # views: each row is held once
-        packed = self._packed
+        return self._at(times, self._packed)
+
+    def field_grids(self, times) -> np.ndarray:
+        """Field grids (T, S, 2, K1, 4*K1) at a scalar or (T,) array of times
+        (``SpectralEngine.field_grids``)."""
+        if self._fields is None:
+            self._fields = self.engine.field_grids(np.stack(self._rows))
+        return self._at(times, self._fields)
+
+    def _at(self, times, packed) -> np.ndarray:
         s, m = packed.shape[:2]
         out = self.time_basis(times) @ packed.reshape(s, m, -1)
         return np.moveaxis(out, 1, 0).reshape((out.shape[1], s) + packed.shape[2:])

@@ -104,7 +104,10 @@ def _rk4_grids(batch: PackedBatch, pts, t0, h, n_steps, captures=None):
     """RK4 for the S Hamiltonians of ``batch`` at once; pts (S, P, 2).
 
     Stage grids are built _BLOCK_STEPS steps at a time, so their memory
-    stays bounded whatever the step count and batch size.
+    stays bounded whatever the step count and batch size.  They are field
+    grids (``PackedBatch.field_grids``), 2*K1 x 4*K1 per stage time and draw,
+    so each vector-field call is one table build, one product and one
+    contraction.
     """
     engine = batch.engine
     p = np.array(pts, dtype=float)
@@ -113,7 +116,7 @@ def _rk4_grids(batch: PackedBatch, pts, t0, h, n_steps, captures=None):
     for start in range(0, n_steps, _BLOCK_STEPS):
         count = min(_BLOCK_STEPS, n_steps - start)
         stage_times = t0 + 0.5 * h * np.arange(2 * start, 2 * (start + count) + 1)
-        grids = batch.grids(np.clip(stage_times, 0.0, 1.0))
+        grids = batch.field_grids(np.clip(stage_times, 0.0, 1.0))
         for i in range(count):
             k1 = engine.vector_field(grids[2 * i], p)
             k2 = engine.vector_field(grids[2 * i + 1], p + (0.5 * h) * k1)

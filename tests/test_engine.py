@@ -1,0 +1,123 @@
+"""The engine's vector-field kernel against an exact mode-by-mode reference."""
+
+import math
+
+import numpy as np
+import pytest
+
+from hamflow.engine import SpectralEngine
+from hamflow.field import PackedBatch, make_law, sample_hamiltonian
+from hamflow.rng import derive
+from hamflow.temporal import CONSTANT, PERIODIC, SQEXP
+
+TWO_PI = 2 * math.pi
+RTOL = 1e-12
+# Lifted coordinates on a 2^-30 lattice: k * c and its reduction mod 1 are
+# then exact, so the reference carries no argument-reduction error.
+LATTICE = 2.0 ** -30
+EDGES = [-20.0, -19.0, -3.0, -1.0, -LATTICE, -0.0, 0.0, 1.0, 4.0, 20.0 - LATTICE, 20.0]
+
+
+def lifted_points(shape, seed):
+    """Points (..., 2) in [-20, 20]^2, the edge and integer coordinates first."""
+    rng = np.random.default_rng(seed)
+    n = int(np.prod(shape))
+    coords = rng.integers(-20 * 2**30, 20 * 2**30 + 1, size=(n, 2)) * LATTICE
+    edges = np.array(EDGES)
+    coords[:len(edges), 0] = edges
+    coords[:len(edges), 1] = edges[::-1]
+    return coords.reshape(tuple(shape) + (2,))
+
+
+def reference_gradient(engine, coeffs, pts):
+    """(dH/dx, dH/dy) at pts (P, 2) for raw coefficients c_n, summed mode by
+    mode from the basis: e_n = a_n f(2 pi kx x) g(2 pi ky y), f and g cos or
+    sin, with their analytic derivatives, over the engine's band."""
+    b = engine.basis
+    band = (b.kx <= engine.band) & (b.ky <= engine.band)
+    kx, ky, tx, ty = b.kx[band], b.ky[band], b.tx[band], b.ty[band]
+    weights = coeffs[band] * b.amplitudes[band]
+
+    def factor(c, k, t):
+        angle = TWO_PI * np.mod(np.multiply.outer(c, k.astype(float)), 1.0)
+        cos, sin = np.cos(angle), np.sin(angle)
+        return np.where(t == 0, cos, sin), TWO_PI * k * np.where(t == 0, -sin, cos)
+
+    fx, dfx = factor(pts[:, 0], kx, tx)
+    fy, dfy = factor(pts[:, 1], ky, ty)
+    return np.stack([(dfx * fy) @ weights, (fx * dfy) @ weights], axis=-1)
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= RTOL * np.abs(want).max()
+
+
+def rotated(gradient):
+    """The Hamiltonian vector field (-dH/dy, dH/dx) of a gradient."""
+    return np.stack([-gradient[..., 1], gradient[..., 0]], axis=-1)
+
+
+def check_engine(engine, coeffs, pts):
+    """Check the engine's gradient and vector field at S point sets (S, P, 2)
+    under the raw coefficients (S, N); return the reference gradient."""
+    want = np.stack([reference_gradient(engine, c, p) for c, p in zip(coeffs, pts)])
+    grids = engine.grids(coeffs)
+    assert_close(engine.gradient(grids, pts), want)
+    assert_close(engine.vector_field(engine.field_grids(grids), pts), rotated(want))
+    return want
+
+
+# (regularity in frequency units, spatial_max, the law's band): a banded
+# engine, checked with the full-band engine beside it, and a full-band one
+LAWS = [(3.0, 10, 7), (0.1, 25, 25)]
+
+
+@pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT, SQEXP])
+@pytest.mark.parametrize("r,spatial_max,band", LAWS)
+@pytest.mark.parametrize("draws", [1, 3])
+def test_kernel_matches_mode_by_mode_reference(kernel, r, spatial_max, band, draws):
+    law = make_law(r / (4 * math.pi**2), spatial_max=spatial_max, temporal_max=4,
+                   kernel=kernel, seed=3)
+    hs = [sample_hamiltonian(law, derive(3, i)) for i in range(draws)]
+    t = 0.37
+    coeffs = np.stack([h.mode_coefficients(t) for h in hs])
+    pts = lifted_points((draws, 40), seed=draws)
+    engine = law.engine()
+    assert engine.band == band
+    want = check_engine(engine, coeffs, pts)
+    if engine.band < spatial_max:
+        check_engine(SpectralEngine(law.basis(), spatial_max), coeffs, pts)
+    # the field grids the RK4 loop takes, and the pointwise methods
+    fields = PackedBatch(hs).field_grids(t)[0]
+    assert_close(engine.vector_field(fields, pts), rotated(want))
+    for h, p, w in zip(hs, pts, want):
+        assert_close(h.gradient(t, p), w)
+        assert_close(h.vector_field(t, p), rotated(w))
+
+
+@pytest.mark.parametrize("band", [1, 5, 25])
+def test_tables_are_interleaved_cos_sin_rows(band):
+    engine = SpectralEngine(make_law(0.1, spatial_max=25).basis(), band)
+    rng = np.random.default_rng(band)
+    coords = np.concatenate([rng.uniform(-20, 20, 500), EDGES, [-1e-20, 1e-20, -0.5, 0.5]])
+    rows = engine._tables(coords)
+    assert rows.shape == coords.shape + (2 * band + 2,)
+    angle = TWO_PI * np.multiply.outer(coords, np.arange(band + 1))
+    assert np.abs(rows[:, 0::2] - np.cos(angle)).max() <= RTOL
+    assert np.abs(rows[:, 1::2] - np.sin(angle)).max() <= RTOL
+    # any leading shape: (S, P, 2) points give (S, P, 2, 2 * K1) rows
+    assert np.array_equal(engine._tables(coords[:504].reshape(6, 42, 2)),
+                          rows[:504].reshape(6, 42, 2, -1))
+
+
+def test_batch_field_grids_follow_appends():
+    law = make_law(3.0 / (4 * math.pi**2), spatial_max=10, temporal_max=4)
+    hs = [sample_hamiltonian(law, derive(5, i)) for i in range(3)]
+    times = np.linspace(0, 1, 5)
+    batch = PackedBatch(hs[:2])
+    assert batch.field_grids(times).shape == (5, 2, 2, 8, 32)
+    batch.append(hs[2])
+    want = PackedBatch(hs).field_grids(times)
+    assert np.array_equal(batch.field_grids(times), want)
+    assert np.array_equal(batch.rows([2, 0]).field_grids(times), want[:, [2, 0]])

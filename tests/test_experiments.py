@@ -1,6 +1,7 @@
 """Tests for the experiment runner, batched curve advection and crossing counts."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hamflow.config import ExperimentConfig
 from hamflow.errors import DegenerateOverlap, HamflowError, NonFinite, RefinementOverflow
 from hamflow.experiments import (CHUNK, _ball_points, _bin_counts, _diffusion_chunk,
                                  _displacement_chunk, _intersection_chunk, _law_for, _run_chunks,
-                                 count_crossings, paper_lagrangians, run_intersections)
+                                 count_crossings, paper_lagrangians, run_intersections,
+                                 worker_count)
 from hamflow.field import PackedBatch, RandomHamiltonian, make_law, sample_hamiltonian
 from hamflow.flow import (FlowSettings, LagrangianCurve, advect_curve, advect_curves,
                           circle_curve, flow_points, flow_points_through, horizontal_circle,
@@ -299,6 +301,22 @@ def test_chunks_hold_chunk_indices_or_one_share_per_worker(samples, workers):
 def test_one_index_chunks_on_request():
     cfg = ExperimentConfig(samples=5, workers=1)
     assert _run_chunks(_bounds, cfg, 0, length=1) == [(0, i, i + 1, i) for i in range(5)]
+
+
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("HAMFLOW_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert worker_count(ExperimentConfig(workers=0)) == 3
+    assert worker_count(ExperimentConfig(workers=2)) == 2
+    monkeypatch.setenv("HAMFLOW_WORKERS", "5")
+    assert worker_count(ExperimentConfig(workers=0)) == 5
+    monkeypatch.delenv("HAMFLOW_WORKERS")
+    # platforms without sched_getaffinity count every CPU
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count(ExperimentConfig(workers=0)) == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(ExperimentConfig(workers=0)) == 1
 
 
 def test_chunk_results_do_not_depend_on_chunk_boundaries():

@@ -9,7 +9,7 @@ from scipy import stats
 from hamflow.basis import TorusPoint, Truncation
 from hamflow.engine import SpectralEngine
 from hamflow.errors import Unsupported
-from hamflow.field import (HamiltonianLaw, RandomHamiltonian, gaussian_dimension,
+from hamflow.field import (HamiltonianLaw, PackedBatch, RandomHamiltonian, gaussian_dimension,
                            make_law, sample_hamiltonian, spectral_weight)
 from hamflow.rng import derive
 from hamflow.temporal import (CONSTANT, KernelKind, PERIODIC, SQEXP, coefficient_paths,
@@ -252,13 +252,14 @@ class TestSubnormalFlush:
 
     @staticmethod
     def unflushed_grid(engine, coeffs):
+        # the interleaved layout: mode (kx, ky, tx, ty) at entry (2kx + tx, 2ky + ty)
         b = engine.basis
         band = (b.kx <= engine.band) & (b.ky <= engine.band)
         k1 = engine.band + 1
-        out = np.zeros((2, k1, 2 * k1))
-        out[b.tx[band], b.kx[band], b.ty[band] * k1 + b.ky[band]] = \
+        out = np.zeros((2 * k1, 2 * k1))
+        out[2 * b.kx[band] + b.tx[band], 2 * b.ky[band] + b.ty[band]] = \
             coeffs[band] * b.amplitudes[band]
-        return out
+        return out.reshape(2, k1, 2 * k1)
 
     @staticmethod
     def subnormal(a):
@@ -270,6 +271,8 @@ class TestSubnormalFlush:
         assert self.subnormal(h.coefficients).any()
         assert not self.subnormal(h.engine.grids(h.coefficients)).any()
         assert not self.subnormal(h.coefficient_grids(np.linspace(0, 1, 9))).any()
+        # the field grids of the RK4 stages
+        assert not self.subnormal(PackedBatch([h]).field_grids(np.linspace(0, 1, 21))).any()
 
     def test_evaluation_bit_identical_to_unflushed_grid(self):
         h = self.draw(CONSTANT)
@@ -279,8 +282,8 @@ class TestSubnormalFlush:
         assert self.subnormal(raw).any()
         assert np.array_equal(flushed, np.where(self.subnormal(raw), 0.0, raw))
         pts = np.random.default_rng(7).uniform(0, 1, (1, 64, 2))
-        assert np.array_equal(h.engine.vector_field(raw[None], pts),
-                              h.engine.vector_field(flushed[None], pts))
+        assert np.array_equal(h.engine.vector_field(h.engine.field_grids(raw[None]), pts),
+                              h.engine.vector_field(h.engine.field_grids(flushed[None]), pts))
         xs = np.arange(32) / 32
         assert np.array_equal(h.engine.value_grid(raw, xs, xs),
                               h.engine.value_grid(flushed, xs, xs))
@@ -349,9 +352,11 @@ class TestBand:
         for t in (0.0, 0.37, 1.0):
             grid = h.coefficient_grids(t)
             ref = full.grids(h.mode_coefficients(t))
-            for method in ("value", "vector_field"):
-                got = getattr(h.engine, method)(grid[None], pts[None])
-                want = getattr(full, method)(ref[None], pts[None])
+            cases = {"value": (grid, ref), "gradient": (grid, ref),
+                     "vector_field": (h.engine.field_grids(grid), full.field_grids(ref))}
+            for method, (got_grid, want_grid) in cases.items():
+                got = getattr(h.engine, method)(got_grid[None], pts[None])
+                want = getattr(full, method)(want_grid[None], pts[None])
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
             want = full.value_grid(ref, xs, xs)
             assert np.abs(h.engine.value_grid(grid, xs, xs) - want).max() <= \
