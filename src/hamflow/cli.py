@@ -3,7 +3,9 @@
 Each subcommand reads one flat key = value config document (--config),
 applies flag overrides, echoes the full effective configuration next to its
 outputs, and writes deterministic CSV / JSONL / SVG artifacts.  The worker
-count can be overridden with the HAMFLOW_WORKERS environment variable.
+count is the config's ``workers``; at ``workers = 0`` (the default) it is the
+HAMFLOW_WORKERS environment variable if that holds a positive integer, else the
+number of CPUs the process may run on.
 """
 
 from __future__ import annotations
@@ -97,9 +99,14 @@ def _cmd_intersections(cfg: ExperimentConfig) -> None:
     out = _outdir(cfg)
     table = experiments.run_intersections(cfg)
     io.write_table(table, out / "intersections.csv")
+    # the file exists exactly when a sample failed: a rerun into the same
+    # directory must not leave an older run's failures next to this table
+    failures = out / "failures.jsonl"
     if table.failures:
         io.write_records([{"regularity": r, "sample": i, "error": msg}
-                          for (r, i, msg) in table.failures], out / "failures.jsonl")
+                          for (r, i, msg) in table.failures], failures)
+    else:
+        failures.unlink(missing_ok=True)
     print(f"wrote {out / 'intersections.csv'} ({len(table.rows)} rows)")
 
 

@@ -27,7 +27,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .basis import TorusPoint
 from .config import EIGENVALUE_UNITS, ExperimentConfig
@@ -473,13 +472,49 @@ def _displacement_chunk(args) -> list:
     return list(zip(*branches))
 
 
+def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(statistic, p-value) of the two-sided two-sample KS test, equal sizes.
+
+    The statistic is h/n, h = round(d n), with d the largest gap between the
+    right-continuous empirical CDFs over the pooled values.  The p-value is
+    the exact P(D >= h/n) = 2 Σ_k (-1)^k C(2n, n - (k+1)h) / C(2n, n) in
+    Hodges' nested form, evaluated in scipy's order so that it matches
+    ``scipy.stats.ks_2samp(method="exact")`` bit for bit; it is clipped to
+    [0, 1].
+    """
+    a, b = np.sort(a), np.sort(b)
+    n = len(a)
+    pooled = np.concatenate([a, b])
+    gaps = (np.searchsorted(a, pooled, side="right") / n
+            - np.searchsorted(b, pooled, side="right") / n)
+    h = int(np.round(max(gaps.max(), -gaps.min()) * n))
+    if h == 0:
+        return 0.0, 1.0
+    p = 0.0
+    for k in range(n // h, -1, -1):
+        p1 = 1.0
+        for j in range(h):
+            p1 = (n - k * h - j) * p1 / (n + k * h + j + 1)
+        p = p1 * (1.0 - p)
+    return h / n, min(max(2 * p, 0.0), 1.0)
+
+
 def run_inversion_test(cfg: ExperimentConfig, level: float = 0.01) -> InversionResult:
-    """Two-sample KS test between displacement laws of the flow and its inverse."""
+    """Two-sample KS test between displacement laws of the flow and its inverse.
+
+    The test is two-sided and exact: Hodges' formula for equal sample sizes,
+    evaluated in scipy's order (``_ks_two_sample``), so statistic and p-value
+    equal ``scipy.stats.ks_2samp`` bit for bit up to n = 10,000.  It departs
+    from scipy's default in two places: above n = 10,000 scipy switches to
+    the asymptotic ``kstwo.sf`` while this stays exact (equal to
+    ``method="exact"``), and where the exact sum leaves [0, 1] by rounding
+    scipy falls back to ``kstwo.sf`` while this clips.
+    """
     if cfg.kernel == "sqexp":
         raise ValidationError("kernel", "inversion test requires a time-symmetric kernel")
     fwd, inv = (np.array(branch) for branch in zip(*_run_chunks(_displacement_chunk, cfg)))
-    ks = scipy_stats.ks_2samp(fwd, inv)
-    return InversionResult(statistic=float(ks.statistic), p_value=float(ks.pvalue),
+    statistic, p_value = _ks_two_sample(fwd, inv)
+    return InversionResult(statistic=statistic, p_value=p_value,
                            level=level, forward=fwd, inverse=inv)
 
 

@@ -1,7 +1,15 @@
-"""Smoke tests: every CLI command runs at a tiny config and writes its files."""
+"""Smoke tests: every CLI command runs at a tiny config and writes its files.
+
+This module must not import scipy: it also runs where only numpy and pytest
+are installed, which shows that the CLI works without scipy.
+"""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,3 +109,45 @@ def test_outputs_independent_of_worker_count(tmp_path, command, samples):
         outs.append(out)
     for name in OUTPUTS[command]:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_rerun_replaces_stale_failure_log(tmp_path):
+    out = tmp_path / "intersections"
+    out.mkdir()
+    (out / "failures.jsonl").write_text('{"error": "from an older run", "sample": 0}\n')
+    rc, _ = run(tmp_path, "intersections", TINY)
+    assert rc == 0
+    assert not (out / "failures.jsonl").exists()
+
+
+def fresh_python(code, tmp_path):
+    """Run ``code`` in a fresh interpreter that imports hamflow from this tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    done = fresh_python("import sys, hamflow, hamflow.cli\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+                  tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_inversion_runs_with_scipy_unimportable(tmp_path):
+    rc, expected = run(tmp_path, "inversion", TINY)
+    assert rc == 0
+    out = tmp_path / "no-scipy"
+    done = fresh_python("import sys\n"
+                  "sys.modules['scipy'] = None\n"
+                  "from hamflow import cli\n"
+                  f"argv = ['inversion', '--config', {str(tmp_path / 'inversion.txt')!r},"
+                  f" '--out', {str(out)!r}]\n"
+                  "sys.exit(cli.main(argv))",
+                  tmp_path)
+    assert done.returncode == 0, done.stderr
+    for name in OUTPUTS["inversion"]:
+        assert (out / name).read_bytes() == (expected / name).read_bytes(), name

@@ -1,17 +1,20 @@
-"""Tests for the experiment runner, batched curve advection and crossing counts."""
+"""Tests for the experiment runner, batched curve advection, crossing counts
+and the inversion KS test (against scipy, which the tests alone use)."""
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from hamflow.config import ExperimentConfig
 from hamflow.errors import DegenerateOverlap, HamflowError, NonFinite, RefinementOverflow
 from hamflow.experiments import (CHUNK, _ball_points, _bin_counts, _diffusion_chunk,
-                                 _displacement_chunk, _intersection_chunk, _law_for, _run_chunks,
-                                 count_crossings, paper_lagrangians, run_intersections,
-                                 worker_count)
+                                 _displacement_chunk, _intersection_chunk, _ks_two_sample,
+                                 _law_for, _run_chunks, count_crossings, paper_lagrangians,
+                                 run_intersections, run_inversion_test, worker_count)
 from hamflow.field import PackedBatch, RandomHamiltonian, make_law, sample_hamiltonian
 from hamflow.flow import (FlowSettings, LagrangianCurve, advect_curve, advect_curves,
                           circle_curve, flow_points, flow_points_through, horizontal_circle,
@@ -324,3 +327,62 @@ def test_chunk_results_do_not_depend_on_chunk_boundaries():
     whole = _intersection_chunk((cfg, 0, 0, 5))
     split = _intersection_chunk((cfg, 0, 0, 3)) + _intersection_chunk((cfg, 0, 3, 5))
     assert whole == split
+
+
+# ---------------------------------------------------------------------------
+# The inversion KS test against scipy.stats.ks_2samp
+# ---------------------------------------------------------------------------
+
+def ks_cases():
+    """(name, a, b): shifted normals, tied values, identical samples (h = 0)
+    and samples whose top h values are moved away (h = 1, 2; near p = 1,
+    where scipy's exact sum can round above 1)."""
+    rng = np.random.default_rng(20251003)
+    for n in [*range(1, 301), 1000, 10000]:
+        x = rng.standard_normal(n)
+        yield f"shift-{n}", x, rng.standard_normal(n) + 0.5
+        yield f"ties-{n}", rng.integers(0, 5, n).astype(float), rng.integers(0, 5, n).astype(float)
+        yield f"same-{n}", x, x[::-1].copy()
+        for h in range(1, min(n, 2) + 1):
+            a = np.arange(n, dtype=float)
+            b = a.copy()
+            b[n - h:] += n
+            yield f"top{h}-{n}", a, b
+
+
+def scipy_ks(a, b, **kwargs):
+    """scipy's (statistic, p-value) and whether it left the exact method."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ref = stats.ks_2samp(a, b, **kwargs)
+    fell_back = any("Switching to method=asymp" in str(w.message) for w in caught)
+    return (float(ref.statistic), float(ref.pvalue)), fell_back
+
+
+def test_ks_matches_scipy_bit_for_bit():
+    for name, a, b in ks_cases():
+        got = _ks_two_sample(a, b)
+        expected, fell_back = scipy_ks(a, b)
+        if got == expected:
+            continue
+        # scipy's exact sum rounded above 1 and it switched to kstwo.sf; the
+        # statistic still agrees, and the clipped exact value reads 1
+        assert fell_back, (name, got, expected)
+        assert got[0] == expected[0] and got[1] == 1.0, name
+        assert abs(got[1] - expected[1]) < 1e-4, name
+
+
+def test_ks_stays_exact_above_scipy_auto_limit():
+    rng = np.random.default_rng(12000)
+    a, b = rng.standard_normal(12000), rng.standard_normal(12000) + 0.02
+    expected, fell_back = scipy_ks(a, b, method="exact")
+    assert not fell_back
+    assert _ks_two_sample(a, b) == expected
+
+
+def test_inversion_test_equals_scipy_on_its_own_samples():
+    cfg = ExperimentConfig(command="inversion", regularity=(8.0,), spatial_max=2,
+                           temporal_max=3, steps=50, samples=12, seed=3, workers=1)
+    result = run_inversion_test(cfg)
+    expected, _ = scipy_ks(result.forward, result.inverse)
+    assert (result.statistic, result.p_value) == expected
