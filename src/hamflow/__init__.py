@@ -13,12 +13,10 @@ from .errors import (DegenerateOverlap, FactorizationFailure, HamflowError, NonF
                      Unsupported, ValidationError)
 from .field import (HamiltonianLaw, RandomHamiltonian, SpectralHamiltonian,
                     gaussian_dimension, make_law, sample_hamiltonian, spectral_weight)
-from .flow import (BumpFunction, CallableHamiltonian, FlowSettings, LagrangianCurve,
-                   advect_curve, advect_curves, circle_curve, composition_hamiltonian,
-                   concatenate_autonomous, flow_jacobian_determinant, flow_points,
-                   flow_points_through, horizontal_circle, integrate_point,
-                   inverse_generating_hamiltonian, inverse_point, sloped_circle,
-                   time_reversed_hamiltonian, vertical_circle, zero_hamiltonian)
+from .flow import (BumpFunction, FlowSettings, LagrangianCurve, advect_curve, advect_curves,
+                   circle_curve, concatenate_autonomous, flow_jacobian_determinant,
+                   flow_points, flow_points_through, horizontal_circle, sloped_circle,
+                   time_reversed_hamiltonian, vertical_circle)
 from .rkhs import (CoefficientTable, coefficient_expansion, reconstruct_value,
                    rkhs_norm, weighted_coefficient_sum)
 from .rng import derive

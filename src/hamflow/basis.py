@@ -105,20 +105,6 @@ class Mode:
         fy = math.cos if self.trig[1] == COS else math.sin
         return self.amplitude * fx(TWO_PI * self.kx * p.x) * fy(TWO_PI * self.ky * p.y)
 
-    def gradient(self, p: TorusPoint) -> np.ndarray:
-        """Exact analytic (d/dx, d/dy) of evaluate."""
-        ax = TWO_PI * self.kx * p.x
-        ay = TWO_PI * self.ky * p.y
-        if self.trig[0] == COS:
-            fx, dfx = math.cos(ax), -TWO_PI * self.kx * math.sin(ax)
-        else:
-            fx, dfx = math.sin(ax), TWO_PI * self.kx * math.cos(ax)
-        if self.trig[1] == COS:
-            fy, dfy = math.cos(ay), -TWO_PI * self.ky * math.sin(ay)
-        else:
-            fy, dfy = math.sin(ay), TWO_PI * self.ky * math.cos(ay)
-        return self.amplitude * np.array([dfx * fy, fx * dfy])
-
 
 def _sort_key(mode: Mode):
     return (mode.eigenvalue, mode.kx, mode.ky, TRIG_PAIRS.index(mode.trig))

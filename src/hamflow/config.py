@@ -77,10 +77,14 @@ class ExperimentConfig:
 
     def eigenvalue_regularities(self) -> tuple:
         """Regularity values converted to eigenvalue units."""
+        return tuple(self.eigenvalue_regularity(r) for r in self.regularity)
+
+    def eigenvalue_regularity(self, regularity: float) -> float:
+        """One regularity value, stated in ``regularity_units``, in eigenvalue
+        units: the one place the units are converted."""
         if self.regularity_units == EIGENVALUE_UNITS:
-            return self.regularity
-        scale = 4.0 * math.pi**2
-        return tuple(r / scale for r in self.regularity)
+            return float(regularity)
+        return regularity / (4.0 * math.pi**2)
 
 
 def _validate(cfg: ExperimentConfig) -> None:

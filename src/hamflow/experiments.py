@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import TorusPoint
-from .config import EIGENVALUE_UNITS, ExperimentConfig
+from .config import ExperimentConfig
 from .errors import DegenerateOverlap, HamflowError, ValidationError
 from .field import PackedBatch, make_law, sample_hamiltonian
 from .flow import (FlowSettings, LagrangianCurve, advect_curves, flow_points, flow_points_through,
@@ -205,12 +205,11 @@ class InversionResult:
 # Shared machinery
 # ---------------------------------------------------------------------------
 
-def _law_for(cfg: ExperimentConfig, regularity: float, kernel: str | None = None):
-    scale = 1.0 if cfg.regularity_units == EIGENVALUE_UNITS else 4.0 * math.pi**2
-    return make_law(regularity / scale,
+def _law_for(cfg: ExperimentConfig, regularity: float):
+    return make_law(cfg.eigenvalue_regularity(regularity),
                     spatial_max=cfg.spatial_max,
                     temporal_max=cfg.temporal_max,
-                    kernel=kernel or cfg.kernel,
+                    kernel=cfg.kernel,
                     seed=cfg.seed,
                     include_axis_modes=cfg.include_axis_modes,
                     grid_nodes=cfg.grid_nodes)

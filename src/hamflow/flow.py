@@ -1,10 +1,10 @@
 """Hamiltonian flow integration and the group operations on generators.
 
-The time-t flow map of a Hamiltonian H is integrated with a fixed-step
-classical 4th-order scheme (adaptive stepping is deliberately avoided so
-Monte Carlo tables are reproducible).  Draws with spectral structure use
-exact analytic vector fields; generic evaluator-defined Hamiltonians fall
-back to central finite differences of their values.
+The time-t flow map of a spectral Hamiltonian H (``SpectralHamiltonian``) is
+integrated with a fixed-step classical 4th-order scheme on its exact analytic
+vector field (adaptive stepping is deliberately avoided so Monte Carlo tables
+are reproducible).  One RK4 loop serves one Hamiltonian and a batch of them
+(``PackedBatch``) alike.
 
 Curves are advected in batches (``advect_curves``).  The draws of a batch
 refine in lockstep: each refinement pass is one batched RK4 loop over the
@@ -17,34 +17,25 @@ product gives each row the same result at any row count; that is a property
 of the BLAS, not a numpy guarantee, and the tests check it on the BLAS numpy
 is built with.
 
-Group operations return new Hamiltonian evaluators:
+Group operations return new spectral Hamiltonians:
 
-* ``composition_hamiltonian(f, g)``  -- flow equals (flow of f) o (flow of g);
-* ``inverse_generating_hamiltonian(f)`` -- flow at every t inverts f's flow;
 * ``time_reversed_hamiltonian(f)``   -- pure reindexing; its time-1 flow
   inverts f's time-1 flow;
 * ``concatenate_autonomous(parts, bump)`` -- one time-dependent Hamiltonian
-  running each autonomous part in order within [0, 1].
-
-Composed evaluators need inner flows of their operands.  Those are resolved
-on the integrator's step lattice: inner trajectories are memoized per query
-batch and linearly interpolated between lattice nodes, so off-lattice query
-times never trigger partial-step integrations.
+  running each autonomous draw in order within [0, 1].
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .basis import TorusPoint
-from .errors import HamflowError, NonFinite, NotAutonomous, RefinementOverflow
+from .errors import HamflowError, NonFinite, NotAutonomous, RefinementOverflow, Unsupported
 from .field import PackedBatch, RandomHamiltonian, SpectralHamiltonian
 
-_FD_STEP = 1e-6
 # RK4 steps whose stage grids are built in one product.
 _BLOCK_STEPS = 10
 
@@ -73,23 +64,6 @@ class FlowSettings:
 DEFAULT_SETTINGS = FlowSettings()
 
 
-class FlowResult(tuple):
-    """(point, lift): the mod-1 reduced image and its planar lift."""
-
-    __slots__ = ()
-
-    def __new__(cls, point: TorusPoint, lift: np.ndarray):
-        return super().__new__(cls, (point, lift))
-
-    @property
-    def point(self) -> TorusPoint:
-        return self[0]
-
-    @property
-    def lift(self) -> np.ndarray:
-        return self[1]
-
-
 # ---------------------------------------------------------------------------
 # Integrator core
 # ---------------------------------------------------------------------------
@@ -100,7 +74,7 @@ def _n_steps(settings: FlowSettings, stiffness: int, span: float) -> int:
     return max(1, math.ceil(settings.steps * stiffness * span - 1e-9))
 
 
-def _rk4_grids(batch: PackedBatch, pts, t0, h, n_steps, captures=None):
+def _rk4_grids(batch: PackedBatch, pts, t0, h, n_steps):
     """RK4 for the S Hamiltonians of ``batch`` at once; pts (S, P, 2).
 
     Stage grids are built _BLOCK_STEPS steps at a time, so their memory
@@ -111,8 +85,6 @@ def _rk4_grids(batch: PackedBatch, pts, t0, h, n_steps, captures=None):
     """
     engine = batch.engine
     p = np.array(pts, dtype=float)
-    if captures is not None:
-        captures.append(p.copy())
     for start in range(0, n_steps, _BLOCK_STEPS):
         count = min(_BLOCK_STEPS, n_steps - start)
         stage_times = t0 + 0.5 * h * np.arange(2 * start, 2 * (start + count) + 1)
@@ -123,59 +95,24 @@ def _rk4_grids(batch: PackedBatch, pts, t0, h, n_steps, captures=None):
             k3 = engine.vector_field(grids[2 * i + 1], p + (0.5 * h) * k2)
             k4 = engine.vector_field(grids[2 * i + 2], p + h * k3)
             p += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if captures is not None:
-                captures.append(p.copy())
     return p
 
 
-def _rk4_generic(fieldlike, pts, t0, h, n_steps, captures=None):
-    p = np.array(pts, dtype=float)
-    if captures is not None:
-        captures.append(p.copy())
-    for i in range(n_steps):
-        t = t0 + i * h
-        k1 = fieldlike.vector_field(t, p)
-        k2 = fieldlike.vector_field(t + 0.5 * h, p + (0.5 * h) * k1)
-        k3 = fieldlike.vector_field(t + 0.5 * h, p + (0.5 * h) * k2)
-        k4 = fieldlike.vector_field(t + h, p + h * k3)
-        p += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if captures is not None:
-            captures.append(p.copy())
-    return p
+def _integrate(fieldlike, pts, t0, t1, settings):
+    """Flow pts from t0 to t1 under one spectral Hamiltonian (pts (P, 2)), or
+    under a ``PackedBatch`` or a list or tuple of spectral Hamiltonians
+    (pts (S, P, 2)).
 
-
-def _integrate(fieldlike, pts, t0, t1, settings, captures=None):
-    """Flow pts from t0 to t1 under one Hamiltonian (pts (P, 2)), or under a
-    ``PackedBatch`` or a list or tuple of spectral Hamiltonians (pts (S, P, 2)).
-
-    Raises ``NonFinite`` naming the draws whose state left the finite range.
+    Raises ``NonFinite`` naming the draws whose state left the finite range
+    (row 0 for one Hamiltonian).
     """
     if isinstance(fieldlike, SpectralHamiltonian):
-        states = None if captures is None else []
-        out = _integrate([fieldlike], np.asarray(pts)[None], t0, t1, settings, states)
-        if captures is not None:
-            captures.extend(state[0] for state in states)
-        return out[0]
-    if isinstance(fieldlike, (list, tuple)):
-        fieldlike = PackedBatch(fieldlike)
-    if isinstance(fieldlike, PackedBatch):
-        batch = fieldlike
-        stiffness = batch.stiffness
-    else:
-        batch = None
-        stiffness = getattr(fieldlike, "stiffness", 1)
-    n = _n_steps(settings, stiffness, abs(t1 - t0))
+        return _integrate([fieldlike], np.asarray(pts)[None], t0, t1, settings)[0]
+    batch = fieldlike if isinstance(fieldlike, PackedBatch) else PackedBatch(fieldlike)
+    n = _n_steps(settings, batch.stiffness, abs(t1 - t0))
     if n == 0:
-        out = np.array(pts, dtype=float)
-        if captures is not None:
-            captures.append(out.copy())
-        return out
-    h = (t1 - t0) / n
-    if batch is None:
-        out = _rk4_generic(fieldlike, pts, t0, h, n, captures)
-    else:
-        out = _rk4_grids(batch, pts, t0, h, n, captures)
-    # one flag per draw: (P, 2) states give one, (S, P, 2) states S
+        return np.array(pts, dtype=float)
+    out = _rk4_grids(batch, pts, t0, (t1 - t0) / n, n)
     finite = np.isfinite(out).all(axis=(-2, -1))
     if not finite.all():
         raise NonFinite("flow state left the finite range", draws=np.flatnonzero(~finite))
@@ -186,7 +123,7 @@ def flow_points(fieldlike, pts, t0: float = 0.0, t1: float = 1.0,
                 settings: FlowSettings = DEFAULT_SETTINGS) -> np.ndarray:
     """Integrate planar lifts from t0 to t1 (t1 < t0 allowed).
 
-    ``fieldlike`` is one Hamiltonian with ``pts`` of shape (P, 2), or S
+    ``fieldlike`` is one spectral Hamiltonian with ``pts`` of shape (P, 2), or S
     spectral Hamiltonians sharing one engine and one time basis (draws of
     one law, their time reversals, or concatenations with one bump and part
     count), as a list, a tuple or a ``PackedBatch``, with ``pts`` of shape
@@ -197,19 +134,6 @@ def flow_points(fieldlike, pts, t0: float = 0.0, t1: float = 1.0,
     if isinstance(fieldlike, (list, tuple, PackedBatch)) and pts.shape[:1] != (len(fieldlike),):
         raise ValueError("batched points need shape (S, P, 2) for S Hamiltonians")
     return _integrate(fieldlike, pts, t0, t1, settings)
-
-
-def integrate_point(fieldlike, p: TorusPoint, t0: float = 0.0, t1: float = 1.0,
-                    settings: FlowSettings = DEFAULT_SETTINGS) -> FlowResult:
-    """Time-t1 image of p under the flow started at t0."""
-    lift = flow_points(fieldlike, p.as_array()[None, :], t0, t1, settings)[0]
-    return FlowResult(TorusPoint(lift[0], lift[1]), lift)
-
-
-def inverse_point(fieldlike, p: TorusPoint,
-                  settings: FlowSettings = DEFAULT_SETTINGS) -> FlowResult:
-    """Image of p under the inverse of the time-1 flow (backward integration)."""
-    return integrate_point(fieldlike, p, t0=1.0, t1=0.0, settings=settings)
 
 
 def flow_points_through(fieldlike, pts, times,
@@ -226,180 +150,6 @@ def flow_points_through(fieldlike, pts, times,
         current = t
         out.append(state.copy())
     return out
-
-
-# ---------------------------------------------------------------------------
-# Evaluator-defined Hamiltonians
-# ---------------------------------------------------------------------------
-
-class HamiltonianEvaluator:
-    """Base for Hamiltonians defined by a value function on [0,1] x T^2.
-
-    Gradients default to central finite differences of ``value``; subclasses
-    with analytic structure override.
-    """
-
-    stiffness = 1
-    autonomous = False
-
-    def value(self, t: float, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def gradient(self, t: float, pts: np.ndarray) -> np.ndarray:
-        h = _FD_STEP
-        p = np.asarray(pts, dtype=float)
-        n = len(p)
-        ex = np.array([h, 0.0])
-        ey = np.array([0.0, h])
-        stacked = np.concatenate([p + ex, p - ex, p + ey, p - ey])
-        v = self.value(t, stacked)
-        return np.stack([(v[:n] - v[n:2 * n]) / (2 * h),
-                         (v[2 * n:3 * n] - v[3 * n:]) / (2 * h)], axis=-1)
-
-    def vector_field(self, t: float, pts: np.ndarray) -> np.ndarray:
-        g = self.gradient(t, pts)
-        return np.stack([-g[:, 1], g[:, 0]], axis=-1)
-
-
-class CallableHamiltonian(HamiltonianEvaluator):
-    """Wrap a plain function (t, pts) -> values as a Hamiltonian."""
-
-    def __init__(self, fn, vector_field_fn=None, autonomous: bool = False):
-        self._fn = fn
-        self._vf = vector_field_fn
-        self.autonomous = autonomous
-
-    def value(self, t, pts):
-        return np.asarray(self._fn(t, np.asarray(pts, dtype=float)), dtype=float)
-
-    def vector_field(self, t, pts):
-        if self._vf is None:
-            return super().vector_field(t, pts)
-        return np.asarray(self._vf(t, np.asarray(pts, dtype=float)), dtype=float)
-
-
-def zero_hamiltonian() -> CallableHamiltonian:
-    return CallableHamiltonian(lambda t, pts: np.zeros(len(pts)),
-                               vector_field_fn=lambda t, pts: np.zeros_like(pts),
-                               autonomous=True)
-
-
-class _LatticeFlows:
-    """Node-snapped operand flows with per-batch trajectory memoization.
-
-    Node j sits at time j*h with h = 1/(steps*stiffness).  Forward queries
-    keep one incrementally extended trajectory per recently seen point batch;
-    off-lattice times interpolate linearly between the two bracketing nodes.
-    """
-
-    def __init__(self, fieldlike, settings: FlowSettings, max_entries: int = 16):
-        self._f = fieldlike
-        self._settings = settings
-        self._per_unit = settings.steps * getattr(fieldlike, "stiffness", 1)
-        self._h = 1.0 / self._per_unit
-        self._forward: OrderedDict = OrderedDict()
-        self._backward: OrderedDict = OrderedDict()
-        self._max_entries = max_entries
-
-    def _bracket(self, t: float):
-        pos = t * self._per_unit
-        j0 = int(math.floor(pos + 1e-9))
-        frac = pos - j0
-        if frac < 1e-9:
-            return j0, j0, 0.0
-        return j0, j0 + 1, frac
-
-    def forward(self, t: float, pts: np.ndarray) -> np.ndarray:
-        """Positions of pts flowed from time 0 to time t."""
-        j0, j1, frac = self._bracket(t)
-        traj = self._forward_traj(pts, j1)
-        if j0 == j1:
-            return traj[j0]
-        return (1.0 - frac) * traj[j0] + frac * traj[j1]
-
-    def _forward_traj(self, pts, j_needed):
-        key = pts.tobytes()
-        entry = self._forward.get(key)
-        if entry is None:
-            entry = [np.array(pts, dtype=float)]
-            self._store(self._forward, key, entry)
-        have = len(entry) - 1
-        if j_needed > have:
-            captures = []
-            _integrate(self._f, entry[-1], have * self._h, j_needed * self._h,
-                       self._settings, captures=captures)
-            entry.extend(captures[1:])
-        return entry
-
-    def inverse(self, t: float, pts: np.ndarray) -> np.ndarray:
-        """Preimages of pts under the time-t flow (backward integration to 0)."""
-        j0, j1, frac = self._bracket(t)
-        y0 = self._inverse_at_node(j0, pts)
-        if j0 == j1:
-            return y0
-        y1 = self._inverse_at_node(j1, pts)
-        return (1.0 - frac) * y0 + frac * y1
-
-    def _inverse_at_node(self, j, pts):
-        if j == 0:
-            return np.array(pts, dtype=float)
-        key = (j, pts.tobytes())
-        cached = self._backward.get(key)
-        if cached is not None:
-            return cached
-        out = _integrate(self._f, pts, j * self._h, 0.0, self._settings)
-        self._store(self._backward, key, out)
-        return out
-
-    def _store(self, cache, key, value):
-        cache[key] = value
-        while len(cache) > self._max_entries:
-            cache.popitem(last=False)
-
-
-class CompositionHamiltonian(HamiltonianEvaluator):
-    """Hamiltonian whose flow is (flow of f) composed after (flow of g).
-
-    value(t, x) = f(t, x) + g(t, y) with y the preimage of x under f's
-    time-t flow, realized by backward integration on the step lattice.
-    """
-
-    def __init__(self, f, g, settings: FlowSettings = DEFAULT_SETTINGS):
-        self._f = f
-        self._g = g
-        self._flows = _LatticeFlows(f, settings)
-
-    def value(self, t, pts):
-        pts = np.asarray(pts, dtype=float)
-        y = self._flows.inverse(t, pts)
-        return _value_of(self._f, t, pts) + _value_of(self._g, t, y)
-
-
-class InverseGeneratingHamiltonian(HamiltonianEvaluator):
-    """Hamiltonian whose time-t flow inverts f's time-t flow for every t.
-
-    value(t, x) = -f(t, z) with z the image of x under f's time-t flow.
-    """
-
-    def __init__(self, f, settings: FlowSettings = DEFAULT_SETTINGS):
-        self._f = f
-        self._flows = _LatticeFlows(f, settings)
-
-    def value(self, t, pts):
-        pts = np.asarray(pts, dtype=float)
-        z = self._flows.forward(t, pts)
-        return -_value_of(self._f, t, z)
-
-
-class TimeReversedHamiltonian(HamiltonianEvaluator):
-    """value(t, x) = -f(1-t, x); its time-1 flow inverts f's time-1 flow."""
-
-    def __init__(self, f):
-        self._f = f
-        self.stiffness = getattr(f, "stiffness", 1)
-
-    def value(self, t, pts):
-        return -_value_of(self._f, 1.0 - t, pts)
 
 
 @dataclass(frozen=True)
@@ -429,22 +179,8 @@ class SpectralTimeReversal(SpectralHamiltonian):
         return -self._f.coefficients
 
 
-def _value_of(fieldlike, t, pts):
-    return np.asarray(fieldlike.value(t, pts), dtype=float)
-
-
-def composition_hamiltonian(f, g, settings: FlowSettings = DEFAULT_SETTINGS) -> CompositionHamiltonian:
-    return CompositionHamiltonian(f, g, settings)
-
-
-def inverse_generating_hamiltonian(f, settings: FlowSettings = DEFAULT_SETTINGS) -> InverseGeneratingHamiltonian:
-    return InverseGeneratingHamiltonian(f, settings)
-
-
-def time_reversed_hamiltonian(f):
-    if isinstance(f, SpectralHamiltonian):
-        return SpectralTimeReversal(f)
-    return TimeReversedHamiltonian(f)
+def time_reversed_hamiltonian(f: SpectralHamiltonian) -> SpectralTimeReversal:
+    return SpectralTimeReversal(f)
 
 
 # ---------------------------------------------------------------------------
@@ -480,44 +216,6 @@ class BumpFunction:
         return float(value) if value.ndim == 0 else value
 
 
-class ConcatenatedHamiltonian(HamiltonianEvaluator):
-    """Runs k autonomous Hamiltonians in order within unit time.
-
-    H(t, x) = k * bump(k*t - i + 1) * H_i(x) on the i-th subinterval.  The
-    factor k makes the field k times stiffer, which ``stiffness`` advertises
-    to the integrator.
-    """
-
-    def __init__(self, parts, bump: BumpFunction):
-        self._parts = list(parts)
-        self._bump = bump
-        self.stiffness = max(1, len(self._parts))
-
-    def value(self, t, pts):
-        pts = np.asarray(pts, dtype=float)
-        out = np.zeros(len(pts))
-        k = len(self._parts)
-        for i, part in enumerate(self._parts, start=1):
-            w = k * self._bump(k * t - i + 1.0)
-            if w != 0.0:
-                out += w * _value_of(part, 0.0, pts)
-        return out
-
-    def gradient(self, t, pts):
-        pts = np.asarray(pts, dtype=float)
-        out = np.zeros_like(pts)
-        k = len(self._parts)
-        for i, part in enumerate(self._parts, start=1):
-            w = k * self._bump(k * t - i + 1.0)
-            if w != 0.0:
-                out += w * part.gradient(0.0, pts)
-        return out
-
-    def vector_field(self, t, pts):
-        g = self.gradient(t, pts)
-        return np.stack([-g[:, 1], g[:, 0]], axis=-1)
-
-
 @dataclass(frozen=True)
 class BumpTimeBasis:
     """Phi_i(t) = k * bump(k*t - i + 1) for i = 1..k: part i's bump weight."""
@@ -547,17 +245,22 @@ class SpectralConcatenation(SpectralHamiltonian):
         self.stiffness = len(parts)
 
 
-def concatenate_autonomous(parts, bump: BumpFunction):
-    """Single Hamiltonian whose time-1 flow composes the parts in order."""
+def concatenate_autonomous(parts, bump: BumpFunction) -> SpectralConcatenation:
+    """Single Hamiltonian whose time-1 flow composes the parts in order.
+
+    The parts must be autonomous draws over one basis; parts over two
+    truncations raise ``Unsupported``.
+    """
     parts = list(parts)
     if not parts:
         raise ValueError("need at least one Hamiltonian")
     for part in parts:
-        if not getattr(part, "autonomous", False):
+        if not part.autonomous:
             raise NotAutonomous("all concatenated Hamiltonians must be autonomous")
-    if all(isinstance(p, RandomHamiltonian) and p.basis is parts[0].basis for p in parts):
-        return SpectralConcatenation(parts, bump)
-    return ConcatenatedHamiltonian(parts, bump)
+    if not all(isinstance(p, RandomHamiltonian) and p.basis is parts[0].basis for p in parts):
+        raise Unsupported("concatenated Hamiltonians must be draws over one basis "
+                          "(one truncation)")
+    return SpectralConcatenation(parts, bump)
 
 
 # ---------------------------------------------------------------------------
@@ -650,9 +353,8 @@ def advect_curves(hamiltonians, curve: LagrangianCurve, t: float = 1.0,
                   settings: FlowSettings = DEFAULT_SETTINGS) -> list:
     """Images of one curve under the time-t flows of S Hamiltonians.
 
-    ``hamiltonians`` is a ``PackedBatch``, a list or tuple of spectral
-    Hamiltonians that form one, or a list holding one Hamiltonian of any
-    kind.  Entry s of the result is the image under Hamiltonian s, refined
+    ``hamiltonians`` is a ``PackedBatch``, or a list or tuple of spectral
+    Hamiltonians that form one.  Entry s of the result is the image under Hamiltonian s, refined
     as ``advect_curve`` describes, or the ``HamflowError`` its advection
     raised (``NonFinite`` or ``RefinementOverflow``).
 
@@ -708,15 +410,7 @@ def advect_curves(hamiltonians, curve: LagrangianCurve, t: float = 1.0,
 def _row_flow(hamiltonians, t, settings):
     """(flow, S): flow(rows, pts) maps pts (len(rows), P, 2) by the time-t
     flows of those rows of ``hamiltonians`` (see ``advect_curves``)."""
-    if isinstance(hamiltonians, PackedBatch):
-        batch = hamiltonians
-    elif all(isinstance(h, SpectralHamiltonian) for h in hamiltonians):
-        batch = PackedBatch(hamiltonians)
-    elif len(hamiltonians) == 1:
-        generic = hamiltonians[0]
-        return (lambda rows, pts: flow_points(generic, pts[0], 0.0, t, settings)[None]), 1
-    else:
-        raise ValueError("only spectral Hamiltonians advect as a batch")
+    batch = hamiltonians if isinstance(hamiltonians, PackedBatch) else PackedBatch(hamiltonians)
     return (lambda rows, pts: flow_points(batch.rows(rows), pts, 0.0, t, settings)), len(batch)
 
 
@@ -743,7 +437,8 @@ def _flow_rows(flow, rows, pts, out):
 def flow_jacobian_determinant(fieldlike, p: TorusPoint, t: float = 1.0,
                               settings: FlowSettings = DEFAULT_SETTINGS,
                               fd_step: float = 1e-5) -> float:
-    """Central-difference determinant of the time-t flow differential at p."""
+    """Central-difference determinant of the time-t flow differential at p
+    under one spectral Hamiltonian."""
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
     x, y = p.x, p.y

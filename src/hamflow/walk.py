@@ -30,7 +30,7 @@ class WalkState:
 
     def __post_init__(self):
         for h in self.steps:
-            if not getattr(h, "autonomous", False):
+            if not h.autonomous:
                 raise NotAutonomous("walk steps must be autonomous Hamiltonians")
 
     @property

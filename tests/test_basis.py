@@ -1,4 +1,4 @@
-"""Tests for the torus eigenbasis: enumeration, values, gradients, quadrature."""
+"""Tests for the torus eigenbasis: enumeration, values, quadrature."""
 
 import math
 
@@ -92,32 +92,6 @@ class TestEvaluate:
         m = Mode(1, 0, "sc")
         # sqrt(2) sin(2 pi x) at x = 0.25
         assert m.evaluate(TorusPoint(0.25, 0.9)) == pytest.approx(math.sqrt(2))
-
-
-class TestGradient:
-    def test_coscos_critical_point(self):
-        g = Mode(1, 1, "cc").gradient(TorusPoint(0, 0))
-        assert np.allclose(g, [0.0, 0.0])
-
-    def test_axis_sine_slope(self):
-        g = Mode(1, 0, "sc").gradient(TorusPoint(0, 0))
-        assert g[0] == pytest.approx(2 * math.sqrt(2) * math.pi)
-        assert g[1] == pytest.approx(0.0)
-
-    @pytest.mark.parametrize("mode", [Mode(1, 1, "cc"), Mode(2, 3, "cs"),
-                                      Mode(5, 1, "sc"), Mode(4, 4, "ss"),
-                                      Mode(0, 2, "cs"), Mode(3, 0, "sc")])
-    def test_matches_finite_differences(self, mode):
-        rng = np.random.default_rng(42)
-        h = 1e-6
-        for _ in range(5):
-            x, y = rng.uniform(0, 1, 2)
-            g = mode.gradient(TorusPoint(x, y))
-            fd_x = (mode.evaluate(TorusPoint(x + h, y)) - mode.evaluate(TorusPoint(x - h, y))) / (2 * h)
-            fd_y = (mode.evaluate(TorusPoint(x, y + h)) - mode.evaluate(TorusPoint(x, y - h))) / (2 * h)
-            scale = max(1.0, abs(g[0]), abs(g[1]))
-            assert abs(g[0] - fd_x) / scale < 1e-6
-            assert abs(g[1] - fd_y) / scale < 1e-6
 
 
 class TestBasisAnalysis:

@@ -1,9 +1,12 @@
 """Tests for the key = value experiment configuration."""
 
+import math
+
 import pytest
 
 from hamflow.config import ExperimentConfig, parse_config, serialize_config
 from hamflow.errors import ParseError, ValidationError
+from hamflow.experiments import _law_for
 
 NON_DEFAULT = """\
 # a comment line
@@ -83,3 +86,12 @@ class TestCommandDefaults:
         assert cfg.samples == 1200
         cfg = parse_config("", command="diffusion", overrides={"regularity": (0.2,)})
         assert cfg.regularity == (0.2,)
+
+
+@pytest.mark.parametrize("units, want", [("eigenvalue", 3.0),
+                                         ("frequency", 3.0 / (4.0 * math.pi**2))],
+                         ids=["eigenvalue", "frequency"])
+def test_law_regularity_in_eigenvalue_units(units, want):
+    cfg = ExperimentConfig(regularity=(3.0,), regularity_units=units)
+    assert _law_for(cfg, 3.0).regularity == want
+    assert cfg.eigenvalue_regularities() == (want,)

@@ -5,30 +5,49 @@ import math
 import numpy as np
 import pytest
 
-from hamflow.basis import TorusPoint, torus_distance
+from hamflow.basis import Mode, TorusPoint, torus_distance
 from hamflow.engine import SpectralEngine
-from hamflow.errors import NotAutonomous, RefinementOverflow
-from hamflow.field import SpectralHamiltonian, make_law, sample_hamiltonian
-from hamflow.flow import (BumpFunction, CallableHamiltonian, FlowSettings, LagrangianCurve,
-                          advect_curve, circle_curve, composition_hamiltonian,
-                          concatenate_autonomous, flow_jacobian_determinant, flow_points,
-                          horizontal_circle, integrate_point, inverse_generating_hamiltonian,
-                          inverse_point, sloped_circle, time_reversed_hamiltonian,
-                          zero_hamiltonian)
+from hamflow.errors import NotAutonomous, RefinementOverflow, Unsupported
+from hamflow.field import RandomHamiltonian, SpectralHamiltonian, make_law, sample_hamiltonian
+from hamflow.flow import (BumpFunction, FlowSettings, LagrangianCurve, advect_curve,
+                          circle_curve, concatenate_autonomous, flow_jacobian_determinant,
+                          flow_points, horizontal_circle, sloped_circle,
+                          time_reversed_hamiltonian)
 from hamflow.rng import derive
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP
 
+# The analytic references: autonomous draws over the smallest basis with
+# axis modes, each of one mode or none.
+ONE_MODE_LAW = make_law(0.1, spatial_max=1, kernel=CONSTANT, include_axis_modes=True)
 
-def shear_y():
-    """H = sin(2 pi y) / 2 pi with flow (x, y) -> (x - t cos(2 pi y), y)."""
-    return CallableHamiltonian(lambda t, p: np.sin(2 * np.pi * p[:, 1]) / (2 * np.pi),
-                               autonomous=True)
+
+def one_mode_draw(mode=None, c=1 / (2 * np.pi)):
+    """The draw c * e(x) / amplitude of ``mode``; the zero field without one."""
+    modes = ONE_MODE_LAW.basis().modes
+    gaussians = np.zeros((len(modes), 1))
+    if mode is not None:
+        n = modes.index(mode)
+        gaussians[n, 0] = c / (mode.amplitude * ONE_MODE_LAW.weights()[n])
+    return RandomHamiltonian(ONE_MODE_LAW, gaussians)
+
+
+def zero_field():
+    return one_mode_draw()
+
+
+def shear_y(c=1 / (2 * np.pi)):
+    """H = c sin(2 pi y) with flow (x, y) -> (x - 2 pi c t cos(2 pi y), y)."""
+    return one_mode_draw(Mode(0, 1, "cs"), c)
 
 
 def shear_x():
     """H = sin(2 pi x) / 2 pi with flow (x, y) -> (x, y + t cos(2 pi x))."""
-    return CallableHamiltonian(lambda t, p: np.sin(2 * np.pi * p[:, 0]) / (2 * np.pi),
-                               autonomous=True)
+    return one_mode_draw(Mode(1, 0, "sc"))
+
+
+def image(h, p, t0=0.0, t1=1.0):
+    """The lift of p under the flow of h from t0 to t1."""
+    return flow_points(h, p.as_array()[None], t0, t1)[0]
 
 
 def small_draw(seed, kernel=PERIODIC, r=0.15, smax=3, tm=3):
@@ -38,14 +57,13 @@ def small_draw(seed, kernel=PERIODIC, r=0.15, smax=3, tm=3):
 
 class TestPointIntegration:
     def test_zero_field_is_identity(self):
-        p = TorusPoint(0.3, 0.4)
-        res = integrate_point(zero_hamiltonian(), p)
-        assert res.point.x == pytest.approx(0.3) and res.point.y == pytest.approx(0.4)
+        point = TorusPoint(*image(zero_field(), TorusPoint(0.3, 0.4)))
+        assert point.x == pytest.approx(0.3) and point.y == pytest.approx(0.4)
 
     def test_shear_closed_form(self):
-        res = integrate_point(shear_y(), TorusPoint(0.3, 1 / 6))
-        assert res.point.x == pytest.approx(0.8, abs=1e-10)
-        assert res.point.y == pytest.approx(1 / 6, abs=1e-12)
+        point = TorusPoint(*image(shear_y(), TorusPoint(0.3, 1 / 6)))
+        assert point.x == pytest.approx(0.8, abs=1e-10)
+        assert point.y == pytest.approx(1 / 6, abs=1e-12)
 
     def test_forward_backward_round_trip(self):
         h = small_draw(41)
@@ -55,16 +73,16 @@ class TestPointIntegration:
         back = flow_points(h, fwd, 1.0, 0.0, settings)
         assert np.abs(back - pts).max() < 1e-8
 
-    def test_inverse_point_shear(self):
-        res = inverse_point(shear_y(), TorusPoint(0.8, 1 / 6))
-        assert res.point.x == pytest.approx(0.3, abs=1e-10)
+    def test_backward_shear(self):
+        point = TorusPoint(*image(shear_y(), TorusPoint(0.8, 1 / 6), 1.0, 0.0))
+        assert point.x == pytest.approx(0.3, abs=1e-10)
 
     def test_inverse_round_trip(self):
         h = small_draw(43)
         p = TorusPoint(0.25, 0.65)
-        back = inverse_point(h, p)
-        again = integrate_point(h, back.point)
-        assert again.point.distance(p) < 1e-8
+        back = TorusPoint(*image(h, p, 1.0, 0.0))
+        again = TorusPoint(*image(h, back))
+        assert again.distance(p) < 1e-8
 
     def test_convergence_is_fourth_order(self):
         h = small_draw(47)
@@ -77,11 +95,9 @@ class TestPointIntegration:
         assert err[100] / err[200] >= 8.0
 
     def test_lift_returned_unreduced(self):
-        strong_shear = CallableHamiltonian(
-            lambda t, p: 3.0 * np.sin(2 * np.pi * p[:, 1]) / (2 * np.pi), autonomous=True)
-        res = integrate_point(strong_shear, TorusPoint(0.3, 0.0))
-        assert res.lift[0] == pytest.approx(0.3 - 3.0, abs=1e-9)
-        assert res.point.x == pytest.approx(0.3, abs=1e-9)
+        lift = image(shear_y(3.0 / (2 * np.pi)), TorusPoint(0.3, 0.0))
+        assert lift[0] == pytest.approx(0.3 - 3.0, abs=1e-9)
+        assert TorusPoint(*lift).x == pytest.approx(0.3, abs=1e-9)
 
 
 class TestEnergyAndArea:
@@ -95,7 +111,7 @@ class TestEnergyAndArea:
             assert np.abs(h.value(0.0, out) - base).max() < 1e-6
 
     def test_jacobian_zero_field(self):
-        assert flow_jacobian_determinant(zero_hamiltonian(), TorusPoint(0.4, 0.3)) == 1.0
+        assert flow_jacobian_determinant(zero_field(), TorusPoint(0.4, 0.3)) == 1.0
 
     def test_jacobian_shear_exact(self):
         det = flow_jacobian_determinant(shear_y(), TorusPoint(0.3, 0.22),
@@ -109,70 +125,9 @@ class TestEnergyAndArea:
         assert det == pytest.approx(1.0, abs=1e-5)
 
 
-class TestCompositionHamiltonian:
-    settings = FlowSettings(steps=100)
-
-    def test_left_identity(self):
-        g = small_draw(61)
-        combo = composition_hamiltonian(zero_hamiltonian(), g, self.settings)
-        rng = np.random.default_rng(2)
-        pts = rng.uniform(0, 1, (8, 2))
-        for t in (0.0, 0.3, 1.0):
-            assert np.abs(combo.value(t, pts) - g.value(t, pts)).max() < 1e-9
-
-    def test_right_identity(self):
-        f = small_draw(67)
-        combo = composition_hamiltonian(f, zero_hamiltonian(), self.settings)
-        pts = np.random.default_rng(3).uniform(0, 1, (8, 2))
-        for t in (0.1, 0.7):
-            assert np.abs(combo.value(t, pts) - f.value(t, pts)).max() < 1e-9
-
-    def test_perpendicular_shears_closed_form(self):
-        combo = composition_hamiltonian(shear_y(), shear_x(), self.settings)
-        res = integrate_point(combo, TorusPoint(0.25, 1 / 6), settings=self.settings)
-        # g fixes (0.25, 1/6); f then translates x by -cos(pi/3) = -0.5
-        assert res.point.x == pytest.approx(0.75, abs=1e-4)
-        assert res.point.y == pytest.approx(1 / 6, abs=1e-4)
-
-    def test_group_law_random_draws(self):
-        f, g = small_draw(71), small_draw(73)
-        combo = composition_hamiltonian(f, g, self.settings)
-        pts = np.random.default_rng(4).uniform(0, 1, (20, 2))
-        lhs = flow_points(combo, pts, 0.0, 1.0, self.settings)
-        rhs = flow_points(f, flow_points(g, pts, 0.0, 1.0, self.settings),
-                          0.0, 1.0, self.settings)
-        dist = np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1)
-        assert dist.max() < 1e-4
-
-
-class TestInverseGeneratingHamiltonian:
-    settings = FlowSettings(steps=100)
-
+class TestTimeReversal:
     def test_zero_field(self):
-        bar = inverse_generating_hamiltonian(zero_hamiltonian(), self.settings)
-        pts = np.random.default_rng(5).uniform(0, 1, (6, 2))
-        assert np.abs(bar.value(0.4, pts)).max() == 0.0
-
-    def test_autonomous_energy_identity(self):
-        h = small_draw(79, kernel=CONSTANT, r=0.15, smax=3)
-        bar = inverse_generating_hamiltonian(h, self.settings)
-        pts = np.random.default_rng(6).uniform(0, 1, (10, 2))
-        for t in (0.25, 0.5, 1.0):
-            assert np.abs(bar.value(t, pts) + h.value(0.0, pts)).max() < 1e-6
-
-    def test_flow_inverts(self):
-        h = small_draw(83)
-        bar = inverse_generating_hamiltonian(h, self.settings)
-        pts = np.random.default_rng(7).uniform(0, 1, (20, 2))
-        lhs = flow_points(bar, pts, 0.0, 1.0, self.settings)
-        rhs = flow_points(h, pts, 1.0, 0.0, self.settings)
-        dist = np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1)
-        assert dist.max() < 1e-4
-
-
-class TestTimeReversedHamiltonian:
-    def test_zero_field(self):
-        hat = time_reversed_hamiltonian(zero_hamiltonian())
+        hat = time_reversed_hamiltonian(zero_field())
         assert np.abs(hat.value(0.3, np.array([[0.1, 0.2]]))).max() == 0.0
 
     def test_involution_pointwise(self):
@@ -233,6 +188,7 @@ class TestConcatenation:
 
     def test_two_shears_sequential(self):
         concat = concatenate_autonomous([shear_x(), shear_y()], BumpFunction())
+        assert isinstance(concat, SpectralHamiltonian)
         pts = np.random.default_rng(11).uniform(0, 1, (20, 2))
         lhs = flow_points(concat, pts, 0.0, 1.0, self.settings)
         rhs = flow_points(shear_y(), flow_points(shear_x(), pts, 0.0, 1.0, self.settings),
@@ -241,11 +197,15 @@ class TestConcatenation:
         assert dist.max() < 1e-5
 
     def test_all_zero_parts_identity(self):
-        concat = concatenate_autonomous([zero_hamiltonian(), zero_hamiltonian()],
-                                        BumpFunction())
+        concat = concatenate_autonomous([zero_field(), zero_field()], BumpFunction())
         pts = np.random.default_rng(12).uniform(0, 1, (5, 2))
         out = flow_points(concat, pts, 0.0, 1.0, self.settings)
         assert np.abs(out - pts).max() < 1e-12
+
+    def test_rejects_parts_over_two_truncations(self):
+        parts = [small_draw(113, kernel=CONSTANT, smax=2), small_draw(113, kernel=CONSTANT, smax=3)]
+        with pytest.raises(Unsupported):
+            concatenate_autonomous(parts, BumpFunction())
 
     def test_spectral_parts_use_fast_path(self):
         parts = [small_draw(109 + i, kernel=CONSTANT, smax=2) for i in range(3)]
@@ -390,7 +350,7 @@ class TestCurves:
     def test_advect_zero_field_identity(self):
         # source spacing already below the refinement threshold: unchanged
         k = horizontal_circle(0.5, 128)
-        out = advect_curve(zero_hamiltonian(), k)
+        out = advect_curve(zero_field(), k)
         assert np.allclose(out.vertices, k.vertices)
         assert out.winding == (1, 0)
 
