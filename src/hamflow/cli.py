@@ -55,10 +55,18 @@ def _load_config(args) -> ExperimentConfig:
     return parse_config(text, command=args.command, overrides=overrides)
 
 
-def _outdir(cfg: ExperimentConfig) -> Path:
+def _outdir(cfg: ExperimentConfig, flowed: tuple = ()) -> Path:
+    """The output directory, with the effective config echoed to config.txt.
+
+    ``flowed`` names the regularities whose draws the command flows; each
+    gets a comment line with its RK4 step count (``experiments.flow_steps``).
+    """
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(serialize_config(cfg))
+    steps = "".join(f"# flow steps at regularity {r:g}: "
+                    f"{experiments.flow_steps(experiments._law_for(cfg, r), cfg.steps)} "
+                    f"of at most {cfg.steps}\n" for r in flowed)
+    (out / "config.txt").write_text(serialize_config(cfg) + steps)
     return out
 
 
@@ -85,7 +93,7 @@ def _cmd_sample_field(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_flow(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg)
+    out = _outdir(cfg, cfg.regularity[:1])
     curves = experiments.advected_samples(cfg)
     records = [{"sample": i, "vertices": c.vertices.tolist(), "winding": list(c.winding)}
                for i, c in enumerate(curves)]
@@ -96,7 +104,7 @@ def _cmd_flow(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_intersections(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg)
+    out = _outdir(cfg, cfg.regularity)
     table = experiments.run_intersections(cfg)
     io.write_table(table, out / "intersections.csv")
     # the file exists exactly when a sample failed: a rerun into the same
@@ -111,7 +119,7 @@ def _cmd_intersections(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_diffusion(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg)
+    out = _outdir(cfg, cfg.regularity[:1])
     result = experiments.run_diffusion(cfg)
     io.write_records(
         [{"time": t, "chi_square": float(chi), "counts": counts.tolist()}
@@ -183,7 +191,7 @@ def _cmd_concentration(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_inversion(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg)
+    out = _outdir(cfg, cfg.regularity[:1])
     result = experiments.run_inversion_test(cfg)
     io.write_records([{
         "statistic": result.statistic, "p_value": result.p_value,

@@ -11,6 +11,9 @@ fields are range-checked, and unknown keys are rejected.
 * ``eigenvalue`` -- per Laplace-Beltrami eigenvalue 4 pi^2 (k^2 + j^2).
 
 The two differ by the constant factor 4 pi^2.
+
+``steps`` is the most RK4 steps per unit time; smooth periodic/constant
+laws use fewer (see :mod:`hamflow.experiments`).
 """
 
 from __future__ import annotations

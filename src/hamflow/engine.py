@@ -33,7 +33,9 @@ Pointwise evaluation carries a leading draw axis: S grids (S, 2, K1, 2*K1),
 or S field grids (S, 2, K1, 4*K1), are evaluated at S point sets (S, P, 2),
 set s under grid s, so the RK4 stages of many draws cost one call.  A
 single draw is S = 1.  Lattice evaluation (``value_grid``) takes any number
-of leading grid axes, so the lattices of several times cost one call.
+of leading grid axes, so the lattices of several times cost one call, and
+takes a lattice's rows (``lattice_rows``) in place of its coordinates, so
+calls on one lattice build its rows once.
 
 The band comes from the law (``HamiltonianLaw.band``).  The law weights
 mode n by w_n = exp(-r lambda_n / 2), so with mode scale s_n the mode
@@ -176,14 +178,21 @@ class SpectralEngine:
         w = rows[..., 0, :] @ fields.reshape(fields.shape[:-3] + (2 * self._k1, -1))
         return np.einsum("spik,spk->spi", w.reshape(w.shape[:-1] + (2, -1)), rows[..., 1, :])
 
-    def value_grid(self, grid: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    def lattice_rows(self, coords) -> np.ndarray:
+        """The per-axis rows (len(coords), 2*K1) of lattice coordinates, which
+        ``value_grid`` takes in place of the coordinates, so that many calls
+        on one lattice build its rows once."""
+        return self._tables(np.asarray(coords, dtype=float))
+
+    def value_grid(self, grid: np.ndarray, xs, ys) -> np.ndarray:
         """H on the tensor lattice xs x ys under grids (..., 2, K1, 2*K1).
 
-        Shape (..., len(xs), len(ys)): one lattice per leading grid index.
+        ``xs`` and ``ys`` are coordinates (1-D) or their ``lattice_rows``
+        (2-D).  Shape (..., len(xs), len(ys)): one lattice per leading grid
+        index.
         """
-        xs = np.asarray(xs, dtype=float)
-        rows = self._tables(np.concatenate([xs, np.asarray(ys, dtype=float)]))
-        return (rows[:len(xs)] @ self._square(grid)) @ rows[len(xs):].T
+        rx, ry = (c if np.ndim(c) == 2 else self.lattice_rows(c) for c in (xs, ys))
+        return (rx @ self._square(grid)) @ ry.T
 
     def mode_values(self, pts: np.ndarray) -> np.ndarray:
         """e_n at each point for every mode of the basis: shape (P, N).

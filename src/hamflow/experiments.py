@@ -17,6 +17,27 @@ because a draw's flow does not depend on the other draws of its batch.
 That holds when the BLAS matrix product gives each row the same result at
 any row count: a property of the BLAS, not a numpy guarantee, which
 ``tests/test_experiments.py`` and ``tests/test_cli.py`` check.
+
+RK4 step counts.  The config's ``steps`` is the most RK4 steps per unit
+time.  ``flow``, ``intersections``, ``diffusion`` and ``inversion`` flow
+the draws of a law with periodic or constant kernel at
+
+    n = min(steps, max(1, ceil(Lambda / THETA)))
+
+steps per unit time (``flow_steps``), with Lambda the law's expected
+spectral bound on sup |DX| (``HamiltonianLaw.lipschitz_bound``) and THETA =
+0.0716.  THETA puts the periodic law at regularity 3 (frequency units,
+spatial_max 25, temporal_max 10; Lambda = 14.33) at 201, so it keeps 200
+steps.  Smoother laws take fewer: 167, 115, 67, 40, 24, 9 and 2 steps at
+regularity 3.16, 3.5, 4, 4.5, 5, 6 and 8.  Against a 3,200-step flow the
+count's error stayed at or below max(1.5e-6, the error at 200 steps) on
+every law tested (``tests/test_experiments.py``).  The count depends on
+the law alone, never on a chunk's draws, so outputs stay independent of
+the worker count.  ``sqexp`` laws keep ``steps``: their paths are
+piecewise linear in time, so Lambda does not govern the RK4 error.
+``random-walk`` keeps ``steps`` too.  Its step draws have a law, but a walk
+is also the flow of their concatenation (``walk.walk_generating_hamiltonian``),
+which has none and integrates at ``steps`` times its part count.
 """
 
 from __future__ import annotations
@@ -28,10 +49,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import temporal
 from .basis import TorusPoint
 from .config import ExperimentConfig
 from .errors import DegenerateOverlap, HamflowError, ValidationError
-from .field import PackedBatch, make_law, sample_hamiltonian
+from .field import HamiltonianLaw, PackedBatch, make_law, sample_hamiltonian
 from .flow import (FlowSettings, LagrangianCurve, advect_curves, flow_points, flow_points_through,
                    horizontal_circle)
 from .rng import derive
@@ -43,6 +65,8 @@ _OVERLAP_TOL = 1e-9
 # draws of a chunk flow as one batch.  16 full-band draws hold 7.3 MB of packed
 # grids, and 14.5 MB of field grids both packed and per RK4 block of stages.
 CHUNK = 16
+# Lipschitz bound per RK4 step of the step-count rule (module docstring).
+THETA = 0.0716
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +239,19 @@ def _law_for(cfg: ExperimentConfig, regularity: float):
                     grid_nodes=cfg.grid_nodes)
 
 
-def _settings_for(cfg: ExperimentConfig) -> FlowSettings:
-    return FlowSettings(steps=cfg.steps,
+def flow_steps(law: HamiltonianLaw, cap: int) -> int:
+    """RK4 steps per unit time for the draws of ``law``, at most ``cap``: the
+    rule of the module docstring for periodic and constant kernels, ``cap``
+    for sqexp."""
+    if law.kernel.tag == temporal.SQEXP:
+        return cap
+    return min(cap, max(1, math.ceil(law.lipschitz_bound() / THETA)))
+
+
+def _settings_for(cfg: ExperimentConfig, law: HamiltonianLaw | None = None) -> FlowSettings:
+    """The flow settings of ``cfg``, at ``law``'s step count if a law is given
+    and at ``cfg.steps`` if not."""
+    return FlowSettings(steps=cfg.steps if law is None else flow_steps(law, cfg.steps),
                         refinement_threshold=cfg.refinement_threshold,
                         max_refinement_depth=cfg.max_refinement_depth)
 
@@ -274,7 +309,7 @@ def _advected_chunk(args) -> list:
         else:
             rows.append(i)
     images = advect_curves(batch, horizontal_circle(0.5, cfg.curve_vertices), 1.0,
-                           _settings_for(cfg))
+                           _settings_for(cfg, law))
     out.update(zip(rows, images))
     return [out[i] for i in range(start, stop)]
 
@@ -368,7 +403,7 @@ def _diffusion_chunk(args) -> list:
         rng = derive(cfg.seed, r_index, i)
         batch.append(sample_hamiltonian(law, rng))
         pts[row] = _ball_points(rng, cfg.ball_center, cfg.ball_radius, cfg.points)
-    states = flow_points_through(batch, pts, cfg.times, _settings_for(cfg))
+    states = flow_points_through(batch, pts, cfg.times, _settings_for(cfg, law))
     results = []
     for row in range(stop - start):
         counts = np.stack([_bin_counts(s[row], cfg.grid) for s in states])
@@ -458,7 +493,7 @@ def _displacement_chunk(args) -> list:
     """
     cfg, _, start, stop = args
     law = _law_for(cfg, cfg.regularity[0])
-    settings = _settings_for(cfg)
+    settings = _settings_for(cfg, law)
     probe = np.asarray(cfg.probe, dtype=float)
     pts = np.broadcast_to(probe, (stop - start, 1, 2))
     branches = []

@@ -11,8 +11,9 @@ subclasses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -49,6 +50,25 @@ _BAND_TOLERANCE = np.finfo(float).eps ** 2
 _OSC_BLOCK = 8
 
 
+def _per_law(method):
+    """Compute a law's quantity once: the law is immutable, so the value is
+    kept in the instance dict on first use (arrays read-only, since every
+    draw of the law shares them).  Equality and hashing see fields only."""
+    key = "_cached_" + method.__name__
+
+    @wraps(method)
+    def cached(self):
+        value = self.__dict__.get(key)
+        if value is None:
+            value = method(self)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            self.__dict__[key] = value
+        return value
+
+    return cached
+
+
 @dataclass(frozen=True)
 class HamiltonianLaw:
     """Everything that fixes the law of a random Hamiltonian draw.
@@ -57,7 +77,8 @@ class HamiltonianLaw:
     Euclidean, area form dx^dy); only the data listed here vary.
     ``mode_scales`` optionally rescales each coefficient process (index =
     position in the eigenvalue-sorted basis), which expresses weakly
-    frequency-unbiased laws.
+    frequency-unbiased laws.  ``band``, ``weights``, ``scales`` and
+    ``lipschitz_bound`` are computed once per law and shared by its draws.
     """
 
     regularity: float
@@ -80,6 +101,7 @@ class HamiltonianLaw:
     def basis(self) -> SpectralBasis:
         return _basis_for(self.truncation)
 
+    @_per_law
     def band(self) -> int:
         """Largest wavenumber whose modes the law's weights can resolve.
 
@@ -102,13 +124,37 @@ class HamiltonianLaw:
         and packs coefficients of the whole basis."""
         return _engine_for(self.truncation, self.band())
 
+    @_per_law
     def weights(self) -> np.ndarray:
         return spectral_weight(self.basis().eigenvalues, self.regularity)
 
+    @_per_law
     def scales(self) -> np.ndarray:
         if self.mode_scales is None:
             return np.full(len(self.basis()), self.kernel.per_mode_scale)
         return np.asarray(self.mode_scales)
+
+    @_per_law
+    def lipschitz_bound(self) -> float:
+        """Expected spectral bound on sup |DX|, the vector field's Lipschitz
+        constant, at any time:
+
+            sum_n w_n a_n (s_n sigma sqrt(2/pi) + |mu|) (2 pi max(kx, ky))^2,
+
+        with a_n the basis amplitude, s_n the mode scale, sigma^2 the unit
+        kernel's pointwise variance and mu the kernel mean.  It is the mean
+        of sum_n |c_n(t)| a_n (2 pi max(kx, ky))^2, which bounds every second
+        derivative of H (E|c_n(t)| = w_n s_n sigma sqrt(2/pi) for mean 0;
+        with a mean, w_n |mu| bounds the mean's share).  Flows of smooth laws
+        take their RK4 step count from it (``hamflow.experiments.flow_steps``).
+        """
+        b = self.basis()
+        unit = replace(self.kernel, per_mode_scale=1.0, mean=0.0)
+        sigma = math.sqrt(temporal.kernel_value(unit, 0.0, 0.0))
+        k = TWO_PI * np.maximum(b.kx, b.ky)
+        return float(np.sum(self.weights() * b.amplitudes
+                            * (self.scales() * sigma * math.sqrt(2.0 / math.pi)
+                               + abs(self.kernel.mean)) * k**2))
 
 
 def make_law(regularity: float, spatial_max: int = 25, temporal_max: int = 10,
@@ -201,12 +247,13 @@ class SpectralHamiltonian:
         """Trapezoid-in-time integral of (lattice max - lattice min) of H_t."""
         if spatial_grid < 2 or time_grid < 2:
             raise ValueError("grids must be >= 2")
-        xs = np.arange(spatial_grid) / spatial_grid
+        # the lattice's rows are built once and serve both axes of every block
+        rows = self.engine.lattice_rows(np.arange(spatial_grid) / spatial_grid)
         times = np.linspace(0.0, 1.0, time_grid)
         grids = self.coefficient_grids(times)
         spread = np.empty(time_grid)
         for start in range(0, time_grid, _OSC_BLOCK):
-            h = self.engine.value_grid(grids[start:start + _OSC_BLOCK], xs, xs)
+            h = self.engine.value_grid(grids[start:start + _OSC_BLOCK], rows, rows)
             spread[start:start + _OSC_BLOCK] = h.max(axis=(1, 2)) - h.min(axis=(1, 2))
         return float(np.trapezoid(spread, times))
 

@@ -44,8 +44,9 @@ _BLOCK_STEPS = 10
 class FlowSettings:
     """Fixed-step integration and curve refinement parameters.
 
-    ``steps`` is per unit time; stiff concatenated Hamiltonians scale it by
-    their part count internally.
+    ``steps`` is per unit time, taken exactly; stiff concatenated
+    Hamiltonians scale it by their part count internally.  The CLI
+    experiments choose it per law (``experiments.flow_steps``).
     """
 
     steps: int = 200

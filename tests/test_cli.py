@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from hamflow import cli
+from hamflow.config import parse_config
 from hamflow.experiments import CHUNK
 
 TINY = """\
@@ -61,6 +62,27 @@ def test_command_writes_outputs(tmp_path, command):
     assert rc == 0
     for name in OUTPUTS[command] + ("config.txt",):
         assert (out / name).stat().st_size > 0, name
+
+
+@pytest.mark.parametrize("command", ["flow", "intersections", "diffusion", "inversion"])
+def test_config_echo_names_the_step_counts(tmp_path, command):
+    # regularity 8 takes 2 of at most 50 steps, and 4.5 takes 40
+    rc, out = run(tmp_path, command, TINY.replace("regularity = 8.0", "regularity = 8, 4.5"))
+    assert rc == 0
+    text = (out / "config.txt").read_text()
+    lines = [line for line in text.splitlines() if line.startswith("# flow steps")]
+    expected = ["# flow steps at regularity 8: 2 of at most 50"]
+    if command == "intersections":  # the only one of these that flows every regularity
+        expected.append("# flow steps at regularity 4.5: 40 of at most 50")
+    assert lines == expected
+    cfg = parse_config(text, command=command)
+    assert cfg.regularity == (8.0, 4.5) and cfg.steps == 50
+
+
+def test_commands_without_flows_echo_no_step_counts(tmp_path):
+    rc, out = run(tmp_path, "sample-field", TINY)
+    assert rc == 0
+    assert "# flow steps" not in (out / "config.txt").read_text()
 
 
 def test_random_walk_rejects_explicit_periodic_kernel(tmp_path, capsys):

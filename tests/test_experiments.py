@@ -11,10 +11,12 @@ from scipy import stats
 
 from hamflow.config import ExperimentConfig
 from hamflow.errors import DegenerateOverlap, HamflowError, NonFinite, RefinementOverflow
-from hamflow.experiments import (CHUNK, _ball_points, _bin_counts, _diffusion_chunk,
-                                 _displacement_chunk, _intersection_chunk, _ks_two_sample,
-                                 _law_for, _run_chunks, count_crossings, paper_lagrangians,
-                                 run_intersections, run_inversion_test, worker_count)
+from hamflow.engine import SpectralEngine
+from hamflow.experiments import (CHUNK, _advected_chunk, _ball_points, _bin_counts,
+                                 _diffusion_chunk, _displacement_chunk, _intersection_chunk,
+                                 _ks_two_sample, _law_for, _run_chunks, count_crossings,
+                                 flow_steps, paper_lagrangians, run_intersections,
+                                 run_inversion_test, worker_count)
 from hamflow.field import PackedBatch, RandomHamiltonian, make_law, sample_hamiltonian
 from hamflow.flow import (FlowSettings, LagrangianCurve, advect_curve, advect_curves,
                           circle_curve, flow_points, flow_points_through, horizontal_circle,
@@ -201,11 +203,17 @@ def intersections_config(**changes):
     return ExperimentConfig(**values)
 
 
+def law_settings(cfg, law):
+    """The flow settings of ``cfg`` at the law's step count."""
+    return FlowSettings(steps=flow_steps(law, cfg.steps),
+                        refinement_threshold=cfg.refinement_threshold,
+                        max_refinement_depth=cfg.max_refinement_depth)
+
+
 def per_draw_outcomes(cfg, r_index=0):
     """The outcomes of the one-sample-at-a-time loop: counts or (index, error text)."""
     law = _law_for(cfg, cfg.regularity[r_index])
-    settings = FlowSettings(steps=cfg.steps, refinement_threshold=cfg.refinement_threshold,
-                            max_refinement_depth=cfg.max_refinement_depth)
+    settings = law_settings(cfg, law)
     catalog = paper_lagrangians()
     outcomes = []
     for i in range(cfg.samples):
@@ -250,34 +258,139 @@ class TestIntersectionChunks:
             assert row.estimate == float(values.mean())
             assert row.samples == cfg.samples
 
+    def test_smooth_law_advects_at_its_step_count(self):
+        # regularity 6 takes 9 of at most 50 steps
+        cfg = intersections_config(regularity=(6.0,), max_refinement_depth=6, samples=4)
+        law = _law_for(cfg, 6.0)
+        assert flow_steps(law, cfg.steps) == 9
+        settings = law_settings(cfg, law)
+        for i, image in enumerate(_advected_chunk((cfg, 0, 0, cfg.samples))):
+            draw = sample_hamiltonian(law, derive(cfg.seed, 0, i))
+            expected = advect_curve(draw, horizontal_circle(0.5, cfg.curve_vertices), 1.0,
+                                    settings)
+            assert np.array_equal(image.vertices, expected.vertices)
+
+
+def check_diffusion_chunk(regularity, steps):
+    cfg = ExperimentConfig(command="diffusion", regularity=(regularity,), spatial_max=5,
+                           steps=40, points=12, samples=5, seed=2)
+    law = _law_for(cfg, regularity)
+    assert flow_steps(law, cfg.steps) == steps
+    settings = FlowSettings(steps=steps)
+    results = _diffusion_chunk((cfg, 0, 1, 5))
+    for (counts, chi), i in zip(results, range(1, 5)):
+        # the draw first, then the ball points, from one stream
+        rng = derive(cfg.seed, 0, i)
+        draw = sample_hamiltonian(law, rng)
+        pts = _ball_points(rng, cfg.ball_center, cfg.ball_radius, cfg.points)
+        states = flow_points_through(draw, pts, cfg.times, settings)
+        assert np.array_equal(counts, np.stack([_bin_counts(s, cfg.grid) for s in states]))
+        assert chi.shape == (len(cfg.times),)
+
+
+def check_displacement_chunk(regularity, steps):
+    cfg = ExperimentConfig(command="inversion", regularity=(regularity,), spatial_max=5,
+                           steps=40, samples=4, seed=2)
+    law = _law_for(cfg, regularity)
+    assert flow_steps(law, cfg.steps) == steps
+    settings = FlowSettings(steps=steps)
+    probe = np.asarray(cfg.probe)
+    for i, pair in zip(range(1, 4), _displacement_chunk((cfg, 0, 1, 4))):
+        for branch, (t0, t1) in enumerate(((0.0, 1.0), (1.0, 0.0))):
+            draw = sample_hamiltonian(law, derive(cfg.seed, branch, i))
+            image = flow_points(draw, probe[None], t0, t1, settings)[0]
+            d = (image - probe + 0.5) % 1.0 - 0.5
+            assert pair[branch] == np.hypot(d[0], d[1])
+
 
 class TestBatchedChunks:
+    """Regularity 3 keeps the cap of 40 steps; regularity 5 takes 24."""
+
     def test_diffusion_chunk_matches_per_draw_flows(self):
-        cfg = ExperimentConfig(command="diffusion", regularity=(3.0,), spatial_max=5, steps=40,
-                               points=12, samples=5, seed=2)
-        law = _law_for(cfg, 3.0)
-        settings = FlowSettings(steps=40)
-        results = _diffusion_chunk((cfg, 0, 1, 5))
-        for (counts, chi), i in zip(results, range(1, 5)):
-            # the draw first, then the ball points, from one stream
-            rng = derive(cfg.seed, 0, i)
-            draw = sample_hamiltonian(law, rng)
-            pts = _ball_points(rng, cfg.ball_center, cfg.ball_radius, cfg.points)
-            states = flow_points_through(draw, pts, cfg.times, settings)
-            assert np.array_equal(counts, np.stack([_bin_counts(s, cfg.grid) for s in states]))
-            assert chi.shape == (len(cfg.times),)
+        check_diffusion_chunk(3.0, 40)
 
     def test_displacement_chunk_matches_per_draw_flows(self):
-        cfg = ExperimentConfig(command="inversion", regularity=(3.0,), spatial_max=5, steps=40,
-                               samples=4, seed=2)
-        law = _law_for(cfg, 3.0)
-        probe = np.asarray(cfg.probe)
-        for i, pair in zip(range(1, 4), _displacement_chunk((cfg, 0, 1, 4))):
-            for branch, (t0, t1) in enumerate(((0.0, 1.0), (1.0, 0.0))):
-                draw = sample_hamiltonian(law, derive(cfg.seed, branch, i))
-                image = flow_points(draw, probe[None], t0, t1, FlowSettings(steps=40))[0]
-                d = (image - probe + 0.5) % 1.0 - 0.5
-                assert pair[branch] == np.hypot(d[0], d[1])
+        check_displacement_chunk(3.0, 40)
+
+    def test_smooth_diffusion_chunk_flows_at_its_step_count(self):
+        check_diffusion_chunk(5.0, 24)
+
+    def test_smooth_displacement_chunk_flows_at_its_step_count(self):
+        check_displacement_chunk(5.0, 24)
+
+
+# ---------------------------------------------------------------------------
+# RK4 step counts from the law (flow_steps)
+# ---------------------------------------------------------------------------
+
+def frequency_law(r, **kwargs):
+    return make_law(r / (4 * math.pi**2), **kwargs)
+
+
+# (kernel, regularity in frequency units, spatial_max, temporal_max, axis modes)
+RULE_LAWS = ([(kernel, r, 25, 10, False) for kernel in ("periodic", "constant")
+              for r in (3, 3.5, 4, 4.5, 5, 6, 8)]
+             + [("periodic", r, 25, 20, False) for r in (6, 8)]
+             + [("periodic", 5, 10, 10, True), ("periodic", 8, 25, 10, True)])
+
+
+@pytest.mark.parametrize("kernel,r,spatial_max,temporal_max,axis_modes", RULE_LAWS)
+def test_step_count_error_within_the_200_step_error(kernel, r, spatial_max, temporal_max,
+                                                    axis_modes):
+    """The law's count errs by at most max(1.5e-6, the 200-step error), both
+    against a 1,600-step flow, over 8 draws x 16 points."""
+    law = frequency_law(r, spatial_max=spatial_max, temporal_max=temporal_max, kernel=kernel,
+                        include_axis_modes=axis_modes)
+    batch = PackedBatch(draws(8, seed=17, law=law))
+    pts = np.broadcast_to(derive(17, 1, 0).uniform(0.0, 1.0, (16, 2)), (8, 16, 2))
+
+    def error(steps):
+        return np.abs(flow_points(batch, pts, 0.0, 1.0, FlowSettings(steps=steps))
+                      - reference).max()
+
+    reference = flow_points(batch, pts, 0.0, 1.0, FlowSettings(steps=1600))
+    err = error(flow_steps(law, 200))
+    assert err <= 1.5e-6 or err <= error(200), err
+
+
+def test_periodic_law_at_regularity_three_keeps_200_steps():
+    law = frequency_law(3.0, spatial_max=25, temporal_max=10)
+    assert flow_steps(law, 200) == 200
+    assert flow_steps(law, 50) == 50
+
+
+def test_config_laws_step_counts():
+    """Counts of the config's laws (frequency units, CLI defaults otherwise);
+    the command defaults, regularity 0.1 and diffusion's 0.08, stay at the cap."""
+    counts = {r: flow_steps(_law_for(ExperimentConfig(regularity=(r,)), r), 200)
+              for r in (0.08, 0.1, 2.0, 3.0, 3.16, 3.5, 4.0, 4.5, 5.0, 6.0, 8.0)}
+    assert counts == {0.08: 200, 0.1: 200, 2.0: 200, 3.0: 200, 3.16: 167, 3.5: 115,
+                      4.0: 67, 4.5: 40, 5.0: 24, 6.0: 9, 8.0: 2}
+
+
+@pytest.mark.parametrize("r", [3.0, 8.0])
+def test_sqexp_laws_keep_the_configured_steps(r):
+    law = frequency_law(r, kernel="sqexp")
+    assert flow_steps(law, 200) == 200
+    assert flow_steps(law, 37) == 37
+
+
+def test_flow_points_takes_exactly_the_requested_steps(monkeypatch):
+    calls = []
+    original = SpectralEngine.vector_field
+
+    def counted(self, fields, pts):
+        calls.append(1)
+        return original(self, fields, pts)
+
+    monkeypatch.setattr(SpectralEngine, "vector_field", counted)
+    law = frequency_law(8.0, spatial_max=4, temporal_max=3)
+    assert flow_steps(law, 200) < 200
+    for steps in (3, 200):
+        calls.clear()
+        flow_points(draws(2, law=law), np.full((2, 5, 2), 0.4), 0.0, 1.0,
+                    FlowSettings(steps=steps))
+        assert len(calls) == 4 * steps
 
 
 def _bounds(args):

@@ -229,6 +229,20 @@ class TestOscillation:
         shifted = np.trapezoid(spread, times)
         assert shifted == pytest.approx(base, abs=1e-12)
 
+    def test_builds_the_lattice_rows_once(self, monkeypatch):
+        h = sample_hamiltonian(make_law(0.08, spatial_max=3, temporal_max=4), derive(14))
+        xs = np.arange(48) / 48
+        times = np.linspace(0, 1, 31)
+        grids = h.coefficient_grids(times)
+        spread = [h.engine.value_grid(grids[start:start + 8], xs, xs) for start in range(0, 31, 8)]
+        spread = np.concatenate([v.max(axis=(1, 2)) - v.min(axis=(1, 2)) for v in spread])
+        calls = []
+        tables = SpectralEngine._tables
+        monkeypatch.setattr(SpectralEngine, "_tables",
+                            lambda self, coords: calls.append(coords.shape) or tables(self, coords))
+        assert h.oscillation(48, 31) == float(np.trapezoid(spread, times))
+        assert calls == [(48,)]
+
     def test_weight_monotonicity_in_regularity(self):
         means = []
         for r in (0.04, 0.08, 0.14, 0.5, 1.0):
@@ -373,6 +387,16 @@ class TestBand:
         nested = h.engine.value_grid(grids.reshape((7, 1) + grids.shape[1:]), xs, ys)
         assert np.array_equal(nested[:, 0], batched)
 
+    def test_lattice_rows_stand_in_for_coordinates(self):
+        h = sample_hamiltonian(frequency_law(3, spatial_max=10, temporal_max=4), derive(3))
+        grids = h.coefficient_grids(np.linspace(0, 1, 7))
+        xs, ys = np.arange(20) / 20, np.arange(13) / 13
+        rx, ry = h.engine.lattice_rows(xs), h.engine.lattice_rows(ys)
+        assert rx.shape == (20, 2 * (h.engine.band + 1))
+        expected = h.engine.value_grid(grids, xs, ys)
+        assert np.array_equal(h.engine.value_grid(grids, rx, ry), expected)
+        assert np.array_equal(h.engine.value_grid(grids, xs, ry), expected)
+
     @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT])
     def test_law_with_underflowing_weights_evaluates(self, kernel):
         law = make_law(1e4, spatial_max=6, temporal_max=3, kernel=kernel)
@@ -412,3 +436,59 @@ class TestLawValidation:
         h0 = sample_hamiltonian(base, derive(0))
         p = TorusPoint(0.3, 0.4)
         assert h.analytic_variance(0.5, p) == pytest.approx(4 * h0.analytic_variance(0.5, p))
+
+
+class TestPerLawQuantities:
+    """Band, weights, scales and the Lipschitz bound are computed once per law."""
+
+    def test_weights_computed_once_and_shared_by_draws(self, monkeypatch):
+        import hamflow.field as field_module
+        calls = []
+        weight = field_module.spectral_weight
+        monkeypatch.setattr(field_module, "spectral_weight",
+                            lambda *args: calls.append(1) or weight(*args))
+        law = frequency_law(3, spatial_max=6, temporal_max=3)
+        hs = [sample_hamiltonian(law, derive(0, i)) for i in range(3)]
+        assert len(calls) == 1
+        assert all(h.weights is law.weights() for h in hs)
+        assert law.band() == hs[0].engine.band
+        for array in (law.weights(), law.scales()):
+            assert not array.flags.writeable
+
+    def test_draws_equal_those_of_a_fresh_law(self):
+        law = frequency_law(3, spatial_max=6, temporal_max=3, kernel_mean=0.2)
+        law.lipschitz_bound()
+        for i in range(3):
+            fresh = frequency_law(3, spatial_max=6, temporal_max=3, kernel_mean=0.2)
+            a = sample_hamiltonian(law, derive(5, i))
+            b = sample_hamiltonian(fresh, derive(5, i))
+            assert np.array_equal(a.coefficients, b.coefficients)
+            assert a.engine is b.engine
+
+    def test_cache_leaves_equality_and_hash(self):
+        law = frequency_law(3, spatial_max=6)
+        law.band(), law.weights(), law.lipschitz_bound()
+        fresh = frequency_law(3, spatial_max=6)
+        assert law == fresh and hash(law) == hash(fresh)
+        assert law != frequency_law(3.5, spatial_max=6)
+
+    @staticmethod
+    def spectral_bounds(law, count, t):
+        """sum_n |c_n(t)| a_n (2 pi max(kx, ky))^2 of ``count`` draws."""
+        b = law.basis()
+        factor = b.amplitudes * (2 * math.pi * np.maximum(b.kx, b.ky)) ** 2
+        return np.array([np.abs(sample_hamiltonian(law, derive(8, i)).mode_coefficients(t))
+                         @ factor for i in range(count)])
+
+    @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT])
+    def test_lipschitz_bound_is_the_mean_spectral_bound(self, kernel):
+        law = frequency_law(2, spatial_max=4, temporal_max=3, kernel=kernel, amplitude=1.5)
+        bounds = self.spectral_bounds(law, 2000, 0.3)
+        se = bounds.std(ddof=1) / math.sqrt(len(bounds))
+        assert abs(bounds.mean() - law.lipschitz_bound()) < 4 * se
+
+    def test_lipschitz_bound_covers_a_kernel_mean(self):
+        law = frequency_law(2, spatial_max=4, temporal_max=3, kernel_mean=0.7)
+        centered = frequency_law(2, spatial_max=4, temporal_max=3)
+        assert law.lipschitz_bound() > centered.lipschitz_bound()
+        assert self.spectral_bounds(law, 2000, 0.3).mean() <= law.lipschitz_bound()
