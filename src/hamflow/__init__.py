@@ -6,7 +6,7 @@ the Monte Carlo experiment harness (diffusion, Lagrangian intersections,
 tail and invariance statistics).
 """
 
-from .basis import Mode, SpectralBasis, TorusPoint, Truncation, build_basis, torus_distance
+from .basis import SpectralBasis, Truncation, torus_distance
 from .config import ExperimentConfig, parse_config, serialize_config
 from .errors import (DegenerateOverlap, FactorizationFailure, HamflowError, NonFinite,
                      NotAutonomous, OutOfRange, ParseError, RefinementOverflow,
@@ -17,13 +17,12 @@ from .flow import (BumpFunction, FlowSettings, LagrangianCurve, advect_curve, ad
                    circle_curve, concatenate_autonomous, flow_jacobian_determinant,
                    flow_points, flow_points_through, horizontal_circle, sloped_circle,
                    time_reversed_hamiltonian, vertical_circle)
-from .rkhs import (CoefficientTable, coefficient_expansion, reconstruct_value,
-                   rkhs_norm, weighted_coefficient_sum)
+from .rkhs import rkhs_norm, weighted_coefficient_sum
 from .rng import derive
 from .temporal import (CONSTANT, KernelKind, PERIODIC, SQEXP, coefficient_paths,
                        kernel_value)
-from .walk import (WalkState, apply_walk, apply_walk_points, induced_point_walk,
-                   induced_point_walks, sample_walk, walk_generating_hamiltonian)
+from .walk import (WalkState, apply_walk_points, induced_point_walks, sample_walk,
+                   walk_generating_hamiltonian)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

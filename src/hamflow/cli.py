@@ -19,7 +19,7 @@ import numpy as np
 from . import experiments, io, rkhs
 from .config import COMMANDS, ExperimentConfig, parse_config, serialize_config
 from .errors import HamflowError
-from .experiments import ResultRow, ResultTable
+from .experiments import ResultRow, ResultTable, standard_error
 from .field import sample_hamiltonian
 from .flow import BumpFunction
 from .rng import derive
@@ -70,24 +70,20 @@ def _outdir(cfg: ExperimentConfig, flowed: tuple = ()) -> Path:
     return out
 
 
-def _law(cfg: ExperimentConfig, r_index: int = 0):
-    return experiments._law_for(cfg, cfg.regularity[r_index])
-
-
 def _cmd_sample_field(cfg: ExperimentConfig) -> None:
     out = _outdir(cfg)
     rows = []
     records = []
     for r_index, regularity in enumerate(cfg.regularity):
         osc = experiments.oscillation_samples(cfg, r_index)
-        se = osc.std(ddof=1) / np.sqrt(len(osc)) if len(osc) > 1 else 0.0
-        rows.append(ResultRow("osc", regularity, float(osc.mean()), float(se), len(osc)))
+        rows.append(ResultRow("osc", regularity, float(osc.mean()), standard_error(osc), len(osc)))
         records.extend({"regularity": regularity, "sample": i, "osc": float(v)}
                        for i, v in enumerate(osc))
     io.write_table(ResultTable(rows=tuple(rows)), out / "field_osc.csv")
     io.write_records(records, out / "field_samples.jsonl")
     if cfg.plot:
-        draw = sample_hamiltonian(_law(cfg), derive(cfg.seed, 0, 0))
+        draw = sample_hamiltonian(experiments._law_for(cfg, cfg.regularity[0]),
+                                  derive(cfg.seed, 0, 0))
         io.render_field_svg(draw, cfg.field_time, out / "field.svg", cfg.arrow_grid)
     print(f"wrote {out / 'field_osc.csv'}")
 
@@ -134,7 +130,7 @@ def _cmd_diffusion(cfg: ExperimentConfig) -> None:
 
 def _cmd_random_walk(cfg: ExperimentConfig) -> None:
     out = _outdir(cfg)
-    records = [{"walk": w, "trajectory": [[p.x, p.y] for p in traj]}
+    records = [{"walk": w, "trajectory": traj.tolist()}
                for w, traj in enumerate(experiments.run_random_walks(cfg))]
     io.write_records(records, out / "walks.jsonl")
     print(f"wrote {out / 'walks.jsonl'} ({cfg.samples} walks x {cfg.walk_steps} steps)")
@@ -150,15 +146,14 @@ def _cmd_rkhs_norm(cfg: ExperimentConfig) -> None:
         sums = []
         for i in range(cfg.samples):
             draw = sample_hamiltonian(law, derive(cfg.seed, r_index, i))
-            table = rkhs.coefficient_expansion(draw)
-            norms.append(rkhs.rkhs_norm(table, law.regularity))
-            sums.append(rkhs.weighted_coefficient_sum(table, cfg.smoothing_eps))
+            norms.append(rkhs.rkhs_norm(draw, law.regularity))
+            sums.append(rkhs.weighted_coefficient_sum(draw, cfg.smoothing_eps))
             records.append({"regularity": regularity, "sample": i,
                             "rkhs_norm": norms[-1], "weighted_sum": sums[-1]})
         for label, vals in (("rkhs_norm", norms), ("weighted_sum", sums)):
             arr = np.asarray(vals)
-            se = arr.std(ddof=1) / np.sqrt(len(arr)) if len(arr) > 1 else 0.0
-            rows.append(ResultRow(label, regularity, float(arr.mean()), float(se), len(arr)))
+            rows.append(ResultRow(label, regularity, float(arr.mean()), standard_error(arr),
+                                  len(arr)))
     io.write_table(ResultTable(rows=tuple(rows)), out / "rkhs.csv")
     io.write_records(records, out / "rkhs_samples.jsonl")
     print(f"wrote {out / 'rkhs.csv'}")

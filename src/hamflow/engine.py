@@ -193,15 +193,3 @@ class SpectralEngine:
         """
         rx, ry = (c if np.ndim(c) == 2 else self.lattice_rows(c) for c in (xs, ys))
         return (rx @ self._square(grid)) @ ry.T
-
-    def mode_values(self, pts: np.ndarray) -> np.ndarray:
-        """e_n at each point for every mode of the basis: shape (P, N).
-
-        Used by diagnostics, not flows.
-        """
-        b = self.basis
-        ax = _TWO_PI * np.multiply.outer(pts[:, 0], b.kx.astype(float))
-        ay = _TWO_PI * np.multiply.outer(pts[:, 1], b.ky.astype(float))
-        fx = np.where(b.tx == 0, np.cos(ax), np.sin(ax))
-        fy = np.where(b.ty == 0, np.cos(ay), np.sin(ay))
-        return b.amplitudes * fx * fy

@@ -50,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import temporal
-from .basis import TorusPoint
 from .config import ExperimentConfig
 from .errors import DegenerateOverlap, HamflowError, ValidationError
 from .field import HamiltonianLaw, PackedBatch, make_law, sample_hamiltonian
@@ -229,6 +228,18 @@ class InversionResult:
 # Shared machinery
 # ---------------------------------------------------------------------------
 
+def standard_error(values) -> float:
+    """std(ddof=1) / sqrt(n) of ``values`` (0.0 below two), taken of the values
+    scaled by an exact power of two so that it stays finite (plain squares
+    overflow from about 1e154): bit for bit the plain formula wherever that
+    formula's squares stay in the normal range."""
+    values = np.asarray(values, dtype=float)
+    if len(values) < 2:
+        return 0.0
+    _, e = np.frexp(np.max(np.abs(values)))
+    return float(np.ldexp(np.ldexp(values, -e).std(ddof=1), e) / math.sqrt(len(values)))
+
+
 def _law_for(cfg: ExperimentConfig, regularity: float):
     return make_law(cfg.eigenvalue_regularity(regularity),
                     spatial_max=cfg.spatial_max,
@@ -346,10 +357,9 @@ def run_intersections(cfg: ExperimentConfig) -> ResultTable:
                 f"failed (budget 1%): {errors[:3]}")
         for label in cfg.lagrangians:
             values = np.array([c[label] for c in counts], dtype=float)
-            se = values.std(ddof=1) / math.sqrt(len(values)) if len(values) > 1 else 0.0
             rows.append(ResultRow(label=label, regularity=regularity,
                                   estimate=float(values.mean()),
-                                  standard_error=float(se),
+                                  standard_error=standard_error(values),
                                   samples=len(values)))
     return ResultTable(rows=tuple(rows), failures=tuple(failures))
 
@@ -473,9 +483,8 @@ def run_concentration(cfg: ExperimentConfig) -> ResultTable:
     rows = []
     for r_index, regularity in enumerate(cfg.regularity):
         osc = oscillation_samples(cfg, r_index)
-        se = osc.std(ddof=1) / math.sqrt(len(osc)) if len(osc) > 1 else 0.0
         rows.append(ResultRow(label="osc", regularity=regularity,
-                              estimate=float(osc.mean()), standard_error=float(se),
+                              estimate=float(osc.mean()), standard_error=standard_error(osc),
                               samples=len(osc)))
     return ResultTable(rows=tuple(rows))
 
@@ -564,7 +573,7 @@ def _walk_chunk(args) -> list:
     settings = _settings_for(cfg)
     walks = [sample_walk(law, cfg.walk_steps, walk_index=w, settings=settings)
              for w in range(start, stop)]
-    return induced_point_walks(walks, TorusPoint(*cfg.probe))
+    return list(induced_point_walks(walks, cfg.probe))
 
 
 def run_random_walks(cfg: ExperimentConfig) -> list:

@@ -18,7 +18,7 @@ from functools import lru_cache, wraps
 import numpy as np
 
 from . import temporal
-from .basis import TWO_PI, SpectralBasis, TorusPoint, Truncation, build_basis
+from .basis import TWO_PI, SpectralBasis, Truncation
 from .engine import SpectralEngine
 from .errors import Unsupported
 from .rng import derive
@@ -34,7 +34,7 @@ def spectral_weight(eigenvalue: float, regularity: float):
 
 @lru_cache(maxsize=16)
 def _basis_for(truncation: Truncation) -> SpectralBasis:
-    return build_basis(truncation)
+    return SpectralBasis(truncation)
 
 
 @lru_cache(maxsize=16)
@@ -105,7 +105,7 @@ class HamiltonianLaw:
     def band(self) -> int:
         """Largest wavenumber whose modes the law's weights can resolve.
 
-        Mode n contributes at most b_n = w_n s_n (1 + 2 pi max(kx, ky)) to
+        Each mode n contributes at most b_n = w_n s_n (1 + 2 pi max(kx, ky)) to
         H and its first derivatives, per unit of its Gaussian, with s_n the
         mode's scale plus |kernel mean|.  The band is the largest
         max(kx, ky) over modes with b_n >= eps^2 max b; it is computed from
@@ -187,9 +187,7 @@ def gaussian_dimension(law: HamiltonianLaw) -> int:
 
 
 def _as_points(p):
-    """Normalize a TorusPoint / pair / (P, 2) array to ((P, 2), scalar_flag)."""
-    if isinstance(p, TorusPoint):
-        return p.as_array()[None, :], True
+    """Normalize a pair / (P, 2) array to ((P, 2), scalar_flag)."""
     arr = np.asarray(p, dtype=float)
     if arr.ndim == 1:
         return arr[None, :], True
@@ -257,17 +255,6 @@ class SpectralHamiltonian:
             spread[start:start + _OSC_BLOCK] = h.max(axis=(1, 2)) - h.min(axis=(1, 2))
         return float(np.trapezoid(spread, times))
 
-    def spatial_mean(self, t: float, grid: int | None = None) -> float:
-        """Lattice quadrature of H(t, .).
-
-        The default lattice of 4 * band + 1 points per axis is exact for the
-        evaluated series, whose wavenumbers are at most the engine's band.
-        """
-        if grid is None:
-            grid = 4 * self.engine.band + 1
-        xs = np.arange(grid) / grid
-        return float(self.value_grid(t, xs, xs).mean())
-
 
 class RandomHamiltonian(SpectralHamiltonian):
     """One draw of the random field; immutable after construction.
@@ -296,14 +283,6 @@ class RandomHamiltonian(SpectralHamiltonian):
     def coefficients(self) -> np.ndarray:
         return self.weights * temporal.coefficient_matrix(self.law.kernel, self.gaussians,
                                                           self.law.scales())
-
-    def analytic_variance(self, t: float, p) -> float:
-        """Var[H(t, p)] over draws: sum_n w_n^2 kappa_n(t, t) e_n(p)^2."""
-        pts, _ = _as_points(p)
-        base_kind = replace(self.law.kernel, per_mode_scale=1.0, mean=0.0)
-        kappa = temporal.kernel_value(base_kind, float(t), float(t))
-        evals = self.engine.mode_values(pts)[0]
-        return float(np.sum(self.weights**2 * self.law.scales()**2 * kappa * evals**2))
 
 
 class PackedBatch:

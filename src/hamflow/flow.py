@@ -32,7 +32,6 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .basis import TorusPoint
 from .errors import HamflowError, NonFinite, NotAutonomous, RefinementOverflow, Unsupported
 from .field import PackedBatch, RandomHamiltonian, SpectralHamiltonian
 
@@ -435,14 +434,14 @@ def _flow_rows(flow, rows, pts, out):
     return rows, pts
 
 
-def flow_jacobian_determinant(fieldlike, p: TorusPoint, t: float = 1.0,
+def flow_jacobian_determinant(fieldlike, p, t: float = 1.0,
                               settings: FlowSettings = DEFAULT_SETTINGS,
                               fd_step: float = 1e-5) -> float:
-    """Central-difference determinant of the time-t flow differential at p
-    under one spectral Hamiltonian."""
+    """Central-difference determinant of the time-t flow differential at the
+    point p, a pair (x, y), under one spectral Hamiltonian."""
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
-    x, y = p.x, p.y
+    x, y = (float(c) for c in p)
     probes = np.array([[x + fd_step, y], [x - fd_step, y],
                        [x, y + fd_step], [x, y - fd_step]])
     # difference displacements, not positions: exact for the identity flow

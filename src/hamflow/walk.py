@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import temporal
-from .basis import TorusPoint
 from .errors import NotAutonomous
 from .field import HamiltonianLaw, sample_hamiltonian
 from .flow import (BumpFunction, DEFAULT_SETTINGS, FlowSettings, concatenate_autonomous,
@@ -62,35 +61,25 @@ def apply_walk_points(walk: WalkState, pts: np.ndarray) -> np.ndarray:
     return state
 
 
-def apply_walk(walk: WalkState, p: TorusPoint) -> TorusPoint:
-    out = apply_walk_points(walk, p.as_array()[None, :])[0]
-    return TorusPoint(out[0], out[1])
-
-
-def induced_point_walk(walk: WalkState, p: TorusPoint) -> list:
-    """Trajectory [p, step1(p), step2(step1(p)), ...] on the torus."""
-    return induced_point_walks([walk], p)[0]
-
-
-def induced_point_walks(walks, p: TorusPoint) -> list:
-    """The trajectories of ``induced_point_walk`` for several walks from p.
-
-    The walks must have equal lengths and settings and draw their steps
-    from one law; step j of every walk is one batched flow.
-    """
+def induced_point_walks(walks, p) -> np.ndarray:
+    """Trajectories [p, step1(p), step2(step1(p)), ...] of the pair p under
+    W walks of n steps, reduced mod 1: shape (W, n + 1, 2).  The flows start
+    from p mod 1 and carry unreduced lifts.  The walks must have equal
+    lengths and settings and draw their steps from one law; step j of every
+    walk is one batched flow."""
     walks = list(walks)
     if not walks:
-        return []
+        raise ValueError("need at least one walk")
     first = walks[0]
     if any(w.steps_taken != first.steps_taken or w.settings != first.settings for w in walks):
         raise ValueError("batched walks need equal lengths and settings")
-    trajectories = [[p] for _ in walks]
-    state = np.broadcast_to(p.as_array(), (len(walks), 1, 2))
+    traj = np.empty((len(walks), first.steps_taken + 1, 2))
+    traj[:, 0] = np.asarray(p, dtype=float) % 1.0
+    state = traj[:, :1]
     for j in range(first.steps_taken):
         state = flow_points([w.steps[j] for w in walks], state, 0.0, 1.0, first.settings)
-        for traj, (x, y) in zip(trajectories, state[:, 0]):
-            traj.append(TorusPoint(x, y))
-    return trajectories
+        traj[:, j + 1] = state[:, 0] % 1.0
+    return traj
 
 
 def walk_generating_hamiltonian(walk: WalkState, bump: BumpFunction):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hamflow.basis import Mode, TorusPoint, Truncation, build_basis, torus_distance
+from hamflow.basis import SpectralBasis, Truncation, torus_distance
+from reference import Mode, mode_index, mode_of, mode_values, reference_modes
 
 
 def quad_grid(n):
@@ -13,118 +14,141 @@ def quad_grid(n):
     return np.arange(n) / n
 
 
-class TestTorusPoint:
-    def test_reduction_mod_one(self):
-        p = TorusPoint(1.25, -0.25)
-        assert p.x == pytest.approx(0.25)
-        assert p.y == pytest.approx(0.75)
+AXIS_BASIS = SpectralBasis(Truncation(spatial_max=4, include_axis_modes=True))
 
+
+def evaluate(mode, x, y):
+    """Mode ``mode`` of the array basis at (x, y), checked against the
+    reference evaluation."""
+    value = mode_values(AXIS_BASIS, [[x, y]])[0, mode_index(AXIS_BASIS, mode)]
+    assert value == pytest.approx(mode.evaluate(x, y), abs=1e-14)
+    return value
+
+
+class TestTorusPoint:
     def test_distance_wraps(self):
-        assert TorusPoint(0.05, 0.5).distance(TorusPoint(0.95, 0.5)) == pytest.approx(0.1)
+        assert torus_distance([0.05, 0.5], [0.95, 0.5]) == pytest.approx(0.1)
         assert torus_distance([0.0, 0.0], [0.5, 0.5]) == pytest.approx(math.hypot(0.5, 0.5))
 
 
 class TestModeEnumeration:
     def test_default_truncation_mode_count(self):
         # 25*25 wavenumber pairs x 4 trig types, counted by enumeration
-        basis = build_basis(Truncation(spatial_max=25))
+        basis = SpectralBasis(Truncation(spatial_max=25))
         expected = sum(4 for kx in range(1, 26) for ky in range(1, 26))
         assert len(basis) == expected == 2500
 
     def test_smallest_truncation(self):
-        basis = build_basis(Truncation(spatial_max=1))
+        basis = SpectralBasis(Truncation(spatial_max=1))
         assert len(basis) == 4
-        assert all(m.eigenvalue == pytest.approx(8 * math.pi**2) for m in basis.modes)
+        assert np.all(basis.eigenvalues == pytest.approx(8 * math.pi**2))
 
     def test_axis_modes_enumeration(self):
-        basis = build_basis(Truncation(spatial_max=1, include_axis_modes=True))
+        basis = SpectralBasis(Truncation(spatial_max=1, include_axis_modes=True))
         # 4 from (1,1), 2 each from (1,0) and (0,1)
         assert len(basis) == 8
-        axis = [m for m in basis.modes if m.kx == 0 or m.ky == 0]
-        assert len(axis) == 4
-        assert all(m.amplitude == pytest.approx(math.sqrt(2)) for m in axis)
+        axis = (basis.kx == 0) | (basis.ky == 0)
+        assert axis.sum() == 4
+        assert np.all(basis.amplitudes[axis] == pytest.approx(math.sqrt(2)))
+        # no sine factor of a zero wavenumber, and no constant mode
+        assert not np.any((basis.kx == 0) & (basis.tx == 1))
+        assert not np.any((basis.ky == 0) & (basis.ty == 1))
+        assert np.all(basis.kx + basis.ky >= 1)
 
     def test_sorted_by_eigenvalue(self):
-        basis = build_basis(Truncation(spatial_max=5, include_axis_modes=True))
-        eigs = [m.eigenvalue for m in basis.modes]
-        assert eigs == sorted(eigs)
+        basis = SpectralBasis(Truncation(spatial_max=5, include_axis_modes=True))
+        assert np.all(np.diff(basis.eigenvalues) >= 0)
 
     def test_no_duplicates(self):
-        basis = build_basis(Truncation(spatial_max=6))
-        triples = {(m.kx, m.ky, m.trig) for m in basis.modes}
+        basis = SpectralBasis(Truncation(spatial_max=6))
+        triples = set(zip(basis.kx, basis.ky, basis.tx, basis.ty))
         assert len(triples) == len(basis)
 
-    def test_constant_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Mode(0, 0, "cc")
+    @pytest.mark.parametrize("axis_modes", [False, True])
+    @pytest.mark.parametrize("spatial_max", [1, 3, 25, 40])
+    def test_arrays_match_reference_enumeration(self, spatial_max, axis_modes):
+        trunc = Truncation(spatial_max=spatial_max, include_axis_modes=axis_modes)
+        basis = SpectralBasis(trunc)
+        modes = reference_modes(trunc)
+        assert [mode_of(basis, n) for n in range(len(basis))] == modes
+        expected = {"kx": [m.kx for m in modes], "ky": [m.ky for m in modes],
+                    "tx": [int(m.trig[0] == "s") for m in modes],
+                    "ty": [int(m.trig[1] == "s") for m in modes],
+                    "amplitudes": [m.amplitude for m in modes],
+                    "eigenvalues": [m.eigenvalue for m in modes]}
+        for name, values in expected.items():
+            array = getattr(basis, name)
+            assert array.dtype == (np.float64 if name in ("amplitudes", "eigenvalues") else np.intp)
+            assert array.tolist() == values, name
+            assert not array.flags.writeable
 
-    def test_sine_of_zero_wavenumber_rejected(self):
-        with pytest.raises(ValueError):
-            Mode(0, 3, "sc")
-        with pytest.raises(ValueError):
-            Mode(3, 0, "cs")
+    def test_bases_compare_by_truncation(self):
+        trunc = Truncation(spatial_max=3)
+        assert SpectralBasis(trunc) == SpectralBasis(trunc)
+        assert SpectralBasis(trunc) != SpectralBasis(Truncation(spatial_max=4))
 
 
 class TestEigenvalue:
+    def eigenvalue(self, mode):
+        return AXIS_BASIS.eigenvalues[mode_index(AXIS_BASIS, mode)]
+
     def test_axis_value(self):
-        assert Mode(1, 0, "cc").eigenvalue == pytest.approx(4 * math.pi**2)
+        assert self.eigenvalue(Mode(1, 0, "cc")) == pytest.approx(4 * math.pi**2)
 
     def test_diagonal_value(self):
-        assert Mode(1, 1, "cc").eigenvalue == pytest.approx(8 * math.pi**2)
+        assert self.eigenvalue(Mode(1, 1, "cc")) == pytest.approx(8 * math.pi**2)
 
     def test_three_four(self):
-        assert Mode(3, 4, "ss").eigenvalue == pytest.approx(100 * math.pi**2)
+        assert self.eigenvalue(Mode(3, 4, "ss")) == pytest.approx(100 * math.pi**2)
 
 
 class TestEvaluate:
     def test_coscos_at_origin(self):
-        assert Mode(1, 1, "cc").evaluate(TorusPoint(0, 0)) == pytest.approx(2.0)
+        assert evaluate(Mode(1, 1, "cc"), 0, 0) == pytest.approx(2.0)
 
     def test_sinsin_at_quarter(self):
-        assert Mode(1, 1, "ss").evaluate(TorusPoint(0.25, 0.25)) == pytest.approx(2.0)
+        assert evaluate(Mode(1, 1, "ss"), 0.25, 0.25) == pytest.approx(2.0)
 
     def test_coscos_zero_line(self):
         m = Mode(1, 1, "cc")
         for y in (0.0, 0.123, 0.77):
-            assert m.evaluate(TorusPoint(0.25, y)) == pytest.approx(0.0, abs=1e-12)
+            assert evaluate(m, 0.25, y) == pytest.approx(0.0, abs=1e-12)
 
     def test_axis_amplitude(self):
-        m = Mode(1, 0, "sc")
         # sqrt(2) sin(2 pi x) at x = 0.25
-        assert m.evaluate(TorusPoint(0.25, 0.9)) == pytest.approx(math.sqrt(2))
+        assert evaluate(Mode(1, 0, "sc"), 0.25, 0.9) == pytest.approx(math.sqrt(2))
 
 
 class TestBasisAnalysis:
     def test_orthonormality_by_quadrature(self):
         trunc = Truncation(spatial_max=3, include_axis_modes=True)
-        basis = build_basis(trunc)
+        basis = SpectralBasis(trunc)
         n = 4 * trunc.spatial_max + 1
         xs = quad_grid(n)
-        vals = np.empty((len(basis), n, n))
-        for i, m in enumerate(basis.modes):
-            vals[i] = [[m.evaluate(TorusPoint(x, y)) for y in xs] for x in xs]
-        gram = np.einsum("iab,jab->ij", vals, vals) / n**2
+        pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+        vals = mode_values(basis, pts)
+        gram = vals.T @ vals / n**2
         assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-10
 
     def test_modes_integrate_to_zero(self):
         trunc = Truncation(spatial_max=4, include_axis_modes=True)
-        basis = build_basis(trunc)
+        basis = SpectralBasis(trunc)
         n = 4 * trunc.spatial_max + 1
         xs = quad_grid(n)
-        for m in basis.modes:
-            total = sum(m.evaluate(TorusPoint(x, y)) for x in xs for y in xs) / n**2
-            assert abs(total) < 1e-12
+        pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+        assert np.all(np.abs(mode_values(basis, pts).mean(axis=0)) < 1e-12)
 
     def test_laplace_eigenrelation(self):
         rng = np.random.default_rng(7)
         h = 1e-4
         for mode in [Mode(1, 2, "cs"), Mode(3, 1, "ss"), Mode(2, 2, "cc")]:
+            n = mode_index(AXIS_BASIS, mode)
+            lam = AXIS_BASIS.eigenvalues[n]
             for _ in range(20):
                 x, y = rng.uniform(0, 1, 2)
-                f = mode.evaluate(TorusPoint(x, y))
+                f, east, west, north, south = mode_values(
+                    AXIS_BASIS, [[x, y], [x + h, y], [x - h, y], [x, y + h], [x, y - h]])[:, n]
                 if abs(f) < 0.1:
                     continue
-                lap = (mode.evaluate(TorusPoint(x + h, y)) + mode.evaluate(TorusPoint(x - h, y))
-                       + mode.evaluate(TorusPoint(x, y + h)) + mode.evaluate(TorusPoint(x, y - h))
-                       - 4 * f) / h**2
-                assert abs(lap + mode.eigenvalue * f) / abs(mode.eigenvalue * f) < 1e-3
+                lap = (east + west + north + south - 4 * f) / h**2
+                assert abs(lap + lam * f) / abs(lam * f) < 1e-3

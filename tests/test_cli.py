@@ -103,6 +103,16 @@ def test_rkhs_norm_finite_at_high_regularity(tmp_path):
     assert all(math.isfinite(r["rkhs_norm"]) and r["rkhs_norm"] > 0 for r in records)
 
 
+def test_rkhs_norm_table_finite_where_weighted_sums_are_huge(tmp_path):
+    # at regularity 0.1 and spatial_max 25 the weighted sums reach about 1e187
+    rc, out = run(tmp_path, "rkhs-norm", "samples = 4\nworkers = 1\n")
+    assert rc == 0
+    rows = (out / "rkhs.csv").read_text().splitlines()[1:]
+    sums = [row.split(",") for row in rows if row.startswith("weighted_sum,")]
+    assert len(sums) == 1 and abs(float(sums[0][2])) > 1e150
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[1:])
+
+
 # 2 * CHUNK + 3 samples leave a partial last chunk; 5 samples are one chunk
 # on one worker and chunks of 3 and 2 on two
 PARTIAL = 2 * CHUNK + 3

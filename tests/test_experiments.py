@@ -1,5 +1,6 @@
 """Tests for the experiment runner, batched curve advection, crossing counts
-and the inversion KS test (against scipy, which the tests alone use)."""
+and the inversion KS test (against scipy, which the tests alone use; the
+tests that compare with it skip where scipy is not installed)."""
 
 import math
 import os
@@ -7,7 +8,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from hamflow.config import ExperimentConfig
 from hamflow.errors import DegenerateOverlap, HamflowError, NonFinite, RefinementOverflow
@@ -16,7 +16,7 @@ from hamflow.experiments import (CHUNK, _advected_chunk, _ball_points, _bin_coun
                                  _diffusion_chunk, _displacement_chunk, _intersection_chunk,
                                  _ks_two_sample, _law_for, _run_chunks, count_crossings,
                                  flow_steps, paper_lagrangians, run_intersections,
-                                 run_inversion_test, worker_count)
+                                 run_inversion_test, standard_error, worker_count)
 from hamflow.field import PackedBatch, RandomHamiltonian, make_law, sample_hamiltonian
 from hamflow.flow import (FlowSettings, LagrangianCurve, advect_curve, advect_curves,
                           circle_curve, flow_points, flow_points_through, horizontal_circle,
@@ -443,6 +443,30 @@ def test_chunk_results_do_not_depend_on_chunk_boundaries():
 
 
 # ---------------------------------------------------------------------------
+# Standard errors
+# ---------------------------------------------------------------------------
+
+def test_standard_error_is_the_plain_formula_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 17, 1000):
+        for scale in (1e-100, 1e-3, 1.0, 7.0, 1e100):
+            values = scale * rng.standard_normal(n)
+            assert standard_error(values) == values.std(ddof=1) / math.sqrt(n)
+    assert standard_error([3.0]) == 0.0
+    assert standard_error([]) == 0.0
+    assert standard_error([0.0, 0.0, 0.0]) == 0.0
+
+
+def test_standard_error_stays_finite_near_1e187():
+    # the weighted sums of rkhs-norm at its defaults; their plain squares overflow
+    values = np.array([7.1e186, -2.3e186, 9.8e186, 4.4e186])
+    with np.errstate(over="ignore"):
+        assert not math.isfinite(values.std(ddof=1))
+    expected = 1e186 * (values / 1e186).std(ddof=1) / 2.0
+    assert standard_error(values) == pytest.approx(expected, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
 # The inversion KS test against scipy.stats.ks_2samp
 # ---------------------------------------------------------------------------
 
@@ -464,7 +488,9 @@ def ks_cases():
 
 
 def scipy_ks(a, b, **kwargs):
-    """scipy's (statistic, p-value) and whether it left the exact method."""
+    """scipy's (statistic, p-value) and whether it left the exact method;
+    skips the calling test where scipy is not installed."""
+    stats = pytest.importorskip("scipy.stats")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ref = stats.ks_2samp(a, b, **kwargs)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hamflow.basis import Mode, TorusPoint, torus_distance
+from hamflow.basis import torus_distance
 from hamflow.engine import SpectralEngine
 from hamflow.errors import NotAutonomous, RefinementOverflow, Unsupported
 from hamflow.field import RandomHamiltonian, SpectralHamiltonian, make_law, sample_hamiltonian
@@ -15,6 +15,7 @@ from hamflow.flow import (BumpFunction, FlowSettings, LagrangianCurve, advect_cu
                           time_reversed_hamiltonian)
 from hamflow.rng import derive
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP
+from reference import Mode, mode_index
 
 # The analytic references: autonomous draws over the smallest basis with
 # axis modes, each of one mode or none.
@@ -23,10 +24,10 @@ ONE_MODE_LAW = make_law(0.1, spatial_max=1, kernel=CONSTANT, include_axis_modes=
 
 def one_mode_draw(mode=None, c=1 / (2 * np.pi)):
     """The draw c * e(x) / amplitude of ``mode``; the zero field without one."""
-    modes = ONE_MODE_LAW.basis().modes
-    gaussians = np.zeros((len(modes), 1))
+    basis = ONE_MODE_LAW.basis()
+    gaussians = np.zeros((len(basis), 1))
     if mode is not None:
-        n = modes.index(mode)
+        n = mode_index(basis, mode)
         gaussians[n, 0] = c / (mode.amplitude * ONE_MODE_LAW.weights()[n])
     return RandomHamiltonian(ONE_MODE_LAW, gaussians)
 
@@ -46,8 +47,8 @@ def shear_x():
 
 
 def image(h, p, t0=0.0, t1=1.0):
-    """The lift of p under the flow of h from t0 to t1."""
-    return flow_points(h, p.as_array()[None], t0, t1)[0]
+    """The lift of the point p, a pair, under the flow of h from t0 to t1."""
+    return flow_points(h, np.array([p], dtype=float), t0, t1)[0]
 
 
 def small_draw(seed, kernel=PERIODIC, r=0.15, smax=3, tm=3):
@@ -57,13 +58,13 @@ def small_draw(seed, kernel=PERIODIC, r=0.15, smax=3, tm=3):
 
 class TestPointIntegration:
     def test_zero_field_is_identity(self):
-        point = TorusPoint(*image(zero_field(), TorusPoint(0.3, 0.4)))
-        assert point.x == pytest.approx(0.3) and point.y == pytest.approx(0.4)
+        x, y = image(zero_field(), (0.3, 0.4)) % 1.0
+        assert x == pytest.approx(0.3) and y == pytest.approx(0.4)
 
     def test_shear_closed_form(self):
-        point = TorusPoint(*image(shear_y(), TorusPoint(0.3, 1 / 6)))
-        assert point.x == pytest.approx(0.8, abs=1e-10)
-        assert point.y == pytest.approx(1 / 6, abs=1e-12)
+        x, y = image(shear_y(), (0.3, 1 / 6)) % 1.0
+        assert x == pytest.approx(0.8, abs=1e-10)
+        assert y == pytest.approx(1 / 6, abs=1e-12)
 
     def test_forward_backward_round_trip(self):
         h = small_draw(41)
@@ -74,15 +75,15 @@ class TestPointIntegration:
         assert np.abs(back - pts).max() < 1e-8
 
     def test_backward_shear(self):
-        point = TorusPoint(*image(shear_y(), TorusPoint(0.8, 1 / 6), 1.0, 0.0))
-        assert point.x == pytest.approx(0.3, abs=1e-10)
+        x, _ = image(shear_y(), (0.8, 1 / 6), 1.0, 0.0) % 1.0
+        assert x == pytest.approx(0.3, abs=1e-10)
 
     def test_inverse_round_trip(self):
         h = small_draw(43)
-        p = TorusPoint(0.25, 0.65)
-        back = TorusPoint(*image(h, p, 1.0, 0.0))
-        again = TorusPoint(*image(h, back))
-        assert again.distance(p) < 1e-8
+        p = (0.25, 0.65)
+        back = image(h, p, 1.0, 0.0) % 1.0
+        again = image(h, back)
+        assert torus_distance(again, p) < 1e-8
 
     def test_convergence_is_fourth_order(self):
         h = small_draw(47)
@@ -95,9 +96,9 @@ class TestPointIntegration:
         assert err[100] / err[200] >= 8.0
 
     def test_lift_returned_unreduced(self):
-        lift = image(shear_y(3.0 / (2 * np.pi)), TorusPoint(0.3, 0.0))
+        lift = image(shear_y(3.0 / (2 * np.pi)), (0.3, 0.0))
         assert lift[0] == pytest.approx(0.3 - 3.0, abs=1e-9)
-        assert TorusPoint(*lift).x == pytest.approx(0.3, abs=1e-9)
+        assert lift[0] % 1.0 == pytest.approx(0.3, abs=1e-9)
 
 
 class TestEnergyAndArea:
@@ -111,16 +112,16 @@ class TestEnergyAndArea:
             assert np.abs(h.value(0.0, out) - base).max() < 1e-6
 
     def test_jacobian_zero_field(self):
-        assert flow_jacobian_determinant(zero_field(), TorusPoint(0.4, 0.3)) == 1.0
+        assert flow_jacobian_determinant(zero_field(), (0.4, 0.3)) == 1.0
 
     def test_jacobian_shear_exact(self):
-        det = flow_jacobian_determinant(shear_y(), TorusPoint(0.3, 0.22),
+        det = flow_jacobian_determinant(shear_y(), (0.3, 0.22),
                                         settings=FlowSettings(steps=400), fd_step=1e-5)
         assert det == pytest.approx(1.0, abs=1e-9)
 
     def test_jacobian_random_draw(self):
         h = small_draw(59, r=0.1, smax=5)
-        det = flow_jacobian_determinant(h, TorusPoint(0.37, 0.72),
+        det = flow_jacobian_determinant(h, (0.37, 0.72),
                                         settings=FlowSettings(steps=1000), fd_step=1e-5)
         assert det == pytest.approx(1.0, abs=1e-5)
 

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from hamflow.errors import OutOfRange
 from hamflow.rng import derive
@@ -164,6 +163,7 @@ class TestStatisticalProperties:
 
     @pytest.mark.parametrize("tag", [PERIODIC, CONSTANT])
     def test_time_reversal_symmetry(self, tag):
+        stats = pytest.importorskip("scipy.stats")
         k = kinds()[tag]
         n = 5000
         t = 0.2

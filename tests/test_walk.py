@@ -2,16 +2,15 @@
 
 import numpy as np
 import pytest
-from scipy import stats
 
-from hamflow.basis import TorusPoint
+from hamflow.basis import torus_distance
 from hamflow.errors import NotAutonomous
 from hamflow.field import make_law, sample_hamiltonian
 from hamflow.flow import BumpFunction, FlowSettings, flow_points
 from hamflow.rng import derive
 from hamflow.temporal import CONSTANT, PERIODIC
-from hamflow.walk import (apply_walk, apply_walk_points, induced_point_walk,
-                          induced_point_walks, sample_walk, walk_generating_hamiltonian)
+from hamflow.walk import (apply_walk_points, induced_point_walks, sample_walk,
+                          walk_generating_hamiltonian)
 
 
 def walk_law(seed=0, r=0.1, smax=3):
@@ -32,9 +31,9 @@ class TestSampling:
 
     def test_zero_step_walk_is_identity(self):
         walk = sample_walk(walk_law(), 0)
-        p = TorusPoint(0.2, 0.9)
-        assert apply_walk(walk, p) == p
-        assert induced_point_walk(walk, p) == [p]
+        p = np.array([[0.2, 0.9]])
+        assert np.array_equal(apply_walk_points(walk, p), p)
+        assert np.array_equal(induced_point_walks([walk], p[0]), p[None])
 
     def test_equal_seeds_identical_steps(self):
         w1 = sample_walk(walk_law(seed=5), 4)
@@ -49,6 +48,7 @@ class TestSampling:
 
     def test_single_step_law_matches_single_draw(self):
         # one-step walks displace like single autonomous draws
+        stats = pytest.importorskip("scipy.stats")
         law = walk_law(seed=9, r=0.15)
         p = np.array([0.31, 0.62])
         settings = FlowSettings(steps=100)
@@ -65,52 +65,54 @@ class TestApplication:
     def test_one_step_equals_direct_flow(self):
         law = walk_law(seed=11)
         walk = sample_walk(law, 1, settings=FlowSettings(steps=200))
-        p = TorusPoint(0.4, 0.3)
-        direct = flow_points(walk.steps[0], p.as_array()[None, :], 0.0, 1.0,
-                             walk.settings)[0]
-        out = apply_walk(walk, p)
-        assert out.distance(TorusPoint(direct[0], direct[1])) < 1e-14
+        p = np.array([[0.4, 0.3]])
+        direct = flow_points(walk.steps[0], p, 0.0, 1.0, walk.settings)[0]
+        out = apply_walk_points(walk, p)[0]
+        assert torus_distance(out, direct) < 1e-14
 
     def test_trajectory_prefix_property(self):
         law = walk_law(seed=13)
         walk = sample_walk(law, 4)
-        p = TorusPoint(0.7, 0.1)
-        traj = induced_point_walk(walk, p)
-        assert len(traj) == 5
-        assert traj[-1].distance(apply_walk(walk, p)) < 1e-12
+        p = (0.7, 0.1)
+        (traj,) = induced_point_walks([walk], p)
+        assert traj.shape == (5, 2)
+        assert np.all((traj >= 0.0) & (traj < 1.0))
+        assert torus_distance(traj[-1], apply_walk_points(walk, np.array([p]))[0]) < 1e-12
 
     def test_batch_matches_pointwise(self):
         law = walk_law(seed=17)
         walk = sample_walk(law, 3)
         pts = np.random.default_rng(0).uniform(0, 1, (7, 2))
         batch = apply_walk_points(walk, pts)
-        for i, (x, y) in enumerate(pts):
-            single = apply_walk(walk, TorusPoint(x, y))
-            assert single.distance(TorusPoint(batch[i, 0], batch[i, 1])) < 1e-12
+        for i in range(len(pts)):
+            single = apply_walk_points(walk, pts[i:i + 1])[0]
+            assert torus_distance(single, batch[i]) < 1e-12
 
     def test_batched_trajectories_match_per_walk_loop(self):
         law = walk_law(seed=31, r=0.3, smax=4)
         settings = FlowSettings(steps=100)
         walks = [sample_walk(law, 3, walk_index=w, settings=settings) for w in range(5)]
-        p = TorusPoint(0.45, 0.2)
+        p = (0.45, 0.2)
         batched = induced_point_walks(walks, p)
-        assert len(batched) == 5
+        assert batched.shape == (5, 4, 2)
         for walk, traj in zip(walks, batched):
-            state = p.as_array()[None, :]
-            expected = [p]
+            state = np.array([p])
+            expected = [state[0]]
             for h in walk.steps:
                 state = flow_points(h, state, 0.0, 1.0, settings)
-                expected.append(TorusPoint(state[0, 0], state[0, 1]))
-            assert len(traj) == 4
-            assert max(a.distance(b) for a, b in zip(traj, expected)) <= 1e-12
+                expected.append(state[0] % 1.0)
+            assert max(torus_distance(a, b) for a, b in zip(traj, expected)) <= 1e-12
 
     def test_batched_walks_need_equal_lengths(self):
         law = walk_law(seed=37)
         with pytest.raises(ValueError):
-            induced_point_walks([sample_walk(law, 2), sample_walk(law, 3)], TorusPoint(0, 0))
+            induced_point_walks([sample_walk(law, 2), sample_walk(law, 3)], (0.0, 0.0))
+        with pytest.raises(ValueError):
+            induced_point_walks([], (0.0, 0.0))
 
     def test_increment_displacements_identically_distributed(self):
         # step j of every walk flows in one batch
+        stats = pytest.importorskip("scipy.stats")
         law = walk_law(seed=19, r=0.2, smax=2)
         settings = FlowSettings(steps=100)
         n = 2000
@@ -144,6 +146,7 @@ class TestGeneratingHamiltonian:
 
     def test_coefficient_path_time_symmetric_in_law(self):
         # combined coefficient paths at t and 1-t are equal in law for iid steps
+        stats = pytest.importorskip("scipy.stats")
         law = walk_law(seed=29, r=0.3, smax=1)
         bump = BumpFunction()
         n = 2000
