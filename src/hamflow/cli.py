@@ -129,7 +129,7 @@ def _cmd_diffusion(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_random_walk(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg)
+    out = _outdir(cfg, cfg.regularity[:1])
     records = [{"walk": w, "trajectory": traj.tolist()}
                for w, traj in enumerate(experiments.run_random_walks(cfg))]
     io.write_records(records, out / "walks.jsonl")

@@ -25,10 +25,13 @@ grid
 ``vector_field`` takes w = r(x) @ F, splits it into two rows of 2*K1 and
 dots each with r(y).  A call at P points then costs one table build, one
 (P, 2*K1) @ (2*K1, 4*K1) product and one contraction.  F is built by
-``field_grids``, outside the call: F is linear in G, so a flow's batch
-(``field.PackedBatch``) turns each draw's packed coefficients into field
-grids once, and its RK4 stage grids are field grids, 2*K1 x 4*K1 entries
-per stage time and draw, twice the size of plain grids.
+``field_grids``, outside the call.  F is linear in G, so a flow's batch
+(``field.PackedBatch``) packs each draw straight to field grids as it is
+appended and keeps no plain grids; its RK4 stage grids, 2*K1 x 4*K1
+entries per stage time and draw (twice the size of plain grids), are one
+product of the time basis with each draw's packed field grids.  Plain
+grids serve values, gradients and lattices
+(``field.SpectralHamiltonian.coefficient_grids``).
 Pointwise evaluation carries a leading draw axis: S grids (S, 2, K1, 2*K1),
 or S field grids (S, 2, K1, 4*K1), are evaluated at S point sets (S, P, 2),
 set s under grid s, so the RK4 stages of many draws cost one call.  A

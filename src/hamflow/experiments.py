@@ -19,8 +19,8 @@ any row count: a property of the BLAS, not a numpy guarantee, which
 ``tests/test_experiments.py`` and ``tests/test_cli.py`` check.
 
 RK4 step counts.  The config's ``steps`` is the most RK4 steps per unit
-time.  ``flow``, ``intersections``, ``diffusion`` and ``inversion`` flow
-the draws of a law with periodic or constant kernel at
+time.  ``flow``, ``intersections``, ``diffusion``, ``inversion`` and
+``random-walk`` flow the draws of a law with periodic or constant kernel at
 
     n = min(steps, max(1, ceil(Lambda / THETA)))
 
@@ -35,9 +35,10 @@ every law tested (``tests/test_experiments.py``).  The count depends on
 the law alone, never on a chunk's draws, so outputs stay independent of
 the worker count.  ``sqexp`` laws keep ``steps``: their paths are
 piecewise linear in time, so Lambda does not govern the RK4 error.
-``random-walk`` keeps ``steps`` too.  Its step draws have a law, but a walk
-is also the flow of their concatenation (``walk.walk_generating_hamiltonian``),
-which has none and integrates at ``steps`` times its part count.
+A walk's steps are draws of a constant law and flow at its count.  The
+walk is also the time-1 flow of their concatenation
+(``walk.walk_generating_hamiltonian``), which has no law and integrates at
+``steps`` times its part count; the tests check that the two agree.
 """
 
 from __future__ import annotations
@@ -54,15 +55,16 @@ from .config import ExperimentConfig
 from .errors import DegenerateOverlap, HamflowError, ValidationError
 from .field import HamiltonianLaw, PackedBatch, make_law, sample_hamiltonian
 from .flow import (FlowSettings, LagrangianCurve, advect_curves, flow_points, flow_points_through,
-                   horizontal_circle)
+                   horizontal_circle, time_reversed_hamiltonian)
 from .rng import derive
 from .walk import induced_point_walks, sample_walk
 
 _LEVEL_TIE = 1e-12
 _OVERLAP_TOL = 1e-9
 # Consecutive sample indices per task: the task builds its law once, and the
-# draws of a chunk flow as one batch.  16 full-band draws hold 7.3 MB of packed
-# grids, and 14.5 MB of field grids both packed and per RK4 block of stages.
+# draws of a chunk flow as one batch (2 * CHUNK rows in an inversion chunk).
+# The tracemalloc peak of an inversion chunk at spatial_max 25 is 4.7 MB at
+# regularity 3 and 44.8 MB at the full band (regularity 0.1).
 CHUNK = 16
 # Lipschitz bound per RK4 step of the step-count rule (module docstring).
 THETA = 0.0716
@@ -496,23 +498,26 @@ def run_concentration(cfg: ExperimentConfig) -> ResultTable:
 def _displacement_chunk(args) -> list:
     """(forward, inverse) displacements of the probe for samples start..stop-1.
 
-    Sample i draws its forward Hamiltonian from stream (seed, 0, i), flowed
-    over [0, 1], and its inverse one from (seed, 1, i), flowed back from 1
-    to 0; each branch of the chunk runs through one batched RK4 loop.
+    Sample i draws its forward Hamiltonian from stream (seed, 0, i) and its
+    inverse one from (seed, 1, i).  The inverse branch flows the inverse
+    draw back from 1 to 0, which is the forward flow of its time reversal
+    (``time_reversed_hamiltonian``).  The reversal keeps the draw's time
+    basis, so the chunk packs its n forward draws and the n reversals into
+    one batch of 2n rows and flows them from 0 to 1 in one RK4 loop.
     """
     cfg, _, start, stop = args
     law = _law_for(cfg, cfg.regularity[0])
-    settings = _settings_for(cfg, law)
-    probe = np.asarray(cfg.probe, dtype=float)
-    pts = np.broadcast_to(probe, (stop - start, 1, 2))
-    branches = []
-    for branch, (t0, t1) in enumerate(((0.0, 1.0), (1.0, 0.0))):
-        batch = PackedBatch()
+    batch = PackedBatch()
+    for branch in (0, 1):
         for i in range(start, stop):
-            batch.append(sample_hamiltonian(law, derive(cfg.seed, branch, i)))
-        d = (flow_points(batch, pts, t0, t1, settings)[:, 0] - probe + 0.5) % 1.0 - 0.5
-        branches.append(np.hypot(d[:, 0], d[:, 1]))
-    return list(zip(*branches))
+            draw = sample_hamiltonian(law, derive(cfg.seed, branch, i))
+            batch.append(time_reversed_hamiltonian(draw) if branch else draw)
+    probe = np.asarray(cfg.probe, dtype=float)
+    images = flow_points(batch, np.broadcast_to(probe, (len(batch), 1, 2)), 0.0, 1.0,
+                         _settings_for(cfg, law))
+    d = (images[:, 0] - probe + 0.5) % 1.0 - 0.5
+    dist = np.hypot(d[:, 0], d[:, 1])
+    return list(zip(dist[:stop - start], dist[stop - start:]))
 
 
 def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -570,7 +575,7 @@ def _walk_chunk(args) -> list:
     chunk is one batched flow (``induced_point_walks``)."""
     cfg, _, start, stop = args
     law = _law_for(cfg, cfg.regularity[0])
-    settings = _settings_for(cfg)
+    settings = _settings_for(cfg, law)
     walks = [sample_walk(law, cfg.walk_steps, walk_index=w, settings=settings)
              for w in range(start, stop)]
     return list(induced_point_walks(walks, cfg.probe))

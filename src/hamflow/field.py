@@ -214,8 +214,12 @@ class SpectralHamiltonian:
         return out[0] if np.ndim(times) == 0 else out
 
     def coefficient_grids(self, times) -> np.ndarray:
-        """Packed evaluation grids at the given times (see SpectralEngine)."""
-        grids = PackedBatch([self]).grids(times)[:, 0]
+        """Packed evaluation grids at the given times (see SpectralEngine):
+        B is packed once, by ``engine.grids``, and the grids at T times are
+        the one product Phi(times) @ packed."""
+        packed = self.engine.grids(self.coefficients)
+        grids = self.time_basis(times) @ packed.reshape(len(packed), -1)
+        grids = grids.reshape(grids.shape[:1] + packed.shape[1:])
         return grids[0] if np.ndim(times) == 0 else grids
 
     # -- pointwise evaluation --------------------------------------------------
@@ -288,14 +292,14 @@ class RandomHamiltonian(SpectralHamiltonian):
 class PackedBatch:
     """S spectral Hamiltonians sharing one engine and one time basis, packed once.
 
-    ``append`` packs a Hamiltonian's coefficient matrix by ``engine.grids``,
-    which flushes subnormals, into one (m, 2, K1, 2*K1) row; the batch keeps
-    the row, not the Hamiltonian, so a caller can pack draws as it samples
-    them and let each go.  The grids of all S at T times are one product
-    Phi(times) @ packed per row.  Field grids are linear in the grid too, so
-    the batch turns its packed rows into field grids once, on first use, and
-    the field grids at T times are one product as well.  ``rows`` takes a
-    sub-batch without packing again.
+    ``append`` packs a Hamiltonian's coefficient matrix straight to field
+    grids: ``engine.grids``, which flushes subnormals, then
+    ``engine.field_grids``, into one (m, 2, K1, 4*K1) row.  The batch keeps
+    that row only, not the Hamiltonian or its plain grids, so a caller can
+    pack draws as it samples them and let each go.  Field grids are linear
+    in the coefficients, so the field grids of all S at T times are one
+    product Phi(times) @ row per row, written into one preallocated block.
+    ``rows`` takes a sub-batch of the same row arrays without packing again.
     """
 
     def __init__(self, hamiltonians=()):
@@ -303,8 +307,6 @@ class PackedBatch:
         self.time_basis = None
         self.stiffness = 1
         self._rows = []
-        self._packed = None
-        self._fields = None
         for h in hamiltonians:
             self.append(h)
 
@@ -317,12 +319,11 @@ class PackedBatch:
             self.engine, self.time_basis, self.stiffness = h.engine, h.time_basis, h.stiffness
         elif h.engine is not self.engine or h.time_basis != self.time_basis:
             raise ValueError("a batch needs one engine and one time basis")
-        self._rows.append(self.engine.grids(h.coefficients))
-        self._packed = self._fields = None
+        self._rows.append(self.engine.field_grids(self.engine.grids(h.coefficients)))
 
     def rows(self, indices) -> PackedBatch:
         """The batch of the given rows, in the given order; the batch itself
-        if that is all of its rows in order, so no row is held twice."""
+        if that is all of its rows in order."""
         indices = list(indices)
         if indices == list(range(len(self))):
             return self
@@ -331,24 +332,16 @@ class PackedBatch:
         sub._rows = [self._rows[i] for i in indices]
         return sub
 
-    def grids(self, times) -> np.ndarray:
-        """Grids (T, S, 2, K1, 2*K1) at a scalar or (T,) array of times."""
-        if self._packed is None:
-            self._packed = np.stack(self._rows)
-            self._rows = list(self._packed)  # views: each row is held once
-        return self._at(times, self._packed)
-
     def field_grids(self, times) -> np.ndarray:
         """Field grids (T, S, 2, K1, 4*K1) at a scalar or (T,) array of times
         (``SpectralEngine.field_grids``)."""
-        if self._fields is None:
-            self._fields = self.engine.field_grids(np.stack(self._rows))
-        return self._at(times, self._fields)
-
-    def _at(self, times, packed) -> np.ndarray:
-        s, m = packed.shape[:2]
-        out = self.time_basis(times) @ packed.reshape(s, m, -1)
-        return np.moveaxis(out, 1, 0).reshape((out.shape[1], s) + packed.shape[2:])
+        phi = self.time_basis(times)
+        k1 = self.engine.band + 1
+        out = np.empty((len(phi), len(self), 2, k1, 4 * k1))
+        flat = out.reshape(len(phi), len(self), -1)
+        for s, row in enumerate(self._rows):
+            np.matmul(phi, row.reshape(len(row), -1), out=flat[:, s])
+        return out
 
 
 def sample_hamiltonian(law: HamiltonianLaw, rng: np.random.Generator | None = None) -> RandomHamiltonian:

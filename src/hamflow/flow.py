@@ -19,8 +19,9 @@ is built with.
 
 Group operations return new spectral Hamiltonians:
 
-* ``time_reversed_hamiltonian(f)``   -- pure reindexing; its time-1 flow
-  inverts f's time-1 flow;
+* ``time_reversed_hamiltonian(f)``   -- c(t) -> -c(1 - t); its time-1 flow
+  inverts f's.  Time reversal is a signed permutation R in f's own time
+  basis (B -> -R @ B), so reversals batch with forward draws of one law;
 * ``concatenate_autonomous(parts, bump)`` -- one time-dependent Hamiltonian
   running each autonomous draw in order within [0, 1].
 """
@@ -35,8 +36,8 @@ import numpy as np
 from .errors import HamflowError, NonFinite, NotAutonomous, RefinementOverflow, Unsupported
 from .field import PackedBatch, RandomHamiltonian, SpectralHamiltonian
 
-# RK4 steps whose stage grids are built in one product.
-_BLOCK_STEPS = 10
+# RK4 steps whose stage grids one block holds.
+_BLOCK_STEPS = 5
 
 
 @dataclass(frozen=True)
@@ -77,10 +78,11 @@ def _n_steps(settings: FlowSettings, stiffness: int, span: float) -> int:
 def _rk4_grids(batch: PackedBatch, pts, t0, h, n_steps):
     """RK4 for the S Hamiltonians of ``batch`` at once; pts (S, P, 2).
 
-    Stage grids are built _BLOCK_STEPS steps at a time, so their memory
-    stays bounded whatever the step count and batch size.  They are field
-    grids (``PackedBatch.field_grids``), 2*K1 x 4*K1 per stage time and draw,
-    so each vector-field call is one table build, one product and one
+    Stage grids are built _BLOCK_STEPS steps at a time, 2 * _BLOCK_STEPS + 1
+    stage times per block, and a block is released before the next is
+    built, so one block is held at a time whatever the step count.  They are
+    field grids (``PackedBatch.field_grids``), 2*K1 x 4*K1 per stage time and
+    draw, so each vector-field call is one table build, one product and one
     contraction.
     """
     engine = batch.engine
@@ -95,6 +97,7 @@ def _rk4_grids(batch: PackedBatch, pts, t0, h, n_steps):
             k3 = engine.vector_field(grids[2 * i + 1], p + (0.5 * h) * k2)
             k4 = engine.vector_field(grids[2 * i + 2], p + h * k3)
             p += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        del grids
     return p
 
 
@@ -125,10 +128,10 @@ def flow_points(fieldlike, pts, t0: float = 0.0, t1: float = 1.0,
 
     ``fieldlike`` is one spectral Hamiltonian with ``pts`` of shape (P, 2), or S
     spectral Hamiltonians sharing one engine and one time basis (draws of
-    one law, their time reversals, or concatenations with one bump and part
-    count), as a list, a tuple or a ``PackedBatch``, with ``pts`` of shape
-    (S, P, 2): set s flows under Hamiltonian s, and all S run through one
-    RK4 loop.  The result has the shape of ``pts``.
+    one law and time reversals of such draws, in any mix, or concatenations
+    with one bump and part count), as a list, a tuple or a ``PackedBatch``,
+    with ``pts`` of shape (S, P, 2): set s flows under Hamiltonian s, and all
+    S run through one RK4 loop.  The result has the shape of ``pts``.
     """
     pts = np.asarray(pts, dtype=float)
     if isinstance(fieldlike, (list, tuple, PackedBatch)) and pts.shape[:1] != (len(fieldlike),):
@@ -152,31 +155,22 @@ def flow_points_through(fieldlike, pts, times,
     return out
 
 
-@dataclass(frozen=True)
-class ReversedTimeBasis:
-    """Phi(1 - t) for a time basis Phi."""
-
-    inner: object
-
-    def __call__(self, times):
-        return self.inner(1.0 - np.asarray(times, dtype=float))
-
-
 class SpectralTimeReversal(SpectralHamiltonian):
-    """Time reversal of a spectral Hamiltonian: c_n(t) -> -c_n(1 - t).
+    """Time reversal of a spectral Hamiltonian: c(t) -> -c(1 - t).
 
-    Phi(t) becomes Phi(1 - t) and B becomes -B.
+    Phi(1 - t) = Phi(t) @ R (``TimeBasis.reflect``), so the reversal keeps
+    f's time basis and its B is -R @ B.
     """
 
     def __init__(self, f: SpectralHamiltonian):
         super().__init__(f.engine)
         self._f = f
-        self.time_basis = ReversedTimeBasis(f.time_basis)
+        self.time_basis = f.time_basis
         self.stiffness = f.stiffness
 
     @property
     def coefficients(self) -> np.ndarray:
-        return -self._f.coefficients
+        return -self.time_basis.reflect(self._f.coefficients)
 
 
 def time_reversed_hamiltonian(f: SpectralHamiltonian) -> SpectralTimeReversal:
@@ -227,6 +221,11 @@ class BumpTimeBasis:
         t = np.atleast_1d(np.asarray(times, dtype=float))
         k = self.parts
         return k * self.bump(k * t[:, None] - np.arange(1, k + 1)[None, :] + 1.0)
+
+    def reflect(self, b: np.ndarray) -> np.ndarray:
+        """R @ b for Phi(1 - t) = Phi(t) @ R: the bump is symmetric about 1/2,
+        so Phi_i(1 - t) = Phi_(k+1-i)(t) and R reverses the parts."""
+        return b[::-1]
 
 
 class SpectralConcatenation(SpectralHamiltonian):

@@ -38,6 +38,10 @@ coefficient matrix B of shape (m, N) made from the draw
   interpolation between the nodes (at most two nonzero per row), and B the
   node values.
 
+Each time basis reflects exactly: Phi(1 - t) = Phi(t) @ R for a signed
+permutation R = R^-1 (:meth:`TimeBasis.reflect`), so t -> Z(1 - t) is
+Phi(t) @ (R @ B), a path in the same time basis.
+
 ``scale`` and ``mean`` enter B: B is scale times the unit coefficients, and
 the mean is added to the rows whose basis functions sum to one (row 0 for
 ``periodic`` and ``constant``; every row for ``sqexp``, whose hat weights
@@ -135,6 +139,16 @@ class TimeBasis:
         out[rows, i0] = 1.0 - frac
         out[rows, i0 + 1] = frac
         return out
+
+    def reflect(self, b: np.ndarray) -> np.ndarray:
+        """R @ b for Phi(1 - t) = Phi(t) @ R: the periodic sine rows negated
+        (sin 2 pi k (1 - t) = -sin 2 pi k t), the constant row kept, and the
+        sqexp hats, on nodes symmetric about 1/2, reversed.  Rows are only
+        moved and negated, so R @ (R @ b) is b bit for bit."""
+        if self.tag == PERIODIC:
+            sines = 1 + (self.size - 1) // 2
+            return np.concatenate([b[:sines], -b[sines:]])
+        return b if self.tag == CONSTANT else b[::-1]
 
 
 def _check_times(t) -> np.ndarray:

@@ -79,6 +79,16 @@ def test_config_echo_names_the_step_counts(tmp_path, command):
     assert cfg.regularity == (8.0, 4.5) and cfg.steps == 50
 
 
+def test_random_walk_echoes_its_step_count(tmp_path):
+    # random-walk's constant kernel at regularity 5 takes 24 of at most 50 steps
+    rc, out = run(tmp_path, "random-walk", TINY.replace("regularity = 8.0", "regularity = 5"))
+    assert rc == 0
+    text = (out / "config.txt").read_text()
+    lines = [line for line in text.splitlines() if line.startswith("# flow steps")]
+    assert lines == ["# flow steps at regularity 5: 24 of at most 50"]
+    assert parse_config(text, command="random-walk").regularity == (5.0,)
+
+
 def test_commands_without_flows_echo_no_step_counts(tmp_path):
     rc, out = run(tmp_path, "sample-field", TINY)
     assert rc == 0

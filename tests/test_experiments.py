@@ -4,6 +4,7 @@ tests that compare with it skip where scipy is not installed)."""
 
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,14 +15,17 @@ from hamflow.errors import DegenerateOverlap, HamflowError, NonFinite, Refinemen
 from hamflow.engine import SpectralEngine
 from hamflow.experiments import (CHUNK, _advected_chunk, _ball_points, _bin_counts,
                                  _diffusion_chunk, _displacement_chunk, _intersection_chunk,
-                                 _ks_two_sample, _law_for, _run_chunks, count_crossings,
-                                 flow_steps, paper_lagrangians, run_intersections,
-                                 run_inversion_test, standard_error, worker_count)
+                                 _ks_two_sample, _law_for, _run_chunks, _walk_chunk,
+                                 count_crossings, flow_steps, paper_lagrangians,
+                                 run_intersections, run_inversion_test, standard_error,
+                                 worker_count)
 from hamflow.field import PackedBatch, RandomHamiltonian, make_law, sample_hamiltonian
-from hamflow.flow import (FlowSettings, LagrangianCurve, advect_curve, advect_curves,
-                          circle_curve, flow_points, flow_points_through, horizontal_circle,
-                          sloped_circle, vertical_circle)
+from hamflow.flow import (_BLOCK_STEPS, BumpFunction, FlowSettings, LagrangianCurve,
+                          advect_curve, advect_curves, circle_curve, flow_points,
+                          flow_points_through, horizontal_circle, sloped_circle,
+                          time_reversed_hamiltonian, vertical_circle)
 from hamflow.rng import derive
+from hamflow.walk import apply_walk_points, sample_walk, walk_generating_hamiltonian
 
 # At this law, threshold and depth some draws finish after one or two
 # refinement passes and others overflow.
@@ -157,8 +161,9 @@ class TestAdvectCurves:
         sub = batch.rows([3, 1])
         assert len(sub) == 2
         times = np.linspace(0.0, 1.0, 5)
-        assert np.array_equal(sub.grids(times), PackedBatch([hs[3], hs[1]]).grids(times))
-        assert np.array_equal(batch.grids(times)[:, [3, 1]], sub.grids(times))
+        assert np.array_equal(sub.field_grids(times),
+                              PackedBatch([hs[3], hs[1]]).field_grids(times))
+        assert np.array_equal(batch.field_grids(times)[:, [3, 1]], sub.field_grids(times))
 
     def test_all_rows_in_order_are_the_batch_itself(self):
         batch = PackedBatch(draws(3))
@@ -295,12 +300,17 @@ def check_displacement_chunk(regularity, steps):
     assert flow_steps(law, cfg.steps) == steps
     settings = FlowSettings(steps=steps)
     probe = np.asarray(cfg.probe)
-    for i, pair in zip(range(1, 4), _displacement_chunk((cfg, 0, 1, 4))):
-        for branch, (t0, t1) in enumerate(((0.0, 1.0), (1.0, 0.0))):
-            draw = sample_hamiltonian(law, derive(cfg.seed, branch, i))
-            image = flow_points(draw, probe[None], t0, t1, settings)[0]
-            d = (image - probe + 0.5) % 1.0 - 0.5
-            assert pair[branch] == np.hypot(d[0], d[1])
+
+    def displacement(h, t0, t1):
+        d = (flow_points(h, probe[None], t0, t1, settings)[0] - probe + 0.5) % 1.0 - 0.5
+        return np.hypot(d[0], d[1])
+
+    for i, (forward, inverse) in zip(range(1, 4), _displacement_chunk((cfg, 0, 1, 4))):
+        assert forward == displacement(sample_hamiltonian(law, derive(cfg.seed, 0, i)), 0.0, 1.0)
+        # the inverse draw's time reversal, flowed forward in the same batch
+        draw = sample_hamiltonian(law, derive(cfg.seed, 1, i))
+        assert inverse == displacement(time_reversed_hamiltonian(draw), 0.0, 1.0)
+        assert abs(inverse - displacement(draw, 1.0, 0.0)) <= 1e-12
 
 
 class TestBatchedChunks:
@@ -317,6 +327,60 @@ class TestBatchedChunks:
 
     def test_smooth_displacement_chunk_flows_at_its_step_count(self):
         check_displacement_chunk(5.0, 24)
+
+
+def test_inversion_chunk_peak_memory():
+    """The tracemalloc peak of one CHUNK-index inversion chunk (spatial_max
+    25, regularity 3, band 7, 200 steps) stays within 1.25 x the bytes of its
+    2 * CHUNK packed field grids plus one block of stage grids: the batch
+    holds field grids only, and one stage block at a time."""
+    cfg = ExperimentConfig(command="inversion", regularity=(3.0,), spatial_max=25,
+                           samples=CHUNK, workers=1)
+    law = _law_for(cfg, 3.0)
+    _displacement_chunk((cfg, 0, 0, 1))  # the basis and engine are built once per process
+    k1 = law.engine().band + 1
+    grid_bytes = 2 * k1 * 4 * k1 * 8
+    rows = 2 * CHUNK
+    held = (law.kernel.time_basis().size + 2 * _BLOCK_STEPS + 1) * rows * grid_bytes
+    tracemalloc.start()
+    try:
+        _displacement_chunk((cfg, 0, 0, CHUNK))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * held, (peak, held)
+
+
+class TestWalkChunks:
+    """random-walk flows each step at its law's count: 24 steps at regularity 5
+    (constant kernel, frequency units)."""
+
+    cfg = ExperimentConfig(command="random-walk", regularity=(5.0,), spatial_max=5,
+                           kernel="constant", samples=4, walk_steps=3, seed=6, workers=1)
+
+    def test_chunk_equals_per_walk_flows_at_the_law_count(self):
+        cfg = self.cfg
+        law = _law_for(cfg, 5.0)
+        assert flow_steps(law, cfg.steps) == 24
+        settings = FlowSettings(steps=24)
+        for w, traj in zip(range(1, 4), _walk_chunk((cfg, 0, 1, 4))):
+            state = np.array([cfg.probe]) % 1.0
+            expected = [state[0]]
+            for j in range(cfg.walk_steps):
+                step = sample_hamiltonian(law, derive(cfg.seed, w, j))
+                state = flow_points(step, state, 0.0, 1.0, settings)
+                expected.append(state[0] % 1.0)
+            assert np.array_equal(traj, np.array(expected))
+
+    def test_walk_agrees_with_its_generating_hamiltonian(self):
+        # the concatenation has no law: it flows at steps x parts
+        law = _law_for(self.cfg, 5.0)
+        walk = sample_walk(law, self.cfg.walk_steps, settings=FlowSettings(steps=24))
+        combined = walk_generating_hamiltonian(walk, BumpFunction())
+        pts = np.random.default_rng(1).uniform(0, 1, (20, 2))
+        lhs = flow_points(combined, pts, 0.0, 1.0, FlowSettings(steps=self.cfg.steps))
+        rhs = apply_walk_points(walk, pts)
+        assert np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1).max() < 1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,12 @@ from hamflow.basis import torus_distance
 from hamflow.engine import SpectralEngine
 from hamflow.errors import NotAutonomous, RefinementOverflow, Unsupported
 from hamflow.field import RandomHamiltonian, SpectralHamiltonian, make_law, sample_hamiltonian
-from hamflow.flow import (BumpFunction, FlowSettings, LagrangianCurve, advect_curve,
-                          circle_curve, concatenate_autonomous, flow_jacobian_determinant,
-                          flow_points, horizontal_circle, sloped_circle,
-                          time_reversed_hamiltonian)
+from hamflow.flow import (BumpFunction, BumpTimeBasis, FlowSettings, LagrangianCurve,
+                          advect_curve, circle_curve, concatenate_autonomous,
+                          flow_jacobian_determinant, flow_points, horizontal_circle,
+                          sloped_circle, time_reversed_hamiltonian)
 from hamflow.rng import derive
-from hamflow.temporal import CONSTANT, PERIODIC, SQEXP
+from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, TimeBasis
 from reference import Mode, mode_index
 
 # The analytic references: autonomous draws over the smallest basis with
@@ -153,6 +153,37 @@ class TestTimeReversal:
         hat = time_reversed_hamiltonian(h)
         assert isinstance(hat, SpectralHamiltonian)
 
+    @pytest.mark.parametrize("basis", [TimeBasis(PERIODIC, 21), TimeBasis(CONSTANT, 1),
+                                       TimeBasis(SQEXP, 64), BumpTimeBasis(BumpFunction(), 1),
+                                       BumpTimeBasis(BumpFunction(), 3)],
+                             ids=["periodic", "constant", "sqexp", "bump-1", "bump-3"])
+    def test_time_basis_reflection(self, basis):
+        """Phi(1 - t) = Phi(t) @ R on 101 times, to 1e-15 per unit of Phi's
+        largest slope: evaluating Phi at the rounded 1 - t alone errs by that
+        much (1.5e-14 for the periodic basis of 10 frequencies)."""
+        t = np.linspace(0.0, 1.0, 101)
+        fine = np.linspace(0.0, 1.0, 20001)
+        slope = np.abs(np.diff(basis(fine), axis=0)).max() / fine[1]
+        reflected = basis.reflect(basis(t).T).T
+        assert np.abs(basis(1.0 - t) - reflected).max() <= 1e-15 * (1.0 + slope)
+
+    @pytest.mark.parametrize("kind", [PERIODIC, CONSTANT, SQEXP, "concatenation"])
+    def test_double_reversal_returns_coefficients_bit_for_bit(self, kind):
+        h = TestBatchedFlow.hamiltonians(kind, 1)[0]
+        double = time_reversed_hamiltonian(time_reversed_hamiltonian(h))
+        assert double.time_basis == h.time_basis
+        assert double.coefficients.tobytes() == h.coefficients.tobytes()
+
+    @pytest.mark.parametrize("kind", [PERIODIC, CONSTANT, SQEXP, "concatenation"])
+    def test_reversal_keeps_the_time_basis(self, kind):
+        h = TestBatchedFlow.hamiltonians(kind, 1)[0]
+        hat = time_reversed_hamiltonian(h)
+        assert hat.time_basis == h.time_basis
+        pts = np.random.default_rng(15).uniform(0, 1, (8, 2))
+        for t in (0.0, 0.13, 0.5, 0.77, 1.0):
+            want = -h.value(1.0 - t, pts)
+            assert np.abs(hat.value(t, pts) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
 
 class TestBumpFunction:
     def test_support(self):
@@ -233,12 +264,17 @@ class TestBatchedFlow:
         if kind == "reversal":
             return [time_reversed_hamiltonian(h)
                     for h in TestBatchedFlow.hamiltonians(PERIODIC, count)]
+        if kind == "draws and reversals":
+            # one batch of draws of one law and reversals of other draws of it
+            return [time_reversed_hamiltonian(h) if i % 2 else h
+                    for i, h in enumerate(TestBatchedFlow.hamiltonians(PERIODIC, count))]
         parts = TestBatchedFlow.hamiltonians(CONSTANT, 2 * count)
         return [concatenate_autonomous(parts[2 * i:2 * i + 2], BumpFunction())
                 for i in range(count)]
 
     @pytest.mark.parametrize("count", [1, 3, 17])
-    @pytest.mark.parametrize("kind", [PERIODIC, CONSTANT, SQEXP, "reversal", "concatenation"])
+    @pytest.mark.parametrize("kind", [PERIODIC, CONSTANT, SQEXP, "reversal", "concatenation",
+                                      "draws and reversals"])
     def test_matches_per_draw_flows(self, kind, count):
         hs = self.hamiltonians(kind, count)
         pts = np.random.default_rng(count).uniform(0, 1, (count, 4, 2))
