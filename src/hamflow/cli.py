@@ -18,7 +18,7 @@ import numpy as np
 
 from . import experiments, io, rkhs
 from .config import COMMANDS, ExperimentConfig, parse_config, serialize_config
-from .errors import HamflowError
+from .errors import FailureBudgetExceeded, HamflowError
 from .experiments import ResultRow, ResultTable, standard_error
 from .field import sample_hamiltonian
 from .flow import BumpFunction
@@ -99,18 +99,28 @@ def _cmd_flow(cfg: ExperimentConfig) -> None:
     print(f"wrote {out / 'curves.jsonl'} ({len(curves)} curves)")
 
 
+def _write_failures(records, path: Path) -> None:
+    """failures.jsonl exists exactly when a sample failed: a rerun into the
+    same directory must not leave an older run's failures behind."""
+    if records:
+        io.write_records([{"regularity": r, "sample": i, "error": msg}
+                          for (r, i, msg) in records], path)
+    else:
+        path.unlink(missing_ok=True)
+
+
 def _cmd_intersections(cfg: ExperimentConfig) -> None:
     out = _outdir(cfg, cfg.regularity)
-    table = experiments.run_intersections(cfg)
+    try:
+        table = experiments.run_intersections(cfg)
+    except FailureBudgetExceeded as exc:
+        # the failures reach disk before the run exits non-zero, and no
+        # table of an older run stays next to them
+        (out / "intersections.csv").unlink(missing_ok=True)
+        _write_failures(exc.failures, out / "failures.jsonl")
+        raise
     io.write_table(table, out / "intersections.csv")
-    # the file exists exactly when a sample failed: a rerun into the same
-    # directory must not leave an older run's failures next to this table
-    failures = out / "failures.jsonl"
-    if table.failures:
-        io.write_records([{"regularity": r, "sample": i, "error": msg}
-                          for (r, i, msg) in table.failures], failures)
-    else:
-        failures.unlink(missing_ok=True)
+    _write_failures(table.failures, out / "failures.jsonl")
     print(f"wrote {out / 'intersections.csv'} ({len(table.rows)} rows)")
 
 

@@ -29,9 +29,11 @@ COMMANDS = ("sample-field", "flow", "diffusion", "intersections", "random-walk",
 
 # Defaults that differ by command, so that every command runs from its
 # defaults: random walks need autonomous steps and the tail fit needs at
-# least 1000 draws.
+# least 1000 draws.  Diffusion's regularity, like the field default, is
+# smooth enough to flow resolved: 167 RK4 steps at 3.16 and 71 at 3.95
+# (``hamflow.experiments.flow_steps``).
 COMMAND_DEFAULTS = {
-    "diffusion": {"regularity": (0.08,)},
+    "diffusion": {"regularity": (3.16,)},
     "random-walk": {"kernel": temporal.CONSTANT},
     "tails": {"samples": 1000},
 }
@@ -45,7 +47,7 @@ EIGENVALUE_UNITS = "eigenvalue"
 @dataclass(frozen=True)
 class ExperimentConfig:
     command: str = "sample-field"
-    regularity: tuple = (0.1,)
+    regularity: tuple = (3.95,)
     regularity_units: str = FREQUENCY_UNITS
     spatial_max: int = 25
     include_axis_modes: bool = False

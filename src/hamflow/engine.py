@@ -40,6 +40,19 @@ of leading grid axes, so the lattices of several times cost one call, and
 takes a lattice's rows (``lattice_rows``) in place of its coordinates, so
 calls on one lattice build its rows once.
 
+Buffers.  ``vector_field`` writes its tables, its product and its result
+into arrays the caller owns: ``FieldBuffers`` (from ``buffers``) and
+``out``.  A flow allocates them once and reuses them at every stage
+(``flow._rk4_grids``), and ``value_grid`` takes ``out`` and ``half`` for the
+lattice and the half product r(x) @ G in the same way
+(``field.SpectralHamiltonian.oscillation``).  The engine itself holds no
+per-call state, so one engine, shared by every law with its truncation and
+band, stays reentrant.  The buffers change no value: every call performs the
+same elementwise operations and products, in the same order and on arrays
+of the same layout, as one that allocates.  They remove the page faults of
+arrays above glibc's mmap threshold (128 KiB by default), which are mapped
+and unmapped on every call when nothing raises the threshold.
+
 The band comes from the law (``HamiltonianLaw.band``).  The law weights
 mode n by w_n = exp(-r lambda_n / 2), so with mode scale s_n the mode
 contributes at most b_n = w_n s_n (1 + 2 pi max(kx, ky)) to H and its
@@ -58,6 +71,10 @@ evaluated field.  At spatial_max 25 (regularity in frequency units):
 
 A full-band engine (band = spatial_max) evaluates every mode; tests use it
 as the reference.
+
+Coefficients are packed for the band modes only: ``grids`` takes c_n for
+the engine's ``modes`` (the basis indices of the modes with kx, ky <= band,
+ascending), never for the whole basis.
 
 Packing flushes entries below ``np.finfo(float).tiny`` to zero.  The band
 bounds each mode against the largest, not against the normal range, so a
@@ -86,10 +103,29 @@ _TWO_PI = 2.0 * math.pi
 _TINY = np.finfo(float).tiny
 
 
+class FieldBuffers:
+    """Work arrays of the tables of coordinates of one shape (..., 2), and of
+    ``SpectralEngine.vector_field`` at points of that shape: the coordinate
+    and trig scratch, the complex powers whose real view is the tables, and
+    the product r(x) @ F.  The caller owns them; one set serves every call at
+    that shape.
+    """
+
+    __slots__ = ("theta", "trig", "powers", "product")
+
+    def __init__(self, shape: tuple, k1: int):
+        self.theta = np.empty(shape)
+        self.trig = np.empty(shape)
+        self.powers = np.empty(shape + (k1,), dtype=complex)
+        self.powers[..., 0] = 1.0  # z^0, never overwritten
+        self.product = np.empty(shape[:-1] + (4 * k1,))
+
+
 class SpectralEngine:
     """Evaluation kernels for the modes of one basis with kx, ky <= band.
 
-    ``band = basis.truncation.spatial_max`` evaluates every mode.
+    ``band = basis.truncation.spatial_max`` evaluates every mode.  ``modes``
+    holds the basis indices of the evaluated modes, ascending.
     """
 
     def __init__(self, basis: SpectralBasis, band: int):
@@ -99,11 +135,12 @@ class SpectralEngine:
         self.band = int(band)
         k1 = self.band + 1
         self._k1 = k1
-        self._modes = np.flatnonzero((basis.kx <= band) & (basis.ky <= band))
-        self._amplitudes = basis.amplitudes[self._modes]
+        self.modes = np.flatnonzero((basis.kx <= band) & (basis.ky <= band))
+        self.modes.setflags(write=False)
+        self._amplitudes = basis.amplitudes[self.modes]
         # Placement of mode n: entry (2kx + tx, 2ky + ty) of G, as an offset
         # into the flattened grid.
-        self._slots = ((2 * basis.kx + basis.tx) * 2 * k1 + 2 * basis.ky + basis.ty)[self._modes]
+        self._slots = ((2 * basis.kx + basis.tx) * 2 * k1 + 2 * basis.ky + basis.ty)[self.modes]
         # r' = r @ D: D maps slot 2k + 1 to 2k with factor -2 pi k and slot 2k
         # to 2k + 1 with 2 pi k, so (r @ D)[j] = r[swap[j]] * d[j]
         self._swap = np.arange(2 * k1) ^ 1
@@ -112,13 +149,13 @@ class SpectralEngine:
     # -- coefficient packing -------------------------------------------------
 
     def grids(self, coeffs: np.ndarray) -> np.ndarray:
-        """Pack per-mode coefficients (..., N) into grids (..., 2, K1, 2*K1).
+        """Pack band coefficients (..., len(modes)) into grids (..., 2, K1, 2*K1).
 
-        ``coeffs`` holds the raw c_n(t) of every mode of the basis; modes
-        outside the band are dropped and amplitudes applied here.  Subnormal
-        results are flushed to zero (module docstring).
+        ``coeffs[..., j]`` is the raw c_n(t) of mode ``modes[j]``; amplitudes
+        are applied here.  Subnormal results are flushed to zero (module
+        docstring).
         """
-        values = np.asarray(coeffs, dtype=float)[..., self._modes] * self._amplitudes
+        values = np.asarray(coeffs, dtype=float) * self._amplitudes
         values[np.abs(values) < _TINY] = 0.0
         k1 = self._k1
         out = np.zeros(values.shape[:-1] + (2 * k1 * 2 * k1,))
@@ -135,20 +172,29 @@ class SpectralEngine:
         f = [g[..., self._swap] * self._d, g[..., self._swap, :] * -self._d[:, None]]
         return np.concatenate(f, axis=-1).reshape(grids.shape[:-3] + (2, self._k1, 4 * self._k1))
 
+    def buffers(self, shape) -> FieldBuffers:
+        """Work arrays for coordinates, or points, of the given shape."""
+        return FieldBuffers(tuple(shape), self._k1)
+
     # -- per-axis tables -----------------------------------------------------
 
-    def _tables(self, coords: np.ndarray) -> np.ndarray:
+    def _tables(self, coords: np.ndarray, buffers: FieldBuffers | None = None) -> np.ndarray:
         """Interleaved rows [cos 0, sin 0, ..., cos(2 pi band c), sin(2 pi band c)];
         shape coords.shape + (2*K1,).
 
         The rows are the real view of the powers z^k, z = exp(2 pi i c),
         built by a complex power recurrence, one step per wavenumber for all
-        coordinates at once.
+        coordinates at once.  The rows are a view of ``buffers.powers``
+        (``buffers(coords.shape)``), valid until the buffers' next use.
         """
-        theta = _TWO_PI * (coords - np.floor(coords))
-        zk = np.empty(coords.shape + (self._k1,), dtype=complex)
-        zk[..., 0] = 1.0
-        zk[..., 1].real, zk[..., 1].imag = np.cos(theta), np.sin(theta)
+        if buffers is None:
+            buffers = self.buffers(coords.shape)
+        theta, trig, zk = buffers.theta, buffers.trig, buffers.powers
+        np.floor(coords, out=theta)
+        np.subtract(coords, theta, out=theta)
+        np.multiply(theta, _TWO_PI, out=theta)
+        zk[..., 1].real = np.cos(theta, out=trig)
+        zk[..., 1].imag = np.sin(theta, out=trig)
         for k in range(2, self._k1):
             np.multiply(zk[..., k - 1], zk[..., 1], out=zk[..., k])
         return zk.view(float)
@@ -171,15 +217,22 @@ class SpectralEngine:
         v = self.vector_field(self.field_grids(grids), pts)
         return np.stack([v[..., 1], -v[..., 0]], axis=-1)
 
-    def vector_field(self, fields: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    def vector_field(self, fields: np.ndarray, pts: np.ndarray, out: np.ndarray | None = None,
+                     buffers: FieldBuffers | None = None) -> np.ndarray:
         """Hamiltonian vector field (-dH/dy, dH/dx) for the area form dx^dy.
 
         Points (S, P, 2) under field grids (S, 2, K1, 4*K1) (``field_grids``);
-        shape (S, P, 2).
+        shape (S, P, 2).  The result is written to ``out`` if given, and the
+        tables and the product to ``buffers`` (``buffers(pts.shape)``) if
+        given; both belong to the caller (module docstring).
         """
-        rows = self._tables(pts)
-        w = rows[..., 0, :] @ fields.reshape(fields.shape[:-3] + (2 * self._k1, -1))
-        return np.einsum("spik,spk->spi", w.reshape(w.shape[:-1] + (2, -1)), rows[..., 1, :])
+        if buffers is None:
+            buffers = self.buffers(pts.shape)
+        rows = self._tables(pts, buffers)
+        w = np.matmul(rows[..., 0, :], fields.reshape(fields.shape[:-3] + (2 * self._k1, -1)),
+                      out=buffers.product)
+        return np.einsum("spik,spk->spi", w.reshape(w.shape[:-1] + (2, -1)), rows[..., 1, :],
+                         out=out)
 
     def lattice_rows(self, coords) -> np.ndarray:
         """The per-axis rows (len(coords), 2*K1) of lattice coordinates, which
@@ -187,12 +240,14 @@ class SpectralEngine:
         on one lattice build its rows once."""
         return self._tables(np.asarray(coords, dtype=float))
 
-    def value_grid(self, grid: np.ndarray, xs, ys) -> np.ndarray:
+    def value_grid(self, grid: np.ndarray, xs, ys, out: np.ndarray | None = None,
+                   half: np.ndarray | None = None) -> np.ndarray:
         """H on the tensor lattice xs x ys under grids (..., 2, K1, 2*K1).
 
         ``xs`` and ``ys`` are coordinates (1-D) or their ``lattice_rows``
         (2-D).  Shape (..., len(xs), len(ys)): one lattice per leading grid
-        index.
+        index.  The lattices are written to ``out`` and the half product
+        r(x) @ G, shape (..., len(xs), 2*K1), to ``half`` if given.
         """
         rx, ry = (c if np.ndim(c) == 2 else self.lattice_rows(c) for c in (xs, ys))
-        return (rx @ self._square(grid)) @ ry.T
+        return np.matmul(np.matmul(rx, self._square(grid), out=half), ry.T, out=out)

@@ -29,6 +29,24 @@ class NonFinite(HamflowError):
         super().__init__(message)
 
 
+class StreamConsumed(HamflowError):
+    """A head-only draw's generator was drawn from before the draw drew its
+    tail, so the tail would not be the normals a full draw holds."""
+
+
+class FailureBudgetExceeded(HamflowError):
+    """More samples failed than a run's failure budget allows.
+
+    Carries ``failures``, the (regularity, sample, error text) records of
+    every failed sample so far, so that they can be written out before the
+    run exits.
+    """
+
+    def __init__(self, message, failures=()):
+        self.failures = tuple(failures)
+        super().__init__(message)
+
+
 class RefinementOverflow(HamflowError):
     """Curve refinement exceeded the maximum subdivision depth."""
 

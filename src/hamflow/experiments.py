@@ -6,9 +6,10 @@ sample index); the inversion test's inverse branch uses stream index 1 and
 walk w draws step j from (seed, w, j).  One runner (``_run_chunks``) hands
 each task a chunk of consecutive sample indices: CHUNK of them, fewer when
 there are fewer than CHUNK per worker, and one for the oscillation commands,
-which do not batch draws.  The task builds its law once, draws sample i from
-its own stream exactly as a one-sample task would, and flows the chunk's
-draws as one batch.  Aggregation is an ordered reduction by sample index.
+which do not batch draws.  Each process builds a law once (``_law_for``),
+and a task draws sample i from its own stream exactly as a one-sample task
+would and flows the chunk's draws as one batch.  Aggregation is an ordered
+reduction by sample index.
 
 With at least CHUNK samples per worker the chunk boundaries depend on the
 index only, so results do not depend on the worker count.  Below that,
@@ -47,12 +48,13 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import temporal
 from .config import ExperimentConfig
-from .errors import DegenerateOverlap, HamflowError, ValidationError
+from .errors import DegenerateOverlap, FailureBudgetExceeded, HamflowError, ValidationError
 from .field import HamiltonianLaw, PackedBatch, make_law, sample_hamiltonian
 from .flow import (FlowSettings, LagrangianCurve, advect_curves, flow_points, flow_points_through,
                    horizontal_circle, time_reversed_hamiltonian)
@@ -61,8 +63,8 @@ from .walk import induced_point_walks, sample_walk
 
 _LEVEL_TIE = 1e-12
 _OVERLAP_TOL = 1e-9
-# Consecutive sample indices per task: the task builds its law once, and the
-# draws of a chunk flow as one batch (2 * CHUNK rows in an inversion chunk).
+# Consecutive sample indices per task: the draws of a chunk flow as one
+# batch (2 * CHUNK rows in an inversion chunk).
 # The tracemalloc peak of an inversion chunk at spatial_max 25 is 4.7 MB at
 # regularity 3 and 44.8 MB at the full band (regularity 0.1).
 CHUNK = 16
@@ -242,7 +244,11 @@ def standard_error(values) -> float:
     return float(np.ldexp(np.ldexp(values, -e).std(ddof=1), e) / math.sqrt(len(values)))
 
 
+@lru_cache(maxsize=16)
 def _law_for(cfg: ExperimentConfig, regularity: float):
+    """The law of ``cfg`` at one regularity, built once per process: every
+    chunk of a run shares it, and with it the band, weights, scales, head
+    rows and step count the law computes once."""
     return make_law(cfg.eigenvalue_regularity(regularity),
                     spatial_max=cfg.spatial_max,
                     temporal_max=cfg.temporal_max,
@@ -345,7 +351,11 @@ def _intersection_chunk(args) -> list:
 
 
 def run_intersections(cfg: ExperimentConfig) -> ResultTable:
-    """Estimate expected crossing counts of advected K with each Lagrangian."""
+    """Estimate expected crossing counts of advected K with each Lagrangian.
+
+    Raises ``FailureBudgetExceeded``, carrying every failure so far, when
+    more than 1% of one regularity's samples fail.
+    """
     rows = []
     failures = []
     for r_index, regularity in enumerate(cfg.regularity):
@@ -354,9 +364,9 @@ def run_intersections(cfg: ExperimentConfig) -> ResultTable:
         counts = [o for o in outcomes if isinstance(o, dict)]
         failures.extend(errors)
         if len(errors) > 0.01 * cfg.samples:
-            raise HamflowError(
+            raise FailureBudgetExceeded(
                 f"regularity {regularity}: {len(errors)} of {cfg.samples} samples "
-                f"failed (budget 1%): {errors[:3]}")
+                f"failed (budget 1%): {errors[:3]}", failures)
         for label in cfg.lagrangians:
             values = np.array([c[label] for c in counts], dtype=float)
             rows.append(ResultRow(label=label, regularity=regularity,
@@ -404,8 +414,10 @@ def _chi_square(counts: np.ndarray) -> float:
 def _diffusion_chunk(args) -> list:
     """(bin counts, chi-square) per time for samples start..stop-1.
 
-    Sample i draws its Hamiltonian and then its ball points from one stream;
-    the chunk's clouds flow as one batch.
+    Sample i draws its Hamiltonian and then its ball points from one stream:
+    the draw reads its normals, which draws their tail, before the points
+    are drawn, so the points follow the full (N, m) normals
+    (``hamflow.field``, "Streams").  The chunk's clouds flow as one batch.
     """
     cfg, r_index, start, stop = args
     law = _law_for(cfg, cfg.regularity[r_index])
@@ -413,7 +425,9 @@ def _diffusion_chunk(args) -> list:
     pts = np.empty((stop - start, cfg.points, 2))
     for row, i in enumerate(range(start, stop)):
         rng = derive(cfg.seed, r_index, i)
-        batch.append(sample_hamiltonian(law, rng))
+        draw = sample_hamiltonian(law, rng)
+        batch.append(draw)
+        _ = draw.gaussians
         pts[row] = _ball_points(rng, cfg.ball_center, cfg.ball_radius, cfg.points)
     states = flow_points_through(batch, pts, cfg.times, _settings_for(cfg, law))
     results = []

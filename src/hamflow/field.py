@@ -6,12 +6,42 @@ draws one :class:`RandomHamiltonian` from it.  Draws are immutable and all
 evaluation methods are reentrant.  :class:`SpectralHamiltonian` is the one
 type whose fields the integrator evaluates through packed coefficient grids;
 draws, their time reversals and concatenations of autonomous draws are its
-subclasses.
+subclasses.  Coefficients are computed and packed for the engine's band
+modes only (``SpectralEngine.modes``).
+
+Streams.  A draw's normals are one (N, m) array in row order: rows 0 .. R-1
+are the first R * m normals its generator yields.  The basis is sorted by
+eigenvalue, so the band modes' indices run from 0 up to
+``HamiltonianLaw.head_rows()`` - 1, and ``sample_hamiltonian`` draws only
+that head.  At spatial_max 25, temporal_max 10, periodic kernel (N = 2,500,
+m = 21; regularity in frequency units):
+
+    r      band   band modes   head rows
+    0.1    25     2,500        2,500
+    0.5    17     1,156        1,712
+    2      8      256          360
+    3      7      196          268
+    3.95   6      144          192
+    4.5    5      100          128
+
+sqexp laws draw every row (``HamiltonianLaw.head_rows``).  The draw takes
+the generator with its head: the first read of ``gaussians`` draws the tail
+from it, and because numpy generates normals in sequence the whole array
+equals a full draw's bit for bit, and the generator is left where a full
+draw leaves it.  So a caller that draws more from the generator reads the
+draw's ``gaussians`` first (``experiments._diffusion_chunk`` does), and
+``sample_hamiltonian`` reads the tail of a live draw still pending on the
+generator before it draws the next head.  If the generator was drawn from in
+between, the tail read raises ``StreamConsumed`` rather than return other
+normals.  A caller that drops a draw before its tail and keeps drawing from
+the generator gets the normals that follow the head: keep the draw, or read
+its ``gaussians``, first.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from functools import lru_cache, wraps
 
@@ -20,7 +50,7 @@ import numpy as np
 from . import temporal
 from .basis import TWO_PI, SpectralBasis, Truncation
 from .engine import SpectralEngine
-from .errors import Unsupported
+from .errors import StreamConsumed, Unsupported
 from .rng import derive
 from .temporal import KernelKind
 
@@ -77,8 +107,9 @@ class HamiltonianLaw:
     Euclidean, area form dx^dy); only the data listed here vary.
     ``mode_scales`` optionally rescales each coefficient process (index =
     position in the eigenvalue-sorted basis), which expresses weakly
-    frequency-unbiased laws.  ``band``, ``weights``, ``scales`` and
-    ``lipschitz_bound`` are computed once per law and shared by its draws.
+    frequency-unbiased laws.  ``band``, ``head_rows``, ``weights``, ``scales``
+    and ``lipschitz_bound`` are computed once per law and shared by its
+    draws.
     """
 
     regularity: float
@@ -120,9 +151,20 @@ class HamiltonianLaw:
 
     def engine(self) -> SpectralEngine:
         """The engine of the law's band (``band``), shared by every law with
-        this truncation and band.  It evaluates the modes with kx, ky <= band
-        and packs coefficients of the whole basis."""
+        this truncation and band.  It evaluates and packs the modes with
+        kx, ky <= band (``SpectralEngine.modes``)."""
         return _engine_for(self.truncation, self.band())
+
+    @_per_law
+    def head_rows(self) -> int:
+        """Rows of a draw's (N, m) normals that ``sample_hamiltonian`` draws
+        up front: rows 0 up to the largest basis index among the engine's
+        band modes (module docstring).  Every row for sqexp laws, whose
+        Cholesky product is a matrix product over all N rows: its last bits
+        depend on the row count, so its rows are kept at N."""
+        if self.kernel.tag == temporal.SQEXP:
+            return len(self.basis())
+        return int(self.engine().modes[-1]) + 1
 
     @_per_law
     def weights(self) -> np.ndarray:
@@ -197,9 +239,10 @@ def _as_points(p):
 class SpectralHamiltonian:
     """A Hamiltonian sum_n c_n(t) e_n(x) over one basis, evaluated by its engine.
 
-    The coefficient path is linear: c(t) = Phi(t) @ B.  Subclasses provide
-    ``time_basis``, the callable Phi (times -> (T, m), compared by value),
-    and ``coefficients``, the (m, N) matrix B; everything else follows.
+    The coefficient path of the evaluated modes is linear: c(t) = Phi(t) @ B.
+    Subclasses provide ``time_basis``, the callable Phi (times -> (T, m),
+    compared by value), and ``coefficients``, the (m, M) matrix B of the
+    engine's M band modes (``engine.modes``); everything else follows.
     """
 
     stiffness = 1
@@ -207,11 +250,6 @@ class SpectralHamiltonian:
 
     def __init__(self, engine: SpectralEngine):
         self.engine = engine
-
-    def mode_coefficients(self, times) -> np.ndarray:
-        """c_n(t); shape (N,) for scalar t, (T, N) for a vector."""
-        out = self.time_basis(times) @ self.coefficients
-        return out[0] if np.ndim(times) == 0 else out
 
     def coefficient_grids(self, times) -> np.ndarray:
         """Packed evaluation grids at the given times (see SpectralEngine):
@@ -246,18 +284,33 @@ class SpectralHamiltonian:
     # -- diagnostics -----------------------------------------------------------
 
     def oscillation(self, spatial_grid: int = 128, time_grid: int = 101) -> float:
-        """Trapezoid-in-time integral of (lattice max - lattice min) of H_t."""
+        """Trapezoid-in-time integral of (lattice max - lattice min) of H_t.
+
+        The lattices of _OSC_BLOCK times are one ``value_grid`` call, written
+        into buffers allocated once per call (``SpectralEngine`` module
+        docstring).
+        """
         if spatial_grid < 2 or time_grid < 2:
             raise ValueError("grids must be >= 2")
         # the lattice's rows are built once and serve both axes of every block
         rows = self.engine.lattice_rows(np.arange(spatial_grid) / spatial_grid)
         times = np.linspace(0.0, 1.0, time_grid)
         grids = self.coefficient_grids(times)
+        block = min(_OSC_BLOCK, time_grid)
+        half = np.empty((block, spatial_grid, rows.shape[1]))
+        lattice = np.empty((block, spatial_grid, spatial_grid))
         spread = np.empty(time_grid)
         for start in range(0, time_grid, _OSC_BLOCK):
-            h = self.engine.value_grid(grids[start:start + _OSC_BLOCK], rows, rows)
-            spread[start:start + _OSC_BLOCK] = h.max(axis=(1, 2)) - h.min(axis=(1, 2))
+            g = grids[start:start + _OSC_BLOCK]
+            h = self.engine.value_grid(g, rows, rows, out=lattice[:len(g)], half=half[:len(g)])
+            spread[start:start + len(g)] = h.max(axis=(1, 2)) - h.min(axis=(1, 2))
         return float(np.trapezoid(spread, times))
+
+
+# Head-only draws still waiting for their tails, by id of their generator
+# (numpy generators take no weak references; a draw holds its generator, so
+# the id is not reused while the entry lives).
+_PENDING = weakref.WeakValueDictionary()
 
 
 class RandomHamiltonian(SpectralHamiltonian):
@@ -265,28 +318,76 @@ class RandomHamiltonian(SpectralHamiltonian):
 
     ``gaussians`` is the draw's read-only (N, m) array of standard normals,
     laid out as documented in :mod:`hamflow.temporal`; c_n(t) = w_n Z_n(t),
-    so B is the kernel's coefficient matrix scaled by the weights w_n.  B is
-    recomputed from the normals on each use rather than stored, so a draw
-    holds one (N, m) array, not two.
+    so B is the kernel's coefficient matrix scaled by the weights w_n, taken
+    at the band modes.  B is recomputed from the normals on each use rather
+    than stored.
+
+    A draw built from an (N, m) array holds that array.  A draw built with
+    a ``stream`` holds its head, rows 0 .. ``law.head_rows()`` - 1, and the
+    generator they came from; reading ``gaussians`` draws the tail from the
+    generator the first time (module docstring, "Streams").
     """
 
-    def __init__(self, law: HamiltonianLaw, gaussians):
+    def __init__(self, law: HamiltonianLaw, gaussians, stream: np.random.Generator | None = None):
         super().__init__(law.engine())
         self.law = law
         self.basis = law.basis()
-        shape = (len(self.basis), law.kernel.gaussians_per_sample())
-        self.gaussians = np.array(gaussians, dtype=float)
-        if self.gaussians.shape != shape:
+        shape = (len(self.basis) if stream is None else law.head_rows(),
+                 law.kernel.gaussians_per_sample())
+        normals = np.array(gaussians, dtype=float)
+        if normals.shape != shape:
             raise ValueError(f"gaussians must have shape {shape}")
-        self.gaussians.setflags(write=False)
+        normals.setflags(write=False)
+        self._normals = normals
+        self._stream = stream
+        if stream is not None:
+            self._stream_state = stream.bit_generator.state
+            _PENDING[id(stream)] = self
         self.weights = law.weights()
         self.autonomous = law.kernel.tag == temporal.CONSTANT
         self.time_basis = law.kernel.time_basis()
 
     @property
+    def gaussians(self) -> np.ndarray:
+        """The (N, m) normals; a head-only draw draws its tail on first read."""
+        if self._stream is not None:
+            self._draw_tail()
+        return self._normals
+
+    def _draw_tail(self) -> None:
+        stream = self._stream
+        if stream.bit_generator.state != self._stream_state:
+            raise StreamConsumed("the generator of a head-only draw was drawn from before the "
+                                 "draw's tail; read the draw's gaussians before drawing "
+                                 "from its generator again")
+        if _PENDING.get(id(stream)) is self:
+            del _PENDING[id(stream)]
+        tail = stream.standard_normal((len(self.basis) - len(self._normals),
+                                       self._normals.shape[1]))
+        normals = np.concatenate([self._normals, tail])
+        normals.setflags(write=False)
+        self._normals, self._stream, self._stream_state = normals, None, None
+
+    @property
     def coefficients(self) -> np.ndarray:
-        return self.weights * temporal.coefficient_matrix(self.law.kernel, self.gaussians,
-                                                          self.law.scales())
+        return self.coefficients_of(self.engine.modes)
+
+    def coefficients_of(self, modes) -> np.ndarray:
+        """Columns ``modes`` (basis indices, ascending) of the draw's B over
+        the whole basis; shape (m, len(modes)).
+
+        B is computed from the head rows only, unless a mode lies past them,
+        and then from every row, which draws the tail.  For periodic and
+        constant kernels each entry is a product of its own normal, weight,
+        scale and decay, so the columns equal those of the whole B bit for
+        bit; sqexp laws keep every row (``HamiltonianLaw.head_rows``).
+        """
+        head = self.law.head_rows()
+        normals = self._normals[:head] if modes[-1] < head else self.gaussians
+        rows = len(normals)
+        b = self.weights[:rows] * temporal.coefficient_matrix(self.law.kernel, normals,
+                                                              self.law.scales()[:rows])
+        return b[:, modes]
 
 
 class PackedBatch:
@@ -332,12 +433,13 @@ class PackedBatch:
         sub._rows = [self._rows[i] for i in indices]
         return sub
 
-    def field_grids(self, times) -> np.ndarray:
+    def field_grids(self, times, out: np.ndarray | None = None) -> np.ndarray:
         """Field grids (T, S, 2, K1, 4*K1) at a scalar or (T,) array of times
-        (``SpectralEngine.field_grids``)."""
+        (``SpectralEngine.field_grids``), written to ``out`` if given."""
         phi = self.time_basis(times)
         k1 = self.engine.band + 1
-        out = np.empty((len(phi), len(self), 2, k1, 4 * k1))
+        if out is None:
+            out = np.empty((len(phi), len(self), 2, k1, 4 * k1))
         flat = out.reshape(len(phi), len(self), -1)
         for s, row in enumerate(self._rows):
             np.matmul(phi, row.reshape(len(row), -1), out=flat[:, s])
@@ -345,8 +447,18 @@ class PackedBatch:
 
 
 def sample_hamiltonian(law: HamiltonianLaw, rng: np.random.Generator | None = None) -> RandomHamiltonian:
-    """Draw one random Hamiltonian; deterministic given (law, stream state)."""
+    """Draw one random Hamiltonian; deterministic given (law, stream state).
+
+    Draws the head of the normals only, and leaves the tail to the draw
+    (module docstring, "Streams").  A live head-only draw still pending on
+    ``rng`` draws its tail first, so that consecutive draws from one
+    generator hold the normals of consecutive full draws.
+    """
     if rng is None:
         rng = derive(law.seed)
-    return RandomHamiltonian(law, rng.standard_normal((len(law.basis()),
-                                                       law.kernel.gaussians_per_sample())))
+    pending = _PENDING.get(id(rng))
+    if pending is not None:
+        pending._draw_tail()
+    head = law.head_rows()
+    normals = rng.standard_normal((head, law.kernel.gaussians_per_sample()))
+    return RandomHamiltonian(law, normals, stream=rng if head < len(law.basis()) else None)

@@ -17,6 +17,12 @@ product gives each row the same result at any row count; that is a property
 of the BLAS, not a numpy guarantee, and the tests check it on the BLAS numpy
 is built with.
 
+Buffers.  Each flow (``_rk4_grids``) allocates its stage-grid block, the
+engine's ``FieldBuffers`` and its stage slopes once, and every RK4 step
+writes into them (``_rk4_step``), so a step allocates no array.  The
+buffers belong to the flow, not to the engine, which draws of many laws and
+flows share, so concurrent flows on one engine do not meet.
+
 Group operations return new spectral Hamiltonians:
 
 * ``time_reversed_hamiltonian(f)``   -- c(t) -> -c(1 - t); its time-1 flow
@@ -75,29 +81,57 @@ def _n_steps(settings: FlowSettings, stiffness: int, span: float) -> int:
     return max(1, math.ceil(settings.steps * stiffness * span - 1e-9))
 
 
+def _rk4_work(engine, shape):
+    """The work arrays of ``_rk4_step`` for points of shape (S, P, 2): the four
+    stage slopes, the stage points and the engine's ``FieldBuffers``."""
+    return np.empty((4,) + tuple(shape)), np.empty(shape), engine.buffers(shape)
+
+
+def _rk4_step(engine, g0, g1, g2, p, h, work):
+    """Advance p (S, P, 2) one RK4 step of size h, in place, under the field
+    grids g0, g1, g2 of the step's start, midpoint and end.
+
+    Every intermediate goes to ``work`` (``_rk4_work``), so a step allocates
+    no array; the arithmetic is p += (h/6) (k1 + 2 k2 + 2 k3 + k4), with
+    stage points p + (h/2) k1, p + (h/2) k2 and p + h k3, in that order.
+    """
+    (k1, k2, k3, k4), q, buffers = work
+    engine.vector_field(g0, p, k1, buffers)
+    np.add(p, np.multiply(k1, 0.5 * h, out=q), out=q)
+    engine.vector_field(g1, q, k2, buffers)
+    np.add(p, np.multiply(k2, 0.5 * h, out=q), out=q)
+    engine.vector_field(g1, q, k3, buffers)
+    np.add(p, np.multiply(k3, h, out=q), out=q)
+    engine.vector_field(g2, q, k4, buffers)
+    np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
+    np.add(k1, np.multiply(k3, 2.0, out=k3), out=k1)
+    np.add(k1, k4, out=k1)
+    np.add(p, np.multiply(k1, h / 6.0, out=k1), out=p)
+
+
 def _rk4_grids(batch: PackedBatch, pts, t0, h, n_steps):
     """RK4 for the S Hamiltonians of ``batch`` at once; pts (S, P, 2).
 
     Stage grids are built _BLOCK_STEPS steps at a time, 2 * _BLOCK_STEPS + 1
-    stage times per block, and a block is released before the next is
-    built, so one block is held at a time whatever the step count.  They are
-    field grids (``PackedBatch.field_grids``), 2*K1 x 4*K1 per stage time and
-    draw, so each vector-field call is one table build, one product and one
-    contraction.
+    stage times per block, into one block buffer, so one block is held at a
+    time whatever the step count.  They are field grids
+    (``PackedBatch.field_grids``), 2*K1 x 4*K1 per stage time and draw, so
+    each vector-field call is one table build, one product and one
+    contraction.  The block, the tables, the products and the stage slopes
+    are allocated once per flow and belong to it, so flows on one shared
+    engine stay reentrant.
     """
     engine = batch.engine
     p = np.array(pts, dtype=float)
+    work = _rk4_work(engine, p.shape)
+    k1 = engine.band + 1
+    block = np.empty((2 * min(_BLOCK_STEPS, n_steps) + 1, len(batch), 2, k1, 4 * k1))
     for start in range(0, n_steps, _BLOCK_STEPS):
         count = min(_BLOCK_STEPS, n_steps - start)
         stage_times = t0 + 0.5 * h * np.arange(2 * start, 2 * (start + count) + 1)
-        grids = batch.field_grids(np.clip(stage_times, 0.0, 1.0))
+        grids = batch.field_grids(np.clip(stage_times, 0.0, 1.0), out=block[:2 * count + 1])
         for i in range(count):
-            k1 = engine.vector_field(grids[2 * i], p)
-            k2 = engine.vector_field(grids[2 * i + 1], p + (0.5 * h) * k1)
-            k3 = engine.vector_field(grids[2 * i + 1], p + (0.5 * h) * k2)
-            k4 = engine.vector_field(grids[2 * i + 2], p + h * k3)
-            p += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        del grids
+            _rk4_step(engine, grids[2 * i], grids[2 * i + 1], grids[2 * i + 2], p, h, work)
     return p
 
 
@@ -236,10 +270,12 @@ class SpectralConcatenation(SpectralHamiltonian):
     """
 
     def __init__(self, parts, bump: BumpFunction):
-        # the widest band packs every part: one basis, one engine per band
+        # the widest band packs every part: one basis, one engine per band;
+        # a narrower part's modes past its head draw its tail
         super().__init__(max((p.engine for p in parts), key=lambda e: e.band))
         self.time_basis = BumpTimeBasis(bump, len(parts))
-        self.coefficients = np.stack([p.mode_coefficients(0.0) for p in parts])
+        self.coefficients = np.stack([(p.time_basis(0.0) @ p.coefficients_of(self.engine.modes))[0]
+                                      for p in parts])
         self.coefficients.setflags(write=False)
         self.stiffness = len(parts)
 

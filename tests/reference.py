@@ -10,6 +10,10 @@
 * ``expansion`` and ``reconstruct_value``: the coefficients of a periodic- or
   constant-kernel draw over the product basis of ``hamflow.rkhs``, one
   Python float per entry, and the field they sum to.
+* ``full_coefficients``, ``concatenation_coefficients``, ``mode_coefficients``
+  and ``full_packing``: the coefficient matrix B over the whole basis and its
+  packing into an engine's grids, as they were computed before draws drew
+  their head only and grids were packed from the band modes alone.
 """
 
 import math
@@ -19,6 +23,7 @@ import numpy as np
 
 from hamflow import temporal
 from hamflow.basis import TRIG_PAIRS
+from hamflow.flow import SpectralTimeReversal
 
 TWO_PI = 2.0 * math.pi
 
@@ -131,3 +136,40 @@ def reconstruct_value(draw, entries: dict, t: float, x: float, y: float) -> floa
         else:
             total += coeff * math.sqrt(2.0) * math.sin(2.0 * math.pi * k * t) * e_val
     return total
+
+
+def full_coefficients(h) -> np.ndarray:
+    """B of a draw, or of a time reversal of one, over the whole basis:
+    shape (m, N), from the draw's full normals."""
+    if isinstance(h, SpectralTimeReversal):
+        return -h.time_basis.reflect(full_coefficients(h._f))
+    law = h.law
+    return h.weights * temporal.coefficient_matrix(law.kernel, h.gaussians, law.scales())
+
+
+def concatenation_coefficients(parts) -> np.ndarray:
+    """B of ``concatenate_autonomous(parts, bump)`` over the whole basis:
+    row i is part i's constant coefficients, Phi(0) @ B of the part."""
+    return np.stack([(p.time_basis(0.0) @ full_coefficients(p))[0] for p in parts])
+
+
+def mode_coefficients(h, times) -> np.ndarray:
+    """c_n(t) of every mode of the basis; shape (N,) at a scalar time, (T, N)
+    at a vector of times."""
+    out = h.time_basis(times) @ full_coefficients(h)
+    return out[0] if np.ndim(times) == 0 else out
+
+
+def full_packing(engine, coeffs) -> np.ndarray:
+    """Grids (..., 2, K1, 2*K1) of coefficients (..., N) over the whole
+    basis: the engine's band modes taken, amplitudes applied, subnormals
+    flushed to zero, and mode (kx, ky, tx, ty) placed at entry
+    (2kx + tx, 2ky + ty) of G."""
+    b = engine.basis
+    band = (b.kx <= engine.band) & (b.ky <= engine.band)
+    values = np.asarray(coeffs, dtype=float)[..., band] * b.amplitudes[band]
+    values[np.abs(values) < np.finfo(float).tiny] = 0.0
+    k1 = engine.band + 1
+    out = np.zeros(values.shape[:-1] + (2 * k1, 2 * k1))
+    out[..., 2 * b.kx[band] + b.tx[band], 2 * b.ky[band] + b.ty[band]] = values
+    return out.reshape(values.shape[:-1] + (2, k1, 2 * k1))

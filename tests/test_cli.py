@@ -115,7 +115,7 @@ def test_rkhs_norm_finite_at_high_regularity(tmp_path):
 
 def test_rkhs_norm_table_finite_where_weighted_sums_are_huge(tmp_path):
     # at regularity 0.1 and spatial_max 25 the weighted sums reach about 1e187
-    rc, out = run(tmp_path, "rkhs-norm", "samples = 4\nworkers = 1\n")
+    rc, out = run(tmp_path, "rkhs-norm", "regularity = 0.1\nsamples = 4\nworkers = 1\n")
     assert rc == 0
     rows = (out / "rkhs.csv").read_text().splitlines()[1:]
     sums = [row.split(",") for row in rows if row.startswith("weighted_sum,")]
@@ -160,6 +160,22 @@ def test_rerun_replaces_stale_failure_log(tmp_path):
     rc, _ = run(tmp_path, "intersections", TINY)
     assert rc == 0
     assert not (out / "failures.jsonl").exists()
+
+
+def test_failure_budget_writes_failures_before_exiting(tmp_path, capsys):
+    # 16 vertices lie 1/16 apart, above the 0.01 threshold, so at depth 0
+    # every sample overflows; a table of an older run must not survive
+    out = tmp_path / "intersections"
+    out.mkdir()
+    (out / "intersections.csv").write_text("label,regularity,estimate,stderr,samples\n")
+    rc, _ = run(tmp_path, "intersections", TINY + "max_refinement_depth = 0\n")
+    assert rc == 1
+    assert "FailureBudgetExceeded" in capsys.readouterr().err
+    records = [json.loads(line) for line in (out / "failures.jsonl").read_text().splitlines()]
+    assert [(r["regularity"], r["sample"]) for r in records] == [(8.0, i) for i in range(4)]
+    assert all(r["error"].startswith("RefinementOverflow") for r in records)
+    assert not (out / "intersections.csv").exists()
+    assert (out / "config.txt").exists()
 
 
 def fresh_python(code, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from hamflow.config import ExperimentConfig, parse_config, serialize_config
 from hamflow.errors import ParseError, ValidationError
-from hamflow.experiments import _law_for
+from hamflow.experiments import _law_for, flow_steps
 
 NON_DEFAULT = """\
 # a comment line
@@ -64,7 +64,19 @@ class TestErrors:
 
 class TestCommandDefaults:
     def test_diffusion_regularity(self):
-        assert parse_config("", command="diffusion").regularity == (0.08,)
+        assert parse_config("", command="diffusion").regularity == (3.16,)
+
+    def test_field_regularity(self):
+        assert parse_config("", command="flow").regularity == (3.95,)
+
+    @pytest.mark.parametrize("command,regularity,steps",
+                             [("flow", 3.95, 71), ("intersections", 3.95, 71),
+                              ("inversion", 3.95, 71), ("diffusion", 3.16, 167)])
+    def test_default_laws_flow_resolved(self, command, regularity, steps):
+        # the defaults are smooth in frequency units: they flow below the cap
+        cfg = parse_config("", command=command)
+        assert cfg.regularity == (regularity,) and cfg.steps == 200
+        assert flow_steps(_law_for(cfg, regularity), cfg.steps) == steps
 
     def test_random_walk_kernel(self):
         assert parse_config("", command="random-walk").kernel == "constant"

@@ -9,6 +9,7 @@ from hamflow.engine import SpectralEngine
 from hamflow.field import PackedBatch, make_law, sample_hamiltonian
 from hamflow.rng import derive
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP
+from reference import mode_coefficients
 
 TWO_PI = 2 * math.pi
 RTOL = 1e-12
@@ -60,9 +61,10 @@ def rotated(gradient):
 
 def check_engine(engine, coeffs, pts):
     """Check the engine's gradient and vector field at S point sets (S, P, 2)
-    under the raw coefficients (S, N); return the reference gradient."""
+    under the raw coefficients (S, N) of the whole basis, packed from the
+    engine's band modes; return the reference gradient."""
     want = np.stack([reference_gradient(engine, c, p) for c, p in zip(coeffs, pts)])
-    grids = engine.grids(coeffs)
+    grids = engine.grids(coeffs[:, engine.modes])
     assert_close(engine.gradient(grids, pts), want)
     assert_close(engine.vector_field(engine.field_grids(grids), pts), rotated(want))
     return want
@@ -81,7 +83,7 @@ def test_kernel_matches_mode_by_mode_reference(kernel, r, spatial_max, band, dra
                    kernel=kernel, seed=3)
     hs = [sample_hamiltonian(law, derive(3, i)) for i in range(draws)]
     t = 0.37
-    coeffs = np.stack([h.mode_coefficients(t) for h in hs])
+    coeffs = np.stack([mode_coefficients(h, t) for h in hs])
     pts = lifted_points((draws, 40), seed=draws)
     engine = law.engine()
     assert engine.band == band
@@ -121,3 +123,22 @@ def test_batch_field_grids_follow_appends():
     want = PackedBatch(hs).field_grids(times)
     assert np.array_equal(batch.field_grids(times), want)
     assert np.array_equal(batch.rows([2, 0]).field_grids(times), want[:, [2, 0]])
+
+
+def test_buffered_calls_equal_allocating_calls():
+    law = make_law(3.0 / (4 * math.pi**2), spatial_max=10, temporal_max=4, seed=4)
+    hs = [sample_hamiltonian(law, derive(4, i)) for i in range(3)]
+    engine = law.engine()
+    fields = PackedBatch(hs).field_grids(0.6)[0]
+    pts = lifted_points((3, 50), seed=4)
+    want = engine.vector_field(fields, pts)
+    buffers, out = engine.buffers(pts.shape), np.empty(pts.shape)
+    for _ in range(2):
+        got = engine.vector_field(fields, pts, out, buffers)
+        assert got is out and np.array_equal(got, want)
+    grids = hs[0].coefficient_grids(np.linspace(0, 1, 5))
+    rows = engine.lattice_rows(np.arange(24) / 24)
+    want = engine.value_grid(grids, rows, rows)
+    out, half = np.empty((5, 24, 24)), np.empty((5, 24, 2 * engine.band + 2))
+    got = engine.value_grid(grids, rows, rows, out=out, half=half)
+    assert got is out and np.array_equal(got, want)

@@ -276,17 +276,18 @@ class TestIntersectionChunks:
             assert np.array_equal(image.vertices, expected.vertices)
 
 
-def check_diffusion_chunk(regularity, steps):
-    cfg = ExperimentConfig(command="diffusion", regularity=(regularity,), spatial_max=5,
-                           steps=40, points=12, samples=5, seed=2)
+def check_diffusion_chunk(regularity, steps, spatial_max=5):
+    cfg = ExperimentConfig(command="diffusion", regularity=(regularity,),
+                           spatial_max=spatial_max, steps=40, points=12, samples=5, seed=2)
     law = _law_for(cfg, regularity)
     assert flow_steps(law, cfg.steps) == steps
     settings = FlowSettings(steps=steps)
     results = _diffusion_chunk((cfg, 0, 1, 5))
     for (counts, chi), i in zip(results, range(1, 5)):
-        # the draw first, then the ball points, from one stream
+        # the draw's full (N, m) normals first, then the ball points, from one stream
         rng = derive(cfg.seed, 0, i)
-        draw = sample_hamiltonian(law, rng)
+        draw = RandomHamiltonian(law, rng.standard_normal((len(law.basis()),
+                                                           law.kernel.gaussians_per_sample())))
         pts = _ball_points(rng, cfg.ball_center, cfg.ball_radius, cfg.points)
         states = flow_points_through(draw, pts, cfg.times, settings)
         assert np.array_equal(counts, np.stack([_bin_counts(s, cfg.grid) for s in states]))
@@ -327,6 +328,31 @@ class TestBatchedChunks:
 
     def test_smooth_displacement_chunk_flows_at_its_step_count(self):
         check_displacement_chunk(5.0, 24)
+
+    def test_diffusion_chunk_draws_its_points_after_the_full_normals(self):
+        # at spatial_max 12 the draws hold 268 of 576 rows until the points
+        # are drawn (at spatial_max 5 the head is every row)
+        assert _law_for(ExperimentConfig(regularity=(3.0,), spatial_max=12), 3.0).head_rows() == 268
+        check_diffusion_chunk(3.0, 40, spatial_max=12)
+        check_diffusion_chunk(5.0, 24, spatial_max=12)
+
+
+def test_law_built_once_per_process(monkeypatch):
+    import hamflow.experiments as experiments
+    calls = []
+    monkeypatch.setattr(experiments, "make_law",
+                        lambda *args, **kwargs: calls.append(1) or make_law(*args, **kwargs))
+    _law_for.cache_clear()
+    try:
+        # one-sample chunks: 5 tasks, one law
+        cfg = ExperimentConfig(command="sample-field", regularity=(3.0,), spatial_max=6,
+                               temporal_max=3, samples=5, workers=1, osc_spatial_grid=8,
+                               osc_time_grid=5, seed=1)
+        experiments.oscillation_samples(cfg)
+        assert len(calls) == 1
+        assert _law_for(cfg, 3.0) is _law_for(ExperimentConfig(**vars(cfg)), 3.0)
+    finally:
+        _law_for.cache_clear()
 
 
 def test_inversion_chunk_peak_memory():
@@ -443,9 +469,9 @@ def test_flow_points_takes_exactly_the_requested_steps(monkeypatch):
     calls = []
     original = SpectralEngine.vector_field
 
-    def counted(self, fields, pts):
+    def counted(self, fields, pts, *buffers):
         calls.append(1)
-        return original(self, fields, pts)
+        return original(self, fields, pts, *buffers)
 
     monkeypatch.setattr(SpectralEngine, "vector_field", counted)
     law = frequency_law(8.0, spatial_max=4, temporal_max=3)

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from hamflow.engine import SpectralEngine
-from hamflow.errors import Unsupported
+from hamflow.errors import StreamConsumed, Unsupported
 from hamflow.field import (HamiltonianLaw, PackedBatch, RandomHamiltonian, gaussian_dimension,
                            make_law, sample_hamiltonian, spectral_weight)
+from hamflow.flow import BumpFunction, concatenate_autonomous, time_reversed_hamiltonian
 from hamflow.rng import derive
 from hamflow.temporal import (CONSTANT, KernelKind, PERIODIC, SQEXP, coefficient_paths,
                               kernel_value)
-from reference import analytic_variance, mode_of, spatial_mean
+from reference import (analytic_variance, concatenation_coefficients, full_coefficients,
+                       full_packing, mode_coefficients, mode_of, spatial_mean)
 
 
 class TestSpectralWeight:
@@ -290,9 +292,9 @@ class TestSubnormalFlush:
 
     def test_evaluation_bit_identical_to_unflushed_grid(self):
         h = self.draw(CONSTANT)
-        coeffs = h.mode_coefficients(0.0)
+        coeffs = mode_coefficients(h, 0.0)
         raw = self.unflushed_grid(h.engine, coeffs)
-        flushed = h.engine.grids(coeffs)
+        flushed = h.engine.grids(coeffs[h.engine.modes])
         assert self.subnormal(raw).any()
         assert np.array_equal(flushed, np.where(self.subnormal(raw), 0.0, raw))
         pts = np.random.default_rng(7).uniform(0, 1, (1, 64, 2))
@@ -326,8 +328,8 @@ class TestBand:
         engine = law.engine()
         b = law.basis()
         assert law.band() == engine.band == band
-        assert np.sum((b.kx <= band) & (b.ky <= band)) == modes
-        assert engine.grids(np.zeros(len(b))).shape == (2, band + 1, 2 * band + 2)
+        assert np.sum((b.kx <= band) & (b.ky <= band)) == len(engine.modes) == modes
+        assert engine.grids(np.zeros(modes)).shape == (2, band + 1, 2 * band + 2)
 
     @pytest.mark.parametrize("r", [row[0] for row in TABLE])
     def test_dropped_modes_below_tolerance(self, r):
@@ -353,7 +355,9 @@ class TestBand:
         law = frequency_law(3, temporal_max=4)
         h = sample_hamiltonian(law, derive(4))
         assert h.gaussians.shape == (2500, 9)
-        assert h.coefficients.shape == (9, 2500)
+        assert full_coefficients(h).shape == (9, 2500)
+        # B is computed and packed for the band modes only
+        assert h.coefficients.shape == (9, 196)
 
     @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT, SQEXP])
     def test_banded_evaluation_matches_full_band(self, kernel):
@@ -365,7 +369,7 @@ class TestBand:
         xs = np.arange(24) / 24
         for t in (0.0, 0.37, 1.0):
             grid = h.coefficient_grids(t)
-            ref = full.grids(h.mode_coefficients(t))
+            ref = full.grids(mode_coefficients(h, t))
             cases = {"value": (grid, ref), "gradient": (grid, ref),
                      "vector_field": (h.engine.field_grids(grid), full.field_grids(ref))}
             for method, (got_grid, want_grid) in cases.items():
@@ -477,7 +481,7 @@ class TestPerLawQuantities:
         """sum_n |c_n(t)| a_n (2 pi max(kx, ky))^2 of ``count`` draws."""
         b = law.basis()
         factor = b.amplitudes * (2 * math.pi * np.maximum(b.kx, b.ky)) ** 2
-        return np.array([np.abs(sample_hamiltonian(law, derive(8, i)).mode_coefficients(t))
+        return np.array([np.abs(mode_coefficients(sample_hamiltonian(law, derive(8, i)), t))
                          @ factor for i in range(count)])
 
     @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT])
@@ -492,3 +496,113 @@ class TestPerLawQuantities:
         centered = frequency_law(2, spatial_max=4, temporal_max=3)
         assert law.lipschitz_bound() > centered.lipschitz_bound()
         assert self.spectral_bounds(law, 2000, 0.3).mean() <= law.lipschitz_bound()
+
+
+class TestHeadOnlyDraws:
+    """A draw draws the rows its engine reads; its tail waits on the stream."""
+
+    # (regularity in frequency units, band, band modes, head rows) at spatial_max 25
+    HEADS = [(0.1, 25, 2500, 2500), (0.5, 17, 1156, 1712), (2, 8, 256, 360),
+             (3, 7, 196, 268), (4.5, 5, 100, 128)]
+
+    @pytest.mark.parametrize("r,band,modes,head", HEADS)
+    def test_head_rows_table(self, r, band, modes, head):
+        law = frequency_law(r)
+        assert (law.band(), len(law.engine().modes), law.head_rows()) == (band, modes, head)
+        assert law.head_rows() == law.engine().modes.max() + 1
+
+    @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT, SQEXP])
+    def test_gaussians_equal_a_full_draw(self, kernel):
+        law = frequency_law(3, spatial_max=12, temporal_max=4, kernel=kernel, grid_nodes=16)
+        n, m = len(law.basis()), law.kernel.gaussians_per_sample()
+        # sqexp draws keep every row (HamiltonianLaw.head_rows)
+        assert law.head_rows() == (n if kernel == SQEXP else 268)
+        for i in range(3):
+            h = sample_hamiltonian(law, derive(5, i))
+            assert np.array_equal(h.gaussians, derive(5, i).standard_normal((n, m)))
+            assert not h.gaussians.flags.writeable
+            assert h.gaussians is h.gaussians
+
+    @staticmethod
+    def packings(kind):
+        """(h, engine, B of h over the whole basis) for one spectral type."""
+        kernel = {"reversal": PERIODIC, "concatenation": CONSTANT,
+                  "mixed concatenation": CONSTANT}.get(kind, kind)
+        draws = [sample_hamiltonian(frequency_law(r, spatial_max=12, temporal_max=4,
+                                                  kernel=kernel, grid_nodes=16, seed=3),
+                                    derive(3, i))
+                 for i, r in enumerate((3, 4.5) if kind == "mixed concatenation" else (3, 3))]
+        if kind == "reversal":
+            h = time_reversed_hamiltonian(draws[0])
+            return h, h.engine, full_coefficients(h)
+        if kind.endswith("concatenation"):
+            h = concatenate_autonomous(draws, BumpFunction())
+            return h, h.engine, concatenation_coefficients(draws)
+        return draws[0], draws[0].engine, full_coefficients(draws[0])
+
+    @pytest.mark.parametrize("kind", [PERIODIC, CONSTANT, SQEXP, "reversal", "concatenation",
+                                      "mixed concatenation"])
+    def test_head_packing_equals_full_basis_packing(self, kind):
+        h, engine, full = self.packings(kind)
+        assert engine.band == 7 < 12
+        want = full_packing(engine, full)
+        assert np.array_equal(engine.grids(h.coefficients), want)
+        times = np.linspace(0.0, 1.0, 7)
+        phi = h.time_basis(times)
+        paths = (phi @ want.reshape(len(want), -1)).reshape((len(times),) + want.shape[1:])
+        assert np.array_equal(h.coefficient_grids(times), paths)
+        fields = engine.field_grids(want)
+        stage = (phi @ fields.reshape(len(fields), -1)).reshape((len(times), 1) + fields.shape[1:])
+        assert np.array_equal(PackedBatch([h]).field_grids(times), stage)
+
+    def test_packing_leaves_the_tail_undrawn(self):
+        law = frequency_law(3, spatial_max=12, temporal_max=4)
+        rng = derive(9)
+        h = sample_hamiltonian(law, rng)
+        PackedBatch([h])
+        h.coefficient_grids(0.5)
+        h.oscillation(8, 3)
+        head_only = derive(9)
+        head_only.standard_normal((law.head_rows(), 9))
+        assert rng.bit_generator.state == head_only.bit_generator.state
+
+
+class TestStreams:
+    """Callers that draw more from a draw's generator get a full draw's values
+    or a StreamConsumed error."""
+
+    LAW = frequency_law(3, spatial_max=12, temporal_max=4)
+    SHAPE = (576, 9)
+
+    def test_drawing_between_head_and_tail_raises(self):
+        rng = derive(11)
+        h = sample_hamiltonian(self.LAW, rng)
+        rng.uniform()
+        for _ in range(2):
+            with pytest.raises(StreamConsumed):
+                h.gaussians
+
+    def test_reading_the_tail_leaves_the_stream_after_a_full_draw(self):
+        rng = derive(11)
+        h = sample_hamiltonian(self.LAW, rng)
+        ref = derive(11)
+        assert np.array_equal(h.gaussians, ref.standard_normal(self.SHAPE))
+        assert np.array_equal(rng.uniform(size=5), ref.uniform(size=5))
+
+    def test_consecutive_draws_equal_consecutive_full_draws(self):
+        rng = derive(12)
+        hs = [sample_hamiltonian(self.LAW, rng) for _ in range(3)]
+        ref = derive(12)
+        for h in hs[:2]:
+            assert np.array_equal(h.gaussians, ref.standard_normal(self.SHAPE))
+        # the last draw's tail is still pending: the stream is read through it
+        assert np.array_equal(hs[2].gaussians, ref.standard_normal(self.SHAPE))
+        assert np.array_equal(rng.standard_normal(4), ref.standard_normal(4))
+
+    def test_draws_from_an_array_hold_it_whole(self):
+        full = derive(13).standard_normal(self.SHAPE)
+        h = RandomHamiltonian(self.LAW, full)
+        assert np.array_equal(h.gaussians, full)
+        assert np.array_equal(h.coefficients, sample_hamiltonian(self.LAW, derive(13)).coefficients)
+        with pytest.raises(ValueError):
+            RandomHamiltonian(self.LAW, full[:self.LAW.head_rows()])

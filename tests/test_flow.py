@@ -1,6 +1,7 @@
 """Tests for flow integration, group operations, curves, and refinement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,14 +9,15 @@ import pytest
 from hamflow.basis import torus_distance
 from hamflow.engine import SpectralEngine
 from hamflow.errors import NotAutonomous, RefinementOverflow, Unsupported
-from hamflow.field import RandomHamiltonian, SpectralHamiltonian, make_law, sample_hamiltonian
-from hamflow.flow import (BumpFunction, BumpTimeBasis, FlowSettings, LagrangianCurve,
-                          advect_curve, circle_curve, concatenate_autonomous,
+from hamflow.field import (PackedBatch, RandomHamiltonian, SpectralHamiltonian, make_law,
+                           sample_hamiltonian)
+from hamflow.flow import (BumpFunction, BumpTimeBasis, FlowSettings, LagrangianCurve, _rk4_step,
+                          _rk4_work, advect_curve, circle_curve, concatenate_autonomous,
                           flow_jacobian_determinant, flow_points, horizontal_circle,
                           sloped_circle, time_reversed_hamiltonian)
 from hamflow.rng import derive
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, TimeBasis
-from reference import Mode, mode_index
+from reference import Mode, concatenation_coefficients, full_coefficients, mode_index
 
 # The analytic references: autonomous draws over the smallest basis with
 # axis modes, each of one mode or none.
@@ -296,13 +298,14 @@ class TestBatchedFlow:
 
 
 class FullBand(SpectralHamiltonian):
-    """A spectral Hamiltonian's path evaluated by the full-band engine (reference)."""
+    """A spectral Hamiltonian's path evaluated by the full-band engine
+    (reference), from its B over the whole basis (``reference``)."""
 
-    def __init__(self, h):
+    def __init__(self, h, coefficients):
         basis = h.engine.basis
         super().__init__(SpectralEngine(basis, basis.truncation.spatial_max))
         self.time_basis = h.time_basis
-        self.coefficients = h.coefficients
+        self.coefficients = coefficients
         self.stiffness = h.stiffness
 
 
@@ -319,15 +322,18 @@ class TestBand:
 
     @classmethod
     def hamiltonian(cls, kind):
+        """(h, B of h over the whole basis)."""
         if kind in (PERIODIC, CONSTANT, SQEXP):
-            return cls.draws(kind, 3)[0]
+            h = cls.draws(kind, 3)[0]
+            return h, full_coefficients(h)
         if kind == "reversal":
-            return time_reversed_hamiltonian(cls.draws(PERIODIC, 3)[0])
+            h = time_reversed_hamiltonian(cls.draws(PERIODIC, 3)[0])
+            return h, full_coefficients(h)
         if kind == "concatenation":
-            return concatenate_autonomous(cls.draws(CONSTANT, 3), BumpFunction())
-        # parts of two regularities (bands 7 and 5) on one truncation
-        return concatenate_autonomous(cls.draws(CONSTANT, 3, 1) + cls.draws(CONSTANT, 4.5, 1, 182),
-                                      BumpFunction())
+            parts = cls.draws(CONSTANT, 3)
+        else:  # parts of two regularities (bands 7 and 5) on one truncation
+            parts = cls.draws(CONSTANT, 3, 1) + cls.draws(CONSTANT, 4.5, 1, 182)
+        return concatenate_autonomous(parts, BumpFunction()), concatenation_coefficients(parts)
 
     @staticmethod
     def close(got, want, rel=1e-13):
@@ -336,8 +342,8 @@ class TestBand:
     @pytest.mark.parametrize("kind", [PERIODIC, CONSTANT, SQEXP, "reversal", "concatenation",
                                       "mixed concatenation"])
     def test_matches_full_band(self, kind):
-        h = self.hamiltonian(kind)
-        ref = FullBand(h)
+        h, coefficients = self.hamiltonian(kind)
+        ref = FullBand(h, coefficients)
         assert h.engine.band < ref.engine.band
         pts = np.random.default_rng(5).uniform(0, 1, (16, 2))
         xs = np.arange(20) / 20
@@ -424,3 +430,78 @@ class TestCurves:
                                 max_refinement_depth=0)
         with pytest.raises(RefinementOverflow):
             advect_curve(h, horizontal_circle(0.5, 4), 1.0, settings)
+
+
+class TestBuffers:
+    """A flow allocates its work arrays once; an RK4 step allocates no array."""
+
+    # 4 draws x 512 points at band 7: one table or one product is 512 KiB
+    LAW = make_law(3.0 / (4 * math.pi**2), spatial_max=12, temporal_max=4)
+    LIMIT = 16 * 1024
+
+    @classmethod
+    def batch(cls):
+        return PackedBatch([sample_hamiltonian(cls.LAW, derive(2, i)) for i in range(4)])
+
+    def test_rk4_step_allocates_no_arrays(self):
+        batch = self.batch()
+        engine = batch.engine
+        p = np.random.default_rng(0).uniform(0, 1, (4, 512, 2))
+        assert engine.buffers(p.shape).powers.nbytes == 512 * 1024
+        work = _rk4_work(engine, p.shape)
+        grids = batch.field_grids(np.array([0.0, 0.05, 0.1]))
+        _rk4_step(engine, grids[0], grids[1], grids[2], p, 0.1, work)
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                _rk4_step(engine, grids[0], grids[1], grids[2], p, 0.1, work)
+                assert tracemalloc.get_traced_memory()[1] - before < self.LIMIT
+        finally:
+            tracemalloc.stop()
+
+    def test_rk4_step_equals_allocating_arithmetic(self):
+        batch = self.batch()
+        engine = batch.engine
+        p = np.random.default_rng(1).uniform(0, 1, (4, 64, 2))
+        g = batch.field_grids(np.array([0.2, 0.25, 0.3]))
+        h = 0.1
+        k1 = engine.vector_field(g[0], p)
+        k2 = engine.vector_field(g[1], p + (0.5 * h) * k1)
+        k3 = engine.vector_field(g[1], p + (0.5 * h) * k2)
+        k4 = engine.vector_field(g[2], p + h * k3)
+        want = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _rk4_step(engine, g[0], g[1], g[2], p, h, _rk4_work(engine, p.shape))
+        assert np.array_equal(p, want)
+
+    def test_one_set_of_buffers_per_flow(self, monkeypatch):
+        calls = []
+        buffers = SpectralEngine.buffers
+        monkeypatch.setattr(SpectralEngine, "buffers",
+                            lambda self, shape: calls.append(shape) or buffers(self, shape))
+        pts = np.random.default_rng(2).uniform(0, 1, (4, 8, 2))
+        flow_points(self.batch(), pts, 0.0, 1.0, FlowSettings(steps=12))
+        assert calls == [(4, 8, 2)]
+
+    def test_oscillation_block_allocates_no_lattice(self, monkeypatch):
+        h = sample_hamiltonian(self.LAW, derive(3))
+        value_grid = SpectralEngine.value_grid
+        allocated = []
+
+        def measured(self, *args, **kwargs):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = value_grid(self, *args, **kwargs)
+            allocated.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+        expected = h.oscillation(128, 101)
+        monkeypatch.setattr(SpectralEngine, "value_grid", measured)
+        tracemalloc.start()
+        try:
+            # one block's lattices are 8 x 128 x 128 doubles, 1 MiB
+            assert h.oscillation(128, 101) == expected
+        finally:
+            tracemalloc.stop()
+        assert len(allocated) == 13 and max(allocated) < self.LIMIT

@@ -155,7 +155,7 @@ class TestGeneratingHamiltonian:
         for w in range(n):
             walk = sample_walk(law, 3, walk_index=w)
             combined = walk_generating_hamiltonian(walk, bump)
-            coeffs = combined.mode_coefficients(np.array([0.2, 0.8]))
+            coeffs = combined.time_basis(np.array([0.2, 0.8])) @ combined.coefficients
             at_02[w] = coeffs[0, 0]
             at_08[w] = coeffs[1, 0]
         assert stats.ks_2samp(at_02, at_08).pvalue > 0.01
