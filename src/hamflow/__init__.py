@@ -10,7 +10,7 @@ from .basis import SpectralBasis, Truncation, torus_distance
 from .config import ExperimentConfig, parse_config, serialize_config
 from .errors import (DegenerateOverlap, FactorizationFailure, FailureBudgetExceeded,
                      HamflowError, NonFinite, NotAutonomous, OutOfRange, ParseError,
-                     RefinementOverflow, StreamConsumed, Unsupported, ValidationError)
+                     RefinementOverflow, Unsupported, ValidationError)
 from .field import (HamiltonianLaw, RandomHamiltonian, SpectralHamiltonian,
                     gaussian_dimension, make_law, sample_hamiltonian, spectral_weight)
 from .flow import (BumpFunction, FlowSettings, LagrangianCurve, advect_curve, advect_curves,

@@ -17,12 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, io, rkhs
-from .config import COMMANDS, ExperimentConfig, parse_config, serialize_config
-from .errors import FailureBudgetExceeded, HamflowError
+from .config import COMMANDS, ExperimentConfig, parse_config, parse_value, serialize_config
+from .errors import FailureBudgetExceeded, HamflowError, ParseError
 from .experiments import ResultRow, ResultTable, standard_error
 from .field import sample_hamiltonian
 from .flow import BumpFunction
-from .rng import derive
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,7 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    text = args.config.read_text() if args.config else ""
+    try:
+        text = args.config.read_text() if args.config else ""
+    except OSError as exc:
+        raise ParseError(f"cannot read config {args.config}: {exc.strerror}") from exc
     overrides = {
         "seed": args.seed,
         "samples": args.samples,
@@ -51,7 +53,7 @@ def _load_config(args) -> ExperimentConfig:
         "plot": args.plot,
     }
     if args.regularity is not None:
-        overrides["regularity"] = tuple(float(p) for p in args.regularity.split(",") if p.strip())
+        overrides["regularity"] = parse_value("regularity", args.regularity)
     return parse_config(text, command=args.command, overrides=overrides)
 
 
@@ -82,8 +84,7 @@ def _cmd_sample_field(cfg: ExperimentConfig) -> None:
     io.write_table(ResultTable(rows=tuple(rows)), out / "field_osc.csv")
     io.write_records(records, out / "field_samples.jsonl")
     if cfg.plot:
-        draw = sample_hamiltonian(experiments._law_for(cfg, cfg.regularity[0]),
-                                  derive(cfg.seed, 0, 0))
+        draw = sample_hamiltonian(experiments._law_for(cfg, cfg.regularity[0]), cfg.seed, 0, 0)
         io.render_field_svg(draw, cfg.field_time, out / "field.svg", cfg.arrow_grid)
     print(f"wrote {out / 'field_osc.csv'}")
 
@@ -155,7 +156,7 @@ def _cmd_rkhs_norm(cfg: ExperimentConfig) -> None:
         norms = []
         sums = []
         for i in range(cfg.samples):
-            draw = sample_hamiltonian(law, derive(cfg.seed, r_index, i))
+            draw = sample_hamiltonian(law, cfg.seed, r_index, i)
             norms.append(rkhs.rkhs_norm(draw, law.regularity))
             sums.append(rkhs.weighted_coefficient_sum(draw, cfg.smoothing_eps))
             records.append({"regularity": regularity, "sample": i,

@@ -155,6 +155,13 @@ _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,
                "1": True, "0": False}
 
 
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def _convert(raw: str, template):
     if isinstance(template, bool):
         word = raw.strip().lower()
@@ -164,13 +171,22 @@ def _convert(raw: str, template):
     if isinstance(template, int):
         return int(raw)
     if isinstance(template, float):
-        return float(raw)
+        return _float(raw)
     if isinstance(template, tuple):
         parts = [p.strip() for p in raw.split(",") if p.strip()]
         if template and isinstance(template[0], str):
             return tuple(parts)
-        return tuple(float(p) for p in parts)
+        return tuple(_float(p) for p in parts)
     return raw.strip()
+
+
+def parse_value(key: str, raw: str, line: int | None = None):
+    """``raw`` converted to the type of ``key``'s default; a ParseError if it
+    does not convert (non-finite numbers do not)."""
+    try:
+        return _convert(raw.strip(), getattr(ExperimentConfig, key))
+    except ValueError as exc:
+        raise ParseError(f"{key}: {exc}", line=line) from exc
 
 
 def parse_config(text: str, command: str = "sample-field",
@@ -180,9 +196,7 @@ def parse_config(text: str, command: str = "sample-field",
     ``overrides`` (typically CLI flags) take precedence over document keys,
     and both over the command's entry in ``COMMAND_DEFAULTS``.
     """
-    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
-    known = set(defaults)
-    known.discard("command")
+    known = {f.name for f in fields(ExperimentConfig)} - {"command"}
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -196,10 +210,7 @@ def parse_config(text: str, command: str = "sample-field",
             raise ValidationError(key, "unknown key")
         if key in values:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
-        try:
-            values[key] = _convert(raw.strip(), defaults[key])
-        except ValueError as exc:
-            raise ParseError(f"{key}: {exc}", line=lineno) from exc
+        values[key] = parse_value(key, raw, line=lineno)
     if overrides:
         for key, val in overrides.items():
             if val is None:

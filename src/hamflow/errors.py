@@ -29,11 +29,6 @@ class NonFinite(HamflowError):
         super().__init__(message)
 
 
-class StreamConsumed(HamflowError):
-    """A head-only draw's generator was drawn from before the draw drew its
-    tail, so the tail would not be the normals a full draw holds."""
-
-
 class FailureBudgetExceeded(HamflowError):
     """More samples failed than a run's failure budget allows.
 

@@ -55,7 +55,7 @@ import numpy as np
 from . import temporal
 from .config import ExperimentConfig
 from .errors import DegenerateOverlap, FailureBudgetExceeded, HamflowError, ValidationError
-from .field import HamiltonianLaw, PackedBatch, make_law, sample_hamiltonian
+from .field import HamiltonianLaw, PackedBatch, RandomHamiltonian, make_law, sample_hamiltonian
 from .flow import (FlowSettings, LagrangianCurve, advect_curves, flow_points, flow_points_through,
                    horizontal_circle, time_reversed_hamiltonian)
 from .rng import derive
@@ -322,7 +322,7 @@ def _advected_chunk(args) -> list:
     batch, rows, out = PackedBatch(), [], {}
     for i in range(start, stop):
         try:
-            batch.append(sample_hamiltonian(law, derive(cfg.seed, r_index, i)))
+            batch.append(sample_hamiltonian(law, cfg.seed, r_index, i))
         except HamflowError as exc:
             out[i] = exc
         else:
@@ -414,20 +414,18 @@ def _chi_square(counts: np.ndarray) -> float:
 def _diffusion_chunk(args) -> list:
     """(bin counts, chi-square) per time for samples start..stop-1.
 
-    Sample i draws its Hamiltonian and then its ball points from one stream:
-    the draw reads its normals, which draws their tail, before the points
-    are drawn, so the points follow the full (N, m) normals
-    (``hamflow.field``, "Streams").  The chunk's clouds flow as one batch.
+    Sample i draws its Hamiltonian's full (N, m) normals and then its ball
+    points from one stream, so the draw is built from that array rather
+    than by ``sample_hamiltonian``.  The chunk's clouds flow as one batch.
     """
     cfg, r_index, start, stop = args
     law = _law_for(cfg, cfg.regularity[r_index])
     batch = PackedBatch()
+    shape = (len(law.basis()), law.kernel.gaussians_per_sample())
     pts = np.empty((stop - start, cfg.points, 2))
     for row, i in enumerate(range(start, stop)):
         rng = derive(cfg.seed, r_index, i)
-        draw = sample_hamiltonian(law, rng)
-        batch.append(draw)
-        _ = draw.gaussians
+        batch.append(RandomHamiltonian(law, rng.standard_normal(shape)))
         pts[row] = _ball_points(rng, cfg.ball_center, cfg.ball_radius, cfg.points)
     states = flow_points_through(batch, pts, cfg.times, _settings_for(cfg, law))
     results = []
@@ -455,7 +453,7 @@ def _osc_chunk(args) -> list:
     """Oscillation norms of samples start..stop-1."""
     cfg, r_index, start, stop = args
     law = _law_for(cfg, cfg.regularity[r_index])
-    return [sample_hamiltonian(law, derive(cfg.seed, r_index, i))
+    return [sample_hamiltonian(law, cfg.seed, r_index, i)
             .oscillation(cfg.osc_spatial_grid, cfg.osc_time_grid)
             for i in range(start, stop)]
 
@@ -524,7 +522,7 @@ def _displacement_chunk(args) -> list:
     batch = PackedBatch()
     for branch in (0, 1):
         for i in range(start, stop):
-            draw = sample_hamiltonian(law, derive(cfg.seed, branch, i))
+            draw = sample_hamiltonian(law, cfg.seed, branch, i)
             batch.append(time_reversed_hamiltonian(draw) if branch else draw)
     probe = np.asarray(cfg.probe, dtype=float)
     images = flow_points(batch, np.broadcast_to(probe, (len(batch), 1, 2)), 0.0, 1.0,

@@ -9,12 +9,14 @@ draws, their time reversals and concatenations of autonomous draws are its
 subclasses.  Coefficients are computed and packed for the engine's band
 modes only (``SpectralEngine.modes``).
 
-Streams.  A draw's normals are one (N, m) array in row order: rows 0 .. R-1
-are the first R * m normals its generator yields.  The basis is sorted by
-eigenvalue, so the band modes' indices run from 0 up to
-``HamiltonianLaw.head_rows()`` - 1, and ``sample_hamiltonian`` draws only
-that head.  At spatial_max 25, temporal_max 10, periodic kernel (N = 2,500,
-m = 21; regularity in frequency units):
+Streams.  A draw owns its stream: ``sample_hamiltonian(law, seed, *indices)``
+creates the generator ``derive(seed, *indices)`` and no caller shares it.
+The draw's normals are one (N, m) array in row order, the first N * m
+normals of that stream.  The basis is sorted by eigenvalue, so the band
+modes' indices run from 0 up to ``HamiltonianLaw.head_rows()`` - 1, and
+``sample_hamiltonian`` draws only that head.  At spatial_max 25,
+temporal_max 10, periodic kernel (N = 2,500, m = 21; regularity in
+frequency units):
 
     r      band   band modes   head rows
     0.1    25     2,500        2,500
@@ -24,24 +26,14 @@ m = 21; regularity in frequency units):
     3.95   6      144          192
     4.5    5      100          128
 
-sqexp laws draw every row (``HamiltonianLaw.head_rows``).  The draw takes
-the generator with its head: the first read of ``gaussians`` draws the tail
-from it, and because numpy generates normals in sequence the whole array
-equals a full draw's bit for bit, and the generator is left where a full
-draw leaves it.  So a caller that draws more from the generator reads the
-draw's ``gaussians`` first (``experiments._diffusion_chunk`` does), and
-``sample_hamiltonian`` reads the tail of a live draw still pending on the
-generator before it draws the next head.  If the generator was drawn from in
-between, the tail read raises ``StreamConsumed`` rather than return other
-normals.  A caller that drops a draw before its tail and keeps drawing from
-the generator gets the normals that follow the head: keep the draw, or read
-its ``gaussians``, first.
+sqexp laws draw every row (``HamiltonianLaw.head_rows``).  The draw keeps
+its key (seed, *indices): the first read of ``gaussians`` derives the
+stream again and draws the whole array, which is a full draw.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, replace
 from functools import lru_cache, wraps
 
@@ -50,7 +42,7 @@ import numpy as np
 from . import temporal
 from .basis import TWO_PI, SpectralBasis, Truncation
 from .engine import SpectralEngine
-from .errors import StreamConsumed, Unsupported
+from .errors import Unsupported
 from .rng import derive
 from .temporal import KernelKind
 
@@ -307,12 +299,6 @@ class SpectralHamiltonian:
         return float(np.trapezoid(spread, times))
 
 
-# Head-only draws still waiting for their tails, by id of their generator
-# (numpy generators take no weak references; a draw holds its generator, so
-# the id is not reused while the entry lives).
-_PENDING = weakref.WeakValueDictionary()
-
-
 class RandomHamiltonian(SpectralHamiltonian):
     """One draw of the random field; immutable after construction.
 
@@ -323,50 +309,35 @@ class RandomHamiltonian(SpectralHamiltonian):
     than stored.
 
     A draw built from an (N, m) array holds that array.  A draw built with
-    a ``stream`` holds its head, rows 0 .. ``law.head_rows()`` - 1, and the
-    generator they came from; reading ``gaussians`` draws the tail from the
-    generator the first time (module docstring, "Streams").
+    a stream ``key`` (seed, *indices) holds its head, rows 0 ..
+    ``law.head_rows()`` - 1, and reading ``gaussians`` draws the whole
+    array from ``derive(*key)`` the first time (module docstring, "Streams").
     """
 
-    def __init__(self, law: HamiltonianLaw, gaussians, stream: np.random.Generator | None = None):
+    def __init__(self, law: HamiltonianLaw, gaussians, key: tuple | None = None):
         super().__init__(law.engine())
         self.law = law
         self.basis = law.basis()
-        shape = (len(self.basis) if stream is None else law.head_rows(),
+        shape = (len(self.basis) if key is None else law.head_rows(),
                  law.kernel.gaussians_per_sample())
         normals = np.array(gaussians, dtype=float)
         if normals.shape != shape:
             raise ValueError(f"gaussians must have shape {shape}")
         normals.setflags(write=False)
         self._normals = normals
-        self._stream = stream
-        if stream is not None:
-            self._stream_state = stream.bit_generator.state
-            _PENDING[id(stream)] = self
+        self._key = key
         self.weights = law.weights()
         self.autonomous = law.kernel.tag == temporal.CONSTANT
         self.time_basis = law.kernel.time_basis()
 
     @property
     def gaussians(self) -> np.ndarray:
-        """The (N, m) normals; a head-only draw draws its tail on first read."""
-        if self._stream is not None:
-            self._draw_tail()
+        """The (N, m) normals; a head-only draw draws them whole on first read."""
+        if self._key is not None:
+            normals = derive(*self._key).standard_normal((len(self.basis), self._normals.shape[1]))
+            normals.setflags(write=False)
+            self._normals, self._key = normals, None
         return self._normals
-
-    def _draw_tail(self) -> None:
-        stream = self._stream
-        if stream.bit_generator.state != self._stream_state:
-            raise StreamConsumed("the generator of a head-only draw was drawn from before the "
-                                 "draw's tail; read the draw's gaussians before drawing "
-                                 "from its generator again")
-        if _PENDING.get(id(stream)) is self:
-            del _PENDING[id(stream)]
-        tail = stream.standard_normal((len(self.basis) - len(self._normals),
-                                       self._normals.shape[1]))
-        normals = np.concatenate([self._normals, tail])
-        normals.setflags(write=False)
-        self._normals, self._stream, self._stream_state = normals, None, None
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -377,7 +348,7 @@ class RandomHamiltonian(SpectralHamiltonian):
         the whole basis; shape (m, len(modes)).
 
         B is computed from the head rows only, unless a mode lies past them,
-        and then from every row, which draws the tail.  For periodic and
+        and then from every row (``gaussians``).  For periodic and
         constant kernels each entry is a product of its own normal, weight,
         scale and decay, so the columns equal those of the whole B bit for
         bit; sqexp laws keep every row (``HamiltonianLaw.head_rows``).
@@ -446,19 +417,12 @@ class PackedBatch:
         return out
 
 
-def sample_hamiltonian(law: HamiltonianLaw, rng: np.random.Generator | None = None) -> RandomHamiltonian:
-    """Draw one random Hamiltonian; deterministic given (law, stream state).
+def sample_hamiltonian(law: HamiltonianLaw, seed: int, *indices: int) -> RandomHamiltonian:
+    """Draw one random Hamiltonian from the stream ``derive(seed, *indices)``.
 
-    Draws the head of the normals only, and leaves the tail to the draw
-    (module docstring, "Streams").  A live head-only draw still pending on
-    ``rng`` draws its tail first, so that consecutive draws from one
-    generator hold the normals of consecutive full draws.
+    Draws the head of the normals only (module docstring, "Streams").
     """
-    if rng is None:
-        rng = derive(law.seed)
-    pending = _PENDING.get(id(rng))
-    if pending is not None:
-        pending._draw_tail()
+    key = (seed, *indices)
     head = law.head_rows()
-    normals = rng.standard_normal((head, law.kernel.gaussians_per_sample()))
-    return RandomHamiltonian(law, normals, stream=rng if head < len(law.basis()) else None)
+    normals = derive(*key).standard_normal((head, law.kernel.gaussians_per_sample()))
+    return RandomHamiltonian(law, normals, key=key if head < len(law.basis()) else None)

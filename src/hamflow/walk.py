@@ -17,7 +17,6 @@ from .errors import NotAutonomous
 from .field import HamiltonianLaw, sample_hamiltonian
 from .flow import (BumpFunction, DEFAULT_SETTINGS, FlowSettings, concatenate_autonomous,
                    flow_points)
-from .rng import derive
 
 
 @dataclass(frozen=True)
@@ -41,15 +40,14 @@ def sample_walk(law: HamiltonianLaw, n_steps: int, walk_index: int = 0,
                 settings: FlowSettings = DEFAULT_SETTINGS) -> WalkState:
     """Draw a walk of n independent autonomous steps.
 
-    Step i uses the stream derive(law.seed, walk_index, i), so ensembles of
-    walks parallelize deterministically.
+    Step i is ``sample_hamiltonian(law, law.seed, walk_index, i)``, drawn
+    from its own stream, so ensembles of walks parallelize deterministically.
     """
     if law.kernel.tag != temporal.CONSTANT:
         raise NotAutonomous("random walks require the constant-in-time kernel")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    draws = tuple(sample_hamiltonian(law, derive(law.seed, walk_index, i))
-                  for i in range(n_steps))
+    draws = tuple(sample_hamiltonian(law, law.seed, walk_index, i) for i in range(n_steps))
     return WalkState(steps=draws, settings=settings)
 
 

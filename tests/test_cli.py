@@ -103,6 +103,21 @@ def test_random_walk_rejects_explicit_periodic_kernel(tmp_path, capsys):
     assert "NotAutonomous" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--regularity", "abc"], "regularity: could not convert"),
+    (["--regularity", "3,inf"], "regularity: expected a finite number"),
+    (["--config", "missing.txt"], "cannot read config"),
+    (["--config", "nan.txt"], "line 2: regularity: expected a finite number"),
+])
+def test_malformed_input_exits_with_a_typed_error(tmp_path, capsys, argv, message):
+    (tmp_path / "nan.txt").write_text("samples = 4\nregularity = nan\n")
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+    assert cli.main(["sample-field", "--out", str(tmp_path / "out")] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_rkhs_norm_finite_at_high_regularity(tmp_path):
     # weights exp(r lambda_n) overflow a double here, while coefficients underflow
     rc, out = run(tmp_path, "rkhs-norm",

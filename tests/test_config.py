@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from hamflow.config import ExperimentConfig, parse_config, serialize_config
+from hamflow.config import ExperimentConfig, parse_config, parse_value, serialize_config
 from hamflow.errors import ParseError, ValidationError
 from hamflow.experiments import _law_for, flow_steps
 
@@ -60,6 +60,21 @@ class TestErrors:
     def test_unknown_override(self):
         with pytest.raises(ValidationError):
             parse_config("", overrides={"no_such_key": 3})
+
+    @pytest.mark.parametrize("line", ["regularity = nan", "regularity = 3, inf",
+                                      "smoothing_eps = nan", "times = 0, nan",
+                                      "probe = 0.3, nan", "ball_center = -inf, 0.5",
+                                      "regularity = abc"])
+    def test_non_numbers_carry_key_and_line(self, line):
+        with pytest.raises(ParseError) as info:
+            parse_config("seed = 1\n" + line + "\n")
+        assert info.value.line == 2
+        assert line.split()[0] in str(info.value)
+
+    def test_parse_value_converts_like_the_document(self):
+        assert parse_value("regularity", " 3, 4.5 ,") == (3.0, 4.5)
+        with pytest.raises(ParseError):
+            parse_value("regularity", "nan")
 
 
 class TestCommandDefaults:

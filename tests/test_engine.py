@@ -7,7 +7,6 @@ import pytest
 
 from hamflow.engine import SpectralEngine
 from hamflow.field import PackedBatch, make_law, sample_hamiltonian
-from hamflow.rng import derive
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP
 from reference import mode_coefficients
 
@@ -81,7 +80,7 @@ LAWS = [(3.0, 10, 7), (0.1, 25, 25)]
 def test_kernel_matches_mode_by_mode_reference(kernel, r, spatial_max, band, draws):
     law = make_law(r / (4 * math.pi**2), spatial_max=spatial_max, temporal_max=4,
                    kernel=kernel, seed=3)
-    hs = [sample_hamiltonian(law, derive(3, i)) for i in range(draws)]
+    hs = [sample_hamiltonian(law, 3, i) for i in range(draws)]
     t = 0.37
     coeffs = np.stack([mode_coefficients(h, t) for h in hs])
     pts = lifted_points((draws, 40), seed=draws)
@@ -115,7 +114,7 @@ def test_tables_are_interleaved_cos_sin_rows(band):
 
 def test_batch_field_grids_follow_appends():
     law = make_law(3.0 / (4 * math.pi**2), spatial_max=10, temporal_max=4)
-    hs = [sample_hamiltonian(law, derive(5, i)) for i in range(3)]
+    hs = [sample_hamiltonian(law, 5, i) for i in range(3)]
     times = np.linspace(0, 1, 5)
     batch = PackedBatch(hs[:2])
     assert batch.field_grids(times).shape == (5, 2, 2, 8, 32)
@@ -127,7 +126,7 @@ def test_batch_field_grids_follow_appends():
 
 def test_buffered_calls_equal_allocating_calls():
     law = make_law(3.0 / (4 * math.pi**2), spatial_max=10, temporal_max=4, seed=4)
-    hs = [sample_hamiltonian(law, derive(4, i)) for i in range(3)]
+    hs = [sample_hamiltonian(law, 4, i) for i in range(3)]
     engine = law.engine()
     fields = PackedBatch(hs).field_grids(0.6)[0]
     pts = lifted_points((3, 50), seed=4)

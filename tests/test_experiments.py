@@ -34,7 +34,7 @@ SETTINGS = FlowSettings(steps=50, refinement_threshold=0.02, max_refinement_dept
 
 
 def draws(count, seed=9, law=LAW):
-    return [sample_hamiltonian(law, derive(seed, 0, i)) for i in range(count)]
+    return [sample_hamiltonian(law, seed, 0, i) for i in range(count)]
 
 
 def reference_advect(h, curve, t, settings):
@@ -222,7 +222,7 @@ def per_draw_outcomes(cfg, r_index=0):
     catalog = paper_lagrangians()
     outcomes = []
     for i in range(cfg.samples):
-        draw = sample_hamiltonian(law, derive(cfg.seed, r_index, i))
+        draw = sample_hamiltonian(law, cfg.seed, r_index, i)
         try:
             image = advect_curve(draw, horizontal_circle(0.5, cfg.curve_vertices), 1.0, settings)
             outcomes.append({label: count_crossings(image, catalog[label])
@@ -270,7 +270,7 @@ class TestIntersectionChunks:
         assert flow_steps(law, cfg.steps) == 9
         settings = law_settings(cfg, law)
         for i, image in enumerate(_advected_chunk((cfg, 0, 0, cfg.samples))):
-            draw = sample_hamiltonian(law, derive(cfg.seed, 0, i))
+            draw = sample_hamiltonian(law, cfg.seed, 0, i)
             expected = advect_curve(draw, horizontal_circle(0.5, cfg.curve_vertices), 1.0,
                                     settings)
             assert np.array_equal(image.vertices, expected.vertices)
@@ -284,10 +284,10 @@ def check_diffusion_chunk(regularity, steps, spatial_max=5):
     settings = FlowSettings(steps=steps)
     results = _diffusion_chunk((cfg, 0, 1, 5))
     for (counts, chi), i in zip(results, range(1, 5)):
-        # the draw's full (N, m) normals first, then the ball points, from one stream
+        # sample i's draw; its ball points follow its full (N, m) normals in its stream
+        draw = sample_hamiltonian(law, cfg.seed, 0, i)
         rng = derive(cfg.seed, 0, i)
-        draw = RandomHamiltonian(law, rng.standard_normal((len(law.basis()),
-                                                           law.kernel.gaussians_per_sample())))
+        rng.standard_normal(draw.gaussians.shape)
         pts = _ball_points(rng, cfg.ball_center, cfg.ball_radius, cfg.points)
         states = flow_points_through(draw, pts, cfg.times, settings)
         assert np.array_equal(counts, np.stack([_bin_counts(s, cfg.grid) for s in states]))
@@ -307,9 +307,9 @@ def check_displacement_chunk(regularity, steps):
         return np.hypot(d[0], d[1])
 
     for i, (forward, inverse) in zip(range(1, 4), _displacement_chunk((cfg, 0, 1, 4))):
-        assert forward == displacement(sample_hamiltonian(law, derive(cfg.seed, 0, i)), 0.0, 1.0)
+        assert forward == displacement(sample_hamiltonian(law, cfg.seed, 0, i), 0.0, 1.0)
         # the inverse draw's time reversal, flowed forward in the same batch
-        draw = sample_hamiltonian(law, derive(cfg.seed, 1, i))
+        draw = sample_hamiltonian(law, cfg.seed, 1, i)
         assert inverse == displacement(time_reversed_hamiltonian(draw), 0.0, 1.0)
         assert abs(inverse - displacement(draw, 1.0, 0.0)) <= 1e-12
 
@@ -393,7 +393,7 @@ class TestWalkChunks:
             state = np.array([cfg.probe]) % 1.0
             expected = [state[0]]
             for j in range(cfg.walk_steps):
-                step = sample_hamiltonian(law, derive(cfg.seed, w, j))
+                step = sample_hamiltonian(law, cfg.seed, w, j)
                 state = flow_points(step, state, 0.0, 1.0, settings)
                 expected.append(state[0] % 1.0)
             assert np.array_equal(traj, np.array(expected))

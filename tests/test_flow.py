@@ -15,7 +15,6 @@ from hamflow.flow import (BumpFunction, BumpTimeBasis, FlowSettings, LagrangianC
                           _rk4_work, advect_curve, circle_curve, concatenate_autonomous,
                           flow_jacobian_determinant, flow_points, horizontal_circle,
                           sloped_circle, time_reversed_hamiltonian)
-from hamflow.rng import derive
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, TimeBasis
 from reference import Mode, concatenation_coefficients, full_coefficients, mode_index
 
@@ -55,7 +54,7 @@ def image(h, p, t0=0.0, t1=1.0):
 
 def small_draw(seed, kernel=PERIODIC, r=0.15, smax=3, tm=3):
     law = make_law(r, spatial_max=smax, temporal_max=tm, kernel=kernel, seed=seed)
-    return sample_hamiltonian(law, derive(seed))
+    return sample_hamiltonian(law, seed)
 
 
 class TestPointIntegration:
@@ -262,7 +261,7 @@ class TestBatchedFlow:
     def hamiltonians(kind, count):
         if kind in (PERIODIC, CONSTANT, SQEXP):
             law = make_law(0.15, spatial_max=3, temporal_max=3, kernel=kind, seed=151)
-            return [sample_hamiltonian(law, derive(151, i)) for i in range(count)]
+            return [sample_hamiltonian(law, 151, i) for i in range(count)]
         if kind == "reversal":
             return [time_reversed_hamiltonian(h)
                     for h in TestBatchedFlow.hamiltonians(PERIODIC, count)]
@@ -318,7 +317,7 @@ class TestBand:
     def draws(kernel, r, count=2, seed=181):
         law = make_law(r / (4 * math.pi**2), spatial_max=12, temporal_max=4,
                        kernel=kernel, seed=seed)
-        return [sample_hamiltonian(law, derive(seed, i)) for i in range(count)]
+        return [sample_hamiltonian(law, seed, i) for i in range(count)]
 
     @classmethod
     def hamiltonian(cls, kind):
@@ -441,7 +440,7 @@ class TestBuffers:
 
     @classmethod
     def batch(cls):
-        return PackedBatch([sample_hamiltonian(cls.LAW, derive(2, i)) for i in range(4)])
+        return PackedBatch([sample_hamiltonian(cls.LAW, 2, i) for i in range(4)])
 
     def test_rk4_step_allocates_no_arrays(self):
         batch = self.batch()
@@ -485,7 +484,7 @@ class TestBuffers:
         assert calls == [(4, 8, 2)]
 
     def test_oscillation_block_allocates_no_lattice(self, monkeypatch):
-        h = sample_hamiltonian(self.LAW, derive(3))
+        h = sample_hamiltonian(self.LAW, 3)
         value_grid = SpectralEngine.value_grid
         allocated = []
 

@@ -8,20 +8,19 @@ import pytest
 from hamflow.errors import Unsupported
 from hamflow.field import RandomHamiltonian, make_law, sample_hamiltonian
 from hamflow.rkhs import rkhs_norm, weighted_coefficient_sum
-from hamflow.rng import derive
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP
 from reference import expansion, reconstruct_value
 
 
 def periodic_draw(seed=3, r=0.1, smax=2, tm=3):
     law = make_law(r, spatial_max=smax, temporal_max=tm, kernel=PERIODIC, seed=seed)
-    return sample_hamiltonian(law, derive(seed))
+    return sample_hamiltonian(law, seed)
 
 
 def single_mode_draw(r=0.1, smax=1, tm=2, x0=1.0):
     """Periodic draw with only mode 1's constant coefficient set to x0."""
     law = make_law(r, spatial_max=smax, temporal_max=tm, kernel=PERIODIC, seed=0)
-    base = sample_hamiltonian(law, derive(0))
+    base = sample_hamiltonian(law, 0)
     samples = np.zeros_like(base.gaussians)
     samples[0, 0] = x0
     return RandomHamiltonian(law, samples)
@@ -52,7 +51,7 @@ class TestCoefficientExpansion:
 
     def test_constant_kernel_maps_to_zero_frequency(self):
         law = make_law(0.2, spatial_max=1, kernel=CONSTANT, seed=7)
-        draw = sample_hamiltonian(law, derive(7))
+        draw = sample_hamiltonian(law, 7)
         table = expansion(draw)
         assert all(k == 0 and parity == "cos" for (k, _, parity) in table)
         rng = np.random.default_rng(5)
@@ -63,7 +62,7 @@ class TestCoefficientExpansion:
 
     def test_grid_kernel_unsupported(self):
         law = make_law(0.3, spatial_max=1, kernel=SQEXP, seed=9)
-        draw = sample_hamiltonian(law, derive(9))
+        draw = sample_hamiltonian(law, 9)
         with pytest.raises(Unsupported):
             rkhs_norm(draw, 0.3)
         with pytest.raises(Unsupported):
@@ -72,7 +71,7 @@ class TestCoefficientExpansion:
     @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT])
     def test_non_centered_kernel_unsupported(self, kernel):
         law = make_law(0.3, spatial_max=1, kernel=kernel, kernel_mean=0.5)
-        draw = sample_hamiltonian(law, derive(9))
+        draw = sample_hamiltonian(law, 9)
         with pytest.raises(Unsupported):
             rkhs_norm(draw, 0.3)
         with pytest.raises(Unsupported):
@@ -94,7 +93,7 @@ class TestRkhsNorm:
         # all x0 = c_n, no oscillating terms: norm = sqrt(sum c_n^2) exactly
         r = 0.12
         law = make_law(r, spatial_max=2, temporal_max=2, kernel=PERIODIC, seed=11)
-        base = sample_hamiltonian(law, derive(11))
+        base = sample_hamiltonian(law, 11)
         rng = np.random.default_rng(6)
         x0s = rng.normal(size=len(base.basis))
         samples = np.zeros_like(base.gaussians)
@@ -110,7 +109,7 @@ class TestRkhsNorm:
         scale = 1.7
         law = make_law(r / (4 * math.pi**2), spatial_max=25, temporal_max=10, kernel=kernel,
                        amplitude=scale)
-        draw = sample_hamiltonian(law, derive(0, 0, 1))
+        draw = sample_hamiltonian(law, 0, 0, 1)
         assert np.min(draw.weights) * scale < np.finfo(float).tiny
         expected = scale * math.sqrt(np.sum(draw.gaussians**2))
         assert rkhs_norm(draw, law.regularity) == pytest.approx(expected, rel=1e-12)

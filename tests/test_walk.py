@@ -7,7 +7,6 @@ from hamflow.basis import torus_distance
 from hamflow.errors import NotAutonomous
 from hamflow.field import make_law, sample_hamiltonian
 from hamflow.flow import BumpFunction, FlowSettings, flow_points
-from hamflow.rng import derive
 from hamflow.temporal import CONSTANT, PERIODIC
 from hamflow.walk import (apply_walk_points, induced_point_walks, sample_walk,
                           walk_generating_hamiltonian)
@@ -53,8 +52,8 @@ class TestSampling:
         p = np.array([0.31, 0.62])
         settings = FlowSettings(steps=100)
         n = 2000
-        steps = [sample_hamiltonian(law, derive(law.seed, i, 0)) for i in range(n)]
-        draws = [sample_hamiltonian(law, derive(1234, i)) for i in range(n)]
+        steps = [sample_hamiltonian(law, law.seed, i, 0) for i in range(n)]
+        draws = [sample_hamiltonian(law, 1234, i) for i in range(n)]
         pts = np.broadcast_to(p, (n, 1, 2))
         walk_disp = displacements(flow_points(steps, pts, 0.0, 1.0, settings)[:, 0], p)
         draw_disp = displacements(flow_points(draws, pts, 0.0, 1.0, settings)[:, 0], p)
