@@ -21,8 +21,7 @@ from .rkhs import rkhs_norm, weighted_coefficient_sum
 from .rng import derive
 from .temporal import (CONSTANT, KernelKind, PERIODIC, SQEXP, coefficient_paths,
                        kernel_value)
-from .walk import (WalkState, apply_walk_points, induced_point_walks, sample_walk,
-                   walk_generating_hamiltonian)
+from .walk import induced_point_walks, sample_walk
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ from .config import COMMANDS, ExperimentConfig, parse_config, parse_value, seria
 from .errors import FailureBudgetExceeded, HamflowError, ParseError
 from .experiments import ResultRow, ResultTable, standard_error
 from .field import sample_hamiltonian
-from .flow import BumpFunction
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,7 +65,7 @@ def _outdir(cfg: ExperimentConfig, flowed: tuple = ()) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     steps = "".join(f"# flow steps at regularity {r:g}: "
-                    f"{experiments.flow_steps(experiments._law_for(cfg, r), cfg.steps)} "
+                    f"{experiments.flow_steps(experiments.law_for(cfg, r), cfg.steps)} "
                     f"of at most {cfg.steps}\n" for r in flowed)
     (out / "config.txt").write_text(serialize_config(cfg) + steps)
     return out
@@ -84,7 +83,7 @@ def _cmd_sample_field(cfg: ExperimentConfig) -> None:
     io.write_table(ResultTable(rows=tuple(rows)), out / "field_osc.csv")
     io.write_records(records, out / "field_samples.jsonl")
     if cfg.plot:
-        draw = sample_hamiltonian(experiments._law_for(cfg, cfg.regularity[0]), cfg.seed, 0, 0)
+        draw = sample_hamiltonian(experiments.law_for(cfg, cfg.regularity[0]), cfg.seed, 0, 0)
         io.render_field_svg(draw, cfg.field_time, out / "field.svg", cfg.arrow_grid)
     print(f"wrote {out / 'field_osc.csv'}")
 
@@ -152,7 +151,7 @@ def _cmd_rkhs_norm(cfg: ExperimentConfig) -> None:
     rows = []
     records = []
     for r_index, regularity in enumerate(cfg.regularity):
-        law = experiments._law_for(cfg, regularity)
+        law = experiments.law_for(cfg, regularity)
         norms = []
         sums = []
         for i in range(cfg.samples):

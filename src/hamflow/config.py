@@ -96,6 +96,11 @@ def _validate(cfg: ExperimentConfig) -> None:
     def bad(field, msg):
         raise ValidationError(field, msg)
 
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            bad(f.name, "values must be finite")
     if cfg.command not in COMMANDS:
         bad("command", f"must be one of {COMMANDS}")
     if not cfg.regularity or any(r <= 0 for r in cfg.regularity):
@@ -141,8 +146,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     unknown = [lab for lab in cfg.lagrangians if lab not in PAPER_LABELS]
     if unknown:
         bad("lagrangians", f"unknown labels {unknown}")
-    if cfg.osc_spatial_grid < 2 or cfg.osc_time_grid < 2:
-        bad("osc_spatial_grid", "oscillation grids must be >= 2")
+    if cfg.osc_spatial_grid < 2:
+        bad("osc_spatial_grid", "must be >= 2")
+    if cfg.osc_time_grid < 2:
+        bad("osc_time_grid", "must be >= 2")
     if cfg.smoothing_eps <= 0:
         bad("smoothing_eps", "must be positive")
     if not 0.0 <= cfg.field_time <= 1.0:

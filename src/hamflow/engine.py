@@ -211,12 +211,6 @@ class SpectralEngine:
         w = rows[..., 0, :] @ self._square(grids)
         return np.einsum("spk,spk->sp", w, rows[..., 1, :])
 
-    def gradient(self, grids: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """(dH/dx, dH/dy) at points (S, P, 2) under grids (S, 2, K1, 2*K1);
-        shape (S, P, 2).  The vector field, rotated back."""
-        v = self.vector_field(self.field_grids(grids), pts)
-        return np.stack([v[..., 1], -v[..., 0]], axis=-1)
-
     def vector_field(self, fields: np.ndarray, pts: np.ndarray, out: np.ndarray | None = None,
                      buffers: FieldBuffers | None = None) -> np.ndarray:
         """Hamiltonian vector field (-dH/dy, dH/dx) for the area form dx^dy.

@@ -6,7 +6,7 @@ sample index); the inversion test's inverse branch uses stream index 1 and
 walk w draws step j from (seed, w, j).  One runner (``_run_chunks``) hands
 each task a chunk of consecutive sample indices: CHUNK of them, fewer when
 there are fewer than CHUNK per worker, and one for the oscillation commands,
-which do not batch draws.  Each process builds a law once (``_law_for``),
+which do not batch draws.  Each process builds a law once (``law_for``),
 and a task draws sample i from its own stream exactly as a one-sample task
 would and flows the chunk's draws as one batch.  Aggregation is an ordered
 reduction by sample index.
@@ -38,7 +38,7 @@ the worker count.  ``sqexp`` laws keep ``steps``: their paths are
 piecewise linear in time, so Lambda does not govern the RK4 error.
 A walk's steps are draws of a constant law and flow at its count.  The
 walk is also the time-1 flow of their concatenation
-(``walk.walk_generating_hamiltonian``), which has no law and integrates at
+(``flow.concatenate_autonomous``), which has no law and integrates at
 ``steps`` times its part count; the tests check that the two agree.
 """
 
@@ -245,7 +245,7 @@ def standard_error(values) -> float:
 
 
 @lru_cache(maxsize=16)
-def _law_for(cfg: ExperimentConfig, regularity: float):
+def law_for(cfg: ExperimentConfig, regularity: float):
     """The law of ``cfg`` at one regularity, built once per process: every
     chunk of a run shares it, and with it the band, weights, scales, head
     rows and step count the law computes once."""
@@ -318,7 +318,7 @@ def _advected_chunk(args) -> list:
     ``HamflowError`` that sample i raised.
     """
     cfg, r_index, start, stop = args
-    law = _law_for(cfg, cfg.regularity[r_index])
+    law = law_for(cfg, cfg.regularity[r_index])
     batch, rows, out = PackedBatch(), [], {}
     for i in range(start, stop):
         try:
@@ -419,7 +419,7 @@ def _diffusion_chunk(args) -> list:
     than by ``sample_hamiltonian``.  The chunk's clouds flow as one batch.
     """
     cfg, r_index, start, stop = args
-    law = _law_for(cfg, cfg.regularity[r_index])
+    law = law_for(cfg, cfg.regularity[r_index])
     batch = PackedBatch()
     shape = (len(law.basis()), law.kernel.gaussians_per_sample())
     pts = np.empty((stop - start, cfg.points, 2))
@@ -452,7 +452,7 @@ def run_diffusion(cfg: ExperimentConfig) -> DiffusionResult:
 def _osc_chunk(args) -> list:
     """Oscillation norms of samples start..stop-1."""
     cfg, r_index, start, stop = args
-    law = _law_for(cfg, cfg.regularity[r_index])
+    law = law_for(cfg, cfg.regularity[r_index])
     return [sample_hamiltonian(law, cfg.seed, r_index, i)
             .oscillation(cfg.osc_spatial_grid, cfg.osc_time_grid)
             for i in range(start, stop)]
@@ -518,7 +518,7 @@ def _displacement_chunk(args) -> list:
     one batch of 2n rows and flows them from 0 to 1 in one RK4 loop.
     """
     cfg, _, start, stop = args
-    law = _law_for(cfg, cfg.regularity[0])
+    law = law_for(cfg, cfg.regularity[0])
     batch = PackedBatch()
     for branch in (0, 1):
         for i in range(start, stop):
@@ -586,11 +586,9 @@ def _walk_chunk(args) -> list:
     """Probe trajectories of walks start..stop-1; step j of every walk in the
     chunk is one batched flow (``induced_point_walks``)."""
     cfg, _, start, stop = args
-    law = _law_for(cfg, cfg.regularity[0])
-    settings = _settings_for(cfg, law)
-    walks = [sample_walk(law, cfg.walk_steps, walk_index=w, settings=settings)
-             for w in range(start, stop)]
-    return list(induced_point_walks(walks, cfg.probe))
+    law = law_for(cfg, cfg.regularity[0])
+    walks = [sample_walk(law, cfg.walk_steps, w) for w in range(start, stop)]
+    return list(induced_point_walks(walks, cfg.probe, _settings_for(cfg, law)))
 
 
 def run_random_walks(cfg: ExperimentConfig) -> list:

@@ -4,9 +4,9 @@ A :class:`HamiltonianLaw` fixes the probability law (regularity, basis
 truncation, coefficient kernel, master seed); :func:`sample_hamiltonian`
 draws one :class:`RandomHamiltonian` from it.  Draws are immutable and all
 evaluation methods are reentrant.  :class:`SpectralHamiltonian` is the one
-type whose fields the integrator evaluates through packed coefficient grids;
-draws, their time reversals and concatenations of autonomous draws are its
-subclasses.  Coefficients are computed and packed for the engine's band
+type whose fields the integrator evaluates through packed coefficient grids:
+draws are its one subclass, and time reversals and concatenations are plain
+instances.  Coefficients are computed and packed for the engine's band
 modes only (``SpectralEngine.modes``).
 
 Streams.  A draw owns its stream: ``sample_hamiltonian(law, seed, *indices)``
@@ -231,17 +231,21 @@ def _as_points(p):
 class SpectralHamiltonian:
     """A Hamiltonian sum_n c_n(t) e_n(x) over one basis, evaluated by its engine.
 
-    The coefficient path of the evaluated modes is linear: c(t) = Phi(t) @ B.
-    Subclasses provide ``time_basis``, the callable Phi (times -> (T, m),
-    compared by value), and ``coefficients``, the (m, M) matrix B of the
-    engine's M band modes (``engine.modes``); everything else follows.
+    The coefficient path of the evaluated modes is linear: c(t) = Phi(t) @ B,
+    with ``time_basis`` the callable Phi (times -> (T, m), compared by value)
+    and ``coefficients`` a read-only copy of B, the (m, M) matrix of the
+    engine's M band modes (``engine.modes``).  A draw passes no B: it
+    computes B from its normals on every read.
     """
 
-    stiffness = 1
     autonomous = False
 
-    def __init__(self, engine: SpectralEngine):
+    def __init__(self, engine: SpectralEngine, time_basis, coefficients=None):
         self.engine = engine
+        self.time_basis = time_basis
+        if coefficients is not None:
+            self.coefficients = np.array(coefficients, dtype=float)
+            self.coefficients.setflags(write=False)
 
     def coefficient_grids(self, times) -> np.ndarray:
         """Packed evaluation grids at the given times (see SpectralEngine):
@@ -259,16 +263,17 @@ class SpectralHamiltonian:
         v = self.engine.value(self.coefficient_grids(float(t))[None], pts[None])[0]
         return float(v[0]) if scalar else v
 
-    def gradient(self, t: float, p):
-        pts, scalar = _as_points(p)
-        g = self.engine.gradient(self.coefficient_grids(float(t))[None], pts[None])[0]
-        return g[0] if scalar else g
-
     def vector_field(self, t: float, p):
-        """(-dH/dy, dH/dx): the gradient, rotated; both are the engine's one
-        vector-field kernel, and the rotations are exact."""
-        g = self.gradient(t, p)
-        return np.stack([-g[..., 1], g[..., 0]], axis=-1)
+        """(-dH/dy, dH/dx), the engine's vector-field kernel."""
+        pts, scalar = _as_points(p)
+        fields = self.engine.field_grids(self.coefficient_grids(float(t))[None])
+        v = self.engine.vector_field(fields, pts[None])[0]
+        return v[0] if scalar else v
+
+    def gradient(self, t: float, p):
+        """(dH/dx, dH/dy): the vector field, rotated back exactly."""
+        v = self.vector_field(t, p)
+        return np.stack([v[..., 1], -v[..., 0]], axis=-1)
 
     def value_grid(self, t: float, xs, ys) -> np.ndarray:
         return self.engine.value_grid(self.coefficient_grids(float(t)), xs, ys)
@@ -315,7 +320,7 @@ class RandomHamiltonian(SpectralHamiltonian):
     """
 
     def __init__(self, law: HamiltonianLaw, gaussians, key: tuple | None = None):
-        super().__init__(law.engine())
+        super().__init__(law.engine(), law.kernel.time_basis())
         self.law = law
         self.basis = law.basis()
         shape = (len(self.basis) if key is None else law.head_rows(),
@@ -328,7 +333,6 @@ class RandomHamiltonian(SpectralHamiltonian):
         self._key = key
         self.weights = law.weights()
         self.autonomous = law.kernel.tag == temporal.CONSTANT
-        self.time_basis = law.kernel.time_basis()
 
     @property
     def gaussians(self) -> np.ndarray:
@@ -377,7 +381,6 @@ class PackedBatch:
     def __init__(self, hamiltonians=()):
         self.engine = None
         self.time_basis = None
-        self.stiffness = 1
         self._rows = []
         for h in hamiltonians:
             self.append(h)
@@ -388,7 +391,7 @@ class PackedBatch:
     def append(self, h: SpectralHamiltonian) -> None:
         """Pack one more Hamiltonian as the last row."""
         if self.engine is None:
-            self.engine, self.time_basis, self.stiffness = h.engine, h.time_basis, h.stiffness
+            self.engine, self.time_basis = h.engine, h.time_basis
         elif h.engine is not self.engine or h.time_basis != self.time_basis:
             raise ValueError("a batch needs one engine and one time basis")
         self._rows.append(self.engine.field_grids(self.engine.grids(h.coefficients)))
@@ -400,7 +403,7 @@ class PackedBatch:
         if indices == list(range(len(self))):
             return self
         sub = PackedBatch()
-        sub.engine, sub.time_basis, sub.stiffness = self.engine, self.time_basis, self.stiffness
+        sub.engine, sub.time_basis = self.engine, self.time_basis
         sub._rows = [self._rows[i] for i in indices]
         return sub
 

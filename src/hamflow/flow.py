@@ -23,13 +23,14 @@ writes into them (``_rk4_step``), so a step allocates no array.  The
 buffers belong to the flow, not to the engine, which draws of many laws and
 flows share, so concurrent flows on one engine do not meet.
 
-Group operations return new spectral Hamiltonians:
+Group operations return plain ``SpectralHamiltonian`` values:
 
 * ``time_reversed_hamiltonian(f)``   -- c(t) -> -c(1 - t); its time-1 flow
   inverts f's.  Time reversal is a signed permutation R in f's own time
   basis (B -> -R @ B), so reversals batch with forward draws of one law;
 * ``concatenate_autonomous(parts, bump)`` -- one time-dependent Hamiltonian
-  running each autonomous draw in order within [0, 1].
+  running each autonomous draw in order within [0, 1]; its time basis
+  (``BumpTimeBasis``) has stiffness k, the part count.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ _BLOCK_STEPS = 5
 class FlowSettings:
     """Fixed-step integration and curve refinement parameters.
 
-    ``steps`` is per unit time, taken exactly; stiff concatenated
-    Hamiltonians scale it by their part count internally.  The CLI
-    experiments choose it per law (``experiments.flow_steps``).
+    ``steps`` is per unit time, taken exactly, times the time basis's
+    ``stiffness`` (a concatenation's part count).  The CLI experiments
+    choose it per law (``experiments.flow_steps``).
     """
 
     steps: int = 200
@@ -146,7 +147,7 @@ def _integrate(fieldlike, pts, t0, t1, settings):
     if isinstance(fieldlike, SpectralHamiltonian):
         return _integrate([fieldlike], np.asarray(pts)[None], t0, t1, settings)[0]
     batch = fieldlike if isinstance(fieldlike, PackedBatch) else PackedBatch(fieldlike)
-    n = _n_steps(settings, batch.stiffness, abs(t1 - t0))
+    n = _n_steps(settings, batch.time_basis.stiffness, abs(t1 - t0))
     if n == 0:
         return np.array(pts, dtype=float)
     out = _rk4_grids(batch, pts, t0, (t1 - t0) / n, n)
@@ -189,26 +190,11 @@ def flow_points_through(fieldlike, pts, times,
     return out
 
 
-class SpectralTimeReversal(SpectralHamiltonian):
-    """Time reversal of a spectral Hamiltonian: c(t) -> -c(1 - t).
-
-    Phi(1 - t) = Phi(t) @ R (``TimeBasis.reflect``), so the reversal keeps
-    f's time basis and its B is -R @ B.
-    """
-
-    def __init__(self, f: SpectralHamiltonian):
-        super().__init__(f.engine)
-        self._f = f
-        self.time_basis = f.time_basis
-        self.stiffness = f.stiffness
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return -self.time_basis.reflect(self._f.coefficients)
-
-
-def time_reversed_hamiltonian(f: SpectralHamiltonian) -> SpectralTimeReversal:
-    return SpectralTimeReversal(f)
+def time_reversed_hamiltonian(f: SpectralHamiltonian) -> SpectralHamiltonian:
+    """Time reversal c(t) -> -c(1 - t).  Phi(1 - t) = Phi(t) @ R
+    (``TimeBasis.reflect``), so the reversal keeps f's time basis and its B
+    is -R @ B."""
+    return SpectralHamiltonian(f.engine, f.time_basis, -f.time_basis.reflect(f.coefficients))
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +232,15 @@ class BumpFunction:
 
 @dataclass(frozen=True)
 class BumpTimeBasis:
-    """Phi_i(t) = k * bump(k*t - i + 1) for i = 1..k: part i's bump weight."""
+    """Phi_i(t) = k * bump(k*t - i + 1) for i = 1..k: part i's bump weight.
+    Each part runs in 1/k of unit time, so the stiffness is k."""
 
     bump: BumpFunction
     parts: int
+
+    @property
+    def stiffness(self) -> int:
+        return self.parts
 
     def __call__(self, times):
         t = np.atleast_1d(np.asarray(times, dtype=float))
@@ -262,29 +253,13 @@ class BumpTimeBasis:
         return b[::-1]
 
 
-class SpectralConcatenation(SpectralHamiltonian):
-    """Concatenation of autonomous spectral draws, with exact vector fields.
-
-    The combined coefficient path is c_n(t) = sum_i k * bump(k*t - i + 1) * c_n^(i):
-    Phi holds the bump weights and B the parts' constant coefficients.
-    """
-
-    def __init__(self, parts, bump: BumpFunction):
-        # the widest band packs every part: one basis, one engine per band;
-        # a narrower part's modes past its head draw its tail
-        super().__init__(max((p.engine for p in parts), key=lambda e: e.band))
-        self.time_basis = BumpTimeBasis(bump, len(parts))
-        self.coefficients = np.stack([(p.time_basis(0.0) @ p.coefficients_of(self.engine.modes))[0]
-                                      for p in parts])
-        self.coefficients.setflags(write=False)
-        self.stiffness = len(parts)
-
-
-def concatenate_autonomous(parts, bump: BumpFunction) -> SpectralConcatenation:
+def concatenate_autonomous(parts, bump: BumpFunction) -> SpectralHamiltonian:
     """Single Hamiltonian whose time-1 flow composes the parts in order.
 
-    The parts must be autonomous draws over one basis; parts over two
-    truncations raise ``Unsupported``.
+    The combined coefficient path is c_n(t) = sum_i k * bump(k*t - i + 1) * c_n^(i):
+    Phi is the bump basis of the k parts and row i of B part i's constant
+    coefficients.  The parts must be autonomous draws over one basis; parts
+    over two truncations raise ``Unsupported``.
     """
     parts = list(parts)
     if not parts:
@@ -295,7 +270,11 @@ def concatenate_autonomous(parts, bump: BumpFunction) -> SpectralConcatenation:
     if not all(isinstance(p, RandomHamiltonian) and p.basis is parts[0].basis for p in parts):
         raise Unsupported("concatenated Hamiltonians must be draws over one basis "
                           "(one truncation)")
-    return SpectralConcatenation(parts, bump)
+    # the widest band packs every part: one basis, one engine per band;
+    # a narrower part's modes past its head draw its tail
+    engine = max((p.engine for p in parts), key=lambda e: e.band)
+    b = np.stack([(p.time_basis(0.0) @ p.coefficients_of(engine.modes))[0] for p in parts])
+    return SpectralHamiltonian(engine, BumpTimeBasis(bump, len(parts)), b)
 
 
 # ---------------------------------------------------------------------------

@@ -118,10 +118,13 @@ class TimeBasis:
     Calling it on a scalar or (T,) array of times in [0, 1] returns the
     (T, m) matrix Phi(times).  Equal instances are the same function of
     time, which is what lets draws of one law share their stage products.
+    ``stiffness`` is the factor by which a flow multiplies its RK4 steps per
+    unit time: 1 for every kernel (``hamflow.flow.BumpTimeBasis`` differs).
     """
 
     tag: str
     size: int
+    stiffness = 1
 
     def __call__(self, times) -> np.ndarray:
         t = _check_times(np.atleast_1d(times))

@@ -10,10 +10,14 @@
 * ``expansion`` and ``reconstruct_value``: the coefficients of a periodic- or
   constant-kernel draw over the product basis of ``hamflow.rkhs``, one
   Python float per entry, and the field they sum to.
-* ``full_coefficients``, ``concatenation_coefficients``, ``mode_coefficients``
-  and ``full_packing``: the coefficient matrix B over the whole basis and its
-  packing into an engine's grids, as they were computed before draws drew
-  their head only and grids were packed from the band modes alone.
+* ``full_coefficients``, ``reversal_coefficients``,
+  ``concatenation_coefficients``, ``mode_coefficients`` and ``full_packing``:
+  the coefficient matrix B over the whole basis and its packing into an
+  engine's grids, as they were computed before draws drew their head only
+  and grids were packed from the band modes alone.
+* ``apply_walk``: a walk's map as the sequential application of its step
+  flows, which the batched walks and the walk's concatenation are checked
+  against.
 """
 
 import math
@@ -23,7 +27,7 @@ import numpy as np
 
 from hamflow import temporal
 from hamflow.basis import TRIG_PAIRS
-from hamflow.flow import SpectralTimeReversal
+from hamflow.flow import DEFAULT_SETTINGS, flow_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -139,12 +143,15 @@ def reconstruct_value(draw, entries: dict, t: float, x: float, y: float) -> floa
 
 
 def full_coefficients(h) -> np.ndarray:
-    """B of a draw, or of a time reversal of one, over the whole basis:
-    shape (m, N), from the draw's full normals."""
-    if isinstance(h, SpectralTimeReversal):
-        return -h.time_basis.reflect(full_coefficients(h._f))
+    """B of a draw over the whole basis: shape (m, N), from the draw's full
+    normals."""
     law = h.law
     return h.weights * temporal.coefficient_matrix(law.kernel, h.gaussians, law.scales())
+
+
+def reversal_coefficients(h) -> np.ndarray:
+    """B of ``time_reversed_hamiltonian(h)`` over the whole basis: -R @ B."""
+    return -h.time_basis.reflect(full_coefficients(h))
 
 
 def concatenation_coefficients(parts) -> np.ndarray:
@@ -173,3 +180,11 @@ def full_packing(engine, coeffs) -> np.ndarray:
     out = np.zeros(values.shape[:-1] + (2 * k1, 2 * k1))
     out[..., 2 * b.kx[band] + b.tx[band], 2 * b.ky[band] + b.ty[band]] = values
     return out.reshape(values.shape[:-1] + (2, k1, 2 * k1))
+
+
+def apply_walk(walk, pts, settings=DEFAULT_SETTINGS) -> np.ndarray:
+    """The walk map at lifts pts (P, 2): each step's time-1 flow in turn."""
+    state = np.asarray(pts, dtype=float)
+    for h in walk:
+        state = flow_points(h, state, 0.0, 1.0, settings)
+    return state

@@ -210,6 +210,18 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
+def test_benchmark_tracer_installs(tmp_path):
+    # the benchmark's tracer wraps hamflow functions and methods by name, so
+    # a renamed or deleted one breaks only its traced runs
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    done = fresh_python("import sys, hamflow.cli\n"
+                        f"sys.path.insert(0, {str(perfbench)!r})\n"
+                        "import tracer\n"
+                        "tracer.Tracer().install()",
+                        tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
 def test_inversion_runs_with_scipy_unimportable(tmp_path):
     rc, expected = run(tmp_path, "inversion", TINY)
     assert rc == 0

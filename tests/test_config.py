@@ -6,7 +6,7 @@ import pytest
 
 from hamflow.config import ExperimentConfig, parse_config, parse_value, serialize_config
 from hamflow.errors import ParseError, ValidationError
-from hamflow.experiments import _law_for, flow_steps
+from hamflow.experiments import flow_steps, law_for
 
 NON_DEFAULT = """\
 # a comment line
@@ -61,6 +61,21 @@ class TestErrors:
         with pytest.raises(ValidationError):
             parse_config("", overrides={"no_such_key": 3})
 
+    @pytest.mark.parametrize("key,value", [
+        ("regularity", (math.nan,)), ("regularity", (3.0, math.inf)),
+        ("smoothing_eps", math.inf), ("probe", (math.nan, 0.2)), ("times", (0.0, math.nan)),
+        ("ball_center", (-math.inf, 0.5)), ("field_time", math.nan),
+        ("refinement_threshold", math.nan), ("osc_spatial_grid", 1), ("osc_time_grid", 1)])
+    def test_bad_values_from_python_name_their_field(self, key, value):
+        # the document parser refuses non-finite numbers itself; overrides
+        # and direct construction reach the validation alone
+        with pytest.raises(ValidationError) as info:
+            parse_config("", overrides={key: value})
+        assert info.value.field == key
+        with pytest.raises(ValidationError) as info:
+            ExperimentConfig(**{key: value})
+        assert info.value.field == key
+
     @pytest.mark.parametrize("line", ["regularity = nan", "regularity = 3, inf",
                                       "smoothing_eps = nan", "times = 0, nan",
                                       "probe = 0.3, nan", "ball_center = -inf, 0.5",
@@ -91,7 +106,7 @@ class TestCommandDefaults:
         # the defaults are smooth in frequency units: they flow below the cap
         cfg = parse_config("", command=command)
         assert cfg.regularity == (regularity,) and cfg.steps == 200
-        assert flow_steps(_law_for(cfg, regularity), cfg.steps) == steps
+        assert flow_steps(law_for(cfg, regularity), cfg.steps) == steps
 
     def test_random_walk_kernel(self):
         assert parse_config("", command="random-walk").kernel == "constant"
@@ -120,5 +135,5 @@ class TestCommandDefaults:
                          ids=["eigenvalue", "frequency"])
 def test_law_regularity_in_eigenvalue_units(units, want):
     cfg = ExperimentConfig(regularity=(3.0,), regularity_units=units)
-    assert _law_for(cfg, 3.0).regularity == want
+    assert law_for(cfg, 3.0).regularity == want
     assert cfg.eigenvalue_regularities() == (want,)

@@ -59,12 +59,11 @@ def rotated(gradient):
 
 
 def check_engine(engine, coeffs, pts):
-    """Check the engine's gradient and vector field at S point sets (S, P, 2)
-    under the raw coefficients (S, N) of the whole basis, packed from the
-    engine's band modes; return the reference gradient."""
+    """Check the engine's vector field at S point sets (S, P, 2) under the raw
+    coefficients (S, N) of the whole basis, packed from the engine's band
+    modes; return the reference gradient."""
     want = np.stack([reference_gradient(engine, c, p) for c, p in zip(coeffs, pts)])
     grids = engine.grids(coeffs[:, engine.modes])
-    assert_close(engine.gradient(grids, pts), want)
     assert_close(engine.vector_field(engine.field_grids(grids), pts), rotated(want))
     return want
 

@@ -15,17 +15,17 @@ from hamflow.errors import DegenerateOverlap, HamflowError, NonFinite, Refinemen
 from hamflow.engine import SpectralEngine
 from hamflow.experiments import (CHUNK, _advected_chunk, _ball_points, _bin_counts,
                                  _diffusion_chunk, _displacement_chunk, _intersection_chunk,
-                                 _ks_two_sample, _law_for, _run_chunks, _walk_chunk,
-                                 count_crossings, flow_steps, paper_lagrangians,
-                                 run_intersections, run_inversion_test, standard_error,
-                                 worker_count)
+                                 _ks_two_sample, _run_chunks, _walk_chunk, count_crossings,
+                                 flow_steps, law_for, paper_lagrangians, run_intersections,
+                                 run_inversion_test, standard_error, worker_count)
 from hamflow.field import PackedBatch, RandomHamiltonian, make_law, sample_hamiltonian
 from hamflow.flow import (_BLOCK_STEPS, BumpFunction, FlowSettings, LagrangianCurve,
-                          advect_curve, advect_curves, circle_curve, flow_points,
-                          flow_points_through, horizontal_circle, sloped_circle,
+                          advect_curve, advect_curves, circle_curve, concatenate_autonomous,
+                          flow_points, flow_points_through, horizontal_circle, sloped_circle,
                           time_reversed_hamiltonian, vertical_circle)
 from hamflow.rng import derive
-from hamflow.walk import apply_walk_points, sample_walk, walk_generating_hamiltonian
+from hamflow.walk import sample_walk
+from reference import apply_walk
 
 # At this law, threshold and depth some draws finish after one or two
 # refinement passes and others overflow.
@@ -217,7 +217,7 @@ def law_settings(cfg, law):
 
 def per_draw_outcomes(cfg, r_index=0):
     """The outcomes of the one-sample-at-a-time loop: counts or (index, error text)."""
-    law = _law_for(cfg, cfg.regularity[r_index])
+    law = law_for(cfg, cfg.regularity[r_index])
     settings = law_settings(cfg, law)
     catalog = paper_lagrangians()
     outcomes = []
@@ -266,7 +266,7 @@ class TestIntersectionChunks:
     def test_smooth_law_advects_at_its_step_count(self):
         # regularity 6 takes 9 of at most 50 steps
         cfg = intersections_config(regularity=(6.0,), max_refinement_depth=6, samples=4)
-        law = _law_for(cfg, 6.0)
+        law = law_for(cfg, 6.0)
         assert flow_steps(law, cfg.steps) == 9
         settings = law_settings(cfg, law)
         for i, image in enumerate(_advected_chunk((cfg, 0, 0, cfg.samples))):
@@ -279,7 +279,7 @@ class TestIntersectionChunks:
 def check_diffusion_chunk(regularity, steps, spatial_max=5):
     cfg = ExperimentConfig(command="diffusion", regularity=(regularity,),
                            spatial_max=spatial_max, steps=40, points=12, samples=5, seed=2)
-    law = _law_for(cfg, regularity)
+    law = law_for(cfg, regularity)
     assert flow_steps(law, cfg.steps) == steps
     settings = FlowSettings(steps=steps)
     results = _diffusion_chunk((cfg, 0, 1, 5))
@@ -297,7 +297,7 @@ def check_diffusion_chunk(regularity, steps, spatial_max=5):
 def check_displacement_chunk(regularity, steps):
     cfg = ExperimentConfig(command="inversion", regularity=(regularity,), spatial_max=5,
                            steps=40, samples=4, seed=2)
-    law = _law_for(cfg, regularity)
+    law = law_for(cfg, regularity)
     assert flow_steps(law, cfg.steps) == steps
     settings = FlowSettings(steps=steps)
     probe = np.asarray(cfg.probe)
@@ -332,7 +332,7 @@ class TestBatchedChunks:
     def test_diffusion_chunk_draws_its_points_after_the_full_normals(self):
         # at spatial_max 12 the draws hold 268 of 576 rows until the points
         # are drawn (at spatial_max 5 the head is every row)
-        assert _law_for(ExperimentConfig(regularity=(3.0,), spatial_max=12), 3.0).head_rows() == 268
+        assert law_for(ExperimentConfig(regularity=(3.0,), spatial_max=12), 3.0).head_rows() == 268
         check_diffusion_chunk(3.0, 40, spatial_max=12)
         check_diffusion_chunk(5.0, 24, spatial_max=12)
 
@@ -342,7 +342,7 @@ def test_law_built_once_per_process(monkeypatch):
     calls = []
     monkeypatch.setattr(experiments, "make_law",
                         lambda *args, **kwargs: calls.append(1) or make_law(*args, **kwargs))
-    _law_for.cache_clear()
+    law_for.cache_clear()
     try:
         # one-sample chunks: 5 tasks, one law
         cfg = ExperimentConfig(command="sample-field", regularity=(3.0,), spatial_max=6,
@@ -350,9 +350,9 @@ def test_law_built_once_per_process(monkeypatch):
                                osc_time_grid=5, seed=1)
         experiments.oscillation_samples(cfg)
         assert len(calls) == 1
-        assert _law_for(cfg, 3.0) is _law_for(ExperimentConfig(**vars(cfg)), 3.0)
+        assert law_for(cfg, 3.0) is law_for(ExperimentConfig(**vars(cfg)), 3.0)
     finally:
-        _law_for.cache_clear()
+        law_for.cache_clear()
 
 
 def test_inversion_chunk_peak_memory():
@@ -362,7 +362,7 @@ def test_inversion_chunk_peak_memory():
     holds field grids only, and one stage block at a time."""
     cfg = ExperimentConfig(command="inversion", regularity=(3.0,), spatial_max=25,
                            samples=CHUNK, workers=1)
-    law = _law_for(cfg, 3.0)
+    law = law_for(cfg, 3.0)
     _displacement_chunk((cfg, 0, 0, 1))  # the basis and engine are built once per process
     k1 = law.engine().band + 1
     grid_bytes = 2 * k1 * 4 * k1 * 8
@@ -386,7 +386,7 @@ class TestWalkChunks:
 
     def test_chunk_equals_per_walk_flows_at_the_law_count(self):
         cfg = self.cfg
-        law = _law_for(cfg, 5.0)
+        law = law_for(cfg, 5.0)
         assert flow_steps(law, cfg.steps) == 24
         settings = FlowSettings(steps=24)
         for w, traj in zip(range(1, 4), _walk_chunk((cfg, 0, 1, 4))):
@@ -400,12 +400,12 @@ class TestWalkChunks:
 
     def test_walk_agrees_with_its_generating_hamiltonian(self):
         # the concatenation has no law: it flows at steps x parts
-        law = _law_for(self.cfg, 5.0)
-        walk = sample_walk(law, self.cfg.walk_steps, settings=FlowSettings(steps=24))
-        combined = walk_generating_hamiltonian(walk, BumpFunction())
+        law = law_for(self.cfg, 5.0)
+        walk = sample_walk(law, self.cfg.walk_steps)
+        combined = concatenate_autonomous(walk, BumpFunction())
         pts = np.random.default_rng(1).uniform(0, 1, (20, 2))
         lhs = flow_points(combined, pts, 0.0, 1.0, FlowSettings(steps=self.cfg.steps))
-        rhs = apply_walk_points(walk, pts)
+        rhs = apply_walk(walk, pts, FlowSettings(steps=24))
         assert np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1).max() < 1e-4
 
 
@@ -452,7 +452,7 @@ def test_periodic_law_at_regularity_three_keeps_200_steps():
 def test_config_laws_step_counts():
     """Counts of the config's laws (frequency units, CLI defaults otherwise);
     the command defaults, regularity 0.1 and diffusion's 0.08, stay at the cap."""
-    counts = {r: flow_steps(_law_for(ExperimentConfig(regularity=(r,)), r), 200)
+    counts = {r: flow_steps(law_for(ExperimentConfig(regularity=(r,)), r), 200)
               for r in (0.08, 0.1, 2.0, 3.0, 3.16, 3.5, 4.0, 4.5, 5.0, 6.0, 8.0)}
     assert counts == {0.08: 200, 0.1: 200, 2.0: 200, 3.0: 200, 3.16: 167, 3.5: 115,
                       4.0: 67, 4.5: 40, 5.0: 24, 6.0: 9, 8.0: 2}

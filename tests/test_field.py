@@ -15,7 +15,8 @@ from hamflow.rng import derive
 from hamflow.temporal import (CONSTANT, KernelKind, PERIODIC, SQEXP, coefficient_paths,
                               kernel_value)
 from reference import (analytic_variance, concatenation_coefficients, full_coefficients,
-                       full_packing, mode_coefficients, mode_of, spatial_mean)
+                       full_packing, mode_coefficients, mode_of, reversal_coefficients,
+                       spatial_mean)
 
 
 class TestSpectralWeight:
@@ -371,7 +372,7 @@ class TestBand:
         for t in (0.0, 0.37, 1.0):
             grid = h.coefficient_grids(t)
             ref = full.grids(mode_coefficients(h, t))
-            cases = {"value": (grid, ref), "gradient": (grid, ref),
+            cases = {"value": (grid, ref),
                      "vector_field": (h.engine.field_grids(grid), full.field_grids(ref))}
             for method, (got_grid, want_grid) in cases.items():
                 got = getattr(h.engine, method)(got_grid[None], pts[None])
@@ -541,7 +542,7 @@ class TestHeadOnlyDraws:
                  for i, r in enumerate((3, 4.5) if kind == "mixed concatenation" else (3, 3))]
         if kind == "reversal":
             h = time_reversed_hamiltonian(draws[0])
-            return h, h.engine, full_coefficients(h)
+            return h, h.engine, reversal_coefficients(draws[0])
         if kind.endswith("concatenation"):
             h = concatenate_autonomous(draws, BumpFunction())
             return h, h.engine, concatenation_coefficients(draws)

@@ -16,7 +16,8 @@ from hamflow.flow import (BumpFunction, BumpTimeBasis, FlowSettings, LagrangianC
                           flow_jacobian_determinant, flow_points, horizontal_circle,
                           sloped_circle, time_reversed_hamiltonian)
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, TimeBasis
-from reference import Mode, concatenation_coefficients, full_coefficients, mode_index
+from reference import (Mode, concatenation_coefficients, full_coefficients, mode_index,
+                       reversal_coefficients)
 
 # The analytic references: autonomous draws over the smallest basis with
 # axis modes, each of one mode or none.
@@ -172,7 +173,10 @@ class TestTimeReversal:
     def test_double_reversal_returns_coefficients_bit_for_bit(self, kind):
         h = TestBatchedFlow.hamiltonians(kind, 1)[0]
         double = time_reversed_hamiltonian(time_reversed_hamiltonian(h))
+        assert type(double) is SpectralHamiltonian
+        assert not double.coefficients.flags.writeable
         assert double.time_basis == h.time_basis
+        assert double.time_basis.stiffness == (2 if kind == "concatenation" else 1)
         assert double.coefficients.tobytes() == h.coefficients.tobytes()
 
     @pytest.mark.parametrize("kind", [PERIODIC, CONSTANT, SQEXP, "concatenation"])
@@ -243,8 +247,9 @@ class TestConcatenation:
     def test_spectral_parts_use_fast_path(self):
         parts = [small_draw(109 + i, kernel=CONSTANT, smax=2) for i in range(3)]
         concat = concatenate_autonomous(parts, BumpFunction())
-        assert isinstance(concat, SpectralHamiltonian)
-        assert concat.stiffness == 3
+        assert type(concat) is SpectralHamiltonian
+        assert not concat.coefficients.flags.writeable
+        assert concat.time_basis.stiffness == 3
         pts = np.random.default_rng(13).uniform(0, 1, (20, 2))
         lhs = flow_points(concat, pts, 0.0, 1.0, self.settings)
         rhs = pts
@@ -296,18 +301,6 @@ class TestBatchedFlow:
             flow_points(self.hamiltonians(PERIODIC, 3), np.zeros((4, 2)))
 
 
-class FullBand(SpectralHamiltonian):
-    """A spectral Hamiltonian's path evaluated by the full-band engine
-    (reference), from its B over the whole basis (``reference``)."""
-
-    def __init__(self, h, coefficients):
-        basis = h.engine.basis
-        super().__init__(SpectralEngine(basis, basis.truncation.spatial_max))
-        self.time_basis = h.time_basis
-        self.coefficients = coefficients
-        self.stiffness = h.stiffness
-
-
 class TestBand:
     """Banded engines against the full-band reference, through every spectral type."""
 
@@ -326,8 +319,8 @@ class TestBand:
             h = cls.draws(kind, 3)[0]
             return h, full_coefficients(h)
         if kind == "reversal":
-            h = time_reversed_hamiltonian(cls.draws(PERIODIC, 3)[0])
-            return h, full_coefficients(h)
+            h = cls.draws(PERIODIC, 3)[0]
+            return time_reversed_hamiltonian(h), reversal_coefficients(h)
         if kind == "concatenation":
             parts = cls.draws(CONSTANT, 3)
         else:  # parts of two regularities (bands 7 and 5) on one truncation
@@ -341,8 +334,12 @@ class TestBand:
     @pytest.mark.parametrize("kind", [PERIODIC, CONSTANT, SQEXP, "reversal", "concatenation",
                                       "mixed concatenation"])
     def test_matches_full_band(self, kind):
+        # the same path evaluated by the full-band engine (reference), from
+        # its B over the whole basis
         h, coefficients = self.hamiltonian(kind)
-        ref = FullBand(h, coefficients)
+        basis = h.engine.basis
+        ref = SpectralHamiltonian(SpectralEngine(basis, basis.truncation.spatial_max),
+                                  h.time_basis, coefficients)
         assert h.engine.band < ref.engine.band
         pts = np.random.default_rng(5).uniform(0, 1, (16, 2))
         xs = np.arange(20) / 20

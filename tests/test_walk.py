@@ -6,10 +6,10 @@ import pytest
 from hamflow.basis import torus_distance
 from hamflow.errors import NotAutonomous
 from hamflow.field import make_law, sample_hamiltonian
-from hamflow.flow import BumpFunction, FlowSettings, flow_points
+from hamflow.flow import BumpFunction, FlowSettings, concatenate_autonomous, flow_points
 from hamflow.temporal import CONSTANT, PERIODIC
-from hamflow.walk import (apply_walk_points, induced_point_walks, sample_walk,
-                          walk_generating_hamiltonian)
+from hamflow.walk import induced_point_walks, sample_walk
+from reference import apply_walk
 
 
 def walk_law(seed=0, r=0.1, smax=3):
@@ -31,19 +31,21 @@ class TestSampling:
     def test_zero_step_walk_is_identity(self):
         walk = sample_walk(walk_law(), 0)
         p = np.array([[0.2, 0.9]])
-        assert np.array_equal(apply_walk_points(walk, p), p)
+        assert walk == ()
+        assert np.array_equal(apply_walk(walk, p), p)
         assert np.array_equal(induced_point_walks([walk], p[0]), p[None])
 
     def test_equal_seeds_identical_steps(self):
         w1 = sample_walk(walk_law(seed=5), 4)
         w2 = sample_walk(walk_law(seed=5), 4)
-        for a, b in zip(w1.steps, w2.steps):
+        assert type(w1) is tuple and len(w1) == 4
+        for a, b in zip(w1, w2):
             assert np.array_equal(a.gaussians, b.gaussians)
 
     def test_walk_indices_decorrelate(self):
         w1 = sample_walk(walk_law(seed=5), 2, walk_index=0)
         w2 = sample_walk(walk_law(seed=5), 2, walk_index=1)
-        assert w1.steps[0].gaussians[0, 0] != w2.steps[0].gaussians[0, 0]
+        assert w1[0].gaussians[0, 0] != w2[0].gaussians[0, 0]
 
     def test_single_step_law_matches_single_draw(self):
         # one-step walks displace like single autonomous draws
@@ -61,14 +63,6 @@ class TestSampling:
 
 
 class TestApplication:
-    def test_one_step_equals_direct_flow(self):
-        law = walk_law(seed=11)
-        walk = sample_walk(law, 1, settings=FlowSettings(steps=200))
-        p = np.array([[0.4, 0.3]])
-        direct = flow_points(walk.steps[0], p, 0.0, 1.0, walk.settings)[0]
-        out = apply_walk_points(walk, p)[0]
-        assert torus_distance(out, direct) < 1e-14
-
     def test_trajectory_prefix_property(self):
         law = walk_law(seed=13)
         walk = sample_walk(law, 4)
@@ -76,28 +70,19 @@ class TestApplication:
         (traj,) = induced_point_walks([walk], p)
         assert traj.shape == (5, 2)
         assert np.all((traj >= 0.0) & (traj < 1.0))
-        assert torus_distance(traj[-1], apply_walk_points(walk, np.array([p]))[0]) < 1e-12
-
-    def test_batch_matches_pointwise(self):
-        law = walk_law(seed=17)
-        walk = sample_walk(law, 3)
-        pts = np.random.default_rng(0).uniform(0, 1, (7, 2))
-        batch = apply_walk_points(walk, pts)
-        for i in range(len(pts)):
-            single = apply_walk_points(walk, pts[i:i + 1])[0]
-            assert torus_distance(single, batch[i]) < 1e-12
+        assert torus_distance(traj[-1], apply_walk(walk, np.array([p]))[0]) < 1e-12
 
     def test_batched_trajectories_match_per_walk_loop(self):
         law = walk_law(seed=31, r=0.3, smax=4)
         settings = FlowSettings(steps=100)
-        walks = [sample_walk(law, 3, walk_index=w, settings=settings) for w in range(5)]
+        walks = [sample_walk(law, 3, walk_index=w) for w in range(5)]
         p = (0.45, 0.2)
-        batched = induced_point_walks(walks, p)
+        batched = induced_point_walks(walks, p, settings)
         assert batched.shape == (5, 4, 2)
         for walk, traj in zip(walks, batched):
             state = np.array([p])
             expected = [state[0]]
-            for h in walk.steps:
+            for h in walk:
                 state = flow_points(h, state, 0.0, 1.0, settings)
                 expected.append(state[0] % 1.0)
             assert max(torus_distance(a, b) for a, b in zip(traj, expected)) <= 1e-12
@@ -115,10 +100,10 @@ class TestApplication:
         law = walk_law(seed=19, r=0.2, smax=2)
         settings = FlowSettings(steps=100)
         n = 2000
-        walks = [sample_walk(law, 3, walk_index=w, settings=settings) for w in range(n)]
+        walks = [sample_walk(law, 3, walk_index=w) for w in range(n)]
         traj = [np.full((n, 1, 2), 0.5)]
         for j in range(3):
-            traj.append(flow_points([walk.steps[j] for walk in walks], traj[-1],
+            traj.append(flow_points([walk[j] for walk in walks], traj[-1],
                                     0.0, 1.0, settings))
         first = displacements(traj[1][:, 0], traj[0][:, 0])
         last = displacements(traj[3][:, 0], traj[2][:, 0])
@@ -128,18 +113,18 @@ class TestApplication:
 class TestGeneratingHamiltonian:
     def test_needs_at_least_one_step(self):
         with pytest.raises(ValueError):
-            walk_generating_hamiltonian(sample_walk(walk_law(), 0), BumpFunction())
+            concatenate_autonomous(sample_walk(walk_law(), 0), BumpFunction())
 
     @pytest.mark.parametrize("n_steps,tol", [(1, 1e-5), (3, 1e-4)])
     def test_time_one_flow_matches_walk(self, n_steps, tol):
         law = walk_law(seed=23, r=0.12)
         settings = FlowSettings(steps=200)
-        walk = sample_walk(law, n_steps, settings=settings)
-        combined = walk_generating_hamiltonian(walk, BumpFunction())
-        assert combined.stiffness == n_steps
+        walk = sample_walk(law, n_steps)
+        combined = concatenate_autonomous(walk, BumpFunction())
+        assert combined.time_basis.stiffness == n_steps
         pts = np.random.default_rng(1).uniform(0, 1, (20, 2))
         lhs = flow_points(combined, pts, 0.0, 1.0, settings)
-        rhs = apply_walk_points(walk, pts)
+        rhs = apply_walk(walk, pts, settings)
         dist = np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1)
         assert dist.max() < tol
 
@@ -153,7 +138,7 @@ class TestGeneratingHamiltonian:
         at_08 = np.empty(n)
         for w in range(n):
             walk = sample_walk(law, 3, walk_index=w)
-            combined = walk_generating_hamiltonian(walk, bump)
+            combined = concatenate_autonomous(walk, bump)
             coeffs = combined.time_basis(np.array([0.2, 0.8])) @ combined.coefficients
             at_02[w] = coeffs[0, 0]
             at_08[w] = coeffs[1, 0]
