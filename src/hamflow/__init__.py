@@ -8,9 +8,9 @@ tail and invariance statistics).
 
 from .basis import SpectralBasis, Truncation, torus_distance
 from .config import ExperimentConfig, parse_config, serialize_config
-from .errors import (DegenerateOverlap, FactorizationFailure, FailureBudgetExceeded,
-                     HamflowError, NonFinite, NotAutonomous, OutOfRange, ParseError,
-                     RefinementOverflow, Unsupported, ValidationError)
+from .errors import (DegenerateOverlap, FailureBudgetExceeded, HamflowError, NonFinite,
+                     NotAutonomous, OutOfRange, ParseError, RefinementOverflow, Unsupported,
+                     ValidationError)
 from .field import (HamiltonianLaw, RandomHamiltonian, SpectralHamiltonian,
                     gaussian_dimension, make_law, sample_hamiltonian, spectral_weight)
 from .flow import (BumpFunction, FlowSettings, LagrangianCurve, advect_curve, advect_curves,

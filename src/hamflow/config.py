@@ -12,8 +12,12 @@ fields are range-checked, and unknown keys are rejected.
 
 The two differ by the constant factor 4 pi^2.
 
-``steps`` is the most RK4 steps per unit time; smooth periodic/constant
-laws use fewer (see :mod:`hamflow.experiments`).
+``steps`` is the most RK4 steps per unit time; smooth laws use fewer (see
+:mod:`hamflow.experiments`).
+
+``grid_nodes`` is accepted, checked and echoed, and nothing reads it: every
+kernel is a Fourier series in time (:mod:`hamflow.temporal`), so no kernel
+samples on a grid.  It stays so that existing config files still parse.
 """
 
 from __future__ import annotations

@@ -5,10 +5,6 @@ class HamflowError(Exception):
     """Base class for all package-specific errors."""
 
 
-class FactorizationFailure(HamflowError):
-    """A covariance matrix could not be factorized even after jitter."""
-
-
 class OutOfRange(HamflowError, ValueError):
     """A time or coordinate argument lies outside its valid domain."""
 

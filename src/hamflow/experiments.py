@@ -21,7 +21,7 @@ any row count: a property of the BLAS, not a numpy guarantee, which
 
 RK4 step counts.  The config's ``steps`` is the most RK4 steps per unit
 time.  ``flow``, ``intersections``, ``diffusion``, ``inversion`` and
-``random-walk`` flow the draws of a law with periodic or constant kernel at
+``random-walk`` flow the draws of a law, whatever its kernel, at
 
     n = min(steps, max(1, ceil(Lambda / THETA)))
 
@@ -34,10 +34,8 @@ regularity 3.16, 3.5, 4, 4.5, 5, 6 and 8.  Against a 3,200-step flow the
 count's error stayed at or below max(1.5e-6, the error at 200 steps) on
 every law tested (``tests/test_experiments.py``).  The count depends on
 the law alone, never on a chunk's draws, so outputs stay independent of
-the worker count.  ``sqexp`` laws keep ``steps``: their paths are
-piecewise linear in time, so Lambda does not govern the RK4 error.
-A walk's steps are draws of a constant law and flow at its count.  The
-walk is also the time-1 flow of their concatenation
+the worker count.  A walk's steps are draws of a constant law and flow at
+its count.  The walk is also the time-1 flow of their concatenation
 (``flow.concatenate_autonomous``), which has no law and integrates at
 ``steps`` times its part count; the tests check that the two agree.
 """
@@ -52,7 +50,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import temporal
 from .config import ExperimentConfig
 from .errors import DegenerateOverlap, FailureBudgetExceeded, HamflowError, ValidationError
 from .field import HamiltonianLaw, PackedBatch, RandomHamiltonian, make_law, sample_hamiltonian
@@ -254,16 +251,12 @@ def law_for(cfg: ExperimentConfig, regularity: float):
                     temporal_max=cfg.temporal_max,
                     kernel=cfg.kernel,
                     seed=cfg.seed,
-                    include_axis_modes=cfg.include_axis_modes,
-                    grid_nodes=cfg.grid_nodes)
+                    include_axis_modes=cfg.include_axis_modes)
 
 
 def flow_steps(law: HamiltonianLaw, cap: int) -> int:
     """RK4 steps per unit time for the draws of ``law``, at most ``cap``: the
-    rule of the module docstring for periodic and constant kernels, ``cap``
-    for sqexp."""
-    if law.kernel.tag == temporal.SQEXP:
-        return cap
+    rule of the module docstring."""
     return min(cap, max(1, math.ceil(law.lipschitz_bound() / THETA)))
 
 
@@ -570,8 +563,6 @@ def run_inversion_test(cfg: ExperimentConfig, level: float = 0.01) -> InversionR
     ``method="exact"``), and where the exact sum leaves [0, 1] by rounding
     scipy falls back to ``kstwo.sf`` while this clips.
     """
-    if cfg.kernel == "sqexp":
-        raise ValidationError("kernel", "inversion test requires a time-symmetric kernel")
     fwd, inv = (np.array(branch) for branch in zip(*_run_chunks(_displacement_chunk, cfg)))
     statistic, p_value = _ks_two_sample(fwd, inv)
     return InversionResult(statistic=statistic, p_value=p_value,

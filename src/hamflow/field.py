@@ -26,9 +26,8 @@ frequency units):
     3.95   6      144          192
     4.5    5      100          128
 
-sqexp laws draw every row (``HamiltonianLaw.head_rows``).  The draw keeps
-its key (seed, *indices): the first read of ``gaussians`` derives the
-stream again and draws the whole array, which is a full draw.
+The draw keeps its key (seed, *indices): the first read of ``gaussians``
+derives the stream again and draws the whole array, which is a full draw.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ import numpy as np
 from . import temporal
 from .basis import TWO_PI, SpectralBasis, Truncation
 from .engine import SpectralEngine
-from .errors import Unsupported
 from .rng import derive
 from .temporal import KernelKind
 
@@ -130,14 +128,14 @@ class HamiltonianLaw:
 
         Each mode n contributes at most b_n = w_n s_n (1 + 2 pi max(kx, ky)) to
         H and its first derivatives, per unit of its Gaussian, with s_n the
-        mode's scale plus |kernel mean|.  The band is the largest
+        mode's scale.  The band is the largest
         max(kx, ky) over modes with b_n >= eps^2 max b; it is computed from
         log b_n, so underflowing weights do not move it.
         """
         b = self.basis()
         kmax = np.maximum(b.kx, b.ky)
         log_bound = (-0.5 * self.regularity * b.eigenvalues
-                     + np.log(self.scales() + abs(self.kernel.mean))
+                     + np.log(self.scales())
                      + np.log1p(TWO_PI * kmax))
         return int(kmax[log_bound >= log_bound.max() + np.log(_BAND_TOLERANCE)].max())
 
@@ -151,11 +149,7 @@ class HamiltonianLaw:
     def head_rows(self) -> int:
         """Rows of a draw's (N, m) normals that ``sample_hamiltonian`` draws
         up front: rows 0 up to the largest basis index among the engine's
-        band modes (module docstring).  Every row for sqexp laws, whose
-        Cholesky product is a matrix product over all N rows: its last bits
-        depend on the row count, so its rows are kept at N."""
-        if self.kernel.tag == temporal.SQEXP:
-            return len(self.basis())
+        band modes (module docstring)."""
         return int(self.engine().modes[-1]) + 1
 
     @_per_law
@@ -173,50 +167,42 @@ class HamiltonianLaw:
         """Expected spectral bound on sup |DX|, the vector field's Lipschitz
         constant, at any time:
 
-            sum_n w_n a_n (s_n sigma sqrt(2/pi) + |mu|) (2 pi max(kx, ky))^2,
+            sum_n w_n a_n s_n sigma sqrt(2/pi) (2 pi max(kx, ky))^2,
 
-        with a_n the basis amplitude, s_n the mode scale, sigma^2 the unit
-        kernel's pointwise variance and mu the kernel mean.  It is the mean
-        of sum_n |c_n(t)| a_n (2 pi max(kx, ky))^2, which bounds every second
-        derivative of H (E|c_n(t)| = w_n s_n sigma sqrt(2/pi) for mean 0;
-        with a mean, w_n |mu| bounds the mean's share).  Flows of smooth laws
-        take their RK4 step count from it (``hamflow.experiments.flow_steps``).
+        with a_n the basis amplitude, s_n the mode scale and sigma^2 the unit
+        kernel's pointwise variance.  It is the mean of
+        sum_n |c_n(t)| a_n (2 pi max(kx, ky))^2, which bounds every second
+        derivative of H (E|c_n(t)| = w_n s_n sigma sqrt(2/pi)).  Flows take
+        their RK4 step count from it (``hamflow.experiments.flow_steps``).
         """
         b = self.basis()
-        unit = replace(self.kernel, per_mode_scale=1.0, mean=0.0)
+        unit = replace(self.kernel, per_mode_scale=1.0)
         sigma = math.sqrt(temporal.kernel_value(unit, 0.0, 0.0))
         k = TWO_PI * np.maximum(b.kx, b.ky)
         return float(np.sum(self.weights() * b.amplitudes
-                            * (self.scales() * sigma * math.sqrt(2.0 / math.pi)
-                               + abs(self.kernel.mean)) * k**2))
+                            * (self.scales() * sigma * math.sqrt(2.0 / math.pi)) * k**2))
 
 
 def make_law(regularity: float, spatial_max: int = 25, temporal_max: int = 10,
              kernel: str = temporal.PERIODIC, seed: int = 0,
              include_axis_modes: bool = False, grid_nodes: int = 64,
-             kernel_mean: float = 0.0, mode_scales=None,
-             temporal_regularity: float | None = None,
-             amplitude: float = 1.0) -> HamiltonianLaw:
+             mode_scales=None, amplitude: float = 1.0) -> HamiltonianLaw:
     """Convenience constructor wiring the kernel to the law's regularity.
 
-    ``temporal_regularity`` decouples the coefficient-process decay from the
-    spectral weight decay when a different time scale is wanted (defaults to
-    ``regularity``).  ``amplitude`` scales every coefficient process.
+    ``amplitude`` scales every coefficient process.  ``grid_nodes`` is
+    accepted and unused: every kernel is a Fourier series in time
+    (:mod:`hamflow.temporal`), and callers that still pass it keep working.
     """
     trunc = Truncation(spatial_max=spatial_max, include_axis_modes=include_axis_modes,
                        temporal_max=temporal_max)
-    kind = KernelKind(tag=kernel,
-                      regularity=temporal_regularity if temporal_regularity is not None else regularity,
-                      temporal_max=temporal_max, grid_nodes=grid_nodes,
-                      mean=kernel_mean, per_mode_scale=amplitude)
+    kind = KernelKind(tag=kernel, regularity=regularity, temporal_max=temporal_max,
+                      per_mode_scale=amplitude)
     return HamiltonianLaw(regularity=regularity, truncation=trunc, kernel=kind,
                           seed=seed, mode_scales=mode_scales)
 
 
 def gaussian_dimension(law: HamiltonianLaw) -> int:
     """Number of independent standard normals one draw consumes."""
-    if law.kernel.tag == temporal.SQEXP:
-        raise Unsupported("gaussian dimension of grid-sampled kernels depends on the grid")
     return len(law.basis()) * law.kernel.gaussians_per_sample()
 
 
@@ -352,10 +338,9 @@ class RandomHamiltonian(SpectralHamiltonian):
         the whole basis; shape (m, len(modes)).
 
         B is computed from the head rows only, unless a mode lies past them,
-        and then from every row (``gaussians``).  For periodic and
-        constant kernels each entry is a product of its own normal, weight,
-        scale and decay, so the columns equal those of the whole B bit for
-        bit; sqexp laws keep every row (``HamiltonianLaw.head_rows``).
+        and then from every row (``gaussians``).  Each entry is a product of
+        its own normal, weight, scale and column factor, so the columns equal
+        those of the whole B bit for bit.
         """
         head = self.law.head_rows()
         normals = self._normals[:head] if modes[-1] < head else self.gaussians

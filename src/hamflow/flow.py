@@ -147,6 +147,8 @@ def _integrate(fieldlike, pts, t0, t1, settings):
     if isinstance(fieldlike, SpectralHamiltonian):
         return _integrate([fieldlike], np.asarray(pts)[None], t0, t1, settings)[0]
     batch = fieldlike if isinstance(fieldlike, PackedBatch) else PackedBatch(fieldlike)
+    if not len(batch):
+        raise ValueError("need at least one Hamiltonian")
     n = _n_steps(settings, batch.time_basis.stiffness, abs(t1 - t0))
     if n == 0:
         return np.array(pts, dtype=float)

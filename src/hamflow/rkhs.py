@@ -25,11 +25,11 @@ from .field import RandomHamiltonian
 def _log_scaled_gaussians(draw: RandomHamiltonian):
     """(log(s_n |g|) (N, m), temporal index k of each column (m,))."""
     kind = draw.law.kernel
+    # the weight exp(4 pi^2 r k^2) and the time-average column hold for
+    # period-1 series only
     if kind.tag == temporal.SQEXP:
-        raise Unsupported("grid-sampled kernels have no closed coefficient expansion")
-    if kind.mean != 0.0:
-        raise Unsupported("coefficient expansion requires a centered kernel")
-    k = np.arange(1, kind.temporal_max + 1) if kind.tag == temporal.PERIODIC else np.array([], int)
+        raise Unsupported("the sqexp series has period L > 1: no period-1 expansion")
+    k = np.arange(1, kind.time_basis().frequencies + 1)
     with np.errstate(divide="ignore"):
         log_sg = np.log(draw.law.scales())[:, None] + np.log(np.abs(draw.gaussians))
     return log_sg, np.concatenate([[0], k, k])

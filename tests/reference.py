@@ -93,7 +93,7 @@ def analytic_variance(draw, t: float, p) -> float:
     """Var[H(t, p)] over the draws of ``draw``'s law:
     sum_n w_n^2 s_n^2 kappa(t, t) e_n(p)^2, kappa the unit kernel."""
     law = draw.law
-    base_kind = replace(law.kernel, per_mode_scale=1.0, mean=0.0)
+    base_kind = replace(law.kernel, per_mode_scale=1.0)
     kappa = temporal.kernel_value(base_kind, float(t), float(t))
     evals = mode_values(draw.basis, [p])[0]
     return float(np.sum(draw.weights**2 * law.scales()**2 * kappa * evals**2))

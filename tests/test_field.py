@@ -7,7 +7,6 @@ import pytest
 
 from hamflow import field
 from hamflow.engine import SpectralEngine
-from hamflow.errors import Unsupported
 from hamflow.field import (HamiltonianLaw, PackedBatch, RandomHamiltonian, gaussian_dimension,
                            make_law, sample_hamiltonian, spectral_weight)
 from hamflow.flow import BumpFunction, concatenate_autonomous, time_reversed_hamiltonian
@@ -51,10 +50,10 @@ class TestGaussianDimension:
         law = make_law(0.1, spatial_max=2, temporal_max=3, kernel=PERIODIC)
         assert gaussian_dimension(law) == 16 * 7 == 112
 
-    def test_grid_kernel_unsupported(self):
+    def test_sqexp_counts_its_series_columns(self):
+        # r = 0.1: 14 frequencies, so 29 columns per mode
         law = make_law(0.1, spatial_max=2, kernel=SQEXP)
-        with pytest.raises(Unsupported):
-            gaussian_dimension(law)
+        assert gaussian_dimension(law) == 16 * 29
 
 
 class TestSampling:
@@ -426,8 +425,6 @@ class TestLawValidation:
     def test_kernel_tied_to_regularity_by_default(self):
         law = make_law(0.17, spatial_max=2)
         assert law.kernel.regularity == pytest.approx(0.17)
-        decoupled = make_law(0.17, spatial_max=2, temporal_regularity=0.05)
-        assert decoupled.kernel.regularity == pytest.approx(0.05)
 
     def test_mode_scales_length_checked(self):
         with pytest.raises(ValueError):
@@ -462,10 +459,10 @@ class TestPerLawQuantities:
             assert not array.flags.writeable
 
     def test_draws_equal_those_of_a_fresh_law(self):
-        law = frequency_law(3, spatial_max=6, temporal_max=3, kernel_mean=0.2)
+        law = frequency_law(3, spatial_max=6, temporal_max=3)
         law.lipschitz_bound()
         for i in range(3):
-            fresh = frequency_law(3, spatial_max=6, temporal_max=3, kernel_mean=0.2)
+            fresh = frequency_law(3, spatial_max=6, temporal_max=3)
             a = sample_hamiltonian(law, 5, i)
             b = sample_hamiltonian(fresh, 5, i)
             assert np.array_equal(a.coefficients, b.coefficients)
@@ -493,12 +490,6 @@ class TestPerLawQuantities:
         se = bounds.std(ddof=1) / math.sqrt(len(bounds))
         assert abs(bounds.mean() - law.lipschitz_bound()) < 4 * se
 
-    def test_lipschitz_bound_covers_a_kernel_mean(self):
-        law = frequency_law(2, spatial_max=4, temporal_max=3, kernel_mean=0.7)
-        centered = frequency_law(2, spatial_max=4, temporal_max=3)
-        assert law.lipschitz_bound() > centered.lipschitz_bound()
-        assert self.spectral_bounds(law, 2000, 0.3).mean() <= law.lipschitz_bound()
-
 
 class TestHeadOnlyDraws:
     """A draw draws the rows its engine reads; its tail waits on the stream."""
@@ -515,10 +506,9 @@ class TestHeadOnlyDraws:
 
     @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT, SQEXP])
     def test_gaussians_equal_a_full_draw(self, kernel):
-        law = frequency_law(3, spatial_max=12, temporal_max=4, kernel=kernel, grid_nodes=16)
+        law = frequency_law(3, spatial_max=12, temporal_max=4, kernel=kernel)
         n, m = len(law.basis()), law.kernel.gaussians_per_sample()
-        # sqexp draws keep every row (HamiltonianLaw.head_rows)
-        assert law.head_rows() == (n if kernel == SQEXP else 268)
+        assert law.head_rows() == 268
         for i in range(3):
             h = sample_hamiltonian(law, 5, i)
             assert np.array_equal(h.gaussians, derive(5, i).standard_normal((n, m)))
@@ -538,7 +528,7 @@ class TestHeadOnlyDraws:
         kernel = {"reversal": PERIODIC, "concatenation": CONSTANT,
                   "mixed concatenation": CONSTANT}.get(kind, kind)
         draws = [sample_hamiltonian(frequency_law(r, spatial_max=12, temporal_max=4,
-                                                  kernel=kernel, grid_nodes=16, seed=3), 3, i)
+                                                  kernel=kernel, seed=3), 3, i)
                  for i, r in enumerate((3, 4.5) if kind == "mixed concatenation" else (3, 3))]
         if kind == "reversal":
             h = time_reversed_hamiltonian(draws[0])

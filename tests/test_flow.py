@@ -15,7 +15,7 @@ from hamflow.flow import (BumpFunction, BumpTimeBasis, FlowSettings, LagrangianC
                           _rk4_work, advect_curve, circle_curve, concatenate_autonomous,
                           flow_jacobian_determinant, flow_points, horizontal_circle,
                           sloped_circle, time_reversed_hamiltonian)
-from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, TimeBasis
+from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, KernelKind, TimeBasis
 from reference import (Mode, concatenation_coefficients, full_coefficients, mode_index,
                        reversal_coefficients)
 
@@ -155,14 +155,17 @@ class TestTimeReversal:
         hat = time_reversed_hamiltonian(h)
         assert isinstance(hat, SpectralHamiltonian)
 
-    @pytest.mark.parametrize("basis", [TimeBasis(PERIODIC, 21), TimeBasis(CONSTANT, 1),
-                                       TimeBasis(SQEXP, 64), BumpTimeBasis(BumpFunction(), 1),
+    @pytest.mark.parametrize("basis", [TimeBasis(10), TimeBasis(0),
+                                       KernelKind(SQEXP, 0.1).time_basis(),
+                                       BumpTimeBasis(BumpFunction(), 1),
                                        BumpTimeBasis(BumpFunction(), 3)],
                              ids=["periodic", "constant", "sqexp", "bump-1", "bump-3"])
     def test_time_basis_reflection(self, basis):
         """Phi(1 - t) = Phi(t) @ R on 101 times, to 1e-15 per unit of Phi's
         largest slope: evaluating Phi at the rounded 1 - t alone errs by that
-        much (1.5e-14 for the periodic basis of 10 frequencies)."""
+        much (1.5e-14 for the periodic basis of 10 frequencies).  The sqexp
+        basis (r = 0.1: 14 frequencies, period 20.2, center 1/2) reflects
+        like the periodic one."""
         t = np.linspace(0.0, 1.0, 101)
         fine = np.linspace(0.0, 1.0, 20001)
         slope = np.abs(np.diff(basis(fine), axis=0)).max() / fine[1]
@@ -295,6 +298,11 @@ class TestBatchedFlow:
         hs = self.hamiltonians(PERIODIC, 1) + self.hamiltonians(CONSTANT, 1)
         with pytest.raises(ValueError):
             flow_points(hs, np.zeros((2, 1, 2)))
+
+    def test_rejects_an_empty_batch(self):
+        for empty in ([], (), PackedBatch()):
+            with pytest.raises(ValueError, match="need at least one Hamiltonian"):
+                flow_points(empty, np.empty((0, 1, 2)))
 
     def test_rejects_points_without_draw_axis(self):
         with pytest.raises(ValueError):

@@ -68,15 +68,6 @@ class TestCoefficientExpansion:
         with pytest.raises(Unsupported):
             weighted_coefficient_sum(draw, 0.1)
 
-    @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT])
-    def test_non_centered_kernel_unsupported(self, kernel):
-        law = make_law(0.3, spatial_max=1, kernel=kernel, kernel_mean=0.5)
-        draw = sample_hamiltonian(law, 9)
-        with pytest.raises(Unsupported):
-            rkhs_norm(draw, 0.3)
-        with pytest.raises(Unsupported):
-            weighted_coefficient_sum(draw, 0.1)
-
 
 class TestRkhsNorm:
     def test_empty_table_zero(self):

@@ -13,7 +13,7 @@ from hamflow.temporal import (CONSTANT, KernelKind, PERIODIC, SQEXP, coefficient
 
 def kinds(**kw):
     return {
-        SQEXP: KernelKind(tag=SQEXP, regularity=kw.get("r", 0.1), grid_nodes=kw.get("nodes", 64)),
+        SQEXP: KernelKind(tag=SQEXP, regularity=kw.get("r", 0.1)),
         PERIODIC: KernelKind(tag=PERIODIC, regularity=kw.get("r", 0.1),
                              temporal_max=kw.get("tm", 10)),
         CONSTANT: KernelKind(tag=CONSTANT, regularity=kw.get("r", 0.1)),
@@ -52,6 +52,20 @@ class TestKernelValue:
         k = KernelKind(tag=CONSTANT, regularity=1.0, per_mode_scale=3.0)
         assert kernel_value(k, 0.2, 0.8) == pytest.approx(9.0)
 
+    @pytest.mark.parametrize("r", [0.01, 0.025, 0.1, 1.0, 10.0, 100.0])
+    def test_sqexp_series_is_the_kernel(self, r):
+        """The series sum_j f_j^2 Phi_j(t1) Phi_j(t2), summed term by term,
+        against exp(-r (t1 - t2)^2) for t1 - t2 over [-1, 1]."""
+        k = KernelKind(tag=SQEXP, regularity=r)
+        t = np.linspace(0.0, 1.0, 201)
+        terms = k.time_basis()(t) * k.column_factors()
+        series = np.zeros((len(t), len(t)))
+        for j in range(terms.shape[1]):
+            series += np.multiply.outer(terms[:, j], terms[:, j])
+        exact = np.exp(-r * np.subtract.outer(t, t) ** 2)
+        assert np.abs(series - exact).max() <= 1e-14
+        assert abs(kernel_value(k, 0.0, 1.0) - math.exp(-r)) <= 1e-14
+
     def test_time_domain_enforced(self):
         k = KernelKind(tag=SQEXP, regularity=1.0)
         with pytest.raises(OutOfRange):
@@ -79,13 +93,6 @@ class TestSampling:
     def test_periodic_draw_count(self):
         k = KernelKind(tag=PERIODIC, regularity=0.1, temporal_max=4)
         assert k.gaussians_per_sample() == 9
-
-    def test_sqexp_grid_shape(self):
-        k = KernelKind(tag=SQEXP, regularity=0.5, grid_nodes=32)
-        s = sample(k, derive(0))
-        assert s.shape == (1, 32)
-        nodes = np.linspace(0, 1, 32)
-        assert evaluate(k, s, nodes).shape == (32,)
 
     def test_sqexp_extrapolation_rejected(self):
         k = kinds()[SQEXP]
@@ -120,14 +127,6 @@ class TestEvaluation:
         assert np.allclose(evaluate(k, s, ts),
                            expected0 * np.cos(2 * math.pi * ts), atol=1e-12)
 
-    def test_sqexp_linear_interpolation(self):
-        k = kinds()[SQEXP]
-        s = sample(k, derive(3))
-        nodes = np.linspace(0, 1, k.grid_nodes)
-        values = evaluate(k, s, nodes)
-        t_mid = 0.5 * (nodes[3] + nodes[4])
-        assert evaluate(k, s, t_mid) == pytest.approx(0.5 * (values[3] + values[4]))
-
 
 class TestStatisticalProperties:
     N = 10_000
@@ -143,7 +142,7 @@ class TestStatisticalProperties:
             sums += evaluate(k, s, np.array(times))
         assert np.all(np.abs(sums / self.N) < 4 / math.sqrt(self.N))
 
-    @pytest.mark.parametrize("tag", [PERIODIC, CONSTANT])
+    @pytest.mark.parametrize("tag", [SQEXP, PERIODIC, CONSTANT])
     def test_covariance_matches_kernel(self, tag):
         k = kinds()[tag]
         rng = derive(23)
