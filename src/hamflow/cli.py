@@ -56,23 +56,31 @@ def _load_config(args) -> ExperimentConfig:
     return parse_config(text, command=args.command, overrides=overrides)
 
 
-def _outdir(cfg: ExperimentConfig, flowed: tuple = ()) -> Path:
+def _outdir(cfg: ExperimentConfig, regularities: tuple, flows: bool = False) -> Path:
     """The output directory, with the effective config echoed to config.txt.
 
-    ``flowed`` names the regularities whose draws the command flows; each
-    gets a comment line with its RK4 step count (``experiments.flow_steps``).
+    ``regularities`` names the laws the command draws from.  Each gets a
+    comment line with its spatial band (``HamiltonianLaw.band``) of
+    spatial_max and its temporal band (``HamiltonianLaw.temporal_band``) of
+    the kernel's frequencies, and, if the command flows its draws, one
+    before it with its RK4 step count (``experiments.flow_steps``).
     """
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    steps = "".join(f"# flow steps at regularity {r:g}: "
-                    f"{experiments.flow_steps(experiments.law_for(cfg, r), cfg.steps)} "
-                    f"of at most {cfg.steps}\n" for r in flowed)
-    (out / "config.txt").write_text(serialize_config(cfg) + steps)
+    lines = []
+    for r in regularities:
+        law = experiments.law_for(cfg, r)
+        if flows:
+            lines.append(f"# flow steps at regularity {r:g}: "
+                         f"{experiments.flow_steps(law, cfg.steps)} of at most {cfg.steps}\n")
+        lines.append(f"# bands at regularity {r:g}: spatial {law.band()} of {cfg.spatial_max}, "
+                     f"temporal {law.temporal_band()} of {law.kernel.time_basis().frequencies}\n")
+    (out / "config.txt").write_text(serialize_config(cfg) + "".join(lines))
     return out
 
 
 def _cmd_sample_field(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg)
+    out = _outdir(cfg, cfg.regularity)
     rows = []
     records = []
     for r_index, regularity in enumerate(cfg.regularity):
@@ -89,7 +97,7 @@ def _cmd_sample_field(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_flow(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg, cfg.regularity[:1])
+    out = _outdir(cfg, cfg.regularity[:1], flows=True)
     curves = experiments.advected_samples(cfg)
     records = [{"sample": i, "vertices": c.vertices.tolist(), "winding": list(c.winding)}
                for i, c in enumerate(curves)]
@@ -110,7 +118,7 @@ def _write_failures(records, path: Path) -> None:
 
 
 def _cmd_intersections(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg, cfg.regularity)
+    out = _outdir(cfg, cfg.regularity, flows=True)
     try:
         table = experiments.run_intersections(cfg)
     except FailureBudgetExceeded as exc:
@@ -125,7 +133,7 @@ def _cmd_intersections(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_diffusion(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg, cfg.regularity[:1])
+    out = _outdir(cfg, cfg.regularity[:1], flows=True)
     result = experiments.run_diffusion(cfg)
     io.write_records(
         [{"time": t, "chi_square": float(chi), "counts": counts.tolist()}
@@ -139,7 +147,7 @@ def _cmd_diffusion(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_random_walk(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg, cfg.regularity[:1])
+    out = _outdir(cfg, cfg.regularity[:1], flows=True)
     records = [{"walk": w, "trajectory": traj.tolist()}
                for w, traj in enumerate(experiments.run_random_walks(cfg))]
     io.write_records(records, out / "walks.jsonl")
@@ -147,7 +155,7 @@ def _cmd_random_walk(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_rkhs_norm(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg)
+    out = _outdir(cfg, cfg.regularity)
     rows = []
     records = []
     for r_index, regularity in enumerate(cfg.regularity):
@@ -170,7 +178,7 @@ def _cmd_rkhs_norm(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_tails(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg)
+    out = _outdir(cfg, cfg.regularity[:1])
     stats = experiments.run_tail_stats(cfg)
     io.write_records(
         [{"u": float(u), "survival": float(s)}
@@ -189,14 +197,14 @@ def _cmd_tails(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_concentration(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg)
+    out = _outdir(cfg, cfg.regularity)
     table = experiments.run_concentration(cfg)
     io.write_table(table, out / "concentration.csv")
     print(f"wrote {out / 'concentration.csv'}")
 
 
 def _cmd_inversion(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg, cfg.regularity[:1])
+    out = _outdir(cfg, cfg.regularity[:1], flows=True)
     result = experiments.run_inversion_test(cfg)
     io.write_records([{
         "statistic": result.statistic, "p_value": result.p_value,

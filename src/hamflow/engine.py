@@ -2,17 +2,23 @@
 
 A field H(t, x, y) = sum_n c_n(t) e_n(x, y) over a tensor-product trig basis
 is evaluated through per-axis cosine/sine tables and small matrix products.
-An engine evaluates the modes with kx, ky <= ``band`` only.  With K1 =
-band + 1, the per-axis row of a coordinate c is interleaved,
+An engine evaluates the modes with kx, ky <= ``band`` only.  Its tables
+start at the lowest wavenumber k0 of those modes: k0 = 0 when the basis has
+axis modes (one wavenumber zero) and k0 = 1 when it has none, the default.
+With K = band + 1 - k0 wavenumbers, the per-axis row of a coordinate c is
+interleaved,
 
-    r(c) = [cos 0, sin 0, cos(2 pi c), sin(2 pi c), ..., sin(2 pi band c)],
+    r(c) = [cos(2 pi k0 c), sin(2 pi k0 c), ..., sin(2 pi band c)],
 
-so slot 2k + t holds the cos (t = 0) or sin (t = 1) factor of wavenumber k.
-Coefficients are packed into a (2*K1, 2*K1) matrix G whose entry
-(2kx + tx, 2ky + ty) multiplies mode (kx, ky, tx, ty); H at (x, y) is
-r(x) @ G @ r(y).  Row/column 0 carries axis modes when present.  A grid is
-stored as G flattened and split to shape (2, K1, 2*K1), so its shape still
-names K1.
+so slot 2(k - k0) + t holds the cos (t = 0) or sin (t = 1) factor of
+wavenumber k.  Coefficients are packed into a (2K, 2K) matrix G whose entry
+(2(kx - k0) + tx, 2(ky - k0) + ty) multiplies mode (kx, ky, tx, ty); H at
+(x, y) is r(x) @ G @ r(y).  Without axis modes the cos 0 = 1 and sin 0 = 0
+slots would only ever meet zero rows and columns of G, so they are left
+out: at band 7 a table is 14 wide, not 16.  With axis modes, slot 0 holds
+cos 0 = 1, and row and column 0 of G carry the axis modes.  A grid is
+stored as G flattened and split to shape (2, K, 2K) (``grid_shape``), so
+its shape still names K.
 
 The derivative of a row is a fixed matrix, r'(c) = r(c) @ D, with D
 2 pi k [[0, 1], [-1, 0]] on the diagonal block of wavenumber k.  So
@@ -20,20 +26,20 @@ dH/dx = r(x) D G r(y) and dH/dy = r(x) G D^T r(y), and the Hamiltonian
 vector field (-dH/dy, dH/dx) for the area form dx^dy comes from one field
 grid
 
-    F = [-G D^T | D G],   shape (2*K1, 4*K1), stored as (2, K1, 4*K1):
+    F = [-G D^T | D G],   shape (2K, 4K), stored as (2, K, 4K) (``field_shape``):
 
-``vector_field`` takes w = r(x) @ F, splits it into two rows of 2*K1 and
+``vector_field`` takes w = r(x) @ F, splits it into two rows of 2K and
 dots each with r(y).  A call at P points then costs one table build, one
-(P, 2*K1) @ (2*K1, 4*K1) product and one contraction.  F is built by
+(P, 2K) @ (2K, 4K) product and one contraction.  F is built by
 ``field_grids``, outside the call.  F is linear in G, so a flow's batch
 (``field.PackedBatch``) packs each draw straight to field grids as it is
-appended and keeps no plain grids; its RK4 stage grids, 2*K1 x 4*K1
-entries per stage time and draw (twice the size of plain grids), are one
-product of the time basis with each draw's packed field grids.  Plain
+appended and keeps no plain grids; its RK4 stage grids, 2K x 4K entries
+per stage time and draw (twice the size of plain grids), are one batched
+product of the time basis with the draws' packed field grids.  Plain
 grids serve values, gradients and lattices
 (``field.SpectralHamiltonian.coefficient_grids``).
-Pointwise evaluation carries a leading draw axis: S grids (S, 2, K1, 2*K1),
-or S field grids (S, 2, K1, 4*K1), are evaluated at S point sets (S, P, 2),
+Pointwise evaluation carries a leading draw axis: S grids (S, 2, K, 2K),
+or S field grids (S, 2, K, 4K), are evaluated at S point sets (S, P, 2),
 set s under grid s, so the RK4 stages of many draws cost one call.  A
 single draw is S = 1.  Lattice evaluation (``value_grid``) takes any number
 of leading grid axes, so the lattices of several times cost one call, and
@@ -106,26 +112,29 @@ _TINY = np.finfo(float).tiny
 class FieldBuffers:
     """Work arrays of the tables of coordinates of one shape (..., 2), and of
     ``SpectralEngine.vector_field`` at points of that shape: the coordinate
-    and trig scratch, the complex powers whose real view is the tables, and
-    the product r(x) @ F.  The caller owns them; one set serves every call at
-    that shape.
+    and trig scratch, the complex powers z^k0 .. z^band whose real view is
+    the tables, and the product r(x) @ F.  The caller owns them; one set
+    serves every call at that shape.
     """
 
     __slots__ = ("theta", "trig", "powers", "product")
 
-    def __init__(self, shape: tuple, k1: int):
+    def __init__(self, shape: tuple, k0: int, k: int):
         self.theta = np.empty(shape)
         self.trig = np.empty(shape)
-        self.powers = np.empty(shape + (k1,), dtype=complex)
-        self.powers[..., 0] = 1.0  # z^0, never overwritten
-        self.product = np.empty(shape[:-1] + (4 * k1,))
+        self.powers = np.empty(shape + (k,), dtype=complex)
+        if k0 == 0:
+            self.powers[..., 0] = 1.0  # z^0, never overwritten
+        self.product = np.empty(shape[:-1] + (4 * k,))
 
 
 class SpectralEngine:
     """Evaluation kernels for the modes of one basis with kx, ky <= band.
 
     ``band = basis.truncation.spatial_max`` evaluates every mode.  ``modes``
-    holds the basis indices of the evaluated modes, ascending.
+    holds the basis indices of the evaluated modes, ascending.  Grids have
+    shape ``grid_shape`` = (2, K, 2K) and field grids ``field_shape`` =
+    (2, K, 4K), K the wavenumbers of the tables (module docstring).
     """
 
     def __init__(self, basis: SpectralBasis, band: int):
@@ -133,23 +142,29 @@ class SpectralEngine:
             raise ValueError("band must lie in [1, spatial_max]")
         self.basis = basis
         self.band = int(band)
-        k1 = self.band + 1
-        self._k1 = k1
         self.modes = np.flatnonzero((basis.kx <= band) & (basis.ky <= band))
         self.modes.setflags(write=False)
+        kx, ky = basis.kx[self.modes], basis.ky[self.modes]
+        # the tables hold wavenumbers k0..band: k0 = 0 only with axis modes
+        k0 = int(min(kx.min(), ky.min()))
+        k = self.band + 1 - k0
+        self._k0, self._k = k0, k
+        self.grid_shape, self.field_shape = (2, k, 2 * k), (2, k, 4 * k)
         self._amplitudes = basis.amplitudes[self.modes]
-        # Placement of mode n: entry (2kx + tx, 2ky + ty) of G, as an offset
-        # into the flattened grid.
-        self._slots = ((2 * basis.kx + basis.tx) * 2 * k1 + 2 * basis.ky + basis.ty)[self.modes]
-        # r' = r @ D: D maps slot 2k + 1 to 2k with factor -2 pi k and slot 2k
-        # to 2k + 1 with 2 pi k, so (r @ D)[j] = r[swap[j]] * d[j]
-        self._swap = np.arange(2 * k1) ^ 1
-        self._d = _TWO_PI * np.repeat(np.arange(k1), 2) * np.tile([-1.0, 1.0], k1)
+        # Placement of mode n: entry (2(kx - k0) + tx, 2(ky - k0) + ty) of G,
+        # as an offset into the flattened grid.
+        self._slots = ((2 * (kx - k0) + basis.tx[self.modes]) * 2 * k
+                       + 2 * (ky - k0) + basis.ty[self.modes])
+        # r' = r @ D: D maps the sin slot of wavenumber w to its cos slot with
+        # factor -2 pi w and the cos slot to the sin slot with 2 pi w, so
+        # (r @ D)[j] = r[swap[j]] * d[j]
+        self._swap = np.arange(2 * k) ^ 1
+        self._d = _TWO_PI * np.repeat(np.arange(k0, self.band + 1), 2) * np.tile([-1.0, 1.0], k)
 
     # -- coefficient packing -------------------------------------------------
 
     def grids(self, coeffs: np.ndarray) -> np.ndarray:
-        """Pack band coefficients (..., len(modes)) into grids (..., 2, K1, 2*K1).
+        """Pack band coefficients (..., len(modes)) into grids (..., 2, K, 2K).
 
         ``coeffs[..., j]`` is the raw c_n(t) of mode ``modes[j]``; amplitudes
         are applied here.  Subnormal results are flushed to zero (module
@@ -157,30 +172,29 @@ class SpectralEngine:
         """
         values = np.asarray(coeffs, dtype=float) * self._amplitudes
         values[np.abs(values) < _TINY] = 0.0
-        k1 = self._k1
-        out = np.zeros(values.shape[:-1] + (2 * k1 * 2 * k1,))
+        out = np.zeros(values.shape[:-1] + (4 * self._k * self._k,))
         out[..., self._slots] = values
-        return out.reshape(values.shape[:-1] + (2, k1, 2 * k1))
+        return out.reshape(values.shape[:-1] + self.grid_shape)
 
     def field_grids(self, grids: np.ndarray) -> np.ndarray:
-        """Field grids F = [-G D^T | D G] of grids (..., 2, K1, 2*K1); shape
-        (..., 2, K1, 4*K1) (module docstring).  Each entry is one entry of G
+        """Field grids F = [-G D^T | D G] of grids (..., 2, K, 2K); shape
+        (..., 2, K, 4K) (module docstring).  Each entry is one entry of G
         times -2 pi k or 2 pi k: (-G D^T)[:, j] = G[:, swap[j]] d[j] and
         (D G)[i] = -d[i] G[swap[i]], so F of a flushed grid holds no subnormals.
         """
         g = self._square(grids)
         f = [g[..., self._swap] * self._d, g[..., self._swap, :] * -self._d[:, None]]
-        return np.concatenate(f, axis=-1).reshape(grids.shape[:-3] + (2, self._k1, 4 * self._k1))
+        return np.concatenate(f, axis=-1).reshape(grids.shape[:-3] + self.field_shape)
 
     def buffers(self, shape) -> FieldBuffers:
         """Work arrays for coordinates, or points, of the given shape."""
-        return FieldBuffers(tuple(shape), self._k1)
+        return FieldBuffers(tuple(shape), self._k0, self._k)
 
     # -- per-axis tables -----------------------------------------------------
 
     def _tables(self, coords: np.ndarray, buffers: FieldBuffers | None = None) -> np.ndarray:
-        """Interleaved rows [cos 0, sin 0, ..., cos(2 pi band c), sin(2 pi band c)];
-        shape coords.shape + (2*K1,).
+        """Interleaved rows [cos(2 pi k0 c), sin(2 pi k0 c), ..., sin(2 pi band c)];
+        shape coords.shape + (2K,).
 
         The rows are the real view of the powers z^k, z = exp(2 pi i c),
         built by a complex power recurrence, one step per wavenumber for all
@@ -193,20 +207,21 @@ class SpectralEngine:
         np.floor(coords, out=theta)
         np.subtract(coords, theta, out=theta)
         np.multiply(theta, _TWO_PI, out=theta)
-        zk[..., 1].real = np.cos(theta, out=trig)
-        zk[..., 1].imag = np.sin(theta, out=trig)
-        for k in range(2, self._k1):
-            np.multiply(zk[..., k - 1], zk[..., 1], out=zk[..., k])
+        z = zk[..., 1 - self._k0]
+        z.real = np.cos(theta, out=trig)
+        z.imag = np.sin(theta, out=trig)
+        for j in range(2 - self._k0, self._k):
+            np.multiply(zk[..., j - 1], z, out=zk[..., j])
         return zk.view(float)
 
     def _square(self, grids: np.ndarray) -> np.ndarray:
-        """Grids (..., 2, K1, 2*K1) viewed as (..., 2*K1, 2*K1) matrices G."""
-        return grids.reshape(grids.shape[:-3] + (2 * self._k1, 2 * self._k1))
+        """Grids (..., 2, K, 2K) viewed as (..., 2K, 2K) matrices G."""
+        return grids.reshape(grids.shape[:-3] + (2 * self._k, 2 * self._k))
 
     # -- evaluation ----------------------------------------------------------
 
     def value(self, grids: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """H at points (S, P, 2) under grids (S, 2, K1, 2*K1); shape (S, P)."""
+        """H at points (S, P, 2) under grids (S, 2, K, 2K); shape (S, P)."""
         rows = self._tables(pts)
         w = rows[..., 0, :] @ self._square(grids)
         return np.einsum("spk,spk->sp", w, rows[..., 1, :])
@@ -215,7 +230,7 @@ class SpectralEngine:
                      buffers: FieldBuffers | None = None) -> np.ndarray:
         """Hamiltonian vector field (-dH/dy, dH/dx) for the area form dx^dy.
 
-        Points (S, P, 2) under field grids (S, 2, K1, 4*K1) (``field_grids``);
+        Points (S, P, 2) under field grids (S, 2, K, 4K) (``field_grids``);
         shape (S, P, 2).  The result is written to ``out`` if given, and the
         tables and the product to ``buffers`` (``buffers(pts.shape)``) if
         given; both belong to the caller (module docstring).
@@ -223,25 +238,25 @@ class SpectralEngine:
         if buffers is None:
             buffers = self.buffers(pts.shape)
         rows = self._tables(pts, buffers)
-        w = np.matmul(rows[..., 0, :], fields.reshape(fields.shape[:-3] + (2 * self._k1, -1)),
+        w = np.matmul(rows[..., 0, :], fields.reshape(fields.shape[:-3] + (2 * self._k, -1)),
                       out=buffers.product)
         return np.einsum("spik,spk->spi", w.reshape(w.shape[:-1] + (2, -1)), rows[..., 1, :],
                          out=out)
 
     def lattice_rows(self, coords) -> np.ndarray:
-        """The per-axis rows (len(coords), 2*K1) of lattice coordinates, which
+        """The per-axis rows (len(coords), 2K) of lattice coordinates, which
         ``value_grid`` takes in place of the coordinates, so that many calls
         on one lattice build its rows once."""
         return self._tables(np.asarray(coords, dtype=float))
 
     def value_grid(self, grid: np.ndarray, xs, ys, out: np.ndarray | None = None,
                    half: np.ndarray | None = None) -> np.ndarray:
-        """H on the tensor lattice xs x ys under grids (..., 2, K1, 2*K1).
+        """H on the tensor lattice xs x ys under grids (..., 2, K, 2K).
 
         ``xs`` and ``ys`` are coordinates (1-D) or their ``lattice_rows``
         (2-D).  Shape (..., len(xs), len(ys)): one lattice per leading grid
         index.  The lattices are written to ``out`` and the half product
-        r(x) @ G, shape (..., len(xs), 2*K1), to ``half`` if given.
+        r(x) @ G, shape (..., len(xs), 2K), to ``half`` if given.
         """
         rx, ry = (c if np.ndim(c) == 2 else self.lattice_rows(c) for c in (xs, ys))
         return np.matmul(np.matmul(rx, self._square(grid), out=half), ry.T, out=out)

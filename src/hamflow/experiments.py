@@ -4,17 +4,19 @@ inversion invariance, concentration and random walks.
 Every sample owns a random stream derived from (seed, regularity index,
 sample index); the inversion test's inverse branch uses stream index 1 and
 walk w draws step j from (seed, w, j).  One runner (``_run_chunks``) hands
-each task a chunk of consecutive sample indices: CHUNK of them, fewer when
-there are fewer than CHUNK per worker, and one for the oscillation commands,
-which do not batch draws.  Each process builds a law once (``law_for``),
-and a task draws sample i from its own stream exactly as a one-sample task
-would and flows the chunk's draws as one batch.  Aggregation is an ordered
-reduction by sample index.
+each task a chunk of consecutive sample indices: CHUNK of them
+(INVERSION_CHUNK for ``inversion``), fewer when there are fewer than that
+per worker, and one for the oscillation commands, which do not batch
+draws.  Each process builds a law once (``law_for``), and a task draws
+sample i from its own stream exactly as a one-sample task would and flows
+the chunk's draws as one batch.  Aggregation is an ordered reduction by
+sample index.
 
-With at least CHUNK samples per worker the chunk boundaries depend on the
-index only, so results do not depend on the worker count.  Below that,
-boundaries move with the worker count, and results stay bit-identical
-because a draw's flow does not depend on the other draws of its batch.
+With at least a full chunk of samples per worker the chunk boundaries
+depend on the index only, so results do not depend on the worker count.
+Below that, boundaries move with the worker count, and results stay
+bit-identical because a draw's flow does not depend on the other draws of
+its batch.
 That holds when the BLAS matrix product gives each row the same result at
 any row count: a property of the BLAS, not a numpy guarantee, which
 ``tests/test_experiments.py`` and ``tests/test_cli.py`` check.
@@ -61,10 +63,15 @@ from .walk import induced_point_walks, sample_walk
 _LEVEL_TIE = 1e-12
 _OVERLAP_TOL = 1e-9
 # Consecutive sample indices per task: the draws of a chunk flow as one
-# batch (2 * CHUNK rows in an inversion chunk).
-# The tracemalloc peak of an inversion chunk at spatial_max 25 is 4.7 MB at
-# regularity 3 and 44.8 MB at the full band (regularity 0.1).
+# batch.
 CHUNK = 16
+# Inversion flows one point per draw, so its flows are bound by per-call
+# overhead and take chunks twice as long, 2 * INVERSION_CHUNK rows of draws
+# and reversals.  The tracemalloc peak of one such chunk at spatial_max 25
+# is 4.1 MB at regularity 3 (no more than a 16-sample chunk's 4.3 MB before
+# the temporal band and the trimmed tables), and grows with the band:
+# 72.2 MB at the full band (regularity 0.1), against 44.8 MB at 16 samples.
+INVERSION_CHUNK = 2 * CHUNK
 # Lipschitz bound per RK4 step of the step-count rule (module docstring).
 THETA = 0.0716
 
@@ -312,7 +319,7 @@ def _advected_chunk(args) -> list:
     """
     cfg, r_index, start, stop = args
     law = law_for(cfg, cfg.regularity[r_index])
-    batch, rows, out = PackedBatch(), [], {}
+    batch, rows, out = PackedBatch(capacity=stop - start), [], {}
     for i in range(start, stop):
         try:
             batch.append(sample_hamiltonian(law, cfg.seed, r_index, i))
@@ -413,7 +420,7 @@ def _diffusion_chunk(args) -> list:
     """
     cfg, r_index, start, stop = args
     law = law_for(cfg, cfg.regularity[r_index])
-    batch = PackedBatch()
+    batch = PackedBatch(capacity=stop - start)
     shape = (len(law.basis()), law.kernel.gaussians_per_sample())
     pts = np.empty((stop - start, cfg.points, 2))
     for row, i in enumerate(range(start, stop)):
@@ -512,7 +519,7 @@ def _displacement_chunk(args) -> list:
     """
     cfg, _, start, stop = args
     law = law_for(cfg, cfg.regularity[0])
-    batch = PackedBatch()
+    batch = PackedBatch(capacity=2 * (stop - start))
     for branch in (0, 1):
         for i in range(start, stop):
             draw = sample_hamiltonian(law, cfg.seed, branch, i)
@@ -563,7 +570,8 @@ def run_inversion_test(cfg: ExperimentConfig, level: float = 0.01) -> InversionR
     ``method="exact"``), and where the exact sum leaves [0, 1] by rounding
     scipy falls back to ``kstwo.sf`` while this clips.
     """
-    fwd, inv = (np.array(branch) for branch in zip(*_run_chunks(_displacement_chunk, cfg)))
+    pairs = _run_chunks(_displacement_chunk, cfg, length=INVERSION_CHUNK)
+    fwd, inv = (np.array(branch) for branch in zip(*pairs))
     statistic, p_value = _ks_two_sample(fwd, inv)
     return InversionResult(statistic=statistic, p_value=p_value,
                            level=level, forward=fwd, inverse=inv)

@@ -18,16 +18,28 @@ modes' indices run from 0 up to ``HamiltonianLaw.head_rows()`` - 1, and
 temporal_max 10, periodic kernel (N = 2,500, m = 21; regularity in
 frequency units):
 
-    r      band   band modes   head rows
-    0.1    25     2,500        2,500
-    0.5    17     1,156        1,712
-    2      8      256          360
-    3      7      196          268
-    3.95   6      144          192
-    4.5    5      100          128
+    r      band   band modes   head rows   temporal band (B rows)
+    0.1    25     2,500        2,500       10 (21)
+    0.5    17     1,156        1,712       10 (21)
+    2      8      256          360         8 (17)
+    3      7      196          268         6 (13)
+    3.95   6      144          192         6 (13)
+    4.5    5      100          128         5 (11)
 
 The draw keeps its key (seed, *indices): the first read of ``gaussians``
 derives the stream again and draws the whole array, which is a full draw.
+
+Temporal band.  A draw is a series in the law's ``time_basis``: the
+kernel's time basis cut to the frequencies whose column factors reach
+eps^2 of the largest (``HamiltonianLaw.temporal_band``), so B holds
+1 + 2 temporal_band rows (last column above).  The normals keep all m
+columns: streams, ``gaussians_per_sample()`` and ``head_rows()`` do not
+depend on the band.  A dropped row scales each normal by less than eps^2
+of the constant term's factor; the tests find the banded draws' flows and
+oscillations bit for bit those of the whole time basis (periodic and
+sqexp, r = 3 and 4.5).  A flow's packed rows shrink with the band: 13 of
+21 per draw at r = 3.  The sqexp series already stops at factors near
+exp(-18.5), so its band keeps every frequency.
 """
 
 from __future__ import annotations
@@ -42,7 +54,7 @@ from . import temporal
 from .basis import TWO_PI, SpectralBasis, Truncation
 from .engine import SpectralEngine
 from .rng import derive
-from .temporal import KernelKind
+from .temporal import KernelKind, TimeBasis
 
 
 def spectral_weight(eigenvalue: float, regularity: float):
@@ -97,9 +109,9 @@ class HamiltonianLaw:
     Euclidean, area form dx^dy); only the data listed here vary.
     ``mode_scales`` optionally rescales each coefficient process (index =
     position in the eigenvalue-sorted basis), which expresses weakly
-    frequency-unbiased laws.  ``band``, ``head_rows``, ``weights``, ``scales``
-    and ``lipschitz_bound`` are computed once per law and shared by its
-    draws.
+    frequency-unbiased laws.  ``band``, ``temporal_band``, ``time_basis``,
+    ``head_rows``, ``weights``, ``scales`` and ``lipschitz_bound`` are
+    computed once per law and shared by its draws.
     """
 
     regularity: float
@@ -138,6 +150,29 @@ class HamiltonianLaw:
                      + np.log(self.scales())
                      + np.log1p(TWO_PI * kmax))
         return int(kmax[log_bound >= log_bound.max() + np.log(_BAND_TOLERANCE)].max())
+
+    @_per_law
+    def temporal_band(self) -> int:
+        """Largest frequency of the kernel's time basis whose column factor
+        reaches eps^2 of the largest (``KernelKind.column_factors``; module
+        docstring).  The factors fall with the frequency for every kernel,
+        so the band keeps exactly the frequencies that reach that share."""
+        n = self.kernel.time_basis().frequencies
+        factors = self.kernel.column_factors()[:n + 1]
+        return int(np.flatnonzero(factors >= _BAND_TOLERANCE * factors.max()).max())
+
+    @_per_law
+    def time_basis(self) -> TimeBasis:
+        """The kernel's time basis cut to the temporal band (``temporal_band``):
+        the Phi of every draw of the law."""
+        return replace(self.kernel.time_basis(), frequencies=self.temporal_band())
+
+    @_per_law
+    def time_columns(self) -> np.ndarray:
+        """Columns of a draw's (N, m) normals that drive ``time_basis``: the
+        constant, the cosines and the sines of frequencies 1..temporal_band."""
+        n, band = self.kernel.time_basis().frequencies, self.temporal_band()
+        return np.concatenate([np.arange(band + 1), np.arange(n + 1, n + 1 + band)])
 
     def engine(self) -> SpectralEngine:
         """The engine of the law's band (``band``), shared by every law with
@@ -296,8 +331,9 @@ class RandomHamiltonian(SpectralHamiltonian):
     ``gaussians`` is the draw's read-only (N, m) array of standard normals,
     laid out as documented in :mod:`hamflow.temporal`; c_n(t) = w_n Z_n(t),
     so B is the kernel's coefficient matrix scaled by the weights w_n, taken
-    at the band modes.  B is recomputed from the normals on each use rather
-    than stored.
+    at the band modes and at the rows of the law's temporal band, in the
+    law's ``time_basis``.  B is recomputed from the normals on each use
+    rather than stored.
 
     A draw built from an (N, m) array holds that array.  A draw built with
     a stream ``key`` (seed, *indices) holds its head, rows 0 ..
@@ -306,7 +342,7 @@ class RandomHamiltonian(SpectralHamiltonian):
     """
 
     def __init__(self, law: HamiltonianLaw, gaussians, key: tuple | None = None):
-        super().__init__(law.engine(), law.kernel.time_basis())
+        super().__init__(law.engine(), law.time_basis())
         self.law = law
         self.basis = law.basis()
         shape = (len(self.basis) if key is None else law.head_rows(),
@@ -335,11 +371,13 @@ class RandomHamiltonian(SpectralHamiltonian):
 
     def coefficients_of(self, modes) -> np.ndarray:
         """Columns ``modes`` (basis indices, ascending) of the draw's B over
-        the whole basis; shape (m, len(modes)).
+        the whole basis, at the rows of the law's temporal band
+        (``HamiltonianLaw.time_columns``); shape (1 + 2 temporal_band,
+        len(modes)).
 
         B is computed from the head rows only, unless a mode lies past them,
         and then from every row (``gaussians``).  Each entry is a product of
-        its own normal, weight, scale and column factor, so the columns equal
+        its own normal, weight, scale and column factor, so the entries equal
         those of the whole B bit for bit.
         """
         head = self.law.head_rows()
@@ -347,7 +385,7 @@ class RandomHamiltonian(SpectralHamiltonian):
         rows = len(normals)
         b = self.weights[:rows] * temporal.coefficient_matrix(self.law.kernel, normals,
                                                               self.law.scales()[:rows])
-        return b[:, modes]
+        return b[np.ix_(self.law.time_columns(), modes)]
 
 
 class PackedBatch:
@@ -355,31 +393,48 @@ class PackedBatch:
 
     ``append`` packs a Hamiltonian's coefficient matrix straight to field
     grids: ``engine.grids``, which flushes subnormals, then
-    ``engine.field_grids``, into one (m, 2, K1, 4*K1) row.  The batch keeps
-    that row only, not the Hamiltonian or its plain grids, so a caller can
-    pack draws as it samples them and let each go.  Field grids are linear
-    in the coefficients, so the field grids of all S at T times are one
-    product Phi(times) @ row per row, written into one preallocated block.
-    ``rows`` takes a sub-batch of the same row arrays without packing again.
+    ``engine.field_grids``, into one (m, 2, K, 4K) row of a stacked
+    (S, m, 2, K, 4K) array.  The batch keeps that row only, not the
+    Hamiltonian or its plain grids, so a caller can pack draws as it samples
+    them and let each go.  The stack is allocated at the first append with
+    ``capacity`` rows (at least the Hamiltonians given), so a batch told its
+    size packs in place; past that it doubles.  Field grids are linear in the
+    coefficients, so the field grids of all S at T times are one batched
+    product Phi(times) @ rows, written into one preallocated block.
+    ``rows`` takes a sub-batch without packing again: a view that shares the
+    batch's packed rows and takes no appends.
     """
 
-    def __init__(self, hamiltonians=()):
+    def __init__(self, hamiltonians=(), capacity: int = 0):
+        hamiltonians = list(hamiltonians)
         self.engine = None
         self.time_basis = None
-        self._rows = []
+        self._capacity = max(capacity, len(hamiltonians))
+        self._stack = None
+        self._size = 0
+        self._index = None  # the stack rows of a sub-batch, in its order
         for h in hamiltonians:
             self.append(h)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._size
 
     def append(self, h: SpectralHamiltonian) -> None:
         """Pack one more Hamiltonian as the last row."""
+        if self._index is not None:
+            raise ValueError("a sub-batch takes no appends")
         if self.engine is None:
             self.engine, self.time_basis = h.engine, h.time_basis
         elif h.engine is not self.engine or h.time_basis != self.time_basis:
             raise ValueError("a batch needs one engine and one time basis")
-        self._rows.append(self.engine.field_grids(self.engine.grids(h.coefficients)))
+        row = self.engine.field_grids(self.engine.grids(h.coefficients))
+        if self._stack is None or self._size == len(self._stack):
+            grown = np.empty((max(self._capacity, 2 * self._size, 1),) + row.shape)
+            if self._size:
+                grown[:self._size] = self._stack
+            self._stack = grown
+        self._stack[self._size] = row
+        self._size += 1
 
     def rows(self, indices) -> PackedBatch:
         """The batch of the given rows, in the given order; the batch itself
@@ -388,20 +443,32 @@ class PackedBatch:
         if indices == list(range(len(self))):
             return self
         sub = PackedBatch()
-        sub.engine, sub.time_basis = self.engine, self.time_basis
-        sub._rows = [self._rows[i] for i in indices]
+        sub.engine, sub.time_basis, sub._stack = self.engine, self.time_basis, self._stack
+        sub._index = self._stack_rows()[indices]
+        sub._size = len(indices)
         return sub
 
+    def _stack_rows(self) -> np.ndarray:
+        return np.arange(self._size) if self._index is None else self._index
+
     def field_grids(self, times, out: np.ndarray | None = None) -> np.ndarray:
-        """Field grids (T, S, 2, K1, 4*K1) at a scalar or (T,) array of times
-        (``SpectralEngine.field_grids``), written to ``out`` if given."""
+        """Field grids (T, S, 2, K, 4K) at a scalar or (T,) array of times
+        (``SpectralEngine.field_grids``), written to ``out`` if given.
+
+        One batched product Phi(times) @ row per run of consecutive stack
+        rows (one run for a whole batch) writes them through an (S, T, ...)
+        view of the time-major block; each row is the product a loop over
+        rows would make, into the same layout.
+        """
         phi = self.time_basis(times)
-        k1 = self.engine.band + 1
         if out is None:
-            out = np.empty((len(phi), len(self), 2, k1, 4 * k1))
-        flat = out.reshape(len(phi), len(self), -1)
-        for s, row in enumerate(self._rows):
-            np.matmul(phi, row.reshape(len(row), -1), out=flat[:, s])
+            out = np.empty((len(phi), len(self)) + self.engine.field_shape)
+        flat = out.reshape(len(phi), len(self), -1).transpose(1, 0, 2)
+        stack = self._stack.reshape(self._stack.shape[:2] + (-1,))
+        index = self._stack_rows()
+        cuts = [0, *(np.flatnonzero(np.diff(index) != 1) + 1), len(index)]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            np.matmul(phi, stack[index[a]:index[a] + b - a], out=flat[a:b])
         return out
 
 

@@ -43,8 +43,10 @@ import numpy as np
 from .errors import HamflowError, NonFinite, NotAutonomous, RefinementOverflow, Unsupported
 from .field import PackedBatch, RandomHamiltonian, SpectralHamiltonian
 
-# RK4 steps whose stage grids one block holds.
-_BLOCK_STEPS = 5
+# RK4 steps whose stage grids one block holds; 3 keeps an inversion chunk's
+# packed rows and block within the memory noted at
+# ``experiments.INVERSION_CHUNK``.
+_BLOCK_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ def _rk4_grids(batch: PackedBatch, pts, t0, h, n_steps):
     Stage grids are built _BLOCK_STEPS steps at a time, 2 * _BLOCK_STEPS + 1
     stage times per block, into one block buffer, so one block is held at a
     time whatever the step count.  They are field grids
-    (``PackedBatch.field_grids``), 2*K1 x 4*K1 per stage time and draw, so
+    (``PackedBatch.field_grids``), 2K x 4K per stage time and draw, so
     each vector-field call is one table build, one product and one
     contraction.  The block, the tables, the products and the stage slopes
     are allocated once per flow and belong to it, so flows on one shared
@@ -125,8 +127,7 @@ def _rk4_grids(batch: PackedBatch, pts, t0, h, n_steps):
     engine = batch.engine
     p = np.array(pts, dtype=float)
     work = _rk4_work(engine, p.shape)
-    k1 = engine.band + 1
-    block = np.empty((2 * min(_BLOCK_STEPS, n_steps) + 1, len(batch), 2, k1, 4 * k1))
+    block = np.empty((2 * min(_BLOCK_STEPS, n_steps) + 1, len(batch)) + engine.field_shape)
     for start in range(0, n_steps, _BLOCK_STEPS):
         count = min(_BLOCK_STEPS, n_steps - start)
         stage_times = t0 + 0.5 * h * np.arange(2 * start, 2 * (start + count) + 1)

@@ -12,9 +12,10 @@
   Python float per entry, and the field they sum to.
 * ``full_coefficients``, ``reversal_coefficients``,
   ``concatenation_coefficients``, ``mode_coefficients`` and ``full_packing``:
-  the coefficient matrix B over the whole basis and its packing into an
-  engine's grids, as they were computed before draws drew their head only
-  and grids were packed from the band modes alone.
+  the coefficient matrix B over the whole basis, in the kernel's whole time
+  basis, and its packing into an engine's grids, as they were computed
+  before draws drew their head only, kept the rows of their temporal band
+  only and grids were packed from the band modes alone.
 * ``apply_walk``: a walk's map as the sequential application of its step
   flows, which the batched walks and the walk's concatenation are checked
   against.
@@ -143,43 +144,54 @@ def reconstruct_value(draw, entries: dict, t: float, x: float, y: float) -> floa
 
 
 def full_coefficients(h) -> np.ndarray:
-    """B of a draw over the whole basis: shape (m, N), from the draw's full
+    """B of a draw over the whole basis and the kernel's whole time basis
+    (``law.kernel.time_basis()``): shape (m, N), from the draw's full
     normals."""
     law = h.law
     return h.weights * temporal.coefficient_matrix(law.kernel, h.gaussians, law.scales())
 
 
 def reversal_coefficients(h) -> np.ndarray:
-    """B of ``time_reversed_hamiltonian(h)`` over the whole basis: -R @ B."""
-    return -h.time_basis.reflect(full_coefficients(h))
+    """B of ``time_reversed_hamiltonian(h)`` over the whole basis and the
+    kernel's whole time basis: -R @ B."""
+    return -h.law.kernel.time_basis().reflect(full_coefficients(h))
 
 
 def concatenation_coefficients(parts) -> np.ndarray:
     """B of ``concatenate_autonomous(parts, bump)`` over the whole basis:
     row i is part i's constant coefficients, Phi(0) @ B of the part."""
-    return np.stack([(p.time_basis(0.0) @ full_coefficients(p))[0] for p in parts])
+    return np.stack([(p.law.kernel.time_basis()(0.0) @ full_coefficients(p))[0] for p in parts])
 
 
 def mode_coefficients(h, times) -> np.ndarray:
-    """c_n(t) of every mode of the basis; shape (N,) at a scalar time, (T, N)
-    at a vector of times."""
-    out = h.time_basis(times) @ full_coefficients(h)
+    """c_n(t) of every mode of the basis, summed over the kernel's whole time
+    basis; shape (N,) at a scalar time, (T, N) at a vector of times."""
+    out = h.law.kernel.time_basis()(times) @ full_coefficients(h)
     return out[0] if np.ndim(times) == 0 else out
 
 
-def full_packing(engine, coeffs) -> np.ndarray:
-    """Grids (..., 2, K1, 2*K1) of coefficients (..., N) over the whole
-    basis: the engine's band modes taken, amplitudes applied, subnormals
-    flushed to zero, and mode (kx, ky, tx, ty) placed at entry
-    (2kx + tx, 2ky + ty) of G."""
+def grid_slots(engine):
+    """(band mask, row slots, column slots): mode (kx, ky, tx, ty) of the
+    engine's band sits at entry (2(kx - k0) + tx, 2(ky - k0) + ty) of G,
+    with k0 = 0 for a basis with axis modes and 1 without; G is (2K, 2K),
+    K = band + 1 - k0."""
     b = engine.basis
     band = (b.kx <= engine.band) & (b.ky <= engine.band)
-    values = np.asarray(coeffs, dtype=float)[..., band] * b.amplitudes[band]
+    k0 = 0 if b.truncation.include_axis_modes else 1
+    return band, 2 * (b.kx[band] - k0) + b.tx[band], 2 * (b.ky[band] - k0) + b.ty[band]
+
+
+def full_packing(engine, coeffs) -> np.ndarray:
+    """Grids (..., 2, K, 2K) of coefficients (..., N) over the whole basis:
+    the engine's band modes taken, amplitudes applied, subnormals flushed to
+    zero, and each mode placed at its entry of G (``grid_slots``)."""
+    band, rows, cols = grid_slots(engine)
+    values = np.asarray(coeffs, dtype=float)[..., band] * engine.basis.amplitudes[band]
     values[np.abs(values) < np.finfo(float).tiny] = 0.0
-    k1 = engine.band + 1
-    out = np.zeros(values.shape[:-1] + (2 * k1, 2 * k1))
-    out[..., 2 * b.kx[band] + b.tx[band], 2 * b.ky[band] + b.ty[band]] = values
-    return out.reshape(values.shape[:-1] + (2, k1, 2 * k1))
+    k = engine.band + (1 if engine.basis.truncation.include_axis_modes else 0)
+    out = np.zeros(values.shape[:-1] + (2 * k, 2 * k))
+    out[..., rows, cols] = values
+    return out.reshape(values.shape[:-1] + (2, k, 2 * k))
 
 
 def apply_walk(walk, pts, settings=DEFAULT_SETTINGS) -> np.ndarray:

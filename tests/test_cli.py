@@ -95,6 +95,29 @@ def test_commands_without_flows_echo_no_step_counts(tmp_path):
     assert "# flow steps" not in (out / "config.txt").read_text()
 
 
+# the regularities whose laws each command draws from, at "regularity = 8, 4.5"
+DRAWN = {command: (8, 4.5) for command in ("sample-field", "intersections", "rkhs-norm",
+                                           "concentration")}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUTS))
+def test_config_echo_names_the_bands(tmp_path, command):
+    # spatial_max 6, temporal_max 10: regularity 8 keeps spatial and temporal
+    # bands 4, and 4.5 keeps 5; random-walk's constant kernel has no frequencies
+    text = TINY.replace("regularity = 8.0", "regularity = 8, 4.5").replace(
+        "spatial_max = 2", "spatial_max = 6").replace("temporal_max = 3", "temporal_max = 10")
+    if command == "tails":
+        text = text.replace("samples = 4\n", "")
+    rc, out = run(tmp_path, command, text)
+    assert rc == 0
+    lines = [line for line in (out / "config.txt").read_text().splitlines()
+             if line.startswith("# bands")]
+    band = {8: 4, 4.5: 5}
+    temporal = (lambda r: "0 of 0") if command == "random-walk" else (lambda r: f"{band[r]} of 10")
+    assert lines == [f"# bands at regularity {r:g}: spatial {band[r]} of 6, temporal {temporal(r)}"
+                     for r in DRAWN.get(command, (8,))]
+
+
 def test_random_walk_rejects_explicit_periodic_kernel(tmp_path, capsys):
     rc, _ = run(tmp_path, "random-walk", TINY + "kernel = periodic\n")
     assert rc == 1

@@ -68,17 +68,22 @@ def check_engine(engine, coeffs, pts):
     return want
 
 
-# (regularity in frequency units, spatial_max, the law's band): a banded
-# engine, checked with the full-band engine beside it, and a full-band one
-LAWS = [(3.0, 10, 7), (0.1, 25, 25)]
+# (regularity in frequency units, spatial_max, the law's band, axis modes):
+# a banded engine, checked with the full-band engine beside it, and a
+# full-band one; without axis modes, and with them, whose tables alone keep
+# wavenumber 0
+LAWS = [pytest.param(3.0, 10, 7, False, id="3.0-10-7"),
+        pytest.param(0.1, 25, 25, False, id="0.1-25-25"),
+        pytest.param(3.0, 10, 7, True, id="3.0-10-7-axis"),
+        pytest.param(0.1, 25, 25, True, id="0.1-25-25-axis")]
 
 
 @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT, SQEXP])
-@pytest.mark.parametrize("r,spatial_max,band", LAWS)
+@pytest.mark.parametrize("r,spatial_max,band,axis_modes", LAWS)
 @pytest.mark.parametrize("draws", [1, 3])
-def test_kernel_matches_mode_by_mode_reference(kernel, r, spatial_max, band, draws):
+def test_kernel_matches_mode_by_mode_reference(kernel, r, spatial_max, band, axis_modes, draws):
     law = make_law(r / (4 * math.pi**2), spatial_max=spatial_max, temporal_max=4,
-                   kernel=kernel, seed=3)
+                   kernel=kernel, seed=3, include_axis_modes=axis_modes)
     hs = [sample_hamiltonian(law, 3, i) for i in range(draws)]
     t = 0.37
     coeffs = np.stack([mode_coefficients(h, t) for h in hs])
@@ -96,17 +101,24 @@ def test_kernel_matches_mode_by_mode_reference(kernel, r, spatial_max, band, dra
         assert_close(h.vector_field(t, p), rotated(w))
 
 
-@pytest.mark.parametrize("band", [1, 5, 25])
-def test_tables_are_interleaved_cos_sin_rows(band):
-    engine = SpectralEngine(make_law(0.1, spatial_max=25).basis(), band)
+@pytest.mark.parametrize("band,axis_modes",
+                         [pytest.param(band, axis, id=f"{band}-axis" if axis else str(band))
+                          for axis in (False, True) for band in (1, 5, 25)])
+def test_tables_are_interleaved_cos_sin_rows(band, axis_modes):
+    # the tables start at wavenumber 0 with axis modes and at 1 without
+    engine = SpectralEngine(make_law(0.1, spatial_max=25, include_axis_modes=axis_modes).basis(),
+                            band)
     rng = np.random.default_rng(band)
     coords = np.concatenate([rng.uniform(-20, 20, 500), EDGES, [-1e-20, 1e-20, -0.5, 0.5]])
     rows = engine._tables(coords)
-    assert rows.shape == coords.shape + (2 * band + 2,)
-    angle = TWO_PI * np.multiply.outer(coords, np.arange(band + 1))
+    wavenumbers = np.arange(0 if axis_modes else 1, band + 1)
+    assert rows.shape == coords.shape + (2 * len(wavenumbers),)
+    assert engine.grid_shape == (2, len(wavenumbers), 2 * len(wavenumbers))
+    assert engine.field_shape == (2, len(wavenumbers), 4 * len(wavenumbers))
+    angle = TWO_PI * np.multiply.outer(coords, wavenumbers)
     assert np.abs(rows[:, 0::2] - np.cos(angle)).max() <= RTOL
     assert np.abs(rows[:, 1::2] - np.sin(angle)).max() <= RTOL
-    # any leading shape: (S, P, 2) points give (S, P, 2, 2 * K1) rows
+    # any leading shape: (S, P, 2) points give (S, P, 2, 2K) rows
     assert np.array_equal(engine._tables(coords[:504].reshape(6, 42, 2)),
                           rows[:504].reshape(6, 42, 2, -1))
 
@@ -116,10 +128,15 @@ def test_batch_field_grids_follow_appends():
     hs = [sample_hamiltonian(law, 5, i) for i in range(3)]
     times = np.linspace(0, 1, 5)
     batch = PackedBatch(hs[:2])
-    assert batch.field_grids(times).shape == (5, 2, 2, 8, 32)
+    assert batch.field_grids(times).shape == (5, 2, 2, 7, 28)
     batch.append(hs[2])
     want = PackedBatch(hs).field_grids(times)
     assert np.array_equal(batch.field_grids(times), want)
+    # the batched product equals one product per row
+    engine, phi = law.engine(), hs[0].time_basis(times)
+    for s, h in enumerate(hs):
+        row = engine.field_grids(engine.grids(h.coefficients))
+        assert np.array_equal(want[:, s], (phi @ row.reshape(len(row), -1)).reshape(want[:, s].shape))
     assert np.array_equal(batch.rows([2, 0]).field_grids(times), want[:, [2, 0]])
 
 
@@ -137,6 +154,6 @@ def test_buffered_calls_equal_allocating_calls():
     grids = hs[0].coefficient_grids(np.linspace(0, 1, 5))
     rows = engine.lattice_rows(np.arange(24) / 24)
     want = engine.value_grid(grids, rows, rows)
-    out, half = np.empty((5, 24, 24)), np.empty((5, 24, 2 * engine.band + 2))
+    out, half = np.empty((5, 24, 24)), np.empty((5, 24, 2 * engine.band))
     got = engine.value_grid(grids, rows, rows, out=out, half=half)
     assert got is out and np.array_equal(got, want)

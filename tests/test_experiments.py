@@ -13,11 +13,12 @@ import pytest
 from hamflow.config import ExperimentConfig
 from hamflow.errors import DegenerateOverlap, HamflowError, NonFinite, RefinementOverflow
 from hamflow.engine import SpectralEngine
-from hamflow.experiments import (CHUNK, _advected_chunk, _ball_points, _bin_counts,
-                                 _diffusion_chunk, _displacement_chunk, _intersection_chunk,
-                                 _ks_two_sample, _run_chunks, _walk_chunk, count_crossings,
-                                 flow_steps, law_for, paper_lagrangians, run_intersections,
-                                 run_inversion_test, standard_error, worker_count)
+from hamflow.experiments import (CHUNK, INVERSION_CHUNK, _advected_chunk, _ball_points,
+                                 _bin_counts, _diffusion_chunk, _displacement_chunk,
+                                 _intersection_chunk, _ks_two_sample, _run_chunks, _walk_chunk,
+                                 count_crossings, flow_steps, law_for, paper_lagrangians,
+                                 run_intersections, run_inversion_test, standard_error,
+                                 worker_count)
 from hamflow.field import PackedBatch, RandomHamiltonian, make_law, sample_hamiltonian
 from hamflow.flow import (_BLOCK_STEPS, BumpFunction, FlowSettings, LagrangianCurve,
                           advect_curve, advect_curves, circle_curve, concatenate_autonomous,
@@ -156,14 +157,22 @@ class TestAdvectCurves:
         assert info.value.draws == (1, 3)
 
     def test_rows_select_a_sub_batch(self):
-        hs = draws(4)
+        hs = draws(6)
         batch = PackedBatch(hs)
         sub = batch.rows([3, 1])
         assert len(sub) == 2
         times = np.linspace(0.0, 1.0, 5)
         assert np.array_equal(sub.field_grids(times),
                               PackedBatch([hs[3], hs[1]]).field_grids(times))
-        assert np.array_equal(batch.field_grids(times)[:, [3, 1]], sub.field_grids(times))
+        want = batch.field_grids(times)
+        # sub-batches share the packed rows: runs of consecutive rows, lone
+        # rows, reversals, and a sub-batch's rows
+        for sub, rows in ((sub, [3, 1]), (batch.rows([1, 2, 3, 5, 0]), [1, 2, 3, 5, 0]),
+                          (batch.rows([0, 2, 3, 4]).rows([3, 1, 2]), [4, 2, 3])):
+            assert sub._stack is batch._stack
+            assert np.array_equal(sub.field_grids(times), want[:, rows])
+        with pytest.raises(ValueError):
+            batch.rows([1]).append(hs[0])
 
     def test_all_rows_in_order_are_the_batch_itself(self):
         batch = PackedBatch(draws(3))
@@ -356,21 +365,22 @@ def test_law_built_once_per_process(monkeypatch):
 
 
 def test_inversion_chunk_peak_memory():
-    """The tracemalloc peak of one CHUNK-index inversion chunk (spatial_max
-    25, regularity 3, band 7, 200 steps) stays within 1.25 x the bytes of its
-    2 * CHUNK packed field grids plus one block of stage grids: the batch
-    holds field grids only, and one stage block at a time."""
+    """The tracemalloc peak of one INVERSION_CHUNK-index inversion chunk
+    (spatial_max 25, regularity 3, band 7, temporal band 6, 200 steps) stays
+    within 1.25 x the bytes of its 2 * INVERSION_CHUNK packed field grids
+    plus one block of stage grids: the batch holds field grids only, one row
+    per time-basis column of the temporal band, and one stage block at a
+    time."""
     cfg = ExperimentConfig(command="inversion", regularity=(3.0,), spatial_max=25,
-                           samples=CHUNK, workers=1)
+                           samples=INVERSION_CHUNK, workers=1)
     law = law_for(cfg, 3.0)
     _displacement_chunk((cfg, 0, 0, 1))  # the basis and engine are built once per process
-    k1 = law.engine().band + 1
-    grid_bytes = 2 * k1 * 4 * k1 * 8
-    rows = 2 * CHUNK
-    held = (law.kernel.gaussians_per_sample() + 2 * _BLOCK_STEPS + 1) * rows * grid_bytes
+    grid_bytes = np.prod(law.engine().field_shape) * 8
+    rows = 2 * INVERSION_CHUNK
+    held = (1 + 2 * law.temporal_band() + 2 * _BLOCK_STEPS + 1) * rows * grid_bytes
     tracemalloc.start()
     try:
-        _displacement_chunk((cfg, 0, 0, CHUNK))
+        _displacement_chunk((cfg, 0, 0, INVERSION_CHUNK))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -500,6 +510,22 @@ def test_chunks_hold_chunk_indices_or_one_share_per_worker(samples, workers):
 def test_one_index_chunks_on_request():
     cfg = ExperimentConfig(samples=5, workers=1)
     assert _run_chunks(_bounds, cfg, 0, length=1) == [(0, i, i + 1, i) for i in range(5)]
+
+
+def test_inversion_takes_inversion_chunks(monkeypatch):
+    chunks = []
+
+    def pairs(args):
+        _, _, start, stop = args
+        chunks.append((start, stop))
+        return [(0.1 * i, 0.1 * i) for i in range(start, stop)]
+
+    import hamflow.experiments as experiments
+    monkeypatch.setattr(experiments, "_displacement_chunk", pairs)
+    samples = 2 * INVERSION_CHUNK + 1
+    run_inversion_test(ExperimentConfig(command="inversion", samples=samples, workers=1))
+    assert chunks == [(0, INVERSION_CHUNK), (INVERSION_CHUNK, 2 * INVERSION_CHUNK),
+                      (2 * INVERSION_CHUNK, samples)]
 
 
 def test_default_workers_follow_cpu_affinity(monkeypatch):

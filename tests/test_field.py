@@ -7,15 +7,16 @@ import pytest
 
 from hamflow import field
 from hamflow.engine import SpectralEngine
-from hamflow.field import (HamiltonianLaw, PackedBatch, RandomHamiltonian, gaussian_dimension,
-                           make_law, sample_hamiltonian, spectral_weight)
-from hamflow.flow import BumpFunction, concatenate_autonomous, time_reversed_hamiltonian
+from hamflow.field import (HamiltonianLaw, PackedBatch, RandomHamiltonian, SpectralHamiltonian,
+                           gaussian_dimension, make_law, sample_hamiltonian, spectral_weight)
+from hamflow.flow import (BumpFunction, FlowSettings, concatenate_autonomous, flow_points,
+                          time_reversed_hamiltonian)
 from hamflow.rng import derive
-from hamflow.temporal import (CONSTANT, KernelKind, PERIODIC, SQEXP, coefficient_paths,
-                              kernel_value)
+from hamflow.temporal import (CONSTANT, KernelKind, PERIODIC, SQEXP, TimeBasis,
+                              coefficient_paths, kernel_value)
 from reference import (analytic_variance, concatenation_coefficients, full_coefficients,
-                       full_packing, mode_coefficients, mode_of, reversal_coefficients,
-                       spatial_mean)
+                       full_packing, grid_slots, mode_coefficients, mode_of,
+                       reversal_coefficients, spatial_mean)
 
 
 class TestSpectralWeight:
@@ -269,14 +270,13 @@ class TestSubnormalFlush:
 
     @staticmethod
     def unflushed_grid(engine, coeffs):
-        # the interleaved layout: mode (kx, ky, tx, ty) at entry (2kx + tx, 2ky + ty)
-        b = engine.basis
-        band = (b.kx <= engine.band) & (b.ky <= engine.band)
-        k1 = engine.band + 1
-        out = np.zeros((2 * k1, 2 * k1))
-        out[2 * b.kx[band] + b.tx[band], 2 * b.ky[band] + b.ty[band]] = \
-            coeffs[band] * b.amplitudes[band]
-        return out.reshape(2, k1, 2 * k1)
+        # the interleaved layout: mode (kx, ky, tx, ty) at entry
+        # (2(kx - 1) + tx, 2(ky - 1) + ty), the basis having no axis modes
+        band, rows, cols = grid_slots(engine)
+        k = engine.band
+        out = np.zeros((2 * k, 2 * k))
+        out[rows, cols] = coeffs[band] * engine.basis.amplitudes[band]
+        return out.reshape(2, k, 2 * k)
 
     @staticmethod
     def subnormal(a):
@@ -330,7 +330,7 @@ class TestBand:
         b = law.basis()
         assert law.band() == engine.band == band
         assert np.sum((b.kx <= band) & (b.ky <= band)) == len(engine.modes) == modes
-        assert engine.grids(np.zeros(modes)).shape == (2, band + 1, 2 * band + 2)
+        assert engine.grids(np.zeros(modes)).shape == (2, band, 2 * band)
 
     @pytest.mark.parametrize("r", [row[0] for row in TABLE])
     def test_dropped_modes_below_tolerance(self, r):
@@ -397,7 +397,7 @@ class TestBand:
         grids = h.coefficient_grids(np.linspace(0, 1, 7))
         xs, ys = np.arange(20) / 20, np.arange(13) / 13
         rx, ry = h.engine.lattice_rows(xs), h.engine.lattice_rows(ys)
-        assert rx.shape == (20, 2 * (h.engine.band + 1))
+        assert rx.shape == (20, 2 * h.engine.band)
         expected = h.engine.value_grid(grids, xs, ys)
         assert np.array_equal(h.engine.value_grid(grids, rx, ry), expected)
         assert np.array_equal(h.engine.value_grid(grids, xs, ry), expected)
@@ -419,6 +419,54 @@ class TestBand:
         for band in (0, 5):
             with pytest.raises(ValueError):
                 SpectralEngine(basis, band)
+
+
+class TestTemporalBand:
+    """A law's draws are series in its temporal band: the time-basis
+    frequencies whose column factors reach eps^2 of the largest."""
+
+    # (kernel, regularity in frequency units, temporal band, kernel
+    # frequencies) at temporal_max 10; the sqexp series already stops at
+    # factors of about exp(-18.5), so its band keeps every frequency
+    TABLE = [(PERIODIC, 0.1, 10, 10), (PERIODIC, 0.5, 10, 10), (PERIODIC, 2, 8, 10),
+             (PERIODIC, 3, 6, 10), (PERIODIC, 3.95, 6, 10), (PERIODIC, 4.5, 5, 10),
+             (SQEXP, 0.1, 13, 13), (SQEXP, 3, 14, 14), (SQEXP, 4.5, 14, 14)]
+
+    @pytest.mark.parametrize("kernel,r,band,frequencies", TABLE)
+    def test_band_table(self, kernel, r, band, frequencies):
+        law = frequency_law(r, kernel=kernel)
+        basis = law.kernel.time_basis()
+        assert (law.temporal_band(), basis.frequencies) == (band, frequencies)
+        assert law.time_basis() == TimeBasis(band, basis.period, basis.center)
+        assert law.kernel.gaussians_per_sample() == 1 + 2 * frequencies
+        factors = law.kernel.column_factors()[:frequencies + 1]
+        kept = factors >= np.finfo(float).eps ** 2 * factors.max()
+        assert np.array_equal(kept, np.arange(frequencies + 1) <= band)
+        columns = np.concatenate([np.arange(band + 1), frequencies + 1 + np.arange(band)])
+        assert np.array_equal(law.time_columns(), columns)
+
+    @pytest.mark.parametrize("kernel", [PERIODIC, SQEXP])
+    @pytest.mark.parametrize("r", [3, 4.5])
+    def test_banded_draws_equal_the_full_time_basis(self, kernel, r):
+        # the same draws in the kernel's whole time basis, from B over every
+        # column: flows (draws and reversals in one batch) and oscillations
+        # agree bit for bit
+        law = frequency_law(r, kernel=kernel, seed=8)
+        n, m, head = len(law.basis()), law.kernel.gaussians_per_sample(), law.head_rows()
+        assert (m, head) == ({PERIODIC: 21, SQEXP: 29}[kernel], {3: 268, 4.5: 128}[r])
+        draws = [sample_hamiltonian(law, 8, i) for i in range(3)]
+        full = [SpectralHamiltonian(h.engine, law.kernel.time_basis(),
+                                    full_coefficients(h)[:, h.engine.modes]) for h in draws]
+        for i, (h, f) in enumerate(zip(draws, full)):
+            assert np.array_equal(h.gaussians, derive(8, i).standard_normal((n, m)))
+            assert h.oscillation() == f.oscillation()
+        pts = np.random.default_rng(8).uniform(0, 1, (6, 5, 2))
+        settings = FlowSettings(steps=40)
+        assert np.array_equal(
+            flow_points(draws + [time_reversed_hamiltonian(h) for h in draws], pts,
+                        settings=settings),
+            flow_points(full + [time_reversed_hamiltonian(f) for f in full], pts,
+                        settings=settings))
 
 
 class TestLawValidation:

@@ -322,18 +322,21 @@ class TestBand:
 
     @classmethod
     def hamiltonian(cls, kind):
-        """(h, B of h over the whole basis)."""
+        """(h, Phi, B of h over the whole basis in the time basis Phi): a
+        draw's or a reversal's B is over the kernel's whole time basis."""
         if kind in (PERIODIC, CONSTANT, SQEXP):
             h = cls.draws(kind, 3)[0]
-            return h, full_coefficients(h)
+            return h, h.law.kernel.time_basis(), full_coefficients(h)
         if kind == "reversal":
             h = cls.draws(PERIODIC, 3)[0]
-            return time_reversed_hamiltonian(h), reversal_coefficients(h)
+            return (time_reversed_hamiltonian(h), h.law.kernel.time_basis(),
+                    reversal_coefficients(h))
         if kind == "concatenation":
             parts = cls.draws(CONSTANT, 3)
         else:  # parts of two regularities (bands 7 and 5) on one truncation
             parts = cls.draws(CONSTANT, 3, 1) + cls.draws(CONSTANT, 4.5, 1, 182)
-        return concatenate_autonomous(parts, BumpFunction()), concatenation_coefficients(parts)
+        h = concatenate_autonomous(parts, BumpFunction())
+        return h, h.time_basis, concatenation_coefficients(parts)
 
     @staticmethod
     def close(got, want, rel=1e-13):
@@ -344,10 +347,10 @@ class TestBand:
     def test_matches_full_band(self, kind):
         # the same path evaluated by the full-band engine (reference), from
         # its B over the whole basis
-        h, coefficients = self.hamiltonian(kind)
+        h, phi, coefficients = self.hamiltonian(kind)
         basis = h.engine.basis
         ref = SpectralHamiltonian(SpectralEngine(basis, basis.truncation.spatial_max),
-                                  h.time_basis, coefficients)
+                                  phi, coefficients)
         assert h.engine.band < ref.engine.band
         pts = np.random.default_rng(5).uniform(0, 1, (16, 2))
         xs = np.arange(20) / 20
@@ -439,7 +442,8 @@ class TestCurves:
 class TestBuffers:
     """A flow allocates its work arrays once; an RK4 step allocates no array."""
 
-    # 4 draws x 512 points at band 7: one table or one product is 512 KiB
+    # 4 draws x 512 points at band 7, tables of wavenumbers 1..7: one table
+    # or one product is 448 KiB, above glibc's default mmap threshold
     LAW = make_law(3.0 / (4 * math.pi**2), spatial_max=12, temporal_max=4)
     LIMIT = 16 * 1024
 
@@ -451,7 +455,7 @@ class TestBuffers:
         batch = self.batch()
         engine = batch.engine
         p = np.random.default_rng(0).uniform(0, 1, (4, 512, 2))
-        assert engine.buffers(p.shape).powers.nbytes == 512 * 1024
+        assert engine.buffers(p.shape).powers.nbytes == 448 * 1024
         work = _rk4_work(engine, p.shape)
         grids = batch.field_grids(np.array([0.0, 0.05, 0.1]))
         _rk4_step(engine, grids[0], grids[1], grids[2], p, 0.1, work)
