@@ -6,21 +6,19 @@ the Monte Carlo experiment harness (diffusion, Lagrangian intersections,
 tail and invariance statistics).
 """
 
-from .basis import SpectralBasis, Truncation, torus_distance
+from .basis import SpectralBasis, Truncation
 from .config import ExperimentConfig, parse_config, serialize_config
 from .errors import (DegenerateOverlap, FailureBudgetExceeded, HamflowError, NonFinite,
                      NotAutonomous, OutOfRange, ParseError, RefinementOverflow, Unsupported,
                      ValidationError)
-from .field import (HamiltonianLaw, RandomHamiltonian, SpectralHamiltonian,
-                    gaussian_dimension, make_law, sample_hamiltonian, spectral_weight)
+from .field import (HamiltonianLaw, RandomHamiltonian, SpectralHamiltonian, make_law,
+                    sample_hamiltonian, spectral_weight)
 from .flow import (BumpFunction, FlowSettings, LagrangianCurve, advect_curve, advect_curves,
-                   circle_curve, concatenate_autonomous, flow_jacobian_determinant,
-                   flow_points, flow_points_through, horizontal_circle, sloped_circle,
-                   time_reversed_hamiltonian, vertical_circle)
+                   circle_curve, concatenate_autonomous, flow_points, flow_points_through,
+                   horizontal_circle, time_reversed_hamiltonian)
 from .rkhs import rkhs_norm, weighted_coefficient_sum
 from .rng import derive
-from .temporal import (CONSTANT, KernelKind, PERIODIC, SQEXP, coefficient_paths,
-                       kernel_value)
+from .temporal import CONSTANT, KernelKind, PERIODIC, SQEXP, kernel_value
 from .walk import induced_point_walks, sample_walk
 
 __all__ = [name for name in dir() if not name.startswith("_")]

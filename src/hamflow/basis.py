@@ -19,31 +19,22 @@ TRIG_PAIRS = ("cc", "cs", "sc", "ss")
 TWO_PI = 2.0 * math.pi
 
 
-def torus_distance(p, q) -> float:
-    """Euclidean distance between nearest periodic representatives."""
-    d = (np.asarray(p, dtype=float) - np.asarray(q, dtype=float) + 0.5) % 1.0 - 0.5
-    return float(np.hypot(d[..., 0], d[..., 1])) if d.ndim else float(np.abs(d))
-
-
 @dataclass(frozen=True)
 class Truncation:
-    """Series truncation parameters.
+    """Spatial truncation parameters.
 
-    spatial_max caps each wavenumber (k, j <= spatial_max); temporal_max caps
-    the temporal Fourier order of periodic coefficient processes.  Axis modes
+    spatial_max caps each wavenumber (k, j <= spatial_max); the temporal
+    order belongs to the kernel (``KernelKind.temporal_max``).  Axis modes
     (one wavenumber zero) are excluded by default so that the default basis
     has spatial_max^2 wavenumber pairs.
     """
 
     spatial_max: int = 25
     include_axis_modes: bool = False
-    temporal_max: int = 10
 
     def __post_init__(self):
         if self.spatial_max < 1:
             raise ValueError("spatial_max must be >= 1")
-        if self.temporal_max < 1:
-            raise ValueError("temporal_max must be >= 1")
 
 
 @dataclass(frozen=True)

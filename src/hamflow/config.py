@@ -127,6 +127,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad("refinement_threshold", "must lie in (0, 0.5]")
     if cfg.max_refinement_depth < 0:
         bad("max_refinement_depth", "must be >= 0")
+    if cfg.seed < 0:
+        bad("seed", "must be >= 0")
     if cfg.workers < 0:
         bad("workers", "must be >= 0")
     if cfg.curve_vertices < 2:

@@ -84,17 +84,23 @@ ascending), never for the whole basis.
 
 Packing flushes entries below ``np.finfo(float).tiny`` to zero.  The band
 bounds each mode against the largest, not against the normal range, so a
-band can still hold weights that underflow into the subnormal range (a
-small amplitude scales every mode down), and arithmetic on subnormals is
-slow on x86-64 CPUs.  Before the band, at regularity 3 in frequency units
-and spatial_max 25 (80 subnormal weights, 5% of the nonzero grid entries),
-single-threaded OpenBLAS on a 2-core x86-64 machine took 1852 us for
-``vector_field`` at 192 points on the unflushed grid and 251 us on the
-flushed one, and 856 us and 178 us for ``value_grid`` on a 128 x 128
-lattice.  A subnormal term lies below half an ulp of any sum larger than
-2**52 * tiny (about 1e-292), so wherever the field is that large the
-evaluated values stay bit-identical.  A field grid scales each entry of
-its grid by 2 pi k, so the field grids of a flushed grid hold none either.
+band can still hold coefficients in the subnormal range, and arithmetic on
+subnormals is slow on x86-64 CPUs.  Before the band, at regularity 3 in
+frequency units and spatial_max 25 (80 subnormal weights, 5% of the
+nonzero grid entries), single-threaded OpenBLAS on a 2-core x86-64 machine
+took 1852 us for ``vector_field`` at 192 points on the unflushed grid and
+251 us on the flushed one, and 856 us and 178 us for ``value_grid`` on a
+128 x 128 lattice.  A draw's banded B (the band modes at the temporal
+band's rows) holds a subnormal only where a weight nears the floor of the
+normal range: over regularities up to 1,000 at spatial_max 25 and
+temporal_max 10 and 40, 4 draws per law, the first came at 684 for sqexp,
+706 for periodic and 708 for constant.  From 708 up the band is 1, the
+(1, 1) modes' weight exp(-r) lies below the normal range, and the whole
+field is below about 1e-304.  A subnormal term lies below half an ulp of
+any sum larger than 2**52 * tiny (about 1e-292), so wherever the field is
+that large the evaluated values stay bit-identical.  A field grid scales
+each entry of its grid by 2 pi k, so the field grids of a flushed grid
+hold none either.
 """
 
 from __future__ import annotations

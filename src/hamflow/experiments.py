@@ -251,8 +251,8 @@ def standard_error(values) -> float:
 @lru_cache(maxsize=16)
 def law_for(cfg: ExperimentConfig, regularity: float):
     """The law of ``cfg`` at one regularity, built once per process: every
-    chunk of a run shares it, and with it the band, weights, scales, head
-    rows and step count the law computes once."""
+    chunk of a run shares it, and with it the band, weights, head rows and
+    step count the law computes once."""
     return make_law(cfg.eigenvalue_regularity(regularity),
                     spatial_max=cfg.spatial_max,
                     temporal_max=cfg.temporal_max,
@@ -315,22 +315,15 @@ def _advected_chunk(args) -> list:
 
     Each draw is packed as it is sampled and then let go; the chunk's curves
     advect together (``advect_curves``).  Entry i is the image curve or the
-    ``HamflowError`` that sample i raised.
+    ``HamflowError`` its advection raised.
     """
     cfg, r_index, start, stop = args
     law = law_for(cfg, cfg.regularity[r_index])
-    batch, rows, out = PackedBatch(capacity=stop - start), [], {}
+    batch = PackedBatch(capacity=stop - start)
     for i in range(start, stop):
-        try:
-            batch.append(sample_hamiltonian(law, cfg.seed, r_index, i))
-        except HamflowError as exc:
-            out[i] = exc
-        else:
-            rows.append(i)
-    images = advect_curves(batch, horizontal_circle(0.5, cfg.curve_vertices), 1.0,
-                           _settings_for(cfg, law))
-    out.update(zip(rows, images))
-    return [out[i] for i in range(start, stop)]
+        batch.append(sample_hamiltonian(law, cfg.seed, r_index, i))
+    return advect_curves(batch, horizontal_circle(0.5, cfg.curve_vertices), 1.0,
+                         _settings_for(cfg, law))
 
 
 def _intersection_chunk(args) -> list:

@@ -1,13 +1,14 @@
 """Random Hamiltonian fields H(t, x) = sum_n w_n Z_n(t) e_n(x).
 
-A :class:`HamiltonianLaw` fixes the probability law (regularity, basis
-truncation, coefficient kernel, master seed); :func:`sample_hamiltonian`
-draws one :class:`RandomHamiltonian` from it.  Draws are immutable and all
-evaluation methods are reentrant.  :class:`SpectralHamiltonian` is the one
-type whose fields the integrator evaluates through packed coefficient grids:
-draws are its one subclass, and time reversals and concatenations are plain
-instances.  Coefficients are computed and packed for the engine's band
-modes only (``SpectralEngine.modes``).
+A :class:`HamiltonianLaw` fixes the probability law (basis truncation,
+coefficient kernel with its regularity, master seed);
+:func:`sample_hamiltonian` draws one :class:`RandomHamiltonian` from it.
+Draws are immutable and all evaluation methods are reentrant.
+:class:`SpectralHamiltonian` is the one type whose fields the integrator
+evaluates through packed coefficient grids: draws are its one subclass, and
+time reversals and concatenations are plain instances.  Coefficients are
+computed and packed for the engine's band modes only
+(``SpectralEngine.modes``).
 
 Streams.  A draw owns its stream: ``sample_hamiltonian(law, seed, *indices)``
 creates the generator ``derive(seed, *indices)`` and no caller shares it.
@@ -106,30 +107,19 @@ class HamiltonianLaw:
     """Everything that fixes the law of a random Hamiltonian draw.
 
     The complex structure is the standard one on the flat torus (metric =
-    Euclidean, area form dx^dy); only the data listed here vary.
-    ``mode_scales`` optionally rescales each coefficient process (index =
-    position in the eigenvalue-sorted basis), which expresses weakly
-    frequency-unbiased laws.  ``band``, ``temporal_band``, ``time_basis``,
-    ``head_rows``, ``weights``, ``scales`` and ``lipschitz_bound`` are
+    Euclidean, area form dx^dy); only the data listed here vary, and
+    ``regularity`` reads the kernel's.  ``band``, ``temporal_band``,
+    ``time_basis``, ``head_rows``, ``weights`` and ``lipschitz_bound`` are
     computed once per law and shared by its draws.
     """
 
-    regularity: float
     truncation: Truncation
     kernel: KernelKind
     seed: int = 0
-    mode_scales: tuple | None = None
 
-    def __post_init__(self):
-        if self.regularity <= 0:
-            raise ValueError("regularity must be positive")
-        if self.mode_scales is not None:
-            scales = tuple(float(s) for s in self.mode_scales)
-            if any(s <= 0 for s in scales):
-                raise ValueError("mode_scales must be positive")
-            if len(scales) != len(self.basis()):
-                raise ValueError("mode_scales length must equal the mode count")
-            object.__setattr__(self, "mode_scales", scales)
+    @property
+    def regularity(self) -> float:
+        return self.kernel.regularity
 
     def basis(self) -> SpectralBasis:
         return _basis_for(self.truncation)
@@ -138,17 +128,14 @@ class HamiltonianLaw:
     def band(self) -> int:
         """Largest wavenumber whose modes the law's weights can resolve.
 
-        Each mode n contributes at most b_n = w_n s_n (1 + 2 pi max(kx, ky)) to
-        H and its first derivatives, per unit of its Gaussian, with s_n the
-        mode's scale.  The band is the largest
-        max(kx, ky) over modes with b_n >= eps^2 max b; it is computed from
-        log b_n, so underflowing weights do not move it.
+        Each mode n contributes at most b_n = w_n (1 + 2 pi max(kx, ky)) to
+        H and its first derivatives, per unit of its Gaussian.  The band is
+        the largest max(kx, ky) over modes with b_n >= eps^2 max b; it is
+        computed from log b_n, so underflowing weights do not move it.
         """
         b = self.basis()
         kmax = np.maximum(b.kx, b.ky)
-        log_bound = (-0.5 * self.regularity * b.eigenvalues
-                     + np.log(self.scales())
-                     + np.log1p(TWO_PI * kmax))
+        log_bound = -0.5 * self.regularity * b.eigenvalues + np.log1p(TWO_PI * kmax)
         return int(kmax[log_bound >= log_bound.max() + np.log(_BAND_TOLERANCE)].max())
 
     @_per_law
@@ -192,53 +179,37 @@ class HamiltonianLaw:
         return spectral_weight(self.basis().eigenvalues, self.regularity)
 
     @_per_law
-    def scales(self) -> np.ndarray:
-        if self.mode_scales is None:
-            return np.full(len(self.basis()), self.kernel.per_mode_scale)
-        return np.asarray(self.mode_scales)
-
-    @_per_law
     def lipschitz_bound(self) -> float:
         """Expected spectral bound on sup |DX|, the vector field's Lipschitz
         constant, at any time:
 
-            sum_n w_n a_n s_n sigma sqrt(2/pi) (2 pi max(kx, ky))^2,
+            sum_n w_n a_n sigma sqrt(2/pi) (2 pi max(kx, ky))^2,
 
-        with a_n the basis amplitude, s_n the mode scale and sigma^2 the unit
-        kernel's pointwise variance.  It is the mean of
-        sum_n |c_n(t)| a_n (2 pi max(kx, ky))^2, which bounds every second
-        derivative of H (E|c_n(t)| = w_n s_n sigma sqrt(2/pi)).  Flows take
-        their RK4 step count from it (``hamflow.experiments.flow_steps``).
+        with a_n the basis amplitude and sigma^2 the kernel's pointwise
+        variance.  It is the mean of sum_n |c_n(t)| a_n (2 pi max(kx, ky))^2,
+        which bounds every second derivative of H (E|c_n(t)| =
+        w_n sigma sqrt(2/pi)).  Flows take their RK4 step count from it
+        (``hamflow.experiments.flow_steps``).
         """
         b = self.basis()
-        unit = replace(self.kernel, per_mode_scale=1.0)
-        sigma = math.sqrt(temporal.kernel_value(unit, 0.0, 0.0))
+        sigma = math.sqrt(temporal.kernel_value(self.kernel, 0.0, 0.0))
         k = TWO_PI * np.maximum(b.kx, b.ky)
         return float(np.sum(self.weights() * b.amplitudes
-                            * (self.scales() * sigma * math.sqrt(2.0 / math.pi)) * k**2))
+                            * (sigma * math.sqrt(2.0 / math.pi)) * k**2))
 
 
 def make_law(regularity: float, spatial_max: int = 25, temporal_max: int = 10,
              kernel: str = temporal.PERIODIC, seed: int = 0,
-             include_axis_modes: bool = False, grid_nodes: int = 64,
-             mode_scales=None, amplitude: float = 1.0) -> HamiltonianLaw:
+             include_axis_modes: bool = False, grid_nodes: int = 64) -> HamiltonianLaw:
     """Convenience constructor wiring the kernel to the law's regularity.
 
-    ``amplitude`` scales every coefficient process.  ``grid_nodes`` is
-    accepted and unused: every kernel is a Fourier series in time
-    (:mod:`hamflow.temporal`), and callers that still pass it keep working.
+    ``grid_nodes`` is accepted and unused: every kernel is a Fourier series
+    in time (:mod:`hamflow.temporal`), and callers that still pass it keep
+    working.
     """
-    trunc = Truncation(spatial_max=spatial_max, include_axis_modes=include_axis_modes,
-                       temporal_max=temporal_max)
-    kind = KernelKind(tag=kernel, regularity=regularity, temporal_max=temporal_max,
-                      per_mode_scale=amplitude)
-    return HamiltonianLaw(regularity=regularity, truncation=trunc, kernel=kind,
-                          seed=seed, mode_scales=mode_scales)
-
-
-def gaussian_dimension(law: HamiltonianLaw) -> int:
-    """Number of independent standard normals one draw consumes."""
-    return len(law.basis()) * law.kernel.gaussians_per_sample()
+    trunc = Truncation(spatial_max=spatial_max, include_axis_modes=include_axis_modes)
+    kind = KernelKind(tag=kernel, regularity=regularity, temporal_max=temporal_max)
+    return HamiltonianLaw(truncation=trunc, kernel=kind, seed=seed)
 
 
 def _as_points(p):
@@ -377,14 +348,12 @@ class RandomHamiltonian(SpectralHamiltonian):
 
         B is computed from the head rows only, unless a mode lies past them,
         and then from every row (``gaussians``).  Each entry is a product of
-        its own normal, weight, scale and column factor, so the entries equal
-        those of the whole B bit for bit.
+        its own normal, weight and column factor, so the entries equal those
+        of the whole B bit for bit.
         """
         head = self.law.head_rows()
         normals = self._normals[:head] if modes[-1] < head else self.gaussians
-        rows = len(normals)
-        b = self.weights[:rows] * temporal.coefficient_matrix(self.law.kernel, normals,
-                                                              self.law.scales()[:rows])
+        b = self.weights[:len(normals)] * temporal.coefficient_matrix(self.law.kernel, normals)
         return b[np.ix_(self.law.time_columns(), modes)]
 
 

@@ -204,18 +204,21 @@ def time_reversed_hamiltonian(f: SpectralHamiltonian) -> SpectralHamiltonian:
 # Bump function and autonomous concatenation
 # ---------------------------------------------------------------------------
 
+# Trapezoid nodes on [0, 1] of a bump's normalizing integral.
+_BUMP_TRAPEZOID_NODES = 10001
+
+
 @dataclass(frozen=True)
 class BumpFunction:
     """Smooth bump supported in (delta, 1-delta), symmetric about 1/2, unit mass."""
 
     delta: float = 0.05
-    quadrature_nodes: int = 10001
     normalization: float = dataclass_field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
             raise ValueError("delta must lie in (0, 0.5)")
-        ts = np.linspace(0.0, 1.0, self.quadrature_nodes)
+        ts = np.linspace(0.0, 1.0, _BUMP_TRAPEZOID_NODES)
         raw = self._raw(ts)
         object.__setattr__(self, "normalization", 1.0 / float(np.trapezoid(raw, ts)))
 
@@ -321,23 +324,6 @@ def horizontal_circle(y: float = 0.5, n_vertices: int = 128) -> LagrangianCurve:
     alpha = np.linspace(0.0, 1.0, n_vertices + 1)
     verts = np.stack([alpha, np.full_like(alpha, y)], axis=-1)
     return LagrangianCurve(verts, closed=True, winding=(1, 0))
-
-
-def vertical_circle(x: float = 0.5, n_vertices: int = 128) -> LagrangianCurve:
-    alpha = np.linspace(0.0, 1.0, n_vertices + 1)
-    verts = np.stack([np.full_like(alpha, x), alpha], axis=-1)
-    return LagrangianCurve(verts, closed=True, winding=(0, 1))
-
-
-def sloped_circle(p: int, q: int, n_vertices: int | None = None) -> LagrangianCurve:
-    """The closed loop {(p a, q a) mod 1}, winding (p, q)."""
-    if p == 0 and q == 0:
-        raise ValueError("slope integers must not both be zero")
-    if n_vertices is None:
-        n_vertices = 64 * max(abs(p), abs(q), 1)
-    alpha = np.linspace(0.0, 1.0, n_vertices + 1)
-    verts = np.stack([p * alpha, q * alpha], axis=-1)
-    return LagrangianCurve(verts, closed=True, winding=(p, q))
 
 
 def circle_curve(center, radius: float, n_vertices: int = 128) -> LagrangianCurve:
@@ -450,19 +436,3 @@ def _flow_rows(flow, rows, pts, out):
             rows, pts = [rows[j] for j in keep], pts[keep]
     return rows, pts
 
-
-def flow_jacobian_determinant(fieldlike, p, t: float = 1.0,
-                              settings: FlowSettings = DEFAULT_SETTINGS,
-                              fd_step: float = 1e-5) -> float:
-    """Central-difference determinant of the time-t flow differential at the
-    point p, a pair (x, y), under one spectral Hamiltonian."""
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-    x, y = (float(c) for c in p)
-    probes = np.array([[x + fd_step, y], [x - fd_step, y],
-                       [x, y + fd_step], [x, y - fd_step]])
-    # difference displacements, not positions: exact for the identity flow
-    disp = _integrate(fieldlike, probes, 0.0, t, settings) - probes
-    col_x = (disp[0] - disp[1]) / (2.0 * fd_step) + np.array([1.0, 0.0])
-    col_y = (disp[2] - disp[3]) / (2.0 * fd_step) + np.array([0.0, 1.0])
-    return float(col_x[0] * col_y[1] - col_x[1] * col_y[0])

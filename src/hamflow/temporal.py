@@ -10,9 +10,9 @@ with period L, center s and n frequencies fixed by the kernel
 of independent standard normals, m = 1 + 2n = ``KernelKind.gaussians_per_sample()``;
 row n drives process n, column 0 the constant term, columns 1..n the
 cosines and the last n columns the matching sines.  B, of shape (m, N), is
-the draw's normals times per-column factors and the per-mode scale
-(:func:`coefficient_matrix`), so the series has covariance
-c_0 + 2 sum_k c_k cos(2 pi k (t1 - t2) / L), c the squared column factors.
+the draw's normals times per-column factors (:func:`coefficient_matrix`), so
+the series has covariance c_0 + 2 sum_k c_k cos(2 pi k (t1 - t2) / L), c
+the squared column factors.
 The three kernels differ only in the numbers held by :class:`KernelKind`:
 
 * ``constant`` -- n = 0: a single standard normal, constant in time (the
@@ -27,12 +27,10 @@ The three kernels differ only in the numbers held by :class:`KernelKind`:
   series holds exp(-r (t1 - t2)^2) to rounding on [0, 1]; s = 1/2 and the
   column factors are sqrt(c_k).
 
-All processes have unit pointwise variance scale before ``per_mode_scale``
-is applied.  Each time basis reflects exactly: s = 0 with L = 1, or
-s = 1/2, makes Phi(1 - t) = Phi(t) @ R, R the signed permutation that
-negates the sine rows (:meth:`TimeBasis.reflect`), so t -> Z(1 - t) is
-Phi(t) @ (R @ B), a path in the same time basis.  :func:`coefficient_paths`
-is the product.
+Each time basis reflects exactly: s = 0 with L = 1, or s = 1/2, makes
+Phi(1 - t) = Phi(t) @ R, R the signed permutation that negates the sine
+rows (:meth:`TimeBasis.reflect`), so t -> Z(1 - t) is Phi(t) @ (R @ B), a
+path in the same time basis.
 """
 
 from __future__ import annotations
@@ -64,15 +62,12 @@ class KernelKind:
     tag: str
     regularity: float
     temporal_max: int = 10
-    per_mode_scale: float = 1.0
 
     def __post_init__(self):
         if self.tag not in KERNEL_TAGS:
             raise ValueError(f"unknown kernel tag {self.tag!r}")
         if self.regularity <= 0:
             raise ValueError("regularity must be positive")
-        if self.per_mode_scale <= 0:
-            raise ValueError("per_mode_scale must be positive")
         if self.temporal_max < 1:
             raise ValueError("temporal_max must be >= 1")
 
@@ -145,30 +140,19 @@ def _check_times(t) -> np.ndarray:
 
 def kernel_value(kind: KernelKind, t1: float, t2: float) -> float:
     """Covariance Cov[Z(t1), Z(t2)] of the process described by ``kind``:
-    s^2 (c_0 + 2 sum_k c_k cos(2 pi k (t1 - t2) / L)) (module docstring)."""
+    c_0 + 2 sum_k c_k cos(2 pi k (t1 - t2) / L) (module docstring)."""
     _check_times(t1)
     _check_times(t2)
     basis = kind.time_basis()
     c = kind.column_factors()[:basis.frequencies + 1] ** 2
     k = np.arange(1, basis.frequencies + 1)
     series = 2.0 * np.sum(c[1:] * np.cos(_TWO_PI / basis.period * k * (t1 - t2)))
-    return kind.per_mode_scale**2 * float(c[0] + series)
+    return float(c[0] + series)
 
 
-def coefficient_matrix(kind: KernelKind, gaussians: np.ndarray, scales) -> np.ndarray:
-    """B of shape (m, N) with paths Z(t) = Phi(t) @ B (module docstring).
-
-    ``gaussians`` is the draw's (N, m) array and ``scales`` the per-mode
-    scale (scalar or (N,)).  Each entry is its own normal's product, so the
-    columns of any rows equal those of the whole draw's B bit for bit.
+def coefficient_matrix(kind: KernelKind, gaussians: np.ndarray) -> np.ndarray:
+    """B of shape (m, N) with paths Z(t) = Phi(t) @ B (module docstring), from
+    the draw's (N, m) ``gaussians``.  Each entry is its own normal's product,
+    so the columns of any rows equal those of the whole draw's B bit for bit.
     """
-    return scales * (kind.column_factors()[:, None] * gaussians.T)
-
-
-def coefficient_paths(kind: KernelKind, gaussians: np.ndarray, scales, times) -> np.ndarray:
-    """Paths Z_n(t) = scale_n * unit_n(t) of one draw; shape (T, N).
-
-    ``times`` is a scalar or (T,) array in [0, 1]; the other arguments are
-    those of :func:`coefficient_matrix`.
-    """
-    return kind.time_basis()(times) @ coefficient_matrix(kind, gaussians, scales)
+    return kind.column_factors()[:, None] * gaussians.T

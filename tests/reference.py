@@ -19,16 +19,19 @@
 * ``apply_walk``: a walk's map as the sequential application of its step
   flows, which the batched walks and the walk's concatenation are checked
   against.
+* ``gaussian_dimension``, ``coefficient_paths``, ``torus_distance``,
+  ``vertical_circle``, ``sloped_circle`` and ``flow_jacobian_determinant``:
+  helpers that only the tests use.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from hamflow import temporal
 from hamflow.basis import TRIG_PAIRS
-from hamflow.flow import DEFAULT_SETTINGS, flow_points
+from hamflow.flow import DEFAULT_SETTINGS, LagrangianCurve, flow_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -92,12 +95,10 @@ def mode_values(basis, pts) -> np.ndarray:
 
 def analytic_variance(draw, t: float, p) -> float:
     """Var[H(t, p)] over the draws of ``draw``'s law:
-    sum_n w_n^2 s_n^2 kappa(t, t) e_n(p)^2, kappa the unit kernel."""
-    law = draw.law
-    base_kind = replace(law.kernel, per_mode_scale=1.0)
-    kappa = temporal.kernel_value(base_kind, float(t), float(t))
+    sum_n w_n^2 kappa(t, t) e_n(p)^2, kappa the kernel."""
+    kappa = temporal.kernel_value(draw.law.kernel, float(t), float(t))
     evals = mode_values(draw.basis, [p])[0]
-    return float(np.sum(draw.weights**2 * law.scales()**2 * kappa * evals**2))
+    return float(np.sum(draw.weights**2 * kappa * evals**2))
 
 
 def spatial_mean(h, t: float, grid: int | None = None) -> float:
@@ -116,7 +117,7 @@ def expansion(draw) -> dict:
     """Nonzero coefficients {(k, n, 'cos' or 'sin'): value} of a centered
     periodic- or constant-kernel draw, n the 1-based mode index."""
     kind = draw.law.kernel
-    w = draw.weights * draw.law.scales()
+    w = draw.weights
     entries = {}
     for idx in range(len(draw.basis)):
         values = [(0, "cos", w[idx] * draw.gaussians[idx, 0])]
@@ -147,8 +148,7 @@ def full_coefficients(h) -> np.ndarray:
     """B of a draw over the whole basis and the kernel's whole time basis
     (``law.kernel.time_basis()``): shape (m, N), from the draw's full
     normals."""
-    law = h.law
-    return h.weights * temporal.coefficient_matrix(law.kernel, h.gaussians, law.scales())
+    return h.weights * temporal.coefficient_matrix(h.law.kernel, h.gaussians)
 
 
 def reversal_coefficients(h) -> np.ndarray:
@@ -200,3 +200,54 @@ def apply_walk(walk, pts, settings=DEFAULT_SETTINGS) -> np.ndarray:
     for h in walk:
         state = flow_points(h, state, 0.0, 1.0, settings)
     return state
+
+
+def gaussian_dimension(law) -> int:
+    """Number of independent standard normals one draw consumes."""
+    return len(law.basis()) * law.kernel.gaussians_per_sample()
+
+
+def coefficient_paths(kind, gaussians: np.ndarray, times) -> np.ndarray:
+    """Paths Z_n(t) of one draw's (N, m) ``gaussians``; shape (T, N), with
+    ``times`` a scalar or (T,) array in [0, 1]."""
+    return kind.time_basis()(times) @ temporal.coefficient_matrix(kind, gaussians)
+
+
+def torus_distance(p, q) -> float:
+    """Euclidean distance between nearest periodic representatives."""
+    d = (np.asarray(p, dtype=float) - np.asarray(q, dtype=float) + 0.5) % 1.0 - 0.5
+    return float(np.hypot(d[..., 0], d[..., 1])) if d.ndim else float(np.abs(d))
+
+
+def vertical_circle(x: float = 0.5, n_vertices: int = 128) -> LagrangianCurve:
+    """The closed vertical loop {(x, a)}, winding (0, 1)."""
+    alpha = np.linspace(0.0, 1.0, n_vertices + 1)
+    verts = np.stack([np.full_like(alpha, x), alpha], axis=-1)
+    return LagrangianCurve(verts, closed=True, winding=(0, 1))
+
+
+def sloped_circle(p: int, q: int, n_vertices: int | None = None) -> LagrangianCurve:
+    """The closed loop {(p a, q a) mod 1}, winding (p, q)."""
+    if p == 0 and q == 0:
+        raise ValueError("slope integers must not both be zero")
+    if n_vertices is None:
+        n_vertices = 64 * max(abs(p), abs(q), 1)
+    alpha = np.linspace(0.0, 1.0, n_vertices + 1)
+    verts = np.stack([p * alpha, q * alpha], axis=-1)
+    return LagrangianCurve(verts, closed=True, winding=(p, q))
+
+
+def flow_jacobian_determinant(h, p, t: float = 1.0, settings=DEFAULT_SETTINGS,
+                              fd_step: float = 1e-5) -> float:
+    """Central-difference determinant of the time-t flow differential at the
+    point p, a pair (x, y), under one spectral Hamiltonian."""
+    if fd_step <= 0:
+        raise ValueError("fd_step must be positive")
+    x, y = (float(c) for c in p)
+    probes = np.array([[x + fd_step, y], [x - fd_step, y],
+                       [x, y + fd_step], [x, y - fd_step]])
+    # difference displacements, not positions: exact for the identity flow
+    disp = flow_points(h, probes, 0.0, t, settings) - probes
+    col_x = (disp[0] - disp[1]) / (2.0 * fd_step) + np.array([1.0, 0.0])
+    col_y = (disp[2] - disp[3]) / (2.0 * fd_step) + np.array([0.0, 1.0])
+    return float(col_x[0] * col_y[1] - col_x[1] * col_y[0])

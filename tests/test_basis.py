@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hamflow.basis import SpectralBasis, Truncation, torus_distance
-from reference import Mode, mode_index, mode_of, mode_values, reference_modes
+from hamflow.basis import SpectralBasis, Truncation
+from reference import Mode, mode_index, mode_of, mode_values, reference_modes, torus_distance
 
 
 def quad_grid(n):

@@ -141,6 +141,16 @@ def test_malformed_input_exits_with_a_typed_error(tmp_path, capsys, argv, messag
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["sample-field", "inversion"])
+def test_negative_seed_exits_with_a_typed_error(tmp_path, capsys, command):
+    config = tmp_path / "tiny.txt"
+    config.write_text(TINY.replace("workers = 1", "workers = 2"))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out"), "--seed", "-1"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ValidationError: seed")
+    assert not (tmp_path / "out").exists()
+
+
 def test_rkhs_norm_finite_at_high_regularity(tmp_path):
     # weights exp(r lambda_n) overflow a double here, while coefficients underflow
     rc, out = run(tmp_path, "rkhs-norm",

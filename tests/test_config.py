@@ -65,7 +65,8 @@ class TestErrors:
         ("regularity", (math.nan,)), ("regularity", (3.0, math.inf)),
         ("smoothing_eps", math.inf), ("probe", (math.nan, 0.2)), ("times", (0.0, math.nan)),
         ("ball_center", (-math.inf, 0.5)), ("field_time", math.nan),
-        ("refinement_threshold", math.nan), ("osc_spatial_grid", 1), ("osc_time_grid", 1)])
+        ("refinement_threshold", math.nan), ("osc_spatial_grid", 1), ("osc_time_grid", 1),
+        ("seed", -1)])
     def test_bad_values_from_python_name_their_field(self, key, value):
         # the document parser refuses non-finite numbers itself; overrides
         # and direct construction reach the validation alone

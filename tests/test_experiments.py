@@ -22,11 +22,11 @@ from hamflow.experiments import (CHUNK, INVERSION_CHUNK, _advected_chunk, _ball_
 from hamflow.field import PackedBatch, RandomHamiltonian, make_law, sample_hamiltonian
 from hamflow.flow import (_BLOCK_STEPS, BumpFunction, FlowSettings, LagrangianCurve,
                           advect_curve, advect_curves, circle_curve, concatenate_autonomous,
-                          flow_points, flow_points_through, horizontal_circle, sloped_circle,
-                          time_reversed_hamiltonian, vertical_circle)
+                          flow_points, flow_points_through, horizontal_circle,
+                          time_reversed_hamiltonian)
 from hamflow.rng import derive
 from hamflow.walk import sample_walk
-from reference import apply_walk
+from reference import apply_walk, sloped_circle, vertical_circle
 
 # At this law, threshold and depth some draws finish after one or two
 # refinement passes and others overflow.

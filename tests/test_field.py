@@ -7,16 +7,15 @@ import pytest
 
 from hamflow import field
 from hamflow.engine import SpectralEngine
-from hamflow.field import (HamiltonianLaw, PackedBatch, RandomHamiltonian, SpectralHamiltonian,
-                           gaussian_dimension, make_law, sample_hamiltonian, spectral_weight)
+from hamflow.field import (PackedBatch, RandomHamiltonian, SpectralHamiltonian, make_law,
+                           sample_hamiltonian, spectral_weight)
 from hamflow.flow import (BumpFunction, FlowSettings, concatenate_autonomous, flow_points,
                           time_reversed_hamiltonian)
 from hamflow.rng import derive
-from hamflow.temporal import (CONSTANT, KernelKind, PERIODIC, SQEXP, TimeBasis,
-                              coefficient_paths, kernel_value)
-from reference import (analytic_variance, concatenation_coefficients, full_coefficients,
-                       full_packing, grid_slots, mode_coefficients, mode_of,
-                       reversal_coefficients, spatial_mean)
+from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, TimeBasis
+from reference import (analytic_variance, coefficient_paths, concatenation_coefficients,
+                       full_coefficients, full_packing, gaussian_dimension, grid_slots,
+                       mode_coefficients, mode_of, reversal_coefficients, spatial_mean)
 
 
 class TestSpectralWeight:
@@ -94,7 +93,7 @@ class TestSampling:
         for _ in range(10):
             t = rng.uniform()
             p = (rng.uniform(), rng.uniform())
-            paths = coefficient_paths(law.kernel, h.gaussians, law.scales(), t)[0]
+            paths = coefficient_paths(law.kernel, h.gaussians, t)[0]
             naive = sum(h.weights[i] * paths[i] * mode_of(h.basis, i).evaluate(*p)
                         for i in range(len(h.basis)))
             assert h.value(t, p) == pytest.approx(naive, abs=1e-12)
@@ -260,13 +259,19 @@ class TestOscillation:
 class TestSubnormalFlush:
     """Packing flushes subnormal grid entries; evaluation does not change."""
 
+    # at r = 0.5 the band is 2; scaling B by 1e-280 puts its (2, 2) modes in
+    # the subnormal range while its (1, 1) and (1, 2) modes stay normal
+    SCALE = 1e-280
+
     @staticmethod
-    def draw(kernel):
-        # at r = 0.5 the band is 2; amplitude 1e-280 puts its (2, 2) modes in
-        # the subnormal range while its (1, 1) and (1, 2) modes stay normal
-        law = make_law(0.5, spatial_max=6, temporal_max=3, kernel=kernel, seed=6,
-                       amplitude=1e-280)
-        return sample_hamiltonian(law, 6)
+    def unscaled(kernel):
+        return sample_hamiltonian(make_law(0.5, spatial_max=6, temporal_max=3, kernel=kernel,
+                                           seed=6), 6)
+
+    @classmethod
+    def draw(cls, kernel):
+        h = cls.unscaled(kernel)
+        return SpectralHamiltonian(h.engine, h.time_basis, cls.SCALE * h.coefficients)
 
     @staticmethod
     def unflushed_grid(engine, coeffs):
@@ -292,8 +297,8 @@ class TestSubnormalFlush:
         assert not self.subnormal(PackedBatch([h]).field_grids(np.linspace(0, 1, 21))).any()
 
     def test_evaluation_bit_identical_to_unflushed_grid(self):
-        h = self.draw(CONSTANT)
-        coeffs = mode_coefficients(h, 0.0)
+        h = self.unscaled(CONSTANT)
+        coeffs = self.SCALE * mode_coefficients(h, 0.0)
         raw = self.unflushed_grid(h.engine, coeffs)
         flushed = h.engine.grids(coeffs[h.engine.modes])
         assert self.subnormal(raw).any()
@@ -318,10 +323,10 @@ class TestBand:
 
     @staticmethod
     def bounds(law):
-        """b_n = w_n s_n (1 + 2 pi max(kx, ky)) and max(kx, ky) per mode."""
+        """b_n = w_n (1 + 2 pi max(kx, ky)) and max(kx, ky) per mode."""
         b = law.basis()
         kmax = np.maximum(b.kx, b.ky)
-        return law.weights() * law.scales() * (1 + 2 * math.pi * kmax), kmax
+        return law.weights() * (1 + 2 * math.pi * kmax), kmax
 
     @pytest.mark.parametrize("r,band,modes", TABLE)
     def test_band_table(self, r, band, modes):
@@ -349,8 +354,11 @@ class TestBand:
         assert a.engine is b.engine
         assert c.engine is not a.engine and c.engine.basis is a.engine.basis
 
-    def test_band_ignores_amplitude(self):
-        assert frequency_law(3, amplitude=1e-280).band() == frequency_law(3).band() == 7
+    def test_laws_differing_in_temporal_max_share_basis_and_engine(self):
+        # the temporal order is the kernel's alone
+        a, b = frequency_law(3, temporal_max=4), frequency_law(3, temporal_max=10)
+        assert a.truncation == b.truncation
+        assert a.basis() is b.basis() and a.engine() is b.engine()
 
     def test_draw_keeps_every_mode(self):
         law = frequency_law(3, temporal_max=4)
@@ -473,24 +481,11 @@ class TestLawValidation:
     def test_kernel_tied_to_regularity_by_default(self):
         law = make_law(0.17, spatial_max=2)
         assert law.kernel.regularity == pytest.approx(0.17)
-
-    def test_mode_scales_length_checked(self):
-        with pytest.raises(ValueError):
-            make_law(0.1, spatial_max=2, mode_scales=(1.0, 2.0))
-
-    def test_analytic_variance_uses_scales(self):
-        n_modes = 4
-        law = make_law(0.2, spatial_max=1, kernel=CONSTANT,
-                       mode_scales=(2.0,) * n_modes)
-        h = sample_hamiltonian(law, 0)
-        base = make_law(0.2, spatial_max=1, kernel=CONSTANT)
-        h0 = sample_hamiltonian(base, 0)
-        p = (0.3, 0.4)
-        assert analytic_variance(h, 0.5, p) == pytest.approx(4 * analytic_variance(h0, 0.5, p))
+        assert law.regularity is law.kernel.regularity
 
 
 class TestPerLawQuantities:
-    """Band, weights, scales and the Lipschitz bound are computed once per law."""
+    """Band, weights and the Lipschitz bound are computed once per law."""
 
     def test_weights_computed_once_and_shared_by_draws(self, monkeypatch):
         import hamflow.field as field_module
@@ -503,8 +498,7 @@ class TestPerLawQuantities:
         assert len(calls) == 1
         assert all(h.weights is law.weights() for h in hs)
         assert law.band() == hs[0].engine.band
-        for array in (law.weights(), law.scales()):
-            assert not array.flags.writeable
+        assert not law.weights().flags.writeable
 
     def test_draws_equal_those_of_a_fresh_law(self):
         law = frequency_law(3, spatial_max=6, temporal_max=3)
@@ -533,7 +527,7 @@ class TestPerLawQuantities:
 
     @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT])
     def test_lipschitz_bound_is_the_mean_spectral_bound(self, kernel):
-        law = frequency_law(2, spatial_max=4, temporal_max=3, kernel=kernel, amplitude=1.5)
+        law = frequency_law(2, spatial_max=4, temporal_max=3, kernel=kernel)
         bounds = self.spectral_bounds(law, 2000, 0.3)
         se = bounds.std(ddof=1) / math.sqrt(len(bounds))
         assert abs(bounds.mean() - law.lipschitz_bound()) < 4 * se

@@ -6,18 +6,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hamflow.basis import torus_distance
 from hamflow.engine import SpectralEngine
 from hamflow.errors import NotAutonomous, RefinementOverflow, Unsupported
 from hamflow.field import (PackedBatch, RandomHamiltonian, SpectralHamiltonian, make_law,
                            sample_hamiltonian)
 from hamflow.flow import (BumpFunction, BumpTimeBasis, FlowSettings, LagrangianCurve, _rk4_step,
                           _rk4_work, advect_curve, circle_curve, concatenate_autonomous,
-                          flow_jacobian_determinant, flow_points, horizontal_circle,
-                          sloped_circle, time_reversed_hamiltonian)
+                          flow_points, horizontal_circle, time_reversed_hamiltonian)
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, KernelKind, TimeBasis
-from reference import (Mode, concatenation_coefficients, full_coefficients, mode_index,
-                       reversal_coefficients)
+from reference import (Mode, concatenation_coefficients, flow_jacobian_determinant,
+                       full_coefficients, mode_index, reversal_coefficients, sloped_circle,
+                       torus_distance)
 
 # The analytic references: autonomous draws over the smallest basis with
 # axis modes, each of one mode or none.

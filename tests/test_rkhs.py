@@ -96,13 +96,13 @@ class TestRkhsNorm:
     @pytest.mark.parametrize("r", [3.0, 4.5])
     def test_cancellation_identity_where_coefficients_underflow(self, kernel, r):
         # r in frequency units at spatial_max 25: the high modes' coefficients
-        # w_n s_n d_k g lie below the normal range, and some round to zero
+        # w_n d_k g lie below the normal range, and some round to zero
         scale = 1.7
-        law = make_law(r / (4 * math.pi**2), spatial_max=25, temporal_max=10, kernel=kernel,
-                       amplitude=scale)
-        draw = sample_hamiltonian(law, 0, 0, 1)
+        law = make_law(r / (4 * math.pi**2), spatial_max=25, temporal_max=10, kernel=kernel)
+        gaussians = sample_hamiltonian(law, 0, 0, 1).gaussians
+        draw = RandomHamiltonian(law, scale * gaussians)
         assert np.min(draw.weights) * scale < np.finfo(float).tiny
-        expected = scale * math.sqrt(np.sum(draw.gaussians**2))
+        expected = scale * math.sqrt(np.sum(gaussians**2))
         assert rkhs_norm(draw, law.regularity) == pytest.approx(expected, rel=1e-12)
 
     def test_homogeneity(self):

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from hamflow.basis import torus_distance
 from hamflow.errors import NotAutonomous
 from hamflow.field import make_law, sample_hamiltonian
 from hamflow.flow import BumpFunction, FlowSettings, concatenate_autonomous, flow_points
 from hamflow.temporal import CONSTANT, PERIODIC
 from hamflow.walk import induced_point_walks, sample_walk
-from reference import apply_walk
+from reference import apply_walk, torus_distance
 
 
 def walk_law(seed=0, r=0.1, smax=3):
