@@ -14,8 +14,8 @@ from .errors import (DegenerateOverlap, FailureBudgetExceeded, HamflowError, Non
 from .field import (HamiltonianLaw, RandomHamiltonian, SpectralHamiltonian, make_law,
                     sample_hamiltonian, spectral_weight)
 from .flow import (BumpFunction, FlowSettings, LagrangianCurve, advect_curve, advect_curves,
-                   circle_curve, concatenate_autonomous, flow_points, flow_points_through,
-                   horizontal_circle, time_reversed_hamiltonian)
+                   concatenate_autonomous, flow_points, flow_points_through, horizontal_circle,
+                   time_reversed_hamiltonian)
 from .rkhs import rkhs_norm, weighted_coefficient_sum
 from .rng import derive
 from .temporal import CONSTANT, KernelKind, PERIODIC, SQEXP, kernel_value

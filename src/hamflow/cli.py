@@ -63,7 +63,7 @@ def _outdir(cfg: ExperimentConfig, regularities: tuple, flows: bool = False) -> 
     comment line with its spatial band (``HamiltonianLaw.band``) of
     spatial_max and its temporal band (``HamiltonianLaw.temporal_band``) of
     the kernel's frequencies, and, if the command flows its draws, one
-    before it with its RK4 step count (``experiments.flow_steps``).
+    before it with its step count (``experiments.flow_steps``).
     """
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -12,8 +12,8 @@ fields are range-checked, and unknown keys are rejected.
 
 The two differ by the constant factor 4 pi^2.
 
-``steps`` is the most RK4 steps per unit time; smooth laws use fewer (see
-:mod:`hamflow.experiments`).
+``steps`` is the most integrator steps per unit time (order 6, see
+:mod:`hamflow.flow`); smooth laws use fewer (see :mod:`hamflow.experiments`).
 
 ``grid_nodes`` is accepted, checked and echoed, and nothing reads it: every
 kernel is a Fourier series in time (:mod:`hamflow.temporal`), so no kernel
@@ -34,7 +34,7 @@ COMMANDS = ("sample-field", "flow", "diffusion", "intersections", "random-walk",
 # Defaults that differ by command, so that every command runs from its
 # defaults: random walks need autonomous steps and the tail fit needs at
 # least 1000 draws.  Diffusion's regularity, like the field default, is
-# smooth enough to flow resolved: 167 RK4 steps at 3.16 and 71 at 3.95
+# smooth enough to flow resolved: 48 steps at 3.16 and 21 at 3.95
 # (``hamflow.experiments.flow_steps``).
 COMMAND_DEFAULTS = {
     "diffusion": {"regularity": (3.16,)},

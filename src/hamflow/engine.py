@@ -33,14 +33,14 @@ dots each with r(y).  A call at P points then costs one table build, one
 (P, 2K) @ (2K, 4K) product and one contraction.  F is built by
 ``field_grids``, outside the call.  F is linear in G, so a flow's batch
 (``field.PackedBatch``) packs each draw straight to field grids as it is
-appended and keeps no plain grids; its RK4 stage grids, 2K x 4K entries
+appended and keeps no plain grids; its stage grids, 2K x 4K entries
 per stage time and draw (twice the size of plain grids), are one batched
 product of the time basis with the draws' packed field grids.  Plain
-grids serve values, gradients and lattices
+grids serve values and lattices
 (``field.SpectralHamiltonian.coefficient_grids``).
 Pointwise evaluation carries a leading draw axis: S grids (S, 2, K, 2K),
 or S field grids (S, 2, K, 4K), are evaluated at S point sets (S, P, 2),
-set s under grid s, so the RK4 stages of many draws cost one call.  A
+set s under grid s, so a stage of many draws costs one call.  A
 single draw is S = 1.  Lattice evaluation (``value_grid``) takes any number
 of leading grid axes, so the lattices of several times cost one call, and
 takes a lattice's rows (``lattice_rows``) in place of its coordinates, so
@@ -49,7 +49,7 @@ calls on one lattice build its rows once.
 Buffers.  ``vector_field`` writes its tables, its product and its result
 into arrays the caller owns: ``FieldBuffers`` (from ``buffers``) and
 ``out``.  A flow allocates them once and reuses them at every stage
-(``flow._rk4_grids``), and ``value_grid`` takes ``out`` and ``half`` for the
+(``flow._flow_grids``), and ``value_grid`` takes ``out`` and ``half`` for the
 lattice and the half product r(x) @ G in the same way
 (``field.SpectralHamiltonian.oscillation``).  The engine itself holds no
 per-call state, so one engine, shared by every law with its truncation and

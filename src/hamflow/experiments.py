@@ -21,23 +21,30 @@ That holds when the BLAS matrix product gives each row the same result at
 any row count: a property of the BLAS, not a numpy guarantee, which
 ``tests/test_experiments.py`` and ``tests/test_cli.py`` check.
 
-RK4 step counts.  The config's ``steps`` is the most RK4 steps per unit
-time.  ``flow``, ``intersections``, ``diffusion``, ``inversion`` and
-``random-walk`` flow the draws of a law, whatever its kernel, at
+Step counts.  The config's ``steps`` is the most order-6 steps
+(``hamflow.flow``) per unit time.  ``flow``, ``intersections``,
+``diffusion``, ``inversion`` and ``random-walk`` flow the draws of a law,
+whatever its kernel, at
 
-    n = min(steps, max(1, ceil(Lambda / THETA)))
+    n = min(steps, max(MIN_STEPS, ceil(Lambda / THETA)))
 
 steps per unit time (``flow_steps``), with Lambda the law's expected
-spectral bound on sup |DX| (``HamiltonianLaw.lipschitz_bound``) and THETA =
-0.0716.  THETA puts the periodic law at regularity 3 (frequency units,
-spatial_max 25, temporal_max 10; Lambda = 14.33) at 201, so it keeps 200
-steps.  Smoother laws take fewer: 167, 115, 67, 40, 24, 9 and 2 steps at
-regularity 3.16, 3.5, 4, 4.5, 5, 6 and 8.  Against a 3,200-step flow the
-count's error stayed at or below max(1.5e-6, the error at 200 steps) on
-every law tested (``tests/test_experiments.py``).  The count depends on
-the law alone, never on a chunk's draws, so outputs stay independent of
-the worker count.  A walk's steps are draws of a constant law and flow at
-its count.  The walk is also the time-1 flow of their concatenation
+spectral bound on sup |DX| (``HamiltonianLaw.lipschitz_bound``), THETA =
+0.25 and MIN_STEPS = 2.  The periodic law at regularity 3 (frequency
+units, spatial_max 25, temporal_max 10; Lambda = 14.33) takes 58 steps.
+Smoother laws take fewer: 48, 33, 20, 12, 7, 3 and 2 steps at regularity
+3.16, 3.5, 4, 4.5, 5, 6 and 8.  Rougher laws, 2 and below at the
+defaults, take the cap.  Against a 1,600-step flow the count's error stays
+at or below max(1.5e-6, the error at 200 steps) on every law tested
+(``tests/test_experiments.py``).  Over 16 draws x 64 points against
+3,200-step flows, periodic, sqexp and constant laws at regularity 2 to 5
+erred at most 1.2e-6 (periodic, regularity 2, at the cap), at or below
+classical RK4 at the counts of its own rule (THETA = 0.0716, MIN_STEPS =
+1; 8.5e-6 at regularity 3, 7.5e-4 at 2); periodic regularity 6 erred
+8.6e-8 at 3 steps against 5.6e-8 at 9.  The count depends on the law
+alone, never on a chunk's draws, so outputs stay independent of the
+worker count.  A walk's steps are draws of a constant law and flow at its
+count.  The walk is also the time-1 flow of their concatenation
 (``flow.concatenate_autonomous``), which has no law and integrates at
 ``steps`` times its part count; the tests check that the two agree.
 """
@@ -68,12 +75,14 @@ CHUNK = 16
 # Inversion flows one point per draw, so its flows are bound by per-call
 # overhead and take chunks twice as long, 2 * INVERSION_CHUNK rows of draws
 # and reversals.  The tracemalloc peak of one such chunk at spatial_max 25
-# is 4.1 MB at regularity 3 (no more than a 16-sample chunk's 4.3 MB before
+# is 3.7 MB at regularity 3 (no more than a 16-sample chunk's 4.3 MB before
 # the temporal band and the trimmed tables), and grows with the band:
-# 72.2 MB at the full band (regularity 0.1), against 44.8 MB at 16 samples.
+# 67.1 MB at the full band (regularity 0.1), against 44.8 MB at 16 samples.
 INVERSION_CHUNK = 2 * CHUNK
-# Lipschitz bound per RK4 step of the step-count rule (module docstring).
-THETA = 0.0716
+# Lipschitz bound per step and least steps of the step-count rule (module
+# docstring).
+THETA = 0.25
+MIN_STEPS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +271,9 @@ def law_for(cfg: ExperimentConfig, regularity: float):
 
 
 def flow_steps(law: HamiltonianLaw, cap: int) -> int:
-    """RK4 steps per unit time for the draws of ``law``, at most ``cap``: the
+    """Steps per unit time for the draws of ``law``, at most ``cap``: the
     rule of the module docstring."""
-    return min(cap, max(1, math.ceil(law.lipschitz_bound() / THETA)))
+    return min(cap, max(MIN_STEPS, math.ceil(law.lipschitz_bound() / THETA)))
 
 
 def _settings_for(cfg: ExperimentConfig, law: HamiltonianLaw | None = None) -> FlowSettings:
@@ -508,7 +517,7 @@ def _displacement_chunk(args) -> list:
     draw back from 1 to 0, which is the forward flow of its time reversal
     (``time_reversed_hamiltonian``).  The reversal keeps the draw's time
     basis, so the chunk packs its n forward draws and the n reversals into
-    one batch of 2n rows and flows them from 0 to 1 in one RK4 loop.
+    one batch of 2n rows and flows them from 0 to 1 in one loop of steps.
     """
     cfg, _, start, stop = args
     law = law_for(cfg, cfg.regularity[0])

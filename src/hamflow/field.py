@@ -188,7 +188,7 @@ class HamiltonianLaw:
         with a_n the basis amplitude and sigma^2 the kernel's pointwise
         variance.  It is the mean of sum_n |c_n(t)| a_n (2 pi max(kx, ky))^2,
         which bounds every second derivative of H (E|c_n(t)| =
-        w_n sigma sqrt(2/pi)).  Flows take their RK4 step count from it
+        w_n sigma sqrt(2/pi)).  Flows take their step count from it
         (``hamflow.experiments.flow_steps``).
         """
         b = self.basis()
@@ -261,11 +261,6 @@ class SpectralHamiltonian:
         fields = self.engine.field_grids(self.coefficient_grids(float(t))[None])
         v = self.engine.vector_field(fields, pts[None])[0]
         return v[0] if scalar else v
-
-    def gradient(self, t: float, p):
-        """(dH/dx, dH/dy): the vector field, rotated back exactly."""
-        v = self.vector_field(t, p)
-        return np.stack([v[..., 1], -v[..., 0]], axis=-1)
 
     def value_grid(self, t: float, xs, ys) -> np.ndarray:
         return self.engine.value_grid(self.coefficient_grids(float(t)), xs, ys)

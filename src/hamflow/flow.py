@@ -1,13 +1,16 @@
 """Hamiltonian flow integration and the group operations on generators.
 
 The time-t flow map of a spectral Hamiltonian H (``SpectralHamiltonian``) is
-integrated with a fixed-step classical 4th-order scheme on its exact analytic
-vector field (adaptive stepping is deliberately avoided so Monte Carlo tables
-are reproducible).  One RK4 loop serves one Hamiltonian and a batch of them
-(``PackedBatch``) alike.
+integrated with Butcher's fixed-step 7-stage order-6 Runge-Kutta method on
+its exact analytic vector field (adaptive stepping is deliberately avoided
+so Monte Carlo tables are reproducible).  The fields are trigonometric
+polynomials, smooth in space and time, so the high order pays: against
+classical RK4 it reaches equal error at about half the vector-field calls
+or fewer (``hamflow.experiments``).  One loop serves one Hamiltonian and a
+batch of them (``PackedBatch``) alike.
 
 Curves are advected in batches (``advect_curves``).  The draws of a batch
-refine in lockstep: each refinement pass is one batched RK4 loop over the
+refine in lockstep: each refinement pass is one batched flow of the
 new source midpoints of the draws still refining, each draw padded to the
 widest with copies of its own last midpoint.  The engine evaluates each
 draw's points under its own grids, so a draw that fails (``NonFinite``,
@@ -17,9 +20,9 @@ product gives each row the same result at any row count; that is a property
 of the BLAS, not a numpy guarantee, and the tests check it on the BLAS numpy
 is built with.
 
-Buffers.  Each flow (``_rk4_grids``) allocates its stage-grid block, the
-engine's ``FieldBuffers`` and its stage slopes once, and every RK4 step
-writes into them (``_rk4_step``), so a step allocates no array.  The
+Buffers.  Each flow (``_flow_grids``) allocates its stage-grid block, the
+engine's ``FieldBuffers`` and its stage slopes once, and every step writes
+into them (``_step``), so a step allocates no array.  The
 buffers belong to the flow, not to the engine, which draws of many laws and
 flows share, so concurrent flows on one engine do not meet.
 
@@ -43,10 +46,16 @@ import numpy as np
 from .errors import HamflowError, NonFinite, NotAutonomous, RefinementOverflow, Unsupported
 from .field import PackedBatch, RandomHamiltonian, SpectralHamiltonian
 
-# RK4 steps whose stage grids one block holds; 3 keeps an inversion chunk's
-# packed rows and block within the memory noted at
-# ``experiments.INVERSION_CHUNK``.
-_BLOCK_STEPS = 3
+# Butcher's 7-stage order-6 method (J. Austral. Math. Soc. 4, 1964): stage
+# j runs at time t + c_j h with c = (0, 1/3, 2/3, 1/3, 1/2, 1/2, 1), so a
+# step takes field grids at the five offsets below, stage j those of
+# _STAGE_GRID[j].  _A[j] holds stage j's coefficients a_j0..a_j(j-1).
+_STAGE_OFFSETS = np.array([0.0, 1 / 3, 1 / 2, 2 / 3, 1.0])
+_STAGE_GRID = (0, 1, 3, 1, 2, 2, 4)
+_A = [np.array(row) for row in (
+    (), (1 / 3,), (0, 2 / 3), (1 / 12, 1 / 3, -1 / 12), (-1 / 16, 9 / 8, -3 / 16, -3 / 8),
+    (0, 9 / 8, -3 / 8, -3 / 4, 1 / 2), (9 / 44, -9 / 11, 63 / 44, 18 / 11, 0, -16 / 11))]
+_B = np.array([11 / 120, 0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120])
 
 
 @dataclass(frozen=True)
@@ -84,56 +93,63 @@ def _n_steps(settings: FlowSettings, stiffness: int, span: float) -> int:
     return max(1, math.ceil(settings.steps * stiffness * span - 1e-9))
 
 
-def _rk4_work(engine, shape):
-    """The work arrays of ``_rk4_step`` for points of shape (S, P, 2): the four
-    stage slopes, the stage points and the engine's ``FieldBuffers``."""
-    return np.empty((4,) + tuple(shape)), np.empty(shape), engine.buffers(shape)
+def _step_work(engine, shape, h):
+    """The work arrays of ``_step`` for points of shape (S, P, 2) and step h:
+    the seven stage slopes, the stage points, one scaled slope, the engine's
+    ``FieldBuffers`` and the tableau scaled by h."""
+    return (np.empty((7,) + tuple(shape)), np.empty(shape), np.empty(shape),
+            engine.buffers(shape), [h * a for a in _A], h * _B)
 
 
-def _rk4_step(engine, g0, g1, g2, p, h, work):
-    """Advance p (S, P, 2) one RK4 step of size h, in place, under the field
-    grids g0, g1, g2 of the step's start, midpoint and end.
+def _step(engine, grids, p, work):
+    """Advance p (S, P, 2) one order-6 step, in place, under the field grids
+    (5, S, 2, K, 4K) of the step's ``_STAGE_OFFSETS``.
 
-    Every intermediate goes to ``work`` (``_rk4_work``), so a step allocates
-    no array; the arithmetic is p += (h/6) (k1 + 2 k2 + 2 k3 + k4), with
-    stage points p + (h/2) k1, p + (h/2) k2 and p + h k3, in that order.
+    Every intermediate goes to ``work`` (``_step_work``), so a step allocates
+    no array.  Stage point j is p + sum_l (h a_jl) k_l and the new p is
+    p + sum_l (h b_l) k_l (``_combine``).
     """
-    (k1, k2, k3, k4), q, buffers = work
-    engine.vector_field(g0, p, k1, buffers)
-    np.add(p, np.multiply(k1, 0.5 * h, out=q), out=q)
-    engine.vector_field(g1, q, k2, buffers)
-    np.add(p, np.multiply(k2, 0.5 * h, out=q), out=q)
-    engine.vector_field(g1, q, k3, buffers)
-    np.add(p, np.multiply(k3, h, out=q), out=q)
-    engine.vector_field(g2, q, k4, buffers)
-    np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
-    np.add(k1, np.multiply(k3, 2.0, out=k3), out=k1)
-    np.add(k1, k4, out=k1)
-    np.add(p, np.multiply(k1, h / 6.0, out=k1), out=p)
+    slopes, q, term, buffers, ha, hb = work
+    engine.vector_field(grids[0], p, slopes[0], buffers)
+    for j in range(1, 7):
+        _combine(p, ha[j], slopes, term, q, q)
+        engine.vector_field(grids[_STAGE_GRID[j]], q, slopes[j], buffers)
+    _combine(p, hb, slopes, term, q, p)
 
 
-def _rk4_grids(batch: PackedBatch, pts, t0, h, n_steps):
-    """RK4 for the S Hamiltonians of ``batch`` at once; pts (S, P, 2).
+def _combine(p, coefficients, slopes, term, q, out):
+    """out = p + sum_l coefficients[l] * slopes[l]: the terms summed into q
+    in order, each scaled into ``term`` by its scalar, then p added.
 
-    Stage grids are built _BLOCK_STEPS steps at a time, 2 * _BLOCK_STEPS + 1
-    stage times per block, into one block buffer, so one block is held at a
-    time whatever the step count.  They are field grids
-    (``PackedBatch.field_grids``), 2K x 4K per stage time and draw, so
-    each vector-field call is one table build, one product and one
+    Every operation is elementwise, so each coordinate's result does not
+    depend on how many points or draws the flow holds.  A BLAS product of
+    the row with the stack rounds differently with the stack's length, and
+    a broadcast product allocates the ufunc's buffers below 8,192 entries.
+    """
+    np.multiply(slopes[0], coefficients[0], out=q)
+    for l in range(1, len(coefficients)):
+        np.add(q, np.multiply(slopes[l], coefficients[l], out=term), out=q)
+    np.add(q, p, out=out)
+
+
+def _flow_grids(batch: PackedBatch, pts, t0, h, n_steps):
+    """Order-6 steps for the S Hamiltonians of ``batch`` at once; pts (S, P, 2).
+
+    Each step builds its five stage grids into one block buffer, so one
+    step's grids are held at a time whatever the step count.  They are field
+    grids (``PackedBatch.field_grids``), 2K x 4K per stage time and draw,
+    so each vector-field call is one table build, one product and one
     contraction.  The block, the tables, the products and the stage slopes
     are allocated once per flow and belong to it, so flows on one shared
     engine stay reentrant.
     """
     engine = batch.engine
     p = np.array(pts, dtype=float)
-    work = _rk4_work(engine, p.shape)
-    block = np.empty((2 * min(_BLOCK_STEPS, n_steps) + 1, len(batch)) + engine.field_shape)
-    for start in range(0, n_steps, _BLOCK_STEPS):
-        count = min(_BLOCK_STEPS, n_steps - start)
-        stage_times = t0 + 0.5 * h * np.arange(2 * start, 2 * (start + count) + 1)
-        grids = batch.field_grids(np.clip(stage_times, 0.0, 1.0), out=block[:2 * count + 1])
-        for i in range(count):
-            _rk4_step(engine, grids[2 * i], grids[2 * i + 1], grids[2 * i + 2], p, h, work)
+    work = _step_work(engine, p.shape, h)
+    block = np.empty((len(_STAGE_OFFSETS), len(batch)) + engine.field_shape)
+    for i in range(n_steps):
+        stage_times = np.clip(t0 + h * (i + _STAGE_OFFSETS), 0.0, 1.0)
+        _step(engine, batch.field_grids(stage_times, out=block), p, work)
     return p
 
 
@@ -153,7 +169,7 @@ def _integrate(fieldlike, pts, t0, t1, settings):
     n = _n_steps(settings, batch.time_basis.stiffness, abs(t1 - t0))
     if n == 0:
         return np.array(pts, dtype=float)
-    out = _rk4_grids(batch, pts, t0, (t1 - t0) / n, n)
+    out = _flow_grids(batch, pts, t0, (t1 - t0) / n, n)
     finite = np.isfinite(out).all(axis=(-2, -1))
     if not finite.all():
         raise NonFinite("flow state left the finite range", draws=np.flatnonzero(~finite))
@@ -169,7 +185,7 @@ def flow_points(fieldlike, pts, t0: float = 0.0, t1: float = 1.0,
     one law and time reversals of such draws, in any mix, or concatenations
     with one bump and part count), as a list, a tuple or a ``PackedBatch``,
     with ``pts`` of shape (S, P, 2): set s flows under Hamiltonian s, and all
-    S run through one RK4 loop.  The result has the shape of ``pts``.
+    S run through one loop of steps.  The result has the shape of ``pts``.
     """
     pts = np.asarray(pts, dtype=float)
     if isinstance(fieldlike, (list, tuple, PackedBatch)) and pts.shape[:1] != (len(fieldlike),):
@@ -324,17 +340,6 @@ def horizontal_circle(y: float = 0.5, n_vertices: int = 128) -> LagrangianCurve:
     alpha = np.linspace(0.0, 1.0, n_vertices + 1)
     verts = np.stack([alpha, np.full_like(alpha, y)], axis=-1)
     return LagrangianCurve(verts, closed=True, winding=(1, 0))
-
-
-def circle_curve(center, radius: float, n_vertices: int = 128) -> LagrangianCurve:
-    """Round circle of given center and radius, winding (0, 0)."""
-    if not 0.0 < radius < 0.5:
-        raise ValueError("radius must lie in (0, 0.5)")
-    theta = np.linspace(0.0, 2.0 * math.pi, n_vertices + 1)
-    verts = np.stack([center[0] + radius * np.cos(theta),
-                      center[1] + radius * np.sin(theta)], axis=-1)
-    verts[-1] = verts[0]
-    return LagrangianCurve(verts, closed=True, winding=(0, 0))
 
 
 def advect_curve(fieldlike, curve: LagrangianCurve, t: float = 1.0,

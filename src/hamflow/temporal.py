@@ -107,7 +107,7 @@ class TimeBasis:
     Calling it on a scalar or (T,) array of times in [0, 1] returns the
     (T, 1 + 2n) matrix Phi(times).  Equal instances are the same function of
     time, which is what lets draws of one law share their stage products.
-    ``stiffness`` is the factor by which a flow multiplies its RK4 steps per
+    ``stiffness`` is the factor by which a flow multiplies its steps per
     unit time: 1 for every kernel (``hamflow.flow.BumpTimeBasis`` differs).
     """
 

@@ -19,9 +19,10 @@
 * ``apply_walk``: a walk's map as the sequential application of its step
   flows, which the batched walks and the walk's concatenation are checked
   against.
-* ``gaussian_dimension``, ``coefficient_paths``, ``torus_distance``,
-  ``vertical_circle``, ``sloped_circle`` and ``flow_jacobian_determinant``:
-  helpers that only the tests use.
+* ``gaussian_dimension``, ``coefficient_paths``, ``gradient``,
+  ``torus_distance``, ``vertical_circle``, ``sloped_circle``,
+  ``circle_curve`` and ``flow_jacobian_determinant``: helpers that only the
+  tests use.
 """
 
 import math
@@ -213,6 +214,13 @@ def coefficient_paths(kind, gaussians: np.ndarray, times) -> np.ndarray:
     return kind.time_basis()(times) @ temporal.coefficient_matrix(kind, gaussians)
 
 
+def gradient(h, t: float, p):
+    """(dH/dx, dH/dy) of a spectral Hamiltonian: its vector field, rotated
+    back exactly."""
+    v = h.vector_field(t, p)
+    return np.stack([v[..., 1], -v[..., 0]], axis=-1)
+
+
 def torus_distance(p, q) -> float:
     """Euclidean distance between nearest periodic representatives."""
     d = (np.asarray(p, dtype=float) - np.asarray(q, dtype=float) + 0.5) % 1.0 - 0.5
@@ -235,6 +243,17 @@ def sloped_circle(p: int, q: int, n_vertices: int | None = None) -> LagrangianCu
     alpha = np.linspace(0.0, 1.0, n_vertices + 1)
     verts = np.stack([p * alpha, q * alpha], axis=-1)
     return LagrangianCurve(verts, closed=True, winding=(p, q))
+
+
+def circle_curve(center, radius: float, n_vertices: int = 128) -> LagrangianCurve:
+    """Round circle of given center and radius, winding (0, 0)."""
+    if not 0.0 < radius < 0.5:
+        raise ValueError("radius must lie in (0, 0.5)")
+    theta = np.linspace(0.0, 2.0 * math.pi, n_vertices + 1)
+    verts = np.stack([center[0] + radius * np.cos(theta),
+                      center[1] + radius * np.sin(theta)], axis=-1)
+    verts[-1] = verts[0]
+    return LagrangianCurve(verts, closed=True, winding=(0, 0))
 
 
 def flow_jacobian_determinant(h, p, t: float = 1.0, settings=DEFAULT_SETTINGS,

@@ -66,26 +66,26 @@ def test_command_writes_outputs(tmp_path, command):
 
 @pytest.mark.parametrize("command", ["flow", "intersections", "diffusion", "inversion"])
 def test_config_echo_names_the_step_counts(tmp_path, command):
-    # regularity 8 takes 2 of at most 50 steps, and 4.5 takes 40
+    # regularity 8 takes 2 of at most 50 steps, and 4.5 takes 12
     rc, out = run(tmp_path, command, TINY.replace("regularity = 8.0", "regularity = 8, 4.5"))
     assert rc == 0
     text = (out / "config.txt").read_text()
     lines = [line for line in text.splitlines() if line.startswith("# flow steps")]
     expected = ["# flow steps at regularity 8: 2 of at most 50"]
     if command == "intersections":  # the only one of these that flows every regularity
-        expected.append("# flow steps at regularity 4.5: 40 of at most 50")
+        expected.append("# flow steps at regularity 4.5: 12 of at most 50")
     assert lines == expected
     cfg = parse_config(text, command=command)
     assert cfg.regularity == (8.0, 4.5) and cfg.steps == 50
 
 
 def test_random_walk_echoes_its_step_count(tmp_path):
-    # random-walk's constant kernel at regularity 5 takes 24 of at most 50 steps
+    # random-walk's constant kernel at regularity 5 takes 7 of at most 50 steps
     rc, out = run(tmp_path, "random-walk", TINY.replace("regularity = 8.0", "regularity = 5"))
     assert rc == 0
     text = (out / "config.txt").read_text()
     lines = [line for line in text.splitlines() if line.startswith("# flow steps")]
-    assert lines == ["# flow steps at regularity 5: 24 of at most 50"]
+    assert lines == ["# flow steps at regularity 5: 7 of at most 50"]
     assert parse_config(text, command="random-walk").regularity == (5.0,)
 
 

@@ -101,8 +101,8 @@ class TestCommandDefaults:
         assert parse_config("", command="flow").regularity == (3.95,)
 
     @pytest.mark.parametrize("command,regularity,steps",
-                             [("flow", 3.95, 71), ("intersections", 3.95, 71),
-                              ("inversion", 3.95, 71), ("diffusion", 3.16, 167)])
+                             [("flow", 3.95, 21), ("intersections", 3.95, 21),
+                              ("inversion", 3.95, 21), ("diffusion", 3.16, 48)])
     def test_default_laws_flow_resolved(self, command, regularity, steps):
         # the defaults are smooth in frequency units: they flow below the cap
         cfg = parse_config("", command=command)

@@ -14,7 +14,7 @@ from hamflow.flow import (BumpFunction, FlowSettings, concatenate_autonomous, fl
 from hamflow.rng import derive
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, TimeBasis
 from reference import (analytic_variance, coefficient_paths, concatenation_coefficients,
-                       full_coefficients, full_packing, gaussian_dimension, grid_slots,
+                       full_coefficients, full_packing, gaussian_dimension, gradient, grid_slots,
                        mode_coefficients, mode_of, reversal_coefficients, spatial_mean)
 
 
@@ -140,7 +140,7 @@ class TestEvaluation:
         for _ in range(50):
             t = rng.uniform()
             x, y = rng.uniform(0, 1, 2)
-            g = h.gradient(t, (x, y))
+            g = gradient(h, t, (x, y))
             fx = (h.value(t, (x + step, y)) - h.value(t, (x - step, y))) / (2 * step)
             fy = (h.value(t, (x, y + step)) - h.value(t, (x, y - step))) / (2 * step)
             scale = max(1.0, np.abs(g).max())
@@ -151,7 +151,7 @@ class TestEvaluation:
         law = make_law(0.07, spatial_max=4, seed=6)
         h = sample_hamiltonian(law, 6)
         pts = np.random.default_rng(4).uniform(0, 1, (30, 2))
-        g = h.gradient(0.4, pts)
+        g = gradient(h, 0.4, pts)
         v = h.vector_field(0.4, pts)
         assert np.allclose(v[:, 0], -g[:, 1])
         assert np.allclose(v[:, 1], g[:, 0])
@@ -293,7 +293,7 @@ class TestSubnormalFlush:
         assert self.subnormal(h.coefficients).any()
         assert not self.subnormal(h.engine.grids(h.coefficients)).any()
         assert not self.subnormal(h.coefficient_grids(np.linspace(0, 1, 9))).any()
-        # the field grids of the RK4 stages
+        # the field grids of the flow's stages
         assert not self.subnormal(PackedBatch([h]).field_grids(np.linspace(0, 1, 21))).any()
 
     def test_evaluation_bit_identical_to_unflushed_grid(self):

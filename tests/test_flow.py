@@ -10,27 +10,30 @@ from hamflow.engine import SpectralEngine
 from hamflow.errors import NotAutonomous, RefinementOverflow, Unsupported
 from hamflow.field import (PackedBatch, RandomHamiltonian, SpectralHamiltonian, make_law,
                            sample_hamiltonian)
-from hamflow.flow import (BumpFunction, BumpTimeBasis, FlowSettings, LagrangianCurve, _rk4_step,
-                          _rk4_work, advect_curve, circle_curve, concatenate_autonomous,
-                          flow_points, horizontal_circle, time_reversed_hamiltonian)
+from hamflow.flow import (BumpFunction, BumpTimeBasis, FlowSettings, LagrangianCurve, _step,
+                          _step_work, advect_curve, concatenate_autonomous, flow_points,
+                          horizontal_circle, time_reversed_hamiltonian)
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, KernelKind, TimeBasis
-from reference import (Mode, concatenation_coefficients, flow_jacobian_determinant,
-                       full_coefficients, mode_index, reversal_coefficients, sloped_circle,
-                       torus_distance)
+from reference import (Mode, circle_curve, concatenation_coefficients,
+                       flow_jacobian_determinant, full_coefficients, mode_index,
+                       reversal_coefficients, sloped_circle, torus_distance)
 
-# The analytic references: autonomous draws over the smallest basis with
-# axis modes, each of one mode or none.
+# The analytic references: draws over the smallest basis with axis modes,
+# each of one mode or none, autonomous or with a periodic coefficient path.
 ONE_MODE_LAW = make_law(0.1, spatial_max=1, kernel=CONSTANT, include_axis_modes=True)
+ONE_MODE_PATH_LAW = make_law(0.1, spatial_max=1, kernel=PERIODIC, temporal_max=2,
+                             include_axis_modes=True)
 
 
-def one_mode_draw(mode=None, c=1 / (2 * np.pi)):
-    """The draw c * e(x) / amplitude of ``mode``; the zero field without one."""
-    basis = ONE_MODE_LAW.basis()
-    gaussians = np.zeros((len(basis), 1))
+def one_mode_draw(mode=None, c=1 / (2 * np.pi), law=ONE_MODE_LAW, path=(1.0,)):
+    """The draw c * e(x) / amplitude of ``mode``, its normals ``path`` (one per
+    time-basis column of ``law``); the zero field without a mode."""
+    basis = law.basis()
+    gaussians = np.zeros((len(basis), len(path)))
     if mode is not None:
         n = mode_index(basis, mode)
-        gaussians[n, 0] = c / (mode.amplitude * ONE_MODE_LAW.weights()[n])
-    return RandomHamiltonian(ONE_MODE_LAW, gaussians)
+        gaussians[n] = c * np.asarray(path) / (mode.amplitude * law.weights()[n])
+    return RandomHamiltonian(law, gaussians)
 
 
 def zero_field():
@@ -86,15 +89,23 @@ class TestPointIntegration:
         again = image(h, back)
         assert torus_distance(again, p) < 1e-8
 
-    def test_convergence_is_fourth_order(self):
-        h = small_draw(47)
-        pts = np.array([[0.21, 0.34], [0.64, 0.81], [0.42, 0.1]])
-        ref = flow_points(h, pts, 0.0, 1.0, FlowSettings(steps=4000))
-        err = {}
-        for steps in (100, 200):
-            out = flow_points(h, pts, 0.0, 1.0, FlowSettings(steps=steps))
-            err[steps] = np.abs(out - ref).max()
-        assert err[100] / err[200] >= 8.0
+    def test_convergence_is_sixth_order(self):
+        # H = c(t) sin(2 pi x) sin(2 pi y) keeps sin(2 pi x) sin(2 pi y) along
+        # its flow, whatever c(t): a closed form for the error of each count,
+        # autonomous and with a periodic path
+        pts = np.random.default_rng(5).uniform(0, 1, (32, 2))
+
+        def invariant(p):
+            return np.sin(2 * np.pi * p[:, 0]) * np.sin(2 * np.pi * p[:, 1])
+
+        for law, path in ((ONE_MODE_LAW, (1.0,)),
+                          (ONE_MODE_PATH_LAW, (1.0, 0.8, -0.5, 0.6, 0.3))):
+            h = one_mode_draw(Mode(1, 1, "ss"), law=law, path=path)
+            err = {steps: np.abs(invariant(flow_points(h, pts, 0.0, 1.0, FlowSettings(steps)))
+                                 - invariant(pts)).max()
+                   for steps in (16, 32, 64)}
+            assert err[64] > 1e-12  # above rounding, so the ratios measure the order
+            assert err[16] / err[32] >= 2**5.5 and err[32] / err[64] >= 2**5.5, err
 
     def test_lift_returned_unreduced(self):
         lift = image(shear_y(3.0 / (2 * np.pi)), (0.3, 0.0))
@@ -438,48 +449,56 @@ class TestCurves:
             advect_curve(h, horizontal_circle(0.5, 4), 1.0, settings)
 
 
+# Butcher's order-6 tableau: stage times c, stage rows A, weights b.
+TABLEAU_C = (0, 1 / 3, 2 / 3, 1 / 3, 1 / 2, 1 / 2, 1)
+TABLEAU_A = ((), (1 / 3,), (0, 2 / 3), (1 / 12, 1 / 3, -1 / 12), (-1 / 16, 9 / 8, -3 / 16, -3 / 8),
+             (0, 9 / 8, -3 / 8, -3 / 4, 1 / 2), (9 / 44, -9 / 11, 63 / 44, 18 / 11, 0, -16 / 11))
+TABLEAU_B = (11 / 120, 0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120)
+
+
 class TestBuffers:
-    """A flow allocates its work arrays once; an RK4 step allocates no array."""
+    """A flow allocates its work arrays once; a step allocates no array."""
 
     # 4 draws x 512 points at band 7, tables of wavenumbers 1..7: one table
     # or one product is 448 KiB, above glibc's default mmap threshold
     LAW = make_law(3.0 / (4 * math.pi**2), spatial_max=12, temporal_max=4)
     LIMIT = 16 * 1024
+    OFFSETS = np.array([0.0, 1 / 3, 1 / 2, 2 / 3, 1.0])
 
     @classmethod
     def batch(cls):
         return PackedBatch([sample_hamiltonian(cls.LAW, 2, i) for i in range(4)])
 
-    def test_rk4_step_allocates_no_arrays(self):
+    def test_step_allocates_no_arrays(self):
         batch = self.batch()
         engine = batch.engine
         p = np.random.default_rng(0).uniform(0, 1, (4, 512, 2))
         assert engine.buffers(p.shape).powers.nbytes == 448 * 1024
-        work = _rk4_work(engine, p.shape)
-        grids = batch.field_grids(np.array([0.0, 0.05, 0.1]))
-        _rk4_step(engine, grids[0], grids[1], grids[2], p, 0.1, work)
+        work = _step_work(engine, p.shape, 0.1)
+        grids = batch.field_grids(0.1 * self.OFFSETS)
+        _step(engine, grids, p, work)
         tracemalloc.start()
         try:
             for _ in range(3):
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                _rk4_step(engine, grids[0], grids[1], grids[2], p, 0.1, work)
+                _step(engine, grids, p, work)
                 assert tracemalloc.get_traced_memory()[1] - before < self.LIMIT
         finally:
             tracemalloc.stop()
 
-    def test_rk4_step_equals_allocating_arithmetic(self):
+    def test_step_equals_allocating_arithmetic(self):
         batch = self.batch()
         engine = batch.engine
         p = np.random.default_rng(1).uniform(0, 1, (4, 64, 2))
-        g = batch.field_grids(np.array([0.2, 0.25, 0.3]))
-        h = 0.1
-        k1 = engine.vector_field(g[0], p)
-        k2 = engine.vector_field(g[1], p + (0.5 * h) * k1)
-        k3 = engine.vector_field(g[1], p + (0.5 * h) * k2)
-        k4 = engine.vector_field(g[2], p + h * k3)
-        want = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _rk4_step(engine, g[0], g[1], g[2], p, h, _rk4_work(engine, p.shape))
+        t, h = 0.2, 0.1
+        grids = batch.field_grids(t + h * self.OFFSETS)
+        slopes = []
+        for c, a in zip(TABLEAU_C, TABLEAU_A):
+            q = p + np.sum([(h * coef) * k for coef, k in zip(a, slopes)], axis=0) if a else p
+            slopes.append(engine.vector_field(grids[list(self.OFFSETS).index(c)], q))
+        want = p + np.sum([(h * coef) * k for coef, k in zip(TABLEAU_B, slopes)], axis=0)
+        _step(engine, grids, p, _step_work(engine, p.shape, h))
         assert np.array_equal(p, want)
 
     def test_one_set_of_buffers_per_flow(self, monkeypatch):
