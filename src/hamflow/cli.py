@@ -26,17 +26,14 @@ from .field import sample_hamiltonian
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hamflow",
                                      description="Random Hamiltonian flows on the 2-torus")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", type=Path, default=None,
-                         help="key = value configuration document")
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--samples", type=int, default=None)
-        cmd.add_argument("--regularity", type=str, default=None,
-                         help="comma-separated list")
-        cmd.add_argument("--out", type=str, default=None, help="output directory")
-        cmd.add_argument("--plot", action="store_true", default=None)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", type=Path, default=None,
+                        help="key = value configuration document")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--samples", type=int, default=None)
+    parser.add_argument("--regularity", type=str, default=None, help="comma-separated list")
+    parser.add_argument("--out", type=str, default=None, help="output directory")
+    parser.add_argument("--plot", action="store_true", default=None)
     return parser
 
 

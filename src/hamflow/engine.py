@@ -118,16 +118,15 @@ _TINY = np.finfo(float).tiny
 class FieldBuffers:
     """Work arrays of the tables of coordinates of one shape (..., 2), and of
     ``SpectralEngine.vector_field`` at points of that shape: the coordinate
-    and trig scratch, the complex powers z^k0 .. z^band whose real view is
-    the tables, and the product r(x) @ F.  The caller owns them; one set
+    scratch, the complex powers z^k0 .. z^band whose real view is the
+    tables, and the product r(x) @ F.  The caller owns them; one set
     serves every call at that shape.
     """
 
-    __slots__ = ("theta", "trig", "powers", "product")
+    __slots__ = ("theta", "powers", "product")
 
     def __init__(self, shape: tuple, k0: int, k: int):
         self.theta = np.empty(shape)
-        self.trig = np.empty(shape)
         self.powers = np.empty(shape + (k,), dtype=complex)
         if k0 == 0:
             self.powers[..., 0] = 1.0  # z^0, never overwritten
@@ -209,13 +208,13 @@ class SpectralEngine:
         """
         if buffers is None:
             buffers = self.buffers(coords.shape)
-        theta, trig, zk = buffers.theta, buffers.trig, buffers.powers
+        theta, zk = buffers.theta, buffers.powers
         np.floor(coords, out=theta)
         np.subtract(coords, theta, out=theta)
         np.multiply(theta, _TWO_PI, out=theta)
         z = zk[..., 1 - self._k0]
-        z.real = np.cos(theta, out=trig)
-        z.imag = np.sin(theta, out=trig)
+        np.cos(theta, out=z.real)
+        np.sin(theta, out=z.imag)
         for j in range(2 - self._k0, self._k):
             np.multiply(zk[..., j - 1], z, out=zk[..., j])
         return zk.view(float)

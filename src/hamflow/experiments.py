@@ -18,8 +18,12 @@ Below that, boundaries move with the worker count, and results stay
 bit-identical because a draw's flow does not depend on the other draws of
 its batch.
 That holds when the BLAS matrix product gives each row the same result at
-any row count: a property of the BLAS, not a numpy guarantee, which
-``tests/test_experiments.py`` and ``tests/test_cli.py`` check.
+any row count of two or more: a property of the BLAS, not a numpy
+guarantee, which ``tests/test_experiments.py``, ``tests/test_flow.py`` and
+``tests/test_cli.py`` check.  One point takes numpy's matrix-vector path,
+which rounds differently: ``inversion`` always flows one point per draw,
+and a curve's refinement pass could flow one midpoint per draw in one chunk
+and pad it in another, which no tested draw has done (``hamflow.flow``).
 
 Step counts.  The config's ``steps`` is the most order-6 steps
 (``hamflow.flow``) per unit time.  ``flow``, ``intersections``,
@@ -143,39 +147,56 @@ def _dedupe(verts: np.ndarray) -> np.ndarray:
     return verts[keep]
 
 
-def count_crossings(curve: LagrangianCurve, lagrangian: TestLagrangian) -> int:
-    """Transverse crossings of the curve with the test Lagrangian.
+def count_crossings(curve: LagrangianCurve, lagrangians) -> list:
+    """Transverse crossings of the curve with each test Lagrangian, in order.
 
-    Level-function values within 1e-12 of the level set are treated as
-    positive, so tangencies resolve deterministically.
+    One pass serves every Lagrangian: the lines' level functions
+    (a x + b y) - c, with (a, b, c) = (1, 0, c), (0, 1, c) or (q, -p, 0),
+    which equal x - c, y - c and q x - p y bit for bit, are one (L, V)
+    array, and the circles' distances one (C, V) array.  Level-function
+    values within 1e-12 of the level set are treated as positive, so
+    tangencies resolve deterministically.  Raises ``DegenerateOverlap`` if
+    the curve lies along any of the level sets.
     """
     verts = _dedupe(curve.vertices)
-    if lagrangian.kind == "circle":
-        delta = (verts - np.asarray(lagrangian.center) + 0.5) % 1.0 - 0.5
-        f = np.hypot(delta[:, 0], delta[:, 1]) - lagrangian.radius
-        dist = np.abs(f)
+    counts = [0] * len(lagrangians)
+    lines = [i for i, lag in enumerate(lagrangians) if lag.kind != "circle"]
+    circles = [i for i, lag in enumerate(lagrangians) if lag.kind == "circle"]
+    if lines:
+        a, b, c = np.array([_line_level(lagrangians[i]) for i in lines]).T[:, :, None]
+        f = (a * verts[:, 0] + b * verts[:, 1]) - c
+        nearest = np.round(f)
+        dist = np.abs(f - nearest)
         _check_overlap(dist)
-        signs = np.where(f >= -_LEVEL_TIE, 1.0, -1.0)
-        return int(np.sum(signs[1:] != signs[:-1]))
+        f = np.where(dist < _LEVEL_TIE, nearest + _LEVEL_TIE, f)
+        for i, n in zip(lines, np.abs(np.diff(np.floor(f), axis=1)).sum(axis=1)):
+            counts[i] = int(n)
+    if circles:
+        centers = np.array([lagrangians[i].center for i in circles], dtype=float)[:, None]
+        radii = np.array([lagrangians[i].radius for i in circles])[:, None]
+        delta = (verts - centers + 0.5) % 1.0 - 0.5
+        f = np.hypot(delta[..., 0], delta[..., 1]) - radii
+        _check_overlap(np.abs(f))
+        signs = f >= -_LEVEL_TIE
+        for i, n in zip(circles, (signs[:, 1:] != signs[:, :-1]).sum(axis=1)):
+            counts[i] = int(n)
+    return counts
 
+
+def _line_level(lagrangian: TestLagrangian) -> tuple:
+    """(a, b, c) of a line's level function (a x + b y) - c."""
     if lagrangian.kind == "vertical":
-        f = verts[:, 0] - lagrangian.c
-    elif lagrangian.kind == "horizontal":
-        f = verts[:, 1] - lagrangian.c
-    else:
-        f = lagrangian.q * verts[:, 0] - lagrangian.p * verts[:, 1]
-    nearest = np.round(f)
-    dist = np.abs(f - nearest)
-    _check_overlap(dist)
-    f = np.where(dist < _LEVEL_TIE, nearest + _LEVEL_TIE, f)
-    floors = np.floor(f)
-    return int(np.sum(np.abs(np.diff(floors))))
+        return 1.0, 0.0, lagrangian.c
+    if lagrangian.kind == "horizontal":
+        return 0.0, 1.0, lagrangian.c
+    return lagrangian.q, -lagrangian.p, 0.0
 
 
 def _check_overlap(dist: np.ndarray) -> None:
+    """Raise if more than half the segments lie on some row's level set."""
     on_level = dist < _OVERLAP_TOL
-    seg_on = on_level[1:] & on_level[:-1]
-    if len(seg_on) and np.mean(seg_on) > 0.5:
+    seg_on = on_level[:, 1:] & on_level[:, :-1]
+    if (2 * np.count_nonzero(seg_on, axis=1) > seg_on.shape[1]).any():
         raise DegenerateOverlap("curve lies along the level set")
 
 
@@ -339,12 +360,12 @@ def _intersection_chunk(args) -> list:
     """Per sample: {label: crossings}, or (sample index, error text)."""
     cfg, _, start, _ = args
     catalog = paper_lagrangians()
+    lagrangians = [catalog[label] for label in cfg.lagrangians]
     results = []
     for i, image in enumerate(_advected_chunk(args), start=start):
         if not isinstance(image, HamflowError):
             try:
-                results.append({label: count_crossings(image, catalog[label])
-                                for label in cfg.lagrangians})
+                results.append(dict(zip(cfg.lagrangians, count_crossings(image, lagrangians))))
                 continue
             except HamflowError as exc:
                 image = exc

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from . import temporal
 from .basis import TWO_PI, SpectralBasis, Truncation
 from .engine import SpectralEngine
 from .rng import derive
-from .temporal import KernelKind, TimeBasis
+from .temporal import KernelKind, TimeBasis, computed_once
 
 
 def spectral_weight(eigenvalue: float, regularity: float):
@@ -83,25 +83,6 @@ _BAND_TOLERANCE = np.finfo(float).eps ** 2
 _OSC_BLOCK = 8
 
 
-def _per_law(method):
-    """Compute a law's quantity once: the law is immutable, so the value is
-    kept in the instance dict on first use (arrays read-only, since every
-    draw of the law shares them).  Equality and hashing see fields only."""
-    key = "_cached_" + method.__name__
-
-    @wraps(method)
-    def cached(self):
-        value = self.__dict__.get(key)
-        if value is None:
-            value = method(self)
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            self.__dict__[key] = value
-        return value
-
-    return cached
-
-
 @dataclass(frozen=True)
 class HamiltonianLaw:
     """Everything that fixes the law of a random Hamiltonian draw.
@@ -124,7 +105,7 @@ class HamiltonianLaw:
     def basis(self) -> SpectralBasis:
         return _basis_for(self.truncation)
 
-    @_per_law
+    @computed_once
     def band(self) -> int:
         """Largest wavenumber whose modes the law's weights can resolve.
 
@@ -138,7 +119,7 @@ class HamiltonianLaw:
         log_bound = -0.5 * self.regularity * b.eigenvalues + np.log1p(TWO_PI * kmax)
         return int(kmax[log_bound >= log_bound.max() + np.log(_BAND_TOLERANCE)].max())
 
-    @_per_law
+    @computed_once
     def temporal_band(self) -> int:
         """Largest frequency of the kernel's time basis whose column factor
         reaches eps^2 of the largest (``KernelKind.column_factors``; module
@@ -148,13 +129,13 @@ class HamiltonianLaw:
         factors = self.kernel.column_factors()[:n + 1]
         return int(np.flatnonzero(factors >= _BAND_TOLERANCE * factors.max()).max())
 
-    @_per_law
+    @computed_once
     def time_basis(self) -> TimeBasis:
         """The kernel's time basis cut to the temporal band (``temporal_band``):
         the Phi of every draw of the law."""
         return replace(self.kernel.time_basis(), frequencies=self.temporal_band())
 
-    @_per_law
+    @computed_once
     def time_columns(self) -> np.ndarray:
         """Columns of a draw's (N, m) normals that drive ``time_basis``: the
         constant, the cosines and the sines of frequencies 1..temporal_band."""
@@ -167,18 +148,18 @@ class HamiltonianLaw:
         kx, ky <= band (``SpectralEngine.modes``)."""
         return _engine_for(self.truncation, self.band())
 
-    @_per_law
+    @computed_once
     def head_rows(self) -> int:
         """Rows of a draw's (N, m) normals that ``sample_hamiltonian`` draws
         up front: rows 0 up to the largest basis index among the engine's
         band modes (module docstring)."""
         return int(self.engine().modes[-1]) + 1
 
-    @_per_law
+    @computed_once
     def weights(self) -> np.ndarray:
         return spectral_weight(self.basis().eigenvalues, self.regularity)
 
-    @_per_law
+    @computed_once
     def lipschitz_bound(self) -> float:
         """Expected spectral bound on sup |DX|, the vector field's Lipschitz
         constant, at any time:
@@ -415,16 +396,16 @@ class PackedBatch:
     def _stack_rows(self) -> np.ndarray:
         return np.arange(self._size) if self._index is None else self._index
 
-    def field_grids(self, times, out: np.ndarray | None = None) -> np.ndarray:
-        """Field grids (T, S, 2, K, 4K) at a scalar or (T,) array of times
-        (``SpectralEngine.field_grids``), written to ``out`` if given.
+    def field_grids(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Field grids (T, S, 2, K, 4K) at the T times of the rows ``phi``
+        = ``time_basis(times)`` (``SpectralEngine.field_grids``), written to
+        ``out`` if given.
 
         One batched product Phi(times) @ row per run of consecutive stack
         rows (one run for a whole batch) writes them through an (S, T, ...)
         view of the time-major block; each row is the product a loop over
         rows would make, into the same layout.
         """
-        phi = self.time_basis(times)
         if out is None:
             out = np.empty((len(phi), len(self)) + self.engine.field_shape)
         flat = out.reshape(len(phi), len(self), -1).transpose(1, 0, 2)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
@@ -50,6 +51,25 @@ KERNEL_TAGS = (SQEXP, PERIODIC, CONSTANT)
 _TWO_PI = 2.0 * math.pi
 # The sqexp series drops its images and its tail below exp(-_SQEXP_EXPONENT).
 _SQEXP_EXPONENT = 37.0
+
+
+def computed_once(method):
+    """Compute an immutable object's quantity once: the value is kept in the
+    instance dict on first use (arrays read-only, since every user of the
+    object shares them).  Equality and hashing see fields only."""
+    key = "_cached_" + method.__name__
+
+    @wraps(method)
+    def cached(self):
+        value = self.__dict__.get(key)
+        if value is None:
+            value = method(self)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            self.__dict__[key] = value
+        return value
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -84,8 +104,10 @@ class KernelKind:
             return TimeBasis(n, period, 0.5)
         return TimeBasis(self.temporal_max if self.tag == PERIODIC else 0)
 
+    @computed_once
     def column_factors(self) -> np.ndarray:
-        """The (m,) factors by which B scales each column of the normals."""
+        """The (m,) factors by which B scales each column of the normals,
+        computed once per kernel (read-only)."""
         if self.tag == SQEXP:
             basis = self.time_basis()
             k = np.arange(basis.frequencies + 1)

@@ -19,6 +19,9 @@
 * ``apply_walk``: a walk's map as the sequential application of its step
   flows, which the batched walks and the walk's concatenation are checked
   against.
+* ``crossings``: one curve's crossings with one test Lagrangian, from that
+  Lagrangian's own level function, as they were counted before one pass
+  counted every Lagrangian of an image.
 * ``gaussian_dimension``, ``coefficient_paths``, ``gradient``,
   ``torus_distance``, ``vertical_circle``, ``sloped_circle``,
   ``circle_curve`` and ``flow_jacobian_determinant``: helpers that only the
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hamflow import temporal
+from hamflow.errors import DegenerateOverlap
 from hamflow.basis import TRIG_PAIRS
 from hamflow.flow import DEFAULT_SETTINGS, LagrangianCurve, flow_points
 
@@ -201,6 +205,39 @@ def apply_walk(walk, pts, settings=DEFAULT_SETTINGS) -> np.ndarray:
     for h in walk:
         state = flow_points(h, state, 0.0, 1.0, settings)
     return state
+
+
+def crossings(curve: LagrangianCurve, lagrangian) -> int:
+    """Transverse crossings of the curve with one test Lagrangian; level
+    values within 1e-12 of the level set count as positive."""
+    verts = curve.vertices
+    keep = np.ones(len(verts), dtype=bool)
+    keep[1:] = np.linalg.norm(np.diff(verts, axis=0), axis=1) > 1e-12
+    verts = verts[keep]
+    if lagrangian.kind == "circle":
+        delta = (verts - np.asarray(lagrangian.center) + 0.5) % 1.0 - 0.5
+        f = np.hypot(delta[:, 0], delta[:, 1]) - lagrangian.radius
+        _check_overlap(np.abs(f))
+        signs = np.where(f >= -1e-12, 1.0, -1.0)
+        return int(np.sum(signs[1:] != signs[:-1]))
+    if lagrangian.kind == "vertical":
+        f = verts[:, 0] - lagrangian.c
+    elif lagrangian.kind == "horizontal":
+        f = verts[:, 1] - lagrangian.c
+    else:
+        f = lagrangian.q * verts[:, 0] - lagrangian.p * verts[:, 1]
+    nearest = np.round(f)
+    dist = np.abs(f - nearest)
+    _check_overlap(dist)
+    f = np.where(dist < 1e-12, nearest + 1e-12, f)
+    return int(np.sum(np.abs(np.diff(np.floor(f)))))
+
+
+def _check_overlap(dist: np.ndarray) -> None:
+    on_level = dist < 1e-9
+    seg_on = on_level[1:] & on_level[:-1]
+    if len(seg_on) and np.mean(seg_on) > 0.5:
+        raise DegenerateOverlap("curve lies along the level set")
 
 
 def gaussian_dimension(law) -> int:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from hamflow import cli
-from hamflow.config import parse_config
+from hamflow.config import COMMANDS, parse_config
 from hamflow.experiments import CHUNK
 
 TINY = """\
@@ -124,6 +124,30 @@ def test_random_walk_rejects_explicit_periodic_kernel(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "constant-in-time kernel" in err
     assert "NotAutonomous" in err
+
+
+def test_every_command_parses_with_the_six_options():
+    parser = cli._build_parser()
+    for command in COMMANDS:
+        args = parser.parse_args([command, "--config", "c.txt", "--seed", "3", "--samples", "4",
+                                  "--regularity", "3,4", "--out", "o", "--plot"])
+        assert vars(args) == {"command": command, "config": Path("c.txt"), "seed": 3,
+                              "samples": 4, "regularity": "3,4", "out": "o", "plot": True}
+        assert vars(parser.parse_args([command])) == {
+            "command": command, "config": None, "seed": None, "samples": None,
+            "regularity": None, "out": None, "plot": None}
+
+
+def test_unknown_command_exits_2_and_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["no-such-command"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert all(command in usage for command in COMMANDS)
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -94,7 +94,7 @@ def test_kernel_matches_mode_by_mode_reference(kernel, r, spatial_max, band, axi
     if engine.band < spatial_max:
         check_engine(SpectralEngine(law.basis(), spatial_max), coeffs, pts)
     # the field grids the flow's steps take, and the pointwise methods
-    fields = PackedBatch(hs).field_grids(t)[0]
+    fields = PackedBatch(hs).field_grids(hs[0].time_basis(t))[0]
     assert_close(engine.vector_field(fields, pts), rotated(want))
     for h, p, w in zip(hs, pts, want):
         assert_close(gradient(h, t, p), w)
@@ -127,24 +127,24 @@ def test_batch_field_grids_follow_appends():
     law = make_law(3.0 / (4 * math.pi**2), spatial_max=10, temporal_max=4)
     hs = [sample_hamiltonian(law, 5, i) for i in range(3)]
     times = np.linspace(0, 1, 5)
-    batch = PackedBatch(hs[:2])
-    assert batch.field_grids(times).shape == (5, 2, 2, 7, 28)
-    batch.append(hs[2])
-    want = PackedBatch(hs).field_grids(times)
-    assert np.array_equal(batch.field_grids(times), want)
-    # the batched product equals one product per row
     engine, phi = law.engine(), hs[0].time_basis(times)
+    batch = PackedBatch(hs[:2])
+    assert batch.field_grids(phi).shape == (5, 2, 2, 7, 28)
+    batch.append(hs[2])
+    want = PackedBatch(hs).field_grids(phi)
+    assert np.array_equal(batch.field_grids(phi), want)
+    # the batched product equals one product per row
     for s, h in enumerate(hs):
         row = engine.field_grids(engine.grids(h.coefficients))
         assert np.array_equal(want[:, s], (phi @ row.reshape(len(row), -1)).reshape(want[:, s].shape))
-    assert np.array_equal(batch.rows([2, 0]).field_grids(times), want[:, [2, 0]])
+    assert np.array_equal(batch.rows([2, 0]).field_grids(phi), want[:, [2, 0]])
 
 
 def test_buffered_calls_equal_allocating_calls():
     law = make_law(3.0 / (4 * math.pi**2), spatial_max=10, temporal_max=4, seed=4)
     hs = [sample_hamiltonian(law, 4, i) for i in range(3)]
     engine = law.engine()
-    fields = PackedBatch(hs).field_grids(0.6)[0]
+    fields = PackedBatch(hs).field_grids(hs[0].time_basis(0.6))[0]
     pts = lifted_points((3, 50), seed=4)
     want = engine.vector_field(fields, pts)
     buffers, out = engine.buffers(pts.shape), np.empty(pts.shape)

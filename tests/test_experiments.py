@@ -27,7 +27,7 @@ from hamflow.flow import (_STAGE_OFFSETS, BumpFunction, FlowSettings, Lagrangian
                           flow_points_through, horizontal_circle, time_reversed_hamiltonian)
 from hamflow.rng import derive
 from hamflow.walk import sample_walk
-from reference import apply_walk, circle_curve, sloped_circle, vertical_circle
+from reference import apply_walk, circle_curve, crossings, sloped_circle, vertical_circle
 
 # At this law, threshold and depth some draws finish after one or two
 # refinement passes and others overflow.
@@ -162,16 +162,15 @@ class TestAdvectCurves:
         batch = PackedBatch(hs)
         sub = batch.rows([3, 1])
         assert len(sub) == 2
-        times = np.linspace(0.0, 1.0, 5)
-        assert np.array_equal(sub.field_grids(times),
-                              PackedBatch([hs[3], hs[1]]).field_grids(times))
-        want = batch.field_grids(times)
+        phi = batch.time_basis(np.linspace(0.0, 1.0, 5))
+        assert np.array_equal(sub.field_grids(phi), PackedBatch([hs[3], hs[1]]).field_grids(phi))
+        want = batch.field_grids(phi)
         # sub-batches share the packed rows: runs of consecutive rows, lone
         # rows, reversals, and a sub-batch's rows
         for sub, rows in ((sub, [3, 1]), (batch.rows([1, 2, 3, 5, 0]), [1, 2, 3, 5, 0]),
                           (batch.rows([0, 2, 3, 4]).rows([3, 1, 2]), [4, 2, 3])):
             assert sub._stack is batch._stack
-            assert np.array_equal(sub.field_grids(times), want[:, rows])
+            assert np.array_equal(sub.field_grids(phi), want[:, rows])
         with pytest.raises(ValueError):
             batch.rows([1]).append(hs[0])
 
@@ -200,13 +199,48 @@ class TestCountCrossings:
         (image,) = advect_curves([zero], curve, 1.0, FlowSettings(steps=20))
         assert np.array_equal(image.vertices, curve.vertices)
         catalog = paper_lagrangians()
-        assert {label: count_crossings(image, catalog[label]) for label in expected} == expected
+        assert {label: count_crossings(image, [catalog[label]])[0]
+                for label in expected} == expected
 
     @pytest.mark.parametrize("curve,label", [(vertical_circle(0.5, 64), "L2"),
                                              (horizontal_circle(0.3, 64), "L7")])
     def test_loop_on_the_level_set_is_degenerate(self, curve, label):
         with pytest.raises(DegenerateOverlap):
-            count_crossings(curve, paper_lagrangians()[label])
+            count_crossings(curve, [paper_lagrangians()[label]])
+
+    def test_one_pass_equals_each_lagrangian_alone(self):
+        images = [image for image in advect_curves(draws(17), horizontal_circle(0.5, 64), 1.0,
+                                                   SETTINGS)
+                  if isinstance(image, LagrangianCurve)]
+        assert len(images) >= 5
+        lagrangians = list(paper_lagrangians().values())
+        shuffled = [lagrangians[i] for i in np.random.default_rng(0).permutation(14)]
+        counts = set()
+        for image in images:
+            for order in (lagrangians, shuffled):
+                want = [crossings(image, lag) for lag in order]
+                assert count_crossings(image, order) == want
+                counts.update(want)
+        assert len(counts) > 3
+
+    @pytest.mark.parametrize("ys,expected", [((0.4, 0.5, 0.6), 1), ((0.4, 0.5, 0.4), 2),
+                                             ((0.6, 0.5, 0.6), 0)],
+                             ids=["through", "touch-below", "touch-above"])
+    def test_vertex_on_a_level_set_counts_as_above(self, ys, expected):
+        # (0.25, 0.5) lies exactly on L8 (y = 0.5) and on L4 (2 x - y = 0)
+        curve = LagrangianCurve(np.array([(0.25, y) for y in ys]), closed=False)
+        catalog = paper_lagrangians()
+        assert count_crossings(curve, [catalog["L8"]]) == [expected]
+        lagrangians = list(catalog.values())
+        assert count_crossings(curve, lagrangians) == [crossings(curve, lag)
+                                                       for lag in lagrangians]
+
+    @pytest.mark.parametrize("labels", [["L1"], ["L1", "L7", "L13"], ["L13", "L7", "L1"],
+                                        [f"L{i}" for i in range(14, 0, -1)]])
+    def test_curve_along_a_line_is_degenerate_in_any_order(self, labels):
+        catalog = paper_lagrangians()
+        with pytest.raises(DegenerateOverlap):
+            count_crossings(vertical_circle(0.3, 64), [catalog[label] for label in labels])
 
 
 def intersections_config(**changes):
@@ -235,7 +269,7 @@ def per_draw_outcomes(cfg, r_index=0):
         draw = sample_hamiltonian(law, cfg.seed, r_index, i)
         try:
             image = advect_curve(draw, horizontal_circle(0.5, cfg.curve_vertices), 1.0, settings)
-            outcomes.append({label: count_crossings(image, catalog[label])
+            outcomes.append({label: count_crossings(image, [catalog[label]])[0]
                              for label in cfg.lagrangians})
         except HamflowError as exc:
             outcomes.append((i, f"{type(exc).__name__}: {exc}"))

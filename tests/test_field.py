@@ -294,7 +294,8 @@ class TestSubnormalFlush:
         assert not self.subnormal(h.engine.grids(h.coefficients)).any()
         assert not self.subnormal(h.coefficient_grids(np.linspace(0, 1, 9))).any()
         # the field grids of the flow's stages
-        assert not self.subnormal(PackedBatch([h]).field_grids(np.linspace(0, 1, 21))).any()
+        phi = h.time_basis(np.linspace(0, 1, 21))
+        assert not self.subnormal(PackedBatch([h]).field_grids(phi)).any()
 
     def test_evaluation_bit_identical_to_unflushed_grid(self):
         h = self.unscaled(CONSTANT)
@@ -593,7 +594,7 @@ class TestHeadOnlyDraws:
         assert np.array_equal(h.coefficient_grids(times), paths)
         fields = engine.field_grids(want)
         stage = (phi @ fields.reshape(len(fields), -1)).reshape((len(times), 1) + fields.shape[1:])
-        assert np.array_equal(PackedBatch([h]).field_grids(times), stage)
+        assert np.array_equal(PackedBatch([h]).field_grids(phi), stage)
 
     def test_packing_leaves_the_tail_undrawn(self, monkeypatch):
         law = frequency_law(3, spatial_max=12, temporal_max=4)

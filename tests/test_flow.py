@@ -304,6 +304,16 @@ class TestBatchedFlow:
             assert batch.shape == pts.shape
             assert np.abs(batch - single).max() <= 1e-12
 
+    def test_a_point_flows_alike_in_any_set_of_two_or_more(self):
+        # each row of a product of two or more rows rounds alike; one point
+        # takes numpy's matrix-vector path instead (hamflow.flow docstring)
+        h = sample_hamiltonian(TestBuffers.LAW, 6)
+        pts = np.random.default_rng(6).uniform(0, 1, (64, 2))
+        settings = FlowSettings(steps=12)
+        whole = flow_points(h, pts, 0.0, 1.0, settings)
+        for count in range(2, 65):
+            assert np.array_equal(flow_points(h, pts[:count], 0.0, 1.0, settings), whole[:count])
+
     def test_rejects_mixed_time_bases(self):
         hs = self.hamiltonians(PERIODIC, 1) + self.hamiltonians(CONSTANT, 1)
         with pytest.raises(ValueError):
@@ -475,7 +485,7 @@ class TestBuffers:
         p = np.random.default_rng(0).uniform(0, 1, (4, 512, 2))
         assert engine.buffers(p.shape).powers.nbytes == 448 * 1024
         work = _step_work(engine, p.shape, 0.1)
-        grids = batch.field_grids(0.1 * self.OFFSETS)
+        grids = batch.field_grids(batch.time_basis(0.1 * self.OFFSETS))
         _step(engine, grids, p, work)
         tracemalloc.start()
         try:
@@ -492,7 +502,7 @@ class TestBuffers:
         engine = batch.engine
         p = np.random.default_rng(1).uniform(0, 1, (4, 64, 2))
         t, h = 0.2, 0.1
-        grids = batch.field_grids(t + h * self.OFFSETS)
+        grids = batch.field_grids(batch.time_basis(t + h * self.OFFSETS))
         slopes = []
         for c, a in zip(TABLEAU_C, TABLEAU_A):
             q = p + np.sum([(h * coef) * k for coef, k in zip(a, slopes)], axis=0) if a else p
@@ -509,6 +519,17 @@ class TestBuffers:
         pts = np.random.default_rng(2).uniform(0, 1, (4, 8, 2))
         flow_points(self.batch(), pts, 0.0, 1.0, FlowSettings(steps=12))
         assert calls == [(4, 8, 2)]
+
+    def test_one_time_basis_call_per_flow(self, monkeypatch):
+        batch = self.batch()
+        pts = np.random.default_rng(3).uniform(0, 1, (4, 8, 2))
+        want = flow_points(batch, pts, 0.0, 1.0, FlowSettings(steps=58))
+        calls = []
+        call = TimeBasis.__call__
+        monkeypatch.setattr(TimeBasis, "__call__",
+                            lambda self, times: calls.append(np.size(times)) or call(self, times))
+        assert np.array_equal(flow_points(batch, pts, 0.0, 1.0, FlowSettings(steps=58)), want)
+        assert calls == [5 * 58]
 
     def test_oscillation_block_allocates_no_lattice(self, monkeypatch):
         h = sample_hamiltonian(self.LAW, 3)

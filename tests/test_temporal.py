@@ -48,6 +48,15 @@ class TestKernelValue:
         k = KernelKind(tag=CONSTANT, regularity=2.0)
         assert kernel_value(k, 0.0, 0.9) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("tag", [SQEXP, PERIODIC, CONSTANT])
+    def test_column_factors_computed_once_per_kernel(self, tag):
+        k = kinds(r=0.3)[tag]
+        factors = k.column_factors()
+        assert k.column_factors() is factors and not factors.flags.writeable
+        assert len(factors) == k.gaussians_per_sample()
+        fresh = KernelKind(tag=k.tag, regularity=k.regularity, temporal_max=k.temporal_max)
+        assert fresh == k and np.array_equal(fresh.column_factors(), factors)
+
     @pytest.mark.parametrize("r", [0.01, 0.025, 0.1, 1.0, 10.0, 100.0])
     def test_sqexp_series_is_the_kernel(self, r):
         """The series sum_j f_j^2 Phi_j(t1) Phi_j(t2), summed term by term,
