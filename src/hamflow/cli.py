@@ -1,25 +1,33 @@
 """Command-line entry point.
 
-Each subcommand reads one flat key = value config document (--config),
+Each command reads one flat key = value config document (--config),
 applies flag overrides, echoes the full effective configuration next to its
 outputs, and writes deterministic CSV / JSONL / SVG artifacts.  The worker
 count is the config's ``workers``; at ``workers = 0`` (the default) it is the
 HAMFLOW_WORKERS environment variable if that holds a positive integer, else the
 number of CPUs the process may run on.
+
+Every command is one row of ``COMMAND_TABLE`` (``Command``): the sampler of
+``hamflow.experiments`` that runs its per-sample task through
+``_run_chunks`` and returns one record per sample, the reducer over those
+ordered records, and the files the reducer's outputs go to.  ``run`` draws
+the records of the first regularity, or of every regularity for the
+commands whose records carry theirs, reduces them, and hands each output to
+``io.write_table`` (``.csv``) or ``io.write_records`` (``.jsonl``).  A
+sample's values reach the writers in the record its task made.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from . import experiments, io, rkhs
+from . import experiments, io
 from .config import COMMANDS, ExperimentConfig, parse_config, parse_value, serialize_config
 from .errors import FailureBudgetExceeded, HamflowError, ParseError
-from .experiments import ResultRow, ResultTable, standard_error
 from .field import sample_hamiltonian
 
 
@@ -42,12 +50,7 @@ def _load_config(args) -> ExperimentConfig:
         text = args.config.read_text() if args.config else ""
     except OSError as exc:
         raise ParseError(f"cannot read config {args.config}: {exc.strerror}") from exc
-    overrides = {
-        "seed": args.seed,
-        "samples": args.samples,
-        "out": args.out,
-        "plot": args.plot,
-    }
+    overrides = {key: getattr(args, key) for key in ("seed", "samples", "out", "plot")}
     if args.regularity is not None:
         overrides["regularity"] = parse_value("regularity", args.regularity)
     return parse_config(text, command=args.command, overrides=overrides)
@@ -76,163 +79,127 @@ def _outdir(cfg: ExperimentConfig, regularities: tuple, flows: bool = False) -> 
     return out
 
 
-def _cmd_sample_field(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg, cfg.regularity)
-    rows = []
-    records = []
-    for r_index, regularity in enumerate(cfg.regularity):
-        osc = experiments.oscillation_samples(cfg, r_index)
-        rows.append(ResultRow("osc", regularity, float(osc.mean()), standard_error(osc), len(osc)))
-        records.extend({"regularity": regularity, "sample": i, "osc": float(v)}
-                       for i, v in enumerate(osc))
-    io.write_table(ResultTable(rows=tuple(rows)), out / "field_osc.csv")
-    io.write_records(records, out / "field_samples.jsonl")
-    if cfg.plot:
-        draw = sample_hamiltonian(experiments.law_for(cfg, cfg.regularity[0]), cfg.seed, 0, 0)
-        io.render_field_svg(draw, cfg.field_time, out / "field.svg", cfg.arrow_grid)
-    print(f"wrote {out / 'field_osc.csv'}")
+def _field_svg(cfg: ExperimentConfig, outputs: dict, path: Path) -> None:
+    draw = sample_hamiltonian(experiments.law_for(cfg, cfg.regularity[0]), cfg.seed, 0, 0)
+    io.render_field_svg(draw, cfg.field_time, path, cfg.arrow_grid)
 
 
-def _cmd_flow(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg, cfg.regularity[:1], flows=True)
-    curves = experiments.advected_samples(cfg)
-    records = [{"sample": i, "vertices": c.vertices.tolist(), "winding": list(c.winding)}
-               for i, c in enumerate(curves)]
-    io.write_records(records, out / "curves.jsonl")
-    if cfg.plot:
-        io.render_curves_svg(curves, out / "curves.svg")
-    print(f"wrote {out / 'curves.jsonl'} ({len(curves)} curves)")
+def _curves_svg(cfg: ExperimentConfig, outputs: dict, path: Path) -> None:
+    io.render_curves_svg([record["vertices"] for record in outputs["records"]], path)
 
 
-def _write_failures(records, path: Path) -> None:
-    """failures.jsonl exists exactly when a sample failed: a rerun into the
-    same directory must not leave an older run's failures behind."""
-    if records:
-        io.write_records([{"regularity": r, "sample": i, "error": msg}
-                          for (r, i, msg) in records], path)
-    else:
-        path.unlink(missing_ok=True)
+def _tails_svg(cfg: ExperimentConfig, outputs: dict, path: Path) -> None:
+    io.render_histogram_svg([record["u"] for record in outputs["survival"]], path,
+                            title="oscillation exceedances")
 
 
-def _cmd_intersections(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg, cfg.regularity, flows=True)
-    try:
-        table = experiments.run_intersections(cfg)
-    except FailureBudgetExceeded as exc:
-        # the failures reach disk before the run exits non-zero, and no
-        # table of an older run stays next to them
-        (out / "intersections.csv").unlink(missing_ok=True)
-        _write_failures(exc.failures, out / "failures.jsonl")
-        raise
-    io.write_table(table, out / "intersections.csv")
-    _write_failures(table.failures, out / "failures.jsonl")
-    print(f"wrote {out / 'intersections.csv'} ({len(table.rows)} rows)")
+@dataclass(frozen=True)
+class Command:
+    """One command: where its records come from and where they go.
+
+    ``samples`` names the sampler in ``hamflow.experiments``; it is looked up
+    when the command runs, so that a sampler wrapped after import (the
+    benchmark's tracer) is the one that runs.  ``reduce(cfg, runs)`` returns
+    the outputs that ``files`` maps to file names.  ``every_regularity``
+    draws from every regularity and tags each record with its own, else the
+    command draws from the first; ``flows`` echoes the step counts; ``plot``
+    is the (file name, renderer) that ``plot = true`` adds.  A command whose
+    records can carry errors names a file for its ``failures``.
+    """
+
+    samples: str
+    reduce: Callable
+    files: dict
+    every_regularity: bool = False
+    flows: bool = False
+    plot: tuple = ()
 
 
-def _cmd_diffusion(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg, cfg.regularity[:1], flows=True)
-    result = experiments.run_diffusion(cfg)
-    io.write_records(
-        [{"time": t, "chi_square": float(chi), "counts": counts.tolist()}
-         for t, chi, counts in zip(result.times, result.chi_square, result.grid_counts)],
-        out / "diffusion.jsonl")
-    io.write_records(
-        [{"sample": i, "chi_square": row.tolist()}
-         for i, row in enumerate(result.per_sample_chi_square)],
-        out / "diffusion_samples.jsonl")
-    print(f"wrote {out / 'diffusion.jsonl'}")
-
-
-def _cmd_random_walk(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg, cfg.regularity[:1], flows=True)
-    records = [{"walk": w, "trajectory": traj.tolist()}
-               for w, traj in enumerate(experiments.run_random_walks(cfg))]
-    io.write_records(records, out / "walks.jsonl")
-    print(f"wrote {out / 'walks.jsonl'} ({cfg.samples} walks x {cfg.walk_steps} steps)")
-
-
-def _cmd_rkhs_norm(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg, cfg.regularity)
-    rows = []
-    records = []
-    for r_index, regularity in enumerate(cfg.regularity):
-        law = experiments.law_for(cfg, regularity)
-        norms = []
-        sums = []
-        for i in range(cfg.samples):
-            draw = sample_hamiltonian(law, cfg.seed, r_index, i)
-            norms.append(rkhs.rkhs_norm(draw, law.regularity))
-            sums.append(rkhs.weighted_coefficient_sum(draw, cfg.smoothing_eps))
-            records.append({"regularity": regularity, "sample": i,
-                            "rkhs_norm": norms[-1], "weighted_sum": sums[-1]})
-        for label, vals in (("rkhs_norm", norms), ("weighted_sum", sums)):
-            arr = np.asarray(vals)
-            rows.append(ResultRow(label, regularity, float(arr.mean()), standard_error(arr),
-                                  len(arr)))
-    io.write_table(ResultTable(rows=tuple(rows)), out / "rkhs.csv")
-    io.write_records(records, out / "rkhs_samples.jsonl")
-    print(f"wrote {out / 'rkhs.csv'}")
-
-
-def _cmd_tails(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg, cfg.regularity[:1])
-    stats = experiments.run_tail_stats(cfg)
-    io.write_records(
-        [{"u": float(u), "survival": float(s)}
-         for u, s in zip(stats.thresholds, stats.survival)],
-        out / "tail_survival.jsonl")
-    io.write_records([{
-        "regularity": stats.regularity, "mean": stats.mean,
-        "tail_scale": stats.tail_scale, "heldout_u": stats.heldout_u,
-        "heldout_exceedance": stats.heldout_exceedance,
-        "heldout_bound": stats.heldout_bound, "bound_holds": stats.bound_holds,
-    }], out / "tail_fit.jsonl")
-    if cfg.plot:
-        io.render_histogram_svg(stats.thresholds, out / "tails.svg",
-                                title="oscillation exceedances")
-    print(f"wrote {out / 'tail_fit.jsonl'} (bound_holds={stats.bound_holds})")
-
-
-def _cmd_concentration(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg, cfg.regularity)
-    table = experiments.run_concentration(cfg)
-    io.write_table(table, out / "concentration.csv")
-    print(f"wrote {out / 'concentration.csv'}")
-
-
-def _cmd_inversion(cfg: ExperimentConfig) -> None:
-    out = _outdir(cfg, cfg.regularity[:1], flows=True)
-    result = experiments.run_inversion_test(cfg)
-    io.write_records([{
-        "statistic": result.statistic, "p_value": result.p_value,
-        "level": result.level, "passed": result.passed,
-    }], out / "inversion.jsonl")
-    io.write_records([{"branch": "forward", "sample": i, "displacement": float(d)}
-                      for i, d in enumerate(result.forward)]
-                     + [{"branch": "inverse", "sample": i, "displacement": float(d)}
-                        for i, d in enumerate(result.inverse)],
-                     out / "inversion_samples.jsonl")
-    print(f"wrote {out / 'inversion.jsonl'} (passed={result.passed})")
-
-
-_HANDLERS = {
-    "sample-field": _cmd_sample_field,
-    "flow": _cmd_flow,
-    "diffusion": _cmd_diffusion,
-    "intersections": _cmd_intersections,
-    "random-walk": _cmd_random_walk,
-    "rkhs-norm": _cmd_rkhs_norm,
-    "tails": _cmd_tails,
-    "concentration": _cmd_concentration,
-    "inversion": _cmd_inversion,
+COMMAND_TABLE = {
+    "sample-field": Command("oscillation_samples", experiments.mean_table,
+                            {"table": "field_osc.csv", "records": "field_samples.jsonl"},
+                            every_regularity=True, plot=("field.svg", _field_svg)),
+    "flow": Command("advected_samples", experiments.as_sampled, {"records": "curves.jsonl"},
+                    flows=True, plot=("curves.svg", _curves_svg)),
+    "diffusion": Command("diffusion_samples", experiments.diffusion_totals,
+                         {"totals": "diffusion.jsonl", "records": "diffusion_samples.jsonl"},
+                         flows=True),
+    "intersections": Command("run_intersections", experiments.mean_table,
+                             {"table": "intersections.csv", "failures": "failures.jsonl"},
+                             every_regularity=True, flows=True),
+    "random-walk": Command("walk_samples", experiments.as_sampled, {"records": "walks.jsonl"},
+                           flows=True),
+    "rkhs-norm": Command("rkhs_samples", experiments.mean_table,
+                         {"table": "rkhs.csv", "records": "rkhs_samples.jsonl"},
+                         every_regularity=True),
+    "tails": Command("tail_samples", experiments.tail_fit,
+                     {"survival": "tail_survival.jsonl", "fit": "tail_fit.jsonl"},
+                     plot=("tails.svg", _tails_svg)),
+    "concentration": Command("oscillation_samples", experiments.mean_table,
+                             {"table": "concentration.csv"}, every_regularity=True),
+    "inversion": Command("run_inversion_test", experiments.inversion_test,
+                         {"test": "inversion.jsonl", "records": "inversion_samples.jsonl"},
+                         flows=True),
 }
+
+
+def _write(rows: list, path: Path) -> None:
+    """``rows`` to ``path`` by its suffix.  No rows remove the file, so that
+    failures.jsonl exists exactly when a sample failed: a rerun into the same
+    directory must not leave an older run's failures behind."""
+    if not rows:
+        path.unlink(missing_ok=True)
+    elif path.suffix == ".csv":
+        io.write_table(rows, path)
+    else:
+        io.write_records(rows, path)
+
+
+def run(cfg: ExperimentConfig) -> None:
+    """Run ``cfg.command`` and write its files.
+
+    The records that carry an error are the ``failures`` output.  Raises
+    ``FailureBudgetExceeded`` when more than 1% of one regularity's samples
+    fail, after writing the failures so far.
+    """
+    command = COMMAND_TABLE[cfg.command]
+    regularities = cfg.regularity if command.every_regularity else cfg.regularity[:1]
+    out = _outdir(cfg, regularities, command.flows)
+    paths = {name: out / file for name, file in command.files.items()}
+    sample = getattr(experiments, command.samples)
+    runs, failures = [], []
+    for r_index, regularity in enumerate(regularities):
+        records = sample(cfg, r_index)
+        if command.every_regularity:
+            for record in records:
+                record["regularity"] = regularity
+        runs.append(records)
+        failed = [record for record in records if "error" in record]
+        failures += failed
+        if len(failed) > 0.01 * cfg.samples:
+            # the failures reach disk before the run exits non-zero, and no
+            # output of an older run stays next to them
+            for path in paths.values():
+                path.unlink(missing_ok=True)
+            _write(failures, paths["failures"])
+            raise FailureBudgetExceeded(
+                f"regularity {regularity}: {len(failed)} of {cfg.samples} samples failed "
+                f"(budget 1%): {[(regularity, r['sample'], r['error']) for r in failed[:3]]}")
+    outputs = {"failures": failures, **command.reduce(cfg, runs)}
+    for name, path in paths.items():
+        _write(outputs[name], path)
+    written = [path for name, path in paths.items() if outputs[name]]
+    if cfg.plot and command.plot:
+        file, render = command.plot
+        render(cfg, outputs, out / file)
+        written.append(out / file)
+    print(f"wrote {', '.join(map(str, written))}")
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        _HANDLERS[args.command](cfg)
+        run(_load_config(args))
     except HamflowError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

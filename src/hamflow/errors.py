@@ -26,16 +26,7 @@ class NonFinite(HamflowError):
 
 
 class FailureBudgetExceeded(HamflowError):
-    """More samples failed than a run's failure budget allows.
-
-    Carries ``failures``, the (regularity, sample, error text) records of
-    every failed sample so far, so that they can be written out before the
-    run exits.
-    """
-
-    def __init__(self, message, failures=()):
-        self.failures = tuple(failures)
-        super().__init__(message)
+    """More samples failed than a run's failure budget allows."""
 
 
 class RefinementOverflow(HamflowError):

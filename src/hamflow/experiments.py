@@ -1,16 +1,24 @@
 """Monte Carlo experiments: Lagrangian intersections, diffusion, tails,
-inversion invariance, concentration and random walks.
+inversion invariance, concentration, RKHS norms and random walks.
 
-Every sample owns a random stream derived from (seed, regularity index,
-sample index); the inversion test's inverse branch uses stream index 1 and
-walk w draws step j from (seed, w, j).  One runner (``_run_chunks``) hands
-each task a chunk of consecutive sample indices: CHUNK of them
+Records.  Each sampler ``(cfg, r_index)`` (``oscillation_samples``,
+``run_intersections``, ...) runs a per-sample task through ``_run_chunks``
+and returns one record per sample, in sample order: a dict of the sample's
+index (``sample``, or ``walk``) and its values, which may be numpy arrays
+and scalars, or of its index and its error text (``error``).  A reducer
+``(cfg, runs)`` (``mean_table``, ``tail_fit``, ...) takes the records of
+each regularity drawn and returns named lists of records or table rows;
+``hamflow.cli`` pairs each command with its sampler, reducer and files.
+
+Streams and chunks.  Every sample owns a random stream derived from (seed,
+regularity index, sample index); the inversion test's inverse branch uses
+stream index 1 and walk w draws step j from (seed, w, j).  ``_run_chunks``
+hands each task a chunk of consecutive sample indices: CHUNK of them
 (INVERSION_CHUNK for ``inversion``), fewer when there are fewer than that
 per worker, and one for the oscillation commands, which do not batch
 draws.  Each process builds a law once (``law_for``), and a task draws
 sample i from its own stream exactly as a one-sample task would and flows
-the chunk's draws as one batch.  Aggregation is an ordered reduction by
-sample index.
+the chunk's draws as one batch.
 
 With at least a full chunk of samples per worker the chunk boundaries
 depend on the index only, so results do not depend on the worker count.
@@ -64,10 +72,11 @@ from functools import lru_cache
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import DegenerateOverlap, FailureBudgetExceeded, HamflowError, ValidationError
+from .errors import DegenerateOverlap, HamflowError, ValidationError
 from .field import HamiltonianLaw, PackedBatch, RandomHamiltonian, make_law, sample_hamiltonian
 from .flow import (FlowSettings, LagrangianCurve, advect_curves, flow_points, flow_points_through,
                    horizontal_circle, time_reversed_hamiltonian)
+from .rkhs import rkhs_norm, weighted_coefficient_sum
 from .rng import derive
 from .walk import induced_point_walks, sample_walk
 
@@ -83,6 +92,8 @@ CHUNK = 16
 # the temporal band and the trimmed tables), and grows with the band:
 # 67.1 MB at the full band (regularity 0.1), against 44.8 MB at 16 samples.
 INVERSION_CHUNK = 2 * CHUNK
+# Level of the inversion test's KS test.
+KS_LEVEL = 0.01
 # Lipschitz bound per step and least steps of the step-count rule (module
 # docstring).
 THETA = 0.25
@@ -201,68 +212,6 @@ def _check_overlap(dist: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Result containers
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ResultRow:
-    label: str
-    regularity: float
-    estimate: float
-    standard_error: float
-    samples: int
-
-
-@dataclass(frozen=True)
-class ResultTable:
-    rows: tuple
-    failures: tuple = ()
-
-    def row(self, label: str, regularity: float) -> ResultRow:
-        for r in self.rows:
-            if r.label == label and abs(r.regularity - regularity) < 1e-12:
-                return r
-        raise KeyError((label, regularity))
-
-
-@dataclass(frozen=True)
-class DiffusionResult:
-    times: tuple
-    grid_counts: np.ndarray            # (T, m, m) aggregated over samples
-    chi_square: np.ndarray             # (T,) for the aggregated counts
-    per_sample_chi_square: np.ndarray  # (samples, T)
-
-
-@dataclass(frozen=True)
-class TailStats:
-    regularity: float
-    mean: float                        # R: empirical mean of the fit half
-    tail_scale: float                  # C: least-squares fit of the survival decay
-    thresholds: np.ndarray
-    survival: np.ndarray
-    heldout_u: float
-    heldout_exceedance: float
-    heldout_bound: float
-
-    @property
-    def bound_holds(self) -> bool:
-        return self.heldout_exceedance <= self.heldout_bound
-
-
-@dataclass(frozen=True)
-class InversionResult:
-    statistic: float
-    p_value: float
-    level: float
-    forward: np.ndarray
-    inverse: np.ndarray
-
-    @property
-    def passed(self) -> bool:
-        return self.p_value > self.level
-
-
-# ---------------------------------------------------------------------------
 # Shared machinery
 # ---------------------------------------------------------------------------
 
@@ -283,11 +232,8 @@ def law_for(cfg: ExperimentConfig, regularity: float):
     """The law of ``cfg`` at one regularity, built once per process: every
     chunk of a run shares it, and with it the band, weights, head rows and
     step count the law computes once."""
-    return make_law(cfg.eigenvalue_regularity(regularity),
-                    spatial_max=cfg.spatial_max,
-                    temporal_max=cfg.temporal_max,
-                    kernel=cfg.kernel,
-                    seed=cfg.seed,
+    return make_law(cfg.eigenvalue_regularity(regularity), spatial_max=cfg.spatial_max,
+                    temporal_max=cfg.temporal_max, kernel=cfg.kernel,
                     include_axis_modes=cfg.include_axis_modes)
 
 
@@ -315,9 +261,9 @@ def worker_count(cfg: ExperimentConfig) -> int:
 
 
 def _run_chunks(task, cfg: ExperimentConfig, r_index: int = 0, length: int = CHUNK) -> list:
-    """Per-sample results of ``task`` for sample indices 0..samples-1, in order.
+    """The records of ``task`` for sample indices 0..samples-1, in order.
 
-    ``task((cfg, r_index, start, stop))`` returns the results of the
+    ``task((cfg, r_index, start, stop))`` returns the records of the
     consecutive indices start..stop-1 as a list.  Chunks hold ``length``
     indices, or ceil(samples / workers) if that is fewer, so that every one
     of the ``worker_count(cfg)`` processes gets a chunk; the last chunk may
@@ -330,10 +276,40 @@ def _run_chunks(task, cfg: ExperimentConfig, r_index: int = 0, length: int = CHU
     if workers <= 1 or len(chunks) <= 1:
         results = [task(chunk) for chunk in chunks]
     else:
+        # numpy imports numpy.random on first use (about 17 ms and 5 MiB on a
+        # 2-core x86-64); imported here, the forked workers inherit it
+        # instead of each importing it again
+        import numpy.random  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(task, chunks,
                                     chunksize=max(1, len(chunks) // (8 * workers))))
-    return [result for chunk in results for result in chunk]
+    return [record for chunk in results for record in chunk]
+
+
+def as_sampled(cfg: ExperimentConfig, runs: list) -> dict:
+    """``records``: every record of every run, in order."""
+    return {"records": [record for records in runs for record in records]}
+
+
+def mean_table(cfg: ExperimentConfig, runs: list) -> dict:
+    """The mean and standard error of each value of the records, per
+    regularity, over the samples that did not fail (at least one per
+    regularity, under the CLI's failure budget).
+
+    ``runs`` holds the records of each of ``cfg.regularity`` in turn.
+    ``table`` has the rows (label, regularity, estimate, standard error,
+    samples), one per value key and regularity; ``records`` has every record
+    that did not fail, in order.
+    """
+    rows = []
+    for regularity, records in zip(cfg.regularity, runs):
+        done = [record for record in records if "error" not in record]
+        for label in [key for key in done[0] if key not in ("sample", "regularity")]:
+            values = np.array([record[label] for record in done], dtype=float)
+            rows.append((label, regularity, float(values.mean()), standard_error(values),
+                         len(values)))
+    return {"table": rows,
+            "records": [r for r in as_sampled(cfg, runs)["records"] if "error" not in r]}
 
 
 # ---------------------------------------------------------------------------
@@ -357,58 +333,43 @@ def _advected_chunk(args) -> list:
 
 
 def _intersection_chunk(args) -> list:
-    """Per sample: {label: crossings}, or (sample index, error text)."""
+    """Per sample: its crossing count with each of ``cfg.lagrangians``, by
+    label, or its error text."""
     cfg, _, start, _ = args
     catalog = paper_lagrangians()
     lagrangians = [catalog[label] for label in cfg.lagrangians]
-    results = []
+    records = []
     for i, image in enumerate(_advected_chunk(args), start=start):
         if not isinstance(image, HamflowError):
             try:
-                results.append(dict(zip(cfg.lagrangians, count_crossings(image, lagrangians))))
+                counts = count_crossings(image, lagrangians)
+                records.append({"sample": i, **dict(zip(cfg.lagrangians, counts))})
                 continue
             except HamflowError as exc:
                 image = exc
-        results.append((i, f"{type(image).__name__}: {image}"))
-    return results
+        records.append({"sample": i, "error": f"{type(image).__name__}: {image}"})
+    return records
 
 
-def run_intersections(cfg: ExperimentConfig) -> ResultTable:
-    """Estimate expected crossing counts of advected K with each Lagrangian.
+def run_intersections(cfg: ExperimentConfig, r_index: int = 0) -> list:
+    return _run_chunks(_intersection_chunk, cfg, r_index)
 
-    Raises ``FailureBudgetExceeded``, carrying every failure so far, when
-    more than 1% of one regularity's samples fail.
-    """
-    rows = []
-    failures = []
-    for r_index, regularity in enumerate(cfg.regularity):
-        outcomes = _run_chunks(_intersection_chunk, cfg, r_index)
-        errors = [(regularity,) + o for o in outcomes if isinstance(o, tuple)]
-        counts = [o for o in outcomes if isinstance(o, dict)]
-        failures.extend(errors)
-        if len(errors) > 0.01 * cfg.samples:
-            raise FailureBudgetExceeded(
-                f"regularity {regularity}: {len(errors)} of {cfg.samples} samples "
-                f"failed (budget 1%): {errors[:3]}", failures)
-        for label in cfg.lagrangians:
-            values = np.array([c[label] for c in counts], dtype=float)
-            rows.append(ResultRow(label=label, regularity=regularity,
-                                  estimate=float(values.mean()),
-                                  standard_error=standard_error(values),
-                                  samples=len(values)))
-    return ResultTable(rows=tuple(rows), failures=tuple(failures))
+
+def _curve_chunk(args) -> list:
+    """Per sample: its image of K's vertices and winding.  Raises the first
+    error."""
+    _, _, start, _ = args
+    records = []
+    for i, image in enumerate(_advected_chunk(args), start=start):
+        if isinstance(image, HamflowError):
+            raise image
+        records.append({"sample": i, "vertices": image.vertices, "winding": image.winding})
+    return records
 
 
 def advected_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
-    """Advected images of K for every sample index (plot aid).
-
-    Raises the error of the first sample that failed.
-    """
-    images = _run_chunks(_advected_chunk, cfg, r_index)
-    for image in images:
-        if isinstance(image, HamflowError):
-            raise image
-    return images
+    """Raises the error of the first sample that failed."""
+    return _run_chunks(_curve_chunk, cfg, r_index)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +396,7 @@ def _chi_square(counts: np.ndarray) -> float:
 
 
 def _diffusion_chunk(args) -> list:
-    """(bin counts, chi-square) per time for samples start..stop-1.
+    """Per sample: its bin counts and their chi-square, per time.
 
     Sample i draws its Hamiltonian's full (N, m) normals and then its ball
     points from one stream, so the draw is built from that array rather
@@ -451,21 +412,27 @@ def _diffusion_chunk(args) -> list:
         batch.append(RandomHamiltonian(law, rng.standard_normal(shape)))
         pts[row] = _ball_points(rng, cfg.ball_center, cfg.ball_radius, cfg.points)
     states = flow_points_through(batch, pts, cfg.times, _settings_for(cfg, law))
-    results = []
-    for row in range(stop - start):
+    records = []
+    for row, i in enumerate(range(start, stop)):
         counts = np.stack([_bin_counts(s[row], cfg.grid) for s in states])
-        results.append((counts, np.array([_chi_square(c) for c in counts])))
-    return results
+        records.append({"sample": i, "counts": counts,
+                        "chi_square": np.array([_chi_square(c) for c in counts])})
+    return records
 
 
-def run_diffusion(cfg: ExperimentConfig) -> DiffusionResult:
-    """Advect point clouds, bin them, and track uniformity chi-square."""
-    outcomes = _run_chunks(_diffusion_chunk, cfg)
-    total = np.sum([c for c, _ in outcomes], axis=0)
-    per_sample = np.stack([chi for _, chi in outcomes])
-    agg_chi = np.array([_chi_square(grid) for grid in total])
-    return DiffusionResult(times=tuple(cfg.times), grid_counts=total,
-                           chi_square=agg_chi, per_sample_chi_square=per_sample)
+def diffusion_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
+    return _run_chunks(_diffusion_chunk, cfg, r_index)
+
+
+def diffusion_totals(cfg: ExperimentConfig, runs: list) -> dict:
+    """``totals``: per time, the bin counts summed over the samples and their
+    uniformity chi-square.  ``records``: each sample's chi-square per time,
+    since a sample's counts enter the totals only."""
+    records, = runs
+    total = sum(record.pop("counts") for record in records)
+    return {"totals": [{"time": t, "chi_square": _chi_square(counts), "counts": counts}
+                       for t, counts in zip(cfg.times, total)],
+            "records": records}
 
 
 # ---------------------------------------------------------------------------
@@ -476,25 +443,31 @@ def _osc_chunk(args) -> list:
     """Oscillation norms of samples start..stop-1."""
     cfg, r_index, start, stop = args
     law = law_for(cfg, cfg.regularity[r_index])
-    return [sample_hamiltonian(law, cfg.seed, r_index, i)
-            .oscillation(cfg.osc_spatial_grid, cfg.osc_time_grid)
+    return [{"sample": i, "osc": sample_hamiltonian(law, cfg.seed, r_index, i)
+             .oscillation(cfg.osc_spatial_grid, cfg.osc_time_grid)}
             for i in range(start, stop)]
 
 
-def oscillation_samples(cfg: ExperimentConfig, r_index: int = 0) -> np.ndarray:
-    # one draw per task: oscillation does not batch draws
-    return np.array(_run_chunks(_osc_chunk, cfg, r_index, length=1))
+def oscillation_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
+    return _run_chunks(_osc_chunk, cfg, r_index, length=1)  # oscillation batches no draws
 
 
-def run_tail_stats(cfg: ExperimentConfig) -> TailStats:
-    """Empirical survival of the oscillation norm with a sub-Gaussian fit.
-
-    The first half of the draws fits (R, C); the second half supplies the
-    held-out exceedance check at two standard deviations.
-    """
+def tail_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
+    """``oscillation_samples``, refused below the 1000 draws of ``tail_fit``."""
     if cfg.samples < 1000:
         raise ValidationError("samples", "tail statistics need >= 1000 draws")
-    osc = oscillation_samples(cfg)
+    return oscillation_samples(cfg, r_index)
+
+
+def tail_fit(cfg: ExperimentConfig, runs: list) -> dict:
+    """Empirical survival of the oscillation norm with a sub-Gaussian fit.
+
+    The first half of the draws fits the mean R and the scale C of
+    P(osc - R > u) ~ 2 exp(-u^2 / C) (``survival``: each exceedance u over
+    R and its survival); the second half supplies the held-out exceedance
+    check at two standard deviations (``fit``).
+    """
+    osc = np.array([record["osc"] for record in runs[0]])
     half = len(osc) // 2
     fit, held = osc[:half], osc[half:]
     center = float(fit.mean())
@@ -510,20 +483,26 @@ def run_tail_stats(cfg: ExperimentConfig) -> TailStats:
     u_check = 2.0 * float(fit.std(ddof=1))
     frac = float(np.mean(held > center + u_check))
     bound = 2.0 * math.exp(-u_check**2 / tail_scale) if math.isfinite(tail_scale) else 1.0
-    return TailStats(regularity=cfg.regularity[0], mean=center, tail_scale=tail_scale,
-                     thresholds=exceed, survival=survival,
-                     heldout_u=u_check, heldout_exceedance=frac, heldout_bound=bound)
+    return {"survival": [{"u": u, "survival": s} for u, s in zip(exceed, survival)],
+            "fit": [{"regularity": cfg.regularity[0], "mean": center, "tail_scale": tail_scale,
+                     "heldout_u": u_check, "heldout_exceedance": frac,
+                     "heldout_bound": bound, "bound_holds": frac <= bound}]}
 
 
-def run_concentration(cfg: ExperimentConfig) -> ResultTable:
-    """Mean oscillation norm per regularity value."""
-    rows = []
-    for r_index, regularity in enumerate(cfg.regularity):
-        osc = oscillation_samples(cfg, r_index)
-        rows.append(ResultRow(label="osc", regularity=regularity,
-                              estimate=float(osc.mean()), standard_error=standard_error(osc),
-                              samples=len(osc)))
-    return ResultTable(rows=tuple(rows))
+def _rkhs_chunk(args) -> list:
+    """RKHS norms and weighted coefficient sums of samples start..stop-1."""
+    cfg, r_index, start, stop = args
+    law = law_for(cfg, cfg.regularity[r_index])
+    records = []
+    for i in range(start, stop):
+        draw = sample_hamiltonian(law, cfg.seed, r_index, i)
+        records.append({"sample": i, "rkhs_norm": rkhs_norm(draw, law.regularity),
+                        "weighted_sum": weighted_coefficient_sum(draw, cfg.smoothing_eps)})
+    return records
+
+
+def rkhs_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
+    return _run_chunks(_rkhs_chunk, cfg, r_index)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +510,7 @@ def run_concentration(cfg: ExperimentConfig) -> ResultTable:
 # ---------------------------------------------------------------------------
 
 def _displacement_chunk(args) -> list:
-    """(forward, inverse) displacements of the probe for samples start..stop-1.
+    """Per sample: the probe's forward and inverse displacements.
 
     Sample i draws its forward Hamiltonian from stream (seed, 0, i) and its
     inverse one from (seed, 1, i).  The inverse branch flows the inverse
@@ -552,7 +531,9 @@ def _displacement_chunk(args) -> list:
                          _settings_for(cfg, law))
     d = (images[:, 0] - probe + 0.5) % 1.0 - 0.5
     dist = np.hypot(d[:, 0], d[:, 1])
-    return list(zip(dist[:stop - start], dist[stop - start:]))
+    n = stop - start
+    return [{"sample": i, "forward": dist[row], "inverse": dist[n + row]}
+            for row, i in enumerate(range(start, stop))]
 
 
 def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -582,8 +563,15 @@ def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple:
     return h / n, min(max(2 * p, 0.0), 1.0)
 
 
-def run_inversion_test(cfg: ExperimentConfig, level: float = 0.01) -> InversionResult:
-    """Two-sample KS test between displacement laws of the flow and its inverse.
+def run_inversion_test(cfg: ExperimentConfig, r_index: int = 0) -> list:
+    """The displacements that ``inversion_test`` tests."""
+    return _run_chunks(_displacement_chunk, cfg, r_index, length=INVERSION_CHUNK)
+
+
+def inversion_test(cfg: ExperimentConfig, runs: list) -> dict:
+    """Two-sample KS test between displacement laws of the flow and its
+    inverse, at level ``KS_LEVEL`` (``test``), and the displacements by
+    branch, forward then inverse (``records``).
 
     The test is two-sided and exact: Hodges' formula for equal sample sizes,
     evaluated in scipy's order (``_ks_two_sample``), so statistic and p-value
@@ -593,11 +581,15 @@ def run_inversion_test(cfg: ExperimentConfig, level: float = 0.01) -> InversionR
     ``method="exact"``), and where the exact sum leaves [0, 1] by rounding
     scipy falls back to ``kstwo.sf`` while this clips.
     """
-    pairs = _run_chunks(_displacement_chunk, cfg, length=INVERSION_CHUNK)
-    fwd, inv = (np.array(branch) for branch in zip(*pairs))
-    statistic, p_value = _ks_two_sample(fwd, inv)
-    return InversionResult(statistic=statistic, p_value=p_value,
-                           level=level, forward=fwd, inverse=inv)
+    records, = runs
+    branches = ("forward", "inverse")
+    statistic, p_value = _ks_two_sample(
+        *(np.array([record[branch] for record in records]) for branch in branches))
+    return {"test": [{"statistic": statistic, "p_value": p_value, "level": KS_LEVEL,
+                      "passed": p_value > KS_LEVEL}],
+            "records": [{"branch": branch, "sample": record["sample"],
+                         "displacement": record[branch]}
+                        for branch in branches for record in records]}
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +601,11 @@ def _walk_chunk(args) -> list:
     chunk is one batched flow (``induced_point_walks``)."""
     cfg, _, start, stop = args
     law = law_for(cfg, cfg.regularity[0])
-    walks = [sample_walk(law, cfg.walk_steps, w) for w in range(start, stop)]
-    return list(induced_point_walks(walks, cfg.probe, _settings_for(cfg, law)))
+    walks = [sample_walk(law, cfg.seed, cfg.walk_steps, w) for w in range(start, stop)]
+    trajectories = induced_point_walks(walks, cfg.probe, _settings_for(cfg, law))
+    return [{"walk": w, "trajectory": t} for w, t in zip(range(start, stop), trajectories)]
 
 
-def run_random_walks(cfg: ExperimentConfig) -> list:
-    """The probe's trajectory under each of ``samples`` walks of ``walk_steps``
-    steps; walk w draws step j from stream (seed, w, j)."""
-    return _run_chunks(_walk_chunk, cfg)
+def walk_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
+    """The probe's trajectory under each of ``samples`` walks of ``walk_steps`` steps."""
+    return _run_chunks(_walk_chunk, cfg, r_index)

@@ -1,8 +1,8 @@
 """Random Hamiltonian fields H(t, x) = sum_n w_n Z_n(t) e_n(x).
 
 A :class:`HamiltonianLaw` fixes the probability law (basis truncation,
-coefficient kernel with its regularity, master seed);
-:func:`sample_hamiltonian` draws one :class:`RandomHamiltonian` from it.
+coefficient kernel with its regularity); :func:`sample_hamiltonian` draws
+one :class:`RandomHamiltonian` from it at a seed and stream indices.
 Draws are immutable and all evaluation methods are reentrant.
 :class:`SpectralHamiltonian` is the one type whose fields the integrator
 evaluates through packed coefficient grids: draws are its one subclass, and
@@ -96,7 +96,6 @@ class HamiltonianLaw:
 
     truncation: Truncation
     kernel: KernelKind
-    seed: int = 0
 
     @property
     def regularity(self) -> float:
@@ -184,13 +183,14 @@ def make_law(regularity: float, spatial_max: int = 25, temporal_max: int = 10,
              include_axis_modes: bool = False, grid_nodes: int = 64) -> HamiltonianLaw:
     """Convenience constructor wiring the kernel to the law's regularity.
 
-    ``grid_nodes`` is accepted and unused: every kernel is a Fourier series
-    in time (:mod:`hamflow.temporal`), and callers that still pass it keep
-    working.
+    ``seed`` and ``grid_nodes`` are accepted and unused, so that callers that
+    still pass them keep working: a law holds no seed (draws take theirs,
+    ``sample_hamiltonian``), and every kernel is a Fourier series in time
+    (:mod:`hamflow.temporal`).
     """
     trunc = Truncation(spatial_max=spatial_max, include_axis_modes=include_axis_modes)
     kind = KernelKind(tag=kernel, regularity=regularity, temporal_max=temporal_max)
-    return HamiltonianLaw(truncation=trunc, kernel=kind, seed=seed)
+    return HamiltonianLaw(truncation=trunc, kernel=kind)
 
 
 def _as_points(p):

@@ -1,7 +1,10 @@
 """Tabular persistence and SVG rendering.
 
-All outputs are deterministic bytes given (config, seed): CSV for tables,
-line-delimited JSON for per-sample dumps, SVG for plots.
+All outputs are deterministic bytes given (config, seed): CSV for tables of
+means, line-delimited JSON for records, SVG for plots.  A record is a dict
+whose values are JSON values or numpy arrays and scalars (the records of
+``hamflow.experiments``); a table row is a tuple (label, regularity,
+estimate, standard error, samples).
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-
-from .experiments import ResultRow, ResultTable
 
 _TABLE_HEADER = "label,regularity,estimate,stderr,samples"
 
@@ -24,34 +25,20 @@ def _fmt(value: float) -> str:
     return format(float(value), ".6g")
 
 
-def write_table(table: ResultTable, path) -> None:
+def write_table(rows, path) -> None:
     """CSV with six significant digits, rows ordered by (label, regularity)."""
-    rows = sorted(table.rows, key=lambda r: (r.label, r.regularity))
     lines = [_TABLE_HEADER]
-    for r in rows:
-        lines.append(f"{r.label},{_fmt(r.regularity)},{_fmt(r.estimate)},"
-                     f"{_fmt(r.standard_error)},{r.samples}")
+    for label, regularity, estimate, stderr, samples in sorted(rows, key=lambda r: r[:2]):
+        lines.append(f"{label},{_fmt(regularity)},{_fmt(estimate)},{_fmt(stderr)},{samples}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_table(path) -> ResultTable:
-    """Parse a table written by write_table (round-trip aid)."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0] != _TABLE_HEADER:
-        raise ValueError(f"not a result table: {path}")
-    rows = []
-    for line in lines[1:]:
-        label, reg, est, err, n = line.split(",")
-        rows.append(ResultRow(label=label, regularity=float(reg), estimate=float(est),
-                              standard_error=float(err), samples=int(n)))
-    return ResultTable(rows=tuple(rows))
-
-
 def write_records(records, path) -> None:
-    """Line-delimited JSON records (per-sample dumps)."""
+    """Line-delimited JSON records, keys sorted; a numpy array or scalar is
+    written as its ``tolist()``."""
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(json.dumps(rec, sort_keys=True, default=lambda v: v.tolist()) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +125,14 @@ def _wrapped_subpaths(vertices: np.ndarray):
 
 
 def render_curves_svg(curves, path) -> None:
-    """Draw curves in the unit square, one path element per curve,
-    wrap-split at fundamental-domain boundaries."""
+    """Draw curves, each given by its (V, 2) lift vertices, in the unit
+    square, one path element per curve, wrap-split at fundamental-domain
+    boundaries."""
     import xml.etree.ElementTree as ET
     root = _canvas()
-    for i, curve in enumerate(curves):
+    for i, vertices in enumerate(curves):
         parts = []
-        for piece in _wrapped_subpaths(np.asarray(curve.vertices, dtype=float)):
+        for piece in _wrapped_subpaths(np.asarray(vertices, dtype=float)):
             cmds = []
             for j, (x, y) in enumerate(piece):
                 cx, cy = _to_canvas(x, y)

@@ -17,17 +17,17 @@ from .field import HamiltonianLaw, sample_hamiltonian
 from .flow import DEFAULT_SETTINGS, FlowSettings, flow_points
 
 
-def sample_walk(law: HamiltonianLaw, n_steps: int, walk_index: int = 0) -> tuple:
+def sample_walk(law: HamiltonianLaw, seed: int, n_steps: int, walk_index: int = 0) -> tuple:
     """Draw a walk of n independent autonomous steps, in application order.
 
-    Step i is ``sample_hamiltonian(law, law.seed, walk_index, i)``, drawn
-    from its own stream, so ensembles of walks parallelize deterministically.
+    Step i is ``sample_hamiltonian(law, seed, walk_index, i)``, drawn from
+    its own stream, so ensembles of walks parallelize deterministically.
     """
     if law.kernel.tag != temporal.CONSTANT:
         raise NotAutonomous("random walks require the constant-in-time kernel")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    return tuple(sample_hamiltonian(law, law.seed, walk_index, i) for i in range(n_steps))
+    return tuple(sample_hamiltonian(law, seed, walk_index, i) for i in range(n_steps))
 
 
 def induced_point_walks(walks, p, settings: FlowSettings = DEFAULT_SETTINGS) -> np.ndarray:

@@ -9,7 +9,9 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -33,16 +35,33 @@ walk_steps = 2
 lagrangians = L1, L7, L13
 """
 
+# Each command's files: the (label, regularity) columns of a CSV's rows, or
+# the keys of every line of a JSONL file, at TINY
 OUTPUTS = {
-    "sample-field": ("field_osc.csv", "field_samples.jsonl"),
-    "flow": ("curves.jsonl",),
-    "diffusion": ("diffusion.jsonl", "diffusion_samples.jsonl"),
-    "intersections": ("intersections.csv",),
-    "random-walk": ("walks.jsonl",),
-    "rkhs-norm": ("rkhs.csv", "rkhs_samples.jsonl"),
-    "tails": ("tail_survival.jsonl", "tail_fit.jsonl"),
-    "concentration": ("concentration.csv",),
-    "inversion": ("inversion.jsonl", "inversion_samples.jsonl"),
+    "sample-field": {"field_osc.csv": ["osc,8"],
+                     "field_samples.jsonl": {"osc", "regularity", "sample"}},
+    "flow": {"curves.jsonl": {"sample", "vertices", "winding"}},
+    "diffusion": {"diffusion.jsonl": {"chi_square", "counts", "time"},
+                  "diffusion_samples.jsonl": {"chi_square", "sample"}},
+    "intersections": {"intersections.csv": ["L1,8", "L13,8", "L7,8"]},
+    "random-walk": {"walks.jsonl": {"trajectory", "walk"}},
+    "rkhs-norm": {"rkhs.csv": ["rkhs_norm,8", "weighted_sum,8"],
+                  "rkhs_samples.jsonl": {"regularity", "rkhs_norm", "sample", "weighted_sum"}},
+    "tails": {"tail_survival.jsonl": {"survival", "u"},
+              "tail_fit.jsonl": {"bound_holds", "heldout_bound", "heldout_exceedance",
+                                 "heldout_u", "mean", "regularity", "tail_scale"}},
+    "concentration": {"concentration.csv": ["osc,8"]},
+    "inversion": {"inversion.jsonl": {"level", "p_value", "passed", "statistic"},
+                  "inversion_samples.jsonl": {"branch", "displacement", "sample"}},
+}
+
+# The SVG each plotting command adds with plot = true, with its elements:
+# a frame rect, and an arrow (circle and line) per point of the 20 x 20
+# arrow_grid, a path per sample, or a rect per each of the 40 bins and a title
+PLOTS = {
+    "sample-field": {"field.svg": {"rect": 1, "circle": 20**2, "line": 20**2}},
+    "flow": {"curves.svg": {"rect": 1, "path": 4}},
+    "tails": {"tails.svg": {"rect": 1 + 40, "text": 1}},
 }
 
 
@@ -54,14 +73,42 @@ def run(tmp_path, command, text, name=None):
     return rc, out
 
 
-@pytest.mark.parametrize("command", sorted(OUTPUTS))
-def test_command_writes_outputs(tmp_path, command):
+def check_records(records, keys, samples):
+    """There are lines, each has ``keys``, and the sample (or walk) indices of
+    each branch, forward then inverse, run 0..samples-1 in order."""
+    assert records and all(set(record) == keys for record in records)
+    for index in {"sample", "walk"} & keys:
+        branches = {}
+        for record in records:
+            branches.setdefault(record.get("branch"), []).append(record[index])
+        assert list(branches) in ([None], ["forward", "inverse"])
+        assert all(indices == list(range(samples)) for indices in branches.values())
+
+
+@pytest.mark.parametrize("command,plot",
+                         [(command, False) for command in sorted(OUTPUTS)]
+                         + [(command, True) for command in sorted(PLOTS)],
+                         ids=sorted(OUTPUTS) + [f"{command}-plot" for command in sorted(PLOTS)])
+def test_command_writes_outputs(tmp_path, command, plot):
     # tails runs at its 1000-sample default; random-walk at its constant kernel
     text = TINY.replace("samples = 4\n", "") if command == "tails" else TINY
-    rc, out = run(tmp_path, command, text)
+    samples = 1000 if command == "tails" else 4
+    rc, out = run(tmp_path, command, text + f"plot = {str(plot).lower()}\n")
     assert rc == 0
-    for name in OUTPUTS[command] + ("config.txt",):
-        assert (out / name).stat().st_size > 0, name
+    svgs = PLOTS[command] if plot else {}
+    assert sorted(p.name for p in out.iterdir()) == sorted([*OUTPUTS[command], *svgs,
+                                                            "config.txt"])
+    for name, expected in OUTPUTS[command].items():
+        lines = (out / name).read_text().splitlines()
+        if name.endswith(".csv"):
+            assert lines[0] == "label,regularity,estimate,stderr,samples"
+            assert [line.rsplit(",", 3)[0] for line in lines[1:]] == expected
+            assert all(line.endswith(f",{samples}") for line in lines[1:])
+        else:
+            check_records([json.loads(line) for line in lines], expected, samples)
+    for name, elements in svgs.items():
+        root = ElementTree.parse(out / name).getroot()
+        assert Counter(child.tag.rpartition("}")[2] for child in root) == elements
 
 
 @pytest.mark.parametrize("command", ["flow", "intersections", "diffusion", "inversion"])

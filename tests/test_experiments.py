@@ -15,12 +15,13 @@ import pytest
 from hamflow.config import ExperimentConfig
 from hamflow.errors import DegenerateOverlap, HamflowError, NonFinite, RefinementOverflow
 from hamflow.engine import SpectralEngine
+from hamflow import cli
 from hamflow.experiments import (CHUNK, INVERSION_CHUNK, _advected_chunk, _ball_points,
                                  _bin_counts, _diffusion_chunk, _displacement_chunk,
                                  _intersection_chunk, _ks_two_sample, _run_chunks, _walk_chunk,
-                                 count_crossings, flow_steps, law_for, paper_lagrangians,
-                                 run_intersections, run_inversion_test, standard_error,
-                                 worker_count)
+                                 count_crossings, flow_steps, inversion_test, law_for,
+                                 mean_table, paper_lagrangians, run_intersections,
+                                 run_inversion_test, standard_error, worker_count)
 from hamflow.field import PackedBatch, RandomHamiltonian, make_law, sample_hamiltonian
 from hamflow.flow import (_STAGE_OFFSETS, BumpFunction, FlowSettings, LagrangianCurve,
                           advect_curve, advect_curves, concatenate_autonomous, flow_points,
@@ -30,9 +31,10 @@ from hamflow.walk import sample_walk
 from reference import apply_walk, circle_curve, crossings, sloped_circle, vertical_circle
 
 # At this law, threshold and depth some draws finish after one or two
-# refinement passes and others overflow.
+# refinement passes and others overflow.  The batched and one-draw paths
+# must agree at any step count, so the flows take the law's own 21.
 LAW = make_law(0.1, spatial_max=4, temporal_max=3)
-SETTINGS = FlowSettings(steps=50, refinement_threshold=0.02, max_refinement_depth=4)
+SETTINGS = FlowSettings(steps=21, refinement_threshold=0.02, max_refinement_depth=4)
 
 
 def draws(count, seed=9, law=LAW):
@@ -120,12 +122,12 @@ class TestAdvectCurves:
     def test_mixes_unrefined_and_multi_pass_draws(self):
         zero = RandomHamiltonian(LAW, np.zeros_like(draws(1)[0].gaussians))
         curve = horizontal_circle(0.5, 64)
-        shallow = FlowSettings(steps=50, refinement_threshold=0.02, max_refinement_depth=1)
+        shallow = FlowSettings(steps=21, refinement_threshold=0.02, max_refinement_depth=1)
         # draws 0 and 3 of this stream need exactly two passes
         multi = [h for i, h in enumerate(draws(4)) if i in (0, 3)]
         for h in multi:
             assert isinstance(advect_curves([h], curve, 1.0, shallow)[0], RefinementOverflow)
-        deep = FlowSettings(steps=50, refinement_threshold=0.02, max_refinement_depth=2)
+        deep = FlowSettings(steps=21, refinement_threshold=0.02, max_refinement_depth=2)
         hs = [multi[0], zero, multi[1]]
         images = advect_curves(hs, curve, 1.0, deep)
         assert_matches_reference(hs, images, curve, 1.0, deep)
@@ -260,7 +262,7 @@ def law_settings(cfg, law):
 
 
 def per_draw_outcomes(cfg, r_index=0):
-    """The outcomes of the one-sample-at-a-time loop: counts or (index, error text)."""
+    """The records of the one-sample-at-a-time loop: counts or error text."""
     law = law_for(cfg, cfg.regularity[r_index])
     settings = law_settings(cfg, law)
     catalog = paper_lagrangians()
@@ -269,10 +271,10 @@ def per_draw_outcomes(cfg, r_index=0):
         draw = sample_hamiltonian(law, cfg.seed, r_index, i)
         try:
             image = advect_curve(draw, horizontal_circle(0.5, cfg.curve_vertices), 1.0, settings)
-            outcomes.append({label: count_crossings(image, [catalog[label]])[0]
-                             for label in cfg.lagrangians})
+            outcomes.append({"sample": i, **{label: count_crossings(image, [catalog[label]])[0]
+                                             for label in cfg.lagrangians}})
         except HamflowError as exc:
-            outcomes.append((i, f"{type(exc).__name__}: {exc}"))
+            outcomes.append({"sample": i, "error": f"{type(exc).__name__}: {exc}"})
     return outcomes
 
 
@@ -281,31 +283,34 @@ class TestIntersectionChunks:
         cfg = intersections_config()
         outcomes = _intersection_chunk((cfg, 0, 0, cfg.samples))
         assert outcomes == per_draw_outcomes(cfg)
-        failed = [o for o in outcomes if isinstance(o, tuple)]
+        failed = [o["error"] for o in outcomes if "error" in o]
         assert failed and len(failed) < cfg.samples
-        assert all(msg.startswith("RefinementOverflow: ") for _, msg in failed)
+        assert all(msg.startswith("RefinementOverflow: ") for msg in failed)
 
-    def test_budget_message_matches_per_draw_loop(self):
-        cfg = intersections_config()
-        errors = [(cfg.regularity[0],) + o for o in per_draw_outcomes(cfg)
-                  if isinstance(o, tuple)]
+    def test_budget_message_matches_per_draw_loop(self, tmp_path):
+        cfg = intersections_config(out=str(tmp_path))
+        errors = [(cfg.regularity[0], o["sample"], o["error"]) for o in per_draw_outcomes(cfg)
+                  if "error" in o]
         expected = (f"regularity {cfg.regularity[0]}: {len(errors)} of {cfg.samples} samples "
                     f"failed (budget 1%): {errors[:3]}")
         with pytest.raises(HamflowError) as info:
-            run_intersections(cfg)
+            cli.run(cfg)
         assert str(info.value) == expected
 
     def test_table_matches_per_draw_loop(self):
         cfg = intersections_config(max_refinement_depth=6)
         outcomes = per_draw_outcomes(cfg)
-        assert all(isinstance(o, dict) for o in outcomes)
-        table = run_intersections(cfg)
-        assert table.failures == ()
+        assert all("error" not in o for o in outcomes)
+        records = run_intersections(cfg)
+        assert records == outcomes
+        outputs = mean_table(cfg, [records])
+        assert outputs["records"] == records
+        rows = {row[0]: row for row in outputs["table"]}
+        assert list(rows) == list(cfg.lagrangians)
         for label in cfg.lagrangians:
             values = np.array([o[label] for o in outcomes], dtype=float)
-            row = table.row(label, cfg.regularity[0])
-            assert row.estimate == float(values.mean())
-            assert row.samples == cfg.samples
+            assert rows[label] == (label, cfg.regularity[0], float(values.mean()),
+                                   standard_error(values), cfg.samples)
 
     def test_smooth_law_advects_at_its_step_count(self):
         # regularity 6 takes 3 of at most 50 steps
@@ -326,8 +331,10 @@ def check_diffusion_chunk(regularity, steps, spatial_max=5):
     law = law_for(cfg, regularity)
     assert flow_steps(law, cfg.steps) == steps
     settings = FlowSettings(steps=steps)
-    results = _diffusion_chunk((cfg, 0, 1, 5))
-    for (counts, chi), i in zip(results, range(1, 5)):
+    records = _diffusion_chunk((cfg, 0, 1, 5))
+    assert [record["sample"] for record in records] == [1, 2, 3, 4]
+    for record, i in zip(records, range(1, 5)):
+        counts, chi = record["counts"], record["chi_square"]
         # sample i's draw; its ball points follow its full (N, m) normals in its stream
         draw = sample_hamiltonian(law, cfg.seed, 0, i)
         rng = derive(cfg.seed, 0, i)
@@ -350,7 +357,10 @@ def check_displacement_chunk(regularity, steps):
         d = (flow_points(h, probe[None], t0, t1, settings)[0] - probe + 0.5) % 1.0 - 0.5
         return np.hypot(d[0], d[1])
 
-    for i, (forward, inverse) in zip(range(1, 4), _displacement_chunk((cfg, 0, 1, 4))):
+    records = _displacement_chunk((cfg, 0, 1, 4))
+    assert [record["sample"] for record in records] == [1, 2, 3]
+    for i, record in zip(range(1, 4), records):
+        forward, inverse = record["forward"], record["inverse"]
         assert forward == displacement(sample_hamiltonian(law, cfg.seed, 0, i), 0.0, 1.0)
         # the inverse draw's time reversal, flowed forward in the same batch
         draw = sample_hamiltonian(law, cfg.seed, 1, i)
@@ -434,7 +444,9 @@ class TestWalkChunks:
         law = law_for(cfg, 5.0)
         assert flow_steps(law, cfg.steps) == 7
         settings = FlowSettings(steps=7)
-        for w, traj in zip(range(1, 4), _walk_chunk((cfg, 0, 1, 4))):
+        records = _walk_chunk((cfg, 0, 1, 4))
+        assert [record["walk"] for record in records] == [1, 2, 3]
+        for w, traj in zip(range(1, 4), (record["trajectory"] for record in records)):
             state = np.array([cfg.probe]) % 1.0
             expected = [state[0]]
             for j in range(cfg.walk_steps):
@@ -446,7 +458,7 @@ class TestWalkChunks:
     def test_walk_agrees_with_its_generating_hamiltonian(self):
         # the concatenation has no law: it flows at steps x parts
         law = law_for(self.cfg, 5.0)
-        walk = sample_walk(law, self.cfg.walk_steps)
+        walk = sample_walk(law, self.cfg.seed, self.cfg.walk_steps)
         combined = concatenate_autonomous(walk, BumpFunction())
         pts = np.random.default_rng(1).uniform(0, 1, (20, 2))
         lhs = flow_points(combined, pts, 0.0, 1.0, FlowSettings(steps=self.cfg.steps))
@@ -553,7 +565,8 @@ def test_inversion_takes_inversion_chunks(monkeypatch):
     def pairs(args):
         _, _, start, stop = args
         chunks.append((start, stop))
-        return [(0.1 * i, 0.1 * i) for i in range(start, stop)]
+        return [{"sample": i, "forward": 0.1 * i, "inverse": 0.1 * i}
+                for i in range(start, stop)]
 
     import hamflow.experiments as experiments
     monkeypatch.setattr(experiments, "_displacement_chunk", pairs)
@@ -575,11 +588,12 @@ def test_benchmark_reference_displacements_stay_within_1e_7():
     cfg = ExperimentConfig(command="inversion", regularity=(3.0,), spatial_max=25,
                            temporal_max=10, kernel="periodic", steps=200, seed=0, samples=8,
                            workers=1)
-    result = run_inversion_test(cfg)
-    for got, want in ((result.forward, reference["forward"]),
-                      (result.inverse, reference["inverse"])):
+    records = run_inversion_test(cfg)
+    for branch in ("forward", "inverse"):
+        got = np.array([record[branch] for record in records])
+        want = np.array(reference[branch])
         assert len(got) == len(want) == cfg.samples
-        assert np.abs(got - np.array(want)).max() <= 1e-7
+        assert np.abs(got - want).max() <= 1e-7
 
 
 def test_default_workers_follow_cpu_affinity(monkeypatch):
@@ -685,6 +699,8 @@ def test_ks_stays_exact_above_scipy_auto_limit():
 def test_inversion_test_equals_scipy_on_its_own_samples():
     cfg = ExperimentConfig(command="inversion", regularity=(8.0,), spatial_max=2,
                            temporal_max=3, steps=50, samples=12, seed=3, workers=1)
-    result = run_inversion_test(cfg)
-    expected, _ = scipy_ks(result.forward, result.inverse)
-    assert (result.statistic, result.p_value) == expected
+    records = run_inversion_test(cfg)
+    test, = inversion_test(cfg, [records])["test"]
+    expected, _ = scipy_ks(*(np.array([record[branch] for record in records])
+                             for branch in ("forward", "inverse")))
+    assert (test["statistic"], test["p_value"]) == expected

@@ -273,7 +273,7 @@ class TestConcatenation:
 
 
 class TestBatchedFlow:
-    settings = FlowSettings(steps=50)
+    settings = FlowSettings(steps=12)
 
     @staticmethod
     def hamiltonians(kind, count):
@@ -332,7 +332,7 @@ class TestBatchedFlow:
 class TestBand:
     """Banded engines against the full-band reference, through every spectral type."""
 
-    settings = FlowSettings(steps=100)
+    settings = FlowSettings(steps=20)
 
     @staticmethod
     def draws(kernel, r, count=2, seed=181):

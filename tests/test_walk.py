@@ -11,8 +11,8 @@ from hamflow.walk import induced_point_walks, sample_walk
 from reference import apply_walk, torus_distance
 
 
-def walk_law(seed=0, r=0.1, smax=3):
-    return make_law(r, spatial_max=smax, kernel=CONSTANT, seed=seed)
+def walk_law(r=0.1, smax=3):
+    return make_law(r, spatial_max=smax, kernel=CONSTANT)
 
 
 def displacements(a, b):
@@ -25,35 +25,35 @@ class TestSampling:
     def test_requires_autonomous_kernel(self):
         law = make_law(0.1, spatial_max=2, kernel=PERIODIC)
         with pytest.raises(NotAutonomous):
-            sample_walk(law, 3)
+            sample_walk(law, 0, 3)
 
     def test_zero_step_walk_is_identity(self):
-        walk = sample_walk(walk_law(), 0)
+        walk = sample_walk(walk_law(), 0, 0)
         p = np.array([[0.2, 0.9]])
         assert walk == ()
         assert np.array_equal(apply_walk(walk, p), p)
         assert np.array_equal(induced_point_walks([walk], p[0]), p[None])
 
     def test_equal_seeds_identical_steps(self):
-        w1 = sample_walk(walk_law(seed=5), 4)
-        w2 = sample_walk(walk_law(seed=5), 4)
+        w1 = sample_walk(walk_law(), 5, 4)
+        w2 = sample_walk(walk_law(), 5, 4)
         assert type(w1) is tuple and len(w1) == 4
         for a, b in zip(w1, w2):
             assert np.array_equal(a.gaussians, b.gaussians)
 
     def test_walk_indices_decorrelate(self):
-        w1 = sample_walk(walk_law(seed=5), 2, walk_index=0)
-        w2 = sample_walk(walk_law(seed=5), 2, walk_index=1)
+        w1 = sample_walk(walk_law(), 5, 2, walk_index=0)
+        w2 = sample_walk(walk_law(), 5, 2, walk_index=1)
         assert w1[0].gaussians[0, 0] != w2[0].gaussians[0, 0]
 
     def test_single_step_law_matches_single_draw(self):
         # one-step walks displace like single autonomous draws
         stats = pytest.importorskip("scipy.stats")
-        law = walk_law(seed=9, r=0.15)
+        law = walk_law(r=0.15)
         p = np.array([0.31, 0.62])
         settings = FlowSettings(steps=100)
         n = 2000
-        steps = [sample_hamiltonian(law, law.seed, i, 0) for i in range(n)]
+        steps = [sample_hamiltonian(law, 9, i, 0) for i in range(n)]
         draws = [sample_hamiltonian(law, 1234, i) for i in range(n)]
         pts = np.broadcast_to(p, (n, 1, 2))
         walk_disp = displacements(flow_points(steps, pts, 0.0, 1.0, settings)[:, 0], p)
@@ -63,8 +63,7 @@ class TestSampling:
 
 class TestApplication:
     def test_trajectory_prefix_property(self):
-        law = walk_law(seed=13)
-        walk = sample_walk(law, 4)
+        walk = sample_walk(walk_law(), 13, 4)
         p = (0.7, 0.1)
         (traj,) = induced_point_walks([walk], p)
         assert traj.shape == (5, 2)
@@ -72,9 +71,9 @@ class TestApplication:
         assert torus_distance(traj[-1], apply_walk(walk, np.array([p]))[0]) < 1e-12
 
     def test_batched_trajectories_match_per_walk_loop(self):
-        law = walk_law(seed=31, r=0.3, smax=4)
-        settings = FlowSettings(steps=100)
-        walks = [sample_walk(law, 3, walk_index=w) for w in range(5)]
+        law = walk_law(r=0.3, smax=4)
+        settings = FlowSettings(steps=12)
+        walks = [sample_walk(law, 31, 3, walk_index=w) for w in range(5)]
         p = (0.45, 0.2)
         batched = induced_point_walks(walks, p, settings)
         assert batched.shape == (5, 4, 2)
@@ -87,19 +86,19 @@ class TestApplication:
             assert max(torus_distance(a, b) for a, b in zip(traj, expected)) <= 1e-12
 
     def test_batched_walks_need_equal_lengths(self):
-        law = walk_law(seed=37)
+        law = walk_law()
         with pytest.raises(ValueError):
-            induced_point_walks([sample_walk(law, 2), sample_walk(law, 3)], (0.0, 0.0))
+            induced_point_walks([sample_walk(law, 37, 2), sample_walk(law, 37, 3)], (0.0, 0.0))
         with pytest.raises(ValueError):
             induced_point_walks([], (0.0, 0.0))
 
     def test_increment_displacements_identically_distributed(self):
         # step j of every walk flows in one batch
         stats = pytest.importorskip("scipy.stats")
-        law = walk_law(seed=19, r=0.2, smax=2)
+        law = walk_law(r=0.2, smax=2)
         settings = FlowSettings(steps=100)
         n = 2000
-        walks = [sample_walk(law, 3, walk_index=w) for w in range(n)]
+        walks = [sample_walk(law, 19, 3, walk_index=w) for w in range(n)]
         traj = [np.full((n, 1, 2), 0.5)]
         for j in range(3):
             traj.append(flow_points([walk[j] for walk in walks], traj[-1],
@@ -112,13 +111,12 @@ class TestApplication:
 class TestGeneratingHamiltonian:
     def test_needs_at_least_one_step(self):
         with pytest.raises(ValueError):
-            concatenate_autonomous(sample_walk(walk_law(), 0), BumpFunction())
+            concatenate_autonomous(sample_walk(walk_law(), 0, 0), BumpFunction())
 
     @pytest.mark.parametrize("n_steps,tol", [(1, 1e-5), (3, 1e-4)])
     def test_time_one_flow_matches_walk(self, n_steps, tol):
-        law = walk_law(seed=23, r=0.12)
         settings = FlowSettings(steps=200)
-        walk = sample_walk(law, n_steps)
+        walk = sample_walk(walk_law(r=0.12), 23, n_steps)
         combined = concatenate_autonomous(walk, BumpFunction())
         assert combined.time_basis.stiffness == n_steps
         pts = np.random.default_rng(1).uniform(0, 1, (20, 2))
@@ -130,13 +128,13 @@ class TestGeneratingHamiltonian:
     def test_coefficient_path_time_symmetric_in_law(self):
         # combined coefficient paths at t and 1-t are equal in law for iid steps
         stats = pytest.importorskip("scipy.stats")
-        law = walk_law(seed=29, r=0.3, smax=1)
+        law = walk_law(r=0.3, smax=1)
         bump = BumpFunction()
         n = 2000
         at_02 = np.empty(n)
         at_08 = np.empty(n)
         for w in range(n):
-            walk = sample_walk(law, 3, walk_index=w)
+            walk = sample_walk(law, 29, 3, walk_index=w)
             combined = concatenate_autonomous(walk, bump)
             coeffs = combined.time_basis(np.array([0.2, 0.8])) @ combined.coefficients
             at_02[w] = coeffs[0, 0]
