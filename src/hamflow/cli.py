@@ -104,7 +104,8 @@ class Command:
     draws from every regularity and tags each record with its own, else the
     command draws from the first; ``flows`` echoes the step counts; ``plot``
     is the (file name, renderer) that ``plot = true`` adds.  A command whose
-    records can carry errors names a file for its ``failures``.
+    records can carry errors names a file for its ``failures``.  ``check(cfg)``
+    raises for a config the command refuses, before any output is written.
     """
 
     samples: str
@@ -113,6 +114,7 @@ class Command:
     every_regularity: bool = False
     flows: bool = False
     plot: tuple = ()
+    check: Callable | None = None
 
 
 COMMAND_TABLE = {
@@ -134,7 +136,7 @@ COMMAND_TABLE = {
                          every_regularity=True),
     "tails": Command("tail_samples", experiments.tail_fit,
                      {"survival": "tail_survival.jsonl", "fit": "tail_fit.jsonl"},
-                     plot=("tails.svg", _tails_svg)),
+                     plot=("tails.svg", _tails_svg), check=experiments.check_tail_samples),
     "concentration": Command("oscillation_samples", experiments.mean_table,
                              {"table": "concentration.csv"}, every_regularity=True),
     "inversion": Command("run_inversion_test", experiments.inversion_test,
@@ -163,6 +165,8 @@ def run(cfg: ExperimentConfig) -> None:
     fail, after writing the failures so far.
     """
     command = COMMAND_TABLE[cfg.command]
+    if command.check is not None:
+        command.check(cfg)
     regularities = cfg.regularity if command.every_regularity else cfg.regularity[:1]
     out = _outdir(cfg, regularities, command.flows)
     paths = {name: out / file for name, file in command.files.items()}

@@ -44,7 +44,23 @@ set s under grid s, so a stage of many draws costs one call.  A
 single draw is S = 1.  Lattice evaluation (``value_grid``) takes any number
 of leading grid axes, so the lattices of several times cost one call, and
 takes a lattice's rows (``lattice_rows``) in place of its coordinates, so
-calls on one lattice build its rows once.
+calls on one lattice build its rows once.  It also takes x rows per grid,
+so that each time is evaluated on its own rows only: the rows whose bound
+(``row_bounds``) says they can hold the lattice's max or min
+(``field.SpectralHamiltonian.oscillation``).
+
+Lattice rows and the BLAS.  A lattice value is one 2K-term dot product of
+the half product r(x) @ G with r(y), and a lattice evaluated on some of its
+rows holds those rows of the whole lattice bit for bit only if the BLAS
+rounds a row alike at any row count.  Both products of ``value_grid``
+therefore take their right operand as a contiguous matrix, in which
+OpenBLAS 0.3 rounds each row alike at every row count of two or more, as in
+the flows' products (the tests check it).  With the transposed view of the
+y rows as right operand it does not: for 2K >= 32 and up to about 1,200
+entries per lattice, OpenBLAS takes a small-matrix kernel that sums in
+another order.  At 128 x 128 the two operands give the same lattices on
+every law tested; on small lattices of rough laws (17 x 17 at r <= 0.5 and
+2 x 2 at r = 2, frequency units) they differ in the last bit.
 
 Buffers.  ``vector_field`` writes its tables, its product and its result
 into arrays the caller owns: ``FieldBuffers`` (from ``buffers``) and
@@ -250,8 +266,8 @@ class SpectralEngine:
 
     def lattice_rows(self, coords) -> np.ndarray:
         """The per-axis rows (len(coords), 2K) of lattice coordinates, which
-        ``value_grid`` takes in place of the coordinates, so that many calls
-        on one lattice build its rows once."""
+        ``value_grid`` and ``row_bounds`` take in place of the coordinates, so
+        that many calls on one lattice build its rows once."""
         return self._tables(np.asarray(coords, dtype=float))
 
     def value_grid(self, grid: np.ndarray, xs, ys, out: np.ndarray | None = None,
@@ -259,9 +275,45 @@ class SpectralEngine:
         """H on the tensor lattice xs x ys under grids (..., 2, K, 2K).
 
         ``xs`` and ``ys`` are coordinates (1-D) or their ``lattice_rows``
-        (2-D).  Shape (..., len(xs), len(ys)): one lattice per leading grid
-        index.  The lattices are written to ``out`` and the half product
-        r(x) @ G, shape (..., len(xs), 2K), to ``half`` if given.
+        (2-D).  ``xs`` may also hold rows per grid, (..., n, 2K) with the
+        grids' leading shape: grid i is then evaluated on its own n rows
+        only.  Shape (..., n, len(ys)): one lattice per leading grid index.
+        The lattices are written to ``out`` and the half product r(x) @ G,
+        shape (..., n, 2K), to ``half`` if given.
+
+        The second product takes the rows of ``ys`` transposed into one
+        contiguous (2K, len(ys)) array, copied unless ``ys`` is already the
+        transpose of one (module docstring, "Lattice rows and the BLAS").
         """
-        rx, ry = (c if np.ndim(c) == 2 else self.lattice_rows(c) for c in (xs, ys))
-        return np.matmul(np.matmul(rx, self._square(grid), out=half), ry.T, out=out)
+        rx, ry = (c if np.ndim(c) >= 2 else self.lattice_rows(c) for c in (xs, ys))
+        return np.matmul(np.matmul(rx, self._square(grid), out=half), np.ascontiguousarray(ry.T),
+                         out=out)
+
+    def row_bounds(self, grid: np.ndarray, rows: np.ndarray, half: np.ndarray | None = None,
+                   moduli: np.ndarray | None = None) -> np.ndarray:
+        """Bounds on |H| along each lattice row x = const under grids
+        (..., 2, K, 2K); shape (..., len(rows)), ``rows`` the ``lattice_rows``
+        of the x coordinates.
+
+        In the half product h = r(x) @ G, written to ``half`` if given, slots
+        2j and 2j + 1 hold the factors (a, b) of cos and sin of wavenumber
+        k0 + j in y, and |a cos + b sin| <= |(a, b)|.  So every value of the
+        row, H(x, y) = h @ r(y), lies within B = sum_j |(a_j, b_j)| of zero.
+        The moduli, shape (..., len(rows), K), are written to ``moduli`` if
+        given.  They are those of h viewed as complex numbers, which numpy
+        takes with ``hypot`` and so without underflow: pairs near 1e-217
+        (regularity 500 in frequency units) keep their moduli, where plain
+        squares would flush to zero.
+
+        The rounding of the evaluated values stays within a relative 2K eps
+        or so of B: the (cos, sin) pairs of r(y) have modulus 1 to within
+        about k eps, and a 2K-term dot product errs by at most 2K eps times
+        the sum of the terms' moduli, itself at most B (Cauchy-Schwarz per
+        pair).  The caller adds that slack
+        (``field.SpectralHamiltonian.oscillation``).  h is the same
+        product, row by row, that ``value_grid`` makes on these rows: in the
+        layout of both, the BLAS rounds a row alike at any row count of two
+        or more, a property of the BLAS that the tests check.
+        """
+        h = np.matmul(rows, self._square(grid), out=half)
+        return np.abs(h.view(complex), out=moduli) @ np.ones(self._k)

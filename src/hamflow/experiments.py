@@ -452,10 +452,15 @@ def oscillation_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
     return _run_chunks(_osc_chunk, cfg, r_index, length=1)  # oscillation batches no draws
 
 
-def tail_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
-    """``oscillation_samples``, refused below the 1000 draws of ``tail_fit``."""
+def check_tail_samples(cfg: ExperimentConfig) -> None:
+    """Refuse a ``tails`` config below the 1000 draws of ``tail_fit``."""
     if cfg.samples < 1000:
         raise ValidationError("samples", "tail statistics need >= 1000 draws")
+
+
+def tail_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
+    """``oscillation_samples``, refused below the 1000 draws of ``tail_fit``."""
+    check_tail_samples(cfg)
     return oscillation_samples(cfg, r_index)
 
 

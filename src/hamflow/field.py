@@ -78,9 +78,21 @@ def _engine_for(truncation: Truncation, band: int) -> SpectralEngine:
 # A mode is evaluated when its bound b_n reaches this share of the largest
 # (see HamiltonianLaw.band and the engine module docstring).
 _BAND_TOLERANCE = np.finfo(float).eps ** 2
-# Times whose lattices one value_grid call evaluates in ``oscillation``; all
-# 101 at once would hold about 13 MB of lattices at 128 x 128.
-_OSC_BLOCK = 8
+# ``oscillation`` bounds the lattice rows of _OSC_BLOCK times at once.  It
+# evaluates at most half of a time's n rows (all 16 times' in one call)
+# before it turns to whole lattices, so one work buffer of the size that the
+# lattices and half products of 8 times take holds a block's evaluated rows,
+# or 8 whole lattices per call; all 101 times at once would hold about 13 MB
+# of lattices at 128 x 128.
+_OSC_BLOCK = 16
+# Rows per time that ``oscillation`` evaluates first, by falling bound, to
+# find the extremes that the other rows' bounds are held against; two at
+# least, so that no product falls to numpy's matrix-vector path.
+_OSC_FIRST = 4
+# Relative slack on a row bound, far above the rounding of the bound and of
+# the evaluated values (``SpectralEngine.row_bounds``).
+_OSC_SLACK = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -251,25 +263,86 @@ class SpectralHamiltonian:
     def oscillation(self, spatial_grid: int = 128, time_grid: int = 101) -> float:
         """Trapezoid-in-time integral of (lattice max - lattice min) of H_t.
 
-        The lattices of _OSC_BLOCK times are one ``value_grid`` call, written
-        into buffers allocated once per call (``SpectralEngine`` module
+        The n x n lattice's max and min are exact, but most of its rows are
+        never evaluated.  Per block of _OSC_BLOCK times, ``engine.row_bounds``
+        bounds |H_t| along every row.  The _OSC_FIRST rows of largest bound
+        are evaluated first; a row whose bound B, with a relative slack
+        _OSC_SLACK and an absolute one of the smallest normal number (for
+        the rounding of subnormal values), stays within both extremes found,
+
+            B (1 + slack) + tiny <= min(max H_t, -min H_t),
+
+        can hold neither the lattice max nor the lattice min, and every row
+        of larger bound is evaluated in one more ``value_grid`` call.  Each
+        evaluated value is the 2K-term dot product a whole lattice makes
+        (``SpectralEngine.value_grid``: its layout rounds a row alike at any
+        row count of two or more), so the result is bit for bit that of the
+        whole lattices (``tests/reference.py``, ``lattice_oscillation``).  A
+        block that would evaluate more than half its rows, and every block
+        after it, evaluates whole lattices instead: at spatial_max 25 about a
+        fifth of the rows are evaluated at r = 3 (frequency units), a
+        twentieth at r = 4.5, and all at r = 0.1.  One buffer, allocated
+        once per call, holds the products (``SpectralEngine`` module
         docstring).
         """
         if spatial_grid < 2 or time_grid < 2:
             raise ValueError("grids must be >= 2")
-        # the lattice's rows are built once and serve both axes of every block
-        rows = self.engine.lattice_rows(np.arange(spatial_grid) / spatial_grid)
+        n, engine = spatial_grid, self.engine
+        # the lattice's rows are built once and serve both axes of every
+        # block, the y axis transposed once into value_grid's layout
+        rows = engine.lattice_rows(np.arange(n) / n)
+        ys = np.ascontiguousarray(rows.T).T
+        width = rows.shape[1]
         times = np.linspace(0.0, 1.0, time_grid)
         grids = self.coefficient_grids(times)
         block = min(_OSC_BLOCK, time_grid)
-        half = np.empty((block, spatial_grid, rows.shape[1]))
-        lattice = np.empty((block, spatial_grid, spatial_grid))
+        first = min(_OSC_FIRST, n)
+        most = max(first, n // 2)
+        # a block's half products and their moduli, or the half products and
+        # lattices of the rows evaluated: ``most`` rows of each time of a
+        # block, or whole lattices (8 per call at n = 128)
+        work = np.empty(max(max(block * most, n) * (width + n), 3 * block * n * width // 2))
         spread = np.empty(time_grid)
-        for start in range(0, time_grid, _OSC_BLOCK):
-            g = grids[start:start + _OSC_BLOCK]
-            h = self.engine.value_grid(g, rows, rows, out=lattice[:len(g)], half=half[:len(g)])
-            spread[start:start + len(g)] = h.max(axis=(1, 2)) - h.min(axis=(1, 2))
+        whole = False
+        for start in range(0, time_grid, block):
+            g = grids[start:start + block]
+            if not whole:
+                split = len(g) * n * width
+                bound = engine.row_bounds(g, rows, half=work[:split].reshape(-1, n, width),
+                                          moduli=work[split:split + split // 2]
+                                          .reshape(-1, n, width // 2))
+                order = np.argsort(bound, axis=1)[:, ::-1]  # rows by falling bound
+                hi, lo = _lattice_extremes(engine, g, rows[order[:, :first]], ys, work)
+                cut = (np.minimum(hi, -lo) - _TINY) / (1.0 + _OSC_SLACK)
+                keep = int(np.max(np.sum(bound > cut[:, None], axis=1)))
+                whole = keep > most
+                if first < keep <= most:
+                    more = rows[order[:, min(first, keep - 2):keep]]
+                    more_hi, more_lo = _lattice_extremes(engine, g, more, ys, work)
+                    hi, lo = np.maximum(hi, more_hi), np.minimum(lo, more_lo)
+            if whole:
+                hi, lo = _lattice_extremes(engine, g, rows, ys, work)
+            spread[start:start + len(g)] = hi - lo
         return float(np.trapezoid(spread, times))
+
+
+def _lattice_extremes(engine: SpectralEngine, grids: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                      work: np.ndarray) -> tuple:
+    """Max and min of each grid's lattice on the x rows ``xs``: (m, 2K) rows
+    of every grid, or (len(grids), m, 2K) rows per grid.  The half products
+    and lattices of as many grids per ``value_grid`` call as fit go to the
+    buffer ``work``."""
+    m, width, n = xs.shape[-2], xs.shape[-1], len(ys)
+    count = len(grids) if xs.ndim == 3 else len(work) // (m * (width + n))
+    hi, lo = np.empty(len(grids)), np.empty(len(grids))
+    for a in range(0, len(grids), count):
+        g = grids[a:a + count]
+        split = len(g) * m * width
+        v = engine.value_grid(g, xs[a:a + count] if xs.ndim == 3 else xs, ys,
+                              out=work[split:split + len(g) * m * n].reshape(-1, m, n),
+                              half=work[:split].reshape(-1, m, width))
+        hi[a:a + count], lo[a:a + count] = v.max(axis=(1, 2)), v.min(axis=(1, 2))
+    return hi, lo
 
 
 class RandomHamiltonian(SpectralHamiltonian):

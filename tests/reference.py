@@ -7,6 +7,9 @@
   arrays.
 * ``analytic_variance`` and ``spatial_mean``: the moments of a draw that the
   statistical tests compare samples with.
+* ``lattice_oscillation``: ``oscillation`` from every value of the whole
+  n x n lattice at every time, as it was computed before rows were pruned
+  by their bounds.
 * ``expansion`` and ``reconstruct_value``: the coefficients of a periodic- or
   constant-kernel draw over the product basis of ``hamflow.rkhs``, one
   Python float per entry, and the field they sum to.
@@ -116,6 +119,15 @@ def spatial_mean(h, t: float, grid: int | None = None) -> float:
         grid = 4 * h.engine.band + 1
     xs = np.arange(grid) / grid
     return float(h.value_grid(t, xs, xs).mean())
+
+
+def lattice_oscillation(h, spatial_grid: int = 128, time_grid: int = 101) -> float:
+    """Trapezoid-in-time integral of (max - min) of H_t over the whole
+    lattice, one ``value_grid`` call per time."""
+    xs = np.arange(spatial_grid) / spatial_grid
+    times = np.linspace(0.0, 1.0, time_grid)
+    spread = [np.ptp(h.engine.value_grid(g, xs, xs)) for g in h.coefficient_grids(times)]
+    return float(np.trapezoid(spread, times))
 
 
 def expansion(draw) -> dict:

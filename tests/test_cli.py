@@ -222,6 +222,14 @@ def test_negative_seed_exits_with_a_typed_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_tails_below_1000_samples_writes_nothing(tmp_path, capsys):
+    config = tmp_path / "tiny.txt"
+    config.write_text(TINY)
+    assert cli.main(["tails", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ValidationError: samples")
+    assert not (tmp_path / "out").exists()
+
+
 def test_rkhs_norm_finite_at_high_regularity(tmp_path):
     # weights exp(r lambda_n) overflow a double here, while coefficients underflow
     rc, out = run(tmp_path, "rkhs-norm",

@@ -157,3 +157,36 @@ def test_buffered_calls_equal_allocating_calls():
     out, half = np.empty((5, 24, 24)), np.empty((5, 24, 2 * engine.band))
     got = engine.value_grid(grids, rows, rows, out=out, half=half)
     assert got is out and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("axis_modes", [False, True], ids=["", "axis"])
+def test_value_grid_takes_rows_per_grid(axis_modes):
+    # each grid on its own rows gives those rows of its whole lattice, bit
+    # for bit, down to two rows a grid
+    law = make_law(0.5 / (4 * math.pi**2), spatial_max=25, include_axis_modes=axis_modes)
+    engine = law.engine()
+    grids = sample_hamiltonian(law, 5).coefficient_grids(np.linspace(0, 1, 6))
+    rows = engine.lattice_rows(np.arange(40) / 40)
+    whole = engine.value_grid(grids, rows, rows)
+    picks = np.argsort(np.random.default_rng(5).uniform(size=(6, 40)), axis=1)
+    for count in (2, 9, 40):
+        pick = picks[:, :count]
+        got = engine.value_grid(grids, rows[pick], rows)
+        assert np.array_equal(got, np.take_along_axis(whole, pick[..., None], axis=1))
+
+
+@pytest.mark.parametrize("axis_modes", [False, True], ids=["", "axis"])
+def test_row_bounds_hold_every_row_of_the_lattice(axis_modes):
+    law = make_law(3 / (4 * math.pi**2), spatial_max=25, include_axis_modes=axis_modes)
+    engine = law.engine()
+    grids = sample_hamiltonian(law, 6).coefficient_grids(np.linspace(0, 1, 5))
+    rows = engine.lattice_rows(np.arange(64) / 64)
+    half, value_half = np.empty((2, 5, 64, rows.shape[1]))
+    bounds = engine.row_bounds(grids, rows, half=half)
+    values = engine.value_grid(grids, rows, rows, half=value_half)
+    assert bounds.shape == (5, 64)
+    assert np.array_equal(half, value_half)
+    assert np.all(np.abs(values).max(axis=2) <= bounds * (1 + 1e-12))
+    # the bound is the sum of the moduli of the (cos, sin) pairs
+    pairs = half.reshape(5, 64, -1, 2)
+    assert np.allclose(bounds, np.hypot(pairs[..., 0], pairs[..., 1]).sum(axis=2), rtol=1e-14)

@@ -368,6 +368,22 @@ def check_displacement_chunk(regularity, steps):
         assert abs(inverse - displacement(draw, 1.0, 0.0)) <= 1e-12
 
 
+class TestZeroFlux:
+    """A Hamiltonian diffeomorphism has zero flux, so the image of K = {y = 1/2}
+    bounds zero signed area against K and meets it: every image crosses L8
+    (y = 1/2) at least twice."""
+
+    # 16 draws per law at the CLI's defaults, seed fixed before the counts
+    # were seen
+    @pytest.mark.parametrize("r", [4.5, 3.95])
+    def test_every_image_crosses_l8_at_least_twice(self, r):
+        cfg = ExperimentConfig(command="intersections", regularity=(r,), samples=16, seed=11,
+                               workers=1, lagrangians=("L8",))
+        records = run_intersections(cfg)
+        assert len(records) == 16
+        assert [record for record in records if "error" in record or record["L8"] < 2] == []
+
+
 class TestBatchedChunks:
     """Regularity 3 keeps the cap of 40 steps; regularity 5 takes 7."""
 

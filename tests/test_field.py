@@ -15,7 +15,8 @@ from hamflow.rng import derive
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, TimeBasis
 from reference import (analytic_variance, coefficient_paths, concatenation_coefficients,
                        full_coefficients, full_packing, gaussian_dimension, gradient, grid_slots,
-                       mode_coefficients, mode_of, reversal_coefficients, spatial_mean)
+                       lattice_oscillation, mode_coefficients, mode_of, reversal_coefficients,
+                       spatial_mean)
 
 
 class TestSpectralWeight:
@@ -254,6 +255,70 @@ class TestOscillation:
                    for i in range(200)]
             means.append(np.mean(osc))
         assert all(a > b for a, b in zip(means, means[1:]))
+
+
+def frequency_law(r, **kwargs):
+    """The CLI's default law (spatial_max 25, temporal_max 10) at regularity r
+    in frequency units."""
+    return make_law(r / (4 * math.pi**2), **kwargs)
+
+
+# periodic laws from nearly every row evaluated to a twentieth of them, the
+# other kernels, and axis modes, whose y-only modes give every row the same
+# bound; the r = 0.5 and 0.1 laws and the axis modes evaluate whole lattices
+PRUNING_LAWS = {**{f"r={r:g}": (r, {}) for r in (0.1, 0.5, 2, 3, 3.95, 4.5)},
+                "sqexp": (3, {"kernel": SQEXP}), "constant": (3.95, {"kernel": CONSTANT}),
+                "axis modes": (3.95, {"include_axis_modes": True})}
+
+
+class TestPrunedOscillation:
+    """``oscillation`` evaluates only the rows whose bounds reach the
+    extremes found, and its result is bit for bit that of every row."""
+
+    # (37, 3): one short block; (2, 2): the first rows are all rows; (128, 17):
+    # a block of 16 times and a block of one time
+    @pytest.mark.parametrize("law", sorted(PRUNING_LAWS))
+    @pytest.mark.parametrize("lattice", [(37, 3), (2, 2), (128, 17)])
+    def test_equals_the_whole_lattices(self, law, lattice):
+        r, kwargs = PRUNING_LAWS[law]
+        for i in range(3):
+            h = sample_hamiltonian(frequency_law(r, **kwargs), 9, i)
+            assert h.oscillation(*lattice) == lattice_oscillation(h, *lattice)
+
+    @pytest.mark.parametrize("r", [500, 700])
+    def test_row_bounds_do_not_underflow(self, r):
+        # the half products near 1e-217 at r = 500: their plain squares would
+        # flush to zero, and the bounds would prune the rows of the extremes
+        for i in range(3):
+            h = sample_hamiltonian(frequency_law(r), 9, i)
+            osc = h.oscillation(128, 17)
+            assert osc > 0.0 and osc == lattice_oscillation(h, 128, 17)
+
+    @staticmethod
+    def evaluated_rows(h, monkeypatch) -> int:
+        """Lattice rows evaluated by ``h.oscillation()``, of 101 x 128."""
+        rows = []
+        value_grid = SpectralEngine.value_grid
+
+        def counted(self, grid, xs, ys, **kwargs):
+            rows.append(len(grid) * np.shape(xs)[-2])
+            return value_grid(self, grid, xs, ys, **kwargs)
+
+        monkeypatch.setattr(SpectralEngine, "value_grid", counted)
+        h.oscillation()
+        monkeypatch.undo()
+        return sum(rows)
+
+    def test_smooth_laws_evaluate_few_rows(self, monkeypatch):
+        for r, most in ((3, 0.25), (4.5, 0.1)):
+            h = sample_hamiltonian(frequency_law(r), 9, 0)
+            assert self.evaluated_rows(h, monkeypatch) < most * 101 * 128
+
+    def test_rough_laws_evaluate_whole_lattices(self, monkeypatch):
+        # the first block evaluates its first rows, then every row of every time
+        h = sample_hamiltonian(frequency_law(0.1), 9, 0)
+        first_rows = field._OSC_BLOCK * field._OSC_FIRST
+        assert self.evaluated_rows(h, monkeypatch) == first_rows + 101 * 128
 
 
 class TestSubnormalFlush:

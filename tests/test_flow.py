@@ -534,9 +534,13 @@ class TestBuffers:
     def test_oscillation_block_allocates_no_lattice(self, monkeypatch):
         h = sample_hamiltonian(self.LAW, 3)
         value_grid = SpectralEngine.value_grid
-        allocated = []
+        allocated, lattices, buffers = [], [], []
 
         def measured(self, *args, **kwargs):
+            # the call's lattices, and the buffer that they are a view of
+            out = kwargs["out"]
+            lattices.append(out.nbytes)
+            buffers.append(out.nbytes if out.base is None else out.base.nbytes)
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             out = value_grid(self, *args, **kwargs)
@@ -547,8 +551,13 @@ class TestBuffers:
         monkeypatch.setattr(SpectralEngine, "value_grid", measured)
         tracemalloc.start()
         try:
-            # one block's lattices are 8 x 128 x 128 doubles, 1 MiB
             assert h.oscillation(128, 101) == expected
         finally:
             tracemalloc.stop()
-        assert len(allocated) == 13 and max(allocated) < self.LIMIT
+        # no call allocates its lattices, no call's lattices exceed 8 x 128 x
+        # 128 doubles (1 MiB), and one buffer holds those and the half
+        # products of every call: 8 x 128 x (128 + 2K) doubles, as the
+        # lattices and half products of 8 whole lattices take
+        assert allocated and max(allocated) < self.LIMIT
+        assert max(lattices) <= 8 * 128 * 128 * 8
+        assert max(buffers) <= 8 * 128 * (128 + 2 * h.engine.band) * 8
