@@ -134,7 +134,7 @@ COMMAND_TABLE = {
     "rkhs-norm": Command("rkhs_samples", experiments.mean_table,
                          {"table": "rkhs.csv", "records": "rkhs_samples.jsonl"},
                          every_regularity=True),
-    "tails": Command("tail_samples", experiments.tail_fit,
+    "tails": Command("oscillation_samples", experiments.tail_fit,
                      {"survival": "tail_survival.jsonl", "fit": "tail_fit.jsonl"},
                      plot=("tails.svg", _tails_svg), check=experiments.check_tail_samples),
     "concentration": Command("oscillation_samples", experiments.mean_table,

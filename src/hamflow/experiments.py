@@ -243,10 +243,9 @@ def flow_steps(law: HamiltonianLaw, cap: int) -> int:
     return min(cap, max(MIN_STEPS, math.ceil(law.lipschitz_bound() / THETA)))
 
 
-def _settings_for(cfg: ExperimentConfig, law: HamiltonianLaw | None = None) -> FlowSettings:
-    """The flow settings of ``cfg``, at ``law``'s step count if a law is given
-    and at ``cfg.steps`` if not."""
-    return FlowSettings(steps=cfg.steps if law is None else flow_steps(law, cfg.steps),
+def _settings_for(cfg: ExperimentConfig, law: HamiltonianLaw) -> FlowSettings:
+    """The flow settings of ``cfg`` at ``law``'s step count."""
+    return FlowSettings(steps=flow_steps(law, cfg.steps),
                         refinement_threshold=cfg.refinement_threshold,
                         max_refinement_depth=cfg.max_refinement_depth)
 
@@ -456,12 +455,6 @@ def check_tail_samples(cfg: ExperimentConfig) -> None:
     """Refuse a ``tails`` config below the 1000 draws of ``tail_fit``."""
     if cfg.samples < 1000:
         raise ValidationError("samples", "tail statistics need >= 1000 draws")
-
-
-def tail_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
-    """``oscillation_samples``, refused below the 1000 draws of ``tail_fit``."""
-    check_tail_samples(cfg)
-    return oscillation_samples(cfg, r_index)
 
 
 def tail_fit(cfg: ExperimentConfig, runs: list) -> dict:

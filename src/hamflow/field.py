@@ -411,16 +411,15 @@ class PackedBatch:
 
     ``append`` packs a Hamiltonian's coefficient matrix straight to field
     grids: ``engine.grids``, which flushes subnormals, then
-    ``engine.field_grids``, into one (m, 2, K, 4K) row of a stacked
-    (S, m, 2, K, 4K) array.  The batch keeps that row only, not the
+    ``engine.field_grids``, into one (m, 2, K, 4K) row of a contiguous
+    (S, m, 2, K, 4K) stack.  The batch keeps that row only, not the
     Hamiltonian or its plain grids, so a caller can pack draws as it samples
     them and let each go.  The stack is allocated at the first append with
-    ``capacity`` rows (at least the Hamiltonians given), so a batch told its
-    size packs in place; past that it doubles.  Field grids are linear in the
-    coefficients, so the field grids of all S at T times are one batched
-    product Phi(times) @ rows, written into one preallocated block.
-    ``rows`` takes a sub-batch without packing again: a view that shares the
-    batch's packed rows and takes no appends.
+    ``capacity`` rows (at least the Hamiltonians given), and an append past
+    them raises ``ValueError``.  Field grids are linear in the coefficients,
+    so the field grids of all S at T times are one batched product
+    Phi(times) @ stack, written into one preallocated block.  ``rows`` takes
+    a sub-batch over a copy of the given rows, without packing again.
     """
 
     def __init__(self, hamiltonians=(), capacity: int = 0):
@@ -430,7 +429,6 @@ class PackedBatch:
         self._capacity = max(capacity, len(hamiltonians))
         self._stack = None
         self._size = 0
-        self._index = None  # the stack rows of a sub-batch, in its order
         for h in hamiltonians:
             self.append(h)
 
@@ -439,18 +437,15 @@ class PackedBatch:
 
     def append(self, h: SpectralHamiltonian) -> None:
         """Pack one more Hamiltonian as the last row."""
-        if self._index is not None:
-            raise ValueError("a sub-batch takes no appends")
+        if self._size == self._capacity:
+            raise ValueError(f"the batch is full at its capacity of {self._capacity} rows")
         if self.engine is None:
             self.engine, self.time_basis = h.engine, h.time_basis
         elif h.engine is not self.engine or h.time_basis != self.time_basis:
             raise ValueError("a batch needs one engine and one time basis")
         row = self.engine.field_grids(self.engine.grids(h.coefficients))
-        if self._stack is None or self._size == len(self._stack):
-            grown = np.empty((max(self._capacity, 2 * self._size, 1),) + row.shape)
-            if self._size:
-                grown[:self._size] = self._stack
-            self._stack = grown
+        if self._stack is None:
+            self._stack = np.empty((self._capacity,) + row.shape)
         self._stack[self._size] = row
         self._size += 1
 
@@ -461,32 +456,25 @@ class PackedBatch:
         if indices == list(range(len(self))):
             return self
         sub = PackedBatch()
-        sub.engine, sub.time_basis, sub._stack = self.engine, self.time_basis, self._stack
-        sub._index = self._stack_rows()[indices]
-        sub._size = len(indices)
+        sub.engine, sub.time_basis = self.engine, self.time_basis
+        sub._stack = self._stack[indices]
+        sub._capacity = sub._size = len(indices)
         return sub
-
-    def _stack_rows(self) -> np.ndarray:
-        return np.arange(self._size) if self._index is None else self._index
 
     def field_grids(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Field grids (T, S, 2, K, 4K) at the T times of the rows ``phi``
         = ``time_basis(times)`` (``SpectralEngine.field_grids``), written to
         ``out`` if given.
 
-        One batched product Phi(times) @ row per run of consecutive stack
-        rows (one run for a whole batch) writes them through an (S, T, ...)
-        view of the time-major block; each row is the product a loop over
-        rows would make, into the same layout.
+        One batched product Phi(times) @ stack writes them through an
+        (S, T, ...) view of the time-major block; each row is the product a
+        loop over rows would make, into the same layout.
         """
         if out is None:
             out = np.empty((len(phi), len(self)) + self.engine.field_shape)
-        flat = out.reshape(len(phi), len(self), -1).transpose(1, 0, 2)
-        stack = self._stack.reshape(self._stack.shape[:2] + (-1,))
-        index = self._stack_rows()
-        cuts = [0, *(np.flatnonzero(np.diff(index) != 1) + 1), len(index)]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            np.matmul(phi, stack[index[a]:index[a] + b - a], out=flat[a:b])
+        stack = self._stack[:self._size]
+        np.matmul(phi, stack.reshape(stack.shape[:2] + (-1,)),
+                  out=out.reshape(len(phi), len(self), -1).transpose(1, 0, 2))
         return out
 
 

@@ -383,8 +383,8 @@ def advect_curves(hamiltonians, curve: LagrangianCurve, t: float = 1.0,
     The draws refine in lockstep.  Pass 0 flows the S copies of the source
     vertices as one (S, V, 2) batch.  Each later pass bisects, per draw,
     every source segment whose image gap exceeds the threshold, and flows
-    the midpoints of the draws still refining as one batch of rows of the
-    packed Hamiltonians.  A draw with fewer midpoints than the widest is
+    the midpoints of the draws still refining as one batch: a copy of their
+    packed rows (``PackedBatch.rows``), so no draw is packed twice.  A draw with fewer midpoints than the widest is
     padded with copies of its own last midpoint, whose images are discarded.
     A draw is refined at most ``max_refinement_depth`` times.  Draws do not
     mix in the engine, which evaluates each draw's points under its own
@@ -393,13 +393,14 @@ def advect_curves(hamiltonians, curve: LagrangianCurve, t: float = 1.0,
     two or more and no pass flows one midpoint in one and several in the
     other (see the module docstring).
     """
-    flow, count = _row_flow(hamiltonians, t, settings)
+    batch = hamiltonians if isinstance(hamiltonians, PackedBatch) else PackedBatch(hamiltonians)
+    count = len(batch)
     depth_limit = settings.max_refinement_depth
     winding = np.array(curve.winding, dtype=float)
     source = curve.vertices[:-1] if curve.closed else curve.vertices
     out = [None] * count
-    rows, images = _flow_rows(flow, list(range(count)),
-                              np.broadcast_to(source, (count,) + source.shape), out)
+    rows, images = _flow_rows(batch, list(range(count)),
+                              np.broadcast_to(source, (count,) + source.shape), t, settings, out)
     active = [(s, source, image) for s, image in zip(rows, images)]
     for depth in range(depth_limit + 1):
         pending = []
@@ -422,7 +423,7 @@ def advect_curves(hamiltonians, curve: LagrangianCurve, t: float = 1.0,
         width = max(len(mids) for *_, mids in pending)
         padded = np.stack([np.concatenate([mids, np.repeat(mids[-1:], width - len(mids), axis=0)])
                            for *_, mids in pending])
-        rows, images = _flow_rows(flow, [entry[0] for entry in pending], padded, out)
+        rows, images = _flow_rows(batch, [s for s, *_ in pending], padded, t, settings, out)
         flowed = dict(zip(rows, images))
         active = [(s, np.insert(src, bad + 1, mids, axis=0),
                    np.insert(img, bad + 1, flowed[s][:len(mids)], axis=0))
@@ -430,15 +431,9 @@ def advect_curves(hamiltonians, curve: LagrangianCurve, t: float = 1.0,
     return out
 
 
-def _row_flow(hamiltonians, t, settings):
-    """(flow, S): flow(rows, pts) maps pts (len(rows), P, 2) by the time-t
-    flows of those rows of ``hamiltonians`` (see ``advect_curves``)."""
-    batch = hamiltonians if isinstance(hamiltonians, PackedBatch) else PackedBatch(hamiltonians)
-    return (lambda rows, pts: flow_points(batch.rows(rows), pts, 0.0, t, settings)), len(batch)
-
-
-def _flow_rows(flow, rows, pts, out):
-    """flow(rows, pts), less the rows whose state leaves the finite range.
+def _flow_rows(batch, rows, pts, t, settings, out):
+    """pts (len(rows), P, 2) mapped by the time-t flows of those rows of
+    ``batch``, less the rows whose state leaves the finite range.
 
     Each such row's ``NonFinite`` goes to ``out`` and the other rows flow
     again, which leaves their images unchanged.  Returns the rows kept and
@@ -446,7 +441,7 @@ def _flow_rows(flow, rows, pts, out):
     """
     while rows:
         try:
-            return rows, flow(rows, pts)
+            return rows, flow_points(batch.rows(rows), pts, 0.0, t, settings)
         except NonFinite as exc:
             if not exc.draws:
                 raise

@@ -128,7 +128,7 @@ def test_batch_field_grids_follow_appends():
     hs = [sample_hamiltonian(law, 5, i) for i in range(3)]
     times = np.linspace(0, 1, 5)
     engine, phi = law.engine(), hs[0].time_basis(times)
-    batch = PackedBatch(hs[:2])
+    batch = PackedBatch(hs[:2], capacity=3)
     assert batch.field_grids(phi).shape == (5, 2, 2, 7, 28)
     batch.append(hs[2])
     want = PackedBatch(hs).field_grids(phi)

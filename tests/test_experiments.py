@@ -109,7 +109,7 @@ class TestAdvectCurves:
     def test_packed_batch_input_equals_list_input(self):
         hs = draws(5)
         curve = circle_curve((0.4, 0.6), 0.1, 48)
-        batch = PackedBatch()
+        batch = PackedBatch(capacity=5)
         for h in hs:
             batch.append(h)
         a = advect_curves(batch, curve, 1.0, SETTINGS)
@@ -167,14 +167,19 @@ class TestAdvectCurves:
         phi = batch.time_basis(np.linspace(0.0, 1.0, 5))
         assert np.array_equal(sub.field_grids(phi), PackedBatch([hs[3], hs[1]]).field_grids(phi))
         want = batch.field_grids(phi)
-        # sub-batches share the packed rows: runs of consecutive rows, lone
-        # rows, reversals, and a sub-batch's rows
+        # runs of consecutive rows, lone rows, reversals, and a sub-batch's rows
         for sub, rows in ((sub, [3, 1]), (batch.rows([1, 2, 3, 5, 0]), [1, 2, 3, 5, 0]),
                           (batch.rows([0, 2, 3, 4]).rows([3, 1, 2]), [4, 2, 3])):
-            assert sub._stack is batch._stack
             assert np.array_equal(sub.field_grids(phi), want[:, rows])
-        with pytest.raises(ValueError):
-            batch.rows([1]).append(hs[0])
+
+    def test_append_past_capacity_raises(self):
+        hs = draws(3)
+        for batch in (PackedBatch(capacity=2), PackedBatch(hs[:2]), PackedBatch(hs).rows([2, 0])):
+            while len(batch) < 2:
+                batch.append(hs[len(batch)])
+            with pytest.raises(ValueError, match="capacity of 2"):
+                batch.append(hs[2])
+            assert len(batch) == 2
 
     def test_all_rows_in_order_are_the_batch_itself(self):
         batch = PackedBatch(draws(3))
