@@ -14,6 +14,8 @@ The two differ by the constant factor 4 pi^2.
 
 ``steps`` is the most integrator steps per unit time (order 6, see
 :mod:`hamflow.flow`); smooth laws use fewer (see :mod:`hamflow.experiments`).
+Curve refinement runs until no image gap exceeds ``refinement_threshold``;
+no key caps it (``hamflow.flow.MAX_IMAGE_VERTICES`` bounds an image).
 
 ``grid_nodes`` is accepted, checked and echoed, and nothing reads it: every
 kernel is a Fourier series in time (:mod:`hamflow.temporal`), so no kernel
@@ -61,7 +63,6 @@ class ExperimentConfig:
     samples: int = 100
     steps: int = 200
     refinement_threshold: float = 0.01
-    max_refinement_depth: int = 12
     seed: int = 0
     out: str = "results"
     plot: bool = False
@@ -125,8 +126,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad("steps", "must be >= 1")
     if not 0.0 < cfg.refinement_threshold <= 0.5:
         bad("refinement_threshold", "must lie in (0, 0.5]")
-    if cfg.max_refinement_depth < 0:
-        bad("max_refinement_depth", "must be >= 0")
     if cfg.seed < 0:
         bad("seed", "must be >= 0")
     if cfg.workers < 0:
@@ -149,6 +148,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad("walk_steps", "must be >= 0")
     if len(cfg.probe) != 2:
         bad("probe", "must be a pair")
+    if not cfg.lagrangians:
+        bad("lagrangians", "must name at least one label")
     unknown = [lab for lab in cfg.lagrangians if lab not in PAPER_LABELS]
     if unknown:
         bad("lagrangians", f"unknown labels {unknown}")

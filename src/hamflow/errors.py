@@ -30,7 +30,7 @@ class FailureBudgetExceeded(HamflowError):
 
 
 class RefinementOverflow(HamflowError):
-    """Curve refinement exceeded the maximum subdivision depth."""
+    """Curve refinement would take an image past ``flow.MAX_IMAGE_VERTICES``."""
 
 
 class DegenerateOverlap(HamflowError):

@@ -30,8 +30,8 @@ any row count of two or more: a property of the BLAS, not a numpy
 guarantee, which ``tests/test_experiments.py``, ``tests/test_flow.py`` and
 ``tests/test_cli.py`` check.  One point takes numpy's matrix-vector path,
 which rounds differently: ``inversion`` always flows one point per draw,
-and a curve's refinement pass could flow one midpoint per draw in one chunk
-and pad it in another, which no tested draw has done (``hamflow.flow``).
+and a curve's refinement pass pads each draw's midpoints to two at least
+(``hamflow.flow``).
 
 Step counts.  The config's ``steps`` is the most order-6 steps
 (``hamflow.flow``) per unit time.  ``flow``, ``intersections``,
@@ -246,8 +246,7 @@ def flow_steps(law: HamiltonianLaw, cap: int) -> int:
 def _settings_for(cfg: ExperimentConfig, law: HamiltonianLaw) -> FlowSettings:
     """The flow settings of ``cfg`` at ``law``'s step count."""
     return FlowSettings(steps=flow_steps(law, cfg.steps),
-                        refinement_threshold=cfg.refinement_threshold,
-                        max_refinement_depth=cfg.max_refinement_depth)
+                        refinement_threshold=cfg.refinement_threshold)
 
 
 def worker_count(cfg: ExperimentConfig) -> int:

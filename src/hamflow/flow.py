@@ -12,18 +12,15 @@ batch of them (``PackedBatch``) alike.
 Curves are advected in batches (``advect_curves``).  The draws of a batch
 refine in lockstep: each refinement pass is one batched flow of the
 new source midpoints of the draws still refining, each draw padded to the
-widest with copies of its own last midpoint.  The engine evaluates each
-draw's points under its own grids, so a draw that fails (``NonFinite``,
-``RefinementOverflow``) fails alone, and its images equal the one-draw
-loop's up to rounding.  They are equal bit for bit when the BLAS matrix
-product gives each row the same result at any row count of two or more;
-that is a property of the BLAS, not a numpy guarantee, and the tests check
-it on the BLAS numpy is built with.  A set of one point takes numpy's
-matrix-vector path instead, which on OpenBLAS rounds about half of all
-points differently in the last bits, so a draw's images can differ from the
-one-draw loop's where one of the two flows a single midpoint and the other
-pads it.  No pass flowed a single midpoint over 280 draws of the CLI's
-``intersections`` laws (r = 3.16, 3.95 and 4.5; the narrowest flowed 8).
+widest, and to two points at least, with copies of its own last midpoint.
+The engine evaluates each draw's points under its own grids, so a draw that
+fails (``NonFinite``, ``RefinementOverflow``) fails alone, and its images
+equal the one-draw loop's bit for bit when the BLAS matrix product gives
+each row the same result at any row count of two or more; that is a
+property of the BLAS, not a numpy guarantee, and the tests check it on the
+BLAS numpy is built with.  A set of one point would take numpy's
+matrix-vector path, which on OpenBLAS rounds about half of all points
+differently in the last bits; the padding keeps every set at two or more.
 
 Buffers.  Each flow (``_flow_grids``) allocates its stage-grid block, the
 engine's ``FieldBuffers`` and its stage slopes once, and every step writes
@@ -66,6 +63,11 @@ _B = np.array([11 / 120, 0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120])
 # concatenation of k parts flows k times the steps, over k columns) from one
 # call per slice of this many, so the rows stay 5 x 200 x m doubles at most.
 _PHI_STEPS = 200
+# A draw whose next refinement pass would take its image past this many
+# vertices raises RefinementOverflow.  Passes need no cap: an image gap is at
+# most the map's Lipschitz constant times its source length, which halves
+# each pass, so what a runaway draw uses up is vertices (memory, flow time).
+MAX_IMAGE_VERTICES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -74,20 +76,18 @@ class FlowSettings:
 
     ``steps`` is per unit time, taken exactly, times the time basis's
     ``stiffness`` (a concatenation's part count).  The CLI experiments
-    choose it per law (``experiments.flow_steps``).
+    choose it per law (``experiments.flow_steps``).  ``advect_curves``
+    refines an image until no gap exceeds ``refinement_threshold``.
     """
 
     steps: int = 200
     refinement_threshold: float = 0.01
-    max_refinement_depth: int = 12
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if not 0.0 < self.refinement_threshold <= 0.5:
             raise ValueError("refinement_threshold must lie in (0, 0.5]")
-        if self.max_refinement_depth < 0:
-            raise ValueError("max_refinement_depth must be >= 0")
 
 
 DEFAULT_SETTINGS = FlowSettings()
@@ -319,15 +319,14 @@ def concatenate_autonomous(parts, bump: BumpFunction) -> SpectralHamiltonian:
 
 @dataclass(frozen=True)
 class LagrangianCurve:
-    """Closed (or open) polyline stored as planar lifts.
+    """Closed polyline stored as planar lifts.
 
-    For closed curves the final vertex equals the first plus the integer
-    winding vector, and adjacent lifts stay within 0.5 per coordinate so the
-    polyline never aliases across the fundamental domain.
+    The final vertex equals the first plus the integer winding vector, and
+    adjacent lifts stay within 0.5 per coordinate so the polyline never
+    aliases across the fundamental domain.
     """
 
     vertices: np.ndarray
-    closed: bool = True
     winding: tuple = (0, 0)
 
     def __post_init__(self):
@@ -336,11 +335,10 @@ class LagrangianCurve:
             raise ValueError("vertices must be an (V, 2) array with V >= 2")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "winding", (int(self.winding[0]), int(self.winding[1])))
-        if self.closed:
-            # compare via the construction expression: first + winding is the
-            # closing vertex bit-for-bit, whereas differencing loses an ulp
-            if not np.array_equal(verts[-1], verts[0] + np.array(self.winding, dtype=float)):
-                raise ValueError("closed curve must end at first vertex + winding")
+        # compare via the construction expression: first + winding is the
+        # closing vertex bit-for-bit, whereas differencing loses an ulp
+        if not np.array_equal(verts[-1], verts[0] + np.array(self.winding, dtype=float)):
+            raise ValueError("closed curve must end at first vertex + winding")
         step = np.abs(np.diff(verts, axis=0))
         if step.size and step.max() > 0.5 + 1e-9:
             raise ValueError("adjacent lift vertices must stay within 0.5 per coordinate")
@@ -353,7 +351,7 @@ def horizontal_circle(y: float = 0.5, n_vertices: int = 128) -> LagrangianCurve:
     """The closed horizontal loop {(a, y)}, winding (1, 0)."""
     alpha = np.linspace(0.0, 1.0, n_vertices + 1)
     verts = np.stack([alpha, np.full_like(alpha, y)], axis=-1)
-    return LagrangianCurve(verts, closed=True, winding=(1, 0))
+    return LagrangianCurve(verts, winding=(1, 0))
 
 
 def advect_curve(fieldlike, curve: LagrangianCurve, t: float = 1.0,
@@ -376,54 +374,49 @@ def advect_curves(hamiltonians, curve: LagrangianCurve, t: float = 1.0,
     """Images of one curve under the time-t flows of S Hamiltonians.
 
     ``hamiltonians`` is a ``PackedBatch``, or a list or tuple of spectral
-    Hamiltonians that form one.  Entry s of the result is the image under Hamiltonian s, refined
-    as ``advect_curve`` describes, or the ``HamflowError`` its advection
-    raised (``NonFinite`` or ``RefinementOverflow``).
+    Hamiltonians that form one.  Entry s of the result is the image under
+    Hamiltonian s, refined as ``advect_curve`` describes, or the
+    ``HamflowError`` its advection raised (``NonFinite``, or
+    ``RefinementOverflow`` when its next pass would take its image past
+    ``MAX_IMAGE_VERTICES``).
 
     The draws refine in lockstep.  Pass 0 flows the S copies of the source
-    vertices as one (S, V, 2) batch.  Each later pass bisects, per draw,
-    every source segment whose image gap exceeds the threshold, and flows
-    the midpoints of the draws still refining as one batch: a copy of their
-    packed rows (``PackedBatch.rows``), so no draw is packed twice.  A draw with fewer midpoints than the widest is
-    padded with copies of its own last midpoint, whose images are discarded.
-    A draw is refined at most ``max_refinement_depth`` times.  Draws do not
-    mix in the engine, which evaluates each draw's points under its own
-    grids, so each image equals the one-draw result bit for bit as long as
-    the BLAS matrix product gives a row the same result at any row count of
-    two or more and no pass flows one midpoint in one and several in the
-    other (see the module docstring).
+    vertices as one batch.  Each later pass bisects, per draw, every source
+    segment whose image gap exceeds the threshold, and flows the midpoints
+    of the draws still refining as one batch: a copy of their packed rows
+    (``PackedBatch.rows``), so no draw is packed twice.  Each draw's points
+    are padded to the widest draw's, and to two at least, with copies of its
+    own last point, whose images are discarded.  Draws do not mix in the
+    engine, which evaluates each draw's points under its own grids, so each
+    image equals the one-draw result bit for bit as long as the BLAS matrix
+    product gives a row the same result at any row count of two or more
+    (see the module docstring).
     """
     batch = hamiltonians if isinstance(hamiltonians, PackedBatch) else PackedBatch(hamiltonians)
-    count = len(batch)
-    depth_limit = settings.max_refinement_depth
     winding = np.array(curve.winding, dtype=float)
-    source = curve.vertices[:-1] if curve.closed else curve.vertices
-    out = [None] * count
-    rows, images = _flow_rows(batch, list(range(count)),
-                              np.broadcast_to(source, (count,) + source.shape), t, settings, out)
-    active = [(s, source, image) for s, image in zip(rows, images)]
-    for depth in range(depth_limit + 1):
+    source = curve.vertices[:-1]
+    out = [None] * len(batch)
+    rows, images = _flow_rows(batch, list(range(len(batch))), [source] * len(batch), t,
+                              settings, out)
+    active = [(s, source, image[:len(source)]) for s, image in zip(rows, images)]
+    while active:
         pending = []
         for s, src, img in active:
-            if curve.closed:
-                img_full = np.vstack([img, img[0] + winding])
-                src_full = np.vstack([src, src[0] + winding])
-            else:
-                img_full, src_full = img, src
-            gaps = np.linalg.norm(np.diff(img_full, axis=0), axis=1)
-            bad = np.flatnonzero(gaps > settings.refinement_threshold)
+            img_full = np.vstack([img, img[0] + winding])
+            bad = np.flatnonzero(np.linalg.norm(np.diff(img_full, axis=0), axis=1)
+                                 > settings.refinement_threshold)
             if bad.size == 0:
-                out[s] = LagrangianCurve(img_full, closed=curve.closed, winding=curve.winding)
-            elif depth == depth_limit:
-                out[s] = RefinementOverflow(f"curve refinement exceeded depth {depth_limit}")
+                out[s] = LagrangianCurve(img_full, winding=curve.winding)
+            elif len(img_full) + bad.size > MAX_IMAGE_VERTICES:
+                out[s] = RefinementOverflow(f"curve refinement would take an image past "
+                                            f"{MAX_IMAGE_VERTICES} vertices")
             else:
+                src_full = np.vstack([src, src[0] + winding])
                 pending.append((s, src, img, bad, 0.5 * (src_full[bad] + src_full[bad + 1])))
         if not pending:
             break
-        width = max(len(mids) for *_, mids in pending)
-        padded = np.stack([np.concatenate([mids, np.repeat(mids[-1:], width - len(mids), axis=0)])
-                           for *_, mids in pending])
-        rows, images = _flow_rows(batch, [s for s, *_ in pending], padded, t, settings, out)
+        rows, images = _flow_rows(batch, [s for s, *_ in pending],
+                                  [mids for *_, mids in pending], t, settings, out)
         flowed = dict(zip(rows, images))
         active = [(s, np.insert(src, bad + 1, mids, axis=0),
                    np.insert(img, bad + 1, flowed[s][:len(mids)], axis=0))
@@ -431,14 +424,20 @@ def advect_curves(hamiltonians, curve: LagrangianCurve, t: float = 1.0,
     return out
 
 
-def _flow_rows(batch, rows, pts, t, settings, out):
-    """pts (len(rows), P, 2) mapped by the time-t flows of those rows of
-    ``batch``, less the rows whose state leaves the finite range.
+def _flow_rows(batch, rows, points, t, settings, out):
+    """``points``, one (P_j, 2) set per row of ``rows``, mapped by the time-t
+    flows of those rows of ``batch``, less the rows whose state leaves the
+    finite range.
 
-    Each such row's ``NonFinite`` goes to ``out`` and the other rows flow
-    again, which leaves their images unchanged.  Returns the rows kept and
-    their images.
+    The sets flow as one batch, each padded with copies of its last point
+    to the largest set's size, and to two at least.  Each dropped row's
+    ``NonFinite`` goes to ``out`` and the other rows flow again, which
+    leaves their images unchanged.  Returns the rows kept and their padded
+    images.
     """
+    width = max(2, max(len(p) for p in points))
+    pts = np.stack([np.concatenate([p, np.repeat(p[-1:], width - len(p), axis=0)])
+                    for p in points])
     while rows:
         try:
             return rows, flow_points(batch.rows(rows), pts, 0.0, t, settings)

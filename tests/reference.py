@@ -280,7 +280,7 @@ def vertical_circle(x: float = 0.5, n_vertices: int = 128) -> LagrangianCurve:
     """The closed vertical loop {(x, a)}, winding (0, 1)."""
     alpha = np.linspace(0.0, 1.0, n_vertices + 1)
     verts = np.stack([np.full_like(alpha, x), alpha], axis=-1)
-    return LagrangianCurve(verts, closed=True, winding=(0, 1))
+    return LagrangianCurve(verts, winding=(0, 1))
 
 
 def sloped_circle(p: int, q: int, n_vertices: int | None = None) -> LagrangianCurve:
@@ -291,7 +291,7 @@ def sloped_circle(p: int, q: int, n_vertices: int | None = None) -> LagrangianCu
         n_vertices = 64 * max(abs(p), abs(q), 1)
     alpha = np.linspace(0.0, 1.0, n_vertices + 1)
     verts = np.stack([p * alpha, q * alpha], axis=-1)
-    return LagrangianCurve(verts, closed=True, winding=(p, q))
+    return LagrangianCurve(verts, winding=(p, q))
 
 
 def circle_curve(center, radius: float, n_vertices: int = 128) -> LagrangianCurve:
@@ -302,7 +302,7 @@ def circle_curve(center, radius: float, n_vertices: int = 128) -> LagrangianCurv
     verts = np.stack([center[0] + radius * np.cos(theta),
                       center[1] + radius * np.sin(theta)], axis=-1)
     verts[-1] = verts[0]
-    return LagrangianCurve(verts, closed=True, winding=(0, 0))
+    return LagrangianCurve(verts, winding=(0, 0))
 
 
 def flow_jacobian_determinant(h, p, t: float = 1.0, settings=DEFAULT_SETTINGS,

@@ -15,7 +15,7 @@ from xml.etree import ElementTree
 
 import pytest
 
-from hamflow import cli
+from hamflow import cli, flow
 from hamflow.config import COMMANDS, parse_config
 from hamflow.experiments import CHUNK
 
@@ -291,13 +291,15 @@ def test_rerun_replaces_stale_failure_log(tmp_path):
     assert not (out / "failures.jsonl").exists()
 
 
-def test_failure_budget_writes_failures_before_exiting(tmp_path, capsys):
-    # 16 vertices lie 1/16 apart, above the 0.01 threshold, so at depth 0
-    # every sample overflows; a table of an older run must not survive
+def test_failure_budget_writes_failures_before_exiting(tmp_path, capsys, monkeypatch):
+    # 16 vertices lie 1/16 apart, above the 0.01 threshold, so within an
+    # image budget of 17 vertices every sample overflows; a table of an
+    # older run must not survive
+    monkeypatch.setattr(flow, "MAX_IMAGE_VERTICES", 17)
     out = tmp_path / "intersections"
     out.mkdir()
     (out / "intersections.csv").write_text("label,regularity,estimate,stderr,samples\n")
-    rc, _ = run(tmp_path, "intersections", TINY + "max_refinement_depth = 0\n")
+    rc, _ = run(tmp_path, "intersections", TINY)
     assert rc == 1
     assert "FailureBudgetExceeded" in capsys.readouterr().err
     records = [json.loads(line) for line in (out / "failures.jsonl").read_text().splitlines()]

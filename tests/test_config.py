@@ -57,6 +57,19 @@ class TestErrors:
             parse_config("no_such_key = 3\n")
         assert info.value.field == "no_such_key"
 
+    def test_refinement_depth_is_an_unknown_key(self):
+        # refinement has no depth cap, only the image budget of hamflow.flow
+        with pytest.raises(ValidationError) as info:
+            parse_config("max_refinement_depth = 12\n", command="intersections")
+        assert info.value.field == "max_refinement_depth"
+
+    def test_empty_lagrangians_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            parse_config("lagrangians =\n", command="intersections")
+        assert info.value.field == "lagrangians"
+        with pytest.raises(ValidationError):
+            ExperimentConfig(lagrangians=())
+
     def test_unknown_override(self):
         with pytest.raises(ValidationError):
             parse_config("", overrides={"no_such_key": 3})

@@ -15,10 +15,11 @@ import pytest
 from hamflow.config import ExperimentConfig
 from hamflow.errors import DegenerateOverlap, HamflowError, NonFinite, RefinementOverflow
 from hamflow.engine import SpectralEngine
-from hamflow import cli
+from hamflow import cli, flow
 from hamflow.experiments import (CHUNK, INVERSION_CHUNK, _advected_chunk, _ball_points,
                                  _bin_counts, _diffusion_chunk, _displacement_chunk,
-                                 _intersection_chunk, _ks_two_sample, _run_chunks, _walk_chunk,
+                                 _intersection_chunk, _ks_two_sample, _run_chunks, _settings_for,
+                                 _walk_chunk,
                                  count_crossings, flow_steps, inversion_test, law_for,
                                  mean_table, paper_lagrangians, run_intersections,
                                  run_inversion_test, standard_error, worker_count)
@@ -30,11 +31,19 @@ from hamflow.rng import derive
 from hamflow.walk import sample_walk
 from reference import apply_walk, circle_curve, crossings, sloped_circle, vertical_circle
 
-# At this law, threshold and depth some draws finish after one or two
-# refinement passes and others overflow.  The batched and one-draw paths
-# must agree at any step count, so the flows take the law's own 21.
+# At this law and threshold, under an image budget of BUDGET vertices, some
+# draws finish after one or two refinement passes and others overflow.  The
+# batched and one-draw paths must agree at any step count, so the flows
+# take the law's own 21.
 LAW = make_law(0.1, spatial_max=4, temporal_max=3)
-SETTINGS = FlowSettings(steps=21, refinement_threshold=0.02, max_refinement_depth=4)
+SETTINGS = FlowSettings(steps=21, refinement_threshold=0.02)
+BUDGET = 160
+
+
+@pytest.fixture
+def budget(monkeypatch):
+    """Images of at most BUDGET vertices (``flow.MAX_IMAGE_VERTICES``)."""
+    monkeypatch.setattr(flow, "MAX_IMAGE_VERTICES", BUDGET)
 
 
 def draws(count, seed=9, law=LAW):
@@ -43,22 +52,19 @@ def draws(count, seed=9, law=LAW):
 
 def reference_advect(h, curve, t, settings):
     """The one-draw refinement loop: bisect every source segment whose image
-    gap exceeds the threshold and flow the midpoints, at most
-    ``max_refinement_depth`` times."""
+    gap exceeds the threshold and flow the midpoints, until a pass would
+    take the image past ``flow.MAX_IMAGE_VERTICES``."""
     winding = np.array(curve.winding, dtype=float)
-    src = curve.vertices[:-1].copy() if curve.closed else curve.vertices.copy()
+    src = curve.vertices[:-1].copy()
     img = flow_points(h, src, 0.0, t, settings)
-    for depth in range(settings.max_refinement_depth + 1):
-        if curve.closed:
-            img_full = np.vstack([img, img[0] + winding])
-            src_full = np.vstack([src, src[0] + winding])
-        else:
-            img_full, src_full = img, src
+    while True:
+        img_full = np.vstack([img, img[0] + winding])
+        src_full = np.vstack([src, src[0] + winding])
         bad = np.flatnonzero(np.linalg.norm(np.diff(img_full, axis=0), axis=1)
                              > settings.refinement_threshold)
         if bad.size == 0:
             return img_full
-        if depth == settings.max_refinement_depth:
+        if len(img_full) + bad.size > flow.MAX_IMAGE_VERTICES:
             return RefinementOverflow
         mids = 0.5 * (src_full[bad] + src_full[bad + 1])
         src = np.insert(src, bad + 1, mids, axis=0)
@@ -74,9 +80,10 @@ def assert_matches_reference(hamiltonians, images, curve, t, settings):
         else:
             assert isinstance(image, LagrangianCurve)
             assert np.array_equal(image.vertices, expected)
-            assert image.closed == curve.closed and image.winding == curve.winding
+            assert image.winding == curve.winding
 
 
+@pytest.mark.usefixtures("budget")
 class TestAdvectCurves:
     @pytest.mark.parametrize("count", [1, 3, 17])
     def test_closed_curve_matches_one_draw_loop(self, count):
@@ -98,10 +105,9 @@ class TestAdvectCurves:
         assert kinds == {LagrangianCurve, RefinementOverflow}
 
     @pytest.mark.parametrize("count", [1, 3, 17])
-    def test_open_curve_matches_one_draw_loop(self, count):
+    def test_contractible_curve_at_time_0_7_matches_one_draw_loop(self, count):
         hs = draws(count, seed=4)
-        alpha = np.linspace(0.0, 1.0, 40)[:, None]
-        curve = LagrangianCurve((1 - alpha) * [0.2, 0.3] + alpha * [0.7, 0.6], closed=False)
+        curve = circle_curve((0.45, 0.45), 0.2, 40)
         images = advect_curves(hs, curve, 0.7, SETTINGS)
         assert_matches_reference(hs, images, curve, 0.7, SETTINGS)
         assert any(isinstance(image, LagrangianCurve) for image in images)
@@ -119,21 +125,38 @@ class TestAdvectCurves:
             if isinstance(x, LagrangianCurve):
                 assert np.array_equal(x.vertices, y.vertices)
 
-    def test_mixes_unrefined_and_multi_pass_draws(self):
+    def test_mixes_unrefined_and_multi_pass_draws(self, monkeypatch):
         zero = RandomHamiltonian(LAW, np.zeros_like(draws(1)[0].gaussians))
         curve = horizontal_circle(0.5, 64)
-        shallow = FlowSettings(steps=21, refinement_threshold=0.02, max_refinement_depth=1)
-        # draws 0 and 3 of this stream need exactly two passes
+        # draws 0 and 3 of this stream take two passes each, to 132 and 95
+        # vertices; within 94 neither finishes
+        monkeypatch.setattr(flow, "MAX_IMAGE_VERTICES", 94)
         multi = [h for i, h in enumerate(draws(4)) if i in (0, 3)]
         for h in multi:
-            assert isinstance(advect_curves([h], curve, 1.0, shallow)[0], RefinementOverflow)
-        deep = FlowSettings(steps=21, refinement_threshold=0.02, max_refinement_depth=2)
+            assert isinstance(advect_curves([h], curve, 1.0, SETTINGS)[0], RefinementOverflow)
+        monkeypatch.setattr(flow, "MAX_IMAGE_VERTICES", BUDGET)
         hs = [multi[0], zero, multi[1]]
-        images = advect_curves(hs, curve, 1.0, deep)
-        assert_matches_reference(hs, images, curve, 1.0, deep)
+        images = advect_curves(hs, curve, 1.0, SETTINGS)
+        assert_matches_reference(hs, images, curve, 1.0, SETTINGS)
         assert np.array_equal(images[1].vertices, curve.vertices)
         assert len(images[0]) > len(curve) and len(images[2]) > len(curve)
         assert len(images[0]) != len(images[2])
+
+    def test_lone_midpoint_flows_alike_alone_and_beside_a_wider_draw(self):
+        # a closed loop at y = 1/2 with gaps of 0.01 but one of 0.03: under a
+        # weak draw one pass bisects that segment alone, a set of one point,
+        # which flows padded to two whether or not a draw beside it flows
+        # several midpoints in the same pass (flowed alone, unpadded, the
+        # midpoint's image differs in its last bits at this draw)
+        xs = np.append(0.01 * np.arange(98), 1.0)
+        curve = LagrangianCurve(np.stack([xs, np.full_like(xs, 0.5)], axis=-1), winding=(1, 0))
+        strong = draws(1)[0]
+        weak = RandomHamiltonian(LAW, 0.01 * strong.gaussians)
+        (alone,) = advect_curves([weak], curve, 1.0, SETTINGS)
+        beside = advect_curves([weak, strong], curve, 1.0, SETTINGS)
+        assert len(alone) == len(curve) + 1
+        assert len(beside[1]) > len(curve) + 2
+        assert np.array_equal(alone.vertices, beside[0].vertices)
 
     def test_non_finite_draw_fails_alone(self):
         hs = draws(3)
@@ -215,6 +238,7 @@ class TestCountCrossings:
         with pytest.raises(DegenerateOverlap):
             count_crossings(curve, [paper_lagrangians()[label]])
 
+    @pytest.mark.usefixtures("budget")
     def test_one_pass_equals_each_lagrangian_alone(self):
         images = [image for image in advect_curves(draws(17), horizontal_circle(0.5, 64), 1.0,
                                                    SETTINGS)
@@ -230,12 +254,14 @@ class TestCountCrossings:
                 counts.update(want)
         assert len(counts) > 3
 
-    @pytest.mark.parametrize("ys,expected", [((0.4, 0.5, 0.6), 1), ((0.4, 0.5, 0.4), 2),
-                                             ((0.6, 0.5, 0.6), 0)],
+    @pytest.mark.parametrize("ys,winding,expected",
+                             [((0.4, 0.5, 0.6, 1.0, 1.4), (0, 1), 1),
+                              ((0.4, 0.5, 0.4), (0, 0), 2), ((0.6, 0.5, 0.6), (0, 0), 0)],
                              ids=["through", "touch-below", "touch-above"])
-    def test_vertex_on_a_level_set_counts_as_above(self, ys, expected):
-        # (0.25, 0.5) lies exactly on L8 (y = 0.5) and on L4 (2 x - y = 0)
-        curve = LagrangianCurve(np.array([(0.25, y) for y in ys]), closed=False)
+    def test_vertex_on_a_level_set_counts_as_above(self, ys, winding, expected):
+        # (0.25, 0.5) lies exactly on L8 (y = 0.5) and on L4 (2 x - y = 0);
+        # the loops are closed, the first running once round x = 0.25
+        curve = LagrangianCurve(np.array([(0.25, y) for y in ys]), winding=winding)
         catalog = paper_lagrangians()
         assert count_crossings(curve, [catalog["L8"]]) == [expected]
         lagrangians = list(catalog.values())
@@ -252,7 +278,7 @@ class TestCountCrossings:
 
 def intersections_config(**changes):
     values = dict(command="intersections", regularity=(0.1 * 4 * math.pi**2,), spatial_max=4,
-                  temporal_max=3, steps=50, refinement_threshold=0.02, max_refinement_depth=2,
+                  temporal_max=3, steps=50, refinement_threshold=0.02,
                   curve_vertices=64, samples=6, seed=9, workers=1,
                   lagrangians=("L1", "L5", "L7", "L13"))
     values.update(changes)
@@ -262,8 +288,7 @@ def intersections_config(**changes):
 def law_settings(cfg, law):
     """The flow settings of ``cfg`` at the law's step count."""
     return FlowSettings(steps=flow_steps(law, cfg.steps),
-                        refinement_threshold=cfg.refinement_threshold,
-                        max_refinement_depth=cfg.max_refinement_depth)
+                        refinement_threshold=cfg.refinement_threshold)
 
 
 def per_draw_outcomes(cfg, r_index=0):
@@ -284,6 +309,10 @@ def per_draw_outcomes(cfg, r_index=0):
 
 
 class TestIntersectionChunks:
+    """Within BUDGET vertices draws 1, 2 and 4 of ``intersections_config``
+    overflow; within the module's budget none does."""
+
+    @pytest.mark.usefixtures("budget")
     def test_overflowing_draw_fails_alone(self):
         cfg = intersections_config()
         outcomes = _intersection_chunk((cfg, 0, 0, cfg.samples))
@@ -292,6 +321,7 @@ class TestIntersectionChunks:
         assert failed and len(failed) < cfg.samples
         assert all(msg.startswith("RefinementOverflow: ") for msg in failed)
 
+    @pytest.mark.usefixtures("budget")
     def test_budget_message_matches_per_draw_loop(self, tmp_path):
         cfg = intersections_config(out=str(tmp_path))
         errors = [(cfg.regularity[0], o["sample"], o["error"]) for o in per_draw_outcomes(cfg)
@@ -303,7 +333,7 @@ class TestIntersectionChunks:
         assert str(info.value) == expected
 
     def test_table_matches_per_draw_loop(self):
-        cfg = intersections_config(max_refinement_depth=6)
+        cfg = intersections_config()
         outcomes = per_draw_outcomes(cfg)
         assert all("error" not in o for o in outcomes)
         records = run_intersections(cfg)
@@ -319,7 +349,7 @@ class TestIntersectionChunks:
 
     def test_smooth_law_advects_at_its_step_count(self):
         # regularity 6 takes 3 of at most 50 steps
-        cfg = intersections_config(regularity=(6.0,), max_refinement_depth=6, samples=4)
+        cfg = intersections_config(regularity=(6.0,), samples=4)
         law = law_for(cfg, 6.0)
         assert flow_steps(law, cfg.steps) == 3
         settings = law_settings(cfg, law)
@@ -387,6 +417,19 @@ class TestZeroFlux:
         records = run_intersections(cfg)
         assert len(records) == 16
         assert [record for record in records if "error" in record or record["L8"] < 2] == []
+
+    def test_regularity_3_draws_past_12_passes_resolve(self):
+        # draws 35, 40 and 62 of seed 0 at regularity 3 (frequency units,
+        # other keys at their defaults) each take 13 refinement passes, to
+        # 1,357, 1,305 and 1,531 vertices, where a 12-pass cap failed them
+        cfg = ExperimentConfig(command="intersections", regularity=(3.0,))
+        law = law_for(cfg, 3.0)
+        hs = [sample_hamiltonian(law, cfg.seed, 0, i) for i in (35, 40, 62)]
+        images = advect_curves(hs, horizontal_circle(0.5, 128), 1.0, _settings_for(cfg, law))
+        l8 = paper_lagrangians()["L8"]
+        assert all(isinstance(image, LagrangianCurve) for image in images)
+        assert all(1024 < len(image) < 2048 for image in images)
+        assert all(count_crossings(image, [l8])[0] >= 2 for image in images)
 
 
 class TestBatchedChunks:
@@ -634,7 +677,7 @@ def test_default_workers_follow_cpu_affinity(monkeypatch):
 
 
 def test_chunk_results_do_not_depend_on_chunk_boundaries():
-    cfg = intersections_config(max_refinement_depth=6, samples=5)
+    cfg = intersections_config(samples=5)
     whole = _intersection_chunk((cfg, 0, 0, 5))
     split = _intersection_chunk((cfg, 0, 0, 3)) + _intersection_chunk((cfg, 0, 3, 5))
     assert whole == split

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hamflow import flow
 from hamflow.engine import SpectralEngine
 from hamflow.errors import NotAutonomous, RefinementOverflow, Unsupported
 from hamflow.field import (PackedBatch, RandomHamiltonian, SpectralHamiltonian, make_law,
@@ -402,12 +403,12 @@ class TestCurves:
     def test_closure_invariant_enforced(self):
         verts = np.array([[0.0, 0.5], [0.5, 0.5], [0.9, 0.5]])
         with pytest.raises(ValueError):
-            LagrangianCurve(verts, closed=True, winding=(1, 0))
+            LagrangianCurve(verts, winding=(1, 0))
 
     def test_aliasing_guard(self):
         verts = np.array([[0.0, 0.0], [0.8, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
-            LagrangianCurve(verts, closed=True, winding=(1, 0))
+            LagrangianCurve(verts, winding=(1, 0))
 
     def test_factories(self):
         k = horizontal_circle(0.5, 64)
@@ -451,11 +452,11 @@ class TestCurves:
 
         assert shoelace(out.vertices) == pytest.approx(shoelace(src.vertices), rel=1e-4)
 
-    def test_refinement_overflow_raised(self):
+    def test_refinement_overflow_raised(self, monkeypatch):
+        monkeypatch.setattr(flow, "MAX_IMAGE_VERTICES", 5)
         h = small_draw(137, r=0.05, smax=4)
-        settings = FlowSettings(steps=200, refinement_threshold=1e-4,
-                                max_refinement_depth=0)
-        with pytest.raises(RefinementOverflow):
+        settings = FlowSettings(steps=200, refinement_threshold=1e-4)
+        with pytest.raises(RefinementOverflow, match="past 5 vertices"):
             advect_curve(h, horizontal_circle(0.5, 4), 1.0, settings)
 
 
