@@ -105,9 +105,15 @@ class TestAdvectCurves:
         assert kinds == {LagrangianCurve, RefinementOverflow}
 
     @pytest.mark.parametrize("count", [1, 3, 17])
-    def test_contractible_curve_at_time_0_7_matches_one_draw_loop(self, count):
+    def test_open_curve_matches_one_draw_loop(self, count, monkeypatch):
+        # the open segment (0.2, 0.3)-(0.7, 0.6), traced out and back as a
+        # closed loop of winding (0, 0), so each of its points is advected;
+        # the loop holds the segment twice, so its images get twice the budget
+        monkeypatch.setattr(flow, "MAX_IMAGE_VERTICES", 2 * BUDGET)
         hs = draws(count, seed=4)
-        curve = circle_curve((0.45, 0.45), 0.2, 40)
+        alpha = np.linspace(0.0, 1.0, 21)[:, None]
+        segment = (1 - alpha) * [0.2, 0.3] + alpha * [0.7, 0.6]
+        curve = LagrangianCurve(np.concatenate([segment, segment[-2::-1]]))
         images = advect_curves(hs, curve, 0.7, SETTINGS)
         assert_matches_reference(hs, images, curve, 0.7, SETTINGS)
         assert any(isinstance(image, LagrangianCurve) for image in images)
