@@ -4,7 +4,6 @@ Each command reads one flat key = value config document (--config),
 applies flag overrides, echoes the full effective configuration next to its
 outputs, and writes deterministic CSV / JSONL / SVG artifacts.  The worker
 count is the config's ``workers``; at ``workers = 0`` (the default) it is the
-HAMFLOW_WORKERS environment variable if that holds a positive integer, else the
 number of CPUs the process may run on.
 
 Every command is one row of ``COMMAND_TABLE`` (``Command``): the sampler of

@@ -13,25 +13,24 @@ each regularity drawn and returns named lists of records or table rows;
 Streams and chunks.  Every sample owns a random stream derived from (seed,
 regularity index, sample index); the inversion test's inverse branch uses
 stream index 1 and walk w draws step j from (seed, w, j).  ``_run_chunks``
-hands each task a chunk of consecutive sample indices: CHUNK of them
-(INVERSION_CHUNK for ``inversion``), fewer when there are fewer than that
-per worker, and one for the oscillation commands, which do not batch
-draws.  Each process builds a law once (``law_for``), and a task draws
-sample i from its own stream exactly as a one-sample task would and flows
-the chunk's draws as one batch.
+cuts a run into balanced chunks of consecutive sample indices: the fewest
+chunks of at most CHUNK samples whose count is a multiple of the worker
+count (as far as the samples allow), their lengths differing by one at
+most.  Each process builds a law once (``law_for``), and a task draws
+sample i from its own stream exactly as a one-sample task would.  The
+flowing commands flow a chunk's draws as one batch; the oscillation and
+RKHS commands take each draw alone.
 
-With at least a full chunk of samples per worker the chunk boundaries
-depend on the index only, so results do not depend on the worker count.
-Below that, boundaries move with the worker count, and results stay
+Chunk boundaries move with the sample and worker counts, and results stay
 bit-identical because a draw's flow does not depend on the other draws of
-its batch.
-That holds when the BLAS matrix product gives each row the same result at
-any row count of two or more: a property of the BLAS, not a numpy
-guarantee, which ``tests/test_experiments.py``, ``tests/test_flow.py`` and
+its batch, nor a point's image on the other points of its row.  That holds
+when the BLAS matrix product gives each row the same result at any row
+count of two or more: a property of the BLAS, not a numpy guarantee, which
+``tests/test_experiments.py``, ``tests/test_flow.py`` and
 ``tests/test_cli.py`` check.  One point takes numpy's matrix-vector path,
-which rounds differently: ``inversion`` always flows one point per draw,
-and a curve's refinement pass pads each draw's midpoints to two at least
-(``hamflow.flow``).
+which rounds differently: ``inversion`` and ``random-walk`` always flow one
+point per draw, and a curve's refinement pass flows rows of two points at
+least (``hamflow.flow``).
 
 Step counts.  The config's ``steps`` is the most order-6 steps
 (``hamflow.flow``) per unit time.  ``flow``, ``intersections``,
@@ -82,16 +81,12 @@ from .walk import induced_point_walks, sample_walk
 
 _LEVEL_TIE = 1e-12
 _OVERLAP_TOL = 1e-9
-# Consecutive sample indices per task: the draws of a chunk flow as one
-# batch.
-CHUNK = 16
-# Inversion flows one point per draw, so its flows are bound by per-call
-# overhead and take chunks twice as long, 2 * INVERSION_CHUNK rows of draws
-# and reversals.  The tracemalloc peak of one such chunk at spatial_max 25
-# is 3.7 MB at regularity 3 (no more than a 16-sample chunk's 4.3 MB before
-# the temporal band and the trimmed tables), and grows with the band:
-# 67.1 MB at the full band (regularity 0.1), against 44.8 MB at 16 samples.
-INVERSION_CHUNK = 2 * CHUNK
+# The most consecutive sample indices per task: the draws of a chunk flow
+# as one batch.  At spatial_max 25 the tracemalloc peak of one inversion
+# chunk (2 * CHUNK rows of draws and reversals) is 3.7 MB at regularity 3
+# and 67.1 MB at the full band (regularity 0.1); a curve chunk's is 8.9 MB
+# at regularity 3 and about 32 MB a draw at the full band.
+CHUNK = 32
 # Level of the inversion test's KS test.
 KS_LEVEL = 0.01
 # Lipschitz bound per step and least steps of the step-count rule (module
@@ -250,28 +245,28 @@ def _settings_for(cfg: ExperimentConfig, law: HamiltonianLaw) -> FlowSettings:
 
 
 def worker_count(cfg: ExperimentConfig) -> int:
+    """``cfg.workers``, or at 0 the number of CPUs the process may run on."""
     if cfg.workers > 0:
         return cfg.workers
-    env = os.environ.get("HAMFLOW_WORKERS", "")
-    if env.isdigit() and int(env) > 0:
-        return int(env)
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _run_chunks(task, cfg: ExperimentConfig, r_index: int = 0, length: int = CHUNK) -> list:
+def _run_chunks(task, cfg: ExperimentConfig, r_index: int = 0) -> list:
     """The records of ``task`` for sample indices 0..samples-1, in order.
 
     ``task((cfg, r_index, start, stop))`` returns the records of the
-    consecutive indices start..stop-1 as a list.  Chunks hold ``length``
-    indices, or ceil(samples / workers) if that is fewer, so that every one
-    of the ``worker_count(cfg)`` processes gets a chunk; the last chunk may
-    hold fewer.
+    consecutive indices start..stop-1 as a list.  The chunks are the fewest
+    of at most CHUNK indices whose count is a multiple of the
+    ``worker_count(cfg)`` processes, or one per index below that many
+    samples; the first are one index longer where the samples do not
+    divide evenly.
     """
     workers = worker_count(cfg)
-    length = max(1, min(length, -(-cfg.samples // workers)))
-    chunks = [(cfg, r_index, start, min(start + length, cfg.samples))
-              for start in range(0, cfg.samples, length)]
-    if workers <= 1 or len(chunks) <= 1:
+    count = min(cfg.samples, workers * -(-cfg.samples // (CHUNK * workers)))
+    size, longer = divmod(cfg.samples, count)
+    bounds = [k * size + min(k, longer) for k in range(count + 1)]
+    chunks = [(cfg, r_index, start, stop) for start, stop in zip(bounds, bounds[1:])]
+    if workers <= 1 or count <= 1:
         results = [task(chunk) for chunk in chunks]
     else:
         # numpy imports numpy.random on first use (about 17 ms and 5 MiB on a
@@ -279,8 +274,7 @@ def _run_chunks(task, cfg: ExperimentConfig, r_index: int = 0, length: int = CHU
         # instead of each importing it again
         import numpy.random  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, chunks,
-                                    chunksize=max(1, len(chunks) // (8 * workers))))
+            results = list(pool.map(task, chunks))
     return [record for chunk in results for record in chunk]
 
 
@@ -447,7 +441,7 @@ def _osc_chunk(args) -> list:
 
 
 def oscillation_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
-    return _run_chunks(_osc_chunk, cfg, r_index, length=1)  # oscillation batches no draws
+    return _run_chunks(_osc_chunk, cfg, r_index)
 
 
 def check_tail_samples(cfg: ExperimentConfig) -> None:
@@ -562,7 +556,7 @@ def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple:
 
 def run_inversion_test(cfg: ExperimentConfig, r_index: int = 0) -> list:
     """The displacements that ``inversion_test`` tests."""
-    return _run_chunks(_displacement_chunk, cfg, r_index, length=INVERSION_CHUNK)
+    return _run_chunks(_displacement_chunk, cfg, r_index)
 
 
 def inversion_test(cfg: ExperimentConfig, runs: list) -> dict:

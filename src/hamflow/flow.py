@@ -10,17 +10,17 @@ or fewer (``hamflow.experiments``).  One loop serves one Hamiltonian and a
 batch of them (``PackedBatch``) alike.
 
 Curves are advected in batches (``advect_curves``).  The draws of a batch
-refine in lockstep: each refinement pass is one batched flow of the
-new source midpoints of the draws still refining, each draw padded to the
-widest, and to two points at least, with copies of its own last midpoint.
-The engine evaluates each draw's points under its own grids, so a draw that
-fails (``NonFinite``, ``RefinementOverflow``) fails alone, and its images
-equal the one-draw loop's bit for bit when the BLAS matrix product gives
-each row the same result at any row count of two or more; that is a
-property of the BLAS, not a numpy guarantee, and the tests check it on the
-BLAS numpy is built with.  A set of one point would take numpy's
-matrix-vector path, which on OpenBLAS rounds about half of all points
-differently in the last bits; the padding keeps every set at two or more.
+refine in lockstep: each refinement pass is one batched flow of the new
+source midpoints of the draws still refining, cut into rows of one width
+of two points at least (``_flow_rows``).  The engine
+evaluates each row's points under its own grids, so a draw that fails
+(``NonFinite``, ``RefinementOverflow``) fails alone, and its images equal
+the one-draw loop's bit for bit when the BLAS matrix product gives each row
+the same result at any row count of two or more; that is a property of the
+BLAS, not a numpy guarantee, and the tests check it on the BLAS numpy is
+built with.  A set of one point would take numpy's matrix-vector path,
+which on OpenBLAS rounds about half of all points differently in the last
+bits; every row holds two points or more.
 
 Buffers.  Each flow (``_flow_grids``) allocates its stage-grid block, the
 engine's ``FieldBuffers`` and its stage slopes once, and every step writes
@@ -383,22 +383,20 @@ def advect_curves(hamiltonians, curve: LagrangianCurve, t: float = 1.0,
     The draws refine in lockstep.  Pass 0 flows the S copies of the source
     vertices as one batch.  Each later pass bisects, per draw, every source
     segment whose image gap exceeds the threshold, and flows the midpoints
-    of the draws still refining as one batch: a copy of their packed rows
-    (``PackedBatch.rows``), so no draw is packed twice.  Each draw's points
-    are padded to the widest draw's, and to two at least, with copies of its
-    own last point, whose images are discarded.  Draws do not mix in the
-    engine, which evaluates each draw's points under its own grids, so each
-    image equals the one-draw result bit for bit as long as the BLAS matrix
-    product gives a row the same result at any row count of two or more
-    (see the module docstring).
+    of the draws still refining as one batch of rows of one width
+    (``_flow_rows``), each over a copy of its draw's packed row
+    (``PackedBatch.rows``), so no draw is packed twice.  Draws do not mix in
+    the engine, which evaluates each row's points under its own grids, so
+    each image equals the one-draw result bit for bit as long as the BLAS
+    matrix product gives a row the same result at any row count of two or
+    more (see the module docstring).
     """
     batch = hamiltonians if isinstance(hamiltonians, PackedBatch) else PackedBatch(hamiltonians)
     winding = np.array(curve.winding, dtype=float)
     source = curve.vertices[:-1]
     out = [None] * len(batch)
-    rows, images = _flow_rows(batch, list(range(len(batch))), [source] * len(batch), t,
-                              settings, out)
-    active = [(s, source, image[:len(source)]) for s, image in zip(rows, images)]
+    flowed = _flow_rows(batch, range(len(batch)), [source] * len(batch), t, settings, out)
+    active = [(s, source, image) for s, image in flowed.items()]
     while active:
         pending = []
         for s, src, img in active:
@@ -415,38 +413,47 @@ def advect_curves(hamiltonians, curve: LagrangianCurve, t: float = 1.0,
                 pending.append((s, src, img, bad, 0.5 * (src_full[bad] + src_full[bad + 1])))
         if not pending:
             break
-        rows, images = _flow_rows(batch, [s for s, *_ in pending],
-                                  [mids for *_, mids in pending], t, settings, out)
-        flowed = dict(zip(rows, images))
+        flowed = _flow_rows(batch, [s for s, *_ in pending], [mids for *_, mids in pending],
+                            t, settings, out)
         active = [(s, np.insert(src, bad + 1, mids, axis=0),
-                   np.insert(img, bad + 1, flowed[s][:len(mids)], axis=0))
+                   np.insert(img, bad + 1, flowed[s], axis=0))
                   for s, src, img, bad, mids in pending if s in flowed]
     return out
 
 
-def _flow_rows(batch, rows, points, t, settings, out):
-    """``points``, one (P_j, 2) set per row of ``rows``, mapped by the time-t
-    flows of those rows of ``batch``, less the rows whose state leaves the
-    finite range.
+def _flow_rows(batch, draws, points, t, settings, out) -> dict:
+    """``points``, one (P_j, 2) set per draw of ``draws`` (rows of ``batch``),
+    mapped by the time-t flows of those draws: a dict from each draw to its
+    image, less the draws whose state leaves the finite range.
 
-    The sets flow as one batch, each padded with copies of its last point
-    to the largest set's size, and to two at least.  Each dropped row's
-    ``NonFinite`` goes to ``out`` and the other rows flow again, which
-    leaves their images unchanged.  Returns the rows kept and their padded
-    images.
+    The sets are cut into rows of one width, which flow as one batch: a
+    draw's ceil(P_j / width) rows each flow over a copy of its packed row
+    (``PackedBatch.rows``), and only its last row is padded, with copies of
+    its last point.  The width is the mean set size, or the largest set's
+    where that flows fewer points (sets of near-equal sizes), and two at
+    least, so a pass flows fewer than its points plus one row per draw,
+    and never more than one row per draw of the largest set's size.  A
+    dropped draw's ``NonFinite`` goes to ``out`` and the other draws flow
+    again, which leaves their images unchanged.
     """
-    width = max(2, max(len(p) for p in points))
-    pts = np.stack([np.concatenate([p, np.repeat(p[-1:], width - len(p), axis=0)])
-                    for p in points])
-    while rows:
+    sizes = {s: len(p) for s, p in zip(draws, points)}
+    counts = np.array(list(sizes.values()))
+    width = min(max(2, -(-counts.sum() // len(counts))), max(2, counts.max()),
+                key=lambda w: w * (-(-counts // w)).sum())
+    owner = np.repeat(list(sizes), -(-counts // width))
+    pts = np.concatenate([np.concatenate([p, np.repeat(p[-1:], -len(p) % width, axis=0)])
+                          .reshape(-1, width, 2) for p in points])
+    while len(owner):
         try:
-            return rows, flow_points(batch.rows(rows), pts, 0.0, t, settings)
+            images = flow_points(batch.rows(owner), pts, 0.0, t, settings)
         except NonFinite as exc:
             if not exc.draws:
                 raise
-            for j in exc.draws:
-                out[rows[j]] = NonFinite(str(exc))
-            keep = [j for j in range(len(rows)) if j not in exc.draws]
-            rows, pts = [rows[j] for j in keep], pts[keep]
-    return rows, pts
-
+            for s in set(owner[list(exc.draws)].tolist()):
+                out[s] = NonFinite(str(exc))
+                del sizes[s]
+            keep = np.isin(owner, list(sizes))
+            owner, pts = owner[keep], pts[keep]
+            continue
+        return {s: images[owner == s].reshape(-1, 2)[:n] for s, n in sizes.items()}
+    return {}

@@ -22,6 +22,10 @@
 * ``apply_walk``: a walk's map as the sequential application of its step
   flows, which the batched walks and the walk's concatenation are checked
   against.
+* ``reference_images`` and ``reference_advect``: one draw's images of a
+  point set, and its image of a curve by the one-draw refinement loop,
+  which the batched refinement passes of ``advect_curves`` are checked
+  against bit for bit.
 * ``crossings``: one curve's crossings with one test Lagrangian, from that
   Lagrangian's own level function, as they were counted before one pass
   counted every Lagrangian of an image.
@@ -36,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hamflow import temporal
-from hamflow.errors import DegenerateOverlap
+from hamflow import flow, temporal
+from hamflow.errors import DegenerateOverlap, NonFinite, RefinementOverflow
 from hamflow.basis import TRIG_PAIRS
 from hamflow.flow import DEFAULT_SETTINGS, LagrangianCurve, flow_points
 
@@ -217,6 +221,40 @@ def apply_walk(walk, pts, settings=DEFAULT_SETTINGS) -> np.ndarray:
     for h in walk:
         state = flow_points(h, state, 0.0, 1.0, settings)
     return state
+
+
+def reference_images(h, pts, t, settings):
+    """The time-t images of one draw's points pts (P, 2), flowed alone; a
+    lone point flows with a copy of itself, since one point would take
+    numpy's matrix-vector path."""
+    padded = np.concatenate([pts, pts[-1:]]) if len(pts) == 1 else pts
+    return flow_points(h, padded, 0.0, t, settings)[:len(pts)]
+
+
+def reference_advect(h, curve, t, settings):
+    """The one-draw refinement loop: bisect every source segment whose image
+    gap exceeds the threshold and flow the midpoints, a lone one with a copy
+    of itself, until a pass would take the image past
+    ``flow.MAX_IMAGE_VERTICES``.  Returns the image's vertices, the class
+    ``RefinementOverflow``, or the ``NonFinite`` a flow raised."""
+    winding = np.array(curve.winding, dtype=float)
+    src = curve.vertices[:-1].copy()
+    try:
+        img = reference_images(h, src, t, settings)
+        while True:
+            img_full = np.vstack([img, img[0] + winding])
+            src_full = np.vstack([src, src[0] + winding])
+            bad = np.flatnonzero(np.linalg.norm(np.diff(img_full, axis=0), axis=1)
+                                 > settings.refinement_threshold)
+            if bad.size == 0:
+                return img_full
+            if len(img_full) + bad.size > flow.MAX_IMAGE_VERTICES:
+                return RefinementOverflow
+            mids = 0.5 * (src_full[bad] + src_full[bad + 1])
+            src = np.insert(src, bad + 1, mids, axis=0)
+            img = np.insert(img, bad + 1, reference_images(h, mids, t, settings), axis=0)
+    except NonFinite as exc:
+        return exc
 
 
 def crossings(curve: LagrangianCurve, lagrangian) -> int:

@@ -250,8 +250,9 @@ def test_rkhs_norm_table_finite_where_weighted_sums_are_huge(tmp_path):
     assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[1:])
 
 
-# 2 * CHUNK + 3 samples leave a partial last chunk; 5 samples are one chunk
-# on one worker and chunks of 3 and 2 on two
+# 2 * CHUNK + 3 samples are three chunks on one worker and four on two, so
+# no chunk boundary of the one run is one of the other's; 5 samples are one
+# chunk on one worker and chunks of 3 and 2 on two
 PARTIAL = 2 * CHUNK + 3
 
 

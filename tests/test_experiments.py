@@ -16,7 +16,7 @@ from hamflow.config import ExperimentConfig
 from hamflow.errors import DegenerateOverlap, HamflowError, NonFinite, RefinementOverflow
 from hamflow.engine import SpectralEngine
 from hamflow import cli, flow
-from hamflow.experiments import (CHUNK, INVERSION_CHUNK, _advected_chunk, _ball_points,
+from hamflow.experiments import (CHUNK, _advected_chunk, _ball_points,
                                  _bin_counts, _diffusion_chunk, _displacement_chunk,
                                  _intersection_chunk, _ks_two_sample, _run_chunks, _settings_for,
                                  _walk_chunk,
@@ -29,7 +29,8 @@ from hamflow.flow import (_STAGE_OFFSETS, BumpFunction, FlowSettings, Lagrangian
                           flow_points_through, horizontal_circle, time_reversed_hamiltonian)
 from hamflow.rng import derive
 from hamflow.walk import sample_walk
-from reference import apply_walk, circle_curve, crossings, sloped_circle, vertical_circle
+from reference import (apply_walk, circle_curve, crossings, reference_advect, reference_images,
+                       sloped_circle, vertical_circle)
 
 # At this law and threshold, under an image budget of BUDGET vertices, some
 # draws finish after one or two refinement passes and others overflow.  The
@@ -50,37 +51,30 @@ def draws(count, seed=9, law=LAW):
     return [sample_hamiltonian(law, seed, 0, i) for i in range(count)]
 
 
-def reference_advect(h, curve, t, settings):
-    """The one-draw refinement loop: bisect every source segment whose image
-    gap exceeds the threshold and flow the midpoints, until a pass would
-    take the image past ``flow.MAX_IMAGE_VERTICES``."""
-    winding = np.array(curve.winding, dtype=float)
-    src = curve.vertices[:-1].copy()
-    img = flow_points(h, src, 0.0, t, settings)
-    while True:
-        img_full = np.vstack([img, img[0] + winding])
-        src_full = np.vstack([src, src[0] + winding])
-        bad = np.flatnonzero(np.linalg.norm(np.diff(img_full, axis=0), axis=1)
-                             > settings.refinement_threshold)
-        if bad.size == 0:
-            return img_full
-        if len(img_full) + bad.size > flow.MAX_IMAGE_VERTICES:
-            return RefinementOverflow
-        mids = 0.5 * (src_full[bad] + src_full[bad + 1])
-        src = np.insert(src, bad + 1, mids, axis=0)
-        img = np.insert(img, bad + 1, flow_points(h, mids, 0.0, t, settings), axis=0)
-
-
 def assert_matches_reference(hamiltonians, images, curve, t, settings):
     assert len(images) == len(hamiltonians)
     for h, image in zip(hamiltonians, images):
         expected = reference_advect(h, curve, t, settings)
         if expected is RefinementOverflow:
             assert isinstance(image, RefinementOverflow)
+        elif isinstance(expected, NonFinite):
+            assert isinstance(image, NonFinite) and str(image) == str(expected)
         else:
             assert isinstance(image, LagrangianCurve)
             assert np.array_equal(image.vertices, expected)
             assert image.winding == curve.winding
+
+
+def flowed_shapes(monkeypatch) -> list:
+    """The point shapes of every ``flow.flow_points`` call from here on."""
+    shapes = []
+
+    def spy(batch, pts, *args):
+        shapes.append(pts.shape)
+        return flow_points(batch, pts, *args)
+
+    monkeypatch.setattr(flow, "flow_points", spy)
+    return shapes
 
 
 @pytest.mark.usefixtures("budget")
@@ -151,18 +145,66 @@ class TestAdvectCurves:
     def test_lone_midpoint_flows_alike_alone_and_beside_a_wider_draw(self):
         # a closed loop at y = 1/2 with gaps of 0.01 but one of 0.03: under a
         # weak draw one pass bisects that segment alone, a set of one point,
-        # which flows padded to two whether or not a draw beside it flows
-        # several midpoints in the same pass (flowed alone, unpadded, the
-        # midpoint's image differs in its last bits at this draw)
-        xs = np.append(0.01 * np.arange(98), 1.0)
-        curve = LagrangianCurve(np.stack([xs, np.full_like(xs, 0.5)], axis=-1), winding=(1, 0))
-        strong = draws(1)[0]
-        weak = RandomHamiltonian(LAW, 0.01 * strong.gaussians)
+        # which flows in a padded row of two points or more whether or not a
+        # draw beside it flows several midpoints in the same pass (flowed
+        # alone, unpadded, the midpoint's image differs in its last bits at
+        # this draw)
+        curve, strong, weak = self.lone_midpoint_draws()
         (alone,) = advect_curves([weak], curve, 1.0, SETTINGS)
         beside = advect_curves([weak, strong], curve, 1.0, SETTINGS)
         assert len(alone) == len(curve) + 1
         assert len(beside[1]) > len(curve) + 2
         assert np.array_equal(alone.vertices, beside[0].vertices)
+
+    @staticmethod
+    def lone_midpoint_draws():
+        """The curve of ``test_lone_midpoint_flows_alike_alone_and_beside_a_wider_draw``
+        and its strong and weak draws."""
+        xs = np.append(0.01 * np.arange(98), 1.0)
+        curve = LagrangianCurve(np.stack([xs, np.full_like(xs, 0.5)], axis=-1), winding=(1, 0))
+        strong = draws(1)[0]
+        return curve, strong, RandomHamiltonian(LAW, 0.01 * strong.gaussians)
+
+    def test_refinement_pass_mixes_row_counts_and_a_non_finite_draw(self, monkeypatch):
+        # one pass of three draws, at the width 15 of their 44 points: the
+        # strong draw's 40 midpoints fill three rows, the weak draw's lone
+        # midpoint one padded row, and the third draw's state leaves the
+        # finite range, so its row drops and the other four flow again
+        curve, strong, weak = self.lone_midpoint_draws()
+        gaussians = np.array(strong.gaussians)
+        gaussians[0, 0] = np.inf
+        hs = [strong, weak, RandomHamiltonian(LAW, gaussians)]
+        mids = curve.vertices[:-1] + [0.005, 0.0]
+        points = [mids[:40], mids[7:8], mids[:3]]
+        shapes = flowed_shapes(monkeypatch)
+        out = [None] * 3
+        with np.errstate(all="ignore"):
+            images = flow._flow_rows(PackedBatch(hs), [0, 1, 2], points, 1.0, SETTINGS, out)
+            with pytest.raises(NonFinite) as alone:
+                reference_images(hs[2], points[2], 1.0, SETTINGS)
+        assert shapes == [(5, 15, 2), (4, 15, 2)]
+        assert sorted(images) == [0, 1] and out[:2] == [None, None]
+        for s in (0, 1):
+            assert np.array_equal(images[s], reference_images(hs[s], points[s], 1.0, SETTINGS))
+        assert isinstance(out[2], NonFinite) and str(out[2]) == str(alone.value)
+        # the whole loop: the weak draw's pass of one midpoint beside the
+        # strong draw's several, after the third draw failed at pass 0
+        monkeypatch.setattr(flow, "flow_points", flow_points)
+        with np.errstate(all="ignore"):
+            assert_matches_reference(hs, advect_curves(hs, curve, 1.0, SETTINGS), curve, 1.0,
+                                     SETTINGS)
+
+    def test_refinement_pass_of_near_equal_sets_flows_one_row_per_draw(self, monkeypatch):
+        # sets of 40, 39 and 38 points: rows of the mean width, 39, would
+        # flow 156 points in four rows, rows of the widest 120 in three
+        hs = draws(3)
+        mids = horizontal_circle(0.5, 64).vertices[:40] + [0.0, 0.005]
+        points = [mids, mids[:39], mids[:38]]
+        shapes = flowed_shapes(monkeypatch)
+        images = flow._flow_rows(PackedBatch(hs), range(3), points, 1.0, SETTINGS, [None] * 3)
+        assert shapes == [(3, 40, 2)]
+        for s in range(3):
+            assert np.array_equal(images[s], reference_images(hs[s], points[s], 1.0, SETTINGS))
 
     def test_non_finite_draw_fails_alone(self):
         hs = draws(3)
@@ -480,22 +522,22 @@ def test_law_built_once_per_process(monkeypatch):
 
 
 def test_inversion_chunk_peak_memory():
-    """The tracemalloc peak of one INVERSION_CHUNK-index inversion chunk
-    (spatial_max 25, regularity 3, band 7, temporal band 6, 58 steps) stays
-    within 1.25 x the bytes of its 2 * INVERSION_CHUNK packed field grids
+    """The tracemalloc peak of one CHUNK-index inversion chunk (spatial_max
+    25, regularity 3, band 7, temporal band 6, 58 steps) stays within
+    1.25 x the bytes of its 2 * CHUNK packed field grids
     plus one block of stage grids: the batch holds field grids only, one row
     per time-basis column of the temporal band, and one stage block at a
     time."""
     cfg = ExperimentConfig(command="inversion", regularity=(3.0,), spatial_max=25,
-                           samples=INVERSION_CHUNK, workers=1)
+                           samples=CHUNK, workers=1)
     law = law_for(cfg, 3.0)
     _displacement_chunk((cfg, 0, 0, 1))  # the basis and engine are built once per process
     grid_bytes = np.prod(law.engine().field_shape) * 8
-    rows = 2 * INVERSION_CHUNK
+    rows = 2 * CHUNK
     held = (1 + 2 * law.temporal_band() + len(_STAGE_OFFSETS)) * rows * grid_bytes
     tracemalloc.start()
     try:
-        _displacement_chunk((cfg, 0, 0, INVERSION_CHUNK))
+        _displacement_chunk((cfg, 0, 0, CHUNK))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -608,42 +650,54 @@ def _bounds(args):
     return [(r_index, start, stop, i) for i in range(start, stop)]
 
 
-@pytest.mark.parametrize("samples", [1, 5, CHUNK, 2 * CHUNK + 3, 4 * CHUNK + 1])
+def chunk_lengths(samples, workers):
+    """The chunk lengths of ``_run_chunks`` at the given counts, checked to
+    cover the indices in order, each chunk one consecutive run."""
+    results = _run_chunks(_bounds, ExperimentConfig(samples=samples, workers=workers), 1)
+    assert [i for *_, i in results] == list(range(samples))
+    assert all(r_index == 1 and start <= i < stop for r_index, start, stop, i in results)
+    bounds = sorted({(start, stop) for _, start, stop, _ in results})
+    assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
+    return [stop - start for start, stop in bounds]
+
+
+@pytest.mark.parametrize("samples", [1, 5, 16, 35, 65])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_chunks_hold_chunk_indices_or_one_share_per_worker(samples, workers):
-    cfg = ExperimentConfig(samples=samples, workers=workers)
-    length = min(CHUNK, math.ceil(samples / workers))
-    results = _run_chunks(_bounds, cfg, 1)
-    assert [i for *_, i in results] == list(range(samples))
-    for r_index, start, stop, i in results:
-        assert r_index == 1
-        assert start == i - i % length
-        assert stop == min(start + length, samples)
-    # at CHUNK or more samples per worker, boundaries depend on the index only
-    if samples >= CHUNK * workers:
-        assert length == CHUNK
+    # the fewest chunks of at most CHUNK indices whose count is a multiple of
+    # the workers, or one per index below that many samples
+    lengths = chunk_lengths(samples, workers)
+    assert max(lengths) <= CHUNK and max(lengths) - min(lengths) <= 1
+    assert len(lengths) == min(samples, workers * math.ceil(samples / (CHUNK * workers)))
 
 
-def test_one_index_chunks_on_request():
-    cfg = ExperimentConfig(samples=5, workers=1)
-    assert _run_chunks(_bounds, cfg, 0, length=1) == [(0, i, i + 1, i) for i in range(5)]
+@pytest.mark.parametrize("samples,workers,expected", [
+    (100, 2, [25] * 4), (64, 2, [32] * 2), (8, 1, [8]), (5, 4, [2, 1, 1, 1]),
+    (1000, 3, [31] * 10 + [30] * 23)])
+def test_chunks_are_balanced(samples, workers, expected):
+    lengths = chunk_lengths(samples, workers)
+    assert lengths == expected
+    assert max(lengths) <= CHUNK and max(lengths) - min(lengths) <= 1
+    assert len(lengths) % workers == 0 or len(lengths) == samples
 
 
-def test_inversion_takes_inversion_chunks(monkeypatch):
-    chunks = []
-
-    def pairs(args):
-        _, _, start, stop = args
-        chunks.append((start, stop))
-        return [{"sample": i, "forward": 0.1 * i, "inverse": 0.1 * i}
-                for i in range(start, stop)]
-
-    import hamflow.experiments as experiments
-    monkeypatch.setattr(experiments, "_displacement_chunk", pairs)
-    samples = 2 * INVERSION_CHUNK + 1
-    run_inversion_test(ExperimentConfig(command="inversion", samples=samples, workers=1))
-    assert chunks == [(0, INVERSION_CHUNK), (INVERSION_CHUNK, 2 * INVERSION_CHUNK),
-                      (2 * INVERSION_CHUNK, samples)]
+@pytest.mark.parametrize("command,task", [("random-walk", _walk_chunk),
+                                          ("inversion", _displacement_chunk)],
+                         ids=["random-walk", "inversion"])
+def test_one_point_flows_do_not_depend_on_chunk_length(command, task):
+    # each draw flows one point, whose image must not depend on how many
+    # draws its batch holds: the same records at chunk lengths 1 to 64
+    cfg = ExperimentConfig(command=command, regularity=(3.0,), spatial_max=6, temporal_max=3,
+                           kernel="constant" if command == "random-walk" else "periodic",
+                           samples=64, walk_steps=2, seed=3, workers=1)
+    runs = [[record for start in range(0, 64, length)
+             for record in task((cfg, 0, start, min(start + length, 64)))]
+            for length in (1, 7, 32, 64)]
+    for records in runs[:-1]:
+        assert len(records) == 64
+        for got, want in zip(records, runs[-1]):
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[key], want[key]) for key in got)
 
 
 def test_benchmark_reference_displacements_stay_within_1e_7():
@@ -667,14 +721,10 @@ def test_benchmark_reference_displacements_stay_within_1e_7():
 
 
 def test_default_workers_follow_cpu_affinity(monkeypatch):
-    monkeypatch.delenv("HAMFLOW_WORKERS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     assert worker_count(ExperimentConfig(workers=0)) == 3
     assert worker_count(ExperimentConfig(workers=2)) == 2
-    monkeypatch.setenv("HAMFLOW_WORKERS", "5")
-    assert worker_count(ExperimentConfig(workers=0)) == 5
-    monkeypatch.delenv("HAMFLOW_WORKERS")
     # platforms without sched_getaffinity count every CPU
     monkeypatch.delattr(os, "sched_getaffinity")
     assert worker_count(ExperimentConfig(workers=0)) == 64
