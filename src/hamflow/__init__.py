@@ -13,12 +13,11 @@ from .errors import (DegenerateOverlap, FailureBudgetExceeded, HamflowError, Non
                      ValidationError)
 from .field import (HamiltonianLaw, RandomHamiltonian, SpectralHamiltonian, make_law,
                     sample_hamiltonian, spectral_weight)
-from .flow import (BumpFunction, FlowSettings, LagrangianCurve, advect_curve, advect_curves,
-                   concatenate_autonomous, flow_points, flow_points_through, horizontal_circle,
-                   time_reversed_hamiltonian)
+from .flow import (FlowSettings, LagrangianCurve, advect_curve, advect_curves, flow_points,
+                   flow_points_through, horizontal_circle, time_reversed_hamiltonian)
 from .rkhs import rkhs_norm, weighted_coefficient_sum
 from .rng import derive
-from .temporal import CONSTANT, KernelKind, PERIODIC, SQEXP, kernel_value
+from .temporal import CONSTANT, KernelKind, PERIODIC, SQEXP
 from .walk import induced_point_walks, sample_walk
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,9 +17,9 @@ The two differ by the constant factor 4 pi^2.
 Curve refinement runs until no image gap exceeds ``refinement_threshold``;
 no key caps it (``hamflow.flow.MAX_IMAGE_VERTICES`` bounds an image).
 
-``grid_nodes`` is accepted, checked and echoed, and nothing reads it: every
-kernel is a Fourier series in time (:mod:`hamflow.temporal`), so no kernel
-samples on a grid.  It stays so that existing config files still parse.
+``grid_nodes`` is accepted, checked and echoed; no kernel samples on a grid.
+Only ``perfbench/child.py`` reads it, passes ``make_law``'s ``seed=`` or
+calls ``eigenvalue_regularities``; once it stops, all three can go.
 """
 
 from __future__ import annotations

@@ -55,9 +55,7 @@ classical RK4 at the counts of its own rule (THETA = 0.0716, MIN_STEPS =
 8.6e-8 at 3 steps against 5.6e-8 at 9.  The count depends on the law
 alone, never on a chunk's draws, so outputs stay independent of the
 worker count.  A walk's steps are draws of a constant law and flow at its
-count.  The walk is also the time-1 flow of their concatenation
-(``flow.concatenate_autonomous``), which has no law and integrates at
-``steps`` times its part count; the tests check that the two agree.
+count, one step's time-1 flow after another (``hamflow.walk``).
 """
 
 from __future__ import annotations

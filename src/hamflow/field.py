@@ -6,9 +6,8 @@ one :class:`RandomHamiltonian` from it at a seed and stream indices.
 Draws are immutable and all evaluation methods are reentrant.
 :class:`SpectralHamiltonian` is the one type whose fields the integrator
 evaluates through packed coefficient grids: draws are its one subclass, and
-time reversals and concatenations are plain instances.  Coefficients are
-computed and packed for the engine's band modes only
-(``SpectralEngine.modes``).
+time reversals are plain instances.  Coefficients are computed and packed
+for the engine's band modes only (``SpectralEngine.modes``).
 
 Streams.  A draw owns its stream: ``sample_hamiltonian(law, seed, *indices)``
 creates the generator ``derive(seed, *indices)`` and no caller shares it.
@@ -178,13 +177,13 @@ class HamiltonianLaw:
             sum_n w_n a_n sigma sqrt(2/pi) (2 pi max(kx, ky))^2,
 
         with a_n the basis amplitude and sigma^2 the kernel's pointwise
-        variance.  It is the mean of sum_n |c_n(t)| a_n (2 pi max(kx, ky))^2,
-        which bounds every second derivative of H (E|c_n(t)| =
-        w_n sigma sqrt(2/pi)).  Flows take their step count from it
+        variance (``KernelKind.variance``).  It is the mean of
+        sum_n |c_n(t)| a_n (2 pi max(kx, ky))^2, which bounds every second
+        derivative of H (E|c_n(t)| = w_n sigma sqrt(2/pi)).  Flows take their step count from it
         (``hamflow.experiments.flow_steps``).
         """
         b = self.basis()
-        sigma = math.sqrt(temporal.kernel_value(self.kernel, 0.0, 0.0))
+        sigma = math.sqrt(self.kernel.variance())
         k = TWO_PI * np.maximum(b.kx, b.ky)
         return float(np.sum(self.weights() * b.amplitudes
                             * (sigma * math.sqrt(2.0 / math.pi)) * k**2))
@@ -195,10 +194,10 @@ def make_law(regularity: float, spatial_max: int = 25, temporal_max: int = 10,
              include_axis_modes: bool = False, grid_nodes: int = 64) -> HamiltonianLaw:
     """Convenience constructor wiring the kernel to the law's regularity.
 
-    ``seed`` and ``grid_nodes`` are accepted and unused, so that callers that
-    still pass them keep working: a law holds no seed (draws take theirs,
-    ``sample_hamiltonian``), and every kernel is a Fourier series in time
-    (:mod:`hamflow.temporal`).
+    ``seed`` and ``grid_nodes`` are accepted and unused: a law holds no seed
+    (draws take theirs, ``sample_hamiltonian``), and no kernel samples on a
+    grid.  The benchmark's ``perfbench/child.py`` is the one program passing
+    them; once it stops, both parameters can go.
     """
     trunc = Truncation(spatial_max=spatial_max, include_axis_modes=include_axis_modes)
     kind = KernelKind(tag=kernel, regularity=regularity, temporal_max=temporal_max)
@@ -222,8 +221,6 @@ class SpectralHamiltonian:
     engine's M band modes (``engine.modes``).  A draw passes no B: it
     computes B from its normals on every read.
     """
-
-    autonomous = False
 
     def __init__(self, engine: SpectralEngine, time_basis, coefficients=None):
         self.engine = engine
@@ -374,7 +371,6 @@ class RandomHamiltonian(SpectralHamiltonian):
         self._normals = normals
         self._key = key
         self.weights = law.weights()
-        self.autonomous = law.kernel.tag == temporal.CONSTANT
 
     @property
     def gaussians(self) -> np.ndarray:

@@ -28,25 +28,24 @@ into them (``_step``), so a step allocates no array.  The
 buffers belong to the flow, not to the engine, which draws of many laws and
 flows share, so concurrent flows on one engine do not meet.
 
-Group operations return plain ``SpectralHamiltonian`` values:
-
-* ``time_reversed_hamiltonian(f)``   -- c(t) -> -c(1 - t); its time-1 flow
-  inverts f's.  Time reversal is a signed permutation R in f's own time
-  basis (B -> -R @ B), so reversals batch with forward draws of one law;
-* ``concatenate_autonomous(parts, bump)`` -- one time-dependent Hamiltonian
-  running each autonomous draw in order within [0, 1]; its time basis
-  (``BumpTimeBasis``) has stiffness k, the part count.
+The group operation on generators is time reversal,
+``time_reversed_hamiltonian(f)``: c(t) -> -c(1 - t), a plain
+``SpectralHamiltonian`` whose time-1 flow inverts f's.  It is a signed
+permutation R in f's own time basis (B -> -R @ B), so reversals batch with
+forward draws of one law.  Composition needs no generator: a walk applies
+its steps' time-1 flows in turn (``hamflow.walk``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HamflowError, NonFinite, NotAutonomous, RefinementOverflow, Unsupported
-from .field import PackedBatch, RandomHamiltonian, SpectralHamiltonian
+from .errors import HamflowError, NonFinite, RefinementOverflow
+from .field import PackedBatch, SpectralHamiltonian
+from .temporal import check_times
 
 # Butcher's 7-stage order-6 method (J. Austral. Math. Soc. 4, 1964): stage
 # j runs at time t + c_j h with c = (0, 1/3, 2/3, 1/3, 1/2, 1/2, 1), so a
@@ -59,9 +58,9 @@ _A = [np.array(row) for row in (
     (0, 9 / 8, -3 / 8, -3 / 4, 1 / 2), (9 / 44, -9 / 11, 63 / 44, 18 / 11, 0, -16 / 11))]
 _B = np.array([11 / 120, 0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120])
 # Steps whose stage times one time-basis call evaluates: a flow of at most
-# this many steps takes its Phi rows from one call, a longer one (a
-# concatenation of k parts flows k times the steps, over k columns) from one
-# call per slice of this many, so the rows stay 5 x 200 x m doubles at most.
+# this many steps takes its Phi rows from one call, a longer one (a config's
+# ``steps`` cap may run to thousands) from one call per slice of this many,
+# so the rows stay 5 x 200 x m doubles at most.
 _PHI_STEPS = 200
 # A draw whose next refinement pass would take its image past this many
 # vertices raises RefinementOverflow.  Passes need no cap: an image gap is at
@@ -74,10 +73,9 @@ MAX_IMAGE_VERTICES = 1 << 16
 class FlowSettings:
     """Fixed-step integration and curve refinement parameters.
 
-    ``steps`` is per unit time, taken exactly, times the time basis's
-    ``stiffness`` (a concatenation's part count).  The CLI experiments
-    choose it per law (``experiments.flow_steps``).  ``advect_curves``
-    refines an image until no gap exceeds ``refinement_threshold``.
+    ``steps`` is per unit time: a flow over a span s takes ceil(steps * s)
+    steps.  The CLI experiments choose it per law (``experiments.flow_steps``).
+    ``advect_curves`` refines an image to gaps of at most ``refinement_threshold``.
     """
 
     steps: int = 200
@@ -97,10 +95,10 @@ DEFAULT_SETTINGS = FlowSettings()
 # Integrator core
 # ---------------------------------------------------------------------------
 
-def _n_steps(settings: FlowSettings, stiffness: int, span: float) -> int:
+def _n_steps(settings: FlowSettings, span: float) -> int:
     if span == 0.0:
         return 0
-    return max(1, math.ceil(settings.steps * stiffness * span - 1e-9))
+    return max(1, math.ceil(settings.steps * span - 1e-9))
 
 
 def _step_work(engine, shape, h):
@@ -172,15 +170,17 @@ def _integrate(fieldlike, pts, t0, t1, settings):
     under a ``PackedBatch`` or a list or tuple of spectral Hamiltonians
     (pts (S, P, 2)).
 
-    Raises ``NonFinite`` naming the draws whose state left the finite range
-    (row 0 for one Hamiltonian).
+    Raises ``OutOfRange`` for an endpoint outside [0, 1] (``_flow_grids``
+    clips only the rounding of stage times), and ``NonFinite`` naming the
+    draws whose state left the finite range (row 0 for one Hamiltonian).
     """
     if isinstance(fieldlike, SpectralHamiltonian):
         return _integrate([fieldlike], np.asarray(pts)[None], t0, t1, settings)[0]
     batch = fieldlike if isinstance(fieldlike, PackedBatch) else PackedBatch(fieldlike)
     if not len(batch):
         raise ValueError("need at least one Hamiltonian")
-    n = _n_steps(settings, batch.time_basis.stiffness, abs(t1 - t0))
+    check_times((t0, t1))
+    n = _n_steps(settings, abs(t1 - t0))
     if n == 0:
         return np.array(pts, dtype=float)
     out = _flow_grids(batch, pts, t0, (t1 - t0) / n, n)
@@ -192,14 +192,14 @@ def _integrate(fieldlike, pts, t0, t1, settings):
 
 def flow_points(fieldlike, pts, t0: float = 0.0, t1: float = 1.0,
                 settings: FlowSettings = DEFAULT_SETTINGS) -> np.ndarray:
-    """Integrate planar lifts from t0 to t1 (t1 < t0 allowed).
+    """Integrate planar lifts from t0 to t1, both in [0, 1] (t1 < t0 allowed).
 
     ``fieldlike`` is one spectral Hamiltonian with ``pts`` of shape (P, 2), or S
     spectral Hamiltonians sharing one engine and one time basis (draws of
-    one law and time reversals of such draws, in any mix, or concatenations
-    with one bump and part count), as a list, a tuple or a ``PackedBatch``,
-    with ``pts`` of shape (S, P, 2): set s flows under Hamiltonian s, and all
-    S run through one loop of steps.  The result has the shape of ``pts``.
+    one law and time reversals of such draws, in any mix), as a list, a
+    tuple or a ``PackedBatch``, with ``pts`` of shape (S, P, 2): set s flows
+    under Hamiltonian s, and all S run through one loop of steps.  The
+    result has the shape of ``pts``.
     """
     pts = np.asarray(pts, dtype=float)
     if isinstance(fieldlike, (list, tuple, PackedBatch)) and pts.shape[:1] != (len(fieldlike),):
@@ -228,89 +228,6 @@ def time_reversed_hamiltonian(f: SpectralHamiltonian) -> SpectralHamiltonian:
     (``TimeBasis.reflect``), so the reversal keeps f's time basis and its B
     is -R @ B."""
     return SpectralHamiltonian(f.engine, f.time_basis, -f.time_basis.reflect(f.coefficients))
-
-
-# ---------------------------------------------------------------------------
-# Bump function and autonomous concatenation
-# ---------------------------------------------------------------------------
-
-# Trapezoid nodes on [0, 1] of a bump's normalizing integral.
-_BUMP_TRAPEZOID_NODES = 10001
-
-
-@dataclass(frozen=True)
-class BumpFunction:
-    """Smooth bump supported in (delta, 1-delta), symmetric about 1/2, unit mass."""
-
-    delta: float = 0.05
-    normalization: float = dataclass_field(init=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 0.5:
-            raise ValueError("delta must lie in (0, 0.5)")
-        ts = np.linspace(0.0, 1.0, _BUMP_TRAPEZOID_NODES)
-        raw = self._raw(ts)
-        object.__setattr__(self, "normalization", 1.0 / float(np.trapezoid(raw, ts)))
-
-    def _raw(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        inside = (t > self.delta) & (t < 1.0 - self.delta)
-        u = (t[inside] - self.delta) * (1.0 - self.delta - t[inside])
-        out[inside] = np.exp(-1.0 / u)
-        return out
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        value = self.normalization * self._raw(t)
-        return float(value) if value.ndim == 0 else value
-
-
-@dataclass(frozen=True)
-class BumpTimeBasis:
-    """Phi_i(t) = k * bump(k*t - i + 1) for i = 1..k: part i's bump weight.
-    Each part runs in 1/k of unit time, so the stiffness is k."""
-
-    bump: BumpFunction
-    parts: int
-
-    @property
-    def stiffness(self) -> int:
-        return self.parts
-
-    def __call__(self, times):
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        k = self.parts
-        return k * self.bump(k * t[:, None] - np.arange(1, k + 1)[None, :] + 1.0)
-
-    def reflect(self, b: np.ndarray) -> np.ndarray:
-        """R @ b for Phi(1 - t) = Phi(t) @ R: the bump is symmetric about 1/2,
-        so Phi_i(1 - t) = Phi_(k+1-i)(t) and R reverses the parts."""
-        return b[::-1]
-
-
-def concatenate_autonomous(parts, bump: BumpFunction) -> SpectralHamiltonian:
-    """Single Hamiltonian whose time-1 flow composes the parts in order.
-
-    The combined coefficient path is c_n(t) = sum_i k * bump(k*t - i + 1) * c_n^(i):
-    Phi is the bump basis of the k parts and row i of B part i's constant
-    coefficients.  The parts must be autonomous draws over one basis; parts
-    over two truncations raise ``Unsupported``.
-    """
-    parts = list(parts)
-    if not parts:
-        raise ValueError("need at least one Hamiltonian")
-    for part in parts:
-        if not part.autonomous:
-            raise NotAutonomous("all concatenated Hamiltonians must be autonomous")
-    if not all(isinstance(p, RandomHamiltonian) and p.basis is parts[0].basis for p in parts):
-        raise Unsupported("concatenated Hamiltonians must be draws over one basis "
-                          "(one truncation)")
-    # the widest band packs every part: one basis, one engine per band;
-    # a narrower part's modes past its head draw its tail
-    engine = max((p.engine for p in parts), key=lambda e: e.band)
-    b = np.stack([(p.time_basis(0.0) @ p.coefficients_of(engine.modes))[0] for p in parts])
-    return SpectralHamiltonian(engine, BumpTimeBasis(bump, len(parts)), b)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +309,8 @@ def advect_curves(hamiltonians, curve: LagrangianCurve, t: float = 1.0,
     more (see the module docstring).
     """
     batch = hamiltonians if isinstance(hamiltonians, PackedBatch) else PackedBatch(hamiltonians)
+    if not len(batch):
+        raise ValueError("need at least one Hamiltonian")
     winding = np.array(curve.winding, dtype=float)
     source = curve.vertices[:-1]
     out = [None] * len(batch)

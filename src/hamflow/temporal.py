@@ -117,6 +117,11 @@ class KernelKind:
         decay = self.fourier_decay() if self.tag == PERIODIC else np.empty(0)
         return np.concatenate([[1.0], decay, decay])
 
+    def variance(self) -> float:
+        """Var Z(t) at every t: c_0 + 2 sum_k c_k (module docstring)."""
+        c = self.column_factors()[:self.time_basis().frequencies + 1] ** 2
+        return float(c[0] + 2.0 * np.sum(c[1:]))
+
     def gaussians_per_sample(self) -> int:
         """Number of independent standard normals one draw consumes."""
         return 1 + 2 * self.time_basis().frequencies
@@ -129,17 +134,16 @@ class TimeBasis:
     Calling it on a scalar or (T,) array of times in [0, 1] returns the
     (T, 1 + 2n) matrix Phi(times).  Equal instances are the same function of
     time, which is what lets draws of one law share their stage products.
-    ``stiffness`` is the factor by which a flow multiplies its steps per
-    unit time: 1 for every kernel (``hamflow.flow.BumpTimeBasis`` differs).
+    This call, ``reflect`` and equality are all the integrator asks of a
+    time basis.
     """
 
     frequencies: int
     period: float = 1.0
     center: float = 0.0
-    stiffness = 1
 
     def __call__(self, times) -> np.ndarray:
-        t = _check_times(np.atleast_1d(times))
+        t = check_times(np.atleast_1d(times))
         ang = (_TWO_PI / self.period) * np.multiply.outer(t - self.center,
                                                           np.arange(1, self.frequencies + 1))
         return np.hstack([np.ones((len(t), 1)),
@@ -153,23 +157,12 @@ class TimeBasis:
         return np.concatenate([b[:cosines], -b[cosines:]])
 
 
-def _check_times(t) -> np.ndarray:
+def check_times(t) -> np.ndarray:
+    """``t`` as floats; ``OutOfRange`` if a time leaves [0, 1] by over 1e-12."""
     t = np.asarray(t, dtype=float)
     if np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
         raise OutOfRange(f"time {t} outside [0, 1]")
     return t
-
-
-def kernel_value(kind: KernelKind, t1: float, t2: float) -> float:
-    """Covariance Cov[Z(t1), Z(t2)] of the process described by ``kind``:
-    c_0 + 2 sum_k c_k cos(2 pi k (t1 - t2) / L) (module docstring)."""
-    _check_times(t1)
-    _check_times(t2)
-    basis = kind.time_basis()
-    c = kind.column_factors()[:basis.frequencies + 1] ** 2
-    k = np.arange(1, basis.frequencies + 1)
-    series = 2.0 * np.sum(c[1:] * np.cos(_TWO_PI / basis.period * k * (t1 - t2)))
-    return float(c[0] + series)
 
 
 def coefficient_matrix(kind: KernelKind, gaussians: np.ndarray) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 A walk of n steps is the tuple of its n independent autonomous draws; the
 walk map is the composition of their time-1 flows, applied last step
-outermost, and its generator is ``flow.concatenate_autonomous(walk, bump)``.
-Walks keep draws only - flow maps are reconstructed on demand, so the group
-operations stay exact and memory stays small.
+outermost, each step flowed at its own law's count.  Walks keep draws
+only - flow maps are reconstructed on demand, so the group operations stay
+exact and memory stays small.
 """
 
 from __future__ import annotations

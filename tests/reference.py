@@ -5,6 +5,7 @@
   with ``math``.
 * ``mode_values``: every basis function at a set of points, from the basis
   arrays.
+* ``kernel_value``: a kernel's covariance at two times, from its series.
 * ``analytic_variance`` and ``spatial_mean``: the moments of a draw that the
   statistical tests compare samples with.
 * ``lattice_oscillation``: ``oscillation`` from every value of the whole
@@ -19,6 +20,10 @@
   basis, and its packing into an engine's grids, as they were computed
   before draws drew their head only, kept the rows of their temporal band
   only and grids were packed from the band modes alone.
+* ``BumpFunction``, ``BumpTimeBasis``, ``concatenate_autonomous`` and
+  ``flow_concatenation``: one time-dependent Hamiltonian whose time-1 flow
+  composes autonomous draws in order, and its flow at the step count its
+  parts need.
 * ``apply_walk``: a walk's map as the sequential application of its step
   flows, which the batched walks and the walk's concatenation are checked
   against.
@@ -36,13 +41,15 @@
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
 from hamflow import flow, temporal
-from hamflow.errors import DegenerateOverlap, NonFinite, RefinementOverflow
+from hamflow.errors import (DegenerateOverlap, NonFinite, NotAutonomous, RefinementOverflow,
+                            Unsupported)
 from hamflow.basis import TRIG_PAIRS
+from hamflow.field import SpectralHamiltonian
 from hamflow.flow import DEFAULT_SETTINGS, LagrangianCurve, flow_points
 
 TWO_PI = 2.0 * math.pi
@@ -105,10 +112,22 @@ def mode_values(basis, pts) -> np.ndarray:
     return basis.amplitudes * fx * fy
 
 
+def kernel_value(kind, t1: float, t2: float) -> float:
+    """Covariance Cov[Z(t1), Z(t2)] of the process described by ``kind``:
+    c_0 + 2 sum_k c_k cos(2 pi k (t1 - t2) / L) (``hamflow.temporal``)."""
+    temporal.check_times(t1)
+    temporal.check_times(t2)
+    basis = kind.time_basis()
+    c = kind.column_factors()[:basis.frequencies + 1] ** 2
+    k = np.arange(1, basis.frequencies + 1)
+    series = 2.0 * np.sum(c[1:] * np.cos(TWO_PI / basis.period * k * (t1 - t2)))
+    return float(c[0] + series)
+
+
 def analytic_variance(draw, t: float, p) -> float:
     """Var[H(t, p)] over the draws of ``draw``'s law:
     sum_n w_n^2 kappa(t, t) e_n(p)^2, kappa the kernel."""
-    kappa = temporal.kernel_value(draw.law.kernel, float(t), float(t))
+    kappa = kernel_value(draw.law.kernel, float(t), float(t))
     evals = mode_values(draw.basis, [p])[0]
     return float(np.sum(draw.weights**2 * kappa * evals**2))
 
@@ -213,6 +232,91 @@ def full_packing(engine, coeffs) -> np.ndarray:
     out = np.zeros(values.shape[:-1] + (2 * k, 2 * k))
     out[..., rows, cols] = values
     return out.reshape(values.shape[:-1] + (2, k, 2 * k))
+
+
+# Trapezoid nodes on [0, 1] of a bump's normalizing integral.
+_BUMP_TRAPEZOID_NODES = 10001
+
+
+@dataclass(frozen=True)
+class BumpFunction:
+    """Smooth bump supported in (delta, 1-delta), symmetric about 1/2, unit mass."""
+
+    delta: float = 0.05
+    normalization: float = dataclass_field(init=False)
+
+    def __post_init__(self):
+        if not 0.0 < self.delta < 0.5:
+            raise ValueError("delta must lie in (0, 0.5)")
+        ts = np.linspace(0.0, 1.0, _BUMP_TRAPEZOID_NODES)
+        raw = self._raw(ts)
+        object.__setattr__(self, "normalization", 1.0 / float(np.trapezoid(raw, ts)))
+
+    def _raw(self, t):
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape)
+        inside = (t > self.delta) & (t < 1.0 - self.delta)
+        u = (t[inside] - self.delta) * (1.0 - self.delta - t[inside])
+        out[inside] = np.exp(-1.0 / u)
+        return out
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        value = self.normalization * self._raw(t)
+        return float(value) if value.ndim == 0 else value
+
+
+@dataclass(frozen=True)
+class BumpTimeBasis:
+    """Phi_i(t) = k * bump(k*t - i + 1) for i = 1..k: part i's bump weight.
+    Each part runs in 1/k of unit time (``flow_concatenation``)."""
+
+    bump: BumpFunction
+    parts: int
+
+    def __call__(self, times):
+        t = np.atleast_1d(np.asarray(times, dtype=float))
+        k = self.parts
+        return k * self.bump(k * t[:, None] - np.arange(1, k + 1)[None, :] + 1.0)
+
+    def reflect(self, b: np.ndarray) -> np.ndarray:
+        """R @ b for Phi(1 - t) = Phi(t) @ R: the bump is symmetric about 1/2,
+        so Phi_i(1 - t) = Phi_(k+1-i)(t) and R reverses the parts."""
+        return b[::-1]
+
+
+def concatenate_autonomous(parts, bump: BumpFunction) -> SpectralHamiltonian:
+    """Single Hamiltonian whose time-1 flow composes the parts in order.
+
+    The combined coefficient path is c_n(t) = sum_i k * bump(k*t - i + 1) * c_n^(i):
+    Phi is the bump basis of the k parts and row i of B part i's constant
+    coefficients.  The parts must be draws of constant-kernel laws
+    (``NotAutonomous``) over one basis; parts over two truncations raise
+    ``Unsupported``.
+    """
+    parts = list(parts)
+    if not parts:
+        raise ValueError("need at least one Hamiltonian")
+    if any(p.law.kernel.tag != temporal.CONSTANT for p in parts):
+        raise NotAutonomous("all concatenated Hamiltonians must be autonomous")
+    if any(p.basis is not parts[0].basis for p in parts):
+        raise Unsupported("concatenated Hamiltonians must be draws over one basis "
+                          "(one truncation)")
+    # the widest band packs every part: one basis, one engine per band;
+    # a narrower part's modes past its head draw its tail
+    engine = max((p.engine for p in parts), key=lambda e: e.band)
+    b = np.stack([(p.time_basis(0.0) @ p.coefficients_of(engine.modes))[0] for p in parts])
+    return SpectralHamiltonian(engine, BumpTimeBasis(bump, len(parts)), b)
+
+
+def flow_concatenation(fieldlike, pts, t0=0.0, t1=1.0, settings=DEFAULT_SETTINGS):
+    """``flow_points`` of one concatenation of k parts, or of a batch of them
+    over one ``BumpTimeBasis``, at k x ``settings.steps`` steps per unit
+    time: each part runs in 1/k of unit time, so each gets the steps a unit
+    flow would."""
+    first = fieldlike[0] if isinstance(fieldlike, (list, tuple)) else fieldlike
+    steps = first.time_basis.parts * settings.steps
+    return flow_points(fieldlike, pts, t0, t1, replace(settings, steps=steps))
 
 
 def apply_walk(walk, pts, settings=DEFAULT_SETTINGS) -> np.ndarray:

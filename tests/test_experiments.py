@@ -24,12 +24,13 @@ from hamflow.experiments import (CHUNK, _advected_chunk, _ball_points,
                                  mean_table, paper_lagrangians, run_intersections,
                                  run_inversion_test, standard_error, worker_count)
 from hamflow.field import PackedBatch, RandomHamiltonian, make_law, sample_hamiltonian
-from hamflow.flow import (_STAGE_OFFSETS, BumpFunction, FlowSettings, LagrangianCurve,
-                          advect_curve, advect_curves, concatenate_autonomous, flow_points,
-                          flow_points_through, horizontal_circle, time_reversed_hamiltonian)
+from hamflow.flow import (_STAGE_OFFSETS, FlowSettings, LagrangianCurve, advect_curve,
+                          advect_curves, flow_points, flow_points_through, horizontal_circle,
+                          time_reversed_hamiltonian)
 from hamflow.rng import derive
 from hamflow.walk import sample_walk
-from reference import (apply_walk, circle_curve, crossings, reference_advect, reference_images,
+from reference import (BumpFunction, apply_walk, circle_curve, concatenate_autonomous,
+                       crossings, flow_concatenation, reference_advect, reference_images,
                        sloped_circle, vertical_circle)
 
 # At this law and threshold, under an image budget of BUDGET vertices, some
@@ -573,7 +574,7 @@ class TestWalkChunks:
         walk = sample_walk(law, self.cfg.seed, self.cfg.walk_steps)
         combined = concatenate_autonomous(walk, BumpFunction())
         pts = np.random.default_rng(1).uniform(0, 1, (20, 2))
-        lhs = flow_points(combined, pts, 0.0, 1.0, FlowSettings(steps=self.cfg.steps))
+        lhs = flow_concatenation(combined, pts, 0.0, 1.0, FlowSettings(steps=self.cfg.steps))
         rhs = apply_walk(walk, pts, FlowSettings(steps=7))
         assert np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1).max() < 1e-4
 

@@ -9,11 +9,11 @@ from hamflow import field
 from hamflow.engine import SpectralEngine
 from hamflow.field import (PackedBatch, RandomHamiltonian, SpectralHamiltonian, make_law,
                            sample_hamiltonian, spectral_weight)
-from hamflow.flow import (BumpFunction, FlowSettings, concatenate_autonomous, flow_points,
-                          time_reversed_hamiltonian)
+from hamflow.flow import FlowSettings, flow_points, time_reversed_hamiltonian
 from hamflow.rng import derive
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, TimeBasis
-from reference import (analytic_variance, coefficient_paths, concatenation_coefficients,
+from reference import (BumpFunction, analytic_variance, coefficient_paths,
+                       concatenate_autonomous, concatenation_coefficients,
                        full_coefficients, full_packing, gaussian_dimension, gradient, grid_slots,
                        lattice_oscillation, mode_coefficients, mode_of, reversal_coefficients,
                        spatial_mean)
@@ -77,7 +77,6 @@ class TestSampling:
     def test_autonomous_draws_time_independent(self):
         law = make_law(0.15, spatial_max=3, kernel=CONSTANT)
         h = sample_hamiltonian(law, 3)
-        assert h.autonomous
         p = (0.21, 0.68)
         assert h.value(0.1, p) == pytest.approx(h.value(0.9, p), abs=1e-14)
 

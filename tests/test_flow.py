@@ -2,22 +2,24 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from hamflow import flow
 from hamflow.engine import SpectralEngine
-from hamflow.errors import NotAutonomous, RefinementOverflow, Unsupported
+from hamflow.errors import NotAutonomous, OutOfRange, RefinementOverflow, Unsupported
 from hamflow.field import (PackedBatch, RandomHamiltonian, SpectralHamiltonian, make_law,
                            sample_hamiltonian)
-from hamflow.flow import (BumpFunction, BumpTimeBasis, FlowSettings, LagrangianCurve, _step,
-                          _step_work, advect_curve, concatenate_autonomous, flow_points,
-                          horizontal_circle, time_reversed_hamiltonian)
+from hamflow.flow import (FlowSettings, LagrangianCurve, _step, _step_work, advect_curve,
+                          advect_curves, flow_points, flow_points_through, horizontal_circle,
+                          time_reversed_hamiltonian)
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, KernelKind, TimeBasis
-from reference import (Mode, circle_curve, concatenation_coefficients,
-                       flow_jacobian_determinant, full_coefficients, mode_index,
-                       reversal_coefficients, sloped_circle, torus_distance)
+from reference import (BumpFunction, BumpTimeBasis, Mode, circle_curve,
+                       concatenate_autonomous, concatenation_coefficients,
+                       flow_concatenation, flow_jacobian_determinant, full_coefficients,
+                       mode_index, reversal_coefficients, sloped_circle, torus_distance)
 
 # The analytic references: draws over the smallest basis with axis modes,
 # each of one mode or none, autonomous or with a periodic coefficient path.
@@ -108,6 +110,21 @@ class TestPointIntegration:
             assert err[64] > 1e-12  # above rounding, so the ratios measure the order
             assert err[16] / err[32] >= 2**5.5 and err[32] / err[64] >= 2**5.5, err
 
+    def test_times_outside_the_unit_interval_are_rejected(self):
+        h = small_draw(47)
+        pts = np.random.default_rng(2).uniform(0, 1, (4, 2))
+        for t0, t1 in ((0.0, 2.0), (-0.5, 0.0), (1.0, 1.0 + 1e-9), (1.5, 1.5)):
+            with pytest.raises(OutOfRange):
+                flow_points(h, pts, t0, t1)
+            with pytest.raises(OutOfRange):
+                flow_points([h, h], np.stack([pts, pts]), t0, t1)
+        with pytest.raises(OutOfRange):
+            flow_points_through(h, pts, (0.5, 1.5))
+        # 1 -> 0 is a reversed flow, and a time within 1e-12 of [0, 1] is
+        # its end, rounded
+        back = flow_points(h, flow_points(h, pts, 0.0, 1.0 + 1e-13), 1.0, -1e-13)
+        assert np.abs(back - pts).max() < 1e-8
+
     def test_lift_returned_unreduced(self):
         lift = image(shear_y(3.0 / (2 * np.pi)), (0.3, 0.0))
         assert lift[0] == pytest.approx(0.3 - 3.0, abs=1e-9)
@@ -190,7 +207,6 @@ class TestTimeReversal:
         assert type(double) is SpectralHamiltonian
         assert not double.coefficients.flags.writeable
         assert double.time_basis == h.time_basis
-        assert double.time_basis.stiffness == (2 if kind == "concatenation" else 1)
         assert double.coefficients.tobytes() == h.coefficients.tobytes()
 
     @pytest.mark.parametrize("kind", [PERIODIC, CONSTANT, SQEXP, "concatenation"])
@@ -232,7 +248,7 @@ class TestConcatenation:
         h = small_draw(107, kernel=CONSTANT)
         concat = concatenate_autonomous([h], BumpFunction())
         pts = np.random.default_rng(10).uniform(0, 1, (10, 2))
-        lhs = flow_points(concat, pts, 0.0, 1.0, self.settings)
+        lhs = flow_concatenation(concat, pts, 0.0, 1.0, self.settings)
         rhs = flow_points(h, pts, 0.0, 1.0, self.settings)
         dist = np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1)
         assert dist.max() < 1e-6
@@ -241,7 +257,7 @@ class TestConcatenation:
         concat = concatenate_autonomous([shear_x(), shear_y()], BumpFunction())
         assert isinstance(concat, SpectralHamiltonian)
         pts = np.random.default_rng(11).uniform(0, 1, (20, 2))
-        lhs = flow_points(concat, pts, 0.0, 1.0, self.settings)
+        lhs = flow_concatenation(concat, pts, 0.0, 1.0, self.settings)
         rhs = flow_points(shear_y(), flow_points(shear_x(), pts, 0.0, 1.0, self.settings),
                           0.0, 1.0, self.settings)
         dist = np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1)
@@ -250,7 +266,7 @@ class TestConcatenation:
     def test_all_zero_parts_identity(self):
         concat = concatenate_autonomous([zero_field(), zero_field()], BumpFunction())
         pts = np.random.default_rng(12).uniform(0, 1, (5, 2))
-        out = flow_points(concat, pts, 0.0, 1.0, self.settings)
+        out = flow_concatenation(concat, pts, 0.0, 1.0, self.settings)
         assert np.abs(out - pts).max() < 1e-12
 
     def test_rejects_parts_over_two_truncations(self):
@@ -263,9 +279,8 @@ class TestConcatenation:
         concat = concatenate_autonomous(parts, BumpFunction())
         assert type(concat) is SpectralHamiltonian
         assert not concat.coefficients.flags.writeable
-        assert concat.time_basis.stiffness == 3
         pts = np.random.default_rng(13).uniform(0, 1, (20, 2))
-        lhs = flow_points(concat, pts, 0.0, 1.0, self.settings)
+        lhs = flow_concatenation(concat, pts, 0.0, 1.0, self.settings)
         rhs = pts
         for part in parts:
             rhs = flow_points(part, rhs, 0.0, 1.0, self.settings)
@@ -297,10 +312,11 @@ class TestBatchedFlow:
                                       "draws and reversals"])
     def test_matches_per_draw_flows(self, kind, count):
         hs = self.hamiltonians(kind, count)
+        flow = flow_concatenation if kind == "concatenation" else flow_points
         pts = np.random.default_rng(count).uniform(0, 1, (count, 4, 2))
         for t0, t1 in ((0.0, 1.0), (1.0, 0.0)):
-            batch = flow_points(hs, pts, t0, t1, self.settings)
-            single = np.stack([flow_points(h, p, t0, t1, self.settings)
+            batch = flow(hs, pts, t0, t1, self.settings)
+            single = np.stack([flow(h, p, t0, t1, self.settings)
                                for h, p in zip(hs, pts)])
             assert batch.shape == pts.shape
             assert np.abs(batch - single).max() <= 1e-12
@@ -324,6 +340,13 @@ class TestBatchedFlow:
         for empty in ([], (), PackedBatch()):
             with pytest.raises(ValueError, match="need at least one Hamiltonian"):
                 flow_points(empty, np.empty((0, 1, 2)))
+
+    def test_advection_rejects_an_empty_batch(self):
+        for empty in ([], (), PackedBatch()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="need at least one Hamiltonian"):
+                    advect_curves(empty, horizontal_circle())
 
     def test_rejects_points_without_draw_axis(self):
         with pytest.raises(ValueError):
@@ -373,6 +396,7 @@ class TestBand:
         ref = SpectralHamiltonian(SpectralEngine(basis, basis.truncation.spatial_max),
                                   phi, coefficients)
         assert h.engine.band < ref.engine.band
+        flow = flow_concatenation if kind.endswith("concatenation") else flow_points
         pts = np.random.default_rng(5).uniform(0, 1, (16, 2))
         xs = np.arange(20) / 20
         for t in (0.0, 0.3, 0.5, 1.0):
@@ -380,8 +404,8 @@ class TestBand:
             assert self.close(h.vector_field(t, pts), ref.vector_field(t, pts))
             assert self.close(h.value_grid(t, xs, xs), ref.value_grid(t, xs, xs))
         for t0, t1 in ((0.0, 1.0), (1.0, 0.0)):
-            assert self.close(flow_points(h, pts, t0, t1, self.settings),
-                              flow_points(ref, pts, t0, t1, self.settings))
+            assert self.close(flow(h, pts, t0, t1, self.settings),
+                              flow(ref, pts, t0, t1, self.settings))
 
     def test_mixed_regularity_concatenation_stays_spectral(self):
         parts = self.draws(CONSTANT, 3, 1) + self.draws(CONSTANT, 4.5, 1, 182)
@@ -391,7 +415,7 @@ class TestBand:
         assert concat.engine is parts[0].engine
         pts = np.random.default_rng(14).uniform(0, 1, (10, 2))
         settings = FlowSettings(steps=200)
-        lhs = flow_points(concat, pts, 0.0, 1.0, settings)
+        lhs = flow_concatenation(concat, pts, 0.0, 1.0, settings)
         rhs = pts
         for part in parts:
             rhs = flow_points(part, rhs, 0.0, 1.0, settings)

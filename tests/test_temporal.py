@@ -7,8 +7,8 @@ import pytest
 
 from hamflow.errors import OutOfRange
 from hamflow.rng import derive
-from hamflow.temporal import CONSTANT, KernelKind, PERIODIC, SQEXP, kernel_value
-from reference import coefficient_paths
+from hamflow.temporal import CONSTANT, KernelKind, PERIODIC, SQEXP
+from reference import coefficient_paths, kernel_value
 
 
 def kinds(**kw):
@@ -75,6 +75,13 @@ class TestKernelValue:
         k = KernelKind(tag=SQEXP, regularity=1.0)
         with pytest.raises(OutOfRange):
             kernel_value(k, -0.2, 0.5)
+
+    @pytest.mark.parametrize("tag", [PERIODIC, CONSTANT, SQEXP])
+    def test_variance_is_the_kernel_diagonal(self, tag):
+        k = kinds(r=0.3)[tag]
+        assert k.variance() == kernel_value(k, 0.0, 0.0)
+        for t in (0.1, 0.25, 0.5, 0.77, 1.0):
+            assert abs(k.variance() - kernel_value(k, t, t)) <= 1e-15 * k.variance()
 
 
 class TestSampling:
