@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from . import temporal
 from .errors import ParseError, ValidationError
 
@@ -44,7 +46,32 @@ COMMAND_DEFAULTS = {
     "tails": {"samples": 1000},
 }
 
-PAPER_LABELS = tuple(f"L{i}" for i in range(1, 15))
+
+def _line(a, b, c):
+    """Level function (a x + b y) - c of a closed line: integer on the line."""
+    return lambda v: (a * v[:, 0] + b * v[:, 1]) - c
+
+
+def _circle(center, radius):
+    """Level function (torus distance to ``center``) - radius: zero on the circle."""
+    def level(v):
+        d = (v - center + 0.5) % 1.0 - 0.5
+        return np.hypot(d[:, 0], d[:, 1]) - radius
+    return level
+
+
+# The fourteen test Lagrangians of the intersection experiment, by label:
+# each one's level function of (V, 2) vertices.  L1-L3 are x = c, L7-L9
+# y = c, L4-L6 and L10-L12 the closed lines through the origin of winding
+# (1, q) and (p, 1), and L13 and L14 circles about the torus centre.
+LAGRANGIANS = {
+    **{f"L{i}": _line(1, 0, c) for i, c in enumerate((0.3, 0.5, 0.7), start=1)},
+    **{f"L{i}": _line(q, -1, 0) for i, q in enumerate((2, 3, 4), start=4)},
+    **{f"L{i}": _line(0, 1, c) for i, c in enumerate((0.3, 0.5, 0.7), start=7)},
+    **{f"L{i}": _line(1, -p, 0) for i, p in enumerate((2, 3, 4), start=10)},
+    "L13": _circle((0.5, 0.5), 0.1),
+    "L14": _circle((0.5, 0.5), 0.2),
+}
 
 FREQUENCY_UNITS = "frequency"
 EIGENVALUE_UNITS = "eigenvalue"
@@ -75,7 +102,7 @@ class ExperimentConfig:
     grid: int = 10
     walk_steps: int = 5
     probe: tuple = (0.3, 0.7)
-    lagrangians: tuple = PAPER_LABELS
+    lagrangians: tuple = tuple(LAGRANGIANS)
     osc_spatial_grid: int = 128
     osc_time_grid: int = 101
     smoothing_eps: float = 0.01
@@ -110,6 +137,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad("command", f"must be one of {COMMANDS}")
     if not cfg.regularity or any(r <= 0 for r in cfg.regularity):
         bad("regularity", "values must be positive")
+    if len(set(cfg.regularity)) < len(cfg.regularity):
+        bad("regularity", "values must be distinct")
     if cfg.regularity_units not in (FREQUENCY_UNITS, EIGENVALUE_UNITS):
         bad("regularity_units", "must be 'frequency' or 'eigenvalue'")
     if cfg.spatial_max < 1:
@@ -150,9 +179,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad("probe", "must be a pair")
     if not cfg.lagrangians:
         bad("lagrangians", "must name at least one label")
-    unknown = [lab for lab in cfg.lagrangians if lab not in PAPER_LABELS]
+    unknown = [lab for lab in cfg.lagrangians if lab not in LAGRANGIANS]
     if unknown:
         bad("lagrangians", f"unknown labels {unknown}")
+    if len(set(cfg.lagrangians)) < len(cfg.lagrangians):
+        bad("lagrangians", "labels must be distinct")
     if cfg.osc_spatial_grid < 2:
         bad("osc_spatial_grid", "must be >= 2")
     if cfg.osc_time_grid < 2:

@@ -82,14 +82,7 @@ first derivatives, up to the size of its Gaussian.  The band is the largest
 max(kx, ky) over modes with b_n >= eps^2 max b (eps the float64 machine
 epsilon).  Every dropped mode, and at the shipped regularities their sum,
 lies below eps^2 of the largest term, far below the last bit of the
-evaluated field.  At spatial_max 25 (regularity in frequency units):
-
-    r     band   modes evaluated   dropped sum b / max b
-    0.1   25     2,500             0
-    0.5   17     1,156             1.7e-33
-    2     8      256               1.2e-33
-    3     7      196               5.2e-40
-    4.5   5      100               2.7e-33
+evaluated field.
 
 A full-band engine (band = spatial_max) evaluates every mode; tests use it
 as the reference.
@@ -101,16 +94,11 @@ ascending), never for the whole basis.
 Packing flushes entries below ``np.finfo(float).tiny`` to zero.  The band
 bounds each mode against the largest, not against the normal range, so a
 band can still hold coefficients in the subnormal range, and arithmetic on
-subnormals is slow on x86-64 CPUs.  Before the band, at regularity 3 in
-frequency units and spatial_max 25 (80 subnormal weights, 5% of the
-nonzero grid entries), single-threaded OpenBLAS on a 2-core x86-64 machine
-took 1852 us for ``vector_field`` at 192 points on the unflushed grid and
-251 us on the flushed one, and 856 us and 178 us for ``value_grid`` on a
-128 x 128 lattice.  A draw's banded B (the band modes at the temporal
-band's rows) holds a subnormal only where a weight nears the floor of the
-normal range: over regularities up to 1,000 at spatial_max 25 and
-temporal_max 10 and 40, 4 draws per law, the first came at 684 for sqexp,
-706 for periodic and 708 for constant.  From 708 up the band is 1, the
+subnormals is slow on x86-64 CPUs.  A draw's banded B (the band modes at
+the temporal band's rows) holds a subnormal only where a weight nears the
+floor of the normal range: over regularities up to 1,000 at spatial_max
+25 and temporal_max 10 and 40, 4 draws per law, the first came at 684 for
+sqexp, 706 for periodic and 708 for constant.  From 708 up the band is 1, the
 (1, 1) modes' weight exp(-r) lies below the normal range, and the whole
 field is below about 1e-304.  A subnormal term lies below half an ulp of
 any sum larger than 2**52 * tiny (about 1e-292), so wherever the field is

@@ -1,6 +1,13 @@
 """Monte Carlo experiments: Lagrangian intersections, diffusion, tails,
 inversion invariance, concentration, RKHS norms and random walks.
 
+Crossings.  The fourteen test Lagrangians are one table,
+``config.LAGRANGIANS``: each label's level function, (a x + b y) - c for
+the twelve closed lines and the torus distance to a centre minus a radius
+for the two circles.  ``count_crossings`` evaluates them at a curve's
+vertices as one array and counts every Lagrangian by one rule, the changes
+of floor f.
+
 Records.  Each sampler ``(cfg, r_index)`` (``oscillation_samples``,
 ``run_intersections``, ...) runs a per-sample task through ``_run_chunks``
 and returns one record per sample, in sample order: a dict of the sample's
@@ -47,12 +54,7 @@ Smoother laws take fewer: 48, 33, 20, 12, 7, 3 and 2 steps at regularity
 3.16, 3.5, 4, 4.5, 5, 6 and 8.  Rougher laws, 2 and below at the
 defaults, take the cap.  Against a 1,600-step flow the count's error stays
 at or below max(1.5e-6, the error at 200 steps) on every law tested
-(``tests/test_experiments.py``).  Over 16 draws x 64 points against
-3,200-step flows, periodic, sqexp and constant laws at regularity 2 to 5
-erred at most 1.2e-6 (periodic, regularity 2, at the cap), at or below
-classical RK4 at the counts of its own rule (THETA = 0.0716, MIN_STEPS =
-1; 8.5e-6 at regularity 3, 7.5e-4 at 2); periodic regularity 6 erred
-8.6e-8 at 3 steps against 5.6e-8 at 9.  The count depends on the law
+(``tests/test_experiments.py``).  The count depends on the law
 alone, never on a chunk's draws, so outputs stay independent of the
 worker count.  A walk's steps are draws of a constant law and flow at its
 count, one step's time-1 flow after another (``hamflow.walk``).
@@ -63,12 +65,11 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import LAGRANGIANS, ExperimentConfig
 from .errors import DegenerateOverlap, HamflowError, ValidationError
 from .field import HamiltonianLaw, PackedBatch, RandomHamiltonian, make_law, sample_hamiltonian
 from .flow import (FlowSettings, LagrangianCurve, advect_curves, flow_points, flow_points_through,
@@ -97,52 +98,6 @@ MIN_STEPS = 2
 # Test Lagrangians and crossing counts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TestLagrangian:
-    """A reference curve to intersect against.
-
-    kinds: 'vertical' (x = c), 'horizontal' (y = c), 'sloped' (the closed
-    line {(p a, q a) mod 1}), 'circle' (center/radius).
-    """
-
-    kind: str
-    label: str = ""
-    c: float = 0.0
-    p: int = 0
-    q: int = 0
-    center: tuple = (0.5, 0.5)
-    radius: float = 0.1
-
-    def __post_init__(self):
-        if self.kind in ("vertical", "horizontal"):
-            if not 0.0 <= self.c < 1.0:
-                raise ValueError("line position must lie in [0, 1)")
-        elif self.kind == "sloped":
-            if self.p == 0 and self.q == 0:
-                raise ValueError("slope integers must not both be zero")
-        elif self.kind == "circle":
-            if not 0.0 < self.radius < 0.5:
-                raise ValueError("radius must lie in (0, 0.5)")
-        else:
-            raise ValueError(f"unknown Lagrangian kind {self.kind!r}")
-
-
-def paper_lagrangians() -> dict:
-    """The fourteen test Lagrangians of the reference experiment, by label."""
-    cat = {}
-    for i, c in enumerate((0.3, 0.5, 0.7), start=1):
-        cat[f"L{i}"] = TestLagrangian("vertical", label=f"L{i}", c=c)
-    for i, q in enumerate((2, 3, 4), start=4):
-        cat[f"L{i}"] = TestLagrangian("sloped", label=f"L{i}", p=1, q=q)
-    for i, c in enumerate((0.3, 0.5, 0.7), start=7):
-        cat[f"L{i}"] = TestLagrangian("horizontal", label=f"L{i}", c=c)
-    for i, p in enumerate((2, 3, 4), start=10):
-        cat[f"L{i}"] = TestLagrangian("sloped", label=f"L{i}", p=p, q=1)
-    cat["L13"] = TestLagrangian("circle", label="L13", center=(0.5, 0.5), radius=0.1)
-    cat["L14"] = TestLagrangian("circle", label="L14", center=(0.5, 0.5), radius=0.2)
-    return cat
-
-
 def _dedupe(verts: np.ndarray) -> np.ndarray:
     if len(verts) < 2:
         return verts
@@ -151,49 +106,26 @@ def _dedupe(verts: np.ndarray) -> np.ndarray:
     return verts[keep]
 
 
-def count_crossings(curve: LagrangianCurve, lagrangians) -> list:
-    """Transverse crossings of the curve with each test Lagrangian, in order.
+def count_crossings(curve: LagrangianCurve, labels) -> list:
+    """Transverse crossings of the curve with each test Lagrangian of
+    ``labels``, in order.
 
-    One pass serves every Lagrangian: the lines' level functions
-    (a x + b y) - c, with (a, b, c) = (1, 0, c), (0, 1, c) or (q, -p, 0),
-    which equal x - c, y - c and q x - p y bit for bit, are one (L, V)
-    array, and the circles' distances one (C, V) array.  Level-function
-    values within 1e-12 of the level set are treated as positive, so
-    tangencies resolve deterministically.  Raises ``DegenerateOverlap`` if
-    the curve lies along any of the level sets.
+    One (L, V) array holds each label's level function f
+    (``config.LAGRANGIANS``) at the curve's vertices; the curve crosses a
+    Lagrangian where floor f changes, |change| times.  A value within 1e-12
+    of an integer moves 1e-12 above it, so that a vertex on the level set
+    counts as above and tangencies resolve deterministically.  The circles'
+    f lies in [-0.2, 0.61], so their floor changes are their sign changes.
+    Raises ``DegenerateOverlap`` if the curve lies along any of the level
+    sets.
     """
     verts = _dedupe(curve.vertices)
-    counts = [0] * len(lagrangians)
-    lines = [i for i, lag in enumerate(lagrangians) if lag.kind != "circle"]
-    circles = [i for i, lag in enumerate(lagrangians) if lag.kind == "circle"]
-    if lines:
-        a, b, c = np.array([_line_level(lagrangians[i]) for i in lines]).T[:, :, None]
-        f = (a * verts[:, 0] + b * verts[:, 1]) - c
-        nearest = np.round(f)
-        dist = np.abs(f - nearest)
-        _check_overlap(dist)
-        f = np.where(dist < _LEVEL_TIE, nearest + _LEVEL_TIE, f)
-        for i, n in zip(lines, np.abs(np.diff(np.floor(f), axis=1)).sum(axis=1)):
-            counts[i] = int(n)
-    if circles:
-        centers = np.array([lagrangians[i].center for i in circles], dtype=float)[:, None]
-        radii = np.array([lagrangians[i].radius for i in circles])[:, None]
-        delta = (verts - centers + 0.5) % 1.0 - 0.5
-        f = np.hypot(delta[..., 0], delta[..., 1]) - radii
-        _check_overlap(np.abs(f))
-        signs = f >= -_LEVEL_TIE
-        for i, n in zip(circles, (signs[:, 1:] != signs[:, :-1]).sum(axis=1)):
-            counts[i] = int(n)
-    return counts
-
-
-def _line_level(lagrangian: TestLagrangian) -> tuple:
-    """(a, b, c) of a line's level function (a x + b y) - c."""
-    if lagrangian.kind == "vertical":
-        return 1.0, 0.0, lagrangian.c
-    if lagrangian.kind == "horizontal":
-        return 0.0, 1.0, lagrangian.c
-    return lagrangian.q, -lagrangian.p, 0.0
+    f = np.array([LAGRANGIANS[label](verts) for label in labels])
+    nearest = np.round(f)
+    dist = np.abs(f - nearest)
+    _check_overlap(dist)
+    f = np.where(dist < _LEVEL_TIE, nearest + _LEVEL_TIE, f)
+    return [int(n) for n in np.abs(np.diff(np.floor(f), axis=1)).sum(axis=1)]
 
 
 def _check_overlap(dist: np.ndarray) -> None:
@@ -326,13 +258,11 @@ def _intersection_chunk(args) -> list:
     """Per sample: its crossing count with each of ``cfg.lagrangians``, by
     label, or its error text."""
     cfg, _, start, _ = args
-    catalog = paper_lagrangians()
-    lagrangians = [catalog[label] for label in cfg.lagrangians]
     records = []
     for i, image in enumerate(_advected_chunk(args), start=start):
         if not isinstance(image, HamflowError):
             try:
-                counts = count_crossings(image, lagrangians)
+                counts = count_crossings(image, cfg.lagrangians)
                 records.append({"sample": i, **dict(zip(cfg.lagrangians, counts))})
                 continue
             except HamflowError as exc:

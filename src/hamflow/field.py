@@ -218,16 +218,14 @@ class SpectralHamiltonian:
     The coefficient path of the evaluated modes is linear: c(t) = Phi(t) @ B,
     with ``time_basis`` the callable Phi (times -> (T, m), compared by value)
     and ``coefficients`` a read-only copy of B, the (m, M) matrix of the
-    engine's M band modes (``engine.modes``).  A draw passes no B: it
-    computes B from its normals on every read.
+    engine's M band modes (``engine.modes``).
     """
 
-    def __init__(self, engine: SpectralEngine, time_basis, coefficients=None):
+    def __init__(self, engine: SpectralEngine, time_basis, coefficients):
         self.engine = engine
         self.time_basis = time_basis
-        if coefficients is not None:
-            self.coefficients = np.array(coefficients, dtype=float)
-            self.coefficients.setflags(write=False)
+        self.coefficients = np.array(coefficients, dtype=float)
+        self.coefficients.setflags(write=False)
 
     def coefficient_grids(self, times) -> np.ndarray:
         """Packed evaluation grids at the given times (see SpectralEngine):
@@ -348,9 +346,11 @@ class RandomHamiltonian(SpectralHamiltonian):
     ``gaussians`` is the draw's read-only (N, m) array of standard normals,
     laid out as documented in :mod:`hamflow.temporal`; c_n(t) = w_n Z_n(t),
     so B is the kernel's coefficient matrix scaled by the weights w_n, taken
-    at the band modes and at the rows of the law's temporal band, in the
-    law's ``time_basis``.  B is recomputed from the normals on each use
-    rather than stored.
+    at the band modes and at the rows of the law's temporal band
+    (``HamiltonianLaw.time_columns``), in the law's ``time_basis``.  The
+    draw computes B once, from the head rows: each entry is a product of its
+    own normal, weight and column factor, so B equals the whole basis's B
+    at those entries bit for bit.
 
     A draw built from an (N, m) array holds that array.  A draw built with
     a stream ``key`` (seed, *indices) holds its head, rows 0 ..
@@ -359,7 +359,6 @@ class RandomHamiltonian(SpectralHamiltonian):
     """
 
     def __init__(self, law: HamiltonianLaw, gaussians, key: tuple | None = None):
-        super().__init__(law.engine(), law.time_basis())
         self.law = law
         self.basis = law.basis()
         shape = (len(self.basis) if key is None else law.head_rows(),
@@ -371,6 +370,10 @@ class RandomHamiltonian(SpectralHamiltonian):
         self._normals = normals
         self._key = key
         self.weights = law.weights()
+        head = normals[:law.head_rows()]
+        b = self.weights[:len(head)] * temporal.coefficient_matrix(law.kernel, head)
+        super().__init__(law.engine(), law.time_basis(),
+                         b[np.ix_(law.time_columns(), law.engine().modes)])
 
     @property
     def gaussians(self) -> np.ndarray:
@@ -380,26 +383,6 @@ class RandomHamiltonian(SpectralHamiltonian):
             normals.setflags(write=False)
             self._normals, self._key = normals, None
         return self._normals
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self.coefficients_of(self.engine.modes)
-
-    def coefficients_of(self, modes) -> np.ndarray:
-        """Columns ``modes`` (basis indices, ascending) of the draw's B over
-        the whole basis, at the rows of the law's temporal band
-        (``HamiltonianLaw.time_columns``); shape (1 + 2 temporal_band,
-        len(modes)).
-
-        B is computed from the head rows only, unless a mode lies past them,
-        and then from every row (``gaussians``).  Each entry is a product of
-        its own normal, weight and column factor, so the entries equal those
-        of the whole B bit for bit.
-        """
-        head = self.law.head_rows()
-        normals = self._normals[:head] if modes[-1] < head else self.gaussians
-        b = self.weights[:len(normals)] * temporal.coefficient_matrix(self.law.kernel, normals)
-        return b[np.ix_(self.law.time_columns(), modes)]
 
 
 class PackedBatch:

@@ -303,9 +303,11 @@ def concatenate_autonomous(parts, bump: BumpFunction) -> SpectralHamiltonian:
         raise Unsupported("concatenated Hamiltonians must be draws over one basis "
                           "(one truncation)")
     # the widest band packs every part: one basis, one engine per band;
-    # a narrower part's modes past its head draw its tail
+    # each part's B there comes from its whole normals
     engine = max((p.engine for p in parts), key=lambda e: e.band)
-    b = np.stack([(p.time_basis(0.0) @ p.coefficients_of(engine.modes))[0] for p in parts])
+    b = np.stack([(p.time_basis(0.0)
+                   @ full_coefficients(p)[np.ix_(p.law.time_columns(), engine.modes)])[0]
+                  for p in parts])
     return SpectralHamiltonian(engine, BumpTimeBasis(bump, len(parts)), b)
 
 
@@ -361,25 +363,41 @@ def reference_advect(h, curve, t, settings):
         return exc
 
 
-def crossings(curve: LagrangianCurve, lagrangian) -> int:
-    """Transverse crossings of the curve with one test Lagrangian; level
-    values within 1e-12 of the level set count as positive."""
+# Each test Lagrangian's geometry: (kind, c) for the lines x = c and y = c,
+# ("sloped", p, q) for the closed line {(p a, q a) mod 1}, and ("circle",
+# center, radius).
+LAGRANGIAN_GEOMETRY = {
+    **{f"L{i}": ("vertical", c) for i, c in enumerate((0.3, 0.5, 0.7), start=1)},
+    **{f"L{i}": ("sloped", 1, q) for i, q in enumerate((2, 3, 4), start=4)},
+    **{f"L{i}": ("horizontal", c) for i, c in enumerate((0.3, 0.5, 0.7), start=7)},
+    **{f"L{i}": ("sloped", p, 1) for i, p in enumerate((2, 3, 4), start=10)},
+    "L13": ("circle", (0.5, 0.5), 0.1),
+    "L14": ("circle", (0.5, 0.5), 0.2),
+}
+
+
+def crossings(curve: LagrangianCurve, label: str) -> int:
+    """Transverse crossings of the curve with one test Lagrangian, by label;
+    level values less than 1e-12 from the level set count as positive."""
     verts = curve.vertices
     keep = np.ones(len(verts), dtype=bool)
     keep[1:] = np.linalg.norm(np.diff(verts, axis=0), axis=1) > 1e-12
     verts = verts[keep]
-    if lagrangian.kind == "circle":
-        delta = (verts - np.asarray(lagrangian.center) + 0.5) % 1.0 - 0.5
-        f = np.hypot(delta[:, 0], delta[:, 1]) - lagrangian.radius
+    kind, *shape = LAGRANGIAN_GEOMETRY[label]
+    if kind == "circle":
+        center, radius = shape
+        delta = (verts - np.asarray(center) + 0.5) % 1.0 - 0.5
+        f = np.hypot(delta[:, 0], delta[:, 1]) - radius
         _check_overlap(np.abs(f))
-        signs = np.where(f >= -1e-12, 1.0, -1.0)
+        signs = np.where(f > -1e-12, 1.0, -1.0)
         return int(np.sum(signs[1:] != signs[:-1]))
-    if lagrangian.kind == "vertical":
-        f = verts[:, 0] - lagrangian.c
-    elif lagrangian.kind == "horizontal":
-        f = verts[:, 1] - lagrangian.c
+    if kind == "vertical":
+        f = verts[:, 0] - shape[0]
+    elif kind == "horizontal":
+        f = verts[:, 1] - shape[0]
     else:
-        f = lagrangian.q * verts[:, 0] - lagrangian.p * verts[:, 1]
+        p, q = shape
+        f = q * verts[:, 0] - p * verts[:, 1]
     nearest = np.round(f)
     dist = np.abs(f - nearest)
     _check_overlap(dist)

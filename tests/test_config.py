@@ -70,6 +70,13 @@ class TestErrors:
         with pytest.raises(ValidationError):
             ExperimentConfig(lagrangians=())
 
+    @pytest.mark.parametrize("key,raw", [("lagrangians", "L1, L1, L13"), ("regularity", "3, 3")])
+    def test_duplicate_values_rejected(self, key, raw):
+        # duplicates would collapse in a record's labels or repeat a table row
+        with pytest.raises(ValidationError) as info:
+            parse_config(f"{key} = {raw}\n", command="intersections")
+        assert info.value.field == key
+
     def test_unknown_override(self):
         with pytest.raises(ValidationError):
             parse_config("", overrides={"no_such_key": 3})

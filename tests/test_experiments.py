@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hamflow.config import ExperimentConfig
+from hamflow.config import LAGRANGIANS, ExperimentConfig
 from hamflow.errors import DegenerateOverlap, HamflowError, NonFinite, RefinementOverflow
 from hamflow.engine import SpectralEngine
 from hamflow import cli, flow
@@ -21,7 +21,7 @@ from hamflow.experiments import (CHUNK, _advected_chunk, _ball_points,
                                  _intersection_chunk, _ks_two_sample, _run_chunks, _settings_for,
                                  _walk_chunk,
                                  count_crossings, flow_steps, inversion_test, law_for,
-                                 mean_table, paper_lagrangians, run_intersections,
+                                 mean_table, run_intersections,
                                  run_inversion_test, standard_error, worker_count)
 from hamflow.field import PackedBatch, RandomHamiltonian, make_law, sample_hamiltonian
 from hamflow.flow import (_STAGE_OFFSETS, FlowSettings, LagrangianCurve, advect_curve,
@@ -259,6 +259,19 @@ class TestAdvectCurves:
         assert batch.rows([0, 2, 1]) is not batch
 
 
+def loop_at_x(ys, winding) -> LagrangianCurve:
+    """The closed loop through the vertices (0.25, y)."""
+    return LagrangianCurve(np.array([(0.25, y) for y in ys]), winding=winding)
+
+
+def loop_about_centre(levels, radius) -> LagrangianCurve:
+    """The closed loop whose evenly spaced vertices about (0.5, 0.5) lie at
+    distances ``radius`` + ``levels``."""
+    angle = 2.0 * math.pi * np.arange(len(levels)) / len(levels)
+    verts = 0.5 + (radius + np.array(levels))[:, None] * np.stack([np.cos(angle), np.sin(angle)], 1)
+    return LagrangianCurve(np.vstack([verts, verts[:1]]), winding=(0, 0))
+
+
 class TestCountCrossings:
     # Under the zero flow a straight loop of winding (a, b) meets a closed line
     # of winding (p, q) |a q - b p| times; a loop at y = 0.45 crosses each circle
@@ -277,15 +290,13 @@ class TestCountCrossings:
         zero = RandomHamiltonian(LAW, np.zeros_like(draws(1)[0].gaussians))
         (image,) = advect_curves([zero], curve, 1.0, FlowSettings(steps=20))
         assert np.array_equal(image.vertices, curve.vertices)
-        catalog = paper_lagrangians()
-        assert {label: count_crossings(image, [catalog[label]])[0]
-                for label in expected} == expected
+        assert {label: count_crossings(image, [label])[0] for label in expected} == expected
 
     @pytest.mark.parametrize("curve,label", [(vertical_circle(0.5, 64), "L2"),
                                              (horizontal_circle(0.3, 64), "L7")])
     def test_loop_on_the_level_set_is_degenerate(self, curve, label):
         with pytest.raises(DegenerateOverlap):
-            count_crossings(curve, [paper_lagrangians()[label]])
+            count_crossings(curve, [label])
 
     @pytest.mark.usefixtures("budget")
     def test_one_pass_equals_each_lagrangian_alone(self):
@@ -293,36 +304,38 @@ class TestCountCrossings:
                                                    SETTINGS)
                   if isinstance(image, LagrangianCurve)]
         assert len(images) >= 5
-        lagrangians = list(paper_lagrangians().values())
-        shuffled = [lagrangians[i] for i in np.random.default_rng(0).permutation(14)]
+        labels = list(LAGRANGIANS)
+        shuffled = [labels[i] for i in np.random.default_rng(0).permutation(14)]
         counts = set()
         for image in images:
-            for order in (lagrangians, shuffled):
-                want = [crossings(image, lag) for lag in order]
+            for order in (labels, shuffled):
+                want = [crossings(image, label) for label in order]
                 assert count_crossings(image, order) == want
                 counts.update(want)
         assert len(counts) > 3
 
-    @pytest.mark.parametrize("ys,winding,expected",
-                             [((0.4, 0.5, 0.6, 1.0, 1.4), (0, 1), 1),
-                              ((0.4, 0.5, 0.4), (0, 0), 2), ((0.6, 0.5, 0.6), (0, 0), 0)],
-                             ids=["through", "touch-below", "touch-above"])
-    def test_vertex_on_a_level_set_counts_as_above(self, ys, winding, expected):
-        # (0.25, 0.5) lies exactly on L8 (y = 0.5) and on L4 (2 x - y = 0);
-        # the loops are closed, the first running once round x = 0.25
-        curve = LagrangianCurve(np.array([(0.25, y) for y in ys]), winding=winding)
-        catalog = paper_lagrangians()
-        assert count_crossings(curve, [catalog["L8"]]) == [expected]
-        lagrangians = list(catalog.values())
-        assert count_crossings(curve, lagrangians) == [crossings(curve, lag)
-                                                       for lag in lagrangians]
+    # (0.25, 0.5) lies exactly on L8 (y = 0.5) and on L4 (2 x - y = 0); the
+    # loops are closed, the first running once round x = 0.25.  The last
+    # loop's vertices alternate between L13 level values of +-0.05 and, in
+    # between, +-0.5e-12 (on the level set: above) and +-2e-12: 8 crossings.
+    @pytest.mark.parametrize("curve,label,expected",
+                             [(loop_at_x((0.4, 0.5, 0.6, 1.0, 1.4), (0, 1)), "L8", 1),
+                              (loop_at_x((0.4, 0.5, 0.4), (0, 0)), "L8", 2),
+                              (loop_at_x((0.6, 0.5, 0.6), (0, 0)), "L8", 0),
+                              (loop_about_centre((5e-2, -5e-13, 5e-2, -2e-12, 5e-2,
+                                                  -5e-2, 5e-13, -5e-2, 2e-12, -5e-2), 0.1),
+                               "L13", 8)],
+                             ids=["through", "touch-below", "touch-above", "circle"])
+    def test_vertex_on_a_level_set_counts_as_above(self, curve, label, expected):
+        assert count_crossings(curve, [label]) == [expected] == [crossings(curve, label)]
+        labels = list(LAGRANGIANS)
+        assert count_crossings(curve, labels) == [crossings(curve, label) for label in labels]
 
     @pytest.mark.parametrize("labels", [["L1"], ["L1", "L7", "L13"], ["L13", "L7", "L1"],
                                         [f"L{i}" for i in range(14, 0, -1)]])
     def test_curve_along_a_line_is_degenerate_in_any_order(self, labels):
-        catalog = paper_lagrangians()
         with pytest.raises(DegenerateOverlap):
-            count_crossings(vertical_circle(0.3, 64), [catalog[label] for label in labels])
+            count_crossings(vertical_circle(0.3, 64), labels)
 
 
 def intersections_config(**changes):
@@ -344,13 +357,12 @@ def per_draw_outcomes(cfg, r_index=0):
     """The records of the one-sample-at-a-time loop: counts or error text."""
     law = law_for(cfg, cfg.regularity[r_index])
     settings = law_settings(cfg, law)
-    catalog = paper_lagrangians()
     outcomes = []
     for i in range(cfg.samples):
         draw = sample_hamiltonian(law, cfg.seed, r_index, i)
         try:
             image = advect_curve(draw, horizontal_circle(0.5, cfg.curve_vertices), 1.0, settings)
-            outcomes.append({"sample": i, **{label: count_crossings(image, [catalog[label]])[0]
+            outcomes.append({"sample": i, **{label: count_crossings(image, [label])[0]
                                              for label in cfg.lagrangians}})
         except HamflowError as exc:
             outcomes.append({"sample": i, "error": f"{type(exc).__name__}: {exc}"})
@@ -475,10 +487,9 @@ class TestZeroFlux:
         law = law_for(cfg, 3.0)
         hs = [sample_hamiltonian(law, cfg.seed, 0, i) for i in (35, 40, 62)]
         images = advect_curves(hs, horizontal_circle(0.5, 128), 1.0, _settings_for(cfg, law))
-        l8 = paper_lagrangians()["L8"]
         assert all(isinstance(image, LagrangianCurve) for image in images)
         assert all(1024 < len(image) < 2048 for image in images)
-        assert all(count_crossings(image, [l8])[0] >= 2 for image in images)
+        assert all(count_crossings(image, ["L8"])[0] >= 2 for image in images)
 
 
 class TestBatchedChunks:
