@@ -14,6 +14,11 @@ the records of the first regularity, or of every regularity for the
 commands whose records carry theirs, reduces them, and hands each output to
 ``io.write_table`` (``.csv``) or ``io.write_records`` (``.jsonl``).  A
 sample's values reach the writers in the record its task made.
+
+A run writes ``config.txt``, removes what an older run of the command left
+there, and only then samples.  A failed sample is a record with an error
+(``hamflow.experiments``), written to ``failures.jsonl``, which exists
+exactly when a sample failed (``run`` gives the failure budget).
 """
 
 from __future__ import annotations
@@ -120,7 +125,8 @@ COMMAND_TABLE = {
     "sample-field": Command("oscillation_samples", experiments.mean_table,
                             {"table": "field_osc.csv", "records": "field_samples.jsonl"},
                             every_regularity=True, plot=("field.svg", _field_svg)),
-    "flow": Command("advected_samples", experiments.as_sampled, {"records": "curves.jsonl"},
+    "flow": Command("advected_samples", experiments.as_sampled,
+                    {"records": "curves.jsonl", "failures": "failures.jsonl"},
                     flows=True, plot=("curves.svg", _curves_svg)),
     "diffusion": Command("diffusion_samples", experiments.diffusion_totals,
                          {"totals": "diffusion.jsonl", "records": "diffusion_samples.jsonl"},
@@ -144,20 +150,8 @@ COMMAND_TABLE = {
 }
 
 
-def _write(rows: list, path: Path) -> None:
-    """``rows`` to ``path`` by its suffix.  No rows remove the file, so that
-    failures.jsonl exists exactly when a sample failed: a rerun into the same
-    directory must not leave an older run's failures behind."""
-    if not rows:
-        path.unlink(missing_ok=True)
-    elif path.suffix == ".csv":
-        io.write_table(rows, path)
-    else:
-        io.write_records(rows, path)
-
-
 def run(cfg: ExperimentConfig) -> None:
-    """Run ``cfg.command`` and write its files.
+    """Run ``cfg.command`` and write its files, each output that holds rows.
 
     The records that carry an error are the ``failures`` output.  Raises
     ``FailureBudgetExceeded`` when more than 1% of one regularity's samples
@@ -169,6 +163,8 @@ def run(cfg: ExperimentConfig) -> None:
     regularities = cfg.regularity if command.every_regularity else cfg.regularity[:1]
     out = _outdir(cfg, regularities, command.flows)
     paths = {name: out / file for name, file in command.files.items()}
+    for path in list(paths.values()) + ([out / command.plot[0]] if command.plot else []):
+        path.unlink(missing_ok=True)
     sample = getattr(experiments, command.samples)
     runs, failures = [], []
     for r_index, regularity in enumerate(regularities):
@@ -180,18 +176,16 @@ def run(cfg: ExperimentConfig) -> None:
         failed = [record for record in records if "error" in record]
         failures += failed
         if len(failed) > 0.01 * cfg.samples:
-            # the failures reach disk before the run exits non-zero, and no
-            # output of an older run stays next to them
-            for path in paths.values():
-                path.unlink(missing_ok=True)
-            _write(failures, paths["failures"])
+            io.write_records(failures, paths["failures"])
             raise FailureBudgetExceeded(
                 f"regularity {regularity}: {len(failed)} of {cfg.samples} samples failed "
                 f"(budget 1%): {[(regularity, r['sample'], r['error']) for r in failed[:3]]}")
     outputs = {"failures": failures, **command.reduce(cfg, runs)}
+    written = []
     for name, path in paths.items():
-        _write(outputs[name], path)
-    written = [path for name, path in paths.items() if outputs[name]]
+        if outputs[name]:
+            (io.write_table if path.suffix == ".csv" else io.write_records)(outputs[name], path)
+            written.append(path)
     if cfg.plot and command.plot:
         file, render = command.plot
         render(cfg, outputs, out / file)

@@ -49,18 +49,22 @@ so that each time is evaluated on its own rows only: the rows whose bound
 (``row_bounds``) says they can hold the lattice's max or min
 (``field.SpectralHamiltonian.oscillation``).
 
-Lattice rows and the BLAS.  A lattice value is one 2K-term dot product of
-the half product r(x) @ G with r(y), and a lattice evaluated on some of its
-rows holds those rows of the whole lattice bit for bit only if the BLAS
-rounds a row alike at any row count.  Both products of ``value_grid``
-therefore take their right operand as a contiguous matrix, in which
-OpenBLAS 0.3 rounds each row alike at every row count of two or more, as in
-the flows' products (the tests check it).  With the transposed view of the
-y rows as right operand it does not: for 2K >= 32 and up to about 1,200
-entries per lattice, OpenBLAS takes a small-matrix kernel that sums in
-another order.  At 128 x 128 the two operands give the same lattices on
-every law tested; on small lattices of rough laws (17 x 17 at r <= 0.5 and
-2 x 2 at r = 2, frequency units) they differ in the last bit.
+The BLAS condition.  Every bit-for-bit claim of the package (a draw's
+flow, whatever the other draws and points of its batch; a lattice row,
+whatever the other rows evaluated) rests on one property of the BLAS, not
+a numpy guarantee, which the tests check on the BLAS numpy is built with:
+a matrix product rounds each row of its left operand alike at any row
+count of two or more.  One row takes numpy's matrix-vector path, which
+rounds differently, so a point or lattice row that is also evaluated among
+others is never evaluated alone.  OpenBLAS 0.3 has the property for a
+contiguous right operand, so both products of ``value_grid`` (a lattice
+value is one 2K-term dot product of the half product r(x) @ G with r(y))
+take theirs contiguous.  With the transposed view of the y rows as right
+operand it fails: for 2K >= 32 and up to about 1,200 entries per lattice,
+OpenBLAS takes a small-matrix kernel that sums in another order.  At
+128 x 128 the two operands give the same lattices on every law tested; on
+small lattices of rough laws (17 x 17 at r <= 0.5 and 2 x 2 at r = 2,
+frequency units) they differ in the last bit.
 
 Buffers.  ``vector_field`` writes its tables, its product and its result
 into arrays the caller owns: ``FieldBuffers`` (from ``buffers``) and
@@ -75,14 +79,10 @@ of the same layout, as one that allocates.  They remove the page faults of
 arrays above glibc's mmap threshold (128 KiB by default), which are mapped
 and unmapped on every call when nothing raises the threshold.
 
-The band comes from the law (``HamiltonianLaw.band``).  The law weights
-mode n by w_n = exp(-r lambda_n / 2), so with mode scale s_n the mode
-contributes at most b_n = w_n s_n (1 + 2 pi max(kx, ky)) to H and its
-first derivatives, up to the size of its Gaussian.  The band is the largest
-max(kx, ky) over modes with b_n >= eps^2 max b (eps the float64 machine
-epsilon).  Every dropped mode, and at the shipped regularities their sum,
-lies below eps^2 of the largest term, far below the last bit of the
-evaluated field.
+The band comes from the law (``HamiltonianLaw.band`` gives the rule).
+Every dropped mode, and at the shipped regularities their sum, lies below
+eps^2 of the largest term (eps the float64 machine epsilon), far below the
+last bit of the evaluated field.
 
 A full-band engine (band = spatial_max) evaluates every mode; tests use it
 as the reference.
@@ -271,7 +271,7 @@ class SpectralEngine:
 
         The second product takes the rows of ``ys`` transposed into one
         contiguous (2K, len(ys)) array, copied unless ``ys`` is already the
-        transpose of one (module docstring, "Lattice rows and the BLAS").
+        transpose of one (the BLAS condition, module docstring).
         """
         rx, ry = (c if np.ndim(c) >= 2 else self.lattice_rows(c) for c in (xs, ys))
         return np.matmul(np.matmul(rx, self._square(grid), out=half), np.ascontiguousarray(ry.T),
@@ -299,9 +299,8 @@ class SpectralEngine:
         the sum of the terms' moduli, itself at most B (Cauchy-Schwarz per
         pair).  The caller adds that slack
         (``field.SpectralHamiltonian.oscillation``).  h is the same
-        product, row by row, that ``value_grid`` makes on these rows: in the
-        layout of both, the BLAS rounds a row alike at any row count of two
-        or more, a property of the BLAS that the tests check.
+        product, row by row, that ``value_grid`` makes on these rows, in
+        one layout (the BLAS condition, module docstring).
         """
         h = np.matmul(rows, self._square(grid), out=half)
         return np.abs(h.view(complex), out=moduli) @ np.ones(self._k)

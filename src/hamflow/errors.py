@@ -17,11 +17,14 @@ class NonFinite(HamflowError):
     """A numerical state left the finite floating-point range.
 
     ``draws`` lists the rows of the flowed batch whose state did (row 0 when
-    one Hamiltonian flows); it is empty when no flow names them.
+    one Hamiltonian flows), and ``state`` is the batch's flowed state,
+    shape (S, P, 2), whose other rows are finite: empty and None when no
+    flow raised the error.
     """
 
-    def __init__(self, message, draws=()):
+    def __init__(self, message, draws=(), state=None):
         self.draws = tuple(int(d) for d in draws)
+        self.state = state
         super().__init__(message)
 
 

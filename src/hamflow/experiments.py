@@ -17,6 +17,11 @@ and scalars, or of its index and its error text (``error``).  A reducer
 each regularity drawn and returns named lists of records or table rows;
 ``hamflow.cli`` pairs each command with its sampler, reducer and files.
 
+Failures.  A curve task (``flow``, ``intersections``) records the
+``HamflowError`` a sample's advection or crossing count raised as its error
+text; the other tasks' errors end the run.  The reducers keep the resolved
+records only (``hamflow.cli`` writes the others to ``failures.jsonl``).
+
 Streams and chunks.  Every sample owns a random stream derived from (seed,
 regularity index, sample index); the inversion test's inverse branch uses
 stream index 1 and walk w draws step j from (seed, w, j).  ``_run_chunks``
@@ -30,14 +35,12 @@ RKHS commands take each draw alone.
 
 Chunk boundaries move with the sample and worker counts, and results stay
 bit-identical because a draw's flow does not depend on the other draws of
-its batch, nor a point's image on the other points of its row.  That holds
-when the BLAS matrix product gives each row the same result at any row
-count of two or more: a property of the BLAS, not a numpy guarantee, which
-``tests/test_experiments.py``, ``tests/test_flow.py`` and
-``tests/test_cli.py`` check.  One point takes numpy's matrix-vector path,
-which rounds differently: ``inversion`` and ``random-walk`` always flow one
-point per draw, and a curve's refinement pass flows rows of two points at
-least (``hamflow.flow``).
+its batch, nor a point's image on the other points of its row, under the
+BLAS condition (``hamflow.engine``), which ``tests/test_experiments.py``,
+``tests/test_flow.py`` and ``tests/test_cli.py`` check.  One point takes
+numpy's matrix-vector path, which rounds differently: ``inversion`` and
+``random-walk`` always flow one point per draw, and a curve's refinement
+pass flows rows of two points at least (``hamflow.flow``).
 
 Step counts.  The config's ``steps`` is the most order-6 steps
 (``hamflow.flow``) per unit time.  ``flow``, ``intersections``,
@@ -209,8 +212,9 @@ def _run_chunks(task, cfg: ExperimentConfig, r_index: int = 0) -> list:
 
 
 def as_sampled(cfg: ExperimentConfig, runs: list) -> dict:
-    """``records``: every record of every run, in order."""
-    return {"records": [record for records in runs for record in records]}
+    """``records``: every resolved record of every run, in order."""
+    return {"records": [record for records in runs for record in records
+                        if "error" not in record]}
 
 
 def mean_table(cfg: ExperimentConfig, runs: list) -> dict:
@@ -230,8 +234,7 @@ def mean_table(cfg: ExperimentConfig, runs: list) -> dict:
             values = np.array([record[label] for record in done], dtype=float)
             rows.append((label, regularity, float(values.mean()), standard_error(values),
                          len(values)))
-    return {"table": rows,
-            "records": [r for r in as_sampled(cfg, runs)["records"] if "error" not in r]}
+    return {"table": rows, **as_sampled(cfg, runs)}
 
 
 # ---------------------------------------------------------------------------
@@ -254,21 +257,25 @@ def _advected_chunk(args) -> list:
                          _settings_for(cfg, law))
 
 
+def _image_chunk(args, values) -> list:
+    """Per sample: ``values(image)`` of its image of K, or its error text."""
+    _, _, start, _ = args
+    records = []
+    for i, image in enumerate(_advected_chunk(args), start=start):
+        try:
+            if isinstance(image, HamflowError):
+                raise image
+            records.append({"sample": i, **values(image)})
+        except HamflowError as exc:
+            records.append({"sample": i, "error": f"{type(exc).__name__}: {exc}"})
+    return records
+
+
 def _intersection_chunk(args) -> list:
     """Per sample: its crossing count with each of ``cfg.lagrangians``, by
     label, or its error text."""
-    cfg, _, start, _ = args
-    records = []
-    for i, image in enumerate(_advected_chunk(args), start=start):
-        if not isinstance(image, HamflowError):
-            try:
-                counts = count_crossings(image, cfg.lagrangians)
-                records.append({"sample": i, **dict(zip(cfg.lagrangians, counts))})
-                continue
-            except HamflowError as exc:
-                image = exc
-        records.append({"sample": i, "error": f"{type(image).__name__}: {image}"})
-    return records
+    labels = args[0].lagrangians
+    return _image_chunk(args, lambda image: dict(zip(labels, count_crossings(image, labels))))
 
 
 def run_intersections(cfg: ExperimentConfig, r_index: int = 0) -> list:
@@ -276,19 +283,12 @@ def run_intersections(cfg: ExperimentConfig, r_index: int = 0) -> list:
 
 
 def _curve_chunk(args) -> list:
-    """Per sample: its image of K's vertices and winding.  Raises the first
-    error."""
-    _, _, start, _ = args
-    records = []
-    for i, image in enumerate(_advected_chunk(args), start=start):
-        if isinstance(image, HamflowError):
-            raise image
-        records.append({"sample": i, "vertices": image.vertices, "winding": image.winding})
-    return records
+    """Per sample: its image of K's vertices and winding, or its error text."""
+    return _image_chunk(args, lambda image: {"vertices": image.vertices,
+                                             "winding": image.winding})
 
 
 def advected_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
-    """Raises the error of the first sample that failed."""
     return _run_chunks(_curve_chunk, cfg, r_index)
 
 

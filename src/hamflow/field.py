@@ -270,8 +270,8 @@ class SpectralHamiltonian:
         can hold neither the lattice max nor the lattice min, and every row
         of larger bound is evaluated in one more ``value_grid`` call.  Each
         evaluated value is the 2K-term dot product a whole lattice makes
-        (``SpectralEngine.value_grid``: its layout rounds a row alike at any
-        row count of two or more), so the result is bit for bit that of the
+        (``SpectralEngine.value_grid``, under the BLAS condition of
+        ``hamflow.engine``), so the result is bit for bit that of the
         whole lattices (``tests/reference.py``, ``lattice_oscillation``).  A
         block that would evaluate more than half its rows, and every block
         after it, evaluates whole lattices instead: at spatial_max 25 about a

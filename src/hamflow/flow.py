@@ -6,8 +6,8 @@ its exact analytic vector field (adaptive stepping is deliberately avoided
 so Monte Carlo tables are reproducible).  The fields are trigonometric
 polynomials, smooth in space and time, so the high order pays: against
 classical RK4 it reaches equal error at about half the vector-field calls
-or fewer (``hamflow.experiments``).  One loop serves one Hamiltonian and a
-batch of them (``PackedBatch``) alike.
+or fewer (CHANGES.md, the order-6 entry).  One loop serves one Hamiltonian
+and a batch of them (``PackedBatch``) alike.
 
 Curves are advected in batches (``advect_curves``).  The draws of a batch
 refine in lockstep: each refinement pass is one batched flow of the new
@@ -15,12 +15,10 @@ source midpoints of the draws still refining, cut into rows of one width
 of two points at least (``_flow_rows``).  The engine
 evaluates each row's points under its own grids, so a draw that fails
 (``NonFinite``, ``RefinementOverflow``) fails alone, and its images equal
-the one-draw loop's bit for bit when the BLAS matrix product gives each row
-the same result at any row count of two or more; that is a property of the
-BLAS, not a numpy guarantee, and the tests check it on the BLAS numpy is
-built with.  A set of one point would take numpy's matrix-vector path,
-which on OpenBLAS rounds about half of all points differently in the last
-bits; every row holds two points or more.
+the one-draw loop's bit for bit under the BLAS condition
+(``hamflow.engine``).  A set of one point would take numpy's matrix-vector
+path, which on OpenBLAS rounds about half of all points differently in the
+last bits; every row holds two points or more.
 
 Buffers.  Each flow (``_flow_grids``) allocates its stage-grid block, the
 engine's ``FieldBuffers`` and its stage slopes once, and every step writes
@@ -172,7 +170,8 @@ def _integrate(fieldlike, pts, t0, t1, settings):
 
     Raises ``OutOfRange`` for an endpoint outside [0, 1] (``_flow_grids``
     clips only the rounding of stage times), and ``NonFinite`` naming the
-    draws whose state left the finite range (row 0 for one Hamiltonian).
+    draws whose state left the finite range (row 0 for one Hamiltonian) and
+    holding the flowed state, whose other rows are the other draws' results.
     """
     if isinstance(fieldlike, SpectralHamiltonian):
         return _integrate([fieldlike], np.asarray(pts)[None], t0, t1, settings)[0]
@@ -186,7 +185,8 @@ def _integrate(fieldlike, pts, t0, t1, settings):
     out = _flow_grids(batch, pts, t0, (t1 - t0) / n, n)
     finite = np.isfinite(out).all(axis=(-2, -1))
     if not finite.all():
-        raise NonFinite("flow state left the finite range", draws=np.flatnonzero(~finite))
+        raise NonFinite("flow state left the finite range", draws=np.flatnonzero(~finite),
+                        state=out)
     return out
 
 
@@ -294,42 +294,48 @@ def advect_curves(hamiltonians, curve: LagrangianCurve, t: float = 1.0,
     Hamiltonians that form one.  Entry s of the result is the image under
     Hamiltonian s, refined as ``advect_curve`` describes, or the
     ``HamflowError`` its advection raised (``NonFinite``, or
-    ``RefinementOverflow`` when its next pass would take its image past
-    ``MAX_IMAGE_VERTICES``).
+    ``RefinementOverflow`` below).
 
     The draws refine in lockstep.  Pass 0 flows the S copies of the source
     vertices as one batch.  Each later pass bisects, per draw, every source
     segment whose image gap exceeds the threshold, and flows the midpoints
     of the draws still refining as one batch of rows of one width
     (``_flow_rows``), each over a copy of its draw's packed row
-    (``PackedBatch.rows``), so no draw is packed twice.  Draws do not mix in
-    the engine, which evaluates each row's points under its own grids, so
-    each image equals the one-draw result bit for bit as long as the BLAS
-    matrix product gives a row the same result at any row count of two or
-    more (see the module docstring).
+    (``PackedBatch.rows``), so no draw is packed twice.  An insertion never
+    moves either end of a draw's closed source or image.  Each image equals
+    the one-draw result bit for bit (module docstring).
+
+    A draw fails with ``RefinementOverflow`` once a lower bound on its final
+    vertex count exceeds ``MAX_IMAGE_VERTICES``: its next pass's count, or
+    ceil(L (1 - 1e-12) / tau) + 1 at the threshold tau for an image of
+    length L, since bisection never shortens an image of exact flow images.
+    No draw that finishes trips either bound.
     """
     batch = hamiltonians if isinstance(hamiltonians, PackedBatch) else PackedBatch(hamiltonians)
     if not len(batch):
         raise ValueError("need at least one Hamiltonian")
     winding = np.array(curve.winding, dtype=float)
-    source = curve.vertices[:-1]
+    tau = settings.refinement_threshold
     out = [None] * len(batch)
-    flowed = _flow_rows(batch, range(len(batch)), [source] * len(batch), t, settings, out)
-    active = [(s, source, image) for s, image in flowed.items()]
+    flowed = _flow_rows(batch, range(len(batch)), [curve.vertices[:-1]] * len(batch), t,
+                        settings, out)
+    active = [(s, curve.vertices, np.vstack([image, image[0] + winding]))
+              for s, image in flowed.items()]
     while active:
         pending = []
         for s, src, img in active:
-            img_full = np.vstack([img, img[0] + winding])
-            bad = np.flatnonzero(np.linalg.norm(np.diff(img_full, axis=0), axis=1)
-                                 > settings.refinement_threshold)
+            gaps = np.linalg.norm(np.diff(img, axis=0), axis=1)
+            bad = np.flatnonzero(gaps > tau)
+            length = gaps.sum()
+            least = max(len(img) + bad.size, math.ceil(length * (1.0 - 1e-12) / tau) + 1)
             if bad.size == 0:
-                out[s] = LagrangianCurve(img_full, winding=curve.winding)
-            elif len(img_full) + bad.size > MAX_IMAGE_VERTICES:
-                out[s] = RefinementOverflow(f"curve refinement would take an image past "
-                                            f"{MAX_IMAGE_VERTICES} vertices")
+                out[s] = LagrangianCurve(img, winding=curve.winding)
+            elif least > MAX_IMAGE_VERTICES:
+                out[s] = RefinementOverflow(
+                    f"curve refinement would take an image past {MAX_IMAGE_VERTICES} vertices: "
+                    f"it needs {least} at least (length {length:.6g}, gaps of {tau:g})")
             else:
-                src_full = np.vstack([src, src[0] + winding])
-                pending.append((s, src, img, bad, 0.5 * (src_full[bad] + src_full[bad + 1])))
+                pending.append((s, src, img, bad, 0.5 * (src[bad] + src[bad + 1])))
         if not pending:
             break
         flowed = _flow_rows(batch, [s for s, *_ in pending], [mids for *_, mids in pending],
@@ -343,7 +349,8 @@ def advect_curves(hamiltonians, curve: LagrangianCurve, t: float = 1.0,
 def _flow_rows(batch, draws, points, t, settings, out) -> dict:
     """``points``, one (P_j, 2) set per draw of ``draws`` (rows of ``batch``),
     mapped by the time-t flows of those draws: a dict from each draw to its
-    image, less the draws whose state leaves the finite range.
+    image, less the draws whose state leaves the finite range, whose
+    ``NonFinite`` goes to ``out``.
 
     The sets are cut into rows of one width, which flow as one batch: a
     draw's ceil(P_j / width) rows each flow over a copy of its packed row
@@ -351,9 +358,10 @@ def _flow_rows(batch, draws, points, t, settings, out) -> dict:
     its last point.  The width is the mean set size, or the largest set's
     where that flows fewer points (sets of near-equal sizes), and two at
     least, so a pass flows fewer than its points plus one row per draw,
-    and never more than one row per draw of the largest set's size.  A
-    dropped draw's ``NonFinite`` goes to ``out`` and the other draws flow
-    again, which leaves their images unchanged.
+    and never more than one row per draw of the largest set's size.  The
+    pass flows once: where that raises ``NonFinite``, the finite rows of its
+    state are the other draws' images, as the engine evaluates each row
+    under its own grids.
     """
     sizes = {s: len(p) for s, p in zip(draws, points)}
     counts = np.array(list(sizes.values()))
@@ -362,17 +370,11 @@ def _flow_rows(batch, draws, points, t, settings, out) -> dict:
     owner = np.repeat(list(sizes), -(-counts // width))
     pts = np.concatenate([np.concatenate([p, np.repeat(p[-1:], -len(p) % width, axis=0)])
                           .reshape(-1, width, 2) for p in points])
-    while len(owner):
-        try:
-            images = flow_points(batch.rows(owner), pts, 0.0, t, settings)
-        except NonFinite as exc:
-            if not exc.draws:
-                raise
-            for s in set(owner[list(exc.draws)].tolist()):
-                out[s] = NonFinite(str(exc))
-                del sizes[s]
-            keep = np.isin(owner, list(sizes))
-            owner, pts = owner[keep], pts[keep]
-            continue
-        return {s: images[owner == s].reshape(-1, 2)[:n] for s, n in sizes.items()}
-    return {}
+    try:
+        images = flow_points(batch.rows(owner), pts, 0.0, t, settings)
+    except NonFinite as exc:
+        images = exc.state
+        for s in set(owner[list(exc.draws)].tolist()):
+            out[s] = NonFinite(str(exc))
+            del sizes[s]
+    return {s: images[owner == s].reshape(-1, 2)[:n] for s, n in sizes.items()}

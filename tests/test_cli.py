@@ -310,6 +310,44 @@ def test_failure_budget_writes_failures_before_exiting(tmp_path, capsys, monkeyp
     assert (out / "config.txt").exists()
 
 
+# At regularity 5, TINY's 100 flow images finish at 129 to 208 vertices:
+# sample 95's at 208, 63's at 205 and 65's at 196, the others at fewer
+ROUGHER = TINY.replace("samples = 4", "samples = 100").replace("regularity = 8.0",
+                                                               "regularity = 5.0")
+
+
+@pytest.mark.parametrize("budget,failed", [(205, [95]), (195, [63, 65, 95])],
+                         ids=["under-budget", "over-budget"])
+def test_flow_writes_its_failed_samples_to_failures(tmp_path, monkeypatch, budget, failed):
+    rc, full = run(tmp_path, "flow", ROUGHER)
+    assert rc == 0 and not (full / "failures.jsonl").exists()
+    monkeypatch.setattr(flow, "MAX_IMAGE_VERTICES", budget)
+    rc, out = run(tmp_path, "flow", ROUGHER, "flow-budget")
+    records = [json.loads(line) for line in (out / "failures.jsonl").read_text().splitlines()]
+    assert [r["sample"] for r in records] == failed
+    assert all(r["error"].startswith("RefinementOverflow: ") for r in records)
+    if len(failed) == 1:
+        # within 1% of 100 samples: curves.jsonl holds the other samples'
+        # lines of the run without a failure
+        assert rc == 0
+        lines = (full / "curves.jsonl").read_text().splitlines(keepends=True)
+        assert (out / "curves.jsonl").read_text() == "".join(
+            line for i, line in enumerate(lines) if i not in failed)
+    else:
+        assert rc == 1
+        assert sorted(p.name for p in out.iterdir()) == ["config.txt", "failures.jsonl"]
+
+
+def test_rerun_that_fails_leaves_no_older_output(tmp_path, monkeypatch):
+    rc, out = run(tmp_path, "flow", TINY + "plot = true\n")
+    assert rc == 0 and (out / "curves.jsonl").exists() and (out / "curves.svg").exists()
+    # TINY's 16 vertices lie 1/16 apart, so within 17 every sample fails
+    monkeypatch.setattr(flow, "MAX_IMAGE_VERTICES", 17)
+    rc, _ = run(tmp_path, "flow", TINY)
+    assert rc == 1
+    assert sorted(p.name for p in out.iterdir()) == ["config.txt", "failures.jsonl"]
+
+
 def fresh_python(code, tmp_path):
     """Run ``code`` in a fresh interpreter that imports hamflow from this tree."""
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -63,6 +63,13 @@ class TestErrors:
             parse_config("max_refinement_depth = 12\n", command="intersections")
         assert info.value.field == "max_refinement_depth"
 
+    def test_grid_nodes_is_an_unknown_key(self):
+        # no kernel samples on a grid; the config echo names no such key
+        with pytest.raises(ValidationError) as info:
+            parse_config("grid_nodes = 64\n", command="flow")
+        assert info.value.field == "grid_nodes" and "unknown key" in str(info.value)
+        assert "grid_nodes" not in serialize_config(parse_config(""))
+
     def test_empty_lagrangians_rejected(self):
         with pytest.raises(ValidationError) as info:
             parse_config("lagrangians =\n", command="intersections")

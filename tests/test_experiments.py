@@ -170,7 +170,8 @@ class TestAdvectCurves:
         # one pass of three draws, at the width 15 of their 44 points: the
         # strong draw's 40 midpoints fill three rows, the weak draw's lone
         # midpoint one padded row, and the third draw's state leaves the
-        # finite range, so its row drops and the other four flow again
+        # finite range; the pass flows once, and the other four rows of the
+        # flow that raised are the other draws' images
         curve, strong, weak = self.lone_midpoint_draws()
         gaussians = np.array(strong.gaussians)
         gaussians[0, 0] = np.inf
@@ -183,7 +184,7 @@ class TestAdvectCurves:
             images = flow._flow_rows(PackedBatch(hs), [0, 1, 2], points, 1.0, SETTINGS, out)
             with pytest.raises(NonFinite) as alone:
                 reference_images(hs[2], points[2], 1.0, SETTINGS)
-        assert shapes == [(5, 15, 2), (4, 15, 2)]
+        assert shapes == [(5, 15, 2)]
         assert sorted(images) == [0, 1] and out[:2] == [None, None]
         for s in (0, 1):
             assert np.array_equal(images[s], reference_images(hs[s], points[s], 1.0, SETTINGS))
@@ -230,6 +231,20 @@ class TestAdvectCurves:
         with np.errstate(all="ignore"), pytest.raises(NonFinite) as info:
             flow_points(hs, np.full((4, 2, 2), 0.5), 0.0, 1.0, SETTINGS)
         assert info.value.draws == (1, 3)
+
+    def test_non_finite_state_holds_the_finite_draws_images(self):
+        hs = draws(4)
+        gaussians = np.array(hs[2].gaussians)
+        gaussians[0, 0] = np.inf
+        hs[2] = RandomHamiltonian(LAW, gaussians)
+        pts = np.random.default_rng(5).uniform(size=(4, 3, 2))
+        with np.errstate(all="ignore"), pytest.raises(NonFinite) as info:
+            flow_points(hs, pts, 0.0, 1.0, SETTINGS)
+        assert info.value.draws == (2,) and info.value.state.shape == pts.shape
+        finite = [0, 1, 3]
+        assert np.array_equal(info.value.state[finite],
+                              flow_points([hs[s] for s in finite], pts[finite], 0.0, 1.0,
+                                          SETTINGS))
 
     def test_rows_select_a_sub_batch(self):
         hs = draws(6)
@@ -462,6 +477,20 @@ def check_displacement_chunk(regularity, steps):
         draw = sample_hamiltonian(law, cfg.seed, 1, i)
         assert inverse == displacement(time_reversed_hamiltonian(draw), 0.0, 1.0)
         assert abs(inverse - displacement(draw, 1.0, 0.0)) <= 1e-12
+
+
+def test_full_band_draw_is_refused_at_pass_0(monkeypatch):
+    # draw 0 of seed 0 at regularity 0.1 (frequency units, the other keys
+    # at their defaults): its first image is already too long to finish
+    # within the image budget at the 0.01 threshold, so it fails with no
+    # refinement pass, where the budget test alone took 8 passes
+    cfg = ExperimentConfig(command="flow", regularity=(0.1,), samples=1)
+    shapes = flowed_shapes(monkeypatch)
+    (image,) = _advected_chunk((cfg, 0, 0, 1))
+    assert shapes == [(1, 128, 2)]
+    assert isinstance(image, RefinementOverflow)
+    assert str(image).startswith(f"curve refinement would take an image past "
+                                 f"{flow.MAX_IMAGE_VERTICES} vertices: it needs ")
 
 
 class TestZeroFlux:
