@@ -33,7 +33,8 @@ class FailureBudgetExceeded(HamflowError):
 
 
 class RefinementOverflow(HamflowError):
-    """Curve refinement would take an image past ``flow.MAX_IMAGE_VERTICES``."""
+    """Curve refinement would take an image past ``flow.MAX_IMAGE_VERTICES``,
+    or cannot split a source segment in double precision."""
 
 
 class DegenerateOverlap(HamflowError):

@@ -63,7 +63,9 @@ _PHI_STEPS = 200
 # A draw whose next refinement pass would take its image past this many
 # vertices raises RefinementOverflow.  Passes need no cap: an image gap is at
 # most the map's Lipschitz constant times its source length, which halves
-# each pass, so what a runaway draw uses up is vertices (memory, flow time).
+# each pass until double precision cannot split it (``advect_curves`` then
+# refuses the draw), so what a runaway draw uses up is vertices (memory, flow
+# time).
 MAX_IMAGE_VERTICES = 1 << 16
 
 
@@ -309,7 +311,11 @@ def advect_curves(hamiltonians, curve: LagrangianCurve, t: float = 1.0,
     vertex count exceeds ``MAX_IMAGE_VERTICES``: its next pass's count, or
     ceil(L (1 - 1e-12) / tau) + 1 at the threshold tau for an image of
     length L, since bisection never shortens an image of exact flow images.
-    No draw that finishes trips either bound.
+    It also fails with ``RefinementOverflow`` once the midpoint of a source
+    segment whose image gap exceeds tau rounds onto an endpoint in both
+    coordinates: that segment and its gap never change again, so the draw
+    could only re-insert the duplicate until the budget.  No draw that
+    finishes trips any of these tests.
     """
     batch = hamiltonians if isinstance(hamiltonians, PackedBatch) else PackedBatch(hamiltonians)
     if not len(batch):
@@ -335,7 +341,17 @@ def advect_curves(hamiltonians, curve: LagrangianCurve, t: float = 1.0,
                     f"curve refinement would take an image past {MAX_IMAGE_VERTICES} vertices: "
                     f"it needs {least} at least (length {length:.6g}, gaps of {tau:g})")
             else:
-                pending.append((s, src, img, bad, 0.5 * (src[bad] + src[bad + 1])))
+                mids = 0.5 * (src[bad] + src[bad + 1])
+                stuck = np.flatnonzero((mids == src[bad]).all(axis=1)
+                                       | (mids == src[bad + 1]).all(axis=1))
+                if stuck.size:
+                    j = bad[stuck[0]]
+                    out[s] = RefinementOverflow(
+                        f"curve refinement cannot split a source segment of length "
+                        f"{np.linalg.norm(src[j + 1] - src[j]):.6g}: its midpoint rounds onto "
+                        f"an endpoint, and its image gap {gaps[j]:.6g} exceeds {tau:g}")
+                else:
+                    pending.append((s, src, img, bad, mids))
         if not pending:
             break
         flowed = _flow_rows(batch, [s for s, *_ in pending], [mids for *_, mids in pending],

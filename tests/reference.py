@@ -20,6 +20,9 @@
   basis, and its packing into an engine's grids, as they were computed
   before draws drew their head only, kept the rows of their temporal band
   only and grids were packed from the band modes alone.
+* ``translation_map`` and ``translated``: a draw conjugated by a
+  translation, H o tau^-1, as the rotation of each wavenumber's (cos, sin)
+  block of B.
 * ``BumpFunction``, ``BumpTimeBasis``, ``concatenate_autonomous`` and
   ``flow_concatenation``: one time-dependent Hamiltonian whose time-1 flow
   composes autonomous draws in order, and its flow at the step count its
@@ -195,6 +198,37 @@ def reversal_coefficients(h) -> np.ndarray:
     """B of ``time_reversed_hamiltonian(h)`` over the whole basis and the
     kernel's whole time basis: -R @ B."""
     return -h.law.kernel.time_basis().reflect(full_coefficients(h))
+
+
+def translation_map(basis, modes, shift) -> np.ndarray:
+    """The map T with c @ T the coefficients of H o tau^-1, for c those of H
+    over the basis indices ``modes`` and tau the translation by ``shift``.
+
+    e_n(x - a) rotates each factor's (cos, sin) pair by the angle
+    2 pi k a of its wavenumber, cos(u - th) = cos th cos u + sin th sin u and
+    sin(u - th) = cos th sin u - sin th cos u, so T is one product of two
+    rotations on the (cos, sin) codes of each (kx, ky) group and zero across
+    groups.  Its modes share their amplitude, so T is orthogonal when
+    ``modes`` holds whole groups.
+    """
+    kx, ky = basis.kx[modes], basis.ky[modes]
+    same = (kx[:, None] == kx) & (ky[:, None] == ky)
+
+    def rotation(k, shift, code):
+        th = TWO_PI * k[:, None] * shift
+        return np.where(code[:, None] == code, np.cos(th),
+                        np.where(code[:, None] < code, np.sin(th), -np.sin(th)))
+
+    return (same * rotation(kx, shift[0], basis.tx[modes])
+            * rotation(ky, shift[1], basis.ty[modes]))
+
+
+def translated(h, shift) -> SpectralHamiltonian:
+    """H o tau^-1 for the translation tau by ``shift``: H's B times its band
+    modes' ``translation_map``, over H's engine and time basis."""
+    return SpectralHamiltonian(h.engine, h.time_basis,
+                               h.coefficients @ translation_map(h.engine.basis,
+                                                                h.engine.modes, shift))
 
 
 def concatenation_coefficients(parts) -> np.ndarray:

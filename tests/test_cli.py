@@ -365,6 +365,20 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
+def test_run_in_one_process_loads_no_pool(tmp_path):
+    # the pool's modules load only where a run forks; the forking path is
+    # covered by test_outputs_independent_of_worker_count
+    (tmp_path / "one.txt").write_text("samples = 2\nworkers = 1\n")
+    done = fresh_python("import sys\n"
+                        "from hamflow import cli\n"
+                        "rc = cli.main(['sample-field', '--config', 'one.txt', '--out', 'out'])\n"
+                        "print(rc, sorted(m for m in sys.modules"
+                        " if m.split('.')[0] in ('concurrent', 'multiprocessing')))",
+                        tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
 def test_benchmark_tracer_installs(tmp_path):
     # the benchmark's tracer wraps hamflow functions and methods by name, so
     # a renamed or deleted one breaks only its traced runs

@@ -493,6 +493,21 @@ def test_full_band_draw_is_refused_at_pass_0(monkeypatch):
                                  f"{flow.MAX_IMAGE_VERTICES} vertices: it needs ")
 
 
+def test_draw_stuck_below_double_precision_is_refused(monkeypatch):
+    # draw 73 of seed 0 at regularity 2 (frequency units, intersections
+    # defaults): after 46 passes a source segment one ulp long still has an
+    # image gap above the threshold, and its midpoint rounds onto an
+    # endpoint, so no pass can split it; it is refused before the pass that
+    # would flow the duplicate, where the budget test alone took 1,800 passes
+    cfg = ExperimentConfig(command="intersections", regularity=(2.0,))
+    shapes = flowed_shapes(monkeypatch)
+    (image,) = _advected_chunk((cfg, 0, 73, 74))
+    assert isinstance(image, RefinementOverflow)
+    assert str(image).startswith("curve refinement cannot split a source segment of length ")
+    assert str(image).endswith(f" exceeds {cfg.refinement_threshold:g}")
+    assert len(shapes) == 47
+
+
 class TestZeroFlux:
     """A Hamiltonian diffeomorphism has zero flux, so the image of K = {y = 1/2}
     bounds zero signed area against K and meets it: every image crosses L8

@@ -19,7 +19,8 @@ from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, KernelKind, TimeBasis
 from reference import (BumpFunction, BumpTimeBasis, Mode, circle_curve,
                        concatenate_autonomous, concatenation_coefficients,
                        flow_concatenation, flow_jacobian_determinant, full_coefficients,
-                       mode_index, reversal_coefficients, sloped_circle, torus_distance)
+                       mode_index, reversal_coefficients, sloped_circle, torus_distance,
+                       translated, translation_map)
 
 # The analytic references: draws over the smallest basis with axis modes,
 # each of one mode or none, autonomous or with a periodic coefficient path.
@@ -218,6 +219,51 @@ class TestTimeReversal:
         for t in (0.0, 0.13, 0.5, 0.77, 1.0):
             want = -h.value(1.0 - t, pts)
             assert np.abs(hat.value(t, pts) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+class TestTranslation:
+    """The group's action by a translation tau: the law's weights depend on
+    |k|^2 alone and each mode's (cos, sin) products carry equal weights, so
+    H o tau^-1 is again a draw of the law, from orthogonally mapped normals,
+    and its flow is tau o phi_H o tau^-1."""
+
+    SHIFT = np.array([0.3141, 0.7183])
+
+    @staticmethod
+    def draw(kernel, axis):
+        # regularity 3 in frequency units
+        law = make_law(3.0 / (4 * math.pi**2), spatial_max=8, kernel=kernel,
+                       include_axis_modes=axis)
+        return sample_hamiltonian(law, 12, 0, 0)
+
+    @pytest.mark.parametrize("axis", [False, True])
+    @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT, SQEXP])
+    def test_normals_map_is_orthogonal(self, kernel, axis):
+        h = self.draw(kernel, axis)
+        basis = h.law.basis()
+        t = translation_map(basis, np.arange(len(basis)), self.SHIFT)
+        assert np.abs(t @ t.T - np.eye(len(basis))).max() <= 1e-14
+        # translating the draw is drawing from the normals T^T Z, which are
+        # again independent standard normals
+        redrawn = RandomHamiltonian(h.law, t.T @ h.gaussians)
+        moved = translated(h, self.SHIFT)
+        assert (np.abs(redrawn.coefficients - moved.coefficients).max()
+                <= 1e-14 * np.abs(h.coefficients).max())
+
+    @pytest.mark.parametrize("axis", [False, True])
+    @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT, SQEXP])
+    def test_flow_is_conjugated(self, kernel, axis):
+        h = self.draw(kernel, axis)
+        moved = translated(h, self.SHIFT)
+        pts = np.random.default_rng(3).uniform(0, 1, (16, 2))
+        for t in (0.0, 0.4, 1.0):
+            want = h.value(t, pts - self.SHIFT)
+            assert np.abs(moved.value(t, pts) - want).max() <= 1e-13 * np.abs(want).max()
+        settings = FlowSettings(steps=58)
+        image = flow_points(moved, pts, 0.0, 1.0, settings)
+        assert np.abs(image - pts).max() > 0.01
+        want = flow_points(h, pts - self.SHIFT, 0.0, 1.0, settings) + self.SHIFT
+        assert np.abs(image - want).max() <= 1e-12
 
 
 class TestBumpFunction:
