@@ -2,9 +2,9 @@
 
 Each command reads one flat key = value config document (--config),
 applies flag overrides, echoes the full effective configuration next to its
-outputs, and writes deterministic CSV / JSONL / SVG artifacts.  The worker
-count is the config's ``workers``; at ``workers = 0`` (the default) it is the
-number of CPUs the process may run on.
+outputs, and writes deterministic CSV and JSONL files.  The worker count is
+the config's ``workers``; at ``workers = 0`` (the default) it is the number
+of CPUs the process may run on.
 
 Every command is one row of ``COMMAND_TABLE`` (``Command``): the sampler of
 ``hamflow.experiments`` that runs its per-sample task through
@@ -32,7 +32,6 @@ from pathlib import Path
 from . import experiments, io
 from .config import COMMANDS, ExperimentConfig, parse_config, parse_value, serialize_config
 from .errors import FailureBudgetExceeded, HamflowError, ParseError
-from .field import sample_hamiltonian
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--samples", type=int, default=None)
     parser.add_argument("--regularity", type=str, default=None, help="comma-separated list")
     parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--plot", action="store_true", default=None)
     return parser
 
 
@@ -54,7 +52,7 @@ def _load_config(args) -> ExperimentConfig:
         text = args.config.read_text() if args.config else ""
     except OSError as exc:
         raise ParseError(f"cannot read config {args.config}: {exc.strerror}") from exc
-    overrides = {key: getattr(args, key) for key in ("seed", "samples", "out", "plot")}
+    overrides = {key: getattr(args, key) for key in ("seed", "samples", "out")}
     if args.regularity is not None:
         overrides["regularity"] = parse_value("regularity", args.regularity)
     return parse_config(text, command=args.command, overrides=overrides)
@@ -83,20 +81,6 @@ def _outdir(cfg: ExperimentConfig, regularities: tuple, flows: bool = False) -> 
     return out
 
 
-def _field_svg(cfg: ExperimentConfig, outputs: dict, path: Path) -> None:
-    draw = sample_hamiltonian(experiments.law_for(cfg, cfg.regularity[0]), cfg.seed, 0, 0)
-    io.render_field_svg(draw, cfg.field_time, path, cfg.arrow_grid)
-
-
-def _curves_svg(cfg: ExperimentConfig, outputs: dict, path: Path) -> None:
-    io.render_curves_svg([record["vertices"] for record in outputs["records"]], path)
-
-
-def _tails_svg(cfg: ExperimentConfig, outputs: dict, path: Path) -> None:
-    io.render_histogram_svg([record["u"] for record in outputs["survival"]], path,
-                            title="oscillation exceedances")
-
-
 @dataclass(frozen=True)
 class Command:
     """One command: where its records come from and where they go.
@@ -106,10 +90,10 @@ class Command:
     benchmark's tracer) is the one that runs.  ``reduce(cfg, runs)`` returns
     the outputs that ``files`` maps to file names.  ``every_regularity``
     draws from every regularity and tags each record with its own, else the
-    command draws from the first; ``flows`` echoes the step counts; ``plot``
-    is the (file name, renderer) that ``plot = true`` adds.  A command whose
-    records can carry errors names a file for its ``failures``.  ``check(cfg)``
-    raises for a config the command refuses, before any output is written.
+    command draws from the first; ``flows`` echoes the step counts.  A
+    command whose records can carry errors names a file for its
+    ``failures``.  ``check(cfg)`` raises for a config the command refuses,
+    before any output is written.
     """
 
     samples: str
@@ -117,17 +101,15 @@ class Command:
     files: dict
     every_regularity: bool = False
     flows: bool = False
-    plot: tuple = ()
     check: Callable | None = None
 
 
 COMMAND_TABLE = {
     "sample-field": Command("oscillation_samples", experiments.mean_table,
                             {"table": "field_osc.csv", "records": "field_samples.jsonl"},
-                            every_regularity=True, plot=("field.svg", _field_svg)),
+                            every_regularity=True),
     "flow": Command("advected_samples", experiments.as_sampled,
-                    {"records": "curves.jsonl", "failures": "failures.jsonl"},
-                    flows=True, plot=("curves.svg", _curves_svg)),
+                    {"records": "curves.jsonl", "failures": "failures.jsonl"}, flows=True),
     "diffusion": Command("diffusion_samples", experiments.diffusion_totals,
                          {"totals": "diffusion.jsonl", "records": "diffusion_samples.jsonl"},
                          flows=True),
@@ -141,7 +123,7 @@ COMMAND_TABLE = {
                          every_regularity=True),
     "tails": Command("oscillation_samples", experiments.tail_fit,
                      {"survival": "tail_survival.jsonl", "fit": "tail_fit.jsonl"},
-                     plot=("tails.svg", _tails_svg), check=experiments.check_tail_samples),
+                     check=experiments.check_tail_samples),
     "concentration": Command("oscillation_samples", experiments.mean_table,
                              {"table": "concentration.csv"}, every_regularity=True),
     "inversion": Command("run_inversion_test", experiments.inversion_test,
@@ -163,7 +145,7 @@ def run(cfg: ExperimentConfig) -> None:
     regularities = cfg.regularity if command.every_regularity else cfg.regularity[:1]
     out = _outdir(cfg, regularities, command.flows)
     paths = {name: out / file for name, file in command.files.items()}
-    for path in list(paths.values()) + ([out / command.plot[0]] if command.plot else []):
+    for path in paths.values():
         path.unlink(missing_ok=True)
     sample = getattr(experiments, command.samples)
     runs, failures = [], []
@@ -186,10 +168,6 @@ def run(cfg: ExperimentConfig) -> None:
         if outputs[name]:
             (io.write_table if path.suffix == ".csv" else io.write_records)(outputs[name], path)
             written.append(path)
-    if cfg.plot and command.plot:
-        file, render = command.plot
-        render(cfg, outputs, out / file)
-        written.append(out / file)
     print(f"wrote {', '.join(map(str, written))}")
 
 

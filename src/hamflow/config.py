@@ -91,7 +91,6 @@ class ExperimentConfig:
     refinement_threshold: float = 0.01
     seed: int = 0
     out: str = "results"
-    plot: bool = False
     workers: int = 0
     curve_vertices: int = 128
     points: int = 100
@@ -105,8 +104,6 @@ class ExperimentConfig:
     osc_spatial_grid: int = 128
     osc_time_grid: int = 101
     smoothing_eps: float = 0.01
-    field_time: float = 0.0
-    arrow_grid: int = 20
     # not a field (no annotation), so not a key (module docstring)
     grid_nodes = 64
 
@@ -189,10 +186,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad("osc_time_grid", "must be >= 2")
     if cfg.smoothing_eps <= 0:
         bad("smoothing_eps", "must be positive")
-    if not 0.0 <= cfg.field_time <= 1.0:
-        bad("field_time", "must lie in [0, 1]")
-    if cfg.arrow_grid < 2:
-        bad("arrow_grid", "must be >= 2")
 
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,

@@ -23,6 +23,8 @@
 * ``translation_map`` and ``translated``: a draw conjugated by a
   translation, H o tau^-1, as the rotation of each wavenumber's (cos, sin)
   block of B.
+* ``symmetry_map``: a draw composed with the quarter turn, H o rho, or with
+  the reflection, -H o sigma, as a signed permutation of its modes.
 * ``BumpFunction``, ``BumpTimeBasis``, ``concatenate_autonomous`` and
   ``flow_concatenation``: one time-dependent Hamiltonian whose time-1 flow
   composes autonomous draws in order, and its flow at the step count its
@@ -229,6 +231,27 @@ def translated(h, shift) -> SpectralHamiltonian:
     return SpectralHamiltonian(h.engine, h.time_basis,
                                h.coefficients @ translation_map(h.engine.basis,
                                                                 h.engine.modes, shift))
+
+
+def symmetry_map(basis, modes, turn: bool) -> tuple:
+    """(index, sign) with c[..., index] * sign the coefficients of H o rho
+    (``turn``) or of -H o sigma (not ``turn``), for c those of H over the
+    basis indices ``modes``; rho(x, y) = (y, -x) is the quarter turn and
+    sigma(x, y) = (x, -y) the reflection.
+
+    e_n o rho is the mode (ky, kx, ty, tx) of n = (kx, ky, tx, ty), negated
+    where ty = 1, since sin(-u) = -sin u; so the coefficient of m comes from
+    the mode with its wavenumbers and codes swapped, negated where tx = 1 at
+    m.  -e_n o sigma is e_n negated where ty = 0.  ``modes`` must hold each
+    mode's swapped mode when ``turn``.
+    """
+    kx, ky = basis.kx[modes], basis.ky[modes]
+    tx, ty = basis.tx[modes], basis.ty[modes]
+    if not turn:
+        return np.arange(len(modes)), np.where(ty == 0, -1.0, 1.0)
+    position = {key: i for i, key in enumerate(zip(kx, ky, tx, ty))}
+    index = np.array([position[key] for key in zip(ky, kx, ty, tx)])
+    return index, np.where(tx == 1, -1.0, 1.0)
 
 
 def concatenation_coefficients(parts) -> np.ndarray:

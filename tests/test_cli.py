@@ -9,9 +9,7 @@ import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
-from xml.etree import ElementTree
 
 import pytest
 
@@ -55,16 +53,6 @@ OUTPUTS = {
                   "inversion_samples.jsonl": {"branch", "displacement", "sample"}},
 }
 
-# The SVG each plotting command adds with plot = true, with its elements:
-# a frame rect, and an arrow (circle and line) per point of the 20 x 20
-# arrow_grid, a path per sample, or a rect per each of the 40 bins and a title
-PLOTS = {
-    "sample-field": {"field.svg": {"rect": 1, "circle": 20**2, "line": 20**2}},
-    "flow": {"curves.svg": {"rect": 1, "path": 4}},
-    "tails": {"tails.svg": {"rect": 1 + 40, "text": 1}},
-}
-
-
 def run(tmp_path, command, text, name=None):
     config = tmp_path / f"{name or command}.txt"
     config.write_text(text)
@@ -85,19 +73,14 @@ def check_records(records, keys, samples):
         assert all(indices == list(range(samples)) for indices in branches.values())
 
 
-@pytest.mark.parametrize("command,plot",
-                         [(command, False) for command in sorted(OUTPUTS)]
-                         + [(command, True) for command in sorted(PLOTS)],
-                         ids=sorted(OUTPUTS) + [f"{command}-plot" for command in sorted(PLOTS)])
-def test_command_writes_outputs(tmp_path, command, plot):
+@pytest.mark.parametrize("command", sorted(OUTPUTS))
+def test_command_writes_outputs(tmp_path, command):
     # tails runs at its 1000-sample default; random-walk at its constant kernel
     text = TINY.replace("samples = 4\n", "") if command == "tails" else TINY
     samples = 1000 if command == "tails" else 4
-    rc, out = run(tmp_path, command, text + f"plot = {str(plot).lower()}\n")
+    rc, out = run(tmp_path, command, text)
     assert rc == 0
-    svgs = PLOTS[command] if plot else {}
-    assert sorted(p.name for p in out.iterdir()) == sorted([*OUTPUTS[command], *svgs,
-                                                            "config.txt"])
+    assert sorted(p.name for p in out.iterdir()) == sorted([*OUTPUTS[command], "config.txt"])
     for name, expected in OUTPUTS[command].items():
         lines = (out / name).read_text().splitlines()
         if name.endswith(".csv"):
@@ -106,9 +89,6 @@ def test_command_writes_outputs(tmp_path, command, plot):
             assert all(line.endswith(f",{samples}") for line in lines[1:])
         else:
             check_records([json.loads(line) for line in lines], expected, samples)
-    for name, elements in svgs.items():
-        root = ElementTree.parse(out / name).getroot()
-        assert Counter(child.tag.rpartition("}")[2] for child in root) == elements
 
 
 @pytest.mark.parametrize("command", ["flow", "intersections", "diffusion", "inversion"])
@@ -173,16 +153,36 @@ def test_random_walk_rejects_explicit_periodic_kernel(tmp_path, capsys):
     assert "NotAutonomous" in err
 
 
-def test_every_command_parses_with_the_six_options():
+def test_every_command_parses_with_the_five_options():
     parser = cli._build_parser()
     for command in COMMANDS:
         args = parser.parse_args([command, "--config", "c.txt", "--seed", "3", "--samples", "4",
-                                  "--regularity", "3,4", "--out", "o", "--plot"])
+                                  "--regularity", "3,4", "--out", "o"])
         assert vars(args) == {"command": command, "config": Path("c.txt"), "seed": 3,
-                              "samples": 4, "regularity": "3,4", "out": "o", "plot": True}
+                              "samples": 4, "regularity": "3,4", "out": "o"}
         assert vars(parser.parse_args([command])) == {
             "command": command, "config": None, "seed": None, "samples": None,
-            "regularity": None, "out": None, "plot": None}
+            "regularity": None, "out": None}
+
+
+@pytest.mark.parametrize("line", ["plot = true", "field_time = 0.5", "arrow_grid = 20"])
+def test_config_naming_a_plot_key_is_refused(tmp_path, capsys, line):
+    # the program writes no plots, so their keys are unknown
+    config = tmp_path / "plot.txt"
+    config.write_text(TINY + line + "\n")
+    argv = ["sample-field", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    key = line.split()[0]
+    assert capsys.readouterr().err == f"error: ValidationError: {key}: unknown key\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_plot_flag_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["flow", "--out", str(tmp_path / "out"), "--plot"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --plot" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_command_exits_2_and_help_exits_0(capsys):
@@ -339,8 +339,8 @@ def test_flow_writes_its_failed_samples_to_failures(tmp_path, monkeypatch, budge
 
 
 def test_rerun_that_fails_leaves_no_older_output(tmp_path, monkeypatch):
-    rc, out = run(tmp_path, "flow", TINY + "plot = true\n")
-    assert rc == 0 and (out / "curves.jsonl").exists() and (out / "curves.svg").exists()
+    rc, out = run(tmp_path, "flow", TINY)
+    assert rc == 0 and (out / "curves.jsonl").exists()
     # TINY's 16 vertices lie 1/16 apart, so within 17 every sample fails
     monkeypatch.setattr(flow, "MAX_IMAGE_VERTICES", 17)
     rc, _ = run(tmp_path, "flow", TINY)

@@ -14,7 +14,6 @@ regularity = 0.5, 1.25, 3
 spatial_max = 7
 include_axis_modes = yes
 kernel = constant
-plot = true
 times = 0.0, 0.125, 1.0
 ball_center = 0.25, 0.75
 lagrangians = L2, L13, L14
@@ -27,7 +26,7 @@ class TestRoundTrip:
     def test_parse_serialize_parse(self):
         cfg = parse_config(NON_DEFAULT, command="flow")
         assert cfg.regularity == (0.5, 1.25, 3.0)
-        assert cfg.include_axis_modes is True and cfg.plot is True
+        assert cfg.include_axis_modes is True
         assert cfg.lagrangians == ("L2", "L13", "L14")
         assert cfg.ball_center == (0.25, 0.75)
         text = serialize_config(cfg)
@@ -36,9 +35,10 @@ class TestRoundTrip:
         assert serialize_config(again) == text
 
     def test_false_booleans_round_trip(self):
-        cfg = parse_config("plot = no\ninclude_axis_modes = 0\n")
-        assert cfg.plot is False and cfg.include_axis_modes is False
-        assert parse_config(serialize_config(cfg)) == cfg
+        for word in ("no", "0"):
+            cfg = parse_config(f"include_axis_modes = {word}\n")
+            assert cfg.include_axis_modes is False
+            assert parse_config(serialize_config(cfg)) == cfg
 
 
 class TestErrors:
@@ -91,7 +91,7 @@ class TestErrors:
     @pytest.mark.parametrize("key,value", [
         ("regularity", (math.nan,)), ("regularity", (3.0, math.inf)),
         ("smoothing_eps", math.inf), ("probe", (math.nan, 0.2)), ("times", (0.0, math.nan)),
-        ("ball_center", (-math.inf, 0.5)), ("field_time", math.nan),
+        ("ball_center", (-math.inf, 0.5)), ("ball_radius", math.nan),
         ("refinement_threshold", math.nan), ("osc_spatial_grid", 1), ("osc_time_grid", 1),
         ("seed", -1)])
     def test_bad_values_from_python_name_their_field(self, key, value):

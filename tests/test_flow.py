@@ -19,8 +19,8 @@ from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, KernelKind, TimeBasis
 from reference import (BumpFunction, BumpTimeBasis, Mode, circle_curve,
                        concatenate_autonomous, concatenation_coefficients,
                        flow_concatenation, flow_jacobian_determinant, full_coefficients,
-                       mode_index, reversal_coefficients, sloped_circle, torus_distance,
-                       translated, translation_map)
+                       mode_index, reversal_coefficients, sloped_circle, symmetry_map,
+                       torus_distance, translated, translation_map)
 
 # The analytic references: draws over the smallest basis with axis modes,
 # each of one mode or none, autonomous or with a periodic coefficient path.
@@ -264,6 +264,51 @@ class TestTranslation:
         assert np.abs(image - pts).max() > 0.01
         want = flow_points(h, pts - self.SHIFT, 0.0, 1.0, settings) + self.SHIFT
         assert np.abs(image - want).max() <= 1e-12
+
+
+class TestQuarterTurnAndReflection:
+    """The quarter turn rho(x, y) = (y, -x) and the reflection
+    sigma(x, y) = (x, -y): the law's weights depend on |k|^2 alone and a
+    mode's amplitude on which wavenumbers are zero, so H o rho and -H o sigma
+    are again draws of the law, from signed permutations of its normals.  rho
+    keeps the symplectic form and sigma negates it, so the flow of H o rho is
+    rho^-1 o phi_H o rho and that of -H o sigma is sigma o phi_H o sigma."""
+
+    # (the point map, its inverse) of each
+    MAPS = {True: (lambda p: np.stack([p[:, 1], -p[:, 0]], axis=-1),
+                   lambda p: np.stack([-p[:, 1], p[:, 0]], axis=-1)),
+            False: (lambda p: p * [1.0, -1.0], lambda p: p * [1.0, -1.0])}
+
+    @staticmethod
+    def mapped(h, turn):
+        index, sign = symmetry_map(h.basis, np.arange(len(h.basis)), turn)
+        return RandomHamiltonian(h.law, sign[:, None] * h.gaussians[index])
+
+    @pytest.mark.parametrize("turn", [True, False], ids=["quarter-turn", "reflection"])
+    @pytest.mark.parametrize("axis", [False, True])
+    @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT, SQEXP])
+    def test_coefficients_are_mapped_bit_for_bit(self, kernel, axis, turn):
+        h = TestTranslation.draw(kernel, axis)
+        index, sign = symmetry_map(h.basis, h.engine.modes, turn)
+        want = h.coefficients[:, index] * sign
+        assert self.mapped(h, turn).coefficients.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("turn", [True, False], ids=["quarter-turn", "reflection"])
+    @pytest.mark.parametrize("axis", [False, True])
+    @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT, SQEXP])
+    def test_flow_is_conjugated(self, kernel, axis, turn):
+        h = TestTranslation.draw(kernel, axis)
+        moved = self.mapped(h, turn)
+        forward, inverse = self.MAPS[turn]
+        pts = np.random.default_rng(4).uniform(0, 1, (64, 2))
+        for t in (0.0, 0.4, 1.0):
+            want = (1.0 if turn else -1.0) * h.value(t, forward(pts))
+            assert np.abs(moved.value(t, pts) - want).max() <= 1e-13 * np.abs(want).max()
+        settings = FlowSettings(steps=58)
+        image = flow_points(moved, pts, 0.0, 1.0, settings)
+        assert np.abs(image - pts).max() > 0.01
+        want = inverse(flow_points(h, forward(pts), 0.0, 1.0, settings))
+        assert np.abs((image - want + 0.5) % 1.0 - 0.5).max() <= 1e-11
 
 
 class TestBumpFunction:
