@@ -22,20 +22,21 @@ Failures.  A curve task (``flow``, ``intersections``) records the
 text; the other tasks' errors end the run.  The reducers keep the resolved
 records only (``hamflow.cli`` writes the others to ``failures.jsonl``).
 
-Streams and chunks.  Every sample owns a random stream derived from (seed,
-regularity index, sample index); the inversion test's inverse branch uses
+Streams and chunks.  Sample i of regularity index r draws its Hamiltonian
+from stream (seed, r, i) (``sample_hamiltonian``) and diffusion's ball
+points from (seed, r, i, 1); the inversion test's inverse branch uses
 stream index 1 and walk w draws step j from (seed, w, j).  ``_run_chunks``
 cuts a run into balanced chunks of consecutive sample indices: the fewest
 chunks of at most CHUNK samples whose count is a multiple of the worker
 count (as far as the samples allow), their lengths differing by one at
-most.  Each process builds a law once (``law_for``), and a task draws
-sample i from its own stream exactly as a one-sample task would.  The
-flowing commands flow a chunk's draws as one batch; the oscillation and
-RKHS commands take each draw alone.  The process pool
-(``concurrent.futures``, with ``multiprocessing``, ``socket`` and
-``subprocess``) loads only when a run forks, not with this module: a run at
-one worker or of one chunk never forks, and the import costs about 15-25 ms
-and 1.7 MiB of peak RSS on a 2-core x86-64.
+most.  ``_run_chunk`` hands each task its law, built once per process
+(``law_for``), and a task draws sample i from its own stream exactly as a
+one-sample task would.  The flowing commands flow a chunk's draws as one
+batch; the oscillation and RKHS commands take each draw alone.  The
+process pool (``concurrent.futures``, with ``multiprocessing``, ``socket``
+and ``subprocess``) loads only when a run forks, not with this module: a
+run at one worker or of one chunk never forks, and the import costs about
+15-25 ms and 1.7 MiB of peak RSS on a 2-core x86-64.
 
 Chunk boundaries move with the sample and worker counts, and results stay
 bit-identical because a draw's flow does not depend on the other draws of
@@ -71,13 +72,13 @@ from __future__ import annotations
 
 import math
 import os
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .config import LAGRANGIANS, ExperimentConfig
 from .errors import DegenerateOverlap, HamflowError, ValidationError
-from .field import HamiltonianLaw, PackedBatch, RandomHamiltonian, make_law, sample_hamiltonian
+from .field import HamiltonianLaw, PackedBatch, make_law, sample_hamiltonian
 from .flow import (FlowSettings, LagrangianCurve, advect_curves, flow_points, flow_points_through,
                    horizontal_circle, time_reversed_hamiltonian)
 from .rkhs import rkhs_norm, weighted_coefficient_sum
@@ -187,33 +188,40 @@ def worker_count(cfg: ExperimentConfig) -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _run_chunk(chunk) -> list:
+    """The records of one chunk ``(task, cfg, r_index, samples)``."""
+    task, cfg, r_index, samples = chunk
+    return task(cfg, law_for(cfg, cfg.regularity[r_index]), r_index, samples)
+
+
 def _run_chunks(task, cfg: ExperimentConfig, r_index: int = 0) -> list:
     """The records of ``task`` for sample indices 0..samples-1, in order.
 
-    ``task((cfg, r_index, start, stop))`` returns the records of the
-    consecutive indices start..stop-1 as a list.  The chunks are the fewest
-    of at most CHUNK indices whose count is a multiple of the
+    ``task(cfg, law, r_index, samples)`` returns the records of the range
+    ``samples`` of consecutive indices as a list, drawn from ``law``, the
+    law of ``cfg.regularity[r_index]``.  The chunks are the fewest of at
+    most CHUNK indices whose count is a multiple of the
     ``worker_count(cfg)`` processes, or one per index below that many
     samples; the first are one index longer where the samples do not
     divide evenly.  More than one chunk on more than one worker run in a
-    pool of forked processes, whose modules are imported only then (module
-    docstring); otherwise the chunks run in this process.
+    pool of at most one forked process per chunk, whose modules are
+    imported only then (module docstring); otherwise they run in this process.
     """
     workers = worker_count(cfg)
     count = min(cfg.samples, workers * -(-cfg.samples // (CHUNK * workers)))
     size, longer = divmod(cfg.samples, count)
     bounds = [k * size + min(k, longer) for k in range(count + 1)]
-    chunks = [(cfg, r_index, start, stop) for start, stop in zip(bounds, bounds[1:])]
+    chunks = [(task, cfg, r_index, range(start, stop)) for start, stop in zip(bounds, bounds[1:])]
     if workers <= 1 or count <= 1:
-        results = [task(chunk) for chunk in chunks]
+        results = [_run_chunk(chunk) for chunk in chunks]
     else:
         # numpy imports numpy.random on first use (about 17 ms and 5 MiB on a
         # 2-core x86-64); imported here, the forked workers inherit it
         # instead of each importing it again
         import numpy.random  # noqa: F401
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, chunks))
+        with ProcessPoolExecutor(max_workers=min(workers, count)) as pool:
+            results = list(pool.map(_run_chunk, chunks))
     return [record for chunk in results for record in chunk]
 
 
@@ -247,55 +255,45 @@ def mean_table(cfg: ExperimentConfig, runs: list) -> dict:
 # Intersections
 # ---------------------------------------------------------------------------
 
-def _advected_chunk(args) -> list:
-    """Images of K under samples start..stop-1 of regularity r_index.
+def _image_chunk(values, cfg, law, r_index, samples) -> list:
+    """Per sample: ``values(cfg, image)`` of its image of K, or the text of
+    the ``HamflowError`` its advection or ``values`` raised.
 
     Each draw is packed as it is sampled and then let go; the chunk's curves
-    advect together (``advect_curves``).  Entry i is the image curve or the
-    ``HamflowError`` its advection raised.
+    advect together (``advect_curves``).
     """
-    cfg, r_index, start, stop = args
-    law = law_for(cfg, cfg.regularity[r_index])
-    batch = PackedBatch(capacity=stop - start)
-    for i in range(start, stop):
+    batch = PackedBatch(capacity=len(samples))
+    for i in samples:
         batch.append(sample_hamiltonian(law, cfg.seed, r_index, i))
-    return advect_curves(batch, horizontal_circle(0.5, cfg.curve_vertices), 1.0,
-                         _settings_for(cfg, law))
-
-
-def _image_chunk(args, values) -> list:
-    """Per sample: ``values(image)`` of its image of K, or its error text."""
-    _, _, start, _ = args
+    images = advect_curves(batch, horizontal_circle(0.5, cfg.curve_vertices), 1.0,
+                           _settings_for(cfg, law))
     records = []
-    for i, image in enumerate(_advected_chunk(args), start=start):
+    for i, image in zip(samples, images):
         try:
             if isinstance(image, HamflowError):
                 raise image
-            records.append({"sample": i, **values(image)})
+            records.append({"sample": i, **values(cfg, image)})
         except HamflowError as exc:
             records.append({"sample": i, "error": f"{type(exc).__name__}: {exc}"})
     return records
 
 
-def _intersection_chunk(args) -> list:
-    """Per sample: its crossing count with each of ``cfg.lagrangians``, by
-    label, or its error text."""
-    labels = args[0].lagrangians
-    return _image_chunk(args, lambda image: dict(zip(labels, count_crossings(image, labels))))
+def _crossings(cfg: ExperimentConfig, image: LagrangianCurve) -> dict:
+    """The image's crossing count with each of ``cfg.lagrangians``, by label."""
+    return dict(zip(cfg.lagrangians, count_crossings(image, cfg.lagrangians)))
 
 
 def run_intersections(cfg: ExperimentConfig, r_index: int = 0) -> list:
-    return _run_chunks(_intersection_chunk, cfg, r_index)
+    return _run_chunks(partial(_image_chunk, _crossings), cfg, r_index)
 
 
-def _curve_chunk(args) -> list:
-    """Per sample: its image of K's vertices and winding, or its error text."""
-    return _image_chunk(args, lambda image: {"vertices": image.vertices,
-                                             "winding": image.winding})
+def _curve(cfg: ExperimentConfig, image: LagrangianCurve) -> dict:
+    """The image's vertices and winding."""
+    return {"vertices": image.vertices, "winding": image.winding}
 
 
 def advected_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
-    return _run_chunks(_curve_chunk, cfg, r_index)
+    return _run_chunks(partial(_image_chunk, _curve), cfg, r_index)
 
 
 # ---------------------------------------------------------------------------
@@ -321,25 +319,22 @@ def _chi_square(counts: np.ndarray) -> float:
     return float(np.sum((counts - expected) ** 2 / expected))
 
 
-def _diffusion_chunk(args) -> list:
+def _diffusion_chunk(cfg, law, r_index, samples) -> list:
     """Per sample: its bin counts and their chi-square, per time.
 
-    Sample i draws its Hamiltonian's full (N, m) normals and then its ball
-    points from one stream, so the draw is built from that array rather
-    than by ``sample_hamiltonian``.  The chunk's clouds flow as one batch.
+    Sample i draws its Hamiltonian from stream (seed, r_index, i)
+    (``sample_hamiltonian``, the head rows only) and its ball points from
+    stream (seed, r_index, i, 1).  The chunk's clouds flow as one batch.
     """
-    cfg, r_index, start, stop = args
-    law = law_for(cfg, cfg.regularity[r_index])
-    batch = PackedBatch(capacity=stop - start)
-    shape = (len(law.basis()), law.kernel.gaussians_per_sample())
-    pts = np.empty((stop - start, cfg.points, 2))
-    for row, i in enumerate(range(start, stop)):
-        rng = derive(cfg.seed, r_index, i)
-        batch.append(RandomHamiltonian(law, rng.standard_normal(shape)))
-        pts[row] = _ball_points(rng, cfg.ball_center, cfg.ball_radius, cfg.points)
+    batch = PackedBatch(capacity=len(samples))
+    pts = np.empty((len(samples), cfg.points, 2))
+    for row, i in enumerate(samples):
+        batch.append(sample_hamiltonian(law, cfg.seed, r_index, i))
+        pts[row] = _ball_points(derive(cfg.seed, r_index, i, 1), cfg.ball_center,
+                                cfg.ball_radius, cfg.points)
     states = flow_points_through(batch, pts, cfg.times, _settings_for(cfg, law))
     records = []
-    for row, i in enumerate(range(start, stop)):
+    for row, i in enumerate(samples):
         counts = np.stack([_bin_counts(s[row], cfg.grid) for s in states])
         records.append({"sample": i, "counts": counts,
                         "chi_square": np.array([_chi_square(c) for c in counts])})
@@ -365,13 +360,11 @@ def diffusion_totals(cfg: ExperimentConfig, runs: list) -> dict:
 # Oscillation-based statistics
 # ---------------------------------------------------------------------------
 
-def _osc_chunk(args) -> list:
-    """Oscillation norms of samples start..stop-1."""
-    cfg, r_index, start, stop = args
-    law = law_for(cfg, cfg.regularity[r_index])
+def _osc_chunk(cfg, law, r_index, samples) -> list:
+    """Oscillation norms of ``samples``."""
     return [{"sample": i, "osc": sample_hamiltonian(law, cfg.seed, r_index, i)
              .oscillation(cfg.osc_spatial_grid, cfg.osc_time_grid)}
-            for i in range(start, stop)]
+            for i in samples]
 
 
 def oscillation_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
@@ -414,12 +407,10 @@ def tail_fit(cfg: ExperimentConfig, runs: list) -> dict:
                      "heldout_bound": bound, "bound_holds": frac <= bound}]}
 
 
-def _rkhs_chunk(args) -> list:
-    """RKHS norms and weighted coefficient sums of samples start..stop-1."""
-    cfg, r_index, start, stop = args
-    law = law_for(cfg, cfg.regularity[r_index])
+def _rkhs_chunk(cfg, law, r_index, samples) -> list:
+    """RKHS norms and weighted coefficient sums of ``samples``."""
     records = []
-    for i in range(start, stop):
+    for i in samples:
         draw = sample_hamiltonian(law, cfg.seed, r_index, i)
         records.append({"sample": i, "rkhs_norm": rkhs_norm(draw, law.regularity),
                         "weighted_sum": weighted_coefficient_sum(draw, cfg.smoothing_eps)})
@@ -434,7 +425,7 @@ def rkhs_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
 # Inversion invariance
 # ---------------------------------------------------------------------------
 
-def _displacement_chunk(args) -> list:
+def _displacement_chunk(cfg, law, r_index, samples) -> list:
     """Per sample: the probe's forward and inverse displacements.
 
     Sample i draws its forward Hamiltonian from stream (seed, 0, i) and its
@@ -444,11 +435,9 @@ def _displacement_chunk(args) -> list:
     basis, so the chunk packs its n forward draws and the n reversals into
     one batch of 2n rows and flows them from 0 to 1 in one loop of steps.
     """
-    cfg, _, start, stop = args
-    law = law_for(cfg, cfg.regularity[0])
-    batch = PackedBatch(capacity=2 * (stop - start))
+    batch = PackedBatch(capacity=2 * len(samples))
     for branch in (0, 1):
-        for i in range(start, stop):
+        for i in samples:
             draw = sample_hamiltonian(law, cfg.seed, branch, i)
             batch.append(time_reversed_hamiltonian(draw) if branch else draw)
     probe = np.asarray(cfg.probe, dtype=float)
@@ -456,9 +445,9 @@ def _displacement_chunk(args) -> list:
                          _settings_for(cfg, law))
     d = (images[:, 0] - probe + 0.5) % 1.0 - 0.5
     dist = np.hypot(d[:, 0], d[:, 1])
-    n = stop - start
+    n = len(samples)
     return [{"sample": i, "forward": dist[row], "inverse": dist[n + row]}
-            for row, i in enumerate(range(start, stop))]
+            for row, i in enumerate(samples)]
 
 
 def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -521,14 +510,12 @@ def inversion_test(cfg: ExperimentConfig, runs: list) -> dict:
 # Random walks
 # ---------------------------------------------------------------------------
 
-def _walk_chunk(args) -> list:
-    """Probe trajectories of walks start..stop-1; step j of every walk in the
-    chunk is one batched flow (``induced_point_walks``)."""
-    cfg, _, start, stop = args
-    law = law_for(cfg, cfg.regularity[0])
-    walks = [sample_walk(law, cfg.seed, cfg.walk_steps, w) for w in range(start, stop)]
+def _walk_chunk(cfg, law, r_index, samples) -> list:
+    """Probe trajectories of the walks ``samples``; step j of every walk in
+    the chunk is one batched flow (``induced_point_walks``)."""
+    walks = [sample_walk(law, cfg.seed, cfg.walk_steps, w) for w in samples]
     trajectories = induced_point_walks(walks, cfg.probe, _settings_for(cfg, law))
-    return [{"walk": w, "trajectory": t} for w, t in zip(range(start, stop), trajectories)]
+    return [{"walk": w, "trajectory": t} for w, t in zip(samples, trajectories)]
 
 
 def walk_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:

@@ -22,13 +22,17 @@ from .errors import Unsupported
 from .field import RandomHamiltonian
 
 
+def check_period_one(kernel: str) -> None:
+    """Raise ``Unsupported`` for the sqexp tag: the weight exp(4 pi^2 r k^2)
+    and the time-average column hold for period-1 series only."""
+    if kernel == temporal.SQEXP:
+        raise Unsupported("the sqexp series has period L > 1: no period-1 expansion")
+
+
 def _log_gaussians(draw: RandomHamiltonian):
     """(log |g| (N, m), temporal index k of each column (m,))."""
     kind = draw.law.kernel
-    # the weight exp(4 pi^2 r k^2) and the time-average column hold for
-    # period-1 series only
-    if kind.tag == temporal.SQEXP:
-        raise Unsupported("the sqexp series has period L > 1: no period-1 expansion")
+    check_period_one(kind.tag)
     k = np.arange(1, kind.time_basis().frequencies + 1)
     with np.errstate(divide="ignore"):
         log_g = np.log(np.abs(draw.gaussians))

@@ -17,14 +17,19 @@ from .field import HamiltonianLaw, sample_hamiltonian
 from .flow import DEFAULT_SETTINGS, FlowSettings, flow_points
 
 
+def check_autonomous(kernel: str) -> None:
+    """Raise ``NotAutonomous`` unless ``kernel`` is the constant-in-time tag."""
+    if kernel != temporal.CONSTANT:
+        raise NotAutonomous("random walks require the constant-in-time kernel")
+
+
 def sample_walk(law: HamiltonianLaw, seed: int, n_steps: int, walk_index: int = 0) -> tuple:
     """Draw a walk of n independent autonomous steps, in application order.
 
     Step i is ``sample_hamiltonian(law, seed, walk_index, i)``, drawn from
     its own stream, so ensembles of walks parallelize deterministically.
     """
-    if law.kernel.tag != temporal.CONSTANT:
-        raise NotAutonomous("random walks require the constant-in-time kernel")
+    check_autonomous(law.kernel.tag)
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     return tuple(sample_hamiltonian(law, seed, walk_index, i) for i in range(n_steps))

@@ -153,6 +153,26 @@ def test_random_walk_rejects_explicit_periodic_kernel(tmp_path, capsys):
     assert "NotAutonomous" in err
 
 
+@pytest.mark.parametrize("command,refused,error", [
+    ("random-walk", "kernel = periodic\n",
+     "error: NotAutonomous: random walks require the constant-in-time kernel"),
+    ("rkhs-norm", "kernel = sqexp\n",
+     "error: Unsupported: the sqexp series has period L > 1: no period-1 expansion")],
+    ids=["random-walk", "rkhs-norm"])
+def test_refused_rerun_leaves_the_earlier_run_as_it_was(tmp_path, capsys, command, refused,
+                                                        error):
+    # the kernel is refused before config.txt is rewritten or any output removed
+    rc, out = run(tmp_path, command, TINY)
+    assert rc == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert set(before) == {"config.txt", *OUTPUTS[command]}
+    capsys.readouterr()
+    rc, _ = run(tmp_path, command, TINY + refused)
+    assert rc == 1
+    assert capsys.readouterr().err == error + "\n"
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_every_command_parses_with_the_five_options():
     parser = cli._build_parser()
     for command in COMMANDS:

@@ -15,11 +15,10 @@ import pytest
 from hamflow.config import LAGRANGIANS, ExperimentConfig
 from hamflow.errors import DegenerateOverlap, HamflowError, NonFinite, RefinementOverflow
 from hamflow.engine import SpectralEngine
-from hamflow import cli, flow
-from hamflow.experiments import (CHUNK, _advected_chunk, _ball_points,
-                                 _bin_counts, _diffusion_chunk, _displacement_chunk,
-                                 _intersection_chunk, _ks_two_sample, _run_chunks, _settings_for,
-                                 _walk_chunk,
+from hamflow import cli, experiments, field, flow
+from hamflow.experiments import (CHUNK, _ball_points, _bin_counts, _crossings, _curve,
+                                 _diffusion_chunk, _displacement_chunk, _image_chunk,
+                                 _ks_two_sample, _run_chunks, _settings_for, _walk_chunk,
                                  count_crossings, flow_steps, inversion_test, law_for,
                                  mean_table, run_intersections,
                                  run_inversion_test, standard_error, worker_count)
@@ -368,6 +367,11 @@ def law_settings(cfg, law):
                         refinement_threshold=cfg.refinement_threshold)
 
 
+def intersection_chunk(cfg, start, stop):
+    """The records of the intersection task for samples start..stop-1."""
+    return _image_chunk(_crossings, cfg, law_for(cfg, cfg.regularity[0]), 0, range(start, stop))
+
+
 def per_draw_outcomes(cfg, r_index=0):
     """The records of the one-sample-at-a-time loop: counts or error text."""
     law = law_for(cfg, cfg.regularity[r_index])
@@ -391,7 +395,7 @@ class TestIntersectionChunks:
     @pytest.mark.usefixtures("budget")
     def test_overflowing_draw_fails_alone(self):
         cfg = intersections_config()
-        outcomes = _intersection_chunk((cfg, 0, 0, cfg.samples))
+        outcomes = intersection_chunk(cfg, 0, cfg.samples)
         assert outcomes == per_draw_outcomes(cfg)
         failed = [o["error"] for o in outcomes if "error" in o]
         assert failed and len(failed) < cfg.samples
@@ -429,11 +433,13 @@ class TestIntersectionChunks:
         law = law_for(cfg, 6.0)
         assert flow_steps(law, cfg.steps) == 3
         settings = law_settings(cfg, law)
-        for i, image in enumerate(_advected_chunk((cfg, 0, 0, cfg.samples))):
+        records = _image_chunk(_curve, cfg, law, 0, range(cfg.samples))
+        assert [record["sample"] for record in records] == list(range(cfg.samples))
+        for i, record in enumerate(records):
             draw = sample_hamiltonian(law, cfg.seed, 0, i)
             expected = advect_curve(draw, horizontal_circle(0.5, cfg.curve_vertices), 1.0,
                                     settings)
-            assert np.array_equal(image.vertices, expected.vertices)
+            assert np.array_equal(record["vertices"], expected.vertices)
 
 
 def check_diffusion_chunk(regularity, steps, spatial_max=5):
@@ -442,15 +448,14 @@ def check_diffusion_chunk(regularity, steps, spatial_max=5):
     law = law_for(cfg, regularity)
     assert flow_steps(law, cfg.steps) == steps
     settings = FlowSettings(steps=steps)
-    records = _diffusion_chunk((cfg, 0, 1, 5))
+    records = _diffusion_chunk(cfg, law, 0, range(1, 5))
     assert [record["sample"] for record in records] == [1, 2, 3, 4]
     for record, i in zip(records, range(1, 5)):
         counts, chi = record["counts"], record["chi_square"]
-        # sample i's draw; its ball points follow its full (N, m) normals in its stream
+        # sample i's draw, and its ball points from a stream of their own
         draw = sample_hamiltonian(law, cfg.seed, 0, i)
-        rng = derive(cfg.seed, 0, i)
-        rng.standard_normal(draw.gaussians.shape)
-        pts = _ball_points(rng, cfg.ball_center, cfg.ball_radius, cfg.points)
+        pts = _ball_points(derive(cfg.seed, 0, i, 1), cfg.ball_center, cfg.ball_radius,
+                           cfg.points)
         states = flow_points_through(draw, pts, cfg.times, settings)
         assert np.array_equal(counts, np.stack([_bin_counts(s, cfg.grid) for s in states]))
         assert chi.shape == (len(cfg.times),)
@@ -468,7 +473,7 @@ def check_displacement_chunk(regularity, steps):
         d = (flow_points(h, probe[None], t0, t1, settings)[0] - probe + 0.5) % 1.0 - 0.5
         return np.hypot(d[0], d[1])
 
-    records = _displacement_chunk((cfg, 0, 1, 4))
+    records = _displacement_chunk(cfg, law, 0, range(1, 4))
     assert [record["sample"] for record in records] == [1, 2, 3]
     for i, record in zip(range(1, 4), records):
         forward, inverse = record["forward"], record["inverse"]
@@ -485,12 +490,13 @@ def test_full_band_draw_is_refused_at_pass_0(monkeypatch):
     # within the image budget at the 0.01 threshold, so it fails with no
     # refinement pass, where the budget test alone took 8 passes
     cfg = ExperimentConfig(command="flow", regularity=(0.1,), samples=1)
+    law = law_for(cfg, 0.1)
     shapes = flowed_shapes(monkeypatch)
-    (image,) = _advected_chunk((cfg, 0, 0, 1))
+    (record,) = _image_chunk(_curve, cfg, law, 0, range(1))
     assert shapes == [(1, 128, 2)]
-    assert isinstance(image, RefinementOverflow)
-    assert str(image).startswith(f"curve refinement would take an image past "
-                                 f"{flow.MAX_IMAGE_VERTICES} vertices: it needs ")
+    assert record["sample"] == 0
+    assert record["error"].startswith(f"RefinementOverflow: curve refinement would take an "
+                                      f"image past {flow.MAX_IMAGE_VERTICES} vertices: it needs ")
 
 
 def test_draw_stuck_below_double_precision_is_refused(monkeypatch):
@@ -500,11 +506,13 @@ def test_draw_stuck_below_double_precision_is_refused(monkeypatch):
     # endpoint, so no pass can split it; it is refused before the pass that
     # would flow the duplicate, where the budget test alone took 1,800 passes
     cfg = ExperimentConfig(command="intersections", regularity=(2.0,))
+    law = law_for(cfg, 2.0)
     shapes = flowed_shapes(monkeypatch)
-    (image,) = _advected_chunk((cfg, 0, 73, 74))
-    assert isinstance(image, RefinementOverflow)
-    assert str(image).startswith("curve refinement cannot split a source segment of length ")
-    assert str(image).endswith(f" exceeds {cfg.refinement_threshold:g}")
+    (record,) = _image_chunk(_curve, cfg, law, 0, range(73, 74))
+    assert record["sample"] == 73
+    assert record["error"].startswith("RefinementOverflow: curve refinement cannot split a "
+                                      "source segment of length ")
+    assert record["error"].endswith(f" exceeds {cfg.refinement_threshold:g}")
     assert len(shapes) == 47
 
 
@@ -551,10 +559,30 @@ class TestBatchedChunks:
     def test_smooth_displacement_chunk_flows_at_its_step_count(self):
         check_displacement_chunk(5.0, 7)
 
-    def test_diffusion_chunk_draws_its_points_after_the_full_normals(self):
-        # at spatial_max 12 the draws hold 268 of 576 rows until the points
-        # are drawn (at spatial_max 5 the head is every row)
-        assert law_for(ExperimentConfig(regularity=(3.0,), spatial_max=12), 3.0).head_rows() == 268
+    def test_diffusion_chunk_draws_head_rows_and_points_from_their_own_stream(self,
+                                                                              monkeypatch):
+        # at spatial_max 12 a draw's head is 268 of its 576 rows (at
+        # spatial_max 5 the head is every row)
+        cfg = ExperimentConfig(command="diffusion", regularity=(3.0,), spatial_max=12, steps=40,
+                               points=12, samples=5, seed=2)
+        law = law_for(cfg, 3.0)
+        assert (law.head_rows(), len(law.basis())) == (268, 576)
+        keys, clouds = {"field": [], "experiments": []}, []
+        for name, module in (("field", field), ("experiments", experiments)):
+            monkeypatch.setattr(module, "derive",
+                                lambda *key, name=name: keys[name].append(key) or derive(*key))
+        monkeypatch.setattr(experiments, "flow_points_through", lambda batch, pts, *args:
+                            clouds.append(pts.copy()) or flow_points_through(batch, pts, *args))
+        _diffusion_chunk(cfg, law, 0, range(1, 5))
+        # one derivation of each draw's stream, for its head (reading a draw's
+        # whole (N, m) normals would derive it again), and one of its points'
+        assert keys == {"field": [(2, 0, i) for i in range(1, 5)],
+                        "experiments": [(2, 0, i, 1) for i in range(1, 5)]}
+        (pts,) = clouds
+        for row, i in enumerate(range(1, 5)):
+            assert np.array_equal(pts[row], _ball_points(derive(2, 0, i, 1), cfg.ball_center,
+                                                         cfg.ball_radius, cfg.points))
+        monkeypatch.undo()
         check_diffusion_chunk(3.0, 40, spatial_max=12)
         check_diffusion_chunk(5.0, 7, spatial_max=12)
 
@@ -587,13 +615,13 @@ def test_inversion_chunk_peak_memory():
     cfg = ExperimentConfig(command="inversion", regularity=(3.0,), spatial_max=25,
                            samples=CHUNK, workers=1)
     law = law_for(cfg, 3.0)
-    _displacement_chunk((cfg, 0, 0, 1))  # the basis and engine are built once per process
+    _displacement_chunk(cfg, law, 0, range(1))  # the basis and engine are built once per process
     grid_bytes = np.prod(law.engine().field_shape) * 8
     rows = 2 * CHUNK
     held = (1 + 2 * law.temporal_band() + len(_STAGE_OFFSETS)) * rows * grid_bytes
     tracemalloc.start()
     try:
-        _displacement_chunk((cfg, 0, 0, CHUNK))
+        _displacement_chunk(cfg, law, 0, range(CHUNK))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -612,7 +640,7 @@ class TestWalkChunks:
         law = law_for(cfg, 5.0)
         assert flow_steps(law, cfg.steps) == 7
         settings = FlowSettings(steps=7)
-        records = _walk_chunk((cfg, 0, 1, 4))
+        records = _walk_chunk(cfg, law, 0, range(1, 4))
         assert [record["walk"] for record in records] == [1, 2, 3]
         for w, traj in zip(range(1, 4), (record["trajectory"] for record in records)):
             state = np.array([cfg.probe]) % 1.0
@@ -701,15 +729,15 @@ def test_flow_points_takes_exactly_the_requested_steps(monkeypatch):
         assert len(calls) == 7 * steps
 
 
-def _bounds(args):
-    _, r_index, start, stop = args
-    return [(r_index, start, stop, i) for i in range(start, stop)]
+def _bounds(cfg, law, r_index, samples):
+    return [(r_index, samples.start, samples.stop, i) for i in samples]
 
 
 def chunk_lengths(samples, workers):
     """The chunk lengths of ``_run_chunks`` at the given counts, checked to
     cover the indices in order, each chunk one consecutive run."""
-    results = _run_chunks(_bounds, ExperimentConfig(samples=samples, workers=workers), 1)
+    cfg = ExperimentConfig(samples=samples, workers=workers, regularity=(3.0, 4.5), spatial_max=4)
+    results = _run_chunks(_bounds, cfg, 1)
     assert [i for *_, i in results] == list(range(samples))
     assert all(r_index == 1 and start <= i < stop for r_index, start, stop, i in results)
     bounds = sorted({(start, stop) for _, start, stop, _ in results})
@@ -737,6 +765,40 @@ def test_chunks_are_balanced(samples, workers, expected):
     assert len(lengths) % workers == 0 or len(lengths) == samples
 
 
+@pytest.mark.parametrize("samples,workers", [(2, 4), (3, 8)])
+def test_pool_starts_no_more_processes_than_chunks(samples, workers, monkeypatch):
+    # an executor that records its size and maps in this process, so that no
+    # process starts
+    import concurrent.futures
+    sizes = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    # fewer samples than workers: one chunk per sample, and one process each
+    assert sizes == [len(chunk_lengths(samples, workers))] == [samples]
+
+
+def test_task_receives_the_law_of_its_regularity():
+    cfg = ExperimentConfig(regularity=(3.0, 4.5), spatial_max=4, samples=3, workers=1)
+    records = _run_chunks(lambda cfg, law, r_index, samples: [(r_index, law) for _ in samples],
+                          cfg, 1)
+    assert [r_index for r_index, _ in records] == [1, 1, 1]
+    assert all(law is law_for(cfg, cfg.regularity[1]) for _, law in records)
+    assert records[0][1].regularity == cfg.eigenvalue_regularity(4.5)
+
+
 @pytest.mark.parametrize("command,task", [("random-walk", _walk_chunk),
                                           ("inversion", _displacement_chunk)],
                          ids=["random-walk", "inversion"])
@@ -746,8 +808,9 @@ def test_one_point_flows_do_not_depend_on_chunk_length(command, task):
     cfg = ExperimentConfig(command=command, regularity=(3.0,), spatial_max=6, temporal_max=3,
                            kernel="constant" if command == "random-walk" else "periodic",
                            samples=64, walk_steps=2, seed=3, workers=1)
+    law = law_for(cfg, 3.0)
     runs = [[record for start in range(0, 64, length)
-             for record in task((cfg, 0, start, min(start + length, 64)))]
+             for record in task(cfg, law, 0, range(start, min(start + length, 64)))]
             for length in (1, 7, 32, 64)]
     for records in runs[:-1]:
         assert len(records) == 64
@@ -790,8 +853,8 @@ def test_default_workers_follow_cpu_affinity(monkeypatch):
 
 def test_chunk_results_do_not_depend_on_chunk_boundaries():
     cfg = intersections_config(samples=5)
-    whole = _intersection_chunk((cfg, 0, 0, 5))
-    split = _intersection_chunk((cfg, 0, 0, 3)) + _intersection_chunk((cfg, 0, 3, 5))
+    whole = intersection_chunk(cfg, 0, 5)
+    split = intersection_chunk(cfg, 0, 3) + intersection_chunk(cfg, 3, 5)
     assert whole == split
 
 
