@@ -32,11 +32,9 @@ count (as far as the samples allow), their lengths differing by one at
 most.  ``_run_chunk`` hands each task its law, built once per process
 (``law_for``), and a task draws sample i from its own stream exactly as a
 one-sample task would.  The flowing commands flow a chunk's draws as one
-batch; the oscillation and RKHS commands take each draw alone.  The
-process pool (``concurrent.futures``, with ``multiprocessing``, ``socket``
-and ``subprocess``) loads only when a run forks, not with this module: a
-run at one worker or of one chunk never forks, and the import costs about
-15-25 ms and 1.7 MiB of peak RSS on a 2-core x86-64.
+batch; the oscillation and RKHS commands take each draw alone.  A run of
+several chunks on several workers forks at most one child per worker and
+chunk (``_forked``); a run at one worker or of one chunk never forks.
 
 Chunk boundaries move with the sample and worker counts, and results stay
 bit-identical because a draw's flow does not depend on the other draws of
@@ -72,6 +70,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 from functools import lru_cache, partial
 
 import numpy as np
@@ -203,26 +203,74 @@ def _run_chunks(task, cfg: ExperimentConfig, r_index: int = 0) -> list:
     most CHUNK indices whose count is a multiple of the
     ``worker_count(cfg)`` processes, or one per index below that many
     samples; the first are one index longer where the samples do not
-    divide evenly.  More than one chunk on more than one worker run in a
-    pool of at most one forked process per chunk, whose modules are
-    imported only then (module docstring); otherwise they run in this process.
+    divide evenly.  More than one chunk on more than one worker run in at
+    most one forked child per chunk (``_forked``); otherwise, or where the
+    platform has no ``os.fork``, they run in this process.
     """
     workers = worker_count(cfg)
     count = min(cfg.samples, workers * -(-cfg.samples // (CHUNK * workers)))
     size, longer = divmod(cfg.samples, count)
     bounds = [k * size + min(k, longer) for k in range(count + 1)]
     chunks = [(task, cfg, r_index, range(start, stop)) for start, stop in zip(bounds, bounds[1:])]
-    if workers <= 1 or count <= 1:
+    if workers <= 1 or count <= 1 or not hasattr(os, "fork"):
         results = [_run_chunk(chunk) for chunk in chunks]
     else:
-        # numpy imports numpy.random on first use (about 17 ms and 5 MiB on a
-        # 2-core x86-64); imported here, the forked workers inherit it
-        # instead of each importing it again
-        import numpy.random  # noqa: F401
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers, count)) as pool:
-            results = list(pool.map(_run_chunk, chunks))
+        results = _forked(chunks, min(workers, count))
     return [record for chunk in results for record in chunk]
+
+
+def _forked(chunks: list, processes: int) -> list:
+    """``[_run_chunk(chunk) for chunk in chunks]`` in ``processes`` forked
+    children: child j runs chunks j, j + processes, ... and pickles
+    ``(True, records)`` or ``(False, exception)`` to its own pipe.  The
+    parent reads every pipe to its end and reaps every child, then re-raises
+    the first child's exception, or raises ``ChildProcessError`` for a child
+    that sent nothing.  A child inherits this process's modules, laws and
+    BLAS settings, so tasks need not pickle and results stay bit-identical;
+    an executor would add its modules' import and, from Python 3.14, start
+    its workers by forkserver.
+    """
+    # numpy loads numpy.random on first use (about 17 ms and 5 MiB on a 2-core
+    # x86-64): loaded before the fork, it is not loaded again in each child
+    import numpy.random  # noqa: F401
+    children, replies = [], []
+    try:
+        for j in range(processes):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    try:
+                        reply = (True, [_run_chunk(chunk) for chunk in chunks[j::processes]])
+                    except Exception as exc:
+                        reply = (False, exc)
+                    with os.fdopen(write, "wb") as pipe:
+                        pipe.write(pickle.dumps(reply))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        for pid, pipe in children:
+            with pipe:
+                data = pipe.read()
+            replies.append((pid, os.waitpid(pid, 0)[1], data))
+    finally:
+        # only where this process itself failed: no child outlives the call
+        for pid, pipe in children[len(replies):]:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results = [None] * len(chunks)
+    for j, (pid, status, data) in enumerate(replies):
+        if not data:
+            raise ChildProcessError(f"chunk child {pid} sent no records (exit status "
+                                    f"{os.waitstatus_to_exitcode(status)})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results[j::processes] = value
+    return results
 
 
 def as_sampled(cfg: ExperimentConfig, runs: list) -> dict:

@@ -385,18 +385,20 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
-def test_run_in_one_process_loads_no_pool(tmp_path):
-    # the pool's modules load only where a run forks; the forking path is
-    # covered by test_outputs_independent_of_worker_count
+def test_runs_load_no_pool_modules(tmp_path):
+    # a run in one process and a run that forks its chunks both leave
+    # concurrent.futures and multiprocessing unloaded
     (tmp_path / "one.txt").write_text("samples = 2\nworkers = 1\n")
+    (tmp_path / "two.txt").write_text("samples = 4\nworkers = 2\n")
     done = fresh_python("import sys\n"
                         "from hamflow import cli\n"
-                        "rc = cli.main(['sample-field', '--config', 'one.txt', '--out', 'out'])\n"
+                        "rc = [cli.main(['sample-field', '--config', 'one.txt', '--out', 'one']),\n"
+                        "      cli.main(['inversion', '--config', 'two.txt', '--out', 'two'])]\n"
                         "print(rc, sorted(m for m in sys.modules"
                         " if m.split('.')[0] in ('concurrent', 'multiprocessing')))",
                         tmp_path)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 []"
+    assert done.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 def test_benchmark_tracer_installs(tmp_path):

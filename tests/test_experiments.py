@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from hamflow.config import LAGRANGIANS, ExperimentConfig
-from hamflow.errors import DegenerateOverlap, HamflowError, NonFinite, RefinementOverflow
+from hamflow.errors import (DegenerateOverlap, HamflowError, NonFinite, RefinementOverflow,
+                           ValidationError)
 from hamflow.engine import SpectralEngine
 from hamflow import cli, experiments, field, flow
 from hamflow.experiments import (CHUNK, _ball_points, _bin_counts, _crossings, _curve,
@@ -766,28 +767,57 @@ def test_chunks_are_balanced(samples, workers, expected):
 
 
 @pytest.mark.parametrize("samples,workers", [(2, 4), (3, 8)])
-def test_pool_starts_no_more_processes_than_chunks(samples, workers, monkeypatch):
-    # an executor that records its size and maps in this process, so that no
-    # process starts
-    import concurrent.futures
-    sizes = []
+def test_run_forks_no_more_processes_than_chunks(samples, workers, monkeypatch):
+    forks, fork = [], os.fork
 
-    class InProcess:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counted_fork():
+        forks.append(1)
+        return fork()
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(os, "fork", counted_fork)
+    # fewer samples than workers: one chunk per sample, and one child each
+    assert len(chunk_lengths(samples, workers)) == samples
+    assert len(forks) == min(workers, samples)
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, chunks):
-            return map(fn, chunks)
+def test_run_stays_in_process_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    cfg = ExperimentConfig(samples=4, workers=2, spatial_max=2)
+    assert _run_chunks(lambda cfg, law, r_index, samples: [os.getpid() for _ in samples],
+                       cfg) == [os.getpid()] * 4
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
-    # fewer samples than workers: one chunk per sample, and one process each
-    assert sizes == [len(chunk_lengths(samples, workers))] == [samples]
+
+def _fail_from_sample_one(cfg, law, r_index, samples):
+    if 1 in samples:
+        raise ValidationError("samples", f"refused in chunk {samples.start}")
+    return [{"sample": i, "osc": 1.0} for i in samples]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_task_error_reaches_the_parent(tmp_path, capsys, monkeypatch):
+    # three samples on three workers are three chunks, each in its own
+    # child; the one holding sample 1 raises, the others finish
+    cfg = ExperimentConfig(samples=3, workers=3, spatial_max=2)
+    with pytest.raises(ValidationError, match=r"^samples: refused in chunk 1$"):
+        _run_chunks(_fail_from_sample_one, cfg)
+    assert_no_child_left()
+    monkeypatch.setattr(experiments, "_osc_chunk", _fail_from_sample_one)
+    (tmp_path / "two.txt").write_text("samples = 4\nworkers = 2\nspatial_max = 2\n")
+    argv = ["sample-field", "--config", str(tmp_path / "two.txt"), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: ValidationError: samples: refused in chunk 0\n"
+    assert_no_child_left()
+
+
+def test_child_that_sends_nothing_raises():
+    cfg = ExperimentConfig(samples=2, workers=2, spatial_max=2)
+    with pytest.raises(ChildProcessError, match=r"sent no records \(exit status 3\)"):
+        _run_chunks(lambda cfg, law, r_index, samples: os._exit(3), cfg)
+    assert_no_child_left()
 
 
 def test_task_receives_the_law_of_its_regularity():
