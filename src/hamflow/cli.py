@@ -31,7 +31,7 @@ from pathlib import Path
 
 from . import experiments, io
 from .config import COMMANDS, ExperimentConfig, parse_config, parse_value, serialize_config
-from .errors import FailureBudgetExceeded, HamflowError, ParseError
+from .errors import FailureBudgetExceeded, HamflowError, ParseError, ValidationError
 from .rkhs import check_period_one
 from .walk import check_autonomous
 
@@ -67,10 +67,10 @@ def _outdir(cfg: ExperimentConfig, regularities: tuple, flows: bool = False) -> 
     comment line with its spatial band (``HamiltonianLaw.band``) of
     spatial_max and its temporal band (``HamiltonianLaw.temporal_band``) of
     the kernel's frequencies, and, if the command flows its draws, one
-    before it with its step count (``experiments.flow_steps``).
+    before it with its step count (``experiments.flow_steps``).  An
+    ``OSError`` writing either is a ``ValidationError`` of ``out``.
     """
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     lines = []
     for r in regularities:
         law = experiments.law_for(cfg, r)
@@ -79,7 +79,11 @@ def _outdir(cfg: ExperimentConfig, regularities: tuple, flows: bool = False) -> 
                          f"{experiments.flow_steps(law, cfg.steps)} of at most {cfg.steps}\n")
         lines.append(f"# bands at regularity {r:g}: spatial {law.band()} of {cfg.spatial_max}, "
                      f"temporal {law.temporal_band()} of {law.kernel.time_basis().frequencies}\n")
-    (out / "config.txt").write_text(serialize_config(cfg) + "".join(lines))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config.txt").write_text(serialize_config(cfg) + "".join(lines))
+    except OSError as exc:
+        raise ValidationError("out", f"cannot write {out}: {exc.strerror}") from exc
     return out
 
 

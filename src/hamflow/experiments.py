@@ -24,17 +24,19 @@ records only (``hamflow.cli`` writes the others to ``failures.jsonl``).
 
 Streams and chunks.  Sample i of regularity index r draws its Hamiltonian
 from stream (seed, r, i) (``sample_hamiltonian``) and diffusion's ball
-points from (seed, r, i, 1); the inversion test's inverse branch uses
-stream index 1 and walk w draws step j from (seed, w, j).  ``_run_chunks``
-cuts a run into balanced chunks of consecutive sample indices: the fewest
-chunks of at most CHUNK samples whose count is a multiple of the worker
-count (as far as the samples allow), their lengths differing by one at
-most.  ``_run_chunk`` hands each task its law, built once per process
-(``law_for``), and a task draws sample i from its own stream exactly as a
-one-sample task would.  The flowing commands flow a chunk's draws as one
-batch; the oscillation and RKHS commands take each draw alone.  A run of
-several chunks on several workers forks at most one child per worker and
-chunk (``_forked``); a run at one worker or of one chunk never forks.
+points from (seed, r, i, 1); ``rkhs-norm`` reads sample i's whole (N, m)
+normals from stream (seed, r, i) and builds no draw.  The inversion test's
+inverse branch uses stream index 1 and walk w draws step j from
+(seed, w, j).  ``_run_chunks`` cuts a run into balanced chunks of
+consecutive sample indices: the fewest chunks of at most CHUNK samples
+whose count is a multiple of the worker count (as far as the samples
+allow), their lengths differing by one at most.  ``_run_chunk`` hands each
+task its law, built once per process (``law_for``), and a task draws sample
+i from its own stream exactly as a one-sample task would.  The flowing
+commands flow a chunk's draws as one batch; the oscillation and RKHS
+commands take each sample alone.  A run of several chunks on several
+workers forks at most one child per worker and chunk (``_forked``); a run
+at one worker or of one chunk never forks.
 
 Chunk boundaries move with the sample and worker counts, and results stay
 bit-identical because a draw's flow does not depend on the other draws of
@@ -456,12 +458,13 @@ def tail_fit(cfg: ExperimentConfig, runs: list) -> dict:
 
 
 def _rkhs_chunk(cfg, law, r_index, samples) -> list:
-    """RKHS norms and weighted coefficient sums of ``samples``."""
+    """RKHS norms and weighted coefficient sums of ``samples``' whole normals."""
+    shape = (len(law.basis()), law.kernel.gaussians_per_sample())
     records = []
     for i in samples:
-        draw = sample_hamiltonian(law, cfg.seed, r_index, i)
-        records.append({"sample": i, "rkhs_norm": rkhs_norm(draw, law.regularity),
-                        "weighted_sum": weighted_coefficient_sum(draw, cfg.smoothing_eps)})
+        normals = derive(cfg.seed, r_index, i).standard_normal(shape)
+        records.append({"sample": i, "rkhs_norm": rkhs_norm(law, normals, law.regularity),
+                        "weighted_sum": weighted_coefficient_sum(law, normals, cfg.smoothing_eps)})
     return records
 
 

@@ -11,10 +11,10 @@ for the engine's band modes only (``SpectralEngine.modes``).
 
 Streams.  A draw owns its stream: ``sample_hamiltonian(law, seed, *indices)``
 creates the generator ``derive(seed, *indices)`` and no caller shares it.
-The draw's normals are one (N, m) array in row order, the first N * m
-normals of that stream.  The basis is sorted by eigenvalue, so the band
-modes' indices run from 0 up to ``HamiltonianLaw.head_rows()`` - 1, and
-``sample_hamiltonian`` draws only that head.  At spatial_max 25,
+A draw's normals are the rows of one (N, m) array in row order, the first
+N * m normals of that stream.  The basis is sorted by eigenvalue, so the
+band modes' indices run from 0 up to ``HamiltonianLaw.head_rows()`` - 1,
+and ``sample_hamiltonian`` draws only that head.  At spatial_max 25,
 temporal_max 10, periodic kernel (N = 2,500, m = 21; regularity in
 frequency units):
 
@@ -26,8 +26,8 @@ frequency units):
     3.95   6      144          192         6 (13)
     4.5    5      100          128         5 (11)
 
-The draw keeps its key (seed, *indices): the first read of ``gaussians``
-derives the stream again and draws the whole array, which is a full draw.
+A draw holds the rows it is built from: its head, or more rows of the same
+array, up to all N.  Its B reads the head only, so both give the same draw.
 
 Temporal band.  A draw is a series in the law's ``time_basis``: the
 kernel's time basis cut to the frequencies whose column factors reach
@@ -161,7 +161,7 @@ class HamiltonianLaw:
     @computed_once
     def head_rows(self) -> int:
         """Rows of a draw's (N, m) normals that ``sample_hamiltonian`` draws
-        up front: rows 0 up to the largest basis index among the engine's
+        and B reads: rows 0 up to the largest basis index among the engine's
         band modes (module docstring)."""
         return int(self.engine().modes[-1]) + 1
 
@@ -343,46 +343,30 @@ def _lattice_extremes(engine: SpectralEngine, grids: np.ndarray, xs: np.ndarray,
 class RandomHamiltonian(SpectralHamiltonian):
     """One draw of the random field; immutable after construction.
 
-    ``gaussians`` is the draw's read-only (N, m) array of standard normals,
-    laid out as documented in :mod:`hamflow.temporal`; c_n(t) = w_n Z_n(t),
-    so B is the kernel's coefficient matrix scaled by the weights w_n, taken
-    at the band modes and at the rows of the law's temporal band
-    (``HamiltonianLaw.time_columns``), in the law's ``time_basis``.  The
-    draw computes B once, from the head rows: each entry is a product of its
-    own normal, weight and column factor, so B equals the whole basis's B
-    at those entries bit for bit.
-
-    A draw built from an (N, m) array holds that array.  A draw built with
-    a stream ``key`` (seed, *indices) holds its head, rows 0 ..
-    ``law.head_rows()`` - 1, and reading ``gaussians`` draws the whole
-    array from ``derive(*key)`` the first time (module docstring, "Streams").
+    ``gaussians`` is the draw's read-only (rows, m) array of standard
+    normals, the first rows of the (N, m) layout documented in
+    :mod:`hamflow.temporal`, with ``law.head_rows()`` <= rows <= N (module
+    docstring, "Streams"); c_n(t) = w_n Z_n(t), so B is the kernel's
+    coefficient matrix scaled by the weights w_n, taken at the band modes
+    and at the rows of the law's temporal band (``HamiltonianLaw.time_columns``),
+    in the law's ``time_basis``.  The draw computes B once, from the head
+    rows: each entry is a product of its own normal, weight and column
+    factor, so B equals the whole basis's B at those entries bit for bit.
     """
 
-    def __init__(self, law: HamiltonianLaw, gaussians, key: tuple | None = None):
+    def __init__(self, law: HamiltonianLaw, gaussians):
         self.law = law
         self.basis = law.basis()
-        shape = (len(self.basis) if key is None else law.head_rows(),
-                 law.kernel.gaussians_per_sample())
+        head, n, m = law.head_rows(), len(self.basis), law.kernel.gaussians_per_sample()
         normals = np.array(gaussians, dtype=float)
-        if normals.shape != shape:
-            raise ValueError(f"gaussians must have shape {shape}")
+        if normals.ndim != 2 or normals.shape[1] != m or not head <= len(normals) <= n:
+            raise ValueError(f"gaussians must have shape (rows, {m}) with {head} <= rows <= {n}")
         normals.setflags(write=False)
-        self._normals = normals
-        self._key = key
+        self.gaussians = normals
         self.weights = law.weights()
-        head = normals[:law.head_rows()]
-        b = self.weights[:len(head)] * temporal.coefficient_matrix(law.kernel, head)
+        b = self.weights[:head] * temporal.coefficient_matrix(law.kernel, normals[:head])
         super().__init__(law.engine(), law.time_basis(),
                          b[np.ix_(law.time_columns(), law.engine().modes)])
-
-    @property
-    def gaussians(self) -> np.ndarray:
-        """The (N, m) normals; a head-only draw draws them whole on first read."""
-        if self._key is not None:
-            normals = derive(*self._key).standard_normal((len(self.basis), self._normals.shape[1]))
-            normals.setflags(write=False)
-            self._normals, self._key = normals, None
-        return self._normals
 
 
 class PackedBatch:
@@ -462,7 +446,5 @@ def sample_hamiltonian(law: HamiltonianLaw, seed: int, *indices: int) -> RandomH
 
     Draws the head of the normals only (module docstring, "Streams").
     """
-    key = (seed, *indices)
-    head = law.head_rows()
-    normals = derive(*key).standard_normal((head, law.kernel.gaussians_per_sample()))
-    return RandomHamiltonian(law, normals, key=key if head < len(law.basis()) else None)
+    shape = (law.head_rows(), law.kernel.gaussians_per_sample())
+    return RandomHamiltonian(law, derive(seed, *indices).standard_normal(shape))

@@ -6,13 +6,13 @@ Every coefficient process is one truncated random Fourier series
                                    sqrt(2) sin(2 pi k (t - s) / L)],  k = 1..n,
 
 with period L, center s and n frequencies fixed by the kernel
-(:class:`TimeBasis`).  A draw of N processes is one read-only (N, m) array
-of independent standard normals, m = 1 + 2n = ``KernelKind.gaussians_per_sample()``;
-row n drives process n, column 0 the constant term, columns 1..n the
-cosines and the last n columns the matching sines.  B, of shape (m, N), is
-the draw's normals times per-column factors (:func:`coefficient_matrix`), so
-the series has covariance c_0 + 2 sum_k c_k cos(2 pi k (t1 - t2) / L), c
-the squared column factors.
+(:class:`TimeBasis`).  A draw of N processes is one read-only (rows, m)
+array of independent standard normals, rows <= N and m = 1 + 2n =
+``KernelKind.gaussians_per_sample()``; row n drives process n, column 0 the
+constant term, columns 1..n the cosines and the last n columns the matching
+sines.  B, of shape (m, N), is the draw's normals times per-column factors
+(:func:`coefficient_matrix`), so the series has covariance
+c_0 + 2 sum_k c_k cos(2 pi k (t1 - t2) / L), c the squared column factors.
 The three kernels differ only in the numbers held by :class:`KernelKind`:
 
 * ``constant`` -- n = 0: a single standard normal, constant in time (the
@@ -166,8 +166,9 @@ def check_times(t) -> np.ndarray:
 
 
 def coefficient_matrix(kind: KernelKind, gaussians: np.ndarray) -> np.ndarray:
-    """B of shape (m, N) with paths Z(t) = Phi(t) @ B (module docstring), from
-    the draw's (N, m) ``gaussians``.  Each entry is its own normal's product,
-    so the columns of any rows equal those of the whole draw's B bit for bit.
+    """B of shape (m, rows) with paths Z(t) = Phi(t) @ B (module docstring),
+    from the draw's (rows, m) ``gaussians``.  Each entry is its own normal's
+    product, so the columns of any rows equal those of the whole draw's B bit
+    for bit.
     """
     return kind.column_factors()[:, None] * gaussians.T

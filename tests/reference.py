@@ -14,6 +14,9 @@
 * ``expansion`` and ``reconstruct_value``: the coefficients of a periodic- or
   constant-kernel draw over the product basis of ``hamflow.rkhs``, one
   Python float per entry, and the field they sum to.
+* ``full_draw``: the draw of a stream built from the stream's whole (N, m)
+  normals, not its head only, for the references below that read every
+  mode.
 * ``full_coefficients``, ``reversal_coefficients``,
   ``concatenation_coefficients``, ``mode_coefficients`` and ``full_packing``:
   the coefficient matrix B over the whole basis, in the kernel's whole time
@@ -54,8 +57,9 @@ from hamflow import flow, temporal
 from hamflow.errors import (DegenerateOverlap, NonFinite, NotAutonomous, RefinementOverflow,
                             Unsupported)
 from hamflow.basis import TRIG_PAIRS
-from hamflow.field import SpectralHamiltonian
+from hamflow.field import RandomHamiltonian, SpectralHamiltonian
 from hamflow.flow import DEFAULT_SETTINGS, LagrangianCurve, flow_points
+from hamflow.rng import derive
 
 TWO_PI = 2.0 * math.pi
 
@@ -189,10 +193,17 @@ def reconstruct_value(draw, entries: dict, t: float, x: float, y: float) -> floa
     return total
 
 
+def full_draw(law, seed: int, *indices: int) -> RandomHamiltonian:
+    """``sample_hamiltonian(law, seed, *indices)`` built from its stream's
+    whole (N, m) normals: the same B, with ``gaussians`` over every mode."""
+    shape = (len(law.basis()), law.kernel.gaussians_per_sample())
+    return RandomHamiltonian(law, derive(seed, *indices).standard_normal(shape))
+
+
 def full_coefficients(h) -> np.ndarray:
     """B of a draw over the whole basis and the kernel's whole time basis
     (``law.kernel.time_basis()``): shape (m, N), from the draw's full
-    normals."""
+    normals (``full_draw``)."""
     return h.weights * temporal.coefficient_matrix(h.law.kernel, h.gaussians)
 
 
@@ -349,7 +360,8 @@ def concatenate_autonomous(parts, bump: BumpFunction) -> SpectralHamiltonian:
     Phi is the bump basis of the k parts and row i of B part i's constant
     coefficients.  The parts must be draws of constant-kernel laws
     (``NotAutonomous``) over one basis; parts over two truncations raise
-    ``Unsupported``.
+    ``Unsupported``.  A part whose band is narrower than the widest must
+    hold the rows of the widest band's modes (``full_draw``).
     """
     parts = list(parts)
     if not parts:

@@ -242,6 +242,19 @@ def test_negative_seed_exits_with_a_typed_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("out", ["taken.txt", "taken.txt/out"], ids=["file", "under-a-file"])
+def test_unusable_out_exits_with_a_typed_error(tmp_path, capsys, out):
+    config = tmp_path / "tiny.txt"
+    config.write_text(TINY)
+    (tmp_path / "taken.txt").write_text("kept\n")
+    argv = ["sample-field", "--config", str(config), "--out", str(tmp_path / out)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValidationError: out: cannot write {tmp_path / out}: ")
+    assert err.count("\n") == 1
+    assert (tmp_path / "taken.txt").read_text() == "kept\n"
+
+
 def test_tails_below_1000_samples_writes_nothing(tmp_path, capsys):
     config = tmp_path / "tiny.txt"
     config.write_text(TINY)

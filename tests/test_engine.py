@@ -8,7 +8,7 @@ import pytest
 from hamflow.engine import SpectralEngine
 from hamflow.field import PackedBatch, make_law, sample_hamiltonian
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP
-from reference import gradient, mode_coefficients
+from reference import full_draw, gradient, mode_coefficients
 
 TWO_PI = 2 * math.pi
 RTOL = 1e-12
@@ -84,7 +84,7 @@ LAWS = [pytest.param(3.0, 10, 7, False, id="3.0-10-7"),
 def test_kernel_matches_mode_by_mode_reference(kernel, r, spatial_max, band, axis_modes, draws):
     law = make_law(r / (4 * math.pi**2), spatial_max=spatial_max, temporal_max=4,
                    kernel=kernel, seed=3, include_axis_modes=axis_modes)
-    hs = [sample_hamiltonian(law, 3, i) for i in range(draws)]
+    hs = [full_draw(law, 3, i) for i in range(draws)]
     t = 0.37
     coeffs = np.stack([mode_coefficients(h, t) for h in hs])
     pts = lifted_points((draws, 40), seed=draws)

@@ -27,7 +27,9 @@ from hamflow.field import PackedBatch, RandomHamiltonian, make_law, sample_hamil
 from hamflow.flow import (_STAGE_OFFSETS, FlowSettings, LagrangianCurve, advect_curve,
                           advect_curves, flow_points, flow_points_through, horizontal_circle,
                           time_reversed_hamiltonian)
+from hamflow.rkhs import rkhs_norm, weighted_coefficient_sum
 from hamflow.rng import derive
+from hamflow.temporal import CONSTANT, PERIODIC
 from hamflow.walk import sample_walk
 from reference import (BumpFunction, apply_walk, circle_curve, concatenate_autonomous,
                        crossings, flow_concatenation, reference_advect, reference_images,
@@ -604,6 +606,27 @@ def test_law_built_once_per_process(monkeypatch):
         assert law_for(cfg, 3.0) is law_for(ExperimentConfig(**vars(cfg)), 3.0)
     finally:
         law_for.cache_clear()
+
+
+@pytest.mark.parametrize("r", [3.0, 0.1])
+@pytest.mark.parametrize("axis", [False, True])
+@pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT])
+def test_rkhs_samples_read_the_stream_whose_head_a_draw_holds(kernel, axis, r):
+    # sample i's whole (N, m) normals from stream (seed, r_index, i): rkhs-norm
+    # reads them all, and the sample's draw holds their first head_rows rows,
+    # which at r = 0.1 (the band is spatial_max) are all of them
+    cfg = ExperimentConfig(command="rkhs-norm", regularity=(4.5, r), spatial_max=8,
+                           temporal_max=4, kernel=kernel, include_axis_modes=axis, samples=3,
+                           workers=1, seed=5)
+    law = law_for(cfg, r)
+    n, m, head = len(law.basis()), law.kernel.gaussians_per_sample(), law.head_rows()
+    assert (head == n) == (r == 0.1)
+    for i, record in enumerate(experiments.rkhs_samples(cfg, 1)):
+        normals = derive(cfg.seed, 1, i).standard_normal((n, m))
+        assert record == {"sample": i, "rkhs_norm": rkhs_norm(law, normals, law.regularity),
+                          "weighted_sum": weighted_coefficient_sum(law, normals,
+                                                                   cfg.smoothing_eps)}
+        assert np.array_equal(sample_hamiltonian(law, cfg.seed, 1, i).gaussians, normals[:head])
 
 
 def test_inversion_chunk_peak_memory():

@@ -14,9 +14,9 @@ from hamflow.rng import derive
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, TimeBasis
 from reference import (BumpFunction, analytic_variance, coefficient_paths,
                        concatenate_autonomous, concatenation_coefficients,
-                       full_coefficients, full_packing, gaussian_dimension, gradient, grid_slots,
-                       lattice_oscillation, mode_coefficients, mode_of, reversal_coefficients,
-                       spatial_mean)
+                       full_coefficients, full_draw, full_packing, gaussian_dimension, gradient,
+                       grid_slots, lattice_oscillation, mode_coefficients, mode_of,
+                       reversal_coefficients, spatial_mean)
 
 
 class TestSpectralWeight:
@@ -329,8 +329,7 @@ class TestSubnormalFlush:
 
     @staticmethod
     def unscaled(kernel):
-        return sample_hamiltonian(make_law(0.5, spatial_max=6, temporal_max=3, kernel=kernel,
-                                           seed=6), 6)
+        return full_draw(make_law(0.5, spatial_max=6, temporal_max=3, kernel=kernel, seed=6), 6)
 
     @classmethod
     def draw(cls, kernel):
@@ -427,7 +426,7 @@ class TestBand:
 
     def test_draw_keeps_every_mode(self):
         law = frequency_law(3, temporal_max=4)
-        h = sample_hamiltonian(law, 4)
+        h = full_draw(law, 4)
         assert h.gaussians.shape == (2500, 9)
         assert full_coefficients(h).shape == (9, 2500)
         # B is computed and packed for the band modes only
@@ -436,7 +435,7 @@ class TestBand:
     @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT, SQEXP])
     def test_banded_evaluation_matches_full_band(self, kernel):
         law = frequency_law(3, spatial_max=12, temporal_max=4, kernel=kernel, seed=8)
-        h = sample_hamiltonian(law, 8)
+        h = full_draw(law, 8)
         full = SpectralEngine(law.basis(), 12)
         assert h.engine.band == 7
         pts = np.random.default_rng(9).uniform(0, 1, (40, 2))
@@ -529,9 +528,10 @@ class TestTemporalBand:
         assert (m, head) == ({PERIODIC: 21, SQEXP: 29}[kernel], {3: 268, 4.5: 128}[r])
         draws = [sample_hamiltonian(law, 8, i) for i in range(3)]
         full = [SpectralHamiltonian(h.engine, law.kernel.time_basis(),
-                                    full_coefficients(h)[:, h.engine.modes]) for h in draws]
+                                    full_coefficients(full_draw(law, 8, i))[:, h.engine.modes])
+                for i, h in enumerate(draws)]
         for i, (h, f) in enumerate(zip(draws, full)):
-            assert np.array_equal(h.gaussians, derive(8, i).standard_normal((n, m)))
+            assert np.array_equal(h.gaussians, derive(8, i).standard_normal((n, m))[:head])
             assert h.oscillation() == f.oscillation()
         pts = np.random.default_rng(8).uniform(0, 1, (6, 5, 2))
         settings = FlowSettings(steps=40)
@@ -599,7 +599,7 @@ class TestPerLawQuantities:
 
 
 class TestHeadOnlyDraws:
-    """A draw draws the rows its engine reads; its tail waits on the stream."""
+    """A sampled draw holds the rows its engine reads, the head of its stream."""
 
     # (regularity in frequency units, band, band modes, head rows) at spatial_max 25
     HEADS = [(0.1, 25, 2500, 2500), (0.5, 17, 1156, 1712), (2, 8, 256, 360),
@@ -613,37 +613,34 @@ class TestHeadOnlyDraws:
 
     @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT, SQEXP])
     def test_gaussians_equal_a_full_draw(self, kernel):
+        # the first head_rows rows of the stream's whole (N, m) array
         law = frequency_law(3, spatial_max=12, temporal_max=4, kernel=kernel)
-        n, m = len(law.basis()), law.kernel.gaussians_per_sample()
-        assert law.head_rows() == 268
+        n, m, head = len(law.basis()), law.kernel.gaussians_per_sample(), law.head_rows()
+        assert head == 268 < n
         for i in range(3):
             h = sample_hamiltonian(law, 5, i)
-            assert np.array_equal(h.gaussians, derive(5, i).standard_normal((n, m)))
+            assert np.array_equal(h.gaussians, derive(5, i).standard_normal((n, m))[:head])
             assert not h.gaussians.flags.writeable
-            assert h.gaussians is h.gaussians
-        # a draw's tail does not depend on other draws: b is read and dropped
-        # before a's tail is read
-        a = sample_hamiltonian(law, 5, 3)
-        b = sample_hamiltonian(law, 5, 4)
-        assert np.array_equal(b.gaussians, derive(5, 4).standard_normal((n, m)))
-        del b
-        assert np.array_equal(a.gaussians, derive(5, 3).standard_normal((n, m)))
 
     @staticmethod
     def packings(kind):
-        """(h, engine, B of h over the whole basis) for one spectral type."""
+        """(h, engine, B of h over the whole basis) for one spectral type: h
+        from sampled draws, B from the same streams' whole normals.  A
+        concatenation's parts hold every row, since the narrower band's part
+        is packed at the wider band's modes."""
         kernel = {"reversal": PERIODIC, "concatenation": CONSTANT,
                   "mixed concatenation": CONSTANT}.get(kind, kind)
-        draws = [sample_hamiltonian(frequency_law(r, spatial_max=12, temporal_max=4,
-                                                  kernel=kernel, seed=3), 3, i)
-                 for i, r in enumerate((3, 4.5) if kind == "mixed concatenation" else (3, 3))]
-        if kind == "reversal":
-            h = time_reversed_hamiltonian(draws[0])
-            return h, h.engine, reversal_coefficients(draws[0])
+        laws = [frequency_law(r, spatial_max=12, temporal_max=4, kernel=kernel, seed=3)
+                for r in ((3, 4.5) if kind == "mixed concatenation" else (3, 3))]
+        fulls = [full_draw(law, 3, i) for i, law in enumerate(laws)]
         if kind.endswith("concatenation"):
-            h = concatenate_autonomous(draws, BumpFunction())
-            return h, h.engine, concatenation_coefficients(draws)
-        return draws[0], draws[0].engine, full_coefficients(draws[0])
+            h = concatenate_autonomous(fulls, BumpFunction())
+            return h, h.engine, concatenation_coefficients(fulls)
+        draw = sample_hamiltonian(laws[0], 3, 0)
+        if kind == "reversal":
+            h = time_reversed_hamiltonian(draw)
+            return h, h.engine, reversal_coefficients(fulls[0])
+        return draw, draw.engine, full_coefficients(fulls[0])
 
     @pytest.mark.parametrize("kind", [PERIODIC, CONSTANT, SQEXP, "reversal", "concatenation",
                                       "mixed concatenation"])
@@ -661,6 +658,8 @@ class TestHeadOnlyDraws:
         assert np.array_equal(PackedBatch([h]).field_grids(phi), stage)
 
     def test_packing_leaves_the_tail_undrawn(self, monkeypatch):
+        # once sampled, a draw reads no stream: packing, grids, oscillation
+        # and its normals all come from the head it holds
         law = frequency_law(3, spatial_max=12, temporal_max=4)
         h = sample_hamiltonian(law, 9)
         keys = []
@@ -668,8 +667,9 @@ class TestHeadOnlyDraws:
         PackedBatch([h])
         h.coefficient_grids(0.5)
         h.oscillation(8, 3)
+        assert h.gaussians.shape == (law.head_rows(), 9)
         assert keys == []
-        assert h.gaussians is h.gaussians
+        sample_hamiltonian(law, 9)
         assert keys == [(9,)]
 
 
@@ -681,8 +681,13 @@ class TestStreams:
 
     def test_draws_from_an_array_hold_it_whole(self):
         full = derive(13).standard_normal(self.SHAPE)
-        h = RandomHamiltonian(self.LAW, full)
-        assert np.array_equal(h.gaussians, full)
-        assert np.array_equal(h.coefficients, sample_hamiltonian(self.LAW, 13).coefficients)
-        with pytest.raises(ValueError):
-            RandomHamiltonian(self.LAW, full[:self.LAW.head_rows()])
+        head = self.LAW.head_rows()
+        draws = [RandomHamiltonian(self.LAW, full[:rows]) for rows in (head, len(full))]
+        for h, rows in zip(draws, (head, len(full))):
+            assert np.array_equal(h.gaussians, full[:rows])
+            assert not h.gaussians.flags.writeable
+        assert draws[0].coefficients.tobytes() == draws[1].coefficients.tobytes()
+        assert np.array_equal(draws[0].coefficients, sample_hamiltonian(self.LAW, 13).coefficients)
+        for bad in (full[:head - 1], np.vstack([full, full[:1]]), full[:, :-1], full[:, 0]):
+            with pytest.raises(ValueError, match=f"{head} <= rows <= {len(full)}"):
+                RandomHamiltonian(self.LAW, bad)

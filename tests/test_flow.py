@@ -19,7 +19,7 @@ from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, KernelKind, TimeBasis
 from reference import (BumpFunction, BumpTimeBasis, Mode, circle_curve,
                        concatenate_autonomous, concatenation_coefficients,
                        flow_concatenation, flow_jacobian_determinant, full_coefficients,
-                       mode_index, reversal_coefficients, sloped_circle, symmetry_map,
+                       full_draw, mode_index, reversal_coefficients, sloped_circle, symmetry_map,
                        torus_distance, translated, translation_map)
 
 # The analytic references: draws over the smallest basis with axis modes,
@@ -234,7 +234,7 @@ class TestTranslation:
         # regularity 3 in frequency units
         law = make_law(3.0 / (4 * math.pi**2), spatial_max=8, kernel=kernel,
                        include_axis_modes=axis)
-        return sample_hamiltonian(law, 12, 0, 0)
+        return full_draw(law, 12, 0, 0)
 
     @pytest.mark.parametrize("axis", [False, True])
     @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT, SQEXP])
@@ -453,7 +453,7 @@ class TestBand:
     def draws(kernel, r, count=2, seed=181):
         law = make_law(r / (4 * math.pi**2), spatial_max=12, temporal_max=4,
                        kernel=kernel, seed=seed)
-        return [sample_hamiltonian(law, seed, i) for i in range(count)]
+        return [full_draw(law, seed, i) for i in range(count)]
 
     @classmethod
     def hamiltonian(cls, kind):
