@@ -11,8 +11,8 @@ from .config import ExperimentConfig, parse_config, serialize_config
 from .errors import (DegenerateOverlap, FailureBudgetExceeded, HamflowError, NonFinite,
                      NotAutonomous, OutOfRange, ParseError, RefinementOverflow, Unsupported,
                      ValidationError)
-from .field import (HamiltonianLaw, RandomHamiltonian, SpectralHamiltonian, make_law,
-                    sample_hamiltonian, spectral_weight)
+from .field import (HamiltonianLaw, PackedBatch, RandomHamiltonian, SpectralHamiltonian,
+                    make_law, sample_hamiltonian, spectral_weight)
 from .flow import (FlowSettings, LagrangianCurve, advect_curve, advect_curves, flow_points,
                    flow_points_through, horizontal_circle, time_reversed_hamiltonian)
 from .rkhs import rkhs_norm, weighted_coefficient_sum

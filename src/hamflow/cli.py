@@ -152,7 +152,7 @@ def run(cfg: ExperimentConfig) -> None:
     out = _outdir(cfg, regularities, command.flows)
     paths = {name: out / file for name, file in command.files.items()}
     for path in paths.values():
-        path.unlink(missing_ok=True)
+        _write(path)
     sample = getattr(experiments, command.samples)
     runs, failures = [], []
     for r_index, regularity in enumerate(regularities):
@@ -164,7 +164,7 @@ def run(cfg: ExperimentConfig) -> None:
         failed = [record for record in records if "error" in record]
         failures += failed
         if len(failed) > 0.01 * cfg.samples:
-            io.write_records(failures, paths["failures"])
+            _write(paths["failures"], failures)
             raise FailureBudgetExceeded(
                 f"regularity {regularity}: {len(failed)} of {cfg.samples} samples failed "
                 f"(budget 1%): {[(regularity, r['sample'], r['error']) for r in failed[:3]]}")
@@ -172,9 +172,21 @@ def run(cfg: ExperimentConfig) -> None:
     written = []
     for name, path in paths.items():
         if outputs[name]:
-            (io.write_table if path.suffix == ".csv" else io.write_records)(outputs[name], path)
+            _write(path, outputs[name])
             written.append(path)
     print(f"wrote {', '.join(map(str, written))}")
+
+
+def _write(path: Path, rows=None) -> None:
+    """Write ``rows`` to ``path``, or remove it when ``rows`` is None; an
+    ``OSError`` is a ``ValidationError`` of ``out``, as in ``_outdir``."""
+    try:
+        if rows is None:
+            path.unlink(missing_ok=True)
+        else:
+            (io.write_table if path.suffix == ".csv" else io.write_records)(rows, path)
+    except OSError as exc:
+        raise ValidationError("out", f"cannot write {path}: {exc.strerror}") from exc
 
 
 def main(argv=None) -> int:

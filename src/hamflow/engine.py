@@ -36,16 +36,15 @@ dots each with r(y).  A call at P points then costs one table build, one
 appended and keeps no plain grids; its stage grids, 2K x 4K entries
 per stage time and draw (twice the size of plain grids), are one batched
 product of the time basis with the draws' packed field grids.  Plain
-grids serve values and lattices
-(``field.SpectralHamiltonian.coefficient_grids``).
-Pointwise evaluation carries a leading draw axis: S grids (S, 2, K, 2K),
-or S field grids (S, 2, K, 4K), are evaluated at S point sets (S, P, 2),
-set s under grid s, so a stage of many draws costs one call.  A
-single draw is S = 1.  Lattice evaluation (``value_grid``) takes any number
-of leading grid axes, so the lattices of several times cost one call, and
-takes a lattice's rows (``lattice_rows``) in place of its coordinates, so
-calls on one lattice build its rows once.  It also takes x rows per grid,
-so that each time is evaluated on its own rows only: the rows whose bound
+grids serve lattices (``field.SpectralHamiltonian.coefficient_grids``).
+The one pointwise kernel, ``vector_field``, carries a leading draw axis:
+S field grids (S, 2, K, 4K) are evaluated at S point sets (S, P, 2), set s
+under grid s, so a stage of many draws costs one call.  A single draw is
+S = 1.  Lattice evaluation (``value_grid``) takes any number of leading
+grid axes, so the lattices of several times cost one call, and takes a
+lattice's rows (``lattice_rows``) in place of its coordinates, so calls on
+one lattice build its rows once.  It also takes x rows per grid, so that
+each time is evaluated on its own rows only: the rows whose bound
 (``row_bounds``) says they can hold the lattice's max or min
 (``field.SpectralHamiltonian.oscillation``).
 
@@ -228,12 +227,6 @@ class SpectralEngine:
         return grids.reshape(grids.shape[:-3] + (2 * self._k, 2 * self._k))
 
     # -- evaluation ----------------------------------------------------------
-
-    def value(self, grids: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """H at points (S, P, 2) under grids (S, 2, K, 2K); shape (S, P)."""
-        rows = self._tables(pts)
-        w = rows[..., 0, :] @ self._square(grids)
-        return np.einsum("spk,spk->sp", w, rows[..., 1, :])
 
     def vector_field(self, fields: np.ndarray, pts: np.ndarray, out: np.ndarray | None = None,
                      buffers: FieldBuffers | None = None) -> np.ndarray:

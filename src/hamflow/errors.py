@@ -16,10 +16,9 @@ class NotAutonomous(HamflowError):
 class NonFinite(HamflowError):
     """A numerical state left the finite floating-point range.
 
-    ``draws`` lists the rows of the flowed batch whose state did (row 0 when
-    one Hamiltonian flows), and ``state`` is the batch's flowed state,
-    shape (S, P, 2), whose other rows are finite: empty and None when no
-    flow raised the error.
+    ``draws`` lists the rows of the flowed ``PackedBatch`` whose state did,
+    and ``state`` is the batch's flowed state, shape (S, P, 2), whose other
+    rows are finite: empty and None when no flow raised the error.
     """
 
     def __init__(self, message, draws=(), state=None):

@@ -3,11 +3,11 @@
 A :class:`HamiltonianLaw` fixes the probability law (basis truncation,
 coefficient kernel with its regularity); :func:`sample_hamiltonian` draws
 one :class:`RandomHamiltonian` from it at a seed and stream indices.
-Draws are immutable and all evaluation methods are reentrant.
-:class:`SpectralHamiltonian` is the one type whose fields the integrator
-evaluates through packed coefficient grids: draws are its one subclass, and
-time reversals are plain instances.  Coefficients are computed and packed
-for the engine's band modes only (``SpectralEngine.modes``).
+Draws are immutable and their methods reentrant.
+:class:`SpectralHamiltonian` is the one spectral-path type: draws are its
+one subclass, and time reversals are plain instances.  It evaluates no
+point; flows take it packed (:class:`PackedBatch`).  Coefficients are
+computed and packed for the engine's band modes only (``SpectralEngine.modes``).
 
 Streams.  A draw owns its stream: ``sample_hamiltonian(law, seed, *indices)``
 creates the generator ``derive(seed, *indices)`` and no caller shares it.
@@ -204,14 +204,6 @@ def make_law(regularity: float, spatial_max: int = 25, temporal_max: int = 10,
     return HamiltonianLaw(truncation=trunc, kernel=kind)
 
 
-def _as_points(p):
-    """Normalize a pair / (P, 2) array to ((P, 2), scalar_flag)."""
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    return arr, False
-
-
 class SpectralHamiltonian:
     """A Hamiltonian sum_n c_n(t) e_n(x) over one basis, evaluated by its engine.
 
@@ -235,25 +227,6 @@ class SpectralHamiltonian:
         grids = self.time_basis(times) @ packed.reshape(len(packed), -1)
         grids = grids.reshape(grids.shape[:1] + packed.shape[1:])
         return grids[0] if np.ndim(times) == 0 else grids
-
-    # -- pointwise evaluation --------------------------------------------------
-
-    def value(self, t: float, p):
-        pts, scalar = _as_points(p)
-        v = self.engine.value(self.coefficient_grids(float(t))[None], pts[None])[0]
-        return float(v[0]) if scalar else v
-
-    def vector_field(self, t: float, p):
-        """(-dH/dy, dH/dx), the engine's vector-field kernel."""
-        pts, scalar = _as_points(p)
-        fields = self.engine.field_grids(self.coefficient_grids(float(t))[None])
-        v = self.engine.vector_field(fields, pts[None])[0]
-        return v[0] if scalar else v
-
-    def value_grid(self, t: float, xs, ys) -> np.ndarray:
-        return self.engine.value_grid(self.coefficient_grids(float(t)), xs, ys)
-
-    # -- diagnostics -----------------------------------------------------------
 
     def oscillation(self, spatial_grid: int = 128, time_grid: int = 101) -> float:
         """Trapezoid-in-time integral of (lattice max - lattice min) of H_t.

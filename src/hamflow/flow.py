@@ -6,8 +6,8 @@ its exact analytic vector field (adaptive stepping is deliberately avoided
 so Monte Carlo tables are reproducible).  The fields are trigonometric
 polynomials, smooth in space and time, so the high order pays: against
 classical RK4 it reaches equal error at about half the vector-field calls
-or fewer (CHANGES.md, the order-6 entry).  One loop serves one Hamiltonian
-and a batch of them (``PackedBatch``) alike.
+or fewer (CHANGES.md, the order-6 entry).  Flows take one type, a
+``PackedBatch`` of S Hamiltonians, each row with its own point set.
 
 Curves are advected in batches (``advect_curves``).  The draws of a batch
 refine in lockstep: each refinement pass is one batched flow of the new
@@ -95,12 +95,6 @@ DEFAULT_SETTINGS = FlowSettings()
 # Integrator core
 # ---------------------------------------------------------------------------
 
-def _n_steps(settings: FlowSettings, span: float) -> int:
-    if span == 0.0:
-        return 0
-    return max(1, math.ceil(settings.steps * span - 1e-9))
-
-
 def _step_work(engine, shape, h):
     """The work arrays of ``_step`` for points of shape (S, P, 2) and step h:
     the seven stage slopes, the stage points, one scaled slope, the engine's
@@ -165,25 +159,32 @@ def _flow_grids(batch: PackedBatch, pts, t0, h, n_steps):
     return p
 
 
-def _integrate(fieldlike, pts, t0, t1, settings):
-    """Flow pts from t0 to t1 under one spectral Hamiltonian (pts (P, 2)), or
-    under a ``PackedBatch`` or a list or tuple of spectral Hamiltonians
-    (pts (S, P, 2)).
+def _check_batch(batch) -> None:
+    if not isinstance(batch, PackedBatch):
+        raise TypeError(f"flows take a PackedBatch, not {type(batch).__name__}")
 
-    Raises ``OutOfRange`` for an endpoint outside [0, 1] (``_flow_grids``
-    clips only the rounding of stage times), and ``NonFinite`` naming the
-    draws whose state left the finite range (row 0 for one Hamiltonian) and
-    holding the flowed state, whose other rows are the other draws' results.
+
+def flow_points(batch: PackedBatch, pts, t0: float = 0.0, t1: float = 1.0,
+                settings: FlowSettings = DEFAULT_SETTINGS) -> np.ndarray:
+    """Integrate planar lifts from t0 to t1, both in [0, 1] (t1 < t0 allowed).
+
+    ``batch`` packs S spectral Hamiltonians of one engine and one time basis
+    (draws of one law and their reversals, in any mix); set s of ``pts``
+    (S, P, 2) flows under row s, into a new array.  Raises ``TypeError`` for
+    anything but a ``PackedBatch``, ``OutOfRange`` for an endpoint outside
+    [0, 1] (``_flow_grids`` clips only the rounding of stage times), and
+    ``NonFinite`` for rows whose state left the finite range.
     """
-    if isinstance(fieldlike, SpectralHamiltonian):
-        return _integrate([fieldlike], np.asarray(pts)[None], t0, t1, settings)[0]
-    batch = fieldlike if isinstance(fieldlike, PackedBatch) else PackedBatch(fieldlike)
+    _check_batch(batch)
+    pts = np.asarray(pts, dtype=float)
+    if pts.shape[:1] != (len(batch),):
+        raise ValueError("batched points need shape (S, P, 2) for S Hamiltonians")
     if not len(batch):
         raise ValueError("need at least one Hamiltonian")
     check_times((t0, t1))
-    n = _n_steps(settings, abs(t1 - t0))
-    if n == 0:
-        return np.array(pts, dtype=float)
+    if t1 == t0:
+        return pts.copy()
+    n = max(1, math.ceil(settings.steps * abs(t1 - t0) - 1e-9))
     out = _flow_grids(batch, pts, t0, (t1 - t0) / n, n)
     finite = np.isfinite(out).all(axis=(-2, -1))
     if not finite.all():
@@ -192,37 +193,18 @@ def _integrate(fieldlike, pts, t0, t1, settings):
     return out
 
 
-def flow_points(fieldlike, pts, t0: float = 0.0, t1: float = 1.0,
-                settings: FlowSettings = DEFAULT_SETTINGS) -> np.ndarray:
-    """Integrate planar lifts from t0 to t1, both in [0, 1] (t1 < t0 allowed).
-
-    ``fieldlike`` is one spectral Hamiltonian with ``pts`` of shape (P, 2), or S
-    spectral Hamiltonians sharing one engine and one time basis (draws of
-    one law and time reversals of such draws, in any mix), as a list, a
-    tuple or a ``PackedBatch``, with ``pts`` of shape (S, P, 2): set s flows
-    under Hamiltonian s, and all S run through one loop of steps.  The
-    result has the shape of ``pts``.
-    """
-    pts = np.asarray(pts, dtype=float)
-    if isinstance(fieldlike, (list, tuple, PackedBatch)) and pts.shape[:1] != (len(fieldlike),):
-        raise ValueError("batched points need shape (S, P, 2) for S Hamiltonians")
-    return _integrate(fieldlike, pts, t0, t1, settings)
-
-
-def flow_points_through(fieldlike, pts, times,
+def flow_points_through(batch: PackedBatch, pts, times,
                         settings: FlowSettings = DEFAULT_SETTINGS) -> list[np.ndarray]:
-    """States at each requested time (ascending, starting from t=0)."""
+    """States (S, P, 2) at each requested time (ascending, starting from
+    t=0): ``flow_points`` over each interval in turn."""
+    _check_batch(batch)
     times = [float(t) for t in times]
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must be ascending")
-    out = []
-    state = np.asarray(pts, dtype=float)
-    current = 0.0
-    for t in times:
-        state = _integrate(fieldlike, state, current, t, settings)
-        current = t
-        out.append(state.copy())
-    return out
+    states = [pts]
+    for t0, t1 in zip([0.0] + times, times):
+        states.append(flow_points(batch, states[-1], t0, t1, settings))
+    return states[1:]
 
 
 def time_reversed_hamiltonian(f: SpectralHamiltonian) -> SpectralHamiltonian:
@@ -273,30 +255,30 @@ def horizontal_circle(y: float = 0.5, n_vertices: int = 128) -> LagrangianCurve:
     return LagrangianCurve(verts, winding=(1, 0))
 
 
-def advect_curve(fieldlike, curve: LagrangianCurve, t: float = 1.0,
+def advect_curve(h: SpectralHamiltonian, curve: LagrangianCurve, t: float = 1.0,
                  settings: FlowSettings = DEFAULT_SETTINGS) -> LagrangianCurve:
-    """Image of a curve under the time-t flow, refined until adjacent image
-    vertices are within the refinement threshold.
+    """Image of a curve under the time-t flow of one spectral Hamiltonian,
+    refined until adjacent image vertices are within the refinement threshold.
 
     Midpoints are inserted on the *source* curve and advected, so refined
-    vertices are exact flow images, never interpolations.  This is the
-    one-Hamiltonian case of ``advect_curves``; it raises that case's error.
+    vertices are exact flow images, never interpolations.  This is
+    ``advect_curves`` of the one-row batch ``PackedBatch([h])``; it raises
+    that row's error.
     """
-    (image,) = advect_curves([fieldlike], curve, t, settings)
+    (image,) = advect_curves(PackedBatch([h]), curve, t, settings)
     if isinstance(image, HamflowError):
         raise image
     return image
 
 
-def advect_curves(hamiltonians, curve: LagrangianCurve, t: float = 1.0,
+def advect_curves(batch: PackedBatch, curve: LagrangianCurve, t: float = 1.0,
                   settings: FlowSettings = DEFAULT_SETTINGS) -> list:
-    """Images of one curve under the time-t flows of S Hamiltonians.
+    """Images of one curve under the time-t flows of the S rows of ``batch``
+    (anything but a ``PackedBatch`` raises ``TypeError``).
 
-    ``hamiltonians`` is a ``PackedBatch``, or a list or tuple of spectral
-    Hamiltonians that form one.  Entry s of the result is the image under
-    Hamiltonian s, refined as ``advect_curve`` describes, or the
-    ``HamflowError`` its advection raised (``NonFinite``, or
-    ``RefinementOverflow`` below).
+    Entry s of the result is the image under row s, refined as
+    ``advect_curve`` describes, or the ``HamflowError`` its advection raised
+    (``NonFinite``, or ``RefinementOverflow`` below).
 
     The draws refine in lockstep.  Pass 0 flows the S copies of the source
     vertices as one batch.  Each later pass bisects, per draw, every source
@@ -317,7 +299,7 @@ def advect_curves(hamiltonians, curve: LagrangianCurve, t: float = 1.0,
     could only re-insert the duplicate until the budget.  No draw that
     finishes trips any of these tests.
     """
-    batch = hamiltonians if isinstance(hamiltonians, PackedBatch) else PackedBatch(hamiltonians)
+    _check_batch(batch)
     if not len(batch):
         raise ValueError("need at least one Hamiltonian")
     winding = np.array(curve.winding, dtype=float)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import temporal
 from .errors import NotAutonomous
-from .field import HamiltonianLaw, sample_hamiltonian
+from .field import HamiltonianLaw, PackedBatch, sample_hamiltonian
 from .flow import DEFAULT_SETTINGS, FlowSettings, flow_points
 
 
@@ -51,6 +51,6 @@ def induced_point_walks(walks, p, settings: FlowSettings = DEFAULT_SETTINGS) -> 
     traj[:, 0] = np.asarray(p, dtype=float) % 1.0
     state = traj[:, :1]
     for j, steps in enumerate(zip(*walks)):
-        state = flow_points(steps, state, 0.0, 1.0, settings)
+        state = flow_points(PackedBatch(steps), state, 0.0, 1.0, settings)
         traj[:, j + 1] = state[:, 0] % 1.0
     return traj

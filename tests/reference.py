@@ -5,6 +5,10 @@
   with ``math``.
 * ``mode_values``: every basis function at a set of points, from the basis
   arrays.
+* ``value``: a spectral Hamiltonian's H at points, the naive sum of its band
+  modes with no engine kernel; ``vector_field``: its field at points, from
+  the engine's vector-field kernel, the one pointwise kernel that flows run.
+* ``flow_one``: ``flow_points`` of one Hamiltonian, as a batch of one row.
 * ``kernel_value``: a kernel's covariance at two times, from its series.
 * ``analytic_variance`` and ``spatial_mean``: the moments of a draw that the
   statistical tests compare samples with.
@@ -57,7 +61,7 @@ from hamflow import flow, temporal
 from hamflow.errors import (DegenerateOverlap, NonFinite, NotAutonomous, RefinementOverflow,
                             Unsupported)
 from hamflow.basis import TRIG_PAIRS
-from hamflow.field import RandomHamiltonian, SpectralHamiltonian
+from hamflow.field import PackedBatch, RandomHamiltonian, SpectralHamiltonian
 from hamflow.flow import DEFAULT_SETTINGS, LagrangianCurve, flow_points
 from hamflow.rng import derive
 
@@ -150,7 +154,7 @@ def spatial_mean(h, t: float, grid: int | None = None) -> float:
     if grid is None:
         grid = 4 * h.engine.band + 1
     xs = np.arange(grid) / grid
-    return float(h.value_grid(t, xs, xs).mean())
+    return float(h.engine.value_grid(h.coefficient_grids(t), xs, xs).mean())
 
 
 def lattice_oscillation(h, spatial_grid: int = 128, time_grid: int = 101) -> float:
@@ -380,21 +384,27 @@ def concatenate_autonomous(parts, bump: BumpFunction) -> SpectralHamiltonian:
     return SpectralHamiltonian(engine, BumpTimeBasis(bump, len(parts)), b)
 
 
-def flow_concatenation(fieldlike, pts, t0=0.0, t1=1.0, settings=DEFAULT_SETTINGS):
-    """``flow_points`` of one concatenation of k parts, or of a batch of them
-    over one ``BumpTimeBasis``, at k x ``settings.steps`` steps per unit
-    time: each part runs in 1/k of unit time, so each gets the steps a unit
-    flow would."""
-    first = fieldlike[0] if isinstance(fieldlike, (list, tuple)) else fieldlike
-    steps = first.time_basis.parts * settings.steps
-    return flow_points(fieldlike, pts, t0, t1, replace(settings, steps=steps))
+def flow_concatenation(batch, pts, t0=0.0, t1=1.0, settings=DEFAULT_SETTINGS):
+    """``flow_points`` of a ``PackedBatch`` of concatenations of k parts over
+    one ``BumpTimeBasis``, at k x ``settings.steps`` steps per unit time:
+    each part runs in 1/k of unit time, so each gets the steps a unit flow
+    would."""
+    steps = batch.time_basis.parts * settings.steps
+    return flow_points(batch, pts, t0, t1, replace(settings, steps=steps))
+
+
+def flow_one(h, pts, t0=0.0, t1=1.0, settings=DEFAULT_SETTINGS) -> np.ndarray:
+    """``flow_points`` of one spectral Hamiltonian at pts (P, 2), packed as
+    the one row of a ``PackedBatch``."""
+    return flow_points(PackedBatch([h]), np.asarray(pts, dtype=float)[None], t0, t1,
+                       settings)[0]
 
 
 def apply_walk(walk, pts, settings=DEFAULT_SETTINGS) -> np.ndarray:
     """The walk map at lifts pts (P, 2): each step's time-1 flow in turn."""
     state = np.asarray(pts, dtype=float)
     for h in walk:
-        state = flow_points(h, state, 0.0, 1.0, settings)
+        state = flow_one(h, state, 0.0, 1.0, settings)
     return state
 
 
@@ -403,7 +413,7 @@ def reference_images(h, pts, t, settings):
     lone point flows with a copy of itself, since one point would take
     numpy's matrix-vector path."""
     padded = np.concatenate([pts, pts[-1:]]) if len(pts) == 1 else pts
-    return flow_points(h, padded, 0.0, t, settings)[:len(pts)]
+    return flow_one(h, padded, 0.0, t, settings)[:len(pts)]
 
 
 def reference_advect(h, curve, t, settings):
@@ -492,10 +502,27 @@ def coefficient_paths(kind, gaussians: np.ndarray, times) -> np.ndarray:
     return kind.time_basis()(times) @ temporal.coefficient_matrix(kind, gaussians)
 
 
+def value(h, t: float, pts) -> np.ndarray:
+    """H(t, .) of a spectral Hamiltonian at points (..., 2): the naive sum of
+    its band modes, sum_n c_n(t) e_n, through no engine kernel."""
+    pts = np.asarray(pts, dtype=float)
+    c = (h.time_basis(t) @ h.coefficients)[0]
+    return (mode_values(h.engine.basis, pts.reshape(-1, 2))[:, h.engine.modes] @ c
+            ).reshape(pts.shape[:-1])
+
+
+def vector_field(h, t: float, pts) -> np.ndarray:
+    """(-dH/dy, dH/dx) of a spectral Hamiltonian at points (..., 2): the
+    engine's vector-field kernel on the field grids of H at t."""
+    pts = np.asarray(pts, dtype=float)
+    fields = h.engine.field_grids(h.coefficient_grids(t)[None])
+    return h.engine.vector_field(fields, pts.reshape(1, -1, 2))[0].reshape(pts.shape)
+
+
 def gradient(h, t: float, p):
     """(dH/dx, dH/dy) of a spectral Hamiltonian: its vector field, rotated
     back exactly."""
-    v = h.vector_field(t, p)
+    v = vector_field(h, t, p)
     return np.stack([v[..., 1], -v[..., 0]], axis=-1)
 
 
@@ -544,7 +571,7 @@ def flow_jacobian_determinant(h, p, t: float = 1.0, settings=DEFAULT_SETTINGS,
     probes = np.array([[x + fd_step, y], [x - fd_step, y],
                        [x, y + fd_step], [x, y - fd_step]])
     # difference displacements, not positions: exact for the identity flow
-    disp = flow_points(h, probes, 0.0, t, settings) - probes
+    disp = flow_one(h, probes, 0.0, t, settings) - probes
     col_x = (disp[0] - disp[1]) / (2.0 * fd_step) + np.array([1.0, 0.0])
     col_y = (disp[2] - disp[3]) / (2.0 * fd_step) + np.array([0.0, 1.0])
     return float(col_x[0] * col_y[1] - col_x[1] * col_y[0])

@@ -4,6 +4,7 @@ This module must not import scipy: it also runs where only numpy and pytest
 are installed, which shows that the CLI works without scipy.
 """
 
+import errno
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from hamflow import cli, flow
+from hamflow import cli, flow, io
 from hamflow.config import COMMANDS, parse_config
 from hamflow.experiments import CHUNK
 
@@ -242,17 +243,38 @@ def test_negative_seed_exits_with_a_typed_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("out", ["taken.txt", "taken.txt/out"], ids=["file", "under-a-file"])
-def test_unusable_out_exits_with_a_typed_error(tmp_path, capsys, out):
+# (--out, the path the error names): a file, a path under a file, and an
+# output file that is a directory, which the run cannot clear
+@pytest.mark.parametrize("out,named", [("taken.txt", "taken.txt"),
+                                       ("taken.txt/out", "taken.txt/out"),
+                                       ("out", "out/field_osc.csv"),
+                                       ("out", "out/field_samples.jsonl")],
+                         ids=["file", "under-a-file", "csv-is-a-directory",
+                              "jsonl-is-a-directory"])
+def test_unusable_out_exits_with_a_typed_error(tmp_path, capsys, out, named):
     config = tmp_path / "tiny.txt"
     config.write_text(TINY)
     (tmp_path / "taken.txt").write_text("kept\n")
+    if named != out:
+        (tmp_path / named).mkdir(parents=True)
     argv = ["sample-field", "--config", str(config), "--out", str(tmp_path / out)]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: ValidationError: out: cannot write {tmp_path / out}: ")
+    assert err.startswith(f"error: ValidationError: out: cannot write {tmp_path / named}: ")
     assert err.count("\n") == 1
     assert (tmp_path / "taken.txt").read_text() == "kept\n"
+    assert named == out or (tmp_path / named).is_dir()
+
+
+def test_failed_output_write_exits_with_a_typed_error(tmp_path, capsys, monkeypatch):
+    def full(rows, path):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr(io, "write_table", full)
+    rc, out = run(tmp_path, "sample-field", TINY)
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: ValidationError: out: cannot write "
+                                       f"{out / 'field_osc.csv'}: {os.strerror(errno.ENOSPC)}\n")
 
 
 def test_tails_below_1000_samples_writes_nothing(tmp_path, capsys):

@@ -93,12 +93,11 @@ def test_kernel_matches_mode_by_mode_reference(kernel, r, spatial_max, band, axi
     want = check_engine(engine, coeffs, pts)
     if engine.band < spatial_max:
         check_engine(SpectralEngine(law.basis(), spatial_max), coeffs, pts)
-    # the field grids the flow's steps take, and the pointwise methods
+    # the field grids the flow's steps take, and one draw's own
     fields = PackedBatch(hs).field_grids(hs[0].time_basis(t))[0]
     assert_close(engine.vector_field(fields, pts), rotated(want))
     for h, p, w in zip(hs, pts, want):
         assert_close(gradient(h, t, p), w)
-        assert_close(h.vector_field(t, p), rotated(w))
 
 
 @pytest.mark.parametrize("band,axis_modes",

@@ -32,8 +32,8 @@ from hamflow.rng import derive
 from hamflow.temporal import CONSTANT, PERIODIC
 from hamflow.walk import sample_walk
 from reference import (BumpFunction, apply_walk, circle_curve, concatenate_autonomous,
-                       crossings, flow_concatenation, reference_advect, reference_images,
-                       sloped_circle, vertical_circle)
+                       crossings, flow_concatenation, flow_one, reference_advect,
+                       reference_images, sloped_circle, vertical_circle)
 
 # At this law and threshold, under an image budget of BUDGET vertices, some
 # draws finish after one or two refinement passes and others overflow.  The
@@ -86,7 +86,7 @@ class TestAdvectCurves:
     def test_closed_curve_matches_one_draw_loop(self, count):
         hs = draws(count)
         curve = horizontal_circle(0.5, 64)
-        images = advect_curves(hs, curve, 1.0, SETTINGS)
+        images = advect_curves(PackedBatch(hs), curve, 1.0, SETTINGS)
         assert_matches_reference(hs, images, curve, 1.0, SETTINGS)
         for h, image in zip(hs, images):
             if isinstance(image, HamflowError):
@@ -97,7 +97,7 @@ class TestAdvectCurves:
                                       image.vertices)
 
     def test_both_outcomes_occur(self):
-        images = advect_curves(draws(17), horizontal_circle(0.5, 64), 1.0, SETTINGS)
+        images = advect_curves(PackedBatch(draws(17)), horizontal_circle(0.5, 64), 1.0, SETTINGS)
         kinds = {type(image) for image in images}
         assert kinds == {LagrangianCurve, RefinementOverflow}
 
@@ -111,18 +111,18 @@ class TestAdvectCurves:
         alpha = np.linspace(0.0, 1.0, 21)[:, None]
         segment = (1 - alpha) * [0.2, 0.3] + alpha * [0.7, 0.6]
         curve = LagrangianCurve(np.concatenate([segment, segment[-2::-1]]))
-        images = advect_curves(hs, curve, 0.7, SETTINGS)
+        images = advect_curves(PackedBatch(hs), curve, 0.7, SETTINGS)
         assert_matches_reference(hs, images, curve, 0.7, SETTINGS)
         assert any(isinstance(image, LagrangianCurve) for image in images)
 
-    def test_packed_batch_input_equals_list_input(self):
+    def test_appended_batch_equals_constructed_batch(self):
         hs = draws(5)
         curve = circle_curve((0.4, 0.6), 0.1, 48)
         batch = PackedBatch(capacity=5)
         for h in hs:
             batch.append(h)
         a = advect_curves(batch, curve, 1.0, SETTINGS)
-        b = advect_curves(hs, curve, 1.0, SETTINGS)
+        b = advect_curves(PackedBatch(hs), curve, 1.0, SETTINGS)
         for x, y in zip(a, b):
             assert type(x) is type(y)
             if isinstance(x, LagrangianCurve):
@@ -136,10 +136,11 @@ class TestAdvectCurves:
         monkeypatch.setattr(flow, "MAX_IMAGE_VERTICES", 94)
         multi = [h for i, h in enumerate(draws(4)) if i in (0, 3)]
         for h in multi:
-            assert isinstance(advect_curves([h], curve, 1.0, SETTINGS)[0], RefinementOverflow)
+            assert isinstance(advect_curves(PackedBatch([h]), curve, 1.0, SETTINGS)[0],
+                              RefinementOverflow)
         monkeypatch.setattr(flow, "MAX_IMAGE_VERTICES", BUDGET)
         hs = [multi[0], zero, multi[1]]
-        images = advect_curves(hs, curve, 1.0, SETTINGS)
+        images = advect_curves(PackedBatch(hs), curve, 1.0, SETTINGS)
         assert_matches_reference(hs, images, curve, 1.0, SETTINGS)
         assert np.array_equal(images[1].vertices, curve.vertices)
         assert len(images[0]) > len(curve) and len(images[2]) > len(curve)
@@ -153,8 +154,8 @@ class TestAdvectCurves:
         # alone, unpadded, the midpoint's image differs in its last bits at
         # this draw)
         curve, strong, weak = self.lone_midpoint_draws()
-        (alone,) = advect_curves([weak], curve, 1.0, SETTINGS)
-        beside = advect_curves([weak, strong], curve, 1.0, SETTINGS)
+        (alone,) = advect_curves(PackedBatch([weak]), curve, 1.0, SETTINGS)
+        beside = advect_curves(PackedBatch([weak, strong]), curve, 1.0, SETTINGS)
         assert len(alone) == len(curve) + 1
         assert len(beside[1]) > len(curve) + 2
         assert np.array_equal(alone.vertices, beside[0].vertices)
@@ -195,8 +196,8 @@ class TestAdvectCurves:
         # strong draw's several, after the third draw failed at pass 0
         monkeypatch.setattr(flow, "flow_points", flow_points)
         with np.errstate(all="ignore"):
-            assert_matches_reference(hs, advect_curves(hs, curve, 1.0, SETTINGS), curve, 1.0,
-                                     SETTINGS)
+            assert_matches_reference(hs, advect_curves(PackedBatch(hs), curve, 1.0, SETTINGS),
+                                     curve, 1.0, SETTINGS)
 
     def test_refinement_pass_of_near_equal_sets_flows_one_row_per_draw(self, monkeypatch):
         # sets of 40, 39 and 38 points: rows of the mean width, 39, would
@@ -217,7 +218,7 @@ class TestAdvectCurves:
         hs[1] = RandomHamiltonian(LAW, gaussians)
         curve = horizontal_circle(0.5, 64)
         with np.errstate(all="ignore"):
-            images = advect_curves(hs, curve, 1.0, SETTINGS)
+            images = advect_curves(PackedBatch(hs), curve, 1.0, SETTINGS)
             with pytest.raises(NonFinite, match="finite range"):
                 advect_curve(hs[1], curve, 1.0, SETTINGS)
         assert isinstance(images[1], NonFinite)
@@ -231,7 +232,7 @@ class TestAdvectCurves:
             gaussians[0, 0] = np.inf
             hs[bad] = RandomHamiltonian(LAW, gaussians)
         with np.errstate(all="ignore"), pytest.raises(NonFinite) as info:
-            flow_points(hs, np.full((4, 2, 2), 0.5), 0.0, 1.0, SETTINGS)
+            flow_points(PackedBatch(hs), np.full((4, 2, 2), 0.5), 0.0, 1.0, SETTINGS)
         assert info.value.draws == (1, 3)
 
     def test_non_finite_state_holds_the_finite_draws_images(self):
@@ -241,12 +242,12 @@ class TestAdvectCurves:
         hs[2] = RandomHamiltonian(LAW, gaussians)
         pts = np.random.default_rng(5).uniform(size=(4, 3, 2))
         with np.errstate(all="ignore"), pytest.raises(NonFinite) as info:
-            flow_points(hs, pts, 0.0, 1.0, SETTINGS)
+            flow_points(PackedBatch(hs), pts, 0.0, 1.0, SETTINGS)
         assert info.value.draws == (2,) and info.value.state.shape == pts.shape
         finite = [0, 1, 3]
         assert np.array_equal(info.value.state[finite],
-                              flow_points([hs[s] for s in finite], pts[finite], 0.0, 1.0,
-                                          SETTINGS))
+                              flow_points(PackedBatch([hs[s] for s in finite]), pts[finite],
+                                          0.0, 1.0, SETTINGS))
 
     def test_rows_select_a_sub_batch(self):
         hs = draws(6)
@@ -305,7 +306,7 @@ class TestCountCrossings:
                              ids=["horizontal", "vertical", "sloped"])
     def test_straight_loops_under_zero_flow(self, curve, expected):
         zero = RandomHamiltonian(LAW, np.zeros_like(draws(1)[0].gaussians))
-        (image,) = advect_curves([zero], curve, 1.0, FlowSettings(steps=20))
+        (image,) = advect_curves(PackedBatch([zero]), curve, 1.0, FlowSettings(steps=20))
         assert np.array_equal(image.vertices, curve.vertices)
         assert {label: count_crossings(image, [label])[0] for label in expected} == expected
 
@@ -317,8 +318,8 @@ class TestCountCrossings:
 
     @pytest.mark.usefixtures("budget")
     def test_one_pass_equals_each_lagrangian_alone(self):
-        images = [image for image in advect_curves(draws(17), horizontal_circle(0.5, 64), 1.0,
-                                                   SETTINGS)
+        images = [image for image in advect_curves(PackedBatch(draws(17)),
+                                                   horizontal_circle(0.5, 64), 1.0, SETTINGS)
                   if isinstance(image, LagrangianCurve)]
         assert len(images) >= 5
         labels = list(LAGRANGIANS)
@@ -459,7 +460,8 @@ def check_diffusion_chunk(regularity, steps, spatial_max=5):
         draw = sample_hamiltonian(law, cfg.seed, 0, i)
         pts = _ball_points(derive(cfg.seed, 0, i, 1), cfg.ball_center, cfg.ball_radius,
                            cfg.points)
-        states = flow_points_through(draw, pts, cfg.times, settings)
+        states = [s[0] for s in flow_points_through(PackedBatch([draw]), pts[None], cfg.times,
+                                                    settings)]
         assert np.array_equal(counts, np.stack([_bin_counts(s, cfg.grid) for s in states]))
         assert chi.shape == (len(cfg.times),)
 
@@ -473,7 +475,7 @@ def check_displacement_chunk(regularity, steps):
     probe = np.asarray(cfg.probe)
 
     def displacement(h, t0, t1):
-        d = (flow_points(h, probe[None], t0, t1, settings)[0] - probe + 0.5) % 1.0 - 0.5
+        d = (flow_one(h, probe[None], t0, t1, settings)[0] - probe + 0.5) % 1.0 - 0.5
         return np.hypot(d[0], d[1])
 
     records = _displacement_chunk(cfg, law, 0, range(1, 4))
@@ -541,7 +543,8 @@ class TestZeroFlux:
         cfg = ExperimentConfig(command="intersections", regularity=(3.0,))
         law = law_for(cfg, 3.0)
         hs = [sample_hamiltonian(law, cfg.seed, 0, i) for i in (35, 40, 62)]
-        images = advect_curves(hs, horizontal_circle(0.5, 128), 1.0, _settings_for(cfg, law))
+        images = advect_curves(PackedBatch(hs), horizontal_circle(0.5, 128), 1.0,
+                               _settings_for(cfg, law))
         assert all(isinstance(image, LagrangianCurve) for image in images)
         assert all(1024 < len(image) < 2048 for image in images)
         assert all(count_crossings(image, ["L8"])[0] >= 2 for image in images)
@@ -671,7 +674,7 @@ class TestWalkChunks:
             expected = [state[0]]
             for j in range(cfg.walk_steps):
                 step = sample_hamiltonian(law, cfg.seed, w, j)
-                state = flow_points(step, state, 0.0, 1.0, settings)
+                state = flow_one(step, state, 0.0, 1.0, settings)
                 expected.append(state[0] % 1.0)
             assert np.array_equal(traj, np.array(expected))
 
@@ -681,7 +684,8 @@ class TestWalkChunks:
         walk = sample_walk(law, self.cfg.seed, self.cfg.walk_steps)
         combined = concatenate_autonomous(walk, BumpFunction())
         pts = np.random.default_rng(1).uniform(0, 1, (20, 2))
-        lhs = flow_concatenation(combined, pts, 0.0, 1.0, FlowSettings(steps=self.cfg.steps))
+        lhs = flow_concatenation(PackedBatch([combined]), pts[None], 0.0, 1.0,
+                                 FlowSettings(steps=self.cfg.steps))[0]
         rhs = apply_walk(walk, pts, FlowSettings(steps=7))
         assert np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1).max() < 1e-4
 
@@ -748,7 +752,7 @@ def test_flow_points_takes_exactly_the_requested_steps(monkeypatch):
     assert flow_steps(law, 200) < 200
     for steps in (3, 200):
         calls.clear()
-        flow_points(draws(2, law=law), np.full((2, 5, 2), 0.4), 0.0, 1.0,
+        flow_points(PackedBatch(draws(2, law=law)), np.full((2, 5, 2), 0.4), 0.0, 1.0,
                     FlowSettings(steps=steps))
         assert len(calls) == 7 * steps
 

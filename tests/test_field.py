@@ -16,7 +16,7 @@ from reference import (BumpFunction, analytic_variance, coefficient_paths,
                        concatenate_autonomous, concatenation_coefficients,
                        full_coefficients, full_draw, full_packing, gaussian_dimension, gradient,
                        grid_slots, lattice_oscillation, mode_coefficients, mode_of,
-                       reversal_coefficients, spatial_mean)
+                       reversal_coefficients, spatial_mean, value, vector_field)
 
 
 class TestSpectralWeight:
@@ -66,7 +66,7 @@ class TestSampling:
         for _ in range(100):
             t = rng.uniform()
             p = (rng.uniform(), rng.uniform())
-            assert h1.value(t, p) == pytest.approx(h2.value(t, p), abs=1e-15)
+            assert value(h1, t, p) == pytest.approx(value(h2, t, p), abs=1e-15)
 
     def test_draw_is_one_read_only_block_of_normals(self):
         law = make_law(0.2, spatial_max=3, temporal_max=4, seed=77)
@@ -78,7 +78,7 @@ class TestSampling:
         law = make_law(0.15, spatial_max=3, kernel=CONSTANT)
         h = sample_hamiltonian(law, 3)
         p = (0.21, 0.68)
-        assert h.value(0.1, p) == pytest.approx(h.value(0.9, p), abs=1e-14)
+        assert value(h, 0.1, p) == pytest.approx(value(h, 0.9, p), abs=1e-14)
 
     def test_weights_decreasing_in_bounds(self):
         law = make_law(0.05, spatial_max=6)
@@ -87,23 +87,28 @@ class TestSampling:
         assert np.all(np.diff(h.weights) <= 1e-15)
 
     def test_engine_matches_naive_mode_sum(self):
+        # the lattice kernel and the value oracle, each against the sum of
+        # every mode, one point at a time with math
         law = make_law(0.08, spatial_max=4, temporal_max=5, seed=5)
         h = sample_hamiltonian(law, 5)
         rng = np.random.default_rng(2)
         for _ in range(10):
             t = rng.uniform()
-            p = (rng.uniform(), rng.uniform())
+            xs, ys = rng.uniform(size=3), rng.uniform(size=2)
             paths = coefficient_paths(law.kernel, h.gaussians, t)[0]
-            naive = sum(h.weights[i] * paths[i] * mode_of(h.basis, i).evaluate(*p)
-                        for i in range(len(h.basis)))
-            assert h.value(t, p) == pytest.approx(naive, abs=1e-12)
+            naive = np.array([[sum(h.weights[i] * paths[i] * mode_of(h.basis, i).evaluate(x, y)
+                                   for i in range(len(h.basis))) for y in ys] for x in xs])
+            lattice = h.engine.value_grid(h.coefficient_grids(t), xs, ys)
+            assert np.abs(lattice - naive).max() <= 1e-12
+            pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+            assert np.abs(value(h, t, pts) - naive).max() <= 1e-12
 
     def test_variance_matches_analytic(self):
         law = make_law(0.06, spatial_max=3, temporal_max=5, seed=9)
         n = 2000
         p = (0.3, 0.7)
         t = 0.5
-        vals = np.array([sample_hamiltonian(law, 9, i).value(t, p) for i in range(n)])
+        vals = np.array([value(sample_hamiltonian(law, 9, i), t, p) for i in range(n)])
         draw = sample_hamiltonian(law, 9, 0)
         target = analytic_variance(draw, t, p)
         se = target * math.sqrt(2.0 / (n - 1))
@@ -116,8 +121,8 @@ class TestEvaluation:
         base = sample_hamiltonian(law, 0)
         zero = RandomHamiltonian(law, np.zeros_like(base.gaussians))
         pts = np.random.default_rng(1).uniform(0, 1, (20, 2))
-        assert np.all(zero.value(0.3, pts) == 0)
-        assert np.all(zero.vector_field(0.3, pts) == 0)
+        assert np.all(zero.engine.value_grid(zero.coefficient_grids(0.3), *pts.T) == 0)
+        assert np.all(vector_field(zero, 0.3, pts) == 0)
 
     def test_single_active_mode(self):
         # one cos*cos (1,1) mode with constant coefficient chosen so w*Z = 0.5
@@ -127,10 +132,12 @@ class TestEvaluation:
         for i in range(len(base.basis)):
             samples[i, 0] = 0.5 / base.weights[i] if mode_of(base.basis, i).trig == "cc" else 0.0
         h = RandomHamiltonian(law, samples)
-        assert h.value(0.0, (0, 0)) == pytest.approx(1.0)
         x, y = 0.13, 0.81
         expected = 0.5 * 2 * math.cos(2 * math.pi * x) * math.cos(2 * math.pi * y)
-        assert h.value(0.7, (x, y)) == pytest.approx(expected)
+        for t in (0.0, 0.7):
+            lattice = h.engine.value_grid(h.coefficient_grids(t), [0.0, x], [0.0, y])
+            assert np.diag(lattice) == pytest.approx([1.0, expected])
+        assert value(h, 0.7, (x, y)) == pytest.approx(expected)
 
     def test_gradient_matches_finite_differences(self):
         law = make_law(0.05, spatial_max=5, temporal_max=4, seed=12)
@@ -141,8 +148,8 @@ class TestEvaluation:
             t = rng.uniform()
             x, y = rng.uniform(0, 1, 2)
             g = gradient(h, t, (x, y))
-            fx = (h.value(t, (x + step, y)) - h.value(t, (x - step, y))) / (2 * step)
-            fy = (h.value(t, (x, y + step)) - h.value(t, (x, y - step))) / (2 * step)
+            fx = (value(h, t, (x + step, y)) - value(h, t, (x - step, y))) / (2 * step)
+            fy = (value(h, t, (x, y + step)) - value(h, t, (x, y - step))) / (2 * step)
             scale = max(1.0, np.abs(g).max())
             assert abs(g[0] - fx) / scale < 1e-5
             assert abs(g[1] - fy) / scale < 1e-5
@@ -152,7 +159,7 @@ class TestEvaluation:
         h = sample_hamiltonian(law, 6)
         pts = np.random.default_rng(4).uniform(0, 1, (30, 2))
         g = gradient(h, 0.4, pts)
-        v = h.vector_field(0.4, pts)
+        v = vector_field(h, 0.4, pts)
         assert np.allclose(v[:, 0], -g[:, 1])
         assert np.allclose(v[:, 1], g[:, 0])
 
@@ -164,10 +171,10 @@ class TestEvaluation:
         for _ in range(50):
             t = rng.uniform()
             x, y = rng.uniform(0, 1, 2)
-            vxp = h.vector_field(t, (x + step, y))[0]
-            vxm = h.vector_field(t, (x - step, y))[0]
-            vyp = h.vector_field(t, (x, y + step))[1]
-            vym = h.vector_field(t, (x, y - step))[1]
+            vxp = vector_field(h, t, (x + step, y))[0]
+            vxm = vector_field(h, t, (x - step, y))[0]
+            vyp = vector_field(h, t, (x, y + step))[1]
+            vym = vector_field(h, t, (x, y - step))[1]
             div = (vxp - vxm) / (2 * step) + (vyp - vym) / (2 * step)
             assert abs(div) < 1e-5 * max(1.0, abs(vxp), abs(vyp))
 
@@ -185,7 +192,7 @@ class TestNormalization:
         law = make_law(0.06, spatial_max=4, temporal_max=5, seed=31)
         n = 5000
         p = (0.37, 0.61)
-        vals = np.array([sample_hamiltonian(law, 31, i).value(0.25, p)
+        vals = np.array([value(sample_hamiltonian(law, 31, i), 0.25, p)
                          for i in range(n)])
         sd = math.sqrt(analytic_variance(sample_hamiltonian(law, 31, 0), 0.25, p))
         assert stats.kstest(vals / sd, "norm").pvalue > 0.01
@@ -443,12 +450,9 @@ class TestBand:
         for t in (0.0, 0.37, 1.0):
             grid = h.coefficient_grids(t)
             ref = full.grids(mode_coefficients(h, t))
-            cases = {"value": (grid, ref),
-                     "vector_field": (h.engine.field_grids(grid), full.field_grids(ref))}
-            for method, (got_grid, want_grid) in cases.items():
-                got = getattr(h.engine, method)(got_grid[None], pts[None])
-                want = getattr(full, method)(want_grid[None], pts[None])
-                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            got = h.engine.vector_field(h.engine.field_grids(grid)[None], pts[None])
+            want = full.vector_field(full.field_grids(ref)[None], pts[None])
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
             want = full.value_grid(ref, xs, xs)
             assert np.abs(h.engine.value_grid(grid, xs, xs) - want).max() <= \
                 1e-13 * np.abs(want).max()
@@ -481,8 +485,8 @@ class TestBand:
         h = sample_hamiltonian(law, 0)
         assert h.engine.band == 1
         pts = np.random.default_rng(0).uniform(0, 1, (5, 2))
-        assert np.all(h.value(0.4, pts) == 0.0)
-        assert np.all(h.vector_field(0.4, pts) == 0.0)
+        assert np.all(value(h, 0.4, pts) == 0.0)
+        assert np.all(vector_field(h, 0.4, pts) == 0.0)
         assert h.oscillation(16, 5) == 0.0
         assert spatial_mean(h, 0.4) == 0.0
 
@@ -536,9 +540,9 @@ class TestTemporalBand:
         pts = np.random.default_rng(8).uniform(0, 1, (6, 5, 2))
         settings = FlowSettings(steps=40)
         assert np.array_equal(
-            flow_points(draws + [time_reversed_hamiltonian(h) for h in draws], pts,
+            flow_points(PackedBatch(draws + [time_reversed_hamiltonian(h) for h in draws]), pts,
                         settings=settings),
-            flow_points(full + [time_reversed_hamiltonian(f) for f in full], pts,
+            flow_points(PackedBatch(full + [time_reversed_hamiltonian(f) for f in full]), pts,
                         settings=settings))
 
 

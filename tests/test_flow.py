@@ -18,9 +18,9 @@ from hamflow.flow import (FlowSettings, LagrangianCurve, _step, _step_work, adve
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, KernelKind, TimeBasis
 from reference import (BumpFunction, BumpTimeBasis, Mode, circle_curve,
                        concatenate_autonomous, concatenation_coefficients,
-                       flow_concatenation, flow_jacobian_determinant, full_coefficients,
+                       flow_concatenation, flow_jacobian_determinant, flow_one, full_coefficients,
                        full_draw, mode_index, reversal_coefficients, sloped_circle, symmetry_map,
-                       torus_distance, translated, translation_map)
+                       torus_distance, translated, translation_map, value, vector_field)
 
 # The analytic references: draws over the smallest basis with axis modes,
 # each of one mode or none, autonomous or with a periodic coefficient path.
@@ -56,7 +56,7 @@ def shear_x():
 
 def image(h, p, t0=0.0, t1=1.0):
     """The lift of the point p, a pair, under the flow of h from t0 to t1."""
-    return flow_points(h, np.array([p], dtype=float), t0, t1)[0]
+    return flow_one(h, [p], t0, t1)[0]
 
 
 def small_draw(seed, kernel=PERIODIC, r=0.15, smax=3, tm=3):
@@ -78,8 +78,8 @@ class TestPointIntegration:
         h = small_draw(41)
         pts = np.random.default_rng(0).uniform(0, 1, (10, 2))
         settings = FlowSettings(steps=200)
-        fwd = flow_points(h, pts, 0.0, 1.0, settings)
-        back = flow_points(h, fwd, 1.0, 0.0, settings)
+        fwd = flow_one(h, pts, 0.0, 1.0, settings)
+        back = flow_one(h, fwd, 1.0, 0.0, settings)
         assert np.abs(back - pts).max() < 1e-8
 
     def test_backward_shear(self):
@@ -105,7 +105,7 @@ class TestPointIntegration:
         for law, path in ((ONE_MODE_LAW, (1.0,)),
                           (ONE_MODE_PATH_LAW, (1.0, 0.8, -0.5, 0.6, 0.3))):
             h = one_mode_draw(Mode(1, 1, "ss"), law=law, path=path)
-            err = {steps: np.abs(invariant(flow_points(h, pts, 0.0, 1.0, FlowSettings(steps)))
+            err = {steps: np.abs(invariant(flow_one(h, pts, 0.0, 1.0, FlowSettings(steps)))
                                  - invariant(pts)).max()
                    for steps in (16, 32, 64)}
             assert err[64] > 1e-12  # above rounding, so the ratios measure the order
@@ -116,14 +116,14 @@ class TestPointIntegration:
         pts = np.random.default_rng(2).uniform(0, 1, (4, 2))
         for t0, t1 in ((0.0, 2.0), (-0.5, 0.0), (1.0, 1.0 + 1e-9), (1.5, 1.5)):
             with pytest.raises(OutOfRange):
-                flow_points(h, pts, t0, t1)
+                flow_one(h, pts, t0, t1)
             with pytest.raises(OutOfRange):
-                flow_points([h, h], np.stack([pts, pts]), t0, t1)
+                flow_points(PackedBatch([h, h]), np.stack([pts, pts]), t0, t1)
         with pytest.raises(OutOfRange):
-            flow_points_through(h, pts, (0.5, 1.5))
+            flow_points_through(PackedBatch([h]), pts[None], (0.5, 1.5))
         # 1 -> 0 is a reversed flow, and a time within 1e-12 of [0, 1] is
         # its end, rounded
-        back = flow_points(h, flow_points(h, pts, 0.0, 1.0 + 1e-13), 1.0, -1e-13)
+        back = flow_one(h, flow_one(h, pts, 0.0, 1.0 + 1e-13), 1.0, -1e-13)
         assert np.abs(back - pts).max() < 1e-8
 
     def test_lift_returned_unreduced(self):
@@ -137,10 +137,10 @@ class TestEnergyAndArea:
         h = small_draw(53, kernel=CONSTANT, r=0.05, smax=4)
         pts = np.random.default_rng(1).uniform(0, 1, (100, 2))
         settings = FlowSettings(steps=1000)
-        base = h.value(0.0, pts)
+        base = value(h, 0.0, pts)
         for t in (0.25, 0.5, 1.0):
-            out = flow_points(h, pts, 0.0, t, settings)
-            assert np.abs(h.value(0.0, out) - base).max() < 1e-6
+            out = flow_one(h, pts, 0.0, t, settings)
+            assert np.abs(value(h, 0.0, out) - base).max() < 1e-6
 
     def test_jacobian_zero_field(self):
         assert flow_jacobian_determinant(zero_field(), (0.4, 0.3)) == 1.0
@@ -160,22 +160,22 @@ class TestEnergyAndArea:
 class TestTimeReversal:
     def test_zero_field(self):
         hat = time_reversed_hamiltonian(zero_field())
-        assert np.abs(hat.value(0.3, np.array([[0.1, 0.2]]))).max() == 0.0
+        assert np.abs(value(hat, 0.3, np.array([[0.1, 0.2]]))).max() == 0.0
 
     def test_involution_pointwise(self):
         h = small_draw(89)
         double = time_reversed_hamiltonian(time_reversed_hamiltonian(h))
         pts = np.random.default_rng(8).uniform(0, 1, (10, 2))
         for t in (0.0, 0.37, 1.0):
-            assert np.abs(double.value(t, pts) - h.value(t, pts)).max() < 1e-15
+            assert np.abs(value(double, t, pts) - value(h, t, pts)).max() < 1e-15
 
     def test_flow_inverts_time_one_map(self):
         h = small_draw(97)
         hat = time_reversed_hamiltonian(h)
         settings = FlowSettings(steps=200)
         pts = np.random.default_rng(9).uniform(0, 1, (20, 2))
-        lhs = flow_points(hat, pts, 0.0, 1.0, settings)
-        rhs = flow_points(h, pts, 1.0, 0.0, settings)
+        lhs = flow_one(hat, pts, 0.0, 1.0, settings)
+        rhs = flow_one(h, pts, 1.0, 0.0, settings)
         dist = np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1)
         assert dist.max() < 1e-6
 
@@ -217,8 +217,8 @@ class TestTimeReversal:
         assert hat.time_basis == h.time_basis
         pts = np.random.default_rng(15).uniform(0, 1, (8, 2))
         for t in (0.0, 0.13, 0.5, 0.77, 1.0):
-            want = -h.value(1.0 - t, pts)
-            assert np.abs(hat.value(t, pts) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+            want = -value(h, 1.0 - t, pts)
+            assert np.abs(value(hat, t, pts) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 class TestTranslation:
@@ -257,12 +257,12 @@ class TestTranslation:
         moved = translated(h, self.SHIFT)
         pts = np.random.default_rng(3).uniform(0, 1, (16, 2))
         for t in (0.0, 0.4, 1.0):
-            want = h.value(t, pts - self.SHIFT)
-            assert np.abs(moved.value(t, pts) - want).max() <= 1e-13 * np.abs(want).max()
+            want = value(h, t, pts - self.SHIFT)
+            assert np.abs(value(moved, t, pts) - want).max() <= 1e-13 * np.abs(want).max()
         settings = FlowSettings(steps=58)
-        image = flow_points(moved, pts, 0.0, 1.0, settings)
+        image = flow_one(moved, pts, 0.0, 1.0, settings)
         assert np.abs(image - pts).max() > 0.01
-        want = flow_points(h, pts - self.SHIFT, 0.0, 1.0, settings) + self.SHIFT
+        want = flow_one(h, pts - self.SHIFT, 0.0, 1.0, settings) + self.SHIFT
         assert np.abs(image - want).max() <= 1e-12
 
 
@@ -302,12 +302,12 @@ class TestQuarterTurnAndReflection:
         forward, inverse = self.MAPS[turn]
         pts = np.random.default_rng(4).uniform(0, 1, (64, 2))
         for t in (0.0, 0.4, 1.0):
-            want = (1.0 if turn else -1.0) * h.value(t, forward(pts))
-            assert np.abs(moved.value(t, pts) - want).max() <= 1e-13 * np.abs(want).max()
+            want = (1.0 if turn else -1.0) * value(h, t, forward(pts))
+            assert np.abs(value(moved, t, pts) - want).max() <= 1e-13 * np.abs(want).max()
         settings = FlowSettings(steps=58)
-        image = flow_points(moved, pts, 0.0, 1.0, settings)
+        image = flow_one(moved, pts, 0.0, 1.0, settings)
         assert np.abs(image - pts).max() > 0.01
-        want = inverse(flow_points(h, forward(pts), 0.0, 1.0, settings))
+        want = inverse(flow_one(h, forward(pts), 0.0, 1.0, settings))
         assert np.abs((image - want + 0.5) % 1.0 - 0.5).max() <= 1e-11
 
 
@@ -339,8 +339,8 @@ class TestConcatenation:
         h = small_draw(107, kernel=CONSTANT)
         concat = concatenate_autonomous([h], BumpFunction())
         pts = np.random.default_rng(10).uniform(0, 1, (10, 2))
-        lhs = flow_concatenation(concat, pts, 0.0, 1.0, self.settings)
-        rhs = flow_points(h, pts, 0.0, 1.0, self.settings)
+        lhs = flow_concatenation(PackedBatch([concat]), pts[None], 0.0, 1.0, self.settings)[0]
+        rhs = flow_one(h, pts, 0.0, 1.0, self.settings)
         dist = np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1)
         assert dist.max() < 1e-6
 
@@ -348,16 +348,16 @@ class TestConcatenation:
         concat = concatenate_autonomous([shear_x(), shear_y()], BumpFunction())
         assert isinstance(concat, SpectralHamiltonian)
         pts = np.random.default_rng(11).uniform(0, 1, (20, 2))
-        lhs = flow_concatenation(concat, pts, 0.0, 1.0, self.settings)
-        rhs = flow_points(shear_y(), flow_points(shear_x(), pts, 0.0, 1.0, self.settings),
-                          0.0, 1.0, self.settings)
+        lhs = flow_concatenation(PackedBatch([concat]), pts[None], 0.0, 1.0, self.settings)[0]
+        rhs = flow_one(shear_y(), flow_one(shear_x(), pts, 0.0, 1.0, self.settings),
+                       0.0, 1.0, self.settings)
         dist = np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1)
         assert dist.max() < 1e-5
 
     def test_all_zero_parts_identity(self):
         concat = concatenate_autonomous([zero_field(), zero_field()], BumpFunction())
         pts = np.random.default_rng(12).uniform(0, 1, (5, 2))
-        out = flow_concatenation(concat, pts, 0.0, 1.0, self.settings)
+        out = flow_concatenation(PackedBatch([concat]), pts[None], 0.0, 1.0, self.settings)[0]
         assert np.abs(out - pts).max() < 1e-12
 
     def test_rejects_parts_over_two_truncations(self):
@@ -371,10 +371,10 @@ class TestConcatenation:
         assert type(concat) is SpectralHamiltonian
         assert not concat.coefficients.flags.writeable
         pts = np.random.default_rng(13).uniform(0, 1, (20, 2))
-        lhs = flow_concatenation(concat, pts, 0.0, 1.0, self.settings)
+        lhs = flow_concatenation(PackedBatch([concat]), pts[None], 0.0, 1.0, self.settings)[0]
         rhs = pts
         for part in parts:
-            rhs = flow_points(part, rhs, 0.0, 1.0, self.settings)
+            rhs = flow_one(part, rhs, 0.0, 1.0, self.settings)
         dist = np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1)
         assert dist.max() < 1e-5
 
@@ -406,8 +406,8 @@ class TestBatchedFlow:
         flow = flow_concatenation if kind == "concatenation" else flow_points
         pts = np.random.default_rng(count).uniform(0, 1, (count, 4, 2))
         for t0, t1 in ((0.0, 1.0), (1.0, 0.0)):
-            batch = flow(hs, pts, t0, t1, self.settings)
-            single = np.stack([flow(h, p, t0, t1, self.settings)
+            batch = flow(PackedBatch(hs), pts, t0, t1, self.settings)
+            single = np.stack([flow(PackedBatch([h]), p[None], t0, t1, self.settings)[0]
                                for h, p in zip(hs, pts)])
             assert batch.shape == pts.shape
             assert np.abs(batch - single).max() <= 1e-12
@@ -418,30 +418,46 @@ class TestBatchedFlow:
         h = sample_hamiltonian(TestBuffers.LAW, 6)
         pts = np.random.default_rng(6).uniform(0, 1, (64, 2))
         settings = FlowSettings(steps=12)
-        whole = flow_points(h, pts, 0.0, 1.0, settings)
+        whole = flow_one(h, pts, 0.0, 1.0, settings)
         for count in range(2, 65):
-            assert np.array_equal(flow_points(h, pts[:count], 0.0, 1.0, settings), whole[:count])
+            assert np.array_equal(flow_one(h, pts[:count], 0.0, 1.0, settings), whole[:count])
 
     def test_rejects_mixed_time_bases(self):
-        hs = self.hamiltonians(PERIODIC, 1) + self.hamiltonians(CONSTANT, 1)
-        with pytest.raises(ValueError):
-            flow_points(hs, np.zeros((2, 1, 2)))
+        # and draws of one time basis over two engines: periodic draws at
+        # r = 3 and 3.95 (frequency units) share their temporal band, 6, but
+        # not their spatial band, 7 against 6
+        laws = [make_law(r / (4 * math.pi**2)) for r in (3, 3.95)]
+        assert laws[0].time_basis() == laws[1].time_basis()
+        assert laws[0].engine() is not laws[1].engine()
+        for hs in (self.hamiltonians(PERIODIC, 1) + self.hamiltonians(CONSTANT, 1),
+                   [sample_hamiltonian(law, 3) for law in laws]):
+            with pytest.raises(ValueError, match="one engine and one time basis"):
+                PackedBatch(hs)
+
+    def test_flows_take_a_packed_batch_only(self):
+        hs = self.hamiltonians(PERIODIC, 2)
+        pts = np.zeros((2, 3, 2))
+        for fieldlike, points in ((hs[0], pts[0]), (hs, pts), (tuple(hs), pts)):
+            with pytest.raises(TypeError, match="PackedBatch"):
+                flow_points(fieldlike, points)
+            with pytest.raises(TypeError, match="PackedBatch"):
+                flow_points_through(fieldlike, points, (0.5, 1.0))
+            with pytest.raises(TypeError, match="PackedBatch"):
+                advect_curves(fieldlike, horizontal_circle())
 
     def test_rejects_an_empty_batch(self):
-        for empty in ([], (), PackedBatch()):
-            with pytest.raises(ValueError, match="need at least one Hamiltonian"):
-                flow_points(empty, np.empty((0, 1, 2)))
+        with pytest.raises(ValueError, match="need at least one Hamiltonian"):
+            flow_points(PackedBatch(), np.empty((0, 1, 2)))
 
     def test_advection_rejects_an_empty_batch(self):
-        for empty in ([], (), PackedBatch()):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="need at least one Hamiltonian"):
-                    advect_curves(empty, horizontal_circle())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="need at least one Hamiltonian"):
+                advect_curves(PackedBatch(), horizontal_circle())
 
     def test_rejects_points_without_draw_axis(self):
         with pytest.raises(ValueError):
-            flow_points(self.hamiltonians(PERIODIC, 3), np.zeros((4, 2)))
+            flow_points(PackedBatch(self.hamiltonians(PERIODIC, 3)), np.zeros((4, 2)))
 
 
 class TestBand:
@@ -491,12 +507,13 @@ class TestBand:
         pts = np.random.default_rng(5).uniform(0, 1, (16, 2))
         xs = np.arange(20) / 20
         for t in (0.0, 0.3, 0.5, 1.0):
-            assert self.close(h.value(t, pts), ref.value(t, pts))
-            assert self.close(h.vector_field(t, pts), ref.vector_field(t, pts))
-            assert self.close(h.value_grid(t, xs, xs), ref.value_grid(t, xs, xs))
+            assert self.close(value(h, t, pts), value(ref, t, pts))
+            assert self.close(vector_field(h, t, pts), vector_field(ref, t, pts))
+            assert self.close(h.engine.value_grid(h.coefficient_grids(t), xs, xs),
+                              ref.engine.value_grid(ref.coefficient_grids(t), xs, xs))
         for t0, t1 in ((0.0, 1.0), (1.0, 0.0)):
-            assert self.close(flow(h, pts, t0, t1, self.settings),
-                              flow(ref, pts, t0, t1, self.settings))
+            assert self.close(flow(PackedBatch([h]), pts[None], t0, t1, self.settings),
+                              flow(PackedBatch([ref]), pts[None], t0, t1, self.settings))
 
     def test_mixed_regularity_concatenation_stays_spectral(self):
         parts = self.draws(CONSTANT, 3, 1) + self.draws(CONSTANT, 4.5, 1, 182)
@@ -506,10 +523,10 @@ class TestBand:
         assert concat.engine is parts[0].engine
         pts = np.random.default_rng(14).uniform(0, 1, (10, 2))
         settings = FlowSettings(steps=200)
-        lhs = flow_concatenation(concat, pts, 0.0, 1.0, settings)
+        lhs = flow_concatenation(PackedBatch([concat]), pts[None], 0.0, 1.0, settings)[0]
         rhs = pts
         for part in parts:
-            rhs = flow_points(part, rhs, 0.0, 1.0, settings)
+            rhs = flow_one(part, rhs, 0.0, 1.0, settings)
         dist = np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1)
         assert dist.max() < 1e-5
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from hamflow.errors import NotAutonomous
-from hamflow.field import make_law, sample_hamiltonian
+from hamflow.field import PackedBatch, make_law, sample_hamiltonian
 from hamflow.flow import FlowSettings, flow_points
 from hamflow.temporal import CONSTANT, PERIODIC
 from hamflow.walk import induced_point_walks, sample_walk
 from reference import (BumpFunction, apply_walk, concatenate_autonomous, flow_concatenation,
-                       torus_distance)
+                       flow_one, torus_distance)
 
 
 def walk_law(r=0.1, smax=3):
@@ -57,8 +57,8 @@ class TestSampling:
         steps = [sample_hamiltonian(law, 9, i, 0) for i in range(n)]
         draws = [sample_hamiltonian(law, 1234, i) for i in range(n)]
         pts = np.broadcast_to(p, (n, 1, 2))
-        walk_disp = displacements(flow_points(steps, pts, 0.0, 1.0, settings)[:, 0], p)
-        draw_disp = displacements(flow_points(draws, pts, 0.0, 1.0, settings)[:, 0], p)
+        walk_disp = displacements(flow_points(PackedBatch(steps), pts, 0.0, 1.0, settings)[:, 0], p)
+        draw_disp = displacements(flow_points(PackedBatch(draws), pts, 0.0, 1.0, settings)[:, 0], p)
         assert stats.ks_2samp(walk_disp, draw_disp).pvalue > 0.01
 
 
@@ -82,7 +82,7 @@ class TestApplication:
             state = np.array([p])
             expected = [state[0]]
             for h in walk:
-                state = flow_points(h, state, 0.0, 1.0, settings)
+                state = flow_one(h, state, 0.0, 1.0, settings)
                 expected.append(state[0] % 1.0)
             assert max(torus_distance(a, b) for a, b in zip(traj, expected)) <= 1e-12
 
@@ -102,7 +102,7 @@ class TestApplication:
         walks = [sample_walk(law, 19, 3, walk_index=w) for w in range(n)]
         traj = [np.full((n, 1, 2), 0.5)]
         for j in range(3):
-            traj.append(flow_points([walk[j] for walk in walks], traj[-1],
+            traj.append(flow_points(PackedBatch([walk[j] for walk in walks]), traj[-1],
                                     0.0, 1.0, settings))
         first = displacements(traj[1][:, 0], traj[0][:, 0])
         last = displacements(traj[3][:, 0], traj[2][:, 0])
@@ -120,7 +120,7 @@ class TestGeneratingHamiltonian:
         walk = sample_walk(walk_law(r=0.12), 23, n_steps)
         combined = concatenate_autonomous(walk, BumpFunction())
         pts = np.random.default_rng(1).uniform(0, 1, (20, 2))
-        lhs = flow_concatenation(combined, pts, 0.0, 1.0, settings)
+        lhs = flow_concatenation(PackedBatch([combined]), pts[None], 0.0, 1.0, settings)[0]
         rhs = apply_walk(walk, pts, settings)
         dist = np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1)
         assert dist.max() < tol
