@@ -1,9 +1,9 @@
 """Random Hamiltonian diffeomorphisms of the flat 2-torus.
 
 Sampling of Gaussian random Hamiltonians, symplectic flow integration,
-group operations on generating Hamiltonians, random walks, RKHS norms, and
-the Monte Carlo experiment harness (diffusion, Lagrangian intersections,
-tail and invariance statistics).
+group operations on generating Hamiltonians, random walks, and the Monte
+Carlo experiment harness (diffusion, Lagrangian intersections, tail and
+invariance statistics).
 """
 
 from .basis import SpectralBasis, Truncation
@@ -15,7 +15,6 @@ from .field import (HamiltonianLaw, PackedBatch, RandomHamiltonian, SpectralHami
                     make_law, sample_hamiltonian, spectral_weight)
 from .flow import (FlowSettings, LagrangianCurve, advect_curve, advect_curves, flow_points,
                    flow_points_through, horizontal_circle, time_reversed_hamiltonian)
-from .rkhs import rkhs_norm, weighted_coefficient_sum
 from .rng import derive
 from .temporal import CONSTANT, KernelKind, PERIODIC, SQEXP
 from .walk import induced_point_walks, sample_walk

@@ -32,7 +32,6 @@ from pathlib import Path
 from . import experiments, io
 from .config import COMMANDS, ExperimentConfig, parse_config, parse_value, serialize_config
 from .errors import FailureBudgetExceeded, HamflowError, ParseError, ValidationError
-from .rkhs import check_period_one
 from .walk import check_autonomous
 
 
@@ -124,9 +123,6 @@ COMMAND_TABLE = {
                              every_regularity=True, flows=True),
     "random-walk": Command("walk_samples", experiments.as_sampled, {"records": "walks.jsonl"},
                            flows=True, check=lambda cfg: check_autonomous(cfg.kernel)),
-    "rkhs-norm": Command("rkhs_samples", experiments.mean_table,
-                         {"table": "rkhs.csv", "records": "rkhs_samples.jsonl"},
-                         every_regularity=True, check=lambda cfg: check_period_one(cfg.kernel)),
     "tails": Command("oscillation_samples", experiments.tail_fit,
                      {"survival": "tail_survival.jsonl", "fit": "tail_fit.jsonl"},
                      check=experiments.check_tail_samples),

@@ -33,7 +33,7 @@ from . import temporal
 from .errors import ParseError, ValidationError
 
 COMMANDS = ("sample-field", "flow", "diffusion", "intersections", "random-walk",
-            "rkhs-norm", "tails", "concentration", "inversion")
+            "tails", "concentration", "inversion")
 
 # Defaults that differ by command, so that every command runs from its
 # defaults: random walks need autonomous steps and the tail fit needs at
@@ -103,7 +103,6 @@ class ExperimentConfig:
     lagrangians: tuple = tuple(LAGRANGIANS)
     osc_spatial_grid: int = 128
     osc_time_grid: int = 101
-    smoothing_eps: float = 0.01
     # not a field (no annotation), so not a key (module docstring)
     grid_nodes = 64
 
@@ -184,8 +183,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad("osc_spatial_grid", "must be >= 2")
     if cfg.osc_time_grid < 2:
         bad("osc_time_grid", "must be >= 2")
-    if cfg.smoothing_eps <= 0:
-        bad("smoothing_eps", "must be positive")
 
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,

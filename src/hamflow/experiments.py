@@ -1,5 +1,5 @@
 """Monte Carlo experiments: Lagrangian intersections, diffusion, tails,
-inversion invariance, concentration, RKHS norms and random walks.
+inversion invariance, concentration and random walks.
 
 Crossings.  The fourteen test Lagrangians are one table,
 ``config.LAGRANGIANS``: each label's level function, (a x + b y) - c for
@@ -24,19 +24,17 @@ records only (``hamflow.cli`` writes the others to ``failures.jsonl``).
 
 Streams and chunks.  Sample i of regularity index r draws its Hamiltonian
 from stream (seed, r, i) (``sample_hamiltonian``) and diffusion's ball
-points from (seed, r, i, 1); ``rkhs-norm`` reads sample i's whole (N, m)
-normals from stream (seed, r, i) and builds no draw.  The inversion test's
-inverse branch uses stream index 1 and walk w draws step j from
-(seed, w, j).  ``_run_chunks`` cuts a run into balanced chunks of
-consecutive sample indices: the fewest chunks of at most CHUNK samples
-whose count is a multiple of the worker count (as far as the samples
-allow), their lengths differing by one at most.  ``_run_chunk`` hands each
-task its law, built once per process (``law_for``), and a task draws sample
-i from its own stream exactly as a one-sample task would.  The flowing
-commands flow a chunk's draws as one batch; the oscillation and RKHS
-commands take each sample alone.  A run of several chunks on several
-workers forks at most one child per worker and chunk (``_forked``); a run
-at one worker or of one chunk never forks.
+points from (seed, r, i, 1).  The inversion test's inverse branch uses
+stream index 1 and walk w draws step j from (seed, w, j).  ``_run_chunks``
+cuts a run into balanced chunks of consecutive sample indices: the fewest
+chunks of at most CHUNK samples whose count is a multiple of the worker
+count (as far as the samples allow), their lengths differing by one at
+most.  ``_run_chunk`` hands each task its law, built once per process
+(``law_for``), and a task draws sample i from its own stream exactly as a
+one-sample task would.  The flowing commands flow a chunk's draws as one
+batch; the oscillation commands take each sample alone.  A run of several
+chunks on several workers forks at most one child per worker and chunk
+(``_forked``); a run at one worker or of one chunk never forks.
 
 Chunk boundaries move with the sample and worker counts, and results stay
 bit-identical because a draw's flow does not depend on the other draws of
@@ -83,7 +81,6 @@ from .errors import DegenerateOverlap, HamflowError, ValidationError
 from .field import HamiltonianLaw, PackedBatch, make_law, sample_hamiltonian
 from .flow import (FlowSettings, LagrangianCurve, advect_curves, flow_points, flow_points_through,
                    horizontal_circle, time_reversed_hamiltonian)
-from .rkhs import rkhs_norm, weighted_coefficient_sum
 from .rng import derive
 from .walk import induced_point_walks, sample_walk
 
@@ -455,21 +452,6 @@ def tail_fit(cfg: ExperimentConfig, runs: list) -> dict:
             "fit": [{"regularity": cfg.regularity[0], "mean": center, "tail_scale": tail_scale,
                      "heldout_u": u_check, "heldout_exceedance": frac,
                      "heldout_bound": bound, "bound_holds": frac <= bound}]}
-
-
-def _rkhs_chunk(cfg, law, r_index, samples) -> list:
-    """RKHS norms and weighted coefficient sums of ``samples``' whole normals."""
-    shape = (len(law.basis()), law.kernel.gaussians_per_sample())
-    records = []
-    for i in samples:
-        normals = derive(cfg.seed, r_index, i).standard_normal(shape)
-        records.append({"sample": i, "rkhs_norm": rkhs_norm(law, normals, law.regularity),
-                        "weighted_sum": weighted_coefficient_sum(law, normals, cfg.smoothing_eps)})
-    return records
-
-
-def rkhs_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
-    return _run_chunks(_rkhs_chunk, cfg, r_index)
 
 
 # ---------------------------------------------------------------------------

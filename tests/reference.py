@@ -16,8 +16,10 @@
   n x n lattice at every time, as it was computed before rows were pruned
   by their bounds.
 * ``expansion`` and ``reconstruct_value``: the coefficients of a periodic- or
-  constant-kernel draw over the product basis of ``hamflow.rkhs``, one
-  Python float per entry, and the field they sum to.
+  constant-kernel draw over the product basis {e_n(x)} x {1,
+  sqrt(2) cos(2 pi k t), sqrt(2) sin(2 pi k t)}, one Python float per
+  entry, as the draw's (N, m) normals lay them out, and the field they sum
+  to.
 * ``full_draw``: the draw of a stream built from the stream's whole (N, m)
   normals, not its head only, for the references below that read every
   mode.

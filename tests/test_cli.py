@@ -6,7 +6,6 @@ are installed, which shows that the CLI works without scipy.
 
 import errno
 import json
-import math
 import os
 import subprocess
 import sys
@@ -44,8 +43,6 @@ OUTPUTS = {
                   "diffusion_samples.jsonl": {"chi_square", "sample"}},
     "intersections": {"intersections.csv": ["L1,8", "L13,8", "L7,8"]},
     "random-walk": {"walks.jsonl": {"trajectory", "walk"}},
-    "rkhs-norm": {"rkhs.csv": ["rkhs_norm,8", "weighted_sum,8"],
-                  "rkhs_samples.jsonl": {"regularity", "rkhs_norm", "sample", "weighted_sum"}},
     "tails": {"tail_survival.jsonl": {"survival", "u"},
               "tail_fit.jsonl": {"bound_holds", "heldout_bound", "heldout_exceedance",
                                  "heldout_u", "mean", "regularity", "tail_scale"}},
@@ -124,8 +121,7 @@ def test_commands_without_flows_echo_no_step_counts(tmp_path):
 
 
 # the regularities whose laws each command draws from, at "regularity = 8, 4.5"
-DRAWN = {command: (8, 4.5) for command in ("sample-field", "intersections", "rkhs-norm",
-                                           "concentration")}
+DRAWN = {command: (8, 4.5) for command in ("sample-field", "intersections", "concentration")}
 
 
 @pytest.mark.parametrize("command", sorted(OUTPUTS))
@@ -156,10 +152,8 @@ def test_random_walk_rejects_explicit_periodic_kernel(tmp_path, capsys):
 
 @pytest.mark.parametrize("command,refused,error", [
     ("random-walk", "kernel = periodic\n",
-     "error: NotAutonomous: random walks require the constant-in-time kernel"),
-    ("rkhs-norm", "kernel = sqexp\n",
-     "error: Unsupported: the sqexp series has period L > 1: no period-1 expansion")],
-    ids=["random-walk", "rkhs-norm"])
+     "error: NotAutonomous: random walks require the constant-in-time kernel")],
+    ids=["random-walk"])
 def test_refused_rerun_leaves_the_earlier_run_as_it_was(tmp_path, capsys, command, refused,
                                                         error):
     # the kernel is refused before config.txt is rewritten or any output removed
@@ -283,26 +277,6 @@ def test_tails_below_1000_samples_writes_nothing(tmp_path, capsys):
     assert cli.main(["tails", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: ValidationError: samples")
     assert not (tmp_path / "out").exists()
-
-
-def test_rkhs_norm_finite_at_high_regularity(tmp_path):
-    # weights exp(r lambda_n) overflow a double here, while coefficients underflow
-    rc, out = run(tmp_path, "rkhs-norm",
-                  "regularity = 1\nspatial_max = 25\nsamples = 2\nworkers = 1\n")
-    assert rc == 0
-    records = [json.loads(line) for line in (out / "rkhs_samples.jsonl").read_text().splitlines()]
-    assert len(records) == 2
-    assert all(math.isfinite(r["rkhs_norm"]) and r["rkhs_norm"] > 0 for r in records)
-
-
-def test_rkhs_norm_table_finite_where_weighted_sums_are_huge(tmp_path):
-    # at regularity 0.1 and spatial_max 25 the weighted sums reach about 1e187
-    rc, out = run(tmp_path, "rkhs-norm", "regularity = 0.1\nsamples = 4\nworkers = 1\n")
-    assert rc == 0
-    rows = (out / "rkhs.csv").read_text().splitlines()[1:]
-    sums = [row.split(",") for row in rows if row.startswith("weighted_sum,")]
-    assert len(sums) == 1 and abs(float(sums[0][2])) > 1e150
-    assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[1:])
 
 
 # 2 * CHUNK + 3 samples are three chunks on one worker and four on two, so

@@ -70,6 +70,16 @@ class TestErrors:
         assert info.value.field == "grid_nodes" and "unknown key" in str(info.value)
         assert "grid_nodes" not in serialize_config(parse_config(""))
 
+    def test_smoothing_eps_is_an_unknown_key(self):
+        # no command weights coefficient sums; the config echo names no such key
+        with pytest.raises(ValidationError) as info:
+            parse_config("smoothing_eps = 0.01\n", command="sample-field")
+        assert info.value.field == "smoothing_eps" and "unknown key" in str(info.value)
+        with pytest.raises(ValidationError) as info:
+            parse_config("", overrides={"smoothing_eps": 0.01})
+        assert info.value.field == "smoothing_eps" and "unknown key" in str(info.value)
+        assert "smoothing_eps" not in serialize_config(parse_config(""))
+
     def test_empty_lagrangians_rejected(self):
         with pytest.raises(ValidationError) as info:
             parse_config("lagrangians =\n", command="intersections")
@@ -90,7 +100,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("key,value", [
         ("regularity", (math.nan,)), ("regularity", (3.0, math.inf)),
-        ("smoothing_eps", math.inf), ("probe", (math.nan, 0.2)), ("times", (0.0, math.nan)),
+        ("ball_radius", math.inf), ("probe", (math.nan, 0.2)), ("times", (0.0, math.nan)),
         ("ball_center", (-math.inf, 0.5)), ("ball_radius", math.nan),
         ("refinement_threshold", math.nan), ("osc_spatial_grid", 1), ("osc_time_grid", 1),
         ("seed", -1)])
@@ -105,7 +115,7 @@ class TestErrors:
         assert info.value.field == key
 
     @pytest.mark.parametrize("line", ["regularity = nan", "regularity = 3, inf",
-                                      "smoothing_eps = nan", "times = 0, nan",
+                                      "ball_radius = nan", "times = 0, nan",
                                       "probe = 0.3, nan", "ball_center = -inf, 0.5",
                                       "regularity = abc"])
     def test_non_numbers_carry_key_and_line(self, line):

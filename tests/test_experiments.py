@@ -27,9 +27,7 @@ from hamflow.field import PackedBatch, RandomHamiltonian, make_law, sample_hamil
 from hamflow.flow import (_STAGE_OFFSETS, FlowSettings, LagrangianCurve, advect_curve,
                           advect_curves, flow_points, flow_points_through, horizontal_circle,
                           time_reversed_hamiltonian)
-from hamflow.rkhs import rkhs_norm, weighted_coefficient_sum
 from hamflow.rng import derive
-from hamflow.temporal import CONSTANT, PERIODIC
 from hamflow.walk import sample_walk
 from reference import (BumpFunction, apply_walk, circle_curve, concatenate_autonomous,
                        crossings, flow_concatenation, flow_one, reference_advect,
@@ -550,6 +548,24 @@ class TestZeroFlux:
         assert all(count_crossings(image, ["L8"])[0] >= 2 for image in images)
 
 
+def test_intersection_counts_share_the_means_the_law_symmetries_give():
+    # The law of the time-1 map is invariant under conjugation by
+    # x-translations, which fix K = {y = 1/2} and carry each line {x = c} to
+    # another, so L1, L2 and L3 count with one law; it is also invariant
+    # under (x, y) -> (x, 1 - y) with H -> -H o sigma, which fixes K and swaps
+    # L7 and L9.  So each per-image difference has mean 0.  400 draws at the
+    # intersections defaults, seed fixed before the counts were seen.
+    cfg = ExperimentConfig(command="intersections", samples=400, seed=20, workers=1,
+                           lagrangians=("L1", "L2", "L3", "L7", "L9"))
+    records = run_intersections(cfg)
+    assert [record for record in records if "error" in record] == []
+    counts = {label: np.array([record[label] for record in records], dtype=float)
+              for label in cfg.lagrangians}
+    for a, b in (("L1", "L2"), ("L1", "L3"), ("L2", "L3"), ("L7", "L9")):
+        difference = counts[a] - counts[b]
+        assert abs(difference.mean()) <= 4.0 * standard_error(difference), (a, b)
+
+
 class TestBatchedChunks:
     """Regularity 3 keeps the cap of 40 steps; regularity 5 takes 7."""
 
@@ -609,27 +625,6 @@ def test_law_built_once_per_process(monkeypatch):
         assert law_for(cfg, 3.0) is law_for(ExperimentConfig(**vars(cfg)), 3.0)
     finally:
         law_for.cache_clear()
-
-
-@pytest.mark.parametrize("r", [3.0, 0.1])
-@pytest.mark.parametrize("axis", [False, True])
-@pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT])
-def test_rkhs_samples_read_the_stream_whose_head_a_draw_holds(kernel, axis, r):
-    # sample i's whole (N, m) normals from stream (seed, r_index, i): rkhs-norm
-    # reads them all, and the sample's draw holds their first head_rows rows,
-    # which at r = 0.1 (the band is spatial_max) are all of them
-    cfg = ExperimentConfig(command="rkhs-norm", regularity=(4.5, r), spatial_max=8,
-                           temporal_max=4, kernel=kernel, include_axis_modes=axis, samples=3,
-                           workers=1, seed=5)
-    law = law_for(cfg, r)
-    n, m, head = len(law.basis()), law.kernel.gaussians_per_sample(), law.head_rows()
-    assert (head == n) == (r == 0.1)
-    for i, record in enumerate(experiments.rkhs_samples(cfg, 1)):
-        normals = derive(cfg.seed, 1, i).standard_normal((n, m))
-        assert record == {"sample": i, "rkhs_norm": rkhs_norm(law, normals, law.regularity),
-                          "weighted_sum": weighted_coefficient_sum(law, normals,
-                                                                   cfg.smoothing_eps)}
-        assert np.array_equal(sample_hamiltonian(law, cfg.seed, 1, i).gaussians, normals[:head])
 
 
 def test_inversion_chunk_peak_memory():
@@ -931,7 +926,7 @@ def test_standard_error_is_the_plain_formula_bit_for_bit():
 
 
 def test_standard_error_stays_finite_near_1e187():
-    # the weighted sums of rkhs-norm at its defaults; their plain squares overflow
+    # values whose plain squares overflow a double: standard_error scales them first
     values = np.array([7.1e186, -2.3e186, 9.8e186, 4.4e186])
     with np.errstate(over="ignore"):
         assert not math.isfinite(values.std(ddof=1))

@@ -13,10 +13,11 @@ from hamflow.flow import FlowSettings, flow_points, time_reversed_hamiltonian
 from hamflow.rng import derive
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, TimeBasis
 from reference import (BumpFunction, analytic_variance, coefficient_paths,
-                       concatenate_autonomous, concatenation_coefficients,
+                       concatenate_autonomous, concatenation_coefficients, expansion,
                        full_coefficients, full_draw, full_packing, gaussian_dimension, gradient,
                        grid_slots, lattice_oscillation, mode_coefficients, mode_of,
-                       reversal_coefficients, spatial_mean, value, vector_field)
+                       reconstruct_value, reversal_coefficients, spatial_mean, value,
+                       vector_field)
 
 
 class TestSpectralWeight:
@@ -177,6 +178,34 @@ class TestEvaluation:
             vym = vector_field(h, t, (x, y - step))[1]
             div = (vxp - vxm) / (2 * step) + (vyp - vym) / (2 * step)
             assert abs(div) < 1e-5 * max(1.0, abs(vxp), abs(vyp))
+
+
+class TestCoefficientExpansion:
+    """A draw's (N, m) normals, read in their layout over the product basis
+    {e_n(x)} x {1, sqrt(2) cos(2 pi k t), sqrt(2) sin(2 pi k t)}
+    (``reference.expansion``), sum to the draw's field values."""
+
+    def test_round_trip_against_field_evaluation(self):
+        law = make_law(0.1, spatial_max=2, temporal_max=3, kernel=PERIODIC, seed=3)
+        draw = full_draw(law, 3)
+        table = expansion(draw)
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            t = rng.uniform()
+            x, y = rng.uniform(), rng.uniform()
+            assert reconstruct_value(draw, table, t, x, y) == pytest.approx(
+                value(draw, t, (x, y)), abs=1e-12)
+
+    def test_constant_kernel_maps_to_zero_frequency(self):
+        law = make_law(0.2, spatial_max=1, kernel=CONSTANT, seed=7)
+        draw = sample_hamiltonian(law, 7)
+        table = expansion(draw)
+        assert all(k == 0 and parity == "cos" for (k, _, parity) in table)
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            t, x, y = rng.uniform(size=3)
+            assert reconstruct_value(draw, table, t, x, y) == pytest.approx(
+                value(draw, t, (x, y)), abs=1e-12)
 
 
 class TestNormalization:
