@@ -1,9 +1,9 @@
 """Random Hamiltonian diffeomorphisms of the flat 2-torus.
 
 Sampling of Gaussian random Hamiltonians, symplectic flow integration,
-group operations on generating Hamiltonians, random walks, and the Monte
-Carlo experiment harness (diffusion, Lagrangian intersections, tail and
-invariance statistics).
+group operations on generating Hamiltonians, and the Monte Carlo
+experiment harness (diffusion, Lagrangian intersections, random walks,
+tail and invariance statistics).
 """
 
 from .basis import SpectralBasis, Truncation
@@ -17,7 +17,6 @@ from .flow import (FlowSettings, LagrangianCurve, advect_curve, advect_curves, f
                    flow_points_through, horizontal_circle, time_reversed_hamiltonian)
 from .rng import derive
 from .temporal import CONSTANT, KernelKind, PERIODIC, SQEXP
-from .walk import induced_point_walks, sample_walk
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

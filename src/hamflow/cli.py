@@ -32,7 +32,6 @@ from pathlib import Path
 from . import experiments, io
 from .config import COMMANDS, ExperimentConfig, parse_config, parse_value, serialize_config
 from .errors import FailureBudgetExceeded, HamflowError, ParseError, ValidationError
-from .walk import check_autonomous
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,8 +96,7 @@ class Command:
     draws from every regularity and tags each record with its own, else the
     command draws from the first; ``flows`` echoes the step counts.  A
     command whose records can carry errors names a file for its
-    ``failures``.  ``check(cfg)`` raises for a config the command refuses,
-    before any output is written.
+    ``failures``.
     """
 
     samples: str
@@ -106,7 +104,6 @@ class Command:
     files: dict
     every_regularity: bool = False
     flows: bool = False
-    check: Callable | None = None
 
 
 COMMAND_TABLE = {
@@ -122,10 +119,9 @@ COMMAND_TABLE = {
                              {"table": "intersections.csv", "failures": "failures.jsonl"},
                              every_regularity=True, flows=True),
     "random-walk": Command("walk_samples", experiments.as_sampled, {"records": "walks.jsonl"},
-                           flows=True, check=lambda cfg: check_autonomous(cfg.kernel)),
+                           flows=True),
     "tails": Command("oscillation_samples", experiments.tail_fit,
-                     {"survival": "tail_survival.jsonl", "fit": "tail_fit.jsonl"},
-                     check=experiments.check_tail_samples),
+                     {"survival": "tail_survival.jsonl", "fit": "tail_fit.jsonl"}),
     "concentration": Command("oscillation_samples", experiments.mean_table,
                              {"table": "concentration.csv"}, every_regularity=True),
     "inversion": Command("run_inversion_test", experiments.inversion_test,
@@ -142,8 +138,6 @@ def run(cfg: ExperimentConfig) -> None:
     fail, after writing the failures so far.
     """
     command = COMMAND_TABLE[cfg.command]
-    if command.check is not None:
-        command.check(cfg)
     regularities = cfg.regularity if command.every_regularity else cfg.regularity[:1]
     out = _outdir(cfg, regularities, command.flows)
     paths = {name: out / file for name, file in command.files.items()}

@@ -37,7 +37,8 @@ COMMANDS = ("sample-field", "flow", "diffusion", "intersections", "random-walk",
 
 # Defaults that differ by command, so that every command runs from its
 # defaults: random walks need autonomous steps and the tail fit needs at
-# least 1000 draws.  Diffusion's regularity, like the field default, is
+# least 1000 draws, and ``_validate`` refuses a config of either command
+# that breaks its rule.  Diffusion's regularity, like the field default, is
 # smooth enough to flow resolved: 48 steps at 3.16 and 21 at 3.95
 # (``hamflow.experiments.flow_steps``).
 COMMAND_DEFAULTS = {
@@ -152,6 +153,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad("refinement_threshold", "must lie in (0, 0.5]")
     if cfg.seed < 0:
         bad("seed", "must be >= 0")
+    if not cfg.out.strip():
+        bad("out", "must name a directory")
     if cfg.workers < 0:
         bad("workers", "must be >= 0")
     if cfg.curve_vertices < 2:
@@ -183,6 +186,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad("osc_spatial_grid", "must be >= 2")
     if cfg.osc_time_grid < 2:
         bad("osc_time_grid", "must be >= 2")
+    if cfg.command == "random-walk" and cfg.kernel != temporal.CONSTANT:
+        bad("kernel", "random walks require the constant-in-time kernel")
+    if cfg.command == "tails" and cfg.samples < 1000:
+        bad("samples", "tail statistics need >= 1000 draws")
 
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,

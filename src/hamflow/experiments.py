@@ -63,7 +63,7 @@ at or below max(1.5e-6, the error at 200 steps) on every law tested
 (``tests/test_experiments.py``).  The count depends on the law
 alone, never on a chunk's draws, so outputs stay independent of the
 worker count.  A walk's steps are draws of a constant law and flow at its
-count, one step's time-1 flow after another (``hamflow.walk``).
+count, one step's time-1 flow after another (``_walk_chunk``).
 """
 
 from __future__ import annotations
@@ -77,12 +77,11 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .config import LAGRANGIANS, ExperimentConfig
-from .errors import DegenerateOverlap, HamflowError, ValidationError
+from .errors import DegenerateOverlap, HamflowError
 from .field import HamiltonianLaw, PackedBatch, make_law, sample_hamiltonian
 from .flow import (FlowSettings, LagrangianCurve, advect_curves, flow_points, flow_points_through,
                    horizontal_circle, time_reversed_hamiltonian)
 from .rng import derive
-from .walk import induced_point_walks, sample_walk
 
 _LEVEL_TIE = 1e-12
 _OVERLAP_TOL = 1e-9
@@ -418,12 +417,6 @@ def oscillation_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
     return _run_chunks(_osc_chunk, cfg, r_index)
 
 
-def check_tail_samples(cfg: ExperimentConfig) -> None:
-    """Refuse a ``tails`` config below the 1000 draws of ``tail_fit``."""
-    if cfg.samples < 1000:
-        raise ValidationError("samples", "tail statistics need >= 1000 draws")
-
-
 def tail_fit(cfg: ExperimentConfig, runs: list) -> dict:
     """Empirical survival of the oscillation norm with a sub-Gaussian fit.
 
@@ -544,11 +537,23 @@ def inversion_test(cfg: ExperimentConfig, runs: list) -> dict:
 # ---------------------------------------------------------------------------
 
 def _walk_chunk(cfg, law, r_index, samples) -> list:
-    """Probe trajectories of the walks ``samples``; step j of every walk in
-    the chunk is one batched flow (``induced_point_walks``)."""
-    walks = [sample_walk(law, cfg.seed, cfg.walk_steps, w) for w in samples]
-    trajectories = induced_point_walks(walks, cfg.probe, _settings_for(cfg, law))
-    return [{"walk": w, "trajectory": t} for w, t in zip(samples, trajectories)]
+    """Probe trajectories of the walks ``samples``: each (walk_steps + 1, 2),
+    reduced mod 1, starting at the probe mod 1.
+
+    Walk w draws step j from stream (seed, w, j).  The loop is step-major:
+    step j of every walk in the chunk is packed as one batch and flows the
+    unreduced lifts so far from 0 to 1 at the law's count, so the chunk
+    holds one step's draws at a time.
+    """
+    settings = _settings_for(cfg, law)
+    traj = np.empty((len(samples), cfg.walk_steps + 1, 2))
+    traj[:, 0] = np.mod(cfg.probe, 1.0)
+    state = traj[:, :1]
+    for j in range(cfg.walk_steps):
+        batch = PackedBatch(sample_hamiltonian(law, cfg.seed, w, j) for w in samples)
+        state = flow_points(batch, state, 0.0, 1.0, settings)
+        traj[:, j + 1] = state[:, 0] % 1.0
+    return [{"walk": w, "trajectory": t} for w, t in zip(samples, traj)]
 
 
 def walk_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:

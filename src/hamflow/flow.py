@@ -31,7 +31,7 @@ The group operation on generators is time reversal,
 ``SpectralHamiltonian`` whose time-1 flow inverts f's.  It is a signed
 permutation R in f's own time basis (B -> -R @ B), so reversals batch with
 forward draws of one law.  Composition needs no generator: a walk applies
-its steps' time-1 flows in turn (``hamflow.walk``).
+its steps' time-1 flows in turn (``experiments._walk_chunk``).
 """
 
 from __future__ import annotations

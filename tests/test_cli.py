@@ -143,20 +143,21 @@ def test_config_echo_names_the_bands(tmp_path, command):
 
 
 def test_random_walk_rejects_explicit_periodic_kernel(tmp_path, capsys):
-    rc, _ = run(tmp_path, "random-walk", TINY + "kernel = periodic\n")
+    rc, out = run(tmp_path, "random-walk", TINY + "kernel = periodic\n")
     assert rc == 1
-    err = capsys.readouterr().err
-    assert "constant-in-time kernel" in err
-    assert "NotAutonomous" in err
+    assert capsys.readouterr().err == (
+        "error: ValidationError: kernel: random walks require the constant-in-time kernel\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,refused,error", [
-    ("random-walk", "kernel = periodic\n",
-     "error: NotAutonomous: random walks require the constant-in-time kernel")],
-    ids=["random-walk"])
+    ("random-walk", f"kernel = {kernel}\n",
+     "error: ValidationError: kernel: random walks require the constant-in-time kernel")
+    for kernel in ("periodic", "sqexp")], ids=["random-walk", "random-walk-sqexp"])
 def test_refused_rerun_leaves_the_earlier_run_as_it_was(tmp_path, capsys, command, refused,
                                                         error):
-    # the kernel is refused before config.txt is rewritten or any output removed
+    # the kernel is refused at parse, before config.txt is rewritten or any
+    # output removed
     rc, out = run(tmp_path, command, TINY)
     assert rc == 0
     before = {path.name: path.read_bytes() for path in out.iterdir()}
@@ -274,9 +275,27 @@ def test_failed_output_write_exits_with_a_typed_error(tmp_path, capsys, monkeypa
 def test_tails_below_1000_samples_writes_nothing(tmp_path, capsys):
     config = tmp_path / "tiny.txt"
     config.write_text(TINY)
-    assert cli.main(["tails", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("error: ValidationError: samples")
+    argv = ["tails", "--config", str(config), "--out", str(tmp_path / "out"), "--samples", "999"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: ValidationError: samples: tail statistics need >= 1000 draws\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_empty_out_leaves_the_working_directory_as_it_was(tmp_path, capsys, monkeypatch):
+    # an empty --out would write, and clear older outputs, in the working
+    # directory; --out . names it on purpose
+    config = tmp_path / "tiny.txt"
+    config.write_text(TINY)
+    (tmp_path / "field_osc.csv").write_text("kept\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sample-field", "--config", str(config), "--out", ""]) == 1
+    assert capsys.readouterr().err == "error: ValidationError: out: must name a directory\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["field_osc.csv", "tiny.txt"]
+    assert (tmp_path / "field_osc.csv").read_text() == "kept\n"
+    assert cli.main(["sample-field", "--config", str(config), "--out", "."]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "config.txt", "field_osc.csv", "field_samples.jsonl", "tiny.txt"]
 
 
 # 2 * CHUNK + 3 samples are three chunks on one worker and four on two, so

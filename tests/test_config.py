@@ -94,6 +94,13 @@ class TestErrors:
             parse_config(f"{key} = {raw}\n", command="intersections")
         assert info.value.field == key
 
+    def test_empty_out_is_refused(self):
+        # an empty out would write into the working directory
+        with pytest.raises(ValidationError) as info:
+            parse_config("out =\n")
+        assert str(info.value) == "out: must name a directory"
+        assert parse_config("out = .\n").out == "."
+
     def test_unknown_override(self):
         with pytest.raises(ValidationError):
             parse_config("", overrides={"no_such_key": 3})
@@ -103,7 +110,7 @@ class TestErrors:
         ("ball_radius", math.inf), ("probe", (math.nan, 0.2)), ("times", (0.0, math.nan)),
         ("ball_center", (-math.inf, 0.5)), ("ball_radius", math.nan),
         ("refinement_threshold", math.nan), ("osc_spatial_grid", 1), ("osc_time_grid", 1),
-        ("seed", -1)])
+        ("seed", -1), ("out", ""), ("out", " ")])
     def test_bad_values_from_python_name_their_field(self, key, value):
         # the document parser refuses non-finite numbers itself; overrides
         # and direct construction reach the validation alone
@@ -158,8 +165,23 @@ class TestCommandDefaults:
 
     def test_document_value_wins(self):
         assert parse_config("regularity = 0.3\n", command="diffusion").regularity == (0.3,)
-        assert parse_config("kernel = periodic\n", command="random-walk").kernel == "periodic"
-        assert parse_config("samples = 5\n", command="tails").samples == 5
+        assert parse_config("samples = 1500\n", command="tails").samples == 1500
+        with pytest.raises(ValidationError):
+            parse_config("kernel = periodic\n", command="random-walk")
+
+    @pytest.mark.parametrize("kernel", ["periodic", "sqexp"])
+    def test_random_walk_refuses_a_time_dependent_kernel(self, kernel):
+        for text, overrides in [(f"kernel = {kernel}\n", None), ("", {"kernel": kernel})]:
+            with pytest.raises(ValidationError) as info:
+                parse_config(text, command="random-walk", overrides=overrides)
+            assert str(info.value) == "kernel: random walks require the constant-in-time kernel"
+            assert info.value.field == "kernel"
+
+    def test_tails_refuses_fewer_than_1000_samples(self):
+        with pytest.raises(ValidationError) as info:
+            parse_config("samples = 999\n", command="tails")
+        assert str(info.value) == "samples: tail statistics need >= 1000 draws"
+        assert parse_config("samples = 1000\n", command="tails").samples == 1000
 
     def test_override_wins(self):
         cfg = parse_config("", command="tails", overrides={"samples": 1200, "seed": None})

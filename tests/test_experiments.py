@@ -28,7 +28,6 @@ from hamflow.flow import (_STAGE_OFFSETS, FlowSettings, LagrangianCurve, advect_
                           advect_curves, flow_points, flow_points_through, horizontal_circle,
                           time_reversed_hamiltonian)
 from hamflow.rng import derive
-from hamflow.walk import sample_walk
 from reference import (BumpFunction, apply_walk, circle_curve, concatenate_autonomous,
                        crossings, flow_concatenation, flow_one, reference_advect,
                        reference_images, sloped_circle, vertical_circle)
@@ -674,14 +673,17 @@ class TestWalkChunks:
             assert np.array_equal(traj, np.array(expected))
 
     def test_walk_agrees_with_its_generating_hamiltonian(self):
-        # the concatenation has no law: it flows at steps x parts
-        law = law_for(self.cfg, 5.0)
-        walk = sample_walk(law, self.cfg.seed, self.cfg.walk_steps)
+        # the concatenation has no law: it flows at steps x parts; row 0 is the probe
+        cfg = self.cfg
+        law = law_for(cfg, 5.0)
+        walk = tuple(sample_hamiltonian(law, cfg.seed, 0, j) for j in range(cfg.walk_steps))
         combined = concatenate_autonomous(walk, BumpFunction())
-        pts = np.random.default_rng(1).uniform(0, 1, (20, 2))
+        pts = np.concatenate([[cfg.probe], np.random.default_rng(1).uniform(0, 1, (20, 2))])
         lhs = flow_concatenation(PackedBatch([combined]), pts[None], 0.0, 1.0,
-                                 FlowSettings(steps=self.cfg.steps))[0]
+                                 FlowSettings(steps=cfg.steps))[0]
         rhs = apply_walk(walk, pts, FlowSettings(steps=7))
+        (record,) = _walk_chunk(cfg, law, 0, range(1))
+        rhs[0] = record["trajectory"][-1]
         assert np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1).max() < 1e-4
 
 
