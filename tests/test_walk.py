@@ -10,7 +10,7 @@ from hamflow.experiments import _settings_for, _walk_chunk, law_for
 from hamflow.field import PackedBatch, sample_hamiltonian
 from hamflow.flow import FlowSettings, flow_points
 from reference import (BumpFunction, apply_walk, concatenate_autonomous, flow_concatenation,
-                       torus_distance)
+                       flow_one, torus_distance)
 
 
 def walk_run(r=0.1, smax=3, **kwargs):
@@ -84,6 +84,20 @@ class TestApplication:
         settings = _settings_for(cfg, law)
         for k in range(5):
             assert torus_distance(traj[k], apply_walk(steps[:k], p, settings)[0]) < 1e-12
+
+    def test_batched_trajectories_match_per_walk_loop(self):
+        # the chunk flows step j of every walk in one batch
+        cfg, law = walk_run(r=0.3, smax=4, seed=31, walk_steps=3, probe=(0.45, 0.2), steps=12)
+        settings = _settings_for(cfg, law)
+        batched = trajectories(cfg, law, range(5))
+        assert batched.shape == (5, 4, 2)
+        for w, traj in enumerate(batched):
+            state = np.array([cfg.probe])
+            expected = [state[0]]
+            for h in walk(law, 31, 3, w):
+                state = flow_one(h, state, 0.0, 1.0, settings)
+                expected.append(state[0] % 1.0)
+            assert max(torus_distance(a, b) for a, b in zip(traj, expected)) <= 1e-12
 
     def test_increment_displacements_identically_distributed(self):
         # step j of every walk flows in one batch
