@@ -10,8 +10,7 @@ Every command is one row of ``COMMAND_TABLE`` (``Command``): the sampler of
 ``hamflow.experiments`` that runs its per-sample task through
 ``_run_chunks`` and returns one record per sample, the reducer over those
 ordered records, and the files the reducer's outputs go to.  ``run`` draws
-the records of the first regularity, or of every regularity for the
-commands whose records carry theirs, reduces them, and hands each output to
+the records of the config's one law, reduces them, and hands each output to
 ``io.write_table`` (``.csv``) or ``io.write_records`` (``.jsonl``).  A
 sample's values reach the writers in the record its task made.
 
@@ -42,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="key = value configuration document")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--regularity", type=str, default=None, help="comma-separated list")
+    parser.add_argument("--regularity", type=str, default=None,
+                        help="the law's decay parameter, in frequency units")
     parser.add_argument("--out", type=str, default=None, help="output directory")
     return parser
 
@@ -58,25 +58,23 @@ def _load_config(args) -> ExperimentConfig:
     return parse_config(text, command=args.command, overrides=overrides)
 
 
-def _outdir(cfg: ExperimentConfig, regularities: tuple, flows: bool = False) -> Path:
+def _outdir(cfg: ExperimentConfig, flows: bool = False) -> Path:
     """The output directory, with the effective config echoed to config.txt.
 
-    ``regularities`` names the laws the command draws from.  Each gets a
-    comment line with its spatial band (``HamiltonianLaw.band``) of
+    A comment line names the law's spatial band (``HamiltonianLaw.band``) of
     spatial_max and its temporal band (``HamiltonianLaw.temporal_band``) of
-    the kernel's frequencies, and, if the command flows its draws, one
-    before it with its step count (``experiments.flow_steps``).  An
-    ``OSError`` writing either is a ``ValidationError`` of ``out``.
+    the kernel's frequencies and, if the command flows its draws, one before
+    it names its step count (``experiments.flow_steps``).  An ``OSError``
+    writing either is a ``ValidationError`` of ``out``.
     """
     out = Path(cfg.out)
+    law, r = experiments.law_for(cfg), cfg.regularity
     lines = []
-    for r in regularities:
-        law = experiments.law_for(cfg, r)
-        if flows:
-            lines.append(f"# flow steps at regularity {r:g}: "
-                         f"{experiments.flow_steps(law, cfg.steps)} of at most {cfg.steps}\n")
-        lines.append(f"# bands at regularity {r:g}: spatial {law.band()} of {cfg.spatial_max}, "
-                     f"temporal {law.temporal_band()} of {law.kernel.time_basis().frequencies}\n")
+    if flows:
+        lines.append(f"# flow steps at regularity {r:g}: "
+                     f"{experiments.flow_steps(law, cfg.steps)} of at most {cfg.steps}\n")
+    lines.append(f"# bands at regularity {r:g}: spatial {law.band()} of {cfg.spatial_max}, "
+                 f"temporal {law.temporal_band()} of {law.kernel.time_basis().frequencies}\n")
     try:
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.txt").write_text(serialize_config(cfg) + "".join(lines))
@@ -91,25 +89,21 @@ class Command:
 
     ``samples`` names the sampler in ``hamflow.experiments``; it is looked up
     when the command runs, so that a sampler wrapped after import (the
-    benchmark's tracer) is the one that runs.  ``reduce(cfg, runs)`` returns
-    the outputs that ``files`` maps to file names.  ``every_regularity``
-    draws from every regularity and tags each record with its own, else the
-    command draws from the first; ``flows`` echoes the step counts.  A
-    command whose records can carry errors names a file for its
-    ``failures``.
+    benchmark's tracer) is the one that runs.  ``reduce(cfg, records)``
+    returns the outputs that ``files`` maps to file names.  ``flows`` echoes
+    the step count.  A command whose records can carry errors names a file
+    for its ``failures``.
     """
 
     samples: str
     reduce: Callable
     files: dict
-    every_regularity: bool = False
     flows: bool = False
 
 
 COMMAND_TABLE = {
     "sample-field": Command("oscillation_samples", experiments.mean_table,
-                            {"table": "field_osc.csv", "records": "field_samples.jsonl"},
-                            every_regularity=True),
+                            {"table": "field_osc.csv", "records": "field_samples.jsonl"}),
     "flow": Command("advected_samples", experiments.as_sampled,
                     {"records": "curves.jsonl", "failures": "failures.jsonl"}, flows=True),
     "diffusion": Command("diffusion_samples", experiments.diffusion_totals,
@@ -117,13 +111,13 @@ COMMAND_TABLE = {
                          flows=True),
     "intersections": Command("run_intersections", experiments.mean_table,
                              {"table": "intersections.csv", "failures": "failures.jsonl"},
-                             every_regularity=True, flows=True),
+                             flows=True),
     "random-walk": Command("walk_samples", experiments.as_sampled, {"records": "walks.jsonl"},
                            flows=True),
     "tails": Command("oscillation_samples", experiments.tail_fit,
                      {"survival": "tail_survival.jsonl", "fit": "tail_fit.jsonl"}),
     "concentration": Command("oscillation_samples", experiments.mean_table,
-                             {"table": "concentration.csv"}, every_regularity=True),
+                             {"table": "concentration.csv"}),
     "inversion": Command("run_inversion_test", experiments.inversion_test,
                          {"test": "inversion.jsonl", "records": "inversion_samples.jsonl"},
                          flows=True),
@@ -134,31 +128,23 @@ def run(cfg: ExperimentConfig) -> None:
     """Run ``cfg.command`` and write its files, each output that holds rows.
 
     The records that carry an error are the ``failures`` output.  Raises
-    ``FailureBudgetExceeded`` when more than 1% of one regularity's samples
-    fail, after writing the failures so far.
+    ``FailureBudgetExceeded`` when more than 1% of the samples fail, after
+    writing the failures.
     """
     command = COMMAND_TABLE[cfg.command]
-    regularities = cfg.regularity if command.every_regularity else cfg.regularity[:1]
-    out = _outdir(cfg, regularities, command.flows)
+    out = _outdir(cfg, command.flows)
     paths = {name: out / file for name, file in command.files.items()}
     for path in paths.values():
         _write(path)
-    sample = getattr(experiments, command.samples)
-    runs, failures = [], []
-    for r_index, regularity in enumerate(regularities):
-        records = sample(cfg, r_index)
-        if command.every_regularity:
-            for record in records:
-                record["regularity"] = regularity
-        runs.append(records)
-        failed = [record for record in records if "error" in record]
-        failures += failed
-        if len(failed) > 0.01 * cfg.samples:
-            _write(paths["failures"], failures)
-            raise FailureBudgetExceeded(
-                f"regularity {regularity}: {len(failed)} of {cfg.samples} samples failed "
-                f"(budget 1%): {[(regularity, r['sample'], r['error']) for r in failed[:3]]}")
-    outputs = {"failures": failures, **command.reduce(cfg, runs)}
+    records = getattr(experiments, command.samples)(cfg)
+    failures = [record for record in records if "error" in record]
+    if len(failures) > 0.01 * cfg.samples:
+        _write(paths["failures"], failures)
+        r = cfg.regularity
+        raise FailureBudgetExceeded(
+            f"regularity {r}: {len(failures)} of {cfg.samples} samples failed "
+            f"(budget 1%): {[(r, record['sample'], record['error']) for record in failures[:3]]}")
+    outputs = {"failures": failures, **command.reduce(cfg, records)}
     written = []
     for name, path in paths.items():
         if outputs[name]:
@@ -183,7 +169,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         run(_load_config(args))
-    except HamflowError as exc:
+    except (HamflowError, ChildProcessError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

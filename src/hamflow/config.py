@@ -4,13 +4,10 @@ One flat key-value document drives every command; the command itself is
 selected by CLI subcommand.  All fields carry documented defaults, numeric
 fields are range-checked, and unknown keys are rejected.
 
-``regularity_units`` selects how the regularity values are interpreted:
-
-* ``frequency``  -- per squared frequency (k^2 + j^2), the units in which
-  the reference Monte Carlo tables are stated (default);
-* ``eigenvalue`` -- per Laplace-Beltrami eigenvalue 4 pi^2 (k^2 + j^2).
-
-The two differ by the constant factor 4 pi^2.
+``regularity`` is the one decay parameter of the law, per squared
+frequency (k^2 + j^2), the units of the reference Monte Carlo tables; the
+law takes it per Laplace-Beltrami eigenvalue 4 pi^2 (k^2 + j^2)
+(``ExperimentConfig.eigenvalue_regularity``).
 
 ``steps`` is the most integrator steps per unit time (order 6, see
 :mod:`hamflow.flow`); smooth laws use fewer (see :mod:`hamflow.experiments`).
@@ -42,7 +39,7 @@ COMMANDS = ("sample-field", "flow", "diffusion", "intersections", "random-walk",
 # smooth enough to flow resolved: 48 steps at 3.16 and 21 at 3.95
 # (``hamflow.experiments.flow_steps``).
 COMMAND_DEFAULTS = {
-    "diffusion": {"regularity": (3.16,)},
+    "diffusion": {"regularity": 3.16},
     "random-walk": {"kernel": temporal.CONSTANT},
     "tails": {"samples": 1000},
 }
@@ -74,15 +71,10 @@ LAGRANGIANS = {
     "L14": _circle((0.5, 0.5), 0.2),
 }
 
-FREQUENCY_UNITS = "frequency"
-EIGENVALUE_UNITS = "eigenvalue"
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     command: str = "sample-field"
-    regularity: tuple = (3.95,)
-    regularity_units: str = FREQUENCY_UNITS
+    regularity: float = 3.95
     spatial_max: int = 25
     include_axis_modes: bool = False
     temporal_max: int = 10
@@ -111,15 +103,13 @@ class ExperimentConfig:
         _validate(self)
 
     def eigenvalue_regularities(self) -> tuple:
-        """Regularity values converted to eigenvalue units."""
-        return tuple(self.eigenvalue_regularity(r) for r in self.regularity)
+        """``(eigenvalue_regularity(),)``, as ``perfbench/child.py`` reads it."""
+        return (self.eigenvalue_regularity(),)
 
-    def eigenvalue_regularity(self, regularity: float) -> float:
-        """One regularity value, stated in ``regularity_units``, in eigenvalue
-        units: the one place the units are converted."""
-        if self.regularity_units == EIGENVALUE_UNITS:
-            return float(regularity)
-        return regularity / (4.0 * math.pi**2)
+    def eigenvalue_regularity(self) -> float:
+        """The regularity in eigenvalue units: the one place the units are
+        converted."""
+        return self.regularity / (4.0 * math.pi**2)
 
 
 def _validate(cfg: ExperimentConfig) -> None:
@@ -133,12 +123,8 @@ def _validate(cfg: ExperimentConfig) -> None:
             bad(f.name, "values must be finite")
     if cfg.command not in COMMANDS:
         bad("command", f"must be one of {COMMANDS}")
-    if not cfg.regularity or any(r <= 0 for r in cfg.regularity):
-        bad("regularity", "values must be positive")
-    if len(set(cfg.regularity)) < len(cfg.regularity):
-        bad("regularity", "values must be distinct")
-    if cfg.regularity_units not in (FREQUENCY_UNITS, EIGENVALUE_UNITS):
-        bad("regularity_units", "must be 'frequency' or 'eigenvalue'")
+    if cfg.regularity <= 0:
+        bad("regularity", "must be positive")
     if cfg.spatial_max < 1:
         bad("spatial_max", "must be >= 1")
     if cfg.temporal_max < 1:
@@ -155,6 +141,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad("seed", "must be >= 0")
     if not cfg.out.strip():
         bad("out", "must name a directory")
+    if cfg.out != cfg.out.strip():
+        bad("out", "must not begin or end with whitespace")
     if cfg.workers < 0:
         bad("workers", "must be >= 0")
     if cfg.curve_vertices < 2:

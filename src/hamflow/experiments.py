@@ -8,13 +8,15 @@ for the two circles.  ``count_crossings`` evaluates them at a curve's
 vertices as one array and counts every Lagrangian by one rule, the changes
 of floor f.
 
-Records.  Each sampler ``(cfg, r_index)`` (``oscillation_samples``,
+Records.  Each sampler ``(cfg)`` (``oscillation_samples``,
 ``run_intersections``, ...) runs a per-sample task through ``_run_chunks``
-and returns one record per sample, in sample order: a dict of the sample's
-index (``sample``, or ``walk``) and its values, which may be numpy arrays
-and scalars, or of its index and its error text (``error``).  A reducer
-``(cfg, runs)`` (``mean_table``, ``tail_fit``, ...) takes the records of
-each regularity drawn and returns named lists of records or table rows;
+on the config's one law and returns one record per sample, in sample
+order: a dict of the sample's index (``sample``, or ``walk``) and its
+values, which may be numpy arrays and scalars, or of its index and its
+error text (``error``).  The records of ``oscillation_samples`` and
+``run_intersections`` also carry the ``regularity`` they were drawn at.  A
+reducer ``(cfg, records)`` (``mean_table``, ``tail_fit``, ...) takes a
+sampler's records and returns named lists of records or table rows;
 ``hamflow.cli`` pairs each command with its sampler, reducer and files.
 
 Failures.  A curve task (``flow``, ``intersections``) records the
@@ -22,10 +24,10 @@ Failures.  A curve task (``flow``, ``intersections``) records the
 text; the other tasks' errors end the run.  The reducers keep the resolved
 records only (``hamflow.cli`` writes the others to ``failures.jsonl``).
 
-Streams and chunks.  Sample i of regularity index r draws its Hamiltonian
-from stream (seed, r, i) (``sample_hamiltonian``) and diffusion's ball
-points from (seed, r, i, 1).  The inversion test's inverse branch uses
-stream index 1 and walk w draws step j from (seed, w, j).  ``_run_chunks``
+Streams and chunks.  Sample i draws its Hamiltonian from stream
+(seed, 0, i) (``sample_hamiltonian``) and diffusion's ball points from
+(seed, 0, i, 1).  The inversion test's inverse branch draws from
+(seed, 1, i) and walk w draws step j from (seed, w, j).  ``_run_chunks``
 cuts a run into balanced chunks of consecutive sample indices: the fewest
 chunks of at most CHUNK samples whose count is a multiple of the worker
 count (as far as the samples allow), their lengths differing by one at
@@ -158,11 +160,11 @@ def standard_error(values) -> float:
 
 
 @lru_cache(maxsize=16)
-def law_for(cfg: ExperimentConfig, regularity: float):
-    """The law of ``cfg`` at one regularity, built once per process: every
-    chunk of a run shares it, and with it the band, weights, head rows and
-    step count the law computes once."""
-    return make_law(cfg.eigenvalue_regularity(regularity), spatial_max=cfg.spatial_max,
+def law_for(cfg: ExperimentConfig):
+    """The law of ``cfg``, built once per process: every chunk of a run
+    shares it, and with it the band, weights, head rows and step count the
+    law computes once."""
+    return make_law(cfg.eigenvalue_regularity(), spatial_max=cfg.spatial_max,
                     temporal_max=cfg.temporal_max, kernel=cfg.kernel,
                     include_axis_modes=cfg.include_axis_modes)
 
@@ -187,29 +189,29 @@ def worker_count(cfg: ExperimentConfig) -> int:
 
 
 def _run_chunk(chunk) -> list:
-    """The records of one chunk ``(task, cfg, r_index, samples)``."""
-    task, cfg, r_index, samples = chunk
-    return task(cfg, law_for(cfg, cfg.regularity[r_index]), r_index, samples)
+    """The records of one chunk ``(task, cfg, samples)``."""
+    task, cfg, samples = chunk
+    return task(cfg, law_for(cfg), samples)
 
 
-def _run_chunks(task, cfg: ExperimentConfig, r_index: int = 0) -> list:
+def _run_chunks(task, cfg: ExperimentConfig) -> list:
     """The records of ``task`` for sample indices 0..samples-1, in order.
 
-    ``task(cfg, law, r_index, samples)`` returns the records of the range
-    ``samples`` of consecutive indices as a list, drawn from ``law``, the
-    law of ``cfg.regularity[r_index]``.  The chunks are the fewest of at
-    most CHUNK indices whose count is a multiple of the
-    ``worker_count(cfg)`` processes, or one per index below that many
-    samples; the first are one index longer where the samples do not
-    divide evenly.  More than one chunk on more than one worker run in at
-    most one forked child per chunk (``_forked``); otherwise, or where the
-    platform has no ``os.fork``, they run in this process.
+    ``task(cfg, law, samples)`` returns the records of the range ``samples``
+    of consecutive indices as a list, drawn from ``law``, the law of
+    ``cfg``.  The chunks are the fewest of at most CHUNK indices whose count
+    is a multiple of the ``worker_count(cfg)`` processes, or one per index
+    below that many samples; the first are one index longer where the
+    samples do not divide evenly.  More than one chunk on more than one
+    worker run in at most one forked child per chunk (``_forked``);
+    otherwise, or where the platform has no ``os.fork``, they run in this
+    process.
     """
     workers = worker_count(cfg)
     count = min(cfg.samples, workers * -(-cfg.samples // (CHUNK * workers)))
     size, longer = divmod(cfg.samples, count)
     bounds = [k * size + min(k, longer) for k in range(count + 1)]
-    chunks = [(task, cfg, r_index, range(start, stop)) for start, stop in zip(bounds, bounds[1:])]
+    chunks = [(task, cfg, range(start, stop)) for start, stop in zip(bounds, bounds[1:])]
     if workers <= 1 or count <= 1 or not hasattr(os, "fork"):
         results = [_run_chunk(chunk) for chunk in chunks]
     else:
@@ -271,37 +273,41 @@ def _forked(chunks: list, processes: int) -> list:
     return results
 
 
-def as_sampled(cfg: ExperimentConfig, runs: list) -> dict:
-    """``records``: every resolved record of every run, in order."""
-    return {"records": [record for records in runs for record in records
-                        if "error" not in record]}
+def as_sampled(cfg: ExperimentConfig, records: list) -> dict:
+    """``records``: every resolved record, in order."""
+    return {"records": [record for record in records if "error" not in record]}
 
 
-def mean_table(cfg: ExperimentConfig, runs: list) -> dict:
-    """The mean and standard error of each value of the records, per
-    regularity, over the samples that did not fail (at least one per
-    regularity, under the CLI's failure budget).
+def mean_table(cfg: ExperimentConfig, records: list) -> dict:
+    """The mean and standard error of each value of the records over the
+    samples that did not fail (at least one, under the CLI's failure
+    budget).
 
-    ``runs`` holds the records of each of ``cfg.regularity`` in turn.
     ``table`` has the rows (label, regularity, estimate, standard error,
-    samples), one per value key and regularity; ``records`` has every record
-    that did not fail, in order.
+    samples), one per value key; ``records`` has every record that did not
+    fail, in order.
     """
+    done = as_sampled(cfg, records)["records"]
     rows = []
-    for regularity, records in zip(cfg.regularity, runs):
-        done = [record for record in records if "error" not in record]
-        for label in [key for key in done[0] if key not in ("sample", "regularity")]:
-            values = np.array([record[label] for record in done], dtype=float)
-            rows.append((label, regularity, float(values.mean()), standard_error(values),
-                         len(values)))
-    return {"table": rows, **as_sampled(cfg, runs)}
+    for label in [key for key in done[0] if key not in ("sample", "regularity")]:
+        values = np.array([record[label] for record in done], dtype=float)
+        rows.append((label, cfg.regularity, float(values.mean()), standard_error(values),
+                     len(values)))
+    return {"table": rows, "records": done}
+
+
+def _tagged(cfg: ExperimentConfig, records: list) -> list:
+    """``records``, each tagged with the ``regularity`` it was drawn at."""
+    for record in records:
+        record["regularity"] = cfg.regularity
+    return records
 
 
 # ---------------------------------------------------------------------------
 # Intersections
 # ---------------------------------------------------------------------------
 
-def _image_chunk(values, cfg, law, r_index, samples) -> list:
+def _image_chunk(values, cfg, law, samples) -> list:
     """Per sample: ``values(cfg, image)`` of its image of K, or the text of
     the ``HamflowError`` its advection or ``values`` raised.
 
@@ -310,7 +316,7 @@ def _image_chunk(values, cfg, law, r_index, samples) -> list:
     """
     batch = PackedBatch(capacity=len(samples))
     for i in samples:
-        batch.append(sample_hamiltonian(law, cfg.seed, r_index, i))
+        batch.append(sample_hamiltonian(law, cfg.seed, 0, i))
     images = advect_curves(batch, horizontal_circle(0.5, cfg.curve_vertices), 1.0,
                            _settings_for(cfg, law))
     records = []
@@ -329,8 +335,8 @@ def _crossings(cfg: ExperimentConfig, image: LagrangianCurve) -> dict:
     return dict(zip(cfg.lagrangians, count_crossings(image, cfg.lagrangians)))
 
 
-def run_intersections(cfg: ExperimentConfig, r_index: int = 0) -> list:
-    return _run_chunks(partial(_image_chunk, _crossings), cfg, r_index)
+def run_intersections(cfg: ExperimentConfig) -> list:
+    return _tagged(cfg, _run_chunks(partial(_image_chunk, _crossings), cfg))
 
 
 def _curve(cfg: ExperimentConfig, image: LagrangianCurve) -> dict:
@@ -338,8 +344,8 @@ def _curve(cfg: ExperimentConfig, image: LagrangianCurve) -> dict:
     return {"vertices": image.vertices, "winding": image.winding}
 
 
-def advected_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
-    return _run_chunks(partial(_image_chunk, _curve), cfg, r_index)
+def advected_samples(cfg: ExperimentConfig) -> list:
+    return _run_chunks(partial(_image_chunk, _curve), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +371,18 @@ def _chi_square(counts: np.ndarray) -> float:
     return float(np.sum((counts - expected) ** 2 / expected))
 
 
-def _diffusion_chunk(cfg, law, r_index, samples) -> list:
+def _diffusion_chunk(cfg, law, samples) -> list:
     """Per sample: its bin counts and their chi-square, per time.
 
-    Sample i draws its Hamiltonian from stream (seed, r_index, i)
+    Sample i draws its Hamiltonian from stream (seed, 0, i)
     (``sample_hamiltonian``, the head rows only) and its ball points from
-    stream (seed, r_index, i, 1).  The chunk's clouds flow as one batch.
+    stream (seed, 0, i, 1).  The chunk's clouds flow as one batch.
     """
     batch = PackedBatch(capacity=len(samples))
     pts = np.empty((len(samples), cfg.points, 2))
     for row, i in enumerate(samples):
-        batch.append(sample_hamiltonian(law, cfg.seed, r_index, i))
-        pts[row] = _ball_points(derive(cfg.seed, r_index, i, 1), cfg.ball_center,
+        batch.append(sample_hamiltonian(law, cfg.seed, 0, i))
+        pts[row] = _ball_points(derive(cfg.seed, 0, i, 1), cfg.ball_center,
                                 cfg.ball_radius, cfg.points)
     states = flow_points_through(batch, pts, cfg.times, _settings_for(cfg, law))
     records = []
@@ -387,15 +393,14 @@ def _diffusion_chunk(cfg, law, r_index, samples) -> list:
     return records
 
 
-def diffusion_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
-    return _run_chunks(_diffusion_chunk, cfg, r_index)
+def diffusion_samples(cfg: ExperimentConfig) -> list:
+    return _run_chunks(_diffusion_chunk, cfg)
 
 
-def diffusion_totals(cfg: ExperimentConfig, runs: list) -> dict:
+def diffusion_totals(cfg: ExperimentConfig, records: list) -> dict:
     """``totals``: per time, the bin counts summed over the samples and their
     uniformity chi-square.  ``records``: each sample's chi-square per time,
     since a sample's counts enter the totals only."""
-    records, = runs
     total = sum(record.pop("counts") for record in records)
     return {"totals": [{"time": t, "chi_square": _chi_square(counts), "counts": counts}
                        for t, counts in zip(cfg.times, total)],
@@ -406,18 +411,18 @@ def diffusion_totals(cfg: ExperimentConfig, runs: list) -> dict:
 # Oscillation-based statistics
 # ---------------------------------------------------------------------------
 
-def _osc_chunk(cfg, law, r_index, samples) -> list:
+def _osc_chunk(cfg, law, samples) -> list:
     """Oscillation norms of ``samples``."""
-    return [{"sample": i, "osc": sample_hamiltonian(law, cfg.seed, r_index, i)
+    return [{"sample": i, "osc": sample_hamiltonian(law, cfg.seed, 0, i)
              .oscillation(cfg.osc_spatial_grid, cfg.osc_time_grid)}
             for i in samples]
 
 
-def oscillation_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
-    return _run_chunks(_osc_chunk, cfg, r_index)
+def oscillation_samples(cfg: ExperimentConfig) -> list:
+    return _tagged(cfg, _run_chunks(_osc_chunk, cfg))
 
 
-def tail_fit(cfg: ExperimentConfig, runs: list) -> dict:
+def tail_fit(cfg: ExperimentConfig, records: list) -> dict:
     """Empirical survival of the oscillation norm with a sub-Gaussian fit.
 
     The first half of the draws fits the mean R and the scale C of
@@ -425,7 +430,7 @@ def tail_fit(cfg: ExperimentConfig, runs: list) -> dict:
     R and its survival); the second half supplies the held-out exceedance
     check at two standard deviations (``fit``).
     """
-    osc = np.array([record["osc"] for record in runs[0]])
+    osc = np.array([record["osc"] for record in records])
     half = len(osc) // 2
     fit, held = osc[:half], osc[half:]
     center = float(fit.mean())
@@ -442,7 +447,7 @@ def tail_fit(cfg: ExperimentConfig, runs: list) -> dict:
     frac = float(np.mean(held > center + u_check))
     bound = 2.0 * math.exp(-u_check**2 / tail_scale) if math.isfinite(tail_scale) else 1.0
     return {"survival": [{"u": u, "survival": s} for u, s in zip(exceed, survival)],
-            "fit": [{"regularity": cfg.regularity[0], "mean": center, "tail_scale": tail_scale,
+            "fit": [{"regularity": cfg.regularity, "mean": center, "tail_scale": tail_scale,
                      "heldout_u": u_check, "heldout_exceedance": frac,
                      "heldout_bound": bound, "bound_holds": frac <= bound}]}
 
@@ -451,7 +456,7 @@ def tail_fit(cfg: ExperimentConfig, runs: list) -> dict:
 # Inversion invariance
 # ---------------------------------------------------------------------------
 
-def _displacement_chunk(cfg, law, r_index, samples) -> list:
+def _displacement_chunk(cfg, law, samples) -> list:
     """Per sample: the probe's forward and inverse displacements.
 
     Sample i draws its forward Hamiltonian from stream (seed, 0, i) and its
@@ -503,12 +508,12 @@ def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple:
     return h / n, min(max(2 * p, 0.0), 1.0)
 
 
-def run_inversion_test(cfg: ExperimentConfig, r_index: int = 0) -> list:
+def run_inversion_test(cfg: ExperimentConfig) -> list:
     """The displacements that ``inversion_test`` tests."""
-    return _run_chunks(_displacement_chunk, cfg, r_index)
+    return _run_chunks(_displacement_chunk, cfg)
 
 
-def inversion_test(cfg: ExperimentConfig, runs: list) -> dict:
+def inversion_test(cfg: ExperimentConfig, records: list) -> dict:
     """Two-sample KS test between displacement laws of the flow and its
     inverse, at level ``KS_LEVEL`` (``test``), and the displacements by
     branch, forward then inverse (``records``).
@@ -521,7 +526,6 @@ def inversion_test(cfg: ExperimentConfig, runs: list) -> dict:
     ``method="exact"``), and where the exact sum leaves [0, 1] by rounding
     scipy falls back to ``kstwo.sf`` while this clips.
     """
-    records, = runs
     branches = ("forward", "inverse")
     statistic, p_value = _ks_two_sample(
         *(np.array([record[branch] for record in records]) for branch in branches))
@@ -536,7 +540,7 @@ def inversion_test(cfg: ExperimentConfig, runs: list) -> dict:
 # Random walks
 # ---------------------------------------------------------------------------
 
-def _walk_chunk(cfg, law, r_index, samples) -> list:
+def _walk_chunk(cfg, law, samples) -> list:
     """Probe trajectories of the walks ``samples``: each (walk_steps + 1, 2),
     reduced mod 1, starting at the probe mod 1.
 
@@ -556,6 +560,6 @@ def _walk_chunk(cfg, law, r_index, samples) -> list:
     return [{"walk": w, "trajectory": t} for w, t in zip(samples, traj)]
 
 
-def walk_samples(cfg: ExperimentConfig, r_index: int = 0) -> list:
+def walk_samples(cfg: ExperimentConfig) -> list:
     """The probe's trajectory under each of ``samples`` walks of ``walk_steps`` steps."""
-    return _run_chunks(_walk_chunk, cfg, r_index)
+    return _run_chunks(_walk_chunk, cfg)

@@ -92,16 +92,15 @@ def test_command_writes_outputs(tmp_path, command):
 @pytest.mark.parametrize("command", ["flow", "intersections", "diffusion", "inversion"])
 def test_config_echo_names_the_step_counts(tmp_path, command):
     # regularity 8 takes 2 of at most 50 steps, and 4.5 takes 12
-    rc, out = run(tmp_path, command, TINY.replace("regularity = 8.0", "regularity = 8, 4.5"))
-    assert rc == 0
-    text = (out / "config.txt").read_text()
-    lines = [line for line in text.splitlines() if line.startswith("# flow steps")]
-    expected = ["# flow steps at regularity 8: 2 of at most 50"]
-    if command == "intersections":  # the only one of these that flows every regularity
-        expected.append("# flow steps at regularity 4.5: 12 of at most 50")
-    assert lines == expected
-    cfg = parse_config(text, command=command)
-    assert cfg.regularity == (8.0, 4.5) and cfg.steps == 50
+    for r, steps in [(8, 2), (4.5, 12)]:
+        text = TINY.replace("regularity = 8.0", f"regularity = {r}")
+        rc, out = run(tmp_path, command, text, f"{command}-{r}")
+        assert rc == 0
+        text = (out / "config.txt").read_text()
+        lines = [line for line in text.splitlines() if line.startswith("# flow steps")]
+        assert lines == [f"# flow steps at regularity {r:g}: {steps} of at most 50"]
+        cfg = parse_config(text, command=command)
+        assert cfg.regularity == r and cfg.steps == 50
 
 
 def test_random_walk_echoes_its_step_count(tmp_path):
@@ -111,7 +110,7 @@ def test_random_walk_echoes_its_step_count(tmp_path):
     text = (out / "config.txt").read_text()
     lines = [line for line in text.splitlines() if line.startswith("# flow steps")]
     assert lines == ["# flow steps at regularity 5: 7 of at most 50"]
-    assert parse_config(text, command="random-walk").regularity == (5.0,)
+    assert parse_config(text, command="random-walk").regularity == 5.0
 
 
 def test_commands_without_flows_echo_no_step_counts(tmp_path):
@@ -120,26 +119,21 @@ def test_commands_without_flows_echo_no_step_counts(tmp_path):
     assert "# flow steps" not in (out / "config.txt").read_text()
 
 
-# the regularities whose laws each command draws from, at "regularity = 8, 4.5"
-DRAWN = {command: (8, 4.5) for command in ("sample-field", "intersections", "concentration")}
-
-
 @pytest.mark.parametrize("command", sorted(OUTPUTS))
 def test_config_echo_names_the_bands(tmp_path, command):
     # spatial_max 6, temporal_max 10: regularity 8 keeps spatial and temporal
     # bands 4, and 4.5 keeps 5; random-walk's constant kernel has no frequencies
-    text = TINY.replace("regularity = 8.0", "regularity = 8, 4.5").replace(
-        "spatial_max = 2", "spatial_max = 6").replace("temporal_max = 3", "temporal_max = 10")
-    if command == "tails":
-        text = text.replace("samples = 4\n", "")
-    rc, out = run(tmp_path, command, text)
-    assert rc == 0
-    lines = [line for line in (out / "config.txt").read_text().splitlines()
-             if line.startswith("# bands")]
-    band = {8: 4, 4.5: 5}
-    temporal = (lambda r: "0 of 0") if command == "random-walk" else (lambda r: f"{band[r]} of 10")
-    assert lines == [f"# bands at regularity {r:g}: spatial {band[r]} of 6, temporal {temporal(r)}"
-                     for r in DRAWN.get(command, (8,))]
+    for r, band in [(8, 4), (4.5, 5)]:
+        text = TINY.replace("regularity = 8.0", f"regularity = {r}").replace(
+            "spatial_max = 2", "spatial_max = 6").replace("temporal_max = 3", "temporal_max = 10")
+        if command == "tails":
+            text = text.replace("samples = 4\n", "")
+        rc, out = run(tmp_path, command, text, f"{command}-{r}")
+        assert rc == 0
+        lines = [line for line in (out / "config.txt").read_text().splitlines()
+                 if line.startswith("# bands")]
+        temporal = "0 of 0" if command == "random-walk" else f"{band} of 10"
+        assert lines == [f"# bands at regularity {r:g}: spatial {band} of 6, temporal {temporal}"]
 
 
 def test_random_walk_rejects_explicit_periodic_kernel(tmp_path, capsys):
@@ -173,12 +167,22 @@ def test_every_command_parses_with_the_five_options():
     parser = cli._build_parser()
     for command in COMMANDS:
         args = parser.parse_args([command, "--config", "c.txt", "--seed", "3", "--samples", "4",
-                                  "--regularity", "3,4", "--out", "o"])
+                                  "--regularity", "4.5", "--out", "o"])
         assert vars(args) == {"command": command, "config": Path("c.txt"), "seed": 3,
-                              "samples": 4, "regularity": "3,4", "out": "o"}
+                              "samples": 4, "regularity": "4.5", "out": "o"}
         assert vars(parser.parse_args([command])) == {
             "command": command, "config": None, "seed": None, "samples": None,
             "regularity": None, "out": None}
+
+
+def test_config_naming_regularity_units_is_refused(tmp_path, capsys):
+    # regularity is stated in frequency units alone
+    config = tmp_path / "units.txt"
+    config.write_text(TINY + "regularity_units = frequency\n")
+    argv = ["sample-field", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: ValidationError: regularity_units: unknown key\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("line", ["plot = true", "field_time = 0.5", "arrow_grid = 20"])
@@ -215,16 +219,21 @@ def test_unknown_command_exits_2_and_help_exits_0(capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (["--regularity", "abc"], "regularity: could not convert"),
-    (["--regularity", "3,inf"], "regularity: expected a finite number"),
+    (["--regularity", "inf"], "regularity: expected a finite number"),
     (["--config", "missing.txt"], "cannot read config"),
     (["--config", "nan.txt"], "line 2: regularity: expected a finite number"),
+    (["--regularity", "3,4"], "regularity: could not convert"),
+    (["--config", "list.txt"], "line 2: regularity: could not convert"),
 ])
 def test_malformed_input_exits_with_a_typed_error(tmp_path, capsys, argv, message):
+    # a regularity list is malformed: a config names one law
     (tmp_path / "nan.txt").write_text("samples = 4\nregularity = nan\n")
+    (tmp_path / "list.txt").write_text("samples = 4\nregularity = 3, 4\n")
     argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
     assert cli.main(["sample-field", "--out", str(tmp_path / "out")] + argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ParseError: ") and message in err
+    assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -296,6 +305,19 @@ def test_empty_out_leaves_the_working_directory_as_it_was(tmp_path, capsys, monk
     assert cli.main(["sample-field", "--config", str(config), "--out", "."]) == 0
     assert sorted(path.name for path in tmp_path.iterdir()) == [
         "config.txt", "field_osc.csv", "field_samples.jsonl", "tiny.txt"]
+
+
+@pytest.mark.parametrize("out", [" padded", "padded "])
+def test_padded_out_is_refused(tmp_path, capsys, monkeypatch, out):
+    # config.txt would echo out without its padding, which names another
+    # directory
+    config = tmp_path / "tiny.txt"
+    config.write_text(TINY)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sample-field", "--config", str(config), "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "error: ValidationError: out: must not begin or end with whitespace\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["tiny.txt"]
 
 
 # 2 * CHUNK + 3 samples are three chunks on one worker and four on two, so

@@ -10,7 +10,7 @@ from hamflow.experiments import flow_steps, law_for
 
 NON_DEFAULT = """\
 # a comment line
-regularity = 0.5, 1.25, 3
+regularity = 1.25
 spatial_max = 7
 include_axis_modes = yes
 kernel = constant
@@ -25,7 +25,7 @@ out = somewhere/else
 class TestRoundTrip:
     def test_parse_serialize_parse(self):
         cfg = parse_config(NON_DEFAULT, command="flow")
-        assert cfg.regularity == (0.5, 1.25, 3.0)
+        assert cfg.regularity == 1.25
         assert cfg.include_axis_modes is True
         assert cfg.lagrangians == ("L2", "L13", "L14")
         assert cfg.ball_center == (0.25, 0.75)
@@ -70,6 +70,14 @@ class TestErrors:
         assert info.value.field == "grid_nodes" and "unknown key" in str(info.value)
         assert "grid_nodes" not in serialize_config(parse_config(""))
 
+    def test_regularity_units_is_an_unknown_key(self):
+        # regularity is stated in frequency units alone; the config echo
+        # names no units key
+        with pytest.raises(ValidationError) as info:
+            parse_config("regularity_units = frequency\n", command="flow")
+        assert str(info.value) == "regularity_units: unknown key"
+        assert "regularity_units" not in serialize_config(parse_config(""))
+
     def test_smoothing_eps_is_an_unknown_key(self):
         # no command weights coefficient sums; the config echo names no such key
         with pytest.raises(ValidationError) as info:
@@ -87,9 +95,9 @@ class TestErrors:
         with pytest.raises(ValidationError):
             ExperimentConfig(lagrangians=())
 
-    @pytest.mark.parametrize("key,raw", [("lagrangians", "L1, L1, L13"), ("regularity", "3, 3")])
+    @pytest.mark.parametrize("key,raw", [("lagrangians", "L1, L1, L13")])
     def test_duplicate_values_rejected(self, key, raw):
-        # duplicates would collapse in a record's labels or repeat a table row
+        # duplicates would collapse in a record's labels
         with pytest.raises(ValidationError) as info:
             parse_config(f"{key} = {raw}\n", command="intersections")
         assert info.value.field == key
@@ -106,11 +114,12 @@ class TestErrors:
             parse_config("", overrides={"no_such_key": 3})
 
     @pytest.mark.parametrize("key,value", [
-        ("regularity", (math.nan,)), ("regularity", (3.0, math.inf)),
+        ("regularity", math.nan), ("regularity", math.inf),
         ("ball_radius", math.inf), ("probe", (math.nan, 0.2)), ("times", (0.0, math.nan)),
         ("ball_center", (-math.inf, 0.5)), ("ball_radius", math.nan),
         ("refinement_threshold", math.nan), ("osc_spatial_grid", 1), ("osc_time_grid", 1),
-        ("seed", -1), ("out", ""), ("out", " ")])
+        ("seed", -1), ("out", ""), ("out", " "), ("regularity", 0.0), ("regularity", -3.0),
+        ("out", " padded"), ("out", "padded\n")])
     def test_bad_values_from_python_name_their_field(self, key, value):
         # the document parser refuses non-finite numbers itself; overrides
         # and direct construction reach the validation alone
@@ -121,8 +130,9 @@ class TestErrors:
             ExperimentConfig(**{key: value})
         assert info.value.field == key
 
+    # a config names one law, so a regularity list is not a number
     @pytest.mark.parametrize("line", ["regularity = nan", "regularity = 3, inf",
-                                      "ball_radius = nan", "times = 0, nan",
+                                      "regularity = 3, 4", "ball_radius = nan", "times = 0, nan",
                                       "probe = 0.3, nan", "ball_center = -inf, 0.5",
                                       "regularity = abc"])
     def test_non_numbers_carry_key_and_line(self, line):
@@ -132,17 +142,19 @@ class TestErrors:
         assert line.split()[0] in str(info.value)
 
     def test_parse_value_converts_like_the_document(self):
-        assert parse_value("regularity", " 3, 4.5 ,") == (3.0, 4.5)
-        with pytest.raises(ParseError):
-            parse_value("regularity", "nan")
+        assert parse_value("regularity", " 4.5 ") == 4.5
+        assert parse_value("times", " 0, 0.5 ,") == (0.0, 0.5)
+        for raw in ("nan", "3,4", "3, 4.5"):
+            with pytest.raises(ParseError, match="^regularity: "):
+                parse_value("regularity", raw)
 
 
 class TestCommandDefaults:
     def test_diffusion_regularity(self):
-        assert parse_config("", command="diffusion").regularity == (3.16,)
+        assert parse_config("", command="diffusion").regularity == 3.16
 
     def test_field_regularity(self):
-        assert parse_config("", command="flow").regularity == (3.95,)
+        assert parse_config("", command="flow").regularity == 3.95
 
     @pytest.mark.parametrize("command,regularity,steps",
                              [("flow", 3.95, 21), ("intersections", 3.95, 21),
@@ -150,8 +162,8 @@ class TestCommandDefaults:
     def test_default_laws_flow_resolved(self, command, regularity, steps):
         # the defaults are smooth in frequency units: they flow below the cap
         cfg = parse_config("", command=command)
-        assert cfg.regularity == (regularity,) and cfg.steps == 200
-        assert flow_steps(law_for(cfg, regularity), cfg.steps) == steps
+        assert cfg.regularity == regularity and cfg.steps == 200
+        assert flow_steps(law_for(cfg), cfg.steps) == steps
 
     def test_random_walk_kernel(self):
         assert parse_config("", command="random-walk").kernel == "constant"
@@ -164,7 +176,7 @@ class TestCommandDefaults:
         assert cfg == ExperimentConfig(command="sample-field")
 
     def test_document_value_wins(self):
-        assert parse_config("regularity = 0.3\n", command="diffusion").regularity == (0.3,)
+        assert parse_config("regularity = 0.3\n", command="diffusion").regularity == 0.3
         assert parse_config("samples = 1500\n", command="tails").samples == 1500
         with pytest.raises(ValidationError):
             parse_config("kernel = periodic\n", command="random-walk")
@@ -186,14 +198,15 @@ class TestCommandDefaults:
     def test_override_wins(self):
         cfg = parse_config("", command="tails", overrides={"samples": 1200, "seed": None})
         assert cfg.samples == 1200
-        cfg = parse_config("", command="diffusion", overrides={"regularity": (0.2,)})
-        assert cfg.regularity == (0.2,)
+        cfg = parse_config("", command="diffusion", overrides={"regularity": 0.2})
+        assert cfg.regularity == 0.2
 
 
-@pytest.mark.parametrize("units, want", [("eigenvalue", 3.0),
-                                         ("frequency", 3.0 / (4.0 * math.pi**2))],
-                         ids=["eigenvalue", "frequency"])
-def test_law_regularity_in_eigenvalue_units(units, want):
-    cfg = ExperimentConfig(regularity=(3.0,), regularity_units=units)
-    assert law_for(cfg, 3.0).regularity == want
+def test_law_regularity_in_eigenvalue_units():
+    # the config states regularity per squared frequency, the law per
+    # Laplace-Beltrami eigenvalue
+    cfg = ExperimentConfig(regularity=3.0)
+    want = 3.0 / (4.0 * math.pi**2)
+    assert cfg.eigenvalue_regularity() == want
+    assert law_for(cfg).regularity == want
     assert cfg.eigenvalue_regularities() == (want,)

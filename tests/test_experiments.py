@@ -5,6 +5,7 @@ tests that compare with it skip where scipy is not installed)."""
 import json
 import math
 import os
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -354,7 +355,7 @@ class TestCountCrossings:
 
 
 def intersections_config(**changes):
-    values = dict(command="intersections", regularity=(0.1 * 4 * math.pi**2,), spatial_max=4,
+    values = dict(command="intersections", regularity=0.1 * 4 * math.pi**2, spatial_max=4,
                   temporal_max=3, steps=50, refinement_threshold=0.02,
                   curve_vertices=64, samples=6, seed=9, workers=1,
                   lagrangians=("L1", "L5", "L7", "L13"))
@@ -370,16 +371,16 @@ def law_settings(cfg, law):
 
 def intersection_chunk(cfg, start, stop):
     """The records of the intersection task for samples start..stop-1."""
-    return _image_chunk(_crossings, cfg, law_for(cfg, cfg.regularity[0]), 0, range(start, stop))
+    return _image_chunk(_crossings, cfg, law_for(cfg), range(start, stop))
 
 
-def per_draw_outcomes(cfg, r_index=0):
+def per_draw_outcomes(cfg):
     """The records of the one-sample-at-a-time loop: counts or error text."""
-    law = law_for(cfg, cfg.regularity[r_index])
+    law = law_for(cfg)
     settings = law_settings(cfg, law)
     outcomes = []
     for i in range(cfg.samples):
-        draw = sample_hamiltonian(law, cfg.seed, r_index, i)
+        draw = sample_hamiltonian(law, cfg.seed, 0, i)
         try:
             image = advect_curve(draw, horizontal_circle(0.5, cfg.curve_vertices), 1.0, settings)
             outcomes.append({"sample": i, **{label: count_crossings(image, [label])[0]
@@ -405,9 +406,9 @@ class TestIntersectionChunks:
     @pytest.mark.usefixtures("budget")
     def test_budget_message_matches_per_draw_loop(self, tmp_path):
         cfg = intersections_config(out=str(tmp_path))
-        errors = [(cfg.regularity[0], o["sample"], o["error"]) for o in per_draw_outcomes(cfg)
+        errors = [(cfg.regularity, o["sample"], o["error"]) for o in per_draw_outcomes(cfg)
                   if "error" in o]
-        expected = (f"regularity {cfg.regularity[0]}: {len(errors)} of {cfg.samples} samples "
+        expected = (f"regularity {cfg.regularity}: {len(errors)} of {cfg.samples} samples "
                     f"failed (budget 1%): {errors[:3]}")
         with pytest.raises(HamflowError) as info:
             cli.run(cfg)
@@ -418,23 +419,23 @@ class TestIntersectionChunks:
         outcomes = per_draw_outcomes(cfg)
         assert all("error" not in o for o in outcomes)
         records = run_intersections(cfg)
-        assert records == outcomes
-        outputs = mean_table(cfg, [records])
+        assert records == [{**o, "regularity": cfg.regularity} for o in outcomes]
+        outputs = mean_table(cfg, records)
         assert outputs["records"] == records
         rows = {row[0]: row for row in outputs["table"]}
         assert list(rows) == list(cfg.lagrangians)
         for label in cfg.lagrangians:
             values = np.array([o[label] for o in outcomes], dtype=float)
-            assert rows[label] == (label, cfg.regularity[0], float(values.mean()),
+            assert rows[label] == (label, cfg.regularity, float(values.mean()),
                                    standard_error(values), cfg.samples)
 
     def test_smooth_law_advects_at_its_step_count(self):
         # regularity 6 takes 3 of at most 50 steps
-        cfg = intersections_config(regularity=(6.0,), samples=4)
-        law = law_for(cfg, 6.0)
+        cfg = intersections_config(regularity=6.0, samples=4)
+        law = law_for(cfg)
         assert flow_steps(law, cfg.steps) == 3
         settings = law_settings(cfg, law)
-        records = _image_chunk(_curve, cfg, law, 0, range(cfg.samples))
+        records = _image_chunk(_curve, cfg, law, range(cfg.samples))
         assert [record["sample"] for record in records] == list(range(cfg.samples))
         for i, record in enumerate(records):
             draw = sample_hamiltonian(law, cfg.seed, 0, i)
@@ -444,12 +445,12 @@ class TestIntersectionChunks:
 
 
 def check_diffusion_chunk(regularity, steps, spatial_max=5):
-    cfg = ExperimentConfig(command="diffusion", regularity=(regularity,),
+    cfg = ExperimentConfig(command="diffusion", regularity=regularity,
                            spatial_max=spatial_max, steps=40, points=12, samples=5, seed=2)
-    law = law_for(cfg, regularity)
+    law = law_for(cfg)
     assert flow_steps(law, cfg.steps) == steps
     settings = FlowSettings(steps=steps)
-    records = _diffusion_chunk(cfg, law, 0, range(1, 5))
+    records = _diffusion_chunk(cfg, law, range(1, 5))
     assert [record["sample"] for record in records] == [1, 2, 3, 4]
     for record, i in zip(records, range(1, 5)):
         counts, chi = record["counts"], record["chi_square"]
@@ -464,9 +465,9 @@ def check_diffusion_chunk(regularity, steps, spatial_max=5):
 
 
 def check_displacement_chunk(regularity, steps):
-    cfg = ExperimentConfig(command="inversion", regularity=(regularity,), spatial_max=5,
+    cfg = ExperimentConfig(command="inversion", regularity=regularity, spatial_max=5,
                            steps=40, samples=4, seed=2)
-    law = law_for(cfg, regularity)
+    law = law_for(cfg)
     assert flow_steps(law, cfg.steps) == steps
     settings = FlowSettings(steps=steps)
     probe = np.asarray(cfg.probe)
@@ -475,7 +476,7 @@ def check_displacement_chunk(regularity, steps):
         d = (flow_one(h, probe[None], t0, t1, settings)[0] - probe + 0.5) % 1.0 - 0.5
         return np.hypot(d[0], d[1])
 
-    records = _displacement_chunk(cfg, law, 0, range(1, 4))
+    records = _displacement_chunk(cfg, law, range(1, 4))
     assert [record["sample"] for record in records] == [1, 2, 3]
     for i, record in zip(range(1, 4), records):
         forward, inverse = record["forward"], record["inverse"]
@@ -491,10 +492,10 @@ def test_full_band_draw_is_refused_at_pass_0(monkeypatch):
     # at their defaults): its first image is already too long to finish
     # within the image budget at the 0.01 threshold, so it fails with no
     # refinement pass, where the budget test alone took 8 passes
-    cfg = ExperimentConfig(command="flow", regularity=(0.1,), samples=1)
-    law = law_for(cfg, 0.1)
+    cfg = ExperimentConfig(command="flow", regularity=0.1, samples=1)
+    law = law_for(cfg)
     shapes = flowed_shapes(monkeypatch)
-    (record,) = _image_chunk(_curve, cfg, law, 0, range(1))
+    (record,) = _image_chunk(_curve, cfg, law, range(1))
     assert shapes == [(1, 128, 2)]
     assert record["sample"] == 0
     assert record["error"].startswith(f"RefinementOverflow: curve refinement would take an "
@@ -507,10 +508,10 @@ def test_draw_stuck_below_double_precision_is_refused(monkeypatch):
     # image gap above the threshold, and its midpoint rounds onto an
     # endpoint, so no pass can split it; it is refused before the pass that
     # would flow the duplicate, where the budget test alone took 1,800 passes
-    cfg = ExperimentConfig(command="intersections", regularity=(2.0,))
-    law = law_for(cfg, 2.0)
+    cfg = ExperimentConfig(command="intersections", regularity=2.0)
+    law = law_for(cfg)
     shapes = flowed_shapes(monkeypatch)
-    (record,) = _image_chunk(_curve, cfg, law, 0, range(73, 74))
+    (record,) = _image_chunk(_curve, cfg, law, range(73, 74))
     assert record["sample"] == 73
     assert record["error"].startswith("RefinementOverflow: curve refinement cannot split a "
                                       "source segment of length ")
@@ -527,7 +528,7 @@ class TestZeroFlux:
     # were seen
     @pytest.mark.parametrize("r", [4.5, 3.95])
     def test_every_image_crosses_l8_at_least_twice(self, r):
-        cfg = ExperimentConfig(command="intersections", regularity=(r,), samples=16, seed=11,
+        cfg = ExperimentConfig(command="intersections", regularity=r, samples=16, seed=11,
                                workers=1, lagrangians=("L8",))
         records = run_intersections(cfg)
         assert len(records) == 16
@@ -537,8 +538,8 @@ class TestZeroFlux:
         # draws 35, 40 and 62 of seed 0 at regularity 3 (frequency units,
         # other keys at their defaults) each take 13 refinement passes, to
         # 1,357, 1,305 and 1,531 vertices, where a 12-pass cap failed them
-        cfg = ExperimentConfig(command="intersections", regularity=(3.0,))
-        law = law_for(cfg, 3.0)
+        cfg = ExperimentConfig(command="intersections", regularity=3.0)
+        law = law_for(cfg)
         hs = [sample_hamiltonian(law, cfg.seed, 0, i) for i in (35, 40, 62)]
         images = advect_curves(PackedBatch(hs), horizontal_circle(0.5, 128), 1.0,
                                _settings_for(cfg, law))
@@ -584,9 +585,9 @@ class TestBatchedChunks:
                                                                               monkeypatch):
         # at spatial_max 12 a draw's head is 268 of its 576 rows (at
         # spatial_max 5 the head is every row)
-        cfg = ExperimentConfig(command="diffusion", regularity=(3.0,), spatial_max=12, steps=40,
+        cfg = ExperimentConfig(command="diffusion", regularity=3.0, spatial_max=12, steps=40,
                                points=12, samples=5, seed=2)
-        law = law_for(cfg, 3.0)
+        law = law_for(cfg)
         assert (law.head_rows(), len(law.basis())) == (268, 576)
         keys, clouds = {"field": [], "experiments": []}, []
         for name, module in (("field", field), ("experiments", experiments)):
@@ -594,7 +595,7 @@ class TestBatchedChunks:
                                 lambda *key, name=name: keys[name].append(key) or derive(*key))
         monkeypatch.setattr(experiments, "flow_points_through", lambda batch, pts, *args:
                             clouds.append(pts.copy()) or flow_points_through(batch, pts, *args))
-        _diffusion_chunk(cfg, law, 0, range(1, 5))
+        _diffusion_chunk(cfg, law, range(1, 5))
         # one derivation of each draw's stream, for its head (reading a draw's
         # whole (N, m) normals would derive it again), and one of its points'
         assert keys == {"field": [(2, 0, i) for i in range(1, 5)],
@@ -616,12 +617,12 @@ def test_law_built_once_per_process(monkeypatch):
     law_for.cache_clear()
     try:
         # one-sample chunks: 5 tasks, one law
-        cfg = ExperimentConfig(command="sample-field", regularity=(3.0,), spatial_max=6,
+        cfg = ExperimentConfig(command="sample-field", regularity=3.0, spatial_max=6,
                                temporal_max=3, samples=5, workers=1, osc_spatial_grid=8,
                                osc_time_grid=5, seed=1)
         experiments.oscillation_samples(cfg)
         assert len(calls) == 1
-        assert law_for(cfg, 3.0) is law_for(ExperimentConfig(**vars(cfg)), 3.0)
+        assert law_for(cfg) is law_for(ExperimentConfig(**vars(cfg)))
     finally:
         law_for.cache_clear()
 
@@ -633,16 +634,16 @@ def test_inversion_chunk_peak_memory():
     plus one block of stage grids: the batch holds field grids only, one row
     per time-basis column of the temporal band, and one stage block at a
     time."""
-    cfg = ExperimentConfig(command="inversion", regularity=(3.0,), spatial_max=25,
+    cfg = ExperimentConfig(command="inversion", regularity=3.0, spatial_max=25,
                            samples=CHUNK, workers=1)
-    law = law_for(cfg, 3.0)
-    _displacement_chunk(cfg, law, 0, range(1))  # the basis and engine are built once per process
+    law = law_for(cfg)
+    _displacement_chunk(cfg, law, range(1))  # the basis and engine are built once per process
     grid_bytes = np.prod(law.engine().field_shape) * 8
     rows = 2 * CHUNK
     held = (1 + 2 * law.temporal_band() + len(_STAGE_OFFSETS)) * rows * grid_bytes
     tracemalloc.start()
     try:
-        _displacement_chunk(cfg, law, 0, range(CHUNK))
+        _displacement_chunk(cfg, law, range(CHUNK))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -653,15 +654,15 @@ class TestWalkChunks:
     """random-walk flows each step at its law's count: 7 steps at regularity 5
     (constant kernel, frequency units)."""
 
-    cfg = ExperimentConfig(command="random-walk", regularity=(5.0,), spatial_max=5,
+    cfg = ExperimentConfig(command="random-walk", regularity=5.0, spatial_max=5,
                            kernel="constant", samples=4, walk_steps=3, seed=6, workers=1)
 
     def test_chunk_equals_per_walk_flows_at_the_law_count(self):
         cfg = self.cfg
-        law = law_for(cfg, 5.0)
+        law = law_for(cfg)
         assert flow_steps(law, cfg.steps) == 7
         settings = FlowSettings(steps=7)
-        records = _walk_chunk(cfg, law, 0, range(1, 4))
+        records = _walk_chunk(cfg, law, range(1, 4))
         assert [record["walk"] for record in records] == [1, 2, 3]
         for w, traj in zip(range(1, 4), (record["trajectory"] for record in records)):
             state = np.array([cfg.probe]) % 1.0
@@ -675,14 +676,14 @@ class TestWalkChunks:
     def test_walk_agrees_with_its_generating_hamiltonian(self):
         # the concatenation has no law: it flows at steps x parts; row 0 is the probe
         cfg = self.cfg
-        law = law_for(cfg, 5.0)
+        law = law_for(cfg)
         walk = tuple(sample_hamiltonian(law, cfg.seed, 0, j) for j in range(cfg.walk_steps))
         combined = concatenate_autonomous(walk, BumpFunction())
         pts = np.concatenate([[cfg.probe], np.random.default_rng(1).uniform(0, 1, (20, 2))])
         lhs = flow_concatenation(PackedBatch([combined]), pts[None], 0.0, 1.0,
                                  FlowSettings(steps=cfg.steps))[0]
         rhs = apply_walk(walk, pts, FlowSettings(steps=7))
-        (record,) = _walk_chunk(cfg, law, 0, range(1))
+        (record,) = _walk_chunk(cfg, law, range(1))
         rhs[0] = record["trajectory"][-1]
         assert np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1).max() < 1e-4
 
@@ -730,7 +731,7 @@ def test_periodic_law_at_regularity_three_takes_58_steps():
 def test_config_laws_step_counts():
     """Counts of the config's laws (frequency units, CLI defaults otherwise);
     the command defaults, regularity 0.1 and diffusion's 0.08, stay at the cap."""
-    counts = {r: flow_steps(law_for(ExperimentConfig(regularity=(r,)), r), 200)
+    counts = {r: flow_steps(law_for(ExperimentConfig(regularity=r)), 200)
               for r in (0.08, 0.1, 2.0, 3.0, 3.16, 3.5, 4.0, 4.5, 5.0, 6.0, 8.0)}
     assert counts == {0.08: 200, 0.1: 200, 2.0: 200, 3.0: 58, 3.16: 48, 3.5: 33,
                       4.0: 20, 4.5: 12, 5.0: 7, 6.0: 3, 8.0: 2}
@@ -754,18 +755,18 @@ def test_flow_points_takes_exactly_the_requested_steps(monkeypatch):
         assert len(calls) == 7 * steps
 
 
-def _bounds(cfg, law, r_index, samples):
-    return [(r_index, samples.start, samples.stop, i) for i in samples]
+def _bounds(cfg, law, samples):
+    return [(samples.start, samples.stop, i) for i in samples]
 
 
 def chunk_lengths(samples, workers):
     """The chunk lengths of ``_run_chunks`` at the given counts, checked to
     cover the indices in order, each chunk one consecutive run."""
-    cfg = ExperimentConfig(samples=samples, workers=workers, regularity=(3.0, 4.5), spatial_max=4)
-    results = _run_chunks(_bounds, cfg, 1)
+    cfg = ExperimentConfig(samples=samples, workers=workers, spatial_max=4)
+    results = _run_chunks(_bounds, cfg)
     assert [i for *_, i in results] == list(range(samples))
-    assert all(r_index == 1 and start <= i < stop for r_index, start, stop, i in results)
-    bounds = sorted({(start, stop) for _, start, stop, _ in results})
+    assert all(start <= i < stop for start, stop, i in results)
+    bounds = sorted({(start, stop) for start, stop, _ in results})
     assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
     return [stop - start for start, stop in bounds]
 
@@ -807,11 +808,11 @@ def test_run_forks_no_more_processes_than_chunks(samples, workers, monkeypatch):
 def test_run_stays_in_process_without_fork(monkeypatch):
     monkeypatch.delattr(os, "fork")
     cfg = ExperimentConfig(samples=4, workers=2, spatial_max=2)
-    assert _run_chunks(lambda cfg, law, r_index, samples: [os.getpid() for _ in samples],
+    assert _run_chunks(lambda cfg, law, samples: [os.getpid() for _ in samples],
                        cfg) == [os.getpid()] * 4
 
 
-def _fail_from_sample_one(cfg, law, r_index, samples):
+def _fail_from_sample_one(cfg, law, samples):
     if 1 in samples:
         raise ValidationError("samples", f"refused in chunk {samples.start}")
     return [{"sample": i, "osc": 1.0} for i in samples]
@@ -840,17 +841,33 @@ def test_forked_task_error_reaches_the_parent(tmp_path, capsys, monkeypatch):
 def test_child_that_sends_nothing_raises():
     cfg = ExperimentConfig(samples=2, workers=2, spatial_max=2)
     with pytest.raises(ChildProcessError, match=r"sent no records \(exit status 3\)"):
-        _run_chunks(lambda cfg, law, r_index, samples: os._exit(3), cfg)
+        _run_chunks(lambda cfg, law, samples: os._exit(3), cfg)
+    assert_no_child_left()
+
+
+def test_dead_chunk_child_exits_with_one_error_line(tmp_path, capsys, monkeypatch):
+    # 64 samples on two workers are two chunks, each in its own child; the
+    # second child dies before it sends its records
+    def die_in_second_chunk(cfg, law, samples):
+        if samples.start:
+            os._exit(3)
+        return [{"sample": i, "osc": 1.0} for i in samples]
+
+    monkeypatch.setattr(experiments, "_osc_chunk", die_in_second_chunk)
+    (tmp_path / "two.txt").write_text("samples = 64\nworkers = 2\nspatial_max = 2\n")
+    argv = ["sample-field", "--config", str(tmp_path / "two.txt"), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: ChildProcessError: chunk child \d+ sent no records "
+                        r"\(exit status 3\)\n", err), err
     assert_no_child_left()
 
 
 def test_task_receives_the_law_of_its_regularity():
-    cfg = ExperimentConfig(regularity=(3.0, 4.5), spatial_max=4, samples=3, workers=1)
-    records = _run_chunks(lambda cfg, law, r_index, samples: [(r_index, law) for _ in samples],
-                          cfg, 1)
-    assert [r_index for r_index, _ in records] == [1, 1, 1]
-    assert all(law is law_for(cfg, cfg.regularity[1]) for _, law in records)
-    assert records[0][1].regularity == cfg.eigenvalue_regularity(4.5)
+    cfg = ExperimentConfig(regularity=4.5, spatial_max=4, samples=3, workers=1)
+    laws = _run_chunks(lambda cfg, law, samples: [law for _ in samples], cfg)
+    assert len(laws) == 3 and all(law is law_for(cfg) for law in laws)
+    assert laws[0].regularity == cfg.eigenvalue_regularity() == 4.5 / (4 * math.pi**2)
 
 
 @pytest.mark.parametrize("command,task", [("random-walk", _walk_chunk),
@@ -859,12 +876,12 @@ def test_task_receives_the_law_of_its_regularity():
 def test_one_point_flows_do_not_depend_on_chunk_length(command, task):
     # each draw flows one point, whose image must not depend on how many
     # draws its batch holds: the same records at chunk lengths 1 to 64
-    cfg = ExperimentConfig(command=command, regularity=(3.0,), spatial_max=6, temporal_max=3,
+    cfg = ExperimentConfig(command=command, regularity=3.0, spatial_max=6, temporal_max=3,
                            kernel="constant" if command == "random-walk" else "periodic",
                            samples=64, walk_steps=2, seed=3, workers=1)
-    law = law_for(cfg, 3.0)
+    law = law_for(cfg)
     runs = [[record for start in range(0, 64, length)
-             for record in task(cfg, law, 0, range(start, min(start + length, 64)))]
+             for record in task(cfg, law, range(start, min(start + length, 64)))]
             for length in (1, 7, 32, 64)]
     for records in runs[:-1]:
         assert len(records) == 64
@@ -882,7 +899,7 @@ def test_benchmark_reference_displacements_stay_within_1e_7():
     before it fails the benchmark."""
     reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
                             / "reference.json").read_text())["inversion"]
-    cfg = ExperimentConfig(command="inversion", regularity=(3.0,), spatial_max=25,
+    cfg = ExperimentConfig(command="inversion", regularity=3.0, spatial_max=25,
                            temporal_max=10, kernel="periodic", steps=200, seed=0, samples=8,
                            workers=1)
     records = run_inversion_test(cfg)
@@ -990,10 +1007,10 @@ def test_ks_stays_exact_above_scipy_auto_limit():
 
 
 def test_inversion_test_equals_scipy_on_its_own_samples():
-    cfg = ExperimentConfig(command="inversion", regularity=(8.0,), spatial_max=2,
+    cfg = ExperimentConfig(command="inversion", regularity=8.0, spatial_max=2,
                            temporal_max=3, steps=50, samples=12, seed=3, workers=1)
     records = run_inversion_test(cfg)
-    test, = inversion_test(cfg, [records])["test"]
+    test, = inversion_test(cfg, records)["test"]
     expected, _ = scipy_ks(*(np.array([record[branch] for record in records])
                              for branch in ("forward", "inverse")))
     assert (test["statistic"], test["p_value"]) == expected

@@ -2,6 +2,8 @@
 (``experiments._walk_chunk``) against oracle walks built from the same
 draws, walk w's step j from stream (seed, w, j)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,11 @@ from reference import (BumpFunction, apply_walk, concatenate_autonomous, flow_co
 
 
 def walk_run(r=0.1, smax=3, **kwargs):
-    """A random-walk config at eigenvalue regularity r and its law."""
-    cfg = ExperimentConfig(command="random-walk", regularity=(r,), regularity_units="eigenvalue",
+    """A random-walk config at eigenvalue regularity r (4 pi^2 r in the
+    config's frequency units) and its law."""
+    cfg = ExperimentConfig(command="random-walk", regularity=4 * math.pi**2 * r,
                            spatial_max=smax, kernel="constant", workers=1, **kwargs)
-    return cfg, law_for(cfg, r)
+    return cfg, law_for(cfg)
 
 
 def walk(law, seed, n, w=0):
@@ -27,7 +30,7 @@ def walk(law, seed, n, w=0):
 
 def trajectories(cfg, law, walks):
     """The chunk's trajectories of ``walks``, shape (W, walk_steps + 1, 2)."""
-    records = _walk_chunk(cfg, law, 0, walks)
+    records = _walk_chunk(cfg, law, walks)
     assert [record["walk"] for record in records] == list(walks)
     return np.array([record["trajectory"] for record in records])
 
