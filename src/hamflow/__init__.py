@@ -9,11 +9,10 @@ tail and invariance statistics).
 from .basis import SpectralBasis, Truncation
 from .config import ExperimentConfig, parse_config, serialize_config
 from .errors import (DegenerateOverlap, FailureBudgetExceeded, HamflowError, NonFinite,
-                     NotAutonomous, OutOfRange, ParseError, RefinementOverflow, Unsupported,
-                     ValidationError)
+                     OutOfRange, ParseError, RefinementOverflow, ValidationError)
 from .field import (HamiltonianLaw, PackedBatch, RandomHamiltonian, SpectralHamiltonian,
                     make_law, sample_hamiltonian, spectral_weight)
-from .flow import (FlowSettings, LagrangianCurve, advect_curve, advect_curves, flow_points,
+from .flow import (LagrangianCurve, advect_curve, advect_curves, flow_points,
                    flow_points_through, horizontal_circle, time_reversed_hamiltonian)
 from .rng import derive
 from .temporal import CONSTANT, KernelKind, PERIODIC, SQEXP

@@ -13,6 +13,8 @@ law takes it per Laplace-Beltrami eigenvalue 4 pi^2 (k^2 + j^2)
 :mod:`hamflow.flow`); smooth laws use fewer (see :mod:`hamflow.experiments`).
 Curve refinement runs until no image gap exceeds ``refinement_threshold``;
 no key caps it (``hamflow.flow.MAX_IMAGE_VERTICES`` bounds an image).
+``intersections`` counts every test Lagrangian of
+``hamflow.experiments.LAGRANGIANS``; no key selects them.
 
 ``grid_nodes`` is a class constant, not a key: no kernel samples on a grid.
 Only ``perfbench/child.py`` reads it, passes ``make_law``'s ``seed=`` or
@@ -23,8 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from . import temporal
 from .errors import ParseError, ValidationError
@@ -44,32 +44,6 @@ COMMAND_DEFAULTS = {
     "tails": {"samples": 1000},
 }
 
-
-def _line(a, b, c):
-    """Level function (a x + b y) - c of a closed line: integer on the line."""
-    return lambda v: (a * v[:, 0] + b * v[:, 1]) - c
-
-
-def _circle(center, radius):
-    """Level function (torus distance to ``center``) - radius: zero on the circle."""
-    def level(v):
-        d = (v - center + 0.5) % 1.0 - 0.5
-        return np.hypot(d[:, 0], d[:, 1]) - radius
-    return level
-
-
-# The fourteen test Lagrangians of the intersection experiment, by label:
-# each one's level function of (V, 2) vertices.  L1-L3 are x = c, L7-L9
-# y = c, L4-L6 and L10-L12 the closed lines through the origin of winding
-# (1, q) and (p, 1), and L13 and L14 circles about the torus centre.
-LAGRANGIANS = {
-    **{f"L{i}": _line(1, 0, c) for i, c in enumerate((0.3, 0.5, 0.7), start=1)},
-    **{f"L{i}": _line(q, -1, 0) for i, q in enumerate((2, 3, 4), start=4)},
-    **{f"L{i}": _line(0, 1, c) for i, c in enumerate((0.3, 0.5, 0.7), start=7)},
-    **{f"L{i}": _line(1, -p, 0) for i, p in enumerate((2, 3, 4), start=10)},
-    "L13": _circle((0.5, 0.5), 0.1),
-    "L14": _circle((0.5, 0.5), 0.2),
-}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -93,7 +67,6 @@ class ExperimentConfig:
     grid: int = 10
     walk_steps: int = 5
     probe: tuple = (0.3, 0.7)
-    lagrangians: tuple = tuple(LAGRANGIANS)
     osc_spatial_grid: int = 128
     osc_time_grid: int = 101
     # not a field (no annotation), so not a key (module docstring)
@@ -163,13 +136,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad("walk_steps", "must be >= 0")
     if len(cfg.probe) != 2:
         bad("probe", "must be a pair")
-    if not cfg.lagrangians:
-        bad("lagrangians", "must name at least one label")
-    unknown = [lab for lab in cfg.lagrangians if lab not in LAGRANGIANS]
-    if unknown:
-        bad("lagrangians", f"unknown labels {unknown}")
-    if len(set(cfg.lagrangians)) < len(cfg.lagrangians):
-        bad("lagrangians", "labels must be distinct")
     if cfg.osc_spatial_grid < 2:
         bad("osc_spatial_grid", "must be >= 2")
     if cfg.osc_time_grid < 2:
@@ -202,10 +168,7 @@ def _convert(raw: str, template):
     if isinstance(template, float):
         return _float(raw)
     if isinstance(template, tuple):
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        if template and isinstance(template[0], str):
-            return tuple(parts)
-        return tuple(_float(p) for p in parts)
+        return tuple(_float(p) for p in map(str.strip, raw.split(",")) if p)
     return raw.strip()
 
 

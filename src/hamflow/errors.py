@@ -9,10 +9,6 @@ class OutOfRange(HamflowError, ValueError):
     """A time or coordinate argument lies outside its valid domain."""
 
 
-class NotAutonomous(HamflowError):
-    """An operation requiring time-independent Hamiltonians received one that is not."""
-
-
 class NonFinite(HamflowError):
     """A numerical state left the finite floating-point range.
 
@@ -38,10 +34,6 @@ class RefinementOverflow(HamflowError):
 
 class DegenerateOverlap(HamflowError):
     """A curve lies (mostly) inside the level set it is being intersected with."""
-
-
-class Unsupported(HamflowError):
-    """The requested operation is not defined for this kernel or configuration."""
 
 
 class ParseError(HamflowError):

@@ -1,12 +1,12 @@
 """Monte Carlo experiments: Lagrangian intersections, diffusion, tails,
 inversion invariance, concentration and random walks.
 
-Crossings.  The fourteen test Lagrangians are one table,
-``config.LAGRANGIANS``: each label's level function, (a x + b y) - c for
-the twelve closed lines and the torus distance to a centre minus a radius
-for the two circles.  ``count_crossings`` evaluates them at a curve's
-vertices as one array and counts every Lagrangian by one rule, the changes
-of floor f.
+Crossings.  The fourteen test Lagrangians are one table, ``LAGRANGIANS``:
+each label's level function, (a x + b y) - c for the twelve closed lines
+and the torus distance to a centre minus a radius for the two circles.
+``count_crossings`` evaluates the whole table at a curve's vertices as one
+array and counts every Lagrangian by one rule, the changes of floor f; an
+``intersections`` record holds all fourteen counts, in table order.
 
 Records.  Each sampler ``(cfg)`` (``oscillation_samples``,
 ``run_intersections``, ...) runs a per-sample task through ``_run_chunks``
@@ -35,8 +35,9 @@ most.  ``_run_chunk`` hands each task its law, built once per process
 (``law_for``), and a task draws sample i from its own stream exactly as a
 one-sample task would.  The flowing commands flow a chunk's draws as one
 batch; the oscillation commands take each sample alone.  A run of several
-chunks on several workers forks at most one child per worker and chunk
-(``_forked``); a run at one worker or of one chunk never forks.
+chunks on several workers forks at most one child per worker, chunk and
+CPU the process may run on (``_forked``); a run at one worker, of one
+chunk or on one CPU never forks.
 
 Chunk boundaries move with the sample and worker counts, and results stay
 bit-identical because a draw's flow does not depend on the other draws of
@@ -62,10 +63,11 @@ Smoother laws take fewer: 48, 33, 20, 12, 7, 3 and 2 steps at regularity
 3.16, 3.5, 4, 4.5, 5, 6 and 8.  Rougher laws, 2 and below at the
 defaults, take the cap.  Against a 1,600-step flow the count's error stays
 at or below max(1.5e-6, the error at 200 steps) on every law tested
-(``tests/test_experiments.py``).  The count depends on the law
-alone, never on a chunk's draws, so outputs stay independent of the
-worker count.  A walk's steps are draws of a constant law and flow at its
-count, one step's time-1 flow after another (``_walk_chunk``).
+(``tests/test_experiments.py``).  Each task hands its flows this count,
+and the curve tasks also ``refinement_threshold``.  The count depends on
+the law alone, never on a chunk's draws, so outputs stay independent of
+the worker count.  A walk's steps are draws of a constant law and flow at
+its count, one step's time-1 flow after another (``_walk_chunk``).
 """
 
 from __future__ import annotations
@@ -78,10 +80,10 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .config import LAGRANGIANS, ExperimentConfig
+from .config import ExperimentConfig
 from .errors import DegenerateOverlap, HamflowError
 from .field import HamiltonianLaw, PackedBatch, make_law, sample_hamiltonian
-from .flow import (FlowSettings, LagrangianCurve, advect_curves, flow_points, flow_points_through,
+from .flow import (LagrangianCurve, advect_curves, flow_points, flow_points_through,
                    horizontal_circle, time_reversed_hamiltonian)
 from .rng import derive
 
@@ -105,6 +107,33 @@ MIN_STEPS = 2
 # Test Lagrangians and crossing counts
 # ---------------------------------------------------------------------------
 
+def _line(a, b, c):
+    """Level function (a x + b y) - c of a closed line: integer on the line."""
+    return lambda v: (a * v[:, 0] + b * v[:, 1]) - c
+
+
+def _circle(center, radius):
+    """Level function (torus distance to ``center``) - radius: zero on the circle."""
+    def level(v):
+        d = (v - center + 0.5) % 1.0 - 0.5
+        return np.hypot(d[:, 0], d[:, 1]) - radius
+    return level
+
+
+# The fourteen test Lagrangians of the intersection experiment, by label:
+# each one's level function of (V, 2) vertices.  L1-L3 are x = c, L7-L9
+# y = c, L4-L6 and L10-L12 the closed lines through the origin of winding
+# (1, q) and (p, 1), and L13 and L14 circles about the torus centre.
+LAGRANGIANS = {
+    **{f"L{i}": _line(1, 0, c) for i, c in enumerate((0.3, 0.5, 0.7), start=1)},
+    **{f"L{i}": _line(q, -1, 0) for i, q in enumerate((2, 3, 4), start=4)},
+    **{f"L{i}": _line(0, 1, c) for i, c in enumerate((0.3, 0.5, 0.7), start=7)},
+    **{f"L{i}": _line(1, -p, 0) for i, p in enumerate((2, 3, 4), start=10)},
+    "L13": _circle((0.5, 0.5), 0.1),
+    "L14": _circle((0.5, 0.5), 0.2),
+}
+
+
 def _dedupe(verts: np.ndarray) -> np.ndarray:
     if len(verts) < 2:
         return verts
@@ -113,21 +142,20 @@ def _dedupe(verts: np.ndarray) -> np.ndarray:
     return verts[keep]
 
 
-def count_crossings(curve: LagrangianCurve, labels) -> list:
-    """Transverse crossings of the curve with each test Lagrangian of
-    ``labels``, in order.
+def count_crossings(curve: LagrangianCurve) -> list:
+    """Transverse crossings of the curve with each test Lagrangian, in the
+    order of ``LAGRANGIANS``.
 
-    One (L, V) array holds each label's level function f
-    (``config.LAGRANGIANS``) at the curve's vertices; the curve crosses a
-    Lagrangian where floor f changes, |change| times.  A value within 1e-12
-    of an integer moves 1e-12 above it, so that a vertex on the level set
-    counts as above and tangencies resolve deterministically.  The circles'
-    f lies in [-0.2, 0.61], so their floor changes are their sign changes.
-    Raises ``DegenerateOverlap`` if the curve lies along any of the level
-    sets.
+    One (14, V) array holds each Lagrangian's level function f at the
+    curve's vertices; the curve crosses a Lagrangian where floor f changes,
+    |change| times.  A value within 1e-12 of an integer moves 1e-12 above
+    it, so that a vertex on the level set counts as above and tangencies
+    resolve deterministically.  The circles' f lies in [-0.2, 0.61], so
+    their floor changes are their sign changes.  Raises
+    ``DegenerateOverlap`` if the curve lies along any of the level sets.
     """
     verts = _dedupe(curve.vertices)
-    f = np.array([LAGRANGIANS[label](verts) for label in labels])
+    f = np.array([level(verts) for level in LAGRANGIANS.values()])
     nearest = np.round(f)
     dist = np.abs(f - nearest)
     _check_overlap(dist)
@@ -175,17 +203,14 @@ def flow_steps(law: HamiltonianLaw, cap: int) -> int:
     return min(cap, max(MIN_STEPS, math.ceil(law.lipschitz_bound() / THETA)))
 
 
-def _settings_for(cfg: ExperimentConfig, law: HamiltonianLaw) -> FlowSettings:
-    """The flow settings of ``cfg`` at ``law``'s step count."""
-    return FlowSettings(steps=flow_steps(law, cfg.steps),
-                        refinement_threshold=cfg.refinement_threshold)
+def _cpus() -> int:
+    """The number of CPUs the process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def worker_count(cfg: ExperimentConfig) -> int:
     """``cfg.workers``, or at 0 the number of CPUs the process may run on."""
-    if cfg.workers > 0:
-        return cfg.workers
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cfg.workers if cfg.workers > 0 else _cpus()
 
 
 def _run_chunk(chunk) -> list:
@@ -203,19 +228,21 @@ def _run_chunks(task, cfg: ExperimentConfig) -> list:
     is a multiple of the ``worker_count(cfg)`` processes, or one per index
     below that many samples; the first are one index longer where the
     samples do not divide evenly.  More than one chunk on more than one
-    worker run in at most one forked child per chunk (``_forked``);
-    otherwise, or where the platform has no ``os.fork``, they run in this
-    process.
+    worker and CPU run in one forked child per worker, chunk and CPU, the
+    fewest of the three (``_forked``); otherwise, or where the platform has
+    no ``os.fork``, they run in this process.  The chunks depend on the
+    workers alone, so the records do not depend on the CPU count.
     """
     workers = worker_count(cfg)
     count = min(cfg.samples, workers * -(-cfg.samples // (CHUNK * workers)))
     size, longer = divmod(cfg.samples, count)
     bounds = [k * size + min(k, longer) for k in range(count + 1)]
     chunks = [(task, cfg, range(start, stop)) for start, stop in zip(bounds, bounds[1:])]
-    if workers <= 1 or count <= 1 or not hasattr(os, "fork"):
+    processes = min(workers, count, _cpus())
+    if processes <= 1 or not hasattr(os, "fork"):
         results = [_run_chunk(chunk) for chunk in chunks]
     else:
-        results = _forked(chunks, min(workers, count))
+        results = _forked(chunks, processes)
     return [record for chunk in results for record in chunk]
 
 
@@ -318,7 +345,7 @@ def _image_chunk(values, cfg, law, samples) -> list:
     for i in samples:
         batch.append(sample_hamiltonian(law, cfg.seed, 0, i))
     images = advect_curves(batch, horizontal_circle(0.5, cfg.curve_vertices), 1.0,
-                           _settings_for(cfg, law))
+                           flow_steps(law, cfg.steps), cfg.refinement_threshold)
     records = []
     for i, image in zip(samples, images):
         try:
@@ -331,8 +358,8 @@ def _image_chunk(values, cfg, law, samples) -> list:
 
 
 def _crossings(cfg: ExperimentConfig, image: LagrangianCurve) -> dict:
-    """The image's crossing count with each of ``cfg.lagrangians``, by label."""
-    return dict(zip(cfg.lagrangians, count_crossings(image, cfg.lagrangians)))
+    """The image's crossing count with each test Lagrangian, by label."""
+    return dict(zip(LAGRANGIANS, count_crossings(image)))
 
 
 def run_intersections(cfg: ExperimentConfig) -> list:
@@ -384,7 +411,7 @@ def _diffusion_chunk(cfg, law, samples) -> list:
         batch.append(sample_hamiltonian(law, cfg.seed, 0, i))
         pts[row] = _ball_points(derive(cfg.seed, 0, i, 1), cfg.ball_center,
                                 cfg.ball_radius, cfg.points)
-    states = flow_points_through(batch, pts, cfg.times, _settings_for(cfg, law))
+    states = flow_points_through(batch, pts, cfg.times, flow_steps(law, cfg.steps))
     records = []
     for row, i in enumerate(samples):
         counts = np.stack([_bin_counts(s[row], cfg.grid) for s in states])
@@ -473,7 +500,7 @@ def _displacement_chunk(cfg, law, samples) -> list:
             batch.append(time_reversed_hamiltonian(draw) if branch else draw)
     probe = np.asarray(cfg.probe, dtype=float)
     images = flow_points(batch, np.broadcast_to(probe, (len(batch), 1, 2)), 0.0, 1.0,
-                         _settings_for(cfg, law))
+                         flow_steps(law, cfg.steps))
     d = (images[:, 0] - probe + 0.5) % 1.0 - 0.5
     dist = np.hypot(d[:, 0], d[:, 1])
     n = len(samples)
@@ -549,13 +576,13 @@ def _walk_chunk(cfg, law, samples) -> list:
     unreduced lifts so far from 0 to 1 at the law's count, so the chunk
     holds one step's draws at a time.
     """
-    settings = _settings_for(cfg, law)
+    steps = flow_steps(law, cfg.steps)
     traj = np.empty((len(samples), cfg.walk_steps + 1, 2))
     traj[:, 0] = np.mod(cfg.probe, 1.0)
     state = traj[:, :1]
     for j in range(cfg.walk_steps):
         batch = PackedBatch(sample_hamiltonian(law, cfg.seed, w, j) for w in samples)
-        state = flow_points(batch, state, 0.0, 1.0, settings)
+        state = flow_points(batch, state, 0.0, 1.0, steps)
         traj[:, j + 1] = state[:, 0] % 1.0
     return [{"walk": w, "trajectory": t} for w, t in zip(samples, traj)]
 

@@ -64,12 +64,15 @@ def spectral_weight(eigenvalue: float, regularity: float):
     return np.exp(-0.5 * np.asarray(eigenvalue) * regularity)
 
 
-@lru_cache(maxsize=16)
+# Unbounded, so that every draw of a law holds the one engine and basis
+# (``PackedBatch`` batches draws of one engine only); there is one key per
+# truncation and band.
+@lru_cache(maxsize=None)
 def _basis_for(truncation: Truncation) -> SpectralBasis:
     return SpectralBasis(truncation)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=None)
 def _engine_for(truncation: Truncation, band: int) -> SpectralEngine:
     return SpectralEngine(_basis_for(truncation), band)
 

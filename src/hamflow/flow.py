@@ -7,18 +7,21 @@ so Monte Carlo tables are reproducible).  The fields are trigonometric
 polynomials, smooth in space and time, so the high order pays: against
 classical RK4 it reaches equal error at about half the vector-field calls
 or fewer (CHANGES.md, the order-6 entry).  Flows take one type, a
-``PackedBatch`` of S Hamiltonians, each row with its own point set.
+``PackedBatch`` of S Hamiltonians, each row with its own point set, and a
+step count per unit time, ``steps``, which the experiments choose per law
+(``experiments.flow_steps``).
 
-Curves are advected in batches (``advect_curves``).  The draws of a batch
-refine in lockstep: each refinement pass is one batched flow of the new
-source midpoints of the draws still refining, cut into rows of one width
-of two points at least (``_flow_rows``).  The engine
-evaluates each row's points under its own grids, so a draw that fails
-(``NonFinite``, ``RefinementOverflow``) fails alone, and its images equal
-the one-draw loop's bit for bit under the BLAS condition
-(``hamflow.engine``).  A set of one point would take numpy's matrix-vector
-path, which on OpenBLAS rounds about half of all points differently in the
-last bits; every row holds two points or more.
+Curves are advected in batches (``advect_curves``), refined until no image
+gap exceeds a ``threshold`` in (0, 0.5].  The draws of a batch refine in
+lockstep: each refinement pass is one batched flow of the new source
+midpoints of the draws still refining, cut into rows of one width of two
+points at least (``_flow_rows``).  The engine evaluates each row's points
+under its own grids, so a draw that fails (``NonFinite``,
+``RefinementOverflow``) fails alone, and its images equal the one-draw
+loop's bit for bit under the BLAS condition (``hamflow.engine``).  A set
+of one point would take numpy's matrix-vector path, which on OpenBLAS
+rounds about half of all points differently in the last bits; every row
+holds two points or more.
 
 Buffers.  Each flow (``_flow_grids``) allocates its stage-grid block, the
 engine's ``FieldBuffers`` and its stage slopes once, and every step writes
@@ -67,28 +70,6 @@ _PHI_STEPS = 200
 # refuses the draw), so what a runaway draw uses up is vertices (memory, flow
 # time).
 MAX_IMAGE_VERTICES = 1 << 16
-
-
-@dataclass(frozen=True)
-class FlowSettings:
-    """Fixed-step integration and curve refinement parameters.
-
-    ``steps`` is per unit time: a flow over a span s takes ceil(steps * s)
-    steps.  The CLI experiments choose it per law (``experiments.flow_steps``).
-    ``advect_curves`` refines an image to gaps of at most ``refinement_threshold``.
-    """
-
-    steps: int = 200
-    refinement_threshold: float = 0.01
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if not 0.0 < self.refinement_threshold <= 0.5:
-            raise ValueError("refinement_threshold must lie in (0, 0.5]")
-
-
-DEFAULT_SETTINGS = FlowSettings()
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +145,21 @@ def _check_batch(batch) -> None:
         raise TypeError(f"flows take a PackedBatch, not {type(batch).__name__}")
 
 
-def flow_points(batch: PackedBatch, pts, t0: float = 0.0, t1: float = 1.0,
-                settings: FlowSettings = DEFAULT_SETTINGS) -> np.ndarray:
-    """Integrate planar lifts from t0 to t1, both in [0, 1] (t1 < t0 allowed).
+def flow_points(batch: PackedBatch, pts, t0: float, t1: float, steps: int) -> np.ndarray:
+    """Integrate planar lifts from t0 to t1, both in [0, 1] (t1 < t0 allowed),
+    at ``steps`` steps per unit time: ceil(steps |t1 - t0|) steps.
 
     ``batch`` packs S spectral Hamiltonians of one engine and one time basis
     (draws of one law and their reversals, in any mix); set s of ``pts``
     (S, P, 2) flows under row s, into a new array.  Raises ``TypeError`` for
-    anything but a ``PackedBatch``, ``OutOfRange`` for an endpoint outside
-    [0, 1] (``_flow_grids`` clips only the rounding of stage times), and
-    ``NonFinite`` for rows whose state left the finite range.
+    anything but a ``PackedBatch``, ``ValueError`` for ``steps`` below 1,
+    ``OutOfRange`` for an endpoint outside [0, 1] (``_flow_grids`` clips only
+    the rounding of stage times), and ``NonFinite`` for rows whose state left
+    the finite range.
     """
     _check_batch(batch)
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     pts = np.asarray(pts, dtype=float)
     if pts.shape[:1] != (len(batch),):
         raise ValueError("batched points need shape (S, P, 2) for S Hamiltonians")
@@ -184,7 +168,7 @@ def flow_points(batch: PackedBatch, pts, t0: float = 0.0, t1: float = 1.0,
     check_times((t0, t1))
     if t1 == t0:
         return pts.copy()
-    n = max(1, math.ceil(settings.steps * abs(t1 - t0) - 1e-9))
+    n = max(1, math.ceil(steps * abs(t1 - t0) - 1e-9))
     out = _flow_grids(batch, pts, t0, (t1 - t0) / n, n)
     finite = np.isfinite(out).all(axis=(-2, -1))
     if not finite.all():
@@ -193,8 +177,7 @@ def flow_points(batch: PackedBatch, pts, t0: float = 0.0, t1: float = 1.0,
     return out
 
 
-def flow_points_through(batch: PackedBatch, pts, times,
-                        settings: FlowSettings = DEFAULT_SETTINGS) -> list[np.ndarray]:
+def flow_points_through(batch: PackedBatch, pts, times, steps: int) -> list[np.ndarray]:
     """States (S, P, 2) at each requested time (ascending, starting from
     t=0): ``flow_points`` over each interval in turn."""
     _check_batch(batch)
@@ -203,7 +186,7 @@ def flow_points_through(batch: PackedBatch, pts, times,
         raise ValueError("times must be ascending")
     states = [pts]
     for t0, t1 in zip([0.0] + times, times):
-        states.append(flow_points(batch, states[-1], t0, t1, settings))
+        states.append(flow_points(batch, states[-1], t0, t1, steps))
     return states[1:]
 
 
@@ -255,26 +238,28 @@ def horizontal_circle(y: float = 0.5, n_vertices: int = 128) -> LagrangianCurve:
     return LagrangianCurve(verts, winding=(1, 0))
 
 
-def advect_curve(h: SpectralHamiltonian, curve: LagrangianCurve, t: float = 1.0,
-                 settings: FlowSettings = DEFAULT_SETTINGS) -> LagrangianCurve:
-    """Image of a curve under the time-t flow of one spectral Hamiltonian,
-    refined until adjacent image vertices are within the refinement threshold.
+def advect_curve(h: SpectralHamiltonian, curve: LagrangianCurve, t: float, steps: int,
+                 threshold: float) -> LagrangianCurve:
+    """Image of a curve under the time-t flow of one spectral Hamiltonian at
+    ``steps`` steps per unit time, refined until adjacent image vertices are
+    within ``threshold``.
 
     Midpoints are inserted on the *source* curve and advected, so refined
     vertices are exact flow images, never interpolations.  This is
     ``advect_curves`` of the one-row batch ``PackedBatch([h])``; it raises
     that row's error.
     """
-    (image,) = advect_curves(PackedBatch([h]), curve, t, settings)
+    (image,) = advect_curves(PackedBatch([h]), curve, t, steps, threshold)
     if isinstance(image, HamflowError):
         raise image
     return image
 
 
-def advect_curves(batch: PackedBatch, curve: LagrangianCurve, t: float = 1.0,
-                  settings: FlowSettings = DEFAULT_SETTINGS) -> list:
+def advect_curves(batch: PackedBatch, curve: LagrangianCurve, t: float, steps: int,
+                  threshold: float) -> list:
     """Images of one curve under the time-t flows of the S rows of ``batch``
-    (anything but a ``PackedBatch`` raises ``TypeError``).
+    at ``steps`` steps per unit time (anything but a ``PackedBatch`` raises
+    ``TypeError``, a ``threshold`` outside (0, 0.5] ``ValueError``).
 
     Entry s of the result is the image under row s, refined as
     ``advect_curve`` describes, or the ``HamflowError`` its advection raised
@@ -291,10 +276,10 @@ def advect_curves(batch: PackedBatch, curve: LagrangianCurve, t: float = 1.0,
 
     A draw fails with ``RefinementOverflow`` once a lower bound on its final
     vertex count exceeds ``MAX_IMAGE_VERTICES``: its next pass's count, or
-    ceil(L (1 - 1e-12) / tau) + 1 at the threshold tau for an image of
-    length L, since bisection never shortens an image of exact flow images.
-    It also fails with ``RefinementOverflow`` once the midpoint of a source
-    segment whose image gap exceeds tau rounds onto an endpoint in both
+    ceil(L (1 - 1e-12) / threshold) + 1 for an image of length L, since
+    bisection never shortens an image of exact flow images.  It also fails
+    with ``RefinementOverflow`` once the midpoint of a source segment whose
+    image gap exceeds the threshold rounds onto an endpoint in both
     coordinates: that segment and its gap never change again, so the draw
     could only re-insert the duplicate until the budget.  No draw that
     finishes trips any of these tests.
@@ -302,26 +287,27 @@ def advect_curves(batch: PackedBatch, curve: LagrangianCurve, t: float = 1.0,
     _check_batch(batch)
     if not len(batch):
         raise ValueError("need at least one Hamiltonian")
+    if not 0.0 < threshold <= 0.5:
+        raise ValueError("threshold must lie in (0, 0.5]")
     winding = np.array(curve.winding, dtype=float)
-    tau = settings.refinement_threshold
     out = [None] * len(batch)
     flowed = _flow_rows(batch, range(len(batch)), [curve.vertices[:-1]] * len(batch), t,
-                        settings, out)
+                        steps, out)
     active = [(s, curve.vertices, np.vstack([image, image[0] + winding]))
               for s, image in flowed.items()]
     while active:
         pending = []
         for s, src, img in active:
             gaps = np.linalg.norm(np.diff(img, axis=0), axis=1)
-            bad = np.flatnonzero(gaps > tau)
+            bad = np.flatnonzero(gaps > threshold)
             length = gaps.sum()
-            least = max(len(img) + bad.size, math.ceil(length * (1.0 - 1e-12) / tau) + 1)
+            least = max(len(img) + bad.size, math.ceil(length * (1.0 - 1e-12) / threshold) + 1)
             if bad.size == 0:
                 out[s] = LagrangianCurve(img, winding=curve.winding)
             elif least > MAX_IMAGE_VERTICES:
                 out[s] = RefinementOverflow(
                     f"curve refinement would take an image past {MAX_IMAGE_VERTICES} vertices: "
-                    f"it needs {least} at least (length {length:.6g}, gaps of {tau:g})")
+                    f"it needs {least} at least (length {length:.6g}, gaps of {threshold:g})")
             else:
                 mids = 0.5 * (src[bad] + src[bad + 1])
                 stuck = np.flatnonzero((mids == src[bad]).all(axis=1)
@@ -331,20 +317,20 @@ def advect_curves(batch: PackedBatch, curve: LagrangianCurve, t: float = 1.0,
                     out[s] = RefinementOverflow(
                         f"curve refinement cannot split a source segment of length "
                         f"{np.linalg.norm(src[j + 1] - src[j]):.6g}: its midpoint rounds onto "
-                        f"an endpoint, and its image gap {gaps[j]:.6g} exceeds {tau:g}")
+                        f"an endpoint, and its image gap {gaps[j]:.6g} exceeds {threshold:g}")
                 else:
                     pending.append((s, src, img, bad, mids))
         if not pending:
             break
         flowed = _flow_rows(batch, [s for s, *_ in pending], [mids for *_, mids in pending],
-                            t, settings, out)
+                            t, steps, out)
         active = [(s, np.insert(src, bad + 1, mids, axis=0),
                    np.insert(img, bad + 1, flowed[s], axis=0))
                   for s, src, img, bad, mids in pending if s in flowed]
     return out
 
 
-def _flow_rows(batch, draws, points, t, settings, out) -> dict:
+def _flow_rows(batch, draws, points, t, steps, out) -> dict:
     """``points``, one (P_j, 2) set per draw of ``draws`` (rows of ``batch``),
     mapped by the time-t flows of those draws: a dict from each draw to its
     image, less the draws whose state leaves the finite range, whose
@@ -369,7 +355,7 @@ def _flow_rows(batch, draws, points, t, settings, out) -> dict:
     pts = np.concatenate([np.concatenate([p, np.repeat(p[-1:], -len(p) % width, axis=0)])
                           .reshape(-1, width, 2) for p in points])
     try:
-        images = flow_points(batch.rows(owner), pts, 0.0, t, settings)
+        images = flow_points(batch.rows(owner), pts, 0.0, t, steps)
     except NonFinite as exc:
         images = exc.state
         for s in set(owner[list(exc.draws)].tolist()):

@@ -55,16 +55,15 @@
 """
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from hamflow import flow, temporal
-from hamflow.errors import (DegenerateOverlap, NonFinite, NotAutonomous, RefinementOverflow,
-                            Unsupported)
+from hamflow.errors import DegenerateOverlap, NonFinite, RefinementOverflow
 from hamflow.basis import TRIG_PAIRS
 from hamflow.field import PackedBatch, RandomHamiltonian, SpectralHamiltonian
-from hamflow.flow import DEFAULT_SETTINGS, LagrangianCurve, flow_points
+from hamflow.flow import LagrangianCurve, flow_points
 from hamflow.rng import derive
 
 TWO_PI = 2.0 * math.pi
@@ -364,19 +363,19 @@ def concatenate_autonomous(parts, bump: BumpFunction) -> SpectralHamiltonian:
 
     The combined coefficient path is c_n(t) = sum_i k * bump(k*t - i + 1) * c_n^(i):
     Phi is the bump basis of the k parts and row i of B part i's constant
-    coefficients.  The parts must be draws of constant-kernel laws
-    (``NotAutonomous``) over one basis; parts over two truncations raise
-    ``Unsupported``.  A part whose band is narrower than the widest must
-    hold the rows of the widest band's modes (``full_draw``).
+    coefficients.  The parts must be draws of constant-kernel laws over one
+    basis (one truncation); other parts raise ``ValueError``.  A part whose
+    band is narrower than the widest must hold the rows of the widest band's
+    modes (``full_draw``).
     """
     parts = list(parts)
     if not parts:
         raise ValueError("need at least one Hamiltonian")
     if any(p.law.kernel.tag != temporal.CONSTANT for p in parts):
-        raise NotAutonomous("all concatenated Hamiltonians must be autonomous")
+        raise ValueError("all concatenated Hamiltonians must be autonomous")
     if any(p.basis is not parts[0].basis for p in parts):
-        raise Unsupported("concatenated Hamiltonians must be draws over one basis "
-                          "(one truncation)")
+        raise ValueError("concatenated Hamiltonians must be draws over one basis "
+                         "(one truncation)")
     # the widest band packs every part: one basis, one engine per band;
     # each part's B there comes from its whole normals
     engine = max((p.engine for p in parts), key=lambda e: e.band)
@@ -386,60 +385,58 @@ def concatenate_autonomous(parts, bump: BumpFunction) -> SpectralHamiltonian:
     return SpectralHamiltonian(engine, BumpTimeBasis(bump, len(parts)), b)
 
 
-def flow_concatenation(batch, pts, t0=0.0, t1=1.0, settings=DEFAULT_SETTINGS):
+def flow_concatenation(batch, pts, t0, t1, steps):
     """``flow_points`` of a ``PackedBatch`` of concatenations of k parts over
-    one ``BumpTimeBasis``, at k x ``settings.steps`` steps per unit time:
-    each part runs in 1/k of unit time, so each gets the steps a unit flow
-    would."""
-    steps = batch.time_basis.parts * settings.steps
-    return flow_points(batch, pts, t0, t1, replace(settings, steps=steps))
+    one ``BumpTimeBasis``, at k x ``steps`` steps per unit time: each part
+    runs in 1/k of unit time, so each gets the steps a unit flow would."""
+    return flow_points(batch, pts, t0, t1, batch.time_basis.parts * steps)
 
 
-def flow_one(h, pts, t0=0.0, t1=1.0, settings=DEFAULT_SETTINGS) -> np.ndarray:
+def flow_one(h, pts, t0, t1, steps) -> np.ndarray:
     """``flow_points`` of one spectral Hamiltonian at pts (P, 2), packed as
     the one row of a ``PackedBatch``."""
-    return flow_points(PackedBatch([h]), np.asarray(pts, dtype=float)[None], t0, t1,
-                       settings)[0]
+    return flow_points(PackedBatch([h]), np.asarray(pts, dtype=float)[None], t0, t1, steps)[0]
 
 
-def apply_walk(walk, pts, settings=DEFAULT_SETTINGS) -> np.ndarray:
-    """The walk map at lifts pts (P, 2): each step's time-1 flow in turn."""
+def apply_walk(walk, pts, steps) -> np.ndarray:
+    """The walk map at lifts pts (P, 2): each step's time-1 flow in turn, at
+    ``steps`` steps per unit time."""
     state = np.asarray(pts, dtype=float)
     for h in walk:
-        state = flow_one(h, state, 0.0, 1.0, settings)
+        state = flow_one(h, state, 0.0, 1.0, steps)
     return state
 
 
-def reference_images(h, pts, t, settings):
+def reference_images(h, pts, t, steps):
     """The time-t images of one draw's points pts (P, 2), flowed alone; a
     lone point flows with a copy of itself, since one point would take
     numpy's matrix-vector path."""
     padded = np.concatenate([pts, pts[-1:]]) if len(pts) == 1 else pts
-    return flow_one(h, padded, 0.0, t, settings)[:len(pts)]
+    return flow_one(h, padded, 0.0, t, steps)[:len(pts)]
 
 
-def reference_advect(h, curve, t, settings):
+def reference_advect(h, curve, t, steps, threshold):
     """The one-draw refinement loop: bisect every source segment whose image
-    gap exceeds the threshold and flow the midpoints, a lone one with a copy
+    gap exceeds ``threshold`` and flow the midpoints, a lone one with a copy
     of itself, until a pass would take the image past
     ``flow.MAX_IMAGE_VERTICES``.  Returns the image's vertices, the class
     ``RefinementOverflow``, or the ``NonFinite`` a flow raised."""
     winding = np.array(curve.winding, dtype=float)
     src = curve.vertices[:-1].copy()
     try:
-        img = reference_images(h, src, t, settings)
+        img = reference_images(h, src, t, steps)
         while True:
             img_full = np.vstack([img, img[0] + winding])
             src_full = np.vstack([src, src[0] + winding])
             bad = np.flatnonzero(np.linalg.norm(np.diff(img_full, axis=0), axis=1)
-                                 > settings.refinement_threshold)
+                                 > threshold)
             if bad.size == 0:
                 return img_full
             if len(img_full) + bad.size > flow.MAX_IMAGE_VERTICES:
                 return RefinementOverflow
             mids = 0.5 * (src_full[bad] + src_full[bad + 1])
             src = np.insert(src, bad + 1, mids, axis=0)
-            img = np.insert(img, bad + 1, reference_images(h, mids, t, settings), axis=0)
+            img = np.insert(img, bad + 1, reference_images(h, mids, t, steps), axis=0)
     except NonFinite as exc:
         return exc
 
@@ -563,17 +560,17 @@ def circle_curve(center, radius: float, n_vertices: int = 128) -> LagrangianCurv
     return LagrangianCurve(verts, winding=(0, 0))
 
 
-def flow_jacobian_determinant(h, p, t: float = 1.0, settings=DEFAULT_SETTINGS,
-                              fd_step: float = 1e-5) -> float:
+def flow_jacobian_determinant(h, p, t: float, steps: int, fd_step: float = 1e-5) -> float:
     """Central-difference determinant of the time-t flow differential at the
-    point p, a pair (x, y), under one spectral Hamiltonian."""
+    point p, a pair (x, y), under one spectral Hamiltonian at ``steps`` steps
+    per unit time."""
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
     x, y = (float(c) for c in p)
     probes = np.array([[x + fd_step, y], [x - fd_step, y],
                        [x, y + fd_step], [x, y - fd_step]])
     # difference displacements, not positions: exact for the identity flow
-    disp = flow_one(h, probes, 0.0, t, settings) - probes
+    disp = flow_one(h, probes, 0.0, t, steps) - probes
     col_x = (disp[0] - disp[1]) / (2.0 * fd_step) + np.array([1.0, 0.0])
     col_y = (disp[2] - disp[3]) / (2.0 * fd_step) + np.array([0.0, 1.0])
     return float(col_x[0] * col_y[1] - col_x[1] * col_y[0])

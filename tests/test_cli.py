@@ -30,7 +30,6 @@ osc_time_grid = 5
 curve_vertices = 16
 points = 10
 walk_steps = 2
-lagrangians = L1, L7, L13
 """
 
 # Each command's files: the (label, regularity) columns of a CSV's rows, or
@@ -41,7 +40,7 @@ OUTPUTS = {
     "flow": {"curves.jsonl": {"sample", "vertices", "winding"}},
     "diffusion": {"diffusion.jsonl": {"chi_square", "counts", "time"},
                   "diffusion_samples.jsonl": {"chi_square", "sample"}},
-    "intersections": {"intersections.csv": ["L1,8", "L13,8", "L7,8"]},
+    "intersections": {"intersections.csv": sorted(f"L{i},8" for i in range(1, 15))},
     "random-walk": {"walks.jsonl": {"trajectory", "walk"}},
     "tails": {"tail_survival.jsonl": {"survival", "u"},
               "tail_fit.jsonl": {"bound_holds", "heldout_bound", "heldout_exceedance",
@@ -182,6 +181,16 @@ def test_config_naming_regularity_units_is_refused(tmp_path, capsys):
     argv = ["sample-field", "--config", str(config), "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "error: ValidationError: regularity_units: unknown key\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_naming_lagrangians_is_refused(tmp_path, capsys):
+    # intersections counts every test Lagrangian, so no key selects them
+    config = tmp_path / "lagrangians.txt"
+    config.write_text(TINY + "lagrangians = L1\n")
+    argv = ["intersections", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: ValidationError: lagrangians: unknown key\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -16,7 +16,6 @@ include_axis_modes = yes
 kernel = constant
 times = 0.0, 0.125, 1.0
 ball_center = 0.25, 0.75
-lagrangians = L2, L13, L14
 refinement_threshold = 0.02
 out = somewhere/else
 """
@@ -27,7 +26,6 @@ class TestRoundTrip:
         cfg = parse_config(NON_DEFAULT, command="flow")
         assert cfg.regularity == 1.25
         assert cfg.include_axis_modes is True
-        assert cfg.lagrangians == ("L2", "L13", "L14")
         assert cfg.ball_center == (0.25, 0.75)
         text = serialize_config(cfg)
         again = parse_config(text, command="flow")
@@ -88,19 +86,16 @@ class TestErrors:
         assert info.value.field == "smoothing_eps" and "unknown key" in str(info.value)
         assert "smoothing_eps" not in serialize_config(parse_config(""))
 
-    def test_empty_lagrangians_rejected(self):
+    def test_lagrangians_is_an_unknown_key(self):
+        # intersections counts every test Lagrangian; no key selects them,
+        # and the config echo names none
         with pytest.raises(ValidationError) as info:
-            parse_config("lagrangians =\n", command="intersections")
-        assert info.value.field == "lagrangians"
-        with pytest.raises(ValidationError):
-            ExperimentConfig(lagrangians=())
-
-    @pytest.mark.parametrize("key,raw", [("lagrangians", "L1, L1, L13")])
-    def test_duplicate_values_rejected(self, key, raw):
-        # duplicates would collapse in a record's labels
+            parse_config("lagrangians = L1\n", command="intersections")
+        assert str(info.value) == "lagrangians: unknown key"
         with pytest.raises(ValidationError) as info:
-            parse_config(f"{key} = {raw}\n", command="intersections")
-        assert info.value.field == key
+            parse_config("", command="intersections", overrides={"lagrangians": ("L1",)})
+        assert str(info.value) == "lagrangians: unknown key"
+        assert "lagrangians" not in serialize_config(parse_config("", command="intersections"))
 
     def test_empty_out_is_refused(self):
         # an empty out would write into the working directory

@@ -8,25 +8,26 @@ import os
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hamflow.config import LAGRANGIANS, ExperimentConfig
+from hamflow.config import ExperimentConfig
 from hamflow.errors import (DegenerateOverlap, HamflowError, NonFinite, RefinementOverflow,
                            ValidationError)
 from hamflow.engine import SpectralEngine
 from hamflow import cli, experiments, field, flow
-from hamflow.experiments import (CHUNK, _ball_points, _bin_counts, _crossings, _curve,
-                                 _diffusion_chunk, _displacement_chunk, _image_chunk,
-                                 _ks_two_sample, _run_chunks, _settings_for, _walk_chunk,
-                                 count_crossings, flow_steps, inversion_test, law_for,
-                                 mean_table, run_intersections,
-                                 run_inversion_test, standard_error, worker_count)
+from hamflow.experiments import (CHUNK, LAGRANGIANS, _ball_points, _bin_counts, _crossings,
+                                 _curve, _diffusion_chunk, _displacement_chunk, _image_chunk,
+                                 _ks_two_sample, _run_chunks, _walk_chunk, count_crossings,
+                                 flow_steps, inversion_test, law_for, mean_table,
+                                 run_intersections, run_inversion_test, standard_error,
+                                 worker_count)
 from hamflow.field import PackedBatch, RandomHamiltonian, make_law, sample_hamiltonian
-from hamflow.flow import (_STAGE_OFFSETS, FlowSettings, LagrangianCurve, advect_curve,
-                          advect_curves, flow_points, flow_points_through, horizontal_circle,
+from hamflow.flow import (_STAGE_OFFSETS, LagrangianCurve, advect_curve, advect_curves,
+                          flow_points, flow_points_through, horizontal_circle,
                           time_reversed_hamiltonian)
 from hamflow.rng import derive
 from reference import (BumpFunction, apply_walk, circle_curve, concatenate_autonomous,
@@ -38,7 +39,7 @@ from reference import (BumpFunction, apply_walk, circle_curve, concatenate_auton
 # batched and one-draw paths must agree at any step count, so the flows
 # take the law's own 21.
 LAW = make_law(0.1, spatial_max=4, temporal_max=3)
-SETTINGS = FlowSettings(steps=21, refinement_threshold=0.02)
+STEPS, THRESHOLD = 21, 0.02
 BUDGET = 160
 
 
@@ -52,10 +53,10 @@ def draws(count, seed=9, law=LAW):
     return [sample_hamiltonian(law, seed, 0, i) for i in range(count)]
 
 
-def assert_matches_reference(hamiltonians, images, curve, t, settings):
+def assert_matches_reference(hamiltonians, images, curve, t, steps, threshold):
     assert len(images) == len(hamiltonians)
     for h, image in zip(hamiltonians, images):
-        expected = reference_advect(h, curve, t, settings)
+        expected = reference_advect(h, curve, t, steps, threshold)
         if expected is RefinementOverflow:
             assert isinstance(image, RefinementOverflow)
         elif isinstance(expected, NonFinite):
@@ -84,18 +85,19 @@ class TestAdvectCurves:
     def test_closed_curve_matches_one_draw_loop(self, count):
         hs = draws(count)
         curve = horizontal_circle(0.5, 64)
-        images = advect_curves(PackedBatch(hs), curve, 1.0, SETTINGS)
-        assert_matches_reference(hs, images, curve, 1.0, SETTINGS)
+        images = advect_curves(PackedBatch(hs), curve, 1.0, STEPS, THRESHOLD)
+        assert_matches_reference(hs, images, curve, 1.0, STEPS, THRESHOLD)
         for h, image in zip(hs, images):
             if isinstance(image, HamflowError):
                 with pytest.raises(RefinementOverflow):
-                    advect_curve(h, curve, 1.0, SETTINGS)
+                    advect_curve(h, curve, 1.0, STEPS, THRESHOLD)
             else:
-                assert np.array_equal(advect_curve(h, curve, 1.0, SETTINGS).vertices,
+                assert np.array_equal(advect_curve(h, curve, 1.0, STEPS, THRESHOLD).vertices,
                                       image.vertices)
 
     def test_both_outcomes_occur(self):
-        images = advect_curves(PackedBatch(draws(17)), horizontal_circle(0.5, 64), 1.0, SETTINGS)
+        images = advect_curves(PackedBatch(draws(17)), horizontal_circle(0.5, 64), 1.0, STEPS,
+                               THRESHOLD)
         kinds = {type(image) for image in images}
         assert kinds == {LagrangianCurve, RefinementOverflow}
 
@@ -109,8 +111,8 @@ class TestAdvectCurves:
         alpha = np.linspace(0.0, 1.0, 21)[:, None]
         segment = (1 - alpha) * [0.2, 0.3] + alpha * [0.7, 0.6]
         curve = LagrangianCurve(np.concatenate([segment, segment[-2::-1]]))
-        images = advect_curves(PackedBatch(hs), curve, 0.7, SETTINGS)
-        assert_matches_reference(hs, images, curve, 0.7, SETTINGS)
+        images = advect_curves(PackedBatch(hs), curve, 0.7, STEPS, THRESHOLD)
+        assert_matches_reference(hs, images, curve, 0.7, STEPS, THRESHOLD)
         assert any(isinstance(image, LagrangianCurve) for image in images)
 
     def test_appended_batch_equals_constructed_batch(self):
@@ -119,8 +121,8 @@ class TestAdvectCurves:
         batch = PackedBatch(capacity=5)
         for h in hs:
             batch.append(h)
-        a = advect_curves(batch, curve, 1.0, SETTINGS)
-        b = advect_curves(PackedBatch(hs), curve, 1.0, SETTINGS)
+        a = advect_curves(batch, curve, 1.0, STEPS, THRESHOLD)
+        b = advect_curves(PackedBatch(hs), curve, 1.0, STEPS, THRESHOLD)
         for x, y in zip(a, b):
             assert type(x) is type(y)
             if isinstance(x, LagrangianCurve):
@@ -134,12 +136,12 @@ class TestAdvectCurves:
         monkeypatch.setattr(flow, "MAX_IMAGE_VERTICES", 94)
         multi = [h for i, h in enumerate(draws(4)) if i in (0, 3)]
         for h in multi:
-            assert isinstance(advect_curves(PackedBatch([h]), curve, 1.0, SETTINGS)[0],
+            assert isinstance(advect_curves(PackedBatch([h]), curve, 1.0, STEPS, THRESHOLD)[0],
                               RefinementOverflow)
         monkeypatch.setattr(flow, "MAX_IMAGE_VERTICES", BUDGET)
         hs = [multi[0], zero, multi[1]]
-        images = advect_curves(PackedBatch(hs), curve, 1.0, SETTINGS)
-        assert_matches_reference(hs, images, curve, 1.0, SETTINGS)
+        images = advect_curves(PackedBatch(hs), curve, 1.0, STEPS, THRESHOLD)
+        assert_matches_reference(hs, images, curve, 1.0, STEPS, THRESHOLD)
         assert np.array_equal(images[1].vertices, curve.vertices)
         assert len(images[0]) > len(curve) and len(images[2]) > len(curve)
         assert len(images[0]) != len(images[2])
@@ -152,8 +154,8 @@ class TestAdvectCurves:
         # alone, unpadded, the midpoint's image differs in its last bits at
         # this draw)
         curve, strong, weak = self.lone_midpoint_draws()
-        (alone,) = advect_curves(PackedBatch([weak]), curve, 1.0, SETTINGS)
-        beside = advect_curves(PackedBatch([weak, strong]), curve, 1.0, SETTINGS)
+        (alone,) = advect_curves(PackedBatch([weak]), curve, 1.0, STEPS, THRESHOLD)
+        beside = advect_curves(PackedBatch([weak, strong]), curve, 1.0, STEPS, THRESHOLD)
         assert len(alone) == len(curve) + 1
         assert len(beside[1]) > len(curve) + 2
         assert np.array_equal(alone.vertices, beside[0].vertices)
@@ -182,20 +184,20 @@ class TestAdvectCurves:
         shapes = flowed_shapes(monkeypatch)
         out = [None] * 3
         with np.errstate(all="ignore"):
-            images = flow._flow_rows(PackedBatch(hs), [0, 1, 2], points, 1.0, SETTINGS, out)
+            images = flow._flow_rows(PackedBatch(hs), [0, 1, 2], points, 1.0, STEPS, out)
             with pytest.raises(NonFinite) as alone:
-                reference_images(hs[2], points[2], 1.0, SETTINGS)
+                reference_images(hs[2], points[2], 1.0, STEPS)
         assert shapes == [(5, 15, 2)]
         assert sorted(images) == [0, 1] and out[:2] == [None, None]
         for s in (0, 1):
-            assert np.array_equal(images[s], reference_images(hs[s], points[s], 1.0, SETTINGS))
+            assert np.array_equal(images[s], reference_images(hs[s], points[s], 1.0, STEPS))
         assert isinstance(out[2], NonFinite) and str(out[2]) == str(alone.value)
         # the whole loop: the weak draw's pass of one midpoint beside the
         # strong draw's several, after the third draw failed at pass 0
         monkeypatch.setattr(flow, "flow_points", flow_points)
         with np.errstate(all="ignore"):
-            assert_matches_reference(hs, advect_curves(PackedBatch(hs), curve, 1.0, SETTINGS),
-                                     curve, 1.0, SETTINGS)
+            images = advect_curves(PackedBatch(hs), curve, 1.0, STEPS, THRESHOLD)
+            assert_matches_reference(hs, images, curve, 1.0, STEPS, THRESHOLD)
 
     def test_refinement_pass_of_near_equal_sets_flows_one_row_per_draw(self, monkeypatch):
         # sets of 40, 39 and 38 points: rows of the mean width, 39, would
@@ -204,10 +206,10 @@ class TestAdvectCurves:
         mids = horizontal_circle(0.5, 64).vertices[:40] + [0.0, 0.005]
         points = [mids, mids[:39], mids[:38]]
         shapes = flowed_shapes(monkeypatch)
-        images = flow._flow_rows(PackedBatch(hs), range(3), points, 1.0, SETTINGS, [None] * 3)
+        images = flow._flow_rows(PackedBatch(hs), range(3), points, 1.0, STEPS, [None] * 3)
         assert shapes == [(3, 40, 2)]
         for s in range(3):
-            assert np.array_equal(images[s], reference_images(hs[s], points[s], 1.0, SETTINGS))
+            assert np.array_equal(images[s], reference_images(hs[s], points[s], 1.0, STEPS))
 
     def test_non_finite_draw_fails_alone(self):
         hs = draws(3)
@@ -216,12 +218,12 @@ class TestAdvectCurves:
         hs[1] = RandomHamiltonian(LAW, gaussians)
         curve = horizontal_circle(0.5, 64)
         with np.errstate(all="ignore"):
-            images = advect_curves(PackedBatch(hs), curve, 1.0, SETTINGS)
+            images = advect_curves(PackedBatch(hs), curve, 1.0, STEPS, THRESHOLD)
             with pytest.raises(NonFinite, match="finite range"):
-                advect_curve(hs[1], curve, 1.0, SETTINGS)
+                advect_curve(hs[1], curve, 1.0, STEPS, THRESHOLD)
         assert isinstance(images[1], NonFinite)
         others = [hs[0], hs[2]]
-        assert_matches_reference(others, [images[0], images[2]], curve, 1.0, SETTINGS)
+        assert_matches_reference(others, [images[0], images[2]], curve, 1.0, STEPS, THRESHOLD)
 
     def test_flow_points_names_the_non_finite_draws(self):
         hs = draws(4)
@@ -230,7 +232,7 @@ class TestAdvectCurves:
             gaussians[0, 0] = np.inf
             hs[bad] = RandomHamiltonian(LAW, gaussians)
         with np.errstate(all="ignore"), pytest.raises(NonFinite) as info:
-            flow_points(PackedBatch(hs), np.full((4, 2, 2), 0.5), 0.0, 1.0, SETTINGS)
+            flow_points(PackedBatch(hs), np.full((4, 2, 2), 0.5), 0.0, 1.0, STEPS)
         assert info.value.draws == (1, 3)
 
     def test_non_finite_state_holds_the_finite_draws_images(self):
@@ -240,12 +242,12 @@ class TestAdvectCurves:
         hs[2] = RandomHamiltonian(LAW, gaussians)
         pts = np.random.default_rng(5).uniform(size=(4, 3, 2))
         with np.errstate(all="ignore"), pytest.raises(NonFinite) as info:
-            flow_points(PackedBatch(hs), pts, 0.0, 1.0, SETTINGS)
+            flow_points(PackedBatch(hs), pts, 0.0, 1.0, STEPS)
         assert info.value.draws == (2,) and info.value.state.shape == pts.shape
         finite = [0, 1, 3]
         assert np.array_equal(info.value.state[finite],
                               flow_points(PackedBatch([hs[s] for s in finite]), pts[finite],
-                                          0.0, 1.0, SETTINGS))
+                                          0.0, 1.0, STEPS))
 
     def test_rows_select_a_sub_batch(self):
         hs = draws(6)
@@ -291,43 +293,49 @@ def loop_about_centre(levels, radius) -> LagrangianCurve:
 class TestCountCrossings:
     # Under the zero flow a straight loop of winding (a, b) meets a closed line
     # of winding (p, q) |a q - b p| times; a loop at y = 0.45 crosses each circle
-    # of the catalog twice, and a loop at x = 0.25 misses both.
+    # of the catalog twice, and a loop at x = 0.25 misses both.  The sloped
+    # loop {(a + 1/4, 2 a)} runs beside L4 (2 x - y = 0), not along it, and
+    # through the centre of both circles.
     HORIZONTAL = {"L1": 1, "L2": 1, "L3": 1, "L4": 2, "L5": 3, "L6": 4, "L7": 0, "L8": 0,
                   "L9": 0, "L10": 1, "L11": 1, "L12": 1, "L13": 2, "L14": 2}
     VERTICAL = {"L1": 0, "L2": 0, "L3": 0, "L4": 1, "L5": 1, "L6": 1, "L7": 1, "L8": 1,
                 "L9": 1, "L10": 2, "L11": 3, "L12": 4, "L13": 0, "L14": 0}
-    SLOPED = {"L1": 1, "L2": 1, "L3": 1, "L7": 2, "L8": 2, "L9": 2}
+    SLOPED = {"L1": 1, "L2": 1, "L3": 1, "L4": 0, "L5": 1, "L6": 2, "L7": 2, "L8": 2,
+              "L9": 2, "L10": 3, "L11": 5, "L12": 7, "L13": 2, "L14": 2}
 
-    @pytest.mark.parametrize("curve,expected", [(horizontal_circle(0.45, 128), HORIZONTAL),
-                                                (vertical_circle(0.25, 128), VERTICAL),
-                                                (sloped_circle(1, 2, 300), SLOPED)],
-                             ids=["horizontal", "vertical", "sloped"])
+    @pytest.mark.parametrize(
+        "curve,expected",
+        [(horizontal_circle(0.45, 128), HORIZONTAL), (vertical_circle(0.25, 128), VERTICAL),
+         (LagrangianCurve(sloped_circle(1, 2, 300).vertices + [0.25, 0.0], (1, 2)), SLOPED)],
+        ids=["horizontal", "vertical", "sloped"])
     def test_straight_loops_under_zero_flow(self, curve, expected):
         zero = RandomHamiltonian(LAW, np.zeros_like(draws(1)[0].gaussians))
-        (image,) = advect_curves(PackedBatch([zero]), curve, 1.0, FlowSettings(steps=20))
+        (image,) = advect_curves(PackedBatch([zero]), curve, 1.0, 20, 0.01)
         assert np.array_equal(image.vertices, curve.vertices)
-        assert {label: count_crossings(image, [label])[0] for label in expected} == expected
+        assert dict(zip(LAGRANGIANS, count_crossings(image))) == expected
 
     @pytest.mark.parametrize("curve,label", [(vertical_circle(0.5, 64), "L2"),
-                                             (horizontal_circle(0.3, 64), "L7")])
+                                             (horizontal_circle(0.3, 64), "L7"),
+                                             (vertical_circle(0.3, 64), "L1")])
     def test_loop_on_the_level_set_is_degenerate(self, curve, label):
+        # the loop lies along ``label``'s Lagrangian, so counting the table raises
         with pytest.raises(DegenerateOverlap):
-            count_crossings(curve, [label])
+            crossings(curve, label)
+        with pytest.raises(DegenerateOverlap):
+            count_crossings(curve)
 
     @pytest.mark.usefixtures("budget")
     def test_one_pass_equals_each_lagrangian_alone(self):
         images = [image for image in advect_curves(PackedBatch(draws(17)),
-                                                   horizontal_circle(0.5, 64), 1.0, SETTINGS)
+                                                   horizontal_circle(0.5, 64), 1.0, STEPS,
+                                                   THRESHOLD)
                   if isinstance(image, LagrangianCurve)]
         assert len(images) >= 5
-        labels = list(LAGRANGIANS)
-        shuffled = [labels[i] for i in np.random.default_rng(0).permutation(14)]
         counts = set()
         for image in images:
-            for order in (labels, shuffled):
-                want = [crossings(image, label) for label in order]
-                assert count_crossings(image, order) == want
-                counts.update(want)
+            want = [crossings(image, label) for label in LAGRANGIANS]
+            assert count_crossings(image) == want
+            counts.update(want)
         assert len(counts) > 3
 
     # (0.25, 0.5) lies exactly on L8 (y = 0.5) and on L4 (2 x - y = 0); the
@@ -343,30 +351,17 @@ class TestCountCrossings:
                                "L13", 8)],
                              ids=["through", "touch-below", "touch-above", "circle"])
     def test_vertex_on_a_level_set_counts_as_above(self, curve, label, expected):
-        assert count_crossings(curve, [label]) == [expected] == [crossings(curve, label)]
-        labels = list(LAGRANGIANS)
-        assert count_crossings(curve, labels) == [crossings(curve, label) for label in labels]
-
-    @pytest.mark.parametrize("labels", [["L1"], ["L1", "L7", "L13"], ["L13", "L7", "L1"],
-                                        [f"L{i}" for i in range(14, 0, -1)]])
-    def test_curve_along_a_line_is_degenerate_in_any_order(self, labels):
-        with pytest.raises(DegenerateOverlap):
-            count_crossings(vertical_circle(0.3, 64), labels)
+        counts = count_crossings(curve)
+        assert counts[list(LAGRANGIANS).index(label)] == expected == crossings(curve, label)
+        assert counts == [crossings(curve, label) for label in LAGRANGIANS]
 
 
 def intersections_config(**changes):
     values = dict(command="intersections", regularity=0.1 * 4 * math.pi**2, spatial_max=4,
                   temporal_max=3, steps=50, refinement_threshold=0.02,
-                  curve_vertices=64, samples=6, seed=9, workers=1,
-                  lagrangians=("L1", "L5", "L7", "L13"))
+                  curve_vertices=64, samples=6, seed=9, workers=1)
     values.update(changes)
     return ExperimentConfig(**values)
-
-
-def law_settings(cfg, law):
-    """The flow settings of ``cfg`` at the law's step count."""
-    return FlowSettings(steps=flow_steps(law, cfg.steps),
-                        refinement_threshold=cfg.refinement_threshold)
 
 
 def intersection_chunk(cfg, start, stop):
@@ -377,14 +372,15 @@ def intersection_chunk(cfg, start, stop):
 def per_draw_outcomes(cfg):
     """The records of the one-sample-at-a-time loop: counts or error text."""
     law = law_for(cfg)
-    settings = law_settings(cfg, law)
+    steps = flow_steps(law, cfg.steps)
     outcomes = []
     for i in range(cfg.samples):
         draw = sample_hamiltonian(law, cfg.seed, 0, i)
         try:
-            image = advect_curve(draw, horizontal_circle(0.5, cfg.curve_vertices), 1.0, settings)
-            outcomes.append({"sample": i, **{label: count_crossings(image, [label])[0]
-                                             for label in cfg.lagrangians}})
+            image = advect_curve(draw, horizontal_circle(0.5, cfg.curve_vertices), 1.0, steps,
+                                 cfg.refinement_threshold)
+            outcomes.append({"sample": i, **{label: crossings(image, label)
+                                             for label in LAGRANGIANS}})
         except HamflowError as exc:
             outcomes.append({"sample": i, "error": f"{type(exc).__name__}: {exc}"})
     return outcomes
@@ -423,8 +419,8 @@ class TestIntersectionChunks:
         outputs = mean_table(cfg, records)
         assert outputs["records"] == records
         rows = {row[0]: row for row in outputs["table"]}
-        assert list(rows) == list(cfg.lagrangians)
-        for label in cfg.lagrangians:
+        assert list(rows) == list(LAGRANGIANS)
+        for label in LAGRANGIANS:
             values = np.array([o[label] for o in outcomes], dtype=float)
             assert rows[label] == (label, cfg.regularity, float(values.mean()),
                                    standard_error(values), cfg.samples)
@@ -434,13 +430,12 @@ class TestIntersectionChunks:
         cfg = intersections_config(regularity=6.0, samples=4)
         law = law_for(cfg)
         assert flow_steps(law, cfg.steps) == 3
-        settings = law_settings(cfg, law)
         records = _image_chunk(_curve, cfg, law, range(cfg.samples))
         assert [record["sample"] for record in records] == list(range(cfg.samples))
         for i, record in enumerate(records):
             draw = sample_hamiltonian(law, cfg.seed, 0, i)
-            expected = advect_curve(draw, horizontal_circle(0.5, cfg.curve_vertices), 1.0,
-                                    settings)
+            expected = advect_curve(draw, horizontal_circle(0.5, cfg.curve_vertices), 1.0, 3,
+                                    cfg.refinement_threshold)
             assert np.array_equal(record["vertices"], expected.vertices)
 
 
@@ -449,7 +444,6 @@ def check_diffusion_chunk(regularity, steps, spatial_max=5):
                            spatial_max=spatial_max, steps=40, points=12, samples=5, seed=2)
     law = law_for(cfg)
     assert flow_steps(law, cfg.steps) == steps
-    settings = FlowSettings(steps=steps)
     records = _diffusion_chunk(cfg, law, range(1, 5))
     assert [record["sample"] for record in records] == [1, 2, 3, 4]
     for record, i in zip(records, range(1, 5)):
@@ -459,7 +453,7 @@ def check_diffusion_chunk(regularity, steps, spatial_max=5):
         pts = _ball_points(derive(cfg.seed, 0, i, 1), cfg.ball_center, cfg.ball_radius,
                            cfg.points)
         states = [s[0] for s in flow_points_through(PackedBatch([draw]), pts[None], cfg.times,
-                                                    settings)]
+                                                    steps)]
         assert np.array_equal(counts, np.stack([_bin_counts(s, cfg.grid) for s in states]))
         assert chi.shape == (len(cfg.times),)
 
@@ -469,11 +463,10 @@ def check_displacement_chunk(regularity, steps):
                            steps=40, samples=4, seed=2)
     law = law_for(cfg)
     assert flow_steps(law, cfg.steps) == steps
-    settings = FlowSettings(steps=steps)
     probe = np.asarray(cfg.probe)
 
     def displacement(h, t0, t1):
-        d = (flow_one(h, probe[None], t0, t1, settings)[0] - probe + 0.5) % 1.0 - 0.5
+        d = (flow_one(h, probe[None], t0, t1, steps)[0] - probe + 0.5) % 1.0 - 0.5
         return np.hypot(d[0], d[1])
 
     records = _displacement_chunk(cfg, law, range(1, 4))
@@ -529,7 +522,7 @@ class TestZeroFlux:
     @pytest.mark.parametrize("r", [4.5, 3.95])
     def test_every_image_crosses_l8_at_least_twice(self, r):
         cfg = ExperimentConfig(command="intersections", regularity=r, samples=16, seed=11,
-                               workers=1, lagrangians=("L8",))
+                               workers=1)
         records = run_intersections(cfg)
         assert len(records) == 16
         assert [record for record in records if "error" in record or record["L8"] < 2] == []
@@ -542,10 +535,11 @@ class TestZeroFlux:
         law = law_for(cfg)
         hs = [sample_hamiltonian(law, cfg.seed, 0, i) for i in (35, 40, 62)]
         images = advect_curves(PackedBatch(hs), horizontal_circle(0.5, 128), 1.0,
-                               _settings_for(cfg, law))
+                               flow_steps(law, cfg.steps), cfg.refinement_threshold)
         assert all(isinstance(image, LagrangianCurve) for image in images)
         assert all(1024 < len(image) < 2048 for image in images)
-        assert all(count_crossings(image, ["L8"])[0] >= 2 for image in images)
+        assert all(dict(zip(LAGRANGIANS, count_crossings(image)))["L8"] >= 2
+                   for image in images)
 
 
 def test_intersection_counts_share_the_means_the_law_symmetries_give():
@@ -555,12 +549,11 @@ def test_intersection_counts_share_the_means_the_law_symmetries_give():
     # under (x, y) -> (x, 1 - y) with H -> -H o sigma, which fixes K and swaps
     # L7 and L9.  So each per-image difference has mean 0.  400 draws at the
     # intersections defaults, seed fixed before the counts were seen.
-    cfg = ExperimentConfig(command="intersections", samples=400, seed=20, workers=1,
-                           lagrangians=("L1", "L2", "L3", "L7", "L9"))
+    cfg = ExperimentConfig(command="intersections", samples=400, seed=20, workers=1)
     records = run_intersections(cfg)
     assert [record for record in records if "error" in record] == []
     counts = {label: np.array([record[label] for record in records], dtype=float)
-              for label in cfg.lagrangians}
+              for label in ("L1", "L2", "L3", "L7", "L9")}
     for a, b in (("L1", "L2"), ("L1", "L3"), ("L2", "L3"), ("L7", "L9")):
         difference = counts[a] - counts[b]
         assert abs(difference.mean()) <= 4.0 * standard_error(difference), (a, b)
@@ -661,7 +654,6 @@ class TestWalkChunks:
         cfg = self.cfg
         law = law_for(cfg)
         assert flow_steps(law, cfg.steps) == 7
-        settings = FlowSettings(steps=7)
         records = _walk_chunk(cfg, law, range(1, 4))
         assert [record["walk"] for record in records] == [1, 2, 3]
         for w, traj in zip(range(1, 4), (record["trajectory"] for record in records)):
@@ -669,7 +661,7 @@ class TestWalkChunks:
             expected = [state[0]]
             for j in range(cfg.walk_steps):
                 step = sample_hamiltonian(law, cfg.seed, w, j)
-                state = flow_one(step, state, 0.0, 1.0, settings)
+                state = flow_one(step, state, 0.0, 1.0, 7)
                 expected.append(state[0] % 1.0)
             assert np.array_equal(traj, np.array(expected))
 
@@ -680,9 +672,8 @@ class TestWalkChunks:
         walk = tuple(sample_hamiltonian(law, cfg.seed, 0, j) for j in range(cfg.walk_steps))
         combined = concatenate_autonomous(walk, BumpFunction())
         pts = np.concatenate([[cfg.probe], np.random.default_rng(1).uniform(0, 1, (20, 2))])
-        lhs = flow_concatenation(PackedBatch([combined]), pts[None], 0.0, 1.0,
-                                 FlowSettings(steps=cfg.steps))[0]
-        rhs = apply_walk(walk, pts, FlowSettings(steps=7))
+        lhs = flow_concatenation(PackedBatch([combined]), pts[None], 0.0, 1.0, cfg.steps)[0]
+        rhs = apply_walk(walk, pts, 7)
         (record,) = _walk_chunk(cfg, law, range(1))
         rhs[0] = record["trajectory"][-1]
         assert np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1).max() < 1e-4
@@ -714,10 +705,9 @@ def test_step_count_error_within_the_200_step_error(kernel, r, spatial_max, temp
     pts = np.broadcast_to(derive(17, 1, 0).uniform(0.0, 1.0, (16, 2)), (8, 16, 2))
 
     def error(steps):
-        return np.abs(flow_points(batch, pts, 0.0, 1.0, FlowSettings(steps=steps))
-                      - reference).max()
+        return np.abs(flow_points(batch, pts, 0.0, 1.0, steps) - reference).max()
 
-    reference = flow_points(batch, pts, 0.0, 1.0, FlowSettings(steps=1600))
+    reference = flow_points(batch, pts, 0.0, 1.0, 1600)
     err = error(flow_steps(law, 200))
     assert err <= 1.5e-6 or err <= error(200), err
 
@@ -750,8 +740,7 @@ def test_flow_points_takes_exactly_the_requested_steps(monkeypatch):
     assert flow_steps(law, 200) < 200
     for steps in (3, 200):
         calls.clear()
-        flow_points(PackedBatch(draws(2, law=law)), np.full((2, 5, 2), 0.4), 0.0, 1.0,
-                    FlowSettings(steps=steps))
+        flow_points(PackedBatch(draws(2, law=law)), np.full((2, 5, 2), 0.4), 0.0, 1.0, steps)
         assert len(calls) == 7 * steps
 
 
@@ -791,6 +780,14 @@ def test_chunks_are_balanced(samples, workers, expected):
     assert len(lengths) % workers == 0 or len(lengths) == samples
 
 
+@pytest.fixture
+def eight_cpus(monkeypatch):
+    """A process that may run on eight CPUs, so that a run forks one child per
+    worker and chunk whatever the machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+
+
+@pytest.mark.usefixtures("eight_cpus")
 @pytest.mark.parametrize("samples,workers", [(2, 4), (3, 8)])
 def test_run_forks_no_more_processes_than_chunks(samples, workers, monkeypatch):
     forks, fork = [], os.fork
@@ -803,6 +800,28 @@ def test_run_forks_no_more_processes_than_chunks(samples, workers, monkeypatch):
     # fewer samples than workers: one chunk per sample, and one child each
     assert len(chunk_lengths(samples, workers)) == samples
     assert len(forks) == min(workers, samples)
+
+
+def test_run_forks_no_more_children_than_cpus(monkeypatch):
+    # 64 samples at workers 64 are 64 one-sample chunks: on two CPUs they run
+    # in two children, with the records of workers 1; on one, in this process
+    processes = []
+
+    def in_process(chunks, count):
+        processes.append(count)
+        return [experiments._run_chunk(chunk) for chunk in chunks]
+
+    monkeypatch.setattr(experiments, "_forked", in_process)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = ExperimentConfig(samples=64, workers=64, spatial_max=2, osc_spatial_grid=8,
+                           osc_time_grid=5)
+    assert len(chunk_lengths(64, 64)) == 64
+    records = experiments.oscillation_samples(cfg)
+    assert processes == [2, 2]
+    assert records == experiments.oscillation_samples(replace(cfg, workers=1))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert experiments.oscillation_samples(cfg) == records
+    assert processes == [2, 2]
 
 
 def test_run_stays_in_process_without_fork(monkeypatch):
@@ -823,6 +842,7 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.usefixtures("eight_cpus")
 def test_forked_task_error_reaches_the_parent(tmp_path, capsys, monkeypatch):
     # three samples on three workers are three chunks, each in its own
     # child; the one holding sample 1 raises, the others finish
@@ -838,6 +858,7 @@ def test_forked_task_error_reaches_the_parent(tmp_path, capsys, monkeypatch):
     assert_no_child_left()
 
 
+@pytest.mark.usefixtures("eight_cpus")
 def test_child_that_sends_nothing_raises():
     cfg = ExperimentConfig(samples=2, workers=2, spatial_max=2)
     with pytest.raises(ChildProcessError, match=r"sent no records \(exit status 3\)"):
@@ -845,6 +866,7 @@ def test_child_that_sends_nothing_raises():
     assert_no_child_left()
 
 
+@pytest.mark.usefixtures("eight_cpus")
 def test_dead_chunk_child_exits_with_one_error_line(tmp_path, capsys, monkeypatch):
     # 64 samples on two workers are two chunks, each in its own child; the
     # second child dies before it sends its records

@@ -9,7 +9,7 @@ from hamflow import field
 from hamflow.engine import SpectralEngine
 from hamflow.field import (PackedBatch, RandomHamiltonian, SpectralHamiltonian, make_law,
                            sample_hamiltonian, spectral_weight)
-from hamflow.flow import FlowSettings, flow_points, time_reversed_hamiltonian
+from hamflow.flow import flow_points, time_reversed_hamiltonian
 from hamflow.rng import derive
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, TimeBasis
 from reference import (BumpFunction, analytic_variance, coefficient_paths,
@@ -460,6 +460,17 @@ class TestBand:
         assert a.truncation == b.truncation
         assert a.basis() is b.basis() and a.engine() is b.engine()
 
+    def test_draws_of_one_law_batch_after_other_engines_are_built(self):
+        # engines of 18 other truncations between two draws of one law: the
+        # second draw keeps the first one's engine, so the two batch
+        law = frequency_law(3)
+        first = sample_hamiltonian(law, 0, 1)
+        for spatial_max in range(2, 20):
+            frequency_law(3, spatial_max=spatial_max).engine()
+        second = sample_hamiltonian(law, 0, 2)
+        assert second.engine is first.engine and second.basis is first.basis
+        assert len(PackedBatch([first, second])) == 2
+
     def test_draw_keeps_every_mode(self):
         law = frequency_law(3, temporal_max=4)
         h = full_draw(law, 4)
@@ -567,12 +578,11 @@ class TestTemporalBand:
             assert np.array_equal(h.gaussians, derive(8, i).standard_normal((n, m))[:head])
             assert h.oscillation() == f.oscillation()
         pts = np.random.default_rng(8).uniform(0, 1, (6, 5, 2))
-        settings = FlowSettings(steps=40)
         assert np.array_equal(
             flow_points(PackedBatch(draws + [time_reversed_hamiltonian(h) for h in draws]), pts,
-                        settings=settings),
+                        0.0, 1.0, 40),
             flow_points(PackedBatch(full + [time_reversed_hamiltonian(f) for f in full]), pts,
-                        settings=settings))
+                        0.0, 1.0, 40))
 
 
 class TestLawValidation:

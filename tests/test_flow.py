@@ -9,10 +9,10 @@ import pytest
 
 from hamflow import flow
 from hamflow.engine import SpectralEngine
-from hamflow.errors import NotAutonomous, OutOfRange, RefinementOverflow, Unsupported
+from hamflow.errors import OutOfRange, RefinementOverflow
 from hamflow.field import (PackedBatch, RandomHamiltonian, SpectralHamiltonian, make_law,
                            sample_hamiltonian)
-from hamflow.flow import (FlowSettings, LagrangianCurve, _step, _step_work, advect_curve,
+from hamflow.flow import (LagrangianCurve, _step, _step_work, advect_curve,
                           advect_curves, flow_points, flow_points_through, horizontal_circle,
                           time_reversed_hamiltonian)
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, KernelKind, TimeBasis
@@ -55,8 +55,9 @@ def shear_x():
 
 
 def image(h, p, t0=0.0, t1=1.0):
-    """The lift of the point p, a pair, under the flow of h from t0 to t1."""
-    return flow_one(h, [p], t0, t1)[0]
+    """The lift of the point p, a pair, under the flow of h from t0 to t1, at
+    200 steps per unit time."""
+    return flow_one(h, [p], t0, t1, 200)[0]
 
 
 def small_draw(seed, kernel=PERIODIC, r=0.15, smax=3, tm=3):
@@ -77,9 +78,9 @@ class TestPointIntegration:
     def test_forward_backward_round_trip(self):
         h = small_draw(41)
         pts = np.random.default_rng(0).uniform(0, 1, (10, 2))
-        settings = FlowSettings(steps=200)
-        fwd = flow_one(h, pts, 0.0, 1.0, settings)
-        back = flow_one(h, fwd, 1.0, 0.0, settings)
+        steps = 200
+        fwd = flow_one(h, pts, 0.0, 1.0, steps)
+        back = flow_one(h, fwd, 1.0, 0.0, steps)
         assert np.abs(back - pts).max() < 1e-8
 
     def test_backward_shear(self):
@@ -105,7 +106,7 @@ class TestPointIntegration:
         for law, path in ((ONE_MODE_LAW, (1.0,)),
                           (ONE_MODE_PATH_LAW, (1.0, 0.8, -0.5, 0.6, 0.3))):
             h = one_mode_draw(Mode(1, 1, "ss"), law=law, path=path)
-            err = {steps: np.abs(invariant(flow_one(h, pts, 0.0, 1.0, FlowSettings(steps)))
+            err = {steps: np.abs(invariant(flow_one(h, pts, 0.0, 1.0, steps))
                                  - invariant(pts)).max()
                    for steps in (16, 32, 64)}
             assert err[64] > 1e-12  # above rounding, so the ratios measure the order
@@ -116,14 +117,14 @@ class TestPointIntegration:
         pts = np.random.default_rng(2).uniform(0, 1, (4, 2))
         for t0, t1 in ((0.0, 2.0), (-0.5, 0.0), (1.0, 1.0 + 1e-9), (1.5, 1.5)):
             with pytest.raises(OutOfRange):
-                flow_one(h, pts, t0, t1)
+                flow_one(h, pts, t0, t1, 200)
             with pytest.raises(OutOfRange):
-                flow_points(PackedBatch([h, h]), np.stack([pts, pts]), t0, t1)
+                flow_points(PackedBatch([h, h]), np.stack([pts, pts]), t0, t1, 200)
         with pytest.raises(OutOfRange):
-            flow_points_through(PackedBatch([h]), pts[None], (0.5, 1.5))
+            flow_points_through(PackedBatch([h]), pts[None], (0.5, 1.5), 200)
         # 1 -> 0 is a reversed flow, and a time within 1e-12 of [0, 1] is
         # its end, rounded
-        back = flow_one(h, flow_one(h, pts, 0.0, 1.0 + 1e-13), 1.0, -1e-13)
+        back = flow_one(h, flow_one(h, pts, 0.0, 1.0 + 1e-13, 200), 1.0, -1e-13, 200)
         assert np.abs(back - pts).max() < 1e-8
 
     def test_lift_returned_unreduced(self):
@@ -136,24 +137,22 @@ class TestEnergyAndArea:
     def test_energy_conservation_autonomous(self):
         h = small_draw(53, kernel=CONSTANT, r=0.05, smax=4)
         pts = np.random.default_rng(1).uniform(0, 1, (100, 2))
-        settings = FlowSettings(steps=1000)
+        steps = 1000
         base = value(h, 0.0, pts)
         for t in (0.25, 0.5, 1.0):
-            out = flow_one(h, pts, 0.0, t, settings)
+            out = flow_one(h, pts, 0.0, t, steps)
             assert np.abs(value(h, 0.0, out) - base).max() < 1e-6
 
     def test_jacobian_zero_field(self):
-        assert flow_jacobian_determinant(zero_field(), (0.4, 0.3)) == 1.0
+        assert flow_jacobian_determinant(zero_field(), (0.4, 0.3), 1.0, 200) == 1.0
 
     def test_jacobian_shear_exact(self):
-        det = flow_jacobian_determinant(shear_y(), (0.3, 0.22),
-                                        settings=FlowSettings(steps=400), fd_step=1e-5)
+        det = flow_jacobian_determinant(shear_y(), (0.3, 0.22), 1.0, 400, fd_step=1e-5)
         assert det == pytest.approx(1.0, abs=1e-9)
 
     def test_jacobian_random_draw(self):
         h = small_draw(59, r=0.1, smax=5)
-        det = flow_jacobian_determinant(h, (0.37, 0.72),
-                                        settings=FlowSettings(steps=1000), fd_step=1e-5)
+        det = flow_jacobian_determinant(h, (0.37, 0.72), 1.0, 1000, fd_step=1e-5)
         assert det == pytest.approx(1.0, abs=1e-5)
 
 
@@ -172,10 +171,10 @@ class TestTimeReversal:
     def test_flow_inverts_time_one_map(self):
         h = small_draw(97)
         hat = time_reversed_hamiltonian(h)
-        settings = FlowSettings(steps=200)
+        steps = 200
         pts = np.random.default_rng(9).uniform(0, 1, (20, 2))
-        lhs = flow_one(hat, pts, 0.0, 1.0, settings)
-        rhs = flow_one(h, pts, 1.0, 0.0, settings)
+        lhs = flow_one(hat, pts, 0.0, 1.0, steps)
+        rhs = flow_one(h, pts, 1.0, 0.0, steps)
         dist = np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1)
         assert dist.max() < 1e-6
 
@@ -259,10 +258,10 @@ class TestTranslation:
         for t in (0.0, 0.4, 1.0):
             want = value(h, t, pts - self.SHIFT)
             assert np.abs(value(moved, t, pts) - want).max() <= 1e-13 * np.abs(want).max()
-        settings = FlowSettings(steps=58)
-        image = flow_one(moved, pts, 0.0, 1.0, settings)
+        steps = 58
+        image = flow_one(moved, pts, 0.0, 1.0, steps)
         assert np.abs(image - pts).max() > 0.01
-        want = flow_one(h, pts - self.SHIFT, 0.0, 1.0, settings) + self.SHIFT
+        want = flow_one(h, pts - self.SHIFT, 0.0, 1.0, steps) + self.SHIFT
         assert np.abs(image - want).max() <= 1e-12
 
 
@@ -304,10 +303,10 @@ class TestQuarterTurnAndReflection:
         for t in (0.0, 0.4, 1.0):
             want = (1.0 if turn else -1.0) * value(h, t, forward(pts))
             assert np.abs(value(moved, t, pts) - want).max() <= 1e-13 * np.abs(want).max()
-        settings = FlowSettings(steps=58)
-        image = flow_one(moved, pts, 0.0, 1.0, settings)
+        steps = 58
+        image = flow_one(moved, pts, 0.0, 1.0, steps)
         assert np.abs(image - pts).max() > 0.01
-        want = inverse(flow_one(h, forward(pts), 0.0, 1.0, settings))
+        want = inverse(flow_one(h, forward(pts), 0.0, 1.0, steps))
         assert np.abs((image - want + 0.5) % 1.0 - 0.5).max() <= 1e-11
 
 
@@ -329,18 +328,18 @@ class TestBumpFunction:
 
 
 class TestConcatenation:
-    settings = FlowSettings(steps=200)
+    steps = 200
 
     def test_rejects_time_dependent(self):
-        with pytest.raises(NotAutonomous):
+        with pytest.raises(ValueError, match="must be autonomous"):
             concatenate_autonomous([small_draw(103)], BumpFunction())
 
     def test_single_part_reparametrizes(self):
         h = small_draw(107, kernel=CONSTANT)
         concat = concatenate_autonomous([h], BumpFunction())
         pts = np.random.default_rng(10).uniform(0, 1, (10, 2))
-        lhs = flow_concatenation(PackedBatch([concat]), pts[None], 0.0, 1.0, self.settings)[0]
-        rhs = flow_one(h, pts, 0.0, 1.0, self.settings)
+        lhs = flow_concatenation(PackedBatch([concat]), pts[None], 0.0, 1.0, self.steps)[0]
+        rhs = flow_one(h, pts, 0.0, 1.0, self.steps)
         dist = np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1)
         assert dist.max() < 1e-6
 
@@ -348,21 +347,21 @@ class TestConcatenation:
         concat = concatenate_autonomous([shear_x(), shear_y()], BumpFunction())
         assert isinstance(concat, SpectralHamiltonian)
         pts = np.random.default_rng(11).uniform(0, 1, (20, 2))
-        lhs = flow_concatenation(PackedBatch([concat]), pts[None], 0.0, 1.0, self.settings)[0]
-        rhs = flow_one(shear_y(), flow_one(shear_x(), pts, 0.0, 1.0, self.settings),
-                       0.0, 1.0, self.settings)
+        lhs = flow_concatenation(PackedBatch([concat]), pts[None], 0.0, 1.0, self.steps)[0]
+        rhs = flow_one(shear_y(), flow_one(shear_x(), pts, 0.0, 1.0, self.steps),
+                       0.0, 1.0, self.steps)
         dist = np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1)
         assert dist.max() < 1e-5
 
     def test_all_zero_parts_identity(self):
         concat = concatenate_autonomous([zero_field(), zero_field()], BumpFunction())
         pts = np.random.default_rng(12).uniform(0, 1, (5, 2))
-        out = flow_concatenation(PackedBatch([concat]), pts[None], 0.0, 1.0, self.settings)[0]
+        out = flow_concatenation(PackedBatch([concat]), pts[None], 0.0, 1.0, self.steps)[0]
         assert np.abs(out - pts).max() < 1e-12
 
     def test_rejects_parts_over_two_truncations(self):
         parts = [small_draw(113, kernel=CONSTANT, smax=2), small_draw(113, kernel=CONSTANT, smax=3)]
-        with pytest.raises(Unsupported):
+        with pytest.raises(ValueError, match="over one basis"):
             concatenate_autonomous(parts, BumpFunction())
 
     def test_spectral_parts_use_fast_path(self):
@@ -371,16 +370,16 @@ class TestConcatenation:
         assert type(concat) is SpectralHamiltonian
         assert not concat.coefficients.flags.writeable
         pts = np.random.default_rng(13).uniform(0, 1, (20, 2))
-        lhs = flow_concatenation(PackedBatch([concat]), pts[None], 0.0, 1.0, self.settings)[0]
+        lhs = flow_concatenation(PackedBatch([concat]), pts[None], 0.0, 1.0, self.steps)[0]
         rhs = pts
         for part in parts:
-            rhs = flow_one(part, rhs, 0.0, 1.0, self.settings)
+            rhs = flow_one(part, rhs, 0.0, 1.0, self.steps)
         dist = np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1)
         assert dist.max() < 1e-5
 
 
 class TestBatchedFlow:
-    settings = FlowSettings(steps=12)
+    steps = 12
 
     @staticmethod
     def hamiltonians(kind, count):
@@ -406,8 +405,8 @@ class TestBatchedFlow:
         flow = flow_concatenation if kind == "concatenation" else flow_points
         pts = np.random.default_rng(count).uniform(0, 1, (count, 4, 2))
         for t0, t1 in ((0.0, 1.0), (1.0, 0.0)):
-            batch = flow(PackedBatch(hs), pts, t0, t1, self.settings)
-            single = np.stack([flow(PackedBatch([h]), p[None], t0, t1, self.settings)[0]
+            batch = flow(PackedBatch(hs), pts, t0, t1, self.steps)
+            single = np.stack([flow(PackedBatch([h]), p[None], t0, t1, self.steps)[0]
                                for h, p in zip(hs, pts)])
             assert batch.shape == pts.shape
             assert np.abs(batch - single).max() <= 1e-12
@@ -417,10 +416,10 @@ class TestBatchedFlow:
         # takes numpy's matrix-vector path instead (hamflow.flow docstring)
         h = sample_hamiltonian(TestBuffers.LAW, 6)
         pts = np.random.default_rng(6).uniform(0, 1, (64, 2))
-        settings = FlowSettings(steps=12)
-        whole = flow_one(h, pts, 0.0, 1.0, settings)
+        steps = 12
+        whole = flow_one(h, pts, 0.0, 1.0, steps)
         for count in range(2, 65):
-            assert np.array_equal(flow_one(h, pts[:count], 0.0, 1.0, settings), whole[:count])
+            assert np.array_equal(flow_one(h, pts[:count], 0.0, 1.0, steps), whole[:count])
 
     def test_rejects_mixed_time_bases(self):
         # and draws of one time basis over two engines: periodic draws at
@@ -439,31 +438,48 @@ class TestBatchedFlow:
         pts = np.zeros((2, 3, 2))
         for fieldlike, points in ((hs[0], pts[0]), (hs, pts), (tuple(hs), pts)):
             with pytest.raises(TypeError, match="PackedBatch"):
-                flow_points(fieldlike, points)
+                flow_points(fieldlike, points, 0.0, 1.0, 12)
             with pytest.raises(TypeError, match="PackedBatch"):
-                flow_points_through(fieldlike, points, (0.5, 1.0))
+                flow_points_through(fieldlike, points, (0.5, 1.0), 12)
             with pytest.raises(TypeError, match="PackedBatch"):
-                advect_curves(fieldlike, horizontal_circle())
+                advect_curves(fieldlike, horizontal_circle(), 1.0, 12, 0.01)
 
     def test_rejects_an_empty_batch(self):
         with pytest.raises(ValueError, match="need at least one Hamiltonian"):
-            flow_points(PackedBatch(), np.empty((0, 1, 2)))
+            flow_points(PackedBatch(), np.empty((0, 1, 2)), 0.0, 1.0, 12)
 
     def test_advection_rejects_an_empty_batch(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="need at least one Hamiltonian"):
-                advect_curves(PackedBatch(), horizontal_circle())
+                advect_curves(PackedBatch(), horizontal_circle(), 1.0, 12, 0.01)
 
     def test_rejects_points_without_draw_axis(self):
         with pytest.raises(ValueError):
-            flow_points(PackedBatch(self.hamiltonians(PERIODIC, 3)), np.zeros((4, 2)))
+            flow_points(PackedBatch(self.hamiltonians(PERIODIC, 3)), np.zeros((4, 2)), 0.0, 1.0,
+                        12)
+
+    def test_rejects_a_step_count_below_one(self):
+        # without the check, ceil(0 * 1) - 1e-9 rounds up to one step
+        batch = PackedBatch(self.hamiltonians(PERIODIC, 2))
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            flow_points(batch, np.zeros((2, 3, 2)), 0.0, 1.0, 0)
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            flow_points_through(batch, np.zeros((2, 3, 2)), (0.5, 1.0), 0)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.6])
+    def test_advection_rejects_a_threshold_outside_its_range(self, threshold):
+        hs = self.hamiltonians(PERIODIC, 2)
+        with pytest.raises(ValueError, match=r"threshold must lie in \(0, 0.5\]"):
+            advect_curves(PackedBatch(hs), horizontal_circle(), 1.0, 12, threshold)
+        with pytest.raises(ValueError, match=r"threshold must lie in \(0, 0.5\]"):
+            advect_curve(hs[0], horizontal_circle(), 1.0, 12, threshold)
 
 
 class TestBand:
     """Banded engines against the full-band reference, through every spectral type."""
 
-    settings = FlowSettings(steps=20)
+    steps = 20
 
     @staticmethod
     def draws(kernel, r, count=2, seed=181):
@@ -512,8 +528,8 @@ class TestBand:
             assert self.close(h.engine.value_grid(h.coefficient_grids(t), xs, xs),
                               ref.engine.value_grid(ref.coefficient_grids(t), xs, xs))
         for t0, t1 in ((0.0, 1.0), (1.0, 0.0)):
-            assert self.close(flow(PackedBatch([h]), pts[None], t0, t1, self.settings),
-                              flow(PackedBatch([ref]), pts[None], t0, t1, self.settings))
+            assert self.close(flow(PackedBatch([h]), pts[None], t0, t1, self.steps),
+                              flow(PackedBatch([ref]), pts[None], t0, t1, self.steps))
 
     def test_mixed_regularity_concatenation_stays_spectral(self):
         parts = self.draws(CONSTANT, 3, 1) + self.draws(CONSTANT, 4.5, 1, 182)
@@ -522,11 +538,11 @@ class TestBand:
         assert isinstance(concat, SpectralHamiltonian)
         assert concat.engine is parts[0].engine
         pts = np.random.default_rng(14).uniform(0, 1, (10, 2))
-        settings = FlowSettings(steps=200)
-        lhs = flow_concatenation(PackedBatch([concat]), pts[None], 0.0, 1.0, settings)[0]
+        steps = 200
+        lhs = flow_concatenation(PackedBatch([concat]), pts[None], 0.0, 1.0, steps)[0]
         rhs = pts
         for part in parts:
-            rhs = flow_one(part, rhs, 0.0, 1.0, settings)
+            rhs = flow_one(part, rhs, 0.0, 1.0, steps)
         dist = np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1)
         assert dist.max() < 1e-5
 
@@ -553,30 +569,28 @@ class TestCurves:
     def test_advect_zero_field_identity(self):
         # source spacing already below the refinement threshold: unchanged
         k = horizontal_circle(0.5, 128)
-        out = advect_curve(zero_field(), k)
+        out = advect_curve(zero_field(), k, 1.0, 200, 0.01)
         assert np.allclose(out.vertices, k.vertices)
         assert out.winding == (1, 0)
 
     def test_advect_shear_translates(self):
         # K sits at y = 0.5 where cos(2 pi y) = -1: uniform translation x -> x + t
         k = horizontal_circle(0.5, 128)
-        out = advect_curve(shear_y(), k)
+        out = advect_curve(shear_y(), k, 1.0, 200, 0.01)
         assert out.winding == (1, 0)
         assert np.allclose(out.vertices[:, 0], k.vertices[:, 0] + 1.0, atol=1e-9)
         assert np.allclose(out.vertices[:, 1], 0.5, atol=1e-12)
 
     def test_advected_gaps_below_threshold(self):
         h = small_draw(127, r=0.08, smax=4)
-        settings = FlowSettings(steps=200, refinement_threshold=0.01)
-        out = advect_curve(h, horizontal_circle(0.5, 128), 1.0, settings)
+        out = advect_curve(h, horizontal_circle(0.5, 128), 1.0, 200, 0.01)
         gaps = np.linalg.norm(np.diff(out.vertices, axis=0), axis=1)
-        assert gaps.max() <= settings.refinement_threshold + 1e-12
+        assert gaps.max() <= 0.01 + 1e-12
 
     def test_area_preserved_for_small_circle(self):
         h = small_draw(131, r=0.2, smax=3)
-        settings = FlowSettings(steps=400, refinement_threshold=0.005)
         src = circle_curve((0.4, 0.6), 0.08, 256)
-        out = advect_curve(h, src, 1.0, settings)
+        out = advect_curve(h, src, 1.0, 400, 0.005)
 
         def shoelace(v):
             x, y = v[:, 0], v[:, 1]
@@ -587,9 +601,8 @@ class TestCurves:
     def test_refinement_overflow_raised(self, monkeypatch):
         monkeypatch.setattr(flow, "MAX_IMAGE_VERTICES", 5)
         h = small_draw(137, r=0.05, smax=4)
-        settings = FlowSettings(steps=200, refinement_threshold=1e-4)
         with pytest.raises(RefinementOverflow, match="past 5 vertices"):
-            advect_curve(h, horizontal_circle(0.5, 4), 1.0, settings)
+            advect_curve(h, horizontal_circle(0.5, 4), 1.0, 200, 1e-4)
 
 
 # Butcher's order-6 tableau: stage times c, stage rows A, weights b.
@@ -650,18 +663,18 @@ class TestBuffers:
         monkeypatch.setattr(SpectralEngine, "buffers",
                             lambda self, shape: calls.append(shape) or buffers(self, shape))
         pts = np.random.default_rng(2).uniform(0, 1, (4, 8, 2))
-        flow_points(self.batch(), pts, 0.0, 1.0, FlowSettings(steps=12))
+        flow_points(self.batch(), pts, 0.0, 1.0, 12)
         assert calls == [(4, 8, 2)]
 
     def test_one_time_basis_call_per_flow(self, monkeypatch):
         batch = self.batch()
         pts = np.random.default_rng(3).uniform(0, 1, (4, 8, 2))
-        want = flow_points(batch, pts, 0.0, 1.0, FlowSettings(steps=58))
+        want = flow_points(batch, pts, 0.0, 1.0, 58)
         calls = []
         call = TimeBasis.__call__
         monkeypatch.setattr(TimeBasis, "__call__",
                             lambda self, times: calls.append(np.size(times)) or call(self, times))
-        assert np.array_equal(flow_points(batch, pts, 0.0, 1.0, FlowSettings(steps=58)), want)
+        assert np.array_equal(flow_points(batch, pts, 0.0, 1.0, 58), want)
         assert calls == [5 * 58]
 
     def test_oscillation_block_allocates_no_lattice(self, monkeypatch):

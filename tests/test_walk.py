@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from hamflow.config import ExperimentConfig
-from hamflow.experiments import _settings_for, _walk_chunk, law_for
+from hamflow.experiments import _walk_chunk, flow_steps, law_for
 from hamflow.field import PackedBatch, sample_hamiltonian
-from hamflow.flow import FlowSettings, flow_points
+from hamflow.flow import flow_points
 from reference import (BumpFunction, apply_walk, concatenate_autonomous, flow_concatenation,
                        flow_one, torus_distance)
 
@@ -46,7 +46,7 @@ class TestSampling:
         cfg, law = walk_run(walk_steps=0, probe=(1.2, -0.1))
         p = np.array([cfg.probe])
         assert walk(law, 0, 0) == ()
-        assert np.array_equal(apply_walk((), p), p)
+        assert np.array_equal(apply_walk((), p, 200), p)
         assert np.array_equal(trajectories(cfg, law, range(2)), np.broadcast_to(p % 1.0, (2, 1, 2)))
 
     def test_equal_seeds_identical_steps(self):
@@ -70,8 +70,8 @@ class TestSampling:
         walk_disp = displacements(trajectories(cfg, law, range(n))[:, 1], p)
         draws = PackedBatch(sample_hamiltonian(law, 1234, i) for i in range(n))
         pts = np.broadcast_to(p, (n, 1, 2))
-        draw_disp = displacements(flow_points(draws, pts, 0.0, 1.0, _settings_for(cfg, law))[:, 0],
-                                  p)
+        images = flow_points(draws, pts, 0.0, 1.0, flow_steps(law, cfg.steps))
+        draw_disp = displacements(images[:, 0], p)
         assert stats.ks_2samp(walk_disp, draw_disp).pvalue > 0.01
 
 
@@ -84,21 +84,21 @@ class TestApplication:
         assert np.all((traj >= 0.0) & (traj < 1.0))
         steps = walk(law, 13, 4)
         p = np.array([cfg.probe])
-        settings = _settings_for(cfg, law)
+        count = flow_steps(law, cfg.steps)
         for k in range(5):
-            assert torus_distance(traj[k], apply_walk(steps[:k], p, settings)[0]) < 1e-12
+            assert torus_distance(traj[k], apply_walk(steps[:k], p, count)[0]) < 1e-12
 
     def test_batched_trajectories_match_per_walk_loop(self):
         # the chunk flows step j of every walk in one batch
         cfg, law = walk_run(r=0.3, smax=4, seed=31, walk_steps=3, probe=(0.45, 0.2), steps=12)
-        settings = _settings_for(cfg, law)
+        steps = flow_steps(law, cfg.steps)
         batched = trajectories(cfg, law, range(5))
         assert batched.shape == (5, 4, 2)
         for w, traj in enumerate(batched):
             state = np.array([cfg.probe])
             expected = [state[0]]
             for h in walk(law, 31, 3, w):
-                state = flow_one(h, state, 0.0, 1.0, settings)
+                state = flow_one(h, state, 0.0, 1.0, steps)
                 expected.append(state[0] % 1.0)
             assert max(torus_distance(a, b) for a, b in zip(traj, expected)) <= 1e-12
 
@@ -124,12 +124,11 @@ class TestGeneratingHamiltonian:
         # at the law's count
         cfg, law = walk_run(r=0.12, seed=23, walk_steps=n_steps)
         combined = PackedBatch([concatenate_autonomous(walk(law, 23, n_steps), BumpFunction())])
-        settings = FlowSettings(steps=cfg.steps)
         pts = np.random.default_rng(1).uniform(0, 1, (20, 2))
-        lhs = flow_concatenation(combined, pts[None], 0.0, 1.0, settings)[0]
-        rhs = apply_walk(walk(law, 23, n_steps), pts, _settings_for(cfg, law))
+        lhs = flow_concatenation(combined, pts[None], 0.0, 1.0, cfg.steps)[0]
+        rhs = apply_walk(walk(law, 23, n_steps), pts, flow_steps(law, cfg.steps))
         assert displacements(lhs, rhs).max() < tol
-        probe = flow_concatenation(combined, np.array([[cfg.probe]]), 0.0, 1.0, settings)[0, 0]
+        probe = flow_concatenation(combined, np.array([[cfg.probe]]), 0.0, 1.0, cfg.steps)[0, 0]
         assert torus_distance(probe, trajectories(cfg, law, range(1))[0, -1]) < tol
 
     def test_coefficient_path_time_symmetric_in_law(self):
