@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Each command reads one flat key = value config document (--config),
-applies flag overrides, echoes the full effective configuration next to its
-outputs, and writes deterministic CSV and JSONL files.  The worker count is
-the config's ``workers``; at ``workers = 0`` (the default) it is the number
-of CPUs the process may run on.
+applies flag overrides, echoes the effective values of the keys it reads
+(``config.COMMANDS``) next to its outputs, and writes deterministic CSV and
+JSONL files.  The worker count is the config's ``workers``; at ``workers = 0``
+(the default) it is the number of CPUs the process may run on.
 
 Every command is one row of ``COMMAND_TABLE`` (``Command``): the sampler of
 ``hamflow.experiments`` that runs its per-sample task through
@@ -58,23 +58,22 @@ def _load_config(args) -> ExperimentConfig:
     return parse_config(text, command=args.command, overrides=overrides)
 
 
-def _outdir(cfg: ExperimentConfig, flows: bool = False) -> Path:
+def _outdir(cfg: ExperimentConfig) -> Path:
     """The output directory, with the effective config echoed to config.txt.
 
     A comment line names the law's spatial band (``HamiltonianLaw.band``) of
     spatial_max and its temporal band (``HamiltonianLaw.temporal_band``) of
-    the kernel's frequencies and, if the command flows its draws, one before
+    the kernel's frequencies and, if the command reads ``steps``, one before
     it names its step count (``experiments.flow_steps``).  An ``OSError``
     writing either is a ``ValidationError`` of ``out``.
     """
     out = Path(cfg.out)
     law, r = experiments.law_for(cfg), cfg.regularity
-    lines = []
-    if flows:
-        lines.append(f"# flow steps at regularity {r:g}: "
-                     f"{experiments.flow_steps(law, cfg.steps)} of at most {cfg.steps}\n")
-    lines.append(f"# bands at regularity {r:g}: spatial {law.band()} of {cfg.spatial_max}, "
-                 f"temporal {law.temporal_band()} of {law.kernel.time_basis().frequencies}\n")
+    lines = [f"# bands at regularity {r:g}: spatial {law.band()} of {cfg.spatial_max}, "
+             f"temporal {law.temporal_band()} of {law.kernel.time_basis().frequencies}\n"]
+    if "steps" in COMMANDS[cfg.command]:
+        lines.insert(0, f"# flow steps at regularity {r:g}: "
+                        f"{experiments.flow_steps(law, cfg.steps)} of at most {cfg.steps}\n")
     try:
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.txt").write_text(serialize_config(cfg) + "".join(lines))
@@ -90,37 +89,29 @@ class Command:
     ``samples`` names the sampler in ``hamflow.experiments``; it is looked up
     when the command runs, so that a sampler wrapped after import (the
     benchmark's tracer) is the one that runs.  ``reduce(cfg, records)``
-    returns the outputs that ``files`` maps to file names.  ``flows`` echoes
-    the step count.  A command whose records can carry errors names a file
-    for its ``failures``.
+    returns the outputs that ``files`` maps to file names.  A command whose
+    records can carry errors names a file for its ``failures``.
     """
 
     samples: str
     reduce: Callable
     files: dict
-    flows: bool = False
 
 
 COMMAND_TABLE = {
     "sample-field": Command("oscillation_samples", experiments.mean_table,
                             {"table": "field_osc.csv", "records": "field_samples.jsonl"}),
     "flow": Command("advected_samples", experiments.as_sampled,
-                    {"records": "curves.jsonl", "failures": "failures.jsonl"}, flows=True),
+                    {"records": "curves.jsonl", "failures": "failures.jsonl"}),
     "diffusion": Command("diffusion_samples", experiments.diffusion_totals,
-                         {"totals": "diffusion.jsonl", "records": "diffusion_samples.jsonl"},
-                         flows=True),
+                         {"totals": "diffusion.jsonl", "records": "diffusion_samples.jsonl"}),
     "intersections": Command("run_intersections", experiments.mean_table,
-                             {"table": "intersections.csv", "failures": "failures.jsonl"},
-                             flows=True),
-    "random-walk": Command("walk_samples", experiments.as_sampled, {"records": "walks.jsonl"},
-                           flows=True),
+                             {"table": "intersections.csv", "failures": "failures.jsonl"}),
+    "random-walk": Command("walk_samples", experiments.as_sampled, {"records": "walks.jsonl"}),
     "tails": Command("oscillation_samples", experiments.tail_fit,
                      {"survival": "tail_survival.jsonl", "fit": "tail_fit.jsonl"}),
-    "concentration": Command("oscillation_samples", experiments.mean_table,
-                             {"table": "concentration.csv"}),
     "inversion": Command("run_inversion_test", experiments.inversion_test,
-                         {"test": "inversion.jsonl", "records": "inversion_samples.jsonl"},
-                         flows=True),
+                         {"test": "inversion.jsonl", "records": "inversion_samples.jsonl"}),
 }
 
 
@@ -132,7 +123,7 @@ def run(cfg: ExperimentConfig) -> None:
     writing the failures.
     """
     command = COMMAND_TABLE[cfg.command]
-    out = _outdir(cfg, command.flows)
+    out = _outdir(cfg)
     paths = {name: out / file for name, file in command.files.items()}
     for path in paths.values():
         _write(path)
@@ -140,10 +131,9 @@ def run(cfg: ExperimentConfig) -> None:
     failures = [record for record in records if "error" in record]
     if len(failures) > 0.01 * cfg.samples:
         _write(paths["failures"], failures)
-        r = cfg.regularity
         raise FailureBudgetExceeded(
-            f"regularity {r}: {len(failures)} of {cfg.samples} samples failed "
-            f"(budget 1%): {[(r, record['sample'], record['error']) for record in failures[:3]]}")
+            f"regularity {cfg.regularity}: {len(failures)} of {cfg.samples} samples failed "
+            f"(budget 1%): {[(record['sample'], record['error']) for record in failures[:3]]}")
     outputs = {"failures": failures, **command.reduce(cfg, records)}
     written = []
     for name, path in paths.items():

@@ -4,6 +4,11 @@ One flat key-value document drives every command; the command itself is
 selected by CLI subcommand.  All fields carry documented defaults, numeric
 fields are range-checked, and unknown keys are rejected.
 
+``COMMANDS`` maps each command to the keys it reads beyond ``LAW_KEYS`` and
+``RUN_KEYS``; ``serialize_config`` echoes those alone.  A key the command does
+not read is accepted but not echoed: the benchmark's ``sample-field`` workload
+sets ``steps``, so refusing it at parse waits for ROADMAP item 25(b).
+
 ``regularity`` is the one decay parameter of the law, per squared
 frequency (k^2 + j^2), the units of the reference Monte Carlo tables; the
 law takes it per Laplace-Beltrami eigenvalue 4 pi^2 (k^2 + j^2)
@@ -13,8 +18,6 @@ law takes it per Laplace-Beltrami eigenvalue 4 pi^2 (k^2 + j^2)
 :mod:`hamflow.flow`); smooth laws use fewer (see :mod:`hamflow.experiments`).
 Curve refinement runs until no image gap exceeds ``refinement_threshold``;
 no key caps it (``hamflow.flow.MAX_IMAGE_VERTICES`` bounds an image).
-``intersections`` counts every test Lagrangian of
-``hamflow.experiments.LAGRANGIANS``; no key selects them.
 
 ``grid_nodes`` is a class constant, not a key: no kernel samples on a grid.
 Only ``perfbench/child.py`` reads it, passes ``make_law``'s ``seed=`` or
@@ -29,8 +32,17 @@ from dataclasses import dataclass, fields
 from . import temporal
 from .errors import ParseError, ValidationError
 
-COMMANDS = ("sample-field", "flow", "diffusion", "intersections", "random-walk",
-            "tails", "concentration", "inversion")
+LAW_KEYS = ("regularity", "spatial_max", "include_axis_modes", "temporal_max", "kernel")
+RUN_KEYS = ("samples", "seed", "out", "workers")
+COMMANDS = {
+    "sample-field": ("osc_spatial_grid", "osc_time_grid"),
+    "flow": ("steps", "curve_vertices", "refinement_threshold"),
+    "diffusion": ("steps", "points", "ball_center", "ball_radius", "times", "grid"),
+    "intersections": ("steps", "curve_vertices", "refinement_threshold"),
+    "random-walk": ("steps", "walk_steps", "probe"),
+    "tails": ("osc_spatial_grid", "osc_time_grid"),
+    "inversion": ("steps", "probe"),
+}
 
 # Defaults that differ by command, so that every command runs from its
 # defaults: random walks need autonomous steps and the tail fit needs at
@@ -95,7 +107,7 @@ def _validate(cfg: ExperimentConfig) -> None:
                for v in (value if isinstance(value, tuple) else (value,))):
             bad(f.name, "values must be finite")
     if cfg.command not in COMMANDS:
-        bad("command", f"must be one of {COMMANDS}")
+        bad("command", f"must be one of {tuple(COMMANDS)}")
     if cfg.regularity <= 0:
         bad("regularity", "must be positive")
     if cfg.spatial_max < 1:
@@ -216,17 +228,14 @@ def parse_config(text: str, command: str = "sample-field",
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Echo the full effective config in the same parseable format."""
+    """Echo the effective values of the keys ``cfg.command`` reads (its law,
+    run and ``COMMANDS`` keys), sorted, in the same parseable format."""
     lines = [f"# effective configuration for command '{cfg.command}'"]
-    for f in sorted(fields(ExperimentConfig), key=lambda f: f.name):
-        if f.name == "command":
-            continue
-        value = getattr(cfg, f.name)
+    for name in sorted(LAW_KEYS + RUN_KEYS + COMMANDS[cfg.command]):
+        value = getattr(cfg, name)
         if isinstance(value, bool):
-            text = "true" if value else "false"
+            value = "true" if value else "false"
         elif isinstance(value, tuple):
-            text = ", ".join(str(v) for v in value)
-        else:
-            text = str(value)
-        lines.append(f"{f.name} = {text}")
+            value = ", ".join(map(str, value))
+        lines.append(f"{name} = {value}")
     return "\n".join(lines) + "\n"

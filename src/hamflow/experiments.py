@@ -1,5 +1,5 @@
 """Monte Carlo experiments: Lagrangian intersections, diffusion, tails,
-inversion invariance, concentration and random walks.
+inversion invariance and random walks.
 
 Crossings.  The fourteen test Lagrangians are one table, ``LAGRANGIANS``:
 each label's level function, (a x + b y) - c for the twelve closed lines

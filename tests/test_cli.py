@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from hamflow import cli, flow, io
-from hamflow.config import COMMANDS, parse_config
+from hamflow.config import COMMANDS, LAW_KEYS, RUN_KEYS, parse_config
 from hamflow.experiments import CHUNK
 
 TINY = """\
@@ -45,7 +45,6 @@ OUTPUTS = {
     "tails": {"tail_survival.jsonl": {"survival", "u"},
               "tail_fit.jsonl": {"bound_holds", "heldout_bound", "heldout_exceedance",
                                  "heldout_u", "mean", "regularity", "tail_scale"}},
-    "concentration": {"concentration.csv": ["osc,8"]},
     "inversion": {"inversion.jsonl": {"level", "p_value", "passed", "statistic"},
                   "inversion_samples.jsonl": {"branch", "displacement", "sample"}},
 }
@@ -86,6 +85,15 @@ def test_command_writes_outputs(tmp_path, command):
             assert all(line.endswith(f",{samples}") for line in lines[1:])
         else:
             check_records([json.loads(line) for line in lines], expected, samples)
+    # config.txt echoes the keys the command reads, sorted, and they parse
+    # back to their effective values
+    echo = (out / "config.txt").read_text()
+    read = LAW_KEYS + RUN_KEYS + COMMANDS[command]
+    assert [line.split(" = ")[0] for line in echo.splitlines()
+            if not line.startswith("#")] == sorted(read)
+    echoed = parse_config(echo, command=command)
+    effective = parse_config(text, command=command, overrides={"out": str(out)})
+    assert all(getattr(echoed, key) == getattr(effective, key) for key in read)
 
 
 @pytest.mark.parametrize("command", ["flow", "intersections", "diffusion", "inversion"])
@@ -113,9 +121,20 @@ def test_random_walk_echoes_its_step_count(tmp_path):
 
 
 def test_commands_without_flows_echo_no_step_counts(tmp_path):
-    rc, out = run(tmp_path, "sample-field", TINY)
+    # sample-field reads none of these keys: its files are those of its
+    # defaults, and its config.txt names none of them and no step count
+    unread = "steps = 1\ncurve_vertices = 3\nwalk_steps = 1000\nball_radius = 0.4\n"
+    rc, plain = run(tmp_path, "sample-field", "")
     assert rc == 0
-    assert "# flow steps" not in (out / "config.txt").read_text()
+    rc, out = run(tmp_path, "sample-field", unread, "unread")
+    assert rc == 0
+    for name in OUTPUTS["sample-field"]:
+        assert (out / name).read_bytes() == (plain / name).read_bytes(), name
+    echo = (out / "config.txt").read_text()
+    assert echo.replace(str(out), str(plain)) == (plain / "config.txt").read_text()
+    assert "# flow steps" not in echo
+    assert not {line.split(" = ")[0] for line in echo.splitlines()} & {
+        "steps", "curve_vertices", "walk_steps", "ball_radius"}
 
 
 @pytest.mark.parametrize("command", sorted(OUTPUTS))
@@ -214,11 +233,14 @@ def test_plot_flag_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_unknown_command_exits_2_and_help_exits_0(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["no-such-command"])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+def test_unknown_command_exits_2_and_help_exits_0(tmp_path, capsys):
+    # concentration ran sample-field's sampler and reducer, and is gone
+    for command in ("no-such-command", "concentration"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0

@@ -1,36 +1,51 @@
 """Tests for the key = value experiment configuration."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
-from hamflow.config import ExperimentConfig, parse_config, parse_value, serialize_config
+from hamflow.config import (COMMANDS, LAW_KEYS, RUN_KEYS, ExperimentConfig, parse_config,
+                            parse_value, serialize_config)
 from hamflow.errors import ParseError, ValidationError
 from hamflow.experiments import flow_steps, law_for
 
-NON_DEFAULT = """\
-# a comment line
-regularity = 1.25
-spatial_max = 7
-include_axis_modes = yes
-kernel = constant
-times = 0.0, 0.125, 1.0
-ball_center = 0.25, 0.75
-refinement_threshold = 0.02
-out = somewhere/else
-"""
+# A non-default value of every key; tails needs 1000 draws at least, and
+# random-walk the constant kernel, its own default
+NON_DEFAULT = {
+    "regularity": "1.25", "spatial_max": "7", "include_axis_modes": "yes",
+    "temporal_max": "4", "kernel": "constant", "samples": "1500", "seed": "9",
+    "out": "somewhere/else", "workers": "3", "osc_spatial_grid": "16", "osc_time_grid": "7",
+    "steps": "30", "curve_vertices": "12", "refinement_threshold": "0.02", "points": "11",
+    "ball_center": "0.25, 0.75", "ball_radius": "0.2", "times": "0.0, 0.125, 1.0",
+    "grid": "4", "walk_steps": "3", "probe": "0.125, 0.5",
+}
+
+
+def document(keys):
+    return "# a comment line\n" + "".join(f"{key} = {NON_DEFAULT[key]}\n" for key in keys)
 
 
 class TestRoundTrip:
-    def test_parse_serialize_parse(self):
-        cfg = parse_config(NON_DEFAULT, command="flow")
-        assert cfg.regularity == 1.25
-        assert cfg.include_axis_modes is True
-        assert cfg.ball_center == (0.25, 0.75)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_parse_serialize_parse(self, command):
+        # every key the command reads, set off its default, is echoed in
+        # sorted order and parses back to the same config
+        read = LAW_KEYS + RUN_KEYS + COMMANDS[command]
+        cfg = parse_config(document(read), command=command)
+        assert all(getattr(cfg, key) != getattr(ExperimentConfig, key) for key in read)
         text = serialize_config(cfg)
-        again = parse_config(text, command="flow")
+        assert [line.split(" = ")[0] for line in text.splitlines()[1:]] == sorted(read)
+        again = parse_config(text, command=command)
         assert again == cfg
         assert serialize_config(again) == text
+        # a key the command does not read is accepted, and not echoed
+        assert serialize_config(parse_config(document(NON_DEFAULT), command=command)) == text
+
+    def test_every_key_is_read_by_a_command(self):
+        keys = {f.name for f in fields(ExperimentConfig)} - {"command"}
+        assert set(NON_DEFAULT) == keys
+        assert set(LAW_KEYS + RUN_KEYS).union(*COMMANDS.values()) == keys
 
     def test_false_booleans_round_trip(self):
         for word in ("no", "0"):
@@ -103,6 +118,12 @@ class TestErrors:
             parse_config("out =\n")
         assert str(info.value) == "out: must name a directory"
         assert parse_config("out = .\n").out == "."
+
+    def test_unknown_command_names_the_commands(self):
+        with pytest.raises(ValidationError) as info:
+            ExperimentConfig(command="concentration")
+        assert str(info.value) == f"command: must be one of {tuple(COMMANDS)}"
+        assert "concentration" not in COMMANDS
 
     def test_unknown_override(self):
         with pytest.raises(ValidationError):

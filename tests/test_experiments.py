@@ -402,8 +402,7 @@ class TestIntersectionChunks:
     @pytest.mark.usefixtures("budget")
     def test_budget_message_matches_per_draw_loop(self, tmp_path):
         cfg = intersections_config(out=str(tmp_path))
-        errors = [(cfg.regularity, o["sample"], o["error"]) for o in per_draw_outcomes(cfg)
-                  if "error" in o]
+        errors = [(o["sample"], o["error"]) for o in per_draw_outcomes(cfg) if "error" in o]
         expected = (f"regularity {cfg.regularity}: {len(errors)} of {cfg.samples} samples "
                     f"failed (budget 1%): {errors[:3]}")
         with pytest.raises(HamflowError) as info:

@@ -292,12 +292,6 @@ class TestOscillation:
         assert all(a > b for a, b in zip(means, means[1:]))
 
 
-def frequency_law(r, **kwargs):
-    """The CLI's default law (spatial_max 25, temporal_max 10) at regularity r
-    in frequency units."""
-    return make_law(r / (4 * math.pi**2), **kwargs)
-
-
 # periodic laws from nearly every row evaluated to a twentieth of them, the
 # other kernels, and axis modes, whose y-only modes give every row the same
 # bound; the r = 0.5 and 0.1 laws and the axis modes evaluate whole lattices
