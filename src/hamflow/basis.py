@@ -26,7 +26,12 @@ class Truncation:
     spatial_max caps each wavenumber (k, j <= spatial_max); the temporal
     order belongs to the kernel (``KernelKind.temporal_max``).  Axis modes
     (one wavenumber zero) are excluded by default so that the default basis
-    has spatial_max^2 wavenumber pairs.
+    has spatial_max^2 wavenumber pairs.  A default draw has mean zero on every
+    horizontal and vertical circle, so one autonomous draw (a random-walk
+    step) lacks the axis shears, such as cos 2 pi y's.  The default modes'
+    Poisson brackets reach every axis mode up to 2 spatial_max
+    (``tests/test_basis.py``); no test checks this through the integrator
+    yet (ROADMAP item 26(b)).
     """
 
     spatial_max: int = 25

@@ -2,12 +2,12 @@
 
 Each command reads one flat key = value config document (--config),
 applies flag overrides, echoes the effective values of the keys it reads
-(``config.COMMANDS``) next to its outputs, and writes deterministic CSV and
-JSONL files.  The worker count is the config's ``workers``; at ``workers = 0``
+(``config.serialize_config``) next to its outputs, and writes deterministic
+CSV and JSONL files.  The worker count is the config's ``workers``; at ``workers = 0``
 (the default) it is the number of CPUs the process may run on.
 
-Every command is one row of ``COMMAND_TABLE`` (``Command``): the sampler of
-``hamflow.experiments`` that runs its per-sample task through
+Every command is one row of ``config.COMMANDS`` (``config.Command``): the
+sampler of ``hamflow.experiments`` that runs its per-sample task through
 ``_run_chunks`` and returns one record per sample, the reducer over those
 ordered records, and the files the reducer's outputs go to.  ``run`` draws
 the records of the config's one law, reduces them, and hands each output to
@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Callable
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import experiments, io
@@ -71,7 +69,7 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     law, r = experiments.law_for(cfg), cfg.regularity
     lines = [f"# bands at regularity {r:g}: spatial {law.band()} of {cfg.spatial_max}, "
              f"temporal {law.temporal_band()} of {law.kernel.time_basis().frequencies}\n"]
-    if "steps" in COMMANDS[cfg.command]:
+    if "steps" in COMMANDS[cfg.command].keys:
         lines.insert(0, f"# flow steps at regularity {r:g}: "
                         f"{experiments.flow_steps(law, cfg.steps)} of at most {cfg.steps}\n")
     try:
@@ -82,39 +80,6 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-@dataclass(frozen=True)
-class Command:
-    """One command: where its records come from and where they go.
-
-    ``samples`` names the sampler in ``hamflow.experiments``; it is looked up
-    when the command runs, so that a sampler wrapped after import (the
-    benchmark's tracer) is the one that runs.  ``reduce(cfg, records)``
-    returns the outputs that ``files`` maps to file names.  A command whose
-    records can carry errors names a file for its ``failures``.
-    """
-
-    samples: str
-    reduce: Callable
-    files: dict
-
-
-COMMAND_TABLE = {
-    "sample-field": Command("oscillation_samples", experiments.mean_table,
-                            {"table": "field_osc.csv", "records": "field_samples.jsonl"}),
-    "flow": Command("advected_samples", experiments.as_sampled,
-                    {"records": "curves.jsonl", "failures": "failures.jsonl"}),
-    "diffusion": Command("diffusion_samples", experiments.diffusion_totals,
-                         {"totals": "diffusion.jsonl", "records": "diffusion_samples.jsonl"}),
-    "intersections": Command("run_intersections", experiments.mean_table,
-                             {"table": "intersections.csv", "failures": "failures.jsonl"}),
-    "random-walk": Command("walk_samples", experiments.as_sampled, {"records": "walks.jsonl"}),
-    "tails": Command("oscillation_samples", experiments.tail_fit,
-                     {"survival": "tail_survival.jsonl", "fit": "tail_fit.jsonl"}),
-    "inversion": Command("run_inversion_test", experiments.inversion_test,
-                         {"test": "inversion.jsonl", "records": "inversion_samples.jsonl"}),
-}
-
-
 def run(cfg: ExperimentConfig) -> None:
     """Run ``cfg.command`` and write its files, each output that holds rows.
 
@@ -122,19 +87,19 @@ def run(cfg: ExperimentConfig) -> None:
     ``FailureBudgetExceeded`` when more than 1% of the samples fail, after
     writing the failures.
     """
-    command = COMMAND_TABLE[cfg.command]
+    command = COMMANDS[cfg.command]
     out = _outdir(cfg)
     paths = {name: out / file for name, file in command.files.items()}
     for path in paths.values():
         _write(path)
-    records = getattr(experiments, command.samples)(cfg)
+    records = getattr(experiments, command.sampler)(cfg)
     failures = [record for record in records if "error" in record]
     if len(failures) > 0.01 * cfg.samples:
         _write(paths["failures"], failures)
         raise FailureBudgetExceeded(
             f"regularity {cfg.regularity}: {len(failures)} of {cfg.samples} samples failed "
             f"(budget 1%): {[(record['sample'], record['error']) for record in failures[:3]]}")
-    outputs = {"failures": failures, **command.reduce(cfg, records)}
+    outputs = {"failures": failures, **getattr(experiments, command.reducer)(cfg, records)}
     written = []
     for name, path in paths.items():
         if outputs[name]:

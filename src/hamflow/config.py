@@ -4,10 +4,12 @@ One flat key-value document drives every command; the command itself is
 selected by CLI subcommand.  All fields carry documented defaults, numeric
 fields are range-checked, and unknown keys are rejected.
 
-``COMMANDS`` maps each command to the keys it reads beyond ``LAW_KEYS`` and
-``RUN_KEYS``; ``serialize_config`` echoes those alone.  A key the command does
-not read is accepted but not echoed: the benchmark's ``sample-field`` workload
-sets ``steps``, so refusing it at parse waits for ROADMAP item 25(b).
+``COMMANDS`` holds one ``Command`` row per command.  ``serialize_config``
+echoes the keys a config reads: its law's (``temporal_max`` only under the
+periodic kernel, whose time basis it sizes), its run's and its command's.
+A key the command does not read is accepted but not echoed: the benchmark's
+``sample-field`` workload sets ``steps``, so refusing it at parse waits for
+ROADMAP item 25(b).
 
 ``regularity`` is the one decay parameter of the law, per squared
 frequency (k^2 + j^2), the units of the reference Monte Carlo tables; the
@@ -27,33 +29,54 @@ calls ``eigenvalue_regularities``; once it stops, all three can go.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from . import temporal
 from .errors import ParseError, ValidationError
 
 LAW_KEYS = ("regularity", "spatial_max", "include_axis_modes", "temporal_max", "kernel")
 RUN_KEYS = ("samples", "seed", "out", "workers")
-COMMANDS = {
-    "sample-field": ("osc_spatial_grid", "osc_time_grid"),
-    "flow": ("steps", "curve_vertices", "refinement_threshold"),
-    "diffusion": ("steps", "points", "ball_center", "ball_radius", "times", "grid"),
-    "intersections": ("steps", "curve_vertices", "refinement_threshold"),
-    "random-walk": ("steps", "walk_steps", "probe"),
-    "tails": ("osc_spatial_grid", "osc_time_grid"),
-    "inversion": ("steps", "probe"),
-}
 
-# Defaults that differ by command, so that every command runs from its
-# defaults: random walks need autonomous steps and the tail fit needs at
-# least 1000 draws, and ``_validate`` refuses a config of either command
-# that breaks its rule.  Diffusion's regularity, like the field default, is
-# smooth enough to flow resolved: 48 steps at 3.16 and 21 at 3.95
-# (``hamflow.experiments.flow_steps``).
-COMMAND_DEFAULTS = {
-    "diffusion": {"regularity": 3.16},
-    "random-walk": {"kernel": temporal.CONSTANT},
-    "tails": {"samples": 1000},
+
+@dataclass(frozen=True)
+class Command:
+    """One command: the keys it reads beyond ``LAW_KEYS`` and ``RUN_KEYS``,
+    the defaults it sets, the names in :mod:`hamflow.experiments` of its
+    sampler and of its reducer ``(cfg, records)`` (``hamflow.cli.run`` looks
+    them up when it runs, so that wrappers installed after import run), and
+    the file of each output (``failures``: the records that carry an error).
+    """
+
+    keys: tuple
+    sampler: str
+    reducer: str
+    files: dict
+    defaults: dict = field(default_factory=dict)
+
+
+# Random walks need autonomous steps and the tail fit 1000 draws, rules that
+# ``_validate`` enforces; diffusion's regularity, like the field default, flows
+# resolved: 48 steps at 3.16 and 21 at 3.95 (``experiments.flow_steps``).
+COMMANDS = {
+    "sample-field": Command(("osc_spatial_grid", "osc_time_grid"), "oscillation_samples",
+                            "mean_table", {"table": "field_osc.csv",
+                                           "records": "field_samples.jsonl"}),
+    "flow": Command(("steps", "curve_vertices", "refinement_threshold"), "advected_samples",
+                    "as_sampled", {"records": "curves.jsonl", "failures": "failures.jsonl"}),
+    "diffusion": Command(("steps", "points", "ball_center", "ball_radius", "times", "grid"),
+                         "diffusion_samples", "diffusion_totals",
+                         {"totals": "diffusion.jsonl", "records": "diffusion_samples.jsonl"},
+                         {"regularity": 3.16}),
+    "intersections": Command(("steps", "curve_vertices", "refinement_threshold"),
+                             "run_intersections", "mean_table",
+                             {"table": "intersections.csv", "failures": "failures.jsonl"}),
+    "random-walk": Command(("steps", "walk_steps", "probe"), "walk_samples", "as_sampled",
+                           {"records": "walks.jsonl"}, {"kernel": temporal.CONSTANT}),
+    "tails": Command(("osc_spatial_grid", "osc_time_grid"), "oscillation_samples", "tail_fit",
+                     {"survival": "tail_survival.jsonl", "fit": "tail_fit.jsonl"},
+                     {"samples": 1000}),
+    "inversion": Command(("steps", "probe"), "run_inversion_test", "inversion_test",
+                         {"test": "inversion.jsonl", "records": "inversion_samples.jsonl"}),
 }
 
 
@@ -98,8 +121,8 @@ class ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    def bad(field, msg):
-        raise ValidationError(field, msg)
+    def bad(key, msg):
+        raise ValidationError(key, msg)
 
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -198,7 +221,7 @@ def parse_config(text: str, command: str = "sample-field",
     """Parse a key = value document into a validated config.
 
     ``overrides`` (typically CLI flags) take precedence over document keys,
-    and both over the command's entry in ``COMMAND_DEFAULTS``.
+    and both over the command's ``defaults``.
     """
     known = {f.name for f in fields(ExperimentConfig)} - {"command"}
     values: dict = {}
@@ -215,23 +238,22 @@ def parse_config(text: str, command: str = "sample-field",
         if key in values:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
         values[key] = parse_value(key, raw, line=lineno)
-    if overrides:
-        for key, val in overrides.items():
-            if val is None:
-                continue
+    for key, val in (overrides or {}).items():
+        if val is not None:
             if key not in known:
                 raise ValidationError(key, "unknown key")
             values[key] = val
-    for key, val in COMMAND_DEFAULTS.get(command, {}).items():
-        values.setdefault(key, val)
-    return ExperimentConfig(command=command, **values)
+    defaults = COMMANDS[command].defaults if command in COMMANDS else {}
+    return ExperimentConfig(command=command, **{**defaults, **values})
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Echo the effective values of the keys ``cfg.command`` reads (its law,
-    run and ``COMMANDS`` keys), sorted, in the same parseable format."""
+    """Echo the effective values of the keys ``cfg`` reads (module
+    docstring), sorted, in the same parseable format."""
     lines = [f"# effective configuration for command '{cfg.command}'"]
-    for name in sorted(LAW_KEYS + RUN_KEYS + COMMANDS[cfg.command]):
+    for name in sorted(LAW_KEYS + RUN_KEYS + COMMANDS[cfg.command].keys):
+        if name == "temporal_max" and cfg.kernel != temporal.PERIODIC:
+            continue
         value = getattr(cfg, name)
         if isinstance(value, bool):
             value = "true" if value else "false"

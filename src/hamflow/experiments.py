@@ -17,7 +17,7 @@ error text (``error``).  The records of ``oscillation_samples`` and
 ``run_intersections`` also carry the ``regularity`` they were drawn at.  A
 reducer ``(cfg, records)`` (``mean_table``, ``tail_fit``, ...) takes a
 sampler's records and returns named lists of records or table rows;
-``hamflow.cli`` pairs each command with its sampler, reducer and files.
+``config.COMMANDS`` names each command's sampler, reducer and files.
 
 Failures.  A curve task (``flow``, ``intersections``) records the
 ``HamflowError`` a sample's advection or crossing count raised as its error
@@ -588,5 +588,11 @@ def _walk_chunk(cfg, law, samples) -> list:
 
 
 def walk_samples(cfg: ExperimentConfig) -> list:
-    """The probe's trajectory under each of ``samples`` walks of ``walk_steps`` steps."""
+    """The probe's trajectory under each of ``samples`` walks of ``walk_steps`` steps.
+
+    A step is an autonomous draw's time-1 map.  A default draw has mean zero
+    on every horizontal and vertical circle, so one step lacks the axis
+    shears, such as cos 2 pi y's; the default modes' brackets reach them
+    (``basis.Truncation``), which no test yet checks through the integrator.
+    """
     return _run_chunks(_walk_chunk, cfg)

@@ -152,3 +152,53 @@ class TestBasisAnalysis:
                     continue
                 lap = (east + west + north + south - 4 * f) / h**2
                 assert abs(lap + lam * f) / abs(lam * f) < 1e-3
+
+
+def bracket_projections(spatial_max, n=32):
+    """The Poisson brackets {F, G} = F_x G_y - F_y G_x of every pair of
+    default (non-axis) modes, projected on cos and sin of 2 pi k x and of
+    2 pi k y for k = 1..2 spatial_max: one row per pair, columns by k and
+    then by those four functions.  A bracket's wavenumbers are at most
+    2 spatial_max, so the n-point rectangle rule is exact for n > 4 spatial_max."""
+    basis = SpectralBasis(Truncation(spatial_max))
+    x, y = np.meshgrid(quad_grid(n), quad_grid(n), indexing="ij")
+
+    def factor(k, t, s):
+        # cos(2 pi k s - t pi / 2), the cosine (t = 0) or sine (t = 1), and its s-derivative
+        k, t = k[:, None, None], t[:, None, None]
+        angle = 2 * math.pi * k * s - t * math.pi / 2
+        return np.cos(angle), -2 * math.pi * k * np.sin(angle)
+
+    (fx, dfx), (fy, dfy) = factor(basis.kx, basis.tx, x), factor(basis.ky, basis.ty, y)
+    amplitudes = basis.amplitudes[:, None, None]
+    hx, hy = amplitudes * dfx * fy, amplitudes * fx * dfy
+    i, j = np.triu_indices(len(basis), 1)
+    brackets = hx[i] * hy[j] - hy[i] * hx[j]
+    k = np.arange(1, 2 * spatial_max + 1)[:, None, None, None]
+    axis = np.stack([np.cos(2 * math.pi * k * x), np.sin(2 * math.pi * k * x),
+                     np.cos(2 * math.pi * k * y), np.sin(2 * math.pi * k * y)], axis=1)
+    return 2.0 / n**2 * np.einsum("pxy,axy->pa", brackets, axis.reshape(-1, n, n))
+
+
+def rank(p):
+    return np.linalg.matrix_rank(p, tol=1e-9 * np.abs(p).max())
+
+
+class TestPoissonBrackets:
+    """The default law has no axis modes, but the brackets of its modes
+    reach them (``basis.Truncation``)."""
+
+    @pytest.mark.parametrize("spatial_max", [2, 3])
+    def test_brackets_span_every_axis_mode_up_to_twice_the_band(self, spatial_max):
+        p = bracket_projections(spatial_max)
+        assert p.shape[1] == 8 * spatial_max
+        assert rank(p) == 8 * spatial_max
+        # the lattice resolves every bracket: a finer one projects the same
+        np.testing.assert_allclose(bracket_projections(spatial_max, 64), p, rtol=0,
+                                   atol=1e-9 * np.abs(p).max())
+
+    def test_brackets_at_spatial_max_1_reach_wavenumber_2_alone(self):
+        # the products of wavenumbers 1 and 1 hold wavenumbers 0 and 2 only
+        p = bracket_projections(1)
+        assert np.abs(p[:, :4]).max() < 1e-9 * np.abs(p).max()
+        assert rank(p) == rank(p[:, 4:]) == 4

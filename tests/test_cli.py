@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from hamflow import cli, flow, io
+from hamflow import cli, experiments, flow, io
 from hamflow.config import COMMANDS, LAW_KEYS, RUN_KEYS, parse_config
 from hamflow.experiments import CHUNK
 
@@ -69,10 +69,12 @@ def check_records(records, keys, samples):
         assert all(indices == list(range(samples)) for indices in branches.values())
 
 
-@pytest.mark.parametrize("command", sorted(OUTPUTS))
-def test_command_writes_outputs(tmp_path, command):
+@pytest.mark.parametrize("command,extra", [*((command, "") for command in sorted(OUTPUTS)),
+                                           ("inversion", "kernel = sqexp\n")],
+                         ids=[*sorted(OUTPUTS), "inversion-sqexp"])
+def test_command_writes_outputs(tmp_path, command, extra):
     # tails runs at its 1000-sample default; random-walk at its constant kernel
-    text = TINY.replace("samples = 4\n", "") if command == "tails" else TINY
+    text = (TINY.replace("samples = 4\n", "") if command == "tails" else TINY) + extra
     samples = 1000 if command == "tails" else 4
     rc, out = run(tmp_path, command, text)
     assert rc == 0
@@ -85,15 +87,31 @@ def test_command_writes_outputs(tmp_path, command):
             assert all(line.endswith(f",{samples}") for line in lines[1:])
         else:
             check_records([json.loads(line) for line in lines], expected, samples)
-    # config.txt echoes the keys the command reads, sorted, and they parse
-    # back to their effective values
+    # config.txt echoes the keys the run reads, sorted (temporal_max only
+    # under the periodic kernel), and they parse back to their effective values
     echo = (out / "config.txt").read_text()
-    read = LAW_KEYS + RUN_KEYS + COMMANDS[command]
-    assert [line.split(" = ")[0] for line in echo.splitlines()
-            if not line.startswith("#")] == sorted(read)
-    echoed = parse_config(echo, command=command)
     effective = parse_config(text, command=command, overrides={"out": str(out)})
+    read = [key for key in sorted(LAW_KEYS + RUN_KEYS + COMMANDS[command].keys)
+            if effective.kernel == "periodic" or key != "temporal_max"]
+    assert [line.split(" = ")[0] for line in echo.splitlines()
+            if not line.startswith("#")] == read
+    echoed = parse_config(echo, command=command)
     assert all(getattr(echoed, key) == getattr(effective, key) for key in read)
+
+
+@pytest.mark.parametrize("command", ["sample-field", "inversion"])
+def test_run_calls_the_sampler_and_reducer_its_row_names(tmp_path, monkeypatch, command):
+    # run looks both names up in hamflow.experiments when it runs, so that a
+    # function wrapped after import (the benchmark's tracer) is the one that
+    # runs; the row's files are the files written
+    row, calls = COMMANDS[command], []
+    for name in (row.sampler, row.reducer):
+        monkeypatch.setattr(experiments, name, lambda *args, name=name, f=getattr(
+            experiments, name): calls.append(name) or f(*args))
+    rc, out = run(tmp_path, command, TINY)
+    assert rc == 0
+    assert calls == [row.sampler, row.reducer]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*row.files.values(), "config.txt"])
 
 
 @pytest.mark.parametrize("command", ["flow", "intersections", "diffusion", "inversion"])

@@ -1,7 +1,7 @@
 """Tests for the key = value experiment configuration."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -30,22 +30,37 @@ class TestRoundTrip:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_parse_serialize_parse(self, command):
         # every key the command reads, set off its default, is echoed in
-        # sorted order and parses back to the same config
-        read = LAW_KEYS + RUN_KEYS + COMMANDS[command]
+        # sorted order and parses back to the same config; the constant
+        # kernel reads no temporal_max, so it is not echoed and parses back
+        # to its default
+        read = LAW_KEYS + RUN_KEYS + COMMANDS[command].keys
         cfg = parse_config(document(read), command=command)
         assert all(getattr(cfg, key) != getattr(ExperimentConfig, key) for key in read)
         text = serialize_config(cfg)
-        assert [line.split(" = ")[0] for line in text.splitlines()[1:]] == sorted(read)
+        assert [line.split(" = ")[0] for line in text.splitlines()[1:]] == sorted(
+            set(read) - {"temporal_max"})
         again = parse_config(text, command=command)
-        assert again == cfg
+        assert again == replace(cfg, temporal_max=ExperimentConfig.temporal_max)
         assert serialize_config(again) == text
         # a key the command does not read is accepted, and not echoed
         assert serialize_config(parse_config(document(NON_DEFAULT), command=command)) == text
 
+    @pytest.mark.parametrize("kernel", ["periodic", "sqexp"])
+    def test_temporal_max_is_echoed_under_the_periodic_kernel_alone(self, kernel):
+        # only the periodic kernel's time basis has temporal_max frequencies;
+        # the sqexp kernel accepts the key and echoes no line of it
+        cfg = parse_config(f"kernel = {kernel}\ntemporal_max = 4\n", command="flow")
+        text = serialize_config(cfg)
+        assert ("temporal_max = 4" in text.splitlines()) == (kernel == "periodic")
+        again = parse_config(text, command="flow")
+        assert again.kernel == kernel
+        assert again.temporal_max == (4 if kernel == "periodic" else 10)
+        assert serialize_config(again) == text
+
     def test_every_key_is_read_by_a_command(self):
         keys = {f.name for f in fields(ExperimentConfig)} - {"command"}
         assert set(NON_DEFAULT) == keys
-        assert set(LAW_KEYS + RUN_KEYS).union(*COMMANDS.values()) == keys
+        assert set(LAW_KEYS + RUN_KEYS).union(*(c.keys for c in COMMANDS.values())) == keys
 
     def test_false_booleans_round_trip(self):
         for word in ("no", "0"):

@@ -556,6 +556,17 @@ def test_intersection_counts_share_the_means_the_law_symmetries_give():
     for a, b in (("L1", "L2"), ("L1", "L3"), ("L2", "L3"), ("L7", "L9")):
         difference = counts[a] - counts[b]
         assert abs(difference.mean()) <= 4.0 * standard_error(difference), (a, b)
+    # Each image has homology class (1, 0), and a line's level function
+    # a x + b y - c changes by exactly a around it, so the image crosses the
+    # line at least |a| times, with the parity of a: a = 1 for L1-L3 and
+    # L10-L12, 2, 3 and 4 for L4-L6, 0 for L7-L9.  A circle bounds a disk,
+    # so its count is even.
+    least = {**dict.fromkeys(("L1", "L2", "L3", "L10", "L11", "L12"), 1), "L4": 2, "L5": 3,
+             "L6": 4, **dict.fromkeys(("L7", "L8", "L9", "L13", "L14"), 0)}
+    assert sorted(least) == sorted(LAGRANGIANS)
+    for record in records:
+        for label, a in least.items():
+            assert record[label] >= a and (record[label] - a) % 2 == 0, (record["sample"], label)
 
 
 class TestBatchedChunks:
