@@ -30,8 +30,8 @@ class Truncation:
     horizontal and vertical circle, so one autonomous draw (a random-walk
     step) lacks the axis shears, such as cos 2 pi y's.  The default modes'
     Poisson brackets reach every axis mode up to 2 spatial_max
-    (``tests/test_basis.py``); no test checks this through the integrator
-    yet (ROADMAP item 26(b)).
+    (``tests/test_basis.py``), also through the integrator: the flows'
+    commutator approaches the bracket's flow (``tests/test_flow.py``).
     """
 
     spatial_max: int = 25

@@ -161,7 +161,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad("ball_center", "must be a pair")
     if not 0.0 < cfg.ball_radius < 0.5:
         bad("ball_radius", "must lie in (0, 0.5)")
-    if len(cfg.times) < 1 or any(b < a for a, b in zip(cfg.times, cfg.times[1:])):
+    if not cfg.times:
+        bad("times", "must hold at least one time")
+    if any(b < a for a, b in zip(cfg.times, cfg.times[1:])):
         bad("times", "must be ascending")
     if any(t < 0.0 or t > 1.0 for t in cfg.times):
         bad("times", "must lie in [0, 1]")

@@ -32,8 +32,8 @@ grid
 dots each with r(y).  A call at P points then costs one table build, one
 (P, 2K) @ (2K, 4K) product and one contraction.  F is built by
 ``field_grids``, outside the call.  F is linear in G, so a flow's batch
-(``field.PackedBatch``) packs each draw straight to field grids as it is
-appended and keeps no plain grids; its stage grids, 2K x 4K entries
+(``field.PackedBatch``) packs each draw straight to field grids as it
+reads it and keeps no plain grids; its stage grids, 2K x 4K entries
 per stage time and draw (twice the size of plain grids), are one batched
 product of the time basis with the draws' packed field grids.  Plain
 grids serve lattices (``field.SpectralHamiltonian.coefficient_grids``).

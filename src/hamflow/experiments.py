@@ -77,6 +77,7 @@ import os
 import pickle
 import signal
 from functools import lru_cache, partial
+from itertools import chain
 
 import numpy as np
 
@@ -338,12 +339,10 @@ def _image_chunk(values, cfg, law, samples) -> list:
     """Per sample: ``values(cfg, image)`` of its image of K, or the text of
     the ``HamflowError`` its advection or ``values`` raised.
 
-    Each draw is packed as it is sampled and then let go; the chunk's curves
-    advect together (``advect_curves``).
+    Each draw is packed as it is sampled and then let go (``PackedBatch``);
+    the chunk's curves advect together (``advect_curves``).
     """
-    batch = PackedBatch(capacity=len(samples))
-    for i in samples:
-        batch.append(sample_hamiltonian(law, cfg.seed, 0, i))
+    batch = PackedBatch((sample_hamiltonian(law, cfg.seed, 0, i) for i in samples), len(samples))
     images = advect_curves(batch, horizontal_circle(0.5, cfg.curve_vertices), 1.0,
                            flow_steps(law, cfg.steps), cfg.refinement_threshold)
     records = []
@@ -405,12 +404,9 @@ def _diffusion_chunk(cfg, law, samples) -> list:
     (``sample_hamiltonian``, the head rows only) and its ball points from
     stream (seed, 0, i, 1).  The chunk's clouds flow as one batch.
     """
-    batch = PackedBatch(capacity=len(samples))
-    pts = np.empty((len(samples), cfg.points, 2))
-    for row, i in enumerate(samples):
-        batch.append(sample_hamiltonian(law, cfg.seed, 0, i))
-        pts[row] = _ball_points(derive(cfg.seed, 0, i, 1), cfg.ball_center,
-                                cfg.ball_radius, cfg.points)
+    batch = PackedBatch((sample_hamiltonian(law, cfg.seed, 0, i) for i in samples), len(samples))
+    pts = np.stack([_ball_points(derive(cfg.seed, 0, i, 1), cfg.ball_center, cfg.ball_radius,
+                                 cfg.points) for i in samples])
     states = flow_points_through(batch, pts, cfg.times, flow_steps(law, cfg.steps))
     records = []
     for row, i in enumerate(samples):
@@ -490,14 +486,12 @@ def _displacement_chunk(cfg, law, samples) -> list:
     inverse one from (seed, 1, i).  The inverse branch flows the inverse
     draw back from 1 to 0, which is the forward flow of its time reversal
     (``time_reversed_hamiltonian``).  The reversal keeps the draw's time
-    basis, so the chunk packs its n forward draws and the n reversals into
-    one batch of 2n rows and flows them from 0 to 1 in one loop of steps.
+    basis, so the chunk packs its n forward draws and then the n reversals
+    into one batch of 2n rows and flows them from 0 to 1 in one loop of steps.
     """
-    batch = PackedBatch(capacity=2 * len(samples))
-    for branch in (0, 1):
-        for i in samples:
-            draw = sample_hamiltonian(law, cfg.seed, branch, i)
-            batch.append(time_reversed_hamiltonian(draw) if branch else draw)
+    forward = (sample_hamiltonian(law, cfg.seed, 0, i) for i in samples)
+    inverse = (time_reversed_hamiltonian(sample_hamiltonian(law, cfg.seed, 1, i)) for i in samples)
+    batch = PackedBatch(chain(forward, inverse), 2 * len(samples))
     probe = np.asarray(cfg.probe, dtype=float)
     images = flow_points(batch, np.broadcast_to(probe, (len(batch), 1, 2)), 0.0, 1.0,
                          flow_steps(law, cfg.steps))
@@ -572,16 +566,17 @@ def _walk_chunk(cfg, law, samples) -> list:
     reduced mod 1, starting at the probe mod 1.
 
     Walk w draws step j from stream (seed, w, j).  The loop is step-major:
-    step j of every walk in the chunk is packed as one batch and flows the
-    unreduced lifts so far from 0 to 1 at the law's count, so the chunk
-    holds one step's draws at a time.
+    step j of every walk in the chunk is packed as one batch, each draw as
+    it is sampled, and flows the unreduced lifts so far from 0 to 1 at the
+    law's count, so the chunk holds one step's packed rows at a time.
     """
     steps = flow_steps(law, cfg.steps)
     traj = np.empty((len(samples), cfg.walk_steps + 1, 2))
     traj[:, 0] = np.mod(cfg.probe, 1.0)
     state = traj[:, :1]
     for j in range(cfg.walk_steps):
-        batch = PackedBatch(sample_hamiltonian(law, cfg.seed, w, j) for w in samples)
+        batch = PackedBatch((sample_hamiltonian(law, cfg.seed, w, j) for w in samples),
+                            len(samples))
         state = flow_points(batch, state, 0.0, 1.0, steps)
         traj[:, j + 1] = state[:, 0] % 1.0
     return [{"walk": w, "trajectory": t} for w, t in zip(samples, traj)]
@@ -593,6 +588,6 @@ def walk_samples(cfg: ExperimentConfig) -> list:
     A step is an autonomous draw's time-1 map.  A default draw has mean zero
     on every horizontal and vertical circle, so one step lacks the axis
     shears, such as cos 2 pi y's; the default modes' brackets reach them
-    (``basis.Truncation``), which no test yet checks through the integrator.
+    (``basis.Truncation``), also through the integrator (``TestBracketFlow``).
     """
     return _run_chunks(_walk_chunk, cfg)

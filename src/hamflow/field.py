@@ -348,45 +348,41 @@ class RandomHamiltonian(SpectralHamiltonian):
 class PackedBatch:
     """S spectral Hamiltonians sharing one engine and one time basis, packed once.
 
-    ``append`` packs a Hamiltonian's coefficient matrix straight to field
-    grids: ``engine.grids``, which flushes subnormals, then
-    ``engine.field_grids``, into one (m, 2, K, 4K) row of a contiguous
-    (S, m, 2, K, 4K) stack.  The batch keeps that row only, not the
-    Hamiltonian or its plain grids, so a caller can pack draws as it samples
-    them and let each go.  The stack is allocated at the first append with
-    ``capacity`` rows (at least the Hamiltonians given), and an append past
-    them raises ``ValueError``.  Field grids are linear in the coefficients,
-    so the field grids of all S at T times are one batched product
-    Phi(times) @ stack, written into one preallocated block.  ``rows`` takes
-    a sub-batch over a copy of the given rows, without packing again.
+    The constructor packs each Hamiltonian of ``hamiltonians``, in order and
+    as it reads it, straight to field grids: ``engine.grids``, which flushes
+    subnormals, then ``engine.field_grids``, into one (m, 2, K, 4K) row of a
+    contiguous stack of ``size`` rows (``len(hamiltonians)`` if omitted),
+    allocated at the first.  The batch keeps that row only, not the
+    Hamiltonian or its plain grids, so a generator of draws lets each go
+    once it is packed.  More or fewer Hamiltonians than ``size`` raise
+    ``ValueError``; a batch never changes after that.  Field grids are
+    linear in the coefficients, so the field grids of all S at T times are
+    one batched product Phi(times) @ stack, written into one preallocated
+    block.  ``rows`` takes a sub-batch over a copy of the given rows,
+    without packing again.
     """
 
-    def __init__(self, hamiltonians=(), capacity: int = 0):
-        hamiltonians = list(hamiltonians)
+    def __init__(self, hamiltonians=(), size: int | None = None):
+        size = len(hamiltonians) if size is None else size
         self.engine = None
         self.time_basis = None
-        self._capacity = max(capacity, len(hamiltonians))
-        self._stack = None
-        self._size = 0
+        self._stack = np.empty(0)
+        count = 0
         for h in hamiltonians:
-            self.append(h)
+            if count == size:
+                raise ValueError(f"more than the batch's {size} Hamiltonians were given")
+            if not count:
+                self.engine, self.time_basis = h.engine, h.time_basis
+                self._stack = np.empty((size, len(h.coefficients)) + h.engine.field_shape)
+            elif h.engine is not self.engine or h.time_basis != self.time_basis:
+                raise ValueError("a batch needs one engine and one time basis")
+            self._stack[count] = self.engine.field_grids(self.engine.grids(h.coefficients))
+            count += 1
+        if count < size:
+            raise ValueError(f"{count} of the batch's {size} Hamiltonians were given")
 
     def __len__(self) -> int:
-        return self._size
-
-    def append(self, h: SpectralHamiltonian) -> None:
-        """Pack one more Hamiltonian as the last row."""
-        if self._size == self._capacity:
-            raise ValueError(f"the batch is full at its capacity of {self._capacity} rows")
-        if self.engine is None:
-            self.engine, self.time_basis = h.engine, h.time_basis
-        elif h.engine is not self.engine or h.time_basis != self.time_basis:
-            raise ValueError("a batch needs one engine and one time basis")
-        row = self.engine.field_grids(self.engine.grids(h.coefficients))
-        if self._stack is None:
-            self._stack = np.empty((self._capacity,) + row.shape)
-        self._stack[self._size] = row
-        self._size += 1
+        return len(self._stack)
 
     def rows(self, indices) -> PackedBatch:
         """The batch of the given rows, in the given order; the batch itself
@@ -397,7 +393,6 @@ class PackedBatch:
         sub = PackedBatch()
         sub.engine, sub.time_basis = self.engine, self.time_basis
         sub._stack = self._stack[indices]
-        sub._capacity = sub._size = len(indices)
         return sub
 
     def field_grids(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -411,8 +406,7 @@ class PackedBatch:
         """
         if out is None:
             out = np.empty((len(phi), len(self)) + self.engine.field_shape)
-        stack = self._stack[:self._size]
-        np.matmul(phi, stack.reshape(stack.shape[:2] + (-1,)),
+        np.matmul(phi, self._stack.reshape(self._stack.shape[:2] + (-1,)),
                   out=out.reshape(len(phi), len(self), -1).transpose(1, 0, 2))
         return out
 

@@ -207,16 +207,18 @@ class LagrangianCurve:
 
     The final vertex equals the first plus the integer winding vector, and
     adjacent lifts stay within 0.5 per coordinate so the polyline never
-    aliases across the fundamental domain.
+    aliases across the fundamental domain.  ``vertices`` is a read-only
+    copy of the given array, so no later write breaks either invariant.
     """
 
     vertices: np.ndarray
     winding: tuple = (0, 0)
 
     def __post_init__(self):
-        verts = np.asarray(self.vertices, dtype=float)
+        verts = np.array(self.vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 2:
             raise ValueError("vertices must be an (V, 2) array with V >= 2")
+        verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "winding", (int(self.winding[0]), int(self.winding[1])))
         # compare via the construction expression: first + winding is the

@@ -134,6 +134,14 @@ class TestErrors:
         assert str(info.value) == "out: must name a directory"
         assert parse_config("out = .\n").out == "."
 
+    def test_empty_times_are_refused(self):
+        # no time to report: its own message, not the ascending one
+        with pytest.raises(ValidationError) as info:
+            parse_config("times =\n")
+        assert str(info.value) == "times: must hold at least one time"
+        with pytest.raises(ValidationError, match="^times: must be ascending$"):
+            parse_config("times = 0.5, 0.25\n")
+
     def test_unknown_command_names_the_commands(self):
         with pytest.raises(ValidationError) as info:
             ExperimentConfig(command="concentration")

@@ -122,16 +122,14 @@ def test_tables_are_interleaved_cos_sin_rows(band, axis_modes):
                           rows[:504].reshape(6, 42, 2, -1))
 
 
-def test_batch_field_grids_follow_appends():
+def test_batch_field_grids_are_per_row_products():
     law = make_law(3.0 / (4 * math.pi**2), spatial_max=10, temporal_max=4)
     hs = [sample_hamiltonian(law, 5, i) for i in range(3)]
     times = np.linspace(0, 1, 5)
     engine, phi = law.engine(), hs[0].time_basis(times)
-    batch = PackedBatch(hs[:2], capacity=3)
-    assert batch.field_grids(phi).shape == (5, 2, 2, 7, 28)
-    batch.append(hs[2])
-    want = PackedBatch(hs).field_grids(phi)
-    assert np.array_equal(batch.field_grids(phi), want)
+    batch = PackedBatch(hs)
+    want = batch.field_grids(phi)
+    assert want.shape == (5, 3, 2, 7, 28)
     # the batched product equals one product per row
     for s, h in enumerate(hs):
         row = engine.field_grids(engine.grids(h.coefficients))

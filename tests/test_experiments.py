@@ -115,12 +115,12 @@ class TestAdvectCurves:
         assert_matches_reference(hs, images, curve, 0.7, STEPS, THRESHOLD)
         assert any(isinstance(image, LagrangianCurve) for image in images)
 
-    def test_appended_batch_equals_constructed_batch(self):
+    def test_generator_fed_batch_equals_list_fed_batch(self):
         hs = draws(5)
         curve = circle_curve((0.4, 0.6), 0.1, 48)
-        batch = PackedBatch(capacity=5)
-        for h in hs:
-            batch.append(h)
+        batch = PackedBatch((h for h in hs), 5)
+        phi = batch.time_basis(np.linspace(0.0, 1.0, 5))
+        assert np.array_equal(batch.field_grids(phi), PackedBatch(hs).field_grids(phi))
         a = advect_curves(batch, curve, 1.0, STEPS, THRESHOLD)
         b = advect_curves(PackedBatch(hs), curve, 1.0, STEPS, THRESHOLD)
         for x, y in zip(a, b):
@@ -255,21 +255,24 @@ class TestAdvectCurves:
         sub = batch.rows([3, 1])
         assert len(sub) == 2
         phi = batch.time_basis(np.linspace(0.0, 1.0, 5))
-        assert np.array_equal(sub.field_grids(phi), PackedBatch([hs[3], hs[1]]).field_grids(phi))
         want = batch.field_grids(phi)
-        # runs of consecutive rows, lone rows, reversals, and a sub-batch's rows
+        # runs of consecutive rows, lone rows, reversals, and a sub-batch's
+        # rows: each equals those rows packed alone
         for sub, rows in ((sub, [3, 1]), (batch.rows([1, 2, 3, 5, 0]), [1, 2, 3, 5, 0]),
                           (batch.rows([0, 2, 3, 4]).rows([3, 1, 2]), [4, 2, 3])):
+            assert len(sub) == len(rows)
             assert np.array_equal(sub.field_grids(phi), want[:, rows])
+            assert np.array_equal(sub.field_grids(phi),
+                                  PackedBatch([hs[r] for r in rows]).field_grids(phi))
 
-    def test_append_past_capacity_raises(self):
-        hs = draws(3)
-        for batch in (PackedBatch(capacity=2), PackedBatch(hs[:2]), PackedBatch(hs).rows([2, 0])):
-            while len(batch) < 2:
-                batch.append(hs[len(batch)])
-            with pytest.raises(ValueError, match="capacity of 2"):
-                batch.append(hs[2])
-            assert len(batch) == 2
+    @pytest.mark.parametrize("given", [2, 4])
+    def test_count_other_than_size_raises(self, given):
+        hs = draws(4)
+        with pytest.raises(ValueError, match="batch's 3 Hamiltonians"):
+            PackedBatch((h for h in hs[:given]), 3)
+        with pytest.raises(ValueError, match="batch's 3 Hamiltonians"):
+            PackedBatch(hs[:given], 3)
+        assert len(PackedBatch(hs[:3], 3)) == len(PackedBatch(hs[:3])) == 3
 
     def test_all_rows_in_order_are_the_batch_itself(self):
         batch = PackedBatch(draws(3))

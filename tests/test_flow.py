@@ -547,6 +547,49 @@ class TestBand:
         assert dist.max() < 1e-5
 
 
+class TestBracketFlow:
+    """Bracket generation through the integrator (ROADMAP item 26(b)).
+
+    F = cos 2 pi x cos 2 pi y and G = cos 2 pi x sin 2 pi y are default
+    (non-axis) modes, and {F, G} = F_x G_y - F_y G_x = -2 pi^2 sin 4 pi x is
+    an axis mode.  For a flow map, f o phi^s = exp(s X) f, so the commutator
+    psi = phi_F^s o phi_G^s o phi_F^-s o phi_G^-s gives
+
+        f o psi = exp(-s X_G) exp(-s X_F) exp(s X_G) exp(s X_F) f
+                = f + s^2 [X_G, X_F] f + O(s^3)
+
+    by Baker-Campbell-Hausdorff.  ``flow``'s field X_H = (-H_y, H_x) acts as
+    X_H f = -{f, H}, and the Jacobi identity gives [X_G, X_F] = X_K with
+    K = -{F, G} = 2 pi^2 sin 4 pi x, whose time-s^2 flow is the vertical
+    shear y += 8 pi^3 s^2 cos 4 pi x.  Each Hamiltonian flows as a one-row
+    batch of the constant kernel.
+    """
+
+    LAW = make_law(0.1, spatial_max=2, kernel=CONSTANT, include_axis_modes=True)
+
+    def test_commutator_of_flows_approaches_the_bracket_flow(self):
+        f, g = (PackedBatch([one_mode_draw(Mode(1, 1, trig), 1.0, self.LAW)])
+                for trig in ("cc", "cs"))
+        k = PackedBatch([one_mode_draw(Mode(2, 0, "sc"), 2 * math.pi**2, self.LAW)])
+        p = np.random.default_rng(26).uniform(0, 1, (1, 64, 2))
+        errors = []
+        for s in (0.02, 0.01, 0.005):
+            q = p
+            # phi^-s is the flow from s back to 0; the right-most map goes first
+            for batch, t0, t1 in ((g, s, 0.0), (f, s, 0.0), (g, 0.0, s), (f, 0.0, s)):
+                q = flow_points(batch, q, t0, t1, 2000)
+            lead = 8 * math.pi**3 * s**2
+            bracket = flow_points(k, p, 0.0, s**2, 2000)
+            shear = np.stack([p[..., 0], p[..., 1] + lead * np.cos(4 * math.pi * p[..., 0])], -1)
+            np.testing.assert_allclose(bracket, shear, rtol=0, atol=1e-12)
+            errors.append(np.abs(q - bracket).max())
+        # the O(s^3) remainder: about 8 times smaller per halving of s, and
+        # at s = 0.005 below half the s^2 term (the flow of -K is off by
+        # twice that term, and shrinks about 4.6 times per halving)
+        assert errors[0] > 6 * errors[1] > 36 * errors[2], errors
+        assert errors[2] < 0.5 * lead, (errors, lead)
+
+
 class TestCurves:
     def test_closure_invariant_enforced(self):
         verts = np.array([[0.0, 0.5], [0.5, 0.5], [0.9, 0.5]])
@@ -557,6 +600,14 @@ class TestCurves:
         verts = np.array([[0.0, 0.0], [0.8, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             LagrangianCurve(verts, winding=(1, 0))
+
+    def test_vertices_are_a_read_only_copy(self):
+        verts = np.array([[0.0, 0.5], [0.5, 0.5], [1.0, 0.5]])
+        curve = LagrangianCurve(verts, winding=(1, 0))
+        with pytest.raises(ValueError, match="read-only"):
+            curve.vertices[-1] = [0.9, 0.5]
+        verts[-1] = [0.9, 0.5]
+        assert np.array_equal(curve.vertices, [[0.0, 0.5], [0.5, 0.5], [1.0, 0.5]])
 
     def test_factories(self):
         k = horizontal_circle(0.5, 64)

@@ -68,7 +68,7 @@ class TestSampling:
         cfg, law = walk_run(r=0.15, seed=9, walk_steps=1, probe=tuple(p), steps=100)
         n = 2000
         walk_disp = displacements(trajectories(cfg, law, range(n))[:, 1], p)
-        draws = PackedBatch(sample_hamiltonian(law, 1234, i) for i in range(n))
+        draws = PackedBatch((sample_hamiltonian(law, 1234, i) for i in range(n)), n)
         pts = np.broadcast_to(p, (n, 1, 2))
         images = flow_points(draws, pts, 0.0, 1.0, flow_steps(law, cfg.steps))
         draw_disp = displacements(images[:, 0], p)
