@@ -20,29 +20,6 @@ TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class Truncation:
-    """Spatial truncation parameters.
-
-    spatial_max caps each wavenumber (k, j <= spatial_max); the temporal
-    order belongs to the kernel (``KernelKind.temporal_max``).  Axis modes
-    (one wavenumber zero) are excluded by default so that the default basis
-    has spatial_max^2 wavenumber pairs.  A default draw has mean zero on every
-    horizontal and vertical circle, so one autonomous draw (a random-walk
-    step) lacks the axis shears, such as cos 2 pi y's.  The default modes'
-    Poisson brackets reach every axis mode up to 2 spatial_max
-    (``tests/test_basis.py``), also through the integrator: the flows'
-    commutator approaches the bracket's flow (``tests/test_flow.py``).
-    """
-
-    spatial_max: int = 25
-    include_axis_modes: bool = False
-
-    def __post_init__(self):
-        if self.spatial_max < 1:
-            raise ValueError("spatial_max must be >= 1")
-
-
-@dataclass(frozen=True)
 class SpectralBasis:
     """Ordered truncated eigenbasis, as read-only arrays indexed by mode.
 
@@ -52,16 +29,27 @@ class SpectralBasis:
     codes at amplitude 2; axis modes carry cc and sc on (k, 0) and cc and cs
     on (0, k) at amplitude sqrt(2).  Modes are sorted by (eigenvalue, kx, ky,
     trig code 2 tx + ty).  The arrays are not fields: bases compare, hash
-    and print by truncation.
+    and print by ``spatial_max`` and ``include_axis_modes``.
+
+    spatial_max caps each wavenumber (kx, ky <= spatial_max).  Axis modes
+    (one wavenumber zero) are left out unless ``include_axis_modes``, so
+    that the default basis has spatial_max^2 wavenumber pairs.  A draw
+    without them has mean zero on every horizontal and vertical circle, so
+    one autonomous draw (a random-walk step) lacks the axis shears, such as
+    cos 2 pi y's.  The other modes' Poisson brackets reach every axis mode
+    up to 2 spatial_max (``tests/test_basis.py``), also through the
+    integrator: the flows' commutator approaches the bracket's flow
+    (``tests/test_flow.py``).
     """
 
-    truncation: Truncation
+    spatial_max: int
+    include_axis_modes: bool = False
 
     def __post_init__(self):
-        k = np.arange(1, self.truncation.spatial_max + 1, dtype=np.intp)
+        k = np.arange(1, self.spatial_max + 1, dtype=np.intp)
         kx, ky, trig = (a.ravel() for a in np.meshgrid(k, k, np.arange(4, dtype=np.intp),
                                                         indexing="ij"))
-        if self.truncation.include_axis_modes:
+        if self.include_axis_modes:
             zero = np.zeros_like(k)
             kx, ky = np.concatenate([kx, k, k, zero, zero]), np.concatenate([ky, zero, zero, k, k])
             trig = np.concatenate([trig] + [np.full_like(k, TRIG_PAIRS.index(c))

@@ -68,7 +68,7 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.out)
     law, r = experiments.law_for(cfg), cfg.regularity
     lines = [f"# bands at regularity {r:g}: spatial {law.band()} of {cfg.spatial_max}, "
-             f"temporal {law.temporal_band()} of {law.kernel.time_basis().frequencies}\n"]
+             f"temporal {law.temporal_band()} of {law.kernel_time_basis().frequencies}\n"]
     if "steps" in COMMANDS[cfg.command].keys:
         lines.insert(0, f"# flow steps at regularity {r:g}: "
                         f"{experiments.flow_steps(law, cfg.steps)} of at most {cfg.steps}\n")

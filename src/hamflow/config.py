@@ -33,8 +33,10 @@ from dataclasses import dataclass, field, fields
 
 from . import temporal
 from .errors import ParseError, ValidationError
+from .field import HamiltonianLaw
 
-LAW_KEYS = ("regularity", "spatial_max", "include_axis_modes", "temporal_max", "kernel")
+# a law's keys are its parameters (``experiments.law_for``)
+LAW_KEYS = tuple(f.name for f in fields(HamiltonianLaw))
 RUN_KEYS = ("samples", "seed", "out", "workers")
 
 

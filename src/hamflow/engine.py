@@ -71,7 +71,7 @@ into arrays the caller owns: ``FieldBuffers`` (from ``buffers``) and
 (``flow._flow_grids``), and ``value_grid`` takes ``out`` and ``half`` for the
 lattice and the half product r(x) @ G in the same way
 (``field.SpectralHamiltonian.oscillation``).  The engine itself holds no
-per-call state, so one engine, shared by every law with its truncation and
+per-call state, so one engine, shared by every law with its basis and
 band, stays reentrant.  The buffers change no value: every call performs the
 same elementwise operations and products, in the same order and on arrays
 of the same layout, as one that allocates.  They remove the page faults of
@@ -139,14 +139,14 @@ class FieldBuffers:
 class SpectralEngine:
     """Evaluation kernels for the modes of one basis with kx, ky <= band.
 
-    ``band = basis.truncation.spatial_max`` evaluates every mode.  ``modes``
+    ``band = basis.spatial_max`` evaluates every mode.  ``modes``
     holds the basis indices of the evaluated modes, ascending.  Grids have
     shape ``grid_shape`` = (2, K, 2K) and field grids ``field_shape`` =
     (2, K, 4K), K the wavenumbers of the tables (module docstring).
     """
 
     def __init__(self, basis: SpectralBasis, band: int):
-        if not 1 <= band <= basis.truncation.spatial_max:
+        if not 1 <= band <= basis.spatial_max:
             raise ValueError("band must lie in [1, spatial_max]")
         self.basis = basis
         self.band = int(band)

@@ -588,6 +588,6 @@ def walk_samples(cfg: ExperimentConfig) -> list:
     A step is an autonomous draw's time-1 map.  A default draw has mean zero
     on every horizontal and vertical circle, so one step lacks the axis
     shears, such as cos 2 pi y's; the default modes' brackets reach them
-    (``basis.Truncation``), also through the integrator (``TestBracketFlow``).
+    (``basis.SpectralBasis``), also through the integrator (``TestBracketFlow``).
     """
     return _run_chunks(_walk_chunk, cfg)

@@ -1,9 +1,9 @@
 """Random Hamiltonian fields H(t, x) = sum_n w_n Z_n(t) e_n(x).
 
-A :class:`HamiltonianLaw` fixes the probability law (basis truncation,
-coefficient kernel with its regularity); :func:`sample_hamiltonian` draws
-one :class:`RandomHamiltonian` from it at a seed and stream indices.
-Draws are immutable and their methods reentrant.
+A :class:`HamiltonianLaw` fixes the probability law, as one record of its
+five parameters; :func:`sample_hamiltonian` draws one
+:class:`RandomHamiltonian` from it at a seed and stream indices.  Draws are
+immutable and their methods reentrant.
 :class:`SpectralHamiltonian` is the one spectral-path type: draws are its
 one subclass, and time reversals are plain instances.  It evaluates no
 point; flows take it packed (:class:`PackedBatch`).  Coefficients are
@@ -51,10 +51,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import temporal
-from .basis import TWO_PI, SpectralBasis, Truncation
+from .basis import TWO_PI, SpectralBasis
 from .engine import SpectralEngine
 from .rng import derive
-from .temporal import KernelKind, TimeBasis, computed_once
+from .temporal import TimeBasis, computed_once
 
 
 def spectral_weight(eigenvalue: float, regularity: float):
@@ -66,15 +66,15 @@ def spectral_weight(eigenvalue: float, regularity: float):
 
 # Unbounded, so that every draw of a law holds the one engine and basis
 # (``PackedBatch`` batches draws of one engine only); there is one key per
-# truncation and band.
+# spatial truncation and band.
 @lru_cache(maxsize=None)
-def _basis_for(truncation: Truncation) -> SpectralBasis:
-    return SpectralBasis(truncation)
+def _basis_for(spatial_max: int, include_axis_modes: bool) -> SpectralBasis:
+    return SpectralBasis(spatial_max, include_axis_modes)
 
 
 @lru_cache(maxsize=None)
-def _engine_for(truncation: Truncation, band: int) -> SpectralEngine:
-    return SpectralEngine(_basis_for(truncation), band)
+def _engine_for(spatial_max: int, include_axis_modes: bool, band: int) -> SpectralEngine:
+    return SpectralEngine(_basis_for(spatial_max, include_axis_modes), band)
 
 
 # A mode is evaluated when its bound b_n reaches this share of the largest
@@ -99,24 +99,45 @@ _TINY = np.finfo(float).tiny
 
 @dataclass(frozen=True)
 class HamiltonianLaw:
-    """Everything that fixes the law of a random Hamiltonian draw.
+    """Everything that fixes the law of a random Hamiltonian draw: its five
+    parameters, each held once.
 
     The complex structure is the standard one on the flat torus (metric =
-    Euclidean, area form dx^dy); only the data listed here vary, and
-    ``regularity`` reads the kernel's.  ``band``, ``temporal_band``,
+    Euclidean, area form dx^dy); only these vary:
+
+    * ``regularity`` r, in eigenvalue units: the weights exp(-r lambda / 2)
+      and the kernel's decay;
+    * ``spatial_max`` and ``include_axis_modes``: the basis
+      (:class:`~hamflow.basis.SpectralBasis`);
+    * ``temporal_max``: the periodic kernel's Fourier order;
+    * ``kernel``: the coefficient kernel's tag (:mod:`hamflow.temporal`).
+
+    A law with one parameter moved is ``dataclasses.replace(law, spatial_max=K)``.
+    ``band``, ``temporal_band``, ``kernel_time_basis``, ``column_factors``,
     ``time_basis``, ``head_rows``, ``weights`` and ``lipschitz_bound`` are
-    computed once per law and shared by its draws.
+    computed once per law and shared by its draws; they are no fields, so
+    laws of equal parameters are equal and hash alike whatever either has
+    computed.
     """
 
-    truncation: Truncation
-    kernel: KernelKind
+    regularity: float
+    spatial_max: int
+    temporal_max: int
+    kernel: str
+    include_axis_modes: bool
 
-    @property
-    def regularity(self) -> float:
-        return self.kernel.regularity
+    def __post_init__(self):
+        if self.kernel not in temporal.KERNEL_TAGS:
+            raise ValueError(f"unknown kernel tag {self.kernel!r}")
+        if self.regularity <= 0:
+            raise ValueError("regularity must be positive")
+        if self.spatial_max < 1:
+            raise ValueError("spatial_max must be >= 1")
+        if self.temporal_max < 1:
+            raise ValueError("temporal_max must be >= 1")
 
     def basis(self) -> SpectralBasis:
-        return _basis_for(self.truncation)
+        return _basis_for(self.spatial_max, self.include_axis_modes)
 
     @computed_once
     def band(self) -> int:
@@ -133,33 +154,55 @@ class HamiltonianLaw:
         return int(kmax[log_bound >= log_bound.max() + np.log(_BAND_TOLERANCE)].max())
 
     @computed_once
+    def kernel_time_basis(self) -> TimeBasis:
+        """The kernel's whole time basis (``temporal.time_basis``), before
+        the temporal band cuts it."""
+        return temporal.time_basis(self.kernel, self.regularity, self.temporal_max)
+
+    @computed_once
+    def column_factors(self) -> np.ndarray:
+        """The kernel's (m,) column factors over ``kernel_time_basis``
+        (``temporal.column_factors``)."""
+        return temporal.column_factors(self.kernel, self.regularity, self.kernel_time_basis())
+
+    def gaussians_per_sample(self) -> int:
+        """m, the standard normals per mode of a draw: one per column of the
+        kernel's whole time basis."""
+        return len(self.column_factors())
+
+    def variance(self) -> float:
+        """Var Z(t) at every t: c_0 + 2 sum_k c_k, c the squared column
+        factors of the constant and the cosines (``hamflow.temporal``)."""
+        c = self.column_factors()[:self.kernel_time_basis().frequencies + 1] ** 2
+        return float(c[0] + 2.0 * np.sum(c[1:]))
+
+    @computed_once
     def temporal_band(self) -> int:
         """Largest frequency of the kernel's time basis whose column factor
-        reaches eps^2 of the largest (``KernelKind.column_factors``; module
-        docstring).  The factors fall with the frequency for every kernel,
-        so the band keeps exactly the frequencies that reach that share."""
-        n = self.kernel.time_basis().frequencies
-        factors = self.kernel.column_factors()[:n + 1]
+        reaches eps^2 of the largest (module docstring).  The factors fall
+        with the frequency for every kernel, so the band keeps exactly the
+        frequencies that reach that share."""
+        factors = self.column_factors()[:self.kernel_time_basis().frequencies + 1]
         return int(np.flatnonzero(factors >= _BAND_TOLERANCE * factors.max()).max())
 
     @computed_once
     def time_basis(self) -> TimeBasis:
         """The kernel's time basis cut to the temporal band (``temporal_band``):
         the Phi of every draw of the law."""
-        return replace(self.kernel.time_basis(), frequencies=self.temporal_band())
+        return replace(self.kernel_time_basis(), frequencies=self.temporal_band())
 
     @computed_once
     def time_columns(self) -> np.ndarray:
         """Columns of a draw's (N, m) normals that drive ``time_basis``: the
         constant, the cosines and the sines of frequencies 1..temporal_band."""
-        n, band = self.kernel.time_basis().frequencies, self.temporal_band()
+        n, band = self.kernel_time_basis().frequencies, self.temporal_band()
         return np.concatenate([np.arange(band + 1), np.arange(n + 1, n + 1 + band)])
 
     def engine(self) -> SpectralEngine:
         """The engine of the law's band (``band``), shared by every law with
-        this truncation and band.  It evaluates and packs the modes with
+        this basis and band.  It evaluates and packs the modes with
         kx, ky <= band (``SpectralEngine.modes``)."""
-        return _engine_for(self.truncation, self.band())
+        return _engine_for(self.spatial_max, self.include_axis_modes, self.band())
 
     @computed_once
     def head_rows(self) -> int:
@@ -180,13 +223,13 @@ class HamiltonianLaw:
             sum_n w_n a_n sigma sqrt(2/pi) (2 pi max(kx, ky))^2,
 
         with a_n the basis amplitude and sigma^2 the kernel's pointwise
-        variance (``KernelKind.variance``).  It is the mean of
+        variance (``variance``).  It is the mean of
         sum_n |c_n(t)| a_n (2 pi max(kx, ky))^2, which bounds every second
         derivative of H (E|c_n(t)| = w_n sigma sqrt(2/pi)).  Flows take their step count from it
         (``hamflow.experiments.flow_steps``).
         """
         b = self.basis()
-        sigma = math.sqrt(self.kernel.variance())
+        sigma = math.sqrt(self.variance())
         k = TWO_PI * np.maximum(b.kx, b.ky)
         return float(np.sum(self.weights() * b.amplitudes
                             * (sigma * math.sqrt(2.0 / math.pi)) * k**2))
@@ -195,16 +238,14 @@ class HamiltonianLaw:
 def make_law(regularity: float, spatial_max: int = 25, temporal_max: int = 10,
              kernel: str = temporal.PERIODIC, seed: int = 0,
              include_axis_modes: bool = False, grid_nodes: int = 64) -> HamiltonianLaw:
-    """Convenience constructor wiring the kernel to the law's regularity.
+    """The law of these parameters, with the defaults of the commands.
 
     ``seed`` and ``grid_nodes`` are accepted and unused: a law holds no seed
     (draws take theirs, ``sample_hamiltonian``), and no kernel samples on a
     grid.  The benchmark's ``perfbench/child.py`` is the one program passing
     them; once it stops, both parameters can go.
     """
-    trunc = Truncation(spatial_max=spatial_max, include_axis_modes=include_axis_modes)
-    kind = KernelKind(tag=kernel, regularity=regularity, temporal_max=temporal_max)
-    return HamiltonianLaw(truncation=trunc, kernel=kind)
+    return HamiltonianLaw(regularity, spatial_max, temporal_max, kernel, include_axis_modes)
 
 
 class SpectralHamiltonian:
@@ -322,27 +363,28 @@ class RandomHamiltonian(SpectralHamiltonian):
     ``gaussians`` is the draw's read-only (rows, m) array of standard
     normals, the first rows of the (N, m) layout documented in
     :mod:`hamflow.temporal`, with ``law.head_rows()`` <= rows <= N (module
-    docstring, "Streams"); c_n(t) = w_n Z_n(t), so B is the kernel's
-    coefficient matrix scaled by the weights w_n, taken at the band modes
-    and at the rows of the law's temporal band (``HamiltonianLaw.time_columns``),
-    in the law's ``time_basis``.  The draw computes B once, from the head
-    rows: each entry is a product of its own normal, weight and column
+    docstring, "Streams"); c_n(t) = w_n Z_n(t), so B holds
+    w_n (f_c g_nc), f the law's column factors, at the band modes n and at
+    the columns c of the law's temporal band (``HamiltonianLaw.time_columns``),
+    in the law's ``time_basis``.  The draw computes B once, at those
+    entries only: each is a product of its own normal, weight and column
     factor, so B equals the whole basis's B at those entries bit for bit.
     """
 
     def __init__(self, law: HamiltonianLaw, gaussians):
         self.law = law
         self.basis = law.basis()
-        head, n, m = law.head_rows(), len(self.basis), law.kernel.gaussians_per_sample()
+        head, n, m = law.head_rows(), len(self.basis), law.gaussians_per_sample()
         normals = np.array(gaussians, dtype=float)
         if normals.ndim != 2 or normals.shape[1] != m or not head <= len(normals) <= n:
             raise ValueError(f"gaussians must have shape (rows, {m}) with {head} <= rows <= {n}")
         normals.setflags(write=False)
         self.gaussians = normals
         self.weights = law.weights()
-        b = self.weights[:head] * temporal.coefficient_matrix(law.kernel, normals[:head])
-        super().__init__(law.engine(), law.time_basis(),
-                         b[np.ix_(law.time_columns(), law.engine().modes)])
+        engine, columns = law.engine(), law.time_columns()
+        b = self.weights[engine.modes] * (law.column_factors()[columns, None]
+                                          * normals[np.ix_(engine.modes, columns)].T)
+        super().__init__(engine, law.time_basis(), b)
 
 
 class PackedBatch:
@@ -416,5 +458,5 @@ def sample_hamiltonian(law: HamiltonianLaw, seed: int, *indices: int) -> RandomH
 
     Draws the head of the normals only (module docstring, "Streams").
     """
-    shape = (law.head_rows(), law.kernel.gaussians_per_sample())
+    shape = (law.head_rows(), law.gaussians_per_sample())
     return RandomHamiltonian(law, derive(seed, *indices).standard_normal(shape))

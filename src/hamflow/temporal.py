@@ -6,14 +6,16 @@ Every coefficient process is one truncated random Fourier series
                                    sqrt(2) sin(2 pi k (t - s) / L)],  k = 1..n,
 
 with period L, center s and n frequencies fixed by the kernel
-(:class:`TimeBasis`).  A draw of N processes is one read-only (rows, m)
-array of independent standard normals, rows <= N and m = 1 + 2n =
-``KernelKind.gaussians_per_sample()``; row n drives process n, column 0 the
-constant term, columns 1..n the cosines and the last n columns the matching
-sines.  B, of shape (m, N), is the draw's normals times per-column factors
-(:func:`coefficient_matrix`), so the series has covariance
+(:class:`TimeBasis`, from :func:`time_basis`).  A draw of N processes is one
+read-only (rows, m) array of independent standard normals, rows <= N and
+m = 1 + 2n; row n drives process n, column 0 the constant term, columns
+1..n the cosines and the last n columns the matching sines.  B, of shape
+(m, N), is the draw's normals times per-column factors
+(:func:`column_factors`), so the series has covariance
 c_0 + 2 sum_k c_k cos(2 pi k (t1 - t2) / L), c the squared column factors.
-The three kernels differ only in the numbers held by :class:`KernelKind`:
+A kernel is a tag, and the three differ only in the numbers that these two
+functions compute from the tag, the regularity r and temporal_max (the
+law's, ``hamflow.field.HamiltonianLaw``):
 
 * ``constant`` -- n = 0: a single standard normal, constant in time (the
   autonomous case);
@@ -72,59 +74,26 @@ def computed_once(method):
     return cached
 
 
-@dataclass(frozen=True)
-class KernelKind:
-    """Description of one coefficient process family (module docstring).
+def time_basis(kernel: str, regularity: float, temporal_max: int) -> TimeBasis:
+    """The whole Phi(t) of the kernel tagged ``kernel`` (module docstring)."""
+    if kernel == SQEXP:
+        period = 1.0 + math.sqrt(_SQEXP_EXPONENT / regularity)
+        n = math.ceil(math.sqrt(_SQEXP_EXPONENT * regularity) * period / math.pi) + 1
+        return TimeBasis(n, period, 0.5)
+    return TimeBasis(temporal_max if kernel == PERIODIC else 0)
 
-    temporal_max is the Fourier truncation order of the periodic kernel.
-    """
 
-    tag: str
-    regularity: float
-    temporal_max: int = 10
-
-    def __post_init__(self):
-        if self.tag not in KERNEL_TAGS:
-            raise ValueError(f"unknown kernel tag {self.tag!r}")
-        if self.regularity <= 0:
-            raise ValueError("regularity must be positive")
-        if self.temporal_max < 1:
-            raise ValueError("temporal_max must be >= 1")
-
-    def fourier_decay(self) -> np.ndarray:
-        """Decay factors exp(-2 r pi^2 k^2) for k = 1..temporal_max."""
-        k = np.arange(1, self.temporal_max + 1)
-        return np.exp(-2.0 * self.regularity * math.pi**2 * k**2)
-
-    def time_basis(self) -> "TimeBasis":
-        """The kernel's Phi(t); kernels with equal bases share it by value."""
-        if self.tag == SQEXP:
-            period = 1.0 + math.sqrt(_SQEXP_EXPONENT / self.regularity)
-            n = math.ceil(math.sqrt(_SQEXP_EXPONENT * self.regularity) * period / math.pi) + 1
-            return TimeBasis(n, period, 0.5)
-        return TimeBasis(self.temporal_max if self.tag == PERIODIC else 0)
-
-    @computed_once
-    def column_factors(self) -> np.ndarray:
-        """The (m,) factors by which B scales each column of the normals,
-        computed once per kernel (read-only)."""
-        if self.tag == SQEXP:
-            basis = self.time_basis()
-            k = np.arange(basis.frequencies + 1)
-            root = np.sqrt(math.sqrt(math.pi / self.regularity) / basis.period
-                           * np.exp(-(math.pi * k / basis.period) ** 2 / self.regularity))
-            return np.concatenate([root, root[1:]])
-        decay = self.fourier_decay() if self.tag == PERIODIC else np.empty(0)
-        return np.concatenate([[1.0], decay, decay])
-
-    def variance(self) -> float:
-        """Var Z(t) at every t: c_0 + 2 sum_k c_k (module docstring)."""
-        c = self.column_factors()[:self.time_basis().frequencies + 1] ** 2
-        return float(c[0] + 2.0 * np.sum(c[1:]))
-
-    def gaussians_per_sample(self) -> int:
-        """Number of independent standard normals one draw consumes."""
-        return 1 + 2 * self.time_basis().frequencies
+def column_factors(kernel: str, regularity: float, basis: TimeBasis) -> np.ndarray:
+    """The (m,) factors by which B scales each column of the normals, for
+    the kernel tagged ``kernel`` over its whole ``time_basis`` (module
+    docstring)."""
+    k = np.arange(basis.frequencies + 1)
+    if kernel == SQEXP:
+        root = np.sqrt(math.sqrt(math.pi / regularity) / basis.period
+                       * np.exp(-(math.pi * k / basis.period) ** 2 / regularity))
+        return np.concatenate([root, root[1:]])
+    decay = np.exp(-2.0 * regularity * math.pi**2 * k[1:] ** 2)
+    return np.concatenate([[1.0], decay, decay])
 
 
 @dataclass(frozen=True)
@@ -164,11 +133,3 @@ def check_times(t) -> np.ndarray:
         raise OutOfRange(f"time {t} outside [0, 1]")
     return t
 
-
-def coefficient_matrix(kind: KernelKind, gaussians: np.ndarray) -> np.ndarray:
-    """B of shape (m, rows) with paths Z(t) = Phi(t) @ B (module docstring),
-    from the draw's (rows, m) ``gaussians``.  Each entry is its own normal's
-    product, so the columns of any rows equal those of the whole draw's B bit
-    for bit.
-    """
-    return kind.column_factors()[:, None] * gaussians.T

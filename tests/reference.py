@@ -48,8 +48,8 @@
 * ``crossings``: one curve's crossings with one test Lagrangian, from that
   Lagrangian's own level function, as they were counted before one pass
   counted every Lagrangian of an image.
-* ``gaussian_dimension``, ``coefficient_paths``, ``gradient``,
-  ``torus_distance``, ``vertical_circle``, ``sloped_circle``,
+* ``gaussian_dimension``, ``coefficient_matrix``, ``coefficient_paths``,
+  ``gradient``, ``torus_distance``, ``vertical_circle``, ``sloped_circle``,
   ``circle_curve`` and ``flow_jacobian_determinant``: helpers that only the
   tests use.
 """
@@ -95,13 +95,12 @@ class Mode:
         return self.amplitude * fx(TWO_PI * self.kx * x) * fy(TWO_PI * self.ky * y)
 
 
-def reference_modes(truncation) -> list:
-    """The admissible modes of ``truncation``, sorted by ``Mode.sort_key``."""
-    smax = truncation.spatial_max
-    modes = [Mode(kx, ky, trig) for kx in range(1, smax + 1) for ky in range(1, smax + 1)
-             for trig in TRIG_PAIRS]
-    if truncation.include_axis_modes:
-        for k in range(1, smax + 1):
+def reference_modes(spatial_max: int, include_axis_modes: bool = False) -> list:
+    """The admissible modes of a basis, sorted by ``Mode.sort_key``."""
+    k = range(1, spatial_max + 1)
+    modes = [Mode(kx, ky, trig) for kx in k for ky in k for trig in TRIG_PAIRS]
+    if include_axis_modes:
+        for k in range(1, spatial_max + 1):
             modes += [Mode(k, 0, "cc"), Mode(k, 0, "sc"), Mode(0, k, "cc"), Mode(0, k, "cs")]
     return sorted(modes, key=Mode.sort_key)
 
@@ -126,13 +125,13 @@ def mode_values(basis, pts) -> np.ndarray:
     return basis.amplitudes * fx * fy
 
 
-def kernel_value(kind, t1: float, t2: float) -> float:
-    """Covariance Cov[Z(t1), Z(t2)] of the process described by ``kind``:
-    c_0 + 2 sum_k c_k cos(2 pi k (t1 - t2) / L) (``hamflow.temporal``)."""
+def kernel_value(law, t1: float, t2: float) -> float:
+    """Covariance Cov[Z(t1), Z(t2)] of the coefficient process of ``law``'s
+    kernel: c_0 + 2 sum_k c_k cos(2 pi k (t1 - t2) / L) (``hamflow.temporal``)."""
     temporal.check_times(t1)
     temporal.check_times(t2)
-    basis = kind.time_basis()
-    c = kind.column_factors()[:basis.frequencies + 1] ** 2
+    basis = law.kernel_time_basis()
+    c = law.column_factors()[:basis.frequencies + 1] ** 2
     k = np.arange(1, basis.frequencies + 1)
     series = 2.0 * np.sum(c[1:] * np.cos(TWO_PI / basis.period * k * (t1 - t2)))
     return float(c[0] + series)
@@ -141,7 +140,7 @@ def kernel_value(kind, t1: float, t2: float) -> float:
 def analytic_variance(draw, t: float, p) -> float:
     """Var[H(t, p)] over the draws of ``draw``'s law:
     sum_n w_n^2 kappa(t, t) e_n(p)^2, kappa the kernel."""
-    kappa = kernel_value(draw.law.kernel, float(t), float(t))
+    kappa = kernel_value(draw.law, float(t), float(t))
     evals = mode_values(draw.basis, [p])[0]
     return float(np.sum(draw.weights**2 * kappa * evals**2))
 
@@ -170,14 +169,14 @@ def lattice_oscillation(h, spatial_grid: int = 128, time_grid: int = 101) -> flo
 def expansion(draw) -> dict:
     """Nonzero coefficients {(k, n, 'cos' or 'sin'): value} of a centered
     periodic- or constant-kernel draw, n the 1-based mode index."""
-    kind = draw.law.kernel
+    law = draw.law
     w = draw.weights
     entries = {}
     for idx in range(len(draw.basis)):
         values = [(0, "cos", w[idx] * draw.gaussians[idx, 0])]
-        if kind.tag == temporal.PERIODIC:
-            tm = kind.temporal_max
-            decay = kind.fourier_decay()
+        if law.kernel == temporal.PERIODIC:
+            tm = law.temporal_max
+            decay = np.exp(-2.0 * law.regularity * math.pi**2 * np.arange(1, tm + 1) ** 2)
             values += [(k, parity, w[idx] * decay[k - 1] * draw.gaussians[idx, k + offset])
                        for k in range(1, tm + 1) for parity, offset in (("cos", 0), ("sin", tm))]
         entries.update({(k, idx + 1, parity): float(c) for k, parity, c in values if c != 0.0})
@@ -201,21 +200,28 @@ def reconstruct_value(draw, entries: dict, t: float, x: float, y: float) -> floa
 def full_draw(law, seed: int, *indices: int) -> RandomHamiltonian:
     """``sample_hamiltonian(law, seed, *indices)`` built from its stream's
     whole (N, m) normals: the same B, with ``gaussians`` over every mode."""
-    shape = (len(law.basis()), law.kernel.gaussians_per_sample())
+    shape = (len(law.basis()), law.gaussians_per_sample())
     return RandomHamiltonian(law, derive(seed, *indices).standard_normal(shape))
+
+
+def coefficient_matrix(law, gaussians: np.ndarray) -> np.ndarray:
+    """B of shape (m, rows) of unit weights, Z(t) = Phi(t) @ B in the
+    kernel's whole time basis (``law.kernel_time_basis()``), from a draw's
+    (rows, m) ``gaussians``: the column factors times the normals."""
+    return law.column_factors()[:, None] * gaussians.T
 
 
 def full_coefficients(h) -> np.ndarray:
     """B of a draw over the whole basis and the kernel's whole time basis
-    (``law.kernel.time_basis()``): shape (m, N), from the draw's full
+    (``law.kernel_time_basis()``): shape (m, N), from the draw's full
     normals (``full_draw``)."""
-    return h.weights * temporal.coefficient_matrix(h.law.kernel, h.gaussians)
+    return h.weights * coefficient_matrix(h.law, h.gaussians)
 
 
 def reversal_coefficients(h) -> np.ndarray:
     """B of ``time_reversed_hamiltonian(h)`` over the whole basis and the
     kernel's whole time basis: -R @ B."""
-    return -h.law.kernel.time_basis().reflect(full_coefficients(h))
+    return -h.law.kernel_time_basis().reflect(full_coefficients(h))
 
 
 def translation_map(basis, modes, shift) -> np.ndarray:
@@ -273,13 +279,13 @@ def symmetry_map(basis, modes, turn: bool) -> tuple:
 def concatenation_coefficients(parts) -> np.ndarray:
     """B of ``concatenate_autonomous(parts, bump)`` over the whole basis:
     row i is part i's constant coefficients, Phi(0) @ B of the part."""
-    return np.stack([(p.law.kernel.time_basis()(0.0) @ full_coefficients(p))[0] for p in parts])
+    return np.stack([(p.law.kernel_time_basis()(0.0) @ full_coefficients(p))[0] for p in parts])
 
 
 def mode_coefficients(h, times) -> np.ndarray:
     """c_n(t) of every mode of the basis, summed over the kernel's whole time
     basis; shape (N,) at a scalar time, (T, N) at a vector of times."""
-    out = h.law.kernel.time_basis()(times) @ full_coefficients(h)
+    out = h.law.kernel_time_basis()(times) @ full_coefficients(h)
     return out[0] if np.ndim(times) == 0 else out
 
 
@@ -290,7 +296,7 @@ def grid_slots(engine):
     K = band + 1 - k0."""
     b = engine.basis
     band = (b.kx <= engine.band) & (b.ky <= engine.band)
-    k0 = 0 if b.truncation.include_axis_modes else 1
+    k0 = 0 if b.include_axis_modes else 1
     return band, 2 * (b.kx[band] - k0) + b.tx[band], 2 * (b.ky[band] - k0) + b.ty[band]
 
 
@@ -301,7 +307,7 @@ def full_packing(engine, coeffs) -> np.ndarray:
     band, rows, cols = grid_slots(engine)
     values = np.asarray(coeffs, dtype=float)[..., band] * engine.basis.amplitudes[band]
     values[np.abs(values) < np.finfo(float).tiny] = 0.0
-    k = engine.band + (1 if engine.basis.truncation.include_axis_modes else 0)
+    k = engine.band + (1 if engine.basis.include_axis_modes else 0)
     out = np.zeros(values.shape[:-1] + (2 * k, 2 * k))
     out[..., rows, cols] = values
     return out.reshape(values.shape[:-1] + (2, k, 2 * k))
@@ -371,7 +377,7 @@ def concatenate_autonomous(parts, bump: BumpFunction) -> SpectralHamiltonian:
     parts = list(parts)
     if not parts:
         raise ValueError("need at least one Hamiltonian")
-    if any(p.law.kernel.tag != temporal.CONSTANT for p in parts):
+    if any(p.law.kernel != temporal.CONSTANT for p in parts):
         raise ValueError("all concatenated Hamiltonians must be autonomous")
     if any(p.basis is not parts[0].basis for p in parts):
         raise ValueError("concatenated Hamiltonians must be draws over one basis "
@@ -492,13 +498,14 @@ def _check_overlap(dist: np.ndarray) -> None:
 
 def gaussian_dimension(law) -> int:
     """Number of independent standard normals one draw consumes."""
-    return len(law.basis()) * law.kernel.gaussians_per_sample()
+    return len(law.basis()) * law.gaussians_per_sample()
 
 
-def coefficient_paths(kind, gaussians: np.ndarray, times) -> np.ndarray:
-    """Paths Z_n(t) of one draw's (N, m) ``gaussians``; shape (T, N), with
-    ``times`` a scalar or (T,) array in [0, 1]."""
-    return kind.time_basis()(times) @ temporal.coefficient_matrix(kind, gaussians)
+def coefficient_paths(law, gaussians: np.ndarray, times) -> np.ndarray:
+    """Paths Z_n(t) of the kernel of ``law`` from one draw's (N, m)
+    ``gaussians``; shape (T, N), with ``times`` a scalar or (T,) array in
+    [0, 1]."""
+    return law.kernel_time_basis()(times) @ coefficient_matrix(law, gaussians)
 
 
 def value(h, t: float, pts) -> np.ndarray:

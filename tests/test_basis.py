@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hamflow.basis import SpectralBasis, Truncation
+from hamflow.basis import SpectralBasis
 from reference import Mode, mode_index, mode_of, mode_values, reference_modes, torus_distance
 
 
@@ -14,7 +14,7 @@ def quad_grid(n):
     return np.arange(n) / n
 
 
-AXIS_BASIS = SpectralBasis(Truncation(spatial_max=4, include_axis_modes=True))
+AXIS_BASIS = SpectralBasis(spatial_max=4, include_axis_modes=True)
 
 
 def evaluate(mode, x, y):
@@ -34,17 +34,17 @@ class TestTorusPoint:
 class TestModeEnumeration:
     def test_default_truncation_mode_count(self):
         # 25*25 wavenumber pairs x 4 trig types, counted by enumeration
-        basis = SpectralBasis(Truncation(spatial_max=25))
+        basis = SpectralBasis(spatial_max=25)
         expected = sum(4 for kx in range(1, 26) for ky in range(1, 26))
         assert len(basis) == expected == 2500
 
     def test_smallest_truncation(self):
-        basis = SpectralBasis(Truncation(spatial_max=1))
+        basis = SpectralBasis(spatial_max=1)
         assert len(basis) == 4
         assert np.all(basis.eigenvalues == pytest.approx(8 * math.pi**2))
 
     def test_axis_modes_enumeration(self):
-        basis = SpectralBasis(Truncation(spatial_max=1, include_axis_modes=True))
+        basis = SpectralBasis(spatial_max=1, include_axis_modes=True)
         # 4 from (1,1), 2 each from (1,0) and (0,1)
         assert len(basis) == 8
         axis = (basis.kx == 0) | (basis.ky == 0)
@@ -56,20 +56,19 @@ class TestModeEnumeration:
         assert np.all(basis.kx + basis.ky >= 1)
 
     def test_sorted_by_eigenvalue(self):
-        basis = SpectralBasis(Truncation(spatial_max=5, include_axis_modes=True))
+        basis = SpectralBasis(spatial_max=5, include_axis_modes=True)
         assert np.all(np.diff(basis.eigenvalues) >= 0)
 
     def test_no_duplicates(self):
-        basis = SpectralBasis(Truncation(spatial_max=6))
+        basis = SpectralBasis(spatial_max=6)
         triples = set(zip(basis.kx, basis.ky, basis.tx, basis.ty))
         assert len(triples) == len(basis)
 
     @pytest.mark.parametrize("axis_modes", [False, True])
     @pytest.mark.parametrize("spatial_max", [1, 3, 25, 40])
     def test_arrays_match_reference_enumeration(self, spatial_max, axis_modes):
-        trunc = Truncation(spatial_max=spatial_max, include_axis_modes=axis_modes)
-        basis = SpectralBasis(trunc)
-        modes = reference_modes(trunc)
+        basis = SpectralBasis(spatial_max, include_axis_modes=axis_modes)
+        modes = reference_modes(spatial_max, axis_modes)
         assert [mode_of(basis, n) for n in range(len(basis))] == modes
         expected = {"kx": [m.kx for m in modes], "ky": [m.ky for m in modes],
                     "tx": [int(m.trig[0] == "s") for m in modes],
@@ -83,9 +82,11 @@ class TestModeEnumeration:
             assert not array.flags.writeable
 
     def test_bases_compare_by_truncation(self):
-        trunc = Truncation(spatial_max=3)
-        assert SpectralBasis(trunc) == SpectralBasis(trunc)
-        assert SpectralBasis(trunc) != SpectralBasis(Truncation(spatial_max=4))
+        """Bases compare and hash by spatial_max and include_axis_modes alone."""
+        assert SpectralBasis(3) == SpectralBasis(3, False)
+        assert hash(SpectralBasis(3)) == hash(SpectralBasis(3, False))
+        assert SpectralBasis(3) != SpectralBasis(4)
+        assert SpectralBasis(3) != SpectralBasis(3, include_axis_modes=True)
 
 
 class TestEigenvalue:
@@ -121,9 +122,8 @@ class TestEvaluate:
 
 class TestBasisAnalysis:
     def test_orthonormality_by_quadrature(self):
-        trunc = Truncation(spatial_max=3, include_axis_modes=True)
-        basis = SpectralBasis(trunc)
-        n = 4 * trunc.spatial_max + 1
+        basis = SpectralBasis(spatial_max=3, include_axis_modes=True)
+        n = 4 * basis.spatial_max + 1
         xs = quad_grid(n)
         pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
         vals = mode_values(basis, pts)
@@ -131,9 +131,8 @@ class TestBasisAnalysis:
         assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-10
 
     def test_modes_integrate_to_zero(self):
-        trunc = Truncation(spatial_max=4, include_axis_modes=True)
-        basis = SpectralBasis(trunc)
-        n = 4 * trunc.spatial_max + 1
+        basis = SpectralBasis(spatial_max=4, include_axis_modes=True)
+        n = 4 * basis.spatial_max + 1
         xs = quad_grid(n)
         pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
         assert np.all(np.abs(mode_values(basis, pts).mean(axis=0)) < 1e-12)
@@ -160,7 +159,7 @@ def bracket_projections(spatial_max, n=32):
     2 pi k y for k = 1..2 spatial_max: one row per pair, columns by k and
     then by those four functions.  A bracket's wavenumbers are at most
     2 spatial_max, so the n-point rectangle rule is exact for n > 4 spatial_max."""
-    basis = SpectralBasis(Truncation(spatial_max))
+    basis = SpectralBasis(spatial_max)
     x, y = np.meshgrid(quad_grid(n), quad_grid(n), indexing="ij")
 
     def factor(k, t, s):
@@ -186,7 +185,7 @@ def rank(p):
 
 class TestPoissonBrackets:
     """The default law has no axis modes, but the brackets of its modes
-    reach them (``basis.Truncation``)."""
+    reach them (``basis.SpectralBasis``)."""
 
     @pytest.mark.parametrize("spatial_max", [2, 3])
     def test_brackets_span_every_axis_mode_up_to_twice_the_band(self, spatial_max):

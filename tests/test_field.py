@@ -1,5 +1,6 @@
 """Tests for random Hamiltonian assembly and evaluation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from hamflow import field
 from hamflow.engine import SpectralEngine
-from hamflow.field import (PackedBatch, RandomHamiltonian, SpectralHamiltonian, make_law,
-                           sample_hamiltonian, spectral_weight)
+from hamflow.field import (HamiltonianLaw, PackedBatch, RandomHamiltonian, SpectralHamiltonian,
+                           make_law, sample_hamiltonian, spectral_weight)
 from hamflow.flow import flow_points, time_reversed_hamiltonian
 from hamflow.rng import derive
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, TimeBasis
@@ -96,7 +97,7 @@ class TestSampling:
         for _ in range(10):
             t = rng.uniform()
             xs, ys = rng.uniform(size=3), rng.uniform(size=2)
-            paths = coefficient_paths(law.kernel, h.gaussians, t)[0]
+            paths = coefficient_paths(law, h.gaussians, t)[0]
             naive = np.array([[sum(h.weights[i] * paths[i] * mode_of(h.basis, i).evaluate(x, y)
                                    for i in range(len(h.basis))) for y in ys] for x in xs])
             lattice = h.engine.value_grid(h.coefficient_grids(t), xs, ys)
@@ -318,7 +319,7 @@ class TestGaussianSandwich:
         plain = np.mean([self.osc(h) < eps for h in hs])
         for s in (1.0, 2.0):
             # s on the constant column of the first band mode, a normal B reads
-            normals = np.zeros((law.head_rows(), law.kernel.gaussians_per_sample()))
+            normals = np.zeros((law.head_rows(), law.gaussians_per_sample()))
             normals[law.engine().modes[0], 0] = s
             g = RandomHamiltonian(law, normals)
             ball = np.mean([self.osc(SpectralHamiltonian(law.engine(), law.time_basis(),
@@ -489,7 +490,7 @@ class TestBand:
     def test_laws_differing_in_temporal_max_share_basis_and_engine(self):
         # the temporal order is the kernel's alone
         a, b = frequency_law(3, temporal_max=4), frequency_law(3, temporal_max=10)
-        assert a.truncation == b.truncation
+        assert a != b and a.spatial_max == b.spatial_max
         assert a.basis() is b.basis() and a.engine() is b.engine()
 
     def test_draws_of_one_law_batch_after_other_engines_are_built(self):
@@ -583,11 +584,11 @@ class TestTemporalBand:
     @pytest.mark.parametrize("kernel,r,band,frequencies", TABLE)
     def test_band_table(self, kernel, r, band, frequencies):
         law = frequency_law(r, kernel=kernel)
-        basis = law.kernel.time_basis()
+        basis = law.kernel_time_basis()
         assert (law.temporal_band(), basis.frequencies) == (band, frequencies)
         assert law.time_basis() == TimeBasis(band, basis.period, basis.center)
-        assert law.kernel.gaussians_per_sample() == 1 + 2 * frequencies
-        factors = law.kernel.column_factors()[:frequencies + 1]
+        assert law.gaussians_per_sample() == 1 + 2 * frequencies
+        factors = law.column_factors()[:frequencies + 1]
         kept = factors >= np.finfo(float).eps ** 2 * factors.max()
         assert np.array_equal(kept, np.arange(frequencies + 1) <= band)
         columns = np.concatenate([np.arange(band + 1), frequencies + 1 + np.arange(band)])
@@ -600,10 +601,10 @@ class TestTemporalBand:
         # column: flows (draws and reversals in one batch) and oscillations
         # agree bit for bit
         law = frequency_law(r, kernel=kernel, seed=8)
-        n, m, head = len(law.basis()), law.kernel.gaussians_per_sample(), law.head_rows()
+        n, m, head = len(law.basis()), law.gaussians_per_sample(), law.head_rows()
         assert (m, head) == ({PERIODIC: 21, SQEXP: 29}[kernel], {3: 268, 4.5: 128}[r])
         draws = [sample_hamiltonian(law, 8, i) for i in range(3)]
-        full = [SpectralHamiltonian(h.engine, law.kernel.time_basis(),
+        full = [SpectralHamiltonian(h.engine, law.kernel_time_basis(),
                                     full_coefficients(full_draw(law, 8, i))[:, h.engine.modes])
                 for i, h in enumerate(draws)]
         for i, (h, f) in enumerate(zip(draws, full)):
@@ -618,10 +619,61 @@ class TestTemporalBand:
 
 
 class TestLawValidation:
+    """A law is one record of its five parameters, checked when built."""
+
     def test_kernel_tied_to_regularity_by_default(self):
+        # the one regularity sets the weights and the kernel's decay alike
         law = make_law(0.17, spatial_max=2)
-        assert law.kernel.regularity == pytest.approx(0.17)
-        assert law.regularity is law.kernel.regularity
+        assert law.regularity == 0.17
+        assert law.weights()[0] == math.exp(-0.17 * 8 * math.pi**2 / 2)
+        assert law.column_factors()[1] == pytest.approx(math.exp(-2 * 0.17 * math.pi**2))
+
+    def test_fields_are_the_five_parameters(self):
+        names = [f.name for f in dataclasses.fields(HamiltonianLaw)]
+        assert names == ["regularity", "spatial_max", "temporal_max", "kernel",
+                         "include_axis_modes"]
+        assert make_law(0.3, 4, 6, SQEXP, include_axis_modes=True) == \
+            HamiltonianLaw(0.3, 4, 6, SQEXP, True)
+
+    @pytest.mark.parametrize("spatial_max", [3, 12, 40])
+    def test_moved_truncation_is_the_law_built_with_it(self, spatial_max):
+        # a law computed under one truncation, then moved to another: equal
+        # to, hashing like and sharing the engine of the law built there
+        law = make_law(0.1)
+        law.engine()
+        moved = dataclasses.replace(law, spatial_max=spatial_max)
+        built = make_law(0.1, spatial_max=spatial_max)
+        assert moved == built and hash(moved) == hash(built)
+        assert moved.engine() is built.engine() and moved.basis() is built.basis()
+        assert np.array_equal(sample_hamiltonian(moved, 3).coefficients,
+                              sample_hamiltonian(built, 3).coefficients)
+
+    @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT, SQEXP])
+    def test_moved_kernel_is_the_law_built_with_it(self, kernel):
+        moved = dataclasses.replace(make_law(0.1, temporal_max=4), kernel=kernel)
+        built = make_law(0.1, temporal_max=4, kernel=kernel)
+        assert moved == built and hash(moved) == hash(built)
+        assert moved.kernel_time_basis() == built.kernel_time_basis()
+        assert np.array_equal(moved.column_factors(), built.column_factors())
+
+    @pytest.mark.parametrize("change", [
+        {"kernel": "gaussian"}, {"kernel": "Periodic"}, {"regularity": 0.0},
+        {"regularity": -0.1}, {"spatial_max": 0}, {"spatial_max": -3}, {"temporal_max": 0}])
+    def test_bad_parameter_raises(self, change):
+        with pytest.raises(ValueError):
+            dataclasses.replace(make_law(0.1), **change)
+        with pytest.raises(ValueError):
+            make_law(**{"regularity": 0.1, **change})
+
+    @pytest.mark.parametrize("kernel", [CONSTANT, SQEXP])
+    def test_temporal_max_is_checked_under_every_kernel(self, kernel):
+        # the periodic kernel alone reads it, but every kernel refuses a bad one
+        with pytest.raises(ValueError):
+            make_law(0.1, temporal_max=0, kernel=kernel)
+
+    def test_law_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            make_law(0.1).spatial_max = 4
 
 
 class TestPerLawQuantities:
@@ -690,7 +742,7 @@ class TestHeadOnlyDraws:
     def test_gaussians_equal_a_full_draw(self, kernel):
         # the first head_rows rows of the stream's whole (N, m) array
         law = frequency_law(3, spatial_max=12, temporal_max=4, kernel=kernel)
-        n, m, head = len(law.basis()), law.kernel.gaussians_per_sample(), law.head_rows()
+        n, m, head = len(law.basis()), law.gaussians_per_sample(), law.head_rows()
         assert head == 268 < n
         for i in range(3):
             h = sample_hamiltonian(law, 5, i)

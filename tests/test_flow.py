@@ -15,7 +15,7 @@ from hamflow.field import (PackedBatch, RandomHamiltonian, SpectralHamiltonian, 
 from hamflow.flow import (LagrangianCurve, _step, _step_work, advect_curve,
                           advect_curves, flow_points, flow_points_through, horizontal_circle,
                           time_reversed_hamiltonian)
-from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, KernelKind, TimeBasis
+from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, TimeBasis, time_basis
 from reference import (BumpFunction, BumpTimeBasis, Mode, circle_curve,
                        concatenate_autonomous, concatenation_coefficients,
                        flow_concatenation, flow_jacobian_determinant, flow_one, full_coefficients,
@@ -184,7 +184,7 @@ class TestTimeReversal:
         assert isinstance(hat, SpectralHamiltonian)
 
     @pytest.mark.parametrize("basis", [TimeBasis(10), TimeBasis(0),
-                                       KernelKind(SQEXP, 0.1).time_basis(),
+                                       time_basis(SQEXP, 0.1, 10),
                                        BumpTimeBasis(BumpFunction(), 1),
                                        BumpTimeBasis(BumpFunction(), 3)],
                              ids=["periodic", "constant", "sqexp", "bump-1", "bump-3"])
@@ -493,10 +493,10 @@ class TestBand:
         draw's or a reversal's B is over the kernel's whole time basis."""
         if kind in (PERIODIC, CONSTANT, SQEXP):
             h = cls.draws(kind, 3)[0]
-            return h, h.law.kernel.time_basis(), full_coefficients(h)
+            return h, h.law.kernel_time_basis(), full_coefficients(h)
         if kind == "reversal":
             h = cls.draws(PERIODIC, 3)[0]
-            return (time_reversed_hamiltonian(h), h.law.kernel.time_basis(),
+            return (time_reversed_hamiltonian(h), h.law.kernel_time_basis(),
                     reversal_coefficients(h))
         if kind == "concatenation":
             parts = cls.draws(CONSTANT, 3)
@@ -516,7 +516,7 @@ class TestBand:
         # its B over the whole basis
         h, phi, coefficients = self.hamiltonian(kind)
         basis = h.engine.basis
-        ref = SpectralHamiltonian(SpectralEngine(basis, basis.truncation.spatial_max),
+        ref = SpectralHamiltonian(SpectralEngine(basis, basis.spatial_max),
                                   phi, coefficients)
         assert h.engine.band < ref.engine.band
         flow = flow_concatenation if kind.endswith("concatenation") else flow_points

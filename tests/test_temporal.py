@@ -1,23 +1,25 @@
-"""Tests for the coefficient Gaussian processes."""
+"""Tests for the coefficient Gaussian processes.
+
+A kernel is read through a law (``HamiltonianLaw``): its tag, regularity and
+temporal_max are three of the law's parameters, and a one-wavenumber basis
+keeps the laws small."""
 
 import math
 
 import numpy as np
 import pytest
 
+from hamflow import temporal
 from hamflow.errors import OutOfRange
+from hamflow.field import make_law
 from hamflow.rng import derive
-from hamflow.temporal import CONSTANT, KernelKind, PERIODIC, SQEXP
+from hamflow.temporal import CONSTANT, PERIODIC, SQEXP
 from reference import coefficient_paths, kernel_value
 
 
-def kinds(**kw):
-    return {
-        SQEXP: KernelKind(tag=SQEXP, regularity=kw.get("r", 0.1)),
-        PERIODIC: KernelKind(tag=PERIODIC, regularity=kw.get("r", 0.1),
-                             temporal_max=kw.get("tm", 10)),
-        CONSTANT: KernelKind(tag=CONSTANT, regularity=kw.get("r", 0.1)),
-    }
+def kernel(tag, r=0.1, temporal_max=10):
+    """The law whose kernel is ``tag`` at regularity r."""
+    return make_law(r, spatial_max=1, temporal_max=temporal_max, kernel=tag)
 
 
 def sample(kind, rng):
@@ -33,37 +35,41 @@ def evaluate(kind, gaussians, t):
 
 class TestKernelValue:
     def test_sqexp_diagonal(self):
-        k = KernelKind(tag=SQEXP, regularity=0.3)
+        k = kernel(SQEXP, 0.3)
         assert kernel_value(k, 0.4, 0.4) == pytest.approx(1.0)
 
     def test_sqexp_offdiagonal(self):
-        k = KernelKind(tag=SQEXP, regularity=0.3)
+        k = kernel(SQEXP, 0.3)
         assert kernel_value(k, 0.1, 0.6) == pytest.approx(math.exp(-0.3 * 0.25))
 
     def test_periodic_truncated_diagonal(self):
-        k = KernelKind(tag=PERIODIC, regularity=0.1, temporal_max=1)
+        k = kernel(PERIODIC, 0.1, 1)
         assert kernel_value(k, 0.5, 0.5) == pytest.approx(1 + 2 * math.exp(-0.4 * math.pi**2))
 
     def test_constant_unit(self):
-        k = KernelKind(tag=CONSTANT, regularity=2.0)
+        k = kernel(CONSTANT, 2.0)
         assert kernel_value(k, 0.0, 0.9) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("tag", [SQEXP, PERIODIC, CONSTANT])
     def test_column_factors_computed_once_per_kernel(self, tag):
-        k = kinds(r=0.3)[tag]
+        k = kernel(tag, 0.3)
         factors = k.column_factors()
         assert k.column_factors() is factors and not factors.flags.writeable
+        assert k.kernel_time_basis() is k.kernel_time_basis()
         assert len(factors) == k.gaussians_per_sample()
-        fresh = KernelKind(tag=k.tag, regularity=k.regularity, temporal_max=k.temporal_max)
+        fresh = kernel(tag, 0.3)
         assert fresh == k and np.array_equal(fresh.column_factors(), factors)
+        basis = temporal.time_basis(tag, 0.3, 10)
+        assert basis == k.kernel_time_basis()
+        assert np.array_equal(temporal.column_factors(tag, 0.3, basis), factors)
 
     @pytest.mark.parametrize("r", [0.01, 0.025, 0.1, 1.0, 10.0, 100.0])
     def test_sqexp_series_is_the_kernel(self, r):
         """The series sum_j f_j^2 Phi_j(t1) Phi_j(t2), summed term by term,
         against exp(-r (t1 - t2)^2) for t1 - t2 over [-1, 1]."""
-        k = KernelKind(tag=SQEXP, regularity=r)
+        k = kernel(SQEXP, r)
         t = np.linspace(0.0, 1.0, 201)
-        terms = k.time_basis()(t) * k.column_factors()
+        terms = k.kernel_time_basis()(t) * k.column_factors()
         series = np.zeros((len(t), len(t)))
         for j in range(terms.shape[1]):
             series += np.multiply.outer(terms[:, j], terms[:, j])
@@ -72,13 +78,13 @@ class TestKernelValue:
         assert abs(kernel_value(k, 0.0, 1.0) - math.exp(-r)) <= 1e-14
 
     def test_time_domain_enforced(self):
-        k = KernelKind(tag=SQEXP, regularity=1.0)
+        k = kernel(SQEXP, 1.0)
         with pytest.raises(OutOfRange):
             kernel_value(k, -0.2, 0.5)
 
     @pytest.mark.parametrize("tag", [PERIODIC, CONSTANT, SQEXP])
     def test_variance_is_the_kernel_diagonal(self, tag):
-        k = kinds(r=0.3)[tag]
+        k = kernel(tag, 0.3)
         assert k.variance() == kernel_value(k, 0.0, 0.0)
         for t in (0.1, 0.25, 0.5, 0.77, 1.0):
             assert abs(k.variance() - kernel_value(k, t, t)) <= 1e-15 * k.variance()
@@ -86,34 +92,34 @@ class TestKernelValue:
 
 class TestSampling:
     def test_constant_deterministic_under_seed(self):
-        k = kinds()[CONSTANT]
+        k = kernel(CONSTANT)
         s1 = sample(k, derive(123))
         s2 = sample(k, derive(123))
         assert evaluate(k, s1, 0.0) == evaluate(k, s2, 0.0)
 
     def test_constant_paths_exactly_constant(self):
-        k = kinds()[CONSTANT]
+        k = kernel(CONSTANT)
         s = sample(k, derive(5))
         ts = np.linspace(0, 1, 17)
         assert np.all(evaluate(k, s, ts) == s[0, 0])
 
     def test_periodic_sample_is_periodic(self):
-        k = KernelKind(tag=PERIODIC, regularity=0.14, temporal_max=10)
+        k = kernel(PERIODIC, 0.14, 10)
         s = sample(k, derive(8))
         assert evaluate(k, s, 0.0) == pytest.approx(evaluate(k, s, 1.0), abs=1e-12)
 
     def test_periodic_draw_count(self):
-        k = KernelKind(tag=PERIODIC, regularity=0.1, temporal_max=4)
+        k = kernel(PERIODIC, 0.1, 4)
         assert k.gaussians_per_sample() == 9
 
     def test_sqexp_extrapolation_rejected(self):
-        k = kinds()[SQEXP]
+        k = kernel(SQEXP)
         s = sample(k, derive(1))
         with pytest.raises(OutOfRange):
             evaluate(k, s, 1.5)
 
     def test_periodic_variance_matches_kernel(self):
-        k = KernelKind(tag=PERIODIC, regularity=0.1, temporal_max=5)
+        k = kernel(PERIODIC, 0.1, 5)
         rng = derive(99)
         vals = np.array([evaluate(k, sample(k, rng), 0.3) for _ in range(10_000)])
         target = kernel_value(k, 0.3, 0.3)
@@ -123,14 +129,14 @@ class TestSampling:
 
 class TestEvaluation:
     def test_periodic_degenerate_series(self):
-        k = KernelKind(tag=PERIODIC, regularity=0.1, temporal_max=3)
+        k = kernel(PERIODIC, 0.1, 3)
         s = np.zeros((1, 7))
         s[0, 0] = 1.0
         ts = np.linspace(0, 1, 9)
         assert np.allclose(evaluate(k, s, ts), 1.0)
 
     def test_periodic_single_cosine(self):
-        k = KernelKind(tag=PERIODIC, regularity=0.1, temporal_max=3)
+        k = kernel(PERIODIC, 0.1, 3)
         s = np.zeros((1, 7))
         s[0, 1] = 1.0
         expected0 = math.sqrt(2) * math.exp(-0.2 * math.pi**2)
@@ -145,7 +151,7 @@ class TestStatisticalProperties:
 
     @pytest.mark.parametrize("tag", [SQEXP, PERIODIC, CONSTANT])
     def test_mean_zero(self, tag):
-        k = kinds()[tag]
+        k = kernel(tag)
         rng = derive(17)
         times = [0.0, 0.25, 0.5, 0.75, 1.0]
         sums = np.zeros(len(times))
@@ -156,7 +162,7 @@ class TestStatisticalProperties:
 
     @pytest.mark.parametrize("tag", [SQEXP, PERIODIC, CONSTANT])
     def test_covariance_matches_kernel(self, tag):
-        k = kinds()[tag]
+        k = kernel(tag)
         rng = derive(23)
         pair_rng = np.random.default_rng(5)
         pairs = pair_rng.uniform(0, 1, (10, 2))
@@ -175,7 +181,7 @@ class TestStatisticalProperties:
     @pytest.mark.parametrize("tag", [PERIODIC, CONSTANT])
     def test_time_reversal_symmetry(self, tag):
         stats = pytest.importorskip("scipy.stats")
-        k = kinds()[tag]
+        k = kernel(tag)
         n = 5000
         t = 0.2
         fwd = np.empty(n)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from hamflow.config import ExperimentConfig
-from hamflow.experiments import _walk_chunk, flow_steps, law_for
-from hamflow.field import PackedBatch, sample_hamiltonian
+from hamflow.experiments import _walk_chunk, flow_steps, law_for, walk_samples
+from hamflow.field import PackedBatch, RandomHamiltonian, sample_hamiltonian
 from hamflow.flow import flow_points
 from reference import (BumpFunction, apply_walk, concatenate_autonomous, flow_concatenation,
                        flow_one, torus_distance)
@@ -145,3 +145,58 @@ class TestGeneratingHamiltonian:
             at_02[w] = coeffs[0, 0]
             at_08[w] = coeffs[1, 0]
         assert stats.ks_2samp(at_02, at_08).pvalue > 0.01
+
+
+class TestIncrements:
+    """ROADMAP item 27(a): at the walk defaults (r = 3.95, constant kernel,
+    spatial_max 25), a walk's increments are i.i.d., and one small step
+    moves the origin with the covariance that the law's weights give.  The
+    law is invariant under translations and step j is drawn afresh from
+    stream (seed, w, j), so each increment is independent of the walk's
+    past, whatever point it starts from.  Seed 27 was fixed before any
+    result was seen; every bound is in standard errors of the sample."""
+
+    WALKS, STEPS, DRAWS, SEED = 2000, 6, 4000, 27
+
+    def test_increments_are_independent_and_identically_distributed(self):
+        cfg = ExperimentConfig(command="random-walk", kernel="constant", samples=self.WALKS,
+                               walk_steps=self.STEPS, seed=self.SEED, workers=1)
+        traj = np.array([record["trajectory"] for record in walk_samples(cfg)])
+        # each step's increment lifted to its nearest image: (walks, steps, axis)
+        d = (np.diff(traj, axis=1) + 0.5) % 1.0 - 0.5
+        d -= d.mean(axis=0)
+        n = len(d)
+        # equal per-step variances: each step's against the mean of all six
+        variance = np.mean(d**2, axis=0)
+        se = np.std(d**2, axis=0) / math.sqrt(n)
+        assert np.all(np.abs(variance - variance.mean(axis=0)) <= 4 * se)
+        # no lag-1 correlation, per axis and pair of consecutive steps
+        lag1 = np.mean(d[:, 1:] * d[:, :-1], axis=0) / np.sqrt(variance[1:] * variance[:-1])
+        assert np.all(np.abs(lag1) <= 4 / math.sqrt(n))
+        # the variance of the lifted sum of k increments is k times one step's
+        squares = np.cumsum(d, axis=1) ** 2
+        k = np.arange(1, self.STEPS + 1)[:, None]
+        assert np.all(np.abs(squares.mean(axis=0) - k * variance.mean(axis=0))
+                      <= 4 * squares.std(axis=0) / math.sqrt(n))
+
+    @pytest.mark.parametrize("eps", [0.25, 0.125])
+    def test_small_step_covariance_is_the_closed_form(self, eps):
+        # phi_{eps H}(0) = eps X(0) + O(eps^2), X = (-dH/dy, dH/dx): each
+        # axis of X(0) sums the w_n^2 a_n^2 (2 pi k)^2 of the quarter of the
+        # modes (cs for x, sc for y) whose derivative is nonzero there
+        cfg = ExperimentConfig(command="random-walk", kernel="constant", seed=self.SEED)
+        law = law_for(cfg)
+        basis = law.basis()
+        sigma2 = 0.25 * np.sum(law.weights()**2 * basis.amplitudes**2
+                               * (2 * math.pi * basis.ky)**2)
+        assert sigma2 == pytest.approx(0.05855, abs=5e-6)
+        draws = PackedBatch((RandomHamiltonian(law, eps * sample_hamiltonian(law, self.SEED, i)
+                                               .gaussians) for i in range(self.DRAWS)),
+                            self.DRAWS)
+        steps = max(20, flow_steps(law, cfg.steps))
+        x = flow_points(draws, np.zeros((self.DRAWS, 1, 2)), 0.0, 1.0, steps)[:, 0] / eps
+        x -= x.mean(axis=0)
+        products = np.stack([x[:, 0]**2, x[:, 1]**2, x[:, 0] * x[:, 1]])
+        want = np.array([sigma2, sigma2, 0.0])
+        se = products.std(axis=1) / math.sqrt(self.DRAWS)
+        assert np.all(np.abs(products.mean(axis=1) - want) <= 3 * se)
