@@ -66,7 +66,7 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     writing either is a ``ValidationError`` of ``out``.
     """
     out = Path(cfg.out)
-    law, r = experiments.law_for(cfg), cfg.regularity
+    law, r = cfg.law, cfg.regularity
     lines = [f"# bands at regularity {r:g}: spatial {law.band()} of {cfg.spatial_max}, "
              f"temporal {law.temporal_band()} of {law.kernel_time_basis().frequencies}\n"]
     if "steps" in COMMANDS[cfg.command].keys:

@@ -11,10 +11,13 @@ A key the command does not read is accepted but not echoed: the benchmark's
 ``sample-field`` workload sets ``steps``, so refusing it at parse waits for
 ROADMAP item 25(b).
 
+A config holds its one law, ``cfg.law``: the ``HamiltonianLaw`` of its law
+keys, built and checked when the config is (the law's checks are the only
+ones on those keys).  Like ``grid_nodes`` it is no field, so not a key.
 ``regularity`` is the one decay parameter of the law, per squared
 frequency (k^2 + j^2), the units of the reference Monte Carlo tables; the
-law takes it per Laplace-Beltrami eigenvalue 4 pi^2 (k^2 + j^2)
-(``ExperimentConfig.eigenvalue_regularity``).
+law takes it per Laplace-Beltrami eigenvalue 4 pi^2 (k^2 + j^2), converted
+where the law is built.
 
 ``steps`` is the most integrator steps per unit time (order 6, see
 :mod:`hamflow.flow`); smooth laws use fewer (see :mod:`hamflow.experiments`).
@@ -35,7 +38,7 @@ from . import temporal
 from .errors import ParseError, ValidationError
 from .field import HamiltonianLaw
 
-# a law's keys are its parameters (``experiments.law_for``)
+# a law's keys are its parameters (``ExperimentConfig.law``)
 LAW_KEYS = tuple(f.name for f in fields(HamiltonianLaw))
 RUN_KEYS = ("samples", "seed", "out", "workers")
 
@@ -106,20 +109,16 @@ class ExperimentConfig:
     probe: tuple = (0.3, 0.7)
     osc_spatial_grid: int = 128
     osc_time_grid: int = 101
-    # not a field (no annotation), so not a key (module docstring)
+    # not a field (no annotation), so not a key, nor is ``law``, which
+    # ``__post_init__`` sets (module docstring)
     grid_nodes = 64
 
     def __post_init__(self):
         _validate(self)
 
     def eigenvalue_regularities(self) -> tuple:
-        """``(eigenvalue_regularity(),)``, as ``perfbench/child.py`` reads it."""
-        return (self.eigenvalue_regularity(),)
-
-    def eigenvalue_regularity(self) -> float:
-        """The regularity in eigenvalue units: the one place the units are
-        converted."""
-        return self.regularity / (4.0 * math.pi**2)
+        """``(law.regularity,)``, as ``perfbench/child.py`` reads it."""
+        return (self.law.regularity,)
 
 
 def _validate(cfg: ExperimentConfig) -> None:
@@ -133,14 +132,10 @@ def _validate(cfg: ExperimentConfig) -> None:
             bad(f.name, "values must be finite")
     if cfg.command not in COMMANDS:
         bad("command", f"must be one of {tuple(COMMANDS)}")
-    if cfg.regularity <= 0:
-        bad("regularity", "must be positive")
-    if cfg.spatial_max < 1:
-        bad("spatial_max", "must be >= 1")
-    if cfg.temporal_max < 1:
-        bad("temporal_max", "must be >= 1")
-    if cfg.kernel not in temporal.KERNEL_TAGS:
-        bad("kernel", f"must be one of {temporal.KERNEL_TAGS}")
+    # the law checks its own keys, and is the config's law (module docstring)
+    object.__setattr__(cfg, "law", HamiltonianLaw(
+        cfg.regularity / (4.0 * math.pi**2), cfg.spatial_max, cfg.temporal_max, cfg.kernel,
+        cfg.include_axis_modes))
     if cfg.samples < 1:
         bad("samples", "must be >= 1")
     if cfg.steps < 1:

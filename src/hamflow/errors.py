@@ -49,8 +49,8 @@ class ParseError(HamflowError):
         super().__init__(message)
 
 
-class ValidationError(HamflowError):
-    """A configuration value is outside its documented range.
+class ValidationError(HamflowError, ValueError):
+    """A configuration or law value is outside its documented range.
 
     Carries the name of the offending field.
     """

@@ -10,9 +10,9 @@ array and counts every Lagrangian by one rule, the changes of floor f; an
 
 Records.  Each sampler ``(cfg)`` (``oscillation_samples``,
 ``run_intersections``, ...) runs a per-sample task through ``_run_chunks``
-on the config's one law and returns one record per sample, in sample
-order: a dict of the sample's index (``sample``, or ``walk``) and its
-values, which may be numpy arrays and scalars, or of its index and its
+on the config's one law, ``cfg.law``, and returns one record per sample,
+in sample order: a dict of the sample's index (``sample``, or ``walk``) and
+its values, which may be numpy arrays and scalars, or of its index and its
 error text (``error``).  The records of ``oscillation_samples`` and
 ``run_intersections`` also carry the ``regularity`` they were drawn at.  A
 reducer ``(cfg, records)`` (``mean_table``, ``tail_fit``, ...) takes a
@@ -31,8 +31,10 @@ Streams and chunks.  Sample i draws its Hamiltonian from stream
 cuts a run into balanced chunks of consecutive sample indices: the fewest
 chunks of at most CHUNK samples whose count is a multiple of the worker
 count (as far as the samples allow), their lengths differing by one at
-most.  ``_run_chunk`` hands each task its law, built once per process
-(``law_for``), and a task draws sample i from its own stream exactly as a
+most.  Every task draws from the config's law, ``cfg.law``, built with
+the config: the band, weights and head rows the law computes once serve
+every chunk of a process, and a forked child inherits those computed before
+it forked.  A task draws sample i from its own stream exactly as a
 one-sample task would.  The flowing commands flow a chunk's draws as one
 batch; the oscillation commands take each sample alone.  A run of several
 chunks on several workers forks at most one child per worker, chunk and
@@ -76,14 +78,14 @@ import math
 import os
 import pickle
 import signal
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .errors import DegenerateOverlap, HamflowError
-from .field import HamiltonianLaw, PackedBatch, make_law, sample_hamiltonian
+from .field import HamiltonianLaw, PackedBatch, sample_hamiltonian
 from .flow import (LagrangianCurve, advect_curves, flow_points, flow_points_through,
                    horizontal_circle, time_reversed_hamiltonian)
 from .rng import derive
@@ -188,16 +190,6 @@ def standard_error(values) -> float:
     return float(np.ldexp(np.ldexp(values, -e).std(ddof=1), e) / math.sqrt(len(values)))
 
 
-@lru_cache(maxsize=16)
-def law_for(cfg: ExperimentConfig):
-    """The law of ``cfg``, built once per process: every chunk of a run
-    shares it, and with it the band, weights, head rows and step count the
-    law computes once."""
-    return make_law(cfg.eigenvalue_regularity(), spatial_max=cfg.spatial_max,
-                    temporal_max=cfg.temporal_max, kernel=cfg.kernel,
-                    include_axis_modes=cfg.include_axis_modes)
-
-
 def flow_steps(law: HamiltonianLaw, cap: int) -> int:
     """Steps per unit time for the draws of ``law``, at most ``cap``: the
     rule of the module docstring."""
@@ -217,22 +209,22 @@ def worker_count(cfg: ExperimentConfig) -> int:
 def _run_chunk(chunk) -> list:
     """The records of one chunk ``(task, cfg, samples)``."""
     task, cfg, samples = chunk
-    return task(cfg, law_for(cfg), samples)
+    return task(cfg, samples)
 
 
 def _run_chunks(task, cfg: ExperimentConfig) -> list:
     """The records of ``task`` for sample indices 0..samples-1, in order.
 
-    ``task(cfg, law, samples)`` returns the records of the range ``samples``
-    of consecutive indices as a list, drawn from ``law``, the law of
-    ``cfg``.  The chunks are the fewest of at most CHUNK indices whose count
-    is a multiple of the ``worker_count(cfg)`` processes, or one per index
-    below that many samples; the first are one index longer where the
-    samples do not divide evenly.  More than one chunk on more than one
-    worker and CPU run in one forked child per worker, chunk and CPU, the
-    fewest of the three (``_forked``); otherwise, or where the platform has
-    no ``os.fork``, they run in this process.  The chunks depend on the
-    workers alone, so the records do not depend on the CPU count.
+    ``task(cfg, samples)`` returns the records of the range ``samples`` of
+    consecutive indices as a list, drawn from ``cfg.law``.  The chunks are
+    the fewest of at most CHUNK indices whose count is a multiple of the
+    ``worker_count(cfg)`` processes, or one per index below that many
+    samples; the first are one index longer where the samples do not divide
+    evenly.  More than one chunk on more than one worker and CPU run in one
+    forked child per worker, chunk and CPU, the fewest of the three
+    (``_forked``); otherwise, or where the platform has no ``os.fork``, they
+    run in this process.  The chunks depend on the workers alone, so the
+    records do not depend on the CPU count.
     """
     workers = worker_count(cfg)
     count = min(cfg.samples, workers * -(-cfg.samples // (CHUNK * workers)))
@@ -335,13 +327,14 @@ def _tagged(cfg: ExperimentConfig, records: list) -> list:
 # Intersections
 # ---------------------------------------------------------------------------
 
-def _image_chunk(values, cfg, law, samples) -> list:
+def _image_chunk(values, cfg, samples) -> list:
     """Per sample: ``values(cfg, image)`` of its image of K, or the text of
     the ``HamflowError`` its advection or ``values`` raised.
 
     Each draw is packed as it is sampled and then let go (``PackedBatch``);
     the chunk's curves advect together (``advect_curves``).
     """
+    law = cfg.law
     batch = PackedBatch((sample_hamiltonian(law, cfg.seed, 0, i) for i in samples), len(samples))
     images = advect_curves(batch, horizontal_circle(0.5, cfg.curve_vertices), 1.0,
                            flow_steps(law, cfg.steps), cfg.refinement_threshold)
@@ -397,13 +390,14 @@ def _chi_square(counts: np.ndarray) -> float:
     return float(np.sum((counts - expected) ** 2 / expected))
 
 
-def _diffusion_chunk(cfg, law, samples) -> list:
+def _diffusion_chunk(cfg, samples) -> list:
     """Per sample: its bin counts and their chi-square, per time.
 
     Sample i draws its Hamiltonian from stream (seed, 0, i)
     (``sample_hamiltonian``, the head rows only) and its ball points from
     stream (seed, 0, i, 1).  The chunk's clouds flow as one batch.
     """
+    law = cfg.law
     batch = PackedBatch((sample_hamiltonian(law, cfg.seed, 0, i) for i in samples), len(samples))
     pts = np.stack([_ball_points(derive(cfg.seed, 0, i, 1), cfg.ball_center, cfg.ball_radius,
                                  cfg.points) for i in samples])
@@ -434,9 +428,9 @@ def diffusion_totals(cfg: ExperimentConfig, records: list) -> dict:
 # Oscillation-based statistics
 # ---------------------------------------------------------------------------
 
-def _osc_chunk(cfg, law, samples) -> list:
+def _osc_chunk(cfg, samples) -> list:
     """Oscillation norms of ``samples``."""
-    return [{"sample": i, "osc": sample_hamiltonian(law, cfg.seed, 0, i)
+    return [{"sample": i, "osc": sample_hamiltonian(cfg.law, cfg.seed, 0, i)
              .oscillation(cfg.osc_spatial_grid, cfg.osc_time_grid)}
             for i in samples]
 
@@ -479,7 +473,7 @@ def tail_fit(cfg: ExperimentConfig, records: list) -> dict:
 # Inversion invariance
 # ---------------------------------------------------------------------------
 
-def _displacement_chunk(cfg, law, samples) -> list:
+def _displacement_chunk(cfg, samples) -> list:
     """Per sample: the probe's forward and inverse displacements.
 
     Sample i draws its forward Hamiltonian from stream (seed, 0, i) and its
@@ -489,6 +483,7 @@ def _displacement_chunk(cfg, law, samples) -> list:
     basis, so the chunk packs its n forward draws and then the n reversals
     into one batch of 2n rows and flows them from 0 to 1 in one loop of steps.
     """
+    law = cfg.law
     forward = (sample_hamiltonian(law, cfg.seed, 0, i) for i in samples)
     inverse = (time_reversed_hamiltonian(sample_hamiltonian(law, cfg.seed, 1, i)) for i in samples)
     batch = PackedBatch(chain(forward, inverse), 2 * len(samples))
@@ -561,7 +556,7 @@ def inversion_test(cfg: ExperimentConfig, records: list) -> dict:
 # Random walks
 # ---------------------------------------------------------------------------
 
-def _walk_chunk(cfg, law, samples) -> list:
+def _walk_chunk(cfg, samples) -> list:
     """Probe trajectories of the walks ``samples``: each (walk_steps + 1, 2),
     reduced mod 1, starting at the probe mod 1.
 
@@ -570,12 +565,12 @@ def _walk_chunk(cfg, law, samples) -> list:
     it is sampled, and flows the unreduced lifts so far from 0 to 1 at the
     law's count, so the chunk holds one step's packed rows at a time.
     """
-    steps = flow_steps(law, cfg.steps)
+    steps = flow_steps(cfg.law, cfg.steps)
     traj = np.empty((len(samples), cfg.walk_steps + 1, 2))
     traj[:, 0] = np.mod(cfg.probe, 1.0)
     state = traj[:, :1]
     for j in range(cfg.walk_steps):
-        batch = PackedBatch((sample_hamiltonian(law, cfg.seed, w, j) for w in samples),
+        batch = PackedBatch((sample_hamiltonian(cfg.law, cfg.seed, w, j) for w in samples),
                             len(samples))
         state = flow_points(batch, state, 0.0, 1.0, steps)
         traj[:, j + 1] = state[:, 0] % 1.0

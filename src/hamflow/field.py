@@ -45,14 +45,16 @@ exp(-18.5), so its band keeps every frequency.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from . import temporal
 from .basis import TWO_PI, SpectralBasis
 from .engine import SpectralEngine
+from .errors import ValidationError
 from .rng import derive
 from .temporal import TimeBasis, computed_once
 
@@ -67,12 +69,12 @@ def spectral_weight(eigenvalue: float, regularity: float):
 # Unbounded, so that every draw of a law holds the one engine and basis
 # (``PackedBatch`` batches draws of one engine only); there is one key per
 # spatial truncation and band.
-@lru_cache(maxsize=None)
+@cache
 def _basis_for(spatial_max: int, include_axis_modes: bool) -> SpectralBasis:
     return SpectralBasis(spatial_max, include_axis_modes)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _engine_for(spatial_max: int, include_axis_modes: bool, band: int) -> SpectralEngine:
     return SpectralEngine(_basis_for(spatial_max, include_axis_modes), band)
 
@@ -112,7 +114,11 @@ class HamiltonianLaw:
     * ``temporal_max``: the periodic kernel's Fourier order;
     * ``kernel``: the coefficient kernel's tag (:mod:`hamflow.temporal`).
 
-    A law with one parameter moved is ``dataclasses.replace(law, spatial_max=K)``.
+    A law is checked when built, in that order: r > 0, integer truncations
+    of at least 1 and a known kernel tag; a bad value raises
+    ``ValidationError`` naming its field, the message a config's refusal
+    prints (``hamflow.config``).  A law with one parameter moved is
+    ``dataclasses.replace(law, spatial_max=K)``.
     ``band``, ``temporal_band``, ``kernel_time_basis``, ``column_factors``,
     ``time_basis``, ``head_rows``, ``weights`` and ``lipschitz_bound`` are
     computed once per law and shared by its draws; they are no fields, so
@@ -127,14 +133,15 @@ class HamiltonianLaw:
     include_axis_modes: bool
 
     def __post_init__(self):
-        if self.kernel not in temporal.KERNEL_TAGS:
-            raise ValueError(f"unknown kernel tag {self.kernel!r}")
         if self.regularity <= 0:
-            raise ValueError("regularity must be positive")
-        if self.spatial_max < 1:
-            raise ValueError("spatial_max must be >= 1")
-        if self.temporal_max < 1:
-            raise ValueError("temporal_max must be >= 1")
+            raise ValidationError("regularity", "must be positive")
+        for name in ("spatial_max", "temporal_max"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValidationError(name, "must be an integer")
+            if getattr(self, name) < 1:
+                raise ValidationError(name, "must be >= 1")
+        if self.kernel not in temporal.KERNEL_TAGS:
+            raise ValidationError("kernel", f"must be one of {temporal.KERNEL_TAGS}")
 
     def basis(self) -> SpectralBasis:
         return _basis_for(self.spatial_max, self.include_axis_modes)

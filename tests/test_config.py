@@ -8,7 +8,7 @@ import pytest
 from hamflow.config import (COMMANDS, LAW_KEYS, RUN_KEYS, ExperimentConfig, parse_config,
                             parse_value, serialize_config)
 from hamflow.errors import ParseError, ValidationError
-from hamflow.experiments import flow_steps, law_for
+from hamflow.experiments import flow_steps
 
 # A non-default value of every key; tails needs 1000 draws at least, and
 # random-walk the constant kernel, its own default
@@ -158,7 +158,8 @@ class TestErrors:
         ("ball_center", (-math.inf, 0.5)), ("ball_radius", math.nan),
         ("refinement_threshold", math.nan), ("osc_spatial_grid", 1), ("osc_time_grid", 1),
         ("seed", -1), ("out", ""), ("out", " "), ("regularity", 0.0), ("regularity", -3.0),
-        ("out", " padded"), ("out", "padded\n")])
+        ("out", " padded"), ("out", "padded\n"), ("spatial_max", 0), ("spatial_max", 2.5),
+        ("temporal_max", 2.5), ("kernel", "bogus")])
     def test_bad_values_from_python_name_their_field(self, key, value):
         # the document parser refuses non-finite numbers itself; overrides
         # and direct construction reach the validation alone
@@ -202,7 +203,7 @@ class TestCommandDefaults:
         # the defaults are smooth in frequency units: they flow below the cap
         cfg = parse_config("", command=command)
         assert cfg.regularity == regularity and cfg.steps == 200
-        assert flow_steps(law_for(cfg), cfg.steps) == steps
+        assert flow_steps(cfg.law, cfg.steps) == steps
 
     def test_random_walk_kernel(self):
         assert parse_config("", command="random-walk").kernel == "constant"
@@ -246,6 +247,5 @@ def test_law_regularity_in_eigenvalue_units():
     # Laplace-Beltrami eigenvalue
     cfg = ExperimentConfig(regularity=3.0)
     want = 3.0 / (4.0 * math.pi**2)
-    assert cfg.eigenvalue_regularity() == want
-    assert law_for(cfg).regularity == want
+    assert cfg.law.regularity == want
     assert cfg.eigenvalue_regularities() == (want,)

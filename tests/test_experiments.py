@@ -8,7 +8,7 @@ import os
 import re
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from hamflow import cli, experiments, field, flow
 from hamflow.experiments import (CHUNK, LAGRANGIANS, _ball_points, _bin_counts, _crossings,
                                  _curve, _diffusion_chunk, _displacement_chunk, _image_chunk,
                                  _ks_two_sample, _run_chunks, _walk_chunk, count_crossings,
-                                 flow_steps, inversion_test, law_for, mean_table,
+                                 flow_steps, inversion_test, mean_table,
                                  run_intersections, run_inversion_test, standard_error,
                                  worker_count)
 from hamflow.field import PackedBatch, RandomHamiltonian, make_law, sample_hamiltonian
@@ -369,12 +369,12 @@ def intersections_config(**changes):
 
 def intersection_chunk(cfg, start, stop):
     """The records of the intersection task for samples start..stop-1."""
-    return _image_chunk(_crossings, cfg, law_for(cfg), range(start, stop))
+    return _image_chunk(_crossings, cfg, range(start, stop))
 
 
 def per_draw_outcomes(cfg):
     """The records of the one-sample-at-a-time loop: counts or error text."""
-    law = law_for(cfg)
+    law = cfg.law
     steps = flow_steps(law, cfg.steps)
     outcomes = []
     for i in range(cfg.samples):
@@ -430,9 +430,9 @@ class TestIntersectionChunks:
     def test_smooth_law_advects_at_its_step_count(self):
         # regularity 6 takes 3 of at most 50 steps
         cfg = intersections_config(regularity=6.0, samples=4)
-        law = law_for(cfg)
+        law = cfg.law
         assert flow_steps(law, cfg.steps) == 3
-        records = _image_chunk(_curve, cfg, law, range(cfg.samples))
+        records = _image_chunk(_curve, cfg, range(cfg.samples))
         assert [record["sample"] for record in records] == list(range(cfg.samples))
         for i, record in enumerate(records):
             draw = sample_hamiltonian(law, cfg.seed, 0, i)
@@ -444,9 +444,9 @@ class TestIntersectionChunks:
 def check_diffusion_chunk(regularity, steps, spatial_max=5):
     cfg = ExperimentConfig(command="diffusion", regularity=regularity,
                            spatial_max=spatial_max, steps=40, points=12, samples=5, seed=2)
-    law = law_for(cfg)
+    law = cfg.law
     assert flow_steps(law, cfg.steps) == steps
-    records = _diffusion_chunk(cfg, law, range(1, 5))
+    records = _diffusion_chunk(cfg, range(1, 5))
     assert [record["sample"] for record in records] == [1, 2, 3, 4]
     for record, i in zip(records, range(1, 5)):
         counts, chi = record["counts"], record["chi_square"]
@@ -463,7 +463,7 @@ def check_diffusion_chunk(regularity, steps, spatial_max=5):
 def check_displacement_chunk(regularity, steps):
     cfg = ExperimentConfig(command="inversion", regularity=regularity, spatial_max=5,
                            steps=40, samples=4, seed=2)
-    law = law_for(cfg)
+    law = cfg.law
     assert flow_steps(law, cfg.steps) == steps
     probe = np.asarray(cfg.probe)
 
@@ -471,7 +471,7 @@ def check_displacement_chunk(regularity, steps):
         d = (flow_one(h, probe[None], t0, t1, steps)[0] - probe + 0.5) % 1.0 - 0.5
         return np.hypot(d[0], d[1])
 
-    records = _displacement_chunk(cfg, law, range(1, 4))
+    records = _displacement_chunk(cfg, range(1, 4))
     assert [record["sample"] for record in records] == [1, 2, 3]
     for i, record in zip(range(1, 4), records):
         forward, inverse = record["forward"], record["inverse"]
@@ -488,9 +488,9 @@ def test_full_band_draw_is_refused_at_pass_0(monkeypatch):
     # within the image budget at the 0.01 threshold, so it fails with no
     # refinement pass, where the budget test alone took 8 passes
     cfg = ExperimentConfig(command="flow", regularity=0.1, samples=1)
-    law = law_for(cfg)
+    law = cfg.law
     shapes = flowed_shapes(monkeypatch)
-    (record,) = _image_chunk(_curve, cfg, law, range(1))
+    (record,) = _image_chunk(_curve, cfg, range(1))
     assert shapes == [(1, 128, 2)]
     assert record["sample"] == 0
     assert record["error"].startswith(f"RefinementOverflow: curve refinement would take an "
@@ -504,9 +504,9 @@ def test_draw_stuck_below_double_precision_is_refused(monkeypatch):
     # endpoint, so no pass can split it; it is refused before the pass that
     # would flow the duplicate, where the budget test alone took 1,800 passes
     cfg = ExperimentConfig(command="intersections", regularity=2.0)
-    law = law_for(cfg)
+    law = cfg.law
     shapes = flowed_shapes(monkeypatch)
-    (record,) = _image_chunk(_curve, cfg, law, range(73, 74))
+    (record,) = _image_chunk(_curve, cfg, range(73, 74))
     assert record["sample"] == 73
     assert record["error"].startswith("RefinementOverflow: curve refinement cannot split a "
                                       "source segment of length ")
@@ -534,7 +534,7 @@ class TestZeroFlux:
         # other keys at their defaults) each take 13 refinement passes, to
         # 1,357, 1,305 and 1,531 vertices, where a 12-pass cap failed them
         cfg = ExperimentConfig(command="intersections", regularity=3.0)
-        law = law_for(cfg)
+        law = cfg.law
         hs = [sample_hamiltonian(law, cfg.seed, 0, i) for i in (35, 40, 62)]
         images = advect_curves(PackedBatch(hs), horizontal_circle(0.5, 128), 1.0,
                                flow_steps(law, cfg.steps), cfg.refinement_threshold)
@@ -593,7 +593,7 @@ class TestBatchedChunks:
         # spatial_max 5 the head is every row)
         cfg = ExperimentConfig(command="diffusion", regularity=3.0, spatial_max=12, steps=40,
                                points=12, samples=5, seed=2)
-        law = law_for(cfg)
+        law = cfg.law
         assert (law.head_rows(), len(law.basis())) == (268, 576)
         keys, clouds = {"field": [], "experiments": []}, []
         for name, module in (("field", field), ("experiments", experiments)):
@@ -601,7 +601,7 @@ class TestBatchedChunks:
                                 lambda *key, name=name: keys[name].append(key) or derive(*key))
         monkeypatch.setattr(experiments, "flow_points_through", lambda batch, pts, *args:
                             clouds.append(pts.copy()) or flow_points_through(batch, pts, *args))
-        _diffusion_chunk(cfg, law, range(1, 5))
+        _diffusion_chunk(cfg, range(1, 5))
         # one derivation of each draw's stream, for its head (reading a draw's
         # whole (N, m) normals would derive it again), and one of its points'
         assert keys == {"field": [(2, 0, i) for i in range(1, 5)],
@@ -615,24 +615,6 @@ class TestBatchedChunks:
         check_diffusion_chunk(5.0, 7, spatial_max=12)
 
 
-def test_law_built_once_per_process(monkeypatch):
-    import hamflow.experiments as experiments
-    calls = []
-    monkeypatch.setattr(experiments, "make_law",
-                        lambda *args, **kwargs: calls.append(1) or make_law(*args, **kwargs))
-    law_for.cache_clear()
-    try:
-        # one-sample chunks: 5 tasks, one law
-        cfg = ExperimentConfig(command="sample-field", regularity=3.0, spatial_max=6,
-                               temporal_max=3, samples=5, workers=1, osc_spatial_grid=8,
-                               osc_time_grid=5, seed=1)
-        experiments.oscillation_samples(cfg)
-        assert len(calls) == 1
-        assert law_for(cfg) is law_for(ExperimentConfig(**vars(cfg)))
-    finally:
-        law_for.cache_clear()
-
-
 def test_inversion_chunk_peak_memory():
     """The tracemalloc peak of one CHUNK-index inversion chunk (spatial_max
     25, regularity 3, band 7, temporal band 6, 58 steps) stays within
@@ -642,14 +624,14 @@ def test_inversion_chunk_peak_memory():
     time."""
     cfg = ExperimentConfig(command="inversion", regularity=3.0, spatial_max=25,
                            samples=CHUNK, workers=1)
-    law = law_for(cfg)
-    _displacement_chunk(cfg, law, range(1))  # the basis and engine are built once per process
+    law = cfg.law
+    _displacement_chunk(cfg, range(1))  # the basis and engine are built once per process
     grid_bytes = np.prod(law.engine().field_shape) * 8
     rows = 2 * CHUNK
     held = (1 + 2 * law.temporal_band() + len(_STAGE_OFFSETS)) * rows * grid_bytes
     tracemalloc.start()
     try:
-        _displacement_chunk(cfg, law, range(CHUNK))
+        _displacement_chunk(cfg, range(CHUNK))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -665,9 +647,9 @@ class TestWalkChunks:
 
     def test_chunk_equals_per_walk_flows_at_the_law_count(self):
         cfg = self.cfg
-        law = law_for(cfg)
+        law = cfg.law
         assert flow_steps(law, cfg.steps) == 7
-        records = _walk_chunk(cfg, law, range(1, 4))
+        records = _walk_chunk(cfg, range(1, 4))
         assert [record["walk"] for record in records] == [1, 2, 3]
         for w, traj in zip(range(1, 4), (record["trajectory"] for record in records)):
             state = np.array([cfg.probe]) % 1.0
@@ -681,13 +663,13 @@ class TestWalkChunks:
     def test_walk_agrees_with_its_generating_hamiltonian(self):
         # the concatenation has no law: it flows at steps x parts; row 0 is the probe
         cfg = self.cfg
-        law = law_for(cfg)
+        law = cfg.law
         walk = tuple(sample_hamiltonian(law, cfg.seed, 0, j) for j in range(cfg.walk_steps))
         combined = concatenate_autonomous(walk, BumpFunction())
         pts = np.concatenate([[cfg.probe], np.random.default_rng(1).uniform(0, 1, (20, 2))])
         lhs = flow_concatenation(PackedBatch([combined]), pts[None], 0.0, 1.0, cfg.steps)[0]
         rhs = apply_walk(walk, pts, 7)
-        (record,) = _walk_chunk(cfg, law, range(1))
+        (record,) = _walk_chunk(cfg, range(1))
         rhs[0] = record["trajectory"][-1]
         assert np.linalg.norm((lhs - rhs + 0.5) % 1.0 - 0.5, axis=1).max() < 1e-4
 
@@ -734,7 +716,7 @@ def test_periodic_law_at_regularity_three_takes_58_steps():
 def test_config_laws_step_counts():
     """Counts of the config's laws (frequency units, CLI defaults otherwise);
     the command defaults, regularity 0.1 and diffusion's 0.08, stay at the cap."""
-    counts = {r: flow_steps(law_for(ExperimentConfig(regularity=r)), 200)
+    counts = {r: flow_steps(ExperimentConfig(regularity=r).law, 200)
               for r in (0.08, 0.1, 2.0, 3.0, 3.16, 3.5, 4.0, 4.5, 5.0, 6.0, 8.0)}
     assert counts == {0.08: 200, 0.1: 200, 2.0: 200, 3.0: 58, 3.16: 48, 3.5: 33,
                       4.0: 20, 4.5: 12, 5.0: 7, 6.0: 3, 8.0: 2}
@@ -757,7 +739,7 @@ def test_flow_points_takes_exactly_the_requested_steps(monkeypatch):
         assert len(calls) == 7 * steps
 
 
-def _bounds(cfg, law, samples):
+def _bounds(cfg, samples):
     return [(samples.start, samples.stop, i) for i in samples]
 
 
@@ -840,11 +822,11 @@ def test_run_forks_no_more_children_than_cpus(monkeypatch):
 def test_run_stays_in_process_without_fork(monkeypatch):
     monkeypatch.delattr(os, "fork")
     cfg = ExperimentConfig(samples=4, workers=2, spatial_max=2)
-    assert _run_chunks(lambda cfg, law, samples: [os.getpid() for _ in samples],
+    assert _run_chunks(lambda cfg, samples: [os.getpid() for _ in samples],
                        cfg) == [os.getpid()] * 4
 
 
-def _fail_from_sample_one(cfg, law, samples):
+def _fail_from_sample_one(cfg, samples):
     if 1 in samples:
         raise ValidationError("samples", f"refused in chunk {samples.start}")
     return [{"sample": i, "osc": 1.0} for i in samples]
@@ -875,7 +857,7 @@ def test_forked_task_error_reaches_the_parent(tmp_path, capsys, monkeypatch):
 def test_child_that_sends_nothing_raises():
     cfg = ExperimentConfig(samples=2, workers=2, spatial_max=2)
     with pytest.raises(ChildProcessError, match=r"sent no records \(exit status 3\)"):
-        _run_chunks(lambda cfg, law, samples: os._exit(3), cfg)
+        _run_chunks(lambda cfg, samples: os._exit(3), cfg)
     assert_no_child_left()
 
 
@@ -883,7 +865,7 @@ def test_child_that_sends_nothing_raises():
 def test_dead_chunk_child_exits_with_one_error_line(tmp_path, capsys, monkeypatch):
     # 64 samples on two workers are two chunks, each in its own child; the
     # second child dies before it sends its records
-    def die_in_second_chunk(cfg, law, samples):
+    def die_in_second_chunk(cfg, samples):
         if samples.start:
             os._exit(3)
         return [{"sample": i, "osc": 1.0} for i in samples]
@@ -900,9 +882,34 @@ def test_dead_chunk_child_exits_with_one_error_line(tmp_path, capsys, monkeypatc
 
 def test_task_receives_the_law_of_its_regularity():
     cfg = ExperimentConfig(regularity=4.5, spatial_max=4, samples=3, workers=1)
-    laws = _run_chunks(lambda cfg, law, samples: [law for _ in samples], cfg)
-    assert len(laws) == 3 and all(law is law_for(cfg) for law in laws)
-    assert laws[0].regularity == cfg.eigenvalue_regularity() == 4.5 / (4 * math.pi**2)
+    laws = _run_chunks(lambda cfg, samples: [cfg.law for _ in samples], cfg)
+    assert len(laws) == 3 and all(law is cfg.law for law in laws)
+    assert laws[0].regularity == 4.5 / (4 * math.pi**2)
+
+
+@pytest.mark.usefixtures("eight_cpus")
+def test_config_holds_its_law():
+    # a bad law key is refused when the config is built, by the law's check
+    with pytest.raises(ValidationError) as info:
+        ExperimentConfig(temporal_max=0)
+    assert str(info.value) == "temporal_max: must be >= 1"
+    # equal configs hold equal laws, which share one engine; the law is no key
+    cfg = ExperimentConfig(regularity=3.0, spatial_max=6, temporal_max=3, samples=4, seed=1)
+    again = replace(cfg)
+    assert again == cfg and again.law is not cfg.law
+    assert again.law == cfg.law == make_law(3.0 / (4 * math.pi**2), 6, 3)
+    assert again.law.engine() is cfg.law.engine()
+    assert "law" not in {f.name for f in fields(cfg)}
+    # every chunk gets cfg.law itself: in this process at workers 1, and in
+    # two forked children at workers 2 (a child shares the parent's addresses)
+    for workers, children in ((1, 0), (2, 2)):
+        run = replace(cfg, workers=workers)
+        got = _run_chunks(lambda cfg, samples: [(os.getpid(), id(cfg.law)) for _ in samples],
+                          run)
+        assert [law for _, law in got] == [id(run.law)] * run.samples
+        pids = {pid for pid, _ in got} - {os.getpid()}
+        assert len(pids) == children
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("command,task", [("random-walk", _walk_chunk),
@@ -914,9 +921,9 @@ def test_one_point_flows_do_not_depend_on_chunk_length(command, task):
     cfg = ExperimentConfig(command=command, regularity=3.0, spatial_max=6, temporal_max=3,
                            kernel="constant" if command == "random-walk" else "periodic",
                            samples=64, walk_steps=2, seed=3, workers=1)
-    law = law_for(cfg)
+    law = cfg.law
     runs = [[record for start in range(0, 64, length)
-             for record in task(cfg, law, range(start, min(start + length, 64)))]
+             for record in task(cfg, range(start, min(start + length, 64)))]
             for length in (1, 7, 32, 64)]
     for records in runs[:-1]:
         assert len(records) == 64

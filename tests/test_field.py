@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from hamflow import field
+from hamflow.config import parse_config
 from hamflow.engine import SpectralEngine
+from hamflow.errors import ValidationError
 from hamflow.field import (HamiltonianLaw, PackedBatch, RandomHamiltonian, SpectralHamiltonian,
                            make_law, sample_hamiltonian, spectral_weight)
 from hamflow.flow import flow_points, time_reversed_hamiltonian
@@ -329,6 +331,54 @@ class TestGaussianSandwich:
             se = math.sqrt((ball * (1 - ball) + plain * (1 - plain)) / self.N)
             assert ball <= plain + 4 * se, (s, ball, plain)
             assert ball >= math.exp(-s * s / 2) * plain - 4 * se, (s, ball, plain)
+
+
+class TestFieldMaximum:
+    """The lattice maximum of H_0 against the expected Euler characteristic
+    of its excursion sets (ROADMAP item 28(a)).
+
+    For a stationary field on T^2 of variance sigma^2 and Var dH/dx =
+    Var dH/dy = lambda_2, the excursion set {H >= u} has
+
+        E chi = lambda_2 u exp(-u^2 / 2 sigma^2) / ((2 pi)^(3/2) sigma^3),
+
+    since T^2 has Euler characteristic 0 and no boundary; at high levels
+    chi counts the excursion's components, each near a local maximum.  Here
+    sigma^2 = 1/4 sum_n w_n^2 a_n^2 and lambda_2 = 1/4 sum_n w_n^2 a_n^2
+    (2 pi k_x)^2: at every point, the squares of a wavenumber pair's four
+    modes sum to a_n^2, and those of their x-derivatives to
+    a_n^2 (2 pi k_x)^2; and Var Z = 1 under the constant kernel.  The (1, 1)
+    modes are invariant under the shift (1/2, 1/2), so where they hold
+    nearly all of Var H each component has a twin, and
+    P(max H > u) ~ E chi / 2.  The walk's default law (constant kernel,
+    r = 3.95, frequency units), 10,000 draws from streams (28, i), seed fixed
+    before any result was seen, each draw's max over a 64 x 64 lattice at
+    t = 0.  Normals scaled by 1.1 (in ``sample_hamiltonian``) read z = +24.0,
+    +23.0, +21.0 and +15.5.
+    """
+
+    N = 10_000
+
+    def test_exceedances_match_half_the_euler_characteristic(self):
+        law = parse_config("", command="random-walk").law
+        assert law.kernel == CONSTANT and law.variance() == 1.0
+        basis, engine = law.basis(), law.engine()
+        power = 0.25 * law.weights()**2 * basis.amplitudes**2
+        sigma2, lambda2 = power.sum(), np.sum(power * (2 * math.pi * basis.kx)**2)
+        # the precondition of the twin components: the (1, 1) modes' share
+        # of Var H, the rest moving H(x + (1/2, 1/2)) - H(x) by 0.008 sigma
+        assert power[(basis.kx == 1) & (basis.ky == 1)].sum() / sigma2 > 0.99998
+        grids = np.stack([sample_hamiltonian(law, 28, i).coefficient_grids(0.0)
+                          for i in range(self.N)])
+        rows = engine.lattice_rows(np.arange(64) / 64)
+        top = np.concatenate([engine.value_grid(grids[a:a + 500], rows, rows).max(axis=(1, 2))
+                              for a in range(0, self.N, 500)])
+        sigma = math.sqrt(sigma2)
+        for level in (2.0, 2.5, 3.0, 3.5):
+            u = level * sigma
+            p = lambda2 * u * math.exp(-level**2 / 2) / (2 * (2 * math.pi)**1.5 * sigma**3)
+            z = (np.mean(top > u) - p) / math.sqrt(p * (1 - p) / self.N)
+            assert abs(z) <= 3, (level, z)
 
 
 # periodic laws from nearly every row evaluated to a twentieth of them, the
@@ -658,12 +708,21 @@ class TestLawValidation:
 
     @pytest.mark.parametrize("change", [
         {"kernel": "gaussian"}, {"kernel": "Periodic"}, {"regularity": 0.0},
-        {"regularity": -0.1}, {"spatial_max": 0}, {"spatial_max": -3}, {"temporal_max": 0}])
+        {"regularity": -0.1}, {"spatial_max": 0}, {"spatial_max": -3}, {"temporal_max": 0},
+        {"spatial_max": 2.5}, {"temporal_max": 2.5}])
     def test_bad_parameter_raises(self, change):
-        with pytest.raises(ValueError):
+        # a ValidationError, which is a ValueError, naming the field
+        (name,) = change
+        with pytest.raises(ValidationError) as info:
             dataclasses.replace(make_law(0.1), **change)
-        with pytest.raises(ValueError):
+        assert info.value.field == name and isinstance(info.value, ValueError)
+        with pytest.raises(ValidationError) as info:
             make_law(**{"regularity": 0.1, **change})
+        assert info.value.field == name
+
+    def test_integer_truncations_of_any_integral_type_are_accepted(self):
+        assert make_law(0.1, spatial_max=np.int64(3), temporal_max=np.int32(2)) == \
+            make_law(0.1, spatial_max=3, temporal_max=2)
 
     @pytest.mark.parametrize("kernel", [CONSTANT, SQEXP])
     def test_temporal_max_is_checked_under_every_kernel(self, kernel):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hamflow.config import ExperimentConfig
-from hamflow.experiments import _walk_chunk, flow_steps, law_for, walk_samples
+from hamflow.experiments import _walk_chunk, flow_steps, walk_samples
 from hamflow.field import PackedBatch, RandomHamiltonian, sample_hamiltonian
 from hamflow.flow import flow_points
 from reference import (BumpFunction, apply_walk, concatenate_autonomous, flow_concatenation,
@@ -20,7 +20,7 @@ def walk_run(r=0.1, smax=3, **kwargs):
     config's frequency units) and its law."""
     cfg = ExperimentConfig(command="random-walk", regularity=4 * math.pi**2 * r,
                            spatial_max=smax, kernel="constant", workers=1, **kwargs)
-    return cfg, law_for(cfg)
+    return cfg, cfg.law
 
 
 def walk(law, seed, n, w=0):
@@ -28,9 +28,9 @@ def walk(law, seed, n, w=0):
     return tuple(sample_hamiltonian(law, seed, w, j) for j in range(n))
 
 
-def trajectories(cfg, law, walks):
+def trajectories(cfg, walks):
     """The chunk's trajectories of ``walks``, shape (W, walk_steps + 1, 2)."""
-    records = _walk_chunk(cfg, law, walks)
+    records = _walk_chunk(cfg, walks)
     assert [record["walk"] for record in records] == list(walks)
     return np.array([record["trajectory"] for record in records])
 
@@ -47,18 +47,18 @@ class TestSampling:
         p = np.array([cfg.probe])
         assert walk(law, 0, 0) == ()
         assert np.array_equal(apply_walk((), p, 200), p)
-        assert np.array_equal(trajectories(cfg, law, range(2)), np.broadcast_to(p % 1.0, (2, 1, 2)))
+        assert np.array_equal(trajectories(cfg, range(2)), np.broadcast_to(p % 1.0, (2, 1, 2)))
 
     def test_equal_seeds_identical_steps(self):
         cfg, law = walk_run(seed=5, walk_steps=4)
         for a, b in zip(walk(law, 5, 4), walk(law, 5, 4)):
             assert np.array_equal(a.gaussians, b.gaussians)
-        assert np.array_equal(trajectories(cfg, law, range(3)), trajectories(cfg, law, range(3)))
+        assert np.array_equal(trajectories(cfg, range(3)), trajectories(cfg, range(3)))
 
     def test_walk_indices_decorrelate(self):
         cfg, law = walk_run(seed=5, walk_steps=2)
         assert walk(law, 5, 2, w=0)[0].gaussians[0, 0] != walk(law, 5, 2, w=1)[0].gaussians[0, 0]
-        first, second = trajectories(cfg, law, range(2))
+        first, second = trajectories(cfg, range(2))
         assert np.array_equal(first[0], second[0]) and not np.array_equal(first[1], second[1])
 
     def test_single_step_law_matches_single_draw(self):
@@ -67,7 +67,7 @@ class TestSampling:
         p = np.array([0.31, 0.62])
         cfg, law = walk_run(r=0.15, seed=9, walk_steps=1, probe=tuple(p), steps=100)
         n = 2000
-        walk_disp = displacements(trajectories(cfg, law, range(n))[:, 1], p)
+        walk_disp = displacements(trajectories(cfg, range(n))[:, 1], p)
         draws = PackedBatch((sample_hamiltonian(law, 1234, i) for i in range(n)), n)
         pts = np.broadcast_to(p, (n, 1, 2))
         images = flow_points(draws, pts, 0.0, 1.0, flow_steps(law, cfg.steps))
@@ -79,7 +79,7 @@ class TestApplication:
     def test_trajectory_prefix_property(self):
         # row k of a trajectory is the walk's first k steps applied to the probe
         cfg, law = walk_run(seed=13, walk_steps=4, probe=(0.7, 0.1))
-        (traj,) = trajectories(cfg, law, range(1))
+        (traj,) = trajectories(cfg, range(1))
         assert traj.shape == (5, 2)
         assert np.all((traj >= 0.0) & (traj < 1.0))
         steps = walk(law, 13, 4)
@@ -92,7 +92,7 @@ class TestApplication:
         # the chunk flows step j of every walk in one batch
         cfg, law = walk_run(r=0.3, smax=4, seed=31, walk_steps=3, probe=(0.45, 0.2), steps=12)
         steps = flow_steps(law, cfg.steps)
-        batched = trajectories(cfg, law, range(5))
+        batched = trajectories(cfg, range(5))
         assert batched.shape == (5, 4, 2)
         for w, traj in enumerate(batched):
             state = np.array([cfg.probe])
@@ -106,7 +106,7 @@ class TestApplication:
         # step j of every walk flows in one batch
         stats = pytest.importorskip("scipy.stats")
         cfg, law = walk_run(r=0.2, smax=2, seed=19, walk_steps=3, probe=(0.5, 0.5), steps=100)
-        traj = trajectories(cfg, law, range(2000))
+        traj = trajectories(cfg, range(2000))
         first = displacements(traj[:, 1], traj[:, 0])
         last = displacements(traj[:, 3], traj[:, 2])
         assert stats.ks_2samp(first, last).pvalue > 0.01
@@ -129,7 +129,7 @@ class TestGeneratingHamiltonian:
         rhs = apply_walk(walk(law, 23, n_steps), pts, flow_steps(law, cfg.steps))
         assert displacements(lhs, rhs).max() < tol
         probe = flow_concatenation(combined, np.array([[cfg.probe]]), 0.0, 1.0, cfg.steps)[0, 0]
-        assert torus_distance(probe, trajectories(cfg, law, range(1))[0, -1]) < tol
+        assert torus_distance(probe, trajectories(cfg, range(1))[0, -1]) < tol
 
     def test_coefficient_path_time_symmetric_in_law(self):
         # combined coefficient paths at t and 1-t are equal in law for iid steps
@@ -185,7 +185,7 @@ class TestIncrements:
         # axis of X(0) sums the w_n^2 a_n^2 (2 pi k)^2 of the quarter of the
         # modes (cs for x, sc for y) whose derivative is nonzero there
         cfg = ExperimentConfig(command="random-walk", kernel="constant", seed=self.SEED)
-        law = law_for(cfg)
+        law = cfg.law
         basis = law.basis()
         sigma2 = 0.25 * np.sum(law.weights()**2 * basis.amplitudes**2
                                * (2 * math.pi * basis.ky)**2)
