@@ -61,14 +61,19 @@ def _outdir(cfg: ExperimentConfig) -> Path:
 
     A comment line names the law's spatial band (``HamiltonianLaw.band``) of
     spatial_max and its temporal band (``HamiltonianLaw.temporal_band``) of
-    the kernel's frequencies and, if the command reads ``steps``, one before
-    it names its step count (``experiments.flow_steps``).  An ``OSError``
-    writing either is a ``ValidationError`` of ``out``.
+    the kernel's frequencies, the next its lowest shell's shares of Var H
+    and Var grad H and its participation ratio
+    (``HamiltonianLaw.mode_shares``) and, if the command reads ``steps``,
+    one before them names its step count (``experiments.flow_steps``).  An
+    ``OSError`` writing any is a ``ValidationError`` of ``out``.
     """
     out = Path(cfg.out)
     law, r = cfg.law, cfg.regularity
+    shell, gradient, ratio = law.mode_shares()
     lines = [f"# bands at regularity {r:g}: spatial {law.band()} of {cfg.spatial_max}, "
-             f"temporal {law.temporal_band()} of {law.kernel_time_basis().frequencies}\n"]
+             f"temporal {law.temporal_band()} of {law.kernel_time_basis().frequencies}\n",
+             f"# mode shares: lowest shell {shell:.5f} of Var H, {gradient:.5f} of Var grad H; "
+             f"participation ratio {ratio:.5g}\n"]
     if "steps" in COMMANDS[cfg.command].keys:
         lines.insert(0, f"# flow steps at regularity {r:g}: "
                         f"{experiments.flow_steps(law, cfg.steps)} of at most {cfg.steps}\n")

@@ -15,7 +15,7 @@ wavenumber k.  Coefficients are packed into a (2K, 2K) matrix G whose entry
 (2(kx - k0) + tx, 2(ky - k0) + ty) multiplies mode (kx, ky, tx, ty); H at
 (x, y) is r(x) @ G @ r(y).  Without axis modes the cos 0 = 1 and sin 0 = 0
 slots would only ever meet zero rows and columns of G, so they are left
-out: at band 7 a table is 14 wide, not 16.  With axis modes, slot 0 holds
+out: at band 5 a table is 10 wide, not 12.  With axis modes, slot 0 holds
 cos 0 = 1, and row and column 0 of G carry the axis modes.  A grid is
 stored as G flattened and split to shape (2, K, 2K) (``grid_shape``), so
 its shape still names K.
@@ -78,10 +78,10 @@ of the same layout, as one that allocates.  They remove the page faults of
 arrays above glibc's mmap threshold (128 KiB by default), which are mapped
 and unmapped on every call when nothing raises the threshold.
 
-The band comes from the law (``HamiltonianLaw.band`` gives the rule).
-Every dropped mode, and at the shipped regularities their sum, lies below
-eps^2 of the largest term (eps the float64 machine epsilon), far below the
-last bit of the evaluated field.
+The band comes from the law (``HamiltonianLaw.band`` gives the rule):
+the dropped modes, each normal taken at 9 (a standard normal exceeds that
+with probability about 2e-19), sum to at most half an ulp of the largest
+term, so they cannot move a double of a field of that size.
 
 A full-band engine (band = spatial_max) evaluates every mode; tests use it
 as the reference.
@@ -93,17 +93,18 @@ ascending), never for the whole basis.
 Packing flushes entries below ``np.finfo(float).tiny`` to zero.  The band
 bounds each mode against the largest, not against the normal range, so a
 band can still hold coefficients in the subnormal range, and arithmetic on
-subnormals is slow on x86-64 CPUs.  A draw's banded B (the band modes at
-the temporal band's rows) holds a subnormal only where a weight nears the
-floor of the normal range: over regularities up to 1,000 at spatial_max
-25 and temporal_max 10 and 40, 4 draws per law, the first came at 684 for
-sqexp, 706 for periodic and 708 for constant.  From 708 up the band is 1, the
-(1, 1) modes' weight exp(-r) lies below the normal range, and the whole
-field is below about 1e-304.  A subnormal term lies below half an ulp of
-any sum larger than 2**52 * tiny (about 1e-292), so wherever the field is
-that large the evaluated values stay bit-identical.  A field grid scales
-each entry of its grid by 2 pi k, so the field grids of a flushed grid
-hold none either.
+subnormals is slow on x86-64 CPUs.  From regularity 28 up (frequency
+units, spatial_max 25) the band is 1, and a draw's banded B (the (1, 1)
+modes at the temporal band's rows) holds a subnormal only where their
+weight exp(-r) nears the floor of the normal range: over the integer
+regularities up to 1,000 at temporal_max 10 and 40, 4 draws per law
+(streams (0, i)), the first came at 684 for sqexp, 706 for periodic and
+704 for constant.  From 709 up that weight lies below the normal range,
+and the whole field is below about 1e-304.  A subnormal term lies below
+half an ulp of any sum larger than 2**52 * tiny (about 1e-292), so
+wherever the field is that large the evaluated values stay
+bit-identical.  A field grid scales each entry of its grid by 2 pi k, so
+the field grids of a flushed grid hold none either.
 """
 
 from __future__ import annotations

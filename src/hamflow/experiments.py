@@ -94,9 +94,9 @@ _LEVEL_TIE = 1e-12
 _OVERLAP_TOL = 1e-9
 # The most consecutive sample indices per task: the draws of a chunk flow
 # as one batch.  At spatial_max 25 the tracemalloc peak of one inversion
-# chunk (2 * CHUNK rows of draws and reversals) is 3.7 MB at regularity 3
-# and 67.1 MB at the full band (regularity 0.1); a curve chunk's is 8.9 MB
-# at regularity 3 and about 32 MB a draw at the full band.
+# chunk (2 * CHUNK rows of draws and reversals) is 1.7 MB at regularity 3
+# (band 5) and 67.1 MB at the full band (regularity 0.1); a curve chunk's
+# is 5.8 MB at regularity 3 and about 32 MB a draw at the full band.
 CHUNK = 32
 # Level of the inversion test's KS test.
 KS_LEVEL = 0.01

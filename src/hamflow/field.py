@@ -12,34 +12,38 @@ computed and packed for the engine's band modes only (``SpectralEngine.modes``).
 Streams.  A draw owns its stream: ``sample_hamiltonian(law, seed, *indices)``
 creates the generator ``derive(seed, *indices)`` and no caller shares it.
 A draw's normals are the rows of one (N, m) array in row order, the first
-N * m normals of that stream.  The basis is sorted by eigenvalue, so the
-band modes' indices run from 0 up to ``HamiltonianLaw.head_rows()`` - 1,
-and ``sample_hamiltonian`` draws only that head.  At spatial_max 25,
-temporal_max 10, periodic kernel (N = 2,500, m = 21; regularity in
-frequency units):
+N * m normals of that stream.  The band (``HamiltonianLaw.band``) keeps
+the modes that can move a double of the field.  The basis is sorted by
+eigenvalue, so the band modes' indices run from 0 up to
+``HamiltonianLaw.head_rows()`` - 1, and ``sample_hamiltonian`` draws only
+that head.  At spatial_max 25, temporal_max 10, periodic kernel
+(N = 2,500, m = 21; regularity in frequency units):
 
     r      band   band modes   head rows   temporal band (B rows)
     0.1    25     2,500        2,500       10 (21)
-    0.5    17     1,156        1,712       10 (21)
-    2      8      256          360         8 (17)
-    3      7      196          268         6 (13)
-    3.95   6      144          192         6 (13)
-    4.5    5      100          128         5 (11)
+    0.5    13     676          992         10 (21)
+    2      6      144          192         6 (13)
+    3      5      100          128         5 (11)
+    3.95   4      64           80          4 (9)
+    4.5    4      64           80          4 (9)
 
 A draw holds the rows it is built from: its head, or more rows of the same
 array, up to all N.  Its B reads the head only, so both give the same draw.
 
 Temporal band.  A draw is a series in the law's ``time_basis``: the
-kernel's time basis cut to the frequencies whose column factors reach
-eps^2 of the largest (``HamiltonianLaw.temporal_band``), so B holds
+kernel's time basis cut to the frequencies that can move a double, by
+the spatial band's rule (``HamiltonianLaw.temporal_band``), so B holds
 1 + 2 temporal_band rows (last column above).  The normals keep all m
 columns: streams, ``gaussians_per_sample()`` and ``head_rows()`` do not
-depend on the band.  A dropped row scales each normal by less than eps^2
-of the constant term's factor; the tests find the banded draws' flows and
-oscillations bit for bit those of the whole time basis (periodic and
-sqexp, r = 3 and 4.5).  A flow's packed rows shrink with the band: 13 of
-21 per draw at r = 3.  The sqexp series already stops at factors near
-exp(-18.5), so its band keeps every frequency.
+depend on the band.  The dropped rows, each normal taken at 9, sum to at
+most half an ulp of the largest term.  The tests find the banded draws'
+flows and oscillations bit for bit those of the whole time basis
+(periodic and sqexp, r = 3 and 4.5) and of both bands + 2 (every kernel,
+r from 0.5 to 4.5), and the periodic flows one spatial band lower moved
+(r >= 2), so the bands are the least that keep every bit.  A flow's
+packed rows shrink with the band: 11 of 21 per draw at r = 3.  The sqexp
+series already stops at factors near exp(-18.5), so its band keeps every
+frequency.
 """
 
 from __future__ import annotations
@@ -79,9 +83,10 @@ def _engine_for(spatial_max: int, include_axis_modes: bool, band: int) -> Spectr
     return SpectralEngine(_basis_for(spatial_max, include_axis_modes), band)
 
 
-# A mode is evaluated when its bound b_n reaches this share of the largest
-# (see HamiltonianLaw.band and the engine module docstring).
-_BAND_TOLERANCE = np.finfo(float).eps ** 2
+# The bands take a standard normal to stay within this bound in absolute
+# value, which it leaves with probability about 2e-19 (HamiltonianLaw.band).
+_GAUSSIAN_MAX = 9.0
+_HALF_ULP = 0.5 * np.finfo(float).eps
 # ``oscillation`` bounds the lattice rows of _OSC_BLOCK times at once.  It
 # evaluates at most half of a time's n rows (all 16 times' in one call)
 # before it turns to whole lattices, so one work buffer of the size that the
@@ -114,16 +119,16 @@ class HamiltonianLaw:
     * ``temporal_max``: the periodic kernel's Fourier order;
     * ``kernel``: the coefficient kernel's tag (:mod:`hamflow.temporal`).
 
-    A law is checked when built, in that order: r > 0, integer truncations
-    of at least 1 and a known kernel tag; a bad value raises
+    A law is checked when built, in that order: r finite, r > 0, integer
+    truncations of at least 1 and a known kernel tag; a bad value raises
     ``ValidationError`` naming its field, the message a config's refusal
     prints (``hamflow.config``).  A law with one parameter moved is
     ``dataclasses.replace(law, spatial_max=K)``.
-    ``band``, ``temporal_band``, ``kernel_time_basis``, ``column_factors``,
-    ``time_basis``, ``head_rows``, ``weights`` and ``lipschitz_bound`` are
-    computed once per law and shared by its draws; they are no fields, so
-    laws of equal parameters are equal and hash alike whatever either has
-    computed.
+    ``band``, ``temporal_band``, ``mode_shares``, ``kernel_time_basis``,
+    ``column_factors``, ``time_basis``, ``head_rows``, ``weights`` and
+    ``lipschitz_bound`` are computed once per law and shared by its draws;
+    they are no fields, so laws of equal parameters are equal and hash alike
+    whatever either has computed.
     """
 
     regularity: float
@@ -133,6 +138,8 @@ class HamiltonianLaw:
     include_axis_modes: bool
 
     def __post_init__(self):
+        if not math.isfinite(self.regularity):
+            raise ValidationError("regularity", "must be finite")
         if self.regularity <= 0:
             raise ValidationError("regularity", "must be positive")
         for name in ("spatial_max", "temporal_max"):
@@ -148,17 +155,46 @@ class HamiltonianLaw:
 
     @computed_once
     def band(self) -> int:
-        """Largest wavenumber whose modes the law's weights can resolve.
+        """Largest wavenumber whose modes can move a double of the field.
 
-        Each mode n contributes at most b_n = w_n (1 + 2 pi max(kx, ky)) to
-        H and its first derivatives, per unit of its Gaussian.  The band is
-        the largest max(kx, ky) over modes with b_n >= eps^2 max b; it is
-        computed from log b_n, so underflowing weights do not move it.
+        Mode n sits at level k = max(kx, ky) and contributes at most
+        b_n = w_n (1 + 2 pi k) to H and its first derivatives, per unit of
+        its Gaussian.  A standard normal leaves [-G, G], G = 9, with
+        probability about 2e-19, so the modes above level K add at most
+        G sum_{level > K} b_n to any value.  The largest term is of the size
+        max b; a sum within half its ulp, (eps / 2) max b, cannot move the
+        rounded double.  The band is therefore the smallest K with
+
+            G sum_{level > K} b_n <= (eps / 2) max b
+
+        (``_rounding_band``: one ``np.bincount`` of the bounds by level and
+        a reversed cumulative sum).  It is computed from log b_n relative to
+        the largest, so underflowing weights still give a band of 1.
         """
         b = self.basis()
         kmax = np.maximum(b.kx, b.ky)
         log_bound = -0.5 * self.regularity * b.eigenvalues + np.log1p(TWO_PI * kmax)
-        return int(kmax[log_bound >= log_bound.max() + np.log(_BAND_TOLERANCE)].max())
+        return _rounding_band(kmax, np.exp(log_bound - log_bound.max()))
+
+    @computed_once
+    def mode_shares(self) -> tuple:
+        """(lowest shell's share of Var H, its share of Var grad H,
+        participation ratio) of the law's modes.
+
+        The basis is L2-normalized and the field stationary, so mode n adds
+        v_n = w_n^2 to Var H and v_n lambda_n to Var grad H at every point,
+        per unit of Var Z.  The lowest shell is the modes of the least
+        eigenvalue, and the participation ratio (sum v)^2 / sum v^2 counts
+        the modes that would carry Var H at equal shares.  v is taken
+        relative to the lowest shell's, so underflowing weights do not move
+        the three.
+        """
+        lam = self.basis().eigenvalues
+        v = np.exp(-self.regularity * (lam - lam[0]))
+        lowest = lam == lam[0]
+        return (float(v[lowest].sum() / v.sum()),
+                float((v * lam)[lowest].sum() / (v * lam).sum()),
+                float(v.sum() ** 2 / np.sum(v**2)))
 
     @computed_once
     def kernel_time_basis(self) -> TimeBasis:
@@ -185,12 +221,14 @@ class HamiltonianLaw:
 
     @computed_once
     def temporal_band(self) -> int:
-        """Largest frequency of the kernel's time basis whose column factor
-        reaches eps^2 of the largest (module docstring).  The factors fall
-        with the frequency for every kernel, so the band keeps exactly the
-        frequencies that reach that share."""
+        """Largest frequency of the kernel's time basis that can move a
+        double of the field: the rule of ``band`` with frequency k as the
+        level, and as bound f_0, the constant's column factor, at k = 0 and
+        2 f_k, one cosine and one sine column, at k >= 1.  The band is the
+        smallest K with G sum_{k > K} 2 f_k <= (eps / 2) max bound."""
         factors = self.column_factors()[:self.kernel_time_basis().frequencies + 1]
-        return int(np.flatnonzero(factors >= _BAND_TOLERANCE * factors.max()).max())
+        k = np.arange(len(factors))
+        return _rounding_band(k, np.where(k == 0, 1.0, 2.0) * factors)
 
     @computed_once
     def time_basis(self) -> TimeBasis:
@@ -240,6 +278,15 @@ class HamiltonianLaw:
         k = TWO_PI * np.maximum(b.kx, b.ky)
         return float(np.sum(self.weights() * b.amplitudes
                             * (sigma * math.sqrt(2.0 / math.pi)) * k**2))
+
+
+def _rounding_band(levels: np.ndarray, bounds: np.ndarray) -> int:
+    """The smallest level K with G sum_{level > K} bound <= (eps / 2) max bound,
+    G = _GAUSSIAN_MAX (``HamiltonianLaw.band``): ``levels`` holds each
+    term's nonnegative integer level and ``bounds`` its bound, in any unit."""
+    per_level = np.bincount(levels, weights=bounds / bounds.max())
+    above = np.append(np.cumsum(per_level[::-1])[::-1][1:], 0.0)
+    return int(np.argmax(_GAUSSIAN_MAX * above <= _HALF_ULP))
 
 
 def make_law(regularity: float, spatial_max: int = 25, temporal_max: int = 10,

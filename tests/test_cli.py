@@ -158,8 +158,8 @@ def test_commands_without_flows_echo_no_step_counts(tmp_path):
 @pytest.mark.parametrize("command", sorted(OUTPUTS))
 def test_config_echo_names_the_bands(tmp_path, command):
     # spatial_max 6, temporal_max 10: regularity 8 keeps spatial and temporal
-    # bands 4, and 4.5 keeps 5; random-walk's constant kernel has no frequencies
-    for r, band in [(8, 4), (4.5, 5)]:
+    # bands 3, and 4.5 keeps 4; random-walk's constant kernel has no frequencies
+    for r, band in [(8, 3), (4.5, 4)]:
         text = TINY.replace("regularity = 8.0", f"regularity = {r}").replace(
             "spatial_max = 2", "spatial_max = 6").replace("temporal_max = 3", "temporal_max = 10")
         if command == "tails":
@@ -170,6 +170,19 @@ def test_config_echo_names_the_bands(tmp_path, command):
                  if line.startswith("# bands")]
         temporal = "0 of 0" if command == "random-walk" else f"{band} of 10"
         assert lines == [f"# bands at regularity {r:g}: spatial {band} of 6, temporal {temporal}"]
+
+
+def test_config_echo_names_the_mode_shares(tmp_path):
+    # at the default regularity 3.95 and spatial_max 25, the (1, 1) shell
+    # carries all but about 1e-5 of Var H and 4e-5 of Var grad H
+    text = TINY.replace("regularity = 8.0", "regularity = 3.95").replace(
+        "spatial_max = 2", "spatial_max = 25")
+    rc, out = run(tmp_path, "sample-field", text)
+    assert rc == 0
+    lines = [line for line in (out / "config.txt").read_text().splitlines()
+             if line.startswith("# mode shares")]
+    assert lines == ["# mode shares: lowest shell 0.99999 of Var H, 0.99996 of Var grad H; "
+                     "participation ratio 4.0001"]
 
 
 def test_random_walk_rejects_explicit_periodic_kernel(tmp_path, capsys):

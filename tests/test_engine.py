@@ -71,10 +71,11 @@ def check_engine(engine, coeffs, pts):
 # (regularity in frequency units, spatial_max, the law's band, axis modes):
 # a banded engine, checked with the full-band engine beside it, and a
 # full-band one; without axis modes, and with them, whose tables alone keep
-# wavenumber 0
-LAWS = [pytest.param(3.0, 10, 7, False, id="3.0-10-7"),
+# wavenumber 0; the ids keep the band 7 that the eps^2 share rule gave at
+# r = 3, before the band was set by rounding, so that test names stay put
+LAWS = [pytest.param(3.0, 10, 5, False, id="3.0-10-7"),
         pytest.param(0.1, 25, 25, False, id="0.1-25-25"),
-        pytest.param(3.0, 10, 7, True, id="3.0-10-7-axis"),
+        pytest.param(3.0, 10, 5, True, id="3.0-10-7-axis"),
         pytest.param(0.1, 25, 25, True, id="0.1-25-25-axis")]
 
 
@@ -129,7 +130,7 @@ def test_batch_field_grids_are_per_row_products():
     engine, phi = law.engine(), hs[0].time_basis(times)
     batch = PackedBatch(hs)
     want = batch.field_grids(phi)
-    assert want.shape == (5, 3, 2, 7, 28)
+    assert want.shape == (5, 3, 2, 5, 20)
     # the batched product equals one product per row
     for s, h in enumerate(hs):
         row = engine.field_grids(engine.grids(h.coefficients))

@@ -31,7 +31,7 @@ from hamflow.flow import (_STAGE_OFFSETS, LagrangianCurve, advect_curve, advect_
                           time_reversed_hamiltonian)
 from hamflow.rng import derive
 from reference import (BumpFunction, apply_walk, circle_curve, concatenate_autonomous,
-                       crossings, flow_concatenation, flow_one, reference_advect,
+                       crossings, flow_concatenation, flow_one, full_draw, reference_advect,
                        reference_images, sloped_circle, vertical_circle)
 
 # At this law and threshold, under an image budget of BUDGET vertices, some
@@ -589,12 +589,12 @@ class TestBatchedChunks:
 
     def test_diffusion_chunk_draws_head_rows_and_points_from_their_own_stream(self,
                                                                               monkeypatch):
-        # at spatial_max 12 a draw's head is 268 of its 576 rows (at
-        # spatial_max 5 the head is every row)
+        # at spatial_max 12 a draw's head is 128 of its 576 rows (at
+        # spatial_max 5, 80 of 100)
         cfg = ExperimentConfig(command="diffusion", regularity=3.0, spatial_max=12, steps=40,
                                points=12, samples=5, seed=2)
         law = cfg.law
-        assert (law.head_rows(), len(law.basis())) == (268, 576)
+        assert (law.head_rows(), len(law.basis())) == (128, 576)
         keys, clouds = {"field": [], "experiments": []}, []
         for name, module in (("field", field), ("experiments", experiments)):
             monkeypatch.setattr(module, "derive",
@@ -617,7 +617,7 @@ class TestBatchedChunks:
 
 def test_inversion_chunk_peak_memory():
     """The tracemalloc peak of one CHUNK-index inversion chunk (spatial_max
-    25, regularity 3, band 7, temporal band 6, 58 steps) stays within
+    25, regularity 3, band 5, temporal band 5, 58 steps) stays within
     1.25 x the bytes of its 2 * CHUNK packed field grids
     plus one block of stage grids: the batch holds field grids only, one row
     per time-basis column of the temporal band, and one stage block at a
@@ -661,10 +661,14 @@ class TestWalkChunks:
             assert np.array_equal(traj, np.array(expected))
 
     def test_walk_agrees_with_its_generating_hamiltonian(self):
-        # the concatenation has no law: it flows at steps x parts; row 0 is the probe
+        # the concatenation has no law: it flows at steps x parts; row 0 is
+        # the probe.  Its parts hold their whole normals (``full_draw``), as
+        # ``concatenate_autonomous`` needs: at spatial_max 5 a head is 80 of
+        # 100 rows
         cfg = self.cfg
         law = cfg.law
-        walk = tuple(sample_hamiltonian(law, cfg.seed, 0, j) for j in range(cfg.walk_steps))
+        assert (law.head_rows(), len(law.basis())) == (80, 100)
+        walk = tuple(full_draw(law, cfg.seed, 0, j) for j in range(cfg.walk_steps))
         combined = concatenate_autonomous(walk, BumpFunction())
         pts = np.concatenate([[cfg.probe], np.random.default_rng(1).uniform(0, 1, (20, 2))])
         lhs = flow_concatenation(PackedBatch([combined]), pts[None], 0.0, 1.0, cfg.steps)[0]

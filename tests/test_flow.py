@@ -423,9 +423,9 @@ class TestBatchedFlow:
 
     def test_rejects_mixed_time_bases(self):
         # and draws of one time basis over two engines: periodic draws at
-        # r = 3 and 3.95 (frequency units) share their temporal band, 6, but
-        # not their spatial band, 7 against 6
-        laws = [make_law(r / (4 * math.pi**2)) for r in (3, 3.95)]
+        # r = 3.5 and 3.95 (frequency units) share their temporal band, 4, but
+        # not their spatial band, 5 against 4
+        laws = [make_law(r / (4 * math.pi**2)) for r in (3.5, 3.95)]
         assert laws[0].time_basis() == laws[1].time_basis()
         assert laws[0].engine() is not laws[1].engine()
         for hs in (self.hamiltonians(PERIODIC, 1) + self.hamiltonians(CONSTANT, 1),
@@ -666,8 +666,9 @@ TABLEAU_B = (11 / 120, 0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120)
 class TestBuffers:
     """A flow allocates its work arrays once; a step allocates no array."""
 
-    # 4 draws x 512 points at band 7, tables of wavenumbers 1..7: one table
-    # or one product is 448 KiB, above glibc's default mmap threshold
+    # 4 draws x 512 points at the law's band (5), tables of wavenumbers
+    # 1..band: one table or one product is 64 KiB per wavenumber, above
+    # glibc's default mmap threshold of 128 KiB
     LAW = make_law(3.0 / (4 * math.pi**2), spatial_max=12, temporal_max=4)
     LIMIT = 16 * 1024
     OFFSETS = np.array([0.0, 1 / 3, 1 / 2, 2 / 3, 1.0])
@@ -680,7 +681,7 @@ class TestBuffers:
         batch = self.batch()
         engine = batch.engine
         p = np.random.default_rng(0).uniform(0, 1, (4, 512, 2))
-        assert engine.buffers(p.shape).powers.nbytes == 448 * 1024
+        assert engine.buffers(p.shape).powers.nbytes == engine.band * 64 * 1024 > 128 * 1024
         work = _step_work(engine, p.shape, 0.1)
         grids = batch.field_grids(batch.time_basis(0.1 * self.OFFSETS))
         _step(engine, grids, p, work)
