@@ -44,8 +44,11 @@ S = 1.  Lattice evaluation (``value_grid``) takes any number of leading
 grid axes, so the lattices of several times cost one call, and takes a
 lattice's rows (``lattice_rows``) in place of its coordinates, so calls on
 one lattice build its rows once.  It also takes x rows per grid, so that
-each time is evaluated on its own rows only: the rows whose bound
-(``row_bounds``) says they can hold the lattice's max or min
+each time is evaluated on its own rows.  An oscillation evaluates two
+rows per time so, and then the rows whose bound (``row_bounds``) says they
+can hold the lattice's max or min, in one product of their half products
+(the bounds' own) with the y rows: at 128 x 101 and r = 3, about 1,000
+rows of the 101 times' 12,928, one product per pass
 (``field.SpectralHamiltonian.oscillation``).
 
 The BLAS condition.  Every bit-for-bit claim of the package (a draw's
@@ -63,20 +66,29 @@ operand it fails: for 2K >= 32 and up to about 1,200 entries per lattice,
 OpenBLAS takes a small-matrix kernel that sums in another order.  At
 128 x 128 the two operands give the same lattices on every law tested; on
 small lattices of rough laws (17 x 17 at r <= 0.5 and 2 x 2 at r = 2,
-frequency units) they differ in the last bit.
+frequency units) they differ in the last bit.  The contiguous operand
+has the property at some column counts n only.  With random operands
+(OpenBLAS 0.3.31, AVX-512), products of 2 to 69 rows and of several
+larger counts matched a product of many rows, row for row, at n = 37, 64
+and 128 for every 2K up to 52, and at every n up to 69 for 2K = 10 and
+12; for 2K >= 20 they did not at several n of 1, 2 or 3 mod 8 (2, 3, 17
+and 33 among them).  The oscillation tests' lattices of 2, 3, 37 and 128
+rows still give the whole lattices' extremes bit for bit.
 
 Buffers.  ``vector_field`` writes its tables, its product and its result
 into arrays the caller owns: ``FieldBuffers`` (from ``buffers``) and
 ``out``.  A flow allocates them once and reuses them at every stage
-(``flow._flow_grids``), and ``value_grid`` takes ``out`` and ``half`` for the
-lattice and the half product r(x) @ G in the same way
-(``field.SpectralHamiltonian.oscillation``).  The engine itself holds no
-per-call state, so one engine, shared by every law with its basis and
-band, stays reentrant.  The buffers change no value: every call performs the
-same elementwise operations and products, in the same order and on arrays
-of the same layout, as one that allocates.  They remove the page faults of
-arrays above glibc's mmap threshold (128 KiB by default), which are mapped
-and unmapped on every call when nothing raises the threshold.
+(``flow._flow_grids``).  ``value_grid`` takes ``out`` and ``half`` for the
+lattice and the half product r(x) @ G in the same way, and ``row_bounds``
+``half``, ``moduli`` and ``out``; an oscillation takes them all from one
+buffer that a chunk of draws owns (``field.OscillationBuffers``).  The
+engine itself holds no per-call state, so one engine, shared by every law
+with its basis and band, stays reentrant.  The buffers change no value:
+every call performs the same elementwise operations and products, in the
+same order and on arrays of the same layout, as one that allocates.  They
+remove the page faults of arrays above glibc's mmap threshold (128 KiB by
+default), which are mapped and unmapped on every call when nothing raises
+the threshold.
 
 The band comes from the law (``HamiltonianLaw.band`` gives the rule):
 the dropped modes, each normal taken at 9 (a standard normal exceeds that
@@ -272,7 +284,7 @@ class SpectralEngine:
                          out=out)
 
     def row_bounds(self, grid: np.ndarray, rows: np.ndarray, half: np.ndarray | None = None,
-                   moduli: np.ndarray | None = None) -> np.ndarray:
+                   moduli: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
         """Bounds on |H| along each lattice row x = const under grids
         (..., 2, K, 2K); shape (..., len(rows)), ``rows`` the ``lattice_rows``
         of the x coordinates.
@@ -285,7 +297,8 @@ class SpectralEngine:
         given.  They are those of h viewed as complex numbers, which numpy
         takes with ``hypot`` and so without underflow: pairs near 1e-217
         (regularity 500 in frequency units) keep their moduli, where plain
-        squares would flush to zero.
+        squares would flush to zero.  The bounds are written to ``out`` if
+        given.
 
         The rounding of the evaluated values stays within a relative 2K eps
         or so of B: the (cos, sin) pairs of r(y) have modulus 1 to within
@@ -297,4 +310,4 @@ class SpectralEngine:
         one layout (the BLAS condition, module docstring).
         """
         h = np.matmul(rows, self._square(grid), out=half)
-        return np.abs(h.view(complex), out=moduli) @ np.ones(self._k)
+        return np.matmul(np.abs(h.view(complex), out=moduli), np.ones(self._k), out=out)

@@ -85,7 +85,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import DegenerateOverlap, HamflowError
-from .field import HamiltonianLaw, PackedBatch, sample_hamiltonian
+from .field import HamiltonianLaw, OscillationBuffers, PackedBatch, sample_hamiltonian
 from .flow import (LagrangianCurve, advect_curves, flow_points, flow_points_through,
                    horizontal_circle, time_reversed_hamiltonian)
 from .rng import derive
@@ -429,9 +429,12 @@ def diffusion_totals(cfg: ExperimentConfig, records: list) -> dict:
 # ---------------------------------------------------------------------------
 
 def _osc_chunk(cfg, samples) -> list:
-    """Oscillation norms of ``samples``."""
+    """Oscillation norms of ``samples``, drawn one at a time, from one set
+    of work arrays for the chunk (``field.OscillationBuffers``)."""
+    grid = (cfg.osc_spatial_grid, cfg.osc_time_grid)
+    buffers = OscillationBuffers(cfg.law.engine(), *grid)
     return [{"sample": i, "osc": sample_hamiltonian(cfg.law, cfg.seed, 0, i)
-             .oscillation(cfg.osc_spatial_grid, cfg.osc_time_grid)}
+             .oscillation(*grid, buffers)}
             for i in samples]
 
 

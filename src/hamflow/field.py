@@ -87,17 +87,11 @@ def _engine_for(spatial_max: int, include_axis_modes: bool, band: int) -> Spectr
 # value, which it leaves with probability about 2e-19 (HamiltonianLaw.band).
 _GAUSSIAN_MAX = 9.0
 _HALF_ULP = 0.5 * np.finfo(float).eps
-# ``oscillation`` bounds the lattice rows of _OSC_BLOCK times at once.  It
-# evaluates at most half of a time's n rows (all 16 times' in one call)
-# before it turns to whole lattices, so one work buffer of the size that the
-# lattices and half products of 8 times take holds a block's evaluated rows,
-# or 8 whole lattices per call; all 101 times at once would hold about 13 MB
-# of lattices at 128 x 128.
-_OSC_BLOCK = 16
-# Rows per time that ``oscillation`` evaluates first, by falling bound, to
-# find the extremes that the other rows' bounds are held against; two at
-# least, so that no product falls to numpy's matrix-vector path.
-_OSC_FIRST = 4
+# Whole lattices, with their half products, that the work buffer of
+# ``oscillation`` holds (``OscillationBuffers``): 0.85 MB at 128 x 128 and
+# band 5, where a pass bounds the rows of up to 51 times.  Eight lattices
+# raised the peak RSS of sample-field by 0.4 MiB and gained no time.
+_OSC_LATTICES = 6
 # Relative slack on a row bound, far above the rounding of the bound and of
 # the evaluated values (``SpectralEngine.row_bounds``).
 _OSC_SLACK = 1e-12
@@ -120,7 +114,8 @@ class HamiltonianLaw:
     * ``kernel``: the coefficient kernel's tag (:mod:`hamflow.temporal`).
 
     A law is checked when built, in that order: r finite, r > 0, integer
-    truncations of at least 1 and a known kernel tag; a bad value raises
+    truncations of at least 1 (a bool is no integer here), a known kernel
+    tag and a boolean ``include_axis_modes``; a bad value raises
     ``ValidationError`` naming its field, the message a config's refusal
     prints (``hamflow.config``).  A law with one parameter moved is
     ``dataclasses.replace(law, spatial_max=K)``.
@@ -143,12 +138,15 @@ class HamiltonianLaw:
         if self.regularity <= 0:
             raise ValidationError("regularity", "must be positive")
         for name in ("spatial_max", "temporal_max"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValidationError(name, "must be an integer")
-            if getattr(self, name) < 1:
+            if value < 1:
                 raise ValidationError(name, "must be >= 1")
         if self.kernel not in temporal.KERNEL_TAGS:
             raise ValidationError("kernel", f"must be one of {temporal.KERNEL_TAGS}")
+        if not isinstance(self.include_axis_modes, (bool, np.bool_)):
+            raise ValidationError("include_axis_modes", "must be a boolean")
 
     def basis(self) -> SpectralBasis:
         return _basis_for(self.spatial_max, self.include_axis_modes)
@@ -326,87 +324,171 @@ class SpectralHamiltonian:
         grids = grids.reshape(grids.shape[:1] + packed.shape[1:])
         return grids[0] if np.ndim(times) == 0 else grids
 
-    def oscillation(self, spatial_grid: int = 128, time_grid: int = 101) -> float:
+    def oscillation(self, spatial_grid: int = 128, time_grid: int = 101,
+                    buffers: OscillationBuffers | None = None) -> float:
         """Trapezoid-in-time integral of (lattice max - lattice min) of H_t.
 
         The n x n lattice's max and min are exact, but most of its rows are
-        never evaluated.  Per block of _OSC_BLOCK times, ``engine.row_bounds``
-        bounds |H_t| along every row.  The _OSC_FIRST rows of largest bound
-        are evaluated first; a row whose bound B, with a relative slack
-        _OSC_SLACK and an absolute one of the smallest normal number (for
-        the rounding of subnormal values), stays within both extremes found,
+        never evaluated.  The times are taken in passes
+        (``OscillationBuffers.passes``).  A pass bounds |H_t| along every
+        row of each of its times (``engine.row_bounds``) and evaluates two
+        rows per time: the row of largest bound and the row n/2 away, half
+        a period, which holds the opposite extreme where the (1, 1) modes
+        dominate, since they give H(x + 1/2, y) = -H(x, y).  A row whose
+        bound B, with a relative slack _OSC_SLACK and an absolute one of the
+        smallest normal number (for the rounding of subnormal values), stays
+        within both extremes found,
 
             B (1 + slack) + tiny <= min(max H_t, -min H_t),
 
-        can hold neither the lattice max nor the lattice min, and every row
-        of larger bound is evaluated in one more ``value_grid`` call.  Each
-        evaluated value is the 2K-term dot product a whole lattice makes
+        can hold neither the lattice max nor the lattice min.  The other
+        (time, row) pairs, the row of largest bound always among them, are
+        gathered from the bounds' half products and evaluated in one product
+        with the lattice's y rows (more where the buffer holds fewer rows),
+        and each time's max and min are folded from their values.  Each
+        value is the 2K-term dot product a whole lattice makes
         (``SpectralEngine.value_grid``, under the BLAS condition of
-        ``hamflow.engine``), so the result is bit for bit that of the
-        whole lattices (``tests/reference.py``, ``lattice_oscillation``).  A
-        block that would evaluate more than half its rows, and every block
-        after it, evaluates whole lattices instead: at spatial_max 25 about a
-        fifth of the rows are evaluated at r = 3 (frequency units), a
-        twentieth at r = 4.5, and all at r = 0.1.  One buffer, allocated
-        once per call, holds the products (``SpectralEngine`` module
-        docstring).
+        ``hamflow.engine``), so the result is bit for bit that of the whole
+        lattices (``tests/reference.py``, ``lattice_oscillation``).  A pass
+        that would evaluate more than half its rows, and every pass after
+        it, evaluates whole lattices instead.  At spatial_max 25 and
+        128 x 101, about a tenth of the rows are evaluated at r = 3
+        (frequency units), a twentieth at r = 4.5, and all at r = 0.1.
+
+        ``buffers`` holds the times, the lattice's rows and the work buffer
+        (``OscillationBuffers``); the call builds its own if none is given.
+        A caller that oscillates many draws builds one set and passes it to
+        each (``experiments._osc_chunk``).
         """
-        if spatial_grid < 2 or time_grid < 2:
-            raise ValueError("grids must be >= 2")
-        n, engine = spatial_grid, self.engine
-        # the lattice's rows are built once and serve both axes of every
-        # block, the y axis transposed once into value_grid's layout
-        rows = engine.lattice_rows(np.arange(n) / n)
-        ys = np.ascontiguousarray(rows.T).T
-        width = rows.shape[1]
-        times = np.linspace(0.0, 1.0, time_grid)
-        grids = self.coefficient_grids(times)
-        block = min(_OSC_BLOCK, time_grid)
-        first = min(_OSC_FIRST, n)
-        most = max(first, n // 2)
-        # a block's half products and their moduli, or the half products and
-        # lattices of the rows evaluated: ``most`` rows of each time of a
-        # block, or whole lattices (8 per call at n = 128)
-        work = np.empty(max(max(block * most, n) * (width + n), 3 * block * n * width // 2))
+        if buffers is None:
+            buffers = OscillationBuffers(self.engine, spatial_grid, time_grid)
+        elif buffers.engine is not self.engine or buffers.shape != (spatial_grid, time_grid):
+            raise ValueError("the buffers were built for another engine or lattice")
+        grids = self.coefficient_grids(buffers.times)
         spread = np.empty(time_grid)
         whole = False
-        for start in range(0, time_grid, block):
-            g = grids[start:start + block]
-            if not whole:
-                split = len(g) * n * width
-                bound = engine.row_bounds(g, rows, half=work[:split].reshape(-1, n, width),
-                                          moduli=work[split:split + split // 2]
-                                          .reshape(-1, n, width // 2))
-                order = np.argsort(bound, axis=1)[:, ::-1]  # rows by falling bound
-                hi, lo = _lattice_extremes(engine, g, rows[order[:, :first]], ys, work)
-                cut = (np.minimum(hi, -lo) - _TINY) / (1.0 + _OSC_SLACK)
-                keep = int(np.max(np.sum(bound > cut[:, None], axis=1)))
-                whole = keep > most
-                if first < keep <= most:
-                    more = rows[order[:, min(first, keep - 2):keep]]
-                    more_hi, more_lo = _lattice_extremes(engine, g, more, ys, work)
-                    hi, lo = np.maximum(hi, more_hi), np.minimum(lo, more_lo)
-            if whole:
-                hi, lo = _lattice_extremes(engine, g, rows, ys, work)
-            spread[start:start + len(g)] = hi - lo
-        return float(np.trapezoid(spread, times))
+        for start, stop in zip(buffers.passes, buffers.passes[1:]):
+            g = grids[start:stop]
+            extremes = None if whole else _pruned_extremes(g, buffers)
+            whole = extremes is None
+            hi, lo = _lattice_extremes(g, buffers) if whole else extremes
+            spread[start:stop] = hi - lo
+        return float(np.trapezoid(spread, buffers.times))
 
 
-def _lattice_extremes(engine: SpectralEngine, grids: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                      work: np.ndarray) -> tuple:
-    """Max and min of each grid's lattice on the x rows ``xs``: (m, 2K) rows
-    of every grid, or (len(grids), m, 2K) rows per grid.  The half products
-    and lattices of as many grids per ``value_grid`` call as fit go to the
-    buffer ``work``."""
-    m, width, n = xs.shape[-2], xs.shape[-1], len(ys)
-    count = len(grids) if xs.ndim == 3 else len(work) // (m * (width + n))
+class OscillationBuffers:
+    """Work arrays of ``SpectralHamiltonian.oscillation`` on one engine's
+    n x n lattice at T times: the times, the lattice's rows (n, 2K) and
+    their contiguous transpose ``columns``, and one work buffer.
+
+    The caller owns them, and one set serves every draw of the engine at
+    that lattice.  A chunk of draws then maps the buffer once, not once per
+    draw (``hamflow.engine``, "Buffers").  The buffer holds _OSC_LATTICES
+    whole lattices and their half products.  Per time, a pass takes its
+    half products, the larger of their moduli and its two first rows'
+    values and half products, and its bounds (``_pruned_extremes``).
+    ``passes`` holds the first time of each pass, and T: every pass but the
+    first takes as many times as the buffer holds, and the first takes the
+    rest, two at least.  The first pass is the shortest because a draw that
+    turns to whole lattices there has bounded its rows for nothing.  At
+    128 x 101 and band 5 the passes take 50 and 51 times.
+    """
+
+    __slots__ = ("engine", "shape", "times", "rows", "columns", "passes", "work")
+
+    def __init__(self, engine: SpectralEngine, spatial_grid: int = 128, time_grid: int = 101):
+        if spatial_grid < 2 or time_grid < 2:
+            raise ValueError("grids must be >= 2")
+        n = spatial_grid
+        self.engine, self.shape = engine, (spatial_grid, time_grid)
+        self.times = np.linspace(0.0, 1.0, time_grid)
+        # the rows serve both axes, the y axis transposed once into
+        # value_grid's layout
+        self.rows = engine.lattice_rows(np.arange(n) / n)
+        self.columns = np.ascontiguousarray(self.rows.T)
+        width = self.rows.shape[1]
+        size = _OSC_LATTICES * n * (n + width)
+        per_pass = size // (n * width + max(n * width // 2, 2 * (n + width)) + n)
+        first = max(2, time_grid - (-(-time_grid // per_pass) - 1) * per_pass)
+        self.passes = [0, *range(first, time_grid, per_pass), time_grid]
+        self.work = np.empty(size)
+
+
+def _pruned_extremes(grids: np.ndarray, buffers: OscillationBuffers):
+    """Max and min of each grid's lattice from the rows whose bounds reach
+    the extremes found (``SpectralHamiltonian.oscillation``), or None if
+    those are more than half the rows.
+
+    The bounds' half products stay at the head of the buffer and the bounds
+    at its tail, where the kept (time, row) pairs are then gathered, in time
+    order.
+    """
+    engine, rows, columns, work = buffers.engine, buffers.rows, buffers.columns, buffers.work
+    count, (n, width) = len(grids), rows.shape
+    split = count * n * width
+    half = work[:split].reshape(count, n, width)
+    bound = engine.row_bounds(grids, rows, half=half,
+                              moduli=work[split:split + split // 2].reshape(count, n, width // 2),
+                              out=work[len(work) - count * n:].reshape(count, n))
+    # two rows per grid, so that no product falls to numpy's matrix-vector path
+    top = np.argmax(bound, axis=1)
+    end = split + 2 * count * n
+    first = engine.value_grid(grids, rows[(top[:, None] + (0, n // 2)) % n], columns.T,
+                              out=work[split:end].reshape(count, 2, n),
+                              half=work[end:end + 2 * count * width].reshape(count, 2, width))
+    cut = (np.minimum(first.max(axis=(1, 2)), -first.min(axis=(1, 2))) - _TINY) / (1.0 + _OSC_SLACK)
+    # the row of largest bound is always kept, its bound reaching the extremes
+    # of its own values, so every time has a pair, and a pass at least two
+    keep = np.flatnonzero(bound > cut[:, None])
+    if 2 * len(keep) > count * n:
+        return None
+    tail = len(work) - len(keep) * width
+    gathered = np.take(half.reshape(-1, width), keep, axis=0, mode="clip",
+                       out=work[tail:].reshape(-1, width))
+    return _row_extremes(gathered, columns, np.searchsorted(keep, np.arange(count) * n),
+                         work[:tail])
+
+
+def _row_extremes(half: np.ndarray, columns: np.ndarray, starts: np.ndarray,
+                  work: np.ndarray) -> tuple:
+    """Max and min of each group of lattice rows whose half products are
+    rows of ``half``, group i the rows from ``starts[i]`` to the next group.
+
+    The values are the products half @ columns, of equal size and as many
+    rows as the buffer ``work`` holds, two at least each.  Each product is
+    folded over the contiguous values of every group it holds a part of,
+    and the parts of a group are then folded together.
+    """
+    count, n = len(half), columns.shape[1]
+    products = -(-count // (len(work) // n))
+    ends = np.arange(products + 1) * count // products
+    # where a group or a product starts; a product that starts a group puts
+    # that start in twice, which gives the group one more part of one value
+    parts = np.sort(np.append(starts, ends[1:-1]))
+    hi, lo = np.empty(len(parts)), np.empty(len(parts))
+    for a, b in zip(ends, ends[1:]):
+        v = np.matmul(half[a:b], columns, out=work[:(b - a) * n].reshape(-1, n)).reshape(-1)
+        held = slice(*np.searchsorted(parts, (a, b)))
+        np.maximum.reduceat(v, (parts[held] - a) * n, out=hi[held])
+        np.minimum.reduceat(v, (parts[held] - a) * n, out=lo[held])
+    first = np.searchsorted(parts, starts)
+    return np.maximum.reduceat(hi, first), np.minimum.reduceat(lo, first)
+
+
+def _lattice_extremes(grids: np.ndarray, buffers: OscillationBuffers) -> tuple:
+    """Max and min of each grid's whole lattice.  The half products and
+    lattices of as many grids per ``value_grid`` call as fit go to the
+    buffer."""
+    engine, rows, work = buffers.engine, buffers.rows, buffers.work
+    n, width = rows.shape
+    count = len(work) // (n * (width + n))
     hi, lo = np.empty(len(grids)), np.empty(len(grids))
     for a in range(0, len(grids), count):
         g = grids[a:a + count]
-        split = len(g) * m * width
-        v = engine.value_grid(g, xs[a:a + count] if xs.ndim == 3 else xs, ys,
-                              out=work[split:split + len(g) * m * n].reshape(-1, m, n),
-                              half=work[:split].reshape(-1, m, width))
+        split = len(g) * n * width
+        v = engine.value_grid(g, rows, buffers.columns.T,
+                              out=work[split:split + len(g) * n * n].reshape(-1, n, n),
+                              half=work[:split].reshape(-1, n, width))
         hi[a:a + count], lo[a:a + count] = v.max(axis=(1, 2)), v.min(axis=(1, 2))
     return hi, lo
 

@@ -10,8 +10,8 @@ import pytest
 from hamflow import flow
 from hamflow.engine import SpectralEngine
 from hamflow.errors import OutOfRange, RefinementOverflow
-from hamflow.field import (PackedBatch, RandomHamiltonian, SpectralHamiltonian, make_law,
-                           sample_hamiltonian)
+from hamflow.field import (OscillationBuffers, PackedBatch, RandomHamiltonian,
+                           SpectralHamiltonian, make_law, sample_hamiltonian)
 from hamflow.flow import (LagrangianCurve, _step, _step_work, advect_curve,
                           advect_curves, flow_points, flow_points_through, horizontal_circle,
                           time_reversed_hamiltonian)
@@ -694,6 +694,28 @@ class TestBuffers:
                 assert tracemalloc.get_traced_memory()[1] - before < self.LIMIT
         finally:
             tracemalloc.stop()
+
+    def test_oscillation_with_a_chunks_buffers_maps_no_array(self):
+        # the benchmark's sample-field law (r = 3, spatial_max 25): with the
+        # buffers of a chunk (experiments._osc_chunk), a second draw's
+        # oscillation holds, at any moment, its grids (80 KB) and less than
+        # glibc's 128 KiB mmap threshold besides, so no array of it is mapped
+        # and unmapped, with its page faults, once per draw
+        law = make_law(3.0 / (4 * math.pi**2))
+        buffers = OscillationBuffers(law.engine(), 128, 101)
+        first, second = (sample_hamiltonian(law, 4, i) for i in range(2))
+        first.oscillation(128, 101, buffers)
+        grids = second.coefficient_grids(buffers.times).nbytes
+        assert grids < 128 * 1024
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            second.oscillation(128, 101, buffers)
+            held = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert held - grids < 128 * 1024
 
     def test_step_equals_allocating_arithmetic(self):
         batch = self.batch()
