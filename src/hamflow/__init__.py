@@ -3,7 +3,7 @@
 Sampling of Gaussian random Hamiltonians, symplectic flow integration,
 the time reversal of generating Hamiltonians, and the Monte Carlo
 experiment harness (diffusion, Lagrangian intersections, random walks,
-tail and invariance statistics).
+oscillation and invariance statistics).
 """
 
 from .basis import SpectralBasis

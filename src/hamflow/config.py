@@ -9,7 +9,7 @@ echoes the keys a config reads: its law's (``temporal_max`` only under the
 periodic kernel, whose time basis it sizes), its run's and its command's.
 A key the command does not read is accepted but not echoed: the benchmark's
 ``sample-field`` workload sets ``steps``, so refusing it at parse waits for
-ROADMAP item 25(b).
+ROADMAP item 7(a)(iv).
 
 A config holds its one law, ``cfg.law``: the ``HamiltonianLaw`` of its law
 keys, built and checked when the config is (the law's checks are the only
@@ -59,13 +59,14 @@ class Command:
     defaults: dict = field(default_factory=dict)
 
 
-# Random walks need autonomous steps and the tail fit 1000 draws, rules that
-# ``_validate`` enforces; diffusion's regularity, like the field default, flows
-# resolved: 48 steps at 3.16 and 21 at 3.95 (``experiments.flow_steps``).
+# Random walks need autonomous steps, a rule that ``_validate`` enforces;
+# diffusion's regularity, like the field default, flows resolved: 48 steps at
+# 3.16 and 21 at 3.95 (``experiments.flow_steps``).
 COMMANDS = {
     "sample-field": Command(("osc_spatial_grid", "osc_time_grid"), "oscillation_samples",
-                            "mean_table", {"table": "field_osc.csv",
-                                           "records": "field_samples.jsonl"}),
+                            "oscillation_table", {"table": "field_osc.csv",
+                                                  "records": "field_samples.jsonl",
+                                                  "survival": "field_survival.jsonl"}),
     "flow": Command(("steps", "curve_vertices", "refinement_threshold"), "advected_samples",
                     "as_sampled", {"records": "curves.jsonl", "failures": "failures.jsonl"}),
     "diffusion": Command(("steps", "points", "ball_center", "ball_radius", "times", "grid"),
@@ -77,9 +78,6 @@ COMMANDS = {
                              {"table": "intersections.csv", "failures": "failures.jsonl"}),
     "random-walk": Command(("steps", "walk_steps", "probe"), "walk_samples", "as_sampled",
                            {"records": "walks.jsonl"}, {"kernel": temporal.CONSTANT}),
-    "tails": Command(("osc_spatial_grid", "osc_time_grid"), "oscillation_samples", "tail_fit",
-                     {"survival": "tail_survival.jsonl", "fit": "tail_fit.jsonl"},
-                     {"samples": 1000}),
     "inversion": Command(("steps", "probe"), "run_inversion_test", "inversion_test",
                          {"test": "inversion.jsonl", "records": "inversion_samples.jsonl"}),
 }
@@ -176,8 +174,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad("osc_time_grid", "must be >= 2")
     if cfg.command == "random-walk" and cfg.kernel != temporal.CONSTANT:
         bad("kernel", "random walks require the constant-in-time kernel")
-    if cfg.command == "tails" and cfg.samples < 1000:
-        bad("samples", "tail statistics need >= 1000 draws")
 
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,

@@ -1,5 +1,5 @@
-"""Monte Carlo experiments: Lagrangian intersections, diffusion, tails,
-inversion invariance and random walks.
+"""Monte Carlo experiments: Lagrangian intersections, diffusion, oscillation
+statistics, inversion invariance and random walks.
 
 Crossings.  The fourteen test Lagrangians are one table, ``LAGRANGIANS``:
 each label's level function, (a x + b y) - c for the twelve closed lines
@@ -15,8 +15,8 @@ in sample order: a dict of the sample's index (``sample``, or ``walk``) and
 its values, which may be numpy arrays and scalars, or of its index and its
 error text (``error``).  The records of ``oscillation_samples`` and
 ``run_intersections`` also carry the ``regularity`` they were drawn at.  A
-reducer ``(cfg, records)`` (``mean_table``, ``tail_fit``, ...) takes a
-sampler's records and returns named lists of records or table rows;
+reducer ``(cfg, records)`` (``mean_table``, ``oscillation_table``, ...)
+takes a sampler's records and returns named lists of records or table rows;
 ``config.COMMANDS`` names each command's sampler, reducer and files.
 
 Failures.  A curve task (``flow``, ``intersections``) records the
@@ -36,7 +36,7 @@ the config: the band, weights and head rows the law computes once serve
 every chunk of a process, and a forked child inherits those computed before
 it forked.  A task draws sample i from its own stream exactly as a
 one-sample task would.  The flowing commands flow a chunk's draws as one
-batch; the oscillation commands take each sample alone.  A run of several
+batch; ``sample-field`` takes each sample alone.  A run of several
 chunks on several workers forks at most one child per worker, chunk and
 CPU the process may run on (``_forked``); a run at one worker, of one
 chunk or on one CPU never forks.
@@ -442,34 +442,16 @@ def oscillation_samples(cfg: ExperimentConfig) -> list:
     return _tagged(cfg, _run_chunks(_osc_chunk, cfg))
 
 
-def tail_fit(cfg: ExperimentConfig, records: list) -> dict:
-    """Empirical survival of the oscillation norm with a sub-Gaussian fit.
-
-    The first half of the draws fits the mean R and the scale C of
-    P(osc - R > u) ~ 2 exp(-u^2 / C) (``survival``: each exceedance u over
-    R and its survival); the second half supplies the held-out exceedance
-    check at two standard deviations (``fit``).
-    """
-    osc = np.array([record["osc"] for record in records])
-    half = len(osc) // 2
-    fit, held = osc[:half], osc[half:]
-    center = float(fit.mean())
-    exceed = np.sort(fit[fit > center] - center)
-    if len(exceed) < 8:
-        raise HamflowError("degenerate oscillation sample: no tail to fit")
-    survival = 1.0 - (np.arange(1, len(exceed) + 1) - 0.5) / len(exceed)
-    top = exceed >= np.quantile(exceed, 0.75)
-    u2 = exceed[top] ** 2
-    logs = np.log(survival[top])
-    slope = float(np.sum(u2 * (logs - np.log(2.0))) / np.sum(u2**2))
-    tail_scale = -1.0 / slope if slope < 0 else float("inf")
-    u_check = 2.0 * float(fit.std(ddof=1))
-    frac = float(np.mean(held > center + u_check))
-    bound = 2.0 * math.exp(-u_check**2 / tail_scale) if math.isfinite(tail_scale) else 1.0
-    return {"survival": [{"u": u, "survival": s} for u, s in zip(exceed, survival)],
-            "fit": [{"regularity": cfg.regularity, "mean": center, "tail_scale": tail_scale,
-                     "heldout_u": u_check, "heldout_exceedance": frac,
-                     "heldout_bound": bound, "bound_holds": frac <= bound}]}
+def oscillation_table(cfg: ExperimentConfig, records: list) -> dict:
+    """``mean_table`` of the oscillation norms, and their empirical survival
+    about the mean (``survival``): one row per resolved sample, the
+    exceedance u = osc - mean in ascending order, the i-th of n surviving
+    with 1 - (i - 1/2) / n."""
+    outputs = mean_table(cfg, records)
+    [(_, _, mean, _, n)] = outputs["table"]
+    exceed = np.sort([record["osc"] for record in outputs["records"]]) - mean
+    survival = 1.0 - (np.arange(1, n + 1) - 0.5) / n
+    return {**outputs, "survival": [{"u": u, "survival": s} for u, s in zip(exceed, survival)]}
 
 
 # ---------------------------------------------------------------------------

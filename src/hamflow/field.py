@@ -113,12 +113,12 @@ class HamiltonianLaw:
     * ``temporal_max``: the periodic kernel's Fourier order;
     * ``kernel``: the coefficient kernel's tag (:mod:`hamflow.temporal`).
 
-    A law is checked when built, in that order: r finite, r > 0, integer
-    truncations of at least 1 (a bool is no integer here), a known kernel
-    tag and a boolean ``include_axis_modes``; a bad value raises
-    ``ValidationError`` naming its field, the message a config's refusal
-    prints (``hamflow.config``).  A law with one parameter moved is
-    ``dataclasses.replace(law, spatial_max=K)``.
+    A law is checked when built, in that order: r a real number, finite and
+    positive, integer truncations of at least 1 (a bool is neither number
+    here), a known kernel tag and a boolean ``include_axis_modes``; a bad
+    value raises ``ValidationError`` naming its field, the message a
+    config's refusal prints (``hamflow.config``).  A law with one parameter
+    moved is ``dataclasses.replace(law, spatial_max=K)``.
     ``band``, ``temporal_band``, ``mode_shares``, ``kernel_time_basis``,
     ``column_factors``, ``time_basis``, ``head_rows``, ``weights`` and
     ``lipschitz_bound`` are computed once per law and shared by its draws;
@@ -133,6 +133,8 @@ class HamiltonianLaw:
     include_axis_modes: bool
 
     def __post_init__(self):
+        if not isinstance(self.regularity, numbers.Real) or isinstance(self.regularity, bool):
+            raise ValidationError("regularity", "must be a real number")
         if not math.isfinite(self.regularity):
             raise ValidationError("regularity", "must be finite")
         if self.regularity <= 0:

@@ -36,15 +36,13 @@ walk_steps = 2
 # the keys of every line of a JSONL file, at TINY
 OUTPUTS = {
     "sample-field": {"field_osc.csv": ["osc,8"],
-                     "field_samples.jsonl": {"osc", "regularity", "sample"}},
+                     "field_samples.jsonl": {"osc", "regularity", "sample"},
+                     "field_survival.jsonl": {"survival", "u"}},
     "flow": {"curves.jsonl": {"sample", "vertices", "winding"}},
     "diffusion": {"diffusion.jsonl": {"chi_square", "counts", "time"},
                   "diffusion_samples.jsonl": {"chi_square", "sample"}},
     "intersections": {"intersections.csv": sorted(f"L{i},8" for i in range(1, 15))},
     "random-walk": {"walks.jsonl": {"trajectory", "walk"}},
-    "tails": {"tail_survival.jsonl": {"survival", "u"},
-              "tail_fit.jsonl": {"bound_holds", "heldout_bound", "heldout_exceedance",
-                                 "heldout_u", "mean", "regularity", "tail_scale"}},
     "inversion": {"inversion.jsonl": {"level", "p_value", "passed", "statistic"},
                   "inversion_samples.jsonl": {"branch", "displacement", "sample"}},
 }
@@ -73,9 +71,8 @@ def check_records(records, keys, samples):
                                            ("inversion", "kernel = sqexp\n")],
                          ids=[*sorted(OUTPUTS), "inversion-sqexp"])
 def test_command_writes_outputs(tmp_path, command, extra):
-    # tails runs at its 1000-sample default; random-walk at its constant kernel
-    text = (TINY.replace("samples = 4\n", "") if command == "tails" else TINY) + extra
-    samples = 1000 if command == "tails" else 4
+    # random-walk runs at its constant kernel
+    text = TINY + extra
     rc, out = run(tmp_path, command, text)
     assert rc == 0
     assert sorted(p.name for p in out.iterdir()) == sorted([*OUTPUTS[command], "config.txt"])
@@ -84,9 +81,9 @@ def test_command_writes_outputs(tmp_path, command, extra):
         if name.endswith(".csv"):
             assert lines[0] == "label,regularity,estimate,stderr,samples"
             assert [line.rsplit(",", 3)[0] for line in lines[1:]] == expected
-            assert all(line.endswith(f",{samples}") for line in lines[1:])
+            assert all(line.endswith(",4") for line in lines[1:])
         else:
-            check_records([json.loads(line) for line in lines], expected, samples)
+            check_records([json.loads(line) for line in lines], expected, 4)
     # config.txt echoes the keys the run reads, sorted (temporal_max only
     # under the periodic kernel), and they parse back to their effective values
     echo = (out / "config.txt").read_text()
@@ -162,8 +159,6 @@ def test_config_echo_names_the_bands(tmp_path, command):
     for r, band in [(8, 3), (4.5, 4)]:
         text = TINY.replace("regularity = 8.0", f"regularity = {r}").replace(
             "spatial_max = 2", "spatial_max = 6").replace("temporal_max = 3", "temporal_max = 10")
-        if command == "tails":
-            text = text.replace("samples = 4\n", "")
         rc, out = run(tmp_path, command, text, f"{command}-{r}")
         assert rc == 0
         lines = [line for line in (out / "config.txt").read_text().splitlines()
@@ -265,8 +260,8 @@ def test_plot_flag_exits_2(tmp_path, capsys):
 
 
 def test_unknown_command_exits_2_and_help_exits_0(tmp_path, capsys):
-    # concentration ran sample-field's sampler and reducer, and is gone
-    for command in ("no-such-command", "concentration"):
+    # concentration and tails ran sample-field's sampler, and are gone
+    for command in ("no-such-command", "concentration", "tails"):
         with pytest.raises(SystemExit) as exc:
             cli.main([command, "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
@@ -343,16 +338,6 @@ def test_failed_output_write_exits_with_a_typed_error(tmp_path, capsys, monkeypa
                                        f"{out / 'field_osc.csv'}: {os.strerror(errno.ENOSPC)}\n")
 
 
-def test_tails_below_1000_samples_writes_nothing(tmp_path, capsys):
-    config = tmp_path / "tiny.txt"
-    config.write_text(TINY)
-    argv = ["tails", "--config", str(config), "--out", str(tmp_path / "out"), "--samples", "999"]
-    assert cli.main(argv) == 1
-    assert capsys.readouterr().err == (
-        "error: ValidationError: samples: tail statistics need >= 1000 draws\n")
-    assert not (tmp_path / "out").exists()
-
-
 def test_empty_out_leaves_the_working_directory_as_it_was(tmp_path, capsys, monkeypatch):
     # an empty --out would write, and clear older outputs, in the working
     # directory; --out . names it on purpose
@@ -366,7 +351,7 @@ def test_empty_out_leaves_the_working_directory_as_it_was(tmp_path, capsys, monk
     assert (tmp_path / "field_osc.csv").read_text() == "kept\n"
     assert cli.main(["sample-field", "--config", str(config), "--out", "."]) == 0
     assert sorted(path.name for path in tmp_path.iterdir()) == [
-        "config.txt", "field_osc.csv", "field_samples.jsonl", "tiny.txt"]
+        "config.txt", "field_osc.csv", "field_samples.jsonl", "field_survival.jsonl", "tiny.txt"]
 
 
 @pytest.mark.parametrize("out", [" padded", "padded "])
@@ -392,6 +377,7 @@ PARTIAL = 2 * CHUNK + 3
                                                    ("inversion", PARTIAL, ""),
                                                    ("inversion", PARTIAL, "kernel = sqexp\n"),
                                                    ("sample-field", 4, ""),
+                                                   ("sample-field", PARTIAL, ""),
                                                    ("intersections", PARTIAL, ""),
                                                    ("flow", PARTIAL, ""),
                                                    ("diffusion", PARTIAL, ""),
@@ -400,6 +386,7 @@ PARTIAL = 2 * CHUNK + 3
                                                    ("diffusion", 5, "")],
                          ids=["inversion", "inversion-partial-chunk",
                               "inversion-sqexp-partial-chunk", "sample-field",
+                              "sample-field-partial-chunk",
                               "intersections-partial-chunk", "flow-partial-chunk",
                               "diffusion-partial-chunk", "random-walk-partial-chunk",
                               "intersections-split-chunk", "diffusion-split-chunk"])

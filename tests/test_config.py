@@ -10,8 +10,8 @@ from hamflow.config import (COMMANDS, LAW_KEYS, RUN_KEYS, ExperimentConfig, pars
 from hamflow.errors import ParseError, ValidationError
 from hamflow.experiments import flow_steps
 
-# A non-default value of every key; tails needs 1000 draws at least, and
-# random-walk the constant kernel, its own default
+# A non-default value of every key; random-walk needs the constant kernel,
+# its own default
 NON_DEFAULT = {
     "regularity": "1.25", "spatial_max": "7", "include_axis_modes": "yes",
     "temporal_max": "4", "kernel": "constant", "samples": "1500", "seed": "9",
@@ -208,16 +208,12 @@ class TestCommandDefaults:
     def test_random_walk_kernel(self):
         assert parse_config("", command="random-walk").kernel == "constant"
 
-    def test_tails_samples(self):
-        assert parse_config("", command="tails").samples == 1000
-
     def test_other_commands_keep_field_defaults(self):
         cfg = parse_config("", command="sample-field")
         assert cfg == ExperimentConfig(command="sample-field")
 
     def test_document_value_wins(self):
         assert parse_config("regularity = 0.3\n", command="diffusion").regularity == 0.3
-        assert parse_config("samples = 1500\n", command="tails").samples == 1500
         with pytest.raises(ValidationError):
             parse_config("kernel = periodic\n", command="random-walk")
 
@@ -229,17 +225,10 @@ class TestCommandDefaults:
             assert str(info.value) == "kernel: random walks require the constant-in-time kernel"
             assert info.value.field == "kernel"
 
-    def test_tails_refuses_fewer_than_1000_samples(self):
-        with pytest.raises(ValidationError) as info:
-            parse_config("samples = 999\n", command="tails")
-        assert str(info.value) == "samples: tail statistics need >= 1000 draws"
-        assert parse_config("samples = 1000\n", command="tails").samples == 1000
-
     def test_override_wins(self):
-        cfg = parse_config("", command="tails", overrides={"samples": 1200, "seed": None})
-        assert cfg.samples == 1200
-        cfg = parse_config("", command="diffusion", overrides={"regularity": 0.2})
-        assert cfg.regularity == 0.2
+        # an override of None is no override
+        cfg = parse_config("", command="diffusion", overrides={"regularity": 0.2, "seed": None})
+        assert cfg.regularity == 0.2 and cfg.seed == 0
 
 
 def test_law_regularity_in_eigenvalue_units():

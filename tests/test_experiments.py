@@ -22,9 +22,9 @@ from hamflow import cli, experiments, field, flow
 from hamflow.experiments import (CHUNK, LAGRANGIANS, _ball_points, _bin_counts, _crossings,
                                  _curve, _diffusion_chunk, _displacement_chunk, _image_chunk,
                                  _ks_two_sample, _run_chunks, _walk_chunk, count_crossings,
-                                 flow_steps, inversion_test, mean_table,
-                                 run_intersections, run_inversion_test, standard_error,
-                                 worker_count)
+                                 flow_steps, inversion_test, mean_table, oscillation_samples,
+                                 oscillation_table, run_intersections, run_inversion_test,
+                                 standard_error, worker_count)
 from hamflow.field import PackedBatch, RandomHamiltonian, make_law, sample_hamiltonian
 from hamflow.flow import (_STAGE_OFFSETS, LagrangianCurve, advect_curve, advect_curves,
                           flow_points, flow_points_through, horizontal_circle,
@@ -973,6 +973,20 @@ def test_chunk_results_do_not_depend_on_chunk_boundaries():
     whole = intersection_chunk(cfg, 0, 5)
     split = intersection_chunk(cfg, 0, 3) + intersection_chunk(cfg, 3, 5)
     assert whole == split
+
+
+def test_oscillation_table_adds_the_survival_of_the_sorted_osc():
+    # the mean table of the osc, and one survival row per sample: the osc in
+    # ascending order less their mean, the i-th of n surviving 1 - (i - 1/2) / n
+    cfg = ExperimentConfig(samples=9, spatial_max=3, temporal_max=2, osc_spatial_grid=8,
+                           osc_time_grid=5, seed=4, workers=1)
+    records = oscillation_samples(cfg)
+    outputs = oscillation_table(cfg, records)
+    assert outputs == {**mean_table(cfg, records), "survival": outputs["survival"]}
+    mean = float(np.mean([record["osc"] for record in records]))
+    osc = sorted(record["osc"] for record in records)
+    assert outputs["survival"] == [{"u": x - mean, "survival": 1.0 - (i - 0.5) / 9}
+                                   for i, x in enumerate(osc, start=1)]
 
 
 # ---------------------------------------------------------------------------

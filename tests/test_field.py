@@ -807,7 +807,8 @@ class TestLawValidation:
         {"regularity": -0.1}, {"spatial_max": 0}, {"spatial_max": -3}, {"temporal_max": 0},
         {"spatial_max": 2.5}, {"temporal_max": 2.5}, {"regularity": float("nan")},
         {"regularity": float("inf")}, {"regularity": float("-inf")},
-        {"include_axis_modes": "false"}, {"spatial_max": True}])
+        {"include_axis_modes": "false"}, {"spatial_max": True}, {"regularity": True},
+        {"regularity": "3"}, {"regularity": None}])
     def test_bad_parameter_raises(self, change):
         # a ValidationError, which is a ValueError, naming the field
         (name,) = change
