@@ -2,7 +2,11 @@
 
 One flat key-value document drives every command; the command itself is
 selected by CLI subcommand.  All fields carry documented defaults, numeric
-fields are range-checked, and unknown keys are rejected.
+fields are range-checked, and unknown keys are rejected.  A value given
+from Python (a field or an override) must have its key's type, the one
+``parse_value`` converts a document to: an integer that is not a bool, a
+real number, a tuple of real numbers or a string (the law checks its own
+keys), so that every config echoes a document that parses back to it.
 
 ``COMMANDS`` holds one ``Command`` row per command.  ``serialize_config``
 echoes the keys a config reads: its law's (``temporal_max`` only under the
@@ -16,8 +20,11 @@ keys, built and checked when the config is (the law's checks are the only
 ones on those keys).  Like ``grid_nodes`` it is no field, so not a key.
 ``regularity`` is the one decay parameter of the law, per squared
 frequency (k^2 + j^2), the units of the reference Monte Carlo tables; the
-law takes it per Laplace-Beltrami eigenvalue 4 pi^2 (k^2 + j^2), converted
-where the law is built.
+law takes it per Laplace-Beltrami eigenvalue 4 pi^2 (k^2 + j^2).  The law
+checks the config's own value before it is converted.
+
+``sample-field`` reads no key of its own: every oscillation takes the one
+lattice ``hamflow.field.OSC_LATTICE``, 128 x 128 points at 101 times.
 
 ``steps`` is the most integrator steps per unit time (order 6, see
 :mod:`hamflow.flow`); smooth laws use fewer (see :mod:`hamflow.experiments`).
@@ -32,7 +39,8 @@ calls ``eigenvalue_regularities``; once it stops, all three can go.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 from . import temporal
 from .errors import ParseError, ValidationError
@@ -63,10 +71,9 @@ class Command:
 # diffusion's regularity, like the field default, flows resolved: 48 steps at
 # 3.16 and 21 at 3.95 (``experiments.flow_steps``).
 COMMANDS = {
-    "sample-field": Command(("osc_spatial_grid", "osc_time_grid"), "oscillation_samples",
-                            "oscillation_table", {"table": "field_osc.csv",
-                                                  "records": "field_samples.jsonl",
-                                                  "survival": "field_survival.jsonl"}),
+    "sample-field": Command((), "oscillation_samples", "oscillation_table",
+                            {"table": "field_osc.csv", "records": "field_samples.jsonl",
+                             "survival": "field_survival.jsonl"}),
     "flow": Command(("steps", "curve_vertices", "refinement_threshold"), "advected_samples",
                     "as_sampled", {"records": "curves.jsonl", "failures": "failures.jsonl"}),
     "diffusion": Command(("steps", "points", "ball_center", "ball_radius", "times", "grid"),
@@ -105,8 +112,6 @@ class ExperimentConfig:
     grid: int = 10
     walk_steps: int = 5
     probe: tuple = (0.3, 0.7)
-    osc_spatial_grid: int = 128
-    osc_time_grid: int = 101
     # not a field (no annotation), so not a key, nor is ``law``, which
     # ``__post_init__`` sets (module docstring)
     grid_nodes = 64
@@ -119,21 +124,41 @@ class ExperimentConfig:
         return (self.law.regularity,)
 
 
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# What a value outside the law must be, by the type of its key's default
+# (module docstring)
+_TYPES = {
+    int: ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    float: ("a real number", _real),
+    tuple: ("a tuple of real numbers", lambda v: isinstance(v, tuple) and all(map(_real, v))),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     def bad(key, msg):
         raise ValidationError(key, msg)
 
     for f in fields(cfg):
+        if f.name in LAW_KEYS:
+            continue
         value = getattr(cfg, f.name)
+        kind, holds = _TYPES[type(f.default)]
+        if not holds(value):
+            bad(f.name, f"must be {kind}")
         if any(isinstance(v, float) and not math.isfinite(v)
                for v in (value if isinstance(value, tuple) else (value,))):
             bad(f.name, "values must be finite")
     if cfg.command not in COMMANDS:
         bad("command", f"must be one of {tuple(COMMANDS)}")
-    # the law checks its own keys, and is the config's law (module docstring)
-    object.__setattr__(cfg, "law", HamiltonianLaw(
-        cfg.regularity / (4.0 * math.pi**2), cfg.spatial_max, cfg.temporal_max, cfg.kernel,
-        cfg.include_axis_modes))
+    # the law checks its own keys, the config's values, and is the config's
+    # law in eigenvalue units (module docstring)
+    law = HamiltonianLaw(cfg.regularity, cfg.spatial_max, cfg.temporal_max, cfg.kernel,
+                         cfg.include_axis_modes)
+    object.__setattr__(cfg, "law", replace(law, regularity=cfg.regularity / (4.0 * math.pi**2)))
     if cfg.samples < 1:
         bad("samples", "must be >= 1")
     if cfg.steps < 1:
@@ -168,10 +193,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad("walk_steps", "must be >= 0")
     if len(cfg.probe) != 2:
         bad("probe", "must be a pair")
-    if cfg.osc_spatial_grid < 2:
-        bad("osc_spatial_grid", "must be >= 2")
-    if cfg.osc_time_grid < 2:
-        bad("osc_time_grid", "must be >= 2")
     if cfg.command == "random-walk" and cfg.kernel != temporal.CONSTANT:
         bad("kernel", "random walks require the constant-in-time kernel")
 

@@ -430,11 +430,9 @@ def diffusion_totals(cfg: ExperimentConfig, records: list) -> dict:
 
 def _osc_chunk(cfg, samples) -> list:
     """Oscillation norms of ``samples``, drawn one at a time, from one set
-    of work arrays for the chunk (``field.OscillationBuffers``)."""
-    grid = (cfg.osc_spatial_grid, cfg.osc_time_grid)
-    buffers = OscillationBuffers(cfg.law.engine(), *grid)
-    return [{"sample": i, "osc": sample_hamiltonian(cfg.law, cfg.seed, 0, i)
-             .oscillation(*grid, buffers)}
+    of work arrays on the one lattice for the chunk (``field.OscillationBuffers``)."""
+    buffers = OscillationBuffers(cfg.law.engine())
+    return [{"sample": i, "osc": sample_hamiltonian(cfg.law, cfg.seed, 0, i).oscillation(buffers)}
             for i in samples]
 
 

@@ -92,6 +92,8 @@ _HALF_ULP = 0.5 * np.finfo(float).eps
 # band 5, where a pass bounds the rows of up to 51 times.  Eight lattices
 # raised the peak RSS of sample-field by 0.4 MiB and gained no time.
 _OSC_LATTICES = 6
+# Every oscillation's n x n lattice at T times (``hamflow.engine``, "The BLAS condition")
+OSC_LATTICE = (128, 101)
 # Relative slack on a row bound, far above the rounding of the bound and of
 # the evaluated values (``SpectralEngine.row_bounds``).
 _OSC_SLACK = 1e-12
@@ -326,8 +328,7 @@ class SpectralHamiltonian:
         grids = grids.reshape(grids.shape[:1] + packed.shape[1:])
         return grids[0] if np.ndim(times) == 0 else grids
 
-    def oscillation(self, spatial_grid: int = 128, time_grid: int = 101,
-                    buffers: OscillationBuffers | None = None) -> float:
+    def oscillation(self, buffers: OscillationBuffers | None = None) -> float:
         """Trapezoid-in-time integral of (lattice max - lattice min) of H_t.
 
         The n x n lattice's max and min are exact, but most of its rows are
@@ -357,17 +358,17 @@ class SpectralHamiltonian:
         128 x 101, about a tenth of the rows are evaluated at r = 3
         (frequency units), a twentieth at r = 4.5, and all at r = 0.1.
 
-        ``buffers`` holds the times, the lattice's rows and the work buffer
-        (``OscillationBuffers``); the call builds its own if none is given.
-        A caller that oscillates many draws builds one set and passes it to
-        each (``experiments._osc_chunk``).
+        ``buffers`` holds the lattice, its times and rows, and the work
+        buffer (``OscillationBuffers``); the call builds its own, on
+        ``OSC_LATTICE``, if none is given.  A caller that oscillates many
+        draws builds one set and passes it to each (``experiments._osc_chunk``).
         """
         if buffers is None:
-            buffers = OscillationBuffers(self.engine, spatial_grid, time_grid)
-        elif buffers.engine is not self.engine or buffers.shape != (spatial_grid, time_grid):
-            raise ValueError("the buffers were built for another engine or lattice")
+            buffers = OscillationBuffers(self.engine)
+        elif buffers.engine is not self.engine:
+            raise ValueError("the buffers were built for another engine")
         grids = self.coefficient_grids(buffers.times)
-        spread = np.empty(time_grid)
+        spread = np.empty(len(buffers.times))
         whole = False
         for start, stop in zip(buffers.passes, buffers.passes[1:]):
             g = grids[start:stop]
@@ -380,12 +381,13 @@ class SpectralHamiltonian:
 
 class OscillationBuffers:
     """Work arrays of ``SpectralHamiltonian.oscillation`` on one engine's
-    n x n lattice at T times: the times, the lattice's rows (n, 2K) and
-    their contiguous transpose ``columns``, and one work buffer.
+    n x n lattice at T times, ``OSC_LATTICE`` unless given: the times, the
+    lattice's rows (n, 2K) and their contiguous transpose ``columns``, and
+    one work buffer.
 
-    The caller owns them, and one set serves every draw of the engine at
-    that lattice.  A chunk of draws then maps the buffer once, not once per
-    draw (``hamflow.engine``, "Buffers").  The buffer holds _OSC_LATTICES
+    The caller owns them, and one set serves every draw of the engine.  A
+    chunk of draws then maps the buffer once, not once per draw
+    (``hamflow.engine``, "Buffers").  The buffer holds _OSC_LATTICES
     whole lattices and their half products.  Per time, a pass takes its
     half products, the larger of their moduli and its two first rows'
     values and half products, and its bounds (``_pruned_extremes``).
@@ -396,13 +398,14 @@ class OscillationBuffers:
     128 x 101 and band 5 the passes take 50 and 51 times.
     """
 
-    __slots__ = ("engine", "shape", "times", "rows", "columns", "passes", "work")
+    __slots__ = ("engine", "times", "rows", "columns", "passes", "work")
 
-    def __init__(self, engine: SpectralEngine, spatial_grid: int = 128, time_grid: int = 101):
+    def __init__(self, engine: SpectralEngine, spatial_grid: int = OSC_LATTICE[0],
+                 time_grid: int = OSC_LATTICE[1]):
         if spatial_grid < 2 or time_grid < 2:
             raise ValueError("grids must be >= 2")
         n = spatial_grid
-        self.engine, self.shape = engine, (spatial_grid, time_grid)
+        self.engine = engine
         self.times = np.linspace(0.0, 1.0, time_grid)
         # the rows serve both axes, the y axis transposed once into
         # value_grid's layout

@@ -157,7 +157,7 @@ def spatial_mean(h, t: float, grid: int | None = None) -> float:
     return float(h.engine.value_grid(h.coefficient_grids(t), xs, xs).mean())
 
 
-def lattice_oscillation(h, spatial_grid: int = 128, time_grid: int = 101) -> float:
+def lattice_oscillation(h, spatial_grid: int, time_grid: int) -> float:
     """Trapezoid-in-time integral of (max - min) of H_t over the whole
     lattice, one ``value_grid`` call per time."""
     xs = np.arange(spatial_grid) / spatial_grid

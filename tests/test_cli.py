@@ -25,8 +25,6 @@ steps = 50
 samples = 4
 workers = 1
 seed = 3
-osc_spatial_grid = 8
-osc_time_grid = 5
 curve_vertices = 16
 points = 10
 walk_steps = 2

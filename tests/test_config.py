@@ -3,6 +3,7 @@
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from hamflow.config import (COMMANDS, LAW_KEYS, RUN_KEYS, ExperimentConfig, parse_config,
@@ -15,8 +16,8 @@ from hamflow.experiments import flow_steps
 NON_DEFAULT = {
     "regularity": "1.25", "spatial_max": "7", "include_axis_modes": "yes",
     "temporal_max": "4", "kernel": "constant", "samples": "1500", "seed": "9",
-    "out": "somewhere/else", "workers": "3", "osc_spatial_grid": "16", "osc_time_grid": "7",
-    "steps": "30", "curve_vertices": "12", "refinement_threshold": "0.02", "points": "11",
+    "out": "somewhere/else", "workers": "3", "steps": "30", "curve_vertices": "12",
+    "refinement_threshold": "0.02", "points": "11",
     "ball_center": "0.25, 0.75", "ball_radius": "0.2", "times": "0.0, 0.125, 1.0",
     "grid": "4", "walk_steps": "3", "probe": "0.125, 0.5",
 }
@@ -62,6 +63,19 @@ class TestRoundTrip:
         assert set(NON_DEFAULT) == keys
         assert set(LAW_KEYS + RUN_KEYS).union(*(c.keys for c in COMMANDS.values())) == keys
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_python_values_echo_a_document_of_the_same_config(self, command):
+        # every key the command reads, set from Python off its default (ints
+        # and numpy scalars where a real number is read), echoes a config.txt
+        # that parses back to an equal config
+        values = {key: parse_value(key, NON_DEFAULT[key]) for key in NON_DEFAULT}
+        values.update(regularity=2, ball_radius=np.float64(0.2), samples=np.int64(1500),
+                      times=(0, np.float64(0.125), 1))
+        read = LAW_KEYS + RUN_KEYS + COMMANDS[command].keys
+        cfg = ExperimentConfig(command=command, **{key: values[key] for key in read})
+        again = parse_config(serialize_config(cfg), command=command)
+        assert again == replace(cfg, temporal_max=ExperimentConfig.temporal_max)
+
     def test_false_booleans_round_trip(self):
         for word in ("no", "0"):
             cfg = parse_config(f"include_axis_modes = {word}\n")
@@ -105,6 +119,18 @@ class TestErrors:
             parse_config("regularity_units = frequency\n", command="flow")
         assert str(info.value) == "regularity_units: unknown key"
         assert "regularity_units" not in serialize_config(parse_config(""))
+
+    @pytest.mark.parametrize("key", ["osc_spatial_grid", "osc_time_grid"])
+    def test_oscillation_lattice_keys_are_unknown(self, key):
+        # every oscillation takes the one lattice field.OSC_LATTICE; no key
+        # moves it, and the config echo names none
+        with pytest.raises(ValidationError) as info:
+            parse_config(f"{key} = 128\n", command="sample-field")
+        assert str(info.value) == f"{key}: unknown key"
+        with pytest.raises(ValidationError) as info:
+            parse_config("", overrides={key: 128})
+        assert str(info.value) == f"{key}: unknown key"
+        assert key not in serialize_config(parse_config(""))
 
     def test_smoothing_eps_is_an_unknown_key(self):
         # no command weights coefficient sums; the config echo names no such key
@@ -156,16 +182,20 @@ class TestErrors:
         ("regularity", math.nan), ("regularity", math.inf),
         ("ball_radius", math.inf), ("probe", (math.nan, 0.2)), ("times", (0.0, math.nan)),
         ("ball_center", (-math.inf, 0.5)), ("ball_radius", math.nan),
-        ("refinement_threshold", math.nan), ("osc_spatial_grid", 1), ("osc_time_grid", 1),
-        ("seed", -1), ("out", ""), ("out", " "), ("regularity", 0.0), ("regularity", -3.0),
+        ("refinement_threshold", math.nan), ("seed", -1), ("out", ""), ("out", " "),
+        ("regularity", 0.0), ("regularity", -3.0),
         ("out", " padded"), ("out", "padded\n"), ("spatial_max", 0), ("spatial_max", 2.5),
-        ("temporal_max", 2.5), ("kernel", "bogus")])
+        ("temporal_max", 2.5), ("kernel", "bogus"), ("regularity", True), ("regularity", "3"),
+        ("regularity", None), ("samples", True), ("steps", 3.5), ("times", [0.0, 0.5]),
+        ("out", 5), ("workers", "2"), ("ball_radius", "0.2"), ("probe", (0.3, True))])
     def test_bad_values_from_python_name_their_field(self, key, value):
-        # the document parser refuses non-finite numbers itself; overrides
-        # and direct construction reach the validation alone
-        with pytest.raises(ValidationError) as info:
-            parse_config("", overrides={key: value})
-        assert info.value.field == key
+        # the document parser refuses non-finite numbers and other types
+        # itself; overrides and direct construction reach the validation
+        # alone, and an override of None is no override
+        if value is not None:
+            with pytest.raises(ValidationError) as info:
+                parse_config("", overrides={key: value})
+            assert info.value.field == key
         with pytest.raises(ValidationError) as info:
             ExperimentConfig(**{key: value})
         assert info.value.field == key

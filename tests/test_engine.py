@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hamflow.engine import SpectralEngine
-from hamflow.field import PackedBatch, make_law, sample_hamiltonian
+from hamflow.field import OSC_LATTICE, PackedBatch, make_law, sample_hamiltonian
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP
 from reference import full_draw, gradient, mode_coefficients
 
@@ -188,3 +188,20 @@ def test_row_bounds_hold_every_row_of_the_lattice(axis_modes):
     # the bound is the sum of the moduli of the (cos, sin) pairs
     pairs = half.reshape(5, 64, -1, 2)
     assert np.allclose(bounds, np.hypot(pairs[..., 0], pairs[..., 1]).sum(axis=2), rtol=1e-14)
+
+
+@pytest.mark.parametrize("width", range(2, 53, 2))
+def test_blas_rounds_each_row_alike_at_the_oscillation_lattice(width):
+    # the BLAS condition of hamflow.engine, on which the gathered products of
+    # field.SpectralHamiltonian.oscillation rest: at the lattice every command
+    # takes, a product of 2 to 69 rows, or 100, 200 or 299, of a table of any
+    # width 2K up to 52 (band 26) with the contiguous (2K, n) y rows gives the
+    # same rows as one 300-row product, at the first, second and last offsets
+    rng = np.random.default_rng(width)
+    left = rng.standard_normal((300, width))
+    columns = rng.standard_normal((width, OSC_LATTICE[0]))
+    whole = left @ columns
+    for count in [*range(2, 70), 100, 200, 299]:
+        for start in (0, 1, 300 - count):
+            assert np.array_equal(left[start:start + count] @ columns,
+                                  whole[start:start + count]), (count, start)

@@ -812,8 +812,7 @@ def test_run_forks_no_more_children_than_cpus(monkeypatch):
 
     monkeypatch.setattr(experiments, "_forked", in_process)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    cfg = ExperimentConfig(samples=64, workers=64, spatial_max=2, osc_spatial_grid=8,
-                           osc_time_grid=5)
+    cfg = ExperimentConfig(samples=64, workers=64, spatial_max=2)
     assert len(chunk_lengths(64, 64)) == 64
     records = experiments.oscillation_samples(cfg)
     assert processes == [2, 2]
@@ -978,8 +977,7 @@ def test_chunk_results_do_not_depend_on_chunk_boundaries():
 def test_oscillation_table_adds_the_survival_of_the_sorted_osc():
     # the mean table of the osc, and one survival row per sample: the osc in
     # ascending order less their mean, the i-th of n surviving 1 - (i - 1/2) / n
-    cfg = ExperimentConfig(samples=9, spatial_max=3, temporal_max=2, osc_spatial_grid=8,
-                           osc_time_grid=5, seed=4, workers=1)
+    cfg = ExperimentConfig(samples=9, spatial_max=3, temporal_max=2, seed=4, workers=1)
     records = oscillation_samples(cfg)
     outputs = oscillation_table(cfg, records)
     assert outputs == {**mean_table(cfg, records), "survival": outputs["survival"]}

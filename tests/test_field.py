@@ -10,8 +10,8 @@ from hamflow import field
 from hamflow.config import parse_config
 from hamflow.engine import SpectralEngine
 from hamflow.errors import ValidationError
-from hamflow.field import (HamiltonianLaw, PackedBatch, RandomHamiltonian, SpectralHamiltonian,
-                           make_law, sample_hamiltonian, spectral_weight)
+from hamflow.field import (HamiltonianLaw, OscillationBuffers, PackedBatch, RandomHamiltonian,
+                           SpectralHamiltonian, make_law, sample_hamiltonian, spectral_weight)
 from hamflow.flow import flow_points, time_reversed_hamiltonian
 from hamflow.rng import derive
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, TimeBasis
@@ -235,7 +235,7 @@ class TestOscillation:
         law = make_law(0.1, spatial_max=2, kernel=CONSTANT)
         base = sample_hamiltonian(law, 0)
         zero = RandomHamiltonian(law, np.zeros_like(base.gaussians))
-        assert zero.oscillation(32, 11) == 0.0
+        assert zero.oscillation(OscillationBuffers(zero.engine, 32, 11)) == 0.0
 
     def test_single_mode_closed_form(self):
         # cos*cos mode with w*Z = a has range [-2a, 2a]: oscillation 4a
@@ -245,12 +245,13 @@ class TestOscillation:
         samples = [[a / base.weights[i] if mode_of(base.basis, i).trig == "cc" else 0.0]
                    for i in range(len(base.basis))]
         h = RandomHamiltonian(law, samples)
-        assert h.oscillation(64, 21) == pytest.approx(4 * a, rel=0.01)
+        osc = h.oscillation(OscillationBuffers(h.engine, 64, 21))
+        assert osc == pytest.approx(4 * a, rel=0.01)
 
     def test_invariant_under_time_constant_offset(self):
         law = make_law(0.08, spatial_max=3, temporal_max=4, seed=14)
         h = sample_hamiltonian(law, 14)
-        base = h.oscillation(48, 31)
+        base = h.oscillation(OscillationBuffers(h.engine, 48, 31))
 
         class Offset:
             def __init__(self, inner):
@@ -282,15 +283,16 @@ class TestOscillation:
         tables = SpectralEngine._tables
         monkeypatch.setattr(SpectralEngine, "_tables",
                             lambda self, coords: calls.append(coords.shape) or tables(self, coords))
-        assert h.oscillation(48, 31) == float(np.trapezoid(spread, times))
+        osc = h.oscillation(OscillationBuffers(h.engine, 48, 31))
+        assert osc == float(np.trapezoid(spread, times))
         assert calls == [(48,)]
 
     def test_weight_monotonicity_in_regularity(self):
         means = []
         for r in (0.04, 0.08, 0.14, 0.5, 1.0):
             law = make_law(r, spatial_max=3, temporal_max=3, seed=55)
-            osc = [sample_hamiltonian(law, 55, i).oscillation(32, 11)
-                   for i in range(200)]
+            osc = [h.oscillation(OscillationBuffers(h.engine, 32, 11))
+                   for h in (sample_hamiltonian(law, 55, i) for i in range(200))]
             means.append(np.mean(osc))
         assert all(a > b for a, b in zip(means, means[1:]))
 
@@ -312,7 +314,7 @@ class TestGaussianSandwich:
 
     @staticmethod
     def osc(h):
-        return h.oscillation(32, 21)
+        return h.oscillation(OscillationBuffers(h.engine, 32, 21))
 
     def test_shifted_ball_lies_between_the_bounds(self):
         law = make_law(3.95 / (4 * math.pi**2))
@@ -405,7 +407,8 @@ class TestPrunedOscillation:
         r, kwargs = PRUNING_LAWS[law]
         for i in range(3):
             h = sample_hamiltonian(frequency_law(r, **kwargs), 9, i)
-            assert h.oscillation(*lattice) == lattice_oscillation(h, *lattice)
+            assert h.oscillation(OscillationBuffers(h.engine, *lattice)) == \
+                lattice_oscillation(h, *lattice)
 
     @pytest.mark.parametrize("r", [500, 700])
     def test_row_bounds_do_not_underflow(self, r):
@@ -413,19 +416,17 @@ class TestPrunedOscillation:
         # flush to zero, and the bounds would prune the rows of the extremes
         for i in range(3):
             h = sample_hamiltonian(frequency_law(r), 9, i)
-            osc = h.oscillation(128, 17)
+            osc = h.oscillation(OscillationBuffers(h.engine, 128, 17))
             assert osc > 0.0 and osc == lattice_oscillation(h, 128, 17)
 
     def test_one_set_of_buffers_serves_many_draws(self):
         law = frequency_law(3)
-        buffers = field.OscillationBuffers(law.engine(), 64, 21)
+        buffers = OscillationBuffers(law.engine(), 64, 21)
         draws = [sample_hamiltonian(law, 9, i) for i in range(3)]
-        assert [h.oscillation(64, 21, buffers) for h in draws] == \
-            [h.oscillation(64, 21) for h in draws]
-        with pytest.raises(ValueError, match="another engine or lattice"):
-            draws[0].oscillation(64, 11, buffers)
-        with pytest.raises(ValueError, match="another engine or lattice"):
-            sample_hamiltonian(frequency_law(4.5), 9, 0).oscillation(64, 21, buffers)
+        assert [h.oscillation(buffers) for h in draws] == \
+            [h.oscillation(OscillationBuffers(h.engine, 64, 21)) for h in draws]
+        with pytest.raises(ValueError, match="another engine"):
+            sample_hamiltonian(frequency_law(4.5), 9, 0).oscillation(buffers)
 
     @pytest.mark.parametrize("room", [4, 5, 7, 40])
     def test_row_extremes_fold_groups_across_products(self, room):
@@ -698,7 +699,7 @@ class TestBand:
         pts = np.random.default_rng(0).uniform(0, 1, (5, 2))
         assert np.all(value(h, 0.4, pts) == 0.0)
         assert np.all(vector_field(h, 0.4, pts) == 0.0)
-        assert h.oscillation(16, 5) == 0.0
+        assert h.oscillation(OscillationBuffers(h.engine, 16, 5)) == 0.0
         assert spatial_mean(h, 0.4) == 0.0
 
     def test_rejects_band_outside_truncation(self):
@@ -967,7 +968,7 @@ class TestHeadOnlyDraws:
         monkeypatch.setattr(field, "derive", lambda *key: keys.append(key) or derive(*key))
         PackedBatch([h])
         h.coefficient_grids(0.5)
-        h.oscillation(8, 3)
+        h.oscillation(OscillationBuffers(h.engine, 8, 3))
         assert h.gaussians.shape == (law.head_rows(), 9)
         assert keys == []
         sample_hamiltonian(law, 9)

@@ -702,16 +702,16 @@ class TestBuffers:
         # glibc's 128 KiB mmap threshold besides, so no array of it is mapped
         # and unmapped, with its page faults, once per draw
         law = make_law(3.0 / (4 * math.pi**2))
-        buffers = OscillationBuffers(law.engine(), 128, 101)
+        buffers = OscillationBuffers(law.engine())
         first, second = (sample_hamiltonian(law, 4, i) for i in range(2))
-        first.oscillation(128, 101, buffers)
+        first.oscillation(buffers)
         grids = second.coefficient_grids(buffers.times).nbytes
         assert grids < 128 * 1024
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            second.oscillation(128, 101, buffers)
+            second.oscillation(buffers)
             held = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -767,11 +767,11 @@ class TestBuffers:
             allocated.append(tracemalloc.get_traced_memory()[1] - before)
             return out
 
-        expected = h.oscillation(128, 101)
+        expected = h.oscillation()
         monkeypatch.setattr(SpectralEngine, "value_grid", measured)
         tracemalloc.start()
         try:
-            assert h.oscillation(128, 101) == expected
+            assert h.oscillation() == expected
         finally:
             tracemalloc.stop()
         # no call allocates its lattices, no call's lattices exceed 8 x 128 x
