@@ -29,6 +29,7 @@ from pathlib import Path
 from . import experiments, io
 from .config import COMMANDS, ExperimentConfig, parse_config, parse_value, serialize_config
 from .errors import FailureBudgetExceeded, HamflowError, ParseError, ValidationError
+from .field import OSC_LATTICE
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,8 +65,10 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     the kernel's frequencies, the next its lowest shell's shares of Var H
     and Var grad H and its participation ratio
     (``HamiltonianLaw.mode_shares``) and, if the command reads ``steps``,
-    one before them names its step count (``experiments.flow_steps``).  An
-    ``OSError`` writing any is a ``ValidationError`` of ``out``.
+    one before them names its step count (``experiments.flow_steps``);
+    ``sample-field`` adds one naming the lattice of its oscillations
+    (``field.OSC_LATTICE``).  An ``OSError`` writing any is a
+    ``ValidationError`` of ``out``.
     """
     out = Path(cfg.out)
     law, r = cfg.law, cfg.regularity
@@ -74,6 +77,9 @@ def _outdir(cfg: ExperimentConfig) -> Path:
              f"temporal {law.temporal_band()} of {law.kernel_time_basis().frequencies}\n",
              f"# mode shares: lowest shell {shell:.5f} of Var H, {gradient:.5f} of Var grad H; "
              f"participation ratio {ratio:.5g}\n"]
+    if cfg.command == "sample-field":
+        n, times = OSC_LATTICE
+        lines.append(f"# oscillation lattice: {n} x {n} points at {times} times\n")
     if "steps" in COMMANDS[cfg.command].keys:
         lines.insert(0, f"# flow steps at regularity {r:g}: "
                         f"{experiments.flow_steps(law, cfg.steps)} of at most {cfg.steps}\n")

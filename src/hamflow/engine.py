@@ -73,12 +73,11 @@ larger counts matched a product of many rows, row for row, at n = 37, 64
 and 128 for every 2K up to 52, and at every n up to 69 for 2K = 10 and
 12; for 2K >= 20 they did not at several n of 1, 2 or 3 mod 8 (2, 3, 17
 and 33 among them); at n = 100 and 33 about 700 and 940 of the 1,846
-(2K, row count) cases failed.  So the CLI takes one lattice, n = 128
-(``field.OSC_LATTICE``), whose condition the tests check on the BLAS they
-run on, at every 2K up to 52 (``tests/test_engine.py``,
-``test_blas_rounds_each_row_alike_at_the_oscillation_lattice``).  The
-oscillation tests' lattices of 2, 3, 37 and 128 rows still give the whole
-lattices' extremes bit for bit.
+(2K, row count) cases failed.  So every oscillation takes one lattice,
+n = 128 (``field.OSC_LATTICE``), whose condition the tests check on the
+BLAS they run on, at every 2K up to 52 (``tests/test_engine.py``,
+``test_blas_rounds_each_row_alike_at_the_oscillation_lattice``), and on
+which the oscillation tests compare its extremes with the whole lattices'.
 
 Buffers.  ``vector_field`` writes its tables, its product and its result
 into arrays the caller owns: ``FieldBuffers`` (from ``buffers``) and

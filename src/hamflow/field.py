@@ -87,11 +87,11 @@ def _engine_for(spatial_max: int, include_axis_modes: bool, band: int) -> Spectr
 # value, which it leaves with probability about 2e-19 (HamiltonianLaw.band).
 _GAUSSIAN_MAX = 9.0
 _HALF_ULP = 0.5 * np.finfo(float).eps
-# Whole lattices, with their half products, that the work buffer of
-# ``oscillation`` holds (``OscillationBuffers``): 0.85 MB at 128 x 128 and
-# band 5, where a pass bounds the rows of up to 51 times.  Eight lattices
+# The work buffer of ``oscillation`` (``OscillationBuffers``) in units of
+# n (n + 2K) doubles, a lattice with its half products: 0.85 MB at n = 128
+# and band 5, where a pass bounds the rows of up to 51 times.  Eight units
 # raised the peak RSS of sample-field by 0.4 MiB and gained no time.
-_OSC_LATTICES = 6
+_OSC_LATTICE_SIZES = 6
 # Every oscillation's n x n lattice at T times (``hamflow.engine``, "The BLAS condition")
 OSC_LATTICE = (128, 101)
 # Relative slack on a row bound, far above the rounding of the bound and of
@@ -329,9 +329,10 @@ class SpectralHamiltonian:
         return grids[0] if np.ndim(times) == 0 else grids
 
     def oscillation(self, buffers: OscillationBuffers | None = None) -> float:
-        """Trapezoid-in-time integral of (lattice max - lattice min) of H_t.
+        """Trapezoid-in-time integral of (lattice max - lattice min) of H_t
+        on the lattice ``OSC_LATTICE``.
 
-        The n x n lattice's max and min are exact, but most of its rows are
+        The lattice's max and min are exact, but most of its rows are
         never evaluated.  The times are taken in passes
         (``OscillationBuffers.passes``).  A pass bounds |H_t| along every
         row of each of its times (``engine.row_bounds``) and evaluates two
@@ -348,20 +349,20 @@ class SpectralHamiltonian:
         (time, row) pairs, the row of largest bound always among them, are
         gathered from the bounds' half products and evaluated in one product
         with the lattice's y rows (more where the buffer holds fewer rows),
-        and each time's max and min are folded from their values.  Each
-        value is the 2K-term dot product a whole lattice makes
-        (``SpectralEngine.value_grid``, under the BLAS condition of
-        ``hamflow.engine``), so the result is bit for bit that of the whole
-        lattices (``tests/reference.py``, ``lattice_oscillation``).  A pass
-        that would evaluate more than half its rows, and every pass after
-        it, evaluates whole lattices instead.  At spatial_max 25 and
-        128 x 101, about a tenth of the rows are evaluated at r = 3
-        (frequency units), a twentieth at r = 4.5, and all at r = 0.1.
+        and each time's max and min are folded from their values
+        (``_pruned_extremes``).  Each value is the 2K-term dot product a
+        whole lattice makes (``SpectralEngine.value_grid``, under the BLAS
+        condition of ``hamflow.engine``), so the result is bit for bit that
+        of the whole lattices (``tests/reference.py``,
+        ``lattice_oscillation``).  At spatial_max 25, about a tenth of the
+        rows are evaluated at r = 3 (frequency units), a twentieth at
+        r = 4.5, and nearly all at r = 0.1, where the bounds cost more than
+        the rows they prune.
 
-        ``buffers`` holds the lattice, its times and rows, and the work
-        buffer (``OscillationBuffers``); the call builds its own, on
-        ``OSC_LATTICE``, if none is given.  A caller that oscillates many
-        draws builds one set and passes it to each (``experiments._osc_chunk``).
+        ``buffers`` holds the times, the lattice rows and the work buffer
+        (``OscillationBuffers``); the call builds its own if none is given.
+        A caller that oscillates many draws builds one set and passes it to
+        each (``experiments._osc_chunk``).
         """
         if buffers is None:
             buffers = OscillationBuffers(self.engine)
@@ -369,42 +370,33 @@ class SpectralHamiltonian:
             raise ValueError("the buffers were built for another engine")
         grids = self.coefficient_grids(buffers.times)
         spread = np.empty(len(buffers.times))
-        whole = False
         for start, stop in zip(buffers.passes, buffers.passes[1:]):
-            g = grids[start:stop]
-            extremes = None if whole else _pruned_extremes(g, buffers)
-            whole = extremes is None
-            hi, lo = _lattice_extremes(g, buffers) if whole else extremes
+            hi, lo = _pruned_extremes(grids[start:stop], buffers)
             spread[start:stop] = hi - lo
         return float(np.trapezoid(spread, buffers.times))
 
 
 class OscillationBuffers:
     """Work arrays of ``SpectralHamiltonian.oscillation`` on one engine's
-    n x n lattice at T times, ``OSC_LATTICE`` unless given: the times, the
-    lattice's rows (n, 2K) and their contiguous transpose ``columns``, and
-    one work buffer.
+    n x n lattice at T times, ``OSC_LATTICE``: the times, the lattice's rows
+    (n, 2K) and their contiguous transpose ``columns``, and one work buffer.
 
     The caller owns them, and one set serves every draw of the engine.  A
     chunk of draws then maps the buffer once, not once per draw
-    (``hamflow.engine``, "Buffers").  The buffer holds _OSC_LATTICES
-    whole lattices and their half products.  Per time, a pass takes its
-    half products, the larger of their moduli and its two first rows'
-    values and half products, and its bounds (``_pruned_extremes``).
-    ``passes`` holds the first time of each pass, and T: every pass but the
-    first takes as many times as the buffer holds, and the first takes the
-    rest, two at least.  The first pass is the shortest because a draw that
-    turns to whole lattices there has bounded its rows for nothing.  At
-    128 x 101 and band 5 the passes take 50 and 51 times.
+    (``hamflow.engine``, "Buffers").  The buffer holds _OSC_LATTICE_SIZES
+    times n (n + 2K) doubles.  Per time, a pass takes its half products,
+    the larger of their moduli and its two first rows' values and half
+    products, and its bounds (``_pruned_extremes``).  ``passes`` holds the
+    first time of each pass, and T: every pass but the first takes as many
+    times as the buffer holds, and the first takes the rest, two at least,
+    so that no gathered product has one row.  At band 5 the passes take
+    50 and 51 times.
     """
 
     __slots__ = ("engine", "times", "rows", "columns", "passes", "work")
 
-    def __init__(self, engine: SpectralEngine, spatial_grid: int = OSC_LATTICE[0],
-                 time_grid: int = OSC_LATTICE[1]):
-        if spatial_grid < 2 or time_grid < 2:
-            raise ValueError("grids must be >= 2")
-        n = spatial_grid
+    def __init__(self, engine: SpectralEngine):
+        n, time_grid = OSC_LATTICE
         self.engine = engine
         self.times = np.linspace(0.0, 1.0, time_grid)
         # the rows serve both axes, the y axis transposed once into
@@ -412,21 +404,22 @@ class OscillationBuffers:
         self.rows = engine.lattice_rows(np.arange(n) / n)
         self.columns = np.ascontiguousarray(self.rows.T)
         width = self.rows.shape[1]
-        size = _OSC_LATTICES * n * (n + width)
+        size = _OSC_LATTICE_SIZES * n * (n + width)
         per_pass = size // (n * width + max(n * width // 2, 2 * (n + width)) + n)
         first = max(2, time_grid - (-(-time_grid // per_pass) - 1) * per_pass)
         self.passes = [0, *range(first, time_grid, per_pass), time_grid]
         self.work = np.empty(size)
 
 
-def _pruned_extremes(grids: np.ndarray, buffers: OscillationBuffers):
+def _pruned_extremes(grids: np.ndarray, buffers: OscillationBuffers) -> tuple:
     """Max and min of each grid's lattice from the rows whose bounds reach
-    the extremes found (``SpectralHamiltonian.oscillation``), or None if
-    those are more than half the rows.
+    the extremes found (``SpectralHamiltonian.oscillation``).
 
     The bounds' half products stay at the head of the buffer and the bounds
     at its tail, where the kept (time, row) pairs are then gathered, in time
-    order.
+    order.  Where most rows are kept (r = 0.1), the gathered rows reach into
+    the half products they are read from, and ``np.take`` copies those
+    first (up to 0.7 MB a pass at r = 0.1, band 25).
     """
     engine, rows, columns, work = buffers.engine, buffers.rows, buffers.columns, buffers.work
     count, (n, width) = len(grids), rows.shape
@@ -445,8 +438,6 @@ def _pruned_extremes(grids: np.ndarray, buffers: OscillationBuffers):
     # the row of largest bound is always kept, its bound reaching the extremes
     # of its own values, so every time has a pair, and a pass at least two
     keep = np.flatnonzero(bound > cut[:, None])
-    if 2 * len(keep) > count * n:
-        return None
     tail = len(work) - len(keep) * width
     gathered = np.take(half.reshape(-1, width), keep, axis=0, mode="clip",
                        out=work[tail:].reshape(-1, width))
@@ -478,24 +469,6 @@ def _row_extremes(half: np.ndarray, columns: np.ndarray, starts: np.ndarray,
         np.minimum.reduceat(v, (parts[held] - a) * n, out=lo[held])
     first = np.searchsorted(parts, starts)
     return np.maximum.reduceat(hi, first), np.minimum.reduceat(lo, first)
-
-
-def _lattice_extremes(grids: np.ndarray, buffers: OscillationBuffers) -> tuple:
-    """Max and min of each grid's whole lattice.  The half products and
-    lattices of as many grids per ``value_grid`` call as fit go to the
-    buffer."""
-    engine, rows, work = buffers.engine, buffers.rows, buffers.work
-    n, width = rows.shape
-    count = len(work) // (n * (width + n))
-    hi, lo = np.empty(len(grids)), np.empty(len(grids))
-    for a in range(0, len(grids), count):
-        g = grids[a:a + count]
-        split = len(g) * n * width
-        v = engine.value_grid(g, rows, buffers.columns.T,
-                              out=work[split:split + len(g) * n * n].reshape(-1, n, n),
-                              half=work[:split].reshape(-1, n, width))
-        hi[a:a + count], lo[a:a + count] = v.max(axis=(1, 2)), v.min(axis=(1, 2))
-    return hi, lo
 
 
 class RandomHamiltonian(SpectralHamiltonian):

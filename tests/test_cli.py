@@ -92,6 +92,10 @@ def test_command_writes_outputs(tmp_path, command, extra):
             if not line.startswith("#")] == read
     echoed = parse_config(echo, command=command)
     assert all(getattr(echoed, key) == getattr(effective, key) for key in read)
+    # sample-field's osc is taken on the one lattice field.OSC_LATTICE, which
+    # its echo names; no other command oscillates
+    lattice = "# oscillation lattice: 128 x 128 points at 101 times"
+    assert (lattice in echo.splitlines()) == (command == "sample-field")
 
 
 @pytest.mark.parametrize("command", ["sample-field", "inversion"])

@@ -10,8 +10,9 @@ from hamflow import field
 from hamflow.config import parse_config
 from hamflow.engine import SpectralEngine
 from hamflow.errors import ValidationError
-from hamflow.field import (HamiltonianLaw, OscillationBuffers, PackedBatch, RandomHamiltonian,
-                           SpectralHamiltonian, make_law, sample_hamiltonian, spectral_weight)
+from hamflow.field import (OSC_LATTICE, HamiltonianLaw, OscillationBuffers, PackedBatch,
+                           RandomHamiltonian, SpectralHamiltonian, make_law, sample_hamiltonian,
+                           spectral_weight)
 from hamflow.flow import flow_points, time_reversed_hamiltonian
 from hamflow.rng import derive
 from hamflow.temporal import CONSTANT, PERIODIC, SQEXP, TimeBasis
@@ -235,7 +236,7 @@ class TestOscillation:
         law = make_law(0.1, spatial_max=2, kernel=CONSTANT)
         base = sample_hamiltonian(law, 0)
         zero = RandomHamiltonian(law, np.zeros_like(base.gaussians))
-        assert zero.oscillation(OscillationBuffers(zero.engine, 32, 11)) == 0.0
+        assert zero.oscillation() == 0.0
 
     def test_single_mode_closed_form(self):
         # cos*cos mode with w*Z = a has range [-2a, 2a]: oscillation 4a
@@ -245,13 +246,12 @@ class TestOscillation:
         samples = [[a / base.weights[i] if mode_of(base.basis, i).trig == "cc" else 0.0]
                    for i in range(len(base.basis))]
         h = RandomHamiltonian(law, samples)
-        osc = h.oscillation(OscillationBuffers(h.engine, 64, 21))
-        assert osc == pytest.approx(4 * a, rel=0.01)
+        assert h.oscillation() == pytest.approx(4 * a, rel=0.01)
 
     def test_invariant_under_time_constant_offset(self):
         law = make_law(0.08, spatial_max=3, temporal_max=4, seed=14)
         h = sample_hamiltonian(law, 14)
-        base = h.oscillation(OscillationBuffers(h.engine, 48, 31))
+        base = h.oscillation()
 
         class Offset:
             def __init__(self, inner):
@@ -263,8 +263,9 @@ class TestOscillation:
         # an additive function of t alone shifts max and min equally; emulate
         # by comparing against the same draw evaluated with a shifted engine
         spread = []
-        xs = np.arange(48) / 48
-        times = np.linspace(0, 1, 31)
+        n, time_grid = OSC_LATTICE
+        xs = np.arange(n) / n
+        times = np.linspace(0, 1, time_grid)
         grids = h.coefficient_grids(times)
         for i, t in enumerate(times):
             vals = h.engine.value_grid(grids[i], xs, xs) + 3.7 * math.sin(t)
@@ -274,25 +275,27 @@ class TestOscillation:
 
     def test_builds_the_lattice_rows_once(self, monkeypatch):
         h = sample_hamiltonian(make_law(0.08, spatial_max=3, temporal_max=4), 14)
-        xs = np.arange(48) / 48
-        times = np.linspace(0, 1, 31)
+        n, time_grid = OSC_LATTICE
+        xs = np.arange(n) / n
+        times = np.linspace(0, 1, time_grid)
         grids = h.coefficient_grids(times)
-        spread = [h.engine.value_grid(grids[start:start + 8], xs, xs) for start in range(0, 31, 8)]
+        spread = [h.engine.value_grid(grids[start:start + 8], xs, xs)
+                  for start in range(0, time_grid, 8)]
         spread = np.concatenate([v.max(axis=(1, 2)) - v.min(axis=(1, 2)) for v in spread])
         calls = []
         tables = SpectralEngine._tables
         monkeypatch.setattr(SpectralEngine, "_tables",
                             lambda self, coords: calls.append(coords.shape) or tables(self, coords))
-        osc = h.oscillation(OscillationBuffers(h.engine, 48, 31))
+        osc = h.oscillation()
         assert osc == float(np.trapezoid(spread, times))
-        assert calls == [(48,)]
+        assert calls == [(n,)]
 
     def test_weight_monotonicity_in_regularity(self):
         means = []
         for r in (0.04, 0.08, 0.14, 0.5, 1.0):
             law = make_law(r, spatial_max=3, temporal_max=3, seed=55)
-            osc = [h.oscillation(OscillationBuffers(h.engine, 32, 11))
-                   for h in (sample_hamiltonian(law, 55, i) for i in range(200))]
+            buffers = OscillationBuffers(law.engine())
+            osc = [sample_hamiltonian(law, 55, i).oscillation(buffers) for i in range(200)]
             means.append(np.mean(osc))
         assert all(a > b for a, b in zip(means, means[1:]))
 
@@ -305,30 +308,28 @@ class TestGaussianSandwich:
         exp(-s^2 / 2) P(osc(H) < eps) <= P(osc(H - G) < eps) <= P(osc(H) < eps),
 
     Cameron-Martin with Anderson on the left and Anderson on the right.  The
-    theorems hold on any lattice; 32 x 21 keeps 4,000 osc evaluations near
-    2 s.  The default law (r = 3.95), 1,000 draws from streams (12, 0, i),
+    theorems hold on any lattice, so the one lattice serves (``OSC_LATTICE``).
+    The default law (r = 3.95), 1,000 draws from streams (12, 0, i),
     eps the median osc of 1,000 draws from streams (12, 1, i), both seeds
     fixed before any result was seen."""
 
     N = 1000
 
-    @staticmethod
-    def osc(h):
-        return h.oscillation(OscillationBuffers(h.engine, 32, 21))
-
     def test_shifted_ball_lies_between_the_bounds(self):
         law = make_law(3.95 / (4 * math.pi**2))
-        eps = np.median([self.osc(sample_hamiltonian(law, 12, 1, i)) for i in range(self.N)])
+        buffers = OscillationBuffers(law.engine())
+        eps = np.median([sample_hamiltonian(law, 12, 1, i).oscillation(buffers)
+                         for i in range(self.N)])
         hs = [sample_hamiltonian(law, 12, 0, i) for i in range(self.N)]
-        plain = np.mean([self.osc(h) < eps for h in hs])
+        plain = np.mean([h.oscillation(buffers) < eps for h in hs])
         for s in (1.0, 2.0):
             # s on the constant column of the first band mode, a normal B reads
             normals = np.zeros((law.head_rows(), law.gaussians_per_sample()))
             normals[law.engine().modes[0], 0] = s
             g = RandomHamiltonian(law, normals)
-            ball = np.mean([self.osc(SpectralHamiltonian(law.engine(), law.time_basis(),
-                                                         h.coefficients - g.coefficients)) < eps
-                            for h in hs])
+            ball = np.mean([SpectralHamiltonian(law.engine(), law.time_basis(),
+                                                h.coefficients - g.coefficients)
+                            .oscillation(buffers) < eps for h in hs])
             # binomial standard errors of both estimates, in quadrature
             se = math.sqrt((ball * (1 - ball) + plain * (1 - plain)) / self.N)
             assert ball <= plain + 4 * se, (s, ball, plain)
@@ -383,11 +384,9 @@ class TestFieldMaximum:
             assert abs(z) <= 3, (level, z)
 
 
-# periodic laws from every row evaluated to a twentieth of them, the other
-# kernels, and axis modes, whose y-only modes give every row the same part of
-# its bound; at 128 x 101 the r = 0.1 law evaluates whole lattices after its
-# first pass, and draws of seed 9 turn to them partway through at r = 0.5
-# (draws 1 and 2) and with axis modes (draw 2)
+# periodic laws from nearly every row evaluated (r = 0.1) to a twentieth of
+# them, the other kernels, and axis modes, whose y-only modes give every row
+# the same part of its bound
 PRUNING_LAWS = {**{f"r={r:g}": (r, {}) for r in (0.1, 0.5, 2, 3, 3.95, 4.5)},
                 "sqexp": (3, {"kernel": SQEXP}), "constant": (3.95, {"kernel": CONSTANT}),
                 "axis modes": (3.95, {"include_axis_modes": True})}
@@ -397,18 +396,13 @@ class TestPrunedOscillation:
     """``oscillation`` evaluates only the rows whose bounds reach the
     extremes found, and its result is bit for bit that of every row."""
 
-    # (37, 3) and (2, 2): one short pass; (3, 2): a lattice on which products
-    # of fewer rows than its 3 take OpenBLAS's small-matrix kernel at 2K = 50
-    # and round otherwise; (128, 17): one pass; (128, 101): the lattice
-    # sample-field takes, in two passes at r = 3 and up to eight at r = 0.1
+    # on the one lattice, in two passes at r = 3 and up to eight at r = 0.1
     @pytest.mark.parametrize("law", sorted(PRUNING_LAWS))
-    @pytest.mark.parametrize("lattice", [(37, 3), (2, 2), (3, 2), (128, 17), (128, 101)])
-    def test_equals_the_whole_lattices(self, law, lattice):
+    @pytest.mark.parametrize("draw", range(5), ids=lambda i: f"draw{i}")
+    def test_equals_the_whole_lattices(self, law, draw):
         r, kwargs = PRUNING_LAWS[law]
-        for i in range(3):
-            h = sample_hamiltonian(frequency_law(r, **kwargs), 9, i)
-            assert h.oscillation(OscillationBuffers(h.engine, *lattice)) == \
-                lattice_oscillation(h, *lattice)
+        h = sample_hamiltonian(frequency_law(r, **kwargs), 9, draw)
+        assert h.oscillation() == lattice_oscillation(h, *OSC_LATTICE)
 
     @pytest.mark.parametrize("r", [500, 700])
     def test_row_bounds_do_not_underflow(self, r):
@@ -416,15 +410,14 @@ class TestPrunedOscillation:
         # flush to zero, and the bounds would prune the rows of the extremes
         for i in range(3):
             h = sample_hamiltonian(frequency_law(r), 9, i)
-            osc = h.oscillation(OscillationBuffers(h.engine, 128, 17))
-            assert osc > 0.0 and osc == lattice_oscillation(h, 128, 17)
+            osc = h.oscillation()
+            assert osc > 0.0 and osc == lattice_oscillation(h, *OSC_LATTICE)
 
     def test_one_set_of_buffers_serves_many_draws(self):
         law = frequency_law(3)
-        buffers = OscillationBuffers(law.engine(), 64, 21)
+        buffers = OscillationBuffers(law.engine())
         draws = [sample_hamiltonian(law, 9, i) for i in range(3)]
-        assert [h.oscillation(buffers) for h in draws] == \
-            [h.oscillation(OscillationBuffers(h.engine, 64, 21)) for h in draws]
+        assert [h.oscillation(buffers) for h in draws] == [h.oscillation() for h in draws]
         with pytest.raises(ValueError, match="another engine"):
             sample_hamiltonian(frequency_law(4.5), 9, 0).oscillation(buffers)
 
@@ -474,13 +467,28 @@ class TestPrunedOscillation:
             h = sample_hamiltonian(frequency_law(r), 9, 0)
             assert self.evaluated_rows(h, monkeypatch) < most * 101 * 128
 
-    def test_rough_laws_evaluate_whole_lattices(self, monkeypatch):
-        # the first pass evaluates its two first rows per time, then every row
-        # of every time
-        h = sample_hamiltonian(frequency_law(0.1), 9, 0)
-        first_pass = field.OscillationBuffers(h.engine).passes[1]
-        assert first_pass == 3
-        assert self.evaluated_rows(h, monkeypatch) == 2 * first_pass + 101 * 128
+    @pytest.mark.parametrize("law", ["r=0.1", "r=0.5", "axis modes"])
+    def test_every_pass_evaluates_two_first_rows_per_time(self, law, monkeypatch):
+        # the laws with passes that keep more than half their rows (at seed 9,
+        # every draw at r = 0.1, draws 1 and 2 at r = 0.5, draw 2 with axis
+        # modes) too: every value_grid call evaluates two rows of each of its
+        # grids, 202 in all, and the other rows evaluated are gathered.  Draw
+        # 0 at r = 0.1 evaluates 10,856 of the 12,928 rows (202 first rows,
+        # 10,654 gathered)
+        r, kwargs = PRUNING_LAWS[law]
+        grids = []
+        value_grid = SpectralEngine.value_grid
+
+        def counted(self, grid, xs, ys, **kwargs):
+            assert np.shape(xs)[:-1] == (len(grid), 2)
+            grids.append(len(grid))
+            return value_grid(self, grid, xs, ys, **kwargs)
+
+        monkeypatch.setattr(SpectralEngine, "value_grid", counted)
+        for i in range(3):
+            grids.clear()
+            sample_hamiltonian(frequency_law(r, **kwargs), 9, i).oscillation()
+            assert sum(grids) == OSC_LATTICE[1]
 
 
 class TestSubnormalFlush:
@@ -699,7 +707,7 @@ class TestBand:
         pts = np.random.default_rng(0).uniform(0, 1, (5, 2))
         assert np.all(value(h, 0.4, pts) == 0.0)
         assert np.all(vector_field(h, 0.4, pts) == 0.0)
-        assert h.oscillation(OscillationBuffers(h.engine, 16, 5)) == 0.0
+        assert h.oscillation() == 0.0
         assert spatial_mean(h, 0.4) == 0.0
 
     def test_rejects_band_outside_truncation(self):
@@ -968,7 +976,7 @@ class TestHeadOnlyDraws:
         monkeypatch.setattr(field, "derive", lambda *key: keys.append(key) or derive(*key))
         PackedBatch([h])
         h.coefficient_grids(0.5)
-        h.oscillation(OscillationBuffers(h.engine, 8, 3))
+        h.oscillation()
         assert h.gaussians.shape == (law.head_rows(), 9)
         assert keys == []
         sample_hamiltonian(law, 9)

@@ -754,13 +754,13 @@ class TestBuffers:
     def test_oscillation_block_allocates_no_lattice(self, monkeypatch):
         h = sample_hamiltonian(self.LAW, 3)
         value_grid = SpectralEngine.value_grid
-        allocated, lattices, buffers = [], [], []
+        allocated, shapes, buffers = [], [], []
 
         def measured(self, *args, **kwargs):
-            # the call's lattices, and the buffer that they are a view of
+            # the call's values, and the buffer that they are a view of
             out = kwargs["out"]
-            lattices.append(out.nbytes)
-            buffers.append(out.nbytes if out.base is None else out.base.nbytes)
+            shapes.append(out.shape)
+            buffers.append(out.base.nbytes)
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             out = value_grid(self, *args, **kwargs)
@@ -774,10 +774,11 @@ class TestBuffers:
             assert h.oscillation() == expected
         finally:
             tracemalloc.stop()
-        # no call allocates its lattices, no call's lattices exceed 8 x 128 x
-        # 128 doubles (1 MiB), and one buffer holds those and the half
-        # products of every call: 8 x 128 x (128 + 2K) doubles, as the
-        # lattices and half products of 8 whole lattices take
+        # no call allocates its values, each call evaluates the two first
+        # rows of each time of its pass, (times, 2, 128), and one buffer of
+        # 6 x 128 x (128 + 2K) doubles holds those and every half product
+        held = OscillationBuffers(h.engine)
         assert allocated and max(allocated) < self.LIMIT
-        assert max(lattices) <= 8 * 128 * 128 * 8
-        assert max(buffers) <= 8 * 128 * (128 + 2 * h.engine.band) * 8
+        assert shapes == [(b - a, 2, 128) for a, b in zip(held.passes, held.passes[1:])]
+        assert held.work.nbytes == 6 * 128 * (128 + held.rows.shape[1]) * 8
+        assert set(buffers) == {held.work.nbytes}
