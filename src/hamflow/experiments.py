@@ -24,10 +24,16 @@ Failures.  A curve task (``flow``, ``intersections``) records the
 text; the other tasks' errors end the run.  The reducers keep the resolved
 records only (``hamflow.cli`` writes the others to ``failures.jsonl``).
 
-Streams and chunks.  Sample i draws its Hamiltonian from stream
-(seed, 0, i) (``sample_hamiltonian``) and diffusion's ball points from
-(seed, 0, i, 1).  The inversion test's inverse branch draws from
-(seed, 1, i) and walk w draws step j from (seed, w, j).  ``_run_chunks``
+Streams and chunks.  Every task takes its Hamiltonians from ``draws``,
+which alone maps a draw to its stream, and ``sample_hamiltonian`` draws
+stream (seed, *key) from the config's law.  There are three families:
+sample i's forward draw at (seed, 0, i), which every command but
+``random-walk`` takes; the inversion test's inverse draw of sample i at
+(seed, 1, i); and step j of walk w at (seed, w, j), which ``_walk_chunk``
+takes step-major.  Diffusion's ball points of sample i come from stream
+(seed, 0, i, 1), which is no draw's.  The families overlap: step j of walk 0
+reads forward draw j's stream and step j of walk 1 inverse draw j's, so
+under one law they are the same Hamiltonians.  ``_run_chunks``
 cuts a run into balanced chunks of consecutive sample indices: the fewest
 chunks of at most CHUNK samples whose count is a multiple of the worker
 count (as far as the samples allow), their lengths differing by one at
@@ -196,6 +202,18 @@ def flow_steps(law: HamiltonianLaw, cap: int) -> int:
     return min(cap, max(MIN_STEPS, math.ceil(law.lipschitz_bound() / THETA)))
 
 
+# Each draw family's stream key after the seed, by index (module docstring,
+# "Streams and chunks"); a walk step's index is (walk, step).
+_STREAMS = {"forward": lambda i: (0, i), "inverse": lambda i: (1, i), "walk": lambda wj: wj}
+
+
+def draws(cfg: ExperimentConfig, family: str, indices):
+    """The draws of ``cfg.law`` of ``family`` at ``indices``, in order, each
+    drawn as it is read, so that ``PackedBatch`` lets it go once packed."""
+    stream = _STREAMS[family]
+    return (sample_hamiltonian(cfg.law, cfg.seed, *stream(index)) for index in indices)
+
+
 def _cpus() -> int:
     """The number of CPUs the process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -334,10 +352,9 @@ def _image_chunk(values, cfg, samples) -> list:
     Each draw is packed as it is sampled and then let go (``PackedBatch``);
     the chunk's curves advect together (``advect_curves``).
     """
-    law = cfg.law
-    batch = PackedBatch((sample_hamiltonian(law, cfg.seed, 0, i) for i in samples), len(samples))
+    batch = PackedBatch(draws(cfg, "forward", samples), len(samples))
     images = advect_curves(batch, horizontal_circle(0.5, cfg.curve_vertices), 1.0,
-                           flow_steps(law, cfg.steps), cfg.refinement_threshold)
+                           flow_steps(cfg.law, cfg.steps), cfg.refinement_threshold)
     records = []
     for i, image in zip(samples, images):
         try:
@@ -391,17 +408,12 @@ def _chi_square(counts: np.ndarray) -> float:
 
 
 def _diffusion_chunk(cfg, samples) -> list:
-    """Per sample: its bin counts and their chi-square, per time.
-
-    Sample i draws its Hamiltonian from stream (seed, 0, i)
-    (``sample_hamiltonian``, the head rows only) and its ball points from
-    stream (seed, 0, i, 1).  The chunk's clouds flow as one batch.
-    """
-    law = cfg.law
-    batch = PackedBatch((sample_hamiltonian(law, cfg.seed, 0, i) for i in samples), len(samples))
+    """Per sample: its bin counts and their chi-square, per time.  The
+    chunk's clouds flow as one batch."""
+    batch = PackedBatch(draws(cfg, "forward", samples), len(samples))
     pts = np.stack([_ball_points(derive(cfg.seed, 0, i, 1), cfg.ball_center, cfg.ball_radius,
                                  cfg.points) for i in samples])
-    states = flow_points_through(batch, pts, cfg.times, flow_steps(law, cfg.steps))
+    states = flow_points_through(batch, pts, cfg.times, flow_steps(cfg.law, cfg.steps))
     records = []
     for row, i in enumerate(samples):
         counts = np.stack([_bin_counts(s[row], cfg.grid) for s in states])
@@ -432,8 +444,8 @@ def _osc_chunk(cfg, samples) -> list:
     """Oscillation norms of ``samples``, drawn one at a time, from one set
     of work arrays on the one lattice for the chunk (``field.OscillationBuffers``)."""
     buffers = OscillationBuffers(cfg.law.engine())
-    return [{"sample": i, "osc": sample_hamiltonian(cfg.law, cfg.seed, 0, i).oscillation(buffers)}
-            for i in samples]
+    return [{"sample": i, "osc": h.oscillation(buffers)}
+            for i, h in zip(samples, draws(cfg, "forward", samples))]
 
 
 def oscillation_samples(cfg: ExperimentConfig) -> list:
@@ -459,20 +471,17 @@ def oscillation_table(cfg: ExperimentConfig, records: list) -> dict:
 def _displacement_chunk(cfg, samples) -> list:
     """Per sample: the probe's forward and inverse displacements.
 
-    Sample i draws its forward Hamiltonian from stream (seed, 0, i) and its
-    inverse one from (seed, 1, i).  The inverse branch flows the inverse
-    draw back from 1 to 0, which is the forward flow of its time reversal
-    (``time_reversed_hamiltonian``).  The reversal keeps the draw's time
-    basis, so the chunk packs its n forward draws and then the n reversals
-    into one batch of 2n rows and flows them from 0 to 1 in one loop of steps.
+    The inverse branch flows the inverse draw back from 1 to 0, which is
+    the forward flow of its time reversal (``time_reversed_hamiltonian``).
+    The reversal keeps the draw's time basis, so the chunk packs its n
+    forward draws and then the n reversals into one batch of 2n rows and
+    flows them from 0 to 1 in one loop of steps.
     """
-    law = cfg.law
-    forward = (sample_hamiltonian(law, cfg.seed, 0, i) for i in samples)
-    inverse = (time_reversed_hamiltonian(sample_hamiltonian(law, cfg.seed, 1, i)) for i in samples)
-    batch = PackedBatch(chain(forward, inverse), 2 * len(samples))
+    inverse = map(time_reversed_hamiltonian, draws(cfg, "inverse", samples))
+    batch = PackedBatch(chain(draws(cfg, "forward", samples), inverse), 2 * len(samples))
     probe = np.asarray(cfg.probe, dtype=float)
     images = flow_points(batch, np.broadcast_to(probe, (len(batch), 1, 2)), 0.0, 1.0,
-                         flow_steps(law, cfg.steps))
+                         flow_steps(cfg.law, cfg.steps))
     d = (images[:, 0] - probe + 0.5) % 1.0 - 0.5
     dist = np.hypot(d[:, 0], d[:, 1])
     n = len(samples)
@@ -543,18 +552,17 @@ def _walk_chunk(cfg, samples) -> list:
     """Probe trajectories of the walks ``samples``: each (walk_steps + 1, 2),
     reduced mod 1, starting at the probe mod 1.
 
-    Walk w draws step j from stream (seed, w, j).  The loop is step-major:
-    step j of every walk in the chunk is packed as one batch, each draw as
-    it is sampled, and flows the unreduced lifts so far from 0 to 1 at the
-    law's count, so the chunk holds one step's packed rows at a time.
+    The loop is step-major: step j of every walk in the chunk is packed as
+    one batch, each draw as it is sampled, and flows the unreduced lifts so
+    far from 0 to 1 at the law's count, so the chunk holds one step's packed
+    rows at a time.
     """
     steps = flow_steps(cfg.law, cfg.steps)
     traj = np.empty((len(samples), cfg.walk_steps + 1, 2))
     traj[:, 0] = np.mod(cfg.probe, 1.0)
     state = traj[:, :1]
     for j in range(cfg.walk_steps):
-        batch = PackedBatch((sample_hamiltonian(cfg.law, cfg.seed, w, j) for w in samples),
-                            len(samples))
+        batch = PackedBatch(draws(cfg, "walk", ((w, j) for w in samples)), len(samples))
         state = flow_points(batch, state, 0.0, 1.0, steps)
         traj[:, j + 1] = state[:, 0] % 1.0
     return [{"walk": w, "trajectory": t} for w, t in zip(samples, traj)]

@@ -11,6 +11,8 @@ computed and packed for the engine's band modes only (``SpectralEngine.modes``).
 
 Streams.  A draw owns its stream: ``sample_hamiltonian(law, seed, *indices)``
 creates the generator ``derive(seed, *indices)`` and no caller shares it.
+The indices each experiment's draws take are laid out in one place,
+``experiments.draws`` (:mod:`hamflow.experiments`, "Streams and chunks").
 A draw's normals are the rows of one (N, m) array in row order, the first
 N * m normals of that stream.  The band (``HamiltonianLaw.band``) keeps
 the modes that can move a double of the field.  The basis is sorted by

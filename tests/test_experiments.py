@@ -9,6 +9,7 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +22,10 @@ from hamflow.engine import SpectralEngine
 from hamflow import cli, experiments, field, flow
 from hamflow.experiments import (CHUNK, LAGRANGIANS, _ball_points, _bin_counts, _crossings,
                                  _curve, _diffusion_chunk, _displacement_chunk, _image_chunk,
-                                 _ks_two_sample, _run_chunks, _walk_chunk, count_crossings,
-                                 flow_steps, inversion_test, mean_table, oscillation_samples,
-                                 oscillation_table, run_intersections, run_inversion_test,
-                                 standard_error, worker_count)
+                                 _ks_two_sample, _osc_chunk, _run_chunks, _walk_chunk,
+                                 count_crossings, flow_steps, inversion_test, mean_table,
+                                 oscillation_samples, oscillation_table, run_intersections,
+                                 run_inversion_test, standard_error, worker_count)
 from hamflow.field import PackedBatch, RandomHamiltonian, make_law, sample_hamiltonian
 from hamflow.flow import (_STAGE_OFFSETS, LagrangianCurve, advect_curve, advect_curves,
                           flow_points, flow_points_through, horizontal_circle,
@@ -590,22 +591,16 @@ class TestBatchedChunks:
     def test_diffusion_chunk_draws_head_rows_and_points_from_their_own_stream(self,
                                                                               monkeypatch):
         # at spatial_max 12 a draw's head is 128 of its 576 rows (at
-        # spatial_max 5, 80 of 100)
+        # spatial_max 5, 80 of 100); which streams the chunk derives is
+        # test_chunk_task_derives_its_streams_in_order[diffusion]'s check
         cfg = ExperimentConfig(command="diffusion", regularity=3.0, spatial_max=12, steps=40,
                                points=12, samples=5, seed=2)
         law = cfg.law
         assert (law.head_rows(), len(law.basis())) == (128, 576)
-        keys, clouds = {"field": [], "experiments": []}, []
-        for name, module in (("field", field), ("experiments", experiments)):
-            monkeypatch.setattr(module, "derive",
-                                lambda *key, name=name: keys[name].append(key) or derive(*key))
+        clouds = []
         monkeypatch.setattr(experiments, "flow_points_through", lambda batch, pts, *args:
                             clouds.append(pts.copy()) or flow_points_through(batch, pts, *args))
         _diffusion_chunk(cfg, range(1, 5))
-        # one derivation of each draw's stream, for its head (reading a draw's
-        # whole (N, m) normals would derive it again), and one of its points'
-        assert keys == {"field": [(2, 0, i) for i in range(1, 5)],
-                        "experiments": [(2, 0, i, 1) for i in range(1, 5)]}
         (pts,) = clouds
         for row, i in enumerate(range(1, 5)):
             assert np.array_equal(pts[row], _ball_points(derive(2, 0, i, 1), cfg.ball_center,
@@ -613,6 +608,46 @@ class TestBatchedChunks:
         monkeypatch.undo()
         check_diffusion_chunk(3.0, 40, spatial_max=12)
         check_diffusion_chunk(5.0, 7, spatial_max=12)
+
+
+# Each chunk task, by the command it serves, and the stream keys it derives
+# for samples 1-3 at seed 2, in order: ``field`` derives each draw's stream
+# (module docstring of ``experiments``, "Streams and chunks") and
+# ``experiments`` diffusion's ball points'.
+STREAM_SAMPLES = range(1, 4)
+CHUNK_STREAMS = {
+    "image": ("flow", partial(_image_chunk, _curve),
+              {"field": [(2, 0, i) for i in STREAM_SAMPLES], "experiments": []}),
+    "osc": ("sample-field", _osc_chunk,
+            {"field": [(2, 0, i) for i in STREAM_SAMPLES], "experiments": []}),
+    "displacement": ("inversion", _displacement_chunk,
+                     {"field": [(2, b, i) for b in (0, 1) for i in STREAM_SAMPLES],
+                      "experiments": []}),
+    "walk": ("random-walk", _walk_chunk,
+             {"field": [(2, w, j) for j in range(2) for w in STREAM_SAMPLES], "experiments": []}),
+    "diffusion": ("diffusion", _diffusion_chunk,
+                  {"field": [(2, 0, i) for i in STREAM_SAMPLES],
+                   "experiments": [(2, 0, i, 1) for i in STREAM_SAMPLES]}),
+}
+
+
+@pytest.mark.parametrize("name", CHUNK_STREAMS)
+def test_chunk_task_derives_its_streams_in_order(name, monkeypatch):
+    # one derivation of each draw's stream, for its head (reading a draw's
+    # whole (N, m) normals would derive it again): the forward draws, then
+    # the inverse ones, and the walks step by step
+    command, task, expected = CHUNK_STREAMS[name]
+    cfg = ExperimentConfig(command=command, regularity=5.0, spatial_max=5, temporal_max=3,
+                           kernel="constant" if command == "random-walk" else "periodic",
+                           curve_vertices=32, points=8, walk_steps=2, samples=4, seed=2,
+                           workers=1)
+    keys = {"field": [], "experiments": []}
+    for module_name, module in (("field", field), ("experiments", experiments)):
+        monkeypatch.setattr(module, "derive", lambda *key, module_name=module_name:
+                            keys[module_name].append(key) or derive(*key))
+    records = task(cfg, STREAM_SAMPLES)
+    assert len(records) == 3 and not any("error" in record for record in records)
+    assert keys == expected
 
 
 def test_inversion_chunk_peak_memory():

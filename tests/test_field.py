@@ -252,16 +252,8 @@ class TestOscillation:
         law = make_law(0.08, spatial_max=3, temporal_max=4, seed=14)
         h = sample_hamiltonian(law, 14)
         base = h.oscillation()
-
-        class Offset:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def coefficient_grids(self, times):
-                return self._inner.coefficient_grids(times)
-
-        # an additive function of t alone shifts max and min equally; emulate
-        # by comparing against the same draw evaluated with a shifted engine
+        # an additive function of t alone shifts max and min equally: the
+        # draw's lattice values at each time plus 3.7 sin t keep its osc
         spread = []
         n, time_grid = OSC_LATTICE
         xs = np.arange(n) / n
