@@ -72,9 +72,9 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     """
     out = Path(cfg.out)
     law, r = cfg.law, cfg.regularity
-    shell, gradient, ratio = law.mode_shares()
-    lines = [f"# bands at regularity {r:g}: spatial {law.band()} of {cfg.spatial_max}, "
-             f"temporal {law.temporal_band()} of {law.kernel_time_basis().frequencies}\n",
+    shell, gradient, ratio = law.mode_shares
+    lines = [f"# bands at regularity {r:g}: spatial {law.band} of {cfg.spatial_max}, "
+             f"temporal {law.temporal_band} of {law.kernel_time_basis.frequencies}\n",
              f"# mode shares: lowest shell {shell:.5f} of Var H, {gradient:.5f} of Var grad H; "
              f"participation ratio {ratio:.5g}\n"]
     if cfg.command == "sample-field":

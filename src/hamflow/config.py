@@ -219,13 +219,19 @@ def _convert(raw: str, template):
     if isinstance(template, float):
         return _float(raw)
     if isinstance(template, tuple):
-        return tuple(_float(p) for p in map(str.strip, raw.split(",")) if p)
+        # a trailing comma ends the tuple, as in Python; an empty value is the
+        # empty tuple, which reaches its key's own check
+        parts = raw.removesuffix(",").split(",") if raw else []
+        if not all(map(str.strip, parts)):
+            raise ValueError(f"empty element in {raw!r}")
+        return tuple(map(_float, parts))
     return raw.strip()
 
 
 def parse_value(key: str, raw: str, line: int | None = None):
     """``raw`` converted to the type of ``key``'s default; a ParseError if it
-    does not convert (non-finite numbers do not)."""
+    does not convert (non-finite numbers do not, nor do tuples with an empty
+    element)."""
     try:
         return _convert(raw.strip(), getattr(ExperimentConfig, key))
     except ValueError as exc:

@@ -47,8 +47,8 @@ one lattice build its rows once.  It also takes x rows per grid, so that
 each time is evaluated on its own rows.  An oscillation evaluates two
 rows per time so, and then the rows whose bound (``row_bounds``) says they
 can hold the lattice's max or min, in one product of their half products
-(the bounds' own) with the y rows: at 128 x 101 and r = 3, about 1,000
-rows of the 101 times' 12,928, one product per pass
+(the bounds' own) with the y rows: at 128 x 101 and r = 3, a median of
+about 720 rows of the 101 times' 12,928, one product per pass
 (``field.SpectralHamiltonian.oscillation``).
 
 The BLAS condition.  Every bit-for-bit claim of the package (a draw's

@@ -199,7 +199,7 @@ def standard_error(values) -> float:
 def flow_steps(law: HamiltonianLaw, cap: int) -> int:
     """Steps per unit time for the draws of ``law``, at most ``cap``: the
     rule of the module docstring."""
-    return min(cap, max(MIN_STEPS, math.ceil(law.lipschitz_bound() / THETA)))
+    return min(cap, max(MIN_STEPS, math.ceil(law.lipschitz_bound / THETA)))
 
 
 # Each draw family's stream key after the seed, by index (module docstring,

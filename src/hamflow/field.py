@@ -17,7 +17,7 @@ A draw's normals are the rows of one (N, m) array in row order, the first
 N * m normals of that stream.  The band (``HamiltonianLaw.band``) keeps
 the modes that can move a double of the field.  The basis is sorted by
 eigenvalue, so the band modes' indices run from 0 up to
-``HamiltonianLaw.head_rows()`` - 1, and ``sample_hamiltonian`` draws only
+``HamiltonianLaw.head_rows`` - 1, and ``sample_hamiltonian`` draws only
 that head.  At spatial_max 25, temporal_max 10, periodic kernel
 (N = 2,500, m = 21; regularity in frequency units):
 
@@ -36,7 +36,7 @@ Temporal band.  A draw is a series in the law's ``time_basis``: the
 kernel's time basis cut to the frequencies that can move a double, by
 the spatial band's rule (``HamiltonianLaw.temporal_band``), so B holds
 1 + 2 temporal_band rows (last column above).  The normals keep all m
-columns: streams, ``gaussians_per_sample()`` and ``head_rows()`` do not
+columns: streams, ``gaussians_per_sample`` and ``head_rows`` do not
 depend on the band.  The dropped rows, each normal taken at 9, sum to at
 most half an ulp of the largest term.  The tests find the banded draws'
 flows and oscillations bit for bit those of the whole time basis
@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from .basis import TWO_PI, SpectralBasis
 from .engine import SpectralEngine
 from .errors import ValidationError
 from .rng import derive
-from .temporal import TimeBasis, computed_once
+from .temporal import TimeBasis
 
 
 def spectral_weight(eigenvalue: float, regularity: float):
@@ -123,11 +123,17 @@ class HamiltonianLaw:
     value raises ``ValidationError`` naming its field, the message a
     config's refusal prints (``hamflow.config``).  A law with one parameter
     moved is ``dataclasses.replace(law, spatial_max=K)``.
-    ``band``, ``temporal_band``, ``mode_shares``, ``kernel_time_basis``,
-    ``column_factors``, ``time_basis``, ``head_rows``, ``weights`` and
-    ``lipschitz_bound`` are computed once per law and shared by its draws;
-    they are no fields, so laws of equal parameters are equal and hash alike
-    whatever either has computed.
+
+    What a law derives from its parameters is a cached attribute
+    (``functools.cached_property``), read as ``law.band``: ``band``,
+    ``temporal_band``, ``mode_shares``, ``kernel_time_basis``,
+    ``column_factors``, ``gaussians_per_sample``, ``variance``,
+    ``time_basis``, ``time_columns``, ``head_rows``, ``weights`` and
+    ``lipschitz_bound``.  Each is computed once per law and shared by its
+    draws, so its arrays are read-only; none is a field, so laws of equal
+    parameters are equal and hash alike whatever either has computed.  The
+    basis and the engine, which laws share with each other, are methods,
+    ``basis()`` and ``engine()``.
     """
 
     regularity: float
@@ -157,7 +163,7 @@ class HamiltonianLaw:
     def basis(self) -> SpectralBasis:
         return _basis_for(self.spatial_max, self.include_axis_modes)
 
-    @computed_once
+    @cached_property
     def band(self) -> int:
         """Largest wavenumber whose modes can move a double of the field.
 
@@ -180,7 +186,7 @@ class HamiltonianLaw:
         log_bound = -0.5 * self.regularity * b.eigenvalues + np.log1p(TWO_PI * kmax)
         return _rounding_band(kmax, np.exp(log_bound - log_bound.max()))
 
-    @computed_once
+    @cached_property
     def mode_shares(self) -> tuple:
         """(lowest shell's share of Var H, its share of Var grad H,
         participation ratio) of the law's modes.
@@ -200,71 +206,74 @@ class HamiltonianLaw:
                 float((v * lam)[lowest].sum() / (v * lam).sum()),
                 float(v.sum() ** 2 / np.sum(v**2)))
 
-    @computed_once
+    @cached_property
     def kernel_time_basis(self) -> TimeBasis:
         """The kernel's whole time basis (``temporal.time_basis``), before
         the temporal band cuts it."""
         return temporal.time_basis(self.kernel, self.regularity, self.temporal_max)
 
-    @computed_once
+    @cached_property
     def column_factors(self) -> np.ndarray:
         """The kernel's (m,) column factors over ``kernel_time_basis``
         (``temporal.column_factors``)."""
-        return temporal.column_factors(self.kernel, self.regularity, self.kernel_time_basis())
+        return _read_only(temporal.column_factors(self.kernel, self.regularity,
+                                                  self.kernel_time_basis))
 
+    @cached_property
     def gaussians_per_sample(self) -> int:
         """m, the standard normals per mode of a draw: one per column of the
         kernel's whole time basis."""
-        return len(self.column_factors())
+        return len(self.column_factors)
 
+    @cached_property
     def variance(self) -> float:
         """Var Z(t) at every t: c_0 + 2 sum_k c_k, c the squared column
         factors of the constant and the cosines (``hamflow.temporal``)."""
-        c = self.column_factors()[:self.kernel_time_basis().frequencies + 1] ** 2
+        c = self.column_factors[:self.kernel_time_basis.frequencies + 1] ** 2
         return float(c[0] + 2.0 * np.sum(c[1:]))
 
-    @computed_once
+    @cached_property
     def temporal_band(self) -> int:
         """Largest frequency of the kernel's time basis that can move a
         double of the field: the rule of ``band`` with frequency k as the
         level, and as bound f_0, the constant's column factor, at k = 0 and
         2 f_k, one cosine and one sine column, at k >= 1.  The band is the
         smallest K with G sum_{k > K} 2 f_k <= (eps / 2) max bound."""
-        factors = self.column_factors()[:self.kernel_time_basis().frequencies + 1]
+        factors = self.column_factors[:self.kernel_time_basis.frequencies + 1]
         k = np.arange(len(factors))
         return _rounding_band(k, np.where(k == 0, 1.0, 2.0) * factors)
 
-    @computed_once
+    @cached_property
     def time_basis(self) -> TimeBasis:
         """The kernel's time basis cut to the temporal band (``temporal_band``):
         the Phi of every draw of the law."""
-        return replace(self.kernel_time_basis(), frequencies=self.temporal_band())
+        return replace(self.kernel_time_basis, frequencies=self.temporal_band)
 
-    @computed_once
+    @cached_property
     def time_columns(self) -> np.ndarray:
         """Columns of a draw's (N, m) normals that drive ``time_basis``: the
         constant, the cosines and the sines of frequencies 1..temporal_band."""
-        n, band = self.kernel_time_basis().frequencies, self.temporal_band()
-        return np.concatenate([np.arange(band + 1), np.arange(n + 1, n + 1 + band)])
+        n, band = self.kernel_time_basis.frequencies, self.temporal_band
+        return _read_only(np.concatenate([np.arange(band + 1), np.arange(n + 1, n + 1 + band)]))
 
     def engine(self) -> SpectralEngine:
         """The engine of the law's band (``band``), shared by every law with
         this basis and band.  It evaluates and packs the modes with
         kx, ky <= band (``SpectralEngine.modes``)."""
-        return _engine_for(self.spatial_max, self.include_axis_modes, self.band())
+        return _engine_for(self.spatial_max, self.include_axis_modes, self.band)
 
-    @computed_once
+    @cached_property
     def head_rows(self) -> int:
         """Rows of a draw's (N, m) normals that ``sample_hamiltonian`` draws
         and B reads: rows 0 up to the largest basis index among the engine's
         band modes (module docstring)."""
         return int(self.engine().modes[-1]) + 1
 
-    @computed_once
+    @cached_property
     def weights(self) -> np.ndarray:
-        return spectral_weight(self.basis().eigenvalues, self.regularity)
+        return _read_only(spectral_weight(self.basis().eigenvalues, self.regularity))
 
-    @computed_once
+    @cached_property
     def lipschitz_bound(self) -> float:
         """Expected spectral bound on sup |DX|, the vector field's Lipschitz
         constant, at any time:
@@ -278,10 +287,15 @@ class HamiltonianLaw:
         (``hamflow.experiments.flow_steps``).
         """
         b = self.basis()
-        sigma = math.sqrt(self.variance())
+        sigma = math.sqrt(self.variance)
         k = TWO_PI * np.maximum(b.kx, b.ky)
-        return float(np.sum(self.weights() * b.amplitudes
+        return float(np.sum(self.weights * b.amplitudes
                             * (sigma * math.sqrt(2.0 / math.pi)) * k**2))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _rounding_band(levels: np.ndarray, bounds: np.ndarray) -> int:
@@ -356,10 +370,10 @@ class SpectralHamiltonian:
         whole lattice makes (``SpectralEngine.value_grid``, under the BLAS
         condition of ``hamflow.engine``), so the result is bit for bit that
         of the whole lattices (``tests/reference.py``,
-        ``lattice_oscillation``).  At spatial_max 25, about a tenth of the
-        rows are evaluated at r = 3 (frequency units), a twentieth at
-        r = 4.5, and nearly all at r = 0.1, where the bounds cost more than
-        the rows they prune.
+        ``lattice_oscillation``).  At spatial_max 25, the gathered rows are
+        a median 5.5% of the lattice's at r = 3 (frequency units; 2.8-13%
+        over draws 0-31 of seed 9), 2.2% at r = 4.5, and 80% (63-88%) at
+        r = 0.1, where the bounds cost more than the rows they prune.
 
         ``buffers`` holds the times, the lattice rows and the work buffer
         (``OscillationBuffers``); the call builds its own if none is given.
@@ -478,7 +492,7 @@ class RandomHamiltonian(SpectralHamiltonian):
 
     ``gaussians`` is the draw's read-only (rows, m) array of standard
     normals, the first rows of the (N, m) layout documented in
-    :mod:`hamflow.temporal`, with ``law.head_rows()`` <= rows <= N (module
+    :mod:`hamflow.temporal`, with ``law.head_rows`` <= rows <= N (module
     docstring, "Streams"); c_n(t) = w_n Z_n(t), so B holds
     w_n (f_c g_nc), f the law's column factors, at the band modes n and at
     the columns c of the law's temporal band (``HamiltonianLaw.time_columns``),
@@ -490,17 +504,17 @@ class RandomHamiltonian(SpectralHamiltonian):
     def __init__(self, law: HamiltonianLaw, gaussians):
         self.law = law
         self.basis = law.basis()
-        head, n, m = law.head_rows(), len(self.basis), law.gaussians_per_sample()
+        head, n, m = law.head_rows, len(self.basis), law.gaussians_per_sample
         normals = np.array(gaussians, dtype=float)
         if normals.ndim != 2 or normals.shape[1] != m or not head <= len(normals) <= n:
             raise ValueError(f"gaussians must have shape (rows, {m}) with {head} <= rows <= {n}")
         normals.setflags(write=False)
         self.gaussians = normals
-        self.weights = law.weights()
-        engine, columns = law.engine(), law.time_columns()
-        b = self.weights[engine.modes] * (law.column_factors()[columns, None]
+        self.weights = law.weights
+        engine, columns = law.engine(), law.time_columns
+        b = self.weights[engine.modes] * (law.column_factors[columns, None]
                                           * normals[np.ix_(engine.modes, columns)].T)
-        super().__init__(engine, law.time_basis(), b)
+        super().__init__(engine, law.time_basis, b)
 
 
 class PackedBatch:
@@ -574,5 +588,5 @@ def sample_hamiltonian(law: HamiltonianLaw, seed: int, *indices: int) -> RandomH
 
     Draws the head of the normals only (module docstring, "Streams").
     """
-    shape = (law.head_rows(), law.gaussians_per_sample())
+    shape = (law.head_rows, law.gaussians_per_sample)
     return RandomHamiltonian(law, derive(seed, *indices).standard_normal(shape))

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import wraps
 
 import numpy as np
 
@@ -53,25 +52,6 @@ KERNEL_TAGS = (SQEXP, PERIODIC, CONSTANT)
 _TWO_PI = 2.0 * math.pi
 # The sqexp series drops its images and its tail below exp(-_SQEXP_EXPONENT).
 _SQEXP_EXPONENT = 37.0
-
-
-def computed_once(method):
-    """Compute an immutable object's quantity once: the value is kept in the
-    instance dict on first use (arrays read-only, since every user of the
-    object shares them).  Equality and hashing see fields only."""
-    key = "_cached_" + method.__name__
-
-    @wraps(method)
-    def cached(self):
-        value = self.__dict__.get(key)
-        if value is None:
-            value = method(self)
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            self.__dict__[key] = value
-        return value
-
-    return cached
 
 
 def time_basis(kernel: str, regularity: float, temporal_max: int) -> TimeBasis:

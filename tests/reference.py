@@ -130,8 +130,8 @@ def kernel_value(law, t1: float, t2: float) -> float:
     kernel: c_0 + 2 sum_k c_k cos(2 pi k (t1 - t2) / L) (``hamflow.temporal``)."""
     temporal.check_times(t1)
     temporal.check_times(t2)
-    basis = law.kernel_time_basis()
-    c = law.column_factors()[:basis.frequencies + 1] ** 2
+    basis = law.kernel_time_basis
+    c = law.column_factors[:basis.frequencies + 1] ** 2
     k = np.arange(1, basis.frequencies + 1)
     series = 2.0 * np.sum(c[1:] * np.cos(TWO_PI / basis.period * k * (t1 - t2)))
     return float(c[0] + series)
@@ -200,20 +200,20 @@ def reconstruct_value(draw, entries: dict, t: float, x: float, y: float) -> floa
 def full_draw(law, seed: int, *indices: int) -> RandomHamiltonian:
     """``sample_hamiltonian(law, seed, *indices)`` built from its stream's
     whole (N, m) normals: the same B, with ``gaussians`` over every mode."""
-    shape = (len(law.basis()), law.gaussians_per_sample())
+    shape = (len(law.basis()), law.gaussians_per_sample)
     return RandomHamiltonian(law, derive(seed, *indices).standard_normal(shape))
 
 
 def coefficient_matrix(law, gaussians: np.ndarray) -> np.ndarray:
     """B of shape (m, rows) of unit weights, Z(t) = Phi(t) @ B in the
-    kernel's whole time basis (``law.kernel_time_basis()``), from a draw's
+    kernel's whole time basis (``law.kernel_time_basis``), from a draw's
     (rows, m) ``gaussians``: the column factors times the normals."""
-    return law.column_factors()[:, None] * gaussians.T
+    return law.column_factors[:, None] * gaussians.T
 
 
 def full_coefficients(h) -> np.ndarray:
     """B of a draw over the whole basis and the kernel's whole time basis
-    (``law.kernel_time_basis()``): shape (m, N), from the draw's full
+    (``law.kernel_time_basis``): shape (m, N), from the draw's full
     normals (``full_draw``)."""
     return h.weights * coefficient_matrix(h.law, h.gaussians)
 
@@ -221,7 +221,7 @@ def full_coefficients(h) -> np.ndarray:
 def reversal_coefficients(h) -> np.ndarray:
     """B of ``time_reversed_hamiltonian(h)`` over the whole basis and the
     kernel's whole time basis: -R @ B."""
-    return -h.law.kernel_time_basis().reflect(full_coefficients(h))
+    return -h.law.kernel_time_basis.reflect(full_coefficients(h))
 
 
 def translation_map(basis, modes, shift) -> np.ndarray:
@@ -279,13 +279,13 @@ def symmetry_map(basis, modes, turn: bool) -> tuple:
 def concatenation_coefficients(parts) -> np.ndarray:
     """B of ``concatenate_autonomous(parts, bump)`` over the whole basis:
     row i is part i's constant coefficients, Phi(0) @ B of the part."""
-    return np.stack([(p.law.kernel_time_basis()(0.0) @ full_coefficients(p))[0] for p in parts])
+    return np.stack([(p.law.kernel_time_basis(0.0) @ full_coefficients(p))[0] for p in parts])
 
 
 def mode_coefficients(h, times) -> np.ndarray:
     """c_n(t) of every mode of the basis, summed over the kernel's whole time
     basis; shape (N,) at a scalar time, (T, N) at a vector of times."""
-    out = h.law.kernel_time_basis()(times) @ full_coefficients(h)
+    out = h.law.kernel_time_basis(times) @ full_coefficients(h)
     return out[0] if np.ndim(times) == 0 else out
 
 
@@ -386,7 +386,7 @@ def concatenate_autonomous(parts, bump: BumpFunction) -> SpectralHamiltonian:
     # each part's B there comes from its whole normals
     engine = max((p.engine for p in parts), key=lambda e: e.band)
     b = np.stack([(p.time_basis(0.0)
-                   @ full_coefficients(p)[np.ix_(p.law.time_columns(), engine.modes)])[0]
+                   @ full_coefficients(p)[np.ix_(p.law.time_columns, engine.modes)])[0]
                   for p in parts])
     return SpectralHamiltonian(engine, BumpTimeBasis(bump, len(parts)), b)
 
@@ -498,14 +498,14 @@ def _check_overlap(dist: np.ndarray) -> None:
 
 def gaussian_dimension(law) -> int:
     """Number of independent standard normals one draw consumes."""
-    return len(law.basis()) * law.gaussians_per_sample()
+    return len(law.basis()) * law.gaussians_per_sample
 
 
 def coefficient_paths(law, gaussians: np.ndarray, times) -> np.ndarray:
     """Paths Z_n(t) of the kernel of ``law`` from one draw's (N, m)
     ``gaussians``; shape (T, N), with ``times`` a scalar or (T,) array in
     [0, 1]."""
-    return law.kernel_time_basis()(times) @ coefficient_matrix(law, gaussians)
+    return law.kernel_time_basis(times) @ coefficient_matrix(law, gaussians)
 
 
 def value(h, t: float, pts) -> np.ndarray:

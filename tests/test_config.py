@@ -211,6 +211,14 @@ class TestErrors:
         assert info.value.line == 2
         assert line.split()[0] in str(info.value)
 
+    @pytest.mark.parametrize("line", ["times = 0.05,,0.25", "ball_center = 0.5,,0.5",
+                                      "probe = , 0.3, 0.7", "times = 0.05, ,", "times = ,"])
+    def test_tuples_refuse_empty_elements(self, line):
+        # an empty element is no number: it is refused, not dropped
+        with pytest.raises(ParseError) as info:
+            parse_config("seed = 1\n" + line + "\n")
+        assert str(info.value).startswith(f"line 2: {line.split()[0]}: empty element in ")
+
     def test_parse_value_converts_like_the_document(self):
         assert parse_value("regularity", " 4.5 ") == 4.5
         assert parse_value("times", " 0, 0.5 ,") == (0.0, 0.5)

@@ -596,7 +596,7 @@ class TestBatchedChunks:
         cfg = ExperimentConfig(command="diffusion", regularity=3.0, spatial_max=12, steps=40,
                                points=12, samples=5, seed=2)
         law = cfg.law
-        assert (law.head_rows(), len(law.basis())) == (128, 576)
+        assert (law.head_rows, len(law.basis())) == (128, 576)
         clouds = []
         monkeypatch.setattr(experiments, "flow_points_through", lambda batch, pts, *args:
                             clouds.append(pts.copy()) or flow_points_through(batch, pts, *args))
@@ -663,7 +663,7 @@ def test_inversion_chunk_peak_memory():
     _displacement_chunk(cfg, range(1))  # the basis and engine are built once per process
     grid_bytes = np.prod(law.engine().field_shape) * 8
     rows = 2 * CHUNK
-    held = (1 + 2 * law.temporal_band() + len(_STAGE_OFFSETS)) * rows * grid_bytes
+    held = (1 + 2 * law.temporal_band + len(_STAGE_OFFSETS)) * rows * grid_bytes
     tracemalloc.start()
     try:
         _displacement_chunk(cfg, range(CHUNK))
@@ -702,7 +702,7 @@ class TestWalkChunks:
         # 100 rows
         cfg = self.cfg
         law = cfg.law
-        assert (law.head_rows(), len(law.basis())) == (80, 100)
+        assert (law.head_rows, len(law.basis())) == (80, 100)
         walk = tuple(full_draw(law, cfg.seed, 0, j) for j in range(cfg.walk_steps))
         combined = concatenate_autonomous(walk, BumpFunction())
         pts = np.concatenate([[cfg.probe], np.random.default_rng(1).uniform(0, 1, (20, 2))])

@@ -36,7 +36,7 @@ def one_mode_draw(mode=None, c=1 / (2 * np.pi), law=ONE_MODE_LAW, path=(1.0,)):
     gaussians = np.zeros((len(basis), len(path)))
     if mode is not None:
         n = mode_index(basis, mode)
-        gaussians[n] = c * np.asarray(path) / (mode.amplitude * law.weights()[n])
+        gaussians[n] = c * np.asarray(path) / (mode.amplitude * law.weights[n])
     return RandomHamiltonian(law, gaussians)
 
 
@@ -61,7 +61,7 @@ def image(h, p, t0=0.0, t1=1.0):
 
 
 def small_draw(seed, kernel=PERIODIC, r=0.15, smax=3, tm=3):
-    law = make_law(r, spatial_max=smax, temporal_max=tm, kernel=kernel, seed=seed)
+    law = make_law(r, spatial_max=smax, temporal_max=tm, kernel=kernel)
     return sample_hamiltonian(law, seed)
 
 
@@ -384,7 +384,7 @@ class TestBatchedFlow:
     @staticmethod
     def hamiltonians(kind, count):
         if kind in (PERIODIC, CONSTANT, SQEXP):
-            law = make_law(0.15, spatial_max=3, temporal_max=3, kernel=kind, seed=151)
+            law = make_law(0.15, spatial_max=3, temporal_max=3, kernel=kind)
             return [sample_hamiltonian(law, 151, i) for i in range(count)]
         if kind == "reversal":
             return [time_reversed_hamiltonian(h)
@@ -426,7 +426,7 @@ class TestBatchedFlow:
         # r = 3.5 and 3.95 (frequency units) share their temporal band, 4, but
         # not their spatial band, 5 against 4
         laws = [make_law(r / (4 * math.pi**2)) for r in (3.5, 3.95)]
-        assert laws[0].time_basis() == laws[1].time_basis()
+        assert laws[0].time_basis == laws[1].time_basis
         assert laws[0].engine() is not laws[1].engine()
         for hs in (self.hamiltonians(PERIODIC, 1) + self.hamiltonians(CONSTANT, 1),
                    [sample_hamiltonian(law, 3) for law in laws]):
@@ -493,10 +493,10 @@ class TestBand:
         draw's or a reversal's B is over the kernel's whole time basis."""
         if kind in (PERIODIC, CONSTANT, SQEXP):
             h = cls.draws(kind, 3)[0]
-            return h, h.law.kernel_time_basis(), full_coefficients(h)
+            return h, h.law.kernel_time_basis, full_coefficients(h)
         if kind == "reversal":
             h = cls.draws(PERIODIC, 3)[0]
-            return (time_reversed_hamiltonian(h), h.law.kernel_time_basis(),
+            return (time_reversed_hamiltonian(h), h.law.kernel_time_basis,
                     reversal_coefficients(h))
         if kind == "concatenation":
             parts = cls.draws(CONSTANT, 3)

@@ -24,7 +24,7 @@ def kernel(tag, r=0.1, temporal_max=10):
 
 def sample(kind, rng):
     """One coefficient path's Gaussians: a 1-row draw array."""
-    return rng.standard_normal((1, kind.gaussians_per_sample()))
+    return rng.standard_normal((1, kind.gaussians_per_sample))
 
 
 def evaluate(kind, gaussians, t):
@@ -51,16 +51,16 @@ class TestKernelValue:
         assert kernel_value(k, 0.0, 0.9) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("tag", [SQEXP, PERIODIC, CONSTANT])
-    def test_column_factors_computed_once_per_kernel(self, tag):
+    def test_column_factors_cached_per_kernel(self, tag):
         k = kernel(tag, 0.3)
-        factors = k.column_factors()
-        assert k.column_factors() is factors and not factors.flags.writeable
-        assert k.kernel_time_basis() is k.kernel_time_basis()
-        assert len(factors) == k.gaussians_per_sample()
+        factors = k.column_factors
+        assert k.column_factors is factors and not factors.flags.writeable
+        assert k.kernel_time_basis is k.kernel_time_basis
+        assert len(factors) == k.gaussians_per_sample
         fresh = kernel(tag, 0.3)
-        assert fresh == k and np.array_equal(fresh.column_factors(), factors)
+        assert fresh == k and np.array_equal(fresh.column_factors, factors)
         basis = temporal.time_basis(tag, 0.3, 10)
-        assert basis == k.kernel_time_basis()
+        assert basis == k.kernel_time_basis
         assert np.array_equal(temporal.column_factors(tag, 0.3, basis), factors)
 
     @pytest.mark.parametrize("r", [0.01, 0.025, 0.1, 1.0, 10.0, 100.0])
@@ -69,7 +69,7 @@ class TestKernelValue:
         against exp(-r (t1 - t2)^2) for t1 - t2 over [-1, 1]."""
         k = kernel(SQEXP, r)
         t = np.linspace(0.0, 1.0, 201)
-        terms = k.kernel_time_basis()(t) * k.column_factors()
+        terms = k.kernel_time_basis(t) * k.column_factors
         series = np.zeros((len(t), len(t)))
         for j in range(terms.shape[1]):
             series += np.multiply.outer(terms[:, j], terms[:, j])
@@ -85,9 +85,9 @@ class TestKernelValue:
     @pytest.mark.parametrize("tag", [PERIODIC, CONSTANT, SQEXP])
     def test_variance_is_the_kernel_diagonal(self, tag):
         k = kernel(tag, 0.3)
-        assert k.variance() == kernel_value(k, 0.0, 0.0)
+        assert k.variance == kernel_value(k, 0.0, 0.0)
         for t in (0.1, 0.25, 0.5, 0.77, 1.0):
-            assert abs(k.variance() - kernel_value(k, t, t)) <= 1e-15 * k.variance()
+            assert abs(k.variance - kernel_value(k, t, t)) <= 1e-15 * k.variance
 
 
 class TestSampling:
@@ -110,7 +110,7 @@ class TestSampling:
 
     def test_periodic_draw_count(self):
         k = kernel(PERIODIC, 0.1, 4)
-        assert k.gaussians_per_sample() == 9
+        assert k.gaussians_per_sample == 9
 
     def test_sqexp_extrapolation_rejected(self):
         k = kernel(SQEXP)

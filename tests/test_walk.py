@@ -187,7 +187,7 @@ class TestIncrements:
         cfg = ExperimentConfig(command="random-walk", kernel="constant", seed=self.SEED)
         law = cfg.law
         basis = law.basis()
-        sigma2 = 0.25 * np.sum(law.weights()**2 * basis.amplitudes**2
+        sigma2 = 0.25 * np.sum(law.weights**2 * basis.amplitudes**2
                                * (2 * math.pi * basis.ky)**2)
         assert sigma2 == pytest.approx(0.05855, abs=5e-6)
         draws = PackedBatch((RandomHamiltonian(law, eps * sample_hamiltonian(law, self.SEED, i)
