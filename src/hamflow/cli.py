@@ -17,7 +17,9 @@ sample's values reach the writers in the record its task made.
 A run writes ``config.txt``, removes what an older run of the command left
 there, and only then samples.  A failed sample is a record with an error
 (``hamflow.experiments``), written to ``failures.jsonl``, which exists
-exactly when a sample failed (``run`` gives the failure budget).
+exactly when a sample failed (``run`` gives the failure budget).  A typed
+error or a ``MemoryError`` (a config too large to sample) ends ``main``
+with one ``error:`` line and exit status 1.
 """
 
 from __future__ import annotations
@@ -135,8 +137,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         run(_load_config(args))
-    except (HamflowError, ChildProcessError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (HamflowError, ChildProcessError, MemoryError) as exc:
+        # numpy's allocation failure is a private subclass of MemoryError
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"error: {name}: {exc}", file=sys.stderr)
         return 1
     return 0
 

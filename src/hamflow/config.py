@@ -15,13 +15,13 @@ A key the command does not read is accepted but not echoed: the benchmark's
 ``sample-field`` workload sets ``steps``, so refusing it at parse waits for
 ROADMAP item 7(a)(iv).
 
-A config holds its one law, ``cfg.law``: the ``HamiltonianLaw`` of its law
-keys, built and checked when the config is (the law's checks are the only
-ones on those keys).  Like ``grid_nodes`` it is no field, so not a key.
+A config holds its one law, ``cfg.law``: the ``HamiltonianLaw`` of its five
+law keys, built and checked when the config is (the law's checks are the
+only ones on those keys).  Like ``grid_nodes`` it is no field, so not a key.
 ``regularity`` is the one decay parameter of the law, per squared
-frequency (k^2 + j^2), the units of the reference Monte Carlo tables; the
-law takes it per Laplace-Beltrami eigenvalue 4 pi^2 (k^2 + j^2).  The law
-checks the config's own value before it is converted.
+frequency (k^2 + j^2), the units of the reference Monte Carlo tables and
+of the law itself (``HamiltonianLaw.eigenvalue_regularity`` holds it per
+Laplace-Beltrami eigenvalue).
 
 ``sample-field`` reads no key of its own: every oscillation takes the one
 lattice ``hamflow.field.OSC_LATTICE``, 128 x 128 points at 101 times.
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from . import temporal
 from .errors import ParseError, ValidationError
@@ -120,7 +120,8 @@ class ExperimentConfig:
         _validate(self)
 
     def eigenvalue_regularities(self) -> tuple:
-        """``(law.regularity,)``, as ``perfbench/child.py`` reads it."""
+        """``(law.regularity,)``, per squared frequency, the value
+        ``perfbench/child.py`` passes to ``make_law``."""
         return (self.law.regularity,)
 
 
@@ -154,11 +155,10 @@ def _validate(cfg: ExperimentConfig) -> None:
             bad(f.name, "values must be finite")
     if cfg.command not in COMMANDS:
         bad("command", f"must be one of {tuple(COMMANDS)}")
-    # the law checks its own keys, the config's values, and is the config's
-    # law in eigenvalue units (module docstring)
+    # the law checks its own keys (module docstring)
     law = HamiltonianLaw(cfg.regularity, cfg.spatial_max, cfg.temporal_max, cfg.kernel,
                          cfg.include_axis_modes)
-    object.__setattr__(cfg, "law", replace(law, regularity=cfg.regularity / (4.0 * math.pi**2)))
+    object.__setattr__(cfg, "law", law)
     if cfg.samples < 1:
         bad("samples", "must be >= 1")
     if cfg.steps < 1:

@@ -66,7 +66,8 @@ from .temporal import TimeBasis
 
 
 def spectral_weight(eigenvalue: float, regularity: float):
-    """Spectral decay weight exp(-eigenvalue * regularity / 2)."""
+    """Spectral decay weight exp(-eigenvalue * regularity / 2), ``regularity``
+    per Laplace-Beltrami eigenvalue (``HamiltonianLaw.eigenvalue_regularity``)."""
     if regularity <= 0:
         raise ValueError("regularity must be positive")
     return np.exp(-0.5 * np.asarray(eigenvalue) * regularity)
@@ -110,8 +111,11 @@ class HamiltonianLaw:
     The complex structure is the standard one on the flat torus (metric =
     Euclidean, area form dx^dy); only these vary:
 
-    * ``regularity`` r, in eigenvalue units: the weights exp(-r lambda / 2)
-      and the kernel's decay;
+    * ``regularity`` r, per squared frequency k^2 + j^2, the unit of every
+      config and table: the weights exp(-r' lambda / 2) and the kernel's
+      decay, through r' = r / (4 pi^2) per Laplace-Beltrami eigenvalue
+      lambda = 4 pi^2 (k^2 + j^2) (``eigenvalue_regularity``, the one place
+      the unit is converted);
     * ``spatial_max`` and ``include_axis_modes``: the basis
       (:class:`~hamflow.basis.SpectralBasis`);
     * ``temporal_max``: the periodic kernel's Fourier order;
@@ -125,15 +129,15 @@ class HamiltonianLaw:
     moved is ``dataclasses.replace(law, spatial_max=K)``.
 
     What a law derives from its parameters is a cached attribute
-    (``functools.cached_property``), read as ``law.band``: ``band``,
-    ``temporal_band``, ``mode_shares``, ``kernel_time_basis``,
-    ``column_factors``, ``gaussians_per_sample``, ``variance``,
-    ``time_basis``, ``time_columns``, ``head_rows``, ``weights`` and
-    ``lipschitz_bound``.  Each is computed once per law and shared by its
-    draws, so its arrays are read-only; none is a field, so laws of equal
-    parameters are equal and hash alike whatever either has computed.  The
-    basis and the engine, which laws share with each other, are methods,
-    ``basis()`` and ``engine()``.
+    (``functools.cached_property``), read as ``law.band``:
+    ``eigenvalue_regularity``, ``band``, ``temporal_band``, ``mode_shares``,
+    ``kernel_time_basis``, ``column_factors``, ``gaussians_per_sample``,
+    ``variance``, ``time_basis``, ``time_columns``, ``head_rows``,
+    ``weights`` and ``lipschitz_bound``.  Each is computed once per law and
+    shared by its draws, so its arrays are read-only; none is a field, so
+    laws of equal parameters are equal and hash alike whatever either has
+    computed.  The basis and the engine, which laws share with each other,
+    are methods, ``basis()`` and ``engine()``.
     """
 
     regularity: float
@@ -164,6 +168,12 @@ class HamiltonianLaw:
         return _basis_for(self.spatial_max, self.include_axis_modes)
 
     @cached_property
+    def eigenvalue_regularity(self) -> float:
+        """r' = r / (4 pi^2), the regularity per Laplace-Beltrami eigenvalue,
+        which the weights, the bands and the kernel read."""
+        return self.regularity / (4.0 * math.pi**2)
+
+    @cached_property
     def band(self) -> int:
         """Largest wavenumber whose modes can move a double of the field.
 
@@ -183,7 +193,7 @@ class HamiltonianLaw:
         """
         b = self.basis()
         kmax = np.maximum(b.kx, b.ky)
-        log_bound = -0.5 * self.regularity * b.eigenvalues + np.log1p(TWO_PI * kmax)
+        log_bound = -0.5 * self.eigenvalue_regularity * b.eigenvalues + np.log1p(TWO_PI * kmax)
         return _rounding_band(kmax, np.exp(log_bound - log_bound.max()))
 
     @cached_property
@@ -200,7 +210,7 @@ class HamiltonianLaw:
         the three.
         """
         lam = self.basis().eigenvalues
-        v = np.exp(-self.regularity * (lam - lam[0]))
+        v = np.exp(-self.eigenvalue_regularity * (lam - lam[0]))
         lowest = lam == lam[0]
         return (float(v[lowest].sum() / v.sum()),
                 float((v * lam)[lowest].sum() / (v * lam).sum()),
@@ -210,13 +220,13 @@ class HamiltonianLaw:
     def kernel_time_basis(self) -> TimeBasis:
         """The kernel's whole time basis (``temporal.time_basis``), before
         the temporal band cuts it."""
-        return temporal.time_basis(self.kernel, self.regularity, self.temporal_max)
+        return temporal.time_basis(self.kernel, self.eigenvalue_regularity, self.temporal_max)
 
     @cached_property
     def column_factors(self) -> np.ndarray:
         """The kernel's (m,) column factors over ``kernel_time_basis``
         (``temporal.column_factors``)."""
-        return _read_only(temporal.column_factors(self.kernel, self.regularity,
+        return _read_only(temporal.column_factors(self.kernel, self.eigenvalue_regularity,
                                                   self.kernel_time_basis))
 
     @cached_property
@@ -271,7 +281,7 @@ class HamiltonianLaw:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        return _read_only(spectral_weight(self.basis().eigenvalues, self.regularity))
+        return _read_only(spectral_weight(self.basis().eigenvalues, self.eigenvalue_regularity))
 
     @cached_property
     def lipschitz_bound(self) -> float:
@@ -310,7 +320,9 @@ def _rounding_band(levels: np.ndarray, bounds: np.ndarray) -> int:
 def make_law(regularity: float, spatial_max: int = 25, temporal_max: int = 10,
              kernel: str = temporal.PERIODIC, seed: int = 0,
              include_axis_modes: bool = False, grid_nodes: int = 64) -> HamiltonianLaw:
-    """The law of these parameters, with the defaults of the commands.
+    """The law of these parameters, with the defaults of the commands:
+    ``regularity`` per squared frequency, as a config states it (the value
+    per eigenvalue is the law's ``eigenvalue_regularity``).
 
     ``seed`` and ``grid_nodes`` are accepted and unused: a law holds no seed
     (draws take theirs, ``sample_hamiltonian``), and no kernel samples on a

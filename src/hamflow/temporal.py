@@ -14,8 +14,9 @@ m = 1 + 2n; row n drives process n, column 0 the constant term, columns
 (:func:`column_factors`), so the series has covariance
 c_0 + 2 sum_k c_k cos(2 pi k (t1 - t2) / L), c the squared column factors.
 A kernel is a tag, and the three differ only in the numbers that these two
-functions compute from the tag, the regularity r and temporal_max (the
-law's, ``hamflow.field.HamiltonianLaw``):
+functions compute from the tag, the regularity r per Laplace-Beltrami
+eigenvalue and temporal_max (the law's ``eigenvalue_regularity`` and
+``temporal_max``, ``hamflow.field.HamiltonianLaw``):
 
 * ``constant`` -- n = 0: a single standard normal, constant in time (the
   autonomous case);
@@ -55,7 +56,8 @@ _SQEXP_EXPONENT = 37.0
 
 
 def time_basis(kernel: str, regularity: float, temporal_max: int) -> TimeBasis:
-    """The whole Phi(t) of the kernel tagged ``kernel`` (module docstring)."""
+    """The whole Phi(t) of the kernel tagged ``kernel``, ``regularity`` per
+    eigenvalue (module docstring)."""
     if kernel == SQEXP:
         period = 1.0 + math.sqrt(_SQEXP_EXPONENT / regularity)
         n = math.ceil(math.sqrt(_SQEXP_EXPONENT * regularity) * period / math.pi) + 1
@@ -65,8 +67,8 @@ def time_basis(kernel: str, regularity: float, temporal_max: int) -> TimeBasis:
 
 def column_factors(kernel: str, regularity: float, basis: TimeBasis) -> np.ndarray:
     """The (m,) factors by which B scales each column of the normals, for
-    the kernel tagged ``kernel`` over its whole ``time_basis`` (module
-    docstring)."""
+    the kernel tagged ``kernel`` over its whole ``time_basis``,
+    ``regularity`` per eigenvalue (module docstring)."""
     k = np.arange(basis.frequencies + 1)
     if kernel == SQEXP:
         root = np.sqrt(math.sqrt(math.pi / regularity) / basis.period

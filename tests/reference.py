@@ -176,7 +176,8 @@ def expansion(draw) -> dict:
         values = [(0, "cos", w[idx] * draw.gaussians[idx, 0])]
         if law.kernel == temporal.PERIODIC:
             tm = law.temporal_max
-            decay = np.exp(-2.0 * law.regularity * math.pi**2 * np.arange(1, tm + 1) ** 2)
+            decay = np.exp(-2.0 * law.eigenvalue_regularity * math.pi**2
+                           * np.arange(1, tm + 1) ** 2)
             values += [(k, parity, w[idx] * decay[k - 1] * draw.gaussians[idx, k + offset])
                        for k in range(1, tm + 1) for parity, offset in (("cos", 0), ("sin", tm))]
         entries.update({(k, idx + 1, parity): float(c) for k, parity, c in values if c != 0.0})

@@ -340,6 +340,22 @@ def test_failed_output_write_exits_with_a_typed_error(tmp_path, capsys, monkeypa
                                        f"{out / 'field_osc.csv'}: {os.strerror(errno.ENOSPC)}\n")
 
 
+def test_memory_error_exits_with_one_error_line(tmp_path, capsys, monkeypatch):
+    # a diffusion grid too large to count raises numpy's private subclass of
+    # MemoryError; the sampler raises one here, so nothing large is allocated
+    class _ArrayMemoryError(MemoryError):
+        pass
+
+    def sampler(cfg):
+        raise _ArrayMemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(experiments, "diffusion_samples", sampler)
+    rc, _ = run(tmp_path, "diffusion", TINY + "grid = 100000\n")
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: MemoryError: "
+                                       "Unable to allocate 74.5 GiB for an array\n")
+
+
 def test_empty_out_leaves_the_working_directory_as_it_was(tmp_path, capsys, monkeypatch):
     # an empty --out would write, and clear older outputs, in the working
     # directory; --out . names it on purpose

@@ -10,6 +10,7 @@ from hamflow.config import (COMMANDS, LAW_KEYS, RUN_KEYS, ExperimentConfig, pars
                             parse_value, serialize_config)
 from hamflow.errors import ParseError, ValidationError
 from hamflow.experiments import flow_steps
+from hamflow.field import HamiltonianLaw, make_law
 
 # A non-default value of every key; random-walk needs the constant kernel,
 # its own default
@@ -269,10 +270,17 @@ class TestCommandDefaults:
         assert cfg.regularity == 0.2 and cfg.seed == 0
 
 
-def test_law_regularity_in_eigenvalue_units():
-    # the config states regularity per squared frequency, the law per
-    # Laplace-Beltrami eigenvalue
-    cfg = ExperimentConfig(regularity=3.0)
-    want = 3.0 / (4.0 * math.pi**2)
-    assert cfg.law.regularity == want
-    assert cfg.eigenvalue_regularities() == (want,)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_law_is_the_law_of_the_five_keys(command):
+    # the config and its law state regularity per squared frequency; the law
+    # alone converts it, and the benchmark's set-up builds the config's law
+    # from the value eigenvalue_regularities gives, and its engine
+    cfg = parse_config("", command=command)
+    assert cfg.law == HamiltonianLaw(cfg.regularity, cfg.spatial_max, cfg.temporal_max,
+                                     cfg.kernel, cfg.include_axis_modes)
+    assert cfg.law.eigenvalue_regularity == cfg.regularity / (4.0 * math.pi**2)
+    law = make_law(cfg.eigenvalue_regularities()[0], spatial_max=cfg.spatial_max,
+                   temporal_max=cfg.temporal_max, kernel=cfg.kernel, seed=cfg.seed,
+                   include_axis_modes=cfg.include_axis_modes, grid_nodes=cfg.grid_nodes)
+    assert law == cfg.law
+    assert law.engine() is cfg.law.engine()

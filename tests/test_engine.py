@@ -83,7 +83,7 @@ LAWS = [pytest.param(3.0, 10, 5, False, id="3.0-10-7"),
 @pytest.mark.parametrize("r,spatial_max,band,axis_modes", LAWS)
 @pytest.mark.parametrize("draws", [1, 3])
 def test_kernel_matches_mode_by_mode_reference(kernel, r, spatial_max, band, axis_modes, draws):
-    law = make_law(r / (4 * math.pi**2), spatial_max=spatial_max, temporal_max=4,
+    law = make_law(r, spatial_max=spatial_max, temporal_max=4,
                    kernel=kernel, seed=3, include_axis_modes=axis_modes)
     hs = [full_draw(law, 3, i) for i in range(draws)]
     t = 0.37
@@ -106,7 +106,7 @@ def test_kernel_matches_mode_by_mode_reference(kernel, r, spatial_max, band, axi
                           for axis in (False, True) for band in (1, 5, 25)])
 def test_tables_are_interleaved_cos_sin_rows(band, axis_modes):
     # the tables start at wavenumber 0 with axis modes and at 1 without
-    engine = SpectralEngine(make_law(0.1, spatial_max=25, include_axis_modes=axis_modes).basis(),
+    engine = SpectralEngine(make_law(3.95, spatial_max=25, include_axis_modes=axis_modes).basis(),
                             band)
     rng = np.random.default_rng(band)
     coords = np.concatenate([rng.uniform(-20, 20, 500), EDGES, [-1e-20, 1e-20, -0.5, 0.5]])
@@ -124,7 +124,7 @@ def test_tables_are_interleaved_cos_sin_rows(band, axis_modes):
 
 
 def test_batch_field_grids_are_per_row_products():
-    law = make_law(3.0 / (4 * math.pi**2), spatial_max=10, temporal_max=4)
+    law = make_law(3.0, spatial_max=10, temporal_max=4)
     hs = [sample_hamiltonian(law, 5, i) for i in range(3)]
     times = np.linspace(0, 1, 5)
     engine, phi = law.engine(), hs[0].time_basis(times)
@@ -139,7 +139,7 @@ def test_batch_field_grids_are_per_row_products():
 
 
 def test_buffered_calls_equal_allocating_calls():
-    law = make_law(3.0 / (4 * math.pi**2), spatial_max=10, temporal_max=4)
+    law = make_law(3.0, spatial_max=10, temporal_max=4)
     hs = [sample_hamiltonian(law, 4, i) for i in range(3)]
     engine = law.engine()
     fields = PackedBatch(hs).field_grids(hs[0].time_basis(0.6))[0]
@@ -161,7 +161,7 @@ def test_buffered_calls_equal_allocating_calls():
 def test_value_grid_takes_rows_per_grid(axis_modes):
     # each grid on its own rows gives those rows of its whole lattice, bit
     # for bit, down to two rows a grid
-    law = make_law(0.5 / (4 * math.pi**2), spatial_max=25, include_axis_modes=axis_modes)
+    law = make_law(0.5, spatial_max=25, include_axis_modes=axis_modes)
     engine = law.engine()
     grids = sample_hamiltonian(law, 5).coefficient_grids(np.linspace(0, 1, 6))
     rows = engine.lattice_rows(np.arange(40) / 40)
@@ -175,7 +175,7 @@ def test_value_grid_takes_rows_per_grid(axis_modes):
 
 @pytest.mark.parametrize("axis_modes", [False, True], ids=["", "axis"])
 def test_row_bounds_hold_every_row_of_the_lattice(axis_modes):
-    law = make_law(3 / (4 * math.pi**2), spatial_max=25, include_axis_modes=axis_modes)
+    law = make_law(3, spatial_max=25, include_axis_modes=axis_modes)
     engine = law.engine()
     grids = sample_hamiltonian(law, 6).coefficient_grids(np.linspace(0, 1, 5))
     rows = engine.lattice_rows(np.arange(64) / 64)

@@ -38,8 +38,10 @@ from reference import (BumpFunction, apply_walk, circle_curve, concatenate_auton
 # At this law and threshold, under an image budget of BUDGET vertices, some
 # draws finish after one or two refinement passes and others overflow.  The
 # batched and one-draw paths must agree at any step count, so the flows
-# take the law's own 21.
-LAW = make_law(0.1, spatial_max=4, temporal_max=3)
+# take the law's own 21.  Its regularity is 4 pi^2 / 10 to the last bit,
+# 0.1 per eigenvalue, where the counts and bits named below were measured
+# (at 3.95 the lone midpoint of the weak draw flows alike padded or not).
+LAW = make_law(3.947841760435743, spatial_max=4, temporal_max=3)
 STEPS, THRESHOLD = 21, 0.02
 BUDGET = 160
 
@@ -361,7 +363,7 @@ class TestCountCrossings:
 
 
 def intersections_config(**changes):
-    values = dict(command="intersections", regularity=0.1 * 4 * math.pi**2, spatial_max=4,
+    values = dict(command="intersections", regularity=LAW.regularity, spatial_max=4,
                   temporal_max=3, steps=50, refinement_threshold=0.02,
                   curve_vertices=64, samples=6, seed=9, workers=1)
     values.update(changes)
@@ -717,10 +719,6 @@ class TestWalkChunks:
 # Step counts from the law (flow_steps)
 # ---------------------------------------------------------------------------
 
-def frequency_law(r, **kwargs):
-    return make_law(r / (4 * math.pi**2), **kwargs)
-
-
 # (kernel, regularity in frequency units, spatial_max, temporal_max, axis modes)
 RULE_LAWS = ([(kernel, r, 25, 10, False) for kernel in ("periodic", "constant", "sqexp")
               for r in (3, 3.5, 4, 4.5, 5, 6, 8)]
@@ -733,8 +731,8 @@ def test_step_count_error_within_the_200_step_error(kernel, r, spatial_max, temp
                                                     axis_modes):
     """The law's count errs by at most max(1.5e-6, the 200-step error), both
     against a 1,600-step flow, over 8 draws x 16 points."""
-    law = frequency_law(r, spatial_max=spatial_max, temporal_max=temporal_max, kernel=kernel,
-                        include_axis_modes=axis_modes)
+    law = make_law(r, spatial_max=spatial_max, temporal_max=temporal_max, kernel=kernel,
+                   include_axis_modes=axis_modes)
     batch = PackedBatch(draws(8, seed=17, law=law))
     pts = np.broadcast_to(derive(17, 1, 0).uniform(0.0, 1.0, (16, 2)), (8, 16, 2))
 
@@ -747,7 +745,7 @@ def test_step_count_error_within_the_200_step_error(kernel, r, spatial_max, temp
 
 
 def test_periodic_law_at_regularity_three_takes_58_steps():
-    law = frequency_law(3.0, spatial_max=25, temporal_max=10)
+    law = make_law(3.0, spatial_max=25, temporal_max=10)
     assert flow_steps(law, 200) == 58
     assert flow_steps(law, 50) == 50
 
@@ -770,7 +768,7 @@ def test_flow_points_takes_exactly_the_requested_steps(monkeypatch):
         return original(self, fields, pts, *buffers)
 
     monkeypatch.setattr(SpectralEngine, "vector_field", counted)
-    law = frequency_law(8.0, spatial_max=4, temporal_max=3)
+    law = make_law(8.0, spatial_max=4, temporal_max=3)
     assert flow_steps(law, 200) < 200
     for steps in (3, 200):
         calls.clear()
@@ -922,7 +920,7 @@ def test_task_receives_the_law_of_its_regularity():
     cfg = ExperimentConfig(regularity=4.5, spatial_max=4, samples=3, workers=1)
     laws = _run_chunks(lambda cfg, samples: [cfg.law for _ in samples], cfg)
     assert len(laws) == 3 and all(law is cfg.law for law in laws)
-    assert laws[0].regularity == 4.5 / (4 * math.pi**2)
+    assert laws[0].regularity == 4.5
 
 
 @pytest.mark.usefixtures("eight_cpus")
@@ -935,7 +933,7 @@ def test_config_holds_its_law():
     cfg = ExperimentConfig(regularity=3.0, spatial_max=6, temporal_max=3, samples=4, seed=1)
     again = replace(cfg)
     assert again == cfg and again.law is not cfg.law
-    assert again.law == cfg.law == make_law(3.0 / (4 * math.pi**2), 6, 3)
+    assert again.law == cfg.law == make_law(3.0, 6, 3)
     assert again.law.engine() is cfg.law.engine()
     assert "law" not in {f.name for f in fields(cfg)}
     # every chunk gets cfg.law itself: in this process at workers 1, and in

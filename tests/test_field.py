@@ -46,26 +46,26 @@ class TestSpectralWeight:
 
 class TestGaussianDimension:
     def test_paper_configuration(self):
-        law = make_law(0.1, spatial_max=25, temporal_max=10, kernel=PERIODIC)
+        law = make_law(3.95, spatial_max=25, temporal_max=10, kernel=PERIODIC)
         assert gaussian_dimension(law) == 52_500
 
     def test_small_autonomous(self):
-        law = make_law(0.1, spatial_max=1, kernel=CONSTANT)
+        law = make_law(3.95, spatial_max=1, kernel=CONSTANT)
         assert gaussian_dimension(law) == 4
 
     def test_enumerated_case(self):
-        law = make_law(0.1, spatial_max=2, temporal_max=3, kernel=PERIODIC)
+        law = make_law(3.95, spatial_max=2, temporal_max=3, kernel=PERIODIC)
         assert gaussian_dimension(law) == 16 * 7 == 112
 
     def test_sqexp_counts_its_series_columns(self):
-        # r = 0.1: 14 frequencies, so 29 columns per mode
-        law = make_law(0.1, spatial_max=2, kernel=SQEXP)
+        # r = 3.95: 14 frequencies, so 29 columns per mode
+        law = make_law(3.95, spatial_max=2, kernel=SQEXP)
         assert gaussian_dimension(law) == 16 * 29
 
 
 class TestSampling:
     def test_determinism_under_equal_seeds(self):
-        law = make_law(0.2, spatial_max=3, temporal_max=4)
+        law = make_law(8, spatial_max=3, temporal_max=4)
         h1 = sample_hamiltonian(law, 77)
         h2 = sample_hamiltonian(law, 77)
         rng = np.random.default_rng(0)
@@ -75,19 +75,19 @@ class TestSampling:
             assert value(h1, t, p) == pytest.approx(value(h2, t, p), abs=1e-15)
 
     def test_draw_is_one_read_only_block_of_normals(self):
-        law = make_law(0.2, spatial_max=3, temporal_max=4)
+        law = make_law(8, spatial_max=3, temporal_max=4)
         h = sample_hamiltonian(law, 77)
         assert np.array_equal(h.gaussians, derive(77).standard_normal((len(h.basis), 9)))
         assert not h.gaussians.flags.writeable
 
     def test_autonomous_draws_time_independent(self):
-        law = make_law(0.15, spatial_max=3, kernel=CONSTANT)
+        law = make_law(6, spatial_max=3, kernel=CONSTANT)
         h = sample_hamiltonian(law, 3)
         p = (0.21, 0.68)
         assert value(h, 0.1, p) == pytest.approx(value(h, 0.9, p), abs=1e-14)
 
     def test_weights_decreasing_in_bounds(self):
-        law = make_law(0.05, spatial_max=6)
+        law = make_law(2, spatial_max=6)
         h = sample_hamiltonian(law, 1)
         assert np.all(h.weights > 0) and np.all(h.weights < 1)
         assert np.all(np.diff(h.weights) <= 1e-15)
@@ -95,7 +95,7 @@ class TestSampling:
     def test_engine_matches_naive_mode_sum(self):
         # the lattice kernel and the value oracle, each against the sum of
         # every mode, one point at a time with math
-        law = make_law(0.08, spatial_max=4, temporal_max=5)
+        law = make_law(3.16, spatial_max=4, temporal_max=5)
         h = sample_hamiltonian(law, 5)
         rng = np.random.default_rng(2)
         for _ in range(10):
@@ -110,7 +110,7 @@ class TestSampling:
             assert np.abs(value(h, t, pts) - naive).max() <= 1e-12
 
     def test_variance_matches_analytic(self):
-        law = make_law(0.06, spatial_max=3, temporal_max=5)
+        law = make_law(2.4, spatial_max=3, temporal_max=5)
         n = 2000
         p = (0.3, 0.7)
         t = 0.5
@@ -123,7 +123,7 @@ class TestSampling:
 
 class TestEvaluation:
     def test_zero_coefficients_give_zero_field(self):
-        law = make_law(0.1, spatial_max=2, kernel=CONSTANT)
+        law = make_law(3.95, spatial_max=2, kernel=CONSTANT)
         base = sample_hamiltonian(law, 0)
         zero = RandomHamiltonian(law, np.zeros_like(base.gaussians))
         pts = np.random.default_rng(1).uniform(0, 1, (20, 2))
@@ -132,7 +132,7 @@ class TestEvaluation:
 
     def test_single_active_mode(self):
         # one cos*cos (1,1) mode with constant coefficient chosen so w*Z = 0.5
-        law = make_law(0.1, spatial_max=1, kernel=CONSTANT)
+        law = make_law(3.95, spatial_max=1, kernel=CONSTANT)
         base = sample_hamiltonian(law, 4)
         samples = np.zeros_like(base.gaussians)
         for i in range(len(base.basis)):
@@ -146,7 +146,7 @@ class TestEvaluation:
         assert value(h, 0.7, (x, y)) == pytest.approx(expected)
 
     def test_gradient_matches_finite_differences(self):
-        law = make_law(0.05, spatial_max=5, temporal_max=4)
+        law = make_law(2, spatial_max=5, temporal_max=4)
         h = sample_hamiltonian(law, 12)
         rng = np.random.default_rng(3)
         step = 1e-6
@@ -161,7 +161,7 @@ class TestEvaluation:
             assert abs(g[1] - fy) / scale < 1e-5
 
     def test_vector_field_is_rotated_gradient(self):
-        law = make_law(0.07, spatial_max=4)
+        law = make_law(2.8, spatial_max=4)
         h = sample_hamiltonian(law, 6)
         pts = np.random.default_rng(4).uniform(0, 1, (30, 2))
         g = gradient(h, 0.4, pts)
@@ -170,7 +170,7 @@ class TestEvaluation:
         assert np.allclose(v[:, 1], g[:, 0])
 
     def test_vector_field_divergence_free(self):
-        law = make_law(0.05, spatial_max=4, temporal_max=3)
+        law = make_law(2, spatial_max=4, temporal_max=3)
         h = sample_hamiltonian(law, 8)
         rng = np.random.default_rng(5)
         step = 1e-5
@@ -191,7 +191,7 @@ class TestCoefficientExpansion:
     (``reference.expansion``), sum to the draw's field values."""
 
     def test_round_trip_against_field_evaluation(self):
-        law = make_law(0.1, spatial_max=2, temporal_max=3, kernel=PERIODIC)
+        law = make_law(3.95, spatial_max=2, temporal_max=3, kernel=PERIODIC)
         draw = full_draw(law, 3)
         table = expansion(draw)
         rng = np.random.default_rng(4)
@@ -202,7 +202,7 @@ class TestCoefficientExpansion:
                 value(draw, t, (x, y)), abs=1e-12)
 
     def test_constant_kernel_maps_to_zero_frequency(self):
-        law = make_law(0.2, spatial_max=1, kernel=CONSTANT)
+        law = make_law(8, spatial_max=1, kernel=CONSTANT)
         draw = sample_hamiltonian(law, 7)
         table = expansion(draw)
         assert all(k == 0 and parity == "cos" for (k, _, parity) in table)
@@ -215,7 +215,7 @@ class TestCoefficientExpansion:
 
 class TestNormalization:
     def test_spatial_mean_vanishes(self):
-        law = make_law(0.04, spatial_max=8, temporal_max=6)
+        law = make_law(1.6, spatial_max=8, temporal_max=6)
         h = sample_hamiltonian(law, 21)
         rng = np.random.default_rng(6)
         for _ in range(5):
@@ -223,7 +223,7 @@ class TestNormalization:
 
     def test_pointwise_gaussianity(self):
         stats = pytest.importorskip("scipy.stats")
-        law = make_law(0.06, spatial_max=4, temporal_max=5)
+        law = make_law(2.4, spatial_max=4, temporal_max=5)
         n = 5000
         p = (0.37, 0.61)
         vals = np.array([value(sample_hamiltonian(law, 31, i), 0.25, p)
@@ -234,14 +234,14 @@ class TestNormalization:
 
 class TestOscillation:
     def test_zero_field(self):
-        law = make_law(0.1, spatial_max=2, kernel=CONSTANT)
+        law = make_law(3.95, spatial_max=2, kernel=CONSTANT)
         base = sample_hamiltonian(law, 0)
         zero = RandomHamiltonian(law, np.zeros_like(base.gaussians))
         assert zero.oscillation() == 0.0
 
     def test_single_mode_closed_form(self):
         # cos*cos mode with w*Z = a has range [-2a, 2a]: oscillation 4a
-        law = make_law(0.1, spatial_max=1, kernel=CONSTANT)
+        law = make_law(3.95, spatial_max=1, kernel=CONSTANT)
         base = sample_hamiltonian(law, 4)
         a = 0.3
         samples = [[a / base.weights[i] if mode_of(base.basis, i).trig == "cc" else 0.0]
@@ -250,7 +250,7 @@ class TestOscillation:
         assert h.oscillation() == pytest.approx(4 * a, rel=0.01)
 
     def test_invariant_under_time_constant_offset(self):
-        law = make_law(0.08, spatial_max=3, temporal_max=4)
+        law = make_law(3.16, spatial_max=3, temporal_max=4)
         h = sample_hamiltonian(law, 14)
         base = h.oscillation()
         # an additive function of t alone shifts max and min equally: the
@@ -267,7 +267,7 @@ class TestOscillation:
         assert shifted == pytest.approx(base, abs=1e-12)
 
     def test_builds_the_lattice_rows_once(self, monkeypatch):
-        h = sample_hamiltonian(make_law(0.08, spatial_max=3, temporal_max=4), 14)
+        h = sample_hamiltonian(make_law(3.16, spatial_max=3, temporal_max=4), 14)
         n, time_grid = OSC_LATTICE
         xs = np.arange(n) / n
         times = np.linspace(0, 1, time_grid)
@@ -285,7 +285,7 @@ class TestOscillation:
 
     def test_weight_monotonicity_in_regularity(self):
         means = []
-        for r in (0.04, 0.08, 0.14, 0.5, 1.0):
+        for r in (1.6, 3.16, 5.5, 20, 40):
             law = make_law(r, spatial_max=3, temporal_max=3)
             buffers = OscillationBuffers(law.engine())
             osc = [sample_hamiltonian(law, 55, i).oscillation(buffers) for i in range(200)]
@@ -309,7 +309,7 @@ class TestGaussianSandwich:
     N = 1000
 
     def test_shifted_ball_lies_between_the_bounds(self):
-        law = make_law(3.95 / (4 * math.pi**2))
+        law = make_law(3.95)
         buffers = OscillationBuffers(law.engine())
         eps = np.median([sample_hamiltonian(law, 12, 1, i).oscillation(buffers)
                          for i in range(self.N)])
@@ -402,7 +402,7 @@ class TestControlVariateMean:
     @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT])
     @pytest.mark.parametrize("r", [3.95, 3])
     def test_integrated_top_singular_value_matches_its_mean(self, kernel, r):
-        law = frequency_law(r, kernel=kernel)
+        law = make_law(r, kernel=kernel)
         times = OscillationBuffers(law.engine()).times
         k = law.engine().grid_shape[1]
         c = np.empty(self.N)
@@ -434,7 +434,7 @@ class TestPrunedOscillation:
     @pytest.mark.parametrize("draw", range(5), ids=lambda i: f"draw{i}")
     def test_equals_the_whole_lattices(self, law, draw):
         r, kwargs = PRUNING_LAWS[law]
-        h = sample_hamiltonian(frequency_law(r, **kwargs), 9, draw)
+        h = sample_hamiltonian(make_law(r, **kwargs), 9, draw)
         assert h.oscillation() == lattice_oscillation(h, *OSC_LATTICE)
 
     @pytest.mark.parametrize("r", [500, 700])
@@ -442,17 +442,17 @@ class TestPrunedOscillation:
         # the half products near 1e-217 at r = 500: their plain squares would
         # flush to zero, and the bounds would prune the rows of the extremes
         for i in range(3):
-            h = sample_hamiltonian(frequency_law(r), 9, i)
+            h = sample_hamiltonian(make_law(r), 9, i)
             osc = h.oscillation()
             assert osc > 0.0 and osc == lattice_oscillation(h, *OSC_LATTICE)
 
     def test_one_set_of_buffers_serves_many_draws(self):
-        law = frequency_law(3)
+        law = make_law(3)
         buffers = OscillationBuffers(law.engine())
         draws = [sample_hamiltonian(law, 9, i) for i in range(3)]
         assert [h.oscillation(buffers) for h in draws] == [h.oscillation() for h in draws]
         with pytest.raises(ValueError, match="another engine"):
-            sample_hamiltonian(frequency_law(4.5), 9, 0).oscillation(buffers)
+            sample_hamiltonian(make_law(4.5), 9, 0).oscillation(buffers)
 
     @pytest.mark.parametrize("room", [4, 5, 7, 40])
     def test_row_extremes_fold_groups_across_products(self, room):
@@ -497,7 +497,7 @@ class TestPrunedOscillation:
         # 2,469 and 1,825 at r = 2 and 3, and fail; at r = 4.5 they evaluated
         # 606, so the bound there holds only the count
         for r, most in ((2, 0.17), (3, 0.115), (4.5, 0.054)):
-            h = sample_hamiltonian(frequency_law(r), 9, 0)
+            h = sample_hamiltonian(make_law(r), 9, 0)
             assert self.evaluated_rows(h, monkeypatch) < most * 101 * 128
 
     @pytest.mark.parametrize("law", ["r=0.1", "r=0.5", "axis modes"])
@@ -520,20 +520,20 @@ class TestPrunedOscillation:
         monkeypatch.setattr(SpectralEngine, "value_grid", counted)
         for i in range(3):
             grids.clear()
-            sample_hamiltonian(frequency_law(r, **kwargs), 9, i).oscillation()
+            sample_hamiltonian(make_law(r, **kwargs), 9, i).oscillation()
             assert sum(grids) == OSC_LATTICE[1]
 
 
 class TestSubnormalFlush:
     """Packing flushes subnormal grid entries; evaluation does not change."""
 
-    # at r = 0.5 the band is 2; scaling B by 1e-280 puts its (2, 2) modes in
+    # at r = 20 the band is 2; scaling B by 1e-280 puts its (2, 2) modes in
     # the subnormal range while its (1, 1) and (1, 2) modes stay normal
     SCALE = 1e-280
 
     @staticmethod
     def unscaled(kernel):
-        return full_draw(make_law(0.5, spatial_max=6, temporal_max=3, kernel=kernel), 6)
+        return full_draw(make_law(20, spatial_max=6, temporal_max=3, kernel=kernel), 6)
 
     @classmethod
     def draw(cls, kernel):
@@ -579,11 +579,6 @@ class TestSubnormalFlush:
                               h.engine.value_grid(flushed, xs, xs))
 
 
-def frequency_law(r, spatial_max=25, **kwargs):
-    """A law at regularity r in frequency units (eigenvalue units / 4 pi^2)."""
-    return make_law(r / (4 * math.pi**2), spatial_max=spatial_max, **kwargs)
-
-
 class TestBand:
     """The engine evaluates only the modes that can move a double of the field."""
 
@@ -608,7 +603,7 @@ class TestBand:
 
     @pytest.mark.parametrize("r,band,modes", TABLE, ids=IDS)
     def test_band_table(self, r, band, modes):
-        law = frequency_law(r)
+        law = make_law(r)
         engine = law.engine()
         b = law.basis()
         assert law.band == engine.band == band
@@ -618,7 +613,7 @@ class TestBand:
     @pytest.mark.parametrize("r", [row[0] for row in TABLE])
     def test_dropped_modes_below_tolerance(self, r):
         # the band meets the rule and one band less does not
-        law = frequency_law(r)
+        law = make_law(r)
         bound, kmax = self.bounds(law)
         assert self.rounds_away(bound, kmax, law.band)
         assert not self.rounds_away(bound, kmax, law.band - 1)
@@ -644,7 +639,7 @@ class TestBand:
         # draws and reversals at the law's bands flow and oscillate bit for
         # bit as at both bands + 2; the periodic flows one spatial band
         # lower differ, so the band is the least that keeps every bit
-        law = frequency_law(r, kernel=kernel)
+        law = make_law(r, kernel=kernel)
         band, frequencies = law.band, law.temporal_band
         draws = [sample_hamiltonian(law, 11, i) for i in range(4)]
         draws += [time_reversed_hamiltonian(h) for h in draws]
@@ -661,31 +656,31 @@ class TestBand:
 
     def test_engine_shared_per_band(self):
         # r = 2.8 and 3 share band 5; the seed does not enter the band
-        a = sample_hamiltonian(frequency_law(3, seed=1), 1)
-        b = sample_hamiltonian(frequency_law(2.8, seed=2), 2)
-        c = sample_hamiltonian(frequency_law(4.5, seed=1), 1)
+        a = sample_hamiltonian(make_law(3, seed=1), 1)
+        b = sample_hamiltonian(make_law(2.8, seed=2), 2)
+        c = sample_hamiltonian(make_law(4.5, seed=1), 1)
         assert a.engine is b.engine
         assert c.engine is not a.engine and c.engine.basis is a.engine.basis
 
     def test_laws_differing_in_temporal_max_share_basis_and_engine(self):
         # the temporal order is the kernel's alone
-        a, b = frequency_law(3, temporal_max=4), frequency_law(3, temporal_max=10)
+        a, b = make_law(3, temporal_max=4), make_law(3, temporal_max=10)
         assert a != b and a.spatial_max == b.spatial_max
         assert a.basis() is b.basis() and a.engine() is b.engine()
 
     def test_draws_of_one_law_batch_after_other_engines_are_built(self):
         # engines of 18 other truncations between two draws of one law: the
         # second draw keeps the first one's engine, so the two batch
-        law = frequency_law(3)
+        law = make_law(3)
         first = sample_hamiltonian(law, 0, 1)
         for spatial_max in range(2, 20):
-            frequency_law(3, spatial_max=spatial_max).engine()
+            make_law(3, spatial_max=spatial_max).engine()
         second = sample_hamiltonian(law, 0, 2)
         assert second.engine is first.engine and second.basis is first.basis
         assert len(PackedBatch([first, second])) == 2
 
     def test_draw_keeps_every_mode(self):
-        law = frequency_law(3, temporal_max=4)
+        law = make_law(3, temporal_max=4)
         h = full_draw(law, 4)
         assert h.gaussians.shape == (2500, 9)
         assert full_coefficients(h).shape == (9, 2500)
@@ -694,7 +689,7 @@ class TestBand:
 
     @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT, SQEXP])
     def test_banded_evaluation_matches_full_band(self, kernel):
-        law = frequency_law(3, spatial_max=12, temporal_max=4, kernel=kernel, seed=8)
+        law = make_law(3, spatial_max=12, temporal_max=4, kernel=kernel, seed=8)
         h = full_draw(law, 8)
         full = SpectralEngine(law.basis(), 12)
         assert h.engine.band == 5
@@ -711,7 +706,7 @@ class TestBand:
                 1e-13 * np.abs(want).max()
 
     def test_batched_value_grid_equals_per_time_calls(self):
-        h = sample_hamiltonian(frequency_law(3, spatial_max=10, temporal_max=4), 3)
+        h = sample_hamiltonian(make_law(3, spatial_max=10, temporal_max=4), 3)
         grids = h.coefficient_grids(np.linspace(0, 1, 7))
         xs, ys = np.arange(20) / 20, np.arange(13) / 13
         batched = h.engine.value_grid(grids, xs, ys)
@@ -722,7 +717,7 @@ class TestBand:
         assert np.array_equal(nested[:, 0], batched)
 
     def test_lattice_rows_stand_in_for_coordinates(self):
-        h = sample_hamiltonian(frequency_law(3, spatial_max=10, temporal_max=4), 3)
+        h = sample_hamiltonian(make_law(3, spatial_max=10, temporal_max=4), 3)
         grids = h.coefficient_grids(np.linspace(0, 1, 7))
         xs, ys = np.arange(20) / 20, np.arange(13) / 13
         rx, ry = h.engine.lattice_rows(xs), h.engine.lattice_rows(ys)
@@ -733,7 +728,7 @@ class TestBand:
 
     @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT])
     def test_law_with_underflowing_weights_evaluates(self, kernel):
-        law = make_law(1e4, spatial_max=6, temporal_max=3, kernel=kernel)
+        law = make_law(4e5, spatial_max=6, temporal_max=3, kernel=kernel)
         assert np.all(law.weights == 0.0)
         h = sample_hamiltonian(law, 0)
         assert h.engine.band == 1
@@ -744,7 +739,7 @@ class TestBand:
         assert spatial_mean(h, 0.4) == 0.0
 
     def test_rejects_band_outside_truncation(self):
-        basis = make_law(1.0, spatial_max=4).basis()
+        basis = make_law(40, spatial_max=4).basis()
         for band in (0, 5):
             with pytest.raises(ValueError):
                 SpectralEngine(basis, band)
@@ -768,7 +763,7 @@ class TestTemporalBand:
 
     @pytest.mark.parametrize("kernel,r,band,frequencies", TABLE, ids=IDS)
     def test_band_table(self, kernel, r, band, frequencies):
-        law = frequency_law(r, kernel=kernel)
+        law = make_law(r, kernel=kernel)
         basis = law.kernel_time_basis
         assert (law.temporal_band, basis.frequencies) == (band, frequencies)
         assert law.time_basis == TimeBasis(band, basis.period, basis.center)
@@ -788,7 +783,7 @@ class TestTemporalBand:
         # the same draws in the kernel's whole time basis, from B over every
         # column: flows (draws and reversals in one batch) and oscillations
         # agree bit for bit
-        law = frequency_law(r, kernel=kernel, seed=8)
+        law = make_law(r, kernel=kernel, seed=8)
         n, m, head = len(law.basis()), law.gaussians_per_sample, law.head_rows
         assert (m, head) == ({PERIODIC: 21, SQEXP: 29}[kernel], {3: 128, 4.5: 80}[r])
         draws = [sample_hamiltonian(law, 8, i) for i in range(3)]
@@ -810,31 +805,32 @@ class TestLawValidation:
     """A law is one record of its five parameters, checked when built."""
 
     def test_kernel_tied_to_regularity_by_default(self):
-        # the one regularity sets the weights and the kernel's decay alike
-        law = make_law(0.17, spatial_max=2)
-        assert law.regularity == 0.17
-        assert law.weights[0] == math.exp(-0.17 * 8 * math.pi**2 / 2)
-        assert law.column_factors[1] == pytest.approx(math.exp(-2 * 0.17 * math.pi**2))
+        # the one regularity r, per squared frequency, sets the weights
+        # exp(-r (k^2 + j^2) / 2) and the kernel's decay exp(-r k^2 / 2) alike
+        law = make_law(6.7, spatial_max=2)
+        assert law.regularity == 6.7
+        assert law.weights[0] == pytest.approx(math.exp(-6.7), rel=1e-15)
+        assert law.column_factors[1] == pytest.approx(math.exp(-6.7 / 2), rel=1e-15)
 
     def test_fields_are_the_five_parameters(self):
         names = [f.name for f in dataclasses.fields(HamiltonianLaw)]
         assert names == ["regularity", "spatial_max", "temporal_max", "kernel",
                          "include_axis_modes"]
-        assert make_law(0.3, 4, 6, SQEXP, include_axis_modes=True) == \
-            HamiltonianLaw(0.3, 4, 6, SQEXP, True)
+        assert make_law(12, 4, 6, SQEXP, include_axis_modes=True) == \
+            HamiltonianLaw(12, 4, 6, SQEXP, True)
 
     def test_make_law_ignores_seed_and_grid_nodes(self):
         # the benchmark's child passes both; a law holds neither
-        assert make_law(0.3, 4, seed=9, grid_nodes=16) == make_law(0.3, 4)
+        assert make_law(12, 4, seed=9, grid_nodes=16) == make_law(12, 4)
 
     @pytest.mark.parametrize("spatial_max", [3, 12, 40])
     def test_moved_truncation_is_the_law_built_with_it(self, spatial_max):
         # a law computed under one truncation, then moved to another: equal
         # to, hashing like and sharing the engine of the law built there
-        law = make_law(0.1)
+        law = make_law(3.95)
         law.engine()
         moved = dataclasses.replace(law, spatial_max=spatial_max)
-        built = make_law(0.1, spatial_max=spatial_max)
+        built = make_law(3.95, spatial_max=spatial_max)
         assert moved == built and hash(moved) == hash(built)
         assert moved.engine() is built.engine() and moved.basis() is built.basis()
         assert np.array_equal(sample_hamiltonian(moved, 3).coefficients,
@@ -842,8 +838,8 @@ class TestLawValidation:
 
     @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT, SQEXP])
     def test_moved_kernel_is_the_law_built_with_it(self, kernel):
-        moved = dataclasses.replace(make_law(0.1, temporal_max=4), kernel=kernel)
-        built = make_law(0.1, temporal_max=4, kernel=kernel)
+        moved = dataclasses.replace(make_law(3.95, temporal_max=4), kernel=kernel)
+        built = make_law(3.95, temporal_max=4, kernel=kernel)
         assert moved == built and hash(moved) == hash(built)
         assert moved.kernel_time_basis == built.kernel_time_basis
         assert np.array_equal(moved.column_factors, built.column_factors)
@@ -859,25 +855,25 @@ class TestLawValidation:
         # a ValidationError, which is a ValueError, naming the field
         (name,) = change
         with pytest.raises(ValidationError) as info:
-            dataclasses.replace(make_law(0.1), **change)
+            dataclasses.replace(make_law(3.95), **change)
         assert info.value.field == name and isinstance(info.value, ValueError)
         with pytest.raises(ValidationError) as info:
-            make_law(**{"regularity": 0.1, **change})
+            make_law(**{"regularity": 3.95, **change})
         assert info.value.field == name
 
     def test_integer_truncations_of_any_integral_type_are_accepted(self):
-        assert make_law(0.1, spatial_max=np.int64(3), temporal_max=np.int32(2)) == \
-            make_law(0.1, spatial_max=3, temporal_max=2)
+        assert make_law(3.95, spatial_max=np.int64(3), temporal_max=np.int32(2)) == \
+            make_law(3.95, spatial_max=3, temporal_max=2)
 
     @pytest.mark.parametrize("kernel", [CONSTANT, SQEXP])
     def test_temporal_max_is_checked_under_every_kernel(self, kernel):
         # the periodic kernel alone reads it, but every kernel refuses a bad one
         with pytest.raises(ValueError):
-            make_law(0.1, temporal_max=0, kernel=kernel)
+            make_law(3.95, temporal_max=0, kernel=kernel)
 
     def test_law_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            make_law(0.1).spatial_max = 4
+            make_law(3.95).spatial_max = 4
 
 
 class TestPerLawQuantities:
@@ -885,7 +881,7 @@ class TestPerLawQuantities:
 
     def test_derived_values_are_cached_attributes(self):
         # the basis and the engine, shared between laws, stay methods
-        law = frequency_law(3, spatial_max=6, temporal_max=3)
+        law = make_law(3, spatial_max=6, temporal_max=3)
         for name in ("band", "mode_shares", "kernel_time_basis", "column_factors",
                      "gaussians_per_sample", "variance", "temporal_band", "time_basis",
                      "time_columns", "head_rows", "weights", "lipschitz_bound"):
@@ -902,7 +898,7 @@ class TestPerLawQuantities:
         weight = field_module.spectral_weight
         monkeypatch.setattr(field_module, "spectral_weight",
                             lambda *args: calls.append(1) or weight(*args))
-        law = frequency_law(3, spatial_max=6, temporal_max=3)
+        law = make_law(3, spatial_max=6, temporal_max=3)
         hs = [sample_hamiltonian(law, 0, i) for i in range(3)]
         assert len(calls) == 1
         assert all(h.weights is law.weights for h in hs)
@@ -910,33 +906,33 @@ class TestPerLawQuantities:
         assert not law.weights.flags.writeable
 
     def test_draws_equal_those_of_a_fresh_law(self):
-        law = frequency_law(3, spatial_max=6, temporal_max=3)
+        law = make_law(3, spatial_max=6, temporal_max=3)
         law.lipschitz_bound
         for i in range(3):
-            fresh = frequency_law(3, spatial_max=6, temporal_max=3)
+            fresh = make_law(3, spatial_max=6, temporal_max=3)
             a = sample_hamiltonian(law, 5, i)
             b = sample_hamiltonian(fresh, 5, i)
             assert np.array_equal(a.coefficients, b.coefficients)
             assert a.engine is b.engine
 
     def test_cache_leaves_equality_and_hash(self):
-        law = frequency_law(3, spatial_max=6)
+        law = make_law(3, spatial_max=6)
         law.band, law.weights, law.lipschitz_bound
-        fresh = frequency_law(3, spatial_max=6)
+        fresh = make_law(3, spatial_max=6)
         assert law == fresh and hash(law) == hash(fresh)
-        assert law != frequency_law(3.5, spatial_max=6)
+        assert law != make_law(3.5, spatial_max=6)
 
     def test_mode_shares_are_the_weights_sums(self):
         # the lowest shell's shares of Var H and Var grad H and the
         # participation ratio, from the weights; (1, 1, 4) where every
         # weight underflows
-        law = frequency_law(2, spatial_max=6)
+        law = make_law(2, spatial_max=6)
         lam, v = law.basis().eigenvalues, law.weights ** 2
         shell = lam == lam.min()
         want = (v[shell].sum() / v.sum(), (v * lam)[shell].sum() / (v * lam).sum(),
                 v.sum() ** 2 / np.sum(v**2))
         assert law.mode_shares == pytest.approx(want, rel=1e-12)
-        assert make_law(1e4, spatial_max=6).mode_shares == (1.0, 1.0, 4.0)
+        assert make_law(4e5, spatial_max=6).mode_shares == (1.0, 1.0, 4.0)
 
     @staticmethod
     def spectral_bounds(law, count, t):
@@ -948,7 +944,7 @@ class TestPerLawQuantities:
 
     @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT])
     def test_lipschitz_bound_is_the_mean_spectral_bound(self, kernel):
-        law = frequency_law(2, spatial_max=4, temporal_max=3, kernel=kernel)
+        law = make_law(2, spatial_max=4, temporal_max=3, kernel=kernel)
         bounds = self.spectral_bounds(law, 2000, 0.3)
         se = bounds.std(ddof=1) / math.sqrt(len(bounds))
         assert abs(bounds.mean() - law.lipschitz_bound) < 4 * se
@@ -967,14 +963,14 @@ class TestHeadOnlyDraws:
 
     @pytest.mark.parametrize("r,band,modes,head", HEADS, ids=IDS)
     def test_head_rows_table(self, r, band, modes, head):
-        law = frequency_law(r)
+        law = make_law(r)
         assert (law.band, len(law.engine().modes), law.head_rows) == (band, modes, head)
         assert law.head_rows == law.engine().modes.max() + 1
 
     @pytest.mark.parametrize("kernel", [PERIODIC, CONSTANT, SQEXP])
     def test_gaussians_equal_a_full_draw(self, kernel):
         # the first head_rows rows of the stream's whole (N, m) array
-        law = frequency_law(3, spatial_max=12, temporal_max=4, kernel=kernel)
+        law = make_law(3, spatial_max=12, temporal_max=4, kernel=kernel)
         n, m, head = len(law.basis()), law.gaussians_per_sample, law.head_rows
         assert head == 128 < n
         for i in range(3):
@@ -990,7 +986,7 @@ class TestHeadOnlyDraws:
         is packed at the wider band's modes."""
         kernel = {"reversal": PERIODIC, "concatenation": CONSTANT,
                   "mixed concatenation": CONSTANT}.get(kind, kind)
-        laws = [frequency_law(r, spatial_max=12, temporal_max=4, kernel=kernel, seed=3)
+        laws = [make_law(r, spatial_max=12, temporal_max=4, kernel=kernel, seed=3)
                 for r in ((3, 4.5) if kind == "mixed concatenation" else (3, 3))]
         fulls = [full_draw(law, 3, i) for i, law in enumerate(laws)]
         if kind.endswith("concatenation"):
@@ -1020,7 +1016,7 @@ class TestHeadOnlyDraws:
     def test_packing_leaves_the_tail_undrawn(self, monkeypatch):
         # once sampled, a draw reads no stream: packing, grids, oscillation
         # and its normals all come from the head it holds
-        law = frequency_law(3, spatial_max=12, temporal_max=4)
+        law = make_law(3, spatial_max=12, temporal_max=4)
         h = sample_hamiltonian(law, 9)
         keys = []
         monkeypatch.setattr(field, "derive", lambda *key: keys.append(key) or derive(*key))
@@ -1036,7 +1032,7 @@ class TestHeadOnlyDraws:
 class TestStreams:
     """A draw built from an array holds it, and packs as the sampled draw does."""
 
-    LAW = frequency_law(3, spatial_max=12, temporal_max=4)
+    LAW = make_law(3, spatial_max=12, temporal_max=4)
     SHAPE = (576, 9)
 
     def test_draws_from_an_array_hold_it_whole(self):

@@ -24,8 +24,8 @@ from reference import (BumpFunction, BumpTimeBasis, Mode, circle_curve,
 
 # The analytic references: draws over the smallest basis with axis modes,
 # each of one mode or none, autonomous or with a periodic coefficient path.
-ONE_MODE_LAW = make_law(0.1, spatial_max=1, kernel=CONSTANT, include_axis_modes=True)
-ONE_MODE_PATH_LAW = make_law(0.1, spatial_max=1, kernel=PERIODIC, temporal_max=2,
+ONE_MODE_LAW = make_law(3.95, spatial_max=1, kernel=CONSTANT, include_axis_modes=True)
+ONE_MODE_PATH_LAW = make_law(3.95, spatial_max=1, kernel=PERIODIC, temporal_max=2,
                              include_axis_modes=True)
 
 
@@ -60,7 +60,7 @@ def image(h, p, t0=0.0, t1=1.0):
     return flow_one(h, [p], t0, t1, 200)[0]
 
 
-def small_draw(seed, kernel=PERIODIC, r=0.15, smax=3, tm=3):
+def small_draw(seed, kernel=PERIODIC, r=6, smax=3, tm=3):
     law = make_law(r, spatial_max=smax, temporal_max=tm, kernel=kernel)
     return sample_hamiltonian(law, seed)
 
@@ -135,7 +135,7 @@ class TestPointIntegration:
 
 class TestEnergyAndArea:
     def test_energy_conservation_autonomous(self):
-        h = small_draw(53, kernel=CONSTANT, r=0.05, smax=4)
+        h = small_draw(53, kernel=CONSTANT, r=2, smax=4)
         pts = np.random.default_rng(1).uniform(0, 1, (100, 2))
         steps = 1000
         base = value(h, 0.0, pts)
@@ -151,7 +151,7 @@ class TestEnergyAndArea:
         assert det == pytest.approx(1.0, abs=1e-9)
 
     def test_jacobian_random_draw(self):
-        h = small_draw(59, r=0.1, smax=5)
+        h = small_draw(59, r=3.95, smax=5)
         det = flow_jacobian_determinant(h, (0.37, 0.72), 1.0, 1000, fd_step=1e-5)
         assert det == pytest.approx(1.0, abs=1e-5)
 
@@ -192,8 +192,8 @@ class TestTimeReversal:
         """Phi(1 - t) = Phi(t) @ R on 101 times, to 1e-15 per unit of Phi's
         largest slope: evaluating Phi at the rounded 1 - t alone errs by that
         much (1.5e-14 for the periodic basis of 10 frequencies).  The sqexp
-        basis (r = 0.1: 14 frequencies, period 20.2, center 1/2) reflects
-        like the periodic one."""
+        basis (r = 0.1 per eigenvalue: 14 frequencies, period 20.2, center
+        1/2) reflects like the periodic one."""
         t = np.linspace(0.0, 1.0, 101)
         fine = np.linspace(0.0, 1.0, 20001)
         slope = np.abs(np.diff(basis(fine), axis=0)).max() / fine[1]
@@ -230,9 +230,7 @@ class TestTranslation:
 
     @staticmethod
     def draw(kernel, axis):
-        # regularity 3 in frequency units
-        law = make_law(3.0 / (4 * math.pi**2), spatial_max=8, kernel=kernel,
-                       include_axis_modes=axis)
+        law = make_law(3.0, spatial_max=8, kernel=kernel, include_axis_modes=axis)
         return full_draw(law, 12, 0, 0)
 
     @pytest.mark.parametrize("axis", [False, True])
@@ -384,7 +382,7 @@ class TestBatchedFlow:
     @staticmethod
     def hamiltonians(kind, count):
         if kind in (PERIODIC, CONSTANT, SQEXP):
-            law = make_law(0.15, spatial_max=3, temporal_max=3, kernel=kind)
+            law = make_law(6, spatial_max=3, temporal_max=3, kernel=kind)
             return [sample_hamiltonian(law, 151, i) for i in range(count)]
         if kind == "reversal":
             return [time_reversed_hamiltonian(h)
@@ -425,7 +423,7 @@ class TestBatchedFlow:
         # and draws of one time basis over two engines: periodic draws at
         # r = 3.5 and 3.95 (frequency units) share their temporal band, 4, but
         # not their spatial band, 5 against 4
-        laws = [make_law(r / (4 * math.pi**2)) for r in (3.5, 3.95)]
+        laws = [make_law(r) for r in (3.5, 3.95)]
         assert laws[0].time_basis == laws[1].time_basis
         assert laws[0].engine() is not laws[1].engine()
         for hs in (self.hamiltonians(PERIODIC, 1) + self.hamiltonians(CONSTANT, 1),
@@ -483,8 +481,7 @@ class TestBand:
 
     @staticmethod
     def draws(kernel, r, count=2, seed=181):
-        law = make_law(r / (4 * math.pi**2), spatial_max=12, temporal_max=4,
-                       kernel=kernel, seed=seed)
+        law = make_law(r, spatial_max=12, temporal_max=4, kernel=kernel, seed=seed)
         return [full_draw(law, seed, i) for i in range(count)]
 
     @classmethod
@@ -565,7 +562,7 @@ class TestBracketFlow:
     batch of the constant kernel.
     """
 
-    LAW = make_law(0.1, spatial_max=2, kernel=CONSTANT, include_axis_modes=True)
+    LAW = make_law(3.95, spatial_max=2, kernel=CONSTANT, include_axis_modes=True)
 
     def test_commutator_of_flows_approaches_the_bracket_flow(self):
         f, g = (PackedBatch([one_mode_draw(Mode(1, 1, trig), 1.0, self.LAW)])
@@ -633,13 +630,13 @@ class TestCurves:
         assert np.allclose(out.vertices[:, 1], 0.5, atol=1e-12)
 
     def test_advected_gaps_below_threshold(self):
-        h = small_draw(127, r=0.08, smax=4)
+        h = small_draw(127, r=3.16, smax=4)
         out = advect_curve(h, horizontal_circle(0.5, 128), 1.0, 200, 0.01)
         gaps = np.linalg.norm(np.diff(out.vertices, axis=0), axis=1)
         assert gaps.max() <= 0.01 + 1e-12
 
     def test_area_preserved_for_small_circle(self):
-        h = small_draw(131, r=0.2, smax=3)
+        h = small_draw(131, r=8, smax=3)
         src = circle_curve((0.4, 0.6), 0.08, 256)
         out = advect_curve(h, src, 1.0, 400, 0.005)
 
@@ -651,7 +648,7 @@ class TestCurves:
 
     def test_refinement_overflow_raised(self, monkeypatch):
         monkeypatch.setattr(flow, "MAX_IMAGE_VERTICES", 5)
-        h = small_draw(137, r=0.05, smax=4)
+        h = small_draw(137, r=2, smax=4)
         with pytest.raises(RefinementOverflow, match="past 5 vertices"):
             advect_curve(h, horizontal_circle(0.5, 4), 1.0, 200, 1e-4)
 
@@ -669,7 +666,7 @@ class TestBuffers:
     # 4 draws x 512 points at the law's band (5), tables of wavenumbers
     # 1..band: one table or one product is 64 KiB per wavenumber, above
     # glibc's default mmap threshold of 128 KiB
-    LAW = make_law(3.0 / (4 * math.pi**2), spatial_max=12, temporal_max=4)
+    LAW = make_law(3.0, spatial_max=12, temporal_max=4)
     LIMIT = 16 * 1024
     OFFSETS = np.array([0.0, 1 / 3, 1 / 2, 2 / 3, 1.0])
 
@@ -701,7 +698,7 @@ class TestBuffers:
         # oscillation holds, at any moment, its grids (80 KB) and less than
         # glibc's 128 KiB mmap threshold besides, so no array of it is mapped
         # and unmapped, with its page faults, once per draw
-        law = make_law(3.0 / (4 * math.pi**2))
+        law = make_law(3.0)
         buffers = OscillationBuffers(law.engine())
         first, second = (sample_hamiltonian(law, 4, i) for i in range(2))
         first.oscillation(buffers)

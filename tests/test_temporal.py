@@ -17,7 +17,7 @@ from hamflow.temporal import CONSTANT, PERIODIC, SQEXP
 from reference import coefficient_paths, kernel_value
 
 
-def kernel(tag, r=0.1, temporal_max=10):
+def kernel(tag, r=3.95, temporal_max=10):
     """The law whose kernel is ``tag`` at regularity r."""
     return make_law(r, spatial_max=1, temporal_max=temporal_max, kernel=tag)
 
@@ -35,56 +35,60 @@ def evaluate(kind, gaussians, t):
 
 class TestKernelValue:
     def test_sqexp_diagonal(self):
-        k = kernel(SQEXP, 0.3)
+        k = kernel(SQEXP, 12)
         assert kernel_value(k, 0.4, 0.4) == pytest.approx(1.0)
 
     def test_sqexp_offdiagonal(self):
-        k = kernel(SQEXP, 0.3)
-        assert kernel_value(k, 0.1, 0.6) == pytest.approx(math.exp(-0.3 * 0.25))
+        # exp(-r' tau^2), r' the regularity per eigenvalue
+        k = kernel(SQEXP, 12)
+        want = math.exp(-k.eigenvalue_regularity * 0.25)
+        assert kernel_value(k, 0.1, 0.6) == pytest.approx(want)
 
     def test_periodic_truncated_diagonal(self):
-        k = kernel(PERIODIC, 0.1, 1)
-        assert kernel_value(k, 0.5, 0.5) == pytest.approx(1 + 2 * math.exp(-0.4 * math.pi**2))
+        # the first cosine's squared factor exp(-4 pi^2 r') is exp(-r)
+        k = kernel(PERIODIC, 3.95, 1)
+        assert kernel_value(k, 0.5, 0.5) == pytest.approx(1 + 2 * math.exp(-3.95))
 
     def test_constant_unit(self):
-        k = kernel(CONSTANT, 2.0)
+        k = kernel(CONSTANT, 80)
         assert kernel_value(k, 0.0, 0.9) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("tag", [SQEXP, PERIODIC, CONSTANT])
     def test_column_factors_cached_per_kernel(self, tag):
-        k = kernel(tag, 0.3)
+        k = kernel(tag, 12)
         factors = k.column_factors
         assert k.column_factors is factors and not factors.flags.writeable
         assert k.kernel_time_basis is k.kernel_time_basis
         assert len(factors) == k.gaussians_per_sample
-        fresh = kernel(tag, 0.3)
+        fresh = kernel(tag, 12)
         assert fresh == k and np.array_equal(fresh.column_factors, factors)
-        basis = temporal.time_basis(tag, 0.3, 10)
+        basis = temporal.time_basis(tag, k.eigenvalue_regularity, 10)
         assert basis == k.kernel_time_basis
-        assert np.array_equal(temporal.column_factors(tag, 0.3, basis), factors)
+        assert np.array_equal(temporal.column_factors(tag, k.eigenvalue_regularity, basis),
+                              factors)
 
     @pytest.mark.parametrize("r", [0.01, 0.025, 0.1, 1.0, 10.0, 100.0])
     def test_sqexp_series_is_the_kernel(self, r):
         """The series sum_j f_j^2 Phi_j(t1) Phi_j(t2), summed term by term,
-        against exp(-r (t1 - t2)^2) for t1 - t2 over [-1, 1]."""
-        k = kernel(SQEXP, r)
+        against exp(-r (t1 - t2)^2) for t1 - t2 over [-1, 1], r per
+        eigenvalue, as the temporal module takes it."""
+        basis = temporal.time_basis(SQEXP, r, 10)
         t = np.linspace(0.0, 1.0, 201)
-        terms = k.kernel_time_basis(t) * k.column_factors
+        terms = basis(t) * temporal.column_factors(SQEXP, r, basis)
         series = np.zeros((len(t), len(t)))
         for j in range(terms.shape[1]):
             series += np.multiply.outer(terms[:, j], terms[:, j])
         exact = np.exp(-r * np.subtract.outer(t, t) ** 2)
         assert np.abs(series - exact).max() <= 1e-14
-        assert abs(kernel_value(k, 0.0, 1.0) - math.exp(-r)) <= 1e-14
 
     def test_time_domain_enforced(self):
-        k = kernel(SQEXP, 1.0)
+        k = kernel(SQEXP, 40)
         with pytest.raises(OutOfRange):
             kernel_value(k, -0.2, 0.5)
 
     @pytest.mark.parametrize("tag", [PERIODIC, CONSTANT, SQEXP])
     def test_variance_is_the_kernel_diagonal(self, tag):
-        k = kernel(tag, 0.3)
+        k = kernel(tag, 12)
         assert k.variance == kernel_value(k, 0.0, 0.0)
         for t in (0.1, 0.25, 0.5, 0.77, 1.0):
             assert abs(k.variance - kernel_value(k, t, t)) <= 1e-15 * k.variance
@@ -104,12 +108,12 @@ class TestSampling:
         assert np.all(evaluate(k, s, ts) == s[0, 0])
 
     def test_periodic_sample_is_periodic(self):
-        k = kernel(PERIODIC, 0.14, 10)
+        k = kernel(PERIODIC, 5.5, 10)
         s = sample(k, derive(8))
         assert evaluate(k, s, 0.0) == pytest.approx(evaluate(k, s, 1.0), abs=1e-12)
 
     def test_periodic_draw_count(self):
-        k = kernel(PERIODIC, 0.1, 4)
+        k = kernel(PERIODIC, 3.95, 4)
         assert k.gaussians_per_sample == 9
 
     def test_sqexp_extrapolation_rejected(self):
@@ -119,7 +123,7 @@ class TestSampling:
             evaluate(k, s, 1.5)
 
     def test_periodic_variance_matches_kernel(self):
-        k = kernel(PERIODIC, 0.1, 5)
+        k = kernel(PERIODIC, 3.95, 5)
         rng = derive(99)
         vals = np.array([evaluate(k, sample(k, rng), 0.3) for _ in range(10_000)])
         target = kernel_value(k, 0.3, 0.3)
@@ -129,17 +133,18 @@ class TestSampling:
 
 class TestEvaluation:
     def test_periodic_degenerate_series(self):
-        k = kernel(PERIODIC, 0.1, 3)
+        k = kernel(PERIODIC, 3.95, 3)
         s = np.zeros((1, 7))
         s[0, 0] = 1.0
         ts = np.linspace(0, 1, 9)
         assert np.allclose(evaluate(k, s, ts), 1.0)
 
     def test_periodic_single_cosine(self):
-        k = kernel(PERIODIC, 0.1, 3)
+        # the first cosine's factor exp(-2 pi^2 r') is exp(-r / 2)
+        k = kernel(PERIODIC, 3.95, 3)
         s = np.zeros((1, 7))
         s[0, 1] = 1.0
-        expected0 = math.sqrt(2) * math.exp(-0.2 * math.pi**2)
+        expected0 = math.sqrt(2) * math.exp(-3.95 / 2)
         assert evaluate(k, s, 0.0) == pytest.approx(expected0)
         ts = np.linspace(0, 1, 25)
         assert np.allclose(evaluate(k, s, ts),

@@ -15,11 +15,10 @@ from reference import (BumpFunction, apply_walk, concatenate_autonomous, flow_co
                        flow_one, torus_distance)
 
 
-def walk_run(r=0.1, smax=3, **kwargs):
-    """A random-walk config at eigenvalue regularity r (4 pi^2 r in the
-    config's frequency units) and its law."""
-    cfg = ExperimentConfig(command="random-walk", regularity=4 * math.pi**2 * r,
-                           spatial_max=smax, kernel="constant", workers=1, **kwargs)
+def walk_run(r=3.95, smax=3, **kwargs):
+    """A random-walk config at regularity r and its law."""
+    cfg = ExperimentConfig(command="random-walk", regularity=r, spatial_max=smax,
+                           kernel="constant", workers=1, **kwargs)
     return cfg, cfg.law
 
 
@@ -65,7 +64,7 @@ class TestSampling:
         # one-step walks displace like single autonomous draws
         stats = pytest.importorskip("scipy.stats")
         p = np.array([0.31, 0.62])
-        cfg, law = walk_run(r=0.15, seed=9, walk_steps=1, probe=tuple(p), steps=100)
+        cfg, law = walk_run(r=6, seed=9, walk_steps=1, probe=tuple(p), steps=100)
         n = 2000
         walk_disp = displacements(trajectories(cfg, range(n))[:, 1], p)
         draws = PackedBatch((sample_hamiltonian(law, 1234, i) for i in range(n)), n)
@@ -90,7 +89,7 @@ class TestApplication:
 
     def test_batched_trajectories_match_per_walk_loop(self):
         # the chunk flows step j of every walk in one batch
-        cfg, law = walk_run(r=0.3, smax=4, seed=31, walk_steps=3, probe=(0.45, 0.2), steps=12)
+        cfg, law = walk_run(r=12, smax=4, seed=31, walk_steps=3, probe=(0.45, 0.2), steps=12)
         steps = flow_steps(law, cfg.steps)
         batched = trajectories(cfg, range(5))
         assert batched.shape == (5, 4, 2)
@@ -105,7 +104,7 @@ class TestApplication:
     def test_increment_displacements_identically_distributed(self):
         # step j of every walk flows in one batch
         stats = pytest.importorskip("scipy.stats")
-        cfg, law = walk_run(r=0.2, smax=2, seed=19, walk_steps=3, probe=(0.5, 0.5), steps=100)
+        cfg, law = walk_run(r=8, smax=2, seed=19, walk_steps=3, probe=(0.5, 0.5), steps=100)
         traj = trajectories(cfg, range(2000))
         first = displacements(traj[:, 1], traj[:, 0])
         last = displacements(traj[:, 3], traj[:, 2])
@@ -122,7 +121,7 @@ class TestGeneratingHamiltonian:
     def test_time_one_flow_matches_walk(self, n_steps, tol):
         # the concatenation has no law: it flows at steps x parts, the walk
         # at the law's count
-        cfg, law = walk_run(r=0.12, seed=23, walk_steps=n_steps)
+        cfg, law = walk_run(r=4.7, seed=23, walk_steps=n_steps)
         combined = PackedBatch([concatenate_autonomous(walk(law, 23, n_steps), BumpFunction())])
         pts = np.random.default_rng(1).uniform(0, 1, (20, 2))
         lhs = flow_concatenation(combined, pts[None], 0.0, 1.0, cfg.steps)[0]
@@ -134,7 +133,7 @@ class TestGeneratingHamiltonian:
     def test_coefficient_path_time_symmetric_in_law(self):
         # combined coefficient paths at t and 1-t are equal in law for iid steps
         stats = pytest.importorskip("scipy.stats")
-        _, law = walk_run(r=0.3, smax=1)
+        _, law = walk_run(r=12, smax=1)
         bump = BumpFunction()
         n = 2000
         at_02 = np.empty(n)
